@@ -6,11 +6,10 @@
 //! and decoder derive identical codebooks from them.
 
 use crate::bitio::{BitReader, BitStreamExhausted, BitWriter};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
-/// Maximum code length we allow; 32 keeps codes in a u32 and is unreachable
-/// for realistic histograms (bounded by ~log2(total count)).
+/// Maximum code length we allow; 32 keeps codes in a u32. A histogram
+/// needs Fibonacci-like skew over at least F(34) ≈ 5.7 M symbols to ask
+/// for more, and [`code_lengths`] refuses it when it does.
 pub const MAX_CODE_LEN: u8 = 32;
 
 /// Errors from Huffman coding.
@@ -22,6 +21,9 @@ pub enum HuffmanError {
     UnknownSymbol(u32),
     /// The encoded stream ended prematurely or was corrupt.
     Corrupt,
+    /// The histogram is so skewed that its Huffman tree is deeper than
+    /// [`MAX_CODE_LEN`]; no decodable table exists for it.
+    CodeTooLong,
 }
 
 impl std::fmt::Display for HuffmanError {
@@ -30,6 +32,9 @@ impl std::fmt::Display for HuffmanError {
             HuffmanError::EmptyAlphabet => write!(f, "empty alphabet"),
             HuffmanError::UnknownSymbol(s) => write!(f, "unknown symbol {s}"),
             HuffmanError::Corrupt => write!(f, "corrupt Huffman stream"),
+            HuffmanError::CodeTooLong => {
+                write!(f, "Huffman code longer than {MAX_CODE_LEN} bits")
+            }
         }
     }
 }
@@ -45,63 +50,141 @@ impl From<BitStreamExhausted> for HuffmanError {
 /// Compute canonical code lengths from symbol frequencies.
 ///
 /// `freqs` maps dense symbol index → count; zero-count symbols get no code.
-/// Returns a vector of code lengths aligned with `freqs`.
+/// Returns a vector of code lengths aligned with `freqs`, or
+/// [`HuffmanError::CodeTooLong`] when the tree is deeper than
+/// [`MAX_CODE_LEN`] (clamping a depth would break the Kraft equality and
+/// write a table the decoder rejects).
+///
+/// The tree is the one a min-heap over `(weight, node id)` builds, with
+/// leaf ids below internal ids and internal ids in creation order, so the
+/// lengths — and every stream coded with them — are a pure function of
+/// the histogram. It is built without the heap: the leaves are sorted by
+/// `(freq, index)`, the internal nodes queue up in creation order, and
+/// each step takes the smaller front of the two queues. That pops exactly
+/// the heap's sequence, because a new internal node weighs at least as
+/// much as every earlier one (both of its children are no lighter than
+/// the children of the node before it), which keeps the second queue
+/// sorted by `(weight, id)` too, and on equal weights the leaf goes first
+/// (its id is smaller).
 pub fn code_lengths(freqs: &[u64]) -> Result<Vec<u8>, HuffmanError> {
-    let n = freqs.len();
-    let present: Vec<usize> = (0..n).filter(|&i| freqs[i] > 0).collect();
-    if present.is_empty() {
+    let present: Vec<(u64, usize)> =
+        freqs.iter().enumerate().filter(|&(_, &f)| f > 0).map(|(i, &f)| (f, i)).collect();
+    let m = present.len();
+    if m == 0 {
         return Err(HuffmanError::EmptyAlphabet);
     }
-    let mut lens = vec![0u8; n];
-    if present.len() == 1 {
+    let mut lens = vec![0u8; freqs.len()];
+    if m == 1 {
         // Degenerate alphabet: give the single symbol a 1-bit code.
-        lens[present[0]] = 1;
+        lens[present[0].1] = 1;
         return Ok(lens);
     }
-    // Heap of (weight, node id). Internal nodes get ids >= n.
-    #[derive(Clone, Copy)]
-    struct Node {
-        parent: usize,
+    // Leaves in `(freq, index)` order. `present` is in index order, so a
+    // stable counting sort on the frequency orders the rare symbols —
+    // nearly all of a quantizer histogram — and only the frequent ones,
+    // which share the last bucket, are left to a comparison sort.
+    const RARE: usize = 256;
+    let bucket = |f: u64| f.min(RARE as u64) as usize;
+    let mut start = [0usize; RARE + 2];
+    for &(f, _) in &present {
+        start[bucket(f) + 1] += 1;
     }
-    let mut nodes: Vec<Node> = vec![Node { parent: usize::MAX }; n];
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> =
-        present.iter().map(|&i| Reverse((freqs[i], i))).collect();
-    while heap.len() > 1 {
-        let Reverse((wa, a)) = heap.pop().unwrap();
-        let Reverse((wb, b)) = heap.pop().unwrap();
-        let id = nodes.len();
-        nodes.push(Node { parent: usize::MAX });
-        nodes[a].parent = id;
-        nodes[b].parent = id;
-        heap.push(Reverse((wa + wb, id)));
+    for b in 1..RARE + 2 {
+        start[b] += start[b - 1];
     }
-    for &i in &present {
-        let mut depth = 0u8;
-        let mut cur = i;
-        while nodes[cur].parent != usize::MAX {
-            cur = nodes[cur].parent;
-            depth += 1;
+    let frequent = start[RARE];
+    let mut leaves = vec![(0u64, 0usize); m];
+    for &leaf in &present {
+        let slot = &mut start[bucket(leaf.0)];
+        leaves[*slot] = leaf;
+        *slot += 1;
+    }
+    drop(present);
+    leaves[frequent..].sort_unstable();
+    // Nodes 0..m are the sorted leaves, m..2m-1 the internal nodes in
+    // creation order; the last one is the root.
+    let mut parent = vec![0usize; 2 * m - 1];
+    let mut weights: Vec<u64> = Vec::with_capacity(m - 1);
+    let (mut next_leaf, mut next_internal) = (0usize, 0usize);
+    for id in m..2 * m - 1 {
+        let mut sum = 0u64;
+        for _ in 0..2 {
+            let leaf_first = next_leaf < m
+                && weights.get(next_internal).is_none_or(|&w| leaves[next_leaf].0 <= w);
+            let node = if leaf_first {
+                sum += leaves[next_leaf].0;
+                next_leaf += 1;
+                next_leaf - 1
+            } else {
+                sum += weights[next_internal];
+                next_internal += 1;
+                m + next_internal - 1
+            };
+            parent[node] = id;
         }
-        lens[i] = depth.min(MAX_CODE_LEN);
+        weights.push(sum);
+    }
+    // Every parent has a larger index than its children, so one reverse
+    // pass turns the parent array into depths in place.
+    let root = 2 * m - 2;
+    parent[root] = 0;
+    for node in (0..root).rev() {
+        parent[node] = parent[parent[node]] + 1;
+    }
+    for (&(_, sym), &depth) in leaves.iter().zip(&parent) {
+        if depth > MAX_CODE_LEN as usize {
+            return Err(HuffmanError::CodeTooLong);
+        }
+        lens[sym] = depth as u8;
     }
     Ok(lens)
+}
+
+/// The symbols that have a code, ordered by `(length, index)`, and the
+/// number of codes per length: one counting sort shared by the encoder's
+/// and the decoder's canonical code assignment. A length above
+/// [`MAX_CODE_LEN`] is `Corrupt`.
+fn symbols_by_length(
+    lens: &[u8],
+) -> Result<([u32; MAX_CODE_LEN as usize + 1], Vec<u32>), HuffmanError> {
+    let mut count = [0u32; MAX_CODE_LEN as usize + 1];
+    for &l in lens {
+        if l > MAX_CODE_LEN {
+            return Err(HuffmanError::Corrupt);
+        }
+        if l > 0 {
+            count[l as usize] += 1;
+        }
+    }
+    let mut next = [0u32; MAX_CODE_LEN as usize + 1];
+    for l in 1..=MAX_CODE_LEN as usize {
+        next[l] = next[l - 1] + count[l - 1];
+    }
+    let present = (next[MAX_CODE_LEN as usize] + count[MAX_CODE_LEN as usize]) as usize;
+    let mut order = vec![0u32; present];
+    for (i, &l) in lens.iter().enumerate() {
+        if l > 0 {
+            order[next[l as usize] as usize] = i as u32;
+            next[l as usize] += 1;
+        }
+    }
+    Ok((count, order))
 }
 
 /// Assign canonical codes (MSB-first) from code lengths.
 ///
 /// Symbols are ordered by (length, index); the returned vector holds
-/// `(code, len)` per symbol (len 0 ⇒ absent).
+/// `(code, len)` per symbol (len 0 ⇒ absent). The lengths must come from
+/// [`code_lengths`]: a length above [`MAX_CODE_LEN`] panics.
 pub fn canonical_codes(lens: &[u8]) -> Vec<(u32, u8)> {
-    let mut order: Vec<usize> =
-        (0..lens.len()).filter(|&i| lens[i] > 0).collect();
-    order.sort_by_key(|&i| (lens[i], i));
+    let (_, order) = symbols_by_length(lens).expect("code lengths within MAX_CODE_LEN");
     let mut codes = vec![(0u32, 0u8); lens.len()];
     let mut code = 0u32;
     let mut prev_len = 0u8;
     for &i in &order {
-        let l = lens[i];
+        let l = lens[i as usize];
         code <<= (l - prev_len) as u32;
-        codes[i] = (code, l);
+        codes[i as usize] = (code, l);
         code += 1;
         prev_len = l;
     }
@@ -235,29 +318,18 @@ pub struct HuffmanDecoder {
 impl HuffmanDecoder {
     /// Build from per-symbol code lengths.
     pub fn from_lengths(lens: &[u8]) -> Result<Self, HuffmanError> {
-        let mut order: Vec<usize> =
-            (0..lens.len()).filter(|&i| lens[i] > 0).collect();
-        if order.is_empty() {
+        let (count, sorted_syms) = symbols_by_length(lens)?;
+        if sorted_syms.is_empty() {
             return Err(HuffmanError::EmptyAlphabet);
-        }
-        if lens.iter().any(|&l| l > MAX_CODE_LEN) {
-            return Err(HuffmanError::Corrupt);
         }
         // A valid prefix code satisfies the Kraft inequality; corrupt
         // headers can oversubscribe a length class, which would make the
         // canonical codes overflow their bit width (and the LUT below).
-        let kraft: u128 = lens
-            .iter()
-            .filter(|&&l| l > 0)
-            .map(|&l| 1u128 << (MAX_CODE_LEN - l))
+        let kraft: u128 = (1..=MAX_CODE_LEN as usize)
+            .map(|l| (count[l] as u128) << (MAX_CODE_LEN as usize - l))
             .sum();
         if kraft > 1u128 << MAX_CODE_LEN {
             return Err(HuffmanError::Corrupt);
-        }
-        order.sort_by_key(|&i| (lens[i], i));
-        let mut count = [0u32; MAX_CODE_LEN as usize + 1];
-        for &i in &order {
-            count[lens[i] as usize] += 1;
         }
         let mut first_code = [0u32; MAX_CODE_LEN as usize + 1];
         let mut first_sym_idx = [0u32; MAX_CODE_LEN as usize + 1];
@@ -270,7 +342,6 @@ impl HuffmanDecoder {
             code += count[l];
             idx += count[l];
         }
-        let sorted_syms: Vec<u32> = order.iter().map(|&i| i as u32).collect();
         // Fast path: expand every code of length ≤ LUT_BITS into all the
         // table slots sharing its prefix.
         let mut lut = vec![(0u32, 0u8); 1usize << LUT_BITS];
@@ -335,6 +406,70 @@ impl HuffmanDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// The heap-based build `code_lengths` replaced, kept as its
+    /// executable specification: pop the two smallest `(weight, id)`
+    /// (leaf ids are symbol indices, internal ids follow in creation
+    /// order), then count each leaf's parent hops. Depths are returned
+    /// unclamped.
+    fn reference_depths(freqs: &[u64]) -> Vec<u32> {
+        let n = freqs.len();
+        let present: Vec<usize> = (0..n).filter(|&i| freqs[i] > 0).collect();
+        let mut depths = vec![0u32; n];
+        if present.len() == 1 {
+            depths[present[0]] = 1;
+            return depths;
+        }
+        let mut parent = vec![usize::MAX; n];
+        let mut heap: BinaryHeap<Reverse<(u64, usize)>> =
+            present.iter().map(|&i| Reverse((freqs[i], i))).collect();
+        while heap.len() > 1 {
+            let Reverse((wa, a)) = heap.pop().unwrap();
+            let Reverse((wb, b)) = heap.pop().unwrap();
+            let id = parent.len();
+            parent.push(usize::MAX);
+            parent[a] = id;
+            parent[b] = id;
+            heap.push(Reverse((wa + wb, id)));
+        }
+        for &i in &present {
+            let mut cur = i;
+            while parent[cur] != usize::MAX {
+                cur = parent[cur];
+                depths[i] += 1;
+            }
+        }
+        depths
+    }
+
+    /// `code_lengths` must give the reference's depths, or refuse exactly
+    /// when one of them exceeds `MAX_CODE_LEN`.
+    fn assert_matches_reference(freqs: &[u64]) {
+        let want = reference_depths(freqs);
+        match code_lengths(freqs) {
+            Ok(lens) => {
+                let got: Vec<u32> = lens.iter().map(|&l| l as u32).collect();
+                assert_eq!(got, want);
+            }
+            Err(e) => {
+                assert_eq!(e, HuffmanError::CodeTooLong);
+                assert!(want.iter().any(|&d| d > MAX_CODE_LEN as u32));
+            }
+        }
+    }
+
+    /// The first `k` Fibonacci numbers (1, 1, 2, 3, …): the histogram
+    /// whose Huffman tree is a path of depth `k - 1`.
+    fn fibonacci(k: usize) -> Vec<u64> {
+        let mut f = vec![1u64; k];
+        for i in 2..k {
+            f[i] = f[i - 1] + f[i - 2];
+        }
+        f
+    }
 
     fn roundtrip(freqs: &[u64], msg: &[u32]) {
         let enc = HuffmanEncoder::from_freqs(freqs).unwrap();
@@ -522,6 +657,109 @@ mod tests {
         // Full stream decodes fine.
         let mut r = BitReader::new(&bytes);
         assert_eq!(dec.decode(&mut r).unwrap(), 3);
+    }
+
+    #[test]
+    fn one_and_two_symbol_alphabets_match_reference() {
+        assert_matches_reference(&[0, 0, 9, 0]);
+        assert_matches_reference(&[3, 0, 0, 3]);
+        assert_matches_reference(&[1, 0, 1000]);
+        assert_eq!(code_lengths(&[0, 7, 0, 2]).unwrap(), vec![0, 1, 0, 1]);
+    }
+
+    #[test]
+    fn fibonacci_weights_match_reference_up_to_the_deepest_code() {
+        // k Fibonacci weights make a path of depth k − 1, so 33 of them
+        // reach MAX_CODE_LEN exactly, whichever way round they lie.
+        for k in 2..=MAX_CODE_LEN as usize + 1 {
+            let mut freqs = fibonacci(k);
+            assert_matches_reference(&freqs);
+            let lens = code_lengths(&freqs).unwrap();
+            assert_eq!(*lens.iter().max().unwrap() as usize, k - 1);
+            freqs.reverse();
+            assert_matches_reference(&freqs);
+        }
+    }
+
+    #[test]
+    fn tree_deeper_than_max_code_len_is_refused_not_clamped() {
+        // One more Fibonacci weight asks for a 33-bit code. Clamping it to
+        // 32 bits oversubscribes the code space (Kraft sum > 1) and writes
+        // a table `from_lengths` rejects, so the build must fail instead.
+        for k in [MAX_CODE_LEN as usize + 2, 40, 60] {
+            let freqs = fibonacci(k);
+            assert_eq!(code_lengths(&freqs).unwrap_err(), HuffmanError::CodeTooLong);
+            assert_eq!(
+                HuffmanEncoder::from_freqs(&freqs).unwrap_err(),
+                HuffmanError::CodeTooLong
+            );
+            let clamped: Vec<u8> = reference_depths(&freqs)
+                .iter()
+                .map(|&d| d.min(MAX_CODE_LEN as u32) as u8)
+                .collect();
+            assert_eq!(HuffmanDecoder::from_lengths(&clamped).unwrap_err(), HuffmanError::Corrupt);
+        }
+    }
+
+    #[test]
+    fn counting_sort_orders_by_length_then_index() {
+        let mut x = 0x2545_f491u32;
+        let lens: Vec<u8> = (0..3000)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                if x.is_multiple_of(3) { 0 } else { (x % 32) as u8 + 1 }
+            })
+            .collect();
+        let mut want: Vec<u32> = (0..lens.len() as u32).filter(|&i| lens[i as usize] > 0).collect();
+        want.sort_by_key(|&i| (lens[i as usize], i));
+        let (count, order) = symbols_by_length(&lens).unwrap();
+        assert_eq!(order, want);
+        for l in 1..=MAX_CODE_LEN {
+            assert_eq!(count[l as usize] as usize, lens.iter().filter(|&&x| x == l).count());
+        }
+        assert_eq!(count[0], 0);
+    }
+
+    proptest! {
+        #[test]
+        fn prop_equal_frequencies_match_reference(n in 1usize..700, f in 1u64..1000) {
+            assert_matches_reference(&vec![f; n]);
+        }
+
+        #[test]
+        fn prop_sparse_dense_alphabet_histograms_match_reference(
+            // Few distinct counts over the 65 537-symbol alphabet: ties
+            // between leaves and between leaves and internal nodes
+            // everywhere, which is where the pop order could differ.
+            hits in proptest::collection::vec((0usize..65_537, 1u64..6), 1..600),
+            tail in proptest::collection::vec((0usize..65_537, any::<u32>()), 0..40),
+        ) {
+            let mut freqs = vec![0u64; 65_537];
+            for (sym, f) in hits {
+                freqs[sym] += f;
+            }
+            for (sym, f) in tail {
+                freqs[sym] += f as u64;
+            }
+            assert_matches_reference(&freqs);
+        }
+
+        #[test]
+        fn prop_fibonacci_weights_anywhere_match_reference(
+            k in 2usize..40,
+            stride in 1usize..1000,
+            scale in 1u64..1000,
+        ) {
+            // Scaled Fibonacci weights scattered over a sparse alphabet,
+            // on both sides of the depth limit.
+            let mut freqs = vec![0u64; 40 * 1000];
+            for (i, f) in fibonacci(k).into_iter().enumerate() {
+                freqs[(i * stride * 7) % (40 * 1000 - 1)] += f * scale;
+            }
+            assert_matches_reference(&freqs);
+        }
     }
 
     #[test]

@@ -1,10 +1,19 @@
 //! LZSS lossless backend.
 //!
 //! SZ finishes its pipeline by running a general-purpose lossless compressor
-//! (Zstd in the reference implementation) over the entropy-coded stream to
-//! squeeze out residual redundancy — repeated Huffman-code runs, literal
-//! tables, and header padding. We implement LZSS with a 64 KiB window and
-//! hash-chain match finding: the same algorithmic family, dependency-free.
+//! (Zstd in the reference implementation) over the assembled payload. We
+//! implement LZSS with a 64 KiB window and hash-chain match finding: the
+//! same algorithmic family, dependency-free.
+//!
+//! What the pass finds there is measured (DESIGN.md §12): the Huffman-coded
+//! symbol section, most of the payload, is already entropy-coded and a byte
+//! matcher finds next to nothing in it. The whole byte gain comes from the
+//! dense code-length table in front of it (long runs of equal lengths, one
+//! table per chunk) and, to a lesser degree, the literal and coefficient
+//! sections. The matcher is therefore built to get through unmatchable
+//! bytes quickly: an exact filter in front of the chain walk proves "no
+//! match" from one table load, and only the few positions that survive it
+//! pay for a walk.
 //!
 //! Token format (bit stream, MSB-first):
 //! * `0` + 8 bits   — literal byte
@@ -20,6 +29,20 @@ pub const MIN_MATCH: usize = 4;
 pub const MAX_MATCH: usize = MIN_MATCH + 255;
 /// Hash-chain search depth; bounds worst-case compression time.
 const MAX_CHAIN: usize = 32;
+/// Chain heads: one per value of the 15-bit hash.
+const HASH_SIZE: usize = 1 << 15;
+/// Ceiling on the filter table (one byte per slot); smaller inputs get
+/// two slots per position, so a small call does not pay for a large
+/// one's table.
+const MAX_FILTER_SIZE: usize = 1 << 19;
+/// The filter dates its slots in epochs of `2^EPOCH_SHIFT` positions.
+const EPOCH_SHIFT: u32 = 12;
+/// Epochs the window spans: positions at most [`WINDOW`] apart lie at
+/// most this many epochs apart.
+const WINDOW_EPOCHS: u8 = (WINDOW >> EPOCH_SHIFT) as u8;
+/// "No position" in the chain tables. Positions are below `u32::MAX` by
+/// [`accepts`].
+const NONE: u32 = u32::MAX;
 
 /// Error from [`decompress`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,75 +56,192 @@ impl std::fmt::Display for LzssCorrupt {
 
 impl std::error::Error for LzssCorrupt {}
 
-#[inline]
-fn hash4(data: &[u8], i: usize) -> usize {
-    let b = u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]]);
-    (b.wrapping_mul(0x9E37_79B1) >> 17) as usize & (HASH_SIZE - 1)
+/// True when [`compress`] can take an input of `len` bytes: the stream
+/// stores the length, and the matcher its positions, as `u32`.
+pub fn accepts(len: usize) -> bool {
+    u32::try_from(len).is_ok()
 }
 
-const HASH_SIZE: usize = 1 << 15;
+#[inline]
+fn word_at(data: &[u8], i: usize) -> u32 {
+    u32::from_le_bytes(data[i..i + 4].try_into().expect("4 bytes"))
+}
 
-/// Compress `data`; output starts with the original length (u32 LE).
-pub fn compress(data: &[u8]) -> Vec<u8> {
-    let mut w = BitWriter::with_capacity(data.len() / 2 + 16);
-    let mut head = vec![u32::MAX; HASH_SIZE];
-    let mut prev = vec![u32::MAX; data.len()];
-    let mut i = 0usize;
-    while i < data.len() {
-        let mut best_len = 0usize;
-        let mut best_off = 0usize;
-        if i + MIN_MATCH <= data.len() {
-            let h = hash4(data, i);
-            let mut cand = head[h];
-            let mut chain = 0;
-            while cand != u32::MAX && chain < MAX_CHAIN {
-                let c = cand as usize;
-                if i - c <= WINDOW {
-                    let limit = (data.len() - i).min(MAX_MATCH);
-                    let mut l = 0;
-                    while l < limit && data[c + l] == data[i + l] {
-                        l += 1;
-                    }
-                    if l > best_len {
-                        best_len = l;
-                        best_off = i - c;
-                        if l == limit {
-                            break;
-                        }
-                    }
-                } else {
-                    break; // chain entries only get older
-                }
-                cand = prev[c];
-                chain += 1;
-            }
-            // Insert current position into the chain.
-            prev[i] = head[h];
-            head[h] = i as u32;
+/// Length of the common prefix of `data[c..]` and `data[i..]`, at most
+/// `limit`, given that the first [`MIN_MATCH`] bytes are already known to
+/// agree. Compares eight bytes at a time.
+#[inline]
+fn match_len(data: &[u8], c: usize, i: usize, limit: usize) -> usize {
+    let mut l = MIN_MATCH;
+    while l + 8 <= limit {
+        let a = u64::from_le_bytes(data[c + l..c + l + 8].try_into().expect("8 bytes"));
+        let b = u64::from_le_bytes(data[i + l..i + l + 8].try_into().expect("8 bytes"));
+        if a != b {
+            return l + ((a ^ b).trailing_zeros() / 8) as usize;
         }
-        if best_len >= MIN_MATCH {
-            w.push_bit(true);
-            w.push_bits((best_off - 1) as u64, 16);
-            w.push_bits((best_len - MIN_MATCH) as u64, 8);
-            // Insert the skipped positions so later matches can find them.
-            let end = i + best_len;
-            let mut p = i + 1;
-            while p < end && p + MIN_MATCH <= data.len() {
-                let h = hash4(data, p);
-                prev[p] = head[h];
-                head[h] = p as u32;
-                p += 1;
-            }
-            i = end;
-        } else {
-            w.push_bit(false);
-            w.push_bits(data[i] as u64, 8);
-            i += 1;
+        l += 8;
+    }
+    while l < limit && data[c + l] == data[i + l] {
+        l += 1;
+    }
+    l
+}
+
+/// The match finder's tables over the positions of one input.
+///
+/// `head` and `ring` are the hash chains: `head[h]` is the latest position
+/// whose 4-byte word hashes to `h` (15 bits), `ring[p % len]` the position
+/// before `p` on the same chain. A walk only ever follows positions at
+/// most [`WINDOW`] back, and it runs before the current position is
+/// inserted, so a ring of `WINDOW` slots never hands out an overwritten
+/// entry.
+///
+/// `filter[f]` is the epoch (position / 4096, as a wrapping byte) of the
+/// latest position whose word hashes to `f` under a wider hash of the same
+/// word. Every inserted position is recorded there too. So if a position
+/// `p` at most `WINDOW` back starts with the current word, the slot was
+/// last written at `p` or later, which is at most [`WINDOW_EPOCHS`] epochs
+/// ago — few enough that the wrapping byte difference is the true one.
+/// Turned around: a slot older than that proves that no match of
+/// [`MIN_MATCH`] bytes exists, and the chain walk (which could only have
+/// found shorter, unusable matches) is skipped. A slot that looks young
+/// for another reason (a different word with the same hash, an entry a
+/// multiple of 1 MiB old, a never-written slot once the epochs have
+/// wrapped) costs a walk, never a byte of output.
+struct Chains {
+    head: Vec<u32>,
+    ring: Vec<u32>,
+    ring_mask: usize,
+    filter: Vec<u8>,
+    filter_shift: u32,
+}
+
+impl Chains {
+    /// Tables for an input with `positions` places a 4-byte word starts at.
+    fn new(positions: usize) -> Self {
+        let ring_len = positions.clamp(1, WINDOW).next_power_of_two();
+        let filter_len =
+            positions.saturating_mul(2).clamp(2, MAX_FILTER_SIZE).next_power_of_two();
+        Chains {
+            head: vec![NONE; HASH_SIZE],
+            ring: vec![NONE; ring_len],
+            ring_mask: ring_len - 1,
+            filter: vec![0; filter_len],
+            filter_shift: 32 - filter_len.trailing_zeros(),
         }
     }
-    let mut out = (data.len() as u32).to_le_bytes().to_vec();
-    out.extend_from_slice(&w.into_bytes());
-    out
+
+    /// Both hashes come from one multiplication: the chain hash is the
+    /// product's top 15 bits, the filter hash its top `log2(filter.len())`.
+    #[inline]
+    fn hashes(&self, word: u32) -> (usize, usize) {
+        let product = word.wrapping_mul(0x9E37_79B1);
+        ((product >> 17) as usize, (product >> self.filter_shift) as usize)
+    }
+
+    /// Epoch of position `i`, offset so that the zeroed table reads as
+    /// "older than the window" from position 0 on.
+    #[inline]
+    fn epoch(i: usize) -> u8 {
+        ((i >> EPOCH_SHIFT) as u8).wrapping_add(WINDOW_EPOCHS + 1)
+    }
+
+    /// False only if no position at most [`WINDOW`] back, with a word
+    /// hashing to `f`, has been inserted.
+    #[inline]
+    fn may_match(&self, i: usize, f: usize) -> bool {
+        Self::epoch(i).wrapping_sub(self.filter[f]) <= WINDOW_EPOCHS
+    }
+
+    /// Record position `i` (whose word hashes to `h`, `f`) as the latest
+    /// of its chain and in the filter.
+    #[inline]
+    fn insert(&mut self, i: usize, h: usize, f: usize) {
+        self.ring[i & self.ring_mask] = self.head[h];
+        self.head[h] = i as u32;
+        self.filter[f] = Self::epoch(i);
+    }
+
+    /// The longest match for `data[i..]` among the first [`MAX_CHAIN`]
+    /// in-window positions of chain `h`, as `(length, offset)`; the
+    /// nearest one wins a tie. `(0, 0)` when none reaches [`MIN_MATCH`].
+    #[inline]
+    fn longest_match(&self, data: &[u8], i: usize, word: u32, h: usize) -> (usize, usize) {
+        let limit = (data.len() - i).min(MAX_MATCH);
+        // Only matches longer than this are of use: a candidate must agree
+        // on the first word and on the byte at `best_len` to qualify.
+        let mut best_len = MIN_MATCH - 1;
+        let mut best_off = 0usize;
+        let mut cand = self.head[h];
+        let mut chain = 0;
+        while cand != NONE && chain < MAX_CHAIN {
+            let c = cand as usize;
+            if i - c > WINDOW {
+                break; // chain entries only get older
+            }
+            if word_at(data, c) == word && data[c + best_len] == data[i + best_len] {
+                let l = match_len(data, c, i, limit);
+                if l > best_len {
+                    best_len = l;
+                    best_off = i - c;
+                    if l == limit {
+                        break;
+                    }
+                }
+            }
+            cand = self.ring[c & self.ring_mask];
+            chain += 1;
+        }
+        if best_off == 0 {
+            (0, 0)
+        } else {
+            (best_len, best_off)
+        }
+    }
+}
+
+/// Compress `data`; output starts with the original length (u32 LE).
+///
+/// # Panics
+///
+/// When `data` is longer than [`accepts`] allows (4 GiB − 1): its length
+/// would not fit the header. Callers store such a payload raw.
+pub fn compress(data: &[u8]) -> Vec<u8> {
+    let n = data.len();
+    assert!(accepts(n), "LZSS input of {n} bytes exceeds the u32 length header");
+    // Room for the worst case (every byte a 9-bit literal): one allocation.
+    let mut w = BitWriter::with_capacity(4 + n + n / 8 + 16);
+    // MSB-first, so the byte-swapped length lands little-endian.
+    w.push_bits((n as u32).swap_bytes() as u64, 32);
+    // Positions a 4-byte word starts at; the last three bytes can only be
+    // literals and are never inserted.
+    let positions = n.saturating_sub(MIN_MATCH - 1);
+    let mut t = Chains::new(positions);
+    let mut i = 0usize;
+    while i < positions {
+        let word = word_at(data, i);
+        let (h, f) = t.hashes(word);
+        let (len, off) =
+            if t.may_match(i, f) { t.longest_match(data, i, word, h) } else { (0, 0) };
+        t.insert(i, h, f);
+        if len == 0 {
+            w.push_bits(data[i] as u64, 9);
+            i += 1;
+            continue;
+        }
+        w.push_bits((1 << 24) | ((off - 1) as u64) << 8 | (len - MIN_MATCH) as u64, 25);
+        // Insert the skipped positions so later matches can find them.
+        let end = i + len;
+        for p in i + 1..end.min(positions) {
+            let (h, f) = t.hashes(word_at(data, p));
+            t.insert(p, h, f);
+        }
+        i = end;
+    }
+    for &b in &data[i..] {
+        w.push_bits(b as u64, 9);
+    }
+    w.into_bytes()
 }
 
 /// Decompress a stream produced by [`compress`].
@@ -146,6 +286,148 @@ pub fn decompress(stream: &[u8]) -> Result<Vec<u8>, LzssCorrupt> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The matcher `compress` replaced, kept as its executable
+    /// specification: a full-length `prev` array, no filter, byte-wise
+    /// match extension, every candidate measured.
+    fn compress_reference(data: &[u8]) -> Vec<u8> {
+        let hash4 = |i: usize| (word_at(data, i).wrapping_mul(0x9E37_79B1) >> 17) as usize;
+        let mut w = BitWriter::new();
+        let mut head = vec![NONE; HASH_SIZE];
+        let mut prev = vec![NONE; data.len()];
+        let mut i = 0usize;
+        while i < data.len() {
+            let mut best_len = 0usize;
+            let mut best_off = 0usize;
+            if i + MIN_MATCH <= data.len() {
+                let h = hash4(i);
+                let mut cand = head[h];
+                let mut chain = 0;
+                while cand != NONE && chain < MAX_CHAIN {
+                    let c = cand as usize;
+                    if i - c > WINDOW {
+                        break;
+                    }
+                    let limit = (data.len() - i).min(MAX_MATCH);
+                    let mut l = 0;
+                    while l < limit && data[c + l] == data[i + l] {
+                        l += 1;
+                    }
+                    if l > best_len {
+                        best_len = l;
+                        best_off = i - c;
+                        if l == limit {
+                            break;
+                        }
+                    }
+                    cand = prev[c];
+                    chain += 1;
+                }
+                prev[i] = head[h];
+                head[h] = i as u32;
+            }
+            if best_len >= MIN_MATCH {
+                w.push_bit(true);
+                w.push_bits((best_off - 1) as u64, 16);
+                w.push_bits((best_len - MIN_MATCH) as u64, 8);
+                let end = i + best_len;
+                let mut p = i + 1;
+                while p < end && p + MIN_MATCH <= data.len() {
+                    let h = hash4(p);
+                    prev[p] = head[h];
+                    head[h] = p as u32;
+                    p += 1;
+                }
+                i = end;
+            } else {
+                w.push_bit(false);
+                w.push_bits(data[i] as u64, 8);
+                i += 1;
+            }
+        }
+        let mut out = (data.len() as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(&w.into_bytes());
+        out
+    }
+
+    /// `n` bytes from a xorshift generator, each mapped through `f`.
+    fn xorshift_bytes(seed: u32, n: usize, f: impl Fn(u32) -> u8) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                f(x)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn length_gate_is_the_u32_header() {
+        // The predicate `compress` asserts and the pipeline consults;
+        // no 4 GiB buffer needed to pin it.
+        assert!(accepts(0));
+        assert!(accepts(u32::MAX as usize));
+        #[cfg(target_pointer_width = "64")]
+        {
+            assert!(!accepts(u32::MAX as usize + 1));
+            assert!(!accepts(usize::MAX));
+        }
+    }
+
+    #[test]
+    fn lengths_below_a_word_match_reference() {
+        // 0–3 bytes never reach the matcher; 4–7 insert 1–4 positions.
+        for n in 0..=7usize {
+            for data in [vec![9u8; n], (0..n as u8).collect::<Vec<_>>()] {
+                let c = compress(&data);
+                assert_eq!(c, compress_reference(&data), "n={n}");
+                assert_eq!(decompress(&c).unwrap(), data);
+            }
+        }
+    }
+
+    #[test]
+    fn wrapped_ring_matches_reference() {
+        // Longer than 2·WINDOW, so every ring slot is reused at least
+        // twice, with material that matches at offsets up to and beyond
+        // the window: a 40 000-byte noise block repeated (offset inside
+        // the window), then again after a gap (offset 70 000, outside),
+        // and a low-entropy stretch whose chains run to MAX_CHAIN.
+        let block = xorshift_bytes(7, 40_000, |x| (x >> 24) as u8);
+        let mut data = block.clone();
+        data.extend_from_slice(&block);
+        data.extend(xorshift_bytes(8, 30_000, |x| (x % 3) as u8));
+        data.extend_from_slice(&block);
+        data.extend(xorshift_bytes(9, 30_000, |x| (x >> 24) as u8));
+        // Exactly WINDOW back: the farthest offset the format can express.
+        let tail = data[data.len() - WINDOW..data.len() - WINDOW + 500].to_vec();
+        data.extend_from_slice(&tail);
+        assert!(data.len() > 2 * WINDOW);
+        let c = compress(&data);
+        assert_eq!(c, compress_reference(&data));
+        assert_eq!(decompress(&c).unwrap(), data);
+    }
+
+    #[test]
+    fn input_past_the_epoch_period_matches_reference() {
+        // The filter's byte epochs repeat every 256 · 4096 positions. Past
+        // that, a slot written exactly one period ago, or never, looks as
+        // young as one written within the window; both may only cost a
+        // walk. The block repeated one period later sits on such slots.
+        let period = 256 << EPOCH_SHIFT;
+        let block = xorshift_bytes(21, 3000, |x| (x >> 24) as u8);
+        let mut data = xorshift_bytes(22, 5000, |x| (x >> 24) as u8);
+        data.extend_from_slice(&block);
+        data.extend(xorshift_bytes(23, period - block.len(), |x| (x >> 24) as u8));
+        data.extend_from_slice(&block);
+        data.extend(xorshift_bytes(24, 20_000, |x| (x % 5) as u8));
+        data.extend_from_slice(&block);
+        let c = compress(&data);
+        assert_eq!(c, compress_reference(&data));
+        assert_eq!(decompress(&c).unwrap(), data);
+    }
 
     #[test]
     fn roundtrip_empty() {
@@ -221,7 +503,9 @@ mod tests {
     proptest! {
         #[test]
         fn prop_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
-            prop_assert_eq!(decompress(&compress(&data)).unwrap(), data);
+            let c = compress(&data);
+            prop_assert_eq!(&c, &compress_reference(&data));
+            prop_assert_eq!(decompress(&c).unwrap(), data);
         }
 
         #[test]
@@ -234,7 +518,49 @@ mod tests {
                 .map(|i| seed.wrapping_add(i as u8))
                 .collect::<Vec<_>>()
                 .repeat(reps);
-            prop_assert_eq!(decompress(&compress(&data)).unwrap(), data);
+            let c = compress(&data);
+            prop_assert_eq!(&c, &compress_reference(&data));
+            prop_assert_eq!(decompress(&c).unwrap(), data);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        #[test]
+        fn prop_three_symbol_alphabet_matches_reference(
+            // Every 4-byte word recurs thousands of times: the chains run
+            // to MAX_CHAIN at nearly every position and ties between
+            // equally long candidates are the rule.
+            seed in any::<u32>(),
+            n in 50_000usize..200_000,
+        ) {
+            let data = xorshift_bytes(seed, n, |x| b"abc"[(x % 3) as usize]);
+            prop_assert_eq!(compress(&data), compress_reference(&data));
+        }
+
+        #[test]
+        fn prop_payload_shaped_input_matches_reference(
+            // What the pipeline feeds it: runs of equal bytes (a code
+            // length table), then noise (the coded symbols) longer than
+            // 2·WINDOW so the ring wraps, then a repeated record.
+            seed in any::<u32>(),
+            runs in proptest::collection::vec((any::<u8>(), 1usize..600), 1..60),
+            noise in 0usize..150_000,
+            record in 1usize..40,
+        ) {
+            let mut data = Vec::new();
+            for (byte, len) in runs {
+                data.extend(std::iter::repeat_n(byte % 20, len));
+            }
+            data.extend(xorshift_bytes(seed, noise, |x| (x >> 24) as u8));
+            let rec = xorshift_bytes(seed ^ 0x5555, record, |x| (x >> 16) as u8);
+            for _ in 0..200 {
+                data.extend_from_slice(&rec);
+            }
+            let c = compress(&data);
+            prop_assert_eq!(&c, &compress_reference(&data));
+            prop_assert_eq!(decompress(&c).unwrap(), data);
         }
     }
 }

@@ -32,7 +32,7 @@ use crate::kernels;
 use crate::lossless;
 use crate::predictor::lorenzo_3d_row_partial;
 use crate::quantizer::Quantizer;
-use crate::regression::{block_abs_error, fit_block, BlockCoeffs, BLOCK_SIDE};
+use crate::regression::{block_abs_error_below, fit_block, BlockCoeffs, BlockFitter, BLOCK_SIDE};
 use crate::stats::CompressionStats;
 use crate::{Compressed, ErrorBound, PredictorMode, SzConfig, SzError};
 
@@ -154,48 +154,40 @@ impl<T> Default for SzScratch<T> {
 
 /// Quantize one element, verifying that the error bound still holds after
 /// the decompressor's final narrowing cast (large-magnitude values can
-/// lose more than the slack to f32 rounding); escape to a literal
-/// otherwise.
+/// lose more than the slack to f32 rounding). Returns the symbol and the
+/// reconstructed value; symbol 0 with the original value is the escape to
+/// a literal.
+///
+/// `FAST` selects the quantizer's branch-free rounding path. Bit-identical
+/// output (`Quantizer::try_encode_fast` is proven and property-tested equal
+/// to `try_encode` whenever `fast_exact()` holds); callers gate it on
+/// `kernels::fast_enabled() && q.fast_exact()`.
 #[inline]
-fn encode_one<T: Element>(
-    q: &Quantizer,
-    pred: f64,
-    orig: T,
-    symbols: &mut Vec<u32>,
-    literals: &mut Vec<T>,
-) -> f64 {
-    if let Some((c, rec)) = q.try_encode(pred, orig.to_f64()) {
-        if (T::from_f64(rec).to_f64() - orig.to_f64()).abs() <= q.error_bound() {
-            symbols.push(c);
-            return rec;
-        }
+fn quantize_one<T: Element, const FAST: bool>(q: &Quantizer, pred: f64, orig: T) -> (u32, f64) {
+    let orig = orig.to_f64();
+    let hit = if FAST { q.try_encode_fast(pred, orig) } else { q.try_encode(pred, orig) };
+    match hit {
+        Some((c, rec)) if (T::from_f64(rec).to_f64() - orig).abs() <= q.error_bound() => (c, rec),
+        _ => (0, orig),
     }
-    symbols.push(0);
-    literals.push(orig);
-    orig.to_f64()
 }
 
-/// [`encode_one`] with the quantizer's branch-free rounding fast path.
-/// Bit-identical output (`Quantizer::try_encode_fast` is proven and
-/// property-tested equal to `try_encode` whenever `fast_exact()` holds);
-/// callers gate on `kernels::fast_enabled() && q.fast_exact()`.
+/// [`quantize_one`], appending the symbol (and the literal of an escape)
+/// to the output arrays; returns the reconstructed value.
 #[inline]
-fn encode_one_fast<T: Element>(
+fn encode_one<T: Element, const FAST: bool>(
     q: &Quantizer,
     pred: f64,
     orig: T,
     symbols: &mut Vec<u32>,
     literals: &mut Vec<T>,
 ) -> f64 {
-    if let Some((c, rec)) = q.try_encode_fast(pred, orig.to_f64()) {
-        if (T::from_f64(rec).to_f64() - orig.to_f64()).abs() <= q.error_bound() {
-            symbols.push(c);
-            return rec;
-        }
+    let (sym, rec) = quantize_one::<T, FAST>(q, pred, orig);
+    symbols.push(sym);
+    if sym == 0 {
+        literals.push(orig);
     }
-    symbols.push(0);
-    literals.push(orig);
-    orig.to_f64()
+    rec
 }
 
 /// Classic (whole-array Lorenzo) encode. Fills `s.symbols` / `s.literals`
@@ -224,9 +216,9 @@ fn encode_classic<T: Element>(
         for (i, &v) in data.iter().enumerate().take(2) {
             let pred = if i == 0 { 0.0 } else { prev };
             let rec = if fast {
-                encode_one_fast(q, pred, v, &mut s.symbols, &mut s.literals)
+                encode_one::<T, true>(q, pred, v, &mut s.symbols, &mut s.literals)
             } else {
-                encode_one(q, pred, v, &mut s.symbols, &mut s.literals)
+                encode_one::<T, false>(q, pred, v, &mut s.symbols, &mut s.literals)
             };
             s.recon[i] = rec;
             prev2 = prev;
@@ -235,9 +227,9 @@ fn encode_classic<T: Element>(
         for (i, &v) in data.iter().enumerate().skip(2) {
             let pred = 2.0 * prev - prev2;
             let rec = if fast {
-                encode_one_fast(q, pred, v, &mut s.symbols, &mut s.literals)
+                encode_one::<T, true>(q, pred, v, &mut s.symbols, &mut s.literals)
             } else {
-                encode_one(q, pred, v, &mut s.symbols, &mut s.literals)
+                encode_one::<T, false>(q, pred, v, &mut s.symbols, &mut s.literals)
             };
             s.recon[i] = rec;
             prev2 = prev;
@@ -271,9 +263,9 @@ fn encode_classic<T: Element>(
                 let left = if i > 0 { s.recon[idx - 1] } else { 0.0 };
                 let pred = s.rowp[i] + left;
                 s.recon[idx] = if fast {
-                    encode_one_fast(q, pred, data[idx], &mut s.symbols, &mut s.literals)
+                    encode_one::<T, true>(q, pred, data[idx], &mut s.symbols, &mut s.literals)
                 } else {
-                    encode_one(q, pred, data[idx], &mut s.symbols, &mut s.literals)
+                    encode_one::<T, false>(q, pred, data[idx], &mut s.symbols, &mut s.literals)
                 };
                 idx += 1;
             }
@@ -304,27 +296,32 @@ fn lorenzo_probe_error<T: Element>(
     };
     let mut err = 0.0;
     let mut cnt = 0usize;
-    if k0 > 0 && j0 > 0 && i0 > 0 {
-        // Interior block: no border can go out of bounds, so index the
-        // four stencil rows directly instead of paying the three signed
-        // comparisons per term. Term order matches the general path
-        // exactly, keeping the accumulated error (and thus the per-block
-        // mode decision and the output stream) bit-identical.
+    if i0 > 0 {
+        // The block has a column to its left, so every stencil row is a
+        // slice starting one column early, and a row off the array (above
+        // the first row, below the first plane) is a row of zeros: no
+        // signed comparisons per term. Term order matches the general
+        // path exactly, keeping the accumulated error (and thus the
+        // per-block mode decision and the output stream) bit-identical.
+        let zeros = [T::from_f64(0.0); BLOCK_SIDE + 1];
+        let width = i1 - i0 + 1;
+        let row = |k: Option<usize>, j: Option<usize>| match (k, j) {
+            (Some(k), Some(j)) => &data[(k * g.ny + j) * g.nx + i0 - 1..][..width],
+            _ => &zeros[..width],
+        };
         for k in k0..k1 {
             for j in j0..j1 {
-                let c = (k * g.ny + j) * g.nx;
-                let u = (k * g.ny + j - 1) * g.nx;
-                let p = ((k - 1) * g.ny + j) * g.nx;
-                let d = ((k - 1) * g.ny + j - 1) * g.nx;
-                for i in i0..i1 {
-                    let pred = data[c + i - 1].to_f64()
-                        + data[u + i].to_f64()
-                        + data[p + i].to_f64()
-                        - data[u + i - 1].to_f64()
-                        - data[p + i - 1].to_f64()
-                        - data[d + i].to_f64()
-                        + data[d + i - 1].to_f64();
-                    err += (data[c + i].to_f64() - pred).abs();
+                let c = row(Some(k), Some(j)).windows(2);
+                let u = row(Some(k), j.checked_sub(1)).windows(2);
+                let p = row(k.checked_sub(1), Some(j)).windows(2);
+                let d = row(k.checked_sub(1), j.checked_sub(1)).windows(2);
+                for (((c, u), p), d) in c.zip(u).zip(p).zip(d) {
+                    let pred = c[0].to_f64() + u[1].to_f64() + p[1].to_f64()
+                        - u[0].to_f64()
+                        - p[0].to_f64()
+                        - d[1].to_f64()
+                        + d[0].to_f64();
+                    err += (c[1].to_f64() - pred).abs();
                 }
             }
         }
@@ -352,9 +349,156 @@ fn lorenzo_probe_error<T: Element>(
     }
 }
 
+/// Elements of a full block.
+const BLOCK_LEN: usize = BLOCK_SIDE * BLOCK_SIDE * BLOCK_SIDE;
+
+/// The block-local `[k, j, i]` of a full block's elements, by anti-diagonal
+/// plane (`i + j + k` ascending).
+const fn wavefront_order() -> [[u8; 3]; BLOCK_LEN] {
+    let mut order = [[0u8; 3]; BLOCK_LEN];
+    let mut n = 0;
+    let mut t = 0;
+    while t <= 3 * (BLOCK_SIDE - 1) {
+        let mut k = 0;
+        while k < BLOCK_SIDE {
+            let mut j = 0;
+            while j < BLOCK_SIDE {
+                if t >= k + j && t - k - j < BLOCK_SIDE {
+                    order[n] = [k as u8, j as u8, (t - k - j) as u8];
+                    n += 1;
+                }
+                j += 1;
+            }
+            k += 1;
+        }
+        t += 1;
+    }
+    order
+}
+
+static WAVEFRONT: [[u8; 3]; BLOCK_LEN] = wavefront_order();
+
+/// One block of [`encode_blocks`]: the half-open index ranges it covers.
+#[derive(Debug, Clone, Copy)]
+struct BlockRange {
+    k: (usize, usize),
+    j: (usize, usize),
+    i: (usize, usize),
+}
+
+/// Quantize a regression block. Its predictions come from the coefficients
+/// alone, never from `recon`, so the elements are independent of each
+/// other and the loop runs without a carried dependence.
+fn encode_regression_block<T: Element, const FAST: bool>(
+    data: &[T],
+    g: Geom,
+    r: BlockRange,
+    coeffs: &BlockCoeffs,
+    q: &Quantizer,
+    s: &mut SzScratch<T>,
+) {
+    for k in r.k.0..r.k.1 {
+        for j in r.j.0..r.j.1 {
+            let row = coeffs.row(j - r.j.0, k - r.k.0);
+            let at = (k * g.ny + j) * g.nx;
+            for i in r.i.0..r.i.1 {
+                s.recon[at + i] = encode_one::<T, FAST>(
+                    q,
+                    row.at(i - r.i.0),
+                    data[at + i],
+                    &mut s.symbols,
+                    &mut s.literals,
+                );
+            }
+        }
+    }
+}
+
+/// Quantize a Lorenzo block row by row: the elementwise part of the
+/// stencil per row, then the serial left-neighbour scan.
+fn encode_lorenzo_block_rows<T: Element, const FAST: bool>(
+    data: &[T],
+    g: Geom,
+    r: BlockRange,
+    q: &Quantizer,
+    s: &mut SzScratch<T>,
+) {
+    for k in r.k.0..r.k.1 {
+        for j in r.j.0..r.j.1 {
+            lorenzo_3d_row_partial(&s.recon, g.ny, g.nx, k, j, r.i.0, r.i.1, &mut s.rowp);
+            for i in r.i.0..r.i.1 {
+                let idx = (k * g.ny + j) * g.nx + i;
+                let left = if i > 0 { s.recon[idx - 1] } else { 0.0 };
+                s.recon[idx] = encode_one::<T, FAST>(
+                    q,
+                    s.rowp[i - r.i.0] + left,
+                    data[idx],
+                    &mut s.symbols,
+                    &mut s.literals,
+                );
+            }
+        }
+    }
+}
+
+/// [`encode_lorenzo_block_rows`] for a full block that has a row above and
+/// a column to its left, visiting the elements in [`WAVEFRONT`] order.
+///
+/// Every element comes after the seven stencil neighbours it is predicted
+/// from, so each prediction — computed with the operations of
+/// [`lorenzo_3d_row_partial`] plus the left neighbour, in their order — and
+/// with it every symbol, literal and reconstructed value is the one the
+/// row-by-row order gives. What changes is that consecutive elements no
+/// longer depend on each other (they lie on one anti-diagonal plane), so
+/// the quantizer's add–divide–round–multiply chain, which the row order
+/// runs strictly one element after the other, overlaps across elements.
+/// Symbols and literals are put back into row-major order at the end.
+fn encode_lorenzo_block_wavefront<T: Element, const FAST: bool>(
+    data: &[T],
+    g: Geom,
+    r: BlockRange,
+    q: &Quantizer,
+    s: &mut SzScratch<T>,
+) {
+    let (k0, j0, i0) = (r.k.0, r.j.0, r.i.0);
+    debug_assert!(j0 > 0 && i0 > 0);
+    let recon = &mut s.recon[..];
+    let plane = g.ny * g.nx;
+    let local = |k: usize, j: usize, i: usize| (k * BLOCK_SIDE + j) * BLOCK_SIDE + i;
+    let global = |k: usize, j: usize, i: usize| ((k0 + k) * g.ny + j0 + j) * g.nx + i0 + i;
+    let mut symbols = [0u32; BLOCK_LEN];
+    for &[k, j, i] in &WAVEFRONT {
+        let (k, j, i) = (k as usize, j as usize, i as usize);
+        let idx = global(k, j, i);
+        let u = idx - g.nx; // same plane, row above
+        let partial = if k0 + k > 0 {
+            let p = idx - plane; // plane below, same row
+            let d = p - g.nx; // plane below, row above
+            (recon[u] + recon[p] - recon[d]) - (recon[u - 1] + recon[p - 1] - recon[d - 1])
+        } else {
+            recon[u] - recon[u - 1]
+        };
+        let (sym, rec) = quantize_one::<T, FAST>(q, partial + recon[idx - 1], data[idx]);
+        recon[idx] = rec;
+        symbols[local(k, j, i)] = sym;
+    }
+    s.symbols.extend_from_slice(&symbols);
+    if symbols.contains(&0) {
+        for k in 0..BLOCK_SIDE {
+            for j in 0..BLOCK_SIDE {
+                for i in 0..BLOCK_SIDE {
+                    if symbols[local(k, j, i)] == 0 {
+                        s.literals.push(data[global(k, j, i)]);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Block-adaptive encode (per-block Lorenzo vs hyperplane regression).
 /// Fills the scratch; returns `(regression_blocks, lorenzo_blocks)`.
-fn encode_blocks<T: Element>(
+fn encode_blocks<T: Element, const FAST: bool>(
     data: &[T],
     g: Geom,
     q: &Quantizer,
@@ -369,8 +513,8 @@ fn encode_blocks<T: Element>(
     let mut lorenzo_blocks = 0u64;
     let b = BLOCK_SIDE;
     s.vals.clear();
-    s.vals.reserve(b * b * b);
-    let fast = kernels::fast_enabled() && q.fast_exact();
+    s.vals.reserve(BLOCK_LEN);
+    let full_fitter = BlockFitter::new(b, b, b);
 
     let blocks = |e: usize| e.div_ceil(b);
     for bk in 0..blocks(g.nz) {
@@ -379,6 +523,7 @@ fn encode_blocks<T: Element>(
                 let (k0, j0, i0) = (bk * b, bj * b, bi * b);
                 let (k1, j1, i1) = ((k0 + b).min(g.nz), (j0 + b).min(g.ny), (i0 + b).min(g.nx));
                 let (nk, nj, ni) = (k1 - k0, j1 - j0, i1 - i0);
+                let full = (nk, nj, ni) == (b, b, b);
                 s.vals.clear();
                 for k in k0..k1 {
                     for j in j0..j1 {
@@ -386,38 +531,25 @@ fn encode_blocks<T: Element>(
                         s.vals.extend(data[row + i0..row + i1].iter().map(|v| v.to_f64()));
                     }
                 }
-                let coeffs = fit_block(&s.vals, nk, nj, ni);
-                let reg_err = block_abs_error(&s.vals, nk, nj, ni, &coeffs);
+                let coeffs = if full {
+                    full_fitter.fit(&s.vals)
+                } else {
+                    fit_block(&s.vals, nk, nj, ni)
+                };
                 let lor_err = lorenzo_probe_error(data, g, k0, k1, j0, j1, i0, i1);
-                let use_reg = reg_err < lor_err;
+                let use_reg = block_abs_error_below(&s.vals, nk, nj, ni, &coeffs, lor_err);
                 s.block_bits.push_bit(use_reg);
+                let range = BlockRange { k: (k0, k1), j: (j0, j1), i: (i0, i1) };
                 if use_reg {
                     regression_blocks += 1;
                     s.coeffs.extend_from_slice(&coeffs.c);
+                    encode_regression_block::<T, FAST>(data, g, range, &coeffs, q, s);
                 } else {
                     lorenzo_blocks += 1;
-                }
-                for k in k0..k1 {
-                    for j in j0..j1 {
-                        if !use_reg {
-                            lorenzo_3d_row_partial(
-                                &s.recon, g.ny, g.nx, k, j, i0, i1, &mut s.rowp,
-                            );
-                        }
-                        for i in i0..i1 {
-                            let idx = (k * g.ny + j) * g.nx + i;
-                            let pred = if use_reg {
-                                coeffs.predict(i - i0, j - j0, k - k0)
-                            } else {
-                                let left = if i > 0 { s.recon[idx - 1] } else { 0.0 };
-                                s.rowp[i - i0] + left
-                            };
-                            s.recon[idx] = if fast {
-                                encode_one_fast(q, pred, data[idx], &mut s.symbols, &mut s.literals)
-                            } else {
-                                encode_one(q, pred, data[idx], &mut s.symbols, &mut s.literals)
-                            };
-                        }
+                    if full && j0 > 0 && i0 > 0 {
+                        encode_lorenzo_block_wavefront::<T, FAST>(data, g, range, q, s);
+                    } else {
+                        encode_lorenzo_block_rows::<T, FAST>(data, g, range, q, s);
                     }
                 }
             }
@@ -476,7 +608,11 @@ pub fn compress_typed_with<T: Element>(
     let (regression_blocks, lorenzo_blocks, fused) = {
         let _span = lcpio_trace::span("sz.predict_quantize");
         if block_mode {
-            let (r, l) = encode_blocks(data, g, &q, s);
+            let (r, l) = if kernels::fast_enabled() && q.fast_exact() {
+                encode_blocks::<T, true>(data, g, &q, s)
+            } else {
+                encode_blocks::<T, false>(data, g, &q, s)
+            };
             (r, l, false)
         } else {
             encode_classic(data, g, cfg.lorenzo_order, &q, s, fuse)
@@ -532,8 +668,11 @@ pub fn compress_typed_with<T: Element>(
             s.freqs[sym as usize] += 1;
         }
     }
+    let build_span = lcpio_trace::span("sz.huffman.build");
     let huff =
         HuffmanEncoder::from_freqs(&s.freqs).map_err(|_| SzError::Internal("huffman build"))?;
+    drop(build_span);
+    let emit_span = lcpio_trace::span("sz.huffman.emit");
     if kernels::fast_enabled() {
         huff.encode_slice(&s.symbols, &mut s.sym_bits)
             .map_err(|_| SzError::Internal("huffman encode"))?;
@@ -543,6 +682,11 @@ pub fn compress_typed_with<T: Element>(
         }
     }
     let huffman_bits = s.sym_bits.bit_len() as u64;
+    // Only the lengths are needed from here on; the code table (8 bytes
+    // per alphabet symbol) need not sit under the lossless stage's peak.
+    let lens = huff.lengths();
+    drop(huff);
+    drop(emit_span);
     drop(huff_span);
 
     // ---- assemble payload ----
@@ -560,7 +704,6 @@ pub fn compress_typed_with<T: Element>(
     // Huffman table: dense u8 code lengths over the occupied symbol range.
     // Quantization codes cluster tightly around the zero bin, so the range
     // is small, and runs of equal lengths compress well in the LZSS pass.
-    let lens = huff.lengths();
     let first = lens.iter().position(|&l| l > 0).unwrap_or(0);
     let last = lens.iter().rposition(|&l| l > 0).unwrap_or(0);
     let n_present = lens.iter().filter(|&&l| l > 0).count();
@@ -587,7 +730,9 @@ pub fn compress_typed_with<T: Element>(
     let payload = p.into_bytes();
 
     // ---- envelope ----
-    let (flags, body) = if cfg.lossless {
+    // A payload LZSS cannot take (4 GiB or more: its header and positions
+    // are u32) is stored raw, like one LZSS fails to shrink.
+    let (flags, body) = if cfg.lossless && lossless::accepts(payload.len()) {
         let _span = lcpio_trace::span("sz.lossless");
         let z = lossless::compress(&payload);
         if z.len() < payload.len() {
@@ -888,6 +1033,196 @@ pub fn decompress_f64(stream: &[u8]) -> Result<(Vec<f64>, Vec<usize>), SzError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The block encoder `encode_blocks` replaced, kept as its executable
+    /// specification: one loop nest for both predictors, every block row
+    /// by row in storage order, the regression error summed to the end and
+    /// the hyperplane spelled out per element.
+    fn encode_blocks_reference<T: Element, const FAST: bool>(
+        data: &[T],
+        g: Geom,
+        q: &Quantizer,
+        s: &mut SzScratch<T>,
+    ) -> (u64, u64) {
+        s.recon.clear();
+        s.recon.resize(data.len(), 0.0);
+        s.rowp.clear();
+        s.rowp.resize(g.nx.min(BLOCK_SIDE), 0.0);
+        let (mut regression_blocks, mut lorenzo_blocks) = (0u64, 0u64);
+        let b = BLOCK_SIDE;
+        let blocks = |e: usize| e.div_ceil(b);
+        for bk in 0..blocks(g.nz) {
+            for bj in 0..blocks(g.ny) {
+                for bi in 0..blocks(g.nx) {
+                    let (k0, j0, i0) = (bk * b, bj * b, bi * b);
+                    let (k1, j1, i1) =
+                        ((k0 + b).min(g.nz), (j0 + b).min(g.ny), (i0 + b).min(g.nx));
+                    let (nk, nj, ni) = (k1 - k0, j1 - j0, i1 - i0);
+                    s.vals.clear();
+                    for k in k0..k1 {
+                        for j in j0..j1 {
+                            let row = (k * g.ny + j) * g.nx;
+                            s.vals.extend(data[row + i0..row + i1].iter().map(|v| v.to_f64()));
+                        }
+                    }
+                    let coeffs = fit_block(&s.vals, nk, nj, ni);
+                    let predict = |i: usize, j: usize, k: usize| {
+                        coeffs.c[0] as f64
+                            + coeffs.c[1] as f64 * i as f64
+                            + coeffs.c[2] as f64 * j as f64
+                            + coeffs.c[3] as f64 * k as f64
+                    };
+                    let mut reg_err = 0.0;
+                    for (n, v) in s.vals.iter().enumerate() {
+                        reg_err += (v - predict(n % ni, n / ni % nj, n / (ni * nj))).abs();
+                    }
+                    reg_err /= s.vals.len() as f64;
+                    let lor_err = lorenzo_probe_error(data, g, k0, k1, j0, j1, i0, i1);
+                    let use_reg = reg_err < lor_err;
+                    s.block_bits.push_bit(use_reg);
+                    if use_reg {
+                        regression_blocks += 1;
+                        s.coeffs.extend_from_slice(&coeffs.c);
+                    } else {
+                        lorenzo_blocks += 1;
+                    }
+                    for k in k0..k1 {
+                        for j in j0..j1 {
+                            if !use_reg {
+                                lorenzo_3d_row_partial(
+                                    &s.recon, g.ny, g.nx, k, j, i0, i1, &mut s.rowp,
+                                );
+                            }
+                            for i in i0..i1 {
+                                let idx = (k * g.ny + j) * g.nx + i;
+                                let pred = if use_reg {
+                                    predict(i - i0, j - j0, k - k0)
+                                } else {
+                                    let left = if i > 0 { s.recon[idx - 1] } else { 0.0 };
+                                    s.rowp[i - i0] + left
+                                };
+                                s.recon[idx] = encode_one::<T, FAST>(
+                                    q,
+                                    pred,
+                                    data[idx],
+                                    &mut s.symbols,
+                                    &mut s.literals,
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        (regression_blocks, lorenzo_blocks)
+    }
+
+    /// Everything `encode_blocks` leaves in the scratch must be what the
+    /// reference leaves there, to the bit, under both quantizer paths.
+    fn assert_blocks_match_reference(data: &[f32], dims: &[usize], eb: f64) {
+        fn run<const FAST: bool>(data: &[f32], g: Geom, q: &Quantizer) {
+            let (mut new, mut old) = (SzScratch::<f32>::new(), SzScratch::<f32>::new());
+            let counts = encode_blocks::<f32, FAST>(data, g, q, &mut new);
+            assert_eq!(counts, encode_blocks_reference::<f32, FAST>(data, g, q, &mut old));
+            assert_eq!(new.symbols, old.symbols);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&new.literals), bits(&old.literals));
+            assert_eq!(bits(&new.coeffs), bits(&old.coeffs));
+            assert_eq!(new.block_bits.finish(), old.block_bits.finish());
+            let recon = |s: &SzScratch<f32>| s.recon.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(recon(&new), recon(&old));
+        }
+        let g = geometry(dims, data.len()).unwrap();
+        let q = Quantizer::new(eb, Quantizer::DEFAULT_RADIUS);
+        assert!(q.fast_exact());
+        run::<true>(data, g, &q);
+        run::<false>(data, g, &q);
+    }
+
+    /// A field with smooth stretches (Lorenzo blocks, many of them full and
+    /// interior), tilted planes (regression blocks), noise, and the values
+    /// that escape to literals.
+    fn mixed_field(dims: &[usize], seed: u32) -> Vec<f32> {
+        let n: usize = dims.iter().product();
+        let nx = *dims.last().unwrap();
+        let ny = if dims.len() >= 2 { dims[dims.len() - 2] } else { 1 };
+        let mut x = seed | 1;
+        (0..n)
+            .map(|idx| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                let (i, j, k) = (idx % nx, idx / nx % ny, idx / (nx * ny));
+                let noise = (x >> 8) as f32 / (1 << 24) as f32 - 0.5;
+                let smooth = (i as f32 * 0.11).sin() * (j as f32 * 0.07).cos() + k as f32 * 0.013;
+                let tilted = 3.0 * i as f32 - 2.0 * j as f32 + 0.5 * k as f32 + 0.02 * noise;
+                match (k / 4 + j / 9 + x as usize % 2) % 4 {
+                    0 | 1 => smooth + 1e-4 * noise,
+                    2 => tilted,
+                    _ => match x % 97 {
+                        0 => f32::NAN,
+                        1 => f32::INFINITY,
+                        2 => -3.0e38,
+                        3 => -0.0,
+                        _ => smooth + 0.3 * noise,
+                    },
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn wavefront_order_puts_every_stencil_neighbour_first() {
+        let mut seen = [false; BLOCK_LEN];
+        let at = |k: u8, j: u8, i: u8| (k as usize * BLOCK_SIDE + j as usize) * BLOCK_SIDE + i as usize;
+        for &[k, j, i] in &WAVEFRONT {
+            for (dk, dj, di) in
+                [(0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)]
+            {
+                if k >= dk && j >= dj && i >= di {
+                    assert!(seen[at(k - dk, j - dj, i - di)], "({k},{j},{i}) before its neighbour");
+                }
+            }
+            assert!(!seen[at(k, j, i)], "({k},{j},{i}) visited twice");
+            seen[at(k, j, i)] = true;
+        }
+        assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn block_encoder_matches_reference_on_mixed_fields() {
+        // Full interior blocks (wavefront order), first-plane blocks, edge
+        // blocks of every partial extent, 2-D and fused 4-D geometry.
+        for (dims, eb) in [
+            (vec![13usize, 20, 19], 1e-3),
+            (vec![12, 18, 18], 1e-2),
+            (vec![6, 12, 12], 1e-5),
+            (vec![7, 6, 25], 1e-1),
+            (vec![40, 50], 1e-3),
+            (vec![2, 7, 13, 14], 1e-3),
+        ] {
+            let data = mixed_field(&dims, 0x9e37_79b9);
+            assert_blocks_match_reference(&data, &dims, eb);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn prop_block_encoder_matches_reference(
+            nz in 1usize..15,
+            ny in 1usize..21,
+            nx in 1usize..21,
+            seed in any::<u32>(),
+            eb_exp in -5i32..0,
+        ) {
+            let dims = [nz, ny, nx];
+            let data = mixed_field(&dims, seed);
+            assert_blocks_match_reference(&data, &dims, 10f64.powi(eb_exp));
+        }
+    }
 
     #[test]
     fn geometry_fuses_4d() {

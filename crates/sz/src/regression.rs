@@ -25,56 +25,126 @@ impl BlockCoeffs {
     /// Predict the value at local coordinate (i, j, k).
     #[inline]
     pub fn predict(&self, i: usize, j: usize, k: usize) -> f64 {
-        self.c[0] as f64
-            + self.c[1] as f64 * i as f64
-            + self.c[2] as f64 * j as f64
-            + self.c[3] as f64 * k as f64
+        self.row(j, k).at(i)
+    }
+
+    /// The predictor of row (j, k), with the `j` and `k` products taken
+    /// once for the row instead of once per element.
+    #[inline]
+    pub fn row(&self, j: usize, k: usize) -> RowPredictor {
+        let [c0, c1, c2, c3] = self.c.map(f64::from);
+        RowPredictor { c0, c1, tj: c2 * j as f64, tk: c3 * k as f64 }
     }
 }
 
-/// Fit a hyperplane to a block of extent (nk, nj, ni) whose values are
-/// provided row-major in `vals` (length nk·nj·ni).
-///
-/// Degenerate extents (length-1 axes) produce zero slopes along those axes.
-pub fn fit_block(vals: &[f64], nk: usize, nj: usize, ni: usize) -> BlockCoeffs {
-    debug_assert_eq!(vals.len(), nk * nj * ni);
-    let n = vals.len() as f64;
-    if vals.is_empty() {
-        return BlockCoeffs { c: [0.0; 4] };
+/// A block's hyperplane along one row; see [`BlockCoeffs::row`].
+#[derive(Debug, Clone, Copy)]
+pub struct RowPredictor {
+    c0: f64,
+    c1: f64,
+    tj: f64,
+    tk: f64,
+}
+
+impl RowPredictor {
+    /// The prediction at local column `i`: `c0 + c1·i + c2·j + c3·k`,
+    /// summed left to right. Compressor and decompressor must agree on
+    /// that order to the bit.
+    #[inline]
+    pub fn at(&self, i: usize) -> f64 {
+        self.c0 + self.c1 * i as f64 + self.tj + self.tk
     }
-    let mean = vals.iter().sum::<f64>() / n;
-    let centroid = |e: usize| (e as f64 - 1.0) / 2.0;
-    let (ci, cj, ck) = (centroid(ni), centroid(nj), centroid(nk));
+}
 
-    // Σ (x−x̄)² along one axis, times the number of repetitions over the
-    // other two axes.
-    let sq = |e: usize| -> f64 {
-        (0..e).map(|x| (x as f64 - centroid(e)).powi(2)).sum::<f64>()
-    };
-    let (di, dj, dk) = (
-        sq(ni) * (nj * nk) as f64,
-        sq(nj) * (ni * nk) as f64,
-        sq(nk) * (ni * nj) as f64,
-    );
+/// The part of a fit that depends only on the block's extent (centroids
+/// and the Σ(x−x̄)² denominators), so a caller fitting many blocks of one
+/// extent works it out once.
+#[derive(Debug, Clone, Copy)]
+pub struct BlockFitter {
+    extent: (usize, usize, usize),
+    /// Centroid along i, j, k.
+    centroid: [f64; 3],
+    /// Σ(x−x̄)² along i, j, k, times the repetitions over the other two axes.
+    denom: [f64; 3],
+}
 
-    let mut num = [0.0f64; 3]; // projections onto (i−ī), (j−j̄), (k−k̄)
-    let mut idx = 0;
-    for k in 0..nk {
-        for j in 0..nj {
-            for i in 0..ni {
-                let d = vals[idx] - mean;
-                num[0] += d * (i as f64 - ci);
-                num[1] += d * (j as f64 - cj);
-                num[2] += d * (k as f64 - ck);
-                idx += 1;
-            }
+impl BlockFitter {
+    /// Fitter for blocks of extent (nk, nj, ni).
+    pub fn new(nk: usize, nj: usize, ni: usize) -> Self {
+        let centroid = |e: usize| (e as f64 - 1.0) / 2.0;
+        let sq = |e: usize| -> f64 {
+            (0..e).map(|x| (x as f64 - centroid(e)).powi(2)).sum::<f64>()
+        };
+        BlockFitter {
+            extent: (nk, nj, ni),
+            centroid: [centroid(ni), centroid(nj), centroid(nk)],
+            denom: [
+                sq(ni) * (nj * nk) as f64,
+                sq(nj) * (ni * nk) as f64,
+                sq(nk) * (ni * nj) as f64,
+            ],
         }
     }
-    let b1 = if di > 0.0 { num[0] / di } else { 0.0 };
-    let b2 = if dj > 0.0 { num[1] / dj } else { 0.0 };
-    let b3 = if dk > 0.0 { num[2] / dk } else { 0.0 };
-    let b0 = mean - b1 * ci - b2 * cj - b3 * ck;
-    BlockCoeffs { c: [b0 as f32, b1 as f32, b2 as f32, b3 as f32] }
+
+    /// Fit a hyperplane to a block whose values are provided row-major in
+    /// `vals` (length nk·nj·ni).
+    ///
+    /// Degenerate extents (length-1 axes) produce zero slopes along those
+    /// axes.
+    pub fn fit(&self, vals: &[f64]) -> BlockCoeffs {
+        let (nk, nj, ni) = self.extent;
+        debug_assert_eq!(vals.len(), nk * nj * ni);
+        if vals.is_empty() {
+            return BlockCoeffs { c: [0.0; 4] };
+        }
+        let mean = vals.iter().sum::<f64>() / vals.len() as f64;
+        let [ci, cj, ck] = self.centroid;
+        let mut num = [0.0f64; 3]; // projections onto (i−ī), (j−j̄), (k−k̄)
+        let mut idx = 0;
+        for k in 0..nk {
+            for j in 0..nj {
+                for i in 0..ni {
+                    let d = vals[idx] - mean;
+                    num[0] += d * (i as f64 - ci);
+                    num[1] += d * (j as f64 - cj);
+                    num[2] += d * (k as f64 - ck);
+                    idx += 1;
+                }
+            }
+        }
+        let slope = |axis: usize| if self.denom[axis] > 0.0 { num[axis] / self.denom[axis] } else { 0.0 };
+        let (b1, b2, b3) = (slope(0), slope(1), slope(2));
+        let b0 = mean - b1 * ci - b2 * cj - b3 * ck;
+        BlockCoeffs { c: [b0 as f32, b1 as f32, b2 as f32, b3 as f32] }
+    }
+}
+
+/// Fit a hyperplane to one block of extent (nk, nj, ni); see
+/// [`BlockFitter::fit`].
+pub fn fit_block(vals: &[f64], nk: usize, nj: usize, ni: usize) -> BlockCoeffs {
+    BlockFitter::new(nk, nj, ni).fit(vals)
+}
+
+/// Σ|v − prediction| over a non-empty block in row-major order, abandoned
+/// after the first row at which `stop(partial sum)` holds.
+fn sum_abs_error(
+    vals: &[f64],
+    nj: usize,
+    ni: usize,
+    coeffs: &BlockCoeffs,
+    mut stop: impl FnMut(f64) -> bool,
+) -> f64 {
+    let mut err = 0.0;
+    for (r, row_vals) in vals.chunks(ni).enumerate() {
+        let row = coeffs.row(r % nj, r / nj);
+        for (i, v) in row_vals.iter().enumerate() {
+            err += (v - row.at(i)).abs();
+        }
+        if stop(err) {
+            break;
+        }
+    }
+    err
 }
 
 /// Mean absolute prediction error of `coeffs` over a block.
@@ -83,17 +153,26 @@ pub fn block_abs_error(vals: &[f64], nk: usize, nj: usize, ni: usize, coeffs: &B
     if vals.is_empty() {
         return 0.0;
     }
-    let mut err = 0.0;
-    let mut idx = 0;
-    for k in 0..nk {
-        for j in 0..nj {
-            for i in 0..ni {
-                err += (vals[idx] - coeffs.predict(i, j, k)).abs();
-                idx += 1;
-            }
-        }
+    sum_abs_error(vals, nj, ni, coeffs, |_| false) / vals.len() as f64
+}
+
+/// `block_abs_error(..) < limit`, decided without finishing the sum when
+/// it can no longer come out below: the terms are non-negative, so the
+/// running sum (and its quotient by the block size) only grows.
+pub fn block_abs_error_below(
+    vals: &[f64],
+    nk: usize,
+    nj: usize,
+    ni: usize,
+    coeffs: &BlockCoeffs,
+    limit: f64,
+) -> bool {
+    debug_assert_eq!(vals.len(), nk * nj * ni);
+    if vals.is_empty() {
+        return 0.0 < limit;
     }
-    err / vals.len() as f64
+    let n = vals.len() as f64;
+    sum_abs_error(vals, nj, ni, coeffs, |partial| partial / n >= limit) / n < limit
 }
 
 #[cfg(test)]
@@ -155,6 +234,46 @@ mod tests {
             block_abs_error(&vals, 6, 6, 6, &c)
                 < 0.2 * block_abs_error(&vals, 6, 6, 6, &mean_pred)
         );
+    }
+
+    #[test]
+    fn row_predictor_is_the_left_to_right_sum() {
+        // The decoder evaluates `predict`; the encoder's hoisted form must
+        // be the same number, not just a close one.
+        let c = BlockCoeffs { c: [1.0e-3, 0.3333333, -7.1, 2.5e4] };
+        for k in 0..7 {
+            for j in 0..7 {
+                let row = c.row(j, k);
+                for i in 0..7 {
+                    let spelled_out = c.c[0] as f64
+                        + c.c[1] as f64 * i as f64
+                        + c.c[2] as f64 * j as f64
+                        + c.c[3] as f64 * k as f64;
+                    assert_eq!(row.at(i).to_bits(), spelled_out.to_bits());
+                    assert_eq!(c.predict(i, j, k).to_bits(), spelled_out.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn error_below_agrees_with_the_full_sum() {
+        // Early abandonment must not change the comparison, at limits on
+        // both sides of the true error, at the error itself and at the
+        // values no error is below.
+        let vals = make_block(6, 5, 4, |i, j, k| (i * i) as f64 - 0.3 * j as f64 + (k % 2) as f64);
+        let c = fit_block(&vals, 6, 5, 4);
+        let err = block_abs_error(&vals, 6, 5, 4, &c);
+        assert!(err > 0.0);
+        for limit in [0.0, err * 0.01, err * 0.5, err, err * 1.000001, err * 3.0, f64::INFINITY, f64::NAN] {
+            assert_eq!(
+                block_abs_error_below(&vals, 6, 5, 4, &c, limit),
+                err < limit,
+                "limit {limit}"
+            );
+        }
+        assert!(block_abs_error_below(&[], 0, 0, 0, &c, 1.0));
+        assert!(!block_abs_error_below(&[], 0, 0, 0, &c, 0.0));
     }
 
     #[test]

@@ -233,6 +233,43 @@ fn chunked_containers_match_pinned_hashes_across_threads() {
 }
 
 #[test]
+fn default_path_containers_match_pinned_hashes_at_the_paper_bounds() {
+    // The path the paper's data-dump experiment takes, end to end: an
+    // NYX-like velocity cube through the chunked container in the default
+    // mode (block-adaptive predictor, Huffman, LZSS) at the four paper
+    // bounds. Pinned from the encoder before its back end (LZSS matcher,
+    // Huffman build, block predictor loops) was rewritten for speed; four
+    // chunks of 12 planes give full interior blocks, first-plane blocks
+    // and edge blocks, and per-chunk tables from a few dozen to thousands
+    // of symbols.
+    const EXPECT: [(f64, usize, u64); 4] = [
+        (1e-1, 78476, 0xb53bf7c122d1558b),
+        (1e-2, 137843, 0x8b7caa7d6616469d),
+        (1e-3, 200823, 0xdee5c462cd4d74a7),
+        (1e-4, 291966, 0xf40b102c73b07605),
+    ];
+    let field = lcpio_datagen::nyx::velocity_x(48, 11);
+    let dims = [48usize, 48, 48];
+    for (eb, len, hash) in EXPECT {
+        let cfg = SzConfig::new(ErrorBound::Absolute(eb));
+        let auto = compress_chunked(&field.data, &dims, &cfg, 1).expect("compress").bytes;
+        assert_eq!(
+            (auto.len(), fnv64(&auto)),
+            (len, hash),
+            "default-path container at eb {eb:e} changed format"
+        );
+        kernels::force_scalar(true);
+        let scalar = compress_chunked(&field.data, &dims, &cfg, 2).expect("compress").bytes;
+        kernels::reset_force_scalar();
+        assert_eq!(auto, scalar, "eb {eb:e}: forced-scalar container differs");
+        let (rec, _) = lcpio_sz::decompress_chunked::<f32>(&auto, 1).expect("decompress");
+        for (a, b) in field.data.iter().zip(&rec) {
+            assert!((a - b).abs() as f64 <= eb, "eb {eb:e}: {a} vs {b}");
+        }
+    }
+}
+
+#[test]
 fn pointwise_rel_matches_pinned_hash() {
     let data: Vec<f32> = field_f32(900, 0xfeed)
         .into_iter()

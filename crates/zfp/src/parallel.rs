@@ -25,6 +25,9 @@ type ChunkJob<'a, T> = (&'a mut [T], usize, &'a [u8], usize, usize);
 /// Container magic for chunked streams.
 pub const CHUNKED_MAGIC: [u8; 4] = *b"ZFLP";
 
+/// Bytes of one chunk-table entry: start, end and payload length as u64.
+const CHUNK_ENTRY_LEN: usize = 24;
+
 /// Split `extent` into at most `want` ranges aligned to the block side.
 fn chunk_ranges(extent: usize, want: usize) -> Vec<(usize, usize)> {
     let blocks = extent.div_ceil(SIDE);
@@ -201,7 +204,13 @@ pub fn parse_chunked(stream: &[u8]) -> Result<ChunkedInfo<'_>, ZfpError> {
         .try_fold(1usize, |acc, &d| acc.checked_mul(d))
         .ok_or(ZfpError::Corrupt("dims overflow"))?;
     let n_chunks = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes")) as usize;
-    if n_chunks == 0 || n_chunks > dims[0].div_ceil(SIDE).max(1) {
+    // Each chunk has a 24-byte table entry still to come, so the bytes
+    // left bound the count before anything is allocated for it (`dims[0]`
+    // is itself unvalidated at this point).
+    if n_chunks == 0
+        || n_chunks > dims[0].div_ceil(SIDE).max(1)
+        || n_chunks > (stream.len() - pos) / CHUNK_ENTRY_LEN
+    {
         return Err(ZfpError::Corrupt("bad chunk count"));
     }
     let mut meta = Vec::with_capacity(n_chunks);

@@ -270,6 +270,27 @@ fn zfp_chunked_oversized_dims_rejected_without_allocating() {
     assert!(zfp::decompress_chunked::<f32>(&s, 1).is_err());
 }
 
+#[test]
+fn zfp_chunked_forged_chunk_count_rejected_without_allocating() {
+    // The first 40 bytes of the noise case that used to abort the process:
+    // rank 1, dims[0] ≈ 1.2e19 and a chunk count of 3 960 725 639, which the
+    // count-against-dims[0] check lets through. Sizing the chunk table from
+    // it asked for 95 GB. The 22 bytes after the count cannot hold even one
+    // 24-byte table entry, so the count itself is the corruption.
+    let noise: [u8; 36] = [
+        0x11, 0x01, 0x7f, 0xb5, 0x82, 0xb0, 0x72, 0x18, 0x33, 0xa9, 0x87, 0xe0, 0x13, 0xec, 0x70,
+        0xec, 0xe9, 0xf0, 0xcd, 0x99, 0xc7, 0xc4, 0xbf, 0x49, 0x87, 0xd5, 0xb0, 0x06, 0x1a, 0xfb,
+        0xac, 0x48, 0xeb, 0x78, 0x07, 0xf8,
+    ];
+    let mut s = b"ZFLP".to_vec();
+    s.extend_from_slice(&noise);
+    assert_eq!(s.len(), 40);
+    assert_eq!(
+        zfp::decompress_chunked::<f32>(&s, 1).unwrap_err(),
+        zfp::ZfpError::Corrupt("bad chunk count")
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
