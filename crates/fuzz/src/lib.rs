@@ -27,13 +27,25 @@
 //!    [`lcpio_serve::protocol::frame_len`] on where the frame ends, and
 //!    re-encoding a decoded frame must decode back to the same value.
 //!    Seeded with a valid frame for every operation and status family.
+//! 6. **Noise after a magic** — not a mutation of anything valid: every
+//!    magic the registry resolves, plus `LCS1`, `LCRQ` and `LCRS`,
+//!    followed by a random tail (0–256 bytes, or a plausible type/rank
+//!    prefix with huge little-endian dims and counts), thrown at registry
+//!    auto-decompress, the streaming-container decoders (one-shot and
+//!    push-framed, which must agree when both accept) and the serve frame
+//!    codec. Mutating valid streams keeps most header fields sane; this is
+//!    the input class that reaches a decoder's size arithmetic with every
+//!    field forged at once.
 //!
 //! Every run is reproducible from its seed; the harness panics (and the
 //! smoke test fails) on the first input that panics a target or breaks the
 //! differential contract.
 
 use lcpio_codec::{registry, BoundSpec};
-use lcpio_core::pipeline::{decode_stream, run_sequential, PipelineConfig, VecSink, STREAM_MAGIC};
+use lcpio_core::pipeline::{
+    decode_stream, run_restart_streamed, run_sequential, PipelineConfig, RestartConfig, VecSink,
+    STREAM_MAGIC,
+};
 use lcpio_core::PolicyKind;
 use lcpio_wire::{Envelope, EnvelopeBuilder, StreamDecoder};
 
@@ -357,11 +369,61 @@ pub fn target_codec_tags(bytes: &[u8]) {
     }
 }
 
+/// Every magic target 6 prefixes its noise with: the registry's
+/// containers and the wire envelope, the streaming container, and the two
+/// serve-protocol frame kinds.
+pub fn noise_magics() -> Vec<[u8; 4]> {
+    use lcpio_serve::protocol::{REQUEST_MAGIC, RESPONSE_MAGIC};
+    let mut magics = registry().known_magics();
+    magics.extend([STREAM_MAGIC, REQUEST_MAGIC, RESPONSE_MAGIC]);
+    magics
+}
+
+/// One target-6 input: a magic from `magics`, then either a uniformly
+/// random tail of 0–256 bytes or a forged container prelude — element
+/// type, a valid rank, one huge little-endian `u64` per dim, a huge `u32`
+/// count — padded with up to 64 zero or random bytes.
+pub fn noise_after_magic(magics: &[[u8; 4]], rng: &mut Rng) -> Vec<u8> {
+    let mut out = magics[rng.below(magics.len())].to_vec();
+    if rng.below(2) == 0 {
+        out.extend((0..rng.below(257)).map(|_| rng.next_u64() as u8));
+        return out;
+    }
+    let rank = 1 + rng.below(4);
+    out.extend([rng.below(2) as u8, rank as u8]);
+    for _ in 0..rank {
+        out.extend((1u64 << (20 + rng.below(44))).to_le_bytes());
+    }
+    out.extend((u32::MAX >> rng.below(12)).to_le_bytes());
+    let zero_fill = rng.below(2) == 0;
+    out.extend((0..rng.below(65)).map(|_| if zero_fill { 0 } else { rng.next_u64() as u8 }));
+    out
+}
+
+/// Target 6: noise after a magic, into every decoder that sniffs one.
+/// Each must answer or return a typed error without panicking or sizing
+/// an allocation from a forged field; the two streaming-container decoders
+/// must restore the same values whenever both accept.
+pub fn target_noise_after_magic(bytes: &[u8]) {
+    let _ = registry().decompress_auto(bytes, 1);
+    let _ = registry().decompress_auto_f64(bytes, 1);
+    target_serve_protocol(bytes);
+    let cfg = RestartConfig { workers: 1, retry_backoff_ms: 0, ..RestartConfig::default() };
+    let mut reader: &[u8] = bytes;
+    if let (Ok(one_shot), Ok((streamed, _))) =
+        (decode_stream(bytes), run_restart_streamed(&mut reader, &cfg))
+    {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&one_shot), bits(&streamed), "one-shot and streamed decode disagree");
+    }
+}
+
 /// Run the harness: `iters` mutations (spread round-robin over the
 /// corpus), stopping early after `max_seconds` if set. Returns the number
 /// of inputs executed.
 pub fn run(iters: u64, seed: u64, max_seconds: Option<f64>) -> u64 {
     let corpus = seed_corpus();
+    let magics = noise_magics();
     let mut rng = Rng::new(seed);
     let t0 = std::time::Instant::now();
     let mut executed = 0u64;
@@ -378,6 +440,7 @@ pub fn run(iters: u64, seed: u64, max_seconds: Option<f64>) -> u64 {
         target_registry_auto(&input);
         target_codec_tags(&input);
         target_serve_protocol(&input);
+        target_noise_after_magic(&noise_after_magic(&magics, &mut rng));
         executed += 1;
     }
     executed
@@ -415,6 +478,7 @@ mod tests {
             target_registry_auto(&input);
             target_codec_tags(&input);
             target_serve_protocol(&input);
+            target_noise_after_magic(&input);
         }
     }
 
@@ -457,6 +521,42 @@ mod tests {
             let err = decode_stream(member).expect_err("forged member must not decode");
             assert!(err.to_string().contains(needle), "{needle}: got {err}");
         }
+    }
+
+    #[test]
+    fn noise_generator_covers_every_magic_and_both_tail_kinds() {
+        let magics = noise_magics();
+        assert_eq!(magics.len(), 9, "6 registry magics + LCS1 + LCRQ + LCRS");
+        let mut rng = Rng::new(11);
+        let inputs: Vec<Vec<u8>> =
+            (0..20_000).map(|_| noise_after_magic(&magics, &mut rng)).collect();
+        for magic in &magics {
+            assert!(inputs.iter().any(|i| i.starts_with(magic)), "magic {magic:?} never drawn");
+        }
+        assert!(inputs.iter().any(|i| i.len() == 4), "empty tail never drawn");
+        assert!(inputs.iter().any(|i| i.len() == 260), "256-byte tail never drawn");
+        // The forged-prelude shape behind the SZLP/ZFLP chunk-table aborts:
+        // rank 1, one dim of at least 2^40, a count near u32::MAX.
+        let prelude_hit = inputs.iter().any(|i| {
+            i.len() >= 18
+                && i[5] == 1
+                && u64::from_le_bytes(i[6..14].try_into().expect("8 bytes")) >= 1 << 40
+                && u32::from_le_bytes(i[14..18].try_into().expect("4 bytes")) >= u32::MAX >> 2
+        });
+        assert!(prelude_hit, "no rank-1 huge-dim huge-count prelude drawn");
+    }
+
+    #[test]
+    fn noise_target_survives_the_forged_szlp_chunk_count() {
+        // 40 bytes that made `sz::parallel::parse_chunked` size its chunk
+        // table from a forged count (103 GB, SIGABRT) before this target
+        // existed: rank 1, dims[0] = 2^40, n_chunks = u32::MAX.
+        let mut s = b"SZLP\x00\x01".to_vec();
+        s.extend_from_slice(&(1u64 << 40).to_le_bytes());
+        s.extend_from_slice(&u32::MAX.to_le_bytes());
+        s.extend_from_slice(&[0u8; 22]);
+        target_noise_after_magic(&s);
+        assert!(registry().decompress_auto(&s, 1).is_err());
     }
 
     /// Small-budget smoke pass — the per-PR gate.

@@ -31,7 +31,7 @@
 use lcpio_codec::policy::CodecId;
 use lcpio_codec::BoundSpec;
 use lcpio_core::PolicyKind;
-use lcpio_wire::varint;
+use lcpio_wire::{push_tlv, varint, RawField, TlvError};
 
 /// Request-frame magic.
 pub const REQUEST_MAGIC: [u8; 4] = *b"LCRQ";
@@ -412,11 +412,15 @@ fn dims_from_bytes(raw: &[u8]) -> Result<Vec<usize>, ProtoError> {
 /// Read a varint out of `buf` at `pos`, mapping wire errors onto protocol
 /// errors with a section label.
 fn read_varint(buf: &[u8], pos: &mut usize, section: &'static str) -> Result<u64, ProtoError> {
-    varint::read(buf, pos).map_err(|e| match e {
+    varint::read(buf, pos).map_err(|e| varint_error(e, section))
+}
+
+fn varint_error(e: lcpio_wire::WireError, section: &'static str) -> ProtoError {
+    match e {
         lcpio_wire::WireError::Truncated { .. } => ProtoError::Truncated { section },
         lcpio_wire::WireError::Overflow { .. } => ProtoError::Malformed { what: "varint overflow" },
         _ => ProtoError::Malformed { what: "varint" },
-    })
+    }
 }
 
 /// A decoded compression-service request.
@@ -692,12 +696,6 @@ impl Response {
     }
 }
 
-fn push_tlv(out: &mut Vec<u8>, tag: u8, value: &[u8]) {
-    out.push(tag);
-    varint::write_u64(out, value.len() as u64);
-    out.extend_from_slice(value);
-}
-
 fn encode_frame(magic: [u8; 4], header: &[u8], payload: &[u8]) -> Vec<u8> {
     debug_assert!(header.len() <= MAX_HEADER_LEN && payload.len() <= MAX_PAYLOAD_LEN);
     let mut out = Vec::with_capacity(6 + header.len() + payload.len() + 12);
@@ -776,21 +774,13 @@ fn decode_frame<'a>(
     if buf.len() < header_end {
         return Err(ProtoError::Truncated { section: "TLV header" });
     }
-    let header = &buf[pos..header_end];
     let mut entries: Vec<(u8, &[u8])> = Vec::new();
-    let mut hpos = 0usize;
-    while hpos < header.len() {
-        let tag = header[hpos];
-        hpos += 1;
-        let len = read_varint(header, &mut hpos, "TLV length")?;
-        let end = hpos
-            .checked_add(len as usize)
-            .ok_or(ProtoError::Malformed { what: "TLV length overflow" })?;
-        if end > header.len() {
-            return Err(ProtoError::Truncated { section: "TLV value" });
-        }
-        let value = &header[hpos..end];
-        hpos = end;
+    for field in lcpio_wire::tlv::fields(&buf[pos..header_end]) {
+        let RawField { tag, value } = field.map_err(|e| match e {
+            TlvError::Length(e) => varint_error(e, "TLV length"),
+            TlvError::LengthOverflow => ProtoError::Malformed { what: "TLV length overflow" },
+            TlvError::ValueTruncated => ProtoError::Truncated { section: "TLV value" },
+        })?;
         if known.iter().any(|(t, _)| *t == tag) {
             if entries.iter().any(|(t, _)| *t == tag) {
                 return Err(ProtoError::DuplicateField { tag });

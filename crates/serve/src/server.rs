@@ -40,6 +40,7 @@ use std::time::{Duration, Instant};
 
 use lcpio_codec::policy::{ChunkPlan, CodecId};
 use lcpio_codec::{registry, BoundSpec, Codec, CodecStats, SzCodec, ZfpCodec};
+use lcpio_core::pipeline::is_stream_container;
 use lcpio_core::policy::{build_policy, compressor_of};
 use lcpio_core::records::Compressor;
 use lcpio_core::{CostModel, PolicyKind};
@@ -945,18 +946,6 @@ fn modeled_energy_uj(
     let machine = Machine::for_chip(cfg.chip);
     let f = f_ghz.clamp(machine.cpu.f_min_ghz, machine.cpu.f_max_ghz);
     (simulate(&machine, f, &profile).energy_j * 1e6).round() as u64
-}
-
-/// True if `bytes` are an `LCS1` streaming container, legacy or wrapped
-/// in an `LCW1` envelope (the same sniff the CLI decode path uses).
-fn is_stream_container(bytes: &[u8]) -> bool {
-    if bytes.len() >= 4 && bytes[..4] == lcpio_core::pipeline::STREAM_MAGIC {
-        return true;
-    }
-    lcpio_wire::Envelope::sniff(bytes)
-        && lcpio_wire::Envelope::parse(bytes)
-            .map(|env| env.container == lcpio_core::pipeline::STREAM_MAGIC)
-            .unwrap_or(false)
 }
 
 #[cfg(test)]

@@ -42,6 +42,9 @@ pub const CHUNKED_MAGIC: [u8; 4] = *b"SZLP";
 /// a rounding error next to the payload.
 pub const MAX_CHUNKS: usize = 16;
 
+/// Bytes of one chunk-table entry: start, end and payload length as u64.
+const CHUNK_ENTRY_LEN: usize = 24;
+
 /// Minimum chunk thickness in Lorenzo blocks: thinner chunks would pay
 /// more in per-chunk tables and lost prediction history than they gain in
 /// parallelism.
@@ -296,7 +299,13 @@ pub fn parse_chunked(stream: &[u8]) -> Result<ChunkedInfo<'_>, SzError> {
         .try_fold(1usize, |acc, &d| acc.checked_mul(d))
         .ok_or(SzError::Corrupt("dims overflow"))?;
     let n_chunks = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes")) as usize;
-    if n_chunks == 0 || n_chunks > dims[0].div_ceil(BLOCK_SIDE).max(1) {
+    // Each chunk has a 24-byte table entry still to come, so the bytes
+    // left bound the count before anything is allocated for it (`dims[0]`
+    // is itself unvalidated at this point).
+    if n_chunks == 0
+        || n_chunks > dims[0].div_ceil(BLOCK_SIDE).max(1)
+        || n_chunks > (stream.len() - pos) / CHUNK_ENTRY_LEN
+    {
         return Err(SzError::Corrupt("bad chunk count"));
     }
     let mut meta = Vec::with_capacity(n_chunks);

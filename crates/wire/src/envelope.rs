@@ -1,5 +1,6 @@
 //! Envelope header parsing/building and the validated frame index.
 
+use crate::tlv::{self, push_tlv, TlvError};
 use crate::varint::{self, Partial};
 use crate::{
     tag, WireError, MAGIC, MAX_FRAMES, MAX_FRAME_LEN, MAX_HEADER_LEN, MAX_RANK, VERSION_MAJOR,
@@ -119,26 +120,19 @@ pub fn parse_header_partial(buf: &[u8]) -> Result<Partial<Envelope<'_>>, WireErr
 fn parse_tlv_block(block: &[u8]) -> Result<Vec<RawField<'_>>, WireError> {
     let mut fields = Vec::new();
     let mut seen = [false; 256];
-    let mut pos = 0usize;
-    while pos < block.len() {
-        let t = block[pos];
-        pos += 1;
-        let len = varint::read(block, &mut pos)
-            .map_err(|_| WireError::Truncated { section: "TLV field length" })?;
-        let end = pos
-            .checked_add(usize::try_from(len).map_err(|_| WireError::Overflow { what: "TLV field length" })?)
-            .ok_or(WireError::Overflow { what: "TLV field length" })?;
-        if end > block.len() {
-            return Err(WireError::Truncated { section: "TLV field value" });
-        }
-        if KNOWN_TAGS.contains(&t) {
-            if seen[t as usize] {
-                return Err(WireError::DuplicateField { tag: t });
+    for field in tlv::fields(block) {
+        let field = field.map_err(|e| match e {
+            TlvError::Length(_) => WireError::Truncated { section: "TLV field length" },
+            TlvError::LengthOverflow => WireError::Overflow { what: "TLV field length" },
+            TlvError::ValueTruncated => WireError::Truncated { section: "TLV field value" },
+        })?;
+        if KNOWN_TAGS.contains(&field.tag) {
+            if seen[field.tag as usize] {
+                return Err(WireError::DuplicateField { tag: field.tag });
             }
-            seen[t as usize] = true;
+            seen[field.tag as usize] = true;
         }
-        fields.push(RawField { tag: t, value: &block[pos..end] });
-        pos = end;
+        fields.push(field);
     }
     Ok(fields)
 }
@@ -395,12 +389,6 @@ pub fn frame_prefix(len: usize) -> Vec<u8> {
     let mut v = Vec::with_capacity(varint::MAX_LEN);
     varint::write_u64(&mut v, len as u64);
     v
-}
-
-fn push_tlv(out: &mut Vec<u8>, tag: u8, value: &[u8]) {
-    out.push(tag);
-    varint::write_u64(out, value.len() as u64);
-    out.extend_from_slice(value);
 }
 
 #[cfg(test)]

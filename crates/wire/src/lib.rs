@@ -36,10 +36,12 @@
 
 pub mod envelope;
 pub mod stream;
+pub mod tlv;
 pub mod varint;
 
 pub use envelope::{Envelope, EnvelopeBuilder, FrameExtent, FrameIndex, RawField};
 pub use stream::{StreamDecoder, StreamFrame, StreamHeader};
+pub use tlv::{push_tlv, TlvError};
 pub use varint::Partial;
 
 /// Envelope magic.

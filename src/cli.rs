@@ -53,6 +53,9 @@
 //! resolves the backend by name, `decompress`/`info` sniff the container
 //! magic, and `codecs` prints the registry's supported-container table.
 //!
+//! A flag the subcommand does not read (a misspelling, or another
+//! subcommand's flag) is a usage error naming the flag, never ignored.
+//!
 //! Every subcommand additionally accepts `--metrics out.json` (anywhere
 //! on the line): after the command finishes, the spans and counters
 //! collected by `lcpio-trace` during the run are written to the given
@@ -67,12 +70,12 @@ use lcpio_core::characteristics::{
 use lcpio_core::datadump::{run_data_dump, DataDumpConfig};
 use lcpio_core::experiment::{run_full_sweep, ExperimentConfig, SweepResult};
 use lcpio_core::models::{compression_model_table, transit_model_table};
+use lcpio_core::pipeline::is_stream_container;
 use lcpio_core::report::{render_dump, render_model_table, render_tuning};
 use lcpio_core::tuning::{evaluate_rule, TuningRule};
 use lcpio_core::PolicyKind;
 use lcpio_codec::{registry, render_container_table, BoundSpec, CodecError};
 use lcpio_datagen::{metrics, Dataset};
-use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -265,46 +268,78 @@ pub fn usage() -> &'static str {
      run `lcpio-cli <command>` with missing options to see its requirements"
 }
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, CliError> {
-    let mut map = HashMap::new();
+/// The flags of one invocation, in the order given. Reading a flag
+/// consumes it, so whatever is left once a subcommand has read every flag
+/// it knows is a flag it does not read: [`Flags::finish`] rejects it
+/// instead of silently ignoring a typo.
+struct Flags(Vec<(String, String)>);
+
+fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
+    let mut flags: Vec<(String, String)> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
-        if !a.starts_with("--") && !a.starts_with('-') {
+        if !a.starts_with('-') {
             return Err(CliError::Usage(format!("unexpected argument `{a}`")));
         }
         let key = a.trim_start_matches('-').to_string();
         // Boolean flags take no value.
-        if matches!(key.as_str(), "rel" | "pwrel" | "wire" | "streamed") {
-            map.insert(key, "true".to_string());
+        let val = if matches!(key.as_str(), "rel" | "pwrel" | "wire" | "streamed") {
             i += 1;
-            continue;
-        }
-        let val = args
-            .get(i + 1)
-            .ok_or_else(|| CliError::Usage(format!("flag `{a}` needs a value")))?;
-        map.insert(key, val.clone());
-        i += 2;
+            "true".to_string()
+        } else {
+            i += 2;
+            args.get(i - 1)
+                .ok_or_else(|| CliError::Usage(format!("flag `{a}` needs a value")))?
+                .clone()
+        };
+        // A repeated flag keeps its last value.
+        flags.retain(|(k, _)| *k != key);
+        flags.push((key, val));
     }
-    Ok(map)
+    Ok(Flags(flags))
 }
 
-fn req<'m>(m: &'m HashMap<String, String>, keys: &[&str]) -> Result<&'m str, CliError> {
-    for k in keys {
-        if let Some(v) = m.get(*k) {
-            return Ok(v);
+impl Flags {
+    /// Consume `key`, returning its value if it was given.
+    fn take(&mut self, key: &str) -> Option<String> {
+        let i = self.0.iter().position(|(k, _)| k == key)?;
+        Some(self.0.remove(i).1)
+    }
+
+    /// Consume `key`, falling back to `default`.
+    fn or(&mut self, key: &str, default: &str) -> String {
+        self.take(key).unwrap_or_else(|| default.to_string())
+    }
+
+    /// Consume a required flag under any of its spellings (the first
+    /// spelling listed wins when several were given).
+    fn req(&mut self, keys: &[&str]) -> Result<String, CliError> {
+        keys.iter()
+            .filter_map(|k| self.take(k))
+            .reduce(|first, _| first)
+            .ok_or_else(|| CliError::Usage(format!("missing required flag --{}", keys[0])))
+    }
+
+    /// Reject the first flag `cmd` did not read.
+    fn finish(self, cmd: &str) -> Result<(), CliError> {
+        match self.0.first() {
+            Some((key, _)) => {
+                let dashes = if key.len() == 1 { "-" } else { "--" };
+                Err(CliError::Usage(format!("unknown flag `{dashes}{key}` for `{cmd}`")))
+            }
+            None => Ok(()),
         }
     }
-    Err(CliError::Usage(format!("missing required flag --{}", keys[0])))
 }
 
 /// Parse `--policy`; absent means "whatever `LCPIO_POLICY` says" (which
 /// itself defaults to fixed), so CI legs can retarget whole suites
 /// without touching every invocation.
-fn parse_policy(m: &HashMap<String, String>) -> Result<PolicyKind, CliError> {
-    match m.get("policy") {
+fn parse_policy(m: &mut Flags) -> Result<PolicyKind, CliError> {
+    match m.take("policy") {
         None => Ok(PolicyKind::from_env()),
-        Some(s) => PolicyKind::parse(s).ok_or_else(|| {
+        Some(s) => PolicyKind::parse(&s).ok_or_else(|| {
             CliError::Usage(format!("unknown policy `{s}`; expected fixed|heuristic|adaptive"))
         }),
     }
@@ -391,123 +426,93 @@ pub fn parse_invocation(args: &[String]) -> Result<Invocation, CliError> {
     Ok(Invocation { command: parse(&rest)?, metrics })
 }
 
-/// Parse an argument vector (without the program name).
+/// Parse an argument vector (without the program name). A flag the
+/// subcommand does not read is a usage error, not a no-op.
 pub fn parse(args: &[String]) -> Result<Command, CliError> {
     let (cmd, rest) = args.split_first().ok_or_else(|| CliError::Usage(usage().to_string()))?;
-    let m = parse_flags(rest)?;
-    match cmd.as_str() {
-        "gen" => Ok(Command::Gen {
-            dataset: parse_dataset(req(&m, &["dataset", "d"])?)?,
-            scale: parse_nonzero(m.get("scale").map(String::as_str).unwrap_or("4096"), "scale")?,
-            seed: parse_num(m.get("seed").map(String::as_str).unwrap_or("1"), "seed")?,
-            output: PathBuf::from(req(&m, &["o", "output"])?),
-        }),
-        "compress" => Ok(Command::Compress {
-            codec: req(&m, &["codec", "c"])?.to_ascii_lowercase(),
-            eb: parse_pos_f64(m.get("eb").map(String::as_str).unwrap_or("1e-3"), "error bound")?,
-            rel: m.contains_key("rel"),
-            pwrel: m.contains_key("pwrel"),
-            threads: parse_threads(m.get("threads").map(String::as_str).unwrap_or("0"))?,
-            input: PathBuf::from(req(&m, &["i", "input"])?),
-            output: PathBuf::from(req(&m, &["o", "output"])?),
-        }),
-        "decompress" => Ok(Command::Decompress {
-            input: PathBuf::from(req(&m, &["i", "input"])?),
-            output: PathBuf::from(req(&m, &["o", "output"])?),
-        }),
-        "info" => Ok(Command::Info { input: PathBuf::from(req(&m, &["i", "input"])?) }),
-        "codecs" => Ok(Command::Codecs),
-        "quality" => Ok(Command::Quality {
-            a: PathBuf::from(req(&m, &["a"])?),
-            b: PathBuf::from(req(&m, &["b"])?),
-        }),
-        "sweep" | "experiment" => Ok(Command::Sweep {
-            scale: parse_nonzero(m.get("scale").map(String::as_str).unwrap_or("256"), "scale")?,
-            reps: parse_nonzero(m.get("reps").map(String::as_str).unwrap_or("10"), "reps")?,
-            policy: parse_policy(&m)?,
-            output: PathBuf::from(req(&m, &["o", "output"])?),
-        }),
-        "tables" => Ok(Command::Tables { input: PathBuf::from(req(&m, &["i", "input"])?) }),
-        "tune" => Ok(Command::Tune { input: PathBuf::from(req(&m, &["i", "input"])?) }),
-        "dump" => Ok(Command::Dump {
-            gb: parse_pos_f64(m.get("gb").map(String::as_str).unwrap_or("512"), "gb")?,
-        }),
-        "pipeline" => Ok(Command::Pipeline {
-            codec: req(&m, &["codec", "c"])?.to_ascii_lowercase(),
-            eb: parse_pos_f64(m.get("eb").map(String::as_str).unwrap_or("1e-3"), "error bound")?,
-            threads: parse_threads(m.get("threads").map(String::as_str).unwrap_or("0"))?,
-            queue_depth: parse_nonzero(
-                m.get("queue-depth").map(String::as_str).unwrap_or("4"),
-                "queue-depth",
-            )?,
-            writers: parse_nonzero(m.get("writers").map(String::as_str).unwrap_or("1"), "writers")?,
-            chunk_elems: parse_nonzero(
-                m.get("chunk-elems").map(String::as_str).unwrap_or("262144"),
-                "chunk-elems",
-            )?,
-            wire: m.contains_key("wire"),
-            policy: parse_policy(&m)?,
-            input: PathBuf::from(req(&m, &["i", "input"])?),
-            output: PathBuf::from(req(&m, &["o", "output"])?),
-        }),
-        "restart" => Ok(Command::Restart {
-            queue_depth: parse_nonzero(
-                m.get("queue-depth").map(String::as_str).unwrap_or("4"),
-                "queue-depth",
-            )?,
-            readers: parse_nonzero(m.get("readers").map(String::as_str).unwrap_or("1"), "readers")?,
-            workers: parse_threads(m.get("workers").map(String::as_str).unwrap_or("0"))?,
-            streamed: m.contains_key("streamed"),
-            policy: parse_policy(&m)?,
-            input: PathBuf::from(req(&m, &["i", "input"])?),
-            output: PathBuf::from(req(&m, &["o", "output"])?),
-        }),
+    let mut m = parse_flags(rest)?;
+    let command = match cmd.as_str() {
+        "gen" => Command::Gen {
+            dataset: parse_dataset(&m.req(&["dataset", "d"])?)?,
+            scale: parse_nonzero(&m.or("scale", "4096"), "scale")?,
+            seed: parse_num(&m.or("seed", "1"), "seed")?,
+            output: PathBuf::from(m.req(&["o", "output"])?),
+        },
+        "compress" => Command::Compress {
+            codec: m.req(&["codec", "c"])?.to_ascii_lowercase(),
+            eb: parse_pos_f64(&m.or("eb", "1e-3"), "error bound")?,
+            rel: m.take("rel").is_some(),
+            pwrel: m.take("pwrel").is_some(),
+            threads: parse_threads(&m.or("threads", "0"))?,
+            input: PathBuf::from(m.req(&["i", "input"])?),
+            output: PathBuf::from(m.req(&["o", "output"])?),
+        },
+        "decompress" => Command::Decompress {
+            input: PathBuf::from(m.req(&["i", "input"])?),
+            output: PathBuf::from(m.req(&["o", "output"])?),
+        },
+        "info" => Command::Info { input: PathBuf::from(m.req(&["i", "input"])?) },
+        "codecs" => Command::Codecs,
+        "quality" => Command::Quality {
+            a: PathBuf::from(m.req(&["a"])?),
+            b: PathBuf::from(m.req(&["b"])?),
+        },
+        "sweep" | "experiment" => Command::Sweep {
+            scale: parse_nonzero(&m.or("scale", "256"), "scale")?,
+            reps: parse_nonzero(&m.or("reps", "10"), "reps")?,
+            policy: parse_policy(&mut m)?,
+            output: PathBuf::from(m.req(&["o", "output"])?),
+        },
+        "tables" => Command::Tables { input: PathBuf::from(m.req(&["i", "input"])?) },
+        "tune" => Command::Tune { input: PathBuf::from(m.req(&["i", "input"])?) },
+        "dump" => Command::Dump { gb: parse_pos_f64(&m.or("gb", "512"), "gb")? },
+        "pipeline" => Command::Pipeline {
+            codec: m.req(&["codec", "c"])?.to_ascii_lowercase(),
+            eb: parse_pos_f64(&m.or("eb", "1e-3"), "error bound")?,
+            threads: parse_threads(&m.or("threads", "0"))?,
+            queue_depth: parse_nonzero(&m.or("queue-depth", "4"), "queue-depth")?,
+            writers: parse_nonzero(&m.or("writers", "1"), "writers")?,
+            chunk_elems: parse_nonzero(&m.or("chunk-elems", "262144"), "chunk-elems")?,
+            wire: m.take("wire").is_some(),
+            policy: parse_policy(&mut m)?,
+            input: PathBuf::from(m.req(&["i", "input"])?),
+            output: PathBuf::from(m.req(&["o", "output"])?),
+        },
+        "restart" => Command::Restart {
+            queue_depth: parse_nonzero(&m.or("queue-depth", "4"), "queue-depth")?,
+            readers: parse_nonzero(&m.or("readers", "1"), "readers")?,
+            workers: parse_threads(&m.or("workers", "0"))?,
+            streamed: m.take("streamed").is_some(),
+            policy: parse_policy(&mut m)?,
+            input: PathBuf::from(m.req(&["i", "input"])?),
+            output: PathBuf::from(m.req(&["o", "output"])?),
+        },
         "serve" => {
-            let socket = m.get("socket").map(PathBuf::from);
-            let tcp = m.get("tcp").cloned();
+            let socket = m.take("socket").map(PathBuf::from);
+            let tcp = m.take("tcp");
             if socket.is_some() == tcp.is_some() {
                 return Err(CliError::Usage(
                     "serve needs exactly one of --socket PATH or --tcp HOST:PORT".to_string(),
                 ));
             }
-            Ok(Command::Serve {
+            Command::Serve {
                 socket,
                 tcp,
-                workers: parse_nonzero(
-                    m.get("workers").map(String::as_str).unwrap_or("2"),
-                    "workers",
-                )?,
-                queue_depth: parse_nonzero(
-                    m.get("queue-depth").map(String::as_str).unwrap_or("8"),
-                    "queue-depth",
-                )?,
-                codec: m
-                    .get("codec")
-                    .cloned()
-                    .unwrap_or_else(|| "sz".to_string())
-                    .to_ascii_lowercase(),
-                eb: parse_pos_f64(
-                    m.get("eb").map(String::as_str).unwrap_or("1e-3"),
-                    "error bound",
-                )?,
-                policy: parse_policy(&m)?,
-                timeout_ms: parse_nonzero(
-                    m.get("timeout-ms").map(String::as_str).unwrap_or("30000"),
-                    "timeout-ms",
-                )?,
-                drive: parse_num(m.get("drive").map(String::as_str).unwrap_or("0"), "drive")?,
-                clients: parse_nonzero(
-                    m.get("clients").map(String::as_str).unwrap_or("4"),
-                    "clients",
-                )?,
-                chunk_elems: parse_nonzero(
-                    m.get("chunk-elems").map(String::as_str).unwrap_or("16384"),
-                    "chunk-elems",
-                )?,
-            })
+                workers: parse_nonzero(&m.or("workers", "2"), "workers")?,
+                queue_depth: parse_nonzero(&m.or("queue-depth", "8"), "queue-depth")?,
+                codec: m.or("codec", "sz").to_ascii_lowercase(),
+                eb: parse_pos_f64(&m.or("eb", "1e-3"), "error bound")?,
+                policy: parse_policy(&mut m)?,
+                timeout_ms: parse_nonzero(&m.or("timeout-ms", "30000"), "timeout-ms")?,
+                drive: parse_num(&m.or("drive", "0"), "drive")?,
+                clients: parse_nonzero(&m.or("clients", "4"), "clients")?,
+                chunk_elems: parse_nonzero(&m.or("chunk-elems", "16384"), "chunk-elems")?,
+            }
         }
-        other => Err(CliError::Usage(format!("unknown command `{other}`\n{}", usage()))),
-    }
+        other => return Err(CliError::Usage(format!("unknown command `{other}`\n{}", usage()))),
+    };
+    m.finish(cmd)?;
+    Ok(command)
 }
 
 /// Write a field container (f32).
@@ -1027,19 +1032,6 @@ fn known_containers() -> String {
     registry().list().iter().map(|(_, i)| i.magic_str()).collect::<Vec<_>>().join(", ")
 }
 
-/// True if `bytes` are a streaming pipeline container in either its
-/// legacy `LCS1` form or wrapped in an `LCW1` envelope whose container
-/// id is `LCS1`.
-fn is_stream_container(bytes: &[u8]) -> bool {
-    if bytes.len() >= 4 && bytes[..4] == lcpio_core::pipeline::STREAM_MAGIC {
-        return true;
-    }
-    lcpio_wire::Envelope::sniff(bytes)
-        && lcpio_wire::Envelope::parse(bytes)
-            .map(|env| env.container == lcpio_core::pipeline::STREAM_MAGIC)
-            .unwrap_or(false)
-}
-
 /// Decode a compressed buffer whose codec is identified by its magic.
 ///
 /// `LCS1` streaming containers (legacy or `LCW1`-wrapped) are decoded by
@@ -1140,6 +1132,60 @@ mod tests {
         assert!(parse(&argv("gen --dataset nyx")).is_err(), "missing -o");
         assert!(parse(&argv("compress --codec sz --eb nope -i a -o b")).is_err());
         assert!(parse(&[]).is_err());
+    }
+
+    /// The usage error a misspelled flag must produce: it names the flag
+    /// as typed and the subcommand that does not read it.
+    fn assert_unknown_flag(line: &str, flag: &str, cmd: &str) {
+        match parse(&argv(line)) {
+            Err(CliError::Usage(m)) => {
+                assert_eq!(m, format!("unknown flag `{flag}` for `{cmd}`"), "{line}")
+            }
+            other => panic!("`{line}` must be a usage error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn field_commands_reject_flags_they_do_not_read() {
+        assert_unknown_flag("gen --dataset nyx --sclae 3 --bogus yes -o x", "--sclae", "gen");
+        assert_unknown_flag("compress --codec sz -i a -o b --thread 2", "--thread", "compress");
+        assert_unknown_flag("compress --codec sz -i a -o b --wire", "--wire", "compress");
+        assert_unknown_flag("decompress -i a -o b --threads 2", "--threads", "decompress");
+        assert_unknown_flag("info -i a -v 1", "-v", "info");
+        assert_unknown_flag("codecs --all yes", "--all", "codecs");
+        assert_unknown_flag("quality -a x -b y -c z", "-c", "quality");
+        // Every spelling of a flag the command does read still parses, and
+        // a repeated flag keeps its last value.
+        assert!(parse(&argv("gen -d nyx --output x")).is_ok());
+        let c = parse(&argv("gen --dataset nyx --scale 2 --scale 8 -o x")).expect("parse");
+        assert!(matches!(c, Command::Gen { scale: 8, .. }));
+    }
+
+    #[test]
+    fn model_commands_reject_flags_they_do_not_read() {
+        assert_unknown_flag("dump --gb 1 --queue-depht 9", "--queue-depht", "dump");
+        assert_unknown_flag("sweep --scale 4096 --rep 1 -o s.json", "--rep", "sweep");
+        assert_unknown_flag("experiment --seed 3 -o s.json", "--seed", "experiment");
+        assert_unknown_flag("tables -i s.json -o t.txt", "-o", "tables");
+        assert_unknown_flag("tune -i s.json --rule paper", "--rule", "tune");
+    }
+
+    #[test]
+    fn pipeline_commands_reject_flags_they_do_not_read() {
+        assert_unknown_flag(
+            "pipeline --codec sz -i a -o b --queue-depht 9",
+            "--queue-depht",
+            "pipeline",
+        );
+        assert_unknown_flag("pipeline --codec sz -i a -o b --streamed", "--streamed", "pipeline");
+        assert_unknown_flag("restart -i a -o b --writers 2", "--writers", "restart");
+        assert_unknown_flag("restart -i a -o b --wire", "--wire", "restart");
+    }
+
+    #[test]
+    fn serve_rejects_flags_it_does_not_read() {
+        assert_unknown_flag("serve --socket /tmp/s.sock --worker 4", "--worker", "serve");
+        assert_unknown_flag("serve --tcp 127.0.0.1:0 --drive 4 --client 2", "--client", "serve");
     }
 
     #[test]

@@ -291,6 +291,26 @@ fn zfp_chunked_forged_chunk_count_rejected_without_allocating() {
     );
 }
 
+#[test]
+fn sz_chunked_forged_chunk_count_rejected_without_allocating() {
+    // The SZLP twin of the case above: rank 1, dims[0] = 2^40 and a chunk
+    // count of u32::MAX, which the count-against-dims[0] check lets through.
+    // Sizing the chunk table from it asked for 103 GB and aborted the
+    // process, reachable through `decompress_auto` and serve `DECOMPRESS`.
+    // The 22 bytes after the count cannot hold one 24-byte table entry.
+    let mut s = b"SZLP".to_vec();
+    s.extend_from_slice(&[0, 1]); // f32, rank 1
+    s.extend_from_slice(&(1u64 << 40).to_le_bytes());
+    s.extend_from_slice(&u32::MAX.to_le_bytes());
+    s.extend_from_slice(&[0u8; 22]);
+    assert_eq!(s.len(), 40);
+    assert_eq!(
+        sz::decompress_chunked::<f32>(&s, 1).unwrap_err(),
+        sz::SzError::Corrupt("bad chunk count")
+    );
+    assert!(registry().decompress_auto(&s, 1).is_err());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
