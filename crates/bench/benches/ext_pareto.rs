@@ -3,6 +3,7 @@
 
 use lcpio_bench::banner;
 use lcpio_core::pareto::{edp_optimal, energy_optimal, frequency_profile, pareto_front};
+use lcpio_core::pipeline::TwoPhaseWork;
 use lcpio_powersim::{Chip, Machine, WorkProfile};
 
 fn main() {
@@ -10,7 +11,11 @@ fn main() {
         "EXTENSION — energy/runtime Pareto analysis of the compression job",
         "the paper reports one point (Eqn 3); this prints the whole frontier",
     );
-    let job = WorkProfile { compute_cycles: 30e9, memory_bytes: 160e9, ..Default::default() };
+    // The compression phase alone: no bytes reach the mount.
+    let job = TwoPhaseWork {
+        cpu: WorkProfile { compute_cycles: 30e9, memory_bytes: 160e9, ..Default::default() },
+        io: WorkProfile::default(),
+    };
     for chip in [Chip::Broadwell, Chip::Skylake, Chip::EpycLike] {
         let m = Machine::for_chip(chip);
         let pts = frequency_profile(&m, &job);

@@ -11,11 +11,12 @@
 
 use lcpio_bench::banner;
 use lcpio_core::pipeline::{
-    run_sequential, run_streaming, scaled_overlap, ChunkSink, PipelineConfig, VecSink,
+    overlap, run_sequential, run_streaming, sample_chunks, stretch, ChunkSink, PhaseOrder,
+    PipelineConfig, TwoPhaseWork, VecSink,
 };
 use lcpio_core::{Compressor, CostModel};
 use lcpio_codec::BoundSpec;
-use lcpio_powersim::{simulate, Chip, Machine};
+use lcpio_powersim::{Chip, Machine};
 use std::time::{Duration, Instant};
 
 const REPS: usize = 5;
@@ -117,18 +118,20 @@ fn main() {
             .stats
     };
     let fmax = machine.cpu.f_max_ghz;
-    let overlap = scaled_overlap(
-        &machine, fmax, fmax, &cost_model, Compressor::Sz, &stats, total_bytes, 4,
-    );
-    let scale = total_bytes / stats.input_bytes as f64;
-    let comp_profile = cost_model.compression_profile(Compressor::Sz, &stats, scale);
-    let write_profile = machine.nfs.write_profile(total_bytes / stats.ratio());
-    let c = simulate(&machine, fmax, &comp_profile);
-    let w = simulate(&machine, fmax, &write_profile);
+    // The whole dump priced as one job against the same dump streamed as
+    // sample-sized chunks through a queue of depth 4.
+    let dump = |volume_bytes: f64| {
+        let (scale, stored) = stretch(&stats, volume_bytes);
+        TwoPhaseWork::compress_write(&cost_model, &machine, Compressor::Sz, &stats, scale, stored)
+    };
+    let (chunk_bytes, chunks) = sample_chunks(&stats, total_bytes);
+    let job = dump(total_bytes).price(&machine, fmax, fmax);
+    let chunk = dump(chunk_bytes).price(&machine, fmax, fmax);
+    let overlap = overlap([chunk], chunks, 4, PhaseOrder::CpuFirst);
     let rel = |a: f64, b: f64| (a - b).abs() / b;
-    assert!(rel(overlap.compression_j, c.energy_j) < 1e-4, "compression joules must match");
-    assert!(rel(overlap.writing_j, w.energy_j) < 1e-4, "writing joules must match");
-    assert!(rel(overlap.sequential_s, c.runtime_s + w.runtime_s) < 1e-4);
+    assert!(rel(overlap.cpu_j, job.cpu_j) < 1e-4, "compression joules must match");
+    assert!(rel(overlap.io_j, job.io_j) < 1e-4, "writing joules must match");
+    assert!(rel(overlap.sequential_s, job.sequential_s) < 1e-4);
     assert!(overlap.pipelined_s < overlap.sequential_s, "depth 4 must overlap");
     println!(
         "\n512 GB dump model @ f_max: sequential {:.0} s, pipelined {:.0} s ({:.2}x), \

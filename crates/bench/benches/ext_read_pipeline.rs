@@ -12,12 +12,13 @@
 
 use lcpio_bench::banner;
 use lcpio_core::pipeline::{
-    decode_stream, run_restart, run_restart_sequential, run_sequential, scaled_restart,
-    ChunkSource, PipelineConfig, RestartConfig, SliceSource, VecSink,
+    decode_stream, overlap, run_restart, run_restart_sequential, run_sequential, sample_chunks,
+    stretch, ChunkSource, PhaseOrder, PipelineConfig, RestartConfig, SliceSource, TwoPhaseWork,
+    VecSink,
 };
 use lcpio_core::{Compressor, CostModel};
 use lcpio_codec::BoundSpec;
-use lcpio_powersim::{simulate, Chip, Machine};
+use lcpio_powersim::{Chip, Machine};
 use std::time::{Duration, Instant};
 
 const REPS: usize = 3;
@@ -129,18 +130,20 @@ fn main() {
     };
     let total_bytes = stats.input_bytes as f64 * 8192.0;
     let fmax = machine.cpu.f_max_ghz;
-    let restart = scaled_restart(
-        &machine, fmax, fmax, &cost_model, Compressor::Sz, &stats, total_bytes, 4,
-    );
-    let scale = total_bytes / stats.input_bytes as f64;
-    let decomp_profile = cost_model.decompression_profile(Compressor::Sz, &stats, scale);
-    let fetch_profile = machine.nfs.write_profile(total_bytes / stats.ratio());
-    let d = simulate(&machine, fmax, &decomp_profile);
-    let f = simulate(&machine, fmax, &fetch_profile);
+    // The whole restart priced as one job against the same restart
+    // streamed as sample-sized chunks through a queue of depth 4.
+    let fetch_decode = |volume_bytes: f64| {
+        let (scale, stored) = stretch(&stats, volume_bytes);
+        TwoPhaseWork::fetch_decompress(&cost_model, &machine, Compressor::Sz, &stats, scale, stored)
+    };
+    let (chunk_bytes, chunks) = sample_chunks(&stats, total_bytes);
+    let job = fetch_decode(total_bytes).price(&machine, fmax, fmax);
+    let chunk = fetch_decode(chunk_bytes).price(&machine, fmax, fmax);
+    let restart = overlap([chunk], chunks, 4, PhaseOrder::IoFirst);
     let rel = |a: f64, b: f64| (a - b).abs() / b;
-    assert!(rel(restart.compression_j, d.energy_j) < 1e-4, "decompress joules must match");
-    assert!(rel(restart.writing_j, f.energy_j) < 1e-4, "fetch joules must match");
-    assert!(rel(restart.sequential_s, d.runtime_s + f.runtime_s) < 1e-4);
+    assert!(rel(restart.cpu_j, job.cpu_j) < 1e-4, "decompress joules must match");
+    assert!(rel(restart.io_j, job.io_j) < 1e-4, "fetch joules must match");
+    assert!(rel(restart.sequential_s, job.sequential_s) < 1e-4);
     assert!(restart.pipelined_s < restart.sequential_s, "depth 4 must overlap");
     println!(
         "\n{:.0} GB restart model @ f_max: sequential {:.0} s, pipelined {:.0} s ({:.2}x), \

@@ -9,11 +9,10 @@
 //! runs simulations, one needs the full CPU power").
 
 use crate::error::CoreError;
-use crate::pipeline::{scaled_overlap, scaled_restart, OverlapOutcome};
+use crate::pipeline::{overlap, sample_chunks, stretch, PhaseCost, PhaseOrder, TwoPhaseWork};
 use crate::records::Compressor;
 use crate::tuning::TuningRule;
-use crate::workmap::CostModel;
-use lcpio_datagen::nyx;
+use crate::workmap::{CostModel, NyxSample};
 use lcpio_powersim::{simulate, Chip, Machine, WorkProfile};
 use lcpio_codec::BoundSpec;
 use serde::{Deserialize, Serialize};
@@ -114,16 +113,16 @@ pub struct CheckpointResult {
     pub ratio: f64,
     /// Overlapped-pipeline accounting of all dump phases at the base
     /// clock (job totals: per-checkpoint outcome × checkpoint count).
-    pub base_overlap: OverlapOutcome,
+    pub base_overlap: PhaseCost,
     /// Overlapped-pipeline accounting of all dump phases under Eqn 3.
-    pub tuned_overlap: OverlapOutcome,
-    /// Overlapped restart (read→decompress) accounting of re-reading all
+    pub tuned_overlap: PhaseCost,
+    /// Overlapped restart (fetch→decompress) accounting of re-reading all
     /// checkpoints at the base clock — the other half of the
-    /// checkpoint/restart cycle. Slot convention follows `readback`:
-    /// `compression_j` is decompression, `writing_j` is the NFS fetch.
-    pub base_restart: OverlapOutcome,
+    /// checkpoint/restart cycle (CPU phase = decompression, I/O phase =
+    /// the NFS fetch).
+    pub base_restart: PhaseCost,
     /// Overlapped restart accounting under Eqn 3.
-    pub tuned_restart: OverlapOutcome,
+    pub tuned_restart: PhaseCost,
 }
 
 impl CheckpointResult {
@@ -164,22 +163,14 @@ pub fn run_checkpoint_study(cfg: &CheckpointConfig) -> Result<CheckpointResult, 
     let _span = lcpio_trace::span("core.checkpoint");
     let machine = Machine::for_chip(cfg.chip);
     let fmax = machine.cpu.f_max_ghz;
-    let f_comp = machine.cpu.snap(cfg.rule.compression_fraction * fmax);
-    let f_write = machine.cpu.snap(cfg.rule.writing_fraction * fmax);
+    let (f_comp, f_write) = cfg.rule.clocks(&machine.cpu);
 
     // Characterize checkpoint compression on a sample field.
-    let field = nyx::velocity_x(cfg.sample_side, cfg.seed);
-    let dims: Vec<usize> = field.dims().extents().to_vec();
-    let scale = cfg.checkpoint_bytes / field.sample_bytes() as f64;
-    let out = cfg.compressor.codec().compress_chunked(
-        &field.data,
-        &dims,
+    let stats = NyxSample::new(cfg.sample_side, cfg.seed).compress(
+        cfg.compressor,
         BoundSpec::Absolute(cfg.error_bound),
-        cfg.threads,
+        Some(cfg.threads),
     )?;
-    let comp_profile = cfg.cost_model.compression_profile(cfg.compressor, &out.stats, scale);
-    let ratio = out.stats.ratio();
-    let write_profile = machine.nfs.write_profile(cfg.checkpoint_bytes / ratio);
     let sim_profile = WorkProfile {
         compute_cycles: cfg.step_cycles,
         memory_bytes: cfg.step_memory_bytes,
@@ -189,70 +180,47 @@ pub fn run_checkpoint_study(cfg: &CheckpointConfig) -> Result<CheckpointResult, 
     let n = cfg.checkpoints as f64;
     // The simulation phase never gets tuned (§I), so its measurement is
     // policy-invariant: simulate it once here instead of once per policy
-    // inside the closure (tests::simulation_phase_is_untouched pins that
-    // both policies still report the identical value).
+    // (tests::simulation_phase_is_untouched pins that both policies still
+    // report the identical value).
     let sim = simulate(&machine, fmax, &sim_profile);
+    // One checkpoint priced whole (the sequential job accounting) and as
+    // one sample-sized chunk of the overlapped accounting, the chunk in
+    // both directions: the restart mirror fetches every checkpoint back
+    // and decompresses it.
+    let (cm, comp) = (&cfg.cost_model, cfg.compressor);
+    let (scale, stored) = stretch(&stats, cfg.checkpoint_bytes);
+    let dump = TwoPhaseWork::compress_write(cm, &machine, comp, &stats, scale, stored);
+    let (chunk_bytes, chunks) = sample_chunks(&stats, cfg.checkpoint_bytes);
+    let (scale, stored) = stretch(&stats, chunk_bytes);
+    let dump_chunk = TwoPhaseWork::compress_write(cm, &machine, comp, &stats, scale, stored);
+    let restart_chunk = TwoPhaseWork::fetch_decompress(cm, &machine, comp, &stats, scale, stored);
     let outcome = |fc: f64, fw: f64| -> JobOutcome {
-        let comp = simulate(&machine, fc, &comp_profile);
-        let write = simulate(&machine, fw, &write_profile);
+        let p = dump.price(&machine, fc, fw);
         JobOutcome {
             simulation_j: sim.energy_j * n,
-            compression_j: comp.energy_j * n,
-            writing_j: write.energy_j * n,
-            runtime_s: (sim.runtime_s + comp.runtime_s + write.runtime_s) * n,
+            compression_j: p.cpu_j * n,
+            writing_j: p.io_j * n,
+            runtime_s: (sim.runtime_s + p.cpu_s + p.io_s) * n,
         }
     };
-    // Overlapped accounting of one checkpoint dump, scaled to the job:
-    // dumps are separated by simulation phases, so overlap happens within
-    // a dump, never across dumps.
-    let overlap_at = |fc: f64, fw: f64| -> OverlapOutcome {
-        let o = scaled_overlap(
-            &machine,
-            fc,
-            fw,
-            &cfg.cost_model,
-            cfg.compressor,
-            &out.stats,
-            cfg.checkpoint_bytes,
-            cfg.queue_depth,
-        );
-        OverlapOutcome {
-            compression_j: o.compression_j * n,
-            writing_j: o.writing_j * n,
-            sequential_s: o.sequential_s * n,
-            pipelined_s: o.pipelined_s * n,
-        }
+    // Overlapped accounting of one checkpoint, scaled to the job: dumps
+    // (and restarts) are separated by simulation phases, so overlap
+    // happens within one, never across them.
+    let overlap_at = |chunk: &TwoPhaseWork, order: PhaseOrder, f_cpu: f64, f_io: f64| {
+        overlap([chunk.price(&machine, f_cpu, f_io)], chunks, cfg.queue_depth, order).times(n)
     };
-    // Restart accounting of the mirror path (fetch every checkpoint back
-    // and decompress it), same per-checkpoint scaling. Eqn 3 assigns the
-    // writing fraction to the fetch and the compression fraction to
-    // decompression, exactly as `readback` does.
-    let restart_at = |ff: f64, fd: f64| -> OverlapOutcome {
-        let o = scaled_restart(
-            &machine,
-            ff,
-            fd,
-            &cfg.cost_model,
-            cfg.compressor,
-            &out.stats,
-            cfg.checkpoint_bytes,
-            cfg.queue_depth,
-        );
-        OverlapOutcome {
-            compression_j: o.compression_j * n,
-            writing_j: o.writing_j * n,
-            sequential_s: o.sequential_s * n,
-            pipelined_s: o.pipelined_s * n,
-        }
-    };
+    let dump_at = |fc, fw| overlap_at(&dump_chunk, PhaseOrder::CpuFirst, fc, fw);
+    let restart_at = |fd, ff| overlap_at(&restart_chunk, PhaseOrder::IoFirst, fd, ff);
     let result = CheckpointResult {
         base: outcome(fmax, fmax),
         tuned: outcome(f_comp, f_write),
-        ratio,
-        base_overlap: overlap_at(fmax, fmax),
-        tuned_overlap: overlap_at(f_comp, f_write),
+        ratio: stats.ratio(),
+        base_overlap: dump_at(fmax, fmax),
+        tuned_overlap: dump_at(f_comp, f_write),
+        // Eqn 3 assigns the compression fraction to decompression and
+        // the writing fraction to the fetch, exactly as `readback` does.
         base_restart: restart_at(fmax, fmax),
-        tuned_restart: restart_at(f_write, f_comp),
+        tuned_restart: restart_at(f_comp, f_write),
     };
     if lcpio_trace::collecting() {
         lcpio_trace::counter_add(
@@ -337,8 +305,8 @@ mod tests {
         for (seq, ovl) in [(&r.base, &r.base_overlap), (&r.tuned, &r.tuned_overlap)] {
             // Same joules as the sequential dump phases (ceil-rounded
             // chunk count vs exact scale factor — tiny tolerance).
-            assert!(rel(ovl.compression_j, seq.compression_j) < 1e-4);
-            assert!(rel(ovl.writing_j, seq.writing_j) < 1e-4);
+            assert!(rel(ovl.cpu_j, seq.compression_j) < 1e-4);
+            assert!(rel(ovl.io_j, seq.writing_j) < 1e-4);
             // Overlap shortens the dump wall time at queue_depth 4.
             assert!(ovl.pipelined_s < ovl.sequential_s);
             assert!(ovl.speedup() > 1.0);
@@ -359,7 +327,7 @@ mod tests {
         // Eqn-3 tuning saves energy on the read-back half of the cycle too.
         assert!(r.tuned_restart.total_j() < r.base_restart.total_j());
         // Decompression is cheaper than compression at matched clocks.
-        assert!(r.base_restart.compression_j < r.base_overlap.compression_j);
+        assert!(r.base_restart.cpu_j < r.base_overlap.cpu_j);
     }
 
     #[test]

@@ -6,13 +6,12 @@
 //! write). Tuning saves 6.5 kJ (13%) on average across the bounds.
 
 use crate::error::CoreError;
-use crate::pipeline::{scaled_overlap, OverlapOutcome};
+use crate::pipeline::{overlap, sample_chunks, stretch, PhaseCost, PhaseOrder, TwoPhaseWork};
 use crate::records::Compressor;
 use crate::tuning::TuningRule;
-use crate::workmap::CostModel;
+use crate::workmap::{CostModel, NyxSample};
 use lcpio_codec::BoundSpec;
-use lcpio_datagen::nyx;
-use lcpio_powersim::{simulate, Chip, Machine};
+use lcpio_powersim::{Chip, Machine};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the dump experiment.
@@ -64,31 +63,6 @@ impl DataDumpConfig {
     }
 }
 
-/// Energy breakdown of one (error bound, policy) cell of Figure 6.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PhaseEnergy {
-    /// Compression energy (J).
-    pub compression_j: f64,
-    /// Data-writing energy (J).
-    pub writing_j: f64,
-    /// Compression runtime (s).
-    pub compression_s: f64,
-    /// Writing runtime (s).
-    pub writing_s: f64,
-}
-
-impl PhaseEnergy {
-    /// Total energy (J).
-    pub fn total_j(&self) -> f64 {
-        self.compression_j + self.writing_j
-    }
-
-    /// Total runtime (s).
-    pub fn total_s(&self) -> f64 {
-        self.compression_s + self.writing_s
-    }
-}
-
 /// One error-bound row of Figure 6.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DumpRow {
@@ -96,15 +70,18 @@ pub struct DumpRow {
     pub error_bound: f64,
     /// Compression ratio achieved on the sample.
     pub ratio: f64,
-    /// Base-clock energies.
-    pub base: PhaseEnergy,
-    /// Eqn-3-tuned energies.
-    pub tuned: PhaseEnergy,
-    /// Overlapped-pipeline accounting at the base clock: same per-phase
-    /// joules as [`DumpRow::base`], shorter wall time.
-    pub base_overlap: OverlapOutcome,
+    /// Base-clock cost of the whole dump priced as one job (CPU phase =
+    /// compression, I/O phase = the NFS write).
+    pub base: PhaseCost,
+    /// Eqn-3-tuned cost.
+    pub tuned: PhaseCost,
+    /// Overlapped-pipeline accounting at the base clock: the dump as
+    /// sample-sized chunks through the bounded queue. Same per-phase
+    /// joules as [`DumpRow::base`] (to the rounding of the chunk count),
+    /// shorter wall time.
+    pub base_overlap: PhaseCost,
     /// Overlapped-pipeline accounting at the Eqn-3 clocks.
-    pub tuned_overlap: OverlapOutcome,
+    pub tuned_overlap: PhaseCost,
 }
 
 impl DumpRow {
@@ -136,65 +113,44 @@ pub fn run_data_dump(cfg: &DataDumpConfig) -> Result<(Vec<DumpRow>, DumpSummary)
     let _span = lcpio_trace::span("core.dump");
     let machine = Machine::for_chip(cfg.chip);
     let fmax = machine.cpu.f_max_ghz;
-    let f_comp = machine.cpu.snap(cfg.rule.compression_fraction * fmax);
-    let f_write = machine.cpu.snap(cfg.rule.writing_fraction * fmax);
+    let (f_comp, f_write) = cfg.rule.clocks(&machine.cpu);
 
-    let field = nyx::velocity_x(cfg.sample_side, cfg.seed);
-    let dims: Vec<usize> = field.dims().extents().to_vec();
-    let scale_factor = cfg.total_bytes / field.sample_bytes() as f64;
+    let sample = NyxSample::new(cfg.sample_side, cfg.seed);
 
     let mut rows = Vec::new();
     for &eb in &cfg.error_bounds {
-        let out = cfg.compressor.codec().compress_chunked(
-            &field.data,
-            &dims,
-            BoundSpec::Absolute(eb),
-            cfg.threads,
-        )?;
-        let profile = cfg.cost_model.compression_profile(cfg.compressor, &out.stats, scale_factor);
-        let ratio = out.stats.ratio();
-        let compressed_bytes = cfg.total_bytes / ratio;
-        let write = machine.nfs.write_profile(compressed_bytes);
-
-        let energy_at = |fc: f64, fw: f64| -> PhaseEnergy {
-            let c = simulate(&machine, fc, &profile);
-            let w = simulate(&machine, fw, &write);
-            PhaseEnergy {
-                compression_j: c.energy_j,
-                writing_j: w.energy_j,
-                compression_s: c.runtime_s,
-                writing_s: w.runtime_s,
-            }
-        };
-        // Overlapped-pipeline accounting for the same dump: identical
-        // per-phase joules, shorter wall time (queue_depth ≥ 2 lets
-        // compression of chunk k+1 proceed while chunk k is on the wire).
-        let overlap_at = |fc: f64, fw: f64| -> OverlapOutcome {
-            scaled_overlap(
-                &machine,
-                fc,
-                fw,
+        let stats = sample.compress(cfg.compressor, BoundSpec::Absolute(eb), Some(cfg.threads))?;
+        let dump = |volume_bytes: f64| {
+            let (scale, stored) = stretch(&stats, volume_bytes);
+            TwoPhaseWork::compress_write(
                 &cfg.cost_model,
+                &machine,
                 cfg.compressor,
-                &out.stats,
-                cfg.total_bytes,
-                cfg.queue_depth,
+                &stats,
+                scale,
+                stored,
             )
+        };
+        // The sequential figures price the whole dump as one job; the
+        // overlapped ones stream it chunk by chunk: identical per-phase
+        // joules, shorter wall time (queue_depth ≥ 2 lets compression of
+        // chunk k+1 proceed while chunk k is on the wire).
+        let (chunk_bytes, chunks) = sample_chunks(&stats, cfg.total_bytes);
+        let (job, chunk) = (dump(cfg.total_bytes), dump(chunk_bytes));
+        let overlap_at = |fc: f64, fw: f64| {
+            overlap([chunk.price(&machine, fc, fw)], chunks, cfg.queue_depth, PhaseOrder::CpuFirst)
         };
         let row = DumpRow {
             error_bound: eb,
-            ratio,
-            base: energy_at(fmax, fmax),
-            tuned: energy_at(f_comp, f_write),
+            ratio: stats.ratio(),
+            base: job.price(&machine, fmax, fmax),
+            tuned: job.price(&machine, f_comp, f_write),
             base_overlap: overlap_at(fmax, fmax),
             tuned_overlap: overlap_at(f_comp, f_write),
         };
         if lcpio_trace::collecting() {
-            lcpio_trace::counter_add(
-                "core.dump.compression_uj",
-                (row.base.compression_j * 1e6) as u64,
-            );
-            lcpio_trace::counter_add("core.dump.writing_uj", (row.base.writing_j * 1e6) as u64);
+            lcpio_trace::counter_add("core.dump.compression_uj", (row.base.cpu_j * 1e6) as u64);
+            lcpio_trace::counter_add("core.dump.writing_uj", (row.base.io_j * 1e6) as u64);
             lcpio_trace::counter_add("core.dump.saved_uj", (row.saved_j() * 1e6) as u64);
         }
         rows.push(row);
@@ -210,6 +166,7 @@ pub fn run_data_dump(cfg: &DataDumpConfig) -> Result<(Vec<DumpRow>, DumpSummary)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcpio_powersim::simulate;
 
     #[test]
     fn tuning_always_saves_energy() {
@@ -257,7 +214,7 @@ mod tests {
         for r in &rows {
             // Compressed write must be much cheaper than compression for
             // high ratios.
-            assert!(r.base.writing_j < r.base.compression_j, "eb {}", r.error_bound);
+            assert!(r.base.io_j < r.base.cpu_j, "eb {}", r.error_bound);
         }
     }
 
@@ -270,10 +227,10 @@ mod tests {
         for r in &rows {
             for (seq, ovl) in [(&r.base, &r.base_overlap), (&r.tuned, &r.tuned_overlap)] {
                 let rel = |a: f64, b: f64| (a - b).abs() / b.max(1e-12);
-                assert!(rel(ovl.compression_j, seq.compression_j) < 1e-4, "eb {}", r.error_bound);
-                assert!(rel(ovl.writing_j, seq.writing_j) < 1e-4, "eb {}", r.error_bound);
+                assert!(rel(ovl.cpu_j, seq.cpu_j) < 1e-4, "eb {}", r.error_bound);
+                assert!(rel(ovl.io_j, seq.io_j) < 1e-4, "eb {}", r.error_bound);
                 assert!(rel(ovl.total_j(), seq.total_j()) < 1e-4, "eb {}", r.error_bound);
-                assert!(rel(ovl.sequential_s, seq.total_s()) < 1e-4, "eb {}", r.error_bound);
+                assert!(rel(ovl.sequential_s, seq.sequential_s) < 1e-4, "eb {}", r.error_bound);
             }
         }
     }
@@ -325,10 +282,10 @@ mod tests {
         let write = machine.nfs.write_profile(cfg.total_bytes / out.stats.ratio());
         let c = simulate(&machine, machine.cpu.f_max_ghz, &profile);
         let w = simulate(&machine, machine.cpu.f_max_ghz, &write);
-        assert_eq!(rows[0].base.compression_j, c.energy_j);
-        assert_eq!(rows[0].base.writing_j, w.energy_j);
-        assert_eq!(rows[0].base.compression_s, c.runtime_s);
-        assert_eq!(rows[0].base.writing_s, w.runtime_s);
+        assert_eq!(rows[0].base.cpu_j, c.energy_j);
+        assert_eq!(rows[0].base.io_j, w.energy_j);
+        assert_eq!(rows[0].base.cpu_s, c.runtime_s);
+        assert_eq!(rows[0].base.io_s, w.runtime_s);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! front, and the classic scalarizations — minimum energy and minimum
 //! energy-delay product (EDP).
 
-use lcpio_powersim::{simulate, Machine, WorkProfile};
+use crate::pipeline::TwoPhaseWork;
+use lcpio_powersim::Machine;
 use serde::{Deserialize, Serialize};
 
 /// One operating point on the DVFS ladder.
@@ -35,19 +36,17 @@ impl FrequencyPoint {
     }
 }
 
-/// Evaluate a work profile at every ladder frequency.
-pub fn frequency_profile(machine: &Machine, job: &WorkProfile) -> Vec<FrequencyPoint> {
+/// Price a two-phase job at every ladder frequency, both phases pinned
+/// to the same clock (a job with no I/O phase is the single-profile sweep).
+pub fn frequency_profile(machine: &Machine, job: &TwoPhaseWork) -> Vec<FrequencyPoint> {
     machine
         .cpu
         .ladder()
         .map(|f| {
-            let m = simulate(machine, f, job);
-            FrequencyPoint {
-                f_ghz: f,
-                power_w: m.avg_power_w,
-                runtime_s: m.runtime_s,
-                energy_j: m.energy_j,
-            }
+            let p = job.price(machine, f, f);
+            let (runtime_s, energy_j) = (p.sequential_s, p.total_j());
+            let power_w = if runtime_s > 0.0 { energy_j / runtime_s } else { 0.0 };
+            FrequencyPoint { f_ghz: f, power_w, runtime_s, energy_j }
         })
         .collect()
 }
@@ -89,10 +88,13 @@ pub fn edp_optimal(points: &[FrequencyPoint]) -> Option<&FrequencyPoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcpio_powersim::Chip;
+    use lcpio_powersim::{Chip, WorkProfile};
 
-    fn comp_job() -> WorkProfile {
-        WorkProfile { compute_cycles: 30e9, memory_bytes: 160e9, ..Default::default() }
+    fn comp_job() -> TwoPhaseWork {
+        TwoPhaseWork {
+            cpu: WorkProfile { compute_cycles: 30e9, memory_bytes: 160e9, ..Default::default() },
+            io: WorkProfile::default(),
+        }
     }
 
     #[test]

@@ -31,11 +31,13 @@
 //!   output in order — element-identical to the serial
 //!   [`run_restart_sequential`] and [`decode_stream`] at every queue depth
 //!   and worker count.
-//! * `model` — [`simulate_pipeline`] maps per-chunk work profiles onto a
-//!   machine at tuned frequencies and computes the overlapped makespan
-//!   ([`overlap_makespan`]); [`scaled_restart`] prices the restart side
-//!   under the same energy-conservation invariant, feeding `readback`'s
-//!   per-phase report.
+//! * `model` — the one pricing point of the two-phase job:
+//!   [`TwoPhaseWork`] (a CPU phase plus the I/O phase it feeds or drains)
+//!   is priced per phase by [`TwoPhaseWork::price`], and [`overlap`]
+//!   streams priced units through the bounded queue
+//!   ([`overlap_makespan`]) under the energy-conservation invariant. The
+//!   dump, checkpoint, read-back and policy studies and `lcpio-serve` all
+//!   price through it.
 //!
 //! ```
 //! use lcpio_core::pipeline::{run_sequential, run_streaming, PipelineConfig, VecSink};
@@ -60,8 +62,7 @@ mod write;
 
 pub use format::{is_stream_container, scan_stream, StreamLayout, STREAM_MAGIC};
 pub use model::{
-    overlap_makespan, scaled_overlap, scaled_restart, simulate_pipeline, simulate_pipeline_mixed,
-    OverlapOutcome,
+    overlap, overlap_makespan, sample_chunks, stretch, PhaseCost, PhaseOrder, TwoPhaseWork,
 };
 pub use restart::{
     decode_stream, run_restart, run_restart_sequential, run_restart_streamed, ChunkSource,

@@ -10,10 +10,9 @@
 //! [`lcpio_powersim::dvfs`].
 //!
 //! Arm costing: a contiguous sample window of the chunk is compressed
-//! with each codec; the sampled [`lcpio_codec::CodecStats`] are scaled to
-//! the full chunk and mapped through [`CostModel::compression_profile`]
-//! into a work profile, and the predicted output bytes through
-//! [`lcpio_powersim::NfsSpec::write_profile`]. Both phases are evaluated
+//! with each codec; the sampled [`lcpio_codec::CodecStats`], scaled to
+//! the full chunk, and the predicted output bytes make one
+//! [`TwoPhaseWork::compress_write`] unit. Both phases are priced
 //! at every ladder frequency, so an arm's energy couples compute cost
 //! *and* output size — the codec that shrinks the chunk more also pays
 //! less write energy, which is what lets the adaptive policy dominate
@@ -29,13 +28,14 @@
 //! range is exactly the mixed-field I/O situation CEAZ-style adaptive
 //! compression targets.
 
-use crate::pareto::{energy_optimal, FrequencyPoint};
+use crate::pareto::{energy_optimal, frequency_profile, FrequencyPoint};
+use crate::pipeline::TwoPhaseWork;
 use crate::records::Compressor;
 use crate::workmap::CostModel;
 use lcpio_codec::policy::{sample_stats, ChunkPlan, ChunkPolicy, CodecId, FixedPolicy, HeuristicPolicy};
-use lcpio_codec::{registry, BoundSpec, CodecStats};
+use lcpio_codec::{BoundSpec, CodecStats};
 use lcpio_datagen::Dataset;
-use lcpio_powersim::{simulate, Chip, CpuFreqController, Machine};
+use lcpio_powersim::{Chip, CpuFreqController, Machine};
 use serde::{Deserialize, Serialize};
 
 /// Which chunk policy a pipeline run uses. The CLI's `--policy` flag and
@@ -158,22 +158,16 @@ impl ParetoAdaptive {
             return None;
         }
         let scale = chunk.len() as f64 / stats.elements as f64;
-        let comp = self.cost_model.compression_profile(compressor, &stats, scale);
         let predicted_bytes = stats.output_bytes as f64 * scale;
-        let write = self.machine.nfs.write_profile(predicted_bytes);
-        let points = self
-            .machine
-            .cpu
-            .ladder()
-            .map(|f| {
-                let c = simulate(&self.machine, f, &comp);
-                let w = simulate(&self.machine, f, &write);
-                let runtime_s = c.runtime_s + w.runtime_s;
-                let energy_j = c.energy_j + w.energy_j;
-                FrequencyPoint { f_ghz: f, power_w: energy_j / runtime_s, runtime_s, energy_j }
-            })
-            .collect();
-        Some((points, predicted_bytes))
+        let work = TwoPhaseWork::compress_write(
+            &self.cost_model,
+            &self.machine,
+            compressor,
+            &stats,
+            scale,
+            predicted_bytes,
+        );
+        Some((frequency_profile(&self.machine, &work), predicted_bytes))
     }
 
     /// The winning arm for a chunk, if any codec can compress it.
@@ -438,11 +432,10 @@ pub fn run_policy_study(data: &[f32], study: &PolicyStudy) -> PolicyStudyResult 
     let mut arms: Vec<[Option<ChunkArm>; 2]> = Vec::with_capacity(chunks.len());
     for chunk in &chunks {
         let mut per = [None, None];
-        for (slot, codec) in [CodecId::Sz, CodecId::Zfp].into_iter().enumerate() {
-            let Some(c) = registry().by_name(codec.name()) else { continue };
+        for compressor in Compressor::ALL {
             let t0 = std::time::Instant::now();
-            if let Ok(enc) = c.compress(chunk, &[chunk.len()], study.bound) {
-                per[slot] = Some(ChunkArm {
+            if let Ok(enc) = compressor.codec().compress(chunk, &[chunk.len()], study.bound) {
+                per[compressor as usize] = Some(ChunkArm {
                     stats: enc.stats,
                     bytes: enc.bytes.len() as u64,
                     compress_s: t0.elapsed().as_secs_f64(),
@@ -451,24 +444,6 @@ pub fn run_policy_study(data: &[f32], study: &PolicyStudy) -> PolicyStudyResult 
         }
         arms.push(per);
     }
-    let slot_of = |codec: CodecId| match codec {
-        CodecId::Sz => 0usize,
-        CodecId::Zfp => 1,
-        CodecId::Raw => usize::MAX,
-    };
-
-    // Modelled compress+write energy/runtime of one chunk's arm at f.
-    let phase = |codec: CodecId, arm: &ChunkArm, f: f64| -> (f64, f64) {
-        let comp = match compressor_of(codec) {
-            Some(c) => study.cost_model.compression_profile(c, &arm.stats, 1.0),
-            None => Default::default(),
-        };
-        let write = machine.nfs.write_profile(arm.bytes as f64);
-        let c = simulate(&machine, f, &comp);
-        let w = simulate(&machine, f, &write);
-        (c.energy_j + w.energy_j, c.runtime_s + w.runtime_s)
-    };
-
     let eval = |label: String, policy: &str, plans: &[ChunkPlan], plan_s: f64| -> PolicyRecord {
         let mut rec = PolicyRecord {
             label,
@@ -486,31 +461,39 @@ pub fn run_policy_study(data: &[f32], study: &PolicyStudy) -> PolicyStudyResult 
         };
         for (i, plan) in plans.iter().enumerate() {
             rec.bytes_in += (chunks[i].len() * 4) as u64;
-            let slot = slot_of(plan.codec);
-            let arm = arms[i].get(slot).and_then(|a| a.as_ref());
-            match arm {
-                Some(arm) => {
-                    let (e, t) = phase(plan.codec, arm, plan.f_ghz);
-                    rec.energy_j += e;
-                    rec.runtime_s += t;
-                    rec.bytes_out += arm.bytes;
+            // Modelled compress + write of the chunk, both phases at the
+            // plan's frequency.
+            let arm = compressor_of(plan.codec)
+                .and_then(|c| arms[i][c as usize].as_ref().map(|arm| (c, arm)));
+            let (work, bytes_out) = match arm {
+                Some((compressor, arm)) => {
                     rec.compress_s += arm.compress_s;
-                    match plan.codec {
-                        CodecId::Sz => rec.sz_chunks += 1,
-                        CodecId::Zfp => rec.zfp_chunks += 1,
-                        CodecId::Raw => rec.raw_chunks += 1,
+                    match compressor {
+                        Compressor::Sz => rec.sz_chunks += 1,
+                        Compressor::Zfp => rec.zfp_chunks += 1,
                     }
+                    let work = TwoPhaseWork::compress_write(
+                        &study.cost_model,
+                        &machine,
+                        compressor,
+                        &arm.stats,
+                        1.0,
+                        arm.bytes as f64,
+                    );
+                    (work, arm.bytes)
                 }
+                // Raw fallback: no compression work, full-size write.
                 None => {
-                    // Raw fallback: no compression work, full-size write.
-                    let bytes = (chunks[i].len() * 4) as u64;
-                    let w = simulate(&machine, plan.f_ghz, &machine.nfs.write_profile(bytes as f64));
-                    rec.energy_j += w.energy_j;
-                    rec.runtime_s += w.runtime_s;
-                    rec.bytes_out += bytes;
                     rec.raw_chunks += 1;
+                    let bytes = (chunks[i].len() * 4) as u64;
+                    let io = machine.nfs.write_profile(bytes as f64);
+                    (TwoPhaseWork { cpu: Default::default(), io }, bytes)
                 }
-            }
+            };
+            let p = work.price(&machine, plan.f_ghz, plan.f_ghz);
+            rec.energy_j += p.total_j();
+            rec.runtime_s += p.sequential_s;
+            rec.bytes_out += bytes_out;
         }
         rec
     };

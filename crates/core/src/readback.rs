@@ -6,15 +6,14 @@
 //! Eqn-3 treatment to that read path, reusing the paper's observation that
 //! I/O phases tolerate lower clocks.
 
-use crate::datadump::PhaseEnergy;
-use crate::pipeline::{scaled_restart, simulate_pipeline_mixed, OverlapOutcome};
+use crate::error::CoreError;
+use crate::pipeline::{overlap, sample_chunks, stretch, PhaseCost, PhaseOrder, TwoPhaseWork};
 use crate::policy::{build_policy, compressor_of, PolicyKind};
 use crate::records::Compressor;
 use crate::tuning::TuningRule;
-use crate::workmap::CostModel;
-use lcpio_datagen::nyx;
-use lcpio_powersim::{simulate, Chip, Machine};
-use lcpio_codec::BoundSpec;
+use crate::workmap::{CostModel, NyxSample};
+use lcpio_powersim::{Chip, Machine};
+use lcpio_codec::{BoundSpec, CodecStats};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the read-back experiment.
@@ -76,23 +75,22 @@ impl ReadbackConfig {
 pub struct ReadbackResult {
     /// Compression ratio of the stored file.
     pub ratio: f64,
-    /// Base-clock energies (fetch = "writing" slot, decompress =
-    /// "compression" slot of [`PhaseEnergy`]).
-    pub base: PhaseEnergy,
-    /// Tuned energies.
-    pub tuned: PhaseEnergy,
+    /// Base-clock cost of the whole read-back priced as one job (CPU
+    /// phase = decompression, I/O phase = the NFS fetch).
+    pub base: PhaseCost,
+    /// Tuned cost.
+    pub tuned: PhaseCost,
     /// Base-clock overlapped restart (fetch feeds decode through the
     /// bounded prefetch queue): per-phase joules equal `base`'s, wall
     /// time shrinks.
-    pub base_overlap: OverlapOutcome,
+    pub base_overlap: PhaseCost,
     /// Tuned overlapped restart.
-    pub tuned_overlap: OverlapOutcome,
+    pub tuned_overlap: PhaseCost,
     /// Overlapped restart re-priced under [`ReadbackConfig::policy`]: the
     /// decode phase runs the planned codec and is attributed at the
-    /// plan's DVFS frequency through
-    /// [`simulate_pipeline_mixed`]. Identical to
-    /// `tuned_overlap` when the policy is fixed.
-    pub policy_overlap: OverlapOutcome,
+    /// plan's DVFS frequency. Identical to `tuned_overlap` when the
+    /// policy is fixed.
+    pub policy_overlap: PhaseCost,
 }
 
 impl ReadbackResult {
@@ -103,105 +101,61 @@ impl ReadbackResult {
 }
 
 /// Run the read-back experiment.
-pub fn run_readback(cfg: &ReadbackConfig) -> ReadbackResult {
+///
+/// Fails with [`CoreError`] when the sample field cannot be compressed
+/// under the configured bound (e.g. a non-finite `error_bound`).
+pub fn run_readback(cfg: &ReadbackConfig) -> Result<ReadbackResult, CoreError> {
     let machine = Machine::for_chip(cfg.chip);
     let fmax = machine.cpu.f_max_ghz;
-    let f_fetch = machine.cpu.snap(cfg.rule.writing_fraction * fmax);
-    let f_decomp = machine.cpu.snap(cfg.rule.compression_fraction * fmax);
+    let (f_decomp, f_fetch) = cfg.rule.clocks(&machine.cpu);
 
-    let field = nyx::velocity_x(cfg.sample_side, cfg.seed);
-    let dims: Vec<usize> = field.dims().extents().to_vec();
-    let scale_factor = cfg.total_bytes / field.sample_bytes() as f64;
-
-    let out = cfg
-        .compressor
-        .codec()
-        .compress(&field.data, &dims, BoundSpec::Absolute(cfg.error_bound))
-        .expect("NYX samples compress");
-    let decomp_profile =
-        cfg.cost_model.decompression_profile(cfg.compressor, &out.stats, scale_factor);
-    let ratio = out.stats.ratio();
-    let compressed_bytes = cfg.total_bytes / ratio;
-    // Reading from NFS exercises the same single-core copy path as writing.
-    let fetch_profile = machine.nfs.write_profile(compressed_bytes);
-
-    let energy_at = |ff: f64, fd: f64| -> PhaseEnergy {
-        let fetch = simulate(&machine, ff, &fetch_profile);
-        let dec = simulate(&machine, fd, &decomp_profile);
-        PhaseEnergy {
-            compression_j: dec.energy_j,
-            writing_j: fetch.energy_j,
-            compression_s: dec.runtime_s,
-            writing_s: fetch.runtime_s,
-        }
+    let sample = NyxSample::new(cfg.sample_side, cfg.seed);
+    let bound = BoundSpec::Absolute(cfg.error_bound);
+    let stats = sample.compress(cfg.compressor, bound, None)?;
+    let restart = |compressor: Compressor, stats: &CodecStats, volume_bytes: f64| {
+        let (scale, stored) = stretch(stats, volume_bytes);
+        TwoPhaseWork::fetch_decompress(&cfg.cost_model, &machine, compressor, stats, scale, stored)
     };
-    let overlap_at = |ff: f64, fd: f64| -> OverlapOutcome {
-        scaled_restart(
-            &machine,
-            ff,
-            fd,
-            &cfg.cost_model,
-            cfg.compressor,
-            &out.stats,
-            cfg.total_bytes,
-            cfg.queue_depth,
-        )
+    // The sequential figures price the whole volume as one job; the
+    // overlapped ones stream it as sample-sized chunks.
+    let job = restart(cfg.compressor, &stats, cfg.total_bytes);
+    let (chunk_bytes, chunks) = sample_chunks(&stats, cfg.total_bytes);
+    let chunk = restart(cfg.compressor, &stats, chunk_bytes);
+    let overlap_at = |f_cpu: f64, f_io: f64| {
+        overlap([chunk.price(&machine, f_cpu, f_io)], chunks, cfg.queue_depth, PhaseOrder::IoFirst)
     };
-    let tuned_overlap = overlap_at(f_fetch, f_decomp);
+    let tuned_overlap = overlap_at(f_decomp, f_fetch);
     let policy_overlap = if cfg.policy == PolicyKind::Fixed {
         tuned_overlap
     } else {
-        // Plan the sample chunk; the dump is modelled as N identical
+        // Plan the sample chunk; the volume is modelled as N identical
         // sample-sized chunks, so one plan prices them all. The decode
         // phase runs the *planned* codec and is attributed at the plan's
         // frequency; the fetch stage keeps the tuned rule frequency so
         // the comparison isolates the policy's decode decision.
-        let policy = build_policy(
-            cfg.policy,
-            cfg.compressor,
-            BoundSpec::Absolute(cfg.error_bound),
-            cfg.chip,
-            cfg.cost_model,
-        );
-        let plan = policy.plan(&field.data, 0);
+        let policy = build_policy(cfg.policy, cfg.compressor, bound, cfg.chip, cfg.cost_model);
+        let plan = policy.plan(sample.data(), 0);
         let planned = compressor_of(plan.codec).unwrap_or(cfg.compressor);
-        let stats = if planned == cfg.compressor {
-            out.stats
-        } else {
-            planned
-                .codec()
-                .compress(&field.data, &dims, plan.bound)
-                .expect("NYX samples compress")
-                .stats
-        };
-        let sample_bytes = stats.input_bytes.max(1) as f64;
-        let chunks = (cfg.total_bytes / sample_bytes).ceil().max(1.0) as usize;
-        let dec_profile = cfg.cost_model.decompression_profile(planned, &stats, 1.0);
-        let fetch = machine.nfs.write_profile(sample_bytes / stats.ratio().max(1e-9));
-        let f_dec = machine.cpu.snap(plan.f_ghz);
-        let raw = simulate_pipeline_mixed(
+        let stats =
+            if planned == cfg.compressor { stats } else { sample.compress(planned, plan.bound, None)? };
+        let (chunk_bytes, chunks) = sample_chunks(&stats, cfg.total_bytes);
+        let price = restart(planned, &stats, chunk_bytes).price(
             &machine,
-            &vec![(f_fetch, fetch); chunks],
-            &vec![(f_dec, dec_profile); chunks],
-            cfg.queue_depth,
+            machine.cpu.snap(plan.f_ghz),
+            f_fetch,
         );
-        // Same slot swap as `scaled_restart`: decode joules land in the
-        // compression slot of readback's convention.
-        OverlapOutcome {
-            compression_j: raw.writing_j,
-            writing_j: raw.compression_j,
-            sequential_s: raw.sequential_s,
-            pipelined_s: raw.pipelined_s,
-        }
+        // A per-chunk plan list, summed chunk by chunk (not `chunks ×` one
+        // price) as a mixed plan would be.
+        overlap(std::iter::repeat_n(price, chunks), 1, cfg.queue_depth, PhaseOrder::IoFirst)
     };
-    ReadbackResult {
-        ratio,
-        base: energy_at(fmax, fmax),
-        tuned: energy_at(f_fetch, f_decomp),
+    Ok(ReadbackResult {
+        ratio: stats.ratio(),
+        base: job.price(&machine, fmax, fmax),
+        tuned: job.price(&machine, f_decomp, f_fetch),
         base_overlap: overlap_at(fmax, fmax),
         tuned_overlap,
         policy_overlap,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -210,7 +164,7 @@ mod tests {
 
     #[test]
     fn readback_tuning_saves_energy() {
-        let r = run_readback(&ReadbackConfig::quick());
+        let r = run_readback(&ReadbackConfig::quick()).expect("quick read-back runs");
         assert!(r.savings() > 0.0, "savings {}", r.savings());
         assert!(r.ratio > 1.0);
     }
@@ -218,28 +172,28 @@ mod tests {
     #[test]
     fn decompression_is_cheaper_than_compression_side() {
         use crate::datadump::{run_data_dump, DataDumpConfig};
-        let rb = run_readback(&ReadbackConfig::quick());
+        let rb = run_readback(&ReadbackConfig::quick()).expect("quick read-back runs");
         let mut dump_cfg = DataDumpConfig::quick();
         dump_cfg.error_bounds = vec![1e-3];
         let (rows, _) = run_data_dump(&dump_cfg).expect("quick dump runs");
         assert!(
-            rb.base.compression_j < rows[0].base.compression_j,
+            rb.base.cpu_j < rows[0].base.cpu_j,
             "decompress {} !< compress {}",
-            rb.base.compression_j,
-            rows[0].base.compression_j
+            rb.base.cpu_j,
+            rows[0].base.cpu_j
         );
     }
 
     #[test]
     fn overlapped_restart_conserves_phase_energy_and_shrinks_wall_time() {
-        let r = run_readback(&ReadbackConfig::quick());
+        let r = run_readback(&ReadbackConfig::quick()).expect("quick read-back runs");
         let rel = |a: f64, b: f64| (a - b).abs() / b;
         for (seq, ov) in [(r.base, r.base_overlap), (r.tuned, r.tuned_overlap)] {
             // Same joules per phase as the sequential accounting (the
             // chunk-count ceiling perturbs at ~1e-7), shorter makespan.
-            assert!(rel(ov.compression_j, seq.compression_j) < 1e-4);
-            assert!(rel(ov.writing_j, seq.writing_j) < 1e-4);
-            assert!(rel(ov.sequential_s, seq.compression_s + seq.writing_s) < 1e-4);
+            assert!(rel(ov.cpu_j, seq.cpu_j) < 1e-4);
+            assert!(rel(ov.io_j, seq.io_j) < 1e-4);
+            assert!(rel(ov.sequential_s, seq.sequential_s) < 1e-4);
             assert!(ov.pipelined_s < ov.sequential_s);
             assert!(ov.speedup() > 1.0);
         }
@@ -248,20 +202,20 @@ mod tests {
     #[test]
     fn zfp_readback_also_saves() {
         let cfg = ReadbackConfig { compressor: Compressor::Zfp, ..ReadbackConfig::quick() };
-        let r = run_readback(&cfg);
+        let r = run_readback(&cfg).expect("read-back runs");
         assert!(r.savings() > 0.0);
     }
 
     #[test]
     fn fixed_policy_overlap_equals_tuned_overlap() {
-        let r = run_readback(&ReadbackConfig::quick());
+        let r = run_readback(&ReadbackConfig::quick()).expect("quick read-back runs");
         assert_eq!(r.policy_overlap, r.tuned_overlap);
     }
 
     #[test]
     fn adaptive_policy_attributes_decode_at_planned_frequency() {
         let cfg = ReadbackConfig { policy: PolicyKind::Adaptive, ..ReadbackConfig::quick() };
-        let r = run_readback(&cfg);
+        let r = run_readback(&cfg).expect("read-back runs");
         // Conservation invariants hold under per-plan attribution.
         assert!(r.policy_overlap.total_j() > 0.0);
         assert!(r.policy_overlap.pipelined_s <= r.policy_overlap.sequential_s + 1e-12);
@@ -270,10 +224,23 @@ mod tests {
         // materially exceed the fixed tuned rule's (small slack for the
         // sampled-window vs full-sample stats gap).
         assert!(
-            r.policy_overlap.compression_j <= r.tuned_overlap.compression_j * 1.05,
+            r.policy_overlap.cpu_j <= r.tuned_overlap.cpu_j * 1.05,
             "adaptive {} vs tuned {}",
-            r.policy_overlap.compression_j,
-            r.tuned_overlap.compression_j
+            r.policy_overlap.cpu_j,
+            r.tuned_overlap.cpu_j
         );
+    }
+
+    #[test]
+    fn a_non_finite_bound_is_a_typed_error_in_every_study() {
+        use crate::checkpoint::{run_checkpoint_study, CheckpointConfig};
+        use crate::datadump::{run_data_dump, DataDumpConfig};
+        let nan = f64::NAN;
+        let rb = run_readback(&ReadbackConfig { error_bound: nan, ..ReadbackConfig::quick() });
+        let dump = run_data_dump(&DataDumpConfig { error_bounds: vec![nan], ..DataDumpConfig::quick() });
+        let ck = run_checkpoint_study(&CheckpointConfig { error_bound: nan, ..CheckpointConfig::quick() });
+        for err in [rb.err(), dump.err(), ck.err()] {
+            assert!(matches!(err, Some(CoreError::Sz(_))), "{err:?}");
+        }
     }
 }

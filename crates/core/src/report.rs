@@ -135,31 +135,24 @@ mod tests {
 
     #[test]
     fn dump_table_shows_overlap_columns() {
-        use crate::datadump::PhaseEnergy;
-        use crate::pipeline::OverlapOutcome;
-        let phase = |c: f64, w: f64| PhaseEnergy {
-            compression_j: c,
-            writing_j: w,
-            compression_s: c / 100.0,
-            writing_s: w / 100.0,
+        use crate::pipeline::PhaseCost;
+        // (CPU joules, I/O joules, sequential s, pipelined s); the busy
+        // times are not rendered.
+        let cost = |cpu_j: f64, io_j: f64, sequential_s: f64, pipelined_s: f64| PhaseCost {
+            cpu_j,
+            io_j,
+            cpu_s: cpu_j / 100.0,
+            io_s: io_j / 100.0,
+            sequential_s,
+            pipelined_s,
         };
         let row = DumpRow {
             error_bound: 1e-3,
             ratio: 7.5,
-            base: phase(40e3, 12e3),
-            tuned: phase(34e3, 11e3),
-            base_overlap: OverlapOutcome {
-                compression_j: 40e3,
-                writing_j: 12e3,
-                sequential_s: 520.0,
-                pipelined_s: 410.0,
-            },
-            tuned_overlap: OverlapOutcome {
-                compression_j: 34e3,
-                writing_j: 11e3,
-                sequential_s: 560.0,
-                pipelined_s: 448.0,
-            },
+            base: cost(40e3, 12e3, 520.0, 520.0),
+            tuned: cost(34e3, 11e3, 450.0, 450.0),
+            base_overlap: cost(40e3, 12e3, 520.0, 410.0),
+            tuned_overlap: cost(34e3, 11e3, 560.0, 448.0),
         };
         let out = render_dump("FIG 6", &[row]);
         assert!(out.contains("pipe_s"));

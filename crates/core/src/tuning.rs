@@ -14,6 +14,7 @@
 //! paper performs with its fitted equations.
 
 use crate::characteristics::CurveSeries;
+use lcpio_powersim::CpuSpec;
 use serde::{Deserialize, Serialize};
 
 /// A frequency-tuning policy, as fractions of each chip's `f_max`.
@@ -29,6 +30,16 @@ impl TuningRule {
     /// The paper's Eqn 3: 12.5% reduction for compression, 15% for writing.
     pub const PAPER: TuningRule =
         TuningRule { compression_fraction: 0.875, writing_fraction: 0.85 };
+
+    /// The rule as P-states of `cpu`: the clock of the CPU phase
+    /// (compression, or decompression on the way back) and of the I/O
+    /// phase (the NFS write, or fetch), each snapped onto the ladder.
+    pub fn clocks(&self, cpu: &CpuSpec) -> (f64, f64) {
+        (
+            cpu.snap(self.compression_fraction * cpu.f_max_ghz),
+            cpu.snap(self.writing_fraction * cpu.f_max_ghz),
+        )
+    }
 }
 
 /// What a tuning rule achieves on measured characteristic curves.

@@ -14,12 +14,48 @@
 //! `ablation_cost_model` bench quantifies how sensitive the headline
 //! results are to these constants.
 
+use crate::error::CoreError;
 use crate::records::Compressor;
-use lcpio_codec::CodecStats;
+use lcpio_codec::{BoundSpec, CodecStats};
+use lcpio_datagen::{nyx, Field};
 use lcpio_powersim::WorkProfile;
-use lcpio_sz::CompressionStats;
-use lcpio_zfp::ZfpStats;
 use serde::{Deserialize, Serialize};
+
+/// The NYX `velocity_x` sample cube the §VI studies characterise their
+/// work on: generated once, really compressed per (codec, bound).
+pub struct NyxSample(Field);
+
+impl NyxSample {
+    /// The `side`³ cube for `seed`.
+    pub fn new(side: usize, seed: u64) -> Self {
+        NyxSample(nyx::velocity_x(side, seed))
+    }
+
+    /// The cube's elements.
+    pub fn data(&self) -> &[f32] {
+        &self.0.data
+    }
+
+    /// Compress the cube and return the operation counts the cost model
+    /// maps to a work profile: the chunked container `threads` workers
+    /// write (0 = all cores), or the serial stream for `None`.
+    ///
+    /// Fails with [`CoreError`] when the codec rejects the bound (a
+    /// non-finite one, say).
+    pub fn compress(
+        &self,
+        compressor: Compressor,
+        bound: BoundSpec,
+        threads: Option<usize>,
+    ) -> Result<CodecStats, CoreError> {
+        let (codec, dims) = (compressor.codec(), self.0.dims());
+        let out = match threads {
+            Some(t) => codec.compress_chunked(&self.0.data, dims.extents(), bound, t)?,
+            None => codec.compress(&self.0.data, dims.extents(), bound)?,
+        };
+        Ok(out.stats)
+    }
+}
 
 /// Tunable cost constants for the stats → work-profile mapping.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -60,11 +96,8 @@ impl CostModel {
     /// codec-neutral [`CodecStats`] the registry adapters report,
     /// extrapolated by `scale_factor` (full-size bytes / sample bytes).
     ///
-    /// Applies exactly the per-codec formulas of [`CostModel::sz_profile`]
-    /// / [`CostModel::zfp_profile`]: SZ literals arrive as
-    /// `literal_elements` and Huffman bits as `coded_bits`; ZFP payload
-    /// bits arrive as `coded_bits` (its literal count is zero, so the
-    /// shared formula shape costs it nothing).
+    /// SZ literals arrive as `literal_elements` and Huffman bits as
+    /// `coded_bits`; ZFP payload bits arrive as `coded_bits`.
     pub fn compression_profile(
         &self,
         compressor: Compressor,
@@ -97,28 +130,6 @@ impl CostModel {
         self.compression_profile(compressor, stats, scale_factor).scaled(0.7)
     }
 
-    /// Profile for an SZ compression run, extrapolated by `scale_factor`
-    /// (full-size bytes / sample bytes).
-    pub fn sz_profile(&self, stats: &CompressionStats, scale_factor: f64) -> WorkProfile {
-        let cycles = self.sz_cycles_per_element * stats.elements as f64
-            + self.sz_cycles_per_literal * stats.unpredictable as f64
-            + self.sz_cycles_per_huffman_bit * stats.huffman_bits as f64;
-        self.finish(cycles, scale_factor)
-    }
-
-    /// Profile for a ZFP compression run.
-    pub fn zfp_profile(&self, stats: &ZfpStats, scale_factor: f64) -> WorkProfile {
-        let cycles = self.zfp_cycles_per_element * stats.elements as f64
-            + self.zfp_cycles_per_payload_bit * stats.payload_bits as f64;
-        self.finish(cycles, scale_factor)
-    }
-
-    /// Decompression is cheaper than compression for both codecs (no
-    /// predictor search / no symbol histogramming); model it at 70%.
-    pub fn sz_decompress_profile(&self, stats: &CompressionStats, scale: f64) -> WorkProfile {
-        self.sz_profile(stats, scale).scaled(0.7)
-    }
-
     fn finish(&self, cycles: f64, scale_factor: f64) -> WorkProfile {
         WorkProfile {
             compute_cycles: cycles,
@@ -135,22 +146,23 @@ mod tests {
     use super::*;
     use lcpio_powersim::{simulate, Chip, Machine};
 
-    fn sz_stats(elements: u64) -> CompressionStats {
-        CompressionStats {
+    fn sz_stats(elements: u64) -> CodecStats {
+        CodecStats {
             elements,
             input_bytes: elements * 4,
             output_bytes: elements,
-            predictable: elements * 95 / 100,
-            unpredictable: elements * 5 / 100,
-            huffman_bits: elements * 4,
-            ..Default::default()
+            literal_elements: elements * 5 / 100,
+            coded_bits: elements * 4,
         }
+    }
+
+    fn sz(cm: &CostModel, stats: &CodecStats, scale: f64) -> WorkProfile {
+        cm.compression_profile(Compressor::Sz, stats, scale)
     }
 
     #[test]
     fn sz_cycles_are_in_realistic_range() {
-        let cm = CostModel::default();
-        let p = cm.sz_profile(&sz_stats(1_000_000), 1.0);
+        let p = sz(&CostModel::default(), &sz_stats(1_000_000), 1.0);
         let cycles_per_elem = p.compute_cycles / 1e6;
         // Real single-core SZ runs at roughly 100–400 MB/s at 2 GHz,
         // i.e. ~20–80 cycles per element.
@@ -159,8 +171,7 @@ mod tests {
 
     #[test]
     fn compute_fraction_matches_paper_calibration() {
-        let cm = CostModel::default();
-        let p = cm.sz_profile(&sz_stats(1_000_000), 1.0);
+        let p = sz(&CostModel::default(), &sz_stats(1_000_000), 1.0);
         let m = Machine::for_chip(Chip::Broadwell);
         let meas = simulate(&m, 2.0, &p);
         let frac = meas.compute_s / meas.runtime_s;
@@ -170,72 +181,56 @@ mod tests {
     #[test]
     fn scale_factor_extrapolates_linearly() {
         let cm = CostModel::default();
-        let one = cm.sz_profile(&sz_stats(1000), 1.0);
-        let big = cm.sz_profile(&sz_stats(1000), 512.0);
-        assert!((big.compute_cycles / one.compute_cycles - 512.0).abs() < 1e-9);
-        assert!((big.memory_bytes / one.memory_bytes - 512.0).abs() < 1e-9);
+        for comp in Compressor::ALL {
+            let one = cm.compression_profile(comp, &sz_stats(1000), 1.0);
+            let big = cm.compression_profile(comp, &sz_stats(1000), 512.0);
+            assert!((big.compute_cycles / one.compute_cycles - 512.0).abs() < 1e-9);
+            assert!((big.memory_bytes / one.memory_bytes - 512.0).abs() < 1e-9);
+        }
     }
 
     #[test]
     fn harder_data_costs_more_cycles() {
         let cm = CostModel::default();
         let easy = sz_stats(1000);
-        let hard = CompressionStats {
-            unpredictable: 500,
-            predictable: 500,
-            huffman_bits: 12_000,
-            ..easy
-        };
-        assert!(
-            cm.sz_profile(&hard, 1.0).compute_cycles > cm.sz_profile(&easy, 1.0).compute_cycles
-        );
+        let hard = CodecStats { literal_elements: 500, coded_bits: 12_000, ..easy };
+        assert!(sz(&cm, &hard, 1.0).compute_cycles > sz(&cm, &easy, 1.0).compute_cycles);
     }
 
     #[test]
     fn zfp_profile_tracks_payload() {
         let cm = CostModel::default();
-        let small = ZfpStats { elements: 1000, payload_bits: 4000, ..Default::default() };
-        let big = ZfpStats { elements: 1000, payload_bits: 32_000, ..Default::default() };
-        assert!(cm.zfp_profile(&big, 1.0).compute_cycles > cm.zfp_profile(&small, 1.0).compute_cycles);
-    }
-
-    #[test]
-    fn unified_profile_matches_legacy_sz_and_zfp_formulas() {
-        let cm = CostModel::default();
-        let sz = sz_stats(50_000);
-        let unified = CodecStats {
-            elements: sz.elements,
-            input_bytes: sz.input_bytes,
-            output_bytes: sz.output_bytes,
-            literal_elements: sz.unpredictable,
-            coded_bits: sz.huffman_bits,
+        let zfp = |coded_bits| {
+            let stats = CodecStats { elements: 1000, coded_bits, ..Default::default() };
+            cm.compression_profile(Compressor::Zfp, &stats, 1.0).compute_cycles
         };
-        let a = cm.sz_profile(&sz, 37.0);
-        let b = cm.compression_profile(Compressor::Sz, &unified, 37.0);
-        assert_eq!(a.compute_cycles, b.compute_cycles);
-        assert_eq!(a.memory_bytes, b.memory_bytes);
-
-        let zfp = ZfpStats { elements: 50_000, payload_bits: 240_000, ..Default::default() };
-        let unified = CodecStats {
-            elements: zfp.elements,
-            coded_bits: zfp.payload_bits,
-            ..Default::default()
-        };
-        let a = cm.zfp_profile(&zfp, 37.0);
-        let b = cm.compression_profile(Compressor::Zfp, &unified, 37.0);
-        assert_eq!(a.compute_cycles, b.compute_cycles);
-
-        let d = cm.decompression_profile(Compressor::Zfp, &unified, 37.0);
-        assert_eq!(d.compute_cycles, a.compute_cycles * 0.7);
+        assert!(zfp(32_000) > zfp(4000));
     }
 
     #[test]
     fn decompression_is_cheaper() {
         let cm = CostModel::default();
         let s = sz_stats(10_000);
-        assert!(
-            cm.sz_decompress_profile(&s, 1.0).compute_cycles
-                < cm.sz_profile(&s, 1.0).compute_cycles
-        );
+        for comp in Compressor::ALL {
+            let enc = cm.compression_profile(comp, &s, 37.0);
+            let dec = cm.decompression_profile(comp, &s, 37.0);
+            assert_eq!(dec.compute_cycles, enc.compute_cycles * 0.7);
+            assert!(dec.compute_cycles < enc.compute_cycles);
+        }
+    }
+
+    #[test]
+    fn nyx_sample_reports_the_cube_it_compressed() {
+        let sample = NyxSample::new(16, 3);
+        assert_eq!(sample.data().len(), 16 * 16 * 16);
+        for threads in [None, Some(1)] {
+            let stats = sample
+                .compress(Compressor::Sz, BoundSpec::Absolute(1e-3), threads)
+                .expect("NYX samples compress");
+            assert_eq!(stats.input_bytes, 16 * 16 * 16 * 4);
+            assert!(stats.ratio() > 1.0);
+        }
+        let err = sample.compress(Compressor::Sz, BoundSpec::Absolute(f64::NAN), None);
+        assert!(err.is_err(), "a non-finite bound is a typed error, not a panic");
     }
 }

@@ -40,11 +40,11 @@ use std::time::{Duration, Instant};
 
 use lcpio_codec::policy::{ChunkPlan, CodecId};
 use lcpio_codec::{registry, BoundSpec, Codec, CodecStats, SzCodec, ZfpCodec};
-use lcpio_core::pipeline::is_stream_container;
+use lcpio_core::pipeline::{is_stream_container, TwoPhaseWork};
 use lcpio_core::policy::{build_policy, compressor_of};
 use lcpio_core::records::Compressor;
 use lcpio_core::{CostModel, PolicyKind};
-use lcpio_powersim::{simulate, Chip, Machine};
+use lcpio_powersim::{Chip, Machine};
 use lcpio_trace as trace;
 
 use crate::protocol::{self, Op, Request, Response};
@@ -925,10 +925,10 @@ fn elements_response(id: u64, data: &[f32], dims: Vec<usize>, energy_uj: u64) ->
     }
 }
 
-/// Price one request's compute phase on the configured chip at the
-/// planned frequency. Reported in whole microjoules; the NFS write phase
-/// is not included (the service returns bytes to the client instead of
-/// writing them).
+/// Price one request's CPU phase on the configured chip at the planned
+/// frequency. Reported in whole microjoules; the unit stores zero bytes,
+/// because the service returns them to the client instead of writing
+/// them to the mount.
 fn modeled_energy_uj(
     cfg: &ServeConfig,
     codec: CodecId,
@@ -937,15 +937,12 @@ fn modeled_energy_uj(
     decompress: bool,
 ) -> u64 {
     let Some(compressor) = compressor_of(codec) else { return 0 };
-    let model = CostModel::default();
-    let profile = if decompress {
-        model.decompression_profile(compressor, stats, 1.0)
-    } else {
-        model.compression_profile(compressor, stats, 1.0)
-    };
     let machine = Machine::for_chip(cfg.chip);
+    let build =
+        if decompress { TwoPhaseWork::fetch_decompress } else { TwoPhaseWork::compress_write };
+    let work = build(&CostModel::default(), &machine, compressor, stats, 1.0, 0.0);
     let f = f_ghz.clamp(machine.cpu.f_min_ghz, machine.cpu.f_max_ghz);
-    (simulate(&machine, f, &profile).energy_j * 1e6).round() as u64
+    (work.price(&machine, f, f).cpu_j * 1e6).round() as u64
 }
 
 #[cfg(test)]

@@ -25,10 +25,10 @@ fn main() {
         println!(
             "\nbreakdown at eb {:.0e}: compression {:.1} kJ / {:.0} s, writing {:.1} kJ / {:.0} s (base clock)",
             r.error_bound,
-            r.base.compression_j / 1e3,
-            r.base.compression_s,
-            r.base.writing_j / 1e3,
-            r.base.writing_s
+            r.base.cpu_j / 1e3,
+            r.base.cpu_s,
+            r.base.io_j / 1e3,
+            r.base.io_s
         );
     }
 }

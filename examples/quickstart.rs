@@ -1,16 +1,18 @@
 //! Quickstart: compress a synthetic NYX field with both registered codecs,
-//! verify the error bound, and estimate compression energy on both
-//! simulated chips.
+//! verify the error bound, and estimate the compress + write energy of
+//! the full-size field on the simulated chips.
 //!
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
 
 use lcpio::codec::{registry, BoundSpec};
+use lcpio::core::pipeline::{stretch, TwoPhaseWork};
 use lcpio::core::records::Compressor;
+use lcpio::core::tuning::TuningRule;
 use lcpio::core::workmap::CostModel;
 use lcpio::datagen::nyx;
-use lcpio::powersim::{simulate, Chip, Machine};
+use lcpio::powersim::{Chip, Machine};
 
 fn main() {
     let eb = 1e-3;
@@ -42,22 +44,27 @@ fn main() {
     }
 
     // --- What would this cost at full 512^3 scale, on real-ish hardware? ---
+    // One two-phase job (compress, then write the result to NFS), priced
+    // at the base clock and at the paper's Eqn-3 clocks.
     let cost = CostModel::default();
-    let scale = (512usize * 512 * 512) as f64 / field.data.len() as f64;
-    let profile = cost.compression_profile(Compressor::Sz, &sz_stats.expect("sz ran"), scale);
-    println!("\nestimated full-size (512^3) SZ compression cost:");
+    let stats = sz_stats.expect("sz ran");
+    let (scale, stored) = stretch(&stats, (512usize * 512 * 512 * 4) as f64);
+    println!("\nestimated full-size (512^3) SZ compress + write cost:");
     for chip in Chip::ALL {
         let m = Machine::for_chip(chip);
-        let fast = simulate(&m, m.cpu.f_max_ghz, &profile);
-        let tuned = simulate(&m, m.cpu.snap(0.875 * m.cpu.f_max_ghz), &profile);
+        let job = TwoPhaseWork::compress_write(&cost, &m, Compressor::Sz, &stats, scale, stored);
+        let fmax = m.cpu.f_max_ghz;
+        let fast = job.price(&m, fmax, fmax);
+        let (f_comp, f_write) = TuningRule::PAPER.clocks(&m.cpu);
+        let tuned = job.price(&m, f_comp, f_write);
         println!(
-            "  {:<9} base clock: {:>6.1} s / {:>7.1} J   tuned (-12.5%): {:>6.1} s / {:>7.1} J  ({:.1}% energy saved)",
+            "  {:<9} base clock: {:>6.1} s / {:>7.1} J   Eqn-3 tuned: {:>6.1} s / {:>7.1} J  ({:.1}% energy saved)",
             chip.name(),
-            fast.runtime_s,
-            fast.energy_j,
-            tuned.runtime_s,
-            tuned.energy_j,
-            (1.0 - tuned.energy_j / fast.energy_j) * 100.0
+            fast.sequential_s,
+            fast.total_j(),
+            tuned.sequential_s,
+            tuned.total_j(),
+            (1.0 - tuned.total_j() / fast.total_j()) * 100.0
         );
     }
 }

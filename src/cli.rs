@@ -883,17 +883,18 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
                     policy,
                     ..lcpio_core::readback::ReadbackConfig::quick()
                 };
-                let rb = lcpio_core::readback::run_readback(&rb_cfg);
+                let rb = lcpio_core::readback::run_readback(&rb_cfg)
+                    .map_err(|e| CliError::Codec(e.to_string()))?;
                 writeln!(
                     out,
                     "modelled read-back energy under `{}` policy: \
                      {:.3} J decode + {:.3} J fetch ({:.2}x overlap speedup; \
                      fixed-tuned decode {:.3} J)",
                     policy.name(),
-                    rb.policy_overlap.compression_j,
-                    rb.policy_overlap.writing_j,
+                    rb.policy_overlap.cpu_j,
+                    rb.policy_overlap.io_j,
                     rb.policy_overlap.speedup(),
-                    rb.tuned_overlap.compression_j
+                    rb.tuned_overlap.cpu_j
                 )?;
             }
         }

@@ -1,8 +1,11 @@
 //! Property-based integration tests over the public API: compressor
-//! error-bound guarantees on arbitrary inputs, and energy-model invariants
-//! over arbitrary work profiles and frequencies.
+//! error-bound guarantees on arbitrary inputs, energy-model invariants
+//! over arbitrary work profiles and frequencies, and energy conservation
+//! of the two-phase pricing point under every overlap.
 
-use lcpio::codec::{registry, BoundSpec, Codec};
+use lcpio::codec::{registry, BoundSpec, Codec, CodecStats};
+use lcpio::core::pipeline::{overlap, PhaseCost, PhaseOrder, TwoPhaseWork};
+use lcpio::core::{Compressor, CostModel};
 use lcpio::powersim::{simulate, Chip, Machine, WorkProfile};
 use lcpio::sz;
 use proptest::prelude::*;
@@ -186,5 +189,65 @@ proptest! {
         let big = simulate(&m, 1.5, &p.scaled(k));
         prop_assert!((big.energy_j / one.energy_j - k).abs() < 1e-6 * k);
         prop_assert!((big.runtime_s / one.runtime_s - k).abs() < 1e-6 * k);
+    }
+
+    #[test]
+    fn two_phase_pricing_conserves_energy_under_every_overlap(
+        elements in 1_000u64..10_000_000,
+        literal_share in 0f64..1.0,
+        bits_per_element in 0.5f64..32.0,
+        ratio in 1.1f64..50.0,
+        f_cpu_step in 0usize..64,
+        f_io_step in 0usize..64,
+        chunks in 1usize..65,
+        depth in 1usize..9,
+    ) {
+        let stats = CodecStats {
+            elements,
+            input_bytes: elements * 4,
+            output_bytes: ((elements * 4) as f64 / ratio).max(1.0) as u64,
+            literal_elements: (elements as f64 * literal_share) as u64,
+            coded_bits: (elements as f64 * bits_per_element) as u64,
+        };
+        let cost_model = CostModel::default();
+        let builders = [TwoPhaseWork::compress_write, TwoPhaseWork::fetch_decompress];
+        for chip in [Chip::Broadwell, Chip::Skylake] {
+            let m = Machine::for_chip(chip);
+            let step = |k: usize| m.cpu.ladder().nth(k % m.cpu.ladder_len()).expect("on the ladder");
+            let (f_cpu, f_io) = (step(f_cpu_step), step(f_io_step));
+            for compressor in Compressor::ALL {
+                for (build, order) in builders.iter().zip([PhaseOrder::CpuFirst, PhaseOrder::IoFirst]) {
+                    let stored = stats.output_bytes as f64;
+                    let work = build(&cost_model, &m, compressor, &stats, 1.0, stored);
+                    // A mixed plan: every other chunk runs its CPU phase
+                    // one ladder step away.
+                    let prices: Vec<PhaseCost> = (0..chunks)
+                        .map(|k| work.price(&m, if k % 2 == 0 { f_cpu } else { step(f_cpu_step + 1) }, f_io))
+                        .collect();
+                    let o = overlap(prices.iter().copied(), 1, depth, order);
+                    // Joules and busy seconds are the per-unit prices,
+                    // summed: overlap moves no energy between phases.
+                    prop_assert_eq!(o.cpu_j, prices.iter().fold(0.0, |j, p| j + p.cpu_j));
+                    prop_assert_eq!(o.io_j, prices.iter().fold(0.0, |j, p| j + p.io_j));
+                    prop_assert_eq!(o.sequential_s, o.cpu_s + o.io_s);
+                    // The makespan lies between the busier stage and the
+                    // sequential schedule (rounding of the running sums).
+                    prop_assert!(o.pipelined_s >= o.cpu_s.max(o.io_s) * (1.0 - 1e-12));
+                    prop_assert!(o.pipelined_s <= o.sequential_s * (1.0 + 1e-12));
+                    let serial = overlap(prices.iter().copied(), 1, 1, order);
+                    prop_assert!(
+                        (serial.pipelined_s - serial.sequential_s).abs() <= 1e-12 * serial.sequential_s,
+                        "depth 1 is the sequential schedule"
+                    );
+                    // `n` equal units cost `n ×` one unit, to the bit.
+                    let uniform = overlap([prices[0]], chunks, depth, order);
+                    let n = prices[0].times(chunks as f64);
+                    prop_assert_eq!(
+                        (uniform.cpu_j, uniform.io_j, uniform.cpu_s, uniform.io_s, uniform.sequential_s),
+                        (n.cpu_j, n.io_j, n.cpu_s, n.io_s, n.sequential_s)
+                    );
+                }
+            }
+        }
     }
 }
