@@ -21,8 +21,8 @@ fn main() {
     println!(
         "base clock: sim {:.0} kJ + compress {:.0} kJ + write {:.0} kJ = {:.0} kJ over {:.0} s",
         r.base.simulation_j / 1e3,
-        r.base.compression_j / 1e3,
-        r.base.writing_j / 1e3,
+        r.base.dump.cpu_j / 1e3,
+        r.base.dump.io_j / 1e3,
         r.base.total_j() / 1e3,
         r.base.runtime_s
     );

@@ -87,10 +87,9 @@ impl CheckpointConfig {
 pub struct JobOutcome {
     /// Simulation-phase energy (J).
     pub simulation_j: f64,
-    /// Checkpoint compression energy (J).
-    pub compression_j: f64,
-    /// Checkpoint write energy (J).
-    pub writing_j: f64,
+    /// All dump phases, each checkpoint priced whole (CPU phase =
+    /// compression, I/O phase = the NFS write).
+    pub dump: PhaseCost,
     /// Total runtime (s).
     pub runtime_s: f64,
 }
@@ -98,7 +97,7 @@ pub struct JobOutcome {
 impl JobOutcome {
     /// Total energy (J).
     pub fn total_j(&self) -> f64 {
-        self.simulation_j + self.compression_j + self.writing_j
+        self.simulation_j + self.dump.cpu_j + self.dump.io_j
     }
 }
 
@@ -138,7 +137,7 @@ impl CheckpointResult {
 
     /// Share of base-clock energy spent in dump (compress+write) phases.
     pub fn dump_share(&self) -> f64 {
-        (self.base.compression_j + self.base.writing_j) / self.base.total_j()
+        self.base.dump.total_j() / self.base.total_j()
     }
 
     /// Whole-job runtime increase of Eqn-3 tuning when the dump phases
@@ -198,8 +197,7 @@ pub fn run_checkpoint_study(cfg: &CheckpointConfig) -> Result<CheckpointResult, 
         let p = dump.price(&machine, fc, fw);
         JobOutcome {
             simulation_j: sim.energy_j * n,
-            compression_j: p.cpu_j * n,
-            writing_j: p.io_j * n,
+            dump: p.times(n),
             runtime_s: (sim.runtime_s + p.cpu_s + p.io_s) * n,
         }
     };
@@ -229,11 +227,11 @@ pub fn run_checkpoint_study(cfg: &CheckpointConfig) -> Result<CheckpointResult, 
         );
         lcpio_trace::counter_add(
             "core.checkpoint.compression_uj",
-            (result.base.compression_j * 1e6) as u64,
+            (result.base.dump.cpu_j * 1e6) as u64,
         );
         lcpio_trace::counter_add(
             "core.checkpoint.writing_uj",
-            (result.base.writing_j * 1e6) as u64,
+            (result.base.dump.io_j * 1e6) as u64,
         );
     }
     Ok(result)
@@ -305,8 +303,8 @@ mod tests {
         for (seq, ovl) in [(&r.base, &r.base_overlap), (&r.tuned, &r.tuned_overlap)] {
             // Same joules as the sequential dump phases (ceil-rounded
             // chunk count vs exact scale factor — tiny tolerance).
-            assert!(rel(ovl.cpu_j, seq.compression_j) < 1e-4);
-            assert!(rel(ovl.io_j, seq.writing_j) < 1e-4);
+            assert!(rel(ovl.cpu_j, seq.dump.cpu_j) < 1e-4);
+            assert!(rel(ovl.io_j, seq.dump.io_j) < 1e-4);
             // Overlap shortens the dump wall time at queue_depth 4.
             assert!(ovl.pipelined_s < ovl.sequential_s);
             assert!(ovl.speedup() > 1.0);

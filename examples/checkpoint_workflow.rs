@@ -27,13 +27,13 @@ fn main() {
     );
     println!(
         "compression      {:>11.0} kJ {:>11.0} kJ",
-        r.base.compression_j / 1e3,
-        r.tuned.compression_j / 1e3
+        r.base.dump.cpu_j / 1e3,
+        r.tuned.dump.cpu_j / 1e3
     );
     println!(
         "writing          {:>11.0} kJ {:>11.0} kJ",
-        r.base.writing_j / 1e3,
-        r.tuned.writing_j / 1e3
+        r.base.dump.io_j / 1e3,
+        r.tuned.dump.io_j / 1e3
     );
     println!(
         "total            {:>11.0} kJ {:>11.0} kJ",
