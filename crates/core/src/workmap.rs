@@ -198,7 +198,7 @@ mod tests {
     }
 
     #[test]
-    fn zfp_profile_tracks_payload() {
+    fn zfp_cycles_track_payload_bits() {
         let cm = CostModel::default();
         let zfp = |coded_bits| {
             let stats = CodecStats { elements: 1000, coded_bits, ..Default::default() };
