@@ -22,6 +22,7 @@
 //! assert_eq!(restored.len(), data.len());
 //! ```
 
+pub mod chunked;
 pub mod policy;
 mod registry;
 mod sz_adapter;
@@ -299,8 +300,9 @@ pub trait Codec: Send + Sync {
         bound: BoundSpec,
     ) -> Result<Encoded, CodecError>;
 
-    /// Decompress any of this codec's containers into `f32`, using up to
-    /// `threads` workers where the container supports it.
+    /// Decompress any of this codec's containers, legacy or wrapped in an
+    /// `LCW1` envelope, into `f32`, using up to `threads` workers where
+    /// the container supports it.
     fn decompress(&self, stream: &[u8], threads: usize)
         -> Result<(Vec<f32>, Vec<usize>), CodecError>;
 

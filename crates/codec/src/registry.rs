@@ -167,9 +167,10 @@ impl CodecRegistry {
         self.by_magic(stream).ok().map(|(_, info)| info.description)
     }
 
-    /// Decompress a stream into `f32` after sniffing its container.
-    /// `LCW1` envelopes are unwrapped to their legacy container first, so
-    /// wire and legacy streams decode identically.
+    /// Decompress a stream into `f32` after sniffing its container. An
+    /// `LCW1` envelope resolves to its inner container's codec, which
+    /// decodes the envelope's frames in place, so wire and legacy streams
+    /// decode identically.
     ///
     /// # Examples
     ///
@@ -189,11 +190,6 @@ impl CodecRegistry {
         stream: &[u8],
         threads: usize,
     ) -> Result<(Vec<f32>, Vec<usize>), CodecError> {
-        if wire::is_wire(stream) {
-            let legacy = wire::unwrap(stream)?;
-            let (codec, _) = self.by_magic(&legacy)?;
-            return codec.decompress(&legacy, threads);
-        }
         let (codec, _) = self.by_magic(stream)?;
         codec.decompress(stream, threads)
     }
@@ -204,11 +200,6 @@ impl CodecRegistry {
         stream: &[u8],
         threads: usize,
     ) -> Result<(Vec<f64>, Vec<usize>), CodecError> {
-        if wire::is_wire(stream) {
-            let legacy = wire::unwrap(stream)?;
-            let (codec, _) = self.by_magic(&legacy)?;
-            return codec.decompress_f64(&legacy, threads);
-        }
         let (codec, _) = self.by_magic(stream)?;
         codec.decompress_f64(stream, threads)
     }

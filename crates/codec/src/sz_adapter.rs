@@ -1,17 +1,19 @@
 //! [`Codec`] adapter over `lcpio-sz`.
 
+use crate::chunked::{self, Backend, Format, ScratchPool};
+use crate::wire::{self, Opened};
 use crate::{BoundSpec, Codec, CodecError, CodecStats, ContainerInfo, Encoded};
 use lcpio_sz as sz;
-use lcpio_sz::{CompressionStats, SzScratchPool};
+use lcpio_sz::{CompressionStats, SzScratch};
 
 /// The SZ backend: Lorenzo/regression prediction, error-bounded
 /// quantization, Huffman coding, LZSS lossless stage.
 ///
-/// Owns an [`SzScratchPool`] so chunked compression *and* decompression
-/// reuse worker scratch buffers across calls instead of reallocating per
-/// field (or per restart chunk).
+/// Owns a scratch pool so chunked compression *and* decompression reuse
+/// worker buffers across calls instead of reallocating per field (or per
+/// restart chunk).
 pub struct SzCodec {
-    pool_f32: SzScratchPool<f32>,
+    pool_f32: ScratchPool<SzScratch<f32>>,
 }
 
 /// Containers the SZ adapter produces/decodes. Descriptions are the CLI's
@@ -19,7 +21,7 @@ pub struct SzCodec {
 static SZ_CONTAINERS: [ContainerInfo; 3] = [
     ContainerInfo { magic: sz::header::MAGIC, description: "SZ compressed stream" },
     ContainerInfo {
-        magic: sz::CHUNKED_MAGIC,
+        magic: chunked::SZLP.magic,
         description: "SZ chunked (parallel) stream",
     },
     ContainerInfo {
@@ -28,28 +30,115 @@ static SZ_CONTAINERS: [ContainerInfo; 3] = [
     },
 ];
 
+/// The `SZLP` per-chunk operations: each chunk is a standalone `SZL1`
+/// stream coded with the worker's reusable [`SzScratch`].
+impl<T: sz::Element> Backend<T> for SzCodec {
+    const FORMAT: &'static Format = &chunked::SZLP;
+    const TYPE_TAG: u8 = T::TYPE_TAG;
+    type Params = sz::SzConfig;
+    type Scratch = SzScratch<T>;
+
+    fn compress(
+        sub: &[T],
+        dims: &[usize],
+        cfg: &sz::SzConfig,
+        scratch: &mut SzScratch<T>,
+    ) -> Result<Encoded, CodecError> {
+        Ok(encoded(sz::compress_typed_with(sub, dims, cfg, scratch)?))
+    }
+
+    fn decompress(
+        chunk: &[u8],
+        scratch: &mut SzScratch<T>,
+    ) -> Result<(Vec<T>, Vec<usize>), CodecError> {
+        Ok(sz::decompress_typed_with(chunk, scratch)?)
+    }
+}
+
 impl SzCodec {
     /// New adapter with empty scratch pools (usable in a `static`).
     pub const fn new() -> Self {
-        SzCodec { pool_f32: SzScratchPool::new() }
+        SzCodec { pool_f32: ScratchPool::new() }
     }
 
-    /// Map a portable bound onto an SZ config; pointwise-relative streams
-    /// take a separate wrapper pipeline and are handled by the caller.
-    fn config(bound: BoundSpec) -> Option<sz::SzConfig> {
+    /// Map a portable bound onto an SZ config, or onto the ratio `r` of a
+    /// pointwise-relative bound, which runs the `SZPR` wrapper pipeline.
+    fn config(bound: BoundSpec) -> Result<sz::SzConfig, f64> {
         match bound {
-            BoundSpec::Absolute(eb) => Some(sz::SzConfig::new(sz::ErrorBound::Absolute(eb))),
+            BoundSpec::Absolute(eb) => Ok(sz::SzConfig::new(sz::ErrorBound::Absolute(eb))),
             BoundSpec::ValueRangeRelative(r) => {
-                Some(sz::SzConfig::new(sz::ErrorBound::ValueRangeRelative(r)))
+                Ok(sz::SzConfig::new(sz::ErrorBound::ValueRangeRelative(r)))
             }
-            BoundSpec::PointwiseRelative(_) => None,
+            BoundSpec::PointwiseRelative(r) => Err(r),
         }
     }
 
-    /// The inner config the pointwise-relative wrapper runs its log-domain
-    /// pipeline with (the wrapper substitutes the real log-domain bound).
-    fn pwrel_inner_config() -> sz::SzConfig {
-        sz::SzConfig::new(sz::ErrorBound::Absolute(1.0))
+    /// One serial stream of either element type: `SZL1`, or `SZPR` for a
+    /// pointwise-relative bound. The wrapper runs its log-domain pipeline
+    /// under an inner config whose bound it substitutes itself.
+    fn serial<T: sz::Element>(
+        data: &[T],
+        dims: &[usize],
+        bound: BoundSpec,
+    ) -> Result<Encoded, CodecError> {
+        Ok(encoded(match Self::config(bound) {
+            Ok(cfg) => sz::compress_typed(data, dims, &cfg)?,
+            Err(r) => {
+                let inner = sz::SzConfig::new(sz::ErrorBound::Absolute(1.0));
+                sz::compress_pointwise_rel(data, dims, r, &inner)?
+            }
+        }))
+    }
+
+    /// The `SZLP` container of either element type. Pointwise-relative has
+    /// no chunked container; its serial wrapper stream is the only format.
+    fn chunked<T: sz::Element>(
+        data: &[T],
+        dims: &[usize],
+        bound: BoundSpec,
+        threads: usize,
+        pool: &ScratchPool<SzScratch<T>>,
+    ) -> Result<Encoded, CodecError> {
+        match Self::config(bound) {
+            Ok(cfg) => chunked::encode::<T, Self>(data, dims, &cfg, threads, pool),
+            Err(_) => Self::serial(data, dims, bound),
+        }
+    }
+
+    /// Any SZ container, legacy or `LCW1`-wrapped, as either element type.
+    fn decode<T: sz::Element>(
+        stream: &[u8],
+        threads: usize,
+        pool: &ScratchPool<SzScratch<T>>,
+    ) -> Result<(Vec<T>, Vec<usize>), CodecError> {
+        match wire::open(stream)? {
+            Opened::Chunked(container) => chunked::decode::<T, Self>(&container, threads, pool),
+            Opened::Legacy(s) if s.starts_with(&sz::pwrel::PWREL_MAGIC) => {
+                Ok(sz::decompress_pointwise_rel(&s)?)
+            }
+            Opened::Legacy(s) => Ok(sz::decompress_typed(&s)?),
+        }
+    }
+
+    /// [`Codec::compress_chunked`] for an `f64` field.
+    pub fn compress_chunked_f64(
+        &self,
+        data: &[f64],
+        dims: &[usize],
+        bound: BoundSpec,
+        threads: usize,
+    ) -> Result<Encoded, CodecError> {
+        Self::chunked(data, dims, bound, threads, &ScratchPool::new())
+    }
+
+    /// Decode legacy `SZLP` bytes as `T` through the chunked parser
+    /// directly: no registry lookup and no sniffing among this codec's
+    /// containers, so anything that is not `SZLP` is a typed error.
+    pub fn decompress_chunked<T: sz::Element>(
+        stream: &[u8],
+        threads: usize,
+    ) -> Result<(Vec<T>, Vec<usize>), CodecError> {
+        chunked::decode::<T, Self>(&chunked::parse(stream)?, threads, &ScratchPool::new())
     }
 }
 
@@ -71,7 +160,7 @@ pub(crate) fn probe_stats(
     bound: BoundSpec,
     radius: u32,
 ) -> Option<CodecStats> {
-    let cfg = SzCodec::config(bound)?.with_radius(radius);
+    let cfg = SzCodec::config(bound).ok()?.with_radius(radius);
     sz::compress(window, &[window.len()], &cfg).ok().map(|out| convert(&out.stats))
 }
 
@@ -112,14 +201,7 @@ impl Codec for SzCodec {
         dims: &[usize],
         bound: BoundSpec,
     ) -> Result<Encoded, CodecError> {
-        let out = match Self::config(bound) {
-            Some(cfg) => sz::compress(data, dims, &cfg)?,
-            None => {
-                let BoundSpec::PointwiseRelative(r) = bound else { unreachable!() };
-                sz::compress_pointwise_rel(data, dims, r, &Self::pwrel_inner_config())?
-            }
-        };
-        Ok(encoded(out))
+        Self::serial(data, dims, bound)
     }
 
     fn compress_chunked(
@@ -129,18 +211,7 @@ impl Codec for SzCodec {
         bound: BoundSpec,
         threads: usize,
     ) -> Result<Encoded, CodecError> {
-        match Self::config(bound) {
-            Some(cfg) => Ok(encoded(sz::compress_chunked_pooled(
-                data,
-                dims,
-                &cfg,
-                threads,
-                &self.pool_f32,
-            )?)),
-            // Pointwise-relative has no chunked container; the serial
-            // wrapper stream is the only on-disk format.
-            None => self.compress(data, dims, bound),
-        }
+        Self::chunked(data, dims, bound, threads, &self.pool_f32)
     }
 
     fn compress_for_profile(
@@ -163,14 +234,7 @@ impl Codec for SzCodec {
         dims: &[usize],
         bound: BoundSpec,
     ) -> Result<Encoded, CodecError> {
-        let out = match Self::config(bound) {
-            Some(cfg) => sz::compress_f64(data, dims, &cfg)?,
-            None => {
-                let BoundSpec::PointwiseRelative(r) = bound else { unreachable!() };
-                sz::compress_pointwise_rel(data, dims, r, &Self::pwrel_inner_config())?
-            }
-        };
-        Ok(encoded(out))
+        Self::serial(data, dims, bound)
     }
 
     fn decompress(
@@ -178,16 +242,10 @@ impl Codec for SzCodec {
         stream: &[u8],
         threads: usize,
     ) -> Result<(Vec<f32>, Vec<usize>), CodecError> {
-        if stream.starts_with(&sz::CHUNKED_MAGIC) {
-            // Decode workers draw scratch from the same pool the encode
-            // side parks into — the restart pipeline's per-chunk decodes
-            // stop allocating once the pool is warm.
-            Ok(sz::decompress_chunked_pooled::<f32>(stream, threads, &self.pool_f32)?)
-        } else if stream.starts_with(&sz::pwrel::PWREL_MAGIC) {
-            Ok(sz::decompress_pointwise_rel::<f32>(stream)?)
-        } else {
-            Ok(sz::decompress(stream)?)
-        }
+        // Decode workers draw scratch from the same pool the encode side
+        // parks into — the restart pipeline's per-chunk decodes stop
+        // allocating once the pool is warm.
+        Self::decode(stream, threads, &self.pool_f32)
     }
 
     fn decompress_f64(
@@ -195,12 +253,6 @@ impl Codec for SzCodec {
         stream: &[u8],
         threads: usize,
     ) -> Result<(Vec<f64>, Vec<usize>), CodecError> {
-        if stream.starts_with(&sz::CHUNKED_MAGIC) {
-            Ok(sz::decompress_chunked::<f64>(stream, threads)?)
-        } else if stream.starts_with(&sz::pwrel::PWREL_MAGIC) {
-            Ok(sz::decompress_pointwise_rel::<f64>(stream)?)
-        } else {
-            Ok(sz::decompress_f64(stream)?)
-        }
+        Self::decode(stream, threads, &ScratchPool::new())
     }
 }

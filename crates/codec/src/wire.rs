@@ -22,9 +22,11 @@
 //! per chunk so a streaming reader can hand each chunk to a decoder the
 //! moment it arrives.
 
+use crate::chunked::{self, Chunked};
 use crate::{CodecError, ContainerInfo};
 use lcpio_wire::envelope::{Envelope, EnvelopeBuilder};
-use lcpio_wire::{guard_element_count, tag, WireError};
+use lcpio_wire::{tag, varint, WireError};
+use std::borrow::Cow;
 
 /// Registry entry for the wire envelope itself.
 pub const WIRE_CONTAINER: ContainerInfo =
@@ -63,13 +65,16 @@ pub fn wrap(stream: &[u8]) -> Result<Vec<u8>, CodecError> {
     let magic: [u8; 4] = stream[..4].try_into().expect("4 bytes");
     match &magic {
         b"SZL1" | b"ZFL1" => Ok(EnvelopeBuilder::new(magic).build(&[stream])),
-        b"SZLP" => {
-            let info = lcpio_sz::parallel::parse_chunked(stream)?;
-            Ok(wrap_chunked(magic, info.type_tag, &info.dims, &info.chunks))
-        }
-        b"ZFLP" => {
-            let info = lcpio_zfp::parallel::parse_chunked(stream)?;
-            Ok(wrap_chunked(magic, info.type_tag, &info.dims, &info.chunks))
+        b"SZLP" | b"ZFLP" => {
+            let container = chunked::parse(stream)?;
+            let table: Vec<(usize, usize)> =
+                container.chunks().iter().map(|&(a, b, _)| (a, b)).collect();
+            let frames: Vec<&[u8]> = container.chunks().iter().map(|&(_, _, p)| p).collect();
+            Ok(EnvelopeBuilder::new(magic)
+                .element_type(container.type_tag())
+                .dims(container.dims())
+                .chunk_table(&table)
+                .build(&frames))
         }
         b"SZPR" => {
             let parts = lcpio_sz::pwrel::parse_pointwise_rel(stream)?;
@@ -82,89 +87,110 @@ pub fn wrap(stream: &[u8]) -> Result<Vec<u8>, CodecError> {
     }
 }
 
-/// Shared wrap path for the two chunked containers (identical layout).
-fn wrap_chunked(
-    magic: [u8; 4],
-    type_tag: u8,
-    dims: &[usize],
-    chunks: &[(usize, usize, &[u8])],
-) -> Vec<u8> {
-    let table: Vec<(usize, usize)> = chunks.iter().map(|&(a, b, _)| (a, b)).collect();
-    let frames: Vec<&[u8]> = chunks.iter().map(|&(_, _, p)| p).collect();
-    EnvelopeBuilder::new(magic)
-        .element_type(type_tag)
-        .dims(dims)
-        .chunk_table(&table)
-        .build(&frames)
+/// A container as a codec adapter decodes it: the same two shapes whether
+/// the bytes are legacy or an `LCW1` envelope.
+pub(crate) enum Opened<'a> {
+    /// `SZLP` / `ZFLP` in validated parsed form, chunk streams still in
+    /// place in the bytes that carried them.
+    Chunked(Chunked<'a>),
+    /// Any other container as its legacy bytes: borrowed, except an
+    /// enveloped `SZPR`, which is rebuilt from its two frames.
+    Legacy(Cow<'a, [u8]>),
 }
 
-/// Rebuild the exact legacy container bytes from an LCW1 envelope.
-///
-/// All frame lengths are validated in one pass ([`Envelope::index`])
-/// before any payload is touched, and for chunked containers the declared
-/// element count is checked against the total payload via the shared
-/// expansion guard before the legacy container is re-emitted.
-pub fn unwrap(stream: &[u8]) -> Result<Vec<u8>, CodecError> {
+/// Reduce `stream` to the form its codec decodes. All frame lengths of an
+/// envelope are validated in one pass ([`Envelope::index`]) before any
+/// payload is touched, and an enveloped chunked container goes straight to
+/// the chunked validator: no legacy bytes are re-emitted on the way.
+pub(crate) fn open(stream: &[u8]) -> Result<Opened<'_>, CodecError> {
+    if is_wire(stream) {
+        return open_envelope(stream);
+    }
+    Ok(match stream.get(..4) {
+        Some(b"SZLP" | b"ZFLP") => Opened::Chunked(chunked::parse(stream)?),
+        _ => Opened::Legacy(Cow::Borrowed(stream)),
+    })
+}
+
+/// [`open`] for a stream that must be an `LCW1` envelope.
+fn open_envelope(stream: &[u8]) -> Result<Opened<'_>, CodecError> {
     let env = Envelope::parse(stream)?;
     let idx = env.index(stream)?;
-    let frame = |i: usize| -> &[u8] {
-        let e = idx.entries[i];
-        &stream[e.off..e.off + e.len]
-    };
+    let frames: Vec<&[u8]> = idx.entries.iter().map(|e| &stream[e.off..e.off + e.len]).collect();
+    let element_type =
+        || env.element_type()?.ok_or(WireError::MissingField { tag: tag::ELEMENT_TYPE });
     match &env.container {
         b"SZL1" | b"ZFL1" => {
-            if env.frame_count != 1 {
+            if frames.len() != 1 {
                 return Err(WireError::Malformed { what: "serial container frame count" }.into());
             }
-            let payload = frame(0);
-            if !payload.starts_with(&env.container) {
+            if !frames[0].starts_with(&env.container) {
                 return Err(WireError::Malformed { what: "inner stream magic mismatch" }.into());
             }
-            Ok(payload.to_vec())
+            Ok(Opened::Legacy(Cow::Borrowed(frames[0])))
         }
         b"SZLP" | b"ZFLP" => {
-            let type_tag = env
-                .element_type()?
-                .ok_or(WireError::MissingField { tag: tag::ELEMENT_TYPE })?;
             let dims = env.dims()?.ok_or(WireError::MissingField { tag: tag::DIMS })?;
-            let table =
-                env.chunk_table()?.ok_or(WireError::MissingField { tag: tag::CHUNK_TABLE })?;
-            let elements = dims.iter().try_fold(1u64, |acc, &d| acc.checked_mul(d as u64));
-            let elements = elements.ok_or(WireError::Overflow { what: "dims product" })?;
-            guard_element_count(elements, idx.payload_bytes)?;
-            let chunks: Vec<(usize, usize, &[u8])> = table
-                .iter()
-                .enumerate()
-                .map(|(i, &(a, b))| (a, b, frame(i)))
-                .collect();
-            let bytes = if env.container == *b"SZLP" {
-                lcpio_sz::parallel::build_container(type_tag, &dims, &chunks)
-            } else {
-                lcpio_zfp::parallel::build_container(type_tag, &dims, &chunks)
-            };
-            Ok(bytes)
+            let table = chunk_table(&env)?;
+            Ok(Opened::Chunked(Chunked::new(
+                env.container,
+                element_type()?,
+                dims,
+                &table,
+                &frames,
+            )?))
         }
         b"SZPR" => {
-            if env.frame_count != 2 {
+            if frames.len() != 2 {
                 return Err(WireError::Malformed { what: "pwrel container frame count" }.into());
             }
-            let type_tag = env
-                .element_type()?
-                .ok_or(WireError::MissingField { tag: tag::ELEMENT_TYPE })?;
             let params = env.params().ok_or(WireError::MissingField { tag: tag::PARAMS })?;
             let bits: [u8; 8] = params
                 .try_into()
                 .map_err(|_| WireError::Malformed { what: "pwrel params width" })?;
             let parts = lcpio_sz::pwrel::PwrelParts {
-                type_tag,
+                type_tag: element_type()?,
                 r: f64::from_bits(u64::from_le_bytes(bits)),
-                signs: frame(0),
-                inner: frame(1),
+                signs: frames[0],
+                inner: frames[1],
             };
-            Ok(lcpio_sz::pwrel::build_pointwise_rel(&parts))
+            Ok(Opened::Legacy(Cow::Owned(lcpio_sz::pwrel::build_pointwise_rel(&parts))))
         }
         other => Err(CodecError::UnknownMagic(*other)),
     }
+}
+
+/// The `CHUNK_TABLE` TLV as the ranges it holds, however many: whether
+/// that is one per frame is the chunked validator's question, so a forged
+/// count fails there exactly as it does in the legacy form. Each pair is
+/// at least two bytes of the field, which bounds the table by its input.
+fn chunk_table(env: &Envelope<'_>) -> Result<Vec<(usize, usize)>, WireError> {
+    let field =
+        env.field(tag::CHUNK_TABLE).ok_or(WireError::MissingField { tag: tag::CHUNK_TABLE })?;
+    let narrow =
+        |v: u64| usize::try_from(v).map_err(|_| WireError::Overflow { what: "chunk range" });
+    let mut pos = 0usize;
+    let mut table = Vec::new();
+    while pos < field.len() {
+        let start = varint::read(field, &mut pos)?;
+        let end = varint::read(field, &mut pos)?;
+        table.push((narrow(start)?, narrow(end)?));
+    }
+    Ok(table)
+}
+
+/// Rebuild the exact legacy container bytes from an LCW1 envelope.
+///
+/// All frame lengths are validated in one pass ([`Envelope::index`])
+/// before any payload is touched, and a chunked container's table and
+/// claimed element count pass the chunked validator (the shared expansion
+/// guard included) before the legacy container is re-emitted. Decoding
+/// does not come through here: it reads the envelope's frames in place.
+pub fn unwrap(stream: &[u8]) -> Result<Vec<u8>, CodecError> {
+    Ok(match open_envelope(stream)? {
+        Opened::Chunked(container) => container.build(),
+        Opened::Legacy(bytes) => bytes.into_owned(),
+    })
 }
 
 #[cfg(test)]

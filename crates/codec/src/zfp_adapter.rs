@@ -1,5 +1,7 @@
 //! [`Codec`] adapter over `lcpio-zfp`.
 
+use crate::chunked::{self, Backend, Format, ScratchPool};
+use crate::wire::{self, Opened};
 use crate::{BoundSpec, Codec, CodecError, CodecStats, ContainerInfo, Encoded};
 use lcpio_zfp as zfp;
 use lcpio_zfp::ZfpStats;
@@ -8,8 +10,9 @@ use lcpio_zfp::ZfpStats;
 /// bit-plane coding. Only fixed-accuracy (absolute) bounds travel through
 /// the portable trait; fixed-rate/precision stay backend-specific.
 ///
-/// ZFP's chunked path is allocation-light (no per-worker scratch type),
-/// so the adapter carries no buffer pool.
+/// ZFP's per-block transform needs only a fixed 4³ local buffer — there
+/// are no per-chunk working arrays worth reusing — so its chunk scratch is
+/// `()` and the adapter carries no buffer pool.
 pub struct ZfpCodec;
 
 /// Containers the ZFP adapter produces/decodes. Descriptions are the
@@ -17,10 +20,32 @@ pub struct ZfpCodec;
 static ZFP_CONTAINERS: [ContainerInfo; 2] = [
     ContainerInfo { magic: zfp::MAGIC, description: "ZFP compressed stream" },
     ContainerInfo {
-        magic: zfp::CHUNKED_MAGIC,
+        magic: chunked::ZFLP.magic,
         description: "ZFP chunked (parallel) stream",
     },
 ];
+
+/// The `ZFLP` per-chunk operations: each chunk is a standalone `ZFL1`
+/// stream.
+impl<T: zfp::ZfpElement> Backend<T> for ZfpCodec {
+    const FORMAT: &'static Format = &chunked::ZFLP;
+    const TYPE_TAG: u8 = T::TYPE_TAG;
+    type Params = zfp::ZfpMode;
+    type Scratch = ();
+
+    fn compress(
+        sub: &[T],
+        dims: &[usize],
+        mode: &zfp::ZfpMode,
+        _scratch: &mut (),
+    ) -> Result<Encoded, CodecError> {
+        Ok(encoded(zfp::compress_typed(sub, dims, mode)?))
+    }
+
+    fn decompress(chunk: &[u8], _scratch: &mut ()) -> Result<(Vec<T>, Vec<usize>), CodecError> {
+        Ok(zfp::decompress_typed(chunk)?)
+    }
+}
 
 impl ZfpCodec {
     /// New adapter (usable in a `static`).
@@ -34,6 +59,29 @@ impl ZfpCodec {
             BoundSpec::Absolute(eb) => Ok(zfp::ZfpMode::FixedAccuracy(eb)),
             other => Err(CodecError::UnsupportedBound { codec: "zfp", bound: other }),
         }
+    }
+
+    /// Any ZFP container, legacy or `LCW1`-wrapped, as either element type.
+    fn decode<T: zfp::ZfpElement>(
+        stream: &[u8],
+        threads: usize,
+    ) -> Result<(Vec<T>, Vec<usize>), CodecError> {
+        match wire::open(stream)? {
+            Opened::Chunked(container) => {
+                chunked::decode::<T, Self>(&container, threads, &ScratchPool::new())
+            }
+            Opened::Legacy(s) => Ok(zfp::decompress_typed(&s)?),
+        }
+    }
+
+    /// Decode legacy `ZFLP` bytes as `T` through the chunked parser
+    /// directly: no registry lookup and no sniffing among this codec's
+    /// containers, so anything that is not `ZFLP` is a typed error.
+    pub fn decompress_chunked<T: zfp::ZfpElement>(
+        stream: &[u8],
+        threads: usize,
+    ) -> Result<(Vec<T>, Vec<usize>), CodecError> {
+        chunked::decode::<T, Self>(&chunked::parse(stream)?, threads, &ScratchPool::new())
     }
 }
 
@@ -84,7 +132,7 @@ impl Codec for ZfpCodec {
         bound: BoundSpec,
         threads: usize,
     ) -> Result<Encoded, CodecError> {
-        Ok(encoded(zfp::compress_chunked(data, dims, &Self::mode(bound)?, threads)?))
+        chunked::encode::<f32, Self>(data, dims, &Self::mode(bound)?, threads, &ScratchPool::new())
     }
 
     // compress_for_profile: default (serial). Unlike SZ, ZFP's chunked
@@ -105,11 +153,7 @@ impl Codec for ZfpCodec {
         stream: &[u8],
         threads: usize,
     ) -> Result<(Vec<f32>, Vec<usize>), CodecError> {
-        if stream.starts_with(&zfp::CHUNKED_MAGIC) {
-            Ok(zfp::decompress_chunked::<f32>(stream, threads)?)
-        } else {
-            Ok(zfp::decompress(stream)?)
-        }
+        Self::decode(stream, threads)
     }
 
     fn decompress_f64(
@@ -117,10 +161,6 @@ impl Codec for ZfpCodec {
         stream: &[u8],
         threads: usize,
     ) -> Result<(Vec<f64>, Vec<usize>), CodecError> {
-        if stream.starts_with(&zfp::CHUNKED_MAGIC) {
-            Ok(zfp::decompress_chunked::<f64>(stream, threads)?)
-        } else {
-            Ok(zfp::decompress_f64(stream)?)
-        }
+        Self::decode(stream, threads)
     }
 }

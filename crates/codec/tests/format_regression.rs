@@ -1,0 +1,97 @@
+//! Stream-format regression for the chunked containers: `SZLP` / `ZFLP`
+//! bytes are pinned against hashes captured when each backend crate still
+//! wrote its own container. One module writing both is a refactor — any
+//! change to the emitted bytes is a format break and must fail here.
+//!
+//! The serial streams inside the chunks are pinned next to the codecs
+//! (`crates/sz/tests/format_regression.rs`, `crates/zfp/tests/…`), and the
+//! NYX default-path containers in the workspace root's
+//! `tests/format_regression.rs`, where the field generator is in reach.
+
+use lcpio_codec::{registry, BoundSpec, SzCodec};
+
+fn fnv64(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf29ce484222325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    h
+}
+
+/// The codec suites' deterministic field: an xorshift64 stream with an
+/// exact zero every 37th sample (zero blocks, exact-hit bins); `sample`
+/// maps the generator state to every other value.
+fn field_f32(n: usize, seed: u64, sample: fn(u64, usize) -> f32) -> Vec<f32> {
+    let mut s = seed | 1;
+    (0..n)
+        .map(|i| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            if i % 37 == 0 {
+                0.0
+            } else {
+                sample(s, i)
+            }
+        })
+        .collect()
+}
+
+/// The SZ suite's samples: smooth plus noise, with occasional large
+/// outliers (so escape literals appear).
+fn sz_sample(s: u64, i: usize) -> f32 {
+    if i % 41 == 0 {
+        ((s >> 40) as f32 - 8000.0) * 1e4
+    } else {
+        (s >> 52) as f32 / 256.0 + (i as f32 * 0.05).sin() * 4.0
+    }
+}
+
+/// The ZFP suite's samples: uniform noise in [-8, 8).
+fn zfp_sample(s: u64, _i: usize) -> f32 {
+    (s >> 40) as f32 / 1024.0 - 8.0
+}
+
+#[test]
+fn chunked_containers_match_pinned_hashes_across_threads() {
+    let sz = registry().by_name("sz").expect("sz is registered");
+    let data = field_f32(32 * 9 * 7, 0xc0ffee, sz_sample);
+    let bound = BoundSpec::Absolute(1e-3);
+    let out = sz.compress_chunked(&data, &[32, 9, 7], bound, 2).expect("compress");
+    assert_eq!(
+        (out.bytes.len(), fnv64(&out.bytes)),
+        (10939, 0x32c0636f4f1b249b),
+        "chunked SZLP f32 container changed format"
+    );
+    // Chunk boundaries are shape-only: any thread count must emit the
+    // identical container.
+    for threads in [1usize, 3, 5, 8] {
+        let other = sz.compress_chunked(&data, &[32, 9, 7], bound, threads).expect("compress");
+        assert_eq!(out.bytes, other.bytes, "SZLP stream depends on thread count {threads}");
+    }
+
+    let data64: Vec<f64> =
+        field_f32(40 * 8 * 6, 0xabcdef, sz_sample).into_iter().map(|v| v as f64).collect();
+    let out64 = SzCodec::new()
+        .compress_chunked_f64(&data64, &[40, 8, 6], BoundSpec::Absolute(1e-4), 3)
+        .expect("compress");
+    assert_eq!(
+        (out64.bytes.len(), fnv64(&out64.bytes)),
+        (13024, 0x0b5c1c976d8a8ab3),
+        "chunked SZLP f64 container changed format"
+    );
+}
+
+#[test]
+fn chunked_container_matches_pinned_hash() {
+    let zfp = registry().by_name("zfp").expect("zfp is registered");
+    let data = field_f32(32 * 9 * 7, 0xc0ffee, zfp_sample);
+    let out =
+        zfp.compress_chunked(&data, &[32, 9, 7], BoundSpec::Absolute(1e-3), 2).expect("compress");
+    assert_eq!(
+        (out.bytes.len(), fnv64(&out.bytes)),
+        (10571, 0x3a88d9254aabcf69),
+        "chunked ZFP container changed format"
+    );
+}

@@ -204,10 +204,13 @@ fn check_codec_tag(seq: usize, tag_byte: u8, kind: u8, magic: &[u8]) -> Result<(
     }
 }
 
-/// The 512× gate: no supported frame expands further (SZ refuses past 8
-/// elements per payload byte, ZFP past 512, raw frames are 4 bytes per
-/// element), so a header promising more than the bytes behind it could
-/// hold is forged — rejected before the count sizes any allocation.
+/// The one decoded-size gate ([`lcpio_wire::MAX_EXPANSION`] elements per
+/// stored byte): no supported frame expands further. SZ refuses past 8
+/// elements per byte of its payload *after* LZSS has been undone, and LZSS
+/// stores at most 83 payload bytes per byte; ZFP stops at 512 and raw
+/// frames are 4 bytes per element. A header promising more than the bytes
+/// behind it could hold is forged — rejected before the count sizes any
+/// allocation.
 fn guard_elements(elements: u64, payload_bytes: u64) -> Result<usize, CoreError> {
     let bytes = usize::try_from(payload_bytes).unwrap_or(usize::MAX);
     lcpio_wire::guard_element_count(elements, bytes)
@@ -305,7 +308,7 @@ fn read_vec(
 /// Every length that later drives an allocation is validated here against
 /// the *actual* stream size, so a forged header can never trigger a huge
 /// pre-allocation: frame lengths must fit inside the stream, and the
-/// promised element count is capped at 512× the payload bytes.
+/// promised element count is capped at `MAX_EXPANSION`× the payload bytes.
 pub fn scan_stream(source: &dyn ChunkSource) -> Result<StreamLayout, CoreError> {
     let total = source.len();
     let head = read_vec(source, 0, total.min(LEGACY_HEADER_LEN as u64) as usize, "header")?;
@@ -346,7 +349,7 @@ pub fn scan_stream(source: &dyn ChunkSource) -> Result<StreamLayout, CoreError> 
 /// boundary — payloads stay untouched — and applies the same validation as
 /// the legacy path: frame extents proven in-bounds with checked
 /// arithmetic, nothing trailing the final frame, and the promised element
-/// count capped at 512× the payload bytes.
+/// count capped at `MAX_EXPANSION`× the payload bytes.
 fn scan_wire_stream(source: &dyn ChunkSource) -> Result<StreamLayout, CoreError> {
     let total = source.len();
     // Incrementally widen the header window until the envelope parses; it
@@ -524,7 +527,7 @@ mod tests {
     #[test]
     fn forged_element_count_is_rejected_before_allocation() {
         // A 20-byte header promising u64::MAX elements must be refused by
-        // the 512× capacity guard, not drive a giant Vec::with_capacity.
+        // the capacity guard, not drive a giant Vec::with_capacity.
         let mut stream = header_bytes(false, u64::MAX, 1 << 18, 1, None);
         stream.extend_from_slice(&[FRAME_RAW, 4, 0, 0, 0, 0, 0, 0, 0]);
         let source = SliceSource::new(&stream);
@@ -565,7 +568,7 @@ mod tests {
     #[test]
     fn wire_scan_rejects_forged_element_count() {
         // A wire header claiming u64::MAX elements over a tiny payload
-        // must trip the 512× capacity guard during the scan.
+        // must trip the capacity guard during the scan.
         let mut stream = header_bytes(true, u64::MAX, 1 << 18, 1, None);
         let frame = frame_bytes(true, FRAME_RAW, &[0u8; 4]);
         stream.extend_from_slice(&frame);

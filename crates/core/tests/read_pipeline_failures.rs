@@ -14,8 +14,8 @@
 
 use lcpio_core::error::CoreError;
 use lcpio_core::pipeline::{
-    decode_stream, run_restart, run_restart_sequential, run_sequential, PipelineConfig,
-    RestartConfig, SliceSource, VecSink, STREAM_MAGIC,
+    decode_stream, run_restart, run_restart_sequential, run_restart_streamed, run_sequential,
+    run_streaming, PipelineConfig, RestartConfig, SliceSource, VecSink, STREAM_MAGIC,
 };
 
 fn field(n: usize) -> Vec<f32> {
@@ -211,6 +211,37 @@ fn forged_element_count_is_rejected_before_allocation() {
     let source = SliceSource::new(&forged);
     let p = expect_pipeline_err(run_restart(&source, &cfg()));
     assert!(p.message.contains("exceeds stream capacity"), "{}", p.message);
+}
+
+#[test]
+fn constant_fields_pass_the_capacity_guard_on_every_restart_path() {
+    // The guard's ceiling was once ZFP's 512 elements per byte, which SZ
+    // legitimately beats on constant data: these containers were written
+    // fine and then refused with "element count exceeds stream capacity".
+    for value in [0.0f32, 3.5] {
+        let data = vec![value; 1 << 20];
+        for wire_format in [false, true] {
+            let c = PipelineConfig {
+                chunk_elements: 1 << 18,
+                wire_format,
+                retry_backoff_ms: 0,
+                ..Default::default()
+            };
+            let mut sink = VecSink::default();
+            run_streaming(&data, &c, &mut sink).expect("write");
+            let stream = sink.bytes;
+            assert!(data.len() > 512 * stream.len(), "fixture must be denser than the old ceiling");
+            let restored = [
+                decode_stream(&stream).expect("serial decode"),
+                run_restart(&SliceSource::new(&stream), &cfg()).expect("restart").0,
+                run_restart_streamed(&mut &stream[..], &cfg()).expect("streamed restart").0,
+            ];
+            for vals in restored {
+                assert_eq!(vals.len(), data.len());
+                assert!(vals.iter().all(|v| (v - value).abs() <= 1e-3), "wire={wire_format}");
+            }
+        }
+    }
 }
 
 #[test]

@@ -548,7 +548,7 @@ mod tests {
 
     #[test]
     fn noise_target_survives_the_forged_szlp_chunk_count() {
-        // 40 bytes that made `sz::parallel::parse_chunked` size its chunk
+        // 40 bytes that made the `SZLP` parser (then in `lcpio-sz`) size its chunk
         // table from a forged count (103 GB, SIGABRT) before this target
         // existed: rank 1, dims[0] = 2^40, n_chunks = u32::MAX.
         let mut s = b"SZLP\x00\x01".to_vec();

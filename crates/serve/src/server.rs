@@ -21,7 +21,7 @@
 //! even when shards finish out of order.
 //!
 //! Each shard owns its own [`SzCodec`]/[`ZfpCodec`] instance, so SZ
-//! scratch buffers (`SzScratchPool`) are reused across requests without
+//! scratch buffers (the adapter's pool) are reused across requests without
 //! cross-shard lock contention. Admission control is a bounded
 //! `VecDeque` per shard: when every shard is at `queue_depth`, the
 //! request is answered [`crate::protocol::status::BUSY`] immediately instead of queueing
@@ -850,15 +850,7 @@ fn execute_decompress(cfg: &ServeConfig, sz: &SzCodec, zfp: &ZfpCodec, req: &Req
     };
     let codec_id =
         if registered.name() == "zfp" { CodecId::Zfp } else { CodecId::Sz };
-    let legacy = if lcpio_codec::wire::is_wire(bytes) {
-        match lcpio_codec::wire::unwrap(bytes) {
-            Ok(l) => l,
-            Err(e) => return Response::of_status(req.id, protocol::status::CODEC, e.to_string()),
-        }
-    } else {
-        bytes.clone()
-    };
-    match shard_backend(sz, zfp, codec_id).decompress(&legacy, 1) {
+    match shard_backend(sz, zfp, codec_id).decompress(bytes, 1) {
         Ok((data, dims)) => {
             // Decompression work is modeled from what is observable here:
             // the element count and the container size (no per-stream

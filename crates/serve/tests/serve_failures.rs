@@ -332,3 +332,37 @@ fn unknown_op_and_bad_request_leave_connection_usable() {
     server.shutdown();
     server.wait();
 }
+
+#[test]
+fn dense_constant_fields_are_not_mistaken_for_forged_headers() {
+    // Constant data is where SZ beats 512 decoded elements per stored
+    // byte, the decoded-size gate's former ceiling. A COMPRESS response
+    // must come back through DECOMPRESS, and so must the chunked container
+    // of the same field, bare and in its LCW1 envelope (the form the gate
+    // refused for the rank-3 cube).
+    let (server, addr) = tcp_server(ServeConfig::default());
+    let mut client = Client::connect_tcp(&addr).expect("connect");
+    let sz = lcpio_codec::registry().by_name("sz").expect("registered");
+    for (dims, value) in [(vec![1usize << 20], 0.0f32), (vec![12, 300, 300], 3.5)] {
+        let data = vec![value; dims.iter().product()];
+        let resp = client.compress(&data, &dims, CompressOptions::default()).expect("compress");
+        assert_eq!(resp.status, status::OK, "{}", resp.message);
+        assert!(data.len() > 512 * resp.payload.len(), "fixture must beat the old ceiling");
+        let chunked = sz
+            .compress_chunked(&data, &dims, lcpio_codec::BoundSpec::Absolute(1e-3), 1)
+            .expect("chunked")
+            .bytes;
+        let wired = lcpio_codec::wire::wrap(&chunked).expect("wrap");
+        for container in [resp.payload, chunked, wired] {
+            let back = client.decompress(&container).expect("decompress");
+            assert_eq!(back.status, status::OK, "{dims:?}: {}", back.message);
+            assert_eq!(back.dims, dims);
+            assert_eq!(back.payload.len(), data.len() * 4);
+            let element = |b: &[u8]| f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            let close = back.payload.chunks_exact(4).all(|b| (element(b) - value).abs() <= 1e-3);
+            assert!(close, "{dims:?}: bound broken");
+        }
+    }
+    server.shutdown();
+    server.wait();
+}

@@ -13,6 +13,10 @@
 //! (`|v̂ − v| ≤ r·|v|`) are available through [`compress_pointwise_rel`].
 //! Both `f32` and `f64` fields are supported ([`compress_f64`]).
 //!
+//! This crate is the single-stream codec. The multi-threaded chunked
+//! container (`SZLP`) lives in `lcpio-codec`, which codes block-aligned
+//! sub-arrays through [`compress_typed_with`] / [`decompress_typed_with`].
+//!
 //! ```
 //! use lcpio_sz::{compress, decompress, ErrorBound, SzConfig};
 //!
@@ -33,7 +37,6 @@ pub mod header;
 pub mod huffman;
 pub mod kernels;
 pub mod lossless;
-pub mod parallel;
 mod pipeline;
 pub mod predictor;
 pub mod pwrel;
@@ -42,10 +45,10 @@ pub mod regression;
 pub mod stats;
 
 pub use element::Element;
-pub use parallel::{
-    compress_chunked, compress_chunked_pooled, decompress_chunked, decompress_chunked_pooled,
-    is_chunked, SzScratchPool, CHUNKED_MAGIC,
-};
+/// The instrumentation crate this backend records its spans through,
+/// re-exported so `lcpio-codec`'s chunked container (which has no
+/// `lcpio-trace` edge of its own) records into the same registry.
+pub use lcpio_trace as trace;
 pub use pipeline::{
     compress, compress_f64, compress_typed, compress_typed_with, decompress, decompress_f64,
     decompress_typed, decompress_typed_with, stream_type_tag, SzScratch,

@@ -8,11 +8,14 @@
 //! and forced fast, proving both paths emit identical streams. The kernel
 //! switch is process-global, so everything runs inside one `#[test]` per
 //! concern rather than one test per case.
+//!
+//! The chunked `SZLP` container is written by `lcpio-codec`; its pinned
+//! hashes live in that crate's `tests/format_regression.rs` (and, for the
+//! NYX default path, the workspace root's).
 
 use lcpio_sz::kernels;
 use lcpio_sz::{
-    compress_chunked, compress_pointwise_rel, compress_typed, decompress_typed, ErrorBound,
-    PredictorMode, SzConfig,
+    compress_pointwise_rel, compress_typed, decompress_typed, ErrorBound, PredictorMode, SzConfig,
 };
 
 fn fnv64(bytes: &[u8]) -> u64 {
@@ -203,70 +206,6 @@ fn fused_histogram_commit_is_bit_identical_and_pinned() {
     let (rec, got_dims) = decompress_typed::<f32>(&fast).expect("decompress");
     assert_eq!(got_dims, dims);
     assert_eq!(rec.len(), n);
-}
-
-#[test]
-fn chunked_containers_match_pinned_hashes_across_threads() {
-    let data = field_f32(32 * 9 * 7, 0xc0ffee);
-    let cfg = SzConfig::new(ErrorBound::Absolute(1e-3));
-    let out = compress_chunked(&data, &[32, 9, 7], &cfg, 2).expect("compress");
-    assert_eq!(
-        (out.bytes.len(), fnv64(&out.bytes)),
-        (10939, 0x32c0636f4f1b249b),
-        "chunked SZLP f32 container changed format"
-    );
-    // Chunk boundaries are shape-only: any thread count must emit the
-    // identical container.
-    for threads in [1usize, 3, 5, 8] {
-        let other = compress_chunked(&data, &[32, 9, 7], &cfg, threads).expect("compress");
-        assert_eq!(out.bytes, other.bytes, "SZLP stream depends on thread count {threads}");
-    }
-
-    let data64 = field_f64(40 * 8 * 6, 0xabcdef);
-    let cfg64 = SzConfig::new(ErrorBound::Absolute(1e-4));
-    let out64 = compress_chunked(&data64, &[40, 8, 6], &cfg64, 3).expect("compress");
-    assert_eq!(
-        (out64.bytes.len(), fnv64(&out64.bytes)),
-        (13024, 0x0b5c1c976d8a8ab3),
-        "chunked SZLP f64 container changed format"
-    );
-}
-
-#[test]
-fn default_path_containers_match_pinned_hashes_at_the_paper_bounds() {
-    // The path the paper's data-dump experiment takes, end to end: an
-    // NYX-like velocity cube through the chunked container in the default
-    // mode (block-adaptive predictor, Huffman, LZSS) at the four paper
-    // bounds. Pinned from the encoder before its back end (LZSS matcher,
-    // Huffman build, block predictor loops) was rewritten for speed; four
-    // chunks of 12 planes give full interior blocks, first-plane blocks
-    // and edge blocks, and per-chunk tables from a few dozen to thousands
-    // of symbols.
-    const EXPECT: [(f64, usize, u64); 4] = [
-        (1e-1, 78476, 0xb53bf7c122d1558b),
-        (1e-2, 137843, 0x8b7caa7d6616469d),
-        (1e-3, 200823, 0xdee5c462cd4d74a7),
-        (1e-4, 291966, 0xf40b102c73b07605),
-    ];
-    let field = lcpio_datagen::nyx::velocity_x(48, 11);
-    let dims = [48usize, 48, 48];
-    for (eb, len, hash) in EXPECT {
-        let cfg = SzConfig::new(ErrorBound::Absolute(eb));
-        let auto = compress_chunked(&field.data, &dims, &cfg, 1).expect("compress").bytes;
-        assert_eq!(
-            (auto.len(), fnv64(&auto)),
-            (len, hash),
-            "default-path container at eb {eb:e} changed format"
-        );
-        kernels::force_scalar(true);
-        let scalar = compress_chunked(&field.data, &dims, &cfg, 2).expect("compress").bytes;
-        kernels::reset_force_scalar();
-        assert_eq!(auto, scalar, "eb {eb:e}: forced-scalar container differs");
-        let (rec, _) = lcpio_sz::decompress_chunked::<f32>(&auto, 1).expect("decompress");
-        for (a, b) in field.data.iter().zip(&rec) {
-            assert!((a - b).abs() as f64 <= eb, "eb {eb:e}: {a} vs {b}");
-        }
-    }
 }
 
 #[test]

@@ -70,12 +70,22 @@ pub const MAX_FRAME_LEN: u64 = u32::MAX as u64;
 /// headroom for future layouts without unbounded allocation).
 pub const MAX_RANK: usize = 8;
 
-/// Decoded-elements-per-payload-byte ceiling. Every lcpio codec spends at
-/// least one bit per coding block and a block covers at most 64 elements,
-/// so a header claiming more than `64 * 8 = 512` elements per payload
-/// byte is forged. Shared by all container ports via
-/// [`guard_element_count`].
-pub const MAX_EXPANSION: u64 = 512;
+/// Decoded-elements-per-stored-byte ceiling: the most any registered codec
+/// can legitimately emit, so a header claiming more is forged. Shared by
+/// all container ports via [`guard_element_count`].
+///
+/// * **SZ sets it.** Every element costs at least one Huffman bit in the
+///   stream's payload, 8 elements per payload byte; the LZSS stage then
+///   stores that payload, and its densest token (25 bits) emits at most
+///   `MAX_MATCH = 259` bytes, so `lcpio_sz::lossless::decompress` refuses
+///   more than `259 * 8 / 25 + 1 = 83` payload bytes per stored byte.
+///   `8 * 83 = 664`, which a constant field approaches (≈ 620 measured).
+/// * ZFP spends at least one bit per block of at most 64 elements:
+///   `64 * 8 = 512`. Raw frames hold a quarter element per byte.
+///
+/// `lcpio-codec` has a test that fails if this drops below either
+/// backend's own limit (this crate sees neither).
+pub const MAX_EXPANSION: u64 = 664;
 
 /// TLV tags understood by this version. Unknown tags are skipped on
 /// decode (forward compatibility); known tags may appear at most once.
@@ -185,10 +195,10 @@ mod tests {
     #[test]
     fn element_guard_accepts_sane_and_rejects_forged() {
         assert_eq!(guard_element_count(1000, 100), Ok(1000));
-        assert_eq!(guard_element_count(512 * 100, 100), Ok(51200));
+        assert_eq!(guard_element_count(MAX_EXPANSION * 100, 100), Ok(66400));
         assert_eq!(
-            guard_element_count(512 * 100 + 1, 100),
-            Err(WireError::CapacityGuard { claimed: 51201, payload_bytes: 100 })
+            guard_element_count(MAX_EXPANSION * 100 + 1, 100),
+            Err(WireError::CapacityGuard { claimed: 66401, payload_bytes: 100 })
         );
         assert!(guard_element_count(1 << 40, 16).is_err());
         assert_eq!(guard_element_count(0, 0), Ok(0));

@@ -16,8 +16,10 @@
 //! * [`ZfpMode::FixedRate`] — an exact bit budget per value, giving random
 //!   block access.
 //!
-//! Multi-threaded chunked compression (the reference codec's OpenMP mode)
-//! is available through [`compress_chunked`]/[`decompress_chunked`].
+//! This crate is the single-stream codec. The multi-threaded chunked
+//! container (`ZFLP`, the reference codec's OpenMP mode) lives in
+//! `lcpio-codec`, which codes block-aligned sub-arrays through
+//! [`compress_typed`] / [`decompress_typed`].
 //!
 //! Non-finite values are not supported by the ZFP transform; they are
 //! flushed to zero on compression (the reference codec's behaviour is
@@ -45,12 +47,10 @@ pub mod element;
 pub mod fixedpoint;
 pub mod negabinary;
 pub mod order;
-pub mod parallel;
 mod pipeline;
 pub mod transform;
 
 pub use element::ZfpElement;
-pub use parallel::{compress_chunked, decompress_chunked, CHUNKED_MAGIC};
 pub use pipeline::{
     compress, compress_f64, compress_typed, decompress, decompress_f64, decompress_typed,
     stream_type_tag, MAGIC,

@@ -2,11 +2,10 @@
 //! captured from the original bit-at-a-time codec. The word-level
 //! bitstream, stride-table transforms, and plane-wise coder are pure
 //! optimizations — any change to the emitted bytes is a format break and
-//! must fail here.
+//! must fail here. (The chunked `ZFLP` container's pinned hash is in
+//! `lcpio-codec`'s `tests/format_regression.rs`, next to its writer.)
 
-use lcpio_zfp::{
-    compress_chunked, compress_f64, compress_typed, decompress, decompress_f64, ZfpMode,
-};
+use lcpio_zfp::{compress_f64, compress_typed, decompress, decompress_f64, ZfpMode};
 
 fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
@@ -98,16 +97,4 @@ fn f64_streams_match_pinned_hashes() {
         assert_eq!(got_dims, dims);
         assert_eq!(rec.len(), n);
     }
-}
-
-#[test]
-fn chunked_container_matches_pinned_hash() {
-    let data = field_f32(32 * 9 * 7, 0xc0ffee);
-    let out = compress_chunked(&data, &[32, 9, 7], &ZfpMode::FixedAccuracy(1e-3), 2)
-        .expect("compress");
-    assert_eq!(
-        (out.bytes.len(), fnv64(&out.bytes)),
-        (10571, 0x3a88d9254aabcf69),
-        "chunked ZFP container changed format"
-    );
 }

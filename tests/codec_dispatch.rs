@@ -13,8 +13,6 @@ const ALLOWED_DIRS: &[&str] = &["crates/sz", "crates/zfp", "crates/codec", "crat
 /// Files exempt from the rule, each for a documented reason:
 /// - `ablation_sz_predictor.rs` / `ablation_zfp_modes.rs`: ablations that
 ///   deliberately drive backend-internal knobs the trait does not expose.
-/// - `ext_registry_dispatch.rs`: the bench that *measures* direct-vs-registry
-///   dispatch needs both paths by definition.
 /// - `ext_sz_kernels.rs`: kernel A/B bench that flips the backend-internal
 ///   SIMD dispatch switch and predictor/lossless knobs the trait hides.
 /// - this file, which spells the forbidden patterns out in `concat!` pieces
@@ -22,7 +20,6 @@ const ALLOWED_DIRS: &[&str] = &["crates/sz", "crates/zfp", "crates/codec", "crat
 const EXEMPT_FILES: &[&str] = &[
     "ablation_sz_predictor.rs",
     "ablation_zfp_modes.rs",
-    "ext_registry_dispatch.rs",
     "ext_sz_kernels.rs",
     "codec_dispatch.rs",
 ];

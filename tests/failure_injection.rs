@@ -2,7 +2,7 @@
 //! never panic, loop, or allocate unboundedly — they must either decode to
 //! *something* or return a structured error.
 
-use lcpio::codec::{registry, BoundSpec};
+use lcpio::codec::{registry, BoundSpec, CodecError, SzCodec, ZfpCodec};
 use lcpio::{sz, zfp};
 use proptest::prelude::*;
 
@@ -100,7 +100,7 @@ fn sz_chunked_survives_every_truncation_length() {
     // A strict prefix can never be a valid container (the chunk table and
     // payload lengths must line up exactly).
     assert_survives_every_truncation("SZLP", &sz_chunked_stream(), Truncation::Strict, |s| {
-        sz::decompress_chunked::<f32>(s, 1)
+        SzCodec::decompress_chunked::<f32>(s, 1)
     });
 }
 
@@ -124,7 +124,7 @@ fn zfp_survives_every_truncation_length() {
 fn zfp_chunked_survives_every_truncation_length() {
     // A strict prefix loses payload bytes the chunk table promises.
     assert_survives_every_truncation("ZFLP", &zfp_chunked_stream(), Truncation::Strict, |s| {
-        zfp::decompress_chunked::<f32>(s, 1)
+        ZfpCodec::decompress_chunked::<f32>(s, 1)
     });
 }
 
@@ -179,7 +179,7 @@ fn sz_chunked_survives_single_byte_corruption_everywhere() {
     for pos in 0..stream.len() {
         let mut s = stream.clone();
         s[pos] ^= 0xFF;
-        let _ = sz::decompress_chunked::<f32>(&s, 2); // must not panic
+        let _ = SzCodec::decompress_chunked::<f32>(&s, 2); // must not panic
     }
 }
 
@@ -246,7 +246,7 @@ fn zfp_chunked_survives_single_byte_corruption_everywhere() {
     for pos in 0..stream.len() {
         let mut s = stream.clone();
         s[pos] ^= 0xA5;
-        let _ = zfp::decompress_chunked::<f32>(&s, 2); // must not panic
+        let _ = ZfpCodec::decompress_chunked::<f32>(&s, 2); // must not panic
     }
 }
 
@@ -267,7 +267,7 @@ fn zfp_chunked_oversized_dims_rejected_without_allocating() {
     s.extend_from_slice(&(1u64 << 20).to_le_bytes()); // b = full extent
     s.extend_from_slice(&8u64.to_le_bytes()); // 8 payload bytes
     s.extend_from_slice(&[0u8; 8]);
-    assert!(zfp::decompress_chunked::<f32>(&s, 1).is_err());
+    assert!(ZfpCodec::decompress_chunked::<f32>(&s, 1).is_err());
 }
 
 #[test]
@@ -286,8 +286,8 @@ fn zfp_chunked_forged_chunk_count_rejected_without_allocating() {
     s.extend_from_slice(&noise);
     assert_eq!(s.len(), 40);
     assert_eq!(
-        zfp::decompress_chunked::<f32>(&s, 1).unwrap_err(),
-        zfp::ZfpError::Corrupt("bad chunk count")
+        ZfpCodec::decompress_chunked::<f32>(&s, 1).unwrap_err(),
+        CodecError::Zfp(zfp::ZfpError::Corrupt("bad chunk count"))
     );
 }
 
@@ -305,8 +305,8 @@ fn sz_chunked_forged_chunk_count_rejected_without_allocating() {
     s.extend_from_slice(&[0u8; 22]);
     assert_eq!(s.len(), 40);
     assert_eq!(
-        sz::decompress_chunked::<f32>(&s, 1).unwrap_err(),
-        sz::SzError::Corrupt("bad chunk count")
+        SzCodec::decompress_chunked::<f32>(&s, 1).unwrap_err(),
+        CodecError::Sz(sz::SzError::Corrupt("bad chunk count"))
     );
     assert!(registry().decompress_auto(&s, 1).is_err());
 }
@@ -340,7 +340,7 @@ proptest! {
     ) {
         let mut s = b"SZLP".to_vec();
         s.extend_from_slice(&bytes);
-        let _ = sz::decompress_chunked::<f32>(&s, 1);
+        let _ = SzCodec::decompress_chunked::<f32>(&s, 1);
     }
 
     #[test]
@@ -352,7 +352,7 @@ proptest! {
             let idx = pos as usize % s.len();
             s[idx] ^= mask;
         }
-        let _ = sz::decompress_chunked::<f32>(&s, 2);
+        let _ = SzCodec::decompress_chunked::<f32>(&s, 2);
     }
 
     #[test]
@@ -430,7 +430,7 @@ proptest! {
     ) {
         let mut s = b"ZFLP".to_vec();
         s.extend_from_slice(&bytes);
-        let _ = zfp::decompress_chunked::<f32>(&s, 1);
+        let _ = ZfpCodec::decompress_chunked::<f32>(&s, 1);
     }
 
     #[test]
@@ -442,6 +442,6 @@ proptest! {
             let idx = pos as usize % s.len();
             s[idx] ^= mask;
         }
-        let _ = zfp::decompress_chunked::<f32>(&s, 2);
+        let _ = ZfpCodec::decompress_chunked::<f32>(&s, 2);
     }
 }

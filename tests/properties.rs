@@ -7,7 +7,6 @@ use lcpio::codec::{registry, BoundSpec, Codec, CodecStats};
 use lcpio::core::pipeline::{overlap, PhaseCost, PhaseOrder, TwoPhaseWork};
 use lcpio::core::{Compressor, CostModel};
 use lcpio::powersim::{simulate, Chip, Machine, WorkProfile};
-use lcpio::sz;
 use proptest::prelude::*;
 
 fn sz_codec() -> &'static dyn Codec {
@@ -122,9 +121,9 @@ proptest! {
         let (rec, _) = registry().decompress_auto(&out.bytes, 2).unwrap();
         // Each embedded chunk is a complete serial SZ container, so the
         // registry can sniff and decode it standalone.
-        let info = sz::parallel::parse_chunked(&out.bytes).unwrap();
+        let info = lcpio::codec::chunked::parse(&out.bytes).unwrap();
         let mut serial: Vec<f32> = Vec::new();
-        for &(_, _, chunk) in &info.chunks {
+        for &(_, _, chunk) in info.chunks() {
             let (vals, _) = registry().decompress_auto(chunk, 1).unwrap();
             serial.extend_from_slice(&vals);
         }
