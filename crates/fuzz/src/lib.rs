@@ -4,7 +4,7 @@
 //! valid containers (every registry codec, wire-wrapped and legacy, plus
 //! the `LCS1`/`LCW1` streaming containers and a few hand-forged headers
 //! mirroring the failure-injection fixtures) and throws the results at
-//! three targets:
+//! these targets:
 //!
 //! 1. **Envelope parse** — [`lcpio_wire::Envelope::parse`] + the validated
 //!    frame index and every typed accessor.
@@ -36,6 +36,14 @@
 //!    codec. Mutating valid streams keeps most header fields sane; this is
 //!    the input class that reaches a decoder's size arithmetic with every
 //!    field forged at once.
+//!
+//! 7. **SZ Huffman tables** — not a mutation either: a drawn code-length
+//!    table (a random prefix code over a sparse alphabet, sometimes
+//!    incomplete, sometimes oversubscribed or overlong) and a drawn byte
+//!    string, through the three ways `lcpio-sz` can decode them: the bulk
+//!    table decoder, its per-symbol form, and a bit-at-a-time reference
+//!    kept here. A table is accepted by all or none, and then the symbols
+//!    are equal or every decoder refuses.
 //!
 //! Every run is reproducible from its seed; the harness panics (and the
 //! smoke test fails) on the first input that panics a target or breaks the
@@ -418,6 +426,121 @@ pub fn target_noise_after_magic(bytes: &[u8]) {
     }
 }
 
+/// One target-7 input: code lengths over a sparse alphabet and a byte
+/// string to decode with them. The lengths are the leaf depths of a random
+/// binary tree (so they are a complete prefix code, up to 32 bits deep
+/// when the splits keep to one branch), then sometimes thinned out (an
+/// incomplete code) and sometimes damaged (a length raised past 32 or
+/// lowered, which oversubscribes the code space).
+pub fn huffman_case(rng: &mut Rng) -> (Vec<u8>, Vec<u8>) {
+    let most = 1usize << (1 + rng.below(8));
+    let leaves = 1 + rng.below(most);
+    let mut depths = vec![1u8; leaves.min(2)];
+    while depths.len() < leaves {
+        // Mostly the newest leaf: a path, which is what reaches depth 32.
+        let pick = if rng.below(4) == 0 { rng.below(depths.len()) } else { depths.len() - 1 };
+        if depths[pick] < 32 {
+            depths[pick] += 1;
+            depths.push(depths[pick]);
+        } else {
+            break;
+        }
+    }
+    match rng.below(8) {
+        0 => depths.retain(|_| rng.below(3) != 0),
+        1 => {
+            let at = rng.below(depths.len());
+            depths[at] = if rng.below(2) == 0 { 33 + rng.below(200) as u8 } else { 1 };
+        }
+        _ => {}
+    }
+    let stride = 1 + rng.below(40);
+    let first = rng.below(70_000);
+    let mut lens = vec![0u8; first + depths.len() * stride + rng.below(9)];
+    for (i, &d) in depths.iter().enumerate() {
+        lens[first + i * stride] = d;
+    }
+    // Mostly zero bytes at first (the shortest codes, pairs of them), then
+    // noise.
+    let zeros = rng.below(24);
+    let noise = rng.below(40);
+    let mut bytes = vec![0u8; zeros];
+    bytes.extend((0..noise).map(|_| rng.next_u64() as u8));
+    (lens, bytes)
+}
+
+/// The reference of target 7: canonical codes assigned in `(length,
+/// index)` order, then the stream read a bit at a time until the bits so
+/// far are some symbol's code. `None` for a table no decoder may accept
+/// (no code, a length above 32, an oversubscribed code space) and for a
+/// stream that ends, or runs into 33 bits without a match, before `n`
+/// symbols are out.
+pub fn huffman_reference(lens: &[u8], bytes: &[u8], n: usize) -> Option<Vec<u32>> {
+    use std::collections::HashMap;
+    let mut coded: Vec<(u8, u32)> =
+        lens.iter().enumerate().filter(|&(_, &l)| l > 0).map(|(i, &l)| (l, i as u32)).collect();
+    if coded.is_empty() || coded.iter().any(|&(l, _)| l > 32) {
+        return None;
+    }
+    coded.sort_unstable();
+    let kraft: u64 = coded.iter().map(|&(l, _)| 1u64 << (32 - l)).sum();
+    if kraft > 1 << 32 {
+        return None;
+    }
+    let mut by_code: HashMap<(u8, u64), u32> = HashMap::new();
+    let (mut code, mut prev_len) = (0u64, 0u8);
+    for &(l, symbol) in &coded {
+        code <<= l - prev_len;
+        by_code.insert((l, code), symbol);
+        code += 1;
+        prev_len = l;
+    }
+    let mut bits = bytes.iter().flat_map(|&b| (0..8).rev().map(move |i| (b >> i) & 1));
+    let mut out = Vec::new();
+    while out.len() < n {
+        let (mut code, mut len) = (0u64, 0u8);
+        let symbol = loop {
+            code = (code << 1) | bits.next()? as u64;
+            len += 1;
+            if let Some(&symbol) = by_code.get(&(len, code)) {
+                break symbol;
+            }
+            if len == 32 {
+                return None;
+            }
+        };
+        out.push(symbol);
+    }
+    Some(out)
+}
+
+/// Target 7: one drawn table and byte string through the bulk decoder,
+/// the per-symbol decoder and the reference. They accept the table or
+/// refuse it together, and for every symbol count up to one more than the
+/// stream can hold they give the same symbols or all refuse.
+pub fn target_huffman_tables(lens: &[u8], bytes: &[u8]) {
+    use lcpio_sz::bitio::BitReader;
+    use lcpio_sz::huffman::HuffmanDecoder;
+    let table_ok = huffman_reference(lens, &[], 0).is_some();
+    let dec = match HuffmanDecoder::from_lengths(lens) {
+        Ok(dec) => dec,
+        Err(_) => {
+            assert!(!table_ok, "decoder refused a table the reference accepts");
+            return;
+        }
+    };
+    assert!(table_ok, "decoder accepted a table the reference refuses");
+    let mut bulk = Vec::new();
+    for n in [1, bytes.len() * 2, bytes.len() * 8, bytes.len() * 8 + 1] {
+        let want = huffman_reference(lens, bytes, n);
+        let got = dec.decode_into(bytes, n, &mut bulk).ok().map(|()| bulk.clone());
+        assert_eq!(got, want, "bulk decoder and reference disagree on {n} symbols");
+        let mut r = BitReader::new(bytes);
+        let one_by_one: Option<Vec<u32>> = (0..n).map(|_| dec.decode(&mut r).ok()).collect();
+        assert_eq!(one_by_one, want, "per-symbol decoder and reference disagree on {n} symbols");
+    }
+}
+
 /// Run the harness: `iters` mutations (spread round-robin over the
 /// corpus), stopping early after `max_seconds` if set. Returns the number
 /// of inputs executed.
@@ -441,6 +564,8 @@ pub fn run(iters: u64, seed: u64, max_seconds: Option<f64>) -> u64 {
         target_codec_tags(&input);
         target_serve_protocol(&input);
         target_noise_after_magic(&noise_after_magic(&magics, &mut rng));
+        let (lens, bytes) = huffman_case(&mut rng);
+        target_huffman_tables(&lens, &bytes);
         executed += 1;
     }
     executed
@@ -544,6 +669,31 @@ mod tests {
                 && u32::from_le_bytes(i[14..18].try_into().expect("4 bytes")) >= u32::MAX >> 2
         });
         assert!(prelude_hit, "no rank-1 huge-dim huge-count prelude drawn");
+    }
+
+    #[test]
+    fn huffman_generator_covers_the_table_classes() {
+        // Valid tables up to 32-bit codes, refused ones, streams that
+        // decode to the end and streams that do not.
+        let mut rng = Rng::new(5);
+        let (mut valid, mut refused, mut deepest, mut decoded, mut cut_short) = (0, 0, 0u8, 0, 0);
+        for _ in 0..4_000 {
+            let (lens, bytes) = huffman_case(&mut rng);
+            target_huffman_tables(&lens, &bytes);
+            if huffman_reference(&lens, &[], 0).is_none() {
+                refused += 1;
+                continue;
+            }
+            valid += 1;
+            deepest = deepest.max(*lens.iter().max().expect("non-empty"));
+            match huffman_reference(&lens, &bytes, bytes.len()) {
+                Some(_) => decoded += 1,
+                None => cut_short += 1,
+            }
+        }
+        assert!(valid > 2_000 && refused > 100, "valid {valid}, refused {refused}");
+        assert_eq!(deepest, 32, "no 32-bit code drawn");
+        assert!(decoded > 500 && cut_short > 100, "decoded {decoded}, cut short {cut_short}");
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! stream byte-order independent and makes canonical Huffman decoding a
 //! simple left-to-right walk.
 //!
-//! Both directions work a word at a time on the hot paths: the writer
-//! collects bits in a 64-bit accumulator and flushes whole bytes, and the
-//! reader's [`BitReader::peek_bits`] gathers an aligned 64-bit window with
-//! two shifts instead of a per-bit loop. The multi-bit Huffman decode LUT
-//! leans on that peek being cheap.
+//! Both directions work a word at a time: the writer collects bits in a
+//! 64-bit accumulator and spills whole words, and the reader keeps its
+//! unread bits left-aligned in a 64-bit register refilled with one
+//! big-endian load per several reads. The Huffman decoder's bulk loop holds
+//! a copy of that register in locals (one crate-internal refill step
+//! serves both).
 
 /// Append-only bit sink backed by a `Vec<u8>`.
 #[derive(Debug, Default, Clone)]
@@ -114,10 +115,23 @@ impl BitWriter {
 }
 
 /// Sequential bit source over a byte slice.
+///
+/// The unread bits sit left-aligned in a 64-bit register that is topped up
+/// a word at a time, so a read is a shift of a register and the slice is
+/// touched once per several reads.
 #[derive(Debug, Clone)]
 pub struct BitReader<'a> {
     buf: &'a [u8],
-    pos: usize, // absolute bit position
+    /// Unread bits, next bit in the MSB. Below the top `nbits` the
+    /// register holds zeros or the stream's own following bits (what a
+    /// whole-word refill loaded beyond the bytes it counted): the next
+    /// refill ORs the same bits over them, and nothing but stream bits or
+    /// zero padding is ever visible.
+    acc: u64,
+    /// Leading bits of `acc` counted as loaded.
+    nbits: u32,
+    /// Next byte of `buf` to load.
+    next: usize,
 }
 
 /// Error returned when a read runs past the end of the stream.
@@ -135,35 +149,71 @@ impl std::error::Error for BitStreamExhausted {}
 impl<'a> BitReader<'a> {
     /// Read from the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        BitReader { buf, pos: 0 }
+        BitReader { buf, acc: 0, nbits: 0, next: 0 }
     }
 
-    /// 64-bit big-endian window starting at the byte containing `pos`,
-    /// zero-padded past the end of the buffer.
-    #[inline]
-    fn window(&self) -> u64 {
-        let byte = self.pos / 8;
-        if byte + 8 <= self.buf.len() {
-            // Hot path: a full aligned 8-byte load.
-            u64::from_be_bytes(self.buf[byte..byte + 8].try_into().unwrap())
-        } else {
-            let mut tmp = [0u8; 8];
-            let start = byte.min(self.buf.len());
-            let tail = &self.buf[start..];
-            tmp[..tail.len()].copy_from_slice(tail);
-            u64::from_be_bytes(tmp)
+    /// A reader in the state a caller's own copy of the register reached:
+    /// `acc`, `nbits` and `next` as [`BitReader::merge_word`] maintains
+    /// them.
+    pub(crate) fn resume(buf: &'a [u8], acc: u64, nbits: u32, next: usize) -> Self {
+        BitReader { buf, acc, nbits, next }
+    }
+
+    /// The 8 bytes of `buf` at `next` as a big-endian word, `None` when
+    /// fewer remain.
+    #[inline(always)]
+    pub(crate) fn word_at(buf: &[u8], next: usize) -> Option<u64> {
+        let word = buf.get(next..next + 8)?;
+        Some(u64::from_be_bytes(word.try_into().expect("8-byte slice")))
+    }
+
+    /// Refill a register `acc` holding `nbits ≤ 56` bits with `word`, the
+    /// 8 bytes at `next`: the word is ORed in below the bits already
+    /// there, and only the whole bytes that fit are counted, which leaves
+    /// `nbits` in `56..=63`. Returns the new `(acc, nbits, next)`.
+    #[inline(always)]
+    pub(crate) fn merge_word(acc: u64, nbits: u32, next: usize, word: u64) -> (u64, u32, usize) {
+        (acc | word >> nbits, nbits | 56, next + ((63 - nbits) >> 3) as usize)
+    }
+
+    /// The refill for the last bytes of the stream, where a whole word no
+    /// longer fits: byte by byte up to 64 bits or the end. By value like
+    /// [`BitReader::merge_word`], so that a reader held in a local never
+    /// has its address taken and stays in registers.
+    #[cold]
+    #[inline(never)]
+    fn refill_bytes(buf: &[u8], mut acc: u64, mut nbits: u32, mut next: usize) -> (u64, u32, usize) {
+        while nbits <= 56 && next < buf.len() {
+            acc |= (buf[next] as u64) << (56 - nbits);
+            nbits += 8;
+            next += 1;
         }
+        (acc, nbits, next)
+    }
+
+    /// Top the register up to at least 56 bits, or to everything that is
+    /// left of the stream.
+    #[inline(always)]
+    fn refill(&mut self) {
+        debug_assert!(self.nbits <= 56);
+        let (buf, acc, nbits, next) = (self.buf, self.acc, self.nbits, self.next);
+        (self.acc, self.nbits, self.next) = match Self::word_at(buf, next) {
+            Some(word) => Self::merge_word(acc, nbits, next, word),
+            None => Self::refill_bytes(buf, acc, nbits, next),
+        };
     }
 
     /// Next single bit.
     #[inline]
     pub fn read_bit(&mut self) -> Result<bool, BitStreamExhausted> {
-        let byte = self.pos / 8;
-        if byte >= self.buf.len() {
-            return Err(BitStreamExhausted);
+        if self.nbits == 0 {
+            self.refill();
+            if self.nbits == 0 {
+                return Err(BitStreamExhausted);
+            }
         }
-        let bit = (self.buf[byte] >> (7 - (self.pos % 8))) & 1 == 1;
-        self.pos += 1;
+        let bit = self.acc >> 63 == 1;
+        self.advance(1);
         Ok(bit)
     }
 
@@ -179,10 +229,10 @@ impl<'a> BitReader<'a> {
             if avail < n {
                 return Err(BitStreamExhausted);
             }
-            self.pos += n as usize;
+            self.advance(n);
             return Ok(v);
         }
-        // Wide reads (57–64 bits) are cold: split into two window reads.
+        // Wide reads (57–64 bits) are cold: two register reads.
         let hi = self.read_bits(n - 32)?;
         let lo = self.read_bits(32)?;
         Ok((hi << 32) | lo)
@@ -194,49 +244,47 @@ impl<'a> BitReader<'a> {
         Ok(self.read_bits(32)? as u32)
     }
 
-    /// Peek up to `n` bits without consuming them. Returns the bits
+    /// Peek up to `n ≤ 56` bits without consuming them. Returns the bits
     /// MSB-first in the low `n` positions (zero-padded past the end of the
     /// stream) plus the number of bits actually available.
-    ///
-    /// `n` may be at most 56 on the single-window fast path; larger widths
-    /// fall back to a second window read.
     #[inline]
-    pub fn peek_bits(&self, n: u8) -> (u64, u8) {
-        debug_assert!(n <= 64);
-        let total = self.buf.len() * 8;
-        let avail = (total.saturating_sub(self.pos)).min(n as usize) as u8;
+    pub fn peek_bits(&mut self, n: u8) -> (u64, u8) {
+        debug_assert!(n <= 56);
         if n == 0 {
             return (0, 0);
         }
-        let skew = (self.pos % 8) as u32;
-        if n <= 56 {
-            // The window holds 64 − skew ≥ 57 usable bits starting at
-            // `pos`, so any n ≤ 56 comes out of one load.
-            let v = (self.window() << skew) >> (64 - n as u32);
-            return (v, avail);
-        }
-        // Cold path for wide peeks: stitch two windows together.
-        let hi_n = n - 32;
-        let (hi, _) = self.peek_bits(hi_n);
-        let ahead = BitReader { buf: self.buf, pos: self.pos + hi_n as usize };
-        let (lo, _) = ahead.peek_bits(32);
-        ((hi << 32) | lo, avail)
+        let (window, avail) = self.window(n as u32);
+        (window >> (64 - n as u32), avail.min(n as u32) as u8)
     }
 
-    /// Consume `n` bits previously inspected with [`BitReader::peek_bits`].
-    #[inline]
+    /// The register itself once it holds `want ≤ 56` bits or all that is
+    /// left: the unread bits left-aligned and zero-padded past the end of
+    /// the stream, and how many of them are stream bits.
+    #[inline(always)]
+    pub(crate) fn window(&mut self, want: u32) -> (u64, u32) {
+        if self.nbits < want {
+            self.refill();
+        }
+        (self.acc, self.nbits)
+    }
+
+    /// Consume `n` bits previously inspected with [`BitReader::peek_bits`]
+    /// (at most the number it reported available).
+    #[inline(always)]
     pub fn advance(&mut self, n: u8) {
-        self.pos += n as usize;
+        debug_assert!(n as u32 <= self.nbits && n < 64);
+        self.acc <<= n;
+        self.nbits -= n as u32;
     }
 
     /// Bits consumed so far.
     pub fn bit_pos(&self) -> usize {
-        self.pos
+        self.next * 8 - self.nbits as usize
     }
 
     /// Remaining readable bits.
     pub fn remaining_bits(&self) -> usize {
-        self.buf.len() * 8 - self.pos
+        self.buf.len() * 8 - self.bit_pos()
     }
 }
 
@@ -361,35 +409,70 @@ mod tests {
         assert_eq!(r.read_bit(), Err(BitStreamExhausted));
     }
 
+    /// The `n` stream bits from bit `pos` on, zero-padded past the end.
+    fn bits_at(bytes: &[u8], pos: usize, n: usize) -> u64 {
+        (pos..pos + n).fold(0u64, |v, p| {
+            let bit = bytes.get(p / 8).map_or(0, |b| (b >> (7 - p % 8)) & 1);
+            (v << 1) | bit as u64
+        })
+    }
+
+    /// A reader over `bytes` that has consumed `start` bits, in uneven
+    /// reads so the register has been through refills of every phase.
+    fn reader_at(bytes: &[u8], start: usize) -> BitReader<'_> {
+        let mut r = BitReader::new(bytes);
+        let mut left = start;
+        for n in [1u8, 13, 7, 31, 56, 3].iter().cycle() {
+            if left == 0 {
+                break;
+            }
+            let n = (*n as usize).min(left);
+            r.read_bits(n as u8).expect("within the stream");
+            left -= n;
+        }
+        assert_eq!(r.bit_pos(), start);
+        r
+    }
+
     #[test]
     fn peek_matches_read_at_every_offset() {
-        // The windowed peek must agree with sequential bit reads across
-        // byte boundaries, near the end, and for wide widths.
+        // The register must agree with bit-by-bit indexing across byte and
+        // word boundaries, near the end, and for wide reads.
         let bytes: Vec<u8> = (0..32u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect();
-        for start in [0usize, 1, 5, 7, 8, 13, 200, 250, 255] {
-            for n in [1u8, 3, 8, 11, 24, 33, 56, 57, 64] {
-                let mut seq = BitReader::new(&bytes);
-                seq.pos = start.min(bytes.len() * 8);
-                let peeker = seq.clone();
-                let (v, avail) = peeker.peek_bits(n);
-                let mut expect = 0u64;
-                let total = bytes.len() * 8;
-                for i in 0..n as usize {
-                    let pos = seq.pos + i;
-                    let bit = if pos < total {
-                        (bytes[pos / 8] >> (7 - (pos % 8))) & 1
-                    } else {
-                        0
-                    };
-                    expect = (expect << 1) | bit as u64;
-                }
-                assert_eq!(v, expect, "start={start} n={n}");
-                assert_eq!(
-                    avail as usize,
-                    (total.saturating_sub(seq.pos)).min(n as usize),
-                    "start={start} n={n}"
-                );
+        let total = bytes.len() * 8;
+        for start in [0usize, 1, 5, 7, 8, 13, 63, 64, 65, 200, 250, 255, 256] {
+            for n in [1u8, 3, 8, 11, 24, 33, 56] {
+                let mut r = reader_at(&bytes, start);
+                let (v, avail) = r.peek_bits(n);
+                assert_eq!(v, bits_at(&bytes, start, n as usize), "start={start} n={n}");
+                assert_eq!(avail as usize, (total - start).min(n as usize), "start={start} n={n}");
+                assert_eq!(r.bit_pos(), start, "peek must not consume");
             }
+            for n in [1u8, 9, 32, 56, 57, 64] {
+                let mut r = reader_at(&bytes, start);
+                if start + n as usize <= total {
+                    assert_eq!(r.read_bits(n).unwrap(), bits_at(&bytes, start, n as usize));
+                    assert_eq!(r.bit_pos(), start + n as usize);
+                    assert_eq!(r.remaining_bits(), total - start - n as usize);
+                } else {
+                    assert_eq!(r.read_bits(n), Err(BitStreamExhausted), "start={start} n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_stream_length_reads_back_bit_by_bit() {
+        // Streams of 0..=20 bytes: the word refill, the byte-wise tail and
+        // the hand-over between them, one bit at a time.
+        for len in 0..=20usize {
+            let bytes: Vec<u8> = (0..len as u8).map(|i| i.wrapping_mul(91) ^ 0xC3).collect();
+            let mut r = BitReader::new(&bytes);
+            for pos in 0..len * 8 {
+                assert_eq!(r.read_bit().unwrap() as u64, bits_at(&bytes, pos, 1), "len={len} pos={pos}");
+            }
+            assert_eq!(r.read_bit(), Err(BitStreamExhausted));
+            assert_eq!(r.peek_bits(8), (0, 0));
         }
     }
 

@@ -141,9 +141,8 @@ pub fn code_lengths(freqs: &[u64]) -> Result<Vec<u8>, HuffmanError> {
 }
 
 /// The symbols that have a code, ordered by `(length, index)`, and the
-/// number of codes per length: one counting sort shared by the encoder's
-/// and the decoder's canonical code assignment. A length above
-/// [`MAX_CODE_LEN`] is `Corrupt`.
+/// number of codes per length: the counting sort behind the encoder's
+/// canonical code assignment. A length above [`MAX_CODE_LEN`] is `Corrupt`.
 fn symbols_by_length(
     lens: &[u8],
 ) -> Result<([u32; MAX_CODE_LEN as usize + 1], Vec<u32>), HuffmanError> {
@@ -179,12 +178,14 @@ fn symbols_by_length(
 pub fn canonical_codes(lens: &[u8]) -> Vec<(u32, u8)> {
     let (_, order) = symbols_by_length(lens).expect("code lengths within MAX_CODE_LEN");
     let mut codes = vec![(0u32, 0u8); lens.len()];
-    let mut code = 0u32;
+    // One bit wider than a code: past the last code of a complete 32-bit
+    // table the counter reaches 2^32.
+    let mut code = 0u64;
     let mut prev_len = 0u8;
     for &i in &order {
         let l = lens[i as usize];
         code <<= (l - prev_len) as u32;
-        codes[i as usize] = (code, l);
+        codes[i as usize] = (code as u32, l);
         code += 1;
         prev_len = l;
     }
@@ -294,37 +295,379 @@ impl HuffmanEncoder {
     }
 }
 
-/// Width of the fast-path lookup table: one peek of this many bits
-/// resolves every code of length ≤ LUT_BITS in O(1).
+/// Width of the primary decode table: one lookup of this many window bits
+/// resolves every code of length ≤ `LUT_BITS`, and two of them at once
+/// where both fit.
 pub const LUT_BITS: u8 = 11;
+
+/// Widest sub-table index. Codes longer than `LUT_BITS + SUB_BITS` go
+/// through a third table, which reaches [`MAX_CODE_LEN`].
+const SUB_BITS: u32 = 11;
+
+// A table entry, 4 bytes:
+//   bits 0..6   bits the entry consumes: the code's length, both codes'
+//               of a pair, or the index width of the sub-table a link
+//               points to
+//   bit 6       PAIR
+//   bit 7       LINK
+//   bits 8..32  one symbol: the symbol
+//               pair: the first code's length (4 bits), then the first and
+//               the second symbol minus `pair_base` (10 bits each)
+//               link: the sub-table's offset in `table`
+const BITS_MASK: u32 = 0x3f;
+const PAIR: u32 = 0x40;
+const LINK: u32 = 0x80;
+/// A link of width 0: no code starts with the bits that lead here.
+const NO_CODE: u32 = LINK;
+/// Width of a pair entry's symbol fields.
+const PAIR_SYM_BITS: u32 = 10;
+const PAIR_SYM_MASK: u32 = (1 << PAIR_SYM_BITS) - 1;
+/// Symbols and sub-table offsets must fit the 24 bits above an entry's tag.
+const FIELD_LIMIT: usize = 1 << 24;
+
+/// The symbols of `lens` that have a code, in index order, each packed as
+/// `index << 8 | length`.
+///
+/// Which symbols of the occupied range are coded is irregular at tight
+/// bounds (the far bins are used here and there), so a test per symbol
+/// mispredicts every other time; here every symbol is stored and the
+/// cursor moves on only past a coded one. A stream with escapes stores
+/// lengths from symbol 0 up, tens of thousands of zeros before the bins
+/// it uses: all-zero words are skipped whole.
+fn coded_symbols(lens: &[u8]) -> Vec<u32> {
+    let mut packed: Vec<u32> = Vec::new();
+    let mut keep = |base: usize, run: &[u8]| {
+        let at = packed.len();
+        packed.resize(at + run.len(), 0);
+        let mut kept = at;
+        for (i, &l) in run.iter().enumerate() {
+            packed[kept] = ((base + i) as u32) << 8 | l as u32;
+            kept += (l != 0) as usize;
+        }
+        packed.truncate(kept);
+    };
+    let mut words = lens.chunks_exact(8);
+    let mut base = 0usize;
+    for word in &mut words {
+        if u64::from_ne_bytes(word.try_into().expect("8-byte chunk")) != 0 {
+            keep(base, word);
+        }
+        base += 8;
+    }
+    keep(base, words.remainder());
+    packed
+}
 
 /// Canonical Huffman decoder built from code lengths.
 ///
-/// Decoding first consults a 2^[`LUT_BITS`]-entry prefix table (quantizer
-/// codes cluster around the zero bin, so the common symbols have short
-/// codes and hit the table); longer codes fall back to the canonical
-/// first-code walk — O(max_len) per symbol without an explicit tree.
+/// Table-driven throughout: the top [`LUT_BITS`] of the bit window index a
+/// primary table whose entries give one symbol, two symbols (when two
+/// codes fit those bits; quantizer codes cluster around the zero bin, so
+/// at loose bounds most lookups yield a pair), or a link to a sub-table
+/// indexed by the bits that follow. No symbol is found by trying lengths
+/// one after the other. The tables are sized by the codes a stream uses,
+/// not by its alphabet: see [`HuffmanDecoder::from_occupied`].
 #[derive(Debug, Clone)]
 pub struct HuffmanDecoder {
-    /// first_code[l], count[l], and the symbols sorted by (len, index).
+    /// The primary table (`1 << LUT_BITS` entries), then every sub-table.
+    table: Vec<u32>,
+    /// What the symbol fields of a pair entry count from.
+    pair_base: u32,
+}
+
+// Three table levels reach the longest code.
+const _: () = assert!(LUT_BITS as u32 + 2 * SUB_BITS >= MAX_CODE_LEN as u32);
+
+impl HuffmanDecoder {
+    /// Build from per-symbol code lengths over the whole alphabet.
+    pub fn from_lengths(lens: &[u8]) -> Result<Self, HuffmanError> {
+        let first = lens.iter().position(|&l| l > 0).ok_or(HuffmanError::EmptyAlphabet)?;
+        let last = lens.iter().rposition(|&l| l > 0).expect("a coded symbol was just found");
+        Self::from_occupied(&lens[first..=last], first)
+    }
+
+    /// Build from the code lengths of the symbols `first..first + lens.len()`
+    /// of an alphabet whose other symbols have no code: the form a stream
+    /// header stores them in. The work and the tables scale with `lens`
+    /// and the number of codes, whatever the alphabet's size. Alphabets
+    /// end at 2^24 symbols (beyond that the table is `Corrupt`).
+    ///
+    /// Canonical codes ascend with `(length, index)`, so the codes of one
+    /// length are a run of consecutive values that starts where the
+    /// shorter ones end. The per-length counts alone therefore say which
+    /// table prefixes hold codes too long for their table, and how long:
+    /// the sub-tables are laid out from the counts, and one pass over the
+    /// coded symbols in index order then gives each its code (the next of
+    /// its length) and writes it where it belongs. Nothing is sorted.
+    pub fn from_occupied(lens: &[u8], first: usize) -> Result<Self, HuffmanError> {
+        const MAX: usize = MAX_CODE_LEN as usize;
+        if first.checked_add(lens.len()).is_none_or(|end| end > FIELD_LIMIT) {
+            return Err(HuffmanError::Corrupt);
+        }
+        let coded = coded_symbols(lens);
+        if coded.is_empty() {
+            return Err(HuffmanError::EmptyAlphabet);
+        }
+        // One slot past the longest code collects the overlong lengths.
+        let mut count = [0u32; MAX + 2];
+        for &packed in &coded {
+            count[((packed & 0xff) as usize).min(MAX + 1)] += 1;
+        }
+        if count[MAX + 1] > 0 {
+            return Err(HuffmanError::Corrupt);
+        }
+        // A valid prefix code satisfies the Kraft inequality; corrupt
+        // headers can oversubscribe a length class, which would make the
+        // canonical codes overflow their bit width (and the tables below).
+        let kraft: u64 = (1..=MAX).map(|l| (count[l] as u64) << (MAX - l)).sum();
+        if kraft > 1u64 << MAX {
+            return Err(HuffmanError::Corrupt);
+        }
+        // The next code of each length, left-justified in 32 bits.
+        let mut next_code = [0u64; MAX + 1];
+        let mut code = 0u64;
+        for l in 1..=MAX {
+            next_code[l] = code;
+            code += (count[l] as u64) << (MAX - l);
+        }
+        let mut dec = HuffmanDecoder { table: vec![NO_CODE; 1 << LUT_BITS], pair_base: 0 };
+        // Longest codes first: the first run to pass through a prefix is
+        // the longest there and sets the width of its sub-table.
+        for l in (LUT_BITS as usize + 1..=MAX).rev() {
+            if count[l] > 0 {
+                let last = next_code[l] + (((count[l] - 1) as u64) << (MAX - l));
+                dec.link_run(next_code[l] as u32, last as u32, l as u32)?;
+            }
+        }
+        for &packed in &coded {
+            let l = (packed & 0xff) as usize;
+            let code = next_code[l];
+            next_code[l] = code + (1 << (MAX - l));
+            dec.place(code as u32, l as u32, first as u32 + (packed >> 8));
+        }
+        dec.pair_up();
+        Ok(dec)
+    }
+
+    /// The slot a code of `len` bits (left-justified in `code`) belongs
+    /// in: down the links its leading bits select, to the first table
+    /// whose index reaches `len` bits. Also that table's reach.
+    #[inline]
+    fn slot(&self, code: u32, len: u32) -> (usize, u32) {
+        let (mut at, mut depth, mut width) = (0usize, 0u32, LUT_BITS as u32);
+        loop {
+            let slot = at + ((code << depth) >> (32 - width)) as usize;
+            depth += width;
+            if len <= depth {
+                return (slot, depth);
+            }
+            let link = self.table[slot];
+            debug_assert!(link & LINK != 0 && link != NO_CODE, "link_run laid this path");
+            at = (link >> 8) as usize;
+            width = link & BITS_MASK;
+        }
+    }
+
+    /// Give every table prefix that the codes `lo..=hi` (left-justified,
+    /// consecutive, all `len > LUT_BITS` bits long) pass through its
+    /// sub-table, level by level: a prefix that has none yet gets one as
+    /// wide as these codes need, [`SUB_BITS`] at most.
+    fn link_run(&mut self, lo: u32, hi: u32, len: u32) -> Result<(), HuffmanError> {
+        let mut reach = LUT_BITS as u32;
+        while reach < len {
+            for prefix in lo >> (32 - reach)..=hi >> (32 - reach) {
+                let (slot, _) = self.slot(prefix << (32 - reach), reach);
+                if self.table[slot] == NO_CODE {
+                    let offset = self.table.len();
+                    if offset >= FIELD_LIMIT {
+                        return Err(HuffmanError::Corrupt);
+                    }
+                    let width = (len - reach).min(SUB_BITS);
+                    self.table.resize(offset + (1 << width), NO_CODE);
+                    self.table[slot] = (offset as u32) << 8 | LINK | width;
+                }
+            }
+            reach += SUB_BITS;
+        }
+        Ok(())
+    }
+
+    /// Write `symbol`'s entry into every slot that starts with its code.
+    #[inline]
+    fn place(&mut self, code: u32, len: u32, symbol: u32) {
+        let (slot, reach) = self.slot(code, len);
+        self.table[slot..slot + (1 << (reach - len))].fill(symbol << 8 | len);
+    }
+
+    /// Turn primary entries into pairs: wherever the index bits after a
+    /// code `a` hold a whole second code `b`, the entry yields both.
+    /// Symbols further than the fields reach from the most frequent one
+    /// stay single.
+    fn pair_up(&mut self) {
+        let lut = LUT_BITS as u32;
+        if self.table[0] & LINK != 0 {
+            return; // no code fits the primary table
+        }
+        // The all-zeros window holds the first canonical code: a shortest
+        // one, so the most frequent symbol.
+        let base = (self.table[0] >> 8).saturating_sub(1 << (PAIR_SYM_BITS - 1));
+        self.pair_base = base;
+        let fits = |sym: u32| sym.wrapping_sub(base) <= PAIR_SYM_MASK;
+        let mut slot = 0usize;
+        while slot < 1 << lut {
+            let entry = self.table[slot];
+            if entry & LINK != 0 {
+                slot += 1;
+                continue;
+            }
+            // Not a pair yet: slots turn into pairs one code's span at a
+            // time, and this is the first visit to this one.
+            let (a, len_a) = (entry >> 8, entry & BITS_MASK);
+            let room = lut - len_a;
+            if fits(a) {
+                for tail in 0..1usize << room {
+                    // What a window that starts with `tail` decodes to. An
+                    // entry that is a pair already still gives its first code.
+                    let after = self.table[(tail << len_a) & ((1 << lut) - 1)];
+                    let (b, len_b) = self.first_symbol(after);
+                    if after & LINK == 0 && len_b <= room && fits(b) {
+                        self.table[slot + tail] = (b - base) << (12 + PAIR_SYM_BITS)
+                            | (a - base) << 12
+                            | len_a << 8
+                            | PAIR
+                            | (len_a + len_b);
+                    }
+                }
+            }
+            slot += 1 << room;
+        }
+    }
+
+    /// The first symbol of a leaf entry and its code's length; length 0
+    /// for [`NO_CODE`].
+    #[inline(always)]
+    fn first_symbol(&self, entry: u32) -> (u32, u32) {
+        if entry & PAIR != 0 {
+            (self.pair_base + ((entry >> 12) & PAIR_SYM_MASK), (entry >> 8) & 0xf)
+        } else {
+            (entry >> 8, entry & BITS_MASK)
+        }
+    }
+
+    /// Follow `entry`, a link out of the table that window bits
+    /// `..depth` indexed, down to a leaf entry or [`NO_CODE`]: one lookup
+    /// per table level, three levels at most.
+    #[inline(always)]
+    fn follow(&self, mut entry: u32, window: u64, mut depth: u32) -> u32 {
+        while entry & LINK != 0 {
+            let width = entry & BITS_MASK;
+            if width == 0 {
+                break;
+            }
+            let index = ((window << depth) >> (64 - width)) as usize;
+            entry = self.table[(entry >> 8) as usize + index];
+            depth += width;
+        }
+        entry
+    }
+
+    /// Decode one symbol.
+    #[inline]
+    pub fn decode(&self, r: &mut BitReader<'_>) -> Result<u32, HuffmanError> {
+        let (window, avail) = r.window(MAX_CODE_LEN as u32);
+        let entry = self.table[(window >> (64 - LUT_BITS as u32)) as usize];
+        let (sym, len) = self.first_symbol(self.follow(entry, window, LUT_BITS as u32));
+        // The window is zero-padded past the end of the stream: a code
+        // that needs padding bits to match did not match.
+        if len == 0 || len > avail {
+            return Err(HuffmanError::Corrupt);
+        }
+        r.advance(len as u8);
+        Ok(sym)
+    }
+
+    /// Decode `n` symbols from the start of `bytes` into `out` (resized to
+    /// `n`; what it held is dropped): the symbols `n` calls of
+    /// [`HuffmanDecoder::decode`] give, or an error where one of them would
+    /// fail.
+    ///
+    /// The bit window lives in a local register here, topped up from one
+    /// 8-byte load when it holds fewer bits than the primary table indexes
+    /// (on a link: than the longest code), and every lookup stores two
+    /// symbols and advances by one or two, so the only data-dependent
+    /// branches left are the refill and the link test.
+    /// The last symbols of the stream, where an 8-byte load would cross
+    /// its end, go through `decode` and its bit-exact end-of-stream rule.
+    pub fn decode_into(
+        &self,
+        bytes: &[u8],
+        n: usize,
+        out: &mut Vec<u32>,
+    ) -> Result<(), HuffmanError> {
+        // Every symbol takes at least one bit: `n` cannot drive the
+        // allocation past what `bytes` could hold.
+        if n > bytes.len().saturating_mul(8) {
+            return Err(HuffmanError::Corrupt);
+        }
+        out.resize(n, 0);
+        let lut_shift = 64 - LUT_BITS as u32;
+        let (mut acc, mut nbits, mut next) = (0u64, 0u32, 0usize);
+        let mut done = 0usize;
+        while done + 2 <= n {
+            // Loaded every time round although only a refill uses it: one
+            // exit from the loop for both refills below, and the address
+            // changes with a refill alone, so the load is never waited for.
+            let Some(word) = BitReader::word_at(bytes, next) else { break };
+            if nbits < LUT_BITS as u32 {
+                (acc, nbits, next) = BitReader::merge_word(acc, nbits, next, word);
+            }
+            let mut entry = self.table[(acc >> lut_shift) as usize];
+            if entry & LINK != 0 {
+                if nbits < MAX_CODE_LEN as u32 {
+                    (acc, nbits, next) = BitReader::merge_word(acc, nbits, next, word);
+                }
+                entry = self.follow(entry, acc, LUT_BITS as u32);
+                if entry == NO_CODE {
+                    return Err(HuffmanError::Corrupt);
+                }
+            }
+            // Both stores always; a single symbol's second is overwritten
+            // by the next lookup's first.
+            out[done] = self.first_symbol(entry).0;
+            out[done + 1] = self.pair_base + (entry >> (12 + PAIR_SYM_BITS));
+            done += 1 + (entry & PAIR != 0) as usize;
+            let used = entry & BITS_MASK;
+            acc <<= used;
+            nbits -= used;
+        }
+        let mut r = BitReader::resume(bytes, acc, nbits, next);
+        for slot in &mut out[done..] {
+            *slot = self.decode(&mut r)?;
+        }
+        Ok(())
+    }
+}
+
+/// The decoder [`HuffmanDecoder`] replaced, kept as its executable
+/// specification: the canonical first-code walk, which tries the lengths
+/// one after the other on a peeked word. A code matches when it lies in
+/// its length's range and the stream still holds that many bits.
+#[cfg(test)]
+#[derive(Debug, Clone)]
+pub(crate) struct ReferenceDecoder {
     first_code: [u32; MAX_CODE_LEN as usize + 1],
     first_sym_idx: [u32; MAX_CODE_LEN as usize + 1],
     count: [u32; MAX_CODE_LEN as usize + 1],
     sorted_syms: Vec<u32>,
-    /// `(symbol, code_len)` per LUT_BITS-bit prefix; len 0 ⇒ slow path.
-    lut: Vec<(u32, u8)>,
 }
 
-impl HuffmanDecoder {
-    /// Build from per-symbol code lengths.
-    pub fn from_lengths(lens: &[u8]) -> Result<Self, HuffmanError> {
+#[cfg(test)]
+impl ReferenceDecoder {
+    pub(crate) fn from_lengths(lens: &[u8]) -> Result<Self, HuffmanError> {
         let (count, sorted_syms) = symbols_by_length(lens)?;
         if sorted_syms.is_empty() {
             return Err(HuffmanError::EmptyAlphabet);
         }
-        // A valid prefix code satisfies the Kraft inequality; corrupt
-        // headers can oversubscribe a length class, which would make the
-        // canonical codes overflow their bit width (and the LUT below).
         let kraft: u128 = (1..=MAX_CODE_LEN as usize)
             .map(|l| (count[l] as u128) << (MAX_CODE_LEN as usize - l))
             .sum();
@@ -333,59 +676,18 @@ impl HuffmanDecoder {
         }
         let mut first_code = [0u32; MAX_CODE_LEN as usize + 1];
         let mut first_sym_idx = [0u32; MAX_CODE_LEN as usize + 1];
-        let mut code = 0u32;
-        let mut idx = 0u32;
+        let (mut code, mut idx) = (0u64, 0u32);
         for l in 1..=MAX_CODE_LEN as usize {
             code <<= 1;
-            first_code[l] = code;
+            first_code[l] = code as u32;
             first_sym_idx[l] = idx;
-            code += count[l];
+            code += count[l] as u64;
             idx += count[l];
         }
-        // Fast path: expand every code of length ≤ LUT_BITS into all the
-        // table slots sharing its prefix.
-        let mut lut = vec![(0u32, 0u8); 1usize << LUT_BITS];
-        for l in 1..=LUT_BITS.min(MAX_CODE_LEN) as usize {
-            let c0 = first_code[l];
-            for k in 0..count[l] {
-                let sym = sorted_syms[(first_sym_idx[l] + k) as usize];
-                let code = c0 + k;
-                let shift = LUT_BITS as usize - l;
-                let base = (code as usize) << shift;
-                // Kraft validation above guarantees this fits; keep a
-                // defensive clamp so no table can ever overrun.
-                let end = (base + (1 << shift)).min(lut.len());
-                if base >= end {
-                    continue;
-                }
-                for slot in &mut lut[base..end] {
-                    *slot = (sym, l as u8);
-                }
-            }
-        }
-        Ok(HuffmanDecoder { first_code, first_sym_idx, count, sorted_syms, lut })
+        Ok(ReferenceDecoder { first_code, first_sym_idx, count, sorted_syms })
     }
 
-    /// Decode one symbol (LUT fast path, canonical walk fallback).
-    #[inline]
-    pub fn decode(&self, r: &mut BitReader<'_>) -> Result<u32, HuffmanError> {
-        let (prefix, avail) = r.peek_bits(LUT_BITS);
-        if avail > 0 {
-            let (sym, len) = self.lut[prefix as usize];
-            if len != 0 && len <= avail {
-                r.advance(len);
-                return Ok(sym);
-            }
-        }
-        self.decode_walk(r)
-    }
-
-    /// Canonical first-code walk (always correct; used for codes longer
-    /// than [`LUT_BITS`] and near the end of the stream). Works on a
-    /// single peeked word: the candidate code at each length is a shift of
-    /// the same 32-bit window, so no per-bit stream traffic.
-    #[inline]
-    pub fn decode_walk(&self, r: &mut BitReader<'_>) -> Result<u32, HuffmanError> {
+    pub(crate) fn decode(&self, r: &mut BitReader<'_>) -> Result<u32, HuffmanError> {
         let (word, avail) = r.peek_bits(MAX_CODE_LEN);
         for l in 1..=avail {
             let c = self.count[l as usize];
@@ -393,13 +695,20 @@ impl HuffmanDecoder {
                 continue;
             }
             let code = (word >> (MAX_CODE_LEN - l)) as u32;
-            if code >= self.first_code[l as usize] && code < self.first_code[l as usize] + c {
+            let first = self.first_code[l as usize];
+            if code >= first && code - first < c {
                 r.advance(l);
-                let off = code - self.first_code[l as usize];
-                return Ok(self.sorted_syms[(self.first_sym_idx[l as usize] + off) as usize]);
+                let rank = self.first_sym_idx[l as usize] + (code - first);
+                return Ok(self.sorted_syms[rank as usize]);
             }
         }
         Err(HuffmanError::Corrupt)
+    }
+
+    /// `n` symbols from the start of `bytes`, or the first error.
+    pub(crate) fn decode_all(&self, bytes: &[u8], n: usize) -> Result<Vec<u32>, HuffmanError> {
+        let mut r = BitReader::new(bytes);
+        (0..n).map(|_| self.decode(&mut r)).collect()
     }
 }
 
@@ -612,38 +921,228 @@ mod tests {
         assert!(decoded < 100);
     }
 
+    /// Code `msg` with the canonical codes of `lens`.
+    fn encode_with(lens: &[u8], msg: &[u32]) -> Vec<u8> {
+        let codes = canonical_codes(lens);
+        let mut w = BitWriter::new();
+        for &s in msg {
+            let (code, len) = codes[s as usize];
+            assert!(len > 0, "symbol {s} has no code");
+            w.push_bits(code as u64, len);
+        }
+        w.into_bytes()
+    }
+
+    /// `n` symbols through the per-symbol `decode`.
+    fn decode_one_by_one(
+        dec: &HuffmanDecoder,
+        bytes: &[u8],
+        n: usize,
+    ) -> Result<Vec<u32>, HuffmanError> {
+        let mut r = BitReader::new(bytes);
+        (0..n).map(|_| dec.decode(&mut r)).collect()
+    }
+
+    /// The bulk decoder, the per-symbol decoder and the reference walk must
+    /// give the same symbols for `n` symbols of `bytes`, or all refuse.
+    fn assert_decoders_agree(lens: &[u8], bytes: &[u8], n: usize) -> Option<Vec<u32>> {
+        let reference = ReferenceDecoder::from_lengths(lens).unwrap();
+        let dec = HuffmanDecoder::from_lengths(lens).unwrap();
+        let want = reference.decode_all(bytes, n).ok();
+        let mut bulk = vec![7u32; 3]; // stale contents must not survive
+        let got = dec.decode_into(bytes, n, &mut bulk).ok().map(|()| bulk);
+        assert_eq!(got, want, "bulk vs reference, n={n}, {} bytes", bytes.len());
+        assert_eq!(decode_one_by_one(&dec, bytes, n).ok(), want, "per-symbol vs reference");
+        want
+    }
+
+    /// Leaf depths of a random binary tree: repeatedly split a leaf (a
+    /// deep one more often than not, so [`MAX_CODE_LEN`] is reached), then
+    /// drop some leaves so the code is incomplete (Kraft sum below 1).
+    fn random_depths(x: &mut u32, leaves: usize, drop_every: u32) -> Vec<u8> {
+        let mut next = || {
+            *x ^= *x << 13;
+            *x ^= *x >> 17;
+            *x ^= *x << 5;
+            *x
+        };
+        let mut depths = vec![1u8, 1];
+        while depths.len() < leaves {
+            let deepest =
+                (0..depths.len()).filter(|&i| depths[i] < MAX_CODE_LEN).max_by_key(|&i| depths[i]);
+            let Some(deepest) = deepest else { break };
+            let pick = if next() % 3 == 0 { next() as usize % depths.len() } else { deepest };
+            if depths[pick] < MAX_CODE_LEN {
+                depths[pick] += 1;
+                let d = depths[pick];
+                depths.push(d);
+            }
+        }
+        if drop_every > 0 {
+            depths.retain(|_| next() % drop_every != 0);
+        }
+        if depths.is_empty() {
+            depths.push(1);
+        }
+        depths
+    }
+
+    /// Scatter `depths` over an alphabet of `alphabet` symbols starting at
+    /// symbol `first`, `stride` apart.
+    fn scatter(depths: &[u8], alphabet: usize, first: usize, stride: usize) -> Vec<u8> {
+        let mut lens = vec![0u8; alphabet];
+        for (i, &d) in depths.iter().enumerate() {
+            lens[first + i * stride] = d;
+        }
+        lens
+    }
+
     #[test]
-    fn lut_and_walk_paths_agree_on_every_symbol() {
+    fn every_symbol_decodes_alike_through_all_three_decoders() {
         // Alphabet sized so codes straddle LUT_BITS: frequent symbols get
-        // short (LUT) codes, the long tail exceeds the table width.
+        // short codes (the primary table, pairs among them), the long
+        // tail goes through sub-tables.
         let mut freqs = vec![1u64; 5000];
         freqs[0] = 1 << 20;
         freqs[1] = 1 << 16;
         freqs[2] = 1 << 12;
-        let enc = HuffmanEncoder::from_freqs(&freqs).unwrap();
-        let dec = HuffmanDecoder::from_lengths(&enc.lengths()).unwrap();
-        let lens = enc.lengths();
-        assert!(lens.iter().any(|&l| l > 0 && l <= LUT_BITS), "need LUT-covered codes");
-        assert!(lens.iter().any(|&l| l > LUT_BITS), "need walk-only codes");
-        // Every symbol must decode identically through decode() (LUT) and
-        // decode_walk().
-        let msg: Vec<u32> = (0..5000).step_by(7).chain([0, 1, 2, 4999]).collect();
-        let mut w = BitWriter::new();
-        for &s in &msg {
-            enc.encode(s, &mut w).unwrap();
+        let lens = HuffmanEncoder::from_freqs(&freqs).unwrap().lengths();
+        assert!(lens.iter().any(|&l| l > 0 && l <= LUT_BITS), "need primary-table codes");
+        assert!(lens.iter().any(|&l| l > LUT_BITS), "need sub-table codes");
+        let dec = HuffmanDecoder::from_lengths(&lens).unwrap();
+        let primary = &dec.table[..1 << LUT_BITS];
+        assert!(primary.iter().any(|&e| e & PAIR != 0), "need pair entries");
+        assert!(primary.iter().any(|&e| e & LINK != 0 && e != NO_CODE), "need links");
+        let msg: Vec<u32> = (0..5000).step_by(7).chain([0, 1, 2, 4999, 0, 0, 1, 0]).collect();
+        let bytes = encode_with(&lens, &msg);
+        assert_eq!(assert_decoders_agree(&lens, &bytes, msg.len()), Some(msg));
+    }
+
+    #[test]
+    fn random_tables_decode_alike_up_to_the_longest_code() {
+        let mut x = 0x1234_5678u32;
+        let mut deepest = 0u8;
+        for round in 0..60usize {
+            let leaves = [2usize, 3, 9, 40, 300, 2000][round % 6];
+            let drop_every = [0u32, 5, 2][round % 3];
+            let depths = random_depths(&mut x, leaves, drop_every);
+            deepest = deepest.max(*depths.iter().max().unwrap());
+            // The occupied range at the start, in the middle and at the
+            // very end of a quantizer-sized alphabet.
+            let alphabet = 65_537usize;
+            let stride = 1 + round % 3;
+            let span = (depths.len() - 1) * stride + 1;
+            for first in [0, 32_768 - span / 2, alphabet - span] {
+                let lens = scatter(&depths, alphabet, first, stride);
+                let coded: Vec<u32> =
+                    (0..alphabet as u32).filter(|&s| lens[s as usize] > 0).collect();
+                // Every coded symbol once, then a random message.
+                let mut msg = coded.clone();
+                for _ in 0..500 {
+                    x ^= x << 13;
+                    x ^= x >> 17;
+                    x ^= x << 5;
+                    // Mostly the first few symbols: short codes, pairs.
+                    let pick = if x.is_multiple_of(4) { x as usize } else { x as usize % 3 };
+                    msg.push(coded[pick % coded.len()]);
+                }
+                let bytes = encode_with(&lens, &msg);
+                assert_eq!(
+                    assert_decoders_agree(&lens, &bytes, msg.len()),
+                    Some(msg),
+                    "round {round} first {first}"
+                );
+            }
         }
-        let bytes = w.into_bytes();
-        let mut fast = BitReader::new(&bytes);
-        let mut slow = BitReader::new(&bytes);
-        for &s in &msg {
-            assert_eq!(dec.decode(&mut fast).unwrap(), s);
-            assert_eq!(dec.decode_walk(&mut slow).unwrap(), s);
-            assert_eq!(fast.bit_pos(), slow.bit_pos(), "paths must consume identically");
+        assert_eq!(deepest, MAX_CODE_LEN, "the generator must reach 32-bit codes");
+    }
+
+    #[test]
+    fn one_and_two_symbol_alphabets_decode_in_bulk() {
+        // One symbol: a 1-bit code `0`; a `1` bit matches nothing.
+        let lens = scatter(&[1], 9, 4, 1);
+        assert_eq!(assert_decoders_agree(&lens, &[0x00, 0x00], 16), Some(vec![4; 16]));
+        assert_eq!(assert_decoders_agree(&lens, &[0x00, 0x10], 16), None);
+        assert_eq!(assert_decoders_agree(&lens, &[0x00], 9), None, "a ninth symbol needs a ninth bit");
+        // Two symbols at the two ends of the alphabet.
+        let lens = scatter(&[1, 1], 65_537, 0, 65_536);
+        let bytes = [0b0110_1001u8, 0xFF, 0x00];
+        let want: Vec<u32> = (0..24)
+            .map(|i| if bytes[i / 8] >> (7 - i % 8) & 1 == 1 { 65_536 } else { 0 })
+            .collect();
+        assert_eq!(assert_decoders_agree(&lens, &bytes, 24), Some(want));
+    }
+
+    #[test]
+    fn truncated_and_bit_flipped_streams_never_disagree_or_panic() {
+        // A valid stream cut at every byte, and with every single bit
+        // flipped: the decoders give the same symbols or all refuse. Run
+        // in debug builds, an out-of-range shift in a refill would trap.
+        let mut x = 0x9e37_79b9u32;
+        for (leaves, drop_every) in [(2usize, 0u32), (12, 0), (12, 3), (400, 0), (400, 4)] {
+            let depths = random_depths(&mut x, leaves, drop_every);
+            let lens = scatter(&depths, 1 + depths.len() * 2, 1, 2);
+            let coded: Vec<u32> = (0..lens.len() as u32).filter(|&s| lens[s as usize] > 0).collect();
+            let msg: Vec<u32> = (0..96)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 17;
+                    x ^= x << 5;
+                    let pick = if x.is_multiple_of(3) { x as usize } else { x as usize % 2 };
+                    coded[pick % coded.len()]
+                })
+                .collect();
+            let bytes = encode_with(&lens, &msg);
+            for cut in 0..=bytes.len() {
+                assert_decoders_agree(&lens, &bytes[..cut], msg.len());
+            }
+            for bit in 0..bytes.len() * 8 {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 0x80 >> (bit % 8);
+                assert_decoders_agree(&lens, &flipped, msg.len());
+                // One symbol more than the stream was written with.
+                assert_decoders_agree(&lens, &flipped, msg.len() + 1);
+            }
         }
     }
 
     #[test]
-    fn lut_path_respects_stream_end() {
+    fn decoder_is_built_from_the_occupied_range_alone() {
+        // `from_occupied` with an offset is `from_lengths` over the whole
+        // alphabet, and a range that ends past 2^24 symbols is refused
+        // before a byte of it is looked at.
+        let depths = [2u8, 2, 3, 3, 3, 4, 4];
+        let lens = scatter(&depths, 70_000, 61_234, 1);
+        let msg: Vec<u32> = (61_234..61_241).chain([61_234, 61_240, 61_236]).collect();
+        let bytes = encode_with(&lens, &msg);
+        let whole = HuffmanDecoder::from_lengths(&lens).unwrap();
+        let ranged = HuffmanDecoder::from_occupied(&depths, 61_234).unwrap();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        whole.decode_into(&bytes, msg.len(), &mut a).unwrap();
+        ranged.decode_into(&bytes, msg.len(), &mut b).unwrap();
+        assert_eq!(a, msg);
+        assert_eq!(b, msg);
+        assert_eq!(
+            HuffmanDecoder::from_occupied(&depths, (1 << 24) - 3).unwrap_err(),
+            HuffmanError::Corrupt
+        );
+        assert_eq!(
+            HuffmanDecoder::from_occupied(&depths, usize::MAX).unwrap_err(),
+            HuffmanError::Corrupt
+        );
+        assert_eq!(
+            HuffmanDecoder::from_occupied(&[0, 0, 0], 5).unwrap_err(),
+            HuffmanError::EmptyAlphabet
+        );
+        // A symbol count the stream cannot hold is refused before the
+        // output is sized from it.
+        let mut out = Vec::new();
+        assert_eq!(whole.decode_into(&bytes, usize::MAX, &mut out), Err(HuffmanError::Corrupt));
+        assert!(out.capacity() < 1 << 20);
+    }
+
+    #[test]
+    fn decode_respects_stream_end() {
         // A stream that ends mid-code must error, not decode padding zeros.
         let enc = HuffmanEncoder::from_freqs(&[100, 1, 1, 1, 1, 1, 1, 1, 1]).unwrap();
         let dec = HuffmanDecoder::from_lengths(&enc.lengths()).unwrap();

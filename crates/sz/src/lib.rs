@@ -33,6 +33,9 @@
 
 pub mod bitio;
 pub mod element;
+#[cfg(test)]
+#[path = "../tests/generators/mod.rs"]
+mod generators;
 pub mod header;
 pub mod huffman;
 pub mod kernels;

@@ -27,6 +27,22 @@ pub const WINDOW: usize = 1 << 16;
 pub const MIN_MATCH: usize = 4;
 /// Maximum match length encodable in 8 bits above MIN_MATCH.
 pub const MAX_MATCH: usize = MIN_MATCH + 255;
+/// Bits of a literal token and of a match token, flag bit included.
+const LITERAL_BITS: u32 = 9;
+const MATCH_BITS: u32 = 25;
+/// Literal tokens the decoder takes at once, and the window bits that hold
+/// their flags (all zero for a run of literals).
+const LITERAL_RUN: u32 = 6;
+const LITERAL_RUN_FLAGS: u64 = {
+    let mut flags = 0u64;
+    let mut t = 0;
+    while t < LITERAL_RUN {
+        flags |= 1 << (63 - LITERAL_BITS * t);
+        t += 1;
+    }
+    flags
+};
+const _: () = assert!(LITERAL_RUN * LITERAL_BITS >= MATCH_BITS && LITERAL_RUN * LITERAL_BITS <= 56);
 /// Hash-chain search depth; bounds worst-case compression time.
 const MAX_CHAIN: usize = 32;
 /// Chain heads: one per value of the 15-bit hash.
@@ -256,28 +272,58 @@ pub fn decompress(stream: &[u8]) -> Result<Vec<u8>, LzssCorrupt> {
     if n > 4 + (stream.len() - 4).saturating_mul(MAX_MATCH * 8 / 25 + 1) {
         return Err(LzssCorrupt);
     }
-    let mut out = Vec::with_capacity(n);
+    // Filled through a cursor, not pushed to: the cursor stays in a
+    // register, a vector's length does not.
+    let mut out = vec![0u8; n];
+    let mut at = 0usize;
     let mut r = BitReader::new(&stream[4..]);
-    while out.len() < n {
-        let is_match = r.read_bit().map_err(|_| LzssCorrupt)?;
-        if is_match {
-            let off = r.read_bits(16).map_err(|_| LzssCorrupt)? as usize + 1;
-            let len = r.read_bits(8).map_err(|_| LzssCorrupt)? as usize + MIN_MATCH;
-            if off > out.len() {
+    while at < n {
+        // One look at the reader's window per token: its flag bit, then
+        // either the literal's 8 bits or the match's 16 + 8.
+        let (window, avail) = r.window(LITERAL_RUN * LITERAL_BITS);
+        // Most of a payload is entropy-coded already and comes through as
+        // literals: when the next few tokens all are, they are taken
+        // together, one shift of the reader for the lot.
+        if window & LITERAL_RUN_FLAGS == 0
+            && avail >= LITERAL_RUN * LITERAL_BITS
+            && n - at >= LITERAL_RUN as usize
+        {
+            for (t, byte) in out[at..at + LITERAL_RUN as usize].iter_mut().enumerate() {
+                *byte = (window >> (64 - LITERAL_BITS * (t as u32 + 1))) as u8;
+            }
+            at += LITERAL_RUN as usize;
+            r.advance((LITERAL_RUN * LITERAL_BITS) as u8);
+            continue;
+        }
+        if window >> 63 == 0 {
+            if avail < LITERAL_BITS {
                 return Err(LzssCorrupt);
             }
-            let start = out.len() - off;
-            // Overlapping copies are byte-by-byte by construction.
-            for k in 0..len {
-                let b = out[start + k];
-                out.push(b);
-            }
+            out[at] = (window >> (64 - LITERAL_BITS)) as u8;
+            at += 1;
+            r.advance(LITERAL_BITS as u8);
         } else {
-            out.push(r.read_bits(8).map_err(|_| LzssCorrupt)? as u8);
+            if avail < MATCH_BITS {
+                return Err(LzssCorrupt);
+            }
+            let off = ((window >> (64 - 17)) & 0xffff) as usize + 1;
+            let len = ((window >> (64 - MATCH_BITS)) & 0xff) as usize + MIN_MATCH;
+            r.advance(MATCH_BITS as u8);
+            // A match may not reach back past the start nor run past the
+            // declared length.
+            if off > at || len > n - at {
+                return Err(LzssCorrupt);
+            }
+            // A match may overlap its own output (`off < len`): what is
+            // written so far then repeats with period `off`, and copying
+            // from its start doubles it until `len` bytes are out.
+            let (start, end) = (at - off, at + len);
+            while at < end {
+                let run = (at - start).min(end - at);
+                out.copy_within(start..start + run, at);
+                at += run;
+            }
         }
-    }
-    if out.len() != n {
-        return Err(LzssCorrupt);
     }
     Ok(out)
 }

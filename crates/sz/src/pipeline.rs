@@ -24,6 +24,8 @@
 //! per worker via [`compress_typed_with`] so quantize/encode stop
 //! allocating per call.
 
+use std::borrow::Cow;
+
 use crate::bitio::{BitReader, BitWriter};
 use crate::element::Element;
 use crate::header::{Reader, Writer, FLAG_LOSSLESS, MAGIC};
@@ -105,9 +107,8 @@ fn resolve_eb<T: Element>(data: &[T], eb: ErrorBound) -> Result<f64, SzError> {
 /// exactly what the chunked parallel path does. Workers hold one scratch
 /// each and pass it to [`compress_typed_with`]; buffers grow to the
 /// high-water mark and stay. The decode side shares the same scratch via
-/// [`decompress_typed_with`] (reconstruction array, code lengths,
-/// literals, row partials), so the chunked restart path stops allocating
-/// per chunk too.
+/// [`decompress_typed_with`] (symbol array, reconstruction array, row
+/// partials), so the chunked restart path stops allocating per chunk too.
 #[derive(Debug)]
 pub struct SzScratch<T> {
     symbols: Vec<u32>,
@@ -121,7 +122,6 @@ pub struct SzScratch<T> {
     block_bits: BitWriter,
     coeffs: Vec<f32>,
     lit_bytes: Vec<u8>,
-    code_lens: Vec<u8>,
     kern: kernels::KernelScratch<T>,
 }
 
@@ -140,7 +140,6 @@ impl<T> SzScratch<T> {
             block_bits: BitWriter::new(),
             coeffs: Vec::new(),
             lit_bytes: Vec::new(),
-            code_lens: Vec::new(),
             kern: kernels::KernelScratch::new(),
         }
     }
@@ -792,7 +791,7 @@ pub fn stream_type_tag(stream: &[u8]) -> Result<u8, SzError> {
     r.u8()
 }
 
-fn unwrap_envelope(stream: &[u8]) -> Result<Vec<u8>, SzError> {
+fn unwrap_envelope(stream: &[u8]) -> Result<Cow<'_, [u8]>, SzError> {
     let mut env = Reader::new(stream);
     if env.bytes(4)? != MAGIC {
         return Err(SzError::Corrupt("bad magic"));
@@ -801,31 +800,37 @@ fn unwrap_envelope(stream: &[u8]) -> Result<Vec<u8>, SzError> {
     let body_len = env.u64()? as usize;
     let body = env.bytes(body_len)?;
     if flags & FLAG_LOSSLESS != 0 {
-        lossless::decompress(body).map_err(|_| SzError::Corrupt("lzss"))
+        lossless::decompress(body).map(Cow::Owned).map_err(|_| SzError::Corrupt("lzss"))
     } else {
-        Ok(body.to_vec())
+        Ok(Cow::Borrowed(body))
     }
 }
 
-/// Decompress a stream produced by [`compress_typed`]. Returns the values
-/// and the dimensions recorded in the header. Fails with
-/// [`SzError::TypeMismatch`] when the stream holds a different element
-/// type.
-pub fn decompress_typed<T: Element>(stream: &[u8]) -> Result<(Vec<T>, Vec<usize>), SzError> {
-    decompress_typed_with(stream, &mut SzScratch::new())
+/// The header fields of a payload and its sections, borrowed from it.
+struct Payload<'a> {
+    dims: Vec<usize>,
+    g: Geom,
+    block_mode: bool,
+    order: u8,
+    q: Quantizer,
+    /// Element count.
+    n: usize,
+    /// Code lengths of the symbols `first_symbol..first_symbol + code_lens.len()`.
+    first_symbol: usize,
+    code_lens: &'a [u8],
+    sym_bytes: &'a [u8],
+    lit_bytes: &'a [u8],
+    /// One bit per block, and four `f32` per regression block (both empty
+    /// outside block mode).
+    block_flags: &'a [u8],
+    coeff_bytes: &'a [u8],
 }
 
-/// [`decompress_typed`] with caller-provided scratch buffers. Repeated
-/// calls reuse the scratch's allocations (reconstruction array, Huffman
-/// code lengths, literal buffer, row partials); the output is identical
-/// to a fresh-scratch call.
-pub fn decompress_typed_with<T: Element>(
-    stream: &[u8],
-    s: &mut SzScratch<T>,
-) -> Result<(Vec<T>, Vec<usize>), SzError> {
-    let _span = lcpio_trace::span("sz.decompress");
-    let payload = unwrap_envelope(stream)?;
-    let mut r = Reader::new(&payload);
+/// Parse and validate a payload's header for element type `T`. Every size
+/// that drives an allocation or a table build is checked here against the
+/// bytes that are actually present.
+fn parse_payload<T: Element>(payload: &[u8]) -> Result<Payload<'_>, SzError> {
+    let mut r = Reader::new(payload);
     let tag = r.u8()?;
     if tag != T::TYPE_TAG {
         return Err(SzError::TypeMismatch);
@@ -850,30 +855,24 @@ pub fn decompress_typed_with<T: Element>(
         return Err(SzError::Corrupt("element count exceeds payload"));
     }
     let g = geometry(&dims, n)?;
-    // The radius sizes the decode alphabet (`2·radius + 1` code lengths
-    // plus several full scans building the Huffman decoder), so a forged
-    // header must not be able to demand gigabytes of table work. The cap
-    // matches the encoder's clamp — no legitimate stream can exceed it.
+    // The radius bounds the symbols a stream may use, so a forged header
+    // must not be able to claim an absurd one. The cap matches the
+    // encoder's clamp — no legitimate stream can exceed it.
     if eb <= 0.0 || !eb.is_finite() || radius == 0 || radius > Quantizer::MAX_RADIUS {
         return Err(SzError::Corrupt("bad quantizer params"));
     }
     let q = Quantizer::new(eb, radius);
 
-    // Working buffers come from the scratch: cleared, then regrown to
-    // this stream's sizes (no-ops once the high-water mark is reached).
-    let SzScratch { recon, rowp, literals, code_lens, .. } = s;
-
     // Huffman table (dense code lengths over the occupied symbol range).
-    let first = r.u32()? as usize;
+    // The range is checked against the alphabet before a byte of it is
+    // read: the decoder can then only ever give one of the quantizer's
+    // symbols.
+    let first_symbol = r.u32()? as usize;
     let count = r.u32()? as usize;
-    code_lens.clear();
-    code_lens.resize(q.alphabet_size(), 0);
-    if count > code_lens.len() || first + count > code_lens.len() {
+    if first_symbol.checked_add(count).is_none_or(|end| end > q.alphabet_size()) {
         return Err(SzError::Corrupt("symbol range out of alphabet"));
     }
-    code_lens[first..first + count].copy_from_slice(r.bytes(count)?);
-    let dec =
-        HuffmanDecoder::from_lengths(code_lens).map_err(|_| SzError::Corrupt("huffman table"))?;
+    let code_lens = r.bytes(count)?;
     let _sym_bit_count = r.u64()?;
     let sym_bytes = r.section()?;
     // Tighter form of the element-count guard: every element consumes at
@@ -885,139 +884,354 @@ pub fn decompress_typed_with<T: Element>(
     if lit_bytes.len() % T::BYTES != 0 {
         return Err(SzError::Corrupt("literal section"));
     }
-    literals.clear();
-    literals.extend(lit_bytes.chunks_exact(T::BYTES).map(T::read_le));
-
-    let (block_bit_bytes, coeff_vals) = if block_mode {
-        let bb = r.section()?.to_vec();
-        let cb = r.section()?;
-        if cb.len() % 16 != 0 {
+    let (block_flags, coeff_bytes): (&[u8], &[u8]) = if block_mode {
+        let flags = r.section()?;
+        let coeffs = r.section()?;
+        if coeffs.len() % 16 != 0 {
             return Err(SzError::Corrupt("coeff section"));
         }
-        let cv: Vec<f32> = cb
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
-        (bb, cv)
+        (flags, coeffs)
     } else {
-        (Vec::new(), Vec::new())
+        (&[], &[])
     };
+    Ok(Payload {
+        dims,
+        g,
+        block_mode,
+        order,
+        q,
+        n,
+        first_symbol,
+        code_lens,
+        sym_bytes,
+        lit_bytes,
+        block_flags,
+        coeff_bytes,
+    })
+}
 
-    let mut sym_reader = BitReader::new(sym_bytes);
-    let mut lit_iter = literals.iter();
-    // The Lorenzo stencil reads `recon` while it is being filled (rows
-    // above, planes behind), so untouched slots must read as 0.0 exactly
-    // like a fresh allocation: clear before regrowing.
-    recon.clear();
-    recon.resize(n, 0.0);
-    rowp.clear();
-    rowp.resize(if block_mode { g.nx.min(BLOCK_SIDE) } else { g.nx }, 0.0);
+/// Decompress a stream produced by [`compress_typed`]. Returns the values
+/// and the dimensions recorded in the header. Fails with
+/// [`SzError::TypeMismatch`] when the stream holds a different element
+/// type.
+pub fn decompress_typed<T: Element>(stream: &[u8]) -> Result<(Vec<T>, Vec<usize>), SzError> {
+    decompress_typed_with(stream, &mut SzScratch::new())
+}
 
-    let mut next_value = |pred: f64, recon_slot: &mut f64| -> Result<(), SzError> {
-        let sym = dec
-            .decode(&mut sym_reader)
-            .map_err(|_| SzError::Corrupt("symbol stream"))?;
-        if sym == 0 {
-            let lit = lit_iter.next().ok_or(SzError::Corrupt("literal underrun"))?;
-            *recon_slot = lit.to_f64();
-        } else {
-            if !q.is_code(sym) {
-                return Err(SzError::Corrupt("symbol out of range"));
+/// [`decompress_typed`] with caller-provided scratch buffers. Repeated
+/// calls reuse the scratch's allocations (symbol array, reconstruction
+/// array, row partials); the output is identical to a fresh-scratch call.
+///
+/// Two stages: the whole symbol stream is entropy-decoded into the scratch
+/// ([`HuffmanDecoder::decode_into`]), then one loop per predictor turns
+/// symbols into values, each written to the reconstruction array the
+/// Lorenzo stencil reads (`f64`) and, narrowed, to the output.
+pub fn decompress_typed_with<T: Element>(
+    stream: &[u8],
+    s: &mut SzScratch<T>,
+) -> Result<(Vec<T>, Vec<usize>), SzError> {
+    let _span = lcpio_trace::span("sz.decompress");
+    let payload = unwrap_envelope(stream)?;
+    let p = parse_payload::<T>(&payload)?;
+    let dec = HuffmanDecoder::from_occupied(p.code_lens, p.first_symbol)
+        .map_err(|_| SzError::Corrupt("huffman table"))?;
+    let SzScratch { symbols, recon, rowp, .. } = s;
+    dec.decode_into(p.sym_bytes, p.n, symbols).map_err(|_| SzError::Corrupt("symbol stream"))?;
+
+    // Every slot of `recon` is written before the stencil reads it (a
+    // prediction only looks at rows above, planes behind and the column
+    // to the left, all earlier in coding order), so what an earlier call
+    // left there need not be cleared.
+    recon.resize(p.n, 0.0);
+    rowp.resize(if p.block_mode { p.g.nx.min(BLOCK_SIDE) } else { p.g.nx }, 0.0);
+    let mut out = vec![T::from_f64(0.0); p.n];
+    let mut rc = Reconstruct {
+        q: p.q,
+        g: p.g,
+        literals: p.lit_bytes.chunks_exact(T::BYTES),
+        recon,
+        out: &mut out,
+    };
+    if p.block_mode {
+        rc.blocks(symbols, p.block_flags, p.coeff_bytes, rowp)?;
+    } else if p.g.rank == 1 && p.order == 2 {
+        rc.order2(symbols)?;
+    } else {
+        rc.classic(symbols, rowp)?;
+    }
+    Ok((out, p.dims))
+}
+
+/// Longest run of elements the reconstruct loops prepare at once (see
+/// [`Reconstruct::addends`]); a full block fits.
+const RUN: usize = 256;
+const _: () = assert!(BLOCK_LEN <= RUN);
+
+/// What the reconstruct loops work on: the literal section they pull
+/// escaped values from in coding order, the reconstruction array (`f64`,
+/// what predictions are made from) and the output (the same values
+/// narrowed to `T`, written as they are produced).
+///
+/// Every value is `prediction + q.offset(symbol)`, the prediction's terms
+/// summed in the encoder's order, or a literal: which is why the values
+/// cannot move. The loops differ from one loop with the predictor chosen
+/// per element only in what sits on the dependency chain: a symbol's
+/// offset does not depend on the prediction, so it is worked out for a run
+/// of elements beforehand ([`Reconstruct::addends`]), where the range and
+/// escape tests are also made, once per run.
+struct Reconstruct<'a, T> {
+    q: Quantizer,
+    g: Geom,
+    literals: std::slice::ChunksExact<'a, u8>,
+    recon: &'a mut [f64],
+    out: &'a mut [T],
+}
+
+impl<T: Element> Reconstruct<'_, T> {
+    /// Per element of a run of `symbols` in coding order, what it adds to
+    /// its prediction; for an escape (symbol 0), the literal that is its
+    /// value. A symbol the quantizer has no bin for is an error (the
+    /// table's range check rules it out; the loops do not rely on that).
+    fn addends(&mut self, symbols: &[u32], addend: &mut [f64]) -> Result<(), SzError> {
+        let last_code = 2 * self.q.radius();
+        let (mut escape, mut stray) = (false, false);
+        for (a, &sym) in addend.iter_mut().zip(symbols) {
+            escape |= sym == 0;
+            stray |= sym > last_code;
+            *a = self.q.offset(sym);
+        }
+        if stray {
+            return Err(SzError::Corrupt("symbol out of range"));
+        }
+        if escape {
+            for (a, _) in addend.iter_mut().zip(symbols).filter(|(_, &sym)| sym == 0) {
+                let literal = self.literals.next().ok_or(SzError::Corrupt("literal underrun"))?;
+                *a = T::read_le(literal).to_f64();
             }
-            *recon_slot = q.reconstruct(pred, sym);
         }
         Ok(())
-    };
+    }
 
-    if block_mode {
+    /// Store the value of element `idx`.
+    #[inline(always)]
+    fn put(&mut self, idx: usize, v: f64) {
+        self.recon[idx] = v;
+        self.out[idx] = T::from_f64(v);
+    }
+
+    /// Rank-1 order-2 prediction, the two previous values carried in
+    /// locals.
+    fn order2(&mut self, symbols: &[u32]) -> Result<(), SzError> {
+        let mut addend = [0.0f64; RUN];
+        let (mut prev, mut prev2) = (0.0f64, 0.0f64);
+        for (run, syms) in symbols.chunks(RUN).enumerate() {
+            self.addends(syms, &mut addend)?;
+            for (i, (&sym, &add)) in syms.iter().zip(&addend).enumerate() {
+                let idx = run * RUN + i;
+                let v = if sym == 0 {
+                    add
+                } else {
+                    let pred = match idx {
+                        0 => 0.0,
+                        1 => prev,
+                        _ => 2.0 * prev - prev2,
+                    };
+                    pred + add
+                };
+                self.put(idx, v);
+                prev2 = prev;
+                prev = v;
+            }
+        }
+        Ok(())
+    }
+
+    /// Whole-array Lorenzo, row by row: the elementwise part of the
+    /// stencil per row, then the serial scan.
+    fn classic(&mut self, symbols: &[u32], rowp: &mut [f64]) -> Result<(), SzError> {
+        let g = self.g;
+        let mut addend = [0.0f64; RUN];
+        for (row, row_syms) in symbols.chunks_exact(g.nx).enumerate() {
+            lorenzo_3d_row_partial(self.recon, g.ny, g.nx, row / g.ny, row % g.ny, 0, g.nx, rowp);
+            let mut left = 0.0;
+            for (run, syms) in row_syms.chunks(RUN).enumerate() {
+                self.addends(syms, &mut addend)?;
+                let at = run * RUN;
+                left = self.scan_row(row * g.nx + at, left, syms, &rowp[at..], &addend);
+            }
+        }
+        Ok(())
+    }
+
+    /// The serial part of a Lorenzo row: `symbols.len()` values from index
+    /// `at` on, each its row partial plus the value to its left (`left`
+    /// for the first) plus its addend, or its literal. Returns the last.
+    #[inline]
+    fn scan_row(
+        &mut self,
+        at: usize,
+        mut left: f64,
+        symbols: &[u32],
+        partial: &[f64],
+        addend: &[f64],
+    ) -> f64 {
+        let recon = &mut self.recon[at..at + symbols.len()];
+        let out = &mut self.out[at..at + symbols.len()];
+        for ((((&sym, &partial), &add), r), o) in
+            symbols.iter().zip(partial).zip(addend).zip(recon.iter_mut()).zip(out.iter_mut())
+        {
+            left = if sym == 0 { add } else { partial + left + add };
+            *r = left;
+            *o = T::from_f64(left);
+        }
+        left
+    }
+
+    /// Block-adaptive streams: the blocks in coding order, each with the
+    /// loop of its predictor. A block's symbols are contiguous, so its
+    /// addends are one run.
+    fn blocks(
+        &mut self,
+        symbols: &[u32],
+        block_flags: &[u8],
+        coeff_bytes: &[u8],
+        rowp: &mut [f64],
+    ) -> Result<(), SzError> {
+        let g = self.g;
         let b = BLOCK_SIDE;
         let blocks = |e: usize| e.div_ceil(b);
-        let mut flag_reader = BitReader::new(&block_bit_bytes);
-        let mut coeff_idx = 0usize;
+        let mut flags = BitReader::new(block_flags);
+        let mut coeffs = coeff_bytes.chunks_exact(16);
+        let mut addend = [0.0f64; BLOCK_LEN];
+        let mut at = 0usize;
         for bk in 0..blocks(g.nz) {
             for bj in 0..blocks(g.ny) {
                 for bi in 0..blocks(g.nx) {
                     let (k0, j0, i0) = (bk * b, bj * b, bi * b);
-                    let (k1, j1, i1) =
-                        ((k0 + b).min(g.nz), (j0 + b).min(g.ny), (i0 + b).min(g.nx));
-                    let use_reg = flag_reader
-                        .read_bit()
-                        .map_err(|_| SzError::Corrupt("block flags"))?;
-                    let coeffs = if use_reg {
-                        if coeff_idx + 4 > coeff_vals.len() {
-                            return Err(SzError::Corrupt("coeff underrun"));
-                        }
-                        let c = BlockCoeffs {
-                            c: [
-                                coeff_vals[coeff_idx],
-                                coeff_vals[coeff_idx + 1],
-                                coeff_vals[coeff_idx + 2],
-                                coeff_vals[coeff_idx + 3],
-                            ],
-                        };
-                        coeff_idx += 4;
-                        Some(c)
+                    let (k1, j1, i1) = ((k0 + b).min(g.nz), (j0 + b).min(g.ny), (i0 + b).min(g.nx));
+                    let r = BlockRange { k: (k0, k1), j: (j0, j1), i: (i0, i1) };
+                    let len = (k1 - k0) * (j1 - j0) * (i1 - i0);
+                    let syms = &symbols[at..at + len];
+                    at += len;
+                    self.addends(syms, &mut addend)?;
+                    if flags.read_bit().map_err(|_| SzError::Corrupt("block flags"))? {
+                        let c = coeffs.next().ok_or(SzError::Corrupt("coeff underrun"))?;
+                        let c = [0, 4, 8, 12]
+                            .map(|o| f32::from_le_bytes([c[o], c[o + 1], c[o + 2], c[o + 3]]));
+                        self.regression_block(r, &BlockCoeffs { c }, syms, &addend);
+                    } else if len == BLOCK_LEN && j0 > 0 && i0 > 0 {
+                        let syms = syms.try_into().expect("a full block's symbols");
+                        self.lorenzo_block_interior(r, syms, &addend);
                     } else {
-                        None
-                    };
-                    for k in k0..k1 {
-                        for j in j0..j1 {
-                            match &coeffs {
-                                Some(c) => {
-                                    for i in i0..i1 {
-                                        let idx = (k * g.ny + j) * g.nx + i;
-                                        let pred = c.predict(i - i0, j - j0, k - k0);
-                                        next_value(pred, &mut recon[idx])?;
-                                    }
-                                }
-                                None => {
-                                    lorenzo_3d_row_partial(
-                                        recon, g.ny, g.nx, k, j, i0, i1, rowp,
-                                    );
-                                    for i in i0..i1 {
-                                        let idx = (k * g.ny + j) * g.nx + i;
-                                        let left = if i > 0 { recon[idx - 1] } else { 0.0 };
-                                        next_value(rowp[i - i0] + left, &mut recon[idx])?;
-                                    }
-                                }
-                            }
-                        }
+                        self.lorenzo_block(r, syms, &addend, rowp);
                     }
                 }
             }
         }
-    } else if g.rank == 1 && order == 2 {
-        // Same peeled form as the encoder: carry the two previous
-        // reconstructions in locals, predictor branch hoisted out.
-        let mut prev = 0.0f64;
-        let mut prev2 = 0.0f64;
-        for (idx, r) in recon.iter_mut().enumerate().take(n.min(2)) {
-            let pred = if idx == 0 { 0.0 } else { prev };
-            next_value(pred, r)?;
-            prev2 = prev;
-            prev = *r;
-        }
-        for r in recon.iter_mut().take(n).skip(2) {
-            let pred = 2.0 * prev - prev2;
-            next_value(pred, r)?;
-            prev2 = prev;
-            prev = *r;
-        }
-    } else {
-        let mut idx = 0usize;
-        for k in 0..g.nz {
-            for j in 0..g.ny {
-                lorenzo_3d_row_partial(recon, g.ny, g.nx, k, j, 0, g.nx, rowp);
-                for (i, &rp) in rowp.iter().enumerate() {
-                    let left = if i > 0 { recon[idx - 1] } else { 0.0 };
-                    next_value(rp + left, &mut recon[idx])?;
-                    idx += 1;
+        Ok(())
+    }
+
+    /// A regression block: predictions come from the coefficients alone,
+    /// so nothing is carried from one element to the next.
+    fn regression_block(
+        &mut self,
+        r: BlockRange,
+        coeffs: &BlockCoeffs,
+        symbols: &[u32],
+        addend: &[f64],
+    ) {
+        let g = self.g;
+        let width = r.i.1 - r.i.0;
+        let mut rows = symbols.chunks_exact(width).zip(addend.chunks_exact(width));
+        for k in r.k.0..r.k.1 {
+            for j in r.j.0..r.j.1 {
+                let row = coeffs.row(j - r.j.0, k - r.k.0);
+                let at = (k * g.ny + j) * g.nx + r.i.0;
+                let (syms, adds) = rows.next().expect("one row of symbols per block row");
+                for (i, (&sym, &add)) in syms.iter().zip(adds).enumerate() {
+                    self.put(at + i, if sym == 0 { add } else { row.at(i) + add });
                 }
             }
         }
     }
 
-    Ok((recon.iter().map(|&v| T::from_f64(v)).collect(), dims))
+    /// A Lorenzo block, its rows taken by anti-diagonal (`k + j`
+    /// ascending) instead of in storage order. A row's prediction reads
+    /// the row above it and the two rows in the plane behind, which lie on
+    /// the two diagonals before its own, so every row still comes after
+    /// all it is predicted from and gets the very values the storage order
+    /// gives it. What the order buys: the rows of one diagonal do not
+    /// depend on each other, so their serial scans (two dependent adds per
+    /// element) overlap in the pipeline, where consecutive rows in storage
+    /// order each wait for the one before.
+    fn lorenzo_block(&mut self, r: BlockRange, symbols: &[u32], addend: &[f64], rowp: &mut [f64]) {
+        let g = self.g;
+        let (nk, nj, ni) = (r.k.1 - r.k.0, r.j.1 - r.j.0, r.i.1 - r.i.0);
+        for diagonal in 0..nk + nj - 1 {
+            for k in diagonal.saturating_sub(nj - 1)..=diagonal.min(nk - 1) {
+                let j = diagonal - k;
+                let (gk, gj) = (r.k.0 + k, r.j.0 + j);
+                lorenzo_3d_row_partial(self.recon, g.ny, g.nx, gk, gj, r.i.0, r.i.1, rowp);
+                let at = (gk * g.ny + gj) * g.nx + r.i.0;
+                let left = if r.i.0 > 0 { self.recon[at - 1] } else { 0.0 };
+                let done = (k * nj + j) * ni;
+                let row = done..done + ni;
+                self.scan_row(at, left, &symbols[row.clone()], rowp, &addend[row]);
+            }
+        }
+    }
+
+    /// [`Reconstruct::lorenzo_block`] for a full block with a row above
+    /// and a column to its left — nearly all of a field's blocks — with
+    /// every extent a constant: the row partials ([`lorenzo_3d_row_partial`]'s
+    /// operations on `BLOCK_SIDE + 1` columns) and the scan work on fixed
+    /// arrays, unrolled and free of bounds checks.
+    ///
+    /// Out of line on purpose: inlined into [`Reconstruct::blocks`] and on
+    /// into `decompress_typed_with`, its row loop shares registers with
+    /// everything there and spills (`sz.default3d_decompress_mbps` reads a
+    /// third lower).
+    #[inline(never)]
+    fn lorenzo_block_interior(
+        &mut self,
+        r: BlockRange,
+        symbols: &[u32; BLOCK_LEN],
+        addend: &[f64; BLOCK_LEN],
+    ) {
+        const B: usize = BLOCK_SIDE;
+        let g = self.g;
+        let plane = g.ny * g.nx;
+        // Row `at - 1..at + B` of the reconstruction: a block row with the
+        // column to its left.
+        fn wide(recon: &[f64], at: usize) -> &[f64; B + 1] {
+            recon[at - 1..at + B].try_into().expect("B + 1 columns")
+        }
+        for diagonal in 0..2 * B - 1 {
+            for k in diagonal.saturating_sub(B - 1)..=diagonal.min(B - 1) {
+                let j = diagonal - k;
+                let at = ((r.k.0 + k) * g.ny + r.j.0 + j) * g.nx + r.i.0;
+                let above = wide(self.recon, at - g.nx);
+                let partial: [f64; B] = if r.k.0 + k > 0 {
+                    let behind = wide(self.recon, at - plane);
+                    let behind_above = wide(self.recon, at - plane - g.nx);
+                    let sum: [f64; B + 1] =
+                        std::array::from_fn(|i| above[i] + behind[i] - behind_above[i]);
+                    std::array::from_fn(|i| sum[i + 1] - sum[i])
+                } else {
+                    std::array::from_fn(|i| above[i + 1] - above[i])
+                };
+                let done = (k * B + j) * B;
+                let mut left = self.recon[at - 1];
+                let values: [f64; B] = std::array::from_fn(|i| {
+                    let (sym, add) = (symbols[done + i], addend[done + i]);
+                    left = if sym == 0 { add } else { partial[i] + left + add };
+                    left
+                });
+                self.recon[at..at + B].copy_from_slice(&values);
+                self.out[at..at + B].copy_from_slice(&values.map(T::from_f64));
+            }
+        }
+    }
 }
 
 /// Decompress an `f32` stream.
@@ -1033,6 +1247,8 @@ pub fn decompress_f64(stream: &[u8]) -> Result<(Vec<f64>, Vec<usize>), SzError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generators::{salted_field, special32};
+    use crate::huffman::ReferenceDecoder;
     use proptest::prelude::*;
 
     /// The block encoder `encode_blocks` replaced, kept as its executable
@@ -1116,6 +1332,279 @@ mod tests {
             }
         }
         (regression_blocks, lorenzo_blocks)
+    }
+
+    /// The decode loop `decompress_typed_with` replaced, kept as its
+    /// executable specification (behind the same header parse): one symbol
+    /// at a time through the reference Huffman walk, the predictor chosen
+    /// and the escape and range tests made per element, rows in storage
+    /// order, the output narrowed in a second pass.
+    fn decompress_reference<T: Element>(stream: &[u8]) -> Result<(Vec<T>, Vec<usize>), SzError> {
+        let payload = unwrap_envelope(stream)?;
+        let Payload {
+            dims,
+            g,
+            block_mode,
+            order,
+            q,
+            n,
+            first_symbol,
+            code_lens,
+            sym_bytes,
+            lit_bytes,
+            block_flags,
+            coeff_bytes,
+        } = parse_payload::<T>(&payload)?;
+        let mut all_lens = vec![0u8; q.alphabet_size()];
+        all_lens[first_symbol..first_symbol + code_lens.len()].copy_from_slice(code_lens);
+        let dec = ReferenceDecoder::from_lengths(&all_lens)
+            .map_err(|_| SzError::Corrupt("huffman table"))?;
+        let literals: Vec<T> = lit_bytes.chunks_exact(T::BYTES).map(T::read_le).collect();
+        let block_bit_bytes = block_flags;
+        let coeff_vals: Vec<f32> = coeff_bytes
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+            .collect();
+
+        let mut sym_reader = BitReader::new(sym_bytes);
+        let mut lit_iter = literals.iter();
+        let mut recon = vec![0.0f64; n];
+        let mut rowp = vec![0.0f64; if block_mode { g.nx.min(BLOCK_SIDE) } else { g.nx }];
+        let mut next_value = |pred: f64, recon_slot: &mut f64| -> Result<(), SzError> {
+            let sym = dec.decode(&mut sym_reader).map_err(|_| SzError::Corrupt("symbol stream"))?;
+            if sym == 0 {
+                let lit = lit_iter.next().ok_or(SzError::Corrupt("literal underrun"))?;
+                *recon_slot = lit.to_f64();
+            } else {
+                if !q.is_code(sym) {
+                    return Err(SzError::Corrupt("symbol out of range"));
+                }
+                *recon_slot = q.reconstruct(pred, sym);
+            }
+            Ok(())
+        };
+
+        if block_mode {
+            let b = BLOCK_SIDE;
+            let blocks = |e: usize| e.div_ceil(b);
+            let mut flag_reader = BitReader::new(block_bit_bytes);
+            let mut coeff_idx = 0usize;
+            for bk in 0..blocks(g.nz) {
+                for bj in 0..blocks(g.ny) {
+                    for bi in 0..blocks(g.nx) {
+                        let (k0, j0, i0) = (bk * b, bj * b, bi * b);
+                        let (k1, j1, i1) =
+                            ((k0 + b).min(g.nz), (j0 + b).min(g.ny), (i0 + b).min(g.nx));
+                        let use_reg =
+                            flag_reader.read_bit().map_err(|_| SzError::Corrupt("block flags"))?;
+                        let coeffs = if use_reg {
+                            if coeff_idx + 4 > coeff_vals.len() {
+                                return Err(SzError::Corrupt("coeff underrun"));
+                            }
+                            let c: [f32; 4] =
+                                coeff_vals[coeff_idx..coeff_idx + 4].try_into().unwrap();
+                            coeff_idx += 4;
+                            Some(BlockCoeffs { c })
+                        } else {
+                            None
+                        };
+                        for k in k0..k1 {
+                            for j in j0..j1 {
+                                match &coeffs {
+                                    Some(c) => {
+                                        for i in i0..i1 {
+                                            let idx = (k * g.ny + j) * g.nx + i;
+                                            let pred = c.predict(i - i0, j - j0, k - k0);
+                                            next_value(pred, &mut recon[idx])?;
+                                        }
+                                    }
+                                    None => {
+                                        lorenzo_3d_row_partial(
+                                            &recon, g.ny, g.nx, k, j, i0, i1, &mut rowp,
+                                        );
+                                        for i in i0..i1 {
+                                            let idx = (k * g.ny + j) * g.nx + i;
+                                            let left = if i > 0 { recon[idx - 1] } else { 0.0 };
+                                            next_value(rowp[i - i0] + left, &mut recon[idx])?;
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        } else if g.rank == 1 && order == 2 {
+            let mut prev = 0.0f64;
+            let mut prev2 = 0.0f64;
+            for (idx, r) in recon.iter_mut().enumerate() {
+                let pred = match idx {
+                    0 => 0.0,
+                    1 => prev,
+                    _ => 2.0 * prev - prev2,
+                };
+                next_value(pred, r)?;
+                prev2 = prev;
+                prev = *r;
+            }
+        } else {
+            let mut idx = 0usize;
+            for k in 0..g.nz {
+                for j in 0..g.ny {
+                    lorenzo_3d_row_partial(&recon, g.ny, g.nx, k, j, 0, g.nx, &mut rowp);
+                    for (i, &rp) in rowp.iter().enumerate() {
+                        let left = if i > 0 { recon[idx - 1] } else { 0.0 };
+                        next_value(rp + left, &mut recon[idx])?;
+                        idx += 1;
+                    }
+                }
+            }
+        }
+        Ok((recon.iter().map(|&v| T::from_f64(v)).collect(), dims))
+    }
+
+    /// The new decoder against the reference on one stream, with a fresh
+    /// scratch and with one that an unrelated, larger decode has left full
+    /// of stale values: equal dims and equal values bit for bit, or an
+    /// error from both. `valid` says the stream is as the encoder wrote
+    /// it. A damaged one can make either decoder add NaNs to NaNs, which
+    /// no encoder output does (a NaN prediction always escapes); the
+    /// payload such a sum carries is the compiler's choice of operand
+    /// order, so there a NaN only has to meet a NaN.
+    fn assert_decode_matches_reference<T: Element>(
+        stream: &[u8],
+        stale: &mut SzScratch<T>,
+        valid: bool,
+    ) {
+        let bits = |x: &T| {
+            let mut b = Vec::new();
+            x.write_le(&mut b);
+            b
+        };
+        let want = decompress_reference::<T>(stream).ok();
+        assert!(want.is_some() || !valid, "the reference refuses an encoder's stream");
+        for scratch in [&mut SzScratch::new(), stale] {
+            let got = decompress_typed_with::<T>(stream, scratch).ok();
+            match (&got, &want) {
+                (Some((values, dims)), Some((ref_values, ref_dims))) => {
+                    assert_eq!(dims, ref_dims);
+                    assert_eq!(values.len(), ref_values.len());
+                    for (i, (v, r)) in values.iter().zip(ref_values).enumerate() {
+                        let both_nan = v.to_f64().is_nan() && r.to_f64().is_nan();
+                        assert!(
+                            bits(v) == bits(r) || (!valid && both_nan),
+                            "element {i} of {dims:?}: {v:?} ({:?}), reference {r:?} ({:?})",
+                            bits(v),
+                            bits(r)
+                        );
+                    }
+                }
+                (None, None) => {}
+                _ => panic!("new decoder ok: {}, reference ok: {}", got.is_some(), want.is_some()),
+            }
+        }
+    }
+
+    /// A scratch whose decode-side buffers hold the leftovers of a field
+    /// larger than anything the tests below decode, none of it zero.
+    fn stale_scratch<T: Element>() -> SzScratch<T> {
+        let dims = [9usize, 26, 27];
+        let data: Vec<T> = (0..dims.iter().product::<usize>())
+            .map(|i| T::from_f64(1.0e5 + (i as f64 * 0.37).sin() * 3.0e4))
+            .collect();
+        let cfg = SzConfig::new(ErrorBound::Absolute(1e-2));
+        let out = compress_typed(&data, &dims, &cfg).unwrap();
+        let mut scratch = SzScratch::new();
+        decompress_typed_with::<T>(&out.bytes, &mut scratch).unwrap();
+        scratch
+    }
+
+    /// Shapes of rank 1 to 4 over `n0·n1·n2` elements; the extents are not
+    /// multiples of `BLOCK_SIDE` more often than they are.
+    fn shape(rank: usize, n0: usize, n1: usize, n2: usize) -> Vec<usize> {
+        match rank {
+            1 => vec![n0 * n1 * n2],
+            2 => vec![n0 * n1, n2],
+            3 => vec![n0, n1, n2],
+            _ => vec![n0.div_ceil(2), 2, n1, n2],
+        }
+    }
+
+    #[test]
+    fn decoder_matches_reference_on_mixed_fields() {
+        // Regression and Lorenzo blocks, full interior blocks and every
+        // partial extent, first-plane blocks, literals (NaN, Inf, -0.0),
+        // 2-D and fused 4-D geometry, the classic and the rank-1 loops.
+        let (mut stale32, mut stale64) = (stale_scratch::<f32>(), stale_scratch::<f64>());
+        for (dims, eb) in [
+            (vec![13usize, 20, 19], 1e-3),
+            (vec![12, 18, 18], 1e-2),
+            (vec![6, 12, 12], 1e-5),
+            (vec![7, 6, 25], 1e-1),
+            (vec![40, 50], 1e-3),
+            (vec![2, 7, 13, 14], 1e-3),
+            (vec![1000], 1e-3),
+        ] {
+            let data = mixed_field(&dims, 0x9e37_79b9);
+            let data64: Vec<f64> = data.iter().map(|&v| v as f64).collect();
+            for mode in [PredictorMode::BlockAdaptive, PredictorMode::Lorenzo] {
+                for radius in [Quantizer::DEFAULT_RADIUS, 4] {
+                    let cfg =
+                        SzConfig::new(ErrorBound::Absolute(eb)).with_mode(mode).with_radius(radius);
+                    let out = compress_typed(&data, &dims, &cfg).unwrap();
+                    assert_decode_matches_reference::<f32>(&out.bytes, &mut stale32, true);
+                    let out = compress_typed(&data64, &dims, &cfg).unwrap();
+                    assert_decode_matches_reference::<f64>(&out.bytes, &mut stale64, true);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn prop_decoder_matches_reference_on_adversarial_fields(
+            rank in 1usize..5,
+            n0 in 1usize..15,
+            n1 in 1usize..21,
+            n2 in 1usize..27,
+            seed in any::<u64>(),
+            density in 0u32..101,
+            specials in proptest::collection::vec(special32(), 48..49),
+            eb in prop_oneof![3 => Just(1e-3f64), 1 => Just(1e-1f64), 1 => Just(1e-6f64)],
+            lorenzo in any::<bool>(),
+            order in 1u8..3,
+            lossless in any::<bool>(),
+            escape_heavy in any::<bool>(),
+            flips in proptest::collection::vec((any::<u32>(), 0u8..8), 0..3),
+        ) {
+            let dims = shape(rank, n0, n1, n2);
+            let data = salted_field(dims.iter().product(), seed, density, &specials);
+            let data64: Vec<f64> = data.iter().map(|&v| v as f64).collect();
+            let mode = if lorenzo { PredictorMode::Lorenzo } else { PredictorMode::BlockAdaptive };
+            let mut cfg = SzConfig::new(ErrorBound::Absolute(eb))
+                .with_mode(mode)
+                .with_lossless(lossless)
+                // Four bins a side: most residuals escape to literals.
+                .with_radius(if escape_heavy { 4 } else { Quantizer::DEFAULT_RADIUS });
+            cfg.lorenzo_order = order;
+            let (mut stale32, mut stale64) = (stale_scratch::<f32>(), stale_scratch::<f64>());
+            let mut out32 = compress_typed(&data, &dims, &cfg).unwrap().bytes;
+            let mut out64 = compress_typed(&data64, &dims, &cfg).unwrap().bytes;
+            assert_decode_matches_reference::<f32>(&out32, &mut stale32, true);
+            assert_decode_matches_reference::<f64>(&out64, &mut stale64, true);
+            // The same streams with a few bits flipped: whatever the
+            // reference makes of them, the new decoder makes too.
+            for out in [&mut out32, &mut out64] {
+                for &(at, bit) in &flips {
+                    let at = at as usize % out.len();
+                    out[at] ^= 1 << bit;
+                }
+            }
+            assert_decode_matches_reference::<f32>(&out32, &mut stale32, flips.is_empty());
+            assert_decode_matches_reference::<f64>(&out64, &mut stale64, flips.is_empty());
+        }
     }
 
     /// Everything `encode_blocks` leaves in the scratch must be what the

@@ -160,11 +160,21 @@ impl Quantizer {
         Some((sym, predicted + q * self.twoeb))
     }
 
+    /// What a code's bin adds to the prediction: `(symbol − radius)·2·eb`.
+    /// It does not depend on the prediction, so a decoder can have it
+    /// ready before the prediction is. `symbol` must be at most
+    /// `2·radius`: the bin index is taken in 32 bits (codes end at 2^21),
+    /// which is what lets a loop over symbols convert several at once.
+    #[inline]
+    pub fn offset(&self, symbol: u32) -> f64 {
+        let q = symbol as i32 - self.radius as i32;
+        q as f64 * 2.0 * self.eb
+    }
+
     /// Reconstruct a value from its prediction and symbol.
     #[inline]
     pub fn reconstruct(&self, predicted: f64, symbol: u32) -> f64 {
-        let q = symbol as i64 - self.radius as i64;
-        predicted + q as f64 * 2.0 * self.eb
+        predicted + self.offset(symbol)
     }
 
     /// True if `symbol` is a valid in-range code (not the escape).

@@ -8,6 +8,9 @@
 //! The kernel switch is process-global, so every test in this binary
 //! serializes on one mutex before flipping it.
 
+mod generators;
+
+use generators::{salted_field, special32};
 use lcpio_sz::kernels;
 use lcpio_sz::{compress_typed, decompress_typed, ErrorBound, PredictorMode, SzConfig};
 use proptest::prelude::*;
@@ -16,23 +19,6 @@ use std::sync::{Mutex, OnceLock};
 fn dispatch_lock() -> &'static Mutex<()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
-}
-
-/// One value drawn from the classes that historically break vectorized
-/// float kernels.
-fn special32() -> impl Strategy<Value = f32> {
-    prop_oneof![
-        2 => Just(f32::NAN),
-        2 => Just(f32::INFINITY),
-        2 => Just(f32::NEG_INFINITY),
-        2 => Just(1.0e-40f32), // subnormal
-        1 => Just(-1.0e-45f32), // smallest-magnitude subnormal
-        2 => Just(-0.0f32),
-        2 => Just(0.0f32),
-        2 => Just(3.0e38f32), // finite but escapes every bound
-        2 => Just(-3.0e38f32),
-        3 => -1.0e6f32..1.0e6f32,
-    ]
 }
 
 /// Compress with both dispatch modes, assert identical bytes, then check
@@ -114,21 +100,7 @@ proptest! {
             _ => vec![nz, ny, nx],
         };
         let n: usize = dims.iter().product();
-        // Smooth base signal salted with special values at `density`%.
-        let mut s = seed | 1;
-        let data: Vec<f32> = (0..n)
-            .map(|i| {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                if (s % 100) < density as u64 {
-                    specials[(s >> 32) as usize % specials.len()]
-                } else {
-                    let x = i as f32 * 0.01;
-                    x.sin() * 50.0 + (s >> 56) as f32 * 0.01
-                }
-            })
-            .collect();
+        let data = salted_field(n, seed, density, &specials);
         let mode = if lorenzo { PredictorMode::Lorenzo } else { PredictorMode::BlockAdaptive };
         let cfg = SzConfig::new(ErrorBound::Absolute(eb)).with_mode(mode).with_lossless(lossless);
         let _guard = dispatch_lock().lock().unwrap();
