@@ -937,6 +937,8 @@ pub fn decompress_typed_with<T: Element>(
         .map_err(|_| SzError::Corrupt("huffman table"))?;
     let SzScratch { symbols, recon, rowp, .. } = s;
     dec.decode_into(p.sym_bytes, p.n, symbols).map_err(|_| SzError::Corrupt("symbol stream"))?;
+    // The tables need not sit under the output's allocation.
+    drop(dec);
 
     // Every slot of `recon` is written before the stencil reads it (a
     // prediction only looks at rows above, planes behind and the column
