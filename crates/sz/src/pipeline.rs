@@ -1191,8 +1191,8 @@ impl<T: Element> Reconstruct<'_, T> {
     ///
     /// Out of line on purpose: inlined into [`Reconstruct::blocks`] and on
     /// into `decompress_typed_with`, its row loop shares registers with
-    /// everything there and spills (`sz.default3d_decompress_mbps` reads a
-    /// third lower).
+    /// everything there and spills (the reconstruct stage then takes half
+    /// as long again).
     #[inline(never)]
     fn lorenzo_block_interior(
         &mut self,
