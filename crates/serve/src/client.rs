@@ -17,7 +17,7 @@ use lcpio_codec::BoundSpec;
 use lcpio_core::PolicyKind;
 
 use crate::protocol::{self, Op, ProtoError, Request, Response};
-use crate::server::Endpoint;
+use crate::server::{Conn, Endpoint};
 
 /// How long a client waits on one response before giving up with an I/O
 /// error (a guard against a hung server, not a protocol feature).
@@ -73,36 +73,6 @@ pub struct CompressOptions {
     pub policy: Option<PolicyKind>,
 }
 
-enum Stream {
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Stream::Unix(s) => s.read(buf),
-            Stream::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Stream::Unix(s) => s.write(buf),
-            Stream::Tcp(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Stream::Unix(s) => s.flush(),
-            Stream::Tcp(s) => s.flush(),
-        }
-    }
-}
-
 /// One blocking connection to a compression service.
 ///
 /// # Examples
@@ -134,7 +104,7 @@ impl Write for Stream {
 /// server.wait();
 /// ```
 pub struct Client {
-    stream: Stream,
+    stream: Conn,
     buf: Vec<u8>,
     next_id: u64,
 }
@@ -150,20 +120,17 @@ impl Client {
 
     /// Connect to a Unix-domain socket.
     pub fn connect_unix(path: impl AsRef<Path>) -> Result<Client, ClientError> {
-        let s = UnixStream::connect(path)?;
-        s.set_read_timeout(Some(RESPONSE_TIMEOUT))?;
-        Ok(Client::new(Stream::Unix(s)))
+        Client::new(Conn::Unix(UnixStream::connect(path)?))
     }
 
     /// Connect to a TCP address (`host:port`).
     pub fn connect_tcp(addr: &str) -> Result<Client, ClientError> {
-        let s = TcpStream::connect(addr)?;
-        s.set_read_timeout(Some(RESPONSE_TIMEOUT))?;
-        Ok(Client::new(Stream::Tcp(s)))
+        Client::new(Conn::Tcp(TcpStream::connect(addr)?))
     }
 
-    fn new(stream: Stream) -> Client {
-        Client { stream, buf: Vec::new(), next_id: 1 }
+    fn new(stream: Conn) -> Result<Client, ClientError> {
+        stream.set_read_timeout(RESPONSE_TIMEOUT)?;
+        Ok(Client { stream, buf: Vec::new(), next_id: 1 })
     }
 
     fn fresh_id(&mut self) -> u64 {

@@ -1,6 +1,5 @@
 //! Mixed-workload client driver: the load generator behind
-//! `lcpio-cli serve --drive`, the `ext_serve` bench, and the CI serve
-//! integration leg.
+//! `lcpio-cli serve --drive` and the CI serve integration leg.
 //!
 //! The workload interleaves compress, decompress, and info requests over
 //! the CESM+HACC chunk stream from `lcpio_core::policy` — the same

@@ -12,8 +12,8 @@
 //! and typed-error stance, with compressed payloads being ordinary
 //! self-describing containers (LCW1 or legacy). [`server`] hosts the
 //! daemon, [`client`] the blocking client API, and [`driver`] the
-//! mixed-workload load generator behind the `ext_serve` bench and the
-//! CI integration leg.
+//! mixed-workload load generator behind `serve --drive` and the CI
+//! integration leg.
 //!
 //! # Examples
 //!

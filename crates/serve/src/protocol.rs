@@ -501,12 +501,13 @@ impl Request {
         if !self.payload.len().is_multiple_of(4) {
             return Err(ProtoError::BadRequest { what: "payload is not whole f32 elements" });
         }
-        let n: usize = self
+        let byte_len = self
             .dims
             .iter()
             .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+            .and_then(|n| n.checked_mul(4))
             .ok_or(ProtoError::LimitExceeded { what: "dims product" })?;
-        if n * 4 != self.payload.len() {
+        if byte_len != self.payload.len() {
             return Err(ProtoError::BadRequest { what: "dims do not match payload length" });
         }
         Ok(self
@@ -934,12 +935,16 @@ mod tests {
             forged.elements().unwrap_err(),
             ProtoError::BadRequest { what: "dims do not match payload length" }
         );
-        let mut overflow = req;
-        overflow.dims = vec![usize::MAX, usize::MAX];
-        assert_eq!(
-            overflow.elements().unwrap_err(),
-            ProtoError::LimitExceeded { what: "dims product" }
-        );
+        // The element count may fit a `usize` while its byte length does
+        // not: with an empty payload, `(1 << 62) * 4` wrapping to 0 would
+        // pass as "0 elements".
+        for dims in [vec![usize::MAX, usize::MAX], vec![1 << 62]] {
+            let overflow = Request { dims, payload: Vec::new(), ..req.clone() };
+            assert_eq!(
+                overflow.elements().unwrap_err(),
+                ProtoError::LimitExceeded { what: "dims product" }
+            );
+        }
     }
 
     #[test]

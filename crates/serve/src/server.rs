@@ -55,11 +55,10 @@ const TICK: Duration = Duration::from_millis(25);
 
 /// Worker-side service-time shaping, the serve-side analogue of the
 /// pipeline's `FailurePlan`. All-zero by default. The failure suite uses
-/// it to make queue-full and drain states deterministically reachable;
-/// the `ext_serve` bench uses it to model an I/O-bound request regime
-/// (each request holding its worker for the modeled NFS-write phase of a
-/// checkpoint) where shard concurrency — not per-core compute — sets
-/// throughput.
+/// it to make queue-full and drain states deterministically reachable,
+/// and to model an I/O-bound request regime (each request holding its
+/// worker for the NFS-write phase of a checkpoint) where shard
+/// concurrency — not per-core compute — sets throughput.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Hold the worker this long before executing each
@@ -131,8 +130,9 @@ impl std::fmt::Display for Endpoint {
     }
 }
 
-/// Either kind of connected stream, unified behind `Read`/`Write`.
-enum Conn {
+/// Either kind of connected stream, unified behind `Read`/`Write`: the
+/// server's accepted connections and the [`crate::client::Client`]'s end.
+pub(crate) enum Conn {
     Unix(UnixStream),
     Tcp(TcpStream),
 }
@@ -145,7 +145,7 @@ impl Conn {
         })
     }
 
-    fn set_read_timeout(&self, d: Duration) -> io::Result<()> {
+    pub(crate) fn set_read_timeout(&self, d: Duration) -> io::Result<()> {
         match self {
             Conn::Unix(s) => s.set_read_timeout(Some(d)),
             Conn::Tcp(s) => s.set_read_timeout(Some(d)),

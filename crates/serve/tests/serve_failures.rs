@@ -9,7 +9,9 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use lcpio_serve::protocol::{self, status, Op, Request, Response};
-use lcpio_serve::{Client, CompressOptions, Endpoint, FaultPlan, ServeConfig, Server};
+use lcpio_serve::{
+    drive, Client, CompressOptions, Endpoint, FaultPlan, ServeConfig, Server, WorkloadConfig,
+};
 
 fn tcp_server(cfg: ServeConfig) -> (Server, String) {
     let server = Server::bind(&Endpoint::Tcp("127.0.0.1:0".to_string()), cfg).expect("bind");
@@ -50,6 +52,18 @@ fn sample_field(n: usize) -> Vec<f32> {
     (0..n).map(|i| (i as f32 * 0.02).sin()).collect()
 }
 
+/// A fixed-policy SZ compress request at abs 1e-3, the suite's stock work.
+fn sz_request(id: u64, data: &[f32], dims: &[usize]) -> Request {
+    Request::compress(
+        id,
+        data,
+        dims,
+        lcpio_codec::CodecId::Sz,
+        lcpio_codec::BoundSpec::Absolute(1e-3),
+        lcpio_core::PolicyKind::Fixed,
+    )
+}
+
 #[test]
 fn mid_request_disconnect_is_tolerated() {
     let cfg = ServeConfig {
@@ -61,15 +75,7 @@ fn mid_request_disconnect_is_tolerated() {
 
     // Send a whole compress request, then vanish while it is in flight.
     {
-        let data = sample_field(1024);
-        let req = Request::compress(
-            7,
-            &data,
-            &[1024],
-            lcpio_codec::CodecId::Sz,
-            lcpio_codec::BoundSpec::Absolute(1e-3),
-            lcpio_core::PolicyKind::Fixed,
-        );
+        let req = sz_request(7, &sample_field(1024), &[1024]);
         let mut s = raw_conn(&addr);
         s.write_all(&req.encode()).expect("write");
         // Dropping the stream closes the socket with the response pending.
@@ -157,15 +163,7 @@ fn oversized_claims_are_limit_errors() {
         let cfg = ServeConfig { max_payload: 4096, ..ServeConfig::default() };
         let (server, addr) = tcp_server(cfg);
         let mut s = raw_conn(&addr);
-        let data = sample_field(4096); // 16 KiB > 4 KiB cap
-        let req = Request::compress(
-            3,
-            &data,
-            &[4096],
-            lcpio_codec::CodecId::Sz,
-            lcpio_codec::BoundSpec::Absolute(1e-3),
-            lcpio_core::PolicyKind::Fixed,
-        );
+        let req = sz_request(3, &sample_field(4096), &[4096]); // 16 KiB > 4 KiB cap
         s.write_all(&req.encode()).expect("write");
         let resp = &read_responses(&mut s, 1)[0];
         assert_eq!(resp.status, status::LIMIT);
@@ -208,17 +206,7 @@ fn queue_full_is_a_typed_busy_error() {
     let data = sample_field(512);
     let mut batch = Vec::new();
     for id in 1..=3u64 {
-        batch.extend_from_slice(
-            &Request::compress(
-                id,
-                &data,
-                &[512],
-                lcpio_codec::CodecId::Sz,
-                lcpio_codec::BoundSpec::Absolute(1e-3),
-                lcpio_core::PolicyKind::Fixed,
-            )
-            .encode(),
-        );
+        batch.extend_from_slice(&sz_request(id, &data, &[512]).encode());
     }
     // One write: the worker is pinned for 500 ms per request, the queue
     // holds one, so of three pipelined requests at least one must be
@@ -251,17 +239,7 @@ fn drain_completes_in_flight_work_and_rejects_new_requests() {
     let (server, addr) = tcp_server(cfg);
     let mut s = raw_conn(&addr);
     let data = sample_field(512);
-    let compress = |id: u64| {
-        Request::compress(
-            id,
-            &data,
-            &[512],
-            lcpio_codec::CodecId::Sz,
-            lcpio_codec::BoundSpec::Absolute(1e-3),
-            lcpio_core::PolicyKind::Fixed,
-        )
-        .encode()
-    };
+    let compress = |id: u64| sz_request(id, &data, &[512]).encode();
     // Pipelined in one write: slow compress, shutdown, another compress.
     let mut batch = compress(1);
     batch.extend_from_slice(&Request::control(2, Op::Shutdown).encode());
@@ -307,14 +285,7 @@ fn unknown_op_and_bad_request_leave_connection_usable() {
     let mut client = Client::connect_tcp(&addr).expect("connect");
 
     // Dims that do not match the payload: typed BAD_REQUEST.
-    let mut req = Request::compress(
-        5,
-        &sample_field(256),
-        &[256],
-        lcpio_codec::CodecId::Sz,
-        lcpio_codec::BoundSpec::Absolute(1e-3),
-        lcpio_core::PolicyKind::Fixed,
-    );
+    let mut req = sz_request(5, &sample_field(256), &[256]);
     req.dims = vec![999];
     let resp = client.call(&req).expect("call");
     assert_eq!(resp.status, status::BAD_REQUEST);
@@ -331,6 +302,61 @@ fn unknown_op_and_bad_request_leave_connection_usable() {
     assert_eq!(resp.status, status::OK);
     server.shutdown();
     server.wait();
+}
+
+#[test]
+fn forged_dims_whose_byte_length_overflows_get_a_typed_status() {
+    // 2^62 elements fit a `usize`, their byte length does not. Unchecked,
+    // `n * 4` panics the only worker (no reply for that seq, so the
+    // ordered writer wedges the connection) or, wrapping to 0, matches the
+    // empty payload.
+    let (server, addr) = tcp_server(ServeConfig { workers: 1, ..ServeConfig::default() });
+    let mut s = raw_conn(&addr);
+    s.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+    // Pipelined in one write: the forged request, a ping behind it (answered
+    // inline, so it waits on the writer's order), real work for the shard.
+    let mut batch = sz_request(1, &[], &[1 << 62]).encode();
+    batch.extend_from_slice(&Request::control(2, Op::Ping).encode());
+    batch.extend_from_slice(&sz_request(3, &sample_field(256), &[256]).encode());
+    s.write_all(&batch).expect("write");
+    let resps = read_responses(&mut s, 3);
+    assert_eq!(resps.iter().map(|r| r.id).collect::<Vec<_>>(), vec![1, 2, 3]);
+    assert_eq!(resps[0].status, status::LIMIT, "{}", resps[0].message);
+    assert!(resps[0].message.contains("dims product"), "{}", resps[0].message);
+    assert_eq!(resps[1].status, status::OK);
+    assert_eq!(resps[2].status, status::OK, "{}", resps[2].message);
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
+fn held_requests_overlap_across_shards() {
+    // Each request holds its worker for a 15 ms sleep (the stand-in for a
+    // checkpoint service's write phase), so one shard needs 64 holds end to
+    // end and four need 16 each whatever the core count: admission that
+    // did not spread work across shards would show no gain.
+    let workload = WorkloadConfig {
+        requests: 64,
+        clients: 8,
+        chunk_elements: 8 * 1024,
+        ..WorkloadConfig::default()
+    };
+    let req_per_s = |workers: usize| {
+        let cfg = ServeConfig {
+            workers,
+            queue_depth: 32,
+            fault: FaultPlan { worker_delay_ms: 15 },
+            ..ServeConfig::default()
+        };
+        let (server, _) = tcp_server(cfg);
+        let report = drive(server.endpoint(), &workload).expect("drive");
+        server.shutdown();
+        server.wait();
+        assert_eq!(report.ok, workload.requests, "{report:?}");
+        report.req_per_s
+    };
+    let (one, four) = (req_per_s(1), req_per_s(4));
+    assert!(four >= 1.5 * one, "4 shards sustained {four:.0} req/s against {one:.0} on 1");
 }
 
 #[test]
