@@ -18,11 +18,12 @@
 //! | `fig6_data_dump` | Figure 6 — 512 GB dump, base vs tuned |
 //! | `eqn3_tuning_rule` | Eqn 3 + the §V-A3 savings numbers |
 //! | `ablation_*` | design-choice ablations (DESIGN.md §5) |
-//! | `criterion_compressors` | Criterion micro-benchmarks of both codecs |
-//! | `ext_pipeline_overlap` | overlapped compress→write pipeline vs the sequential dump |
+//! | `ext_*` | extension studies of the model (DESIGN.md §6) |
 //!
 //! Paper-vs-measured comparisons for every artifact are recorded in
-//! `EXPERIMENTS.md` at the repository root.
+//! `EXPERIMENTS.md` at the repository root. No target here measures wall
+//! time: timing is the repo benchmark under `benchmark/` and the
+//! `BENCH_*.json` ledgers it writes.
 
 use lcpio_core::experiment::{run_full_sweep, ExperimentConfig, SweepResult};
 

@@ -563,6 +563,10 @@ mod tests {
         assert_eq!(la.elements, lb.elements);
         assert_eq!(la.chunk_elements, lb.chunk_elements);
         assert_eq!(la.chunks(), lb.chunks());
+        // The envelope's header and varint frame lengths cost under 1 % of
+        // the legacy container, already at 8 chunks of 1000 elements.
+        let toll = wire.len().abs_diff(legacy.len());
+        assert!(toll * 100 < legacy.len(), "legacy {} B, wire {} B", legacy.len(), wire.len());
     }
 
     #[test]

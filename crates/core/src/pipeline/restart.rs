@@ -186,7 +186,7 @@ pub struct RestartOutcome {
     /// High-water mark of undecoded bytes buffered by the incremental
     /// framer ([`run_restart_streamed`] only; 0 on the random-access
     /// paths). Bounded by one frame plus one read-buffer fill — asserted
-    /// by `ext_wire_stream` — so streamed restart never holds the
+    /// by this module's tests — so streamed restart never holds the
     /// container in memory.
     pub peak_buffered_bytes: usize,
 }

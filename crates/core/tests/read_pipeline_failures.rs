@@ -9,8 +9,7 @@
 //!   partial result;
 //! * forged headers cannot drive a huge pre-allocation;
 //! * every queue depth × reader × worker combination restores the same
-//!   bytes. Set `LCPIO_READ_PIPELINE_DEPTH` to pin the identity matrix to
-//!   one depth (CI runs depths 1 and 4 as separate legs).
+//!   bytes.
 
 use lcpio_core::error::CoreError;
 use lcpio_core::pipeline::{
@@ -35,14 +34,8 @@ fn cfg() -> RestartConfig {
     RestartConfig { retry_backoff_ms: 0, ..RestartConfig::default() }
 }
 
-/// Queue depths the identity matrix sweeps; `LCPIO_READ_PIPELINE_DEPTH`
-/// pins a single depth so CI can run each leg separately.
-fn depths() -> Vec<usize> {
-    match std::env::var("LCPIO_READ_PIPELINE_DEPTH") {
-        Ok(v) => vec![v.parse().expect("LCPIO_READ_PIPELINE_DEPTH must be a positive integer")],
-        Err(_) => vec![1, 2, 4],
-    }
-}
+/// Queue depths the identity matrix sweeps.
+const DEPTHS: [usize; 3] = [1, 2, 4];
 
 /// `(kind, payload_start, payload_len)` of every frame in the container.
 fn frame_spans(stream: &[u8]) -> Vec<(u8, usize, usize)> {
@@ -73,7 +66,7 @@ fn identity_matrix_matches_serial_decode_at_every_knob_setting() {
     let (seq_vals, seq_out) = run_restart_sequential(&source, &cfg()).expect("sequential restart");
     assert_eq!(seq_vals, reference, "sequential restart matches serial decode");
     assert_eq!(seq_out.chunks, 8);
-    for depth in depths() {
+    for depth in DEPTHS {
         for readers in [1, 2] {
             for workers in [1, 2, 4] {
                 let c = RestartConfig { queue_depth: depth, readers, workers, ..cfg() };
@@ -98,7 +91,7 @@ fn transient_read_failures_are_retried_and_output_is_identical() {
     let mut c = cfg();
     // First attempt on chunks 1 and 4 fails; chunk 4 fails twice.
     c.failure_plan.read_failures = vec![(1, 0), (4, 0), (4, 1)];
-    for depth in depths() {
+    for depth in DEPTHS {
         let c = RestartConfig { queue_depth: depth, workers: 2, ..c.clone() };
         let (vals, out) = run_restart(&source, &c).expect("retries succeed");
         assert_eq!(out.read_retries, 3, "depth {depth}");
@@ -127,7 +120,7 @@ fn worker_death_is_retried_and_output_is_identical() {
     // Workers die once on chunks 0 and 5; the payloads are intact, so the
     // retry decodes cleanly.
     c.failure_plan.decode_failures = vec![(0, 0), (5, 0)];
-    for depth in depths() {
+    for depth in DEPTHS {
         let c = RestartConfig { queue_depth: depth, workers: 3, ..c.clone() };
         let (vals, out) = run_restart(&source, &c).expect("decode retries succeed");
         assert_eq!(out.decode_retries, 2, "depth {depth}");
@@ -160,7 +153,7 @@ fn corrupt_payload_fails_fast_with_typed_error_at_every_depth() {
         *b ^= 0xA5;
     }
     let source = SliceSource::new(&stream);
-    for depth in depths() {
+    for depth in DEPTHS {
         for workers in [1, 4] {
             let c = RestartConfig { queue_depth: depth, workers, ..cfg() };
             let p = expect_pipeline_err(run_restart(&source, &c));

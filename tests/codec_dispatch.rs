@@ -13,14 +13,11 @@ const ALLOWED_DIRS: &[&str] = &["crates/sz", "crates/zfp", "crates/codec", "crat
 /// Files exempt from the rule, each for a documented reason:
 /// - `ablation_sz_predictor.rs` / `ablation_zfp_modes.rs`: ablations that
 ///   deliberately drive backend-internal knobs the trait does not expose.
-/// - `ext_sz_kernels.rs`: kernel A/B bench that flips the backend-internal
-///   SIMD dispatch switch and predictor/lossless knobs the trait hides.
 /// - this file, which spells the forbidden patterns out in `concat!` pieces
 ///   but is excluded by name for robustness.
 const EXEMPT_FILES: &[&str] = &[
     "ablation_sz_predictor.rs",
     "ablation_zfp_modes.rs",
-    "ext_sz_kernels.rs",
     "codec_dispatch.rs",
 ];
 
