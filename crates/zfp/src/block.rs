@@ -68,60 +68,44 @@ impl Geom {
     }
 }
 
-/// Gather block (bk, bj, bi) into `out` (length 4^d), padding partial
+/// Extents of a block of `N = 4^d` elements along (z, y); x is always
+/// [`SIDE`]. The axes a lower-rank block lacks have extent 1, which is
+/// also what [`Geom`] gives them, so one loop nest serves every rank.
+const fn block_extents<const N: usize>() -> (usize, usize) {
+    (if N >= 64 { SIDE } else { 1 }, if N >= 16 { SIDE } else { 1 })
+}
+
+/// True when block `(bk, bj, bi)` lies wholly inside the array.
+#[inline]
+fn is_interior<const N: usize>(g: &Geom, (bk, bj, bi): (usize, usize, usize)) -> bool {
+    let (sz, sy) = block_extents::<N>();
+    (bi + 1) * SIDE <= g.nx && bj * SIDE + sy <= g.ny && bk * SIDE + sz <= g.nz
+}
+
+/// Gather block `(bk, bj, bi)` (`N = 4^d` elements), padding partial
 /// blocks by replicating the nearest valid sample. Fully interior blocks
-/// take a row-copy fast path with no per-element clamping.
-pub fn gather<T: Copy>(data: &[T], g: &Geom, bk: usize, bj: usize, bi: usize, out: &mut [T]) {
-    debug_assert_eq!(out.len(), g.block_len());
-    let (k0, j0, i0) = (bk * SIDE, bj * SIDE, bi * SIDE);
-    let interior =
-        i0 + SIDE <= g.nx && (g.d < 2 || j0 + SIDE <= g.ny) && (g.d < 3 || k0 + SIDE <= g.nz);
-    if interior {
-        match g.d {
-            1 => out.copy_from_slice(&data[i0..i0 + SIDE]),
-            2 => {
-                for j in 0..SIDE {
-                    let src = (j0 + j) * g.nx + i0;
-                    out[j * SIDE..(j + 1) * SIDE].copy_from_slice(&data[src..src + SIDE]);
-                }
-            }
-            _ => {
-                for k in 0..SIDE {
-                    for j in 0..SIDE {
-                        let src = ((k0 + k) * g.ny + j0 + j) * g.nx + i0;
-                        let dst = (k * SIDE + j) * SIDE;
-                        out[dst..dst + SIDE].copy_from_slice(&data[src..src + SIDE]);
-                    }
-                }
-            }
-        }
-        return;
-    }
-    match g.d {
-        1 => {
-            for (i, o) in out.iter_mut().enumerate() {
-                let src = (i0 + i).min(g.nx - 1);
-                *o = data[src];
-            }
-        }
-        2 => {
-            for j in 0..SIDE {
-                let sj = (j0 + j).min(g.ny - 1);
-                for i in 0..SIDE {
-                    let si = (i0 + i).min(g.nx - 1);
-                    out[j * SIDE + i] = data[sj * g.nx + si];
-                }
-            }
-        }
-        _ => {
-            for k in 0..SIDE {
-                let sk = (k0 + k).min(g.nz - 1);
-                for j in 0..SIDE {
-                    let sj = (j0 + j).min(g.ny - 1);
-                    for i in 0..SIDE {
-                        let si = (i0 + i).min(g.nx - 1);
-                        out[(k * SIDE + j) * SIDE + i] = data[(sk * g.ny + sj) * g.nx + si];
-                    }
+/// copy rows straight from the field with no per-element clamping.
+#[inline]
+pub fn gather<T: Copy, const N: usize>(
+    data: &[T],
+    g: &Geom,
+    at: (usize, usize, usize),
+    out: &mut [T; N],
+) {
+    debug_assert_eq!(N, g.block_len());
+    let (sz, sy) = block_extents::<N>();
+    let (k0, j0, i0) = (at.0 * SIDE, at.1 * SIDE, at.2 * SIDE);
+    let interior = is_interior::<N>(g, at);
+    for k in 0..sz {
+        for j in 0..sy {
+            let row = &mut out[(k * sy + j) * SIDE..][..SIDE];
+            if interior {
+                let src = ((k0 + k) * g.ny + j0 + j) * g.nx + i0;
+                row.copy_from_slice(&data[src..src + SIDE]);
+            } else {
+                let src = ((k0 + k).min(g.nz - 1) * g.ny + (j0 + j).min(g.ny - 1)) * g.nx;
+                for (i, o) in row.iter_mut().enumerate() {
+                    *o = data[src + (i0 + i).min(g.nx - 1)];
                 }
             }
         }
@@ -129,69 +113,27 @@ pub fn gather<T: Copy>(data: &[T], g: &Geom, bk: usize, bj: usize, bi: usize, ou
 }
 
 /// Scatter a decoded block back, skipping padded lanes. Fully interior
-/// blocks take the mirror row-copy fast path of [`gather`].
-pub fn scatter<T: Copy>(block: &[T], g: &Geom, bk: usize, bj: usize, bi: usize, data: &mut [T]) {
-    debug_assert_eq!(block.len(), g.block_len());
-    let (k0, j0, i0) = (bk * SIDE, bj * SIDE, bi * SIDE);
-    let interior =
-        i0 + SIDE <= g.nx && (g.d < 2 || j0 + SIDE <= g.ny) && (g.d < 3 || k0 + SIDE <= g.nz);
-    if interior {
-        match g.d {
-            1 => data[i0..i0 + SIDE].copy_from_slice(block),
-            2 => {
-                for j in 0..SIDE {
-                    let dst = (j0 + j) * g.nx + i0;
-                    data[dst..dst + SIDE].copy_from_slice(&block[j * SIDE..(j + 1) * SIDE]);
-                }
-            }
-            _ => {
-                for k in 0..SIDE {
-                    for j in 0..SIDE {
-                        let dst = ((k0 + k) * g.ny + j0 + j) * g.nx + i0;
-                        let src = (k * SIDE + j) * SIDE;
-                        data[dst..dst + SIDE].copy_from_slice(&block[src..src + SIDE]);
-                    }
-                }
-            }
-        }
-        return;
-    }
-    match g.d {
-        1 => {
-            for i in 0..SIDE {
-                if i0 + i < g.nx {
-                    data[i0 + i] = block[i];
-                }
-            }
-        }
-        2 => {
-            for j in 0..SIDE {
-                if j0 + j >= g.ny {
-                    break;
-                }
-                for i in 0..SIDE {
-                    if i0 + i < g.nx {
-                        data[(j0 + j) * g.nx + i0 + i] = block[j * SIDE + i];
-                    }
-                }
-            }
-        }
-        _ => {
-            for k in 0..SIDE {
-                if k0 + k >= g.nz {
-                    break;
-                }
-                for j in 0..SIDE {
-                    if j0 + j >= g.ny {
-                        break;
-                    }
-                    for i in 0..SIDE {
-                        if i0 + i < g.nx {
-                            data[((k0 + k) * g.ny + j0 + j) * g.nx + i0 + i] =
-                                block[(k * SIDE + j) * SIDE + i];
-                        }
-                    }
-                }
+/// blocks take the mirror row copy of [`gather`].
+#[inline]
+pub fn scatter<T: Copy, const N: usize>(
+    block: &[T; N],
+    g: &Geom,
+    at: (usize, usize, usize),
+    data: &mut [T],
+) {
+    debug_assert_eq!(N, g.block_len());
+    let (sz, sy) = block_extents::<N>();
+    let (k0, j0, i0) = (at.0 * SIDE, at.1 * SIDE, at.2 * SIDE);
+    let interior = is_interior::<N>(g, at);
+    for k in 0..sz.min(g.nz - k0) {
+        for j in 0..sy.min(g.ny - j0) {
+            let row = &block[(k * sy + j) * SIDE..][..SIDE];
+            let dst = ((k0 + k) * g.ny + j0 + j) * g.nx + i0;
+            if interior {
+                data[dst..dst + SIDE].copy_from_slice(row);
+            } else {
+                let valid = SIDE.min(g.nx - i0);
+                data[dst..dst + valid].copy_from_slice(&row[..valid]);
             }
         }
     }
@@ -223,26 +165,11 @@ mod tests {
     }
 
     #[test]
-    fn gather_scatter_roundtrip_exact_blocks() {
-        let g = Geom::new(&[4, 8]).unwrap();
-        let data: Vec<f32> = (0..32).map(|i| i as f32).collect();
-        let mut block = vec![0.0; 16];
-        let mut out = vec![-1.0f32; 32];
-        for bj in 0..1 {
-            for bi in 0..2 {
-                gather(&data, &g, 0, bj, bi, &mut block);
-                scatter(&block, &g, 0, bj, bi, &mut out);
-            }
-        }
-        assert_eq!(out, data);
-    }
-
-    #[test]
     fn gather_pads_by_replication() {
         let g = Geom::new(&[5]).unwrap(); // one full block + one partial
         let data = [1.0, 2.0, 3.0, 4.0, 5.0];
         let mut block = [0.0f32; 4];
-        gather(&data, &g, 0, 0, 1, &mut block);
+        gather(&data, &g, (0, 0, 1), &mut block);
         assert_eq!(block, [5.0, 5.0, 5.0, 5.0]);
     }
 
@@ -250,60 +177,52 @@ mod tests {
     fn scatter_skips_padded_lanes() {
         let g = Geom::new(&[5]).unwrap();
         let mut out = [0.0f32; 5];
-        scatter(&[9.0, 8.0, 7.0, 6.0], &g, 0, 0, 1, &mut out);
+        scatter(&[9.0, 8.0, 7.0, 6.0], &g, (0, 0, 1), &mut out);
         assert_eq!(out, [0.0, 0.0, 0.0, 0.0, 9.0]);
     }
 
-    #[test]
-    fn interior_fast_path_matches_clamped_gather() {
-        // Compare against the clamp formula on a geometry with both
-        // interior and border blocks, in all three dimensionalities.
-        for dims in [vec![9usize], vec![9, 10], vec![6, 9, 10]] {
-            let g = Geom::new(&dims).unwrap();
-            let data: Vec<f32> = (0..g.len()).map(|i| (i * 13 % 101) as f32).collect();
-            let blen = g.block_len();
-            let mut fast = vec![0.0f32; blen];
-            let mut slow = vec![0.0f32; blen];
-            let (bz, by, bx) = g.block_counts();
-            for bk in 0..bz {
-                for bj in 0..by {
-                    for bi in 0..bx {
-                        gather(&data, &g, bk, bj, bi, &mut fast);
-                        for (idx, o) in slow.iter_mut().enumerate() {
-                            let (i, j, k) = (idx % SIDE, (idx / SIDE) % SIDE, idx / (SIDE * SIDE));
-                            let (i, j, k) = match g.d {
-                                1 => (idx, 0, 0),
-                                2 => (i, j, 0),
-                                _ => (i, j, k),
-                            };
-                            let si = (bi * SIDE + i).min(g.nx - 1);
-                            let sj = (bj * SIDE + j).min(g.ny.saturating_sub(1));
-                            let sk = (bk * SIDE + k).min(g.nz.saturating_sub(1));
-                            *o = data[(sk * g.ny + sj) * g.nx + si];
-                        }
-                        assert_eq!(fast, slow, "block ({bk},{bj},{bi}) dims {dims:?}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn gather_scatter_3d_partial() {
-        let g = Geom::new(&[5, 6, 7]).unwrap();
-        let n = g.len();
-        let data: Vec<f32> = (0..n).map(|i| (i % 97) as f32).collect();
-        let mut out = vec![0.0f32; n];
-        let mut block = vec![0.0f32; 64];
+    /// Every block of a geometry with interior and border blocks: the
+    /// gather equals the clamp formula element by element, and scattering
+    /// each gathered block rebuilds the field (padded lanes never land).
+    fn check_geometry<const N: usize>(dims: &[usize]) {
+        let g = Geom::new(dims).unwrap();
+        let data: Vec<f32> = (0..g.len()).map(|i| (i * 13 % 101) as f32).collect();
+        let mut rebuilt = vec![-1.0f32; g.len()];
         let (bz, by, bx) = g.block_counts();
         for bk in 0..bz {
             for bj in 0..by {
                 for bi in 0..bx {
-                    gather(&data, &g, bk, bj, bi, &mut block);
-                    scatter(&block, &g, bk, bj, bi, &mut out);
+                    let mut block = [0.0f32; N];
+                    gather(&data, &g, (bk, bj, bi), &mut block);
+                    for (idx, &got) in block.iter().enumerate() {
+                        let (i, j, k) = match g.d {
+                            1 => (idx, 0, 0),
+                            2 => (idx % SIDE, idx / SIDE, 0),
+                            _ => (idx % SIDE, (idx / SIDE) % SIDE, idx / (SIDE * SIDE)),
+                        };
+                        let si = (bi * SIDE + i).min(g.nx - 1);
+                        let sj = (bj * SIDE + j).min(g.ny - 1);
+                        let sk = (bk * SIDE + k).min(g.nz - 1);
+                        let want = data[(sk * g.ny + sj) * g.nx + si];
+                        assert_eq!(got, want, "block ({bk},{bj},{bi}) lane {idx} dims {dims:?}");
+                    }
+                    scatter(&block, &g, (bk, bj, bi), &mut rebuilt);
                 }
             }
         }
-        assert_eq!(out, data);
+        assert_eq!(rebuilt, data, "dims {dims:?}");
+    }
+
+    #[test]
+    fn gather_matches_clamp_formula_and_scatter_inverts_it() {
+        for dims in [vec![4usize], vec![9], vec![3]] {
+            check_geometry::<4>(&dims);
+        }
+        for dims in [vec![4usize, 8], vec![9, 10], vec![1, 7], vec![5, 3]] {
+            check_geometry::<16>(&dims);
+        }
+        for dims in [vec![6usize, 9, 10], vec![5, 6, 7], vec![1, 1, 1], vec![2, 3, 8, 9]] {
+            check_geometry::<64>(&dims);
+        }
     }
 }

@@ -10,26 +10,36 @@
 //!
 //! A bit `budget` caps the block's size (fixed-rate mode); both sides track
 //! it identically so a truncated stream still decodes in lock-step.
+//!
+//! One kernel serves the three block sizes (`N` = 4, 16, 64 coefficients).
+//! It works on the block's bit planes, which a tile transpose takes out of
+//! the coefficients in `N` words, and its cost follows the planes and the
+//! coefficients a block has: only a plane in which a coefficient turns
+//! significant takes the group-test loop, and the runs of planes between
+//! those (and the all-verbatim tail after the last) move as many planes to
+//! a stream word as fit one.
 
 use crate::bitstream::{ReadStream, WriteStream};
 
-/// In-place 64×64 bit-matrix transpose (LSB orientation): on return,
-/// bit `r` of `a[c]` equals bit `c` of the input's `a[r]`. The recursive
-/// block-swap runs in 6·32 word operations — far cheaper than the 64×64
-/// bit-by-bit gather it replaces, and it is its own inverse.
-fn transpose64_scalar(a: &mut [u64; 64]) {
-    let mut j = 32u32;
-    let mut m = 0x0000_0000_FFFF_FFFFu64;
+/// Transpose every `N`×`N` bit tile of `a` in place (LSB orientation): on
+/// return, bit `N·f + r` of `a[c]` equals bit `N·f + c` of the input's
+/// `a[r]`, for each of the `64 / N` tiles `f` lying side by side in the
+/// words. The recursive block-swap takes `log2(N) · N/2` word operations,
+/// and it is its own inverse. For `N = 64` this is the 64×64 bit-matrix
+/// transpose.
+fn transpose_scalar<const N: usize>(a: &mut [u64; N]) {
+    let mut j = N / 2;
+    // Low half of every N-bit field.
+    let mut m = u64::MAX / ((1u64 << j) + 1);
     while j != 0 {
-        let s = j as usize;
         let mut k = 0usize;
-        while k < 64 {
+        while k < N {
             // Swap the (row-bit-j set, col-bit-j clear) block with its
             // mirror across the diagonal.
-            let t = ((a[k] >> j) ^ a[k + s]) & m;
+            let t = ((a[k] >> j) ^ a[k + j]) & m;
             a[k] ^= t << j;
-            a[k + s] ^= t;
-            k = (k + s + 1) & !s;
+            a[k + j] ^= t;
+            k = (k + j + 1) & !j;
         }
         j >>= 1;
         m ^= m << j;
@@ -37,24 +47,25 @@ fn transpose64_scalar(a: &mut [u64; 64]) {
 }
 
 /// AVX2 transpose: the same butterfly network, four rows per vector. The
-/// four outer levels (partner distance ≥ 4 rows) are straight vector
+/// outer levels (partner distance ≥ 4 rows) are straight vector
 /// butterflies over contiguous register pairs; the last two levels swap
 /// within one register via lane permutes. Bit-exact with the scalar path.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use core::arch::x86_64::*;
 
-    /// One butterfly level with partner distance `J` rows (`J ≥ 4`).
+    /// One butterfly level with partner distance `J` rows (`J ≥ 4`) over
+    /// `vecs` vectors.
     ///
     /// # Safety
-    /// `p` must point at 64 readable/writable u64s; caller must have
-    /// verified AVX2 support.
+    /// `p` must point at `4 · vecs` readable/writable u64s, `vecs` a
+    /// multiple of `J / 2`; caller must have verified AVX2 support.
     #[target_feature(enable = "avx2")]
-    unsafe fn level<const J: i32>(p: *mut __m256i, mk: i64) {
+    unsafe fn level<const J: i32>(p: *mut __m256i, vecs: usize, mk: i64) {
         let m = _mm256_set1_epi64x(mk);
         let step = (J as usize) / 4;
         let mut k = 0usize;
-        while k < 16 {
+        while k < vecs {
             let lo = _mm256_loadu_si256(p.add(k));
             let hi = _mm256_loadu_si256(p.add(k + step));
             let t = _mm256_and_si256(_mm256_xor_si256(_mm256_srli_epi64(lo, J), hi), m);
@@ -68,18 +79,22 @@ mod avx2 {
     }
 
     /// # Safety
-    /// Caller must have verified AVX2 support (`is_x86_feature_detected!`).
+    /// `N` must be 16 or 64; caller must have verified AVX2 support
+    /// (`is_x86_feature_detected!`).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn transpose64(a: &mut [u64; 64]) {
+    pub unsafe fn transpose<const N: usize>(a: &mut [u64; N]) {
         let p = a.as_mut_ptr() as *mut __m256i;
-        level::<32>(p, 0x0000_0000_FFFF_FFFFu64 as i64);
-        level::<16>(p, 0x0000_FFFF_0000_FFFFu64 as i64);
-        level::<8>(p, 0x00FF_00FF_00FF_00FFu64 as i64);
-        level::<4>(p, 0x0F0F_0F0F_0F0F_0F0Fu64 as i64);
+        let vecs = N / 4;
+        if N == 64 {
+            level::<32>(p, vecs, 0x0000_0000_FFFF_FFFFu64 as i64);
+            level::<16>(p, vecs, 0x0000_FFFF_0000_FFFFu64 as i64);
+        }
+        level::<8>(p, vecs, 0x00FF_00FF_00FF_00FFu64 as i64);
+        level::<4>(p, vecs, 0x0F0F_0F0F_0F0F_0F0Fu64 as i64);
         // Partner distances 2 and 1: partners live inside one register.
         let m2 = _mm256_set1_epi64x(0x3333_3333_3333_3333u64 as i64);
         let m1 = _mm256_set1_epi64x(0x5555_5555_5555_5555u64 as i64);
-        for k in 0..16 {
+        for k in 0..vecs {
             let v = _mm256_loadu_si256(p.add(k));
             // Distance 2: pairs (lane0, lane2), (lane1, lane3).
             let s = _mm256_permute4x64_epi64(v, 0b01_00_11_10);
@@ -97,69 +112,106 @@ mod avx2 {
     }
 }
 
-/// Transpose dispatch: AVX2 when the CPU has it, scalar butterfly
-/// otherwise. Both produce identical results (tested below).
-fn transpose64(a: &mut [u64; 64]) {
+/// Transpose dispatch: AVX2 for the two larger tiles when the CPU has it,
+/// scalar butterfly otherwise (a 4×4 tile set is eight word operations
+/// either way). Both produce identical results (tested below).
+#[inline]
+fn transpose<const N: usize>(a: &mut [u64; N]) {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified; `a` is a valid &mut.
-        unsafe { avx2::transpose64(a) };
+    if N >= 16 && std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just verified, N is 16 or 64 (the only
+        // block sizes above 4), and `a` is a valid &mut of N words.
+        unsafe { avx2::transpose(a) };
         return;
     }
-    transpose64_scalar(a)
+    transpose_scalar(a)
 }
 
-/// Gather the bit planes of up to 64 coefficients: `planes[k]` holds bit
-/// `k` of every coefficient, with coefficient `i` at bit `i`. Full blocks
-/// use the word-parallel transpose; partial blocks scatter only set bits.
-fn plane_masks(data: &[u64], planes: &mut [u64; 64]) {
-    if data.len() == 64 {
-        planes.copy_from_slice(data);
-        transpose64(planes);
+/// Bit plane `k` of a transposed block: coefficient `i` at bit `i`.
+#[inline(always)]
+fn plane<const N: usize>(planes: &[u64; N], k: u32) -> u64 {
+    let k = k as usize;
+    (planes[k % N] >> (N * (k / N))) & (u64::MAX >> (64 - N))
+}
+
+/// Inverse of [`plane`] on a zeroed block: store the `N` low bits of `x`.
+#[inline(always)]
+fn set_plane<const N: usize>(planes: &mut [u64; N], k: u32, x: u64) {
+    let k = k as usize;
+    planes[k % N] |= x << (N * (k / N));
+}
+
+/// The low `n ≤ 64` bits set.
+#[inline(always)]
+fn low_bits(n: usize) -> u64 {
+    if n == 0 {
+        0
     } else {
-        planes.fill(0);
-        for (i, &v) in data.iter().enumerate() {
-            let mut v = v;
-            while v != 0 {
-                planes[v.trailing_zeros() as usize] |= 1u64 << i;
-                v &= v - 1;
-            }
-        }
+        u64::MAX >> (64 - n)
     }
 }
 
-/// Encode `size` negabinary coefficients from plane `intprec − 1` down to
-/// plane `kmin`, spending at most `budget` bits. Returns the number of
-/// bits actually written.
+/// Encode the `N` negabinary coefficients of one block from plane
+/// `intprec − 1` down to plane `kmin`, spending at most `budget` bits.
+/// Returns the number of bits actually written.
 ///
-/// The stream is bit-identical to the historical bit-at-a-time coder: the
-/// planes are transposed out of the coefficients once up front, and each
-/// group-test run (`1` group bit, zero or more `0` skip bits, an optional
-/// `1` stop bit) is emitted as a single `write_bits` call.
-pub fn encode_ints(
-    data: &[u64],
+/// The stream is bit-identical to the historical bit-at-a-time coder. The
+/// planes are transposed out of the coefficients once up front. A plane in
+/// which no coefficient past the significance frontier `n` has a bit is
+/// *quiet*: it costs its `n` verbatim bits and, while `n < N`, one 0 group
+/// bit. Quiet planes go out as many to a `write_bits` as a word holds; a
+/// block's leading zero planes, the stretches between two coefficients
+/// turning significant and the all-verbatim tail once `n = N` are all
+/// runs of them. Only a plane that moves the frontier (at most `N` per
+/// block) or that the budget cuts short takes the group-test loop, which
+/// emits each run (`1` group bit, zero or more `0` skip bits, an optional
+/// `1` stop bit) as a single `write_bits` call.
+pub fn encode_block<const N: usize>(
+    data: &[u64; N],
     intprec: u32,
     kmin: u32,
     mut budget: usize,
     w: &mut WriteStream,
 ) -> usize {
-    let size = data.len();
-    debug_assert!(size <= 64);
+    debug_assert!(intprec <= 64);
     let start = w.bit_len();
-    let mut planes = [0u64; 64];
-    plane_masks(data, &mut planes);
+    let mut planes = *data;
+    transpose(&mut planes);
     let mut n = 0usize;
     let mut k = intprec;
     while budget > 0 && k > kmin {
+        // A run of quiet planes, `per` bits each: whole planes only, and
+        // only what the budget covers (at most 64 bits, whatever the
+        // budget: a fixed-rate block stops mid-plane, in the loop below).
+        // A 64-coefficient block takes no runs: past its first planes one
+        // plane fills a word, and trying cost its decoder a tenth.
+        let per = n + (n < N) as usize;
+        let limit = if N < 64 { budget.min(64) } else { 0 };
+        let mut word = 0u64;
+        let mut used = 0usize;
+        while used + per <= limit && k > kmin {
+            let x = plane(&planes, k - 1);
+            if n < N && x >> n != 0 {
+                break;
+            }
+            word |= x << used;
+            used += per;
+            k -= 1;
+        }
+        if used > 0 {
+            w.write_bits(word, used);
+            budget -= used;
+            continue;
+        }
         k -= 1;
-        let mut x = planes[k as usize];
+        let mut x = plane(&planes, k);
         // Verbatim bits for coefficients before the significance frontier.
         let m = n.min(budget);
         budget -= m;
         x = w.write_bits(x, m);
         // Group-tested remainder: one batched emit per significant
         // coefficient (or a lone 0 group bit when the plane is spent).
-        while n < size && budget > 0 {
+        while n < N && budget > 0 {
             if x == 0 {
                 budget -= 1;
                 w.write_bit(false);
@@ -167,8 +219,8 @@ pub fn encode_ints(
             }
             let z = x.trailing_zeros() as usize;
             // The stop bit is implicit when the run reaches the last
-            // coefficient — the decoder infers it from `size`.
-            let stop = n + z < size - 1;
+            // coefficient — the decoder infers it from `N`.
+            let stop = n + z < N - 1;
             let run = 1 + z + stop as usize;
             let pattern = if stop { 1u64 | (1u64 << (1 + z)) } else { 1u64 };
             let emit = run.min(budget);
@@ -181,28 +233,49 @@ pub fn encode_ints(
     w.bit_len() - start
 }
 
-/// Decode `size` negabinary coefficients written by [`encode_ints`] into
-/// `data` (overwritten), reusing the caller's buffer.
-pub fn decode_ints_into(
-    data: &mut [u64],
+/// Decode the `N` negabinary coefficients of one block written by
+/// [`encode_block`] into `planes` (overwritten), quiet planes a word at a
+/// time as there. Reads past the end of the stream yield zero bits on
+/// every path.
+pub fn decode_block<const N: usize>(
+    planes: &mut [u64; N],
     intprec: u32,
     kmin: u32,
     mut budget: usize,
     r: &mut ReadStream<'_>,
 ) {
-    let size = data.len();
-    debug_assert!(size <= 64);
-    let mut planes = [0u64; 64];
+    debug_assert!(intprec <= 64);
+    *planes = [0u64; N];
     let mut n = 0usize;
     let mut k = intprec;
     while budget > 0 && k > kmin {
+        // A run of quiet planes, under the conditions of `encode_block`.
+        let per = n + (n < N) as usize;
+        let limit = if N < 64 { budget.min(64) } else { 0 };
+        let bits = r.peek_bits(limit);
+        let mut used = 0usize;
+        while used + per <= limit && k > kmin {
+            let field = bits >> used;
+            // A set group bit ends the quiet run.
+            if n < N && (field >> n) & 1 != 0 {
+                break;
+            }
+            set_plane(planes, k - 1, field & low_bits(n));
+            used += per;
+            k -= 1;
+        }
+        if used > 0 {
+            r.advance(used);
+            budget -= used;
+            continue;
+        }
         k -= 1;
         // Verbatim bits.
         let m = n.min(budget);
         budget -= m;
         let mut x = r.read_bits(m);
         // Group-tested remainder.
-        while n < size && budget > 0 {
+        while n < N && budget > 0 {
             budget -= 1;
             if !r.read_bit() {
                 break;
@@ -210,20 +283,157 @@ pub fn decode_ints_into(
             // Batched unary scan up to the stop bit (or `avail` zeros when
             // it falls past the budget/block end). Reads past the end see
             // zeros, exactly like the bit-at-a-time loop.
-            let avail = (size - 1 - n).min(budget);
+            let avail = (N - 1 - n).min(budget);
             let (consumed, skipped) = r.scan_unary(avail);
             budget -= consumed;
             n += skipped;
             x += 1u64 << n;
             n += 1;
         }
-        planes[k as usize] = x;
+        set_plane(planes, k, x);
     }
-    // Scatter the planes back into coefficients.
-    if size == 64 {
-        transpose64(&mut planes);
-        data.copy_from_slice(&planes);
-    } else {
+    // Planes back to coefficients: the transpose is its own inverse.
+    transpose(planes);
+}
+
+/// View a slice as one block of `N` elements.
+fn as_block<T, const N: usize>(data: &[T]) -> &[T; N] {
+    data.try_into().expect("length matched by the caller")
+}
+
+/// [`as_block`] for a mutable slice.
+fn as_block_mut<T, const N: usize>(data: &mut [T]) -> &mut [T; N] {
+    data.try_into().expect("length matched by the caller")
+}
+
+/// Slice entry to [`encode_block`], dispatching on the block size.
+///
+/// # Panics
+/// When `data` is not a ZFP block (4, 16 or 64 coefficients).
+pub fn encode_ints(
+    data: &[u64],
+    intprec: u32,
+    kmin: u32,
+    budget: usize,
+    w: &mut WriteStream,
+) -> usize {
+    match data.len() {
+        4 => encode_block::<4>(as_block(data), intprec, kmin, budget, w),
+        16 => encode_block::<16>(as_block(data), intprec, kmin, budget, w),
+        64 => encode_block::<64>(as_block(data), intprec, kmin, budget, w),
+        n => panic!("a ZFP block holds 4, 16 or 64 coefficients, not {n}"),
+    }
+}
+
+/// Slice entry to [`decode_block`]: decode `data.len()` coefficients into
+/// `data` (overwritten).
+///
+/// # Panics
+/// When `data` is not a ZFP block (4, 16 or 64 coefficients).
+pub fn decode_ints_into(
+    data: &mut [u64],
+    intprec: u32,
+    kmin: u32,
+    budget: usize,
+    r: &mut ReadStream<'_>,
+) {
+    match data.len() {
+        4 => decode_block::<4>(as_block_mut(data), intprec, kmin, budget, r),
+        16 => decode_block::<16>(as_block_mut(data), intprec, kmin, budget, r),
+        64 => decode_block::<64>(as_block_mut(data), intprec, kmin, budget, r),
+        n => panic!("a ZFP block holds 4, 16 or 64 coefficients, not {n}"),
+    }
+}
+
+/// The slice-based coder this module's kernel replaced, kept as its
+/// executable specification: a 64-word plane array filled per set bit and
+/// one `write_bits`/`read_bits` round per plane whatever the frontier.
+#[cfg(test)]
+pub(crate) mod reference {
+    use crate::bitstream::{ReadStream, WriteStream};
+
+    /// `planes[k]` holds bit `k` of every coefficient, coefficient `i` at
+    /// bit `i`.
+    fn plane_masks(data: &[u64], planes: &mut [u64; 64]) {
+        planes.fill(0);
+        for (i, &v) in data.iter().enumerate() {
+            let mut v = v;
+            while v != 0 {
+                planes[v.trailing_zeros() as usize] |= 1u64 << i;
+                v &= v - 1;
+            }
+        }
+    }
+
+    pub(crate) fn encode_ints(
+        data: &[u64],
+        intprec: u32,
+        kmin: u32,
+        mut budget: usize,
+        w: &mut WriteStream,
+    ) -> usize {
+        let size = data.len();
+        let start = w.bit_len();
+        let mut planes = [0u64; 64];
+        plane_masks(data, &mut planes);
+        let mut n = 0usize;
+        let mut k = intprec;
+        while budget > 0 && k > kmin {
+            k -= 1;
+            let mut x = planes[k as usize];
+            let m = n.min(budget);
+            budget -= m;
+            x = w.write_bits(x, m);
+            while n < size && budget > 0 {
+                if x == 0 {
+                    budget -= 1;
+                    w.write_bit(false);
+                    break;
+                }
+                let z = x.trailing_zeros() as usize;
+                let stop = n + z < size - 1;
+                let run = 1 + z + stop as usize;
+                let pattern = if stop { 1u64 | (1u64 << (1 + z)) } else { 1u64 };
+                let emit = run.min(budget);
+                w.write_bits(pattern, emit);
+                budget -= emit;
+                x = x.checked_shr((z + 1) as u32).unwrap_or(0);
+                n += z + 1;
+            }
+        }
+        w.bit_len() - start
+    }
+
+    pub(crate) fn decode_ints_into(
+        data: &mut [u64],
+        intprec: u32,
+        kmin: u32,
+        mut budget: usize,
+        r: &mut ReadStream<'_>,
+    ) {
+        let size = data.len();
+        let mut planes = [0u64; 64];
+        let mut n = 0usize;
+        let mut k = intprec;
+        while budget > 0 && k > kmin {
+            k -= 1;
+            let m = n.min(budget);
+            budget -= m;
+            let mut x = r.read_bits(m);
+            while n < size && budget > 0 {
+                budget -= 1;
+                if !r.read_bit() {
+                    break;
+                }
+                let avail = (size - 1 - n).min(budget);
+                let (consumed, skipped) = r.scan_unary(avail);
+                budget -= consumed;
+                n += skipped;
+                x += 1u64 << n;
+                n += 1;
+            }
+            planes[k as usize] = x;
+        }
         data.fill(0);
         for (k, &p) in planes.iter().enumerate() {
             let mut bits = p;
@@ -235,24 +445,30 @@ pub fn decode_ints_into(
     }
 }
 
-/// Decode `size` negabinary coefficients written by [`encode_ints`].
-pub fn decode_ints(
-    size: usize,
-    intprec: u32,
-    kmin: u32,
-    budget: usize,
-    r: &mut ReadStream<'_>,
-) -> Vec<u64> {
-    let mut data = vec![0u64; size];
-    decode_ints_into(&mut data, intprec, kmin, budget, r);
-    data
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fixedpoint::INTPREC;
     use crate::negabinary;
+
+    fn xorshift(s: &mut u64) -> u64 {
+        *s ^= *s << 13;
+        *s ^= *s >> 7;
+        *s ^= *s << 17;
+        *s
+    }
+
+    fn decode_ints(
+        size: usize,
+        intprec: u32,
+        kmin: u32,
+        budget: usize,
+        r: &mut ReadStream<'_>,
+    ) -> Vec<u64> {
+        let mut data = vec![0u64; size];
+        decode_ints_into(&mut data, intprec, kmin, budget, r);
+        data
+    }
 
     fn roundtrip(values: &[i64], kmin: u32, budget: usize) -> Vec<i64> {
         let nb: Vec<u64> = values.iter().map(|&v| negabinary::encode(v)).collect();
@@ -266,56 +482,162 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn transpose64_matches_naive_and_is_involutive() {
-        let mut x = 0x0123_4567_89ab_cdefu64;
-        let mut a = [0u64; 64];
+    /// Tile transposes for all three block sizes: against the bit-by-bit
+    /// definition, self-inverse, and scalar equal to whatever the
+    /// dispatcher picked (on AVX2 machines this pins the SIMD path).
+    fn check_transpose<const N: usize>() {
+        let mut x = 0x0123_4567_89ab_cdefu64 ^ N as u64;
+        let mut a = [0u64; N];
         for slot in a.iter_mut() {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            *slot = x;
+            *slot = xorshift(&mut x);
         }
         let orig = a;
-        let mut naive = [0u64; 64];
+        let mut naive = [0u64; N];
         for (c, out) in naive.iter_mut().enumerate() {
             for (r, &row) in orig.iter().enumerate() {
-                *out |= ((row >> c) & 1) << r;
+                for f in 0..64 / N {
+                    *out |= ((row >> (N * f + c)) & 1) << (N * f + r);
+                }
             }
         }
-        transpose64(&mut a);
-        assert_eq!(a, naive);
-        transpose64(&mut a);
-        assert_eq!(a, orig);
-        // The scalar butterfly must agree with whatever the dispatcher
-        // picked (on AVX2 machines this pins the SIMD path to it).
+        transpose(&mut a);
+        assert_eq!(a, naive, "N = {N}");
+        transpose(&mut a);
+        assert_eq!(a, orig, "N = {N}");
         let mut s = orig;
-        transpose64_scalar(&mut s);
-        assert_eq!(s, naive);
+        transpose_scalar(&mut s);
+        assert_eq!(s, naive, "N = {N}");
     }
 
     #[test]
-    fn plane_masks_match_per_plane_extraction() {
-        for size in [1usize, 4, 16, 33, 64] {
-            let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ size as u64;
-            let data: Vec<u64> = (0..size)
-                .map(|_| {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    x >> (x % 50)
+    fn transposes_match_naive_and_are_involutive() {
+        check_transpose::<4>();
+        check_transpose::<16>();
+        check_transpose::<64>();
+    }
+
+    fn check_planes<const N: usize>() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ N as u64;
+        let mut data = [0u64; N];
+        for slot in data.iter_mut() {
+            let v = xorshift(&mut x);
+            *slot = v >> (v % 50);
+        }
+        let mut planes = data;
+        transpose(&mut planes);
+        let mut rebuilt = [0u64; N];
+        for k in 0..64u32 {
+            let expect = data.iter().enumerate().fold(0u64, |p, (i, &v)| p | ((v >> k) & 1) << i);
+            assert_eq!(plane(&planes, k), expect, "N {N} plane {k}");
+            set_plane(&mut rebuilt, k, expect);
+        }
+        assert_eq!(rebuilt, planes);
+    }
+
+    #[test]
+    fn planes_match_per_plane_extraction() {
+        check_planes::<4>();
+        check_planes::<16>();
+        check_planes::<64>();
+    }
+
+    /// Coefficient blocks for the differential tests: full-width noise,
+    /// the decaying magnitudes of a transformed smooth block, one lone
+    /// coefficient, all zeros.
+    fn blocks<const N: usize>(kind: usize, intprec: u32, seed: u64) -> Vec<[u64; N]> {
+        let mut s = seed | 1;
+        (0..3)
+            .map(|_| {
+                std::array::from_fn(|i| {
+                    let v = xorshift(&mut s) >> (64 - intprec);
+                    match kind {
+                        0 => v,
+                        1 => v >> (i as u32 * (intprec - 1) / N as u32),
+                        2 => (v | 1) * (i == (v % N as u64) as usize) as u64,
+                        _ => 0,
+                    }
                 })
-                .collect();
-            let mut planes = [0u64; 64];
-            plane_masks(&data, &mut planes);
-            for (k, &p) in planes.iter().enumerate() {
-                let mut expect = 0u64;
-                for (i, &v) in data.iter().enumerate() {
-                    expect += ((v >> k) & 1) << i;
+            })
+            .collect()
+    }
+
+    /// New against old coder on three consecutive blocks in one stream:
+    /// streams byte-equal, bit positions equal after each block on both
+    /// sides, coefficients equal; then the same from the stream truncated
+    /// at every byte (`truncate`) — reads past the end yield zeros on
+    /// every path of both coders.
+    fn check_against_reference<const N: usize>(intprec: u32, truncate: impl Fn(u32) -> bool) {
+        let budgets = [0, 1, N - 1, N, 5 * N + 3, usize::MAX / 2, usize::MAX];
+        for kind in 0..4 {
+            for kmin in 0..=intprec {
+                for budget in budgets {
+                    let what = format!("N {N} kind {kind} kmin {kmin} budget {budget}");
+                    let data = blocks::<N>(kind, intprec, 0x5eed ^ kmin as u64);
+                    let mut new = WriteStream::new();
+                    let mut old = WriteStream::new();
+                    // Start off a word boundary.
+                    new.write_bits(5, 3);
+                    old.write_bits(5, 3);
+                    for b in &data {
+                        let bits = encode_ints(b, intprec, kmin, budget, &mut new);
+                        assert_eq!(
+                            bits,
+                            reference::encode_ints(b, intprec, kmin, budget, &mut old),
+                            "{what}"
+                        );
+                        assert_eq!(new.bit_len(), old.bit_len(), "{what}");
+                    }
+                    let bytes = new.into_bytes();
+                    assert_eq!(bytes, old.into_bytes(), "{what}");
+                    let cuts = if truncate(kmin) { 0..bytes.len() + 1 } else { bytes.len()..bytes.len() + 1 };
+                    for cut in cuts {
+                        let mut rn = ReadStream::new(&bytes[..cut]);
+                        let mut ro = ReadStream::new(&bytes[..cut]);
+                        rn.seek(3);
+                        ro.seek(3);
+                        for b in &data {
+                            let mut got = [u64::MAX; N];
+                            let mut want = [u64::MAX; N];
+                            decode_ints_into(&mut got, intprec, kmin, budget, &mut rn);
+                            reference::decode_ints_into(&mut want, intprec, kmin, budget, &mut ro);
+                            assert_eq!(got, want, "{what} cut {cut}");
+                            assert_eq!(rn.bit_pos(), ro.bit_pos(), "{what} cut {cut}");
+                            if cut == bytes.len() && budget >= N * 64 {
+                                let keep = u64::MAX.checked_shl(kmin).unwrap_or(0);
+                                assert_eq!(got, b.map(|v| v & keep), "{what}");
+                            }
+                        }
+                    }
                 }
-                assert_eq!(p, expect, "size {size} plane {k}");
             }
         }
+    }
+
+    #[test]
+    fn rank1_coder_matches_reference() {
+        check_against_reference::<4>(35, |_| true);
+        check_against_reference::<4>(57, |_| true);
+        check_against_reference::<4>(64, |_| true);
+    }
+
+    #[test]
+    fn rank2_coder_matches_reference() {
+        check_against_reference::<16>(35, |_| true);
+        check_against_reference::<16>(57, |k| k % 4 == 0);
+        check_against_reference::<16>(64, |k| k % 8 == 0);
+    }
+
+    #[test]
+    fn rank3_coder_matches_reference() {
+        check_against_reference::<64>(35, |k| k % 8 == 0);
+        check_against_reference::<64>(57, |k| k % 16 == 0);
+        check_against_reference::<64>(64, |k| k == 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "a ZFP block holds 4, 16 or 64 coefficients")]
+    fn other_lengths_are_refused() {
+        encode_ints(&[1, 2, 3], INTPREC, 0, usize::MAX, &mut WriteStream::new());
     }
 
     #[test]
@@ -334,7 +656,8 @@ mod tests {
 
     #[test]
     fn lossless_when_all_planes_coded() {
-        let values: Vec<i64> = vec![0, 1, -1, 1000, -1000, 123456, -654321, 1 << 30];
+        let mut values = vec![0, 1, -1, 1000, -1000, 123456, -654321, 1 << 30];
+        values.resize(16, 0);
         let rec = roundtrip(&values, 0, usize::MAX / 2);
         assert_eq!(rec, values);
     }
@@ -390,12 +713,6 @@ mod tests {
             prev_err = err;
         }
         assert_eq!(prev_err, 0);
-    }
-
-    #[test]
-    fn single_coefficient_block() {
-        let rec = roundtrip(&[-42], 0, usize::MAX / 2);
-        assert_eq!(rec, vec![-42]);
     }
 
     #[test]

@@ -21,25 +21,6 @@ pub fn decode(x: u64) -> i64 {
     (x ^ NBMASK).wrapping_sub(NBMASK) as i64
 }
 
-/// Encode a whole coefficient block. The per-element conversion is two
-/// word ops, so batching over the slice lets the compiler vectorize it.
-#[inline]
-pub fn encode_block(src: &[i64], dst: &mut [u64]) {
-    debug_assert_eq!(src.len(), dst.len());
-    for (o, &v) in dst.iter_mut().zip(src) {
-        *o = encode(v);
-    }
-}
-
-/// Decode a whole coefficient block (inverse of [`encode_block`]).
-#[inline]
-pub fn decode_block(src: &[u64], dst: &mut [i64]) {
-    debug_assert_eq!(src.len(), dst.len());
-    for (o, &v) in dst.iter_mut().zip(src) {
-        *o = decode(v);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,18 +70,5 @@ mod tests {
         for &x in &[i64::MAX / 4, -(i64::MAX / 4), 1 << 40, -(1 << 40)] {
             assert_eq!(decode(encode(x)), x);
         }
-    }
-
-    #[test]
-    fn block_conversion_matches_scalar() {
-        let src: Vec<i64> = (-64..64).map(|i| i * 1_234_567 - 89).collect();
-        let mut nb = vec![0u64; src.len()];
-        encode_block(&src, &mut nb);
-        for (&n, &s) in nb.iter().zip(&src) {
-            assert_eq!(n, encode(s));
-        }
-        let mut back = vec![0i64; src.len()];
-        decode_block(&nb, &mut back);
-        assert_eq!(back, src);
     }
 }

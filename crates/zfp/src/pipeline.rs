@@ -11,7 +11,7 @@
 //! element type is recorded in the header and checked on decode.
 
 use crate::bitstream::{ReadStream, WriteStream};
-use crate::block::{self, Geom, SIDE};
+use crate::block::{self, Geom};
 use crate::coder;
 use crate::element::ZfpElement;
 use crate::fixedpoint;
@@ -22,45 +22,162 @@ use crate::{ZfpCompressed, ZfpError, ZfpMode, ZfpStats};
 /// Stream magic.
 pub const MAGIC: [u8; 4] = *b"ZFL1";
 
-/// Per-block coding parameters derived from mode + block exponent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct BlockParams {
-    /// Lowest coded plane.
-    kmin: u32,
-    /// Bit budget for the coefficient payload.
-    budget: usize,
-}
-
 /// Effectively-unlimited budget for non-rate modes.
 const NO_BUDGET: usize = usize::MAX / 2;
 
-fn block_params<T: ZfpElement>(mode: &ZfpMode, d: usize, emax: i32) -> BlockParams {
-    match *mode {
-        ZfpMode::FixedAccuracy(tol) => {
-            // Keep planes whose weight exceeds tol / 2^(2(d+1)); the guard
-            // absorbs transform error amplification.
-            let minexp = tol.log2().floor() as i32;
-            let guard = 2 * (d as i32 + 1);
-            let kmin = (minexp - guard - emax + T::Q).clamp(0, T::INTPREC as i32) as u32;
-            BlockParams { kmin, budget: NO_BUDGET }
+/// What the array-level [`ZfpMode`] fixes for every block of a call, worked
+/// out once (the tolerance's `log2` among it): a block then gets its lowest
+/// coded plane from its exponent with one subtraction and a clamp.
+#[derive(Debug, Clone, Copy)]
+struct BlockCoding {
+    /// Fixed accuracy: `kmin = clamp(kmin_at_zero − emax)`. The other
+    /// modes ignore the exponent (`None`) and use `kmin` as it stands.
+    kmin_at_zero: Option<i32>,
+    kmin: u32,
+    intprec: u32,
+    /// Bit budget for a block's coefficient payload.
+    budget: usize,
+    /// Fixed rate: the bits every block occupies (header + payload +
+    /// padding), which makes the stream randomly accessible by block.
+    rate_bits: Option<usize>,
+}
+
+impl BlockCoding {
+    fn new<T: ZfpElement>(mode: &ZfpMode, d: usize) -> Self {
+        let base = BlockCoding {
+            kmin_at_zero: None,
+            kmin: 0,
+            intprec: T::INTPREC,
+            budget: NO_BUDGET,
+            rate_bits: None,
+        };
+        match *mode {
+            ZfpMode::FixedAccuracy(tol) => {
+                // Keep planes whose weight exceeds tol / 2^(2(d+1)); the guard
+                // absorbs transform error amplification.
+                let minexp = tol.log2().floor() as i32;
+                let guard = 2 * (d as i32 + 1);
+                BlockCoding { kmin_at_zero: Some(minexp - guard + T::Q), ..base }
+            }
+            ZfpMode::FixedPrecision(prec) => {
+                BlockCoding { kmin: T::INTPREC - prec.min(T::INTPREC), ..base }
+            }
+            ZfpMode::FixedRate(bpv) => {
+                let maxbits = rate_block_bits(bpv, d);
+                // Reserve the header bits (zero flag + exponent).
+                let budget = maxbits.saturating_sub(1 + T::EMAX_BITS);
+                BlockCoding { budget, rate_bits: Some(maxbits), ..base }
+            }
         }
-        ZfpMode::FixedPrecision(prec) => {
-            let prec = prec.min(T::INTPREC);
-            BlockParams { kmin: T::INTPREC - prec, budget: NO_BUDGET }
-        }
-        ZfpMode::FixedRate(bpv) => {
-            let block_len = SIDE.pow(d as u32);
-            let maxbits = (bpv * block_len as f64).ceil() as usize;
-            // Reserve the header bits (zero flag + exponent).
-            let budget = maxbits.saturating_sub(1 + T::EMAX_BITS);
-            BlockParams { kmin: 0, budget }
+    }
+
+    /// Lowest coded plane of a block with exponent `emax`; `intprec` when
+    /// every plane is cut and the block rounds to zero.
+    #[inline]
+    fn kmin(&self, emax: i32) -> u32 {
+        match self.kmin_at_zero {
+            Some(at_zero) => (at_zero - emax).clamp(0, self.intprec as i32) as u32,
+            None => self.kmin,
         }
     }
 }
 
 /// Total bits one fixed-rate block occupies (header + payload + padding).
 fn rate_block_bits(bpv: f64, d: usize) -> usize {
-    (bpv * SIDE.pow(d as u32) as f64).ceil() as usize
+    (bpv * block::SIDE.pow(d as u32) as f64).ceil() as usize
+}
+
+/// Coordinates `(bk, bj, bi)` of every block of `g`, x fastest.
+fn block_coords(g: &Geom) -> impl Iterator<Item = (usize, usize, usize)> {
+    let (bz, by, bx) = g.block_counts();
+    let mut next = (0, 0, 0);
+    std::iter::from_fn(move || {
+        let at = next;
+        if at.0 == bz {
+            return None;
+        }
+        next.2 += 1;
+        if next.2 == bx {
+            next = (at.0, at.1 + 1, 0);
+            if next.1 == by {
+                next = (at.0 + 1, 0, 0);
+            }
+        }
+        Some(at)
+    })
+}
+
+/// Coefficients one batch of [`encode_field`] holds between its two stages.
+const BATCH_COEFFICIENTS: usize = 1024;
+
+/// The coefficient stream of a whole field of `4^d = N`-element blocks,
+/// with the zero-block and coded-plane counts.
+///
+/// Blocks go through in batches of two stages, transform (gather, block
+/// floating point, lift, reorder) into a fixed buffer and then code, so a
+/// trace-on build reads the clock twice per stage per batch and not four
+/// times per block, which on rank 1 would cost as much as the block.
+fn encode_field<T: ZfpElement, const N: usize>(
+    data: &[T],
+    g: &Geom,
+    coding: &BlockCoding,
+) -> (WriteStream, u64, u64) {
+    let mut w = WriteStream::new();
+    let mut zero_blocks = 0u64;
+    let mut bit_planes = 0u64;
+    // Per-block timings accumulate locally; the global registry is touched
+    // once per compress call (after the loop), never per block.
+    let mut transform_laps = lcpio_trace::Stopwatch::new();
+    let mut coder_laps = lcpio_trace::Stopwatch::new();
+    let mut coefficients = [0u64; BATCH_COEFFICIENTS];
+    // Exponent and lowest plane per block; `kmin == intprec` is a zero block.
+    let mut heads = [(0i32, 0u32); BATCH_COEFFICIENTS / 4];
+    let mut coords = block_coords(g);
+    let mut left = g.num_blocks();
+    while left > 0 {
+        let count = left.min(BATCH_COEFFICIENTS / N);
+        left -= count;
+        transform_laps.lap(|| {
+            let slots = coefficients.chunks_exact_mut(N).zip(&mut heads).take(count);
+            for ((slot, head), at) in slots.zip(&mut coords) {
+                let mut fblock = [T::from_f64(0.0); N];
+                block::gather(data, g, at, &mut fblock);
+                *head = (0, coding.intprec);
+                let Some(emax) = fixedpoint::block_exponent(&fblock) else { continue };
+                let kmin = coding.kmin(emax);
+                if kmin < coding.intprec {
+                    let mut ints = [0i64; N];
+                    fixedpoint::forward(&fblock, emax, &mut ints);
+                    transform::forward_block(&mut ints);
+                    order::apply_negabinary(&ints, slot.try_into().expect("chunks of N"));
+                    *head = (emax, kmin);
+                }
+            }
+        });
+        coder_laps.lap(|| {
+            let slots = coefficients.chunks_exact(N).zip(&heads).take(count);
+            for (slot, &(emax, kmin)) in slots {
+                let block_start = w.bit_len();
+                if kmin >= coding.intprec {
+                    w.write_bit(false);
+                    zero_blocks += 1;
+                } else {
+                    let slot: &[u64; N] = slot.try_into().expect("chunks of N");
+                    w.write_bits(1 | ((emax + T::EMAX_BIAS) as u64) << 1, 1 + T::EMAX_BITS);
+                    coder::encode_block(slot, coding.intprec, kmin, coding.budget, &mut w);
+                    bit_planes += (coding.intprec - kmin) as u64;
+                }
+                // Fixed-rate blocks are padded to their exact budget so the
+                // stream supports random block access.
+                if let Some(bits) = coding.rate_bits {
+                    w.pad_to(block_start + bits);
+                }
+            }
+        });
+    }
+    transform_laps.commit("zfp.transform");
+    coder_laps.commit("zfp.coder");
+    (w, zero_blocks, bit_planes)
 }
 
 /// Compress `data` shaped as `dims` (1–4 dims, slowest first), for any
@@ -76,61 +193,12 @@ pub fn compress_typed<T: ZfpElement>(
     }
     mode.validate()?;
 
-    let d = g.d;
-    let blen = g.block_len();
-    let perm = order::permutation(d);
-    let mut w = WriteStream::new();
-    let mut fblock: Vec<T> = vec![T::from_f64(0.0); blen];
-    let mut ints = vec![0i64; blen];
-    let mut nb = vec![0u64; blen];
-    let mut zero_blocks = 0u64;
-    // Per-block timings accumulate locally; the global registry is touched
-    // once per compress call (after the loop), never per block.
-    let mut transform_laps = lcpio_trace::Stopwatch::new();
-    let mut coder_laps = lcpio_trace::Stopwatch::new();
-    let mut bit_planes = 0u64;
-
-    let (bz, by, bx) = g.block_counts();
-    for bk in 0..bz {
-        for bj in 0..by {
-            for bi in 0..bx {
-                let block_start = w.bit_len();
-                block::gather(data, &g, bk, bj, bi, &mut fblock);
-                let emax = fixedpoint::block_exponent(&fblock);
-                let params = emax.map(|e| block_params::<T>(mode, d, e));
-                let skip = match (emax, &params) {
-                    (None, _) => true,
-                    // All kept planes truncated ⇒ the block rounds to zero.
-                    (Some(_), Some(p)) if p.kmin >= T::INTPREC => true,
-                    _ => false,
-                };
-                if skip {
-                    w.write_bit(false);
-                    zero_blocks += 1;
-                } else {
-                    let emax = emax.expect("skip guard covers None");
-                    let p = params.expect("skip guard covers None");
-                    w.write_bit(true);
-                    w.write_bits((emax + T::EMAX_BIAS) as u64, T::EMAX_BITS);
-                    transform_laps.lap(|| {
-                        fixedpoint::forward(&fblock, emax, &mut ints);
-                        transform::forward(&mut ints, d);
-                        order::apply_negabinary(&ints, &perm, &mut nb);
-                    });
-                    coder_laps
-                        .lap(|| coder::encode_ints(&nb, T::INTPREC, p.kmin, p.budget, &mut w));
-                    bit_planes += (T::INTPREC - p.kmin) as u64;
-                }
-                // Fixed-rate blocks are padded to their exact budget so the
-                // stream supports random block access.
-                if let ZfpMode::FixedRate(bpv) = mode {
-                    w.pad_to(block_start + rate_block_bits(*bpv, d));
-                }
-            }
-        }
-    }
-    transform_laps.commit("zfp.transform");
-    coder_laps.commit("zfp.coder");
+    let coding = BlockCoding::new::<T>(mode, g.d);
+    let (w, zero_blocks, bit_planes) = match g.d {
+        1 => encode_field::<T, 4>(data, &g, &coding),
+        2 => encode_field::<T, 16>(data, &g, &coding),
+        _ => encode_field::<T, 64>(data, &g, &coding),
+    };
 
     let bitstream_span = lcpio_trace::span("zfp.bitstream");
     let payload = w.into_bytes();
@@ -193,6 +261,33 @@ pub fn stream_type_tag(stream: &[u8]) -> Result<u8, ZfpError> {
     Ok(stream[4])
 }
 
+/// Decode every block of a field of `4^d = N`-element blocks into `out`.
+fn decode_field<T: ZfpElement, const N: usize>(
+    r: &mut ReadStream<'_>,
+    g: &Geom,
+    coding: &BlockCoding,
+    out: &mut [T],
+) {
+    for at in block_coords(g) {
+        let block_start = r.bit_pos();
+        if r.read_bit() {
+            let emax = r.read_bits(T::EMAX_BITS) as i32 - T::EMAX_BIAS;
+            let mut nb = [0u64; N];
+            coder::decode_block(&mut nb, coding.intprec, coding.kmin(emax), coding.budget, r);
+            let mut ints = [0i64; N];
+            order::invert_negabinary(&nb, &mut ints);
+            transform::inverse_block(&mut ints);
+            let mut fblock = [T::from_f64(0.0); N];
+            fixedpoint::inverse(&ints, emax, &mut fblock);
+            block::scatter(&fblock, g, at, out);
+        }
+        // A zero block leaves the zeros `out` was made of.
+        if let Some(bits) = coding.rate_bits {
+            r.seek(block_start + bits);
+        }
+    }
+}
+
 /// Decompress a stream produced by [`compress_typed`]. Fails with
 /// [`ZfpError::TypeMismatch`] when the stream holds a different element
 /// type.
@@ -200,11 +295,12 @@ pub fn decompress_typed<T: ZfpElement>(stream: &[u8]) -> Result<(Vec<T>, Vec<usi
     let _span = lcpio_trace::span("zfp.decompress");
     let mut pos = 0usize;
     let take = |pos: &mut usize, n: usize| -> Result<&[u8], ZfpError> {
-        if *pos + n > stream.len() {
-            return Err(ZfpError::Corrupt("unexpected end of stream"));
-        }
-        let s = &stream[*pos..*pos + n];
-        *pos += n;
+        let end = pos
+            .checked_add(n)
+            .filter(|&end| end <= stream.len())
+            .ok_or(ZfpError::Corrupt("unexpected end of stream"))?;
+        let s = &stream[*pos..end];
+        *pos = end;
         Ok(s)
     };
     if take(&mut pos, 4)? != MAGIC {
@@ -237,37 +333,13 @@ pub fn decompress_typed<T: ZfpElement>(stream: &[u8]) -> Result<(Vec<T>, Vec<usi
     if g.num_blocks() > payload.len().saturating_mul(8) {
         return Err(ZfpError::Corrupt("block count exceeds payload"));
     }
-    let d = g.d;
-    let blen = g.block_len();
-    let perm = order::permutation(d);
+    let coding = BlockCoding::new::<T>(&mode, g.d);
     let mut out: Vec<T> = vec![T::from_f64(0.0); g.len()];
     let mut r = ReadStream::new(payload);
-    let mut ints = vec![0i64; blen];
-    let mut nb = vec![0u64; blen];
-    let mut fblock: Vec<T> = vec![T::from_f64(0.0); blen];
-
-    let (bz, by, bx) = g.block_counts();
-    for bk in 0..bz {
-        for bj in 0..by {
-            for bi in 0..bx {
-                let block_start = r.bit_pos();
-                let nonzero = r.read_bit();
-                if nonzero {
-                    let emax = r.read_bits(T::EMAX_BITS) as i32 - T::EMAX_BIAS;
-                    let p = block_params::<T>(&mode, d, emax);
-                    coder::decode_ints_into(&mut nb, T::INTPREC, p.kmin, p.budget, &mut r);
-                    order::invert_negabinary(&nb, &perm, &mut ints);
-                    transform::inverse(&mut ints, d);
-                    fixedpoint::inverse(&ints, emax, &mut fblock);
-                } else {
-                    fblock.fill(T::from_f64(0.0));
-                }
-                if let ZfpMode::FixedRate(bpv) = mode {
-                    r.seek(block_start + rate_block_bits(bpv, d));
-                }
-                block::scatter(&fblock, &g, bk, bj, bi, &mut out);
-            }
-        }
+    match g.d {
+        1 => decode_field::<T, 4>(&mut r, &g, &coding, &mut out),
+        2 => decode_field::<T, 16>(&mut r, &g, &coding, &mut out),
+        _ => decode_field::<T, 64>(&mut r, &g, &coding, &mut out),
     }
     Ok((out, dims))
 }
@@ -282,6 +354,180 @@ pub fn decompress_f64(stream: &[u8]) -> Result<(Vec<f64>, Vec<usize>), ZfpError>
     decompress_typed(stream)
 }
 
+/// The block loop [`encode_field`] / [`decode_field`] replaced, kept as
+/// the executable specification of the stream: per block a `Vec`-backed
+/// gather by the clamp formula, the `log2`/`powi` fixed point, the
+/// lane-walking transform, a sorted permutation and the slice coder, with
+/// the mode arithmetic redone for every block.
+#[cfg(test)]
+mod reference {
+    use super::{rate_block_bits, MAGIC, NO_BUDGET};
+    use crate::bitstream::{ReadStream, WriteStream};
+    use crate::block::{Geom, SIDE};
+    use crate::element::ZfpElement;
+    use crate::{coder, fixedpoint, negabinary, order, transform};
+    use crate::{ZfpMode, ZfpStats};
+
+    /// Per-block coding parameters derived from mode + block exponent.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(super) struct BlockParams {
+        /// Lowest coded plane.
+        pub(super) kmin: u32,
+        /// Bit budget for the coefficient payload.
+        pub(super) budget: usize,
+    }
+
+    pub(super) fn block_params<T: ZfpElement>(mode: &ZfpMode, d: usize, emax: i32) -> BlockParams {
+        match *mode {
+            ZfpMode::FixedAccuracy(tol) => {
+                let minexp = tol.log2().floor() as i32;
+                let guard = 2 * (d as i32 + 1);
+                let kmin = (minexp - guard - emax + T::Q).clamp(0, T::INTPREC as i32) as u32;
+                BlockParams { kmin, budget: NO_BUDGET }
+            }
+            ZfpMode::FixedPrecision(prec) => {
+                let prec = prec.min(T::INTPREC);
+                BlockParams { kmin: T::INTPREC - prec, budget: NO_BUDGET }
+            }
+            ZfpMode::FixedRate(bpv) => {
+                let block_len = SIDE.pow(d as u32);
+                let maxbits = (bpv * block_len as f64).ceil() as usize;
+                let budget = maxbits.saturating_sub(1 + T::EMAX_BITS);
+                BlockParams { kmin: 0, budget }
+            }
+        }
+    }
+
+    /// Field index of lane `idx` of block `at`, clamped to the nearest
+    /// valid sample, and whether the lane lies inside the field.
+    fn lane(g: &Geom, at: (usize, usize, usize), idx: usize) -> (usize, bool) {
+        let (i, j, k) = match g.d {
+            1 => (idx, 0, 0),
+            2 => (idx % SIDE, idx / SIDE, 0),
+            _ => (idx % SIDE, (idx / SIDE) % SIDE, idx / (SIDE * SIDE)),
+        };
+        let (k, j, i) = (at.0 * SIDE + k, at.1 * SIDE + j, at.2 * SIDE + i);
+        let inside = k < g.nz && j < g.ny && i < g.nx;
+        ((k.min(g.nz - 1) * g.ny + j.min(g.ny - 1)) * g.nx + i.min(g.nx - 1), inside)
+    }
+
+    pub(super) fn compress_typed<T: ZfpElement>(
+        data: &[T],
+        dims: &[usize],
+        mode: &ZfpMode,
+    ) -> (Vec<u8>, ZfpStats, u64) {
+        let g = Geom::new(dims).expect("valid dims");
+        let d = g.d;
+        let blen = g.block_len();
+        let perm = order::reference::permutation(d);
+        let mut w = WriteStream::new();
+        let mut ints = vec![0i64; blen];
+        let mut nb = vec![0u64; blen];
+        let (mut zero_blocks, mut bit_planes) = (0u64, 0u64);
+        let (bz, by, bx) = g.block_counts();
+        for bk in 0..bz {
+            for bj in 0..by {
+                for bi in 0..bx {
+                    let block_start = w.bit_len();
+                    let fblock: Vec<T> =
+                        (0..blen).map(|idx| data[lane(&g, (bk, bj, bi), idx).0]).collect();
+                    let emax = fixedpoint::reference::block_exponent(&fblock);
+                    let params = emax.map(|e| block_params::<T>(mode, d, e));
+                    match (emax, params) {
+                        (Some(emax), Some(p)) if p.kmin < T::INTPREC => {
+                            w.write_bit(true);
+                            w.write_bits((emax + T::EMAX_BIAS) as u64, T::EMAX_BITS);
+                            fixedpoint::reference::forward(&fblock, emax, &mut ints);
+                            transform::forward_generic(&mut ints, d);
+                            for (o, &p) in nb.iter_mut().zip(&perm) {
+                                *o = negabinary::encode(ints[p]);
+                            }
+                            coder::reference::encode_ints(&nb, T::INTPREC, p.kmin, p.budget, &mut w);
+                            bit_planes += (T::INTPREC - p.kmin) as u64;
+                        }
+                        _ => {
+                            w.write_bit(false);
+                            zero_blocks += 1;
+                        }
+                    }
+                    if let ZfpMode::FixedRate(bpv) = mode {
+                        w.pad_to(block_start + rate_block_bits(*bpv, d));
+                    }
+                }
+            }
+        }
+        let payload = w.into_bytes();
+        let mut out = Vec::new();
+        out.extend_from_slice(&MAGIC);
+        out.push(T::TYPE_TAG);
+        out.push(dims.len() as u8);
+        for &dim in dims {
+            out.extend_from_slice(&(dim as u64).to_le_bytes());
+        }
+        let (tag, param) = mode.encode();
+        out.push(tag);
+        out.extend_from_slice(&param.to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&payload);
+        let stats = ZfpStats {
+            elements: data.len() as u64,
+            input_bytes: std::mem::size_of_val(data) as u64,
+            output_bytes: out.len() as u64,
+            blocks: g.num_blocks() as u64,
+            zero_blocks,
+            payload_bits: payload.len() as u64 * 8,
+        };
+        (out, stats, bit_planes)
+    }
+
+    /// Decode the payload of a stream whose header `compress_typed` wrote.
+    pub(super) fn decompress_typed<T: ZfpElement>(
+        payload: &[u8],
+        dims: &[usize],
+        mode: &ZfpMode,
+    ) -> Vec<T> {
+        let g = Geom::new(dims).expect("valid dims");
+        let d = g.d;
+        let blen = g.block_len();
+        let perm = order::reference::permutation(d);
+        let mut out = vec![T::from_f64(0.0); g.len()];
+        let mut r = ReadStream::new(payload);
+        let mut ints = vec![0i64; blen];
+        let mut nb = vec![0u64; blen];
+        let mut fblock = vec![T::from_f64(0.0); blen];
+        let (bz, by, bx) = g.block_counts();
+        for bk in 0..bz {
+            for bj in 0..by {
+                for bi in 0..bx {
+                    let block_start = r.bit_pos();
+                    if r.read_bit() {
+                        let emax = r.read_bits(T::EMAX_BITS) as i32 - T::EMAX_BIAS;
+                        let p = block_params::<T>(mode, d, emax);
+                        coder::reference::decode_ints_into(&mut nb, T::INTPREC, p.kmin, p.budget, &mut r);
+                        for (&v, &p) in nb.iter().zip(&perm) {
+                            ints[p] = negabinary::decode(v);
+                        }
+                        transform::inverse_generic(&mut ints, d);
+                        fixedpoint::reference::inverse(&ints, emax, &mut fblock);
+                    } else {
+                        fblock.fill(T::from_f64(0.0));
+                    }
+                    if let ZfpMode::FixedRate(bpv) = mode {
+                        r.seek(block_start + rate_block_bits(*bpv, d));
+                    }
+                    for (idx, &v) in fblock.iter().enumerate() {
+                        let (at, inside) = lane(&g, (bk, bj, bi), idx);
+                        if inside {
+                            out[at] = v;
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,32 +536,30 @@ mod tests {
     #[test]
     fn block_params_accuracy_scales_with_emax() {
         // Larger block magnitudes need more planes for the same tolerance.
-        let lo = block_params::<f32>(&ZfpMode::FixedAccuracy(1e-3), 3, 0);
-        let hi = block_params::<f32>(&ZfpMode::FixedAccuracy(1e-3), 3, 10);
-        assert!(hi.kmin < lo.kmin);
+        let coding = BlockCoding::new::<f32>(&ZfpMode::FixedAccuracy(1e-3), 3);
+        assert!(coding.kmin(10) < coding.kmin(0));
     }
 
     #[test]
     fn block_params_precision_ignores_emax() {
-        let a = block_params::<f32>(&ZfpMode::FixedPrecision(16), 2, -5);
-        let b = block_params::<f32>(&ZfpMode::FixedPrecision(16), 2, 20);
-        assert_eq!(a, b);
-        assert_eq!(a.kmin, INTPREC - 16);
+        let coding = BlockCoding::new::<f32>(&ZfpMode::FixedPrecision(16), 2);
+        assert_eq!(coding.kmin(-5), coding.kmin(20));
+        assert_eq!(coding.kmin(-5), INTPREC - 16);
     }
 
     #[test]
     fn block_params_rate_sets_budget() {
-        let p = block_params::<f32>(&ZfpMode::FixedRate(8.0), 3, 0);
-        assert_eq!(p.budget, 8 * 64 - 1 - <f32 as ZfpElement>::EMAX_BITS);
-        assert_eq!(p.kmin, 0);
+        let coding = BlockCoding::new::<f32>(&ZfpMode::FixedRate(8.0), 3);
+        assert_eq!(coding.budget, 8 * 64 - 1 - <f32 as ZfpElement>::EMAX_BITS);
+        assert_eq!(coding.kmin(0), 0);
     }
 
     #[test]
     fn f64_params_keep_more_planes_for_same_tolerance() {
-        let f32p = block_params::<f32>(&ZfpMode::FixedAccuracy(1e-6), 3, 0);
-        let f64p = block_params::<f64>(&ZfpMode::FixedAccuracy(1e-6), 3, 0);
-        let f32_planes = <f32 as ZfpElement>::INTPREC - f32p.kmin;
-        let f64_planes = <f64 as ZfpElement>::INTPREC - f64p.kmin;
+        let f32_kmin = BlockCoding::new::<f32>(&ZfpMode::FixedAccuracy(1e-6), 3).kmin(0);
+        let f64_kmin = BlockCoding::new::<f64>(&ZfpMode::FixedAccuracy(1e-6), 3).kmin(0);
+        let f32_planes = <f32 as ZfpElement>::INTPREC - f32_kmin;
+        let f64_planes = <f64 as ZfpElement>::INTPREC - f64_kmin;
         // Same tolerance ⇒ same number of *kept* planes relative to the
         // block exponent; both types count down from their own Q.
         assert_eq!(f32_planes, f64_planes);
@@ -367,5 +611,136 @@ mod tests {
         assert_eq!(decompress(&f64_out.bytes).unwrap_err(), ZfpError::TypeMismatch);
         assert_eq!(stream_type_tag(&f32_out.bytes).unwrap(), 0);
         assert_eq!(stream_type_tag(&f64_out.bytes).unwrap(), 1);
+    }
+
+    #[test]
+    fn block_coding_matches_the_per_block_arithmetic() {
+        fn check<T: ZfpElement>(mode: ZfpMode) {
+            for d in 1..=3 {
+                let coding = BlockCoding::new::<T>(&mode, d);
+                for field in 0..1i32 << T::EMAX_BITS {
+                    let emax = field - T::EMAX_BIAS;
+                    let want = reference::block_params::<T>(&mode, d, emax);
+                    let got = reference::BlockParams { kmin: coding.kmin(emax), budget: coding.budget };
+                    assert_eq!(got, want, "{mode:?} d {d} emax {emax}");
+                }
+            }
+        }
+        for mode in [
+            ZfpMode::FixedAccuracy(1e-3),
+            ZfpMode::FixedAccuracy(5e-324),
+            ZfpMode::FixedAccuracy(1e300),
+            ZfpMode::FixedPrecision(1),
+            ZfpMode::FixedPrecision(16),
+            ZfpMode::FixedPrecision(99),
+            ZfpMode::FixedRate(0.01),
+            ZfpMode::FixedRate(8.0),
+            ZfpMode::FixedRate(64.0),
+        ] {
+            check::<f32>(mode);
+            check::<f64>(mode);
+        }
+    }
+
+    /// A field with everything a block can hold: smooth stretches, noise,
+    /// exact zeros and all-zero blocks, NaN and ±∞, magnitudes across the
+    /// exponent range, and values one ulp below a power of two (where the
+    /// `f64` exponent comes from `log2`, not the exponent field).
+    fn mixed_field(n: usize, seed: u64, huge: f64) -> Vec<f64> {
+        let mut s = seed | 1;
+        (0..n)
+            .map(|i| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                let noise = (s >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+                match (i / 61) % 9 {
+                    0 => 0.0,
+                    1 => (i as f64 * 0.05).sin() * 40.0,
+                    2 => noise * 1e4,
+                    3 if i % 7 == 0 => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][i % 3],
+                    4 => noise * huge,
+                    5 => noise / huge,
+                    6 => f64::from_bits((1024.0f64).to_bits() - 1) * if s & 1 == 0 { 1.0 } else { -0.5 },
+                    7 if i % 5 == 0 => 0.0,
+                    _ => (i as f64 * 0.01).cos() + noise * 1e-3,
+                }
+            })
+            .collect()
+    }
+
+    /// Whole calls, new against the retained reference: stream bytes and
+    /// statistics equal, and both decoders return the same values bit for
+    /// bit (`to_bits`), from the clean stream and from a damaged payload.
+    fn check_whole_call<T: ZfpElement>(data: &[T], dims: &[usize], mode: ZfpMode, bits: fn(T) -> u64) {
+        let what = format!("{dims:?} {mode:?}");
+        let new = compress_typed(data, dims, &mode).expect("compress");
+        let (old_bytes, old_stats, _) = reference::compress_typed(data, dims, &mode);
+        assert_eq!(new.bytes, old_bytes, "{what}");
+        assert_eq!(new.stats, old_stats, "{what}");
+        let header = old_bytes.len() - old_stats.payload_bits as usize / 8;
+        let mut stream = old_bytes;
+        for round in 0..4u64 {
+            let want = reference::decompress_typed::<T>(&stream[header..], dims, &mode);
+            let (got, got_dims) = decompress_typed::<T>(&stream).expect("decompress");
+            assert_eq!(got_dims, dims, "{what}");
+            assert_eq!(
+                got.iter().map(|&v| bits(v)).collect::<Vec<_>>(),
+                want.iter().map(|&v| bits(v)).collect::<Vec<_>>(),
+                "{what} round {round}"
+            );
+            // Damage the payload for the next round: a few bytes, spread out.
+            let payload = stream.len() - header;
+            for hit in 0..3 {
+                let at = header + (round * 7919 + hit * 104729) as usize % payload;
+                stream[at] ^= 0x5A;
+            }
+        }
+    }
+
+    #[test]
+    fn whole_calls_match_the_reference() {
+        let shapes: [&[usize]; 8] =
+            [&[4], &[1021], &[4, 8], &[33, 47], &[1, 5], &[9, 10, 11], &[5, 6, 7], &[2, 3, 5, 9]];
+        let modes = [
+            ZfpMode::FixedAccuracy(1e-3),
+            ZfpMode::FixedAccuracy(1e-9),
+            ZfpMode::FixedAccuracy(300.0),
+            ZfpMode::FixedPrecision(1),
+            ZfpMode::FixedPrecision(12),
+            ZfpMode::FixedPrecision(64),
+            ZfpMode::FixedRate(0.5),
+            ZfpMode::FixedRate(3.7),
+            ZfpMode::FixedRate(16.0),
+        ];
+        for (case, dims) in shapes.into_iter().enumerate() {
+            let n: usize = dims.iter().product();
+            let wide = mixed_field(n, 0xF1E1D + case as u64, 1e250);
+            let narrow: Vec<f32> = mixed_field(n, 0xF1E1D + case as u64, 1e30).iter().map(|&v| v as f32).collect();
+            for mode in modes {
+                check_whole_call(&wide, dims, mode, f64::to_bits);
+                check_whole_call(&narrow, dims, mode, |v| v.to_bits() as u64);
+            }
+        }
+    }
+
+    /// A `payload_len` that wraps `pos + n` used to pass the length test
+    /// and panic on the slice.
+    #[test]
+    fn forged_payload_len_is_a_typed_error() {
+        let good = compress(&[1.5f32; 8], &[8], &ZfpMode::FixedAccuracy(1e-3)).expect("compress");
+        let at = 4 + 1 + 1 + 8 + 1 + 8;
+        assert_eq!(good.bytes[at..at + 8], (good.bytes.len() as u64 - 31).to_le_bytes());
+        for forged in [u64::MAX, u64::MAX - 30, 1 << 63] {
+            for len in [31, good.bytes.len()] {
+                let mut stream = good.bytes[..len].to_vec();
+                stream[at..at + 8].copy_from_slice(&forged.to_le_bytes());
+                assert_eq!(
+                    decompress(&stream).unwrap_err(),
+                    ZfpError::Corrupt("unexpected end of stream"),
+                    "payload_len {forged:#x}, {len} bytes"
+                );
+            }
+        }
     }
 }

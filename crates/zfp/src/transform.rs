@@ -104,84 +104,79 @@ pub fn inverse_generic(block: &mut [i64], d: usize) {
     }
 }
 
-/// Lane-origin tables for the 3-D block: per axis, the 16 base indices of
-/// its lanes (strides 1, 4, 16). Precomputed so the kernels touch each
-/// element exactly once per axis with no per-index div/mod.
-const LANES_3D: [([usize; 16], usize); 3] = {
-    let mut s1 = [0usize; 16];
-    let mut s4 = [0usize; 16];
-    let mut s16 = [0usize; 16];
-    let mut i = 0;
-    while i < 16 {
-        s1[i] = i * 4; // x-lanes: one per (y, z)
-        s4[i] = (i / 4) * 16 + i % 4; // y-lanes: one per (x, z)
-        s16[i] = i; // z-lanes: one per (x, y)
-        i += 1;
-    }
-    [(s1, 1), (s4, 4), (s16, 16)]
-};
-
-/// Lane-origin tables for the 2-D block (strides 1, 4).
-const LANES_2D: [([usize; 4], usize); 2] = [([0, 4, 8, 12], 1), ([0, 1, 2, 3], 4)];
-
-/// Lift one lane at `base` with the given stride, in place.
+/// Lift every lane of one axis of a block of `N = 4^d` coefficients in
+/// place. `STRIDE` is the axis (1, 4 or 16 for x, y, z); with both
+/// constants known the lane origins are compile-time offsets.
 #[inline(always)]
-fn lift_at(block: &mut [i64], base: usize, stride: usize, f: impl Fn(&mut [i64; 4])) {
-    let mut lane = [
-        block[base],
-        block[base + stride],
-        block[base + 2 * stride],
-        block[base + 3 * stride],
-    ];
-    f(&mut lane);
-    block[base] = lane[0];
-    block[base + stride] = lane[1];
-    block[base + 2 * stride] = lane[2];
-    block[base + 3 * stride] = lane[3];
-}
-
-/// Forward transform of a full 4^d block (d = 1, 2, or 3), dispatching to
-/// a dimension-specialized kernel.
-pub fn forward(block: &mut [i64], d: usize) {
-    debug_assert_eq!(block.len(), SIDE.pow(d as u32));
-    match d {
-        1 => lift_at(block, 0, 1, fwd_lift),
-        2 => {
-            for &(bases, stride) in &LANES_2D {
-                for &base in &bases {
-                    lift_at(block, base, stride, fwd_lift);
-                }
-            }
-        }
-        _ => {
-            for &(bases, stride) in &LANES_3D {
-                for &base in &bases {
-                    lift_at(block, base, stride, fwd_lift);
-                }
-            }
-        }
+fn lift_axis<const N: usize, const STRIDE: usize>(block: &mut [i64; N], f: impl Fn(&mut [i64; 4])) {
+    for lane in 0..N / SIDE {
+        // The lane's origin: its index with a zero `STRIDE` digit put in.
+        let base = lane / STRIDE * STRIDE * SIDE + lane % STRIDE;
+        let mut v = [
+            block[base],
+            block[base + STRIDE],
+            block[base + 2 * STRIDE],
+            block[base + 3 * STRIDE],
+        ];
+        f(&mut v);
+        block[base] = v[0];
+        block[base + STRIDE] = v[1];
+        block[base + 2 * STRIDE] = v[2];
+        block[base + 3 * STRIDE] = v[3];
     }
 }
 
-/// Inverse transform of a full 4^d block (axes in reverse order).
-pub fn inverse(block: &mut [i64], d: usize) {
-    debug_assert_eq!(block.len(), SIDE.pow(d as u32));
+/// Forward transform of a full block of `N = 4^d` coefficients, x axis
+/// first.
+#[inline]
+pub fn forward_block<const N: usize>(block: &mut [i64; N]) {
+    lift_axis::<N, 1>(block, fwd_lift);
+    if N >= 16 {
+        lift_axis::<N, 4>(block, fwd_lift);
+    }
+    if N >= 64 {
+        lift_axis::<N, 16>(block, fwd_lift);
+    }
+}
+
+/// Inverse transform of a full block (axes in reverse order).
+#[inline]
+pub fn inverse_block<const N: usize>(block: &mut [i64; N]) {
+    if N >= 64 {
+        lift_axis::<N, 16>(block, inv_lift);
+    }
+    if N >= 16 {
+        lift_axis::<N, 4>(block, inv_lift);
+    }
+    lift_axis::<N, 1>(block, inv_lift);
+}
+
+/// View a slice as one block of `4^d` elements.
+fn as_block<const N: usize>(block: &mut [i64]) -> &mut [i64; N] {
+    block.try_into().expect("a ZFP block holds 4^d coefficients")
+}
+
+/// Slice entry to [`forward_block`] for a 4^d block (d = 1, 2, or 3).
+///
+/// # Panics
+/// When `block` does not hold `4^d` coefficients.
+pub fn forward(block: &mut [i64], d: usize) {
     match d {
-        1 => lift_at(block, 0, 1, inv_lift),
-        2 => {
-            for &(bases, stride) in LANES_2D.iter().rev() {
-                for &base in &bases {
-                    lift_at(block, base, stride, inv_lift);
-                }
-            }
-        }
-        _ => {
-            for &(bases, stride) in LANES_3D.iter().rev() {
-                for &base in &bases {
-                    lift_at(block, base, stride, inv_lift);
-                }
-            }
-        }
+        1 => forward_block::<4>(as_block(block)),
+        2 => forward_block::<16>(as_block(block)),
+        _ => forward_block::<64>(as_block(block)),
+    }
+}
+
+/// Slice entry to [`inverse_block`].
+///
+/// # Panics
+/// When `block` does not hold `4^d` coefficients.
+pub fn inverse(block: &mut [i64], d: usize) {
+    match d {
+        1 => inverse_block::<4>(as_block(block)),
+        2 => inverse_block::<16>(as_block(block)),
+        _ => inverse_block::<64>(as_block(block)),
     }
 }
 
@@ -287,28 +282,6 @@ mod tests {
                 inverse_generic(&mut generic, d);
                 assert_eq!(block, generic, "inverse d={d}");
             }
-        }
-    }
-
-    #[test]
-    fn lane_tables_cover_every_element_once_per_axis() {
-        for (bases, stride) in LANES_3D {
-            let mut seen = [0u32; 64];
-            for base in bases {
-                for s in 0..SIDE {
-                    seen[base + s * stride] += 1;
-                }
-            }
-            assert!(seen.iter().all(|&c| c == 1), "stride {stride}: {seen:?}");
-        }
-        for (bases, stride) in LANES_2D {
-            let mut seen = [0u32; 16];
-            for base in bases {
-                for s in 0..SIDE {
-                    seen[base + s * stride] += 1;
-                }
-            }
-            assert!(seen.iter().all(|&c| c == 1), "stride {stride}: {seen:?}");
         }
     }
 

@@ -1,10 +1,13 @@
-//! Property tests for the word-level ZFP kernels: the 64-bit-buffered
-//! bitstream against its retained bit-at-a-time reference, and the
-//! stride-table transform kernels against the generic lane walker.
+//! Property tests for the word-level ZFP kernels through their public
+//! entries: the 64-bit-buffered bitstream against its retained
+//! bit-at-a-time reference, the const-generic transform against the
+//! generic lane walker, and the block coder's slice entries against what
+//! they must give back. (The coder's own reference is `#[cfg(test)]`, so
+//! its differential tests live in `lcpio-zfp`.)
 
 use lcpio::zfp::bitstream::reference::{RefReadStream, RefWriteStream};
 use lcpio::zfp::bitstream::{ReadStream, WriteStream};
-use lcpio::zfp::transform;
+use lcpio::zfp::{coder, transform};
 use proptest::prelude::*;
 
 fn xorshift(s: &mut u64) -> u64 {
@@ -119,8 +122,45 @@ proptest! {
         }
     }
 
-    /// The dimension-specialized transform kernels are exact drop-ins for
-    /// the generic lane-walking path, forward and inverse, for d = 1, 2, 3.
+    /// The slice entries of the block coder, as the repo benchmark calls
+    /// them (budget `usize::MAX` included): blocks of every size written
+    /// back to back decode to their coefficients with the planes below
+    /// `kmin` cleared, both sides ending on the same bit.
+    #[test]
+    fn coder_slice_entries_round_trip(
+        seed in any::<u64>(),
+        d in 1u32..4,
+        intprec in 1u32..65,
+        cut in 0u32..65,
+        unbounded in any::<bool>(),
+    ) {
+        let mut s = seed | 1;
+        let n = 4usize.pow(d);
+        let kmin = cut % (intprec + 1);
+        let budget = if unbounded { usize::MAX } else { 64 * n };
+        let blocks: Vec<Vec<u64>> = (0..3)
+            .map(|_| (0..n).map(|i| (xorshift(&mut s) >> (64 - intprec)) >> (i % 7 * 5 % intprec as usize)).collect())
+            .collect();
+        let mut w = WriteStream::new();
+        let mut bits = 0;
+        for b in &blocks {
+            bits += coder::encode_ints(b, intprec, kmin, budget, &mut w);
+            prop_assert_eq!(w.bit_len(), bits);
+        }
+        let bytes = w.into_bytes();
+        let mut r = ReadStream::new(&bytes);
+        let keep = u64::MAX.checked_shl(kmin).unwrap_or(0);
+        for b in &blocks {
+            let mut got = vec![u64::MAX; n];
+            coder::decode_ints_into(&mut got, intprec, kmin, budget, &mut r);
+            let want: Vec<u64> = b.iter().map(|&v| v & keep).collect();
+            prop_assert_eq!(got, want);
+        }
+        prop_assert_eq!(r.bit_pos(), bits);
+    }
+
+    /// The const-generic transform kernels are exact drop-ins for the
+    /// generic lane-walking path, forward and inverse, for d = 1, 2, 3.
     #[test]
     fn specialized_transform_matches_generic(seed in any::<u64>(), d in 1usize..4) {
         let mut s = seed | 1;
