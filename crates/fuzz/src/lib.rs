@@ -271,7 +271,7 @@ pub fn target_serve_protocol(bytes: &[u8]) {
 }
 
 /// Mutate `input` in place-ish: flips, overwrites, truncations, splices,
-/// and insertions, 1–4 of them per call.
+/// insertions and integer extremes, 1–4 of them per call.
 pub fn mutate(input: &[u8], rng: &mut Rng) -> Vec<u8> {
     let mut out = input.to_vec();
     for _ in 0..(1 + rng.below(4)) {
@@ -279,7 +279,7 @@ pub fn mutate(input: &[u8], rng: &mut Rng) -> Vec<u8> {
             out.push(rng.next_u64() as u8);
             continue;
         }
-        match rng.below(5) {
+        match rng.below(6) {
             0 => {
                 let i = rng.below(out.len());
                 out[i] ^= 1 << rng.below(8);
@@ -297,9 +297,32 @@ pub fn mutate(input: &[u8], rng: &mut Rng) -> Vec<u8> {
                 let window: Vec<u8> = out[src..src + len].to_vec();
                 out[dst..dst + len].copy_from_slice(&window);
             }
-            _ => {
+            4 => {
                 let i = rng.below(out.len() + 1);
                 out.insert(i, rng.next_u64() as u8);
+            }
+            _ => {
+                // A little-endian integer extreme over a 4- or 8-byte
+                // window: the values a length, count or dimension field
+                // overflows size arithmetic with, which no run of byte
+                // edits ever writes (the last two panics a socket could
+                // reach were each one `u64::MAX` field away from a seed).
+                let width = [4, 8][rng.below(2)].min(out.len());
+                let max = u64::MAX >> (64 - 8 * width);
+                let value = match rng.below(6) {
+                    0 => 0,
+                    1 => 1,
+                    2 => max,
+                    3 => max - rng.below(64) as u64,
+                    4 => max / 2 + 1,
+                    _ => 1 << (4 * width),
+                };
+                // Half the time within the first 64 bytes, where every
+                // container keeps its header.
+                let span = out.len() - width + 1;
+                let near = rng.below(2) == 0;
+                let at = rng.below(if near { span.min(64) } else { span });
+                out[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
             }
         }
     }

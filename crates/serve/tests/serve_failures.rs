@@ -330,6 +330,41 @@ fn forged_dims_whose_byte_length_overflows_get_a_typed_status() {
 }
 
 #[test]
+fn forged_zfl1_payload_len_gets_a_typed_status() {
+    // A `ZFL1` header that claims `u64::MAX` payload bytes wrapped the
+    // decoder's `pos + n` past its length test and panicked on the slice:
+    // here, the only worker, with the connection wedged behind it.
+    let zfp = lcpio_codec::registry().by_name("zfp").expect("registered codec");
+    let good = zfp
+        .compress(&sample_field(256), &[256], lcpio_codec::BoundSpec::Absolute(1e-3))
+        .expect("compress")
+        .bytes;
+    assert_eq!(&good[..4], b"ZFL1");
+    // Magic, type, rank, one dim, mode tag and parameter, then the length.
+    let at = 4 + 1 + 1 + 8 + 1 + 8;
+    let mut forged = good[..at + 8].to_vec();
+    forged[at..].copy_from_slice(&u64::MAX.to_le_bytes());
+
+    let (server, addr) = tcp_server(ServeConfig { workers: 1, ..ServeConfig::default() });
+    let mut s = raw_conn(&addr);
+    s.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+    // Pipelined in one write, as in the forged-dims case above.
+    let mut batch = Request::decompress(1, &forged).encode();
+    batch.extend_from_slice(&Request::control(2, Op::Ping).encode());
+    batch.extend_from_slice(&Request::decompress(3, &good).encode());
+    s.write_all(&batch).expect("write");
+    let resps = read_responses(&mut s, 3);
+    assert_eq!(resps.iter().map(|r| r.id).collect::<Vec<_>>(), vec![1, 2, 3]);
+    assert_eq!(resps[0].status, status::CODEC, "{}", resps[0].message);
+    assert!(resps[0].message.contains("unexpected end of stream"), "{}", resps[0].message);
+    assert_eq!(resps[1].status, status::OK);
+    assert_eq!(resps[2].status, status::OK, "{}", resps[2].message);
+    assert_eq!(resps[2].payload.len(), 256 * 4);
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
 fn held_requests_overlap_across_shards() {
     // Each request holds its worker for a 15 ms sleep (the stand-in for a
     // checkpoint service's write phase), so one shard needs 64 holds end to
