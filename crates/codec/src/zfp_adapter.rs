@@ -13,6 +13,12 @@ use lcpio_zfp::ZfpStats;
 /// ZFP's per-block transform needs only a fixed 4³ local buffer — there
 /// are no per-chunk working arrays worth reusing — so its chunk scratch is
 /// `()` and the adapter carries no buffer pool.
+///
+/// Speed through this adapter is on the ledger for both block shapes the
+/// pipelines meet: `zfp.chunk1d_compress_mbps` /
+/// `zfp.chunk1d_decompress_mbps` for a rank-1 stream chunk (four values
+/// to the block, where per-block cost is everything) and
+/// `zfp.compress3d_mbps` / `zfp.decompress3d_mbps` for the 3-D cube.
 pub struct ZfpCodec;
 
 /// Containers the ZFP adapter produces/decodes. Descriptions are the

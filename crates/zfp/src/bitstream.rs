@@ -102,7 +102,7 @@ impl WriteStream {
 
 /// Mask of the low `n` bits (`n ≤ 64`).
 #[inline]
-fn mask(n: u32) -> u64 {
+pub(crate) fn mask(n: u32) -> u64 {
     if n >= 64 {
         u64::MAX
     } else {

@@ -68,6 +68,21 @@ impl Geom {
     }
 }
 
+/// View a slice of exactly `N` elements as one block.
+///
+/// # Panics
+/// When the slice is not `N` long.
+#[inline]
+pub(crate) fn as_block<T, const N: usize>(data: &[T]) -> &[T; N] {
+    data.try_into().expect("a ZFP block of N elements")
+}
+
+/// [`as_block`] for a mutable slice.
+#[inline]
+pub(crate) fn as_block_mut<T, const N: usize>(data: &mut [T]) -> &mut [T; N] {
+    data.try_into().expect("a ZFP block of N elements")
+}
+
 /// Extents of a block of `N = 4^d` elements along (z, y); x is always
 /// [`SIDE`]. The axes a lower-rank block lacks have extent 1, which is
 /// also what [`Geom`] gives them, so one loop nest serves every rank.
@@ -139,6 +154,26 @@ pub fn scatter<T: Copy, const N: usize>(
     }
 }
 
+/// The gather rule as a formula, for the tests here and the reference
+/// block loop in `pipeline`.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{Geom, SIDE};
+
+    /// Field index of lane `idx` of block `at`, clamped to the nearest
+    /// valid sample, and whether the lane lies inside the field.
+    pub(crate) fn lane(g: &Geom, at: (usize, usize, usize), idx: usize) -> (usize, bool) {
+        let (i, j, k) = match g.d {
+            1 => (idx, 0, 0),
+            2 => (idx % SIDE, idx / SIDE, 0),
+            _ => (idx % SIDE, (idx / SIDE) % SIDE, idx / (SIDE * SIDE)),
+        };
+        let (k, j, i) = (at.0 * SIDE + k, at.1 * SIDE + j, at.2 * SIDE + i);
+        let inside = k < g.nz && j < g.ny && i < g.nx;
+        ((k.min(g.nz - 1) * g.ny + j.min(g.ny - 1)) * g.nx + i.min(g.nx - 1), inside)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,15 +230,7 @@ mod tests {
                     let mut block = [0.0f32; N];
                     gather(&data, &g, (bk, bj, bi), &mut block);
                     for (idx, &got) in block.iter().enumerate() {
-                        let (i, j, k) = match g.d {
-                            1 => (idx, 0, 0),
-                            2 => (idx % SIDE, idx / SIDE, 0),
-                            _ => (idx % SIDE, (idx / SIDE) % SIDE, idx / (SIDE * SIDE)),
-                        };
-                        let si = (bi * SIDE + i).min(g.nx - 1);
-                        let sj = (bj * SIDE + j).min(g.ny - 1);
-                        let sk = (bk * SIDE + k).min(g.nz - 1);
-                        let want = data[(sk * g.ny + sj) * g.nx + si];
+                        let want = data[reference::lane(&g, (bk, bj, bi), idx).0];
                         assert_eq!(got, want, "block ({bk},{bj},{bi}) lane {idx} dims {dims:?}");
                     }
                     scatter(&block, &g, (bk, bj, bi), &mut rebuilt);

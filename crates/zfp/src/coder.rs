@@ -19,7 +19,8 @@
 //! those (and the all-verbatim tail after the last) move as many planes to
 //! a stream word as fit one.
 
-use crate::bitstream::{ReadStream, WriteStream};
+use crate::bitstream::{mask, ReadStream, WriteStream};
+use crate::block::{as_block, as_block_mut};
 
 /// Transpose every `N`×`N` bit tile of `a` in place (LSB orientation): on
 /// return, bit `N·f + r` of `a[c]` equals bit `N·f + c` of the input's
@@ -131,7 +132,7 @@ fn transpose<const N: usize>(a: &mut [u64; N]) {
 #[inline(always)]
 fn plane<const N: usize>(planes: &[u64; N], k: u32) -> u64 {
     let k = k as usize;
-    (planes[k % N] >> (N * (k / N))) & (u64::MAX >> (64 - N))
+    (planes[k % N] >> (N * (k / N))) & mask(N as u32)
 }
 
 /// Inverse of [`plane`] on a zeroed block: store the `N` low bits of `x`.
@@ -141,13 +142,16 @@ fn set_plane<const N: usize>(planes: &mut [u64; N], k: u32, x: u64) {
     planes[k % N] |= x << (N * (k / N));
 }
 
-/// The low `n ≤ 64` bits set.
+/// Bits a run of quiet planes may take in one go: what the budget covers,
+/// at most a stream word. A 64-coefficient block takes no runs: past its
+/// first planes one plane fills a word, and trying cost its decoder a
+/// tenth on the 3-D probe.
 #[inline(always)]
-fn low_bits(n: usize) -> u64 {
-    if n == 0 {
-        0
+fn run_limit<const N: usize>(budget: usize) -> usize {
+    if N < 64 {
+        budget.min(64)
     } else {
-        u64::MAX >> (64 - n)
+        0
     }
 }
 
@@ -183,10 +187,8 @@ pub fn encode_block<const N: usize>(
         // A run of quiet planes, `per` bits each: whole planes only, and
         // only what the budget covers (at most 64 bits, whatever the
         // budget: a fixed-rate block stops mid-plane, in the loop below).
-        // A 64-coefficient block takes no runs: past its first planes one
-        // plane fills a word, and trying cost its decoder a tenth.
         let per = n + (n < N) as usize;
-        let limit = if N < 64 { budget.min(64) } else { 0 };
+        let limit = run_limit::<N>(budget);
         let mut word = 0u64;
         let mut used = 0usize;
         while used + per <= limit && k > kmin {
@@ -251,7 +253,7 @@ pub fn decode_block<const N: usize>(
     while budget > 0 && k > kmin {
         // A run of quiet planes, under the conditions of `encode_block`.
         let per = n + (n < N) as usize;
-        let limit = if N < 64 { budget.min(64) } else { 0 };
+        let limit = run_limit::<N>(budget);
         let bits = r.peek_bits(limit);
         let mut used = 0usize;
         while used + per <= limit && k > kmin {
@@ -260,7 +262,7 @@ pub fn decode_block<const N: usize>(
             if n < N && (field >> n) & 1 != 0 {
                 break;
             }
-            set_plane(planes, k - 1, field & low_bits(n));
+            set_plane(planes, k - 1, field & mask(n as u32));
             used += per;
             k -= 1;
         }
@@ -294,16 +296,6 @@ pub fn decode_block<const N: usize>(
     }
     // Planes back to coefficients: the transpose is its own inverse.
     transpose(planes);
-}
-
-/// View a slice as one block of `N` elements.
-fn as_block<T, const N: usize>(data: &[T]) -> &[T; N] {
-    data.try_into().expect("length matched by the caller")
-}
-
-/// [`as_block`] for a mutable slice.
-fn as_block_mut<T, const N: usize>(data: &mut [T]) -> &mut [T; N] {
-    data.try_into().expect("length matched by the caller")
 }
 
 /// Slice entry to [`encode_block`], dispatching on the block size.
@@ -589,8 +581,8 @@ mod tests {
                     }
                     let bytes = new.into_bytes();
                     assert_eq!(bytes, old.into_bytes(), "{what}");
-                    let cuts = if truncate(kmin) { 0..bytes.len() + 1 } else { bytes.len()..bytes.len() + 1 };
-                    for cut in cuts {
+                    let first_cut = if truncate(kmin) { 0 } else { bytes.len() };
+                    for cut in first_cut..=bytes.len() {
                         let mut rn = ReadStream::new(&bytes[..cut]);
                         let mut ro = ReadStream::new(&bytes[..cut]);
                         rn.seek(3);

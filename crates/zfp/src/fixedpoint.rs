@@ -202,14 +202,16 @@ mod tests {
     /// the scale is what `powi` returned, including where that is 0 or ∞.
     #[test]
     fn scale_matches_powi_for_every_field_exponent() {
-        for (q, bits, bias) in [(30, 9, 200), (52, 12, 1200)] {
-            for field in 0..1i32 << bits {
-                let emax = field - bias;
-                for n in [q - emax, emax - q] {
+        fn check<T: ZfpElement>() {
+            for field in 0..1i32 << T::EMAX_BITS {
+                let emax = field - T::EMAX_BIAS;
+                for n in [T::Q - emax, emax - T::Q] {
                     assert_eq!(exp2i(n).to_bits(), (2.0f64).powi(n).to_bits(), "2^{n}");
                 }
             }
         }
+        check::<f32>();
+        check::<f64>();
     }
 
     /// Mantissas at the edges of a binade: the power of two, one and two

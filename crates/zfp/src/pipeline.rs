@@ -149,7 +149,7 @@ fn encode_field<T: ZfpElement, const N: usize>(
                     let mut ints = [0i64; N];
                     fixedpoint::forward(&fblock, emax, &mut ints);
                     transform::forward_block(&mut ints);
-                    order::apply_negabinary(&ints, slot.try_into().expect("chunks of N"));
+                    order::apply_negabinary(&ints, block::as_block_mut(slot));
                     *head = (emax, kmin);
                 }
             }
@@ -162,8 +162,8 @@ fn encode_field<T: ZfpElement, const N: usize>(
                     w.write_bit(false);
                     zero_blocks += 1;
                 } else {
-                    let slot: &[u64; N] = slot.try_into().expect("chunks of N");
                     w.write_bits(1 | ((emax + T::EMAX_BIAS) as u64) << 1, 1 + T::EMAX_BITS);
+                    let slot = block::as_block::<u64, N>(slot);
                     coder::encode_block(slot, coding.intprec, kmin, coding.budget, &mut w);
                     bit_planes += (coding.intprec - kmin) as u64;
                 }
@@ -363,6 +363,7 @@ pub fn decompress_f64(stream: &[u8]) -> Result<(Vec<f64>, Vec<usize>), ZfpError>
 mod reference {
     use super::{rate_block_bits, MAGIC, NO_BUDGET};
     use crate::bitstream::{ReadStream, WriteStream};
+    use crate::block::reference::lane;
     use crate::block::{Geom, SIDE};
     use crate::element::ZfpElement;
     use crate::{coder, fixedpoint, negabinary, order, transform};
@@ -398,19 +399,6 @@ mod reference {
         }
     }
 
-    /// Field index of lane `idx` of block `at`, clamped to the nearest
-    /// valid sample, and whether the lane lies inside the field.
-    fn lane(g: &Geom, at: (usize, usize, usize), idx: usize) -> (usize, bool) {
-        let (i, j, k) = match g.d {
-            1 => (idx, 0, 0),
-            2 => (idx % SIDE, idx / SIDE, 0),
-            _ => (idx % SIDE, (idx / SIDE) % SIDE, idx / (SIDE * SIDE)),
-        };
-        let (k, j, i) = (at.0 * SIDE + k, at.1 * SIDE + j, at.2 * SIDE + i);
-        let inside = k < g.nz && j < g.ny && i < g.nx;
-        ((k.min(g.nz - 1) * g.ny + j.min(g.ny - 1)) * g.nx + i.min(g.nx - 1), inside)
-    }
-
     pub(super) fn compress_typed<T: ZfpElement>(
         data: &[T],
         dims: &[usize],
@@ -442,7 +430,8 @@ mod reference {
                             for (o, &p) in nb.iter_mut().zip(&perm) {
                                 *o = negabinary::encode(ints[p]);
                             }
-                            coder::reference::encode_ints(&nb, T::INTPREC, p.kmin, p.budget, &mut w);
+                            let (kmin, budget) = (p.kmin, p.budget);
+                            coder::reference::encode_ints(&nb, T::INTPREC, kmin, budget, &mut w);
                             bit_planes += (T::INTPREC - p.kmin) as u64;
                         }
                         _ => {
@@ -503,7 +492,8 @@ mod reference {
                     if r.read_bit() {
                         let emax = r.read_bits(T::EMAX_BITS) as i32 - T::EMAX_BIAS;
                         let p = block_params::<T>(mode, d, emax);
-                        coder::reference::decode_ints_into(&mut nb, T::INTPREC, p.kmin, p.budget, &mut r);
+                        let (prec, kmin, budget) = (T::INTPREC, p.kmin, p.budget);
+                        coder::reference::decode_ints_into(&mut nb, prec, kmin, budget, &mut r);
                         for (&v, &p) in nb.iter().zip(&perm) {
                             ints[p] = negabinary::decode(v);
                         }
@@ -621,7 +611,8 @@ mod tests {
                 for field in 0..1i32 << T::EMAX_BITS {
                     let emax = field - T::EMAX_BIAS;
                     let want = reference::block_params::<T>(&mode, d, emax);
-                    let got = reference::BlockParams { kmin: coding.kmin(emax), budget: coding.budget };
+                    let (kmin, budget) = (coding.kmin(emax), coding.budget);
+                    let got = reference::BlockParams { kmin, budget };
                     assert_eq!(got, want, "{mode:?} d {d} emax {emax}");
                 }
             }
@@ -661,7 +652,8 @@ mod tests {
                     3 if i % 7 == 0 => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][i % 3],
                     4 => noise * huge,
                     5 => noise / huge,
-                    6 => f64::from_bits((1024.0f64).to_bits() - 1) * if s & 1 == 0 { 1.0 } else { -0.5 },
+                    6 if s & 1 == 0 => f64::from_bits((1024.0f64).to_bits() - 1),
+                    6 => f64::from_bits((1024.0f64).to_bits() - 1) * -0.5,
                     7 if i % 5 == 0 => 0.0,
                     _ => (i as f64 * 0.01).cos() + noise * 1e-3,
                 }
@@ -672,7 +664,12 @@ mod tests {
     /// Whole calls, new against the retained reference: stream bytes and
     /// statistics equal, and both decoders return the same values bit for
     /// bit (`to_bits`), from the clean stream and from a damaged payload.
-    fn check_whole_call<T: ZfpElement>(data: &[T], dims: &[usize], mode: ZfpMode, bits: fn(T) -> u64) {
+    fn check_whole_call<T: ZfpElement>(
+        data: &[T],
+        dims: &[usize],
+        mode: ZfpMode,
+        bits: fn(T) -> u64,
+    ) {
         let what = format!("{dims:?} {mode:?}");
         let new = compress_typed(data, dims, &mode).expect("compress");
         let (old_bytes, old_stats, _) = reference::compress_typed(data, dims, &mode);
@@ -716,7 +713,8 @@ mod tests {
         for (case, dims) in shapes.into_iter().enumerate() {
             let n: usize = dims.iter().product();
             let wide = mixed_field(n, 0xF1E1D + case as u64, 1e250);
-            let narrow: Vec<f32> = mixed_field(n, 0xF1E1D + case as u64, 1e30).iter().map(|&v| v as f32).collect();
+            let narrow = mixed_field(n, 0xF1E1D + case as u64, 1e30);
+            let narrow: Vec<f32> = narrow.iter().map(|&v| v as f32).collect();
             for mode in modes {
                 check_whole_call(&wide, dims, mode, f64::to_bits);
                 check_whole_call(&narrow, dims, mode, |v| v.to_bits() as u64);

@@ -16,7 +16,7 @@
 //! w += y >> 1;    y -= w >> 1;
 //! ```
 
-use crate::block::SIDE;
+use crate::block::{as_block_mut, SIDE};
 
 /// Forward transform of one 4-element lane.
 #[inline]
@@ -151,20 +151,15 @@ pub fn inverse_block<const N: usize>(block: &mut [i64; N]) {
     lift_axis::<N, 1>(block, inv_lift);
 }
 
-/// View a slice as one block of `4^d` elements.
-fn as_block<const N: usize>(block: &mut [i64]) -> &mut [i64; N] {
-    block.try_into().expect("a ZFP block holds 4^d coefficients")
-}
-
 /// Slice entry to [`forward_block`] for a 4^d block (d = 1, 2, or 3).
 ///
 /// # Panics
 /// When `block` does not hold `4^d` coefficients.
 pub fn forward(block: &mut [i64], d: usize) {
     match d {
-        1 => forward_block::<4>(as_block(block)),
-        2 => forward_block::<16>(as_block(block)),
-        _ => forward_block::<64>(as_block(block)),
+        1 => forward_block::<4>(as_block_mut(block)),
+        2 => forward_block::<16>(as_block_mut(block)),
+        _ => forward_block::<64>(as_block_mut(block)),
     }
 }
 
@@ -174,9 +169,9 @@ pub fn forward(block: &mut [i64], d: usize) {
 /// When `block` does not hold `4^d` coefficients.
 pub fn inverse(block: &mut [i64], d: usize) {
     match d {
-        1 => inverse_block::<4>(as_block(block)),
-        2 => inverse_block::<16>(as_block(block)),
-        _ => inverse_block::<64>(as_block(block)),
+        1 => inverse_block::<4>(as_block_mut(block)),
+        2 => inverse_block::<16>(as_block_mut(block)),
+        _ => inverse_block::<64>(as_block_mut(block)),
     }
 }
 

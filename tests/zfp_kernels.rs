@@ -139,7 +139,11 @@ proptest! {
         let kmin = cut % (intprec + 1);
         let budget = if unbounded { usize::MAX } else { 64 * n };
         let blocks: Vec<Vec<u64>> = (0..3)
-            .map(|_| (0..n).map(|i| (xorshift(&mut s) >> (64 - intprec)) >> (i % 7 * 5 % intprec as usize)).collect())
+            .map(|_| {
+                (0..n)
+                    .map(|i| (xorshift(&mut s) >> (64 - intprec)) >> (i % 7 * 5 % intprec as usize))
+                    .collect()
+            })
             .collect();
         let mut w = WriteStream::new();
         let mut bits = 0;
