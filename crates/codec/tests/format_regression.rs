@@ -61,7 +61,7 @@ fn chunked_containers_match_pinned_hashes_across_threads() {
     let out = sz.compress_chunked(&data, &[32, 9, 7], bound, 2).expect("compress");
     assert_eq!(
         (out.bytes.len(), fnv64(&out.bytes)),
-        (10939, 0x32c0636f4f1b249b),
+        (9077, 0xae190346e354477d),
         "chunked SZLP f32 container changed format"
     );
     // Chunk boundaries are shape-only: any thread count must emit the
@@ -78,9 +78,36 @@ fn chunked_containers_match_pinned_hashes_across_threads() {
         .expect("compress");
     assert_eq!(
         (out64.bytes.len(), fnv64(&out64.bytes)),
-        (13024, 0x0b5c1c976d8a8ab3),
+        (12299, 0x64e13fb6f13cfd0b),
         "chunked SZLP f64 container changed format"
     );
+}
+
+#[test]
+fn flat_fields_keep_what_the_lzss_pass_is_for() {
+    // The LZSS pass loses on anything with noise in it (9 bits per
+    // unmatched byte) and is dropped there; what it is kept for is a field
+    // that codes to runs: Huffman alone cannot go below a bit per element
+    // (32:1 on `f32`), the matcher takes a constant 64³ cube to 1 087
+    // bytes and a ramp along x to 1 552. The stride that lets the matcher
+    // race through unmatchable bytes must not cost these a byte.
+    let sz = registry().by_name("sz").expect("sz is registered");
+    let dims = [64usize, 64, 64];
+    let n: usize = dims.iter().product();
+    let constant = vec![1.0f32; n];
+    let ramp: Vec<f32> = (0..n).map(|i| (i % 64) as f32 * 0.001).collect();
+    for (name, field, bytes, floor) in
+        [("constant", &constant, 1087, 900.0), ("ramp", &ramp, 1552, 650.0)]
+    {
+        let out = sz.compress_chunked(field, &dims, BoundSpec::Absolute(1e-3), 2).expect("compress");
+        assert_eq!(out.bytes.len(), bytes, "{name} field");
+        let ratio = (4 * n) as f64 / out.bytes.len() as f64;
+        assert!(ratio >= floor, "{name} field stored at {ratio:.0}:1");
+        let (rec, _) = SzCodec::decompress_chunked::<f32>(&out.bytes, 2).expect("decompress");
+        for (a, b) in field.iter().zip(&rec) {
+            assert!((a - b).abs() <= 1e-3);
+        }
+    }
 }
 
 #[test]

@@ -45,6 +45,13 @@
 //!    kept here. A table is accepted by all or none, and then the symbols
 //!    are equal or every decoder refuses.
 //!
+//! The `SZL1` stream has two independent flag bits (LZSS body, packed
+//! Huffman table), and which of them the encoder sets depends on the field:
+//! [`szl1_flag_corpus`] seeds one stream per combination. A seed whose
+//! packed table lies open in the body (no LZSS layer over it) gets half of
+//! its mutations aimed inside the table's fields, where blind byte edits
+//! over a whole stream rarely land.
+//!
 //! Every run is reproducible from its seed; the harness panics (and the
 //! smoke test fails) on the first input that panics a target or breaks the
 //! differential contract.
@@ -119,6 +126,8 @@ pub fn seed_corpus() -> Vec<Vec<u8>> {
         run_sequential(&data, &cfg, &mut sink).expect("pipeline");
         corpus.push(sink.bytes);
     }
+    // One `SZL1` stream per flag combination.
+    corpus.extend(szl1_flag_corpus().into_iter().map(|(_, stream)| stream));
     // Mixed-codec containers and their codec-tag forgeries.
     corpus.extend(mixed_tag_corpus());
     // Serve-protocol request and response frames.
@@ -137,6 +146,71 @@ pub fn seed_corpus() -> Vec<Vec<u8>> {
     huge_section.extend_from_slice(&(1u64 << 40).to_le_bytes());
     corpus.push(huge_section);
     corpus
+}
+
+/// One serial `SZL1` stream per combination of its two flag bits, each
+/// with the flags byte the field is chosen to produce (asserted, so an
+/// encoder change cannot silently drop a combination from the corpus):
+///
+/// * `2`: a noisy field. The table spans hundreds of bins and is packed;
+///   LZSS loses to its literal tax and is dropped.
+/// * `1`: a field of zeros. A one-entry table stays dense; the payload is
+///   runs and the LZSS form is kept (all the encoder wrote before the
+///   table could be packed).
+/// * `3`: mostly flat with a noisy stretch: a wide table and runs.
+/// * `0`: every value escapes (jumps far beyond the quantizer's range): a
+///   one-entry dense table in front of raw literals LZSS cannot shrink.
+///   The form the backend also writes with its lossless stage off.
+pub fn szl1_flag_corpus() -> Vec<(u8, Vec<u8>)> {
+    let n = 8192usize;
+    let mut rng = Rng::new(0x5a11);
+    let mut noise = |amplitude: f32| {
+        (rng.next_u64() >> 40) as f32 / (1u64 << 24) as f32 * 2.0 * amplitude - amplitude
+    };
+    let noisy: Vec<f32> = (0..n).map(|i| (i as f32 * 0.01).sin() + noise(0.5)).collect();
+    let constant = vec![0.0f32; n];
+    let mostly_flat: Vec<f32> =
+        (0..n).map(|i| if i < n - n / 8 { 2.5 } else { 2.5 + noise(0.5) }).collect();
+    let escapes: Vec<f32> = (0..n).map(|_| noise(1e30)).collect();
+    let sz = registry().by_name("sz").expect("registered codec");
+    [(2u8, noisy), (1, constant), (3, mostly_flat), (0, escapes)]
+        .into_iter()
+        .map(|(flags, field)| {
+            let stream =
+                sz.compress(&field, &[n], BoundSpec::Absolute(1e-3)).expect("seed compress").bytes;
+            assert!(stream.starts_with(b"SZL1"), "a serial SZ stream");
+            assert_eq!(stream[4], flags, "the SZL1 seed meant to carry flags {flags}");
+            (flags, stream)
+        })
+        .collect()
+}
+
+/// Where the Huffman table's fields sit in an `SZL1` stream whose packed
+/// table is not under an LZSS layer: the symbol count, the packed section's
+/// length and the section itself. `None` for any other input.
+pub fn packed_table_span(stream: &[u8]) -> Option<std::ops::Range<usize>> {
+    use lcpio_sz::header::{FLAG_PACKED_TABLE, MAGIC};
+    if !stream.starts_with(&MAGIC) || *stream.get(4)? != FLAG_PACKED_TABLE {
+        return None;
+    }
+    // Envelope (magic, flags, body length), then type tag and rank, the
+    // dims, predictor mode and order, bound, radius, element count, first
+    // symbol.
+    let rank = *stream.get(4 + 1 + 8 + 1)? as usize;
+    let count_at = (4 + 1 + 8) + 2 + 8 * rank + 2 + 8 + 4 + 8 + 4;
+    let section_at = count_at + 4 + 8;
+    let len = u64::from_le_bytes(stream.get(count_at + 4..section_at)?.try_into().ok()?);
+    let end = section_at.checked_add(usize::try_from(len).ok()?)?;
+    (end <= stream.len()).then_some(count_at..end)
+}
+
+/// [`mutate`] confined to `span` of `input`: the bytes around it stay, so
+/// every field in front still leads the decoder to the mutated stretch.
+pub fn mutate_within(input: &[u8], span: std::ops::Range<usize>, rng: &mut Rng) -> Vec<u8> {
+    let mut out = input[..span.start].to_vec();
+    out.extend(mutate(&input[span.clone()], rng));
+    out.extend_from_slice(&input[span.end..]);
+    out
 }
 
 /// Mixed-codec `LCW1` streaming containers plus deterministic codec-tag
@@ -580,7 +654,10 @@ pub fn run(iters: u64, seed: u64, max_seconds: Option<f64>) -> u64 {
             }
         }
         let base = &corpus[(i as usize) % corpus.len()];
-        let input = mutate(base, &mut rng);
+        let input = match packed_table_span(base) {
+            Some(span) if rng.below(2) == 0 => mutate_within(base, span, &mut rng),
+            _ => mutate(base, &mut rng),
+        };
         let _ = target_envelope_parse(&input);
         target_stream_decode(&input, &mut rng);
         target_registry_auto(&input);
@@ -628,6 +705,38 @@ mod tests {
             target_serve_protocol(&input);
             target_noise_after_magic(&input);
         }
+    }
+
+    #[test]
+    fn szl1_seeds_cover_every_flag_combination() {
+        let seeds = szl1_flag_corpus();
+        let flags: Vec<u8> = seeds.iter().map(|(f, _)| *f).collect();
+        assert_eq!(flags, [2, 1, 3, 0]);
+        for (flags, stream) in &seeds {
+            let (values, dims) = registry().decompress_auto(stream, 1).expect("seed decodes");
+            assert_eq!((values.len(), dims), (8192, vec![8192]), "flags {flags}");
+            // Only the open packed table can be aimed at.
+            assert_eq!(packed_table_span(stream).is_some(), *flags == 2, "flags {flags}");
+        }
+        // The span is the count, the section length and the section: a
+        // mutation confined to it leaves every byte outside alone, and the
+        // span's own first field is the table's symbol count.
+        let stream = &seeds[0].1;
+        let span = packed_table_span(stream).expect("open packed table");
+        let len = u64::from_le_bytes(stream[span.start + 4..span.start + 12].try_into().unwrap());
+        assert_eq!(span.len() as u64, 4 + 8 + len);
+        assert!(len > 40 && span.len() < stream.len() / 4, "span {span:?} of {}", stream.len());
+        let mut rng = Rng::new(3);
+        let mut refused = 0;
+        for _ in 0..2000 {
+            let mutated = mutate_within(stream, span.clone(), &mut rng);
+            assert_eq!(mutated[..span.start], stream[..span.start]);
+            let tail = stream.len() - span.end;
+            assert_eq!(mutated[mutated.len() - tail..], stream[span.end..]);
+            target_registry_auto(&mutated);
+            refused += registry().decompress_auto(&mutated, 1).is_err() as usize;
+        }
+        assert!(refused > 1000, "only {refused} of 2000 aimed mutations were refused");
     }
 
     #[test]

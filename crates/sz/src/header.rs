@@ -5,10 +5,42 @@
 //!
 //! ```text
 //! magic  b"SZL1"
-//! u8     flags (bit0: payload LZSS-compressed)
-//! u32    payload length
-//! ...    payload (header body + sections, possibly LZSS-wrapped)
+//! u8     flags   bit 0 FLAG_LOSSLESS: the body is the payload, LZSS-compressed
+//!                bit 1 FLAG_PACKED_TABLE: the payload's Huffman table is packed
+//!                bits 2-7: zero (a decoder refuses a stream that sets one)
+//! u64    body length
+//! ...    body: the payload, or its LZSS form
 //! ```
+//!
+//! The two flags are independent: bit 0 says how the body turns into the
+//! payload, bit 1 how one section inside the payload is written. The
+//! payload:
+//!
+//! ```text
+//! u8     element type tag (0 = f32, 1 = f64)
+//! u8     rank, then one u64 per dimension
+//! u8     1 = block-adaptive predictor, 0 = classic Lorenzo
+//! u8     Lorenzo order for rank-1 data
+//! f64    absolute error bound
+//! u32    quantizer radius
+//! u64    element count
+//! u32    first symbol with a code
+//! u32    count: symbols from there to the last one with a code
+//! ...    the code lengths of those `count` symbols (0 = no code), either
+//!        dense:  `count` bytes, one length each (FLAG_PACKED_TABLE clear;
+//!                every stream written before the flag existed), or
+//!        packed: u64 section length, then run tokens under a Huffman code
+//!                of their own (`crate::table` has the layout)
+//! u64    Huffman-coded bits
+//! u64 +  section: the Huffman-coded symbols
+//! u64 +  section: literals (escaped values, little-endian)
+//! u64 +  section: one bit per block, 1 = regression   (block mode only)
+//! u64 +  section: four f32 per regression block       (block mode only)
+//! ```
+//!
+//! The writer packs the table only when that makes it smaller and keeps
+//! the LZSS form only when that makes the body smaller, so a stream that
+//! gains from neither is written with flags 0.
 
 use crate::SzError;
 
@@ -17,6 +49,10 @@ pub const MAGIC: [u8; 4] = *b"SZL1";
 
 /// Flag bit: payload is LZSS-compressed.
 pub const FLAG_LOSSLESS: u8 = 1;
+
+/// Flag bit: the payload's code-length table is packed (run tokens under a
+/// Huffman code) instead of one byte per symbol.
+pub const FLAG_PACKED_TABLE: u8 = 2;
 
 /// Cursor-style little-endian writer.
 #[derive(Debug, Default)]

@@ -33,6 +33,10 @@
 
 pub mod bitio;
 pub mod element;
+// The shared test generators name this crate the way an integration test
+// does.
+#[cfg(test)]
+extern crate self as lcpio_sz;
 #[cfg(test)]
 #[path = "../tests/generators/mod.rs"]
 mod generators;
@@ -46,6 +50,7 @@ pub mod pwrel;
 pub mod quantizer;
 pub mod regression;
 pub mod stats;
+mod table;
 
 pub use element::Element;
 /// The instrumentation crate this backend records its spans through,
@@ -92,7 +97,10 @@ pub struct SzConfig {
     pub lorenzo_order: u8,
     /// Quantizer bin radius (default [`Quantizer::DEFAULT_RADIUS`]).
     pub radius: u32,
-    /// Run the LZSS lossless stage over the payload (default true).
+    /// Run the lossless back end (default true): the Huffman table is
+    /// written packed and the payload LZSS-compressed, each only when that
+    /// makes the stream smaller. Off, the stream is the dense payload as it
+    /// is.
     pub lossless: bool,
 }
 
@@ -114,7 +122,7 @@ impl SzConfig {
         self
     }
 
-    /// Builder-style lossless-stage toggle.
+    /// Builder-style toggle of the lossless back end.
     pub fn with_lossless(mut self, on: bool) -> Self {
         self.lossless = on;
         self

@@ -7,7 +7,9 @@
 //! 2. **Error-bounded quantization** — residuals land in uniform bins of
 //!    width `2·eb`; out-of-range values escape to IEEE literals.
 //! 3. **Huffman coding** of the bin indices.
-//! 4. **LZSS** lossless pass over the whole payload (optional).
+//! 4. **Lossless back end** (optional): the Huffman table packed into run
+//!    tokens, and an LZSS pass over the whole payload, each kept only where
+//!    it makes the stream smaller.
 //!
 //! Decompression inverts the stages; predictions are computed from
 //! reconstructed values only, so the decompressor stays in lock-step with
@@ -28,7 +30,7 @@ use std::borrow::Cow;
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::element::Element;
-use crate::header::{Reader, Writer, FLAG_LOSSLESS, MAGIC};
+use crate::header::{Reader, Writer, FLAG_LOSSLESS, FLAG_PACKED_TABLE, MAGIC};
 use crate::huffman::{HuffmanDecoder, HuffmanEncoder};
 use crate::kernels;
 use crate::lossless;
@@ -36,6 +38,7 @@ use crate::predictor::lorenzo_3d_row_partial;
 use crate::quantizer::Quantizer;
 use crate::regression::{block_abs_error_below, fit_block, BlockCoeffs, BlockFitter, BLOCK_SIDE};
 use crate::stats::CompressionStats;
+use crate::table;
 use crate::{Compressed, ErrorBound, PredictorMode, SzConfig, SzError};
 
 /// Geometry after fusing 4-D inputs down to 3-D (SZ treats the slowest two
@@ -686,6 +689,21 @@ pub fn compress_typed_with<T: Element>(
     let lens = huff.lengths();
     drop(huff);
     drop(emit_span);
+    // Huffman table: the code lengths of the occupied symbol range, a byte
+    // each, or packed when the lossless back end is on and that is smaller
+    // (the rule its LZSS pass follows too). Quantization codes cluster
+    // around the zero bin, so at loose bounds the range is a few entries
+    // and stays dense.
+    let first = lens.iter().position(|&l| l > 0).unwrap_or(0);
+    let last = lens.iter().rposition(|&l| l > 0).unwrap_or(0);
+    let n_present = lens.iter().filter(|&&l| l > 0).count();
+    let dense = &lens[first..=last];
+    let packed = if cfg.lossless {
+        let _span = lcpio_trace::span("sz.table.pack");
+        table::pack(dense).filter(|section| 8 + section.len() < dense.len())
+    } else {
+        None
+    };
     drop(huff_span);
 
     // ---- assemble payload ----
@@ -700,15 +718,12 @@ pub fn compress_typed_with<T: Element>(
     p.f64(eb);
     p.u32(q.radius());
     p.u64(data.len() as u64);
-    // Huffman table: dense u8 code lengths over the occupied symbol range.
-    // Quantization codes cluster tightly around the zero bin, so the range
-    // is small, and runs of equal lengths compress well in the LZSS pass.
-    let first = lens.iter().position(|&l| l > 0).unwrap_or(0);
-    let last = lens.iter().rposition(|&l| l > 0).unwrap_or(0);
-    let n_present = lens.iter().filter(|&&l| l > 0).count();
     p.u32(first as u32);
-    p.u32((last - first + 1) as u32);
-    p.bytes(&lens[first..=last]);
+    p.u32(dense.len() as u32);
+    match &packed {
+        Some(section) => p.section(section),
+        None => p.bytes(dense),
+    }
     p.u64(huffman_bits);
     p.section(s.sym_bits.finish());
     // Literals.
@@ -726,28 +741,29 @@ pub fn compress_typed_with<T: Element>(
         }
         p.section(&cb);
     }
-    let payload = p.into_bytes();
 
     // ---- envelope ----
-    // A payload LZSS cannot take (4 GiB or more: its header and positions
-    // are u32) is stored raw, like one LZSS fails to shrink.
-    let (flags, body) = if cfg.lossless && lossless::accepts(payload.len()) {
+    // The LZSS form of the payload is kept when it is smaller. A payload
+    // LZSS cannot take (4 GiB or more: its header and positions are u32)
+    // is stored raw, like one it fails to shrink.
+    let mut flags = if packed.is_some() { FLAG_PACKED_TABLE } else { 0 };
+    let mut body = p.into_bytes();
+    if cfg.lossless && lossless::accepts(body.len()) {
         let _span = lcpio_trace::span("sz.lossless");
-        let z = lossless::compress(&payload);
-        if z.len() < payload.len() {
-            (FLAG_LOSSLESS, z)
-        } else {
-            (0, payload)
+        let z = lossless::compress(&body);
+        let kept = z.len() < body.len();
+        if lcpio_trace::collecting() {
+            lcpio_trace::counter_add("sz.lossless.bytes_in", body.len() as u64);
+            lcpio_trace::counter_add("sz.lossless.bytes_out", z.len() as u64);
+            lcpio_trace::counter_add("sz.lossless.kept", kept as u64);
+            lcpio_trace::counter_add("sz.lossless.dropped", !kept as u64);
         }
-    } else {
-        (0, payload)
-    };
-    let mut out = Writer::new();
-    out.bytes(&MAGIC);
-    out.u8(flags);
-    out.u64(body.len() as u64);
-    out.bytes(&body);
-    let bytes = out.into_bytes();
+        if kept {
+            flags |= FLAG_LOSSLESS;
+            body = z;
+        }
+    }
+    let bytes = envelope(flags, &body);
 
     let stats = CompressionStats {
         elements: data.len() as u64,
@@ -770,8 +786,21 @@ pub fn compress_typed_with<T: Element>(
         lcpio_trace::counter_add("sz.lorenzo_blocks", stats.lorenzo_blocks);
         lcpio_trace::counter_add("sz.huffman.table_entries", stats.huffman_table_entries);
         lcpio_trace::counter_add("sz.huffman.bits", stats.huffman_bits);
+        lcpio_trace::counter_add("sz.table.dense_bytes", dense.len() as u64);
+        let stored = packed.as_ref().map_or(dense.len(), |section| 8 + section.len());
+        lcpio_trace::counter_add("sz.table.packed_bytes", stored as u64);
     }
     Ok(Compressed { bytes, stats })
+}
+
+/// A stream: magic, flags byte, body length, body.
+fn envelope(flags: u8, body: &[u8]) -> Vec<u8> {
+    let mut out = Writer::new();
+    out.bytes(&MAGIC);
+    out.u8(flags);
+    out.u64(body.len() as u64);
+    out.bytes(body);
+    out.into_bytes()
 }
 
 /// Compress an `f32` field (the paper's data type).
@@ -786,24 +815,30 @@ pub fn compress_f64(data: &[f64], dims: &[usize], cfg: &SzConfig) -> Result<Comp
 
 /// Element type tag recorded in a compressed stream (without decoding it).
 pub fn stream_type_tag(stream: &[u8]) -> Result<u8, SzError> {
-    let payload = unwrap_envelope(stream)?;
+    let (_, payload) = unwrap_envelope(stream)?;
     let mut r = Reader::new(&payload);
     r.u8()
 }
 
-fn unwrap_envelope(stream: &[u8]) -> Result<Cow<'_, [u8]>, SzError> {
+/// The flags byte of a stream and its payload (the body, or what its LZSS
+/// form expands to). A flag bit this decoder does not know is an error.
+fn unwrap_envelope(stream: &[u8]) -> Result<(u8, Cow<'_, [u8]>), SzError> {
     let mut env = Reader::new(stream);
     if env.bytes(4)? != MAGIC {
         return Err(SzError::Corrupt("bad magic"));
     }
     let flags = env.u8()?;
+    if flags & !(FLAG_LOSSLESS | FLAG_PACKED_TABLE) != 0 {
+        return Err(SzError::Corrupt("unknown flags"));
+    }
     let body_len = env.u64()? as usize;
     let body = env.bytes(body_len)?;
-    if flags & FLAG_LOSSLESS != 0 {
-        lossless::decompress(body).map(Cow::Owned).map_err(|_| SzError::Corrupt("lzss"))
+    let payload = if flags & FLAG_LOSSLESS != 0 {
+        Cow::Owned(lossless::decompress(body).map_err(|_| SzError::Corrupt("lzss"))?)
     } else {
-        Ok(Cow::Borrowed(body))
-    }
+        Cow::Borrowed(body)
+    };
+    Ok((flags, payload))
 }
 
 /// The header fields of a payload and its sections, borrowed from it.
@@ -815,9 +850,10 @@ struct Payload<'a> {
     q: Quantizer,
     /// Element count.
     n: usize,
-    /// Code lengths of the symbols `first_symbol..first_symbol + code_lens.len()`.
+    /// Code lengths of the symbols `first_symbol..first_symbol + code_lens.len()`:
+    /// borrowed from a dense table, expanded from a packed one.
     first_symbol: usize,
-    code_lens: &'a [u8],
+    code_lens: Cow<'a, [u8]>,
     sym_bytes: &'a [u8],
     lit_bytes: &'a [u8],
     /// One bit per block, and four `f32` per regression block (both empty
@@ -826,10 +862,11 @@ struct Payload<'a> {
     coeff_bytes: &'a [u8],
 }
 
-/// Parse and validate a payload's header for element type `T`. Every size
-/// that drives an allocation or a table build is checked here against the
-/// bytes that are actually present.
-fn parse_payload<T: Element>(payload: &[u8]) -> Result<Payload<'_>, SzError> {
+/// Parse and validate a payload's header for element type `T`; `flags` is
+/// the stream's flags byte. Every size that drives an allocation or a table
+/// build is checked here against the bytes that are actually present, or,
+/// for the length table, against the quantizer's alphabet.
+fn parse_payload<T: Element>(payload: &[u8], flags: u8) -> Result<Payload<'_>, SzError> {
     let mut r = Reader::new(payload);
     let tag = r.u8()?;
     if tag != T::TYPE_TAG {
@@ -863,16 +900,20 @@ fn parse_payload<T: Element>(payload: &[u8]) -> Result<Payload<'_>, SzError> {
     }
     let q = Quantizer::new(eb, radius);
 
-    // Huffman table (dense code lengths over the occupied symbol range).
-    // The range is checked against the alphabet before a byte of it is
-    // read: the decoder can then only ever give one of the quantizer's
-    // symbols.
+    // Huffman table (the code lengths of the occupied symbol range). The
+    // range is checked against the alphabet before a byte of it is read or
+    // unpacked: the decoder can then only ever give one of the quantizer's
+    // symbols, and a packed table only ever expand to the alphabet's size.
     let first_symbol = r.u32()? as usize;
     let count = r.u32()? as usize;
     if first_symbol.checked_add(count).is_none_or(|end| end > q.alphabet_size()) {
         return Err(SzError::Corrupt("symbol range out of alphabet"));
     }
-    let code_lens = r.bytes(count)?;
+    let code_lens = if flags & FLAG_PACKED_TABLE != 0 {
+        Cow::Owned(table::unpack(r.section()?, count)?)
+    } else {
+        Cow::Borrowed(r.bytes(count)?)
+    };
     let _sym_bit_count = r.u64()?;
     let sym_bytes = r.section()?;
     // Tighter form of the element-count guard: every element consumes at
@@ -931,9 +972,9 @@ pub fn decompress_typed_with<T: Element>(
     s: &mut SzScratch<T>,
 ) -> Result<(Vec<T>, Vec<usize>), SzError> {
     let _span = lcpio_trace::span("sz.decompress");
-    let payload = unwrap_envelope(stream)?;
-    let p = parse_payload::<T>(&payload)?;
-    let dec = HuffmanDecoder::from_occupied(p.code_lens, p.first_symbol)
+    let (flags, payload) = unwrap_envelope(stream)?;
+    let p = parse_payload::<T>(&payload, flags)?;
+    let dec = HuffmanDecoder::from_occupied(&p.code_lens, p.first_symbol)
         .map_err(|_| SzError::Corrupt("huffman table"))?;
     let SzScratch { symbols, recon, rowp, .. } = s;
     dec.decode_into(p.sym_bytes, p.n, symbols).map_err(|_| SzError::Corrupt("symbol stream"))?;
@@ -1249,9 +1290,241 @@ pub fn decompress_f64(stream: &[u8]) -> Result<(Vec<f64>, Vec<usize>), SzError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{salted_field, special32};
+    use crate::generators::{
+        field_f32, fnv64, pinned_cases, pinned_field_f32, pinned_field_f64, salted_field, special32,
+    };
     use crate::huffman::ReferenceDecoder;
+    use crate::pwrel::{
+        build_pointwise_rel, compress_pointwise_rel, decompress_pointwise_rel, parse_pointwise_rel,
+        PwrelParts,
+    };
     use proptest::prelude::*;
+
+    /// Magic, flags byte, body length.
+    const ENVELOPE_LEN: usize = 4 + 1 + 8;
+
+    fn flags_of(stream: &[u8]) -> u8 {
+        stream[4]
+    }
+
+    /// The legacy writer: the stream the encoder wrote for a lossless-on
+    /// configuration before the table could be packed and before the
+    /// matcher strode, rebuilt from `raw`, the stream of the same input
+    /// with the lossless back end off (the dense payload, which has not
+    /// changed). The reference matcher without the stride rule over the
+    /// whole payload, kept when it is smaller.
+    fn legacy_form(raw: &[u8]) -> Vec<u8> {
+        assert_eq!(flags_of(raw), 0, "a lossless-off stream sets no flag");
+        let payload = &raw[ENVELOPE_LEN..];
+        let z = lossless::compress_reference(payload, false);
+        if z.len() < payload.len() {
+            envelope(FLAG_LOSSLESS, &z)
+        } else {
+            raw.to_vec()
+        }
+    }
+
+    /// What `cfg` wrote for `data` before this format revision.
+    fn legacy_stream<T: Element>(data: &[T], dims: &[usize], cfg: &SzConfig) -> Vec<u8> {
+        let raw = compress_typed(data, dims, &cfg.with_lossless(false)).unwrap().bytes;
+        if cfg.lossless {
+            legacy_form(&raw)
+        } else {
+            raw
+        }
+    }
+
+    fn le_bits<T: Element>(values: &[T]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for v in values {
+            v.write_le(&mut bytes);
+        }
+        bytes
+    }
+
+    /// The legacy stream of `data` hashes to `pin`, decodes through the
+    /// production decoder, and restores the values of today's stream bit
+    /// for bit; today's stream is no larger. Returns today's flags byte.
+    fn assert_legacy_pin<T: Element>(
+        data: &[T],
+        dims: &[usize],
+        cfg: &SzConfig,
+        pin: (usize, u64),
+        what: &str,
+    ) -> u8 {
+        let legacy = legacy_stream(data, dims, cfg);
+        assert_eq!((legacy.len(), fnv64(&legacy)), pin, "{what}: the legacy writer drifted");
+        let new = compress_typed(data, dims, cfg).unwrap().bytes;
+        let (old_values, old_dims) = decompress_typed::<T>(&legacy).expect("legacy stream decodes");
+        let (new_values, new_dims) = decompress_typed::<T>(&new).expect("new stream decodes");
+        assert_eq!(old_dims, new_dims, "{what}");
+        assert_eq!(le_bits(&old_values), le_bits(&new_values), "{what}: values differ");
+        assert!(new.len() <= legacy.len(), "{what}: {} grew to {}", legacy.len(), new.len());
+        if !cfg.lossless {
+            assert_eq!(new, legacy, "{what}: a lossless-off stream changed");
+        }
+        flags_of(&new)
+    }
+
+    #[test]
+    fn legacy_streams_keep_their_hashes_and_restore_the_same_values() {
+        // `crates/sz/tests/format_regression.rs` as it stood before the
+        // packed table: same cases, same fields, the hashes it pinned then.
+        const F32_LEGACY: [(usize, u64); 8] = [
+            (1474, 0x0b0309fc53ac5be1),
+            (1409, 0x9fdaeecd243a8a0f),
+            (5903, 0x1bdaa0997fef96ce),
+            (26857, 0xb11a0ea539ab285a),
+            (19961, 0x601ec97a8dcf50c8),
+            (74689, 0x2aed0cf73c1b7ce8),
+            (1636, 0x91c2223b11df54df),
+            (1235, 0x87bf1391edd3488b),
+        ];
+        const F64_LEGACY: [(usize, u64); 8] = [
+            (1525, 0x1261634bde1d8502),
+            (1419, 0x1ebb3a8c14a9b405),
+            (6214, 0x71ecd856dbaf7552),
+            (32902, 0x9a0f08e18388e23d),
+            (21561, 0xb997cc275be17f2d),
+            (100907, 0xa194a25cfbfcaee6),
+            (2333, 0xe427dc5c54964d7d),
+            (1260, 0xbd29894dd90bbddb),
+        ];
+        for (i, (dims, cfg)) in pinned_cases().iter().enumerate() {
+            let what = format!("f32 case {i} ({dims:?})");
+            assert_legacy_pin(&pinned_field_f32(i, dims), dims, cfg, F32_LEGACY[i], &what);
+            let what = format!("f64 case {i} ({dims:?})");
+            assert_legacy_pin(&pinned_field_f64(i, dims), dims, cfg, F64_LEGACY[i], &what);
+        }
+        // The large block-mode field of `fused_histogram_commit_is_…`.
+        let dims = [64usize, 48, 96];
+        let data = field_f32(dims.iter().product(), 0xf00d);
+        let cfg = SzConfig::new(ErrorBound::Absolute(1e-3));
+        assert_legacy_pin(&data, &dims, &cfg, (1239326, 0xa14fe20444c14883), "large 3-D");
+
+        // `SZPR`: the wrapper around a legacy inner stream.
+        let data: Vec<f32> = field_f32(900, 0xfeed)
+            .into_iter()
+            .map(|v| if v == 0.0 { 0.0 } else { v * v + 0.5 })
+            .collect();
+        let cfg = SzConfig::new(ErrorBound::Absolute(1.0));
+        let raw = compress_pointwise_rel(&data, &[30, 30], 1e-3, &cfg.with_lossless(false)).unwrap();
+        let parts = parse_pointwise_rel(&raw.bytes).unwrap();
+        let legacy = build_pointwise_rel(&PwrelParts { inner: &legacy_form(parts.inner), ..parts });
+        assert_eq!((legacy.len(), fnv64(&legacy)), (4719, 0x130883166a901ebc), "legacy SZPR");
+        let new = compress_pointwise_rel(&data, &[30, 30], 1e-3, &cfg).unwrap().bytes;
+        let (old_values, _) = decompress_pointwise_rel::<f32>(&legacy).unwrap();
+        let (new_values, _) = decompress_pointwise_rel::<f32>(&new).unwrap();
+        assert_eq!(le_bits(&old_values), le_bits(&new_values));
+        assert!(new.len() < legacy.len());
+    }
+
+    #[test]
+    fn a_stream_that_gains_from_neither_part_is_the_legacy_stream() {
+        // A table too short to pack and a payload with no 32-miss streak:
+        // byte for byte what was written before.
+        let flat = vec![1.0f32; 24 * 24 * 24];
+        let dims = [24usize, 24, 24];
+        let cfg = SzConfig::new(ErrorBound::Absolute(1e-3));
+        let new = compress_typed(&flat, &dims, &cfg).unwrap().bytes;
+        assert_eq!(flags_of(&new), FLAG_LOSSLESS);
+        assert_eq!(new, legacy_stream(&flat, &dims, &cfg));
+    }
+
+    /// One chunk (12 planes) of the NYX cube the default-path pins use.
+    fn nyx_chunk(chunk: usize) -> (Vec<f32>, [usize; 3]) {
+        let field = lcpio_datagen::nyx::velocity_x(48, 11);
+        let plane = 48 * 48;
+        (field.data[chunk * 12 * plane..(chunk + 1) * 12 * plane].to_vec(), [12, 48, 48])
+    }
+
+    #[test]
+    fn nyx_chunk_tables_pack_to_less_and_unpack_to_themselves() {
+        for chunk in 0..4 {
+            let (data, dims) = nyx_chunk(chunk);
+            for eb in [1e-1, 1e-2, 1e-3, 1e-4] {
+                let cfg = SzConfig::new(ErrorBound::Absolute(eb));
+                let raw = compress_typed(&data, &dims, &cfg.with_lossless(false)).unwrap().bytes;
+                let dense = parse_payload::<f32>(&raw[ENVELOPE_LEN..], 0).unwrap().code_lens;
+                let section = table::pack(&dense).expect("a table");
+                assert_eq!(table::unpack(&section, dense.len()).unwrap(), &dense[..]);
+                assert!(8 + section.len() < dense.len() / 2, "chunk {chunk} eb {eb:e}");
+                // The stream with the packed table: the flag, the same
+                // table behind it, the same values out.
+                let new = compress_typed(&data, &dims, &cfg).unwrap().bytes;
+                assert_eq!(flags_of(&new), FLAG_PACKED_TABLE, "chunk {chunk} eb {eb:e}");
+                let unpacked = parse_payload::<f32>(&new[ENVELOPE_LEN..], FLAG_PACKED_TABLE).unwrap();
+                assert_eq!(unpacked.code_lens, dense);
+                let (old_values, _) = decompress_typed::<f32>(&raw).unwrap();
+                let (new_values, _) = decompress_typed::<f32>(&new).unwrap();
+                assert_eq!(le_bits(&old_values), le_bits(&new_values));
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_flag_bits_are_rejected() {
+        let data: Vec<f32> = (0..512).map(|i| (i as f32 * 0.02).sin()).collect();
+        for lossless in [false, true] {
+            let cfg = SzConfig::new(ErrorBound::Absolute(1e-3)).with_lossless(lossless);
+            let good = compress(&data, &[512], &cfg).unwrap().bytes;
+            assert!(decompress(&good).is_ok());
+            for bit in 2..8 {
+                let mut bad = good.clone();
+                bad[4] |= 1 << bit;
+                assert_eq!(decompress(&bad).unwrap_err(), SzError::Corrupt("unknown flags"));
+                assert_eq!(stream_type_tag(&bad).unwrap_err(), SzError::Corrupt("unknown flags"));
+            }
+        }
+    }
+
+    /// Offset of the `count` field of a rank-`rank` payload; the table
+    /// (dense bytes, or the packed section's length) follows it.
+    fn count_offset(rank: usize) -> usize {
+        ENVELOPE_LEN + 1 + 1 + 8 * rank + 1 + 1 + 8 + 4 + 8 + 4
+    }
+
+    #[test]
+    fn table_flag_and_table_form_must_agree() {
+        let (data, dims) = nyx_chunk(1);
+        let cfg = SzConfig::new(ErrorBound::Absolute(1e-3));
+        let packed = compress_typed(&data, &dims, &cfg).unwrap().bytes;
+        let dense = compress_typed(&data, &dims, &cfg.with_lossless(false)).unwrap().bytes;
+        assert_eq!((flags_of(&packed), flags_of(&dense)), (FLAG_PACKED_TABLE, 0));
+        let corrupt = |stream: &[u8]| match decompress_typed::<f32>(stream) {
+            Err(SzError::Corrupt(_)) => {}
+            other => panic!("expected a corrupt-stream error, got {:?}", other.map(|(v, _)| v.len())),
+        };
+        // The flag on a dense table, and a packed table without it.
+        let mut forged = dense.clone();
+        forged[4] = FLAG_PACKED_TABLE;
+        corrupt(&forged);
+        let mut forged = packed.clone();
+        forged[4] = 0;
+        corrupt(&forged);
+        // A section length that lies, by a byte either way and by a lot.
+        let at = count_offset(3) + 4;
+        let len = u64::from_le_bytes(packed[at..at + 8].try_into().unwrap());
+        for lie in [len - 1, len + 1, len / 2, u64::MAX, 0] {
+            let mut forged = packed.clone();
+            forged[at..at + 8].copy_from_slice(&lie.to_le_bytes());
+            corrupt(&forged);
+        }
+        // A count the section does not hold, within the alphabet.
+        let count = u32::from_le_bytes(packed[at - 4..at].try_into().unwrap());
+        for lie in [count - 1, count + 1, 1] {
+            let mut forged = packed.clone();
+            forged[at - 4..at].copy_from_slice(&lie.to_le_bytes());
+            assert!(decompress_typed::<f32>(&forged).is_err(), "count {count} forged to {lie}");
+        }
+        // And one beyond it: refused before anything is unpacked.
+        let mut forged = packed.clone();
+        forged[at - 4..at].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            decompress_typed::<f32>(&forged).unwrap_err(),
+            SzError::Corrupt("symbol range out of alphabet")
+        );
+    }
 
     /// The block encoder `encode_blocks` replaced, kept as its executable
     /// specification: one loop nest for both predictors, every block row
@@ -1342,7 +1615,7 @@ mod tests {
     /// and the escape and range tests made per element, rows in storage
     /// order, the output narrowed in a second pass.
     fn decompress_reference<T: Element>(stream: &[u8]) -> Result<(Vec<T>, Vec<usize>), SzError> {
-        let payload = unwrap_envelope(stream)?;
+        let (flags, payload) = unwrap_envelope(stream)?;
         let Payload {
             dims,
             g,
@@ -1356,9 +1629,9 @@ mod tests {
             lit_bytes,
             block_flags,
             coeff_bytes,
-        } = parse_payload::<T>(&payload)?;
+        } = parse_payload::<T>(&payload, flags)?;
         let mut all_lens = vec![0u8; q.alphabet_size()];
-        all_lens[first_symbol..first_symbol + code_lens.len()].copy_from_slice(code_lens);
+        all_lens[first_symbol..first_symbol + code_lens.len()].copy_from_slice(&code_lens);
         let dec = ReferenceDecoder::from_lengths(&all_lens)
             .map_err(|_| SzError::Corrupt("huffman table"))?;
         let literals: Vec<T> = lit_bytes.chunks_exact(T::BYTES).map(T::read_le).collect();

@@ -1,0 +1,50 @@
+//! What a trace-on build records about the lossless back end: how large
+//! the Huffman table was and is, what the LZSS pass was given and made of
+//! it, and whether its output was kept. One test function, so nothing else
+//! in this process touches the registry.
+#![cfg(feature = "trace")]
+
+use lcpio_sz::trace;
+use lcpio_sz::{compress_typed, ErrorBound, SzConfig};
+
+#[test]
+fn lossless_back_end_counters_tell_kept_from_dropped() {
+    let cfg = SzConfig::new(ErrorBound::Absolute(1e-3));
+    let dims = [12usize, 48, 48];
+    let n: usize = dims.iter().product();
+
+    // One chunk of the NYX cube: the table packs to a fraction, the LZSS
+    // pass is run, loses to its literal tax and is dropped.
+    let nyx = lcpio_datagen::nyx::velocity_x(48, 11);
+    trace::reset();
+    let out = compress_typed(&nyx.data[..n], &dims, &cfg).expect("compress");
+    let report = trace::snapshot();
+    let counter = |name: &str| report.counter(name).unwrap_or_else(|| panic!("no {name} counter"));
+    assert_eq!((counter("sz.lossless.kept"), counter("sz.lossless.dropped")), (0, 1));
+    let (dense, packed) = (counter("sz.table.dense_bytes"), counter("sz.table.packed_bytes"));
+    assert!(dense > 1000 && packed * 4 < dense, "table {dense} -> {packed}");
+    let (bytes_in, bytes_out) = (counter("sz.lossless.bytes_in"), counter("sz.lossless.bytes_out"));
+    assert_eq!(bytes_in + 13, out.bytes.len() as u64, "the payload is stored as it is");
+    assert!(bytes_out > bytes_in, "LZSS {bytes_in} -> {bytes_out}");
+    let huffman = report.span("sz.huffman").expect("sz.huffman span");
+    let pack = report.span("sz.table.pack").expect("sz.table.pack span");
+    assert_eq!((huffman.count, pack.count), (1, 1));
+    assert!(pack.total_ns <= huffman.total_ns, "sz.table.pack lies inside sz.huffman");
+
+    // A constant chunk: a table too short to pack, an LZSS pass that is kept.
+    trace::reset();
+    let out = compress_typed(&vec![1.0f32; n], &dims, &cfg).expect("compress");
+    let report = trace::snapshot();
+    let counter = |name: &str| report.counter(name).unwrap_or_else(|| panic!("no {name} counter"));
+    assert_eq!((counter("sz.lossless.kept"), counter("sz.lossless.dropped")), (1, 0));
+    assert_eq!(counter("sz.table.dense_bytes"), counter("sz.table.packed_bytes"));
+    assert_eq!(counter("sz.lossless.bytes_out") + 13, out.bytes.len() as u64);
+
+    // With the back end off, neither part runs.
+    trace::reset();
+    compress_typed(&nyx.data[..n], &dims, &cfg.with_lossless(false)).expect("compress");
+    let report = trace::snapshot();
+    assert_eq!(report.counter("sz.lossless.kept"), None);
+    assert!(report.span("sz.table.pack").is_none() && report.span("sz.lossless").is_none());
+    assert_eq!(report.counter("sz.table.dense_bytes"), report.counter("sz.table.packed_bytes"));
+}
