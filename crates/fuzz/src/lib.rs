@@ -187,21 +187,11 @@ pub fn szl1_flag_corpus() -> Vec<(u8, Vec<u8>)> {
 
 /// Where the Huffman table's fields sit in an `SZL1` stream whose packed
 /// table is not under an LZSS layer: the symbol count, the packed section's
-/// length and the section itself. `None` for any other input.
+/// length and the section itself, as the sz crate's own header parse finds
+/// them. `None` for any other input.
 pub fn packed_table_span(stream: &[u8]) -> Option<std::ops::Range<usize>> {
-    use lcpio_sz::header::{FLAG_PACKED_TABLE, MAGIC};
-    if !stream.starts_with(&MAGIC) || *stream.get(4)? != FLAG_PACKED_TABLE {
-        return None;
-    }
-    // Envelope (magic, flags, body length), then type tag and rank, the
-    // dims, predictor mode and order, bound, radius, element count, first
-    // symbol.
-    let rank = *stream.get(4 + 1 + 8 + 1)? as usize;
-    let count_at = (4 + 1 + 8) + 2 + 8 * rank + 2 + 8 + 4 + 8 + 4;
-    let section_at = count_at + 4 + 8;
-    let len = u64::from_le_bytes(stream.get(count_at + 4..section_at)?.try_into().ok()?);
-    let end = section_at.checked_add(usize::try_from(len).ok()?)?;
-    (end <= stream.len()).then_some(count_at..end)
+    let packed = stream.get(4) == Some(&lcpio_sz::header::FLAG_PACKED_TABLE);
+    lcpio_sz::table_range(stream).filter(|_| packed)
 }
 
 /// [`mutate`] confined to `span` of `input`: the bytes around it stay, so

@@ -53,6 +53,8 @@ pub const FLAG_LOSSLESS: u8 = 1;
 /// Flag bit: the payload's code-length table is packed (run tokens under a
 /// Huffman code) instead of one byte per symbol.
 pub const FLAG_PACKED_TABLE: u8 = 2;
+/// Bytes in front of a stream's body: magic, flags byte, body length.
+pub const ENVELOPE_LEN: usize = 4 + 1 + 8;
 
 /// Cursor-style little-endian writer.
 #[derive(Debug, Default)]

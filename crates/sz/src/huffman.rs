@@ -1058,6 +1058,29 @@ mod tests {
     }
 
     #[test]
+    fn tables_are_bounded_by_the_number_of_long_codes() {
+        // What a header of a few dozen lengths, forged or not, can make
+        // the decoder allocate (`table::unpack` reads one of 37): the
+        // primary table, and at most two sub-tables of `SUB_BITS` index
+        // bits per code too long for it.
+        let mut x = 0x9e37_79b9u32;
+        let mut shapes: Vec<Vec<u8>> =
+            (0..300).map(|round| random_depths(&mut x, 37, [0, 5, 2][round % 3])).collect();
+        shapes.push(vec![MAX_CODE_LEN; 37]);
+        shapes.push((1..=MAX_CODE_LEN).chain([MAX_CODE_LEN]).collect());
+        shapes.push((1..=10).chain((12..=MAX_CODE_LEN).step_by(2)).collect());
+        let mut largest = 0;
+        for depths in &shapes {
+            let dec = HuffmanDecoder::from_lengths(depths).unwrap();
+            let long = depths.iter().filter(|&&d| d > LUT_BITS).count();
+            let bound = (1 << LUT_BITS) + 2 * long * (1 << SUB_BITS);
+            assert!(dec.table.len() <= bound, "{} entries for {depths:?}", dec.table.len());
+            largest = largest.max(dec.table.len());
+        }
+        assert!(largest > 1 << LUT_BITS, "no shape reached a sub-table");
+    }
+
+    #[test]
     fn one_and_two_symbol_alphabets_decode_in_bulk() {
         // One symbol: a 1-bit code `0`; a `1` bit matches nothing.
         let lens = scatter(&[1], 9, 4, 1);

@@ -59,7 +59,7 @@ pub use element::Element;
 pub use lcpio_trace as trace;
 pub use pipeline::{
     compress, compress_f64, compress_typed, compress_typed_with, decompress, decompress_f64,
-    decompress_typed, decompress_typed_with, stream_type_tag, SzScratch,
+    decompress_typed, decompress_typed_with, stream_type_tag, table_range, SzScratch,
 };
 pub use pwrel::{compress_pointwise_rel, decompress_pointwise_rel};
 pub use quantizer::Quantizer;

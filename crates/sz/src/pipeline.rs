@@ -27,10 +27,11 @@
 //! allocating per call.
 
 use std::borrow::Cow;
+use std::ops::Range;
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::element::Element;
-use crate::header::{Reader, Writer, FLAG_LOSSLESS, FLAG_PACKED_TABLE, MAGIC};
+use crate::header::{Reader, Writer, ENVELOPE_LEN, FLAG_LOSSLESS, FLAG_PACKED_TABLE, MAGIC};
 use crate::huffman::{HuffmanDecoder, HuffmanEncoder};
 use crate::kernels;
 use crate::lossless;
@@ -854,6 +855,9 @@ struct Payload<'a> {
     /// borrowed from a dense table, expanded from a packed one.
     first_symbol: usize,
     code_lens: Cow<'a, [u8]>,
+    /// Where the table sits in the payload: the symbol count, then the
+    /// dense lengths or the packed section behind its length.
+    table_at: Range<usize>,
     sym_bytes: &'a [u8],
     lit_bytes: &'a [u8],
     /// One bit per block, and four `f32` per regression block (both empty
@@ -905,6 +909,7 @@ fn parse_payload<T: Element>(payload: &[u8], flags: u8) -> Result<Payload<'_>, S
     // unpacked: the decoder can then only ever give one of the quantizer's
     // symbols, and a packed table only ever expand to the alphabet's size.
     let first_symbol = r.u32()? as usize;
+    let table_from = payload.len() - r.remaining();
     let count = r.u32()? as usize;
     if first_symbol.checked_add(count).is_none_or(|end| end > q.alphabet_size()) {
         return Err(SzError::Corrupt("symbol range out of alphabet"));
@@ -914,6 +919,7 @@ fn parse_payload<T: Element>(payload: &[u8], flags: u8) -> Result<Payload<'_>, S
     } else {
         Cow::Borrowed(r.bytes(count)?)
     };
+    let table_at = table_from..payload.len() - r.remaining();
     let _sym_bit_count = r.u64()?;
     let sym_bytes = r.section()?;
     // Tighter form of the element-count guard: every element consumes at
@@ -944,11 +950,23 @@ fn parse_payload<T: Element>(payload: &[u8], flags: u8) -> Result<Payload<'_>, S
         n,
         first_symbol,
         code_lens,
+        table_at,
         sym_bytes,
         lit_bytes,
         block_flags,
         coeff_bytes,
     })
+}
+
+/// The bytes of `stream` that hold its Huffman table: the symbol count,
+/// then the dense lengths or the packed section behind its length. For
+/// tests and fuzzers that aim there without restating the header layout.
+/// `None` for a stream that does not parse and for one whose payload is
+/// under an LZSS layer (its table is then no stretch of the stream's bytes).
+pub fn table_range(stream: &[u8]) -> Option<Range<usize>> {
+    let (flags, Cow::Borrowed(payload)) = unwrap_envelope(stream).ok()? else { return None };
+    let p = parse_payload::<f32>(payload, flags).or_else(|_| parse_payload::<f64>(payload, flags));
+    p.ok().map(|p| ENVELOPE_LEN + p.table_at.start..ENVELOPE_LEN + p.table_at.end)
 }
 
 /// Decompress a stream produced by [`compress_typed`]. Returns the values
@@ -1300,9 +1318,6 @@ mod tests {
     };
     use proptest::prelude::*;
 
-    /// Magic, flags byte, body length.
-    const ENVELOPE_LEN: usize = 4 + 1 + 8;
-
     fn flags_of(stream: &[u8]) -> u8 {
         stream[4]
     }
@@ -1478,12 +1493,6 @@ mod tests {
         }
     }
 
-    /// Offset of the `count` field of a rank-`rank` payload; the table
-    /// (dense bytes, or the packed section's length) follows it.
-    fn count_offset(rank: usize) -> usize {
-        ENVELOPE_LEN + 1 + 1 + 8 * rank + 1 + 1 + 8 + 4 + 8 + 4
-    }
-
     #[test]
     fn table_flag_and_table_form_must_agree() {
         let (data, dims) = nyx_chunk(1);
@@ -1502,16 +1511,24 @@ mod tests {
         let mut forged = packed.clone();
         forged[4] = 0;
         corrupt(&forged);
-        // A section length that lies, by a byte either way and by a lot.
-        let at = count_offset(3) + 4;
+        // Where the header parse finds the table: the count, the section's
+        // length, the section. The same table dense: the count and a byte
+        // per symbol. Under an LZSS layer it is no range of the stream.
+        let table = table_range(&packed).expect("no LZSS layer");
+        let at = table.start + 4;
+        let count = u32::from_le_bytes(packed[at - 4..at].try_into().unwrap());
         let len = u64::from_le_bytes(packed[at..at + 8].try_into().unwrap());
+        assert_eq!(table.end, at + 8 + len as usize);
+        assert_eq!(table_range(&dense), Some(table.start..at + count as usize));
+        let flat = compress_typed(&vec![1.0f32; 4096], &[4096], &cfg).unwrap().bytes;
+        assert_eq!((flags_of(&flat) & FLAG_LOSSLESS, table_range(&flat)), (FLAG_LOSSLESS, None));
+        // A section length that lies, by a byte either way and by a lot.
         for lie in [len - 1, len + 1, len / 2, u64::MAX, 0] {
             let mut forged = packed.clone();
             forged[at..at + 8].copy_from_slice(&lie.to_le_bytes());
             corrupt(&forged);
         }
         // A count the section does not hold, within the alphabet.
-        let count = u32::from_le_bytes(packed[at - 4..at].try_into().unwrap());
         for lie in [count - 1, count + 1, 1] {
             let mut forged = packed.clone();
             forged[at - 4..at].copy_from_slice(&lie.to_le_bytes());
@@ -1625,6 +1642,7 @@ mod tests {
             n,
             first_symbol,
             code_lens,
+            table_at: _,
             sym_bytes,
             lit_bytes,
             block_flags,

@@ -37,13 +37,8 @@ const TOKENS: usize = REPEAT as usize + RUNS.len();
 const TOKEN_LEN_BITS: u8 = 6;
 
 /// The shortest run `token` stands for and the width of its extra field.
-#[inline]
 fn run_of(token: u8) -> (usize, u8) {
-    if token < REPEAT {
-        (1, 0)
-    } else {
-        RUNS[(token - REPEAT) as usize]
-    }
+    token.checked_sub(REPEAT).map_or((1, 0), |run| RUNS[run as usize])
 }
 
 /// The longest run `token` stands for.
@@ -110,14 +105,19 @@ fn write_tokens(tokens: &[(u8, u16)]) -> Option<Vec<u8>> {
 /// Decode budget: the output is allocated once, `count` bytes, and the
 /// caller has checked `count` against the alphabet the stream header
 /// declares (`count ≤ alphabet_size ≤ 2·MAX_RADIUS + 1`, two megabytes:
-/// the constant `k` of a per-decode budget `c·input_len + k`); the token
-/// decoder's tables are a fixed 8 KiB. Everything a forged section can say
-/// is an error: a token-length header no prefix code has (all zero,
+/// the constant `k` of a per-decode budget `c·input_len + k`). Beside it
+/// stand the token decoder's tables, whose size the section's 28-byte
+/// header decides and `count` does not: 8 KiB, and at most two 8 KiB
+/// sub-tables more per token code longer than
+/// [`LUT_BITS`](crate::huffman::LUT_BITS), so under 600 KiB whatever the
+/// header says; that too is part of `k`. Everything a forged section can
+/// say is an error: a token-length header no prefix code has (all zero,
 /// oversubscribed, a length over 32), a run that overshoots `count`, a
 /// repeat with nothing before it, a bit stream that ends before `count`
 /// lengths are out, and bytes left over after them.
 pub(crate) fn unpack(section: &[u8], count: usize) -> Result<Vec<u8>, SzError> {
     const TOKEN_STREAM: SzError = SzError::Corrupt("packed table token stream");
+    const NO_PREVIOUS: SzError = SzError::Corrupt("packed table repeats nothing");
     let mut r = BitReader::new(section);
     let mut token_lens = [0u8; TOKENS];
     for l in &mut token_lens {
@@ -130,11 +130,13 @@ pub(crate) fn unpack(section: &[u8], count: usize) -> Result<Vec<u8>, SzError> {
     let mut at = 0;
     while at < count {
         let token = tokens.decode(&mut r).map_err(|_| TOKEN_STREAM)? as u8;
-        let value = match token {
-            REPEAT => *lens[..at].last().ok_or(SzError::Corrupt("packed table repeats nothing"))?,
-            ZEROS.. => 0,
-            length => length,
-        };
+        // One length: most of a tight bound's table, where neighbours differ.
+        if token < REPEAT {
+            lens[at] = token;
+            at += 1;
+            continue;
+        }
+        let value = if token == REPEAT { *lens[..at].last().ok_or(NO_PREVIOUS)? } else { 0 };
         let (least, width) = run_of(token);
         let run = least + r.read_bits(width).map_err(|_| TOKEN_STREAM)? as usize;
         if run > count - at {
@@ -245,6 +247,13 @@ mod tests {
         assert_eq!(corrupt(&kraft, 5), "packed table token code");
         let overlong = section_with_header(&[(1, 1), (2, 33)], &[(0, 16)]);
         assert_eq!(corrupt(&overlong, 5), "packed table token code");
+        // Every token at 32 bits is a prefix code, if a wasteful one: the
+        // decoder's three table levels, then the first code (thirty-two
+        // zero bits, a length of 0) as often as the section holds it.
+        let deepest: Vec<(u8, u8)> = (0..TOKENS as u8).map(|t| (t, MAX_CODE_LEN)).collect();
+        let zeros = section_with_header(&deepest, &[(0, 32), (0, 32), (0, 32)]);
+        assert_eq!(unpack(&zeros, 3).unwrap(), vec![0; 3]);
+        assert_eq!(corrupt(&zeros, 4), "packed table token stream");
         // A code the (incomplete) token code does not have.
         let no_such_code = section_with_header(&[(4, 1)], &[(0b01, 2)]);
         assert_eq!(corrupt(&no_such_code, 2), "packed table token stream");

@@ -38,15 +38,19 @@ fn smooth_gridded_data_compresses_better_than_particles() {
     // The paper's motivation for diverse datasets: dimensionality and
     // smoothness drive compressibility (§III-C). At a tight relative
     // bound, the smooth 3-D NYX grid must beat the clustered 1-D HACC
-    // particles. The fields are large enough (51³ against 274 k particles)
-    // that a stream's fixed costs, its Huffman table above all, are small
-    // beside the coded residuals on both sides: on a 32³ grid the table was
-    // a tenth of the 1-D stream, and the gap this test read moved with the
-    // table's encoding rather than with the data.
+    // particles.
+    //
+    // The margin comes from what the data alone gives on these two fields:
+    // with both Huffman tables left out, the coded residuals compress 1.16x
+    // better for NYX, and tables smaller than today's, down to nothing on
+    // either side, leave the gap between 1.14 and 1.19 (it reads 6.24x
+    // against 5.29x: 1.18). A larger factor would read table overhead, as
+    // 1.2 did while a table stored a byte per symbol cost the 1-D stream a
+    // sixth of its bytes.
     let eb = 1e-4;
     let sz = registry().by_name("sz").expect("sz is registered");
     let ratio = |ds: Dataset| {
-        let field = ds.generate(1024, 5);
+        let field = ds.generate(4096, 5);
         let dims: Vec<usize> = field.dims().extents().to_vec();
         // Use a value-range-relative bound so datasets with different value
         // scales are compared fairly.
@@ -58,7 +62,7 @@ fn smooth_gridded_data_compresses_better_than_particles() {
     let nyx = ratio(Dataset::Nyx);
     let hacc = ratio(Dataset::Hacc);
     assert!(
-        nyx > 1.2 * hacc,
+        nyx > 1.1 * hacc,
         "3-D NYX ({nyx:.2}x) should compress better than 1-D HACC ({hacc:.2}x)"
     );
 }
