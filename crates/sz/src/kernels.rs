@@ -1,94 +1,44 @@
-//! Runtime-dispatched SIMD kernels for the SZ predict/quantize hot path.
+//! The switch between the encoder's reference and fast arithmetic.
 //!
-//! Lorenzo prediction over *reconstructed* neighbours is a serial
-//! recurrence: the prediction for column `i` needs the reconstructed value
-//! of column `i − 1`, which is only known after quantizing column `i − 1`.
-//! That dependence defeats naive vectorization along a row, so the AVX2
-//! kernel vectorizes **across rows** instead:
+//! The predict/quantize loops and the Huffman emitter exist twice: the
+//! reference forms ([`Quantizer::try_encode`], per-symbol
+//! [`HuffmanEncoder::encode`]) and the fast forms
+//! ([`Quantizer::try_encode_fast`], [`HuffmanEncoder::encode_slice`]).
+//! Both are plain Rust and property-tested bit-identical, so the fast
+//! forms run by default on every host. The reference forms stay as what
+//! tests compare against, and as the only correct choice for a quantizer
+//! whose geometry the fast rounding cannot prove exact
+//! ([`Quantizer::fast_exact`]). Decoding has no switch.
 //!
-//! * Rows are processed in groups of [`LANES`] (16), split into column
-//!   tiles of [`TILE`] (32). A wavefront schedule staggers the lanes —
-//!   at step `s`, lane `m` works on tile `s − m` — so that when a lane
-//!   builds the partial stencil sums for its tile, the row above (lane
-//!   `m − 1`) has already committed that tile's reconstructed values.
-//! * Within a step, the active lanes' tiles are transposed to lane-major
-//!   layout and the quantization chain (`pred = partial + left`,
-//!   `x = (v − pred)·(2eb)⁻¹`, `q = round(x)`, `rec = pred + q·2eb`)
-//!   runs as independent 4-wide vector recurrences over the 32 columns —
-//!   the serial dependence is still there, but each iteration now
-//!   retires up to 16 rows and the recurrences' latencies overlap.
-//! * The vector chain is **speculative**: it scales by a precomputed
-//!   reciprocal instead of the reference division, and rounds
-//!   ties-to-even. A SIMD verify pass then checks, per column, (a) the
-//!   residual is inside the quantizer range shrunk by the reciprocal's
-//!   worst-case drift, (b) the residual is provably far from every
-//!   rounding boundary (which also rejects halfway ties, where
-//!   ties-to-even and the scalar path's ties-away-from-zero disagree),
-//!   and (c) the error bound still holds after the decompressor's
-//!   narrowing cast. Any failing column
-//!   aborts the lane's tile at that point and a scalar fixup re-encodes
-//!   the rest of the tile with the exact reference code path (including
-//!   escape literals). Failures are rare — outliers and ties — so the
-//!   common case stays fully vectorized.
+//! [`force_scalar`] selects the reference forms for the whole process; it
+//! is for tests and benchmarks that compare the two. The module keeps its
+//! name, and [`simd_available`] its place in it, because the repo
+//! benchmark imports `lcpio_sz::kernels`.
 //!
-//! Everything the fast path emits (symbols, literals, reconstructed
-//! values) is **bit-identical** to the scalar reference: verified columns
-//! are proven to round identically, and unverified columns run the
-//! reference code verbatim. `tests/format_regression.rs` pins stream
-//! hashes across both paths.
-//!
-//! Dispatch: the kernel runs only when the CPU reports AVX2 at runtime
-//! ([`simd_available`]) and the `LCPIO_SZ_FORCE_SCALAR` environment
-//! variable (or [`force_scalar`]) has not disabled it. Rows narrower than
-//! one tile, non-finite bin widths, oversized radii, and element types
-//! other than `f32`/`f64` fall back to the scalar path per call.
+//! [`Quantizer::try_encode`]: crate::Quantizer::try_encode
+//! [`Quantizer::try_encode_fast`]: crate::Quantizer::try_encode_fast
+//! [`Quantizer::fast_exact`]: crate::Quantizer::fast_exact
+//! [`HuffmanEncoder::encode`]: crate::huffman::HuffmanEncoder::encode
+//! [`HuffmanEncoder::encode_slice`]: crate::huffman::HuffmanEncoder::encode_slice
 
-use crate::element::Element;
-use crate::quantizer::Quantizer;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Columns per tile: the unit of speculative vector work per lane.
-pub const TILE: usize = 32;
-/// Rows per wavefront group (four 4-wide f64 vectors). Sixteen rows keep
-/// four independent quantization recurrences in flight, which hides the
-/// latency of the divide on the chain's critical path.
-pub const LANES: usize = 16;
+static FORCED_SCALAR: AtomicBool = AtomicBool::new(false);
 
-const UNKNOWN: u8 = 0;
-const FORCED_SCALAR: u8 = 1;
-const FAST_OK: u8 = 2;
-
-/// Cached dispatch decision: `UNKNOWN` until the environment is read.
-static DISPATCH: AtomicU8 = AtomicU8::new(UNKNOWN);
-
-/// Force the scalar reference path (`true`) or the fast path (`false`),
-/// overriding the `LCPIO_SZ_FORCE_SCALAR` environment variable. Process
-/// global; intended for tests and benchmarks that compare both paths.
+/// Select the reference arithmetic (`true`) or the fast arithmetic
+/// (`false`, the default). Process global; intended for tests and
+/// benchmarks that compare both.
 pub fn force_scalar(on: bool) {
-    DISPATCH.store(if on { FORCED_SCALAR } else { FAST_OK }, Ordering::SeqCst);
+    FORCED_SCALAR.store(on, Ordering::SeqCst);
 }
 
-/// Undo [`force_scalar`]: the next dispatch re-reads the environment.
+/// Undo [`force_scalar`]: back to the default, the fast arithmetic.
 pub fn reset_force_scalar() {
-    DISPATCH.store(UNKNOWN, Ordering::SeqCst);
+    force_scalar(false);
 }
 
-fn scalar_forced() -> bool {
-    match DISPATCH.load(Ordering::Relaxed) {
-        FORCED_SCALAR => true,
-        FAST_OK => false,
-        _ => {
-            let forced = std::env::var("LCPIO_SZ_FORCE_SCALAR")
-                .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-                .unwrap_or(false);
-            DISPATCH.store(if forced { FORCED_SCALAR } else { FAST_OK }, Ordering::Relaxed);
-            forced
-        }
-    }
-}
-
-/// Whether this CPU supports the vector kernels (AVX2, checked at
-/// runtime — the crate builds and runs on any target).
+/// Whether this CPU reports AVX2. Nothing in this crate depends on it; the
+/// repo benchmark records it with its environment.
 pub fn simd_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -100,727 +50,10 @@ pub fn simd_available() -> bool {
     }
 }
 
-/// Whether the fast paths (vector kernels, batched Huffman emission) are
-/// active: AVX2 present and not forced scalar.
+/// Whether the fast arithmetic is selected (callers still check
+/// [`crate::Quantizer::fast_exact`] for the quantizer at hand).
 pub fn fast_enabled() -> bool {
-    !scalar_forced() && simd_available()
-}
-
-/// Reusable working buffers for the wavefront kernel, held inside
-/// [`crate::SzScratch`] so repeated compressions do not reallocate.
-#[derive(Debug)]
-pub(crate) struct KernelScratch<T> {
-    /// Partial stencil sums, `LANES` rows × `TILE` cols, row-major.
-    pbuf: Vec<f64>,
-    /// Transposed (lane-major) partials / widened originals for the
-    /// vector chain. `dt` is filled straight from the input grid by the
-    /// widening transpose — there is no row-major staging copy.
-    pt: Vec<f64>,
-    dt: Vec<f64>,
-    /// Chain outputs, lane-major: residuals, rounded bins, reconstructions.
-    xt: Vec<f64>,
-    qt: Vec<f64>,
-    rt: Vec<f64>,
-    /// Chain outputs transposed back to row-major for verify/commit.
-    xrow: Vec<f64>,
-    qrow: Vec<f64>,
-    rrow: Vec<f64>,
-    /// Per-lane escape literals, flushed in row order at group end.
-    lits: Vec<Vec<T>>,
-    /// Scratch row for the scalar reference helper (borders and tails).
-    rowp: Vec<f64>,
-}
-
-impl<T> KernelScratch<T> {
-    pub(crate) fn new() -> Self {
-        KernelScratch {
-            pbuf: Vec::new(),
-            pt: Vec::new(),
-            dt: Vec::new(),
-            xt: Vec::new(),
-            qt: Vec::new(),
-            rt: Vec::new(),
-            xrow: Vec::new(),
-            qrow: Vec::new(),
-            rrow: Vec::new(),
-            lits: Vec::new(),
-            rowp: Vec::new(),
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn prepare(&mut self) {
-        let n = LANES * TILE;
-        self.pbuf.resize(n, 0.0);
-        self.pt.resize(n, 0.0);
-        self.dt.resize(n, 0.0);
-        self.xt.resize(n, 0.0);
-        self.qt.resize(n, 0.0);
-        self.rt.resize(n, 0.0);
-        self.xrow.resize(n, 0.0);
-        self.qrow.resize(n, 0.0);
-        self.rrow.resize(n, 0.0);
-        self.lits.resize_with(LANES, Vec::new);
-    }
-}
-
-/// Vectorized whole-array Lorenzo encode for rank ≥ 2 grids. Fills
-/// `symbols` (indexed, length `nz·ny·nx`), appends escape literals in scan
-/// order, and writes reconstructed values into `recon` (caller-resized).
-/// When `hist` is given (4 contiguous stripes of `alphabet_size` counts,
-/// caller-zeroed), symbol counts are accumulated at tile-commit time —
-/// fusing the entropy stage's histogram into the pass that already holds
-/// the freshly-written symbols in cache, so the standalone histogram scan
-/// over the symbol array disappears. Stripe assignment is arbitrary; only
-/// the merged sums matter. Returns `false` — leaving all outputs
-/// untouched except possibly `symbols` length — when the shape,
-/// quantizer, element type, or CPU rules the fast path out; the caller
-/// then runs the scalar reference (and its own histogram pass).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn encode_classic_fast<T: Element>(
-    data: &[T],
-    nz: usize,
-    ny: usize,
-    nx: usize,
-    q: &Quantizer,
-    symbols: &mut Vec<u32>,
-    literals: &mut Vec<T>,
-    recon: &mut [f64],
-    ks: &mut KernelScratch<T>,
-    hist: Option<&mut [u32]>,
-) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        x86::encode_classic_fast(data, nz, ny, nx, q, symbols, literals, recon, ks, hist)
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (data, nz, ny, nx, q, symbols, literals, recon, ks, hist);
-        false
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    use super::{KernelScratch, LANES, TILE};
-    use crate::element::Element;
-    use crate::predictor::lorenzo_3d_row_partial;
-    use crate::quantizer::Quantizer;
-    use std::any::TypeId;
-    use std::arch::x86_64::*;
-
-    /// Exact replica of the pipeline's `encode_one`: quantize with the
-    /// reference quantizer, re-verify the bound after the narrowing cast,
-    /// escape to a literal otherwise. Returns `(symbol, reconstructed)`.
-    #[inline]
-    fn ref_encode_at<T: Element>(q: &Quantizer, pred: f64, orig: T, lits: &mut Vec<T>) -> (u32, f64) {
-        if let Some((c, rec)) = q.try_encode(pred, orig.to_f64()) {
-            if (T::from_f64(rec).to_f64() - orig.to_f64()).abs() <= q.error_bound() {
-                return (c, rec);
-            }
-        }
-        lits.push(orig);
-        (0, orig.to_f64())
-    }
-
-    /// Scalar reference encode of row `(k, j)`, columns `i0..i1` —
-    /// identical arithmetic to the pipeline's row loop. Used for tile
-    /// tails and leftover rows of a plane.
-    #[allow(clippy::too_many_arguments)]
-    fn encode_row_ref<T: Element>(
-        data: &[T],
-        ny: usize,
-        nx: usize,
-        k: usize,
-        j: usize,
-        i0: usize,
-        i1: usize,
-        q: &Quantizer,
-        symbols: &mut [u32],
-        lits: &mut Vec<T>,
-        recon: &mut [f64],
-        rowp: &mut Vec<f64>,
-        hist: Option<&mut [u32]>,
-    ) {
-        rowp.clear();
-        rowp.resize(i1 - i0, 0.0);
-        lorenzo_3d_row_partial(recon, ny, nx, k, j, i0, i1, rowp);
-        let base = (k * ny + j) * nx;
-        let mut left = if i0 > 0 { recon[base + i0 - 1] } else { 0.0 };
-        for (off, i) in (i0..i1).enumerate() {
-            let pred = rowp[off] + left;
-            let (sym, rec) = ref_encode_at(q, pred, data[base + i], lits);
-            symbols[base + i] = sym;
-            recon[base + i] = rec;
-            left = rec;
-        }
-        if let Some(h) = hist {
-            hist_count(h, &symbols[base + i0..base + i1]);
-        }
-    }
-
-    /// Accumulate `syms` into the 4-stripe histogram `h` (layout: 4
-    /// contiguous stripes of `h.len()/4` counts each, merged by the
-    /// caller into one frequency table). Which stripe a symbol lands in
-    /// is arbitrary — only the merged sums matter — so this is free to
-    /// stripe per call site rather than per global stream position.
-    fn hist_count(h: &mut [u32], syms: &[u32]) {
-        let a = h.len() / 4;
-        let (h0, rest) = h.split_at_mut(a);
-        let (h1, rest) = rest.split_at_mut(a);
-        let (h2, h3) = rest.split_at_mut(a);
-        let mut chunks = syms.chunks_exact(4);
-        for c in &mut chunks {
-            h0[c[0] as usize] += 1;
-            h1[c[1] as usize] += 1;
-            h2[c[2] as usize] += 1;
-            h3[c[3] as usize] += 1;
-        }
-        for &sym in chunks.remainder() {
-            h0[sym as usize] += 1;
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn encode_classic_fast<T: Element>(
-        data: &[T],
-        nz: usize,
-        ny: usize,
-        nx: usize,
-        q: &Quantizer,
-        symbols: &mut Vec<u32>,
-        literals: &mut Vec<T>,
-        recon: &mut [f64],
-        ks: &mut KernelScratch<T>,
-        mut hist: Option<&mut [u32]>,
-    ) -> bool {
-        // The speculative chain and the i32 symbol conversion are only
-        // exact under these preconditions; anything else runs scalar.
-        let known_type =
-            TypeId::of::<T>() == TypeId::of::<f32>() || TypeId::of::<T>() == TypeId::of::<f64>();
-        if !super::simd_available() || nx < TILE || !q.fast_exact() || !known_type {
-            return false;
-        }
-        let n = nz * ny * nx;
-        debug_assert_eq!(recon.len(), n);
-        // Every slot is overwritten below (wavefront commit, scalar
-        // repair, or the reference row helper), so values surviving from
-        // a previous run are harmless — skip the whole-array re-zero.
-        symbols.truncate(n);
-        symbols.resize(n, 0);
-        ks.prepare();
-        let ntiles = nx / TILE;
-        for k in 0..nz {
-            let mut j = 0usize;
-            while j + LANES <= ny {
-                // SAFETY: AVX2 availability was checked above via
-                // `simd_available()`; slice lengths are established by
-                // `ks.prepare()` and the geometry bounds (`j + LANES ≤ ny`,
-                // `ntiles·TILE ≤ nx`).
-                unsafe {
-                    wavefront_group(
-                        data,
-                        ny,
-                        nx,
-                        k,
-                        j,
-                        ntiles,
-                        q,
-                        symbols,
-                        literals,
-                        recon,
-                        ks,
-                        hist.as_deref_mut(),
-                    );
-                }
-                j += LANES;
-            }
-            while j < ny {
-                encode_row_ref(
-                    data,
-                    ny,
-                    nx,
-                    k,
-                    j,
-                    0,
-                    nx,
-                    q,
-                    symbols,
-                    literals,
-                    recon,
-                    &mut ks.rowp,
-                    hist.as_deref_mut(),
-                );
-                j += 1;
-            }
-        }
-        true
-    }
-
-    /// Encode rows `j0..j0 + LANES` of plane `k` with the wavefront
-    /// schedule: at step `s`, lane `m` handles column tile `s − m`, so
-    /// the row above always committed the same tile one step earlier and
-    /// the stencil partials only ever read finalized reconstructions.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is available, `ks.prepare()` has run,
-    /// `j0 + LANES ≤ ny`, `ntiles·TILE ≤ nx`, and `data`/`recon`/
-    /// `symbols` cover the `nz·ny·nx` grid.
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn wavefront_group<T: Element>(
-        data: &[T],
-        ny: usize,
-        nx: usize,
-        k: usize,
-        j0: usize,
-        ntiles: usize,
-        q: &Quantizer,
-        symbols: &mut [u32],
-        literals: &mut Vec<T>,
-        recon: &mut [f64],
-        ks: &mut KernelScratch<T>,
-        mut hist: Option<&mut [u32]>,
-    ) {
-        let eb = q.error_bound();
-        let twoeb = 2.0 * eb;
-        let rinv = 1.0 / twoeb;
-        let radius = q.radius();
-        let radf = radius as f64;
-        // The chain's reciprocal-scaled residual carries a few ulps of
-        // relative error versus the reference division, so the commit
-        // predicates shrink every threshold by a relative 2⁻⁵⁰ — at
-        // least 8× the worst-case drift (≤ ~3 units in 2⁻⁵³, plus the
-        // threshold's own rounding). Residuals inside the shrunk band
-        // provably round like the reference; the sliver between the
-        // bands is simply repaired scalar.
-        let margin = 1.0 - 2f64.powi(-50);
-        let radm = (radf - 0.5) * margin;
-        let tail0 = ntiles * TILE;
-        let mut prev = [0.0f64; LANES];
-        for l in ks.lits.iter_mut() {
-            l.clear();
-        }
-        let steps = ntiles + LANES - 1;
-        for s in 0..steps {
-            let mlo = (s + 1).saturating_sub(ntiles);
-            let mhi = s.min(LANES - 1);
-            // Per-lane tile start offsets into the grid. Idle lanes get a
-            // clamped (valid but meaningless) tile so the widening
-            // transpose below never reads out of bounds; their results
-            // are never committed.
-            let mut bases = [0usize; LANES];
-            for (m, b) in bases.iter_mut().enumerate() {
-                let t = s.saturating_sub(m).min(ntiles - 1);
-                *b = (k * ny + j0 + m) * nx + t * TILE;
-            }
-            // Phase 1: per active lane, build the stencil partials for
-            // tile `s − m`, row-major. (`m` addresses the lane's tile
-            // index, row, `pbuf` window and `prev` slot at once — the
-            // range loop is the clearer form here.)
-            #[allow(clippy::needless_range_loop)]
-            for m in mlo..=mhi {
-                let t = s - m;
-                let jrow = j0 + m;
-                let i0 = t * TILE;
-                lorenzo_3d_row_partial(
-                    recon,
-                    ny,
-                    nx,
-                    k,
-                    jrow,
-                    i0,
-                    i0 + TILE,
-                    &mut ks.pbuf[m * TILE..(m + 1) * TILE],
-                );
-                if t == 0 {
-                    // A row's chain enters its first tile with left = 0
-                    // (array border). Also wipes stale garbage from the
-                    // lane's idle steps.
-                    prev[m] = 0.0;
-                }
-            }
-            // Phase 2: transpose the active 4-lane groups to lane-major
-            // and run the speculative vector chain (inactive lanes inside
-            // a boundary group compute garbage that is never committed).
-            let glo = mlo / 4;
-            let ghi = mhi / 4;
-            transpose_to_lanes(&ks.pbuf, &mut ks.pt, glo, ghi);
-            transpose_data_to_lanes(data, &bases, &mut ks.dt, glo, ghi);
-            let prev_in = prev;
-            match ghi - glo {
-                0 => chain_tile::<1>(&ks.pt, &ks.dt, &mut ks.xt, &mut ks.qt, &mut ks.rt, &mut prev, glo, twoeb, rinv),
-                1 => chain_tile::<2>(&ks.pt, &ks.dt, &mut ks.xt, &mut ks.qt, &mut ks.rt, &mut prev, glo, twoeb, rinv),
-                2 => chain_tile::<3>(&ks.pt, &ks.dt, &mut ks.xt, &mut ks.qt, &mut ks.rt, &mut prev, glo, twoeb, rinv),
-                _ => chain_tile::<4>(&ks.pt, &ks.dt, &mut ks.xt, &mut ks.qt, &mut ks.rt, &mut prev, glo, twoeb, rinv),
-            }
-            transpose_from_lanes(&ks.xt, &mut ks.xrow, glo, ghi);
-            transpose_from_lanes(&ks.qt, &mut ks.qrow, glo, ghi);
-            transpose_from_lanes(&ks.rt, &mut ks.rrow, glo, ghi);
-            // Phase 3: verify each active lane's tile and commit, or
-            // repair from the first failing column with the reference
-            // scalar path.
-            for m in mlo..=mhi {
-                let t = s - m;
-                let jrow = j0 + m;
-                let i0 = t * TILE;
-                let base = (k * ny + jrow) * nx + i0;
-                let xr = &ks.xrow[m * TILE..(m + 1) * TILE];
-                let qr = &ks.qrow[m * TILE..(m + 1) * TILE];
-                let rr = &ks.rrow[m * TILE..(m + 1) * TILE];
-                let fail = verify_lane::<T>(xr, qr, rr, &data[base..base + TILE], radm, eb);
-                if fail == 0 {
-                    recon[base..base + TILE].copy_from_slice(rr);
-                    syms_from_q(qr, radf, &mut symbols[base..base + TILE]);
-                } else {
-                    let f = fail.trailing_zeros() as usize;
-                    recon[base..base + f].copy_from_slice(&rr[..f]);
-                    for (c, sym) in symbols[base..base + f].iter_mut().enumerate() {
-                        *sym = (qr[c] as i64 + radius as i64) as u32;
-                    }
-                    let mut pv = if f > 0 { rr[f - 1] } else { prev_in[m] };
-                    for c in f..TILE {
-                        let pred = ks.pbuf[m * TILE + c] + pv;
-                        let (sym, rec) = ref_encode_at(q, pred, data[base + c], &mut ks.lits[m]);
-                        symbols[base + c] = sym;
-                        recon[base + c] = rec;
-                        pv = rec;
-                    }
-                    prev[m] = pv;
-                }
-                // Fused histogram: the tile's symbols are final here
-                // (verified commit or scalar repair) and still hot in
-                // cache, so count them now instead of in a second pass
-                // over the whole symbol array.
-                if let Some(h) = hist.as_deref_mut() {
-                    hist_count(h, &symbols[base..base + TILE]);
-                }
-            }
-        }
-        // Tails (columns past the last full tile) and the per-lane
-        // literal flush, in row order so the literal stream matches the
-        // scalar scan exactly.
-        for m in 0..LANES {
-            let jrow = j0 + m;
-            if tail0 < nx {
-                encode_row_ref(
-                    data,
-                    ny,
-                    nx,
-                    k,
-                    jrow,
-                    tail0,
-                    nx,
-                    q,
-                    symbols,
-                    &mut ks.lits[m],
-                    recon,
-                    &mut ks.rowp,
-                    hist.as_deref_mut(),
-                );
-            }
-            literals.append(&mut ks.lits[m]);
-        }
-    }
-
-    /// Transpose row-major rows of `TILE` f64 into lane-major
-    /// (`out[c·LANES + m] = rows[m·TILE + c]`) with 4×4 AVX2 blocks, for
-    /// the 4-lane groups `glo..=ghi` only (idle wavefront lanes skip the
-    /// shuffle work entirely).
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available; both slices must hold `LANES·TILE` values
-    /// and `ghi < LANES / 4`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn transpose_to_lanes(rows: &[f64], out: &mut [f64], glo: usize, ghi: usize) {
-        debug_assert_eq!(rows.len(), LANES * TILE);
-        debug_assert_eq!(out.len(), LANES * TILE);
-        for c0 in (0..TILE).step_by(4) {
-            for g in glo..=ghi {
-                let r0 = _mm256_loadu_pd(rows.as_ptr().add((g * 4) * TILE + c0));
-                let r1 = _mm256_loadu_pd(rows.as_ptr().add((g * 4 + 1) * TILE + c0));
-                let r2 = _mm256_loadu_pd(rows.as_ptr().add((g * 4 + 2) * TILE + c0));
-                let r3 = _mm256_loadu_pd(rows.as_ptr().add((g * 4 + 3) * TILE + c0));
-                let t0 = _mm256_unpacklo_pd(r0, r1);
-                let t1 = _mm256_unpackhi_pd(r0, r1);
-                let t2 = _mm256_unpacklo_pd(r2, r3);
-                let t3 = _mm256_unpackhi_pd(r2, r3);
-                let c_0 = _mm256_permute2f128_pd::<0x20>(t0, t2);
-                let c_1 = _mm256_permute2f128_pd::<0x20>(t1, t3);
-                let c_2 = _mm256_permute2f128_pd::<0x31>(t0, t2);
-                let c_3 = _mm256_permute2f128_pd::<0x31>(t1, t3);
-                _mm256_storeu_pd(out.as_mut_ptr().add(c0 * LANES + g * 4), c_0);
-                _mm256_storeu_pd(out.as_mut_ptr().add((c0 + 1) * LANES + g * 4), c_1);
-                _mm256_storeu_pd(out.as_mut_ptr().add((c0 + 2) * LANES + g * 4), c_2);
-                _mm256_storeu_pd(out.as_mut_ptr().add((c0 + 3) * LANES + g * 4), c_3);
-            }
-        }
-    }
-
-    /// Load 4 grid values starting at `off`, widened to f64. The `f32`
-    /// case fuses the narrowing-type widen into the load, so the kernel
-    /// needs no row-major staging copy of the input.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available; `off + 4 ≤ data.len()`; `is_f32` must
-    /// match `T` exactly (`f32` when true, `f64` when false).
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn load_widened<T: Element>(data: &[T], off: usize, is_f32: bool) -> __m256d {
-        debug_assert!(off + 4 <= data.len());
-        if is_f32 {
-            // SAFETY: caller guarantees `T == f32` via `is_f32`.
-            _mm256_cvtps_pd(_mm_loadu_ps(data.as_ptr().add(off) as *const f32))
-        } else {
-            // SAFETY: caller guarantees `T == f64` via `is_f32`.
-            _mm256_loadu_pd(data.as_ptr().add(off) as *const f64)
-        }
-    }
-
-    /// Gather the active lanes' input tiles straight from the grid into
-    /// lane-major f64 (`out[c·LANES + m] = data[bases[m] + c]`), widening
-    /// `f32` on the fly — the same 4×4 shuffle network as
-    /// [`transpose_to_lanes`] fed by per-lane row pointers.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available; every `bases[m] + TILE ≤ data.len()`;
-    /// `out` must hold `LANES·TILE` values; `ghi < LANES / 4`; `T` must
-    /// be exactly `f32` or `f64` (checked by the caller via `TypeId`).
-    #[target_feature(enable = "avx2")]
-    unsafe fn transpose_data_to_lanes<T: Element>(
-        data: &[T],
-        bases: &[usize; LANES],
-        out: &mut [f64],
-        glo: usize,
-        ghi: usize,
-    ) {
-        debug_assert_eq!(out.len(), LANES * TILE);
-        let is_f32 = TypeId::of::<T>() == TypeId::of::<f32>();
-        debug_assert!(is_f32 || TypeId::of::<T>() == TypeId::of::<f64>());
-        for c0 in (0..TILE).step_by(4) {
-            for g in glo..=ghi {
-                let r0 = load_widened(data, bases[g * 4] + c0, is_f32);
-                let r1 = load_widened(data, bases[g * 4 + 1] + c0, is_f32);
-                let r2 = load_widened(data, bases[g * 4 + 2] + c0, is_f32);
-                let r3 = load_widened(data, bases[g * 4 + 3] + c0, is_f32);
-                let t0 = _mm256_unpacklo_pd(r0, r1);
-                let t1 = _mm256_unpackhi_pd(r0, r1);
-                let t2 = _mm256_unpacklo_pd(r2, r3);
-                let t3 = _mm256_unpackhi_pd(r2, r3);
-                let c_0 = _mm256_permute2f128_pd::<0x20>(t0, t2);
-                let c_1 = _mm256_permute2f128_pd::<0x20>(t1, t3);
-                let c_2 = _mm256_permute2f128_pd::<0x31>(t0, t2);
-                let c_3 = _mm256_permute2f128_pd::<0x31>(t1, t3);
-                _mm256_storeu_pd(out.as_mut_ptr().add(c0 * LANES + g * 4), c_0);
-                _mm256_storeu_pd(out.as_mut_ptr().add((c0 + 1) * LANES + g * 4), c_1);
-                _mm256_storeu_pd(out.as_mut_ptr().add((c0 + 2) * LANES + g * 4), c_2);
-                _mm256_storeu_pd(out.as_mut_ptr().add((c0 + 3) * LANES + g * 4), c_3);
-            }
-        }
-    }
-
-    /// Inverse of [`transpose_to_lanes`]: the same 4×4 shuffle network
-    /// (transposition is an involution) with load/store roles swapped,
-    /// again restricted to the active groups `glo..=ghi`.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available; both slices must hold `LANES·TILE` values
-    /// and `ghi < LANES / 4`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn transpose_from_lanes(lanes: &[f64], rows: &mut [f64], glo: usize, ghi: usize) {
-        debug_assert_eq!(lanes.len(), LANES * TILE);
-        debug_assert_eq!(rows.len(), LANES * TILE);
-        for c0 in (0..TILE).step_by(4) {
-            for g in glo..=ghi {
-                let c_0 = _mm256_loadu_pd(lanes.as_ptr().add(c0 * LANES + g * 4));
-                let c_1 = _mm256_loadu_pd(lanes.as_ptr().add((c0 + 1) * LANES + g * 4));
-                let c_2 = _mm256_loadu_pd(lanes.as_ptr().add((c0 + 2) * LANES + g * 4));
-                let c_3 = _mm256_loadu_pd(lanes.as_ptr().add((c0 + 3) * LANES + g * 4));
-                let t0 = _mm256_unpacklo_pd(c_0, c_1);
-                let t1 = _mm256_unpackhi_pd(c_0, c_1);
-                let t2 = _mm256_unpacklo_pd(c_2, c_3);
-                let t3 = _mm256_unpackhi_pd(c_2, c_3);
-                let r0 = _mm256_permute2f128_pd::<0x20>(t0, t2);
-                let r1 = _mm256_permute2f128_pd::<0x20>(t1, t3);
-                let r2 = _mm256_permute2f128_pd::<0x31>(t0, t2);
-                let r3 = _mm256_permute2f128_pd::<0x31>(t1, t3);
-                _mm256_storeu_pd(rows.as_mut_ptr().add((g * 4) * TILE + c0), r0);
-                _mm256_storeu_pd(rows.as_mut_ptr().add((g * 4 + 1) * TILE + c0), r1);
-                _mm256_storeu_pd(rows.as_mut_ptr().add((g * 4 + 2) * TILE + c0), r2);
-                _mm256_storeu_pd(rows.as_mut_ptr().add((g * 4 + 3) * TILE + c0), r3);
-            }
-        }
-    }
-
-    /// Bias used for branch-free round-to-nearest: adding then
-    /// subtracting `1.5·2^52` leaves an f64 rounded to integer (current
-    /// rounding mode, i.e. ties-to-even — ties are caught by the verify
-    /// pass and repaired to match the scalar ties-away rounding).
-    const MAGIC: f64 = 6_755_399_441_055_744.0;
-
-    /// The speculative quantization chain over one lane-major tile: for
-    /// each of `TILE` columns, predict (partial + left neighbour),
-    /// quantize, reconstruct, and carry the reconstruction into the next
-    /// column — for `NG` active 4-lane groups starting at group `glo`.
-    /// The `NG` recurrences are independent, so the out-of-order core
-    /// overlaps their latencies.
-    ///
-    /// The residual is scaled by the *precomputed reciprocal* `rinv`
-    /// instead of dividing by the bin width: a multiply has a third of
-    /// the divide's latency on the serial critical path. The scaled
-    /// residual can differ from the reference division by a couple of
-    /// ulps, so the verify pass only accepts columns whose residual sits
-    /// farther than a proven error margin from every rounding boundary —
-    /// anything closer is re-encoded by the exact scalar path (see
-    /// [`verify_lane`]). `prev` carries each lane's running left
-    /// neighbour across tiles.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available; every slice must hold `LANES·TILE` values
-    /// and `glo + NG ≤ LANES / 4`.
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn chain_tile<const NG: usize>(
-        pt: &[f64],
-        dt: &[f64],
-        xt: &mut [f64],
-        qt: &mut [f64],
-        rt: &mut [f64],
-        prev: &mut [f64; LANES],
-        glo: usize,
-        twoeb: f64,
-        rinv: f64,
-    ) {
-        debug_assert_eq!(pt.len(), LANES * TILE);
-        debug_assert!(glo + NG <= LANES / 4);
-        let vtwoeb = _mm256_set1_pd(twoeb);
-        let vrinv = _mm256_set1_pd(rinv);
-        let vmagic = _mm256_set1_pd(MAGIC);
-        let sign = _mm256_set1_pd(-0.0);
-        let mut pv = [_mm256_setzero_pd(); NG];
-        for (i, v) in pv.iter_mut().enumerate() {
-            *v = _mm256_loadu_pd(prev.as_ptr().add((glo + i) * 4));
-        }
-        for c in 0..TILE {
-            for (i, pvi) in pv.iter_mut().enumerate() {
-                let off = c * LANES + (glo + i) * 4;
-                let pa = _mm256_loadu_pd(pt.as_ptr().add(off));
-                let da = _mm256_loadu_pd(dt.as_ptr().add(off));
-                let pred = _mm256_add_pd(pa, *pvi);
-                let x = _mm256_mul_pd(_mm256_sub_pd(da, pred), vrinv);
-                let q = _mm256_sub_pd(_mm256_add_pd(x, vmagic), vmagic);
-                // The scalar rounding keeps the residual's sign on a zero
-                // result (−0.25 → −0.0); OR the sign bit back in when
-                // q == 0 so reconstructions stay bit-identical.
-                let zmask = _mm256_cmp_pd::<_CMP_EQ_OQ>(q, _mm256_setzero_pd());
-                let q = _mm256_or_pd(q, _mm256_and_pd(zmask, _mm256_and_pd(x, sign)));
-                let rec = _mm256_add_pd(pred, _mm256_mul_pd(q, vtwoeb));
-                _mm256_storeu_pd(xt.as_mut_ptr().add(off), x);
-                _mm256_storeu_pd(qt.as_mut_ptr().add(off), q);
-                _mm256_storeu_pd(rt.as_mut_ptr().add(off), rec);
-                *pvi = rec;
-            }
-        }
-        for (i, v) in pv.iter().enumerate() {
-            _mm256_storeu_pd(prev.as_mut_ptr().add((glo + i) * 4), *v);
-        }
-    }
-
-    /// Verify one lane's speculative tile. Returns a bitmask with bit `c`
-    /// set when column `c` must be re-encoded by the scalar path: the
-    /// residual escapes the (margin-shrunk) quantizer range or is
-    /// non-finite, the residual sits within the reciprocal-drift margin
-    /// of a rounding boundary (where the speculative multiply cannot be
-    /// proven to round like the reference divide — this also catches
-    /// exact halfway ties), or the narrowing-cast error check fails. All
-    /// comparisons order NaN towards "fail".
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available; slices must hold `TILE` values; `T` must
-    /// be exactly `f32` or `f64` (checked by the caller via `TypeId`).
-    #[target_feature(enable = "avx2")]
-    unsafe fn verify_lane<T: Element>(
-        x: &[f64],
-        qv: &[f64],
-        r: &[f64],
-        orig: &[T],
-        radm: f64,
-        eb: f64,
-    ) -> u32 {
-        debug_assert_eq!(orig.len(), TILE);
-        let is_f32 = TypeId::of::<T>() == TypeId::of::<f32>();
-        debug_assert!(is_f32 || TypeId::of::<T>() == TypeId::of::<f64>());
-        let absmask = _mm256_set1_pd(f64::from_bits(0x7fff_ffff_ffff_ffff));
-        let vradm = _mm256_set1_pd(radm);
-        let vhalf = _mm256_set1_pd(0.5);
-        let vone = _mm256_set1_pd(1.0);
-        // Per-element boundary margin 2⁻⁵⁰·(|q| + 1): an absolute bound
-        // on how far the reciprocal-scaled residual can drift from the
-        // reference division (≤ ~3 ulps, so 2⁻⁵⁰ has ≥ 8× slack even
-        // after the threshold's own rounding).
-        let veps = _mm256_set1_pd(2f64.powi(-50));
-        let veb = _mm256_set1_pd(eb);
-        let mut fail = 0u32;
-        for g in 0..TILE / 4 {
-            let xv = _mm256_loadu_pd(x.as_ptr().add(g * 4));
-            let qq = _mm256_loadu_pd(qv.as_ptr().add(g * 4));
-            let rv = _mm256_loadu_pd(r.as_ptr().add(g * 4));
-            let (ov, nv) = if is_f32 {
-                // SAFETY: `TypeId` proved `T == f32`, so the slice memory
-                // is `TILE` contiguous f32 values.
-                let p = orig.as_ptr().add(g * 4) as *const f32;
-                let o = _mm256_cvtps_pd(_mm_loadu_ps(p));
-                // Reference check round-trips through the narrow type:
-                // cvtpd_ps is the same round-to-nearest as an `as` cast.
-                let nrw = _mm256_cvtps_pd(_mm256_cvtpd_ps(rv));
-                (o, nrw)
-            } else {
-                // SAFETY: `T == f64` (debug-asserted; callers gate on it).
-                let p = orig.as_ptr().add(g * 4) as *const f64;
-                (_mm256_loadu_pd(p), rv)
-            };
-            let ax = _mm256_and_pd(xv, absmask);
-            let in_range = _mm256_cmp_pd::<_CMP_LT_OQ>(ax, vradm);
-            let d = _mm256_and_pd(_mm256_sub_pd(xv, qq), absmask);
-            let aq = _mm256_and_pd(qq, absmask);
-            let thr = _mm256_sub_pd(vhalf, _mm256_mul_pd(_mm256_add_pd(aq, vone), veps));
-            let near_ok = _mm256_cmp_pd::<_CMP_LT_OQ>(d, thr);
-            let err = _mm256_and_pd(_mm256_sub_pd(nv, ov), absmask);
-            let narrow_ok = _mm256_cmp_pd::<_CMP_LE_OQ>(err, veb);
-            let ok = _mm256_and_pd(near_ok, _mm256_and_pd(in_range, narrow_ok));
-            let okbits = _mm256_movemask_pd(ok) as u32;
-            fail |= (!okbits & 0xF) << (g * 4);
-        }
-        fail
-    }
-
-    /// Convert a verified lane's rounded bins to symbols:
-    /// `sym = q + radius`, done as f64 add (exact: both < 2^31) plus
-    /// truncating i32 conversion, 4 symbols per instruction.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available; slices must hold `TILE` values; every
-    /// `q + radius` must fit in i32 (guaranteed by the range check in
-    /// `verify_lane` and `Quantizer::fast_exact`).
-    #[target_feature(enable = "avx2")]
-    unsafe fn syms_from_q(qr: &[f64], radf: f64, out: &mut [u32]) {
-        debug_assert_eq!(qr.len(), TILE);
-        debug_assert_eq!(out.len(), TILE);
-        let vradf = _mm256_set1_pd(radf);
-        for g in 0..TILE / 4 {
-            let qv = _mm256_loadu_pd(qr.as_ptr().add(g * 4));
-            let si = _mm256_cvttpd_epi32(_mm256_add_pd(qv, vradf));
-            _mm_storeu_si128(out.as_mut_ptr().add(g * 4) as *mut __m128i, si);
-        }
-    }
+    !FORCED_SCALAR.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]
@@ -832,100 +65,7 @@ mod tests {
         force_scalar(true);
         assert!(!fast_enabled());
         force_scalar(false);
-        assert_eq!(fast_enabled(), simd_available());
+        assert!(fast_enabled());
         reset_force_scalar();
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn kernel_matches_reference_on_3d_grid() {
-        if !simd_available() {
-            return;
-        }
-        let (nz, ny, nx) = (4usize, 19, 71); // tail columns + leftover rows
-        let n = nz * ny * nx;
-        let mut s = 0x9e3779b97f4a7c15u64;
-        let data: Vec<f32> = (0..n)
-            .map(|i| {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                if i % 53 == 0 {
-                    ((s >> 40) as f32 - 8000.0) * 1e5 // outlier → literal
-                } else {
-                    (s >> 50) as f32 / 64.0 + (i as f32 * 0.03).sin() * 8.0
-                }
-            })
-            .collect();
-        let q = Quantizer::new(1e-3, Quantizer::DEFAULT_RADIUS);
-
-        // Reference: the scalar row loop from the pipeline.
-        let mut ref_syms = vec![0u32; n];
-        let mut ref_lits: Vec<f32> = Vec::new();
-        let mut ref_recon = vec![0.0f64; n];
-        let mut rowp = vec![0.0f64; nx];
-        let mut idx = 0usize;
-        for k in 0..nz {
-            for j in 0..ny {
-                crate::predictor::lorenzo_3d_row_partial(
-                    &ref_recon, ny, nx, k, j, 0, nx, &mut rowp,
-                );
-                for i in 0..nx {
-                    let left = if i > 0 { ref_recon[idx - 1] } else { 0.0 };
-                    let pred = rowp[i] + left;
-                    let (sym, rec) = if let Some((c, rec)) = q.try_encode(pred, data[idx] as f64) {
-                        if (rec as f32 as f64 - data[idx] as f64).abs() <= q.error_bound() {
-                            (c, rec)
-                        } else {
-                            ref_lits.push(data[idx]);
-                            (0, data[idx] as f64)
-                        }
-                    } else {
-                        ref_lits.push(data[idx]);
-                        (0, data[idx] as f64)
-                    };
-                    ref_syms[idx] = sym;
-                    ref_recon[idx] = rec;
-                    idx += 1;
-                }
-            }
-        }
-
-        let mut syms = Vec::new();
-        let mut lits: Vec<f32> = Vec::new();
-        let mut recon = vec![0.0f64; n];
-        let mut ks = KernelScratch::new();
-        let alphabet = q.alphabet_size();
-        let mut hist = vec![0u32; 4 * alphabet];
-        assert!(encode_classic_fast(
-            &data,
-            nz,
-            ny,
-            nx,
-            &q,
-            &mut syms,
-            &mut lits,
-            &mut recon,
-            &mut ks,
-            Some(&mut hist),
-        ));
-        assert_eq!(syms, ref_syms);
-        assert_eq!(lits, ref_lits);
-        for (a, b) in recon.iter().zip(&ref_recon) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert!(!lits.is_empty(), "test field should produce escape literals");
-
-        // The fused 4-stripe histogram, merged, must equal a recount of
-        // the reference symbol stream.
-        let mut merged = vec![0u64; alphabet];
-        for (i, &c) in hist.iter().enumerate() {
-            merged[i % alphabet] += c as u64;
-        }
-        let mut expect = vec![0u64; alphabet];
-        for &sym in &ref_syms {
-            expect[sym as usize] += 1;
-        }
-        assert_eq!(merged, expect);
     }
 }

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # lcpio-sz — SZ-style error-bounded lossy compressor
 //!
 //! A from-scratch Rust implementation of the SZ lossy-compression pipeline

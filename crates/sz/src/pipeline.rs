@@ -126,7 +126,6 @@ pub struct SzScratch<T> {
     block_bits: BitWriter,
     coeffs: Vec<f32>,
     lit_bytes: Vec<u8>,
-    kern: kernels::KernelScratch<T>,
 }
 
 impl<T> SzScratch<T> {
@@ -144,7 +143,6 @@ impl<T> SzScratch<T> {
             block_bits: BitWriter::new(),
             coeffs: Vec::new(),
             lit_bytes: Vec::new(),
-            kern: kernels::KernelScratch::new(),
         }
     }
 }
@@ -163,8 +161,8 @@ impl<T> Default for SzScratch<T> {
 ///
 /// `FAST` selects the quantizer's branch-free rounding path. Bit-identical
 /// output (`Quantizer::try_encode_fast` is proven and property-tested equal
-/// to `try_encode` whenever `fast_exact()` holds); callers gate it on
-/// `kernels::fast_enabled() && q.fast_exact()`.
+/// to `try_encode` whenever `fast_exact()` holds); [`compress_typed_with`]
+/// selects it when `kernels::fast_enabled() && q.fast_exact()`.
 #[inline]
 fn quantize_one<T: Element, const FAST: bool>(q: &Quantizer, pred: f64, orig: T) -> (u32, f64) {
     let orig = orig.to_f64();
@@ -194,22 +192,17 @@ fn encode_one<T: Element, const FAST: bool>(
 }
 
 /// Classic (whole-array Lorenzo) encode. Fills `s.symbols` / `s.literals`
-/// / `s.recon`; returns `(regression_blocks, lorenzo_blocks, fused)`,
-/// where `fused` reports whether the AVX2 kernel already accumulated the
-/// symbol histogram into `s.hist4` (requested via `fuse`; only the kernel
-/// path fuses — the rank-1 and scalar paths leave counting to the caller).
-fn encode_classic<T: Element>(
+/// / `s.recon`.
+fn encode_classic<T: Element, const FAST: bool>(
     data: &[T],
     g: Geom,
     order: u8,
     q: &Quantizer,
     s: &mut SzScratch<T>,
-    fuse: bool,
-) -> (u64, u64, bool) {
+) {
     let n = data.len();
     s.recon.clear();
     s.recon.resize(n, 0.0);
-    let fast = kernels::fast_enabled() && q.fast_exact();
     if g.rank == 1 && order == 2 {
         // First two elements peeled so the steady-state loop carries the
         // two previous reconstructions in locals instead of re-deriving
@@ -218,43 +211,19 @@ fn encode_classic<T: Element>(
         let mut prev2 = 0.0f64;
         for (i, &v) in data.iter().enumerate().take(2) {
             let pred = if i == 0 { 0.0 } else { prev };
-            let rec = if fast {
-                encode_one::<T, true>(q, pred, v, &mut s.symbols, &mut s.literals)
-            } else {
-                encode_one::<T, false>(q, pred, v, &mut s.symbols, &mut s.literals)
-            };
+            let rec = encode_one::<T, FAST>(q, pred, v, &mut s.symbols, &mut s.literals);
             s.recon[i] = rec;
             prev2 = prev;
             prev = rec;
         }
         for (i, &v) in data.iter().enumerate().skip(2) {
             let pred = 2.0 * prev - prev2;
-            let rec = if fast {
-                encode_one::<T, true>(q, pred, v, &mut s.symbols, &mut s.literals)
-            } else {
-                encode_one::<T, false>(q, pred, v, &mut s.symbols, &mut s.literals)
-            };
+            let rec = encode_one::<T, FAST>(q, pred, v, &mut s.symbols, &mut s.literals);
             s.recon[i] = rec;
             prev2 = prev;
             prev = rec;
         }
-        return (0, 0, false);
-    }
-    if kernels::fast_enabled()
-        && kernels::encode_classic_fast(
-            data,
-            g.nz,
-            g.ny,
-            g.nx,
-            q,
-            &mut s.symbols,
-            &mut s.literals,
-            &mut s.recon,
-            &mut s.kern,
-            if fuse { Some(&mut s.hist4[..]) } else { None },
-        )
-    {
-        return (0, 0, fuse);
+        return;
     }
     s.rowp.clear();
     s.rowp.resize(g.nx, 0.0);
@@ -265,16 +234,12 @@ fn encode_classic<T: Element>(
             for i in 0..g.nx {
                 let left = if i > 0 { s.recon[idx - 1] } else { 0.0 };
                 let pred = s.rowp[i] + left;
-                s.recon[idx] = if fast {
-                    encode_one::<T, true>(q, pred, data[idx], &mut s.symbols, &mut s.literals)
-                } else {
-                    encode_one::<T, false>(q, pred, data[idx], &mut s.symbols, &mut s.literals)
-                };
+                s.recon[idx] =
+                    encode_one::<T, FAST>(q, pred, data[idx], &mut s.symbols, &mut s.literals);
                 idx += 1;
             }
         }
     }
-    (0, 0, false)
 }
 
 /// Mean |orig − Lorenzo(orig)| over a block, using *original* neighbours.
@@ -561,6 +526,24 @@ fn encode_blocks<T: Element, const FAST: bool>(
     (regression_blocks, lorenzo_blocks)
 }
 
+/// The predict-quantize stage in either mode; returns
+/// `(regression_blocks, lorenzo_blocks)`, both zero in classic mode.
+fn predict_quantize<T: Element, const FAST: bool>(
+    data: &[T],
+    g: Geom,
+    block_mode: bool,
+    order: u8,
+    q: &Quantizer,
+    s: &mut SzScratch<T>,
+) -> (u64, u64) {
+    if block_mode {
+        encode_blocks::<T, FAST>(data, g, q, s)
+    } else {
+        encode_classic::<T, FAST>(data, g, order, q, s);
+        (0, 0)
+    }
+}
+
 /// Compress `data` shaped as `dims` (1–4 dimensions, slowest first), for
 /// any supported element type.
 pub fn compress_typed<T: Element>(
@@ -598,60 +581,34 @@ pub fn compress_typed_with<T: Element>(
     s.coeffs.clear();
     s.lit_bytes.clear();
 
-    // When the AVX2 kernel may run, hand it the 4-stripe histogram so the
-    // symbol counts fall out of the commit pass and the standalone scan
-    // over the symbol array below is skipped entirely. The gate matches
-    // the striped pass (per-stripe counts fit u32); classic mode emits
-    // exactly one symbol per element, so `data.len()` is the symbol count.
-    let fuse = !block_mode && data.len() < u32::MAX as usize && kernels::fast_enabled();
-    if fuse {
-        s.hist4.clear();
-        s.hist4.resize(4 * q.alphabet_size(), 0);
-    }
-    let (regression_blocks, lorenzo_blocks, fused) = {
+    // Reference or fast arithmetic, read once per call; both write the
+    // same bytes (see `kernels`).
+    let fast = kernels::fast_enabled();
+    let (regression_blocks, lorenzo_blocks) = {
         let _span = lcpio_trace::span("sz.predict_quantize");
-        if block_mode {
-            let (r, l) = if kernels::fast_enabled() && q.fast_exact() {
-                encode_blocks::<T, true>(data, g, &q, s)
-            } else {
-                encode_blocks::<T, false>(data, g, &q, s)
-            };
-            (r, l, false)
+        if fast && q.fast_exact() {
+            predict_quantize::<T, true>(data, g, block_mode, cfg.lorenzo_order, &q, s)
         } else {
-            encode_classic(data, g, cfg.lorenzo_order, &q, s, fuse)
+            predict_quantize::<T, false>(data, g, block_mode, cfg.lorenzo_order, &q, s)
         }
     };
 
     // Histogram + Huffman table over the dense symbol alphabet.
     let huff_span = lcpio_trace::span("sz.huffman");
+    let a = q.alphabet_size();
     s.freqs.clear();
-    s.freqs.resize(q.alphabet_size(), 0);
-    if fused {
-        // The kernel already counted at tile-commit time; only the stripe
-        // merge remains. Stripe assignment differs from the standalone
-        // pass below, but the merged sums — and therefore the Huffman
-        // table and the output stream — are identical.
-        let a = q.alphabet_size();
-        let (h0, rest) = s.hist4.split_at(a);
-        let (h1, rest) = rest.split_at(a);
-        let (h2, h3) = rest.split_at(a);
-        for (f, ((&a0, &a1), (&a2, &a3))) in
-            s.freqs.iter_mut().zip(h0.iter().zip(h1.iter()).zip(h2.iter().zip(h3.iter())))
-        {
-            *f = (a0 as u64) + (a1 as u64) + (a2 as u64) + (a3 as u64);
-        }
-    } else if s.symbols.len() < u32::MAX as usize {
-        // Four interleaved sub-histograms break the store-to-load
-        // dependency that serializes runs of equal symbols — the common
-        // case, since quantization codes cluster hard around the zero
-        // bin. Merged below; per-stripe counts fit u32 by the guard.
-        let a = q.alphabet_size();
+    s.freqs.resize(a, 0);
+    // Four interleaved sub-histograms break the store-to-load dependency
+    // that serializes runs of equal symbols — the common case, since
+    // quantization codes cluster hard around the zero bin. The stripes
+    // count in u32, so they are merged at least every `u32::MAX` symbols.
+    for part in s.symbols.chunks(u32::MAX as usize) {
         s.hist4.clear();
         s.hist4.resize(4 * a, 0);
         let (h0, rest) = s.hist4.split_at_mut(a);
         let (h1, rest) = rest.split_at_mut(a);
         let (h2, h3) = rest.split_at_mut(a);
-        let mut chunks = s.symbols.chunks_exact(4);
+        let mut chunks = part.chunks_exact(4);
         for c in &mut chunks {
             h0[c[0] as usize] += 1;
             h1[c[1] as usize] += 1;
@@ -664,11 +621,7 @@ pub fn compress_typed_with<T: Element>(
         for (f, ((&a0, &a1), (&a2, &a3))) in
             s.freqs.iter_mut().zip(h0.iter().zip(h1.iter()).zip(h2.iter().zip(h3.iter())))
         {
-            *f = (a0 as u64) + (a1 as u64) + (a2 as u64) + (a3 as u64);
-        }
-    } else {
-        for &sym in &s.symbols {
-            s.freqs[sym as usize] += 1;
+            *f += (a0 as u64) + (a1 as u64) + (a2 as u64) + (a3 as u64);
         }
     }
     let build_span = lcpio_trace::span("sz.huffman.build");
@@ -676,7 +629,7 @@ pub fn compress_typed_with<T: Element>(
         HuffmanEncoder::from_freqs(&s.freqs).map_err(|_| SzError::Internal("huffman build"))?;
     drop(build_span);
     let emit_span = lcpio_trace::span("sz.huffman.emit");
-    if kernels::fast_enabled() {
+    if fast {
         huff.encode_slice(&s.symbols, &mut s.sym_bits)
             .map_err(|_| SzError::Internal("huffman encode"))?;
     } else {
@@ -1411,7 +1364,7 @@ mod tests {
             let what = format!("f64 case {i} ({dims:?})");
             assert_legacy_pin(&pinned_field_f64(i, dims), dims, cfg, F64_LEGACY[i], &what);
         }
-        // The large block-mode field of `fused_histogram_commit_is_…`.
+        // The large default-path field of `tests/format_regression.rs`.
         let dims = [64usize, 48, 96];
         let data = field_f32(dims.iter().product(), 0xf00d);
         let cfg = SzConfig::new(ErrorBound::Absolute(1e-3));

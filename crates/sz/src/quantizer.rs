@@ -84,11 +84,10 @@ impl Quantizer {
         self.radius
     }
 
-    /// True when [`Quantizer::try_encode_fast`] (and the SIMD kernels built
-    /// on the same arithmetic) reproduce [`Quantizer::try_encode`] bit for
-    /// bit: the bin width `2·eb` must be finite (otherwise
-    /// `q·(2·eb) ≠ (q·2)·eb`) and the radius small enough for exact
-    /// f64 ↔ i32 symbol conversion.
+    /// True when [`Quantizer::try_encode_fast`] reproduces
+    /// [`Quantizer::try_encode`] bit for bit: the bin width `2·eb` must be
+    /// finite (otherwise `q·(2·eb) ≠ (q·2)·eb`) and the radius small enough
+    /// for exact f64 ↔ i32 symbol conversion.
     #[inline]
     pub fn fast_exact(&self) -> bool {
         self.twoeb.is_finite() && self.radius <= (1 << 30)

@@ -1,8 +1,7 @@
 //! Stream-format regression: SZ compressed bytes are pinned against hashes
-//! captured from the original scalar element-at-a-time codec, before the
-//! SIMD kernels landed. The wavefront predict/quantize kernel and the
-//! batched Huffman emitter are pure optimizations — any change to the
-//! emitted bytes is a format break and must fail here.
+//! captured from the original element-at-a-time codec. The fast quantizer
+//! arithmetic and the batched Huffman emitter are pure optimizations — any
+//! change to the emitted bytes is a format break and must fail here.
 //!
 //! The lossless-on cases were re-pinned once, when the lossless back end
 //! began to pack the Huffman table (`FLAG_PACKED_TABLE`) and its matcher
@@ -12,10 +11,12 @@
 //! `pipeline::tests::legacy_streams_keep_their_hashes_and_restore_the_same_values`,
 //! which rebuilds the old streams and decodes them with today's decoder.
 //!
-//! The same cases are then re-compressed with the kernels forced scalar
-//! and forced fast, proving both paths emit identical streams. The kernel
-//! switch is process-global, so everything runs inside one `#[test]` per
-//! concern rather than one test per case.
+//! The same cases are then re-compressed with the reference arithmetic
+//! (`kernels::force_scalar(true)`) and with the fast arithmetic, proving
+//! that both emit identical streams and report identical
+//! `CompressionStats` (the work profile the power model prices). The
+//! switch is process-global, so exactly one `#[test]` in this binary flips
+//! it, case after case.
 //!
 //! The chunked `SZLP` container is written by `lcpio-codec`; its pinned
 //! hashes live in that crate's `tests/format_regression.rs` (and, for the
@@ -26,7 +27,8 @@ mod generators;
 use generators::{field_f32, fnv64, pinned_cases as cases, pinned_field_f32, pinned_field_f64};
 use lcpio_sz::kernels;
 use lcpio_sz::{
-    compress_pointwise_rel, compress_typed, decompress_typed, ErrorBound, PredictorMode, SzConfig,
+    compress_pointwise_rel, compress_typed, decompress_typed, Compressed, ErrorBound,
+    PredictorMode, SzConfig,
 };
 
 const F32_EXPECT: [(usize, u64); 8] = [
@@ -51,31 +53,31 @@ const F64_EXPECT: [(usize, u64); 8] = [
     (1194, 0x8c00def8fddfdeb3),
 ];
 
-fn serial_streams_f32() -> Vec<Vec<u8>> {
+fn serial_streams_f32() -> Vec<Compressed> {
     cases()
         .iter()
         .enumerate()
         .map(|(i, (dims, cfg))| {
-            compress_typed(&pinned_field_f32(i, dims), dims, cfg).expect("compress").bytes
+            compress_typed(&pinned_field_f32(i, dims), dims, cfg).expect("compress")
         })
         .collect()
 }
 
-fn serial_streams_f64() -> Vec<Vec<u8>> {
+fn serial_streams_f64() -> Vec<Compressed> {
     cases()
         .iter()
         .enumerate()
         .map(|(i, (dims, cfg))| {
-            compress_typed(&pinned_field_f64(i, dims), dims, cfg).expect("compress").bytes
+            compress_typed(&pinned_field_f64(i, dims), dims, cfg).expect("compress")
         })
         .collect()
 }
 
 #[test]
 fn serial_streams_match_pinned_hashes() {
-    // Pinned hashes were captured with the kernels forced scalar (the
-    // original code); the default dispatch must reproduce them exactly.
-    for (i, stream) in serial_streams_f32().iter().enumerate() {
+    // Pinned hashes were captured from the reference arithmetic (the
+    // original code); the default, fast arithmetic must reproduce them.
+    for (i, Compressed { bytes: stream, .. }) in serial_streams_f32().iter().enumerate() {
         let (dims, _) = &cases()[i];
         assert_eq!(
             (stream.len(), fnv64(stream)),
@@ -86,7 +88,7 @@ fn serial_streams_match_pinned_hashes() {
         assert_eq!(&got_dims, dims);
         assert_eq!(rec.len(), dims.iter().product::<usize>());
     }
-    for (i, stream) in serial_streams_f64().iter().enumerate() {
+    for (i, Compressed { bytes: stream, .. }) in serial_streams_f64().iter().enumerate() {
         let (dims, _) = &cases()[i];
         assert_eq!(
             (stream.len(), fnv64(stream)),
@@ -97,6 +99,22 @@ fn serial_streams_match_pinned_hashes() {
         assert_eq!(&got_dims, dims);
         assert_eq!(rec.len(), dims.iter().product::<usize>());
     }
+}
+
+/// `data` compressed with the reference arithmetic and with the fast one:
+/// equal bytes and equal work profile; returns the fast side.
+fn assert_switch_invariant(data: &[f32], dims: &[usize], cfg: &SzConfig, what: &str) -> Compressed {
+    kernels::force_scalar(true);
+    let scalar = compress_typed(data, dims, cfg).unwrap();
+    kernels::force_scalar(false);
+    let fast = compress_typed(data, dims, cfg).unwrap();
+    kernels::reset_force_scalar();
+    assert_eq!(scalar.bytes, fast.bytes, "{what}: scalar vs fast streams differ");
+    assert_eq!(scalar.stats, fast.stats, "{what}: scalar vs fast stats differ");
+    let (rec, got_dims) = decompress_typed::<f32>(&fast.bytes).expect("decompress");
+    assert_eq!(got_dims, dims);
+    assert_eq!(rec.len(), data.len());
+    fast
 }
 
 #[test]
@@ -110,13 +128,15 @@ fn scalar_and_fast_paths_emit_identical_streams() {
     let fast64 = serial_streams_f64();
     kernels::reset_force_scalar();
     for (i, (a, b)) in scalar32.iter().zip(&fast32).enumerate() {
-        assert_eq!(a, b, "f32 case {i}: scalar vs fast streams differ");
+        assert_eq!(a.bytes, b.bytes, "f32 case {i}: scalar vs fast streams differ");
+        assert_eq!(a.stats, b.stats, "f32 case {i}: scalar vs fast stats differ");
     }
     for (i, (a, b)) in scalar64.iter().zip(&fast64).enumerate() {
-        assert_eq!(a, b, "f64 case {i}: scalar vs fast streams differ");
+        assert_eq!(a.bytes, b.bytes, "f64 case {i}: scalar vs fast streams differ");
+        assert_eq!(a.stats, b.stats, "f64 case {i}: scalar vs fast stats differ");
     }
-    // Larger 3-D fields so the wavefront kernel runs multiple full tile
-    // groups (and tails) in every mode.
+    // Larger 3-D fields: many full rows, row tails and partial blocks in
+    // every mode.
     for mode in [PredictorMode::Lorenzo, PredictorMode::BlockAdaptive] {
         for lossless in [false, true] {
             let dims = vec![6usize, 37, 129];
@@ -125,45 +145,22 @@ fn scalar_and_fast_paths_emit_identical_streams() {
             let cfg = SzConfig::new(ErrorBound::Absolute(1e-3))
                 .with_mode(mode)
                 .with_lossless(lossless);
-            kernels::force_scalar(true);
-            let a = compress_typed(&data, &dims, &cfg).unwrap().bytes;
-            kernels::force_scalar(false);
-            let b = compress_typed(&data, &dims, &cfg).unwrap().bytes;
-            kernels::reset_force_scalar();
-            assert_eq!(a, b, "large 3-D {mode:?} lossless={lossless}: paths differ");
-            let (rec, _) = decompress_typed::<f32>(&b).unwrap();
-            assert_eq!(rec.len(), n);
+            let what = format!("large 3-D {mode:?} lossless={lossless}");
+            assert_switch_invariant(&data, &dims, &cfg, &what);
         }
     }
-}
-
-#[test]
-fn fused_histogram_commit_is_bit_identical_and_pinned() {
-    // The AVX2 commit pass folds the 4-stripe symbol histogram into the
-    // tile commit (one pass over the symbols instead of two). Stripe
-    // assignment differs from the standalone count, but the merged
-    // frequencies — and therefore the Huffman table and every emitted
-    // bit — must be unchanged. A field large enough for multiple full
-    // tile groups, row tails and leftover rows exercises all three
-    // fused counting sites.
+    // The large default-path field (block-adaptive, lossless on), on both
+    // sides of the switch and pinned; its legacy form is pinned in
+    // `pipeline::tests::legacy_streams_keep_their_hashes_and_restore_the_same_values`.
     let dims = vec![64usize, 48, 96];
-    let n: usize = dims.iter().product();
-    let data = field_f32(n, 0xf00d);
+    let data = field_f32(dims.iter().product(), 0xf00d);
     let cfg = SzConfig::new(ErrorBound::Absolute(1e-3));
-    kernels::force_scalar(true);
-    let scalar = compress_typed(&data, &dims, &cfg).unwrap().bytes;
-    kernels::force_scalar(false);
-    let fast = compress_typed(&data, &dims, &cfg).unwrap().bytes;
-    kernels::reset_force_scalar();
-    assert_eq!(scalar, fast, "fused-histogram fast path changed the stream");
+    let fast = assert_switch_invariant(&data, &dims, &cfg, "large default-path 3-D").bytes;
     assert_eq!(
         (fast.len(), fnv64(&fast)),
         (1239326, 0xa14fe20444c14883),
-        "fused-histogram stream changed format"
+        "large default-path stream changed format"
     );
-    let (rec, got_dims) = decompress_typed::<f32>(&fast).expect("decompress");
-    assert_eq!(got_dims, dims);
-    assert_eq!(rec.len(), n);
 }
 
 #[test]

@@ -2,15 +2,16 @@
 //! (this file is a module of `simd_scalar_equivalence.rs` and
 //! `format_regression.rs` and, through `#[path]`, of the library's own unit
 //! tests, where `lcpio_sz` names the crate itself): values from the classes
-//! that historically break float kernels, salted into a smooth signal, and
-//! the fields and configurations whose streams are pinned by hash.
+//! that historically break hand-optimized float arithmetic, salted into a
+//! smooth signal, and the fields and configurations whose streams are
+//! pinned by hash.
 #![allow(dead_code)] // no includer uses all of it
 
 use lcpio_sz::{ErrorBound, PredictorMode, SzConfig};
 use proptest::prelude::*;
 
-/// One value drawn from the classes that historically break vectorized
-/// float kernels.
+/// One value drawn from the classes that historically break
+/// hand-optimized float arithmetic.
 pub fn special32() -> impl Strategy<Value = f32> {
     prop_oneof![
         2 => Just(f32::NAN),

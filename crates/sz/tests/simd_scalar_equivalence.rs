@@ -1,12 +1,14 @@
-//! Property test: the SIMD fast path and the scalar reference are
-//! indistinguishable from the outside. For every generated field — smooth
-//! data salted with NaNs, infinities, subnormals, signed zeros, and
-//! bound-busting outliers — both dispatch modes must emit byte-identical
-//! streams, and the decompressed values must honour the error bound
-//! (exactly preserving non-finite values via the literal escape path).
+//! Property test: the encoder's fast arithmetic and its reference
+//! arithmetic are indistinguishable from the outside. For every generated
+//! field — smooth data salted with NaNs, infinities, subnormals, signed
+//! zeros, and bound-busting outliers — both sides of
+//! `kernels::force_scalar` must emit byte-identical streams and report
+//! identical `CompressionStats` (the work profile the power model prices),
+//! and the decompressed values must honour the error bound (exactly
+//! preserving non-finite values via the literal escape path).
 //!
-//! The kernel switch is process-global, so every test in this binary
-//! serializes on one mutex before flipping it.
+//! The switch is process-global, so every test in this binary serializes
+//! on one mutex before flipping it.
 
 mod generators;
 
@@ -21,8 +23,9 @@ fn dispatch_lock() -> &'static Mutex<()> {
     LOCK.get_or_init(|| Mutex::new(()))
 }
 
-/// Compress with both dispatch modes, assert identical bytes, then check
-/// the reconstruction against the bound. Caller holds the dispatch lock.
+/// Compress on both sides of the switch, assert identical bytes and stats,
+/// then check the reconstruction against the bound. Caller holds the
+/// dispatch lock.
 fn check_equivalence_f32(
     data: &[f32],
     dims: &[usize],
@@ -36,6 +39,7 @@ fn check_equivalence_f32(
     kernels::reset_force_scalar();
     let (scalar, fast) = (scalar.expect("scalar compress"), fast.expect("fast compress"));
     prop_assert_eq!(&scalar.bytes, &fast.bytes);
+    prop_assert_eq!(scalar.stats, fast.stats);
     let (rec, got_dims) = decompress_typed::<f32>(&fast.bytes).expect("decompress");
     prop_assert_eq!(&got_dims[..], dims);
     for (i, (&o, &r)) in data.iter().zip(&rec).enumerate() {
@@ -64,6 +68,7 @@ fn check_equivalence_f64(
     kernels::reset_force_scalar();
     let (scalar, fast) = (scalar.expect("scalar compress"), fast.expect("fast compress"));
     prop_assert_eq!(&scalar.bytes, &fast.bytes);
+    prop_assert_eq!(scalar.stats, fast.stats);
     let (rec, _) = decompress_typed::<f64>(&fast.bytes).expect("decompress");
     for (i, (&o, &r)) in data.iter().zip(&rec).enumerate() {
         if o.is_nan() {
@@ -111,8 +116,8 @@ proptest! {
 }
 
 /// Degenerate whole-field cases the random sampler is unlikely to hit:
-/// every element non-finite or every element an escaping outlier, on a
-/// grid wide enough to engage the wavefront kernel (ny ≥ 16, nx ≥ 32).
+/// every element non-finite or every element an escaping outlier, in
+/// both predictor modes.
 #[test]
 fn uniform_special_fields_match_and_roundtrip() {
     let dims = [2usize, 18, 40];
@@ -138,6 +143,7 @@ fn uniform_special_fields_match_and_roundtrip() {
             let fast = compress_typed(data, &dims, &cfg).expect("fast compress");
             kernels::reset_force_scalar();
             assert_eq!(scalar.bytes, fast.bytes, "{name} {mode:?}: streams differ");
+            assert_eq!(scalar.stats, fast.stats, "{name} {mode:?}: stats differ");
             let (rec, _) = decompress_typed::<f32>(&fast.bytes).expect("decompress");
             for (i, (&o, &r)) in data.iter().zip(&rec).enumerate() {
                 if o.is_nan() {

@@ -2,7 +2,9 @@
 //! takes, end to end. It lives here rather than beside the other pinned
 //! container hashes (`crates/codec/tests/format_regression.rs`) because it
 //! needs `lcpio-datagen`'s NYX field, and `lcpio-codec` may not grow a
-//! dependency edge for a test.
+//! dependency edge for a test. Each container is written twice, with the
+//! encoder's fast arithmetic on one thread and with its reference
+//! arithmetic (`kernels::force_scalar`) on two: equal bytes, equal stats.
 
 use lcpio::codec::{registry, BoundSpec, SzCodec};
 use lcpio::sz::kernels;
@@ -38,17 +40,18 @@ fn default_path_containers_match_pinned_hashes_at_the_paper_bounds() {
     let dims = [48usize, 48, 48];
     for (eb, len, hash) in EXPECT {
         let bound = BoundSpec::Absolute(eb);
-        let auto = sz.compress_chunked(&field.data, &dims, bound, 1).expect("compress").bytes;
+        let auto = sz.compress_chunked(&field.data, &dims, bound, 1).expect("compress");
         assert_eq!(
-            (auto.len(), fnv64(&auto)),
+            (auto.bytes.len(), fnv64(&auto.bytes)),
             (len, hash),
             "default-path container at eb {eb:e} changed format"
         );
         kernels::force_scalar(true);
-        let scalar = sz.compress_chunked(&field.data, &dims, bound, 2).expect("compress").bytes;
+        let scalar = sz.compress_chunked(&field.data, &dims, bound, 2).expect("compress");
         kernels::reset_force_scalar();
-        assert_eq!(auto, scalar, "eb {eb:e}: forced-scalar container differs");
-        let (rec, _) = SzCodec::decompress_chunked::<f32>(&auto, 1).expect("decompress");
+        assert_eq!(auto.bytes, scalar.bytes, "eb {eb:e}: forced-scalar container differs");
+        assert_eq!(auto.stats, scalar.stats, "eb {eb:e}: forced-scalar stats differ");
+        let (rec, _) = SzCodec::decompress_chunked::<f32>(&auto.bytes, 1).expect("decompress");
         for (a, b) in field.data.iter().zip(&rec) {
             assert!((a - b).abs() as f64 <= eb, "eb {eb:e}: {a} vs {b}");
         }

@@ -4,9 +4,8 @@
 //! codec-tag field (truncation at every offset, forged and unknown tags).
 //!
 //! The policy set under test always includes the heuristic and adaptive
-//! planners plus whatever `LCPIO_POLICY` selects, so the CI legs that
-//! export `LCPIO_POLICY=adaptive` (alone and with
-//! `LCPIO_SZ_FORCE_SCALAR=1`) re-run the whole suite under the
+//! planners plus whatever `LCPIO_POLICY` selects, so the CI leg that
+//! exports `LCPIO_POLICY=adaptive` re-runs the whole suite under the
 //! environment-selected policy too.
 
 use lcpio::core::pipeline::{
@@ -30,7 +29,7 @@ fn mixed_workload(chunk: usize, chunks: usize) -> Vec<f32> {
 }
 
 /// Heuristic + adaptive, plus the environment-selected policy (fixed by
-/// default, adaptive under the dedicated CI legs).
+/// default, adaptive under the dedicated CI leg).
 fn policies() -> Vec<PolicyKind> {
     let mut v = vec![PolicyKind::Heuristic, PolicyKind::Adaptive];
     let env = PolicyKind::from_env();
