@@ -625,7 +625,8 @@ mod tests {
     fn forged_chunk_tables_fail_alike_as_legacy_bytes_and_as_lcw1_tlv() {
         // A range far past dims[0] doubles as the allocation probe: sizing
         // anything from it would ask for terabytes.
-        let cases: [(&str, Vec<(usize, usize)>, &str); 6] = [
+        type Case = (&'static str, Vec<(usize, usize)>, &'static str);
+        let cases: [Case; 6] = [
             ("gap", vec![(0, 6), (12, 24)], "bad chunk range"),
             ("overlap", vec![(0, 18), (12, 24)], "bad chunk range"),
             ("range past dims[0]", vec![(0, 12), (12, 1 << 40)], "bad chunk range"),

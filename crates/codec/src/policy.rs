@@ -204,10 +204,10 @@ pub fn sample_stats(
     let start = (chunk.len() - n) / 2;
     let window = &chunk[start..start + n];
     if codec_name == "sz" {
-        // SZ's fixed per-call cost is proportional to the quantizer
-        // radius, which at the default dwarfs the window itself; probe at
-        // a window-sized radius so planning stays a small fraction of the
-        // chunk's compression time (see `sz_adapter::probe_stats`).
+        // Probe at a window-sized radius. No longer for its cost (SZ's
+        // per-call fixed cost stopped scaling with the radius) but because
+        // the pinned plans and golden tables are the clamped probe's: see
+        // `sz_adapter::probe_stats`.
         let radius = (n as u32).max(PROBE_MIN_RADIUS);
         if let Some(stats) = crate::sz_adapter::probe_stats(window, bound, radius) {
             return Some(stats);

@@ -143,14 +143,22 @@ impl SzCodec {
 }
 
 /// Compress a policy probe window with a quantizer radius clamped to the
-/// window length. SZ's per-call fixed cost is O(radius): the frequency
-/// table, the code-length histogram, and the Huffman table are all sized
-/// by the dense `2·radius+1` alphabet, which at the default radius
-/// (32768) costs more than compressing the whole 1–2 Ki window. A window
-/// of `n` elements can populate at most `n` bins, so pricing it at radius
-/// `n` keeps the probe O(window) with near-identical stats — residuals
-/// past the clamped radius fall back to literals, exactly the elements
-/// the full-radius run spends the most bits on.
+/// window length. A window of `n` elements can populate at most `n` bins,
+/// and the residuals past the clamped radius fall back to literals,
+/// exactly the elements the full-radius run spends the most bits on, so
+/// the statistics are near those of the default radius (32768).
+///
+/// The clamp was introduced for its cost, when SZ's entropy stage was
+/// sized by the dense `2·radius+1` alphabet and a 2 Ki window cost 303 µs
+/// at the default radius against 80 µs clamped. The stage is now sized by
+/// the symbols a call used (`lcpio_sz::huffman::HuffmanEncoder`): a
+/// 64-element call costs 23 µs at the default radius (262 µs before) and
+/// the 2 Ki window 115 µs against 78 µs clamped, by the in-process
+/// two-version loop of `.claude/skills/verify/SKILL.md`. The clamp stays
+/// because every plan downstream is pinned to what the clamped probe
+/// reports: `tests/policy_mixed.rs`, the per-chunk plans behind
+/// `crates/core/tests/model_golden.rs` and the ledgers' `stored_ratio` /
+/// `modeled_j_per_gb` on the stream workloads all move with its literals.
 ///
 /// `None` when the bound has no direct SZ config (pointwise-relative runs
 /// a wrapper pipeline) or the backend rejects the window; callers fall

@@ -41,7 +41,7 @@ fn field_f32(n: usize, seed: u64, sample: fn(u64, usize) -> f32) -> Vec<f32> {
 /// The SZ suite's samples: smooth plus noise, with occasional large
 /// outliers (so escape literals appear).
 fn sz_sample(s: u64, i: usize) -> f32 {
-    if i % 41 == 0 {
+    if i.is_multiple_of(41) {
         ((s >> 40) as f32 - 8000.0) * 1e4
     } else {
         (s >> 52) as f32 / 256.0 + (i as f32 * 0.05).sin() * 4.0

@@ -314,7 +314,7 @@ mod tests {
             if fails(Site::Produce, seq) {
                 return Err(boom(Site::Produce, seq));
             }
-            if seq % 3 == 0 {
+            if seq.is_multiple_of(3) {
                 std::thread::yield_now();
             }
             *made += 1;

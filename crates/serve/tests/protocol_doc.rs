@@ -126,6 +126,6 @@ fn spec_documents_the_live_constants() {
         &format!("2^{}", protocol::MAX_PAYLOAD_LEN.trailing_zeros()),
         &format!("`MAX_RANK` | {}", protocol::MAX_RANK),
     ] {
-        assert!(spec.contains(needle.as_ref() as &str), "PROTOCOL.md lost mention of {needle}");
+        assert!(spec.contains(needle), "PROTOCOL.md lost mention of {needle}");
     }
 }

@@ -348,7 +348,7 @@ mod tests {
     fn scalars_roundtrip() {
         assert_eq!(u64::from_value(&42u64.to_value()).unwrap(), 42);
         assert_eq!(f64::from_value(&1.5f64.to_value()).unwrap(), 1.5);
-        assert_eq!(bool::from_value(&true.to_value()).unwrap(), true);
+        assert!(bool::from_value(&true.to_value()).unwrap());
         assert_eq!(String::from_value(&"hi".to_string().to_value()).unwrap(), "hi");
     }
 

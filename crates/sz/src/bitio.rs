@@ -75,6 +75,45 @@ impl BitWriter {
         }
     }
 
+    /// Append every `(code, len)` of `codes`: the low `len ≤ 32` bits of
+    /// `code`, which has none set above them. The bits `push_bits` calls
+    /// would write, without a branch on their number: each round stores
+    /// the whole accumulator at the write position and moves the position
+    /// on by the whole bytes it holds, which leaves under 8 bits pending
+    /// and room for 56. Two codes that fit that go in as one.
+    pub(crate) fn push_codes(&mut self, codes: &[(u32, u8)]) {
+        let mut pos = self.buf.len();
+        // 4 bytes a code at most, the pending word, and the last word stored.
+        self.buf.resize(pos + 4 * codes.len() + 16, 0);
+        let (mut acc, mut nbits) = (self.acc, self.nbits as u32);
+        let mut put = |code: u64, len: u32| {
+            debug_assert!(len <= 56 && code >> len == 0);
+            acc |= (code << 1 << (63 - len)) >> nbits;
+            nbits += len;
+            self.buf[pos..pos + 8].copy_from_slice(&acc.to_be_bytes());
+            pos += (nbits / 8) as usize;
+            acc <<= nbits & !7;
+            nbits &= 7;
+        };
+        // The whole bytes pending on entry go out first.
+        put(0, 0);
+        let mut pairs = codes.chunks_exact(2);
+        for pair in &mut pairs {
+            let ((c0, l0), (c1, l1)) = (pair[0], pair[1]);
+            if l0 + l1 <= 56 {
+                put((c0 as u64) << l1 | c1 as u64, (l0 + l1) as u32);
+            } else {
+                put(c0 as u64, l0 as u32);
+                put(c1 as u64, l1 as u32);
+            }
+        }
+        if let [(code, len)] = *pairs.remainder() {
+            put(code as u64, len as u32);
+        }
+        self.buf.truncate(pos);
+        (self.acc, self.nbits) = (acc, nbits as u8);
+    }
+
     /// Append a whole little-endian u32 (used for literal floats).
     #[inline]
     pub fn push_u32(&mut self, v: u32) {
@@ -289,6 +328,14 @@ impl<'a> BitReader<'a> {
 }
 
 #[cfg(test)]
+impl BitWriter {
+    /// Bytes of heap the writer holds on to.
+    pub(crate) fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -308,6 +355,49 @@ mod tests {
     }
 
     #[test]
+    fn push_codes_writes_what_push_bits_writes() {
+        // Lengths 1 to 32 in every mix (pairs that fit one store and pairs
+        // that do not), slices of even and odd length, onto writers that
+        // hold anything from no pending bits to 63.
+        let mut x = 0x9e37_79b9u32;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            x
+        };
+        let codes: Vec<(u32, u8)> = (0..2001)
+            .map(|i| {
+                let len = match i % 5 {
+                    0 => 32,
+                    1 => 1 + next() % 4,
+                    2 => 24 + next() % 9,
+                    _ => 1 + next() % 32,
+                };
+                ((next() as u64 & ((1u64 << len) - 1)) as u32, len as u8)
+            })
+            .collect();
+        for pending in 0..64u8 {
+            for n in [0usize, 1, 2, 3, 64, 2001] {
+                let (mut one_by_one, mut bulk) = (BitWriter::new(), BitWriter::new());
+                for w in [&mut one_by_one, &mut bulk] {
+                    w.push_bits(0x5a5a_5a5a_5a5a_5a5a, pending);
+                }
+                for &(code, len) in &codes[..n] {
+                    one_by_one.push_bits(code as u64, len);
+                }
+                bulk.push_codes(&codes[..n]);
+                assert_eq!(bulk.bit_len(), one_by_one.bit_len(), "pending {pending} n {n}");
+                // Still usable, and in the same state, afterwards.
+                for w in [&mut one_by_one, &mut bulk] {
+                    w.push_bits(0b101, 3);
+                }
+                assert_eq!(bulk.finish(), one_by_one.finish(), "pending {pending} n {n}");
+            }
+        }
+    }
+
+    #[test]
     fn roundtrip_multi_bit_values() {
         let mut w = BitWriter::new();
         w.push_bits(0b101, 3);
@@ -318,7 +408,7 @@ mod tests {
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.read_bits(3).unwrap(), 0b101);
         assert_eq!(r.read_bits(16).unwrap(), 0xDEAD);
-        assert_eq!(r.read_bit().unwrap(), true);
+        assert!(r.read_bit().unwrap());
         assert_eq!(r.read_u32().unwrap(), 0xCAFEBABE);
     }
 
@@ -359,7 +449,7 @@ mod tests {
         w.push_bits(0x7FFF_FFFF_FFFF_FFFF, 63);
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
-        assert_eq!(r.read_bit().unwrap(), true);
+        assert!(r.read_bit().unwrap());
         assert_eq!(r.read_bits(64).unwrap(), u64::MAX);
         assert_eq!(r.read_bits(64).unwrap(), 0x0123_4567_89AB_CDEF);
         assert_eq!(r.read_bits(63).unwrap(), 0x7FFF_FFFF_FFFF_FFFF);

@@ -140,158 +140,255 @@ pub fn code_lengths(freqs: &[u64]) -> Result<Vec<u8>, HuffmanError> {
     Ok(lens)
 }
 
-/// The symbols that have a code, ordered by `(length, index)`, and the
-/// number of codes per length: the counting sort behind the encoder's
-/// canonical code assignment. A length above [`MAX_CODE_LEN`] is `Corrupt`.
-fn symbols_by_length(
-    lens: &[u8],
-) -> Result<([u32; MAX_CODE_LEN as usize + 1], Vec<u32>), HuffmanError> {
-    let mut count = [0u32; MAX_CODE_LEN as usize + 1];
-    for &l in lens {
-        if l > MAX_CODE_LEN {
-            return Err(HuffmanError::Corrupt);
-        }
-        if l > 0 {
-            count[l as usize] += 1;
-        }
-    }
-    let mut next = [0u32; MAX_CODE_LEN as usize + 1];
-    for l in 1..=MAX_CODE_LEN as usize {
-        next[l] = next[l - 1] + count[l - 1];
-    }
-    let present = (next[MAX_CODE_LEN as usize] + count[MAX_CODE_LEN as usize]) as usize;
-    let mut order = vec![0u32; present];
-    for (i, &l) in lens.iter().enumerate() {
-        if l > 0 {
-            order[next[l as usize] as usize] = i as u32;
-            next[l as usize] += 1;
-        }
-    }
-    Ok((count, order))
-}
-
 /// Assign canonical codes (MSB-first) from code lengths.
 ///
 /// Symbols are ordered by (length, index); the returned vector holds
 /// `(code, len)` per symbol (len 0 ⇒ absent). The lengths must come from
 /// [`code_lengths`]: a length above [`MAX_CODE_LEN`] panics.
+///
+/// The codes of one length are consecutive and start where the shorter
+/// ones end, so the per-length counts give each length its first code and
+/// one pass in index order gives each symbol the next of its length.
 pub fn canonical_codes(lens: &[u8]) -> Vec<(u32, u8)> {
-    let (_, order) = symbols_by_length(lens).expect("code lengths within MAX_CODE_LEN");
-    let mut codes = vec![(0u32, 0u8); lens.len()];
+    let mut count = [0u64; MAX_CODE_LEN as usize + 1];
+    for &l in lens.iter().filter(|&&l| l > 0) {
+        count[l as usize] += 1;
+    }
     // One bit wider than a code: past the last code of a complete 32-bit
     // table the counter reaches 2^32.
-    let mut code = 0u64;
-    let mut prev_len = 0u8;
-    for &i in &order {
-        let l = lens[i as usize];
-        code <<= (l - prev_len) as u32;
-        codes[i as usize] = (code as u32, l);
-        code += 1;
-        prev_len = l;
+    let mut next = [0u64; MAX_CODE_LEN as usize + 1];
+    for l in 1..=MAX_CODE_LEN as usize {
+        next[l] = (next[l - 1] + count[l - 1]) << 1;
     }
-    codes
+    let mut code_of = |l: u8| match l {
+        0 => (0, 0),
+        _ => {
+            next[l as usize] += 1;
+            ((next[l as usize] - 1) as u32, l)
+        }
+    };
+    lens.iter().map(|&l| code_of(l)).collect()
 }
 
+/// Symbols per granule: the unit in which the encoder skips the parts of
+/// its alphabet that are not in use.
+const GRANULE: usize = 16;
+/// The entry of a granule none of whose symbols is in use: past every slot.
+const VACANT: u32 = u32::MAX;
+
+/// The slot of `sym` in the compact alphabet `slots` describes: the one
+/// lookup behind the histogram and both emitters. A vacant granule gives a
+/// slot past the end of every table.
+#[inline(always)]
+fn slot_of(slots: &[u32], sym: u32) -> Option<usize> {
+    Some(*slots.get(sym as usize / GRANULE)? as usize | (sym as usize % GRANULE))
+}
+
+/// The table a stream stores: the first symbol that has a code, the code
+/// lengths from it to the last that has one, and how many do.
+pub(crate) type CodeTable = (usize, Vec<u8>, usize);
+
 /// A canonical Huffman encoder over a dense `u32` alphabet `0..n`.
-#[derive(Debug, Clone)]
+///
+/// A quantizer's alphabet has `2·radius + 1` symbols and one call uses a
+/// few hundred to a few thousand of them: bins around the zero bin, far
+/// bins in both tails, the escape symbol 0. So the histogram, the tree, the
+/// codes and the code table all live on a compact alphabet of 16 slots
+/// per 16-symbol granule in use, and only `slot`, four bytes per granule, is
+/// sized by the radius. The map from symbol to slot is monotone, so the
+/// `(freq, index)` leaf order and the `(length, index)` canonical order,
+/// and with them every code, are those of the dense alphabet. The buffers
+/// are kept from one build to the next.
+#[derive(Debug, Clone, Default)]
 pub struct HuffmanEncoder {
+    alphabet: usize,
+    /// Per granule: its first slot, or [`VACANT`].
+    slot: Vec<u32>,
+    /// The granules in use, ascending.
+    occupied: Vec<u32>,
+    /// Per slot: count, code length, `(code, len)`.
+    freqs: Vec<u64>,
+    lens: Vec<u8>,
     codes: Vec<(u32, u8)>,
+    /// Four interleaved sub-histograms, see [`HuffmanEncoder::count`].
+    stripes: Vec<u32>,
 }
 
 impl HuffmanEncoder {
     /// Build from symbol frequencies.
     pub fn from_freqs(freqs: &[u64]) -> Result<Self, HuffmanError> {
-        let lens = code_lengths(freqs)?;
-        Ok(HuffmanEncoder { codes: canonical_codes(&lens) })
+        let mut enc = HuffmanEncoder::default();
+        enc.lay_out(freqs.len(), |slot| {
+            for (slot, granule) in slot.iter_mut().zip(freqs.chunks(GRANULE)) {
+                if granule.iter().fold(0, |any, &f| any | f) != 0 {
+                    *slot = 0;
+                }
+            }
+        });
+        for (counts, &granule) in enc.freqs.chunks_mut(GRANULE).zip(&enc.occupied) {
+            for (count, &f) in counts.iter_mut().zip(&freqs[granule as usize * GRANULE..]) {
+                *count = f;
+            }
+        }
+        enc.assign()?;
+        Ok(enc)
+    }
+
+    /// Build for `symbols`, all of them below `alphabet`, from their own
+    /// histogram: the encoder [`HuffmanEncoder::from_freqs`] gives for it.
+    pub(crate) fn rebuild(&mut self, alphabet: usize, symbols: &[u32]) -> Result<(), HuffmanError> {
+        self.lay_out(alphabet, |slot| {
+            for &sym in symbols {
+                slot[sym as usize / GRANULE] = 0;
+            }
+        });
+        self.count(symbols, u32::MAX as usize);
+        self.assign()
+    }
+
+    /// Size the compact alphabet: `mark` zeroes the entry of every granule
+    /// that holds a symbol in use, and each of those gets its slots.
+    fn lay_out(&mut self, alphabet: usize, mark: impl FnOnce(&mut [u32])) {
+        self.alphabet = alphabet;
+        self.slot.clear();
+        self.slot.resize(alphabet.div_ceil(GRANULE), VACANT);
+        mark(&mut self.slot);
+        self.occupied.clear();
+        for (granule, slot) in self.slot.iter_mut().enumerate() {
+            if *slot != VACANT {
+                *slot = (self.occupied.len() * GRANULE) as u32;
+                self.occupied.push(granule as u32);
+            }
+        }
+        // Sized exactly: the slots differ a little from call to call, and
+        // growing by doubling would hold twice what the largest needed.
+        self.freqs.clear();
+        self.freqs.reserve_exact(self.occupied.len() * GRANULE);
+        self.freqs.resize(self.occupied.len() * GRANULE, 0);
+        self.lens.clear();
+        self.codes.clear();
+    }
+
+    /// Add the histogram of `symbols` to `freqs`. Four interleaved
+    /// sub-histograms break the store-to-load dependency that serializes
+    /// runs of equal symbols: the common case, since quantization codes
+    /// cluster hard around the zero bin. The stripes count in u32, so they
+    /// are merged every `span` symbols, `u32::MAX` at most.
+    fn count(&mut self, symbols: &[u32], span: usize) {
+        let slots = self.freqs.len();
+        let at = |sym| slot_of(&self.slot, sym).expect("the symbol's granule is marked");
+        for part in symbols.chunks(span) {
+            self.stripes.clear();
+            self.stripes.reserve_exact(4 * slots);
+            self.stripes.resize(4 * slots, 0);
+            let (h0, rest) = self.stripes.split_at_mut(slots);
+            let (h1, rest) = rest.split_at_mut(slots);
+            let (h2, h3) = rest.split_at_mut(slots);
+            let mut chunks = part.chunks_exact(4);
+            for c in &mut chunks {
+                h0[at(c[0])] += 1;
+                h1[at(c[1])] += 1;
+                h2[at(c[2])] += 1;
+                h3[at(c[3])] += 1;
+            }
+            for &sym in chunks.remainder() {
+                h0[at(sym)] += 1;
+            }
+            for (f, ((&a0, &a1), (&a2, &a3))) in
+                self.freqs.iter_mut().zip(h0.iter().zip(h1.iter()).zip(h2.iter().zip(h3.iter())))
+            {
+                *f += (a0 as u64) + (a1 as u64) + (a2 as u64) + (a3 as u64);
+            }
+        }
+    }
+
+    /// Lengths and codes from `freqs`.
+    fn assign(&mut self) -> Result<(), HuffmanError> {
+        let _span = lcpio_trace::span("sz.huffman.build");
+        self.lens = code_lengths(&self.freqs)?;
+        self.codes = canonical_codes(&self.lens);
+        Ok(())
+    }
+
+    /// Size of the compact alphabet the tables are built over.
+    pub(crate) fn slots(&self) -> usize {
+        self.freqs.len()
+    }
+
+    /// [`HuffmanEncoder::table`], giving up the lengths and the codes: nine
+    /// bytes a slot that need not sit under what the caller does next.
+    pub(crate) fn finish(&mut self) -> CodeTable {
+        let table = self.table();
+        (self.lens, self.codes) = (Vec::new(), Vec::new());
+        table
+    }
+
+    /// The table of this encoder's codes.
+    pub(crate) fn table(&self) -> CodeTable {
+        let coded = |&len: &u8| len > 0;
+        let (Some(&lo), Some(&hi)) = (self.occupied.first(), self.occupied.last()) else {
+            return (0, Vec::new(), 0);
+        };
+        // Whole granules first, then cut down to the coded range.
+        let base = lo as usize * GRANULE;
+        let mut table = vec![0u8; (hi as usize + 1) * GRANULE - base];
+        for (lens, &granule) in self.lens.chunks(GRANULE).zip(&self.occupied) {
+            let at = granule as usize * GRANULE - base;
+            table[at..at + GRANULE].copy_from_slice(lens);
+        }
+        let first = table.iter().position(coded).unwrap_or(0);
+        table.truncate(table.iter().rposition(coded).map_or(0, |last| last + 1));
+        table.drain(..first);
+        (base + first, table, self.lens.iter().filter(|len| coded(len)).count())
     }
 
     /// Code lengths, for header serialization.
     pub fn lengths(&self) -> Vec<u8> {
-        self.codes.iter().map(|&(_, l)| l).collect()
+        let (first, table, _) = self.table();
+        let mut lens = vec![0u8; self.alphabet];
+        lens[first..first + table.len()].copy_from_slice(&table);
+        lens
+    }
+
+    /// The code of `sym`.
+    #[inline(always)]
+    fn code(&self, sym: u32) -> Result<(u32, u8), HuffmanError> {
+        match slot_of(&self.slot, sym).and_then(|slot| self.codes.get(slot)) {
+            Some(&(code, len)) if len > 0 => Ok((code, len)),
+            _ => Err(HuffmanError::UnknownSymbol(sym)),
+        }
     }
 
     /// Encode one symbol into the writer.
     #[inline]
     pub fn encode(&self, sym: u32, w: &mut BitWriter) -> Result<(), HuffmanError> {
-        let (code, len) = *self
-            .codes
-            .get(sym as usize)
-            .ok_or(HuffmanError::UnknownSymbol(sym))?;
-        if len == 0 {
-            return Err(HuffmanError::UnknownSymbol(sym));
-        }
+        let (code, len) = self.code(sym)?;
         w.push_bits(code as u64, len);
         Ok(())
     }
 
-    /// Encode a whole symbol slice, packing several codes into a 64-bit
-    /// accumulator before each writer flush. Emits exactly the bytes that
-    /// per-symbol [`HuffmanEncoder::encode`] calls would (MSB-first
-    /// concatenation is associative); only the per-symbol writer overhead
-    /// is amortized. On an unknown symbol the pending accumulator is
-    /// dropped — the whole compression fails in that case, so no partial
-    /// stream is ever observed.
+    /// Encode a whole symbol slice. Emits exactly the bytes that per-symbol
+    /// [`HuffmanEncoder::encode`] calls would (MSB-first concatenation is
+    /// associative). The lookups of a block come first and its bits after,
+    /// through `BitWriter::push_codes`: the lookups wait on the cache,
+    /// the bits on one another, and neither on a branch. On an unknown
+    /// symbol the blocks before it are written — the whole compression
+    /// fails in that case, so no partial stream is ever observed.
     pub fn encode_slice(&self, syms: &[u32], w: &mut BitWriter) -> Result<(), HuffmanError> {
-        let mut acc = 0u64;
-        let mut nb = 0u32;
-        // Symbols are consumed in pairs: the two table lookups are
-        // independent and their codes are joined into one word before
-        // touching the accumulator, so the serial shift-or chain runs
-        // once per pair instead of once per symbol.
-        let mut chunks = syms.chunks_exact(2);
-        for pair in &mut chunks {
-            let (c0, l0) =
-                *self.codes.get(pair[0] as usize).ok_or(HuffmanError::UnknownSymbol(pair[0]))?;
-            let (c1, l1) =
-                *self.codes.get(pair[1] as usize).ok_or(HuffmanError::UnknownSymbol(pair[1]))?;
-            if l0 == 0 || l1 == 0 {
-                let bad = if l0 == 0 { pair[0] } else { pair[1] };
-                return Err(HuffmanError::UnknownSymbol(bad));
+        let mut block = [(0u32, 0u8); 256];
+        for part in syms.chunks(block.len()) {
+            for (code, &sym) in block.iter_mut().zip(part) {
+                *code = self.code(sym)?;
             }
-            // Each len ≤ MAX_CODE_LEN = 32, so a joined pair is ≤ 64 bits
-            // and after a flush the shifts below cannot overflow. A
-            // 64-bit pair with a non-empty accumulator flushes first.
-            let joined = ((c0 as u64) << l1) | c1 as u64;
-            let jlen = (l0 + l1) as u32;
-            if nb + jlen > 64 {
-                w.push_bits(acc, nb as u8);
-                acc = 0;
-                nb = 0;
-            }
-            if jlen == 64 {
-                w.push_bits(joined, 64);
-            } else {
-                acc = (acc << jlen) | joined;
-                nb += jlen;
-            }
-        }
-        for &sym in chunks.remainder() {
-            let (code, len) =
-                *self.codes.get(sym as usize).ok_or(HuffmanError::UnknownSymbol(sym))?;
-            if len == 0 {
-                return Err(HuffmanError::UnknownSymbol(sym));
-            }
-            if nb + len as u32 > 64 {
-                w.push_bits(acc, nb as u8);
-                acc = 0;
-                nb = 0;
-            }
-            acc = (acc << len) | code as u64;
-            nb += len as u32;
-        }
-        if nb > 0 {
-            w.push_bits(acc, nb as u8);
+            w.push_codes(&block[..part.len()]);
         }
         Ok(())
     }
 
     /// Total encoded length in bits for a histogram (entropy-cost estimate).
     pub fn encoded_bits(&self, freqs: &[u64]) -> u64 {
-        freqs
-            .iter()
-            .zip(&self.codes)
-            .map(|(&f, &(_, l))| f * l as u64)
-            .sum()
+        let bits = |(sym, &f): (usize, &u64)| self.code(sym as u32).map_or(0, |(_, l)| f * l as u64);
+        freqs.iter().enumerate().map(bits).sum()
     }
 }
 
@@ -648,6 +745,47 @@ impl HuffmanDecoder {
     }
 }
 
+#[cfg(test)]
+impl HuffmanEncoder {
+    /// Bytes of heap the encoder holds on to.
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        (self.slot.capacity() + self.occupied.capacity() + self.stripes.capacity()) * 4
+            + (self.freqs.capacity() + self.codes.capacity()) * 8
+            + self.lens.capacity()
+    }
+}
+
+/// The symbols that have a code, ordered by `(length, index)`, and the
+/// number of codes per length: the counting sort behind the reference
+/// decoder's tables. A length above [`MAX_CODE_LEN`] is `Corrupt`.
+#[cfg(test)]
+fn symbols_by_length(
+    lens: &[u8],
+) -> Result<([u32; MAX_CODE_LEN as usize + 1], Vec<u32>), HuffmanError> {
+    let mut count = [0u32; MAX_CODE_LEN as usize + 1];
+    for &l in lens {
+        if l > MAX_CODE_LEN {
+            return Err(HuffmanError::Corrupt);
+        }
+        if l > 0 {
+            count[l as usize] += 1;
+        }
+    }
+    let mut next = [0u32; MAX_CODE_LEN as usize + 1];
+    for l in 1..=MAX_CODE_LEN as usize {
+        next[l] = next[l - 1] + count[l - 1];
+    }
+    let present = (next[MAX_CODE_LEN as usize] + count[MAX_CODE_LEN as usize]) as usize;
+    let mut order = vec![0u32; present];
+    for (i, &l) in lens.iter().enumerate() {
+        if l > 0 {
+            order[next[l as usize] as usize] = i as u32;
+            next[l as usize] += 1;
+        }
+    }
+    Ok((count, order))
+}
+
 /// The decoder [`HuffmanDecoder`] replaced, kept as its executable
 /// specification: the canonical first-code walk, which tries the lengths
 /// one after the other on a peeked word. A code matches when it lies in
@@ -762,10 +900,58 @@ mod tests {
             Ok(lens) => {
                 let got: Vec<u32> = lens.iter().map(|&l| l as u32).collect();
                 assert_eq!(got, want);
+                assert_encoder_matches_dense_tables(freqs, &lens);
             }
             Err(e) => {
                 assert_eq!(e, HuffmanError::CodeTooLong);
                 assert!(want.iter().any(|&d| d > MAX_CODE_LEN as u32));
+            }
+        }
+    }
+
+    /// The encoder's compact tables against `lens`, the code lengths over
+    /// the dense alphabet of `freqs`, and their canonical codes: the same
+    /// lengths, the same table section, the same bits for every symbol
+    /// that has a code (through both emitters), none for the others.
+    fn assert_encoder_matches_dense_tables(freqs: &[u64], lens: &[u8]) {
+        let enc = HuffmanEncoder::from_freqs(freqs).unwrap();
+        assert_eq!(enc.lengths(), lens);
+        let first = lens.iter().position(|&l| l > 0).unwrap();
+        let last = lens.iter().rposition(|&l| l > 0).unwrap();
+        let coded: Vec<u32> = (0..lens.len() as u32).filter(|&s| lens[s as usize] > 0).collect();
+        assert_eq!(enc.table(), (first, lens[first..=last].to_vec(), coded.len()));
+        assert!(enc.slots() <= GRANULE * coded.len(), "{} slots", enc.slots());
+        let want = encode_with(lens, &coded);
+        let (mut one_by_one, mut bulk) = (BitWriter::new(), BitWriter::new());
+        for &sym in &coded {
+            enc.encode(sym, &mut one_by_one).unwrap();
+        }
+        enc.encode_slice(&coded, &mut bulk).unwrap();
+        assert_eq!(one_by_one.into_bytes(), want);
+        assert_eq!(bulk.into_bytes(), want);
+        // A symbol without a code, in a granule in use or not, and one
+        // past the alphabet: unknown to both emitters.
+        let uncoded = (0..lens.len() as u32 + 40).filter(|&s| lens.get(s as usize).is_none_or(|&l| l == 0));
+        for sym in uncoded.step_by(1 + lens.len() / 500) {
+            let mut w = BitWriter::new();
+            assert_eq!(enc.encode(sym, &mut w), Err(HuffmanError::UnknownSymbol(sym)));
+            assert_eq!(enc.encode_slice(&[sym], &mut w), Err(HuffmanError::UnknownSymbol(sym)));
+        }
+        // Built from the symbols themselves, with the stripes merged every
+        // few symbols or never, it is the same encoder, whatever the
+        // buffers held before.
+        if freqs.iter().sum::<u64>() < 1 << 16 {
+            let symbols: Vec<u32> =
+                coded.iter().flat_map(|&s| std::iter::repeat_n(s, freqs[s as usize] as usize)).collect();
+            let stale = HuffmanEncoder::from_freqs(&[3, 0, 1, 1 << 40].repeat(700)).unwrap();
+            let (mut merged, mut rebuilt) = (stale.clone(), stale);
+            merged.lay_out(freqs.len(), |slot| coded.iter().for_each(|&s| slot[s as usize / GRANULE] = 0));
+            merged.count(&symbols, 5);
+            merged.assign().unwrap();
+            rebuilt.rebuild(freqs.len(), &symbols).unwrap();
+            for again in [merged, rebuilt] {
+                assert_eq!((&again.slot, &again.freqs, &again.codes), (&enc.slot, &enc.freqs, &enc.codes));
+                assert_eq!(again.table(), enc.table());
             }
         }
     }
@@ -858,7 +1044,7 @@ mod tests {
                 x ^= x << 13;
                 x ^= x >> 17;
                 x ^= x << 5;
-                if x % 4 == 0 { x % 700 } else { x % 4 }
+                if x.is_multiple_of(4) { x % 700 } else { x % 4 }
             })
             .collect();
         for len in [0usize, 1, 2, 7, 10_001] {

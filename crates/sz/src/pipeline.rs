@@ -32,7 +32,7 @@ use std::ops::Range;
 use crate::bitio::{BitReader, BitWriter};
 use crate::element::Element;
 use crate::header::{Reader, Writer, ENVELOPE_LEN, FLAG_LOSSLESS, FLAG_PACKED_TABLE, MAGIC};
-use crate::huffman::{HuffmanDecoder, HuffmanEncoder};
+use crate::huffman::{CodeTable, HuffmanDecoder, HuffmanEncoder};
 use crate::kernels;
 use crate::lossless;
 use crate::predictor::lorenzo_3d_row_partial;
@@ -120,8 +120,7 @@ pub struct SzScratch<T> {
     recon: Vec<f64>,
     rowp: Vec<f64>,
     vals: Vec<f64>,
-    freqs: Vec<u64>,
-    hist4: Vec<u32>,
+    huff: HuffmanEncoder,
     sym_bits: BitWriter,
     block_bits: BitWriter,
     coeffs: Vec<f32>,
@@ -137,8 +136,7 @@ impl<T> SzScratch<T> {
             recon: Vec::new(),
             rowp: Vec::new(),
             vals: Vec::new(),
-            freqs: Vec::new(),
-            hist4: Vec::new(),
+            huff: HuffmanEncoder::default(),
             sym_bits: BitWriter::new(),
             block_bits: BitWriter::new(),
             coeffs: Vec::new(),
@@ -563,6 +561,36 @@ pub fn compress_typed_with<T: Element>(
     cfg: &SzConfig,
     s: &mut SzScratch<T>,
 ) -> Result<Compressed, SzError> {
+    compress_staged(data, dims, cfg, s, kernels::fast_enabled(), entropy_code)
+}
+
+/// The entropy stage: histogram, Huffman table and codes over the symbols
+/// the call used (`s.symbols`, all below `alphabet`), and their bits into
+/// `s.sym_bits`, one symbol at a time under the reference arithmetic.
+fn entropy_code<T>(alphabet: usize, fast: bool, s: &mut SzScratch<T>) -> Result<CodeTable, SzError> {
+    s.huff.rebuild(alphabet, &s.symbols).map_err(|_| SzError::Internal("huffman build"))?;
+    let _span = lcpio_trace::span("sz.huffman.emit");
+    if fast {
+        s.huff.encode_slice(&s.symbols, &mut s.sym_bits)
+    } else {
+        s.symbols.iter().try_for_each(|&sym| s.huff.encode(sym, &mut s.sym_bits))
+    }
+    .map_err(|_| SzError::Internal("huffman encode"))?;
+    // The lossless stage comes next and holds the call's peak.
+    Ok(s.huff.finish())
+}
+
+/// [`compress_typed_with`] under a given arithmetic, reference or `fast`
+/// (both write the same bytes, see `kernels`), and around a given entropy
+/// stage (the tests put the dense-alphabet reference in its place).
+fn compress_staged<T: Element>(
+    data: &[T],
+    dims: &[usize],
+    cfg: &SzConfig,
+    s: &mut SzScratch<T>,
+    fast: bool,
+    entropy: impl FnOnce(usize, bool, &mut SzScratch<T>) -> Result<CodeTable, SzError>,
+) -> Result<Compressed, SzError> {
     let g = geometry(dims, data.len())?;
     let eb = resolve_eb(data, cfg.error_bound)?;
     // The radius lands in the stream header and drives the decoder's
@@ -581,9 +609,6 @@ pub fn compress_typed_with<T: Element>(
     s.coeffs.clear();
     s.lit_bytes.clear();
 
-    // Reference or fast arithmetic, read once per call; both write the
-    // same bytes (see `kernels`).
-    let fast = kernels::fast_enabled();
     let (regression_blocks, lorenzo_blocks) = {
         let _span = lcpio_trace::span("sz.predict_quantize");
         if fast && q.fast_exact() {
@@ -593,68 +618,17 @@ pub fn compress_typed_with<T: Element>(
         }
     };
 
-    // Histogram + Huffman table over the dense symbol alphabet.
     let huff_span = lcpio_trace::span("sz.huffman");
-    let a = q.alphabet_size();
-    s.freqs.clear();
-    s.freqs.resize(a, 0);
-    // Four interleaved sub-histograms break the store-to-load dependency
-    // that serializes runs of equal symbols — the common case, since
-    // quantization codes cluster hard around the zero bin. The stripes
-    // count in u32, so they are merged at least every `u32::MAX` symbols.
-    for part in s.symbols.chunks(u32::MAX as usize) {
-        s.hist4.clear();
-        s.hist4.resize(4 * a, 0);
-        let (h0, rest) = s.hist4.split_at_mut(a);
-        let (h1, rest) = rest.split_at_mut(a);
-        let (h2, h3) = rest.split_at_mut(a);
-        let mut chunks = part.chunks_exact(4);
-        for c in &mut chunks {
-            h0[c[0] as usize] += 1;
-            h1[c[1] as usize] += 1;
-            h2[c[2] as usize] += 1;
-            h3[c[3] as usize] += 1;
-        }
-        for &sym in chunks.remainder() {
-            h0[sym as usize] += 1;
-        }
-        for (f, ((&a0, &a1), (&a2, &a3))) in
-            s.freqs.iter_mut().zip(h0.iter().zip(h1.iter()).zip(h2.iter().zip(h3.iter())))
-        {
-            *f += (a0 as u64) + (a1 as u64) + (a2 as u64) + (a3 as u64);
-        }
-    }
-    let build_span = lcpio_trace::span("sz.huffman.build");
-    let huff =
-        HuffmanEncoder::from_freqs(&s.freqs).map_err(|_| SzError::Internal("huffman build"))?;
-    drop(build_span);
-    let emit_span = lcpio_trace::span("sz.huffman.emit");
-    if fast {
-        huff.encode_slice(&s.symbols, &mut s.sym_bits)
-            .map_err(|_| SzError::Internal("huffman encode"))?;
-    } else {
-        for &sym in &s.symbols {
-            huff.encode(sym, &mut s.sym_bits).map_err(|_| SzError::Internal("huffman encode"))?;
-        }
-    }
+    let (first, dense, n_present) = entropy(q.alphabet_size(), fast, s)?;
     let huffman_bits = s.sym_bits.bit_len() as u64;
-    // Only the lengths are needed from here on; the code table (8 bytes
-    // per alphabet symbol) need not sit under the lossless stage's peak.
-    let lens = huff.lengths();
-    drop(huff);
-    drop(emit_span);
     // Huffman table: the code lengths of the occupied symbol range, a byte
     // each, or packed when the lossless back end is on and that is smaller
     // (the rule its LZSS pass follows too). Quantization codes cluster
     // around the zero bin, so at loose bounds the range is a few entries
     // and stays dense.
-    let first = lens.iter().position(|&l| l > 0).unwrap_or(0);
-    let last = lens.iter().rposition(|&l| l > 0).unwrap_or(0);
-    let n_present = lens.iter().filter(|&&l| l > 0).count();
-    let dense = &lens[first..=last];
     let packed = if cfg.lossless {
         let _span = lcpio_trace::span("sz.table.pack");
-        table::pack(dense).filter(|section| 8 + section.len() < dense.len())
+        table::pack(&dense).filter(|section| 8 + section.len() < dense.len())
     } else {
         None
     };
@@ -676,7 +650,7 @@ pub fn compress_typed_with<T: Element>(
     p.u32(dense.len() as u32);
     match &packed {
         Some(section) => p.section(section),
-        None => p.bytes(dense),
+        None => p.bytes(&dense),
     }
     p.u64(huffman_bits);
     p.section(s.sym_bits.finish());
@@ -739,6 +713,7 @@ pub fn compress_typed_with<T: Element>(
         lcpio_trace::counter_add("sz.regression_blocks", stats.regression_blocks);
         lcpio_trace::counter_add("sz.lorenzo_blocks", stats.lorenzo_blocks);
         lcpio_trace::counter_add("sz.huffman.table_entries", stats.huffman_table_entries);
+        lcpio_trace::counter_add("sz.huffman.slots", s.huff.slots() as u64);
         lcpio_trace::counter_add("sz.huffman.bits", stats.huffman_bits);
         lcpio_trace::counter_add("sz.table.dense_bytes", dense.len() as u64);
         let stored = packed.as_ref().map_or(dense.len(), |section| 8 + section.len());
@@ -1264,7 +1239,7 @@ mod tests {
     use crate::generators::{
         field_f32, fnv64, pinned_cases, pinned_field_f32, pinned_field_f64, salted_field, special32,
     };
-    use crate::huffman::ReferenceDecoder;
+    use crate::huffman::{canonical_codes, code_lengths, ReferenceDecoder};
     use crate::pwrel::{
         build_pointwise_rel, compress_pointwise_rel, decompress_pointwise_rel, parse_pointwise_rel,
         PwrelParts,
@@ -1957,6 +1932,187 @@ mod tests {
             let data = mixed_field(&dims, seed);
             assert_blocks_match_reference(&data, &dims, 10f64.powi(eb_exp));
         }
+    }
+
+    /// The entropy stage `entropy_code` replaced, kept as its executable
+    /// specification: a histogram over the quantizer's whole alphabet, the
+    /// tree and the codes built over all of it, one `push_bits` a symbol,
+    /// and the occupied range found by scanning every length.
+    fn entropy_code_reference<T>(
+        alphabet: usize,
+        _fast: bool,
+        s: &mut SzScratch<T>,
+    ) -> Result<CodeTable, SzError> {
+        let mut freqs = vec![0u64; alphabet];
+        for &sym in &s.symbols {
+            freqs[sym as usize] += 1;
+        }
+        let lens = code_lengths(&freqs).map_err(|_| SzError::Internal("huffman build"))?;
+        let codes = canonical_codes(&lens);
+        for &sym in &s.symbols {
+            let (code, len) = codes[sym as usize];
+            s.sym_bits.push_bits(code as u64, len);
+        }
+        let first = lens.iter().position(|&l| l > 0).unwrap();
+        let last = lens.iter().rposition(|&l| l > 0).unwrap();
+        let present = lens.iter().filter(|&&l| l > 0).count();
+        Ok((first, lens[first..=last].to_vec(), present))
+    }
+
+    /// A scratch whose encode-side buffers hold the leftovers of a call
+    /// that used other symbols, more of them, at a radius of its own.
+    fn stale_encode_scratch<T: Element>() -> SzScratch<T> {
+        let noise = |i: u32| {
+            let x = (i ^ i >> 3).wrapping_mul(2_654_435_761);
+            ((x ^ x >> 15).wrapping_mul(0x2c1b_3c6d) >> 8) as f64 / (1 << 24) as f64 - 0.5
+        };
+        let data: Vec<T> = (0..5000u32)
+            .map(|i| T::from_f64(if i % 97 == 0 { f64::NAN } else { 1000.0 * noise(i) }))
+            .collect();
+        let cfg = SzConfig::new(ErrorBound::Absolute(1e-2)).with_radius(1 << 17);
+        let mut scratch = SzScratch::new();
+        let out = compress_typed_with(&data, &[5000], &cfg, &mut scratch).unwrap();
+        assert!(out.stats.huffman_table_entries > 1000 && out.stats.unpredictable > 0, "{:?}", out.stats);
+        scratch
+    }
+
+    /// Stream bytes and statistics are those of the dense reference, under
+    /// both arithmetics, from a fresh and from a stale scratch. Returns the
+    /// statistics.
+    fn assert_matches_dense_entropy_stage<T: Element>(
+        data: &[T],
+        dims: &[usize],
+        cfg: &SzConfig,
+    ) -> CompressionStats {
+        let mut stale = stale_encode_scratch::<T>();
+        let want = compress_staged(data, dims, cfg, &mut SzScratch::new(), true, entropy_code_reference)
+            .unwrap();
+        for fast in [true, false] {
+            for scratch in [&mut SzScratch::new(), &mut stale] {
+                let got = compress_staged(data, dims, cfg, scratch, fast, entropy_code).unwrap();
+                assert_eq!(got.bytes, want.bytes, "{dims:?} {cfg:?} fast={fast}");
+                assert_eq!(got.stats, want.stats, "{dims:?} {cfg:?} fast={fast}");
+            }
+        }
+        want.stats
+    }
+
+    /// A rank-1 chunk like the amplified HACC chunks of the stream
+    /// workloads: at 1e-3 most values escape and the rest land in bins
+    /// scattered over both tails.
+    fn hacc_like_chunk(n: usize) -> Vec<f32> {
+        let field = lcpio_datagen::Dataset::Hacc.generate(4 * n, 11).data;
+        (0..n).map(|i| field[i % field.len()] * 1000.0).collect()
+    }
+
+    #[test]
+    fn entropy_stage_matches_dense_reference_on_mixed_fields() {
+        for (dims, eb) in [
+            (vec![13usize, 20, 19], 1e-3),
+            (vec![12, 18, 18], 1e-2),
+            (vec![6, 12, 12], 1e-5),
+            (vec![7, 6, 25], 1e-1),
+            (vec![40, 50], 1e-3),
+            (vec![2, 7, 13, 14], 1e-3),
+            (vec![1000], 1e-3),
+        ] {
+            let data = mixed_field(&dims, 0x9e37_79b9);
+            let data64: Vec<f64> = data.iter().map(|&v| v as f64).collect();
+            for mode in [PredictorMode::BlockAdaptive, PredictorMode::Lorenzo] {
+                for radius in [1, 64, Quantizer::DEFAULT_RADIUS, Quantizer::MAX_RADIUS] {
+                    for lossless in [true, false] {
+                        let cfg = SzConfig::new(ErrorBound::Absolute(eb))
+                            .with_mode(mode)
+                            .with_radius(radius)
+                            .with_lossless(lossless);
+                        assert_matches_dense_entropy_stage(&data, &dims, &cfg);
+                        assert_matches_dense_entropy_stage(&data64, &dims, &cfg);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn entropy_stage_matches_dense_reference_at_the_edges_of_the_alphabet() {
+        let default = SzConfig::new(ErrorBound::Absolute(1e-3));
+        // Escapes plus both tails: symbol 0, and bins over nearly the
+        // whole alphabet with long empty stretches between them.
+        let hacc = hacc_like_chunk(16_384);
+        for cfg in [default, default.with_lossless(false), default.with_radius(Quantizer::MAX_RADIUS)] {
+            let stats = assert_matches_dense_entropy_stage(&hacc, &[hacc.len()], &cfg);
+            assert!(stats.unpredictable > 0 && stats.huffman_table_entries > 100, "{stats:?}");
+        }
+        // Every value escapes: the single symbol 0 and its 1-bit code.
+        let nans = vec![f32::NAN; 300];
+        // A constant field: one escape, then the zero bin alone.
+        let flat = vec![1.0e9f64; 300];
+        for radius in [1, 64, Quantizer::DEFAULT_RADIUS, Quantizer::MAX_RADIUS] {
+            let cfg = default.with_radius(radius).with_mode(PredictorMode::Lorenzo);
+            let stats = assert_matches_dense_entropy_stage(&nans, &[300], &cfg);
+            assert_eq!((stats.huffman_table_entries, stats.huffman_bits), (1, 300));
+            let stats = assert_matches_dense_entropy_stage(&flat, &[15, 20], &cfg);
+            assert_eq!((stats.huffman_table_entries, stats.unpredictable), (2, 1));
+            // Both ends of the alphabet and nothing between: the zero bin,
+            // the last bin, the first, and the escape of a residual two
+            // bins too far.
+            let reach = 2e-3 * (radius as f64 - 1.0);
+            let ends = [0.0f64, reach, reach, 0.0, reach + 4e-3];
+            let mut cfg = cfg;
+            cfg.lorenzo_order = 1;
+            let stats = assert_matches_dense_entropy_stage(&ends, &[ends.len()], &cfg);
+            assert_eq!(stats.unpredictable, 1);
+            let mut seen = None;
+            let watched = |alphabet, fast, s: &mut SzScratch<f64>| {
+                seen = Some(entropy_code(alphabet, fast, s)?);
+                Ok(seen.clone().unwrap())
+            };
+            compress_staged(&ends, &[ends.len()], &cfg, &mut SzScratch::new(), true, watched).unwrap();
+            let (first, table, present) = seen.unwrap();
+            assert_eq!((first, table.len()), (0, 2 * radius as usize), "radius {radius}");
+            assert_eq!(present, if radius == 1 { 2 } else { 4 }, "radius {radius}");
+        }
+    }
+
+    /// Bytes of heap the scratch holds on to.
+    fn scratch_bytes<T>(s: &SzScratch<T>) -> usize {
+        s.symbols.capacity() * 4
+            + s.literals.capacity() * std::mem::size_of::<T>()
+            + (s.recon.capacity() + s.rowp.capacity() + s.vals.capacity()) * 8
+            + s.huff.capacity_bytes()
+            + s.sym_bits.capacity()
+            + s.block_bits.capacity()
+            + s.coeffs.capacity() * 4
+            + s.lit_bytes.capacity()
+    }
+
+    #[test]
+    fn scratch_is_sized_by_the_call_not_by_the_radius() {
+        // The per-call fixed cost as an assertion: every buffer of the
+        // scratch is filled or cleared by the call that sizes it, so what
+        // it holds after one call bounds what that call touched.
+        // 64 elements at the largest radius: four bytes per granule of the
+        // alphabet, and under 64 KiB for everything else (the dense stage
+        // held 48 MB here, beside a 16 MB code table).
+        let hacc = hacc_like_chunk(16_384);
+        let mut scratch = SzScratch::<f32>::new();
+        let cfg = SzConfig::new(ErrorBound::Absolute(1e-3)).with_radius(Quantizer::MAX_RADIUS);
+        let out = compress_typed_with(&hacc[..64], &[64], &cfg, &mut scratch).unwrap();
+        assert!(out.stats.unpredictable > 0 && out.stats.huffman_table_entries > 8, "{:?}", out.stats);
+        let granules = (2 * Quantizer::MAX_RADIUS as usize + 1).div_ceil(16);
+        let held = scratch_bytes(&scratch);
+        assert!(held < (64 << 10) + 4 * granules, "{held} bytes at MAX_RADIUS");
+        // A request at the default radius: in proportion to its elements
+        // and to the granules it occupies.
+        let mut scratch = SzScratch::<f32>::new();
+        let cfg = SzConfig::new(ErrorBound::Absolute(1e-3));
+        compress_typed_with(&hacc, &[hacc.len()], &cfg, &mut scratch).unwrap();
+        let occupied = scratch.huff.slots() / 16;
+        let granules = (2 * Quantizer::DEFAULT_RADIUS as usize + 1).div_ceil(16);
+        let held = scratch_bytes(&scratch);
+        let bound = 32 * hacc.len() + 1024 * occupied + 4 * granules + (16 << 10);
+        assert!(held < bound, "{held} bytes for {} elements, {occupied} granules", hacc.len());
+        assert!(held < 1 << 20, "{held} bytes: the dense stage zeroed 1.5 MB a call");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! What a trace-on build records about the lossless back end: how large
 //! the Huffman table was and is, what the LZSS pass was given and made of
-//! it, and whether its output was kept. One test function, so nothing else
+//! it, whether its output was kept, and how large a compact alphabet the
+//! entropy stage built its tables over. One test function, so nothing else
 //! in this process touches the registry.
 #![cfg(feature = "trace")]
 
@@ -23,6 +24,11 @@ fn lossless_back_end_counters_tell_kept_from_dropped() {
     assert_eq!((counter("sz.lossless.kept"), counter("sz.lossless.dropped")), (0, 1));
     let (dense, packed) = (counter("sz.table.dense_bytes"), counter("sz.table.packed_bytes"));
     assert!(dense > 1000 && packed * 4 < dense, "table {dense} -> {packed}");
+    // The compact alphabet the tables were built over: sixteen slots per
+    // granule in use, far fewer than the 65 537 symbols of the quantizer,
+    // no fewer than the symbols that have a code.
+    let (slots, entries) = (counter("sz.huffman.slots"), counter("sz.huffman.table_entries"));
+    assert_eq!((slots, entries), (14_192, 4_941), "compact alphabet, coded symbols");
     let (bytes_in, bytes_out) = (counter("sz.lossless.bytes_in"), counter("sz.lossless.bytes_out"));
     assert_eq!(bytes_in + 13, out.bytes.len() as u64, "the payload is stored as it is");
     assert!(bytes_out > bytes_in, "LZSS {bytes_in} -> {bytes_out}");

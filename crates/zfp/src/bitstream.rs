@@ -498,7 +498,7 @@ mod tests {
         assert_eq!(a, b);
         let mut r = ReadStream::new(&a);
         let mut rr = reference::RefReadStream::new(&b);
-        let mut x = 0x1357_9bdf_2468_aceu64;
+        let mut x = 0x0135_79bd_f246_8ace_u64;
         while r.bit_pos() < a.len() * 8 + 130 {
             x ^= x << 13;
             x ^= x >> 7;

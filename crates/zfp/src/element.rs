@@ -67,8 +67,8 @@ mod tests {
     #[test]
     fn headroom_fits_in_64_bits() {
         // Q + 3 bits of transform gain + 1 negabinary bit must stay < 63.
-        assert!(<f32 as ZfpElement>::Q + 4 < 63);
-        assert!(<f64 as ZfpElement>::Q + 4 < 63);
+        const { assert!(<f32 as ZfpElement>::Q + 4 < 63) };
+        const { assert!(<f64 as ZfpElement>::Q + 4 < 63) };
         assert_eq!(<f32 as ZfpElement>::INTPREC, 35);
         assert_eq!(<f64 as ZfpElement>::INTPREC, 57);
     }
@@ -76,9 +76,9 @@ mod tests {
     #[test]
     fn exponent_fields_cover_type_ranges() {
         // f32 exponents range ~[-148, 128]; 9 bits biased by 200 → [-200, 311].
-        assert!(1 << <f32 as ZfpElement>::EMAX_BITS > 128 + 200);
+        const { assert!(1 << <f32 as ZfpElement>::EMAX_BITS > 128 + 200) };
         // f64 exponents range ~[-1074, 1024]; 12 bits biased by 1200 → [-1200, 2895].
-        assert!(1 << <f64 as ZfpElement>::EMAX_BITS > 1024 + 1200);
+        const { assert!(1 << <f64 as ZfpElement>::EMAX_BITS > 1024 + 1200) };
     }
 
     #[test]
