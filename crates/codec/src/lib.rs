@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # lcpio-codec — unified codec abstraction and container registry
 //!
 //! The paper treats SZ and ZFP as interchangeable error-bounded

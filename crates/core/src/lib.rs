@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # lcpio-core — power modeling & DVFS tuning of lossy compressed I/O
 //!
 //! The paper's contribution, rebuilt as a library. Everything hangs off

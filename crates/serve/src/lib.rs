@@ -38,6 +38,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod client;
 pub mod driver;

@@ -37,7 +37,9 @@ use crate::kernels;
 use crate::lossless;
 use crate::predictor::lorenzo_3d_row_partial;
 use crate::quantizer::Quantizer;
-use crate::regression::{block_abs_error_below, fit_block, BlockCoeffs, BlockFitter, BLOCK_SIDE};
+use crate::regression::{
+    abs_error_below_lanes, block_abs_error_below, fit_block, BlockCoeffs, BlockFitter, BLOCK_SIDE,
+};
 use crate::stats::CompressionStats;
 use crate::table;
 use crate::{Compressed, ErrorBound, PredictorMode, SzConfig, SzError};
@@ -119,7 +121,14 @@ pub struct SzScratch<T> {
     literals: Vec<T>,
     recon: Vec<f64>,
     rowp: Vec<f64>,
+    /// The values of one partial block.
     vals: Vec<f64>,
+    select: SelectScratch,
+    /// Predictor and fit of every block of the block row being coded.
+    choices: Vec<(bool, BlockCoeffs)>,
+    /// Per [`WAVEFRONT`] element, its offset from the block's first in the
+    /// geometry of the call and its row-major position in the block.
+    wave: Vec<(usize, usize)>,
     huff: HuffmanEncoder,
     sym_bits: BitWriter,
     block_bits: BitWriter,
@@ -136,6 +145,9 @@ impl<T> SzScratch<T> {
             recon: Vec::new(),
             rowp: Vec::new(),
             vals: Vec::new(),
+            select: SelectScratch::default(),
+            choices: Vec::new(),
+            wave: Vec::new(),
             huff: HuffmanEncoder::default(),
             sym_bits: BitWriter::new(),
             block_bits: BitWriter::new(),
@@ -242,17 +254,7 @@ fn encode_classic<T: Element, const FAST: bool>(
 
 /// Mean |orig − Lorenzo(orig)| over a block, using *original* neighbours.
 /// Only a mode-selection heuristic: correctness never depends on it.
-#[allow(clippy::too_many_arguments)]
-fn lorenzo_probe_error<T: Element>(
-    data: &[T],
-    g: Geom,
-    k0: usize,
-    k1: usize,
-    j0: usize,
-    j1: usize,
-    i0: usize,
-    i1: usize,
-) -> f64 {
+fn lorenzo_probe_error<T: Element>(data: &[T], g: Geom, r: BlockRange) -> f64 {
     let at = |k: isize, j: isize, i: isize| -> f64 {
         if k < 0 || j < 0 || i < 0 {
             0.0
@@ -262,49 +264,17 @@ fn lorenzo_probe_error<T: Element>(
     };
     let mut err = 0.0;
     let mut cnt = 0usize;
-    if i0 > 0 {
-        // The block has a column to its left, so every stencil row is a
-        // slice starting one column early, and a row off the array (above
-        // the first row, below the first plane) is a row of zeros: no
-        // signed comparisons per term. Term order matches the general
-        // path exactly, keeping the accumulated error (and thus the
-        // per-block mode decision and the output stream) bit-identical.
-        let zeros = [T::from_f64(0.0); BLOCK_SIDE + 1];
-        let width = i1 - i0 + 1;
-        let row = |k: Option<usize>, j: Option<usize>| match (k, j) {
-            (Some(k), Some(j)) => &data[(k * g.ny + j) * g.nx + i0 - 1..][..width],
-            _ => &zeros[..width],
-        };
-        for k in k0..k1 {
-            for j in j0..j1 {
-                let c = row(Some(k), Some(j)).windows(2);
-                let u = row(Some(k), j.checked_sub(1)).windows(2);
-                let p = row(k.checked_sub(1), Some(j)).windows(2);
-                let d = row(k.checked_sub(1), j.checked_sub(1)).windows(2);
-                for (((c, u), p), d) in c.zip(u).zip(p).zip(d) {
-                    let pred = c[0].to_f64() + u[1].to_f64() + p[1].to_f64()
-                        - u[0].to_f64()
-                        - p[0].to_f64()
-                        - d[1].to_f64()
-                        + d[0].to_f64();
-                    err += (c[1].to_f64() - pred).abs();
-                }
-            }
-        }
-        cnt = (k1 - k0) * (j1 - j0) * (i1 - i0);
-    } else {
-        for k in k0..k1 {
-            for j in j0..j1 {
-                for i in i0..i1 {
-                    let (ki, ji, ii) = (k as isize, j as isize, i as isize);
-                    let pred = at(ki, ji, ii - 1) + at(ki, ji - 1, ii) + at(ki - 1, ji, ii)
-                        - at(ki, ji - 1, ii - 1)
-                        - at(ki - 1, ji, ii - 1)
-                        - at(ki - 1, ji - 1, ii)
-                        + at(ki - 1, ji - 1, ii - 1);
-                    err += (data[(k * g.ny + j) * g.nx + i].to_f64() - pred).abs();
-                    cnt += 1;
-                }
+    for k in r.k.0..r.k.1 {
+        for j in r.j.0..r.j.1 {
+            for i in r.i.0..r.i.1 {
+                let (ki, ji, ii) = (k as isize, j as isize, i as isize);
+                let pred = at(ki, ji, ii - 1) + at(ki, ji - 1, ii) + at(ki - 1, ji, ii)
+                    - at(ki, ji - 1, ii - 1)
+                    - at(ki - 1, ji, ii - 1)
+                    - at(ki - 1, ji - 1, ii)
+                    + at(ki - 1, ji - 1, ii - 1);
+                err += (data[(k * g.ny + j) * g.nx + i].to_f64() - pred).abs();
+                cnt += 1;
             }
         }
     }
@@ -428,16 +398,14 @@ fn encode_lorenzo_block_wavefront<T: Element, const FAST: bool>(
 ) {
     let (k0, j0, i0) = (r.k.0, r.j.0, r.i.0);
     debug_assert!(j0 > 0 && i0 > 0);
-    let recon = &mut s.recon[..];
+    let SzScratch { recon, wave, symbols: all_symbols, literals, .. } = s;
     let plane = g.ny * g.nx;
-    let local = |k: usize, j: usize, i: usize| (k * BLOCK_SIDE + j) * BLOCK_SIDE + i;
-    let global = |k: usize, j: usize, i: usize| ((k0 + k) * g.ny + j0 + j) * g.nx + i0 + i;
+    let first = (k0 * g.ny + j0) * g.nx + i0;
     let mut symbols = [0u32; BLOCK_LEN];
-    for &[k, j, i] in &WAVEFRONT {
-        let (k, j, i) = (k as usize, j as usize, i as usize);
-        let idx = global(k, j, i);
+    for &(offset, at) in wave.iter() {
+        let idx = first + offset;
         let u = idx - g.nx; // same plane, row above
-        let partial = if k0 + k > 0 {
+        let partial = if idx >= plane {
             let p = idx - plane; // plane below, same row
             let d = p - g.nx; // plane below, row above
             (recon[u] + recon[p] - recon[d]) - (recon[u - 1] + recon[p - 1] - recon[d - 1])
@@ -446,19 +414,138 @@ fn encode_lorenzo_block_wavefront<T: Element, const FAST: bool>(
         };
         let (sym, rec) = quantize_one::<T, FAST>(q, partial + recon[idx - 1], data[idx]);
         recon[idx] = rec;
-        symbols[local(k, j, i)] = sym;
+        symbols[at] = sym;
     }
-    s.symbols.extend_from_slice(&symbols);
+    all_symbols.extend_from_slice(&symbols);
     if symbols.contains(&0) {
-        for k in 0..BLOCK_SIDE {
-            for j in 0..BLOCK_SIDE {
-                for i in 0..BLOCK_SIDE {
-                    if symbols[local(k, j, i)] == 0 {
-                        s.literals.push(data[global(k, j, i)]);
+        for (row, row_symbols) in symbols.chunks_exact(BLOCK_SIDE).enumerate() {
+            let at = first + (row / BLOCK_SIDE * g.ny + row % BLOCK_SIDE) * g.nx;
+            for (v, _) in data[at..].iter().zip(row_symbols).filter(|(_, &sym)| sym == 0) {
+                literals.push(*v);
+            }
+        }
+    }
+}
+
+/// Blocks [`select_block_row`] decides side by side: one value of each in
+/// a [`Lanes`], so what is a serial sum for one block is `LANES` independent
+/// ones that fit a vector or two.
+const LANES: usize = 4;
+type Lanes = [f64; LANES];
+
+/// Working arrays of [`select_block_row`].
+#[derive(Debug, Default)]
+struct SelectScratch {
+    /// Two planes of `BLOCK_SIDE + 1` rows as `f64`: the row above the
+    /// block row, then its own, each behind a zero column.
+    planes: Vec<f64>,
+    /// The Lorenzo-probe terms of one row.
+    terms: Vec<f64>,
+    /// The blocks' values, `[group of LANES blocks][element][lane]`.
+    vals: Vec<Lanes>,
+    /// Per group, each block's sum of probe terms.
+    probe: Vec<Lanes>,
+}
+
+/// Predictor and fit of one block on its own, the way partial blocks are
+/// decided: regression where its mean absolute error is below that of
+/// Lorenzo on *original* neighbours. Only a heuristic: correctness never
+/// depends on it.
+fn select_block<T: Element>(
+    data: &[T],
+    g: Geom,
+    r: BlockRange,
+    vals: &mut Vec<f64>,
+) -> (bool, BlockCoeffs) {
+    let (nk, nj, ni) = (r.k.1 - r.k.0, r.j.1 - r.j.0, r.i.1 - r.i.0);
+    vals.clear();
+    for k in r.k.0..r.k.1 {
+        for j in r.j.0..r.j.1 {
+            let row = (k * g.ny + j) * g.nx;
+            vals.extend(data[row + r.i.0..row + r.i.1].iter().map(|v| v.to_f64()));
+        }
+    }
+    let coeffs = fit_block(vals, nk, nj, ni);
+    let lor_err = lorenzo_probe_error(data, g, r);
+    (block_abs_error_below(vals, nk, nj, ni, &coeffs, lor_err), coeffs)
+}
+
+/// [`select_block`] for the first `nb` blocks, all full, of the block row
+/// at planes `k0..`, rows `j0..`; appends their choices.
+///
+/// Every data row is converted to `f64` once, the block values are laid
+/// out `[element][block]` and every sum of the decision (the probe's, the
+/// mean, the three projections, the regression error) runs over the
+/// elements in `select_block`'s order with the blocks of a group side by
+/// side. Each block's sums see the same terms in the same order, so the
+/// choices are `select_block`'s; what changes is that four serial
+/// 216-term chains per block become loops with no carried dependence.
+fn select_block_row<T: Element>(
+    data: &[T],
+    g: Geom,
+    (k0, j0): (usize, usize),
+    nb: usize,
+    sel: &mut SelectScratch,
+    choices: &mut Vec<(bool, BlockCoeffs)>,
+) {
+    const B: usize = BLOCK_SIDE;
+    let groups = nb.div_ceil(LANES);
+    let cols = nb * B;
+    // The lanes past the last block read zeros and are dropped at the end.
+    let stride = 1 + groups * LANES * B;
+    let SelectScratch { planes, terms, vals, probe } = sel;
+    planes.clear();
+    planes.resize(2 * (B + 1) * stride, 0.0);
+    terms.resize(stride - 1, 0.0);
+    vals.resize(groups * BLOCK_LEN, [0.0; LANES]);
+    probe.clear();
+    probe.resize(groups, [0.0; LANES]);
+    let (mut behind, mut plane) = planes.split_at_mut((B + 1) * stride);
+    // Rows `j0 − 1 .. j0 + B` of plane `k`; a row off the array stays zero.
+    let load = |into: &mut [f64], k: usize| {
+        for (r, row) in into.chunks_exact_mut(stride).enumerate() {
+            let Some(j) = (j0 + r).checked_sub(1) else { continue };
+            let at = (k * g.ny + j) * g.nx;
+            for (d, v) in row[1..].iter_mut().zip(&data[at..at + cols]) {
+                *d = v.to_f64();
+            }
+        }
+    };
+    if k0 > 0 {
+        load(behind, k0 - 1);
+    }
+    for k in 0..B {
+        load(plane, k0 + k);
+        for j in 0..B {
+            let (c, u) = (&plane[(j + 1) * stride..][..stride], &plane[j * stride..][..stride]);
+            let (p, d) = (&behind[(j + 1) * stride..][..stride], &behind[j * stride..][..stride]);
+            // `lorenzo_probe_error`'s terms, operation for operation.
+            for (x, t) in terms.iter_mut().enumerate() {
+                let pred = c[x] + u[x + 1] + p[x + 1] - u[x] - p[x] - d[x + 1] + d[x];
+                *t = (c[x + 1] - pred).abs();
+            }
+            let e0 = (k * B + j) * B;
+            for (group, sums) in probe.iter_mut().enumerate() {
+                let at = group * LANES * B;
+                for i in 0..B {
+                    let v = &mut vals[group * BLOCK_LEN + e0 + i];
+                    for l in 0..LANES {
+                        v[l] = c[1 + at + l * B + i];
+                        sums[l] += terms[at + l * B + i];
                     }
                 }
             }
         }
+        std::mem::swap(&mut behind, &mut plane);
+    }
+    let fitter = BlockFitter::new(B, B, B);
+    for (group, sums) in probe.iter().enumerate() {
+        let vals = &vals[group * BLOCK_LEN..(group + 1) * BLOCK_LEN];
+        let coeffs = fitter.fit_lanes(vals);
+        let lor_err = sums.map(|sum| sum / BLOCK_LEN as f64);
+        let use_reg = abs_error_below_lanes(vals, B, B, &coeffs, &lor_err);
+        let live = LANES.min(nb - group * LANES);
+        choices.extend(use_reg.into_iter().zip(coeffs).take(live));
     }
 }
 
@@ -478,49 +565,60 @@ fn encode_blocks<T: Element, const FAST: bool>(
     let mut regression_blocks = 0u64;
     let mut lorenzo_blocks = 0u64;
     let b = BLOCK_SIDE;
-    s.vals.clear();
-    s.vals.reserve(BLOCK_LEN);
-    let full_fitter = BlockFitter::new(b, b, b);
+    s.wave.clear();
+    s.wave.extend(WAVEFRONT.iter().map(|&[k, j, i]| {
+        let (k, j, i) = (k as usize, j as usize, i as usize);
+        ((k * g.ny + j) * g.nx + i, (k * b + j) * b + i)
+    }));
+    // One lap of each per block row; the registry is touched once a call.
+    let mut select_laps = lcpio_trace::Stopwatch::new();
+    let mut quantize_laps = lcpio_trace::Stopwatch::new();
 
     let blocks = |e: usize| e.div_ceil(b);
     for bk in 0..blocks(g.nz) {
         for bj in 0..blocks(g.ny) {
-            for bi in 0..blocks(g.nx) {
-                let (k0, j0, i0) = (bk * b, bj * b, bi * b);
-                let (k1, j1, i1) = ((k0 + b).min(g.nz), (j0 + b).min(g.ny), (i0 + b).min(g.nx));
-                let (nk, nj, ni) = (k1 - k0, j1 - j0, i1 - i0);
-                let full = (nk, nj, ni) == (b, b, b);
-                s.vals.clear();
-                for k in k0..k1 {
-                    for j in j0..j1 {
-                        let row = (k * g.ny + j) * g.nx;
-                        s.vals.extend(data[row + i0..row + i1].iter().map(|v| v.to_f64()));
-                    }
+            let (k0, j0) = (bk * b, bj * b);
+            let (k1, j1) = ((k0 + b).min(g.nz), (j0 + b).min(g.ny));
+            let range = |bi: usize| BlockRange {
+                k: (k0, k1),
+                j: (j0, j1),
+                i: (bi * b, (bi * b + b).min(g.nx)),
+            };
+            select_laps.lap(|| {
+                s.choices.clear();
+                // A row's full blocks together, if it is full in k and j.
+                let batched = if (k1 - k0, j1 - j0) == (b, b) { g.nx / b } else { 0 };
+                if batched > 0 {
+                    select_block_row(data, g, (k0, j0), batched, &mut s.select, &mut s.choices);
                 }
-                let coeffs = if full {
-                    full_fitter.fit(&s.vals)
-                } else {
-                    fit_block(&s.vals, nk, nj, ni)
-                };
-                let lor_err = lorenzo_probe_error(data, g, k0, k1, j0, j1, i0, i1);
-                let use_reg = block_abs_error_below(&s.vals, nk, nj, ni, &coeffs, lor_err);
-                s.block_bits.push_bit(use_reg);
-                let range = BlockRange { k: (k0, k1), j: (j0, j1), i: (i0, i1) };
-                if use_reg {
-                    regression_blocks += 1;
-                    s.coeffs.extend_from_slice(&coeffs.c);
-                    encode_regression_block::<T, FAST>(data, g, range, &coeffs, q, s);
-                } else {
-                    lorenzo_blocks += 1;
-                    if full && j0 > 0 && i0 > 0 {
-                        encode_lorenzo_block_wavefront::<T, FAST>(data, g, range, q, s);
+                for bi in batched..blocks(g.nx) {
+                    s.choices.push(select_block(data, g, range(bi), &mut s.vals));
+                }
+            });
+            quantize_laps.lap(|| {
+                for bi in 0..blocks(g.nx) {
+                    let (use_reg, coeffs) = s.choices[bi];
+                    let r = range(bi);
+                    s.block_bits.push_bit(use_reg);
+                    if use_reg {
+                        regression_blocks += 1;
+                        s.coeffs.extend_from_slice(&coeffs.c);
+                        encode_regression_block::<T, FAST>(data, g, r, &coeffs, q, s);
                     } else {
-                        encode_lorenzo_block_rows::<T, FAST>(data, g, range, q, s);
+                        lorenzo_blocks += 1;
+                        let full = (k1 - k0, j1 - j0, r.i.1 - r.i.0) == (b, b, b);
+                        if full && j0 > 0 && r.i.0 > 0 {
+                            encode_lorenzo_block_wavefront::<T, FAST>(data, g, r, q, s);
+                        } else {
+                            encode_lorenzo_block_rows::<T, FAST>(data, g, r, q, s);
+                        }
                     }
                 }
-            }
+            });
         }
     }
+    select_laps.commit("sz.select");
+    quantize_laps.commit("sz.quantize");
     (regression_blocks, lorenzo_blocks)
 }
 
@@ -1244,6 +1342,7 @@ mod tests {
         build_pointwise_rel, compress_pointwise_rel, decompress_pointwise_rel, parse_pointwise_rel,
         PwrelParts,
     };
+    use crate::regression::fit_block_reference;
     use proptest::prelude::*;
 
     fn flags_of(stream: &[u8]) -> u8 {
@@ -1502,7 +1601,7 @@ mod tests {
                             s.vals.extend(data[row + i0..row + i1].iter().map(|v| v.to_f64()));
                         }
                     }
-                    let coeffs = fit_block(&s.vals, nk, nj, ni);
+                    let coeffs = fit_block_reference(&s.vals, nk, nj, ni);
                     let predict = |i: usize, j: usize, k: usize| {
                         coeffs.c[0] as f64
                             + coeffs.c[1] as f64 * i as f64
@@ -1514,7 +1613,8 @@ mod tests {
                         reg_err += (v - predict(n % ni, n / ni % nj, n / (ni * nj))).abs();
                     }
                     reg_err /= s.vals.len() as f64;
-                    let lor_err = lorenzo_probe_error(data, g, k0, k1, j0, j1, i0, i1);
+                    let range = BlockRange { k: (k0, k1), j: (j0, j1), i: (i0, i1) };
+                    let lor_err = lorenzo_probe_error(data, g, range);
                     let use_reg = reg_err < lor_err;
                     s.block_bits.push_bit(use_reg);
                     if use_reg {
@@ -1828,26 +1928,36 @@ mod tests {
         }
     }
 
+    /// `data` with every mantissa bit in use. Sums of a few `f32` values
+    /// are exact in `f64` and come out the same in any order; these do not.
+    fn full_mantissas(data: &[f32]) -> Vec<f64> {
+        (0..).zip(data).map(|(n, &v)| v as f64 + (n as f64).sin() * 1e-3).collect()
+    }
+
     /// Everything `encode_blocks` leaves in the scratch must be what the
-    /// reference leaves there, to the bit, under both quantizer paths.
-    fn assert_blocks_match_reference(data: &[f32], dims: &[usize], eb: f64) {
-        fn run<const FAST: bool>(data: &[f32], g: Geom, q: &Quantizer) {
-            let (mut new, mut old) = (SzScratch::<f32>::new(), SzScratch::<f32>::new());
-            let counts = encode_blocks::<f32, FAST>(data, g, q, &mut new);
-            assert_eq!(counts, encode_blocks_reference::<f32, FAST>(data, g, q, &mut old));
+    /// reference leaves there, to the bit, under both quantizer paths, for
+    /// `data` and for its [`full_mantissas`] as `f64`. Returns the
+    /// coefficients and `(regression_blocks, lorenzo_blocks)` of `data`.
+    fn assert_blocks_match_reference(data: &[f32], dims: &[usize], eb: f64) -> (Vec<f32>, (u64, u64)) {
+        fn run<T: Element, const FAST: bool>(data: &[T], g: Geom, q: &Quantizer) -> (Vec<f32>, (u64, u64)) {
+            let (mut new, mut old) = (SzScratch::<T>::new(), SzScratch::<T>::new());
+            let counts = encode_blocks::<T, FAST>(data, g, q, &mut new);
+            assert_eq!(counts, encode_blocks_reference::<T, FAST>(data, g, q, &mut old));
             assert_eq!(new.symbols, old.symbols);
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&new.literals), bits(&old.literals));
-            assert_eq!(bits(&new.coeffs), bits(&old.coeffs));
+            assert_eq!(le_bits(&new.literals), le_bits(&old.literals));
+            assert_eq!(le_bits(&new.coeffs), le_bits(&old.coeffs));
             assert_eq!(new.block_bits.finish(), old.block_bits.finish());
-            let recon = |s: &SzScratch<f32>| s.recon.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(recon(&new), recon(&old));
+            assert_eq!(le_bits(&new.recon), le_bits(&old.recon));
+            (new.coeffs, counts)
         }
         let g = geometry(dims, data.len()).unwrap();
         let q = Quantizer::new(eb, Quantizer::DEFAULT_RADIUS);
         assert!(q.fast_exact());
-        run::<true>(data, g, &q);
-        run::<false>(data, g, &q);
+        let data64 = full_mantissas(data);
+        run::<f64, true>(&data64, g, &q);
+        run::<f64, false>(&data64, g, &q);
+        run::<f32, true>(data, g, &q);
+        run::<f32, false>(data, g, &q)
     }
 
     /// A field with smooth stretches (Lorenzo blocks, many of them full and
@@ -1917,6 +2027,114 @@ mod tests {
         }
     }
 
+    /// What the block at block coordinates `(bk, bj, bi)` of
+    /// [`block_row_field`] holds.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum BlockKind {
+        Smooth,
+        Tilted,
+        NegativeZero,
+        Holds(f32),
+    }
+
+    fn block_kind(bk: usize, bj: usize, bi: usize) -> BlockKind {
+        match (bi, bj + bk) {
+            // Whole block rows of tilted planes: regression along a batch.
+            (_, rows) if rows % 3 == 1 => BlockKind::Tilted,
+            // Single tilted blocks among smooth ones, at every lane of a
+            // group: its error sum runs to the end, theirs stop early.
+            (1 | 6 | 11 | 12, _) => BlockKind::Tilted,
+            (9, _) => BlockKind::NegativeZero,
+            (3, _) => BlockKind::Holds(f32::NAN),
+            (4, _) => BlockKind::Holds(f32::INFINITY),
+            (14, _) => BlockKind::Holds(f32::NEG_INFINITY),
+            _ => BlockKind::Smooth,
+        }
+    }
+
+    /// A field for the selection of a whole block row at a time: what each
+    /// block holds goes by its position ([`block_kind`]). Smooth blocks go
+    /// to Lorenzo and noisy tilted planes to regression; a block of `-0.0`
+    /// is a regression block whose intercept keeps the sign.
+    fn block_row_field(dims: &[usize], seed: u32) -> Vec<f32> {
+        let g = geometry(dims, dims.iter().product()).unwrap();
+        let mut x = seed | 1;
+        (0..g.nz * g.ny * g.nx)
+            .map(|idx| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                let (i, j, k) = (idx % g.nx, idx / g.nx % g.ny, idx / (g.nx * g.ny));
+                let noise = (x >> 8) as f32 / (1 << 24) as f32 - 0.5;
+                let plane = 2.0 + 0.05 * i as f32 - 0.03 * j as f32 + 0.02 * k as f32;
+                let smooth = plane + 0.5 * (i as f32 * 0.4).sin() * (j as f32 * 0.3).cos();
+                let (b, centre) = (BLOCK_SIDE, (i % BLOCK_SIDE, j % BLOCK_SIDE, k % BLOCK_SIDE) == (2, 3, 1));
+                match block_kind(k / b, j / b, i / b) {
+                    BlockKind::Smooth => smooth,
+                    BlockKind::Tilted => plane + 0.1 * noise,
+                    BlockKind::NegativeZero => -0.0,
+                    BlockKind::Holds(special) if centre => special,
+                    BlockKind::Holds(_) => smooth,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn block_encoder_matches_reference_on_wide_rows() {
+        // Rows of 16 blocks: four groups to a batch, a partial block behind
+        // them and partial rows below at 97 and 13, no batch at all in 2-D.
+        for dims in [vec![6usize, 12, 96], vec![12, 13, 97], vec![7, 96]] {
+            for eb in [1e-2, 1e-4] {
+                let data = block_row_field(&dims, 0x2545_f491);
+                let (coeffs, (regression, lorenzo)) = assert_blocks_match_reference(&data, &dims, eb);
+                // The field is what its comment says: regression wins whole
+                // block rows and single blocks, Lorenzo a quarter at least.
+                let g = geometry(&dims, data.len()).unwrap();
+                let b = BLOCK_SIDE;
+                let kinds = (0..g.nz.div_ceil(b)).flat_map(|bk| {
+                    (0..g.ny.div_ceil(b))
+                        .flat_map(move |bj| (0..g.nx.div_ceil(b)).map(move |bi| block_kind(bk, bj, bi)))
+                });
+                let tilted = kinds.clone().filter(|&kind| kind == BlockKind::Tilted).count() as u64;
+                let zeros = kinds.filter(|&kind| kind == BlockKind::NegativeZero).count();
+                assert!(
+                    regression >= tilted + zeros as u64 && 4 * lorenzo >= regression + lorenzo,
+                    "{dims:?}: {regression} regression blocks, {lorenzo} Lorenzo blocks"
+                );
+                let negative_intercepts =
+                    coeffs.chunks_exact(4).filter(|c| c[0].to_bits() == (-0.0f32).to_bits()).count();
+                assert_eq!(negative_intercepts, zeros, "{dims:?}: the mean of -0.0 is -0.0");
+            }
+        }
+    }
+
+    #[test]
+    fn block_row_selection_is_the_per_block_selection() {
+        // What the stream does not show: the fit of a block that went to
+        // Lorenzo, and the probe's error itself, not only which side of
+        // the regression error it fell on.
+        let dims = [12usize, 13, 97];
+        let g = geometry(&dims, dims.iter().product()).unwrap();
+        let (b, nb) = (BLOCK_SIDE, g.nx / BLOCK_SIDE);
+        for data in [block_row_field(&dims, 0x2545_f491), mixed_field(&dims, 0x9e37_79b9)] {
+            let data = full_mantissas(&data);
+            for (k0, j0) in [(0, 0), (0, 6), (6, 0), (6, 6)] {
+                let (mut sel, mut choices) = (SelectScratch::default(), Vec::new());
+                select_block_row(&data, g, (k0, j0), nb, &mut sel, &mut choices);
+                assert_eq!(choices.len(), nb);
+                for (bi, (use_reg, coeffs)) in choices.into_iter().enumerate() {
+                    let r = BlockRange { k: (k0, k0 + b), j: (j0, j0 + b), i: (bi * b, bi * b + b) };
+                    let (want_reg, want_coeffs) = select_block(&data, g, r, &mut Vec::new());
+                    assert_eq!(use_reg, want_reg, "block {bi} of row ({k0}, {j0})");
+                    assert_eq!(coeffs.c.map(f32::to_bits), want_coeffs.c.map(f32::to_bits));
+                    let probe = sel.probe[bi / LANES][bi % LANES] / BLOCK_LEN as f64;
+                    assert_eq!(probe.to_bits(), lorenzo_probe_error(&data, g, r).to_bits());
+                }
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -1924,13 +2142,13 @@ mod tests {
         fn prop_block_encoder_matches_reference(
             nz in 1usize..15,
             ny in 1usize..21,
-            nx in 1usize..21,
+            nx in 1usize..101,
             seed in any::<u32>(),
             eb_exp in -5i32..0,
         ) {
             let dims = [nz, ny, nx];
-            let data = mixed_field(&dims, seed);
-            assert_blocks_match_reference(&data, &dims, 10f64.powi(eb_exp));
+            assert_blocks_match_reference(&mixed_field(&dims, seed), &dims, 10f64.powi(eb_exp));
+            assert_blocks_match_reference(&block_row_field(&dims, seed), &dims, 10f64.powi(eb_exp));
         }
     }
 
@@ -2078,7 +2296,10 @@ mod tests {
     fn scratch_bytes<T>(s: &SzScratch<T>) -> usize {
         s.symbols.capacity() * 4
             + s.literals.capacity() * std::mem::size_of::<T>()
-            + (s.recon.capacity() + s.rowp.capacity() + s.vals.capacity()) * 8
+            + (s.recon.capacity() + s.rowp.capacity() + s.vals.capacity() + 2 * s.wave.capacity()) * 8
+            + (s.select.planes.capacity() + s.select.terms.capacity()) * 8
+            + (s.select.vals.capacity() + s.select.probe.capacity()) * 8 * LANES
+            + s.choices.capacity() * std::mem::size_of::<(bool, BlockCoeffs)>()
             + s.huff.capacity_bytes()
             + s.sym_bits.capacity()
             + s.block_bits.capacity()

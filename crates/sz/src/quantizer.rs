@@ -21,28 +21,10 @@ pub struct Quantizer {
     radm: f64,
 }
 
-/// Round half away from zero without a branch on the common path: the
-/// magic-constant trick (`(x + 1.5·2^52) − 1.5·2^52` rounds to nearest-even
-/// at integer granularity) plus exact fix-ups for ties and signed zero.
-///
-/// Bit-identical to [`f64::round`] — including the sign of zero results —
-/// for every finite `|x| < 2^51` (the magic constant stops being a
-/// rounding device beyond that, hence the debug assertion).
-#[inline]
-pub fn round_nearest_away(x: f64) -> f64 {
-    const MAGIC: f64 = 6_755_399_441_055_744.0; // 1.5 · 2^52
-    const SIGN: u64 = 0x8000_0000_0000_0000;
-    debug_assert!(x.abs() < 2251799813685248.0, "round_nearest_away needs |x| < 2^51");
-    let y = (x + MAGIC) - MAGIC; // nearest integer, ties to even
-    // y is within 0.5 of x, so the subtraction is exact (Sterbenz): a tie
-    // is detectable as d == ±0.5 and everything else already matches
-    // round-half-away.
-    let d = x - y;
-    let y = if d == 0.5 || d == -0.5 { x + 0.5f64.copysign(x) } else { y };
-    // x < 0 implies y ≤ 0, so OR-ing x's sign bit only resurrects the sign
-    // of a −0.0 result (f64::round preserves it; the magic trick does not).
-    f64::from_bits(y.to_bits() | (x.to_bits() & SIGN))
-}
+/// `1.5·2^52`: adding it to `|x| < 2^51` rounds `x` to the nearest integer
+/// `k` (ties to even) and leaves `k`, in two's complement, in the low
+/// mantissa bits of the sum.
+const MAGIC: f64 = 6_755_399_441_055_744.0;
 
 /// Outcome of quantizing one residual.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,10 +122,23 @@ impl Quantizer {
 
     /// Fast-path fused quantize + reconstruct: one residual-space range
     /// check (`|x| < radius − 0.5` is exactly the escape condition under
-    /// round-half-away, and non-finite residuals fail it too) followed by
-    /// branch-free magic rounding. Requires [`Quantizer::fast_exact`];
-    /// bit-identical to [`Quantizer::try_encode`] — symbols, reconstructed
-    /// bit patterns, and escape decisions all match.
+    /// round-half-away, and non-finite residuals fail it too), then three
+    /// identities in place of `round`, the `i64` cast and its saturation:
+    ///
+    /// * `ym = x + MAGIC; y = ym − MAGIC` is `x` rounded to the nearest
+    ///   integer, ties to even. `y` is within 0.5 of `x`, so `x − y` is
+    ///   exact and a tie shows as `|x − y| == 0.5`; everywhere else `y` is
+    ///   what rounding half away gives.
+    /// * `y.copysign(x)` is that integer with the sign [`f64::round`]
+    ///   keeps on a zero result (`x < 0` implies `y ≤ 0`, so nothing else
+    ///   changes), and the sign decides `−0.0 + q·2eb`.
+    /// * the low 32 bits of `ym` are `y` in two's complement for
+    ///   `|y| < 2^31`, and [`Quantizer::fast_exact`] bounds the radius at
+    ///   `2^30`.
+    ///
+    /// Requires [`Quantizer::fast_exact`]; bit-identical to
+    /// [`Quantizer::try_encode`]: symbols, reconstructed bit patterns and
+    /// escape decisions all match.
     #[inline]
     pub fn try_encode_fast(&self, predicted: f64, actual: f64) -> Option<(u32, f64)> {
         debug_assert!(self.fast_exact());
@@ -154,9 +149,23 @@ impl Quantizer {
         if !(x.abs() < self.radm) {
             return None;
         }
-        let q = round_nearest_away(x);
-        let sym = (q as i64 + self.radius as i64) as u32;
-        Some((sym, predicted + q * self.twoeb))
+        let ym = x + MAGIC;
+        let y = ym - MAGIC;
+        if (x - y).abs() == 0.5 {
+            return Some(self.encode_tie(predicted, x));
+        }
+        let sym = (ym.to_bits() as u32).wrapping_add(self.radius);
+        Some((sym, predicted + y.copysign(x) * self.twoeb))
+    }
+
+    /// [`Quantizer::try_encode_fast`] for a residual exactly halfway
+    /// between two bins, which real data does not produce: the reference's
+    /// own rounding, out of line.
+    #[cold]
+    #[inline(never)]
+    fn encode_tie(&self, predicted: f64, x: f64) -> (u32, f64) {
+        let q = x.round();
+        ((q as i64 + self.radius as i64) as u32, predicted + q * self.twoeb)
     }
 
     /// What a code's bin adds to the prediction: `(symbol − radius)·2·eb`.
@@ -240,90 +249,104 @@ mod tests {
         let _ = Quantizer::new(0.0, 8);
     }
 
-    #[test]
-    fn round_nearest_away_matches_round_on_tricky_values() {
-        let tricky = [
-            0.0f64,
-            -0.0,
-            0.25,
-            -0.25,
-            0.5,
-            -0.5,
-            0.49999999999999994, // largest f64 below 0.5
-            -0.49999999999999994,
-            1.5,
-            -1.5,
-            2.5,
-            -2.5,
-            3.5,
-            -3.5,
-            1e-308,
-            -1e-320,
-            f64::MIN_POSITIVE,
-            1125899906842623.5, // 2^50 − 0.5
-            -1125899906842623.5,
-        ];
-        for &x in &tricky {
-            assert_eq!(
-                round_nearest_away(x).to_bits(),
-                x.round().to_bits(),
-                "x = {x:e}"
-            );
+    /// `try_encode_fast` against `try_encode`: the same escape decision,
+    /// symbol and reconstructed bits.
+    fn assert_fast_matches_reference(q: &Quantizer, pred: f64, actual: f64) {
+        assert!(q.fast_exact());
+        let what = || format!("{q:?} pred {pred:e} actual {actual:e}");
+        match (q.try_encode_fast(pred, actual), q.try_encode(pred, actual)) {
+            (Some((fs, fr)), Some((ss, sr))) => {
+                assert_eq!(fs, ss, "{}", what());
+                assert_eq!(fr.to_bits(), sr.to_bits(), "{}", what());
+            }
+            (None, None) => {}
+            (a, b) => panic!("{}: fast {a:?} vs reference {b:?}", what()),
         }
-        // Pseudo-random sweep over in-range magnitudes and both signs.
-        let mut s = 0x1234_5678_9abc_def0u64;
-        for _ in 0..200_000 {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            let mag = (s >> 12) as f64 / (1u64 << 20) as f64; // < 2^32
-            let x = if s & 1 == 0 { mag } else { -mag };
-            assert_eq!(round_nearest_away(x).to_bits(), x.round().to_bits(), "x = {x:e}");
-        }
+    }
+
+    fn ulp_up(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() + 1)
+    }
+
+    fn ulp_down(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() - 1)
     }
 
     #[test]
     fn try_encode_fast_matches_reference_at_escape_boundary() {
-        let q = Quantizer::new(0.5, 16);
-        assert!(q.fast_exact());
-        // Residual x = diff / (2eb) = diff here; escape iff |round(x)| ≥ 16,
-        // i.e. iff |x| ≥ 15.5. Probe exactly around the threshold and ties.
-        for diff in [15.4999, 15.5, 15.5001, -15.5, 3.5, -3.5, 2.5, 0.5, -0.5, 0.0, -0.0] {
-            let fast = q.try_encode_fast(0.0, diff);
-            let slow = q.try_encode(0.0, diff);
-            match (fast, slow) {
-                (Some((fs, fr)), Some((ss, sr))) => {
-                    assert_eq!(fs, ss, "diff {diff}");
-                    assert_eq!(fr.to_bits(), sr.to_bits(), "diff {diff}");
+        // eb = 0.5: the residual in bins is the difference itself, so every
+        // probe below is exact.
+        for radius in [1, 16, Quantizer::DEFAULT_RADIUS, Quantizer::MAX_RADIUS] {
+            let q = Quantizer::new(0.5, radius);
+            let edge = radius as f64 - 0.5; // escape iff |x| ≥ edge
+            let mut probes = vec![edge, ulp_down(edge), ulp_up(edge), edge - 1.0, edge + 1.0];
+            // Ties: k ± 0.5 for odd and even k (ties-to-even and half-away
+            // part ways on every other one), near zero and near the edge.
+            for k in [0.0, 1.0, 2.0, 3.0, 4.0, 7.0, 8.0, edge - 1.5, edge - 2.5] {
+                probes.extend([k + 0.5, k - 0.5, ulp_up(k + 0.5), ulp_down(k + 0.5)]);
+            }
+            // Zero results: `round` keeps the residual's sign on them.
+            probes.extend([0.0, 0.25, 0.49999999999999994, 1e-308, 5e-324, f64::MIN_POSITIVE]);
+            probes.extend([1125899906842623.5, f64::MAX, f64::INFINITY, f64::NAN]);
+            for x in probes {
+                for x in [x, -x] {
+                    for pred in [0.0, -0.0] {
+                        assert_fast_matches_reference(&q, pred, x);
+                    }
+                    // A prediction the residual is not exact against.
+                    assert_fast_matches_reference(&q, 3.0, x + 3.0);
+                    assert_fast_matches_reference(&q, -1e6, x - 1e6);
                 }
-                (None, None) => {}
-                (a, b) => panic!("diff {diff}: fast {a:?} vs reference {b:?}"),
             }
         }
         // Non-finite input escapes on both paths.
+        let q = Quantizer::new(0.5, 16);
         assert_eq!(q.try_encode_fast(0.0, f64::NAN), None);
         assert_eq!(q.try_encode_fast(0.0, f64::INFINITY), None);
+        assert_eq!(q.try_encode_fast(0.0, 15.5), None);
+        assert_eq!(q.try_encode_fast(-0.0, -0.25).map(|(s, r)| (s, r.to_bits())), Some((16, (-0.0f64).to_bits())));
+    }
+
+    #[test]
+    fn try_encode_fast_matches_reference_at_extreme_bin_widths() {
+        // Bin widths next to the subnormals and next to overflow: the
+        // division gives subnormal, huge and infinite residuals.
+        for eb in [5e-324, f64::MIN_POSITIVE / 2.0, f64::MIN_POSITIVE, 1e-300, 1e300, f64::MAX / 2.0] {
+            for radius in [1, Quantizer::DEFAULT_RADIUS, Quantizer::MAX_RADIUS] {
+                let q = Quantizer::new(eb, radius);
+                for bins in [0.0, 0.25, 0.5, 1.0, 1.5, 2.5, 1000.5, radius as f64 - 0.5, radius as f64] {
+                    for diff in [bins * (2.0 * eb), -bins * (2.0 * eb)] {
+                        for pred in [0.0, -0.0, eb, -3.0 * eb] {
+                            assert_fast_matches_reference(&q, pred, pred + diff);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(!Quantizer::new(f64::MAX, 4).fast_exact());
     }
 
     proptest! {
         #[test]
         fn prop_try_encode_fast_is_bit_identical(
-            pred in -1e6f64..1e6,
-            residual in -1e2f64..1e2,
+            pred in prop_oneof![6 => -1e6f64..1e6, 1 => Just(0.0f64), 1 => Just(-0.0f64)],
+            // The residual in bins: anywhere, or (one case in four) on a tie.
+            bins in prop_oneof![4 => -1e2f64..1e2, 1 => -0.5f64..0.5, 1 => -2e6f64..2e6],
+            tie in -70_000i32..70_000,
+            on_tie in 0u8..4,
             eb_exp in -6i32..0,
+            radius in prop_oneof![
+                Just(1u32),
+                Just(Quantizer::DEFAULT_RADIUS),
+                Just(Quantizer::MAX_RADIUS),
+            ],
         ) {
             let eb = 10f64.powi(eb_exp);
-            let q = Quantizer::new(eb, Quantizer::DEFAULT_RADIUS);
-            prop_assert!(q.fast_exact());
-            let actual = pred + residual;
-            match (q.try_encode_fast(pred, actual), q.try_encode(pred, actual)) {
-                (Some((fs, fr)), Some((ss, sr))) => {
-                    prop_assert_eq!(fs, ss);
-                    prop_assert_eq!(fr.to_bits(), sr.to_bits());
-                }
-                (None, None) => {}
-                (a, b) => prop_assert!(false, "fast/reference disagree: {:?} vs {:?}", a, b),
-            }
+            let q = Quantizer::new(eb, radius);
+            let bins = if on_tie == 0 { tie as f64 + 0.5 } else { bins };
+            assert_fast_matches_reference(&q, pred, pred + bins * (2.0 * eb));
+            // The same residual with nothing lost to the bin width.
+            assert_fast_matches_reference(&Quantizer::new(0.5, radius), pred, pred + bins);
         }
 
         #[test]

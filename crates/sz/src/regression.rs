@@ -92,30 +92,53 @@ impl BlockFitter {
     /// Degenerate extents (length-1 axes) produce zero slopes along those
     /// axes.
     pub fn fit(&self, vals: &[f64]) -> BlockCoeffs {
-        let (nk, nj, ni) = self.extent;
-        debug_assert_eq!(vals.len(), nk * nj * ni);
         if vals.is_empty() {
             return BlockCoeffs { c: [0.0; 4] };
         }
-        let mean = vals.iter().sum::<f64>() / vals.len() as f64;
+        let [coeffs] = self.fit_lanes(vals.as_chunks::<1>().0);
+        coeffs
+    }
+
+    /// [`BlockFitter::fit`] for `N` non-empty blocks at once, element `e`
+    /// of block `l` at `vals[e][l]`. Each lane's sums take their terms in
+    /// the order a block on its own gives them (row-major, the mean's
+    /// starting where [`Iterator::sum`] starts), so a block's fit does not
+    /// depend on what it is fitted beside; the loops over lanes carry no
+    /// dependence, where one block's sums are serial chains.
+    pub fn fit_lanes<const N: usize>(&self, vals: &[[f64; N]]) -> [BlockCoeffs; N] {
+        let (nk, nj, ni) = self.extent;
+        debug_assert_eq!(vals.len(), nk * nj * ni);
+        let mut mean = [std::iter::empty::<f64>().sum::<f64>(); N];
+        for v in vals {
+            for l in 0..N {
+                mean[l] += v[l];
+            }
+        }
+        let mean = mean.map(|sum| sum / vals.len() as f64);
         let [ci, cj, ck] = self.centroid;
-        let mut num = [0.0f64; 3]; // projections onto (i−ī), (j−j̄), (k−k̄)
-        let mut idx = 0;
+        let mut num = [[0.0f64; N]; 3]; // projections onto (i−ī), (j−j̄), (k−k̄)
+        let mut rest = vals.iter();
         for k in 0..nk {
             for j in 0..nj {
-                for i in 0..ni {
-                    let d = vals[idx] - mean;
-                    num[0] += d * (i as f64 - ci);
-                    num[1] += d * (j as f64 - cj);
-                    num[2] += d * (k as f64 - ck);
-                    idx += 1;
+                for (i, v) in rest.by_ref().take(ni).enumerate() {
+                    let (wi, wj, wk) = (i as f64 - ci, j as f64 - cj, k as f64 - ck);
+                    for l in 0..N {
+                        let d = v[l] - mean[l];
+                        num[0][l] += d * wi;
+                        num[1][l] += d * wj;
+                        num[2][l] += d * wk;
+                    }
                 }
             }
         }
-        let slope = |axis: usize| if self.denom[axis] > 0.0 { num[axis] / self.denom[axis] } else { 0.0 };
-        let (b1, b2, b3) = (slope(0), slope(1), slope(2));
-        let b0 = mean - b1 * ci - b2 * cj - b3 * ck;
-        BlockCoeffs { c: [b0 as f32, b1 as f32, b2 as f32, b3 as f32] }
+        let slope = |axis: usize, l: usize| {
+            if self.denom[axis] > 0.0 { num[axis][l] / self.denom[axis] } else { 0.0 }
+        };
+        std::array::from_fn(|l| {
+            let (b1, b2, b3) = (slope(0, l), slope(1, l), slope(2, l));
+            let b0 = mean[l] - b1 * ci - b2 * cj - b3 * ck;
+            BlockCoeffs { c: [b0 as f32, b1 as f32, b2 as f32, b3 as f32] }
+        })
     }
 }
 
@@ -125,40 +148,8 @@ pub fn fit_block(vals: &[f64], nk: usize, nj: usize, ni: usize) -> BlockCoeffs {
     BlockFitter::new(nk, nj, ni).fit(vals)
 }
 
-/// Σ|v − prediction| over a non-empty block in row-major order, abandoned
-/// after the first row at which `stop(partial sum)` holds.
-fn sum_abs_error(
-    vals: &[f64],
-    nj: usize,
-    ni: usize,
-    coeffs: &BlockCoeffs,
-    mut stop: impl FnMut(f64) -> bool,
-) -> f64 {
-    let mut err = 0.0;
-    for (r, row_vals) in vals.chunks(ni).enumerate() {
-        let row = coeffs.row(r % nj, r / nj);
-        for (i, v) in row_vals.iter().enumerate() {
-            err += (v - row.at(i)).abs();
-        }
-        if stop(err) {
-            break;
-        }
-    }
-    err
-}
-
-/// Mean absolute prediction error of `coeffs` over a block.
-pub fn block_abs_error(vals: &[f64], nk: usize, nj: usize, ni: usize, coeffs: &BlockCoeffs) -> f64 {
-    debug_assert_eq!(vals.len(), nk * nj * ni);
-    if vals.is_empty() {
-        return 0.0;
-    }
-    sum_abs_error(vals, nj, ni, coeffs, |_| false) / vals.len() as f64
-}
-
-/// `block_abs_error(..) < limit`, decided without finishing the sum when
-/// it can no longer come out below: the terms are non-negative, so the
-/// running sum (and its quotient by the block size) only grows.
+/// Whether the mean absolute prediction error of `coeffs` over a block is
+/// below `limit`.
 pub fn block_abs_error_below(
     vals: &[f64],
     nk: usize,
@@ -171,13 +162,86 @@ pub fn block_abs_error_below(
     if vals.is_empty() {
         return 0.0 < limit;
     }
+    let [below] = abs_error_below_lanes(vals.as_chunks::<1>().0, nj, ni, &[*coeffs], &[limit]);
+    below
+}
+
+/// [`block_abs_error_below`] for `N` non-empty blocks of one extent at
+/// once, element `e` of block `l` at `vals[e][l]`, each with its fit and
+/// its limit. Every lane's Σ|v − prediction| takes its terms in row-major
+/// order; the sums are abandoned after the first row at which no block can
+/// come out below its limit any more: the terms are non-negative, so a
+/// running sum (and its quotient by the block size) only grows, and a
+/// block that was past its limit rows ago still is.
+pub fn abs_error_below_lanes<const N: usize>(
+    vals: &[[f64; N]],
+    nj: usize,
+    ni: usize,
+    coeffs: &[BlockCoeffs; N],
+    limit: &[f64; N],
+) -> [bool; N] {
     let n = vals.len() as f64;
-    sum_abs_error(vals, nj, ni, coeffs, |partial| partial / n >= limit) / n < limit
+    let c: [[f64; N]; 4] = std::array::from_fn(|t| std::array::from_fn(|l| coeffs[l].c[t] as f64));
+    let mut err = [0.0f64; N];
+    for (r, row_vals) in vals.chunks(ni).enumerate() {
+        let (fj, fk) = ((r % nj) as f64, (r / nj) as f64);
+        for (i, v) in row_vals.iter().enumerate() {
+            for l in 0..N {
+                // `RowPredictor::at`, term for term.
+                let pred = c[0][l] + c[1][l] * i as f64 + c[2][l] * fj + c[3][l] * fk;
+                err[l] += (v[l] - pred).abs();
+            }
+        }
+        if (0..N).all(|l| err[l] / n >= limit[l]) {
+            break;
+        }
+    }
+    std::array::from_fn(|l| err[l] / n < limit[l])
+}
+
+/// The fit one block at a time and one term after the other, as it was
+/// written before blocks were fitted side by side: the specification the
+/// lanes are tested against, here and by the block encoder's reference.
+#[cfg(test)]
+pub(crate) fn fit_block_reference(vals: &[f64], nk: usize, nj: usize, ni: usize) -> BlockCoeffs {
+    let fitter = BlockFitter::new(nk, nj, ni);
+    if vals.is_empty() {
+        return BlockCoeffs { c: [0.0; 4] };
+    }
+    let mean = vals.iter().sum::<f64>() / vals.len() as f64;
+    let [ci, cj, ck] = fitter.centroid;
+    let mut num = [0.0f64; 3];
+    let mut idx = 0;
+    for k in 0..nk {
+        for j in 0..nj {
+            for i in 0..ni {
+                let d = vals[idx] - mean;
+                num[0] += d * (i as f64 - ci);
+                num[1] += d * (j as f64 - cj);
+                num[2] += d * (k as f64 - ck);
+                idx += 1;
+            }
+        }
+    }
+    let slope = |axis: usize| if fitter.denom[axis] > 0.0 { num[axis] / fitter.denom[axis] } else { 0.0 };
+    let (b1, b2, b3) = (slope(0), slope(1), slope(2));
+    let b0 = mean - b1 * ci - b2 * cj - b3 * ck;
+    BlockCoeffs { c: [b0 as f32, b1 as f32, b2 as f32, b3 as f32] }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Mean absolute prediction error of `coeffs` over a block: the whole
+    /// sum, one term after the other.
+    fn block_abs_error(vals: &[f64], _nk: usize, nj: usize, ni: usize, coeffs: &BlockCoeffs) -> f64 {
+        let mut err = 0.0;
+        for (n, v) in vals.iter().enumerate() {
+            err += (v - coeffs.predict(n % ni, n / ni % nj, n / (ni * nj))).abs();
+        }
+        if vals.is_empty() { 0.0 } else { err / vals.len() as f64 }
+    }
 
     fn make_block<F: Fn(usize, usize, usize) -> f64>(
         nk: usize,
@@ -274,6 +338,41 @@ mod tests {
         }
         assert!(block_abs_error_below(&[], 0, 0, 0, &c, 1.0));
         assert!(!block_abs_error_below(&[], 0, 0, 0, &c, 0.0));
+    }
+
+    #[test]
+    fn lanes_are_the_per_block_fit_and_comparison() {
+        // Four blocks side by side: a curved one, a plane (error next to
+        // nothing), all -0.0 (the mean keeps the sign), one holding a NaN.
+        let blocks = [
+            make_block(6, 5, 4, |i, j, k| (i * i) as f64 - 0.3 * j as f64 + (k % 2) as f64),
+            make_block(6, 5, 4, |i, j, k| 1.5 + 0.1 * i as f64 - 0.7 * j as f64 + 2.3 * k as f64),
+            vec![-0.0; 120],
+            make_block(6, 5, 4, |i, j, k| if (i, j, k) == (2, 3, 1) { f64::NAN } else { 0.1 * i as f64 }),
+        ];
+        let vals: Vec<[f64; 4]> = (0..120).map(|e| blocks.each_ref().map(|block| block[e])).collect();
+        let fitter = BlockFitter::new(6, 5, 4);
+        let coeffs = fitter.fit_lanes(&vals);
+        let bits = |c: BlockCoeffs| c.c.map(f32::to_bits);
+        for (l, block) in blocks.iter().enumerate() {
+            let want = fit_block_reference(block, 6, 5, 4);
+            assert_eq!(bits(coeffs[l]), bits(want), "lane {l}");
+            assert_eq!(bits(fitter.fit(block)), bits(want), "block {l} on its own");
+        }
+        assert_eq!(coeffs[2].c[0].to_bits(), (-0.0f32).to_bits());
+        // Limits on both sides of each block's error, so the lanes stop
+        // at different rows, all of them early, or never.
+        let err = [0, 1, 2, 3].map(|l| block_abs_error(&blocks[l], 6, 5, 4, &coeffs[l]));
+        assert!(err[0] > 0.0 && err[1] > 0.0 && err[2] == 0.0 && err[3].is_nan(), "{err:?}");
+        for scale in [[0.0; 4], [0.5, 2.0, 1.0, 1.0], [2.0, 0.5, 1.0, 1.0], [1e-3; 4], [1e3; 4]] {
+            let limit = [0, 1, 2, 3].map(|l| if err[l] > 0.0 { err[l] * scale[l] } else { scale[l] });
+            let below = abs_error_below_lanes(&vals, 5, 4, &coeffs, &limit);
+            for l in 0..4 {
+                assert_eq!(below[l], err[l] < limit[l], "lane {l} at limit {}", limit[l]);
+                let alone = block_abs_error_below(&blocks[l], 6, 5, 4, &coeffs[l], limit[l]);
+                assert_eq!(alone, err[l] < limit[l], "block {l} on its own at limit {}", limit[l]);
+            }
+        }
     }
 
     #[test]

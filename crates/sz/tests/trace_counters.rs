@@ -1,8 +1,9 @@
 //! What a trace-on build records about the lossless back end: how large
 //! the Huffman table was and is, what the LZSS pass was given and made of
 //! it, whether its output was kept, and how large a compact alphabet the
-//! entropy stage built its tables over. One test function, so nothing else
-//! in this process touches the registry.
+//! entropy stage built its tables over; and how predict-quantize splits
+//! into choosing each block's predictor and quantizing. One test function,
+//! so nothing else in this process touches the registry.
 #![cfg(feature = "trace")]
 
 use lcpio_sz::trace;
@@ -36,6 +37,13 @@ fn lossless_back_end_counters_tell_kept_from_dropped() {
     let pack = report.span("sz.table.pack").expect("sz.table.pack span");
     assert_eq!((huffman.count, pack.count), (1, 1));
     assert!(pack.total_ns <= huffman.total_ns, "sz.table.pack lies inside sz.huffman");
+    // Predict-quantize is block selection plus quantization, one lap of
+    // each per row of blocks (2 × 8 of them here) inside the one span.
+    let span = |name: &str| report.span(name).unwrap_or_else(|| panic!("no {name} span"));
+    let (whole, select, quantize) = (span("sz.predict_quantize"), span("sz.select"), span("sz.quantize"));
+    assert_eq!((whole.count, select.count, quantize.count), (1, 16, 16));
+    assert!(select.total_ns > 0 && quantize.total_ns > 0);
+    assert!(select.total_ns + quantize.total_ns <= whole.total_ns, "both lie inside sz.predict_quantize");
 
     // A constant chunk: a table too short to pack, an LZSS pass that is kept.
     trace::reset();
@@ -45,6 +53,13 @@ fn lossless_back_end_counters_tell_kept_from_dropped() {
     assert_eq!((counter("sz.lossless.kept"), counter("sz.lossless.dropped")), (1, 0));
     assert_eq!(counter("sz.table.dense_bytes"), counter("sz.table.packed_bytes"));
     assert_eq!(counter("sz.lossless.bytes_out") + 13, out.bytes.len() as u64);
+
+    // Whole-array Lorenzo (rank 1) chooses nothing.
+    trace::reset();
+    compress_typed(&nyx.data[..n], &[n], &cfg).expect("compress");
+    let report = trace::snapshot();
+    assert!(report.span("sz.predict_quantize").is_some());
+    assert!(report.span("sz.select").is_none() && report.span("sz.quantize").is_none());
 
     // With the back end off, neither part runs.
     trace::reset();

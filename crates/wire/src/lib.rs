@@ -34,6 +34,8 @@
 //! wrap/unwrap bridges live in `lcpio-codec` (SZ/ZFP containers) and
 //! `lcpio-core` (LCS1 pipeline streams).
 
+#![forbid(unsafe_code)]
+
 pub mod envelope;
 pub mod stream;
 pub mod tlv;
