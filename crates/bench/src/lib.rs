@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # lcpio-bench — the paper's tables and figures, regenerated
 //!
 //! Each `cargo bench` target reproduces one artifact of the evaluation:

@@ -289,8 +289,8 @@ pub fn run_policy_sweep(cfg: &ExperimentConfig) -> Vec<PolicyRecord> {
             ..PolicyStudy::default()
         };
         let result = run_policy_study(&data, &study);
-        // Canonical records only: the measured wall-times would break the
-        // provenance manifest's rerun-determinism digest.
+        // Canonical records only: the measured wall-times would make two
+        // runs of one config differ.
         result.all().into_iter().map(|r| r.clone().canonical()).collect::<Vec<PolicyRecord>>()
     });
     per_chip.into_iter().flatten().collect()

@@ -43,7 +43,6 @@ pub mod par;
 pub mod pareto;
 pub mod pipeline;
 pub mod policy;
-pub mod provenance;
 pub mod readback;
 pub mod records;
 pub mod report;

@@ -6,11 +6,9 @@
 //! the scaled idle floor). The GF columns (SSE, RMSE, R²) come from
 //! [`lcpio_fit`].
 
-use crate::characteristics::CurveSeries;
 use crate::records::{CompressionRecord, TransitRecord};
 use crate::slicing::{CompressionSlice, TransitSlice};
 use lcpio_fit::powerlaw::{fit_power_law, PowerLawFit};
-use lcpio_powersim::Chip;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -106,16 +104,6 @@ pub fn hardware_dominates(table: &[ModelRow]) -> bool {
     bd < total && sk < total
 }
 
-/// Curve series for one fitted model (for Figure 5-style overlays).
-pub fn model_curve(fit: &PowerLawFit, chip: Chip, label: &str) -> CurveSeries {
-    let spec = chip.spec();
-    let points = spec
-        .ladder()
-        .map(|f| crate::characteristics::CurvePoint { f_ghz: f, mean: fit.eval(f), ci95: 0.0 })
-        .collect();
-    CurveSeries { label: label.to_string(), chip, points }
-}
-
 /// Convenience: fit tables straight from a sweep (used by benches).
 pub fn tables_from_sweep(
     compression: &[CompressionRecord],
@@ -123,9 +111,6 @@ pub fn tables_from_sweep(
 ) -> (Vec<ModelRow>, Vec<ModelRow>) {
     (compression_model_table(compression), transit_model_table(transit))
 }
-
-// Re-exported for table assembly elsewhere.
-pub use crate::characteristics::CurvePoint;
 
 #[cfg(test)]
 mod tests {
@@ -210,13 +195,5 @@ mod tests {
             let err = (bd.fit.eval(p.f_ghz) - p.mean).abs();
             assert!(err < 0.08, "f={} err={err}", p.f_ghz);
         }
-    }
-
-    #[test]
-    fn model_curve_spans_the_ladder() {
-        let (t4, _) = tables();
-        let c = model_curve(&row(&t4, "Broadwell").unwrap().fit, Chip::Broadwell, "model");
-        assert_eq!(c.points.len(), 25);
-        assert!((c.points[0].f_ghz - 0.8).abs() < 1e-9);
     }
 }

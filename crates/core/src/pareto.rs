@@ -29,11 +29,6 @@ impl FrequencyPoint {
     pub fn edp(&self) -> f64 {
         self.energy_j * self.runtime_s
     }
-
-    /// Energy-delay² product (J·s²), for latency-critical weighting.
-    pub fn ed2p(&self) -> f64 {
-        self.energy_j * self.runtime_s * self.runtime_s
-    }
 }
 
 /// Price a two-phase job at every ladder frequency, both phases pinned

@@ -243,6 +243,20 @@ pub fn is_stream_container(bytes: &[u8]) -> bool {
             && Envelope::parse(bytes).is_ok_and(|env| env.container == STREAM_MAGIC)
 }
 
+/// One-line description of the container `bytes` hold: the streaming
+/// container in either layout, else whatever the codec registry recognizes
+/// (a codec container, bare or `LCW1`-wrapped). `None` for an unknown
+/// magic or fewer than 4 bytes.
+pub fn describe(bytes: &[u8]) -> Option<&'static str> {
+    if bytes.starts_with(&STREAM_MAGIC) {
+        Some("streaming pipeline container (LCS1)")
+    } else if is_stream_container(bytes) {
+        Some("LCW1 wire envelope (LCS1 streaming container)")
+    } else {
+        lcpio_codec::registry().describe(bytes)
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Positioned scan
 // ---------------------------------------------------------------------------

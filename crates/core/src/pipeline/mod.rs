@@ -14,8 +14,10 @@
 //!
 //! * `format` — the self-describing `LCS1` container, in its legacy
 //!   layout and as an `LCW1` wire envelope: header and frame encoding, the
-//!   positioned scan ([`scan_stream`]), the push framer, and every check a
-//!   header or frame must pass. Nothing else knows the byte layout.
+//!   positioned scan ([`scan_stream`]), the push framer, every check a
+//!   header or frame must pass, and the one-line [`describe`] that
+//!   `lcpio-cli info` and `serve`'s `INFO` print. Nothing else knows the
+//!   byte layout.
 //! * `stage` — the one ordered two-stage driver (producers → bounded
 //!   reorder window → in-order workers → ordered commit) and the one
 //!   bounded-retry helper. Write, restart and streamed restart are three
@@ -60,7 +62,7 @@ mod restart;
 mod stage;
 mod write;
 
-pub use format::{is_stream_container, scan_stream, StreamLayout, STREAM_MAGIC};
+pub use format::{describe, is_stream_container, scan_stream, StreamLayout, STREAM_MAGIC};
 pub use model::{
     overlap, overlap_makespan, sample_chunks, stretch, PhaseCost, PhaseOrder, TwoPhaseWork,
 };

@@ -6,8 +6,8 @@
 //! candidate *arm* (codec × DVFS frequency) from a small sampled
 //! compression of the chunk, then picks the minimum-energy arm whose
 //! runtime stays within a throughput budget — the online controller
-//! ROADMAP item 4 asks for, wrapping [`crate::pareto`] and
-//! [`lcpio_powersim::dvfs`].
+//! ROADMAP item 4 asks for, wrapping [`crate::pareto`] and the chip's
+//! P-state ladder ([`lcpio_powersim::CpuSpec::snap`]).
 //!
 //! Arm costing: a contiguous sample window of the chunk is compressed
 //! with each codec; the sampled [`lcpio_codec::CodecStats`], scaled to
@@ -31,11 +31,12 @@
 use crate::pareto::{energy_optimal, frequency_profile, FrequencyPoint};
 use crate::pipeline::TwoPhaseWork;
 use crate::records::Compressor;
+use crate::tuning::TuningRule;
 use crate::workmap::CostModel;
 use lcpio_codec::policy::{sample_stats, ChunkPlan, ChunkPolicy, CodecId, FixedPolicy, HeuristicPolicy};
 use lcpio_codec::{BoundSpec, CodecStats};
 use lcpio_datagen::Dataset;
-use lcpio_powersim::{Chip, CpuFreqController, Machine};
+use lcpio_powersim::{Chip, Machine};
 use serde::{Deserialize, Serialize};
 
 /// Which chunk policy a pipeline run uses. The CLI's `--policy` flag and
@@ -46,7 +47,7 @@ pub enum PolicyKind {
     /// Legacy behaviour: one codec, one bound, every chunk (default).
     Fixed,
     /// Content routing by smoothness × SZ predictor hit ratio, at the
-    /// paper's Eqn-3 frequency (0.875 · f_max).
+    /// paper's Eqn-3 compression clock ([`TuningRule::PAPER`]).
     Heuristic,
     /// Pareto arm costing: minimum-energy codec × frequency per chunk
     /// under a throughput budget.
@@ -115,9 +116,9 @@ struct ArmChoice {
 /// The energy-aware policy: per chunk, predict ratio and joules for each
 /// candidate codec from a sampled compression, evaluate compress + write
 /// energy across the DVFS ladder, and pick the minimum-energy arm whose
-/// runtime fits the throughput budget. Frequencies are pinned through
-/// [`CpuFreqController`] (userspace governor), so every plan frequency
-/// lies on the chip's P-state grid.
+/// runtime fits the throughput budget. Frequencies are snapped with
+/// [`lcpio_powersim::CpuSpec::snap`], so every plan frequency lies on the
+/// chip's P-state grid.
 #[derive(Debug, Clone)]
 pub struct ParetoAdaptive {
     machine: Machine,
@@ -139,12 +140,6 @@ impl ParetoAdaptive {
             slack: DEFAULT_SLACK,
             sample_window: DEFAULT_SAMPLE_WINDOW,
         }
-    }
-
-    /// Override the throughput budget multiplier.
-    pub fn with_slack(mut self, slack: f64) -> Self {
-        self.slack = slack;
-        self
     }
 
     /// Ladder-wide (runtime, energy) points for one codec arm on one
@@ -207,12 +202,11 @@ impl ChunkPolicy for ParetoAdaptive {
 
     fn plan(&self, chunk: &[f32], _seq: usize) -> ChunkPlan {
         match self.choose(chunk) {
-            Some(arm) => {
-                let mut ctl = CpuFreqController::new(self.machine.cpu);
-                let f_ghz =
-                    ctl.set_frequency(arm.point.f_ghz).unwrap_or(self.machine.cpu.f_max_ghz);
-                ChunkPlan { codec: arm.codec, bound: self.bound, f_ghz }
-            }
+            Some(arm) => ChunkPlan {
+                codec: arm.codec,
+                bound: self.bound,
+                f_ghz: self.machine.cpu.snap(arm.point.f_ghz),
+            },
             // No codec can price the chunk (empty, or the bound is
             // rejected by every arm's sampler): fall back to the legacy
             // behaviour at f_max.
@@ -244,7 +238,7 @@ pub fn codec_id_of(compressor: Compressor) -> CodecId {
 ///
 /// * `Fixed` — the configured codec at f_max (legacy behaviour).
 /// * `Heuristic` — content routing, pinned at the paper's Eqn-3
-///   frequency `0.875 · f_max` via [`CpuFreqController::set_relative`].
+///   compression clock ([`TuningRule::clocks`] of [`TuningRule::PAPER`]).
 /// * `Adaptive` — [`ParetoAdaptive`] arm costing.
 pub fn build_policy(
     kind: PolicyKind,
@@ -259,9 +253,7 @@ pub fn build_policy(
             Box::new(FixedPolicy::new(codec_id_of(compressor), bound, spec.f_max_ghz))
         }
         PolicyKind::Heuristic => {
-            let mut ctl = CpuFreqController::new(spec);
-            let f = ctl.set_relative(0.875).unwrap_or(spec.f_max_ghz);
-            Box::new(HeuristicPolicy::new(bound, f))
+            Box::new(HeuristicPolicy::new(bound, TuningRule::PAPER.clocks(&spec).0))
         }
         PolicyKind::Adaptive => Box::new(ParetoAdaptive::new(chip, bound, cost_model)),
     }
@@ -338,9 +330,8 @@ impl PolicyRecord {
     /// The record with its measured wall-times zeroed. Everything else in
     /// a [`PolicyRecord`] is modelled from deterministic compressions, but
     /// `plan_s`/`compress_s` are `Instant`-measured and vary run to run —
-    /// sweep artifacts that must digest identically on re-runs (the
-    /// provenance manifest) store the canonical form and keep wall-times
-    /// only in live study output.
+    /// sweep artifacts that must compare equal across re-runs store the
+    /// canonical form and keep wall-times only in live study output.
     pub fn canonical(mut self) -> PolicyRecord {
         self.plan_s = 0.0;
         self.compress_s = 0.0;
@@ -580,6 +571,25 @@ mod tests {
         for chunk in [&[][..], &[f32::NAN; 32][..], &[1.0f32; 32][..]] {
             let p = pol.plan(chunk, 0);
             assert!(p.f_ghz.is_finite());
+        }
+    }
+
+    #[test]
+    fn plan_frequencies_are_the_eqn3_clock_and_the_chosen_ladder_point() {
+        let data = interleaved_cesm_hacc(4096, 4, 11);
+        for chip in [Chip::Broadwell, Chip::Skylake, Chip::EpycLike] {
+            let spec = Machine::for_chip(chip).cpu;
+            let (bound, cost) = (BoundSpec::Absolute(1e-3), CostModel::default());
+            let heuristic = build_policy(PolicyKind::Heuristic, Compressor::Sz, bound, chip, cost);
+            let adaptive = ParetoAdaptive::new(chip, bound, cost);
+            let eqn3 = TuningRule::PAPER.clocks(&spec).0;
+            for (i, chunk) in data.chunks(4096).enumerate() {
+                assert_eq!(heuristic.plan(chunk, i).f_ghz.to_bits(), eqn3.to_bits(), "{chip:?}");
+                let arm = adaptive.choose(chunk).expect("an arm prices");
+                let f = adaptive.plan(chunk, i).f_ghz;
+                assert_eq!(f.to_bits(), arm.point.f_ghz.to_bits(), "{chip:?} chunk {i}");
+                assert!(spec.ladder().any(|l| l.to_bits() == f.to_bits()), "{chip:?}: {f}");
+            }
         }
     }
 

@@ -180,6 +180,25 @@ mod tests {
     }
 
     #[test]
+    fn paper_rule_clocks_per_chip() {
+        // Eqn 3 as P-states: 0.875·f_max and 0.85·f_max snapped onto each
+        // chip's 50 MHz ladder, pinned to the bit (1.7000000000000002 is
+        // the ladder's own 1.70, `0.8 + 18·0.05`). Skylake's 1.925 and the
+        // EPYC-like part's 2.275 sit on a half step and round to either
+        // side by the last bit of `(f − f_min) / step`.
+        use lcpio_powersim::Chip;
+        for (chip, want) in [
+            (Chip::Broadwell, (1.75f64, 1.7000000000000002f64)),
+            (Chip::Skylake, (1.9500000000000002, 1.85)),
+            (Chip::EpycLike, (2.25, 2.2)),
+        ] {
+            let got = TuningRule::PAPER.clocks(&chip.spec());
+            assert_eq!(got.0.to_bits(), want.0.to_bits(), "{chip:?} compression: {got:?}");
+            assert_eq!(got.1.to_bits(), want.1.to_bits(), "{chip:?} writing: {got:?}");
+        }
+    }
+
+    #[test]
     fn compression_savings_match_paper_band() {
         // Paper §V-A1: ≈19.4% power savings (13% by its own fitted model);
         // accept a 10–25% reproduction band.

@@ -31,11 +31,6 @@ impl Dims {
         Dims { extents: [nz, ny, nx, 1], rank: 3 }
     }
 
-    /// 4-D dims.
-    pub fn d4(nw: usize, nz: usize, ny: usize, nx: usize) -> Self {
-        Dims { extents: [nw, nz, ny, nx], rank: 4 }
-    }
-
     /// Build from a slice of extents (1..=4 entries, all nonzero).
     pub fn from_slice(dims: &[usize]) -> Option<Self> {
         if dims.is_empty() || dims.len() > 4 || dims.contains(&0) {

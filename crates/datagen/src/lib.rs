@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # lcpio-datagen — synthetic scientific datasets
 //!
 //! The paper compresses four SDRBench datasets (Table I plus the

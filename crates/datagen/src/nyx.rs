@@ -9,9 +9,6 @@
 use crate::field::{Dims, Field};
 use crate::spectral::{SpectralField, SpectralParams};
 
-/// Full-size cube side from Table I.
-pub const FULL_SIDE: usize = 512;
-
 /// Generate a NYX-like `velocity_x` cube with side `side`.
 pub fn generate_scaled(side: usize, seed: u64) -> Field {
     velocity_x(side.max(8), seed)

@@ -107,18 +107,6 @@ impl SpectralField {
         (0..n).map(|i| self.eval(i as f64 / n as f64, 0.0, 0.0)).collect()
     }
 
-    /// Fill a row-major 2-D array.
-    pub fn sample_2d(&self, ny: usize, nx: usize) -> Vec<f32> {
-        let mut out = Vec::with_capacity(ny * nx);
-        for j in 0..ny {
-            let y = j as f64 / ny as f64;
-            for i in 0..nx {
-                out.push(self.eval(i as f64 / nx as f64, y, 0.0));
-            }
-        }
-        out
-    }
-
     /// Fill a row-major 3-D array (z slowest).
     pub fn sample_3d(&self, nz: usize, ny: usize, nx: usize) -> Vec<f32> {
         let mut out = Vec::with_capacity(nz * ny * nx);
@@ -159,7 +147,7 @@ mod tests {
     #[test]
     fn sigma_controls_variance() {
         let p = SpectralParams { sigma: 3.0, ..Default::default() };
-        let xs = SpectralField::new(p, 5).sample_2d(64, 64);
+        let xs = SpectralField::new(p, 5).sample_3d(1, 64, 64);
         let s = var(&xs).sqrt();
         // Spatial variance of a finite sample deviates from the ensemble
         // value; accept a generous band.

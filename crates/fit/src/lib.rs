@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # lcpio-fit — non-linear least squares for power models
 //!
 //! The paper fits `P(f) = a·f^b + c` (its Eqn 2) to measured power-vs-

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Deterministic mutation fuzzing of the decode surfaces.
 //!
 //! No external fuzzing engine: a seeded xorshift RNG mutates a corpus of

@@ -1,21 +1,22 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # lcpio-powersim — CPU power/DVFS/energy simulator
 //!
 //! The paper's measurements require CloudLab m510 (Broadwell) and c220g5
 //! (Skylake) nodes with RAPL counters, `cpufreq-set` access, and an NFS
 //! mount on 10 GbE — none of which exist in a development sandbox. This
-//! crate provides the simulated equivalent of that test bench:
+//! crate models that test bench instead: energy comes from the model, not
+//! from a counter, and a clock request is [`CpuSpec::snap`]ped onto the
+//! P-state grid the way `cpufreq-set` picks the nearest supported state.
 //!
 //! * [`cpu`] — per-chip specifications with calibrated voltage–frequency
 //!   curves (Broadwell's steady ramp vs Skylake's flat-then-knee, which
 //!   drive the paper's fitted exponents of ≈5 vs ≈23);
-//! * [`dvfs`] — a `cpufreq-set`-style frequency controller;
 //! * [`workload`] — frequency-independent work profiles (compute cycles,
 //!   memory traffic, I/O bytes);
 //! * [`energy`] — the three-phase runtime/energy model that produces the
 //!   critical power slope;
 //! * [`nfs`] — the single-core NFS write path over 10 GbE;
-//! * [`rapl`] — monotone, thread-safe energy counters;
 //! * [`perf`] — a `perf stat`-style harness with per-repetition Gaussian
 //!   noise and 95% confidence intervals.
 //!
@@ -32,21 +33,17 @@
 //! ```
 
 pub mod cpu;
-pub mod dvfs;
 pub mod energy;
 pub mod multicore;
 pub mod nfs;
 pub mod perf;
-pub mod rapl;
 pub mod workload;
 
 pub use cpu::{Chip, CpuSpec, FrequencyLadder, VfCurve};
-pub use dvfs::{CpuFreqController, DvfsError, Governor};
 pub use energy::{simulate, Machine, Measurement};
 pub use multicore::NodeSpec;
 pub use nfs::NfsSpec;
 pub use perf::{Perf, PerfStat, DEFAULT_NOISE_SIGMA};
-pub use rapl::{Domain, EnergyInterval, EnergyMeter};
 pub use workload::WorkProfile;
 
 #[cfg(test)]

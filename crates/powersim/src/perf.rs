@@ -4,11 +4,10 @@
 //! each configuration 10 times, averaging the results. [`Perf`] mirrors
 //! that: it runs the energy model, injects multiplicative Gaussian
 //! measurement noise per repetition (RAPL reads, scheduling jitter, DRAM
-//! traffic variation), accumulates the RAPL-like meter, and reports means
-//! with a 95% confidence interval — the shaded bands of Figures 1–4.
+//! traffic variation), and reports means with a 95% confidence interval —
+//! the shaded bands of Figures 1–4.
 
 use crate::energy::{simulate, Machine, Measurement};
-use crate::rapl::{Domain, EnergyMeter};
 use crate::workload::WorkProfile;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -41,7 +40,6 @@ pub struct PerfStat {
 pub struct Perf {
     rng: SmallRng,
     sigma: f64,
-    meter: EnergyMeter,
 }
 
 impl Perf {
@@ -53,12 +51,7 @@ impl Perf {
     /// New harness with an explicit noise σ (0 disables noise).
     pub fn with_sigma(seed: u64, sigma: f64) -> Self {
         assert!((0.0..0.5).contains(&sigma), "noise sigma out of range");
-        Perf { rng: SmallRng::seed_from_u64(seed), sigma, meter: EnergyMeter::new() }
-    }
-
-    /// The shared RAPL-like meter fed by this harness.
-    pub fn meter(&self) -> &EnergyMeter {
-        &self.meter
+        Perf { rng: SmallRng::seed_from_u64(seed), sigma }
     }
 
     /// Standard-normal sample via Box–Muller.
@@ -75,7 +68,6 @@ impl Perf {
         let t_noise = 1.0 + self.sigma * self.gauss();
         let energy_j = ideal.energy_j * e_noise.max(0.1);
         let runtime_s = ideal.runtime_s * t_noise.max(0.1);
-        self.meter.add(Domain::Package, energy_j);
         Measurement {
             energy_j,
             runtime_s,
@@ -161,15 +153,6 @@ mod tests {
         assert_eq!(a, b);
         let c = Perf::new(8).measure(&m, 1.0, &profile(), 10);
         assert_ne!(a.energy_j, c.energy_j);
-    }
-
-    #[test]
-    fn meter_accumulates_every_rep() {
-        let m = Machine::new(Chip::Broadwell.spec());
-        let mut perf = Perf::with_sigma(1, 0.0);
-        let stat = perf.measure(&m, 1.0, &profile(), 10);
-        let pkg = perf.meter().read(Domain::Package);
-        assert!((pkg - stat.energy_j * 10.0).abs() < 1e-6);
     }
 
     #[test]

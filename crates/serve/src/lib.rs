@@ -48,6 +48,4 @@ pub mod server;
 pub use client::{Client, ClientError, CompressOptions};
 pub use driver::{drive, WorkloadConfig, WorkloadReport};
 pub use protocol::{Op, ProtoError, Request, Response};
-pub use server::{
-    plan_and_compress, Endpoint, FaultPlan, ServeConfig, Server, ServerHandle, StatsSnapshot,
-};
+pub use server::{plan_and_compress, Endpoint, FaultPlan, ServeConfig, Server, StatsSnapshot};

@@ -426,11 +426,6 @@ impl Server {
         self.shared.initiate_shutdown();
     }
 
-    /// A detached handle that can trigger shutdown from another thread.
-    pub fn handle(&self) -> ServerHandle {
-        ServerHandle { shared: Arc::clone(&self.shared) }
-    }
-
     /// Current service counters.
     pub fn stats(&self) -> StatsSnapshot {
         let c = &self.shared.counters;
@@ -450,7 +445,7 @@ impl Server {
     }
 
     /// Block until the server has fully drained (shutdown initiated by
-    /// [`Server::shutdown`], a [`ServerHandle`], or a client `SHUTDOWN`
+    /// [`Server::shutdown`] or a client `SHUTDOWN`
     /// request; listener stopped; every queued request answered; all
     /// threads joined), then remove the Unix socket file. Returns the
     /// final counters.
@@ -476,20 +471,6 @@ impl Drop for Server {
         if let Some(path) = self.unix_path.take() {
             let _ = std::fs::remove_file(path);
         }
-    }
-}
-
-/// Shutdown trigger detached from the [`Server`]'s lifetime, safe to move
-/// into another thread.
-#[derive(Clone)]
-pub struct ServerHandle {
-    shared: Arc<Shared>,
-}
-
-impl ServerHandle {
-    /// Begin a graceful drain (see [`Server::shutdown`]).
-    pub fn shutdown(&self) {
-        self.shared.initiate_shutdown();
     }
 }
 
@@ -873,27 +854,19 @@ fn execute_decompress(cfg: &ServeConfig, sz: &SzCodec, zfp: &ZfpCodec, req: &Req
 fn execute_info(req: &Request) -> Response {
     let _span = trace::span("serve.info");
     let bytes = &req.payload;
-    let description = if bytes.len() < 4 {
+    if bytes.len() < 4 {
         return Response::of_status(
             req.id,
             protocol::status::BAD_REQUEST,
             "container too short (need at least a 4-byte magic)",
         );
-    } else if bytes[..4] == lcpio_core::pipeline::STREAM_MAGIC {
-        "streaming pipeline container (LCS1)".to_string()
-    } else if is_stream_container(bytes) {
-        "LCW1 wire envelope (LCS1 streaming container)".to_string()
-    } else {
-        match registry().describe(bytes) {
-            Some(d) => d.to_string(),
-            None => {
-                return Response::of_status(
-                    req.id,
-                    protocol::status::BAD_REQUEST,
-                    "unrecognized container magic",
-                )
-            }
-        }
+    }
+    let Some(description) = lcpio_core::pipeline::describe(bytes) else {
+        return Response::of_status(
+            req.id,
+            protocol::status::BAD_REQUEST,
+            "unrecognized container magic",
+        );
     };
     let mut resp = Response::of_status(req.id, protocol::status::OK, String::new());
     resp.message = format!("{description}, {} bytes", bytes.len());

@@ -114,12 +114,6 @@ impl BitWriter {
         (self.acc, self.nbits) = (acc, nbits as u8);
     }
 
-    /// Append a whole little-endian u32 (used for literal floats).
-    #[inline]
-    pub fn push_u32(&mut self, v: u32) {
-        self.push_bits(v as u64, 32);
-    }
-
     /// Number of bits written so far.
     pub fn bit_len(&self) -> usize {
         self.buf.len() * 8 + self.nbits as usize
@@ -277,12 +271,6 @@ impl<'a> BitReader<'a> {
         Ok((hi << 32) | lo)
     }
 
-    /// Next 32 bits as a u32.
-    #[inline]
-    pub fn read_u32(&mut self) -> Result<u32, BitStreamExhausted> {
-        Ok(self.read_bits(32)? as u32)
-    }
-
     /// Peek up to `n ≤ 56` bits without consuming them. Returns the bits
     /// MSB-first in the low `n` positions (zero-padded past the end of the
     /// stream) plus the number of bits actually available.
@@ -403,13 +391,13 @@ mod tests {
         w.push_bits(0b101, 3);
         w.push_bits(0xDEAD, 16);
         w.push_bits(1, 1);
-        w.push_u32(0xCAFEBABE);
+        w.push_bits(0xCAFEBABE, 32);
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.read_bits(3).unwrap(), 0b101);
         assert_eq!(r.read_bits(16).unwrap(), 0xDEAD);
         assert!(r.read_bit().unwrap());
-        assert_eq!(r.read_u32().unwrap(), 0xCAFEBABE);
+        assert_eq!(r.read_bits(32).unwrap(), 0xCAFEBABE);
     }
 
     #[test]

@@ -384,12 +384,6 @@ impl HuffmanEncoder {
         }
         Ok(())
     }
-
-    /// Total encoded length in bits for a histogram (entropy-cost estimate).
-    pub fn encoded_bits(&self, freqs: &[u64]) -> u64 {
-        let bits = |(sym, &f): (usize, &u64)| self.code(sym as u32).map_or(0, |(_, l)| f * l as u64);
-        freqs.iter().enumerate().map(bits).sum()
-    }
 }
 
 /// Width of the primary decode table: one lookup of this many window bits
@@ -1022,7 +1016,7 @@ mod tests {
         let enc = HuffmanEncoder::from_freqs(&freqs).unwrap();
         let lens = enc.lengths();
         assert_eq!(lens[0], 1, "dominant symbol should get a 1-bit code");
-        let bits = enc.encoded_bits(&freqs);
+        let bits: u64 = freqs.iter().zip(&lens).map(|(&f, &l)| f * l as u64).sum();
         let flat = 2 * freqs.iter().sum::<u64>();
         assert!(bits < flat, "huffman {bits} bits vs flat {flat}");
     }

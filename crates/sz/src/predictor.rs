@@ -20,30 +20,6 @@ pub fn lorenzo_1d(recon: &[f64], i: usize) -> f64 {
     }
 }
 
-/// Order-2 1-D prediction: linear extrapolation `2·r[i−1] − r[i−2]`.
-#[inline]
-pub fn lorenzo_1d_o2(recon: &[f64], i: usize) -> f64 {
-    match i {
-        0 => 0.0,
-        1 => recon[0],
-        _ => 2.0 * recon[i - 1] - recon[i - 2],
-    }
-}
-
-/// 2-D Lorenzo prediction at row-major position (j, i) in an ny×nx grid.
-#[inline]
-pub fn lorenzo_2d(recon: &[f64], nx: usize, j: usize, i: usize) -> f64 {
-    let at = |jj: isize, ii: isize| -> f64 {
-        if jj < 0 || ii < 0 {
-            0.0
-        } else {
-            recon[jj as usize * nx + ii as usize]
-        }
-    };
-    let (j, i) = (j as isize, i as isize);
-    at(j, i - 1) + at(j - 1, i) - at(j - 1, i - 1)
-}
-
 /// 3-D Lorenzo prediction at (k, j, i) in an nz×ny×nx grid.
 #[inline]
 pub fn lorenzo_3d(recon: &[f64], ny: usize, nx: usize, k: usize, j: usize, i: usize) -> f64 {
@@ -135,34 +111,6 @@ mod tests {
         assert_eq!(lorenzo_1d(&r, 0), 0.0);
         assert_eq!(lorenzo_1d(&r, 1), 3.0);
         assert_eq!(lorenzo_1d(&r, 2), 5.0);
-    }
-
-    #[test]
-    fn lorenzo_1d_o2_extrapolates_lines_exactly() {
-        // r(i) = 2i + 1; prediction at i≥2 must be exact.
-        let r: Vec<f64> = (0..10).map(|i| 2.0 * i as f64 + 1.0).collect();
-        for i in 2..10 {
-            assert_eq!(lorenzo_1d_o2(&r, i), r[i]);
-        }
-    }
-
-    #[test]
-    fn lorenzo_2d_exact_on_planes() {
-        // v(j,i) = 3j + 2i + 1 is degree-1, so 2-D Lorenzo is exact away
-        // from the borders.
-        let (ny, nx) = (6, 7);
-        let mut r = vec![0.0; ny * nx];
-        for j in 0..ny {
-            for i in 0..nx {
-                r[j * nx + i] = 3.0 * j as f64 + 2.0 * i as f64 + 1.0;
-            }
-        }
-        for j in 1..ny {
-            for i in 1..nx {
-                let p = lorenzo_2d(&r, nx, j, i);
-                assert!((p - r[j * nx + i]).abs() < 1e-12, "({j},{i}) p={p}");
-            }
-        }
     }
 
     #[test]

@@ -80,11 +80,6 @@ impl Quantizer {
         2 * self.radius as usize + 1
     }
 
-    /// Symbol that encodes a zero residual.
-    pub fn zero_symbol(&self) -> u32 {
-        self.radius
-    }
-
     /// Quantize `actual - predicted`.
     #[inline]
     pub fn quantize(&self, predicted: f64, actual: f64) -> Quantized {
@@ -200,7 +195,7 @@ mod tests {
     fn zero_residual_gets_zero_symbol() {
         let q = Quantizer::new(1e-3, 512);
         match q.quantize(5.0, 5.0) {
-            Quantized::Code(c) => assert_eq!(c, q.zero_symbol()),
+            Quantized::Code(c) => assert_eq!(c, q.radius()),
             _ => panic!("zero residual must be predictable"),
         }
     }

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # lcpio-trace — stage-level observability for the compressed-I/O pipeline
 //!
 //! The paper attributes energy and runtime to pipeline *phases*

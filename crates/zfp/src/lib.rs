@@ -100,20 +100,6 @@ impl ZfpMode {
     }
 }
 
-/// Top-level configuration wrapper (the paper always uses fixed accuracy).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ZfpConfig {
-    /// Rate-control mode.
-    pub mode: ZfpMode,
-}
-
-impl ZfpConfig {
-    /// Fixed-accuracy configuration with the given tolerance.
-    pub fn fixed_accuracy(tol: f64) -> Self {
-        ZfpConfig { mode: ZfpMode::FixedAccuracy(tol) }
-    }
-}
-
 /// Statistics from one compression run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ZfpStats {

@@ -1072,14 +1072,8 @@ fn describe(bytes: &[u8]) -> String {
     }
     let kind = if bytes[..4] == FIELD_MAGIC {
         "raw field container"
-    } else if bytes[..4] == lcpio_core::pipeline::STREAM_MAGIC {
-        "streaming pipeline container (LCS1)"
-    } else if is_stream_container(bytes) {
-        "LCW1 wire envelope (LCS1 streaming container)"
     } else {
-        // Codec containers, including their `LCW1`-wrapped form: the
-        // registry resolves a wire envelope to its inner codec.
-        registry().describe(bytes).unwrap_or("unrecognized")
+        lcpio_core::pipeline::describe(bytes).unwrap_or("unrecognized")
     };
     format!("{kind}, {} bytes", bytes.len())
 }

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # lcpio — Lossy Compressed Power-aware I/O
 //!
 //! Umbrella crate for the reproduction of *"Modeling Power Consumption of
@@ -17,8 +18,8 @@
 //! * [`datagen`] — synthetic scientific data generators mirroring the
 //!   SDRBench datasets used by the paper (CESM-ATM, HACC, NYX,
 //!   Hurricane-ISABEL).
-//! * [`powersim`] — CPU power/DVFS/energy simulator with RAPL-like counters
-//!   and an NFS write-path model.
+//! * [`powersim`] — CPU power/DVFS/energy simulator: calibrated V–f
+//!   curves, P-state snapping, and an NFS write-path model.
 //! * [`fit`] — Levenberg–Marquardt non-linear least squares used to fit the
 //!   paper's `P(f) = a·f^b + c` power models.
 //! * [`core`] — the paper's contribution: the experiment pipeline, fitted
@@ -67,5 +68,4 @@ pub mod prelude {
     pub use lcpio_fit::{powerlaw::PowerLawFit, GoodnessOfFit};
     pub use lcpio_powersim::{Chip, CpuSpec, FrequencyLadder};
     pub use lcpio_sz::{ErrorBound, SzConfig};
-    pub use lcpio_zfp::ZfpConfig;
 }

@@ -1,7 +1,8 @@
 //! Enforces the codec-abstraction boundary: outside the backend crates and
 //! their adapters, nothing may call `sz::compress*` / `zfp::compress*`
 //! directly — all compression dispatches through `lcpio_codec::registry()`.
-//! Also pins the README's supported-container table to the registry.
+//! Also pins the README's supported-container table to the registry, and
+//! keeps `unsafe` confined to the one crate DESIGN §8 names.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -119,5 +120,39 @@ fn readme_container_table_matches_registry() {
         readme.contains(&table),
         "README.md's supported-container table is out of sync with \
          CodecRegistry::list(); paste this verbatim:\n{table}"
+    );
+}
+
+/// The one crate root allowed to omit `#![forbid(unsafe_code)]`: the AVX2
+/// bit transpose in `crates/zfp/src/coder.rs` is the workspace's only
+/// `unsafe` (DESIGN §8).
+const UNSAFE_CRATE: &str = "crates/zfp/src/lib.rs";
+
+#[test]
+fn every_crate_root_but_zfp_forbids_unsafe() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let mut roots = vec![root.join("src/lib.rs")];
+    for entry in fs::read_dir(root.join("crates")).expect("crates dir") {
+        let lib = entry.expect("dir entry").path().join("src/lib.rs");
+        if lib.is_file() {
+            roots.push(lib);
+        }
+    }
+    assert!(roots.len() > 10, "walker found only {} crate roots", roots.len());
+
+    let mut missing = Vec::new();
+    for lib in &roots {
+        let rel = lib.strip_prefix(&root).expect("under root");
+        let rel = rel.to_string_lossy().replace('\\', "/");
+        let src = fs::read_to_string(lib).expect("readable crate root");
+        let forbids = src.lines().any(|l| l.trim() == "#![forbid(unsafe_code)]");
+        if rel != UNSAFE_CRATE && !forbids {
+            missing.push(rel);
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "crate roots without `#![forbid(unsafe_code)]`: {}",
+        missing.join(", ")
     );
 }

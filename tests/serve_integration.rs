@@ -138,3 +138,54 @@ fn mixed_workload_over_unix_socket_completes_cleanly() {
     assert_eq!(stats.compress + stats.decompress + stats.info, 30, "op mix accounting");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn info_op_and_cli_info_print_the_same_line_for_every_container_form() {
+    use lcpio::codec::registry;
+    use lcpio::core::pipeline::{run_sequential, PipelineConfig, VecSink};
+
+    let dir = scratch_dir("info");
+    let server = Server::bind(&Endpoint::Unix(dir.join("serve.sock")), ServeConfig::default())
+        .expect("bind unix");
+    let mut client = Client::connect(server.endpoint()).expect("connect");
+
+    let data: Vec<f32> = (0..8192).map(|i| (i as f32 * 0.01).sin()).collect();
+    let dims = [data.len()];
+    let bound = BoundSpec::Absolute(1e-3);
+    let codec = |name: &str| registry().by_name(name).expect("registered");
+    let serial = |name: &str| codec(name).compress(&data, &dims, bound).expect("compress").bytes;
+    let szlp = codec("sz").compress_chunked(&data, &dims, bound, 2).expect("chunked").bytes;
+    let stream = |wire_format| {
+        let cfg = PipelineConfig { chunk_elements: 2048, wire_format, ..PipelineConfig::default() };
+        let mut sink = VecSink::default();
+        run_sequential(&data, &cfg, &mut sink).expect("pipeline");
+        sink.bytes
+    };
+    let containers: [(&str, &[u8; 4], Vec<u8>); 6] = [
+        ("szl1", b"SZL1", serial("sz")),
+        ("zfl1", b"ZFL1", serial("zfp")),
+        ("szlp", b"SZLP", szlp.clone()),
+        ("szlp-wire", b"LCW1", lcpio::codec::wire::wrap(&szlp).expect("wrap")),
+        ("lcs1", b"LCS1", stream(false)),
+        ("lcs1-wire", b"LCW1", stream(true)),
+    ];
+
+    for (name, magic, bytes) in &containers {
+        assert_eq!(&bytes[..4], &magic[..], "{name}: container form under test");
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).expect("write container");
+        let mut cli_out = Vec::new();
+        cli::run(cli::Command::Info { input: path }, &mut cli_out).expect("cli info");
+        let cli_line = String::from_utf8(cli_out).expect("utf8");
+
+        let resp = client.info(bytes).expect("info over socket");
+        assert!(resp.is_ok(), "{name}: {}", resp.message);
+        assert_eq!(cli_line.trim_end(), resp.message, "{name}: CLI and INFO disagree");
+    }
+
+    server.shutdown();
+    let stats = server.wait();
+    assert_eq!(stats.info, containers.len() as u64);
+    assert_eq!(stats.errors, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
