@@ -32,9 +32,11 @@ fn main() {
         r.tuned.runtime_s
     );
     println!(
-        "dump share of job energy: {:.1}%   whole-job savings: {:.2}%   runtime cost: {:.2}%",
+        "dump share of job energy: {:.1}%   whole-job savings: {:.2}%   runtime cost: {:.2}% \
+         ({:.2}% with overlapped dumps)",
         r.dump_share() * 100.0,
         r.savings() * 100.0,
-        r.runtime_increase() * 100.0
+        r.runtime_increase() * 100.0,
+        r.overlapped_runtime_increase() * 100.0
     );
 }

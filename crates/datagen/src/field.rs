@@ -31,16 +31,6 @@ impl Dims {
         Dims { extents: [nz, ny, nx, 1], rank: 3 }
     }
 
-    /// Build from a slice of extents (1..=4 entries, all nonzero).
-    pub fn from_slice(dims: &[usize]) -> Option<Self> {
-        if dims.is_empty() || dims.len() > 4 || dims.contains(&0) {
-            return None;
-        }
-        let mut extents = [1usize; 4];
-        extents[..dims.len()].copy_from_slice(dims);
-        Some(Dims { extents, rank: dims.len() as u8 })
-    }
-
     /// Number of meaningful dimensions.
     pub fn rank(&self) -> usize {
         self.rank as usize
@@ -200,16 +190,6 @@ mod tests {
         assert_eq!(d.index(&[0, 1, 0]), 4);
         assert_eq!(d.index(&[1, 0, 0]), 12);
         assert_eq!(d.index(&[1, 2, 3]), 23);
-    }
-
-    #[test]
-    fn dims_from_slice_validates() {
-        assert!(Dims::from_slice(&[]).is_none());
-        assert!(Dims::from_slice(&[1, 2, 3, 4, 5]).is_none());
-        assert!(Dims::from_slice(&[3, 0]).is_none());
-        let d = Dims::from_slice(&[7, 9]).unwrap();
-        assert_eq!(d.rank(), 2);
-        assert_eq!(d.len(), 63);
     }
 
     #[test]

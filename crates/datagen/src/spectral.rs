@@ -102,11 +102,6 @@ impl SpectralField {
         v as f32
     }
 
-    /// Fill a 1-D array of length `n`.
-    pub fn sample_1d(&self, n: usize) -> Vec<f32> {
-        (0..n).map(|i| self.eval(i as f64 / n as f64, 0.0, 0.0)).collect()
-    }
-
     /// Fill a row-major 3-D array (z slowest).
     pub fn sample_3d(&self, nz: usize, ny: usize, nx: usize) -> Vec<f32> {
         let mut out = Vec::with_capacity(nz * ny * nx);
@@ -139,8 +134,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let p = SpectralParams::default();
-        let a = SpectralField::new(p, 11).sample_1d(256);
-        let b = SpectralField::new(p, 11).sample_1d(256);
+        let a = SpectralField::new(p, 11).sample_3d(1, 1, 256);
+        let b = SpectralField::new(p, 11).sample_3d(1, 1, 256);
         assert_eq!(a, b);
     }
 
@@ -157,7 +152,7 @@ mod tests {
     #[test]
     fn mean_offset_applied() {
         let p = SpectralParams { mean: 100.0, sigma: 1.0, ..Default::default() };
-        let xs = SpectralField::new(p, 5).sample_1d(4096);
+        let xs = SpectralField::new(p, 5).sample_3d(1, 1, 4096);
         let m = xs.iter().map(|&v| v as f64).sum::<f64>() / xs.len() as f64;
         assert!((m - 100.0).abs() < 3.0, "mean={m}");
     }
@@ -166,8 +161,8 @@ mod tests {
     fn smoother_spectrum_has_smaller_gradients() {
         let rough = SpectralParams { beta: 0.5, ..Default::default() };
         let smooth = SpectralParams { beta: 4.0, ..Default::default() };
-        let a = SpectralField::new(rough, 9).sample_1d(2048);
-        let b = SpectralField::new(smooth, 9).sample_1d(2048);
+        let a = SpectralField::new(rough, 9).sample_3d(1, 1, 2048);
+        let b = SpectralField::new(smooth, 9).sample_3d(1, 1, 2048);
         let grad = |xs: &[f32]| -> f64 {
             xs.windows(2).map(|w| (w[1] - w[0]).abs() as f64).sum::<f64>() / (xs.len() - 1) as f64
         };

@@ -9,7 +9,7 @@
 //! * [`lm`] — a small Levenberg–Marquardt solver (≤ 6 parameters);
 //! * [`powerlaw`] — the `a·f^b + c` family with multi-start fitting,
 //!   reporting the paper's GF columns (SSE, RMSE, R²);
-//! * [`stats`] — goodness-of-fit statistics and an OLS baseline;
+//! * [`stats`] — goodness-of-fit statistics;
 //! * [`bootstrap`] — residual-bootstrap confidence intervals on fitted
 //!   parameters.
 //!
@@ -33,4 +33,4 @@ pub mod stats;
 pub use bootstrap::{bootstrap_power_law, BootstrapFit, Interval};
 pub use polynomial::{fit_polynomial, select_model, FittedModel, PolynomialFit};
 pub use powerlaw::{fit_power_law, FitError, PowerLawFit, PowerLawModel};
-pub use stats::{linear_fit, GoodnessOfFit, LinearFit};
+pub use stats::GoodnessOfFit;

@@ -40,37 +40,6 @@ impl GoodnessOfFit {
     }
 }
 
-/// Ordinary least-squares line `y = m·x + b` (baseline / diagnostics).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LinearFit {
-    /// Slope.
-    pub m: f64,
-    /// Intercept.
-    pub b: f64,
-    /// Fit quality.
-    pub gof: GoodnessOfFit,
-}
-
-/// Fit a straight line by OLS. Returns `None` for fewer than 2 points or
-/// zero x-variance.
-pub fn linear_fit(x: &[f64], y: &[f64]) -> Option<LinearFit> {
-    if x.len() != y.len() || x.len() < 2 {
-        return None;
-    }
-    let n = x.len() as f64;
-    let mx = x.iter().sum::<f64>() / n;
-    let my = y.iter().sum::<f64>() / n;
-    let sxx: f64 = x.iter().map(|v| (v - mx).powi(2)).sum();
-    if sxx == 0.0 {
-        return None;
-    }
-    let sxy: f64 = x.iter().zip(y).map(|(a, b)| (a - mx) * (b - my)).sum();
-    let m = sxy / sxx;
-    let b = my - m * mx;
-    let y_hat: Vec<f64> = x.iter().map(|&v| m * v + b).collect();
-    Some(LinearFit { m, b, gof: GoodnessOfFit::compute(y, &y_hat, 2) })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,22 +70,5 @@ mod tests {
         let gof = GoodnessOfFit::compute(&y, &[2.0, 2.1, 1.9], 1);
         assert!(gof.r2.is_nan());
         assert!(gof.sse > 0.0);
-    }
-
-    #[test]
-    fn linear_fit_recovers_exact_line() {
-        let x = [0.0, 1.0, 2.0, 3.0];
-        let y: Vec<f64> = x.iter().map(|&v| 2.5 * v - 1.0).collect();
-        let f = linear_fit(&x, &y).unwrap();
-        assert!((f.m - 2.5).abs() < 1e-12);
-        assert!((f.b + 1.0).abs() < 1e-12);
-        assert!((f.gof.r2 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn linear_fit_rejects_degenerate_input() {
-        assert!(linear_fit(&[1.0], &[2.0]).is_none());
-        assert!(linear_fit(&[1.0, 1.0], &[1.0, 2.0]).is_none());
-        assert!(linear_fit(&[1.0, 2.0], &[1.0]).is_none());
     }
 }

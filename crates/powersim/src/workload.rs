@@ -80,21 +80,6 @@ impl WorkProfile {
     pub fn is_empty(&self) -> bool {
         self.compute_cycles == 0.0 && self.memory_bytes == 0.0 && self.io_bytes == 0.0
     }
-
-    /// Fraction of wall time spent in compute at the given frequency and
-    /// bandwidths (GHz, GB/s). Diagnostic for calibrating the
-    /// runtime-vs-frequency trade-off.
-    pub fn compute_fraction(&self, f_ghz: f64, mem_bw_gbs: f64, io_bw_gbs: f64) -> f64 {
-        let tc = self.compute_cycles / (f_ghz * 1e9);
-        let tm = self.memory_bytes / (mem_bw_gbs * 1e9);
-        let ti = self.io_bytes / (io_bw_gbs * 1e9);
-        let total = tc + tm + ti;
-        if total == 0.0 {
-            0.0
-        } else {
-            tc / total
-        }
-    }
 }
 
 #[cfg(test)]
@@ -140,19 +125,5 @@ mod tests {
     fn empty_detection() {
         assert!(WorkProfile::default().is_empty());
         assert!(!WorkProfile::compute(1.0).is_empty());
-    }
-
-    #[test]
-    fn compute_fraction_falls_with_frequency() {
-        // Higher clock shrinks only the compute term.
-        let p = WorkProfile { compute_cycles: 1e9, memory_bytes: 1e9, ..Default::default() };
-        let lo = p.compute_fraction(1.0, 10.0, 1.0);
-        let hi = p.compute_fraction(2.0, 10.0, 1.0);
-        assert!(hi < lo);
-    }
-
-    #[test]
-    fn compute_fraction_of_empty_profile_is_zero() {
-        assert_eq!(WorkProfile::default().compute_fraction(1.0, 1.0, 1.0), 0.0);
     }
 }

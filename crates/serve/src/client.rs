@@ -153,9 +153,9 @@ impl Client {
         loop {
             match protocol::frame_len(&self.buf)? {
                 Some(n) if self.buf.len() >= n => {
-                    let frame: Vec<u8> = self.buf.drain(..n).collect();
-                    let (resp, _) = Response::decode(&frame)?;
-                    return Ok(resp);
+                    let decoded = Response::decode(&self.buf[..n]);
+                    self.buf.drain(..n);
+                    return Ok(decoded?.0);
                 }
                 _ => {}
             }

@@ -743,38 +743,28 @@ impl<'a> Fields<'a> {
     }
 }
 
-/// Shared frame decoder: magic + version check, bounded header, TLV walk
-/// (skip unknown, reject duplicate known), bounded payload. Returns the
-/// known fields, the payload, and the total bytes consumed.
+/// Shared frame decoder: this direction's magic, the frame boundary from
+/// [`frame_len`] (version and both bounded length prefixes), then the TLV
+/// walk (skip unknown, reject duplicate known). Returns the known fields,
+/// the payload, and the total bytes consumed.
 fn decode_frame<'a>(
     buf: &'a [u8],
     magic: [u8; 4],
     known: &[(u8, &str)],
 ) -> Result<(Fields<'a>, Vec<u8>, usize), ProtoError> {
-    if buf.len() < 4 {
-        return Err(ProtoError::Truncated { section: "magic" });
+    // `frame_len` accepts either magic.
+    if let Some(got) = buf.first_chunk::<4>().filter(|got| **got != magic) {
+        return Err(ProtoError::BadMagic(*got));
     }
-    let got: [u8; 4] = buf[..4].try_into().expect("4 bytes");
-    if got != magic {
-        return Err(ProtoError::BadMagic(got));
-    }
-    if buf.len() < 6 {
-        return Err(ProtoError::Truncated { section: "version" });
-    }
-    if buf[4] > VERSION_MAJOR {
-        return Err(ProtoError::UnsupportedMajor { have: buf[4], supported: VERSION_MAJOR });
-    }
+    let end = match frame_len(buf)? {
+        Some(end) if end <= buf.len() => end,
+        _ => return Err(ProtoError::Truncated { section: "frame" }),
+    };
+    // `frame_len` has bounded both length prefixes, so the header block
+    // and the payload lie inside `..end`.
     let mut pos = 6usize;
-    let header_len = read_varint(buf, &mut pos, "header length")?;
-    if header_len as usize > MAX_HEADER_LEN {
-        return Err(ProtoError::LimitExceeded { what: "header length" });
-    }
-    let header_end = pos
-        .checked_add(header_len as usize)
-        .ok_or(ProtoError::Malformed { what: "header length overflow" })?;
-    if buf.len() < header_end {
-        return Err(ProtoError::Truncated { section: "TLV header" });
-    }
+    let header_len = read_varint(buf, &mut pos, "header length")? as usize;
+    let header_end = pos + header_len;
     let mut entries: Vec<(u8, &[u8])> = Vec::new();
     for field in lcpio_wire::tlv::fields(&buf[pos..header_end]) {
         let RawField { tag, value } = field.map_err(|e| match e {
@@ -791,18 +781,8 @@ fn decode_frame<'a>(
         // Unknown tags are skipped: forward compatibility.
     }
     pos = header_end;
-    let payload_len = read_varint(buf, &mut pos, "payload length")?;
-    if payload_len as usize > MAX_PAYLOAD_LEN {
-        return Err(ProtoError::LimitExceeded { what: "payload length" });
-    }
-    let payload_end = pos
-        .checked_add(payload_len as usize)
-        .ok_or(ProtoError::Malformed { what: "payload length overflow" })?;
-    if buf.len() < payload_end {
-        return Err(ProtoError::Truncated { section: "payload" });
-    }
-    let payload = buf[pos..payload_end].to_vec();
-    Ok((Fields { entries }, payload, payload_end))
+    read_varint(buf, &mut pos, "payload length")?;
+    Ok((Fields { entries }, buf[pos..end].to_vec(), end))
 }
 
 /// The number of bytes the frame at the front of `buf` occupies, or

@@ -1,4 +1,4 @@
-//! The daemon: socket listeners, per-connection frame readers/writers, a
+//! The daemon: socket listeners, one reader thread per connection, a
 //! sharded worker pool with bounded admission queues, and graceful drain.
 //!
 //! Data flow for one request (the diagram in `ARCHITECTURE.md` §"Service
@@ -7,18 +7,20 @@
 //! ```text
 //! connection reader ── frame_len/decode ──► admission ──► shard queue ──► worker
 //!        │                    │ (typed error)     │ (BUSY)        (codec + scratch)
-//!        └────────────────────┴──────────────────┴───────► reply channel ──► writer
-//!                                                           (seq-ordered commit)
+//!        └────────────────────┴──────────────────┴──────────────────────┴──► commit
+//!                                          (seq-ordered; the finishing thread writes)
 //! ```
 //!
-//! Each connection gets a reader thread and a writer thread. The reader
-//! assigns every frame a connection-local sequence number and hands
-//! compress/decompress/info work to a worker shard; ping/shutdown and all
-//! rejections are answered inline. Workers send `(seq, Response)` pairs
-//! down the connection's reply channel, and the writer commits them back
-//! to the socket in sequence order (the same reorder-commit discipline as
-//! the write pipeline's `writers`), so responses line up with requests
-//! even when shards finish out of order.
+//! Each connection gets one reader thread. The reader assigns every frame
+//! a connection-local sequence number and hands compress/decompress/info
+//! work to a worker shard; ping/shutdown and all rejections are answered
+//! inline. Every response goes through the connection's in-order commit:
+//! whichever thread delivers the response that is due (the worker for
+//! shard work, the reader for the rest) writes it to the socket, then
+//! every held response behind it, so responses line up with requests even
+//! when shards finish out of order. A response write has the read side's
+//! deadline, so a client that stops reading costs at most one
+//! `read_timeout` per connection and then loses the connection.
 //!
 //! Each shard owns its own [`SzCodec`]/[`ZfpCodec`] instance, so SZ
 //! scratch buffers (the adapter's pool) are reused across requests without
@@ -34,7 +36,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -77,7 +79,9 @@ pub struct ServeConfig {
     /// full is answered [`protocol::status::BUSY`].
     pub queue_depth: usize,
     /// How long a connection may stall mid-frame before it is dropped
-    /// (the slow-loris guard). Idle connections *between* frames are not
+    /// (the slow-loris guard), and how long one response may take to
+    /// write before the connection is closed (the guard against a client
+    /// that stops reading). Idle connections *between* frames are not
     /// timed out.
     pub read_timeout: Duration,
     /// Admission cap on one frame's payload, at most
@@ -152,6 +156,13 @@ impl Conn {
         }
     }
 
+    fn set_write_timeout(&self, d: Duration) -> io::Result<()> {
+        match self {
+            Conn::Unix(s) => s.set_write_timeout(Some(d)),
+            Conn::Tcp(s) => s.set_write_timeout(Some(d)),
+        }
+    }
+
     fn shutdown(&self) {
         let _ = match self {
             Conn::Unix(s) => s.shutdown(std::net::Shutdown::Both),
@@ -211,7 +222,78 @@ impl Listener {
 struct Job {
     seq: u64,
     request: Request,
-    reply: mpsc::Sender<(u64, Response)>,
+    reply: Arc<Replies>,
+}
+
+/// One connection's in-order commit. A thread that finishes a response
+/// parks it here and writes whatever has become due; it never waits for an
+/// earlier seq, because with one worker that seq can be queued behind it.
+/// The reader and every queued job hold a reference, and dropping the last
+/// one (the commit's `Drop`) flushes and closes the socket, so a drain
+/// writes the in-flight responses before the connection closes.
+struct Replies {
+    state: Mutex<Commit>,
+}
+
+struct Commit {
+    conn: Conn,
+    /// The seq whose response is written next.
+    next: u64,
+    /// Responses that finished ahead of `next`.
+    held: BTreeMap<u64, Response>,
+    /// A write failed or missed its deadline: the socket is shut down and
+    /// every later response is dropped.
+    broken: bool,
+}
+
+impl Replies {
+    /// Commit `resp` as the answer to `seq`: once it is due, write it and
+    /// every held response behind it.
+    fn deliver(&self, shared: &Shared, seq: u64, resp: Response) {
+        // Poisoned: a thread panicked mid-write, so the stream is cut.
+        let Ok(mut guard) = self.state.lock() else { return };
+        let commit = &mut *guard;
+        if commit.broken {
+            return;
+        }
+        commit.held.insert(seq, resp);
+        while let Some(resp) = commit.held.remove(&commit.next) {
+            commit.next += 1;
+            shared.counters.bytes_out.fetch_add(resp.payload.len() as u64, Ordering::Relaxed);
+            trace::counter_add("serve.bytes_out", resp.payload.len() as u64);
+            if write_within(&mut commit.conn, &resp.encode(), shared.cfg.read_timeout).is_err() {
+                // The peer went away or stopped reading. The shutdown also
+                // ends the reader's loop.
+                commit.broken = true;
+                commit.held.clear();
+                commit.conn.shutdown();
+            }
+        }
+    }
+}
+
+impl Drop for Commit {
+    fn drop(&mut self) {
+        let _ = self.conn.flush();
+        self.conn.shutdown();
+    }
+}
+
+/// `write_all` under a deadline. Each partial write gets only what is left
+/// of `limit`, so a peer that reads a trickle cannot stretch it.
+fn write_within(conn: &mut Conn, mut bytes: &[u8], limit: Duration) -> io::Result<()> {
+    let t0 = Instant::now();
+    while !bytes.is_empty() {
+        // Past the deadline the time left is zero, which is not a valid
+        // timeout: the error ends the write.
+        conn.set_write_timeout(limit.saturating_sub(t0.elapsed()))?;
+        match conn.write(bytes) {
+            Ok(n) => bytes = &bytes[n..],
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// A worker shard: bounded queue + wakeup for one worker thread.
@@ -293,9 +375,10 @@ impl Shared {
     /// Admit a job onto the least-loaded shard, or reject it with a typed
     /// response when draining or when every queue is full.
     fn submit(&self, job: Job) -> Result<(), Response> {
+        let id = job.request.id;
         if self.draining() {
             return Err(Response::of_status(
-                job.request.id,
+                id,
                 protocol::status::SHUTTING_DOWN,
                 "server is draining",
             ));
@@ -309,36 +392,24 @@ impl Shared {
                 best = Some((idx, len));
             }
         }
-        match best {
-            Some((idx, _)) => {
-                let id = job.request.id;
-                let shard = &self.shards[idx];
-                let mut q = shard.queue.lock().expect("shard queue lock");
-                if q.len() >= self.cfg.queue_depth {
-                    drop(q);
-                    self.counters.busy_rejected.fetch_add(1, Ordering::Relaxed);
-                    trace::counter_add("serve.busy", 1);
-                    return Err(Response::of_status(
-                        id,
-                        protocol::status::BUSY,
-                        "every worker queue is full, retry later",
-                    ));
-                }
+        if let Some((idx, _)) = best {
+            // The queue may have filled since it was measured.
+            let shard = &self.shards[idx];
+            let mut q = shard.queue.lock().expect("shard queue lock");
+            if q.len() < self.cfg.queue_depth {
                 q.push_back(job);
                 drop(q);
                 shard.cond.notify_one();
-                Ok(())
-            }
-            None => {
-                self.counters.busy_rejected.fetch_add(1, Ordering::Relaxed);
-                trace::counter_add("serve.busy", 1);
-                Err(Response::of_status(
-                    job.request.id,
-                    protocol::status::BUSY,
-                    "every worker queue is full, retry later",
-                ))
+                return Ok(());
             }
         }
+        self.counters.busy_rejected.fetch_add(1, Ordering::Relaxed);
+        trace::counter_add("serve.busy", 1);
+        Err(Response::of_status(
+            id,
+            protocol::status::BUSY,
+            "every worker queue is full, retry later",
+        ))
     }
 }
 
@@ -495,21 +566,15 @@ fn accept_loop(shared: &Arc<Shared>, listener: Listener) {
 }
 
 /// Per-connection reader: frame assembly, protocol-level rejection,
-/// inline control ops, and admission onto the shards. Spawns the
-/// seq-ordered writer for its socket.
-fn handle_conn(shared: &Arc<Shared>, conn: Conn) {
+/// inline control ops, and admission onto the shards. The connection's
+/// only thread.
+fn handle_conn(shared: &Arc<Shared>, mut conn: Conn) {
     if conn.set_read_timeout(TICK).is_err() {
         return;
     }
-    let writer_conn = match conn.try_clone() {
-        Ok(c) => c,
-        Err(_) => return,
-    };
-    let (tx, rx) = mpsc::channel::<(u64, Response)>();
-    let counters_out = Arc::clone(shared);
-    let writer = thread::spawn(move || writer_loop(writer_conn, rx, &counters_out));
-
-    let mut conn = conn;
+    let Ok(write_half) = conn.try_clone() else { return };
+    let commit = Commit { conn: write_half, next: 0, held: BTreeMap::new(), broken: false };
+    let replies = Arc::new(Replies { state: Mutex::new(commit) });
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 64 * 1024];
     let mut seq = 0u64;
@@ -526,13 +591,13 @@ fn handle_conn(shared: &Arc<Shared>, conn: Conn) {
                 Err(e) => {
                     // Forged lengths / bad varints: the frame boundary is
                     // unknowable, so answer once and close.
-                    send_reject(shared, &tx, seq, 0, e.status(), &e.to_string());
+                    send_reject(shared, &replies, seq, 0, e.status(), &e.to_string());
                     break 'conn;
                 }
                 Ok(Some(n)) if n > frame_budget => {
                     send_reject(
                         shared,
-                        &tx,
+                        &replies,
                         seq,
                         0,
                         protocol::status::LIMIT,
@@ -544,15 +609,16 @@ fn handle_conn(shared: &Arc<Shared>, conn: Conn) {
                     if buf.len() < n {
                         break;
                     }
-                    let frame: Vec<u8> = buf.drain(..n).collect();
+                    let decoded = Request::decode(&buf[..n]);
+                    buf.drain(..n);
                     frame_started = if buf.is_empty() { None } else { Some(Instant::now()) };
                     shared.counters.requests.fetch_add(1, Ordering::Relaxed);
                     trace::counter_add("serve.requests", 1);
-                    match Request::decode(&frame) {
+                    match decoded {
                         Err(e) => {
                             // The boundary was sound, so the connection
                             // stays usable after a typed rejection.
-                            send_reject(shared, &tx, seq, 0, e.status(), &e.to_string());
+                            send_reject(shared, &replies, seq, 0, e.status(), &e.to_string());
                             seq += 1;
                         }
                         Ok((req, _)) if req.payload.len() > shared.cfg.max_payload => {
@@ -560,7 +626,7 @@ fn handle_conn(shared: &Arc<Shared>, conn: Conn) {
                             // typed per-request rejection, not a close.
                             send_reject(
                                 shared,
-                                &tx,
+                                &replies,
                                 seq,
                                 req.id,
                                 protocol::status::LIMIT,
@@ -574,28 +640,23 @@ fn handle_conn(shared: &Arc<Shared>, conn: Conn) {
                                 .bytes_in
                                 .fetch_add(req.payload.len() as u64, Ordering::Relaxed);
                             trace::counter_add("serve.bytes_in", req.payload.len() as u64);
-                            match req.op {
+                            let ok = Response::of_status(req.id, protocol::status::OK, "");
+                            let inline = match req.op {
                                 Op::Ping => {
                                     shared.counters.ping.fetch_add(1, Ordering::Relaxed);
-                                    let _ = tx.send((
-                                        seq,
-                                        Response::of_status(req.id, protocol::status::OK, ""),
-                                    ));
+                                    Some(ok)
                                 }
                                 Op::Shutdown => {
-                                    let _ = tx.send((
-                                        seq,
-                                        Response::of_status(req.id, protocol::status::OK, ""),
-                                    ));
                                     shared.initiate_shutdown();
+                                    Some(ok)
                                 }
                                 _ => {
-                                    if let Err(resp) =
-                                        shared.submit(Job { seq, request: req, reply: tx.clone() })
-                                    {
-                                        let _ = tx.send((seq, resp));
-                                    }
+                                    let reply = Arc::clone(&replies);
+                                    shared.submit(Job { seq, request: req, reply }).err()
                                 }
+                            };
+                            if let Some(resp) = inline {
+                                replies.deliver(shared, seq, resp);
                             }
                             seq += 1;
                         }
@@ -633,46 +694,12 @@ fn handle_conn(shared: &Arc<Shared>, conn: Conn) {
             Err(_) => break,
         }
     }
-
-    drop(tx);
-    let _ = writer.join();
 }
 
-fn send_reject(
-    shared: &Shared,
-    tx: &mpsc::Sender<(u64, Response)>,
-    seq: u64,
-    id: u64,
-    status: u8,
-    message: &str,
-) {
+fn send_reject(shared: &Shared, replies: &Replies, seq: u64, id: u64, status: u8, message: &str) {
     shared.counters.errors.fetch_add(1, Ordering::Relaxed);
     trace::counter_add("serve.errors", 1);
-    let _ = tx.send((seq, Response::of_status(id, status, message)));
-}
-
-/// Seq-ordered response writer: buffers out-of-order completions and
-/// commits them to the socket in request order.
-fn writer_loop(mut conn: Conn, rx: mpsc::Receiver<(u64, Response)>, shared: &Shared) {
-    let mut pending: BTreeMap<u64, Response> = BTreeMap::new();
-    let mut next = 0u64;
-    while let Ok((seq, resp)) = rx.recv() {
-        pending.insert(seq, resp);
-        while let Some(resp) = pending.remove(&next) {
-            next += 1;
-            shared.counters.bytes_out.fetch_add(resp.payload.len() as u64, Ordering::Relaxed);
-            trace::counter_add("serve.bytes_out", resp.payload.len() as u64);
-            if conn.write_all(&resp.encode()).is_err() {
-                // Peer went away mid-request; drain the channel so the
-                // workers' sends don't error, then quit.
-                while rx.recv().is_ok() {}
-                conn.shutdown();
-                return;
-            }
-        }
-    }
-    let _ = conn.flush();
-    conn.shutdown();
+    replies.deliver(shared, seq, Response::of_status(id, status, message));
 }
 
 /// One shard's worker: owns the codec instances (and therefore the SZ
@@ -715,9 +742,9 @@ fn worker_loop(shared: &Arc<Shared>, shard_idx: usize) {
             c.errors.fetch_add(1, Ordering::Relaxed);
             trace::counter_add("serve.errors", 1);
         }
-        // The reader may already be gone (disconnect mid-request): the
-        // work still completes, the response is simply dropped.
-        let _ = job.reply.send((job.seq, resp));
+        // The peer may already be gone (disconnect mid-request): the work
+        // still completes, and the failed write drops the response.
+        job.reply.deliver(shared, job.seq, resp);
     }
 }
 

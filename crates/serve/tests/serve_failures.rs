@@ -280,6 +280,82 @@ fn drain_completes_in_flight_work_and_rejects_new_requests() {
 }
 
 #[test]
+fn a_client_that_never_reads_cannot_hang_the_drain() {
+    // Six pipelined 4 MB responses that nobody reads. The first fills the
+    // socket buffers and misses the write deadline; that closes the
+    // connection, and the drain goes on without it.
+    let n = 1usize << 20;
+    let sz = lcpio_codec::registry().by_name("sz").expect("registered codec");
+    let container = sz
+        .compress(&sample_field(n), &[n], lcpio_codec::BoundSpec::Absolute(1e-3))
+        .expect("compress")
+        .bytes;
+    let cfg = ServeConfig {
+        workers: 1,
+        read_timeout: Duration::from_millis(300),
+        ..ServeConfig::default()
+    };
+    let (server, addr) = tcp_server(cfg);
+    let mut s = raw_conn(&addr);
+    let mut batch = Vec::new();
+    for id in 1..=6u64 {
+        batch.extend_from_slice(&Request::decompress(id, &container).encode());
+    }
+    s.write_all(&batch).expect("write");
+    // Drain only once all six are admitted, or they would be answered
+    // SHUTTING_DOWN, a few bytes each.
+    let t0 = Instant::now();
+    while server.stats().requests < 6 {
+        assert!(t0.elapsed() < Duration::from_secs(10), "requests never arrived");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    server.shutdown();
+    let (done, drained) = std::sync::mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        let _ = done.send(server.wait());
+    });
+    let stats = drained
+        .recv_timeout(Duration::from_secs(20))
+        .expect("the drain is still blocked on a client that does not read");
+    waiter.join().expect("wait() panicked");
+    assert_eq!(stats.decompress, 6, "every admitted request still ran");
+    // Open and unread until the drain is over.
+    drop(s);
+}
+
+#[test]
+fn out_of_order_completion_across_workers_commits_in_request_order() {
+    // The compress holds one worker for tens of milliseconds; the INFO
+    // behind it runs on the other worker and finishes first.
+    let (server, addr) = tcp_server(ServeConfig { workers: 2, ..ServeConfig::default() });
+    let mut s = raw_conn(&addr);
+    let n = 2usize << 20;
+    let compress = Request::compress(
+        1,
+        &sample_field(n),
+        &[n],
+        lcpio_codec::CodecId::Sz,
+        lcpio_codec::BoundSpec::Absolute(1e-4),
+        lcpio_core::PolicyKind::Fixed,
+    );
+    let sz = lcpio_codec::registry().by_name("sz").expect("registered codec");
+    let small = sz
+        .compress(&sample_field(256), &[256], lcpio_codec::BoundSpec::Absolute(1e-3))
+        .expect("compress")
+        .bytes;
+    let mut batch = compress.encode();
+    batch.extend_from_slice(&Request::info(2, &small).encode());
+    s.write_all(&batch).expect("write");
+    let resps = read_responses(&mut s, 2);
+    assert_eq!(resps.iter().map(|r| r.id).collect::<Vec<_>>(), vec![1, 2]);
+    for r in &resps {
+        assert_eq!(r.status, status::OK, "{}", r.message);
+    }
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
 fn unknown_op_and_bad_request_leave_connection_usable() {
     let (server, addr) = tcp_server(ServeConfig::default());
     let mut client = Client::connect_tcp(&addr).expect("connect");

@@ -33,12 +33,6 @@ pub fn write_u64(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// Encoded length of `v` in bytes.
-pub fn encoded_len(v: u64) -> usize {
-    let bits = 64 - v.leading_zeros() as usize;
-    bits.div_ceil(7).max(1)
-}
-
 /// Incremental read from the front of `buf`. Returns `NeedMore` when the
 /// buffer ends mid-value; rejects over-long and non-canonical encodings.
 pub fn read_partial(buf: &[u8]) -> Result<Partial<u64>, WireError> {
@@ -96,7 +90,8 @@ mod tests {
         ] {
             let mut buf = Vec::new();
             write_u64(&mut buf, v);
-            assert_eq!(buf.len(), encoded_len(v), "encoded_len mismatch for {v}");
+            let significant_bits = 64 - v.leading_zeros() as usize;
+            assert_eq!(buf.len(), significant_bits.div_ceil(7).max(1), "length of {v}");
             let mut pos = 0;
             assert_eq!(read(&buf, &mut pos).unwrap(), v);
             assert_eq!(pos, buf.len());

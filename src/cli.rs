@@ -47,7 +47,9 @@
 //! Without `--drive` it serves until a client sends a `SHUTDOWN` request;
 //! with `--drive N` it self-drives N mixed-workload requests through the
 //! client driver, prints throughput and latency percentiles, then drains
-//! and exits — the form the walkthrough and CI use.
+//! and exits — the form the walkthrough and CI use. `--timeout-ms` guards
+//! both directions of a connection: a frame stalled mid-way that long, or
+//! a response the client has not taken within it, closes the connection.
 //!
 //! Codec dispatch goes through [`lcpio_codec::registry`]: `compress`
 //! resolves the backend by name, `decompress`/`info` sniff the container
@@ -248,7 +250,8 @@ pub enum Command {
         eb: f64,
         /// Default policy for requests that carry no `POLICY` field.
         policy: PolicyKind,
-        /// Mid-frame read timeout (slow-loris guard), milliseconds.
+        /// Milliseconds a connection may stall mid-frame (slow-loris
+        /// guard) or take to accept one response before it is closed.
         timeout_ms: u64,
         /// Self-drive this many mixed-workload requests then drain
         /// (0 = serve until a client `SHUTDOWN`).
