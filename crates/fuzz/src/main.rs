@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! CLI driver for the deterministic mutation-fuzz harness.
 //!
 //! ```text

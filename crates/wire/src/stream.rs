@@ -65,7 +65,6 @@ pub struct StreamDecoder {
     header: Option<StreamHeader>,
     next_frame: usize,
     peak_buffered: usize,
-    consumed: u64,
 }
 
 impl Default for StreamDecoder {
@@ -83,7 +82,6 @@ impl StreamDecoder {
             header: None,
             next_frame: 0,
             peak_buffered: 0,
-            consumed: 0,
         }
     }
 
@@ -163,7 +161,6 @@ impl StreamDecoder {
                 State::Done => break,
             }
         }
-        self.consumed += cursor as u64;
         self.buf.drain(..cursor);
         Ok(out)
     }
@@ -197,11 +194,6 @@ impl StreamDecoder {
     /// single feed.
     pub fn peak_buffered(&self) -> usize {
         self.peak_buffered
-    }
-
-    /// Total bytes consumed from the stream so far.
-    pub fn bytes_consumed(&self) -> u64 {
-        self.consumed
     }
 }
 
@@ -239,7 +231,6 @@ mod tests {
             assert_eq!(f.payload, frames[i]);
         }
         assert_eq!(trickle.header().unwrap().container, *b"SZLP");
-        assert_eq!(trickle.bytes_consumed(), bytes.len() as u64);
     }
 
     #[test]

@@ -28,104 +28,29 @@ use crate::block::{as_block, as_block_mut};
 /// words. The recursive block-swap takes `log2(N) · N/2` word operations,
 /// and it is its own inverse. For `N = 64` this is the 64×64 bit-matrix
 /// transpose.
-fn transpose_scalar<const N: usize>(a: &mut [u64; N]) {
+///
+/// Each level pairs row `k` with row `k + j` in every group of `2j` rows.
+/// Written over the two halves of a group, the pairs are independent
+/// lanes, and the compiler vectorises the level with no intrinsics.
+#[inline]
+fn transpose<const N: usize>(a: &mut [u64; N]) {
     let mut j = N / 2;
     // Low half of every N-bit field.
     let mut m = u64::MAX / ((1u64 << j) + 1);
     while j != 0 {
-        let mut k = 0usize;
-        while k < N {
-            // Swap the (row-bit-j set, col-bit-j clear) block with its
-            // mirror across the diagonal.
-            let t = ((a[k] >> j) ^ a[k + j]) & m;
-            a[k] ^= t << j;
-            a[k + j] ^= t;
-            k = (k + j + 1) & !j;
+        for pair in a.chunks_exact_mut(2 * j) {
+            let (lo, hi) = pair.split_at_mut(j);
+            for (x, y) in lo.iter_mut().zip(hi) {
+                // Swap the (row-bit-j set, col-bit-j clear) block with its
+                // mirror across the diagonal.
+                let t = ((*x >> j) ^ *y) & m;
+                *x ^= t << j;
+                *y ^= t;
+            }
         }
         j >>= 1;
         m ^= m << j;
     }
-}
-
-/// AVX2 transpose: the same butterfly network, four rows per vector. The
-/// outer levels (partner distance ≥ 4 rows) are straight vector
-/// butterflies over contiguous register pairs; the last two levels swap
-/// within one register via lane permutes. Bit-exact with the scalar path.
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use core::arch::x86_64::*;
-
-    /// One butterfly level with partner distance `J` rows (`J ≥ 4`) over
-    /// `vecs` vectors.
-    ///
-    /// # Safety
-    /// `p` must point at `4 · vecs` readable/writable u64s, `vecs` a
-    /// multiple of `J / 2`; caller must have verified AVX2 support.
-    #[target_feature(enable = "avx2")]
-    unsafe fn level<const J: i32>(p: *mut __m256i, vecs: usize, mk: i64) {
-        let m = _mm256_set1_epi64x(mk);
-        let step = (J as usize) / 4;
-        let mut k = 0usize;
-        while k < vecs {
-            let lo = _mm256_loadu_si256(p.add(k));
-            let hi = _mm256_loadu_si256(p.add(k + step));
-            let t = _mm256_and_si256(_mm256_xor_si256(_mm256_srli_epi64(lo, J), hi), m);
-            _mm256_storeu_si256(p.add(k), _mm256_xor_si256(lo, _mm256_slli_epi64(t, J)));
-            _mm256_storeu_si256(p.add(k + step), _mm256_xor_si256(hi, t));
-            k += 1;
-            if k & step != 0 {
-                k += step;
-            }
-        }
-    }
-
-    /// # Safety
-    /// `N` must be 16 or 64; caller must have verified AVX2 support
-    /// (`is_x86_feature_detected!`).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn transpose<const N: usize>(a: &mut [u64; N]) {
-        let p = a.as_mut_ptr() as *mut __m256i;
-        let vecs = N / 4;
-        if N == 64 {
-            level::<32>(p, vecs, 0x0000_0000_FFFF_FFFFu64 as i64);
-            level::<16>(p, vecs, 0x0000_FFFF_0000_FFFFu64 as i64);
-        }
-        level::<8>(p, vecs, 0x00FF_00FF_00FF_00FFu64 as i64);
-        level::<4>(p, vecs, 0x0F0F_0F0F_0F0F_0F0Fu64 as i64);
-        // Partner distances 2 and 1: partners live inside one register.
-        let m2 = _mm256_set1_epi64x(0x3333_3333_3333_3333u64 as i64);
-        let m1 = _mm256_set1_epi64x(0x5555_5555_5555_5555u64 as i64);
-        for k in 0..vecs {
-            let v = _mm256_loadu_si256(p.add(k));
-            // Distance 2: pairs (lane0, lane2), (lane1, lane3).
-            let s = _mm256_permute4x64_epi64(v, 0b01_00_11_10);
-            let t = _mm256_and_si256(_mm256_xor_si256(_mm256_srli_epi64(v, 2), s), m2);
-            let tp = _mm256_permute4x64_epi64(t, 0b01_00_11_10);
-            let upd = _mm256_blend_epi32(_mm256_slli_epi64(t, 2), tp, 0b1111_0000);
-            let v = _mm256_xor_si256(v, upd);
-            // Distance 1: pairs (lane0, lane1), (lane2, lane3).
-            let s = _mm256_permute4x64_epi64(v, 0b10_11_00_01);
-            let t = _mm256_and_si256(_mm256_xor_si256(_mm256_srli_epi64(v, 1), s), m1);
-            let tp = _mm256_permute4x64_epi64(t, 0b10_11_00_01);
-            let upd = _mm256_blend_epi32(_mm256_slli_epi64(t, 1), tp, 0b1100_1100);
-            _mm256_storeu_si256(p.add(k), _mm256_xor_si256(v, upd));
-        }
-    }
-}
-
-/// Transpose dispatch: AVX2 for the two larger tiles when the CPU has it,
-/// scalar butterfly otherwise (a 4×4 tile set is eight word operations
-/// either way). Both produce identical results (tested below).
-#[inline]
-fn transpose<const N: usize>(a: &mut [u64; N]) {
-    #[cfg(target_arch = "x86_64")]
-    if N >= 16 && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified, N is 16 or 64 (the only
-        // block sizes above 4), and `a` is a valid &mut of N words.
-        unsafe { avx2::transpose(a) };
-        return;
-    }
-    transpose_scalar(a)
 }
 
 /// Bit plane `k` of a transposed block: coefficient `i` at bit `i`.
@@ -474,31 +399,26 @@ mod tests {
             .collect()
     }
 
-    /// Tile transposes for all three block sizes: against the bit-by-bit
-    /// definition, self-inverse, and scalar equal to whatever the
-    /// dispatcher picked (on AVX2 machines this pins the SIMD path).
+    /// Tile transposes for all three block sizes on 64 seeded inputs
+    /// each: against the bit-by-bit definition, and self-inverse.
     fn check_transpose<const N: usize>() {
         let mut x = 0x0123_4567_89ab_cdefu64 ^ N as u64;
-        let mut a = [0u64; N];
-        for slot in a.iter_mut() {
-            *slot = xorshift(&mut x);
-        }
-        let orig = a;
-        let mut naive = [0u64; N];
-        for (c, out) in naive.iter_mut().enumerate() {
-            for (r, &row) in orig.iter().enumerate() {
-                for f in 0..64 / N {
-                    *out |= ((row >> (N * f + c)) & 1) << (N * f + r);
+        for input in 0..64 {
+            let orig: [u64; N] = std::array::from_fn(|_| xorshift(&mut x));
+            let mut naive = [0u64; N];
+            for (c, out) in naive.iter_mut().enumerate() {
+                for (r, &row) in orig.iter().enumerate() {
+                    for f in 0..64 / N {
+                        *out |= ((row >> (N * f + c)) & 1) << (N * f + r);
+                    }
                 }
             }
+            let mut a = orig;
+            transpose(&mut a);
+            assert_eq!(a, naive, "N = {N}, input {input}");
+            transpose(&mut a);
+            assert_eq!(a, orig, "N = {N}, input {input}");
         }
-        transpose(&mut a);
-        assert_eq!(a, naive, "N = {N}");
-        transpose(&mut a);
-        assert_eq!(a, orig, "N = {N}");
-        let mut s = orig;
-        transpose_scalar(&mut s);
-        assert_eq!(s, naive, "N = {N}");
     }
 
     #[test]

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # lcpio-zfp — ZFP-style transform-coding lossy compressor
 //!
 //! A from-scratch Rust implementation of the ZFP compressed-array codec

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! The `lcpio-cli` binary: a thin shim over [`lcpio::cli`].
 
 fn main() {

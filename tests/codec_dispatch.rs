@@ -2,7 +2,7 @@
 //! their adapters, nothing may call `sz::compress*` / `zfp::compress*`
 //! directly — all compression dispatches through `lcpio_codec::registry()`.
 //! Also pins the README's supported-container table to the registry, and
-//! keeps `unsafe` confined to the one crate DESIGN §8 names.
+//! checks that every library and binary crate root forbids `unsafe`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -123,31 +123,34 @@ fn readme_container_table_matches_registry() {
     );
 }
 
-/// The one crate root allowed to omit `#![forbid(unsafe_code)]`: the AVX2
-/// bit transpose in `crates/zfp/src/coder.rs` is the workspace's only
-/// `unsafe` (DESIGN §8).
-const UNSAFE_CRATE: &str = "crates/zfp/src/lib.rs";
-
+/// Every library root (`src/lib.rs`, `crates/*/src/lib.rs`) and binary root
+/// (`src/bin/*.rs`, `crates/*/src/main.rs`) forbids `unsafe` (DESIGN §8).
 #[test]
-fn every_crate_root_but_zfp_forbids_unsafe() {
+fn every_crate_root_forbids_unsafe() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     let mut roots = vec![root.join("src/lib.rs")];
-    for entry in fs::read_dir(root.join("crates")).expect("crates dir") {
-        let lib = entry.expect("dir entry").path().join("src/lib.rs");
-        if lib.is_file() {
-            roots.push(lib);
+    for entry in fs::read_dir(root.join("src/bin")).expect("src/bin dir") {
+        let bin = entry.expect("dir entry").path();
+        if bin.extension().is_some_and(|e| e == "rs") {
+            roots.push(bin);
         }
     }
-    assert!(roots.len() > 10, "walker found only {} crate roots", roots.len());
+    for entry in fs::read_dir(root.join("crates")).expect("crates dir") {
+        let src = entry.expect("dir entry").path().join("src");
+        for crate_root in [src.join("lib.rs"), src.join("main.rs")] {
+            if crate_root.is_file() {
+                roots.push(crate_root);
+            }
+        }
+    }
+    assert!(roots.len() > 12, "walker found only {} crate roots", roots.len());
 
     let mut missing = Vec::new();
-    for lib in &roots {
-        let rel = lib.strip_prefix(&root).expect("under root");
-        let rel = rel.to_string_lossy().replace('\\', "/");
-        let src = fs::read_to_string(lib).expect("readable crate root");
-        let forbids = src.lines().any(|l| l.trim() == "#![forbid(unsafe_code)]");
-        if rel != UNSAFE_CRATE && !forbids {
-            missing.push(rel);
+    for path in &roots {
+        let src = fs::read_to_string(path).expect("readable crate root");
+        if !src.lines().any(|l| l.trim() == "#![forbid(unsafe_code)]") {
+            let rel = path.strip_prefix(&root).expect("under root");
+            missing.push(rel.to_string_lossy().replace('\\', "/"));
         }
     }
     assert!(
