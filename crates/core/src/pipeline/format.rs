@@ -450,9 +450,11 @@ impl PushFramer {
         }
     }
 
-    /// Push bytes in; get back every `(kind, payload)` frame they
-    /// completed. Errors are terminal.
-    pub(super) fn feed(&mut self, chunk: &[u8]) -> Result<Vec<(u8, Vec<u8>)>, CoreError> {
+    /// Push bytes in; get back every frame they completed as `(kind,
+    /// bytes, start)`, its payload being `bytes[start..]` (an `LCW1` frame
+    /// keeps its codec-id byte in front, so no payload byte is moved).
+    /// Errors are terminal.
+    pub(super) fn feed(&mut self, chunk: &[u8]) -> Result<Vec<(u8, Vec<u8>, usize)>, CoreError> {
         if let Framing::Wire(dec) = &mut self.framing {
             let frames = dec.feed(chunk).map_err(wire_err)?;
             if self.geometry.is_none() {
@@ -462,11 +464,10 @@ impl PushFramer {
             }
             let tags = self.geometry.as_ref().and_then(|g| g.codec_tags.as_deref());
             let mut out = Vec::with_capacity(frames.len());
-            for mut f in frames {
+            for f in frames {
                 let kind = check_wire_frame(self.next_frame, &f.payload, tags)?;
                 self.next_frame += 1;
-                f.payload.remove(0);
-                out.push((kind, f.payload));
+                out.push((kind, f.payload, 1));
             }
             return Ok(out);
         }
@@ -498,7 +499,7 @@ impl PushFramer {
             let Some(payload) = self.buf.get(start..start + len) else {
                 break; // partial frame: wait for more bytes
             };
-            out.push((kind, payload.to_vec()));
+            out.push((kind, payload.to_vec(), 0));
             cursor = start + len;
         }
         self.buf.drain(..cursor);

@@ -318,7 +318,7 @@ fn decode_overlapped(
     cfg: &RestartConfig,
     reserve: usize,
     workers: usize,
-    source: Source<'_, (u8, Vec<u8>), RestartOutcome>,
+    source: Source<'_, (u8, Vec<u8>, usize), RestartOutcome>,
 ) -> Result<(Vec<f32>, RestartOutcome), CoreError> {
     let mut vals = Vec::with_capacity(reserve);
     let tallies = run_stage(
@@ -326,7 +326,9 @@ fn decode_overlapped(
         source,
         workers,
         "restart.decode.worker",
-        |seq, (kind, payload): (u8, Vec<u8>), tally| decode_chunk(cfg, seq, kind, &payload, tally),
+        |seq, (kind, bytes, start): (u8, Vec<u8>, usize), tally| {
+            decode_chunk(cfg, seq, kind, &bytes[start..], tally)
+        },
         |_, chunk: Vec<f32>| {
             vals.extend_from_slice(&chunk);
             Ok(())
@@ -370,7 +372,7 @@ pub fn run_restart(
         span: "restart.read.worker",
         produce: &|seq, tally| match layout.frames.get(seq) {
             Some(entry) => {
-                read_frame(cfg, source, seq, *entry, tally).map(|p| Some((entry.kind, p)))
+                read_frame(cfg, source, seq, *entry, tally).map(|p| Some((entry.kind, p, 0)))
             }
             None => Ok(None),
         },
@@ -421,10 +423,10 @@ pub fn run_restart_streamed(
     // stage's backpressure caps how far arrival runs ahead of decode), and
     // end the stream at a clean EOF.
     let mut feed = |seq: usize, tally: &mut RestartOutcome| loop {
-        if let Some((kind, payload)) = pending.pop_front() {
+        if let Some((kind, bytes, start)) = pending.pop_front() {
             tally.raw_frames += usize::from(kind == FRAME_RAW);
             chunks = seq + 1;
-            return Ok(Some((kind, payload)));
+            return Ok(Some((kind, bytes, start)));
         }
         let tr = Instant::now();
         let n = match reader.read(&mut rbuf) {

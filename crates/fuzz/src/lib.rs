@@ -96,22 +96,25 @@ pub fn seed_corpus() -> Vec<Vec<u8>> {
     let data: Vec<f32> = (0..2048).map(|i| (i as f32 * 0.01).sin() * 10.0).collect();
     let mut corpus = Vec::new();
     // Every registry codec, serial and chunked, absolute and pointwise-
-    // relative bounds — compression dispatches through the registry only.
+    // relative bounds, 2-D and rank 1 — compression dispatches through the
+    // registry only.
     for name in ["sz", "zfp"] {
         let codec = registry().by_name(name).expect("registered codec");
-        for bound in [BoundSpec::Absolute(1e-3), BoundSpec::PointwiseRelative(1e-3)] {
-            for threads in [1usize, 2] {
-                let enc = if threads > 1 {
-                    codec.compress_chunked(&data, &[32, 64], bound, threads)
-                } else {
-                    codec.compress(&data, &[32, 64], bound)
-                };
-                if let Ok(enc) = enc {
-                    // Both the legacy container and its wire-wrapped form.
-                    if let Ok(wired) = lcpio_codec::wire::wrap(&enc.bytes) {
-                        corpus.push(wired);
+        for dims in [&[32, 64][..], &[2048]] {
+            for bound in [BoundSpec::Absolute(1e-3), BoundSpec::PointwiseRelative(1e-3)] {
+                for threads in [1usize, 2] {
+                    let enc = if threads > 1 {
+                        codec.compress_chunked(&data, dims, bound, threads)
+                    } else {
+                        codec.compress(&data, dims, bound)
+                    };
+                    if let Ok(enc) = enc {
+                        // Both the legacy container and its wire-wrapped form.
+                        if let Ok(wired) = lcpio_codec::wire::wrap(&enc.bytes) {
+                            corpus.push(wired);
+                        }
+                        corpus.push(enc.bytes);
                     }
-                    corpus.push(enc.bytes);
                 }
             }
         }

@@ -5,10 +5,11 @@
 //! first, and returns the operand shifted right by `n` — the exact contract
 //! of ZFP's `stream_write_bits`, which the embedded coder relies on.
 //!
-//! The implementation is word-buffered: writes accumulate into a 64-bit
-//! word and spill whole words into the backing store, so `write_bits`
-//! costs one or two shift/mask operations per call instead of one pass of
-//! the carry loop per bit; reads load one or two words per call. The byte
+//! Writes are word-buffered: they accumulate into a 64-bit word and spill
+//! whole words into the backing store, so `write_bits` costs one or two
+//! shift/mask operations per call instead of one pass of the carry loop
+//! per bit. Reads keep no buffer: each is one unaligned 8-byte load at the
+//! bit position's byte (two for a read wider than 57 bits). The byte
 //! layout is identical to the historical bit-at-a-time implementation
 //! (retained in [`mod@reference`] and pinned by property tests): bit `p` of
 //! the stream lives in byte `p / 8` at in-byte position `p % 8`.
@@ -114,90 +115,53 @@ pub(crate) fn mask(n: u32) -> u64 {
 /// matching ZFP, whose decoder consumes "virtual" zero padding when a
 /// truncated fixed-rate stream ends.
 ///
-/// The reader is word-buffered: `acc` holds the next `avail` unread bits
-/// (low bits first, upper bits zero), and refills load one *aligned* 64-bit
-/// word, so `pos + avail` always sits on a 64-bit boundary and each word of
-/// the stream is loaded exactly once per sequential pass.
+/// The reader keeps only its bit position. Every read is one unaligned
+/// 8-byte load at byte `pos / 8`, shifted right by `pos % 8`, which leaves
+/// at least 57 bits in view; a read wider than that takes a second load.
 #[derive(Debug, Clone)]
 pub struct ReadStream<'a> {
     buf: &'a [u8],
     /// Absolute bit position of the next unread bit.
     pos: usize,
-    /// Buffered upcoming bits (bits ≥ `avail` are zero).
-    acc: u64,
-    /// Valid bit count in `acc` (`pos + avail` is 64-aligned).
-    avail: u32,
 }
+
+/// Bits one load puts in view, wherever the position falls in its byte.
+pub(crate) const WINDOW_BITS: usize = 57;
 
 impl<'a> ReadStream<'a> {
     /// Read from the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        let mut s = ReadStream { buf, pos: 0, acc: 0, avail: 0 };
-        s.refill(0);
-        s
+        ReadStream { buf, pos: 0 }
     }
 
-    /// Load the aligned 64-bit little-endian word `word_idx`,
-    /// zero-extending past the end of the buffer.
+    /// The stream from bit `bit` on, at least [`WINDOW_BITS`] of it in the
+    /// low bits (zeros past the end of the buffer).
     #[inline]
-    fn load_aligned(&self, word_idx: usize) -> u64 {
-        let byte = word_idx * 8;
-        match self.buf.len().checked_sub(byte) {
-            Some(have) if have >= 8 => {
-                u64::from_le_bytes(self.buf[byte..byte + 8].try_into().expect("8-byte read"))
-            }
-            Some(have) if have > 0 => {
+    fn window(&self, bit: usize) -> u64 {
+        let byte = bit / 8;
+        let word = match self.buf.get(byte..byte + 8) {
+            Some(b) => u64::from_le_bytes(b.try_into().expect("8-byte read")),
+            None => {
+                let tail = self.buf.get(byte..).unwrap_or_default();
                 let mut b = [0u8; 8];
-                b[..have].copy_from_slice(&self.buf[byte..]);
+                b[..tail.len()].copy_from_slice(tail);
                 u64::from_le_bytes(b)
             }
-            _ => 0,
-        }
-    }
-
-    /// Point the buffer at absolute bit position `bit`.
-    #[inline]
-    fn refill(&mut self, bit: usize) {
-        let off = (bit % 64) as u32;
-        self.acc = self.load_aligned(bit / 64) >> off;
-        self.avail = 64 - off;
+        };
+        word >> (bit % 8)
     }
 
     /// Next bit (false past the end).
     #[inline]
     pub fn read_bit(&mut self) -> bool {
-        if self.avail == 0 {
-            self.refill(self.pos);
-        }
-        let bit = self.acc & 1 == 1;
-        self.acc >>= 1;
-        self.avail -= 1;
-        self.pos += 1;
-        bit
+        self.read_bits(1) == 1
     }
 
     /// Next `n` bits as a u64 (LSB-first).
     #[inline]
     pub fn read_bits(&mut self, n: usize) -> u64 {
-        debug_assert!(n <= 64);
-        let n = n as u32;
-        let v = if n <= self.avail {
-            let v = self.acc & mask(n);
-            self.acc = self.acc.checked_shr(n).unwrap_or(0);
-            self.avail -= n;
-            v
-        } else {
-            // Combine the buffered tail with the next aligned word.
-            let have = self.avail;
-            let boundary = self.pos + have as usize;
-            let next = self.load_aligned(boundary / 64);
-            let need = n - have;
-            let v = self.acc | ((next & mask(need)) << have);
-            self.acc = next.checked_shr(need).unwrap_or(0);
-            self.avail = 64 - need;
-            v
-        };
-        self.pos += n as usize;
+        let v = self.peek_bits(n);
+        self.pos += n;
         v
     }
 
@@ -205,75 +169,30 @@ impl<'a> ReadStream<'a> {
     #[inline]
     pub fn peek_bits(&self, n: usize) -> u64 {
         debug_assert!(n <= 64);
-        let n = n as u32;
-        if n <= self.avail {
-            self.acc & mask(n)
-        } else {
-            let boundary = self.pos + self.avail as usize;
-            let next = self.load_aligned(boundary / 64);
-            (self.acc | (next << (self.avail % 64))) & mask(n)
+        let mut v = self.window(self.pos);
+        if n > WINDOW_BITS {
+            v = (v & mask(56)) | (self.window(self.pos + 56) << 56);
         }
+        v & mask(n as u32)
     }
 
-    /// Consume `n` bits (`n ≤ 64`) previously examined with
+    /// Consume `n` bits previously examined with
     /// [`peek_bits`](Self::peek_bits).
     #[inline]
     pub fn advance(&mut self, n: usize) {
-        let n32 = n as u32;
-        if n32 <= self.avail {
-            self.acc = self.acc.checked_shr(n32).unwrap_or(0);
-            self.avail -= n32;
-            self.pos += n;
-        } else {
-            self.pos += n;
-            self.refill(self.pos);
-        }
+        self.pos += n;
     }
 
-    /// Scan a unary code: examine the next `n` bits and consume up to and
-    /// including the first 1 bit, or all `n` when they are zero. Returns
-    /// `(consumed, zeros)` — equivalent to peeking `n` bits, taking
-    /// `trailing_zeros + 1` on a nonzero chunk, and `n` otherwise, but
-    /// without touching memory when the answer is in the buffered word.
+    /// Scan a unary code: examine the next `n` bits (`n ≤ 64`) and consume
+    /// up to and including the first 1 bit, or all `n` when they are zero.
+    /// Returns `(consumed, zeros)`.
     #[inline]
     pub fn scan_unary(&mut self, n: usize) -> (usize, usize) {
-        debug_assert!(n <= 64);
-        let n32 = n as u32;
-        let window = self.avail.min(n32);
-        let masked = self.acc & mask(window);
-        if masked != 0 {
-            let z = masked.trailing_zeros();
-            self.acc >>= z + 1;
-            self.avail -= z + 1;
-            self.pos += (z + 1) as usize;
-            return ((z + 1) as usize, z as usize);
-        }
-        if window == n32 {
-            // All n bits are buffered and zero.
-            self.acc = self.acc.checked_shr(n32).unwrap_or(0);
-            self.avail -= n32;
-            self.pos += n;
-            return (n, n);
-        }
-        // Buffered tail is all zeros; continue into the next aligned word.
-        let have = self.avail;
-        let boundary = self.pos + have as usize;
-        let next = self.load_aligned(boundary / 64);
-        let need = n32 - have;
-        let rest = next & mask(need);
-        if rest != 0 {
-            let z2 = rest.trailing_zeros();
-            let zeros = have + z2;
-            self.acc = next.checked_shr(z2 + 1).unwrap_or(0);
-            self.avail = 64 - (z2 + 1);
-            self.pos += (zeros + 1) as usize;
-            ((zeros + 1) as usize, zeros as usize)
-        } else {
-            self.acc = next.checked_shr(need).unwrap_or(0);
-            self.avail = 64 - need;
-            self.pos += n;
-            (n, n)
-        }
+        let v = self.peek_bits(n);
+        let z = (v.trailing_zeros() as usize).min(n);
+        let consumed = (z + 1).min(n);
+        self.pos += consumed;
+        (consumed, z)
     }
 
     /// Absolute bit position.
@@ -284,7 +203,6 @@ impl<'a> ReadStream<'a> {
     /// Skip to an absolute bit position (for fixed-rate blocks).
     pub fn seek(&mut self, bit: usize) {
         self.pos = bit;
-        self.refill(bit);
     }
 }
 

@@ -111,7 +111,8 @@ fn block_coords(g: &Geom) -> impl Iterator<Item = (usize, usize, usize)> {
 const BATCH_COEFFICIENTS: usize = 1024;
 
 /// The coefficient stream of a whole field of `4^d = N`-element blocks,
-/// with the zero-block and coded-plane counts.
+/// coded by `code` (the block coder for `N`), with the zero-block and
+/// coded-plane counts.
 ///
 /// Blocks go through in batches of two stages, transform (gather, block
 /// floating point, lift, reorder) into a fixed buffer and then code, so a
@@ -121,6 +122,7 @@ fn encode_field<T: ZfpElement, const N: usize>(
     data: &[T],
     g: &Geom,
     coding: &BlockCoding,
+    code: impl Fn(&[u64; N], u32, u32, usize, &mut WriteStream) -> usize,
 ) -> (WriteStream, u64, u64) {
     let mut w = WriteStream::new();
     let mut zero_blocks = 0u64;
@@ -164,7 +166,7 @@ fn encode_field<T: ZfpElement, const N: usize>(
                 } else {
                     w.write_bits(1 | ((emax + T::EMAX_BIAS) as u64) << 1, 1 + T::EMAX_BITS);
                     let slot = block::as_block::<u64, N>(slot);
-                    coder::encode_block(slot, coding.intprec, kmin, coding.budget, &mut w);
+                    code(slot, coding.intprec, kmin, coding.budget, &mut w);
                     bit_planes += (coding.intprec - kmin) as u64;
                 }
                 // Fixed-rate blocks are padded to their exact budget so the
@@ -195,9 +197,9 @@ pub fn compress_typed<T: ZfpElement>(
 
     let coding = BlockCoding::new::<T>(mode, g.d);
     let (w, zero_blocks, bit_planes) = match g.d {
-        1 => encode_field::<T, 4>(data, &g, &coding),
-        2 => encode_field::<T, 16>(data, &g, &coding),
-        _ => encode_field::<T, 64>(data, &g, &coding),
+        1 => encode_field(data, &g, &coding, coder::encode_rank1),
+        2 => encode_field(data, &g, &coding, coder::encode_block::<16>),
+        _ => encode_field(data, &g, &coding, coder::encode_block::<64>),
     };
 
     let bitstream_span = lcpio_trace::span("zfp.bitstream");
@@ -261,19 +263,21 @@ pub fn stream_type_tag(stream: &[u8]) -> Result<u8, ZfpError> {
     Ok(stream[4])
 }
 
-/// Decode every block of a field of `4^d = N`-element blocks into `out`.
+/// Decode every block of a field of `4^d = N`-element blocks into `out`
+/// with `decode` (the block decoder for `N`).
 fn decode_field<T: ZfpElement, const N: usize>(
     r: &mut ReadStream<'_>,
     g: &Geom,
     coding: &BlockCoding,
     out: &mut [T],
+    decode: impl Fn(&mut [u64; N], u32, u32, usize, &mut ReadStream<'_>),
 ) {
     for at in block_coords(g) {
         let block_start = r.bit_pos();
         if r.read_bit() {
             let emax = r.read_bits(T::EMAX_BITS) as i32 - T::EMAX_BIAS;
             let mut nb = [0u64; N];
-            coder::decode_block(&mut nb, coding.intprec, coding.kmin(emax), coding.budget, r);
+            decode(&mut nb, coding.intprec, coding.kmin(emax), coding.budget, r);
             let mut ints = [0i64; N];
             order::invert_negabinary(&nb, &mut ints);
             transform::inverse_block(&mut ints);
@@ -337,9 +341,9 @@ pub fn decompress_typed<T: ZfpElement>(stream: &[u8]) -> Result<(Vec<T>, Vec<usi
     let mut out: Vec<T> = vec![T::from_f64(0.0); g.len()];
     let mut r = ReadStream::new(payload);
     match g.d {
-        1 => decode_field::<T, 4>(&mut r, &g, &coding, &mut out),
-        2 => decode_field::<T, 16>(&mut r, &g, &coding, &mut out),
-        _ => decode_field::<T, 64>(&mut r, &g, &coding, &mut out),
+        1 => decode_field(&mut r, &g, &coding, &mut out, coder::decode_rank1),
+        2 => decode_field(&mut r, &g, &coding, &mut out, coder::decode_block::<16>),
+        _ => decode_field(&mut r, &g, &coding, &mut out, coder::decode_block::<64>),
     }
     Ok((out, dims))
 }
