@@ -51,7 +51,9 @@
 //! [`szl1_flag_corpus`] seeds one stream per combination. A seed whose
 //! packed table lies open in the body (no LZSS layer over it) gets half of
 //! its mutations aimed inside the table's fields, where blind byte edits
-//! over a whole stream rarely land.
+//! over a whole stream rarely land. A seed whose payload lies open gets a
+//! quarter of them (half, when it has no packed table) aimed inside the
+//! payload's fixed header ([`payload_header_span`]).
 //!
 //! Every run is reproducible from its seed; the harness panics (and the
 //! smoke test fails) on the first input that panics a target or breaks the
@@ -196,6 +198,16 @@ pub fn szl1_flag_corpus() -> Vec<(u8, Vec<u8>)> {
 pub fn packed_table_span(stream: &[u8]) -> Option<std::ops::Range<usize>> {
     let packed = stream.get(4) == Some(&lcpio_sz::header::FLAG_PACKED_TABLE);
     lcpio_sz::table_range(stream).filter(|_| packed)
+}
+
+/// The fixed header of an `SZL1` stream whose payload is not under an LZSS
+/// layer: from the element type tag up to the Huffman table (shape,
+/// predictor and order bytes, error bound, radius, element count and the
+/// first coded symbol), where the decoder's checks of the predictor byte
+/// and of the bytes after the body and the payload sit. `None` for any
+/// other input.
+pub fn payload_header_span(stream: &[u8]) -> Option<std::ops::Range<usize>> {
+    lcpio_sz::table_range(stream).map(|table| lcpio_sz::header::ENVELOPE_LEN..table.start)
 }
 
 /// [`mutate`] confined to `span` of `input`: the bytes around it stay, so
@@ -637,6 +649,7 @@ pub fn target_huffman_tables(lens: &[u8], bytes: &[u8]) {
 /// of inputs executed.
 pub fn run(iters: u64, seed: u64, max_seconds: Option<f64>) -> u64 {
     let corpus = seed_corpus();
+    let spans: Vec<_> = corpus.iter().map(|c| (packed_table_span(c), payload_header_span(c))).collect();
     let magics = noise_magics();
     let mut rng = Rng::new(seed);
     let t0 = std::time::Instant::now();
@@ -647,9 +660,11 @@ pub fn run(iters: u64, seed: u64, max_seconds: Option<f64>) -> u64 {
                 break;
             }
         }
-        let base = &corpus[(i as usize) % corpus.len()];
-        let input = match packed_table_span(base) {
-            Some(span) if rng.below(2) == 0 => mutate_within(base, span, &mut rng),
+        let at = (i as usize) % corpus.len();
+        let base = &corpus[at];
+        let input = match spans[at].clone() {
+            (Some(table), _) if rng.below(2) == 0 => mutate_within(base, table, &mut rng),
+            (_, Some(header)) if rng.below(2) == 0 => mutate_within(base, header, &mut rng),
             _ => mutate(base, &mut rng),
         };
         let _ = target_envelope_parse(&input);
@@ -709,8 +724,11 @@ mod tests {
         for (flags, stream) in &seeds {
             let (values, dims) = registry().decompress_auto(stream, 1).expect("seed decodes");
             assert_eq!((values.len(), dims), (8192, vec![8192]), "flags {flags}");
-            // Only the open packed table can be aimed at.
+            // Only the open packed table can be aimed at, and the header
+            // of an open payload: type tag to table, 36 bytes at rank 1.
             assert_eq!(packed_table_span(stream).is_some(), *flags == 2, "flags {flags}");
+            let header = (flags & 1 == 0).then_some(lcpio_sz::header::ENVELOPE_LEN..49);
+            assert_eq!(payload_header_span(stream), header, "flags {flags}");
         }
         // The span is the count, the section length and the section: a
         // mutation confined to it leaves every byte outside alone, and the
@@ -731,6 +749,25 @@ mod tests {
             refused += registry().decompress_auto(&mutated, 1).is_err() as usize;
         }
         assert!(refused > 1000, "only {refused} of 2000 aimed mutations were refused");
+    }
+
+    #[test]
+    fn header_mutations_reach_the_predictor_and_trailing_byte_checks() {
+        let seeds = szl1_flag_corpus();
+        let stream = &seeds[3].1;
+        let span = payload_header_span(stream).expect("open payload");
+        let mut rng = Rng::new(9);
+        let mut refusals = std::collections::BTreeSet::new();
+        for _ in 0..2000 {
+            let mutated = mutate_within(stream, span.clone(), &mut rng);
+            target_registry_auto(&mutated);
+            if let Err(e) = lcpio_sz::decompress(&mutated) {
+                refusals.insert(e.to_string());
+            }
+        }
+        for check in ["unknown predictor", "trailing bytes after body"] {
+            assert!(refusals.contains(&format!("corrupt stream: {check}")), "{refusals:?}");
+        }
     }
 
     #[test]

@@ -1,41 +1,52 @@
 //! Little-endian serialization helpers and the compressed-stream header.
 //!
 //! The format is deliberately explicit (no serde) so the byte layout is
-//! stable and inspectable:
+//! stable and inspectable.
+//!
+//! Each field belongs to one stage of the payload (`crate::pipeline`), and
+//! that stage's encode/decode pair is the only code that writes, reads and
+//! validates it. The envelope is the lossless stage's:
 //!
 //! ```text
-//! magic  b"SZL1"
-//! u8     flags   bit 0 FLAG_LOSSLESS: the body is the payload, LZSS-compressed
-//!                bit 1 FLAG_PACKED_TABLE: the payload's Huffman table is packed
+//! magic  b"SZL1"                                                    lossless
+//! u8     flags   bit 0 FLAG_LOSSLESS: the body is the payload,      lossless
+//!                      LZSS-compressed
+//!                bit 1 FLAG_PACKED_TABLE: the table is packed       table
 //!                bits 2-7: zero (a decoder refuses a stream that sets one)
-//! u64    body length
-//! ...    body: the payload, or its LZSS form
+//! u64    body length                                                lossless
+//! ...    body: the payload, or its LZSS form; nothing after it      lossless
 //! ```
 //!
 //! The two flags are independent: bit 0 says how the body turns into the
 //! payload, bit 1 how one section inside the payload is written. The
-//! payload:
+//! payload, its stages nested (predict-quantize around entropy around the
+//! table):
 //!
 //! ```text
-//! u8     element type tag (0 = f32, 1 = f64)
-//! u8     rank, then one u64 per dimension
-//! u8     1 = block-adaptive predictor, 0 = classic Lorenzo
-//! u8     Lorenzo order for rank-1 data
-//! f64    absolute error bound
-//! u32    quantizer radius
-//! u64    element count
-//! u32    first symbol with a code
-//! u32    count: symbols from there to the last one with a code
-//! ...    the code lengths of those `count` symbols (0 = no code), either
+//! u8     element type tag (0 = f32, 1 = f64)                 predict-quantize
+//! u8     rank, then one u64 per dimension                    predict-quantize
+//! u8     predictor: 0 = classic Lorenzo, 1 = block-adaptive  predict-quantize
+//!        (any other value is refused)
+//! u8     Lorenzo order for rank-1 data                       predict-quantize
+//! f64    absolute error bound                                predict-quantize
+//! u32    quantizer radius                                    predict-quantize
+//! u64    element count                                       predict-quantize
+//! u32    first symbol with a code                            entropy
+//! u32    count: symbols from there to the last one with a    entropy
+//!        code
+//! ...    the code lengths of those `count` symbols (0 = no   table
+//!        code), either
 //!        dense:  `count` bytes, one length each (FLAG_PACKED_TABLE clear;
 //!                every stream written before the flag existed), or
 //!        packed: u64 section length, then run tokens under a Huffman code
 //!                of their own (`crate::table` has the layout)
-//! u64    Huffman-coded bits
-//! u64 +  section: the Huffman-coded symbols
-//! u64 +  section: literals (escaped values, little-endian)
-//! u64 +  section: one bit per block, 1 = regression   (block mode only)
-//! u64 +  section: four f32 per regression block       (block mode only)
+//! u64    Huffman-coded bits                                  entropy
+//! u64 +  section: the Huffman-coded symbols                  entropy
+//! u64 +  section: literals (escaped values, little-endian)   predict-quantize
+//! u64 +  section: one bit per block, 1 = regression          predict-quantize
+//!        (block mode only)
+//! u64 +  section: four f32 per regression block              predict-quantize
+//!        (block mode only; the payload ends here)
 //! ```
 //!
 //! The writer packs the table only when that makes it smaller and keeps
@@ -71,16 +82,6 @@ impl Writer {
     /// Consume into bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// Current length.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True if nothing written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Append raw bytes.
@@ -133,7 +134,8 @@ impl<'a> Reader<'a> {
         Reader { buf, pos: 0 }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SzError> {
+    /// Read raw bytes.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], SzError> {
         let end = self
             .pos
             .checked_add(n)
@@ -146,37 +148,26 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    /// Read raw bytes.
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], SzError> {
-        self.take(n)
-    }
-
     /// Read a u8.
     pub fn u8(&mut self) -> Result<u8, SzError> {
-        Ok(self.take(1)?[0])
+        Ok(self.bytes(1)?[0])
     }
 
     /// Read a u32 (LE).
     pub fn u32(&mut self) -> Result<u32, SzError> {
-        let b = self.take(4)?;
+        let b = self.bytes(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Read a u64 (LE).
     pub fn u64(&mut self) -> Result<u64, SzError> {
-        let b = self.take(8)?;
+        let b = self.bytes(8)?;
         Ok(u64::from_le_bytes(b.try_into().unwrap()))
-    }
-
-    /// Read an f32.
-    pub fn f32(&mut self) -> Result<f32, SzError> {
-        let b = self.take(4)?;
-        Ok(f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Read an f64.
     pub fn f64(&mut self) -> Result<f64, SzError> {
-        let b = self.take(8)?;
+        let b = self.bytes(8)?;
         Ok(f64::from_le_bytes(b.try_into().unwrap()))
     }
 
@@ -191,12 +182,17 @@ impl<'a> Reader<'a> {
         if n > self.remaining() as u64 {
             return Err(SzError::Corrupt("section length exceeds remaining input"));
         }
-        self.take(n as usize)
+        self.bytes(n as usize)
     }
 
     /// Bytes remaining.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
+    }
+
+    /// Bytes read so far.
+    pub(crate) fn pos(&self) -> usize {
+        self.pos
     }
 }
 
@@ -218,7 +214,7 @@ mod tests {
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u32().unwrap(), 0xDEADBEEF);
         assert_eq!(r.u64().unwrap(), u64::MAX - 3);
-        assert_eq!(r.f32().unwrap(), 1.5);
+        assert_eq!(r.bytes(4).unwrap(), 1.5f32.to_le_bytes());
         assert_eq!(r.f64().unwrap(), -2.25e300);
         assert_eq!(r.section().unwrap(), b"hello");
         assert_eq!(r.remaining(), 0);

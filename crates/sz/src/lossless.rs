@@ -303,6 +303,11 @@ pub fn decompress(stream: &[u8]) -> Result<Vec<u8>, LzssCorrupt> {
             }
         }
     }
+    // A whole byte left after the last token: the stream is longer than
+    // its tokens say.
+    if r.remaining_bits() >= 8 {
+        return Err(LzssCorrupt);
+    }
     Ok(out)
 }
 

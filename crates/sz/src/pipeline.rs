@@ -1,19 +1,22 @@
-//! The SZ compression/decompression pipeline.
+//! The SZ compression/decompression pipeline: a stream is four stages
+//! (mirroring SZ 1.4/2.x), each one encode/decode pair that alone writes,
+//! reads and validates its own bytes (`header` names each field's stage):
 //!
-//! Compression stages (mirroring SZ 1.4/2.x):
+//! 1. **Predict-quantize** — Lorenzo stencil over reconstructed values, or
+//!    the per-block adaptive choice between Lorenzo and hyperplane
+//!    regression; residuals land in uniform bins of width `2·eb`, and
+//!    out-of-range values escape to IEEE literals.
+//! 2. **Entropy** — canonical Huffman coding of the bin indices.
+//! 3. **Table** — the code lengths dense, or packed into run tokens where
+//!    the lossless back end is on and that is smaller (`table`).
+//! 4. **Lossless** — the envelope, and an LZSS pass over the whole payload
+//!    kept only where it makes the stream smaller.
 //!
-//! 1. **Prediction** — Lorenzo stencil over reconstructed values, or the
-//!    per-block adaptive choice between Lorenzo and hyperplane regression.
-//! 2. **Error-bounded quantization** — residuals land in uniform bins of
-//!    width `2·eb`; out-of-range values escape to IEEE literals.
-//! 3. **Huffman coding** of the bin indices.
-//! 4. **Lossless back end** (optional): the Huffman table packed into run
-//!    tokens, and an LZSS pass over the whole payload, each kept only where
-//!    it makes the stream smaller.
-//!
-//! Decompression inverts the stages; predictions are computed from
-//! reconstructed values only, so the decompressor stays in lock-step with
-//! the compressor and every value obeys the absolute error bound.
+//! [`compress_typed_with`] walks them forward and [`decompress_typed_with`]
+//! in reverse, crossing each stage boundary once per call. Predictions are
+//! computed from reconstructed values only, so the decompressor stays in
+//! lock-step with the compressor and every value obeys the absolute error
+//! bound.
 //!
 //! Both `f32` and `f64` fields are supported through [`Element`]; the
 //! element type is recorded in the stream header and checked on decode.
@@ -117,8 +120,16 @@ fn resolve_eb<T: Element>(data: &[T], eb: ErrorBound) -> Result<f64, SzError> {
 /// partials), so the chunked restart path stops allocating per chunk too.
 #[derive(Debug)]
 pub struct SzScratch<T> {
+    /// The symbols predict-quantize hands the entropy stage (decode: the
+    /// other way).
     symbols: Vec<u32>,
+    // Predict-quantize: its sections' contents and bytes, the
+    // reconstruction (`f64`, what predictions read), and the working
+    // arrays of the block predictor.
     literals: Vec<T>,
+    lit_bytes: Vec<u8>,
+    block_bits: BitWriter,
+    coeffs: Vec<f32>,
     recon: Vec<f64>,
     rowp: Vec<f64>,
     /// The values of one partial block.
@@ -129,11 +140,9 @@ pub struct SzScratch<T> {
     /// Per [`WAVEFRONT`] element, its offset from the block's first in the
     /// geometry of the call and its row-major position in the block.
     wave: Vec<(usize, usize)>,
+    // Entropy: the encoder's tables and the coded bits.
     huff: HuffmanEncoder,
     sym_bits: BitWriter,
-    block_bits: BitWriter,
-    coeffs: Vec<f32>,
-    lit_bytes: Vec<u8>,
 }
 
 impl<T> SzScratch<T> {
@@ -142,6 +151,9 @@ impl<T> SzScratch<T> {
         SzScratch {
             symbols: Vec::new(),
             literals: Vec::new(),
+            lit_bytes: Vec::new(),
+            block_bits: BitWriter::new(),
+            coeffs: Vec::new(),
             recon: Vec::new(),
             rowp: Vec::new(),
             vals: Vec::new(),
@@ -150,9 +162,6 @@ impl<T> SzScratch<T> {
             wave: Vec::new(),
             huff: HuffmanEncoder::default(),
             sym_bits: BitWriter::new(),
-            block_bits: BitWriter::new(),
-            coeffs: Vec::new(),
-            lit_bytes: Vec::new(),
         }
     }
 }
@@ -622,159 +631,258 @@ fn encode_blocks<T: Element, const FAST: bool>(
     (regression_blocks, lorenzo_blocks)
 }
 
-/// The predict-quantize stage in either mode; returns
-/// `(regression_blocks, lorenzo_blocks)`, both zero in classic mode.
-fn predict_quantize<T: Element, const FAST: bool>(
-    data: &[T],
+// ---- The stages ----
+//
+// Four stages, each one encode/decode pair that alone writes, reads and
+// validates its own bytes. In the payload they nest: predict-quantize's
+// head, the entropy stage's fields around the table stage's form of the
+// code lengths, then predict-quantize's sections; the lossless stage wraps
+// the whole payload.
+
+/// The predict-quantize stage: values to quantization symbols, under the
+/// classic (whole-array Lorenzo) or the block-adaptive predictor.
+///
+/// Its bytes open and close the payload. In front of the entropy stage's:
+/// the element type tag, the rank and dims, the predictor byte (0 classic,
+/// 1 block-adaptive), the Lorenzo order, the error bound, the radius and
+/// the element count. Behind them, ending the payload: the literal
+/// section, and in block mode the block-flag and coefficient sections.
+struct PredictQuantize {
     g: Geom,
     block_mode: bool,
     order: u8,
-    q: &Quantizer,
-    s: &mut SzScratch<T>,
-) -> (u64, u64) {
-    if block_mode {
-        encode_blocks::<T, FAST>(data, g, q, s)
-    } else {
-        encode_classic::<T, FAST>(data, g, order, q, s);
-        (0, 0)
+    q: Quantizer,
+    /// Element count.
+    n: usize,
+}
+
+impl PredictQuantize {
+    /// The stage `cfg` asks for on `data` shaped as `dims`. The radius lands
+    /// in the stream header and drives the decoder's alphabet allocation, so
+    /// it must respect the same cap the decoder enforces. Clamping (rather
+    /// than erroring) is sound: the radius is a quality/speed knob, and
+    /// out-of-range residuals fall back to exact literals either way, so
+    /// the error bound still holds.
+    fn new<T: Element>(data: &[T], dims: &[usize], cfg: &SzConfig) -> Result<Self, SzError> {
+        let g = geometry(dims, data.len())?;
+        let q = Quantizer::new(resolve_eb(data, cfg.error_bound)?, cfg.radius.clamp(1, Quantizer::MAX_RADIUS));
+        let block_mode = matches!(cfg.mode, PredictorMode::BlockAdaptive) && g.rank >= 2;
+        Ok(PredictQuantize { g, block_mode, order: cfg.lorenzo_order, q, n: data.len() })
+    }
+
+    /// Encode: the head into `p`, then `data` quantized into the scratch
+    /// under the `FAST` arithmetic (see `kernels`): the symbols the entropy
+    /// stage codes, and the literals, block flags and coefficients
+    /// [`PredictQuantize::encode_sections`] writes. Escapes and blocks are
+    /// counted into `stats`.
+    ///
+    /// Out of line on purpose: inlined into the walk, the rank-1 loop
+    /// shares its registers with everything there and carries the two
+    /// previous reconstructions through the stack, which made a CESM
+    /// request 7 % slower.
+    #[inline(never)]
+    fn encode<T: Element, const FAST: bool>(
+        &self,
+        data: &[T],
+        dims: &[usize],
+        p: &mut Writer,
+        stats: &mut CompressionStats,
+        s: &mut SzScratch<T>,
+    ) {
+        p.u8(T::TYPE_TAG);
+        p.u8(dims.len() as u8);
+        dims.iter().for_each(|&d| p.u64(d as u64));
+        p.u8(self.block_mode as u8);
+        p.u8(self.order);
+        p.f64(self.q.error_bound());
+        p.u32(self.q.radius());
+        p.u64(self.n as u64);
+
+        s.symbols.clear();
+        s.symbols.reserve(self.n);
+        s.literals.clear();
+        s.block_bits.clear();
+        s.coeffs.clear();
+        let _span = lcpio_trace::span("sz.predict_quantize");
+        if self.block_mode {
+            (stats.regression_blocks, stats.lorenzo_blocks) = encode_blocks::<T, FAST>(data, self.g, &self.q, s);
+        } else {
+            encode_classic::<T, FAST>(data, self.g, self.order, &self.q, s);
+        }
+        stats.unpredictable = s.literals.len() as u64;
+        stats.predictable = self.n as u64 - stats.unpredictable;
+    }
+
+    /// The sections behind the entropy stage's bytes: the literals
+    /// (little-endian), then in block mode one bit per block (1 =
+    /// regression) and four `f32` per regression block.
+    fn encode_sections<T: Element>(&self, p: &mut Writer, s: &mut SzScratch<T>) {
+        s.lit_bytes.clear();
+        s.lit_bytes.reserve(s.literals.len() * T::BYTES);
+        s.literals.iter().for_each(|&v| v.write_le(&mut s.lit_bytes));
+        p.section(&s.lit_bytes);
+        if self.block_mode {
+            p.section(s.block_bits.finish());
+            p.u64(4 * s.coeffs.len() as u64);
+            s.coeffs.iter().for_each(|&c| p.f32(c));
+        }
+    }
+
+    /// Decode the head of a payload of `T` values: the stage and the dims.
+    /// The radius bounds the symbols a stream may use, so it is checked
+    /// against the cap the encoder clamps to: a forged header cannot claim
+    /// an absurd one. The element count sizes nothing before the entropy
+    /// stage has checked it against the symbol section. A predictor byte
+    /// this decoder does not know is an error, not a guess.
+    fn decode_head<T: Element>(r: &mut Reader) -> Result<(Self, Vec<usize>), SzError> {
+        if r.u8()? != T::TYPE_TAG {
+            return Err(SzError::TypeMismatch);
+        }
+        let rank = r.u8()? as usize;
+        if rank == 0 || rank > 4 {
+            return Err(SzError::Corrupt("bad rank"));
+        }
+        let dims = (0..rank).map(|_| Ok(r.u64()? as usize)).collect::<Result<Vec<_>, SzError>>()?;
+        let block_mode = match r.u8()? {
+            0 => false,
+            1 => true,
+            _ => return Err(SzError::Corrupt("unknown predictor")),
+        };
+        let (order, eb, radius, n) = (r.u8()?, r.f64()?, r.u32()?, r.u64()? as usize);
+        let g = geometry(&dims, n)?;
+        if eb <= 0.0 || !eb.is_finite() || radius == 0 || radius > Quantizer::MAX_RADIUS {
+            return Err(SzError::Corrupt("bad quantizer params"));
+        }
+        Ok((PredictQuantize { g, block_mode, order, q: Quantizer::new(eb, radius), n }, dims))
+    }
+
+    /// Decode: this stage's sections, which end the payload, then the
+    /// values of the entropy stage's `s.symbols`, one loop per predictor
+    /// ([`Reconstruct`]).
+    ///
+    /// Decode budget: the output and the reconstruction array, `T::BYTES +
+    /// 8` bytes an element, with the element count checked by the entropy
+    /// stage at 8 a byte of symbol section (`c` = 128 per byte); `k` is
+    /// nothing beyond them (the row partials are one row).
+    fn decode<T: Element>(&self, r: &mut Reader, s: &mut SzScratch<T>) -> Result<Vec<T>, SzError> {
+        let lit_bytes = r.section()?;
+        let (block_flags, coeff_bytes) = if self.block_mode { (r.section()?, r.section()?) } else { (&[][..], &[][..]) };
+        if lit_bytes.len() % T::BYTES != 0 || coeff_bytes.len() % 16 != 0 {
+            return Err(SzError::Corrupt("literal or coeff section"));
+        }
+        if r.remaining() != 0 {
+            return Err(SzError::Corrupt("trailing bytes after sections"));
+        }
+        let SzScratch { symbols, recon, rowp, .. } = s;
+        // Every slot of `recon` is written before the stencil reads it (a
+        // prediction only looks at rows above, planes behind and the column
+        // to the left, all earlier in coding order), so what an earlier call
+        // left there need not be cleared.
+        recon.resize(self.n, 0.0);
+        rowp.resize(if self.block_mode { self.g.nx.min(BLOCK_SIDE) } else { self.g.nx }, 0.0);
+        let mut out = vec![T::from_f64(0.0); self.n];
+        let literals = lit_bytes.chunks_exact(T::BYTES);
+        let mut rc = Reconstruct { q: self.q, g: self.g, literals, recon, out: &mut out };
+        if self.block_mode {
+            rc.blocks(symbols, block_flags, coeff_bytes, rowp)?;
+        } else if self.g.rank == 1 && self.order == 2 {
+            rc.order2(symbols)?;
+        } else {
+            rc.classic(symbols, rowp)?;
+        }
+        Ok(out)
     }
 }
 
-/// Compress `data` shaped as `dims` (1–4 dimensions, slowest first), for
-/// any supported element type.
-pub fn compress_typed<T: Element>(
-    data: &[T],
-    dims: &[usize],
-    cfg: &SzConfig,
-) -> Result<Compressed, SzError> {
-    compress_typed_with(data, dims, cfg, &mut SzScratch::new())
-}
-
-/// [`compress_typed`] with caller-provided scratch buffers. Repeated calls
-/// reuse the scratch's allocations; the output stream is identical to a
-/// fresh-scratch call.
-pub fn compress_typed_with<T: Element>(
-    data: &[T],
-    dims: &[usize],
-    cfg: &SzConfig,
+/// The entropy stage: a canonical Huffman code over the symbols the call
+/// used. Its bytes sit between predict-quantize's head and sections: the
+/// first symbol with a code, `count` (the symbols from there to the last
+/// one with a code), their code lengths in the table stage's form, the
+/// number of coded bits and the symbol section. Returns the table stage's
+/// flag bit; the code's size goes into `stats`.
+fn entropy_encode<T, const FAST: bool>(
+    alphabet: usize,
+    lossless: bool,
+    p: &mut Writer,
+    stats: &mut CompressionStats,
     s: &mut SzScratch<T>,
-) -> Result<Compressed, SzError> {
-    compress_staged(data, dims, cfg, s, kernels::fast_enabled(), entropy_code)
+) -> Result<u8, SzError> {
+    let _span = lcpio_trace::span("sz.huffman");
+    let (first, lens, present) = huffman_code::<T, FAST>(alphabet, s)?;
+    stats.huffman_table_entries = present as u64;
+    stats.huffman_bits = s.sym_bits.bit_len() as u64;
+    p.u32(first as u32);
+    p.u32(lens.len() as u32);
+    let table_flag = table::encode(&lens, lossless, p);
+    p.u64(stats.huffman_bits);
+    p.section(s.sym_bits.finish());
+    Ok(table_flag)
 }
 
-/// The entropy stage: histogram, Huffman table and codes over the symbols
-/// the call used (`s.symbols`, all below `alphabet`), and their bits into
-/// `s.sym_bits`, one symbol at a time under the reference arithmetic.
-fn entropy_code<T>(alphabet: usize, fast: bool, s: &mut SzScratch<T>) -> Result<CodeTable, SzError> {
+/// The entropy stage's code: histogram, Huffman table and codes over
+/// `s.symbols` (all below `alphabet`), and their bits into `s.sym_bits`,
+/// through the batched emitter under `FAST` and a symbol at a time
+/// otherwise.
+fn huffman_code<T, const FAST: bool>(alphabet: usize, s: &mut SzScratch<T>) -> Result<CodeTable, SzError> {
     s.huff.rebuild(alphabet, &s.symbols).map_err(|_| SzError::Internal("huffman build"))?;
     let _span = lcpio_trace::span("sz.huffman.emit");
-    if fast {
+    s.sym_bits.clear();
+    if FAST {
         s.huff.encode_slice(&s.symbols, &mut s.sym_bits)
     } else {
         s.symbols.iter().try_for_each(|&sym| s.huff.encode(sym, &mut s.sym_bits))
     }
     .map_err(|_| SzError::Internal("huffman encode"))?;
-    // The lossless stage comes next and holds the call's peak.
+    // The lossless stage comes later and holds the call's peak.
     Ok(s.huff.finish())
 }
 
-/// [`compress_typed_with`] under a given arithmetic, reference or `fast`
-/// (both write the same bytes, see `kernels`), and around a given entropy
-/// stage (the tests put the dense-alphabet reference in its place).
-fn compress_staged<T: Element>(
-    data: &[T],
-    dims: &[usize],
-    cfg: &SzConfig,
-    s: &mut SzScratch<T>,
-    fast: bool,
-    entropy: impl FnOnce(usize, bool, &mut SzScratch<T>) -> Result<CodeTable, SzError>,
-) -> Result<Compressed, SzError> {
-    let g = geometry(dims, data.len())?;
-    let eb = resolve_eb(data, cfg.error_bound)?;
-    // The radius lands in the stream header and drives the decoder's
-    // alphabet allocation, so it must respect the same cap the decoder
-    // enforces. Clamping (rather than erroring) is sound: the radius is a
-    // quality/speed knob, and out-of-range residuals fall back to exact
-    // literals either way, so the error bound still holds.
-    let q = Quantizer::new(eb, cfg.radius.clamp(1, Quantizer::MAX_RADIUS));
-    let block_mode = matches!(cfg.mode, PredictorMode::BlockAdaptive) && g.rank >= 2;
-
-    s.symbols.clear();
-    s.symbols.reserve(data.len());
-    s.literals.clear();
-    s.sym_bits.clear();
-    s.block_bits.clear();
-    s.coeffs.clear();
-    s.lit_bytes.clear();
-
-    let (regression_blocks, lorenzo_blocks) = {
-        let _span = lcpio_trace::span("sz.predict_quantize");
-        if fast && q.fast_exact() {
-            predict_quantize::<T, true>(data, g, block_mode, cfg.lorenzo_order, &q, s)
-        } else {
-            predict_quantize::<T, false>(data, g, block_mode, cfg.lorenzo_order, &q, s)
-        }
-    };
-
-    let huff_span = lcpio_trace::span("sz.huffman");
-    let (first, dense, n_present) = entropy(q.alphabet_size(), fast, s)?;
-    let huffman_bits = s.sym_bits.bit_len() as u64;
-    // Huffman table: the code lengths of the occupied symbol range, a byte
-    // each, or packed when the lossless back end is on and that is smaller
-    // (the rule its LZSS pass follows too). Quantization codes cluster
-    // around the zero bin, so at loose bounds the range is a few entries
-    // and stays dense.
-    let packed = if cfg.lossless {
-        let _span = lcpio_trace::span("sz.table.pack");
-        table::pack(&dense).filter(|section| 8 + section.len() < dense.len())
-    } else {
-        None
-    };
-    drop(huff_span);
-
-    // ---- assemble payload ----
-    let mut p = Writer::new();
-    p.u8(T::TYPE_TAG);
-    p.u8(dims.len() as u8);
-    for &d in dims {
-        p.u64(d as u64);
+/// The entropy stage's decode: `n` symbols into `symbols`. The symbol
+/// range is checked against `q`'s alphabet before a byte of the table is
+/// read or unpacked: the decoder can then only ever give one of the
+/// quantizer's symbols, and a packed table only ever expand to the
+/// alphabet's size. Returns where the table (`count`, then the lengths in
+/// their form) lies in the payload.
+///
+/// Decode budget: the symbols, four bytes an element, with every element
+/// at least a bit of the symbol section (checked before decoding: `c` = 32
+/// per byte); the decoder's tables, sized by the codes the table gives
+/// (a small factor times at most `count`, plus under 0.2 MiB); and the
+/// table stage's `k`.
+fn entropy_decode(
+    r: &mut Reader,
+    flags: u8,
+    q: &Quantizer,
+    n: usize,
+    symbols: &mut Vec<u32>,
+) -> Result<Range<usize>, SzError> {
+    let first = r.u32()? as usize;
+    let table_from = r.pos();
+    let count = r.u32()? as usize;
+    if first.checked_add(count).is_none_or(|end| end > q.alphabet_size()) {
+        return Err(SzError::Corrupt("symbol range out of alphabet"));
     }
-    p.u8(if block_mode { 1 } else { 0 });
-    p.u8(cfg.lorenzo_order);
-    p.f64(eb);
-    p.u32(q.radius());
-    p.u64(data.len() as u64);
-    p.u32(first as u32);
-    p.u32(dense.len() as u32);
-    match &packed {
-        Some(section) => p.section(section),
-        None => p.bytes(&dense),
+    let lens = table::decode(r, flags, count)?;
+    let table_at = table_from..r.pos();
+    let _bit_count = r.u64()?;
+    let sym_bytes = r.section()?;
+    if n > sym_bytes.len().saturating_mul(8) {
+        return Err(SzError::Corrupt("element count exceeds symbol stream"));
     }
-    p.u64(huffman_bits);
-    p.section(s.sym_bits.finish());
-    // Literals.
-    s.lit_bytes.reserve(s.literals.len() * T::BYTES);
-    for &v in &s.literals {
-        v.write_le(&mut s.lit_bytes);
-    }
-    p.section(&s.lit_bytes);
-    // Block metadata.
-    if block_mode {
-        p.section(s.block_bits.finish());
-        let mut cb = Vec::with_capacity(s.coeffs.len() * 4);
-        for &c in &s.coeffs {
-            cb.extend_from_slice(&c.to_le_bytes());
-        }
-        p.section(&cb);
-    }
+    HuffmanDecoder::from_occupied(&lens, first)
+        .map_err(|_| SzError::Corrupt("huffman table"))?
+        .decode_into(sym_bytes, n, symbols)
+        .map_err(|_| SzError::Corrupt("symbol stream"))?;
+    Ok(table_at)
+}
 
-    // ---- envelope ----
-    // The LZSS form of the payload is kept when it is smaller. A payload
-    // LZSS cannot take (4 GiB or more: its header and positions are u32)
-    // is stored raw, like one it fails to shrink.
-    let mut flags = if packed.is_some() { FLAG_PACKED_TABLE } else { 0 };
-    let mut body = p.into_bytes();
-    if cfg.lossless && lossless::accepts(body.len()) {
+/// The lossless stage: the envelope (magic, flags byte, body length) and,
+/// under `FLAG_LOSSLESS`, the payload's LZSS form as the body, kept only
+/// when it is smaller. A payload LZSS cannot take (4 GiB or more: its
+/// header and positions are u32) is stored raw, like one it fails to
+/// shrink. `flags` holds the inner stages' bits.
+fn lossless_encode(mut body: Vec<u8>, mut flags: u8, on: bool) -> Vec<u8> {
+    if on && lossless::accepts(body.len()) {
         let _span = lcpio_trace::span("sz.lossless");
         let z = lossless::compress(&body);
         let kept = z.len() < body.len();
@@ -789,19 +897,94 @@ fn compress_staged<T: Element>(
             body = z;
         }
     }
-    let bytes = envelope(flags, &body);
+    let mut out = Writer::new();
+    out.bytes(&MAGIC);
+    out.u8(flags);
+    out.section(&body);
+    out.into_bytes()
+}
 
-    let stats = CompressionStats {
-        elements: data.len() as u64,
-        input_bytes: (data.len() * T::BYTES) as u64,
-        output_bytes: bytes.len() as u64,
-        predictable: data.len() as u64 - s.literals.len() as u64,
-        unpredictable: s.literals.len() as u64,
-        regression_blocks,
-        lorenzo_blocks,
-        huffman_table_entries: n_present as u64,
-        huffman_bits,
+/// The lossless stage's decode: the flags byte and the payload (the body,
+/// or what its LZSS form expands to). A flag bit no stage knows, and a
+/// byte after the body, are errors.
+///
+/// Decode budget: a raw body is borrowed; an LZSS body expands to at most
+/// 83 bytes per byte of it, plus 4 (`lossless::decompress` checks its
+/// length field against that before allocating).
+fn lossless_decode(stream: &[u8]) -> Result<(u8, Cow<'_, [u8]>), SzError> {
+    let mut env = Reader::new(stream);
+    if env.bytes(4)? != MAGIC {
+        return Err(SzError::Corrupt("bad magic"));
+    }
+    let flags = env.u8()?;
+    if flags & !(FLAG_LOSSLESS | FLAG_PACKED_TABLE) != 0 {
+        return Err(SzError::Corrupt("unknown flags"));
+    }
+    let body = env.section()?;
+    if env.remaining() != 0 {
+        return Err(SzError::Corrupt("trailing bytes after body"));
+    }
+    let payload = if flags & FLAG_LOSSLESS != 0 {
+        Cow::Owned(lossless::decompress(body).map_err(|_| SzError::Corrupt("lzss"))?)
+    } else {
+        Cow::Borrowed(body)
     };
+    Ok((flags, payload))
+}
+
+// ---- The walks ----
+
+/// Compress `data` shaped as `dims` (1–4 dimensions, slowest first), for
+/// any supported element type.
+pub fn compress_typed<T: Element>(
+    data: &[T],
+    dims: &[usize],
+    cfg: &SzConfig,
+) -> Result<Compressed, SzError> {
+    compress_typed_with(data, dims, cfg, &mut SzScratch::new())
+}
+
+/// [`compress_typed`] with caller-provided scratch buffers. Repeated calls
+/// reuse the scratch's allocations; the output stream is identical to a
+/// fresh-scratch call.
+///
+/// The arithmetic is chosen here, once per call: the fast forms when
+/// `kernels::fast_enabled()` and the quantizer's geometry lets them match
+/// the reference (both write the same bytes, see `kernels`).
+pub fn compress_typed_with<T: Element>(
+    data: &[T],
+    dims: &[usize],
+    cfg: &SzConfig,
+    s: &mut SzScratch<T>,
+) -> Result<Compressed, SzError> {
+    let pq = PredictQuantize::new(data, dims, cfg)?;
+    if kernels::fast_enabled() && pq.q.fast_exact() {
+        compress_walk::<T, true>(&pq, data, dims, cfg.lossless, s)
+    } else {
+        compress_walk::<T, false>(&pq, data, dims, cfg.lossless, s)
+    }
+}
+
+/// The stage walk, forward: predict-quantize, entropy (the table stage
+/// inside it), predict-quantize's sections, lossless.
+fn compress_walk<T: Element, const FAST: bool>(
+    pq: &PredictQuantize,
+    data: &[T],
+    dims: &[usize],
+    lossless: bool,
+    s: &mut SzScratch<T>,
+) -> Result<Compressed, SzError> {
+    let mut stats = CompressionStats {
+        elements: pq.n as u64,
+        input_bytes: (pq.n * T::BYTES) as u64,
+        ..CompressionStats::default()
+    };
+    let mut p = Writer::new();
+    pq.encode::<T, FAST>(data, dims, &mut p, &mut stats, s);
+    let table_flag = entropy_encode::<T, FAST>(pq.q.alphabet_size(), lossless, &mut p, &mut stats, s)?;
+    pq.encode_sections(&mut p, s);
+    let bytes = lossless_encode(p.into_bytes(), table_flag, lossless);
+    stats.output_bytes = bytes.len() as u64;
     if lcpio_trace::collecting() {
         lcpio_trace::counter_add("sz.elements", stats.elements);
         lcpio_trace::counter_add("sz.bytes_in", stats.input_bytes);
@@ -813,21 +996,8 @@ fn compress_staged<T: Element>(
         lcpio_trace::counter_add("sz.huffman.table_entries", stats.huffman_table_entries);
         lcpio_trace::counter_add("sz.huffman.slots", s.huff.slots() as u64);
         lcpio_trace::counter_add("sz.huffman.bits", stats.huffman_bits);
-        lcpio_trace::counter_add("sz.table.dense_bytes", dense.len() as u64);
-        let stored = packed.as_ref().map_or(dense.len(), |section| 8 + section.len());
-        lcpio_trace::counter_add("sz.table.packed_bytes", stored as u64);
     }
     Ok(Compressed { bytes, stats })
-}
-
-/// A stream: magic, flags byte, body length, body.
-fn envelope(flags: u8, body: &[u8]) -> Vec<u8> {
-    let mut out = Writer::new();
-    out.bytes(&MAGIC);
-    out.u8(flags);
-    out.u64(body.len() as u64);
-    out.bytes(body);
-    out.into_bytes()
 }
 
 /// Compress an `f32` field (the paper's data type).
@@ -842,157 +1012,21 @@ pub fn compress_f64(data: &[f64], dims: &[usize], cfg: &SzConfig) -> Result<Comp
 
 /// Element type tag recorded in a compressed stream (without decoding it).
 pub fn stream_type_tag(stream: &[u8]) -> Result<u8, SzError> {
-    let (_, payload) = unwrap_envelope(stream)?;
-    let mut r = Reader::new(&payload);
-    r.u8()
-}
-
-/// The flags byte of a stream and its payload (the body, or what its LZSS
-/// form expands to). A flag bit this decoder does not know is an error.
-fn unwrap_envelope(stream: &[u8]) -> Result<(u8, Cow<'_, [u8]>), SzError> {
-    let mut env = Reader::new(stream);
-    if env.bytes(4)? != MAGIC {
-        return Err(SzError::Corrupt("bad magic"));
-    }
-    let flags = env.u8()?;
-    if flags & !(FLAG_LOSSLESS | FLAG_PACKED_TABLE) != 0 {
-        return Err(SzError::Corrupt("unknown flags"));
-    }
-    let body_len = env.u64()? as usize;
-    let body = env.bytes(body_len)?;
-    let payload = if flags & FLAG_LOSSLESS != 0 {
-        Cow::Owned(lossless::decompress(body).map_err(|_| SzError::Corrupt("lzss"))?)
-    } else {
-        Cow::Borrowed(body)
-    };
-    Ok((flags, payload))
-}
-
-/// The header fields of a payload and its sections, borrowed from it.
-struct Payload<'a> {
-    dims: Vec<usize>,
-    g: Geom,
-    block_mode: bool,
-    order: u8,
-    q: Quantizer,
-    /// Element count.
-    n: usize,
-    /// Code lengths of the symbols `first_symbol..first_symbol + code_lens.len()`:
-    /// borrowed from a dense table, expanded from a packed one.
-    first_symbol: usize,
-    code_lens: Cow<'a, [u8]>,
-    /// Where the table sits in the payload: the symbol count, then the
-    /// dense lengths or the packed section behind its length.
-    table_at: Range<usize>,
-    sym_bytes: &'a [u8],
-    lit_bytes: &'a [u8],
-    /// One bit per block, and four `f32` per regression block (both empty
-    /// outside block mode).
-    block_flags: &'a [u8],
-    coeff_bytes: &'a [u8],
-}
-
-/// Parse and validate a payload's header for element type `T`; `flags` is
-/// the stream's flags byte. Every size that drives an allocation or a table
-/// build is checked here against the bytes that are actually present, or,
-/// for the length table, against the quantizer's alphabet.
-fn parse_payload<T: Element>(payload: &[u8], flags: u8) -> Result<Payload<'_>, SzError> {
-    let mut r = Reader::new(payload);
-    let tag = r.u8()?;
-    if tag != T::TYPE_TAG {
-        return Err(SzError::TypeMismatch);
-    }
-    let rank = r.u8()? as usize;
-    if rank == 0 || rank > 4 {
-        return Err(SzError::Corrupt("bad rank"));
-    }
-    let mut dims = Vec::with_capacity(rank);
-    for _ in 0..rank {
-        dims.push(r.u64()? as usize);
-    }
-    let block_mode = r.u8()? == 1;
-    let order = r.u8()?;
-    let eb = r.f64()?;
-    let radius = r.u32()?;
-    let n = r.u64()? as usize;
-    // A corrupt header cannot be allowed to drive the output allocation:
-    // every element consumes at least one symbol-stream bit, so `n` is
-    // bounded by the remaining payload size.
-    if n > r.remaining().saturating_mul(8) {
-        return Err(SzError::Corrupt("element count exceeds payload"));
-    }
-    let g = geometry(&dims, n)?;
-    // The radius bounds the symbols a stream may use, so a forged header
-    // must not be able to claim an absurd one. The cap matches the
-    // encoder's clamp — no legitimate stream can exceed it.
-    if eb <= 0.0 || !eb.is_finite() || radius == 0 || radius > Quantizer::MAX_RADIUS {
-        return Err(SzError::Corrupt("bad quantizer params"));
-    }
-    let q = Quantizer::new(eb, radius);
-
-    // Huffman table (the code lengths of the occupied symbol range). The
-    // range is checked against the alphabet before a byte of it is read or
-    // unpacked: the decoder can then only ever give one of the quantizer's
-    // symbols, and a packed table only ever expand to the alphabet's size.
-    let first_symbol = r.u32()? as usize;
-    let table_from = payload.len() - r.remaining();
-    let count = r.u32()? as usize;
-    if first_symbol.checked_add(count).is_none_or(|end| end > q.alphabet_size()) {
-        return Err(SzError::Corrupt("symbol range out of alphabet"));
-    }
-    let code_lens = if flags & FLAG_PACKED_TABLE != 0 {
-        Cow::Owned(table::unpack(r.section()?, count)?)
-    } else {
-        Cow::Borrowed(r.bytes(count)?)
-    };
-    let table_at = table_from..payload.len() - r.remaining();
-    let _sym_bit_count = r.u64()?;
-    let sym_bytes = r.section()?;
-    // Tighter form of the element-count guard: every element consumes at
-    // least one bit of the symbol stream specifically.
-    if n > sym_bytes.len().saturating_mul(8) {
-        return Err(SzError::Corrupt("element count exceeds symbol stream"));
-    }
-    let lit_bytes = r.section()?;
-    if lit_bytes.len() % T::BYTES != 0 {
-        return Err(SzError::Corrupt("literal section"));
-    }
-    let (block_flags, coeff_bytes): (&[u8], &[u8]) = if block_mode {
-        let flags = r.section()?;
-        let coeffs = r.section()?;
-        if coeffs.len() % 16 != 0 {
-            return Err(SzError::Corrupt("coeff section"));
-        }
-        (flags, coeffs)
-    } else {
-        (&[], &[])
-    };
-    Ok(Payload {
-        dims,
-        g,
-        block_mode,
-        order,
-        q,
-        n,
-        first_symbol,
-        code_lens,
-        table_at,
-        sym_bytes,
-        lit_bytes,
-        block_flags,
-        coeff_bytes,
-    })
+    let (_, payload) = lossless_decode(stream)?;
+    Reader::new(&payload).u8()
 }
 
 /// The bytes of `stream` that hold its Huffman table: the symbol count,
-/// then the dense lengths or the packed section behind its length. For
-/// tests and fuzzers that aim there without restating the header layout.
-/// `None` for a stream that does not parse and for one whose payload is
-/// under an LZSS layer (its table is then no stretch of the stream's bytes).
+/// then the dense lengths or the packed section behind its length, as the
+/// decoding walk finds them. For tests and fuzzers that aim there without
+/// restating the header layout. `None` for a stream that does not decode
+/// and for one whose payload is under an LZSS layer (its table is then no
+/// stretch of the stream's bytes).
 pub fn table_range(stream: &[u8]) -> Option<Range<usize>> {
-    let (flags, Cow::Borrowed(payload)) = unwrap_envelope(stream).ok()? else { return None };
-    let p = parse_payload::<f32>(payload, flags).or_else(|_| parse_payload::<f64>(payload, flags));
-    p.ok().map(|p| ENVELOPE_LEN + p.table_at.start..ENVELOPE_LEN + p.table_at.end)
+    match decompress_walk::<f32>(stream, &mut SzScratch::new()) {
+        Err(SzError::TypeMismatch) => decompress_walk::<f64>(stream, &mut SzScratch::new()).ok()?.2,
+        walk => walk.ok()?.2,
+    }
 }
 
 /// Decompress a stream produced by [`compress_typed`]. Returns the values
@@ -1007,46 +1041,34 @@ pub fn decompress_typed<T: Element>(stream: &[u8]) -> Result<(Vec<T>, Vec<usize>
 /// calls reuse the scratch's allocations (symbol array, reconstruction
 /// array, row partials); the output is identical to a fresh-scratch call.
 ///
-/// Two stages: the whole symbol stream is entropy-decoded into the scratch
-/// ([`HuffmanDecoder::decode_into`]), then one loop per predictor turns
-/// symbols into values, each written to the reconstruction array the
-/// Lorenzo stencil reads (`f64`) and, narrowed, to the output.
+/// The stages in reverse: the whole symbol stream is entropy-decoded into
+/// the scratch ([`HuffmanDecoder::decode_into`]), then one loop per
+/// predictor turns symbols into values, each written to the
+/// reconstruction array the Lorenzo stencil reads (`f64`) and, narrowed,
+/// to the output.
 pub fn decompress_typed_with<T: Element>(
     stream: &[u8],
     s: &mut SzScratch<T>,
 ) -> Result<(Vec<T>, Vec<usize>), SzError> {
     let _span = lcpio_trace::span("sz.decompress");
-    let (flags, payload) = unwrap_envelope(stream)?;
-    let p = parse_payload::<T>(&payload, flags)?;
-    let dec = HuffmanDecoder::from_occupied(&p.code_lens, p.first_symbol)
-        .map_err(|_| SzError::Corrupt("huffman table"))?;
-    let SzScratch { symbols, recon, rowp, .. } = s;
-    dec.decode_into(p.sym_bytes, p.n, symbols).map_err(|_| SzError::Corrupt("symbol stream"))?;
-    // The tables need not sit under the output's allocation.
-    drop(dec);
+    decompress_walk(stream, s).map(|(values, dims, _)| (values, dims))
+}
 
-    // Every slot of `recon` is written before the stencil reads it (a
-    // prediction only looks at rows above, planes behind and the column
-    // to the left, all earlier in coding order), so what an earlier call
-    // left there need not be cleared.
-    recon.resize(p.n, 0.0);
-    rowp.resize(if p.block_mode { p.g.nx.min(BLOCK_SIDE) } else { p.g.nx }, 0.0);
-    let mut out = vec![T::from_f64(0.0); p.n];
-    let mut rc = Reconstruct {
-        q: p.q,
-        g: p.g,
-        literals: p.lit_bytes.chunks_exact(T::BYTES),
-        recon,
-        out: &mut out,
-    };
-    if p.block_mode {
-        rc.blocks(symbols, p.block_flags, p.coeff_bytes, rowp)?;
-    } else if p.g.rank == 1 && p.order == 2 {
-        rc.order2(symbols)?;
-    } else {
-        rc.classic(symbols, rowp)?;
-    }
-    Ok((out, p.dims))
+/// The stage walk in reverse: lossless, predict-quantize's head, entropy
+/// (the table stage inside it), predict-quantize. Also gives where the
+/// table lies in `stream` when the payload is stored raw.
+#[allow(clippy::type_complexity)]
+fn decompress_walk<T: Element>(
+    stream: &[u8],
+    s: &mut SzScratch<T>,
+) -> Result<(Vec<T>, Vec<usize>, Option<Range<usize>>), SzError> {
+    let (flags, payload) = lossless_decode(stream)?;
+    let mut r = Reader::new(&payload);
+    let (pq, dims) = PredictQuantize::decode_head::<T>(&mut r)?;
+    let table = entropy_decode(&mut r, flags, &pq.q, pq.n, &mut s.symbols)?;
+    let values = pq.decode(&mut r, s)?;
+    let raw = matches!(payload, Cow::Borrowed(_));
+    Ok((values, dims, raw.then(|| ENVELOPE_LEN + table.start..ENVELOPE_LEN + table.end)))
 }
 
 /// Longest run of elements the reconstruct loops prepare at once (see
@@ -1360,7 +1382,7 @@ mod tests {
         let payload = &raw[ENVELOPE_LEN..];
         let z = lossless::compress_reference(payload, false);
         if z.len() < payload.len() {
-            envelope(FLAG_LOSSLESS, &z)
+            [&MAGIC[..], &[FLAG_LOSSLESS], &(z.len() as u64).to_le_bytes(), &z].concat()
         } else {
             raw.to_vec()
         }
@@ -1480,23 +1502,49 @@ mod tests {
         (field.data[chunk * 12 * plane..(chunk + 1) * 12 * plane].to_vec(), [12, 48, 48])
     }
 
+    /// Stages 1 and 2 of the encoder on `data`, into a fresh scratch, under
+    /// the fast arithmetic: the predict-quantize stage, the scratch, and
+    /// the entropy stage's code.
+    fn quantize_and_code<T: Element>(
+        data: &[T],
+        dims: &[usize],
+        cfg: &SzConfig,
+    ) -> (PredictQuantize, SzScratch<T>, CodeTable) {
+        let pq = PredictQuantize::new(data, dims, cfg).unwrap();
+        let mut s = SzScratch::new();
+        pq.encode::<T, true>(data, dims, &mut Writer::new(), &mut CompressionStats::default(), &mut s);
+        let code = huffman_code::<T, true>(pq.q.alphabet_size(), &mut s).unwrap();
+        (pq, s, code)
+    }
+
     #[test]
     fn nyx_chunk_tables_pack_to_less_and_unpack_to_themselves() {
         for chunk in 0..4 {
             let (data, dims) = nyx_chunk(chunk);
             for eb in [1e-1, 1e-2, 1e-3, 1e-4] {
                 let cfg = SzConfig::new(ErrorBound::Absolute(eb));
-                let raw = compress_typed(&data, &dims, &cfg.with_lossless(false)).unwrap().bytes;
-                let dense = parse_payload::<f32>(&raw[ENVELOPE_LEN..], 0).unwrap().code_lens;
-                let section = table::pack(&dense).expect("a table");
-                assert_eq!(table::unpack(&section, dense.len()).unwrap(), &dense[..]);
-                assert!(8 + section.len() < dense.len() / 2, "chunk {chunk} eb {eb:e}");
+                let (_, _, (_, dense, _)) = quantize_and_code(&data, &dims, &cfg);
+                // The table stage, both forms, there and back: the flag,
+                // the bytes, the same lengths.
+                for lossless in [false, true] {
+                    let mut p = Writer::new();
+                    let flag = table::encode(&dense, lossless, &mut p);
+                    let bytes = p.into_bytes();
+                    let mut r = Reader::new(&bytes);
+                    assert_eq!(table::decode(&mut r, flag, dense.len()).unwrap(), &dense[..]);
+                    assert_eq!(r.remaining(), 0);
+                    if lossless {
+                        assert_eq!(flag, FLAG_PACKED_TABLE);
+                        assert!(bytes.len() < dense.len() / 2, "chunk {chunk} eb {eb:e}");
+                    } else {
+                        assert_eq!((flag, &bytes[..]), (0, &dense[..]));
+                    }
+                }
                 // The stream with the packed table: the flag, the same
-                // table behind it, the same values out.
+                // values out.
+                let raw = compress_typed(&data, &dims, &cfg.with_lossless(false)).unwrap().bytes;
                 let new = compress_typed(&data, &dims, &cfg).unwrap().bytes;
                 assert_eq!(flags_of(&new), FLAG_PACKED_TABLE, "chunk {chunk} eb {eb:e}");
-                let unpacked = parse_payload::<f32>(&new[ENVELOPE_LEN..], FLAG_PACKED_TABLE).unwrap();
-                assert_eq!(unpacked.code_lens, dense);
                 let (old_values, _) = decompress_typed::<f32>(&raw).unwrap();
                 let (new_values, _) = decompress_typed::<f32>(&new).unwrap();
                 assert_eq!(le_bits(&old_values), le_bits(&new_values));
@@ -1517,6 +1565,123 @@ mod tests {
                 assert_eq!(decompress(&bad).unwrap_err(), SzError::Corrupt("unknown flags"));
                 assert_eq!(stream_type_tag(&bad).unwrap_err(), SzError::Corrupt("unknown flags"));
             }
+        }
+        // So is a predictor byte other than 0 and 1, in either mode: it is
+        // never read as classic Lorenzo. Behind the envelope, the type tag
+        // and two dims.
+        const PREDICTOR_AT: usize = ENVELOPE_LEN + 1 + 1 + 2 * 8;
+        for (mode, byte) in [(PredictorMode::Lorenzo, 0), (PredictorMode::BlockAdaptive, 1)] {
+            let cfg = SzConfig::new(ErrorBound::Absolute(1e-3)).with_mode(mode).with_lossless(false);
+            let good = compress(&data, &[16, 32], &cfg).unwrap().bytes;
+            assert_eq!((flags_of(&good), good[PREDICTOR_AT]), (0, byte));
+            for forged in 2..=u8::MAX {
+                let mut bad = good.clone();
+                bad[PREDICTOR_AT] = forged;
+                assert_eq!(decompress(&bad).unwrap_err(), SzError::Corrupt("unknown predictor"));
+            }
+        }
+    }
+
+    #[test]
+    fn bytes_after_the_body_or_the_payload_are_rejected() {
+        // A payload stored raw, and one under LZSS.
+        let sine: Vec<f32> = (0..512).map(|i| (i as f32 * 0.02).sin()).collect();
+        let flat = vec![1.0f32; 512];
+        for (data, lossless, inner) in [
+            (&sine, false, "trailing bytes after sections"),
+            (&flat, true, "lzss"),
+        ] {
+            let cfg = SzConfig::new(ErrorBound::Absolute(1e-3)).with_lossless(lossless);
+            let good = compress(data, &[512], &cfg).unwrap().bytes;
+            assert_eq!(flags_of(&good) & FLAG_LOSSLESS, lossless as u8);
+            // A byte after the body.
+            let mut bad = good.clone();
+            bad.push(0);
+            assert_eq!(decompress(&bad).unwrap_err(), SzError::Corrupt("trailing bytes after body"));
+            assert_eq!(stream_type_tag(&bad).unwrap_err(), SzError::Corrupt("trailing bytes after body"));
+            // The body a byte longer: a byte after the payload's last
+            // section, or after the last LZSS token.
+            let mut bad = good.clone();
+            let body_len = u64::from_le_bytes(bad[5..ENVELOPE_LEN].try_into().unwrap());
+            bad[5..ENVELOPE_LEN].copy_from_slice(&(body_len + 1).to_le_bytes());
+            bad.push(0);
+            assert_eq!(decompress(&bad).unwrap_err(), SzError::Corrupt(inner));
+        }
+    }
+
+    #[test]
+    fn predict_quantize_stage_round_trips() {
+        // The head and the sections there and back, and the encoder's own
+        // symbols reconstructed: the values it reconstructed, narrowed, to
+        // the bit. Both modes and arithmetics, escapes included.
+        let mut escapes = 0;
+        for (dims, eb) in [(vec![13usize, 20, 19], 1e-3), (vec![40, 50], 1e-1), (vec![1000], 1e-5)] {
+            let data = mixed_field(&dims, 0x9e37_79b9);
+            for mode in [PredictorMode::BlockAdaptive, PredictorMode::Lorenzo] {
+                let pq = PredictQuantize::new(&data, &dims, &SzConfig::new(ErrorBound::Absolute(eb)).with_mode(mode))
+                    .unwrap();
+                for fast in [true, false] {
+                    let (mut p, mut s, mut stats) = (Writer::new(), SzScratch::new(), CompressionStats::default());
+                    if fast {
+                        pq.encode::<f32, true>(&data, &dims, &mut p, &mut stats, &mut s);
+                    } else {
+                        pq.encode::<f32, false>(&data, &dims, &mut p, &mut stats, &mut s);
+                    }
+                    pq.encode_sections(&mut p, &mut s);
+                    escapes += stats.unpredictable;
+                    let want: Vec<f32> = s.recon.iter().map(|&v| v as f32).collect();
+                    let bytes = p.into_bytes();
+                    let mut r = Reader::new(&bytes);
+                    let (back, back_dims) = PredictQuantize::decode_head::<f32>(&mut r).unwrap();
+                    assert_eq!((&back_dims, back.block_mode, back.n), (&dims, pq.block_mode, pq.n));
+                    let values = back.decode(&mut r, &mut s).unwrap();
+                    assert_eq!(le_bits(&values), le_bits(&want), "{dims:?} {mode:?} fast={fast}");
+                }
+            }
+        }
+        assert!(escapes > 0);
+    }
+
+    #[test]
+    fn entropy_stage_round_trips() {
+        // The table stage inside it in both forms: the symbols come back,
+        // and the table lies behind the first coded symbol.
+        let (data, dims) = nyx_chunk(1);
+        for lossless in [false, true] {
+            let cfg = SzConfig::new(ErrorBound::Absolute(1e-3)).with_lossless(lossless);
+            let (pq, mut s, _) = quantize_and_code(&data, &dims, &cfg);
+            let (mut p, mut stats) = (Writer::new(), CompressionStats::default());
+            let flag = entropy_encode::<f32, true>(pq.q.alphabet_size(), lossless, &mut p, &mut stats, &mut s).unwrap();
+            assert_eq!(flag, if lossless { FLAG_PACKED_TABLE } else { 0 });
+            let bytes = p.into_bytes();
+            let (mut r, mut symbols) = (Reader::new(&bytes), Vec::new());
+            let table = entropy_decode(&mut r, flag, &pq.q, pq.n, &mut symbols).unwrap();
+            assert_eq!((symbols, r.remaining(), table.start), (s.symbols, 0, 4));
+            assert_eq!(bytes.len(), table.end + 8 + (stats.huffman_bits as usize).div_ceil(8) + 8);
+        }
+    }
+
+    #[test]
+    fn lossless_stage_round_trips() {
+        // Runs LZSS shrinks, noise it cannot, and the stage off: the flags
+        // byte says which body was kept, and the payload comes back.
+        let runs = vec![7u8; 5000];
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let noise: Vec<u8> = (0..5000)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        for (payload, on, lzss) in [(&runs, true, true), (&noise, true, false), (&runs, false, false)] {
+            let stream = lossless_encode(payload.clone(), FLAG_PACKED_TABLE, on);
+            let flags = FLAG_PACKED_TABLE | if lzss { FLAG_LOSSLESS } else { 0 };
+            assert_eq!(flags_of(&stream), flags);
+            let (back_flags, back) = lossless_decode(&stream).unwrap();
+            assert_eq!((back_flags, &back[..]), (flags, &payload[..]));
+            assert_eq!(matches!(back, Cow::Borrowed(_)), !lzss);
         }
     }
 
@@ -1655,27 +1820,26 @@ mod tests {
     }
 
     /// The decode loop `decompress_typed_with` replaced, kept as its
-    /// executable specification (behind the same header parse): one symbol
-    /// at a time through the reference Huffman walk, the predictor chosen
-    /// and the escape and range tests made per element, rows in storage
-    /// order, the output narrowed in a second pass.
+    /// executable specification: behind the same envelope, head and table
+    /// reads, the rest of the layout read here, then one symbol at a time
+    /// through the reference Huffman walk, the predictor chosen and the
+    /// escape and range tests made per element, rows in storage order, the
+    /// output narrowed in a second pass.
     fn decompress_reference<T: Element>(stream: &[u8]) -> Result<(Vec<T>, Vec<usize>), SzError> {
-        let (flags, payload) = unwrap_envelope(stream)?;
-        let Payload {
-            dims,
-            g,
-            block_mode,
-            order,
-            q,
-            n,
-            first_symbol,
-            code_lens,
-            table_at: _,
-            sym_bytes,
-            lit_bytes,
-            block_flags,
-            coeff_bytes,
-        } = parse_payload::<T>(&payload, flags)?;
+        const CORRUPT: SzError = SzError::Corrupt("reference");
+        let (flags, payload) = lossless_decode(stream)?;
+        let mut r = Reader::new(&payload);
+        let (PredictQuantize { g, block_mode, order, q, n }, dims) = PredictQuantize::decode_head::<T>(&mut r)?;
+        let (first_symbol, count) = (r.u32()? as usize, r.u32()? as usize);
+        if first_symbol.checked_add(count).is_none_or(|end| end > q.alphabet_size()) {
+            return Err(CORRUPT);
+        }
+        let code_lens = table::decode(&mut r, flags, count)?;
+        let (_bit_count, sym_bytes, lit_bytes) = (r.u64()?, r.section()?, r.section()?);
+        let (block_flags, coeff_bytes) = if block_mode { (r.section()?, r.section()?) } else { (&[][..], &[][..]) };
+        if lit_bytes.len() % T::BYTES != 0 || coeff_bytes.len() % 16 != 0 || r.remaining() != 0 {
+            return Err(CORRUPT);
+        }
         let mut all_lens = vec![0u8; q.alphabet_size()];
         all_lens[first_symbol..first_symbol + code_lens.len()].copy_from_slice(&code_lens);
         let dec = ReferenceDecoder::from_lengths(&all_lens)
@@ -2156,11 +2320,7 @@ mod tests {
     /// specification: a histogram over the quantizer's whole alphabet, the
     /// tree and the codes built over all of it, one `push_bits` a symbol,
     /// and the occupied range found by scanning every length.
-    fn entropy_code_reference<T>(
-        alphabet: usize,
-        _fast: bool,
-        s: &mut SzScratch<T>,
-    ) -> Result<CodeTable, SzError> {
+    fn entropy_code_reference<T>(alphabet: usize, s: &mut SzScratch<T>) -> Result<CodeTable, SzError> {
         let mut freqs = vec![0u64; alphabet];
         for &sym in &s.symbols {
             freqs[sym as usize] += 1;
@@ -2194,22 +2354,35 @@ mod tests {
         scratch
     }
 
-    /// Stream bytes and statistics are those of the dense reference, under
-    /// both arithmetics, from a fresh and from a stale scratch. Returns the
-    /// statistics.
+    /// The dense reference swapped in at the entropy stage: on the symbols
+    /// predict-quantize made, the stage's coder under either arithmetic
+    /// gives the reference's table and bits, from a fresh and from a stale
+    /// scratch. And the whole walk writes the same bytes and statistics
+    /// under both arithmetics from either scratch. Returns the statistics.
     fn assert_matches_dense_entropy_stage<T: Element>(
         data: &[T],
         dims: &[usize],
         cfg: &SzConfig,
     ) -> CompressionStats {
+        let pq = PredictQuantize::new(data, dims, cfg).unwrap();
+        let alphabet = pq.q.alphabet_size();
+        let want = compress_walk::<T, true>(&pq, data, dims, cfg.lossless, &mut SzScratch::new()).unwrap();
+        let bits = |s: &mut SzScratch<T>| (s.sym_bits.bit_len(), s.sym_bits.finish().to_vec());
         let mut stale = stale_encode_scratch::<T>();
-        let want = compress_staged(data, dims, cfg, &mut SzScratch::new(), true, entropy_code_reference)
-            .unwrap();
-        for fast in [true, false] {
-            for scratch in [&mut SzScratch::new(), &mut stale] {
-                let got = compress_staged(data, dims, cfg, scratch, fast, entropy_code).unwrap();
-                assert_eq!(got.bytes, want.bytes, "{dims:?} {cfg:?} fast={fast}");
-                assert_eq!(got.stats, want.stats, "{dims:?} {cfg:?} fast={fast}");
+        for scratch in [&mut SzScratch::new(), &mut stale] {
+            pq.encode::<T, true>(data, dims, &mut Writer::new(), &mut CompressionStats::default(), scratch);
+            scratch.sym_bits.clear();
+            let reference = (entropy_code_reference(alphabet, scratch).unwrap(), bits(scratch));
+            let fast = (huffman_code::<T, true>(alphabet, scratch).unwrap(), bits(scratch));
+            assert!(fast == reference, "{dims:?} {cfg:?}, fast arithmetic");
+            let slow = (huffman_code::<T, false>(alphabet, scratch).unwrap(), bits(scratch));
+            assert!(slow == reference, "{dims:?} {cfg:?}, reference arithmetic");
+            for got in [
+                compress_walk::<T, false>(&pq, data, dims, cfg.lossless, scratch).unwrap(),
+                compress_walk::<T, true>(&pq, data, dims, cfg.lossless, scratch).unwrap(),
+            ] {
+                assert_eq!(got.bytes, want.bytes, "{dims:?} {cfg:?}");
+                assert_eq!(got.stats, want.stats, "{dims:?} {cfg:?}");
             }
         }
         want.stats
@@ -2280,13 +2453,7 @@ mod tests {
             cfg.lorenzo_order = 1;
             let stats = assert_matches_dense_entropy_stage(&ends, &[ends.len()], &cfg);
             assert_eq!(stats.unpredictable, 1);
-            let mut seen = None;
-            let watched = |alphabet, fast, s: &mut SzScratch<f64>| {
-                seen = Some(entropy_code(alphabet, fast, s)?);
-                Ok(seen.clone().unwrap())
-            };
-            compress_staged(&ends, &[ends.len()], &cfg, &mut SzScratch::new(), true, watched).unwrap();
-            let (first, table, present) = seen.unwrap();
+            let (_, _, (first, table, present)) = quantize_and_code(&ends, &[ends.len()], &cfg);
             assert_eq!((first, table.len()), (0, 2 * radius as usize), "radius {radius}");
             assert_eq!(present, if radius == 1 { 2 } else { 4 }, "radius {radius}");
         }

@@ -20,10 +20,52 @@
 //! its extra bits, until the lengths of the whole range are out; zero bits
 //! pad the last byte. How many lengths there are is not in the section:
 //! the stream header's `count` says so.
+//!
+//! This is the table stage of the payload: [`encode`] chooses the form and
+//! writes it, [`decode`] reads it back under the envelope's
+//! `FLAG_PACKED_TABLE`.
+
+use std::borrow::Cow;
 
 use crate::bitio::{BitReader, BitWriter};
+use crate::header::{Reader, Writer, FLAG_PACKED_TABLE};
 use crate::huffman::{canonical_codes, code_lengths, HuffmanDecoder, MAX_CODE_LEN};
 use crate::SzError;
+
+/// The table stage: `lens` into `p` packed when the lossless back end is
+/// on and the section with its length prefix is smaller (the rule its
+/// LZSS pass follows too), dense, a byte each, otherwise. Quantization
+/// codes cluster around the zero bin, so at loose bounds the range is a
+/// few entries and stays dense. Returns the stage's flag bit.
+pub(crate) fn encode(lens: &[u8], lossless: bool, p: &mut Writer) -> u8 {
+    let packed = if lossless {
+        let _span = lcpio_trace::span("sz.table.pack");
+        pack(lens).filter(|section| 8 + section.len() < lens.len())
+    } else {
+        None
+    };
+    if lcpio_trace::collecting() {
+        lcpio_trace::counter_add("sz.table.dense_bytes", lens.len() as u64);
+        let stored = packed.as_ref().map_or(lens.len(), |section| 8 + section.len());
+        lcpio_trace::counter_add("sz.table.packed_bytes", stored as u64);
+    }
+    match &packed {
+        Some(section) => p.section(section),
+        None => p.bytes(lens),
+    }
+    packed.map_or(0, |_| FLAG_PACKED_TABLE)
+}
+
+/// The table stage's decode: the `count` code lengths, from a packed
+/// section when `flags` has `FLAG_PACKED_TABLE` and borrowed from `count`
+/// dense bytes when not. Decode budget: [`unpack`]'s.
+pub(crate) fn decode<'a>(r: &mut Reader<'a>, flags: u8, count: usize) -> Result<Cow<'a, [u8]>, SzError> {
+    Ok(if flags & FLAG_PACKED_TABLE != 0 {
+        Cow::Owned(unpack(r.section()?, count)?)
+    } else {
+        Cow::Borrowed(r.bytes(count)?)
+    })
+}
 
 /// The first run token; the zero-run tokens follow it.
 const REPEAT: u8 = MAX_CODE_LEN + 1;
@@ -76,7 +118,7 @@ fn tokenize(lens: &[u8]) -> Vec<(u8, u16)> {
 
 /// The packed section for `lens` (each at most [`MAX_CODE_LEN`]), or `None`
 /// for an empty table, which has no packed form.
-pub(crate) fn pack(lens: &[u8]) -> Option<Vec<u8>> {
+fn pack(lens: &[u8]) -> Option<Vec<u8>> {
     write_tokens(&tokenize(lens))
 }
 
@@ -115,7 +157,7 @@ fn write_tokens(tokens: &[(u8, u16)]) -> Option<Vec<u8>> {
 /// oversubscribed, a length over 32), a run that overshoots `count`, a
 /// repeat with nothing before it, a bit stream that ends before `count`
 /// lengths are out, and bytes left over after them.
-pub(crate) fn unpack(section: &[u8], count: usize) -> Result<Vec<u8>, SzError> {
+fn unpack(section: &[u8], count: usize) -> Result<Vec<u8>, SzError> {
     const TOKEN_STREAM: SzError = SzError::Corrupt("packed table token stream");
     const NO_PREVIOUS: SzError = SzError::Corrupt("packed table repeats nothing");
     let mut r = BitReader::new(section);
