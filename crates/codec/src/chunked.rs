@@ -38,14 +38,15 @@
 //!
 //! # Decode
 //!
-//! One strategy for both: every chunk's *own* validated stream header
-//! sizes its output (a container header never drives an allocation), the
-//! container's sub-shape is cross-checked afterwards, and the results are
-//! concatenated in index order. Decoding is therefore bit-identical to
-//! decoding each chunk's standalone stream serially, at any thread count.
-//! The claimed element count goes through the one decoded-size gate,
-//! [`lcpio_wire::guard_element_count`], in both the legacy and `LCW1`
-//! forms.
+//! One strategy for both: the field is allocated once, sized by the
+//! validated table, whose element count has passed the one decoded-size
+//! gate ([`lcpio_wire::guard_element_count`]) in both the legacy and
+//! `LCW1` forms. It is cut with `split_at_mut` into one slice per range,
+//! and each worker decodes its chunk's standalone stream straight into
+//! its slice. A chunk whose own header claims another element count is
+//! refused before it writes a value, and its sub-shape is cross-checked
+//! after. Decoding is therefore bit-identical to decoding each chunk's
+//! standalone stream serially, at any thread count.
 
 use crate::{CodecError, CodecStats, Encoded};
 use lcpio_sz::{trace, SzError};
@@ -162,12 +163,14 @@ pub(crate) trait Backend<T> {
         scratch: &mut Self::Scratch,
     ) -> Result<Encoded, CodecError>;
 
-    /// Decode one standalone serial stream; its own header sizes the
-    /// output.
-    fn decompress(
+    /// Decode one standalone serial stream into `out`, which must hold
+    /// exactly the element count its header claims (else the backend's
+    /// `InvalidDims`, before a value is written); returns its dims.
+    fn decompress_into(
         chunk: &[u8],
+        out: &mut [T],
         scratch: &mut Self::Scratch,
-    ) -> Result<(Vec<T>, Vec<usize>), CodecError>;
+    ) -> Result<Vec<usize>, CodecError>;
 }
 
 /// A lock-guarded pool of per-worker scratch buffers.
@@ -434,13 +437,29 @@ pub fn parse(stream: &[u8]) -> Result<Chunked<'_>, CodecError> {
     Chunked::new(magic, type_tag, dims, &ranges, &frames)
 }
 
-/// Decode a validated container with backend `B` using up to `threads`
-/// workers (0 ⇒ all available).
-pub(crate) fn decode<T: Copy + Send, B: Backend<T>>(
+/// Decode a validated container with backend `B` into a new array sized
+/// by its table, using up to `threads` workers (0 ⇒ all available).
+pub(crate) fn decode<T: Copy + Send + Default, B: Backend<T>>(
     container: &Chunked<'_>,
     threads: usize,
     pool: &ScratchPool<B::Scratch>,
 ) -> Result<(Vec<T>, Vec<usize>), CodecError> {
+    let elements = element_count(&container.dims).expect("a validated table's dims");
+    let mut out = vec![T::default(); elements];
+    decode_into::<T, B>(container, &mut out, threads, pool)?;
+    Ok((out, container.dims.clone()))
+}
+
+/// Decode a validated container with backend `B` into `out`, which must
+/// hold its element count (else the backend's `InvalidDims`, before a
+/// value is written), using up to `threads` workers (0 ⇒ all available).
+/// Each worker decodes its chunk into that chunk's own slice of `out`.
+pub(crate) fn decode_into<T: Copy + Send, B: Backend<T>>(
+    container: &Chunked<'_>,
+    out: &mut [T],
+    threads: usize,
+    pool: &ScratchPool<B::Scratch>,
+) -> Result<(), CodecError> {
     let format = B::FORMAT;
     if container.format.magic != format.magic {
         return Err((format.corrupt)("bad chunked magic"));
@@ -448,34 +467,42 @@ pub(crate) fn decode<T: Copy + Send, B: Backend<T>>(
     if container.type_tag != B::TYPE_TAG {
         return Err(format.type_mismatch);
     }
+    if element_count(&container.dims) != Some(out.len()) {
+        return Err(format.invalid_dims);
+    }
     let dims = &container.dims;
     let row: usize = dims[1..].iter().product();
-    let parts = run_workers(
+    // The ranges are a validated contiguous cover of dims[0], so their
+    // slices tile `out` exactly.
+    let mut rest = out;
+    let slices: Vec<Mutex<&mut [T]>> = container
+        .chunks
+        .iter()
+        .map(|&(a, b, _)| {
+            let (slice, tail) = std::mem::take(&mut rest).split_at_mut((b - a) * row);
+            rest = tail;
+            Mutex::new(slice)
+        })
+        .collect();
+    let shape_mismatch = (format.corrupt)("chunk shape mismatch");
+    let results = run_workers(
         container.chunks.len(),
         effective_threads(threads),
         pool,
         format.span_chunk_decode,
         |i, scratch| {
             let (a, b, chunk) = container.chunks[i];
-            let (vals, got) = B::decompress(chunk, scratch)?;
-            let shape_ok = got.len() == dims.len()
-                && got[0] == b - a
-                && got[1..] == dims[1..]
-                && vals.len() == (b - a) * row;
-            if shape_ok {
-                Ok(vals)
+            let mut slice = slices[i].lock().expect("slice lock");
+            let got = B::decompress_into(chunk, &mut slice, scratch)
+                .map_err(|e| if e == format.invalid_dims { shape_mismatch } else { e })?;
+            if got.len() == dims.len() && got[0] == b - a && got[1..] == dims[1..] {
+                Ok(())
             } else {
-                Err((format.corrupt)("chunk shape mismatch"))
+                Err(shape_mismatch)
             }
         },
     );
-    // Sized from what the chunks actually decoded to, not from the header.
-    let parts = parts.into_iter().collect::<Result<Vec<Vec<T>>, CodecError>>()?;
-    let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-    for part in parts {
-        out.extend_from_slice(&part);
-    }
-    Ok((out, dims.clone()))
+    results.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -493,19 +520,26 @@ mod tests {
         a.iter().zip(b).map(|(&x, &y)| (x.into() - y.into()).abs()).fold(0.0, f64::max)
     }
 
+    /// One standalone stream of `n` elements, decoded on its own into an
+    /// array of NaNs: every element must be written.
+    fn alone<T: Copy + From<f32>, B: Backend<T>>(stream: &[u8], n: usize) -> Vec<T> {
+        let mut out = vec![T::from(f32::NAN); n];
+        B::decompress_into(stream, &mut out, &mut Default::default()).expect("standalone decode");
+        out
+    }
+
     /// Every property of the container, for one backend and element type,
     /// over rank 1–4 and four worker counts.
     fn check_backend<T, B>(params: &B::Params, tol: f64)
     where
-        T: Copy + Send + Sync + PartialEq + std::fmt::Debug + From<f32> + Into<f64>,
+        T: Copy + Send + Sync + Default + PartialEq + std::fmt::Debug + From<f32> + Into<f64>,
         B: Backend<T>,
     {
         for dims in [&[1000usize][..], &[25, 40], &[26, 8, 9], &[13, 4, 5, 6]] {
             let n: usize = dims.iter().product();
             let data: Vec<T> = smooth(n);
             let whole = B::compress(&data, dims, params, &mut Default::default()).expect("serial");
-            let (serial_values, _) =
-                B::decompress(&whole.bytes, &mut Default::default()).expect("serial decode");
+            let serial_values: Vec<T> = alone::<T, B>(&whole.bytes, n);
             assert!(max_err(&data, &serial_values) <= tol * 1.0001 + 1e-9);
 
             let pool = ScratchPool::new();
@@ -523,9 +557,12 @@ mod tests {
                 let (rec, got) = decode::<T, B>(&container, threads, &pool).expect("decode");
                 assert_eq!(got, dims, "{label}");
                 assert!(max_err(&data, &rec) <= tol * 1.0001 + 1e-9, "{label}: bound broken");
-                let alone = |s| B::decompress(s, &mut Default::default()).expect("chunk").0;
-                let per_chunk: Vec<T> =
-                    container.chunks().iter().flat_map(|&(_, _, s)| alone(s)).collect();
+                let row = n / dims[0];
+                let per_chunk: Vec<T> = container
+                    .chunks()
+                    .iter()
+                    .flat_map(|&(a, b, s)| alone::<T, B>(s, (b - a) * row))
+                    .collect();
                 assert_eq!(rec, per_chunk, "{label}: differs from per-chunk serial decode");
 
                 let zflp = B::FORMAT.magic == ZFLP.magic;
@@ -666,6 +703,31 @@ mod tests {
                     assert_eq!(registry().decompress_auto(form, 1).err(), expect, "{name} {what}");
                 }
                 assert_eq!(wire::unwrap(&as_tlv).err(), expect, "{name} {what}");
+            }
+
+            // Chunk streams of different extents swapped under an honest
+            // table: each decodes alone, but not into its range's slice.
+            let uneven = codec
+                .compress_chunked(&data[..18 * 10], &[18, 10], BoundSpec::Absolute(1e-3), 2)
+                .expect("compress")
+                .bytes;
+            let uneven = parse(&uneven).expect("parse");
+            let table: Vec<(usize, usize)> = uneven.chunks().iter().map(|c| (c.0, c.1)).collect();
+            assert_eq!(table, [(0, 12), (12, 18)], "{name}: fixture must have uneven chunks");
+            let swapped = [uneven.chunks()[1].2, uneven.chunks()[0].2];
+            let chunks = table.iter().zip(swapped).map(|(&(a, b), f)| (a, b, f)).collect();
+            let as_legacy =
+                Chunked { format: uneven.format, type_tag: 0, dims: vec![18, 10], chunks }.build();
+            let as_tlv = EnvelopeBuilder::new(uneven.format.magic)
+                .element_type(0)
+                .dims(&[18, 10])
+                .chunk_table(&table)
+                .build(&swapped);
+            let expect = Some((uneven.format.corrupt)("chunk shape mismatch"));
+            for form in [&as_legacy, &as_tlv] {
+                assert_eq!(registry().decompress_auto(form, 1).err(), expect, "{name} swapped");
+                let mut out = vec![0.0f32; 18 * 10];
+                assert_eq!(codec.decompress_into(form, &mut out, 2).err(), expect, "{name} swapped");
             }
         }
     }

@@ -230,8 +230,9 @@ impl From<ZfpError> for CodecError {
 /// An error-bounded lossy compressor backend.
 ///
 /// The trait is object-safe — the registry hands out `&'static dyn Codec`
-/// — and deliberately narrow: `f32`/`f64` fields, one bound per call, and
-/// self-describing output streams. Backend-specific knobs (SZ predictor
+/// — and deliberately narrow: `f32` fields (every paper dataset), one
+/// bound per call, and self-describing output streams. `f64` stays with
+/// the backend crates and the adapters' generic `decompress_chunked`. Backend-specific knobs (SZ predictor
 /// modes, ZFP fixed-rate/precision) stay on the backend crates; code that
 /// ablates those knobs is expected to call the backend directly.
 ///
@@ -293,26 +294,23 @@ pub trait Codec: Send + Sync {
         self.compress(data, dims, bound)
     }
 
-    /// Compress an `f64` field serially.
-    fn compress_f64(
-        &self,
-        data: &[f64],
-        dims: &[usize],
-        bound: BoundSpec,
-    ) -> Result<Encoded, CodecError>;
-
     /// Decompress any of this codec's containers, legacy or wrapped in an
     /// `LCW1` envelope, into `f32`, using up to `threads` workers where
     /// the container supports it.
     fn decompress(&self, stream: &[u8], threads: usize)
         -> Result<(Vec<f32>, Vec<usize>), CodecError>;
 
-    /// Decompress any of this codec's containers into `f64`.
-    fn decompress_f64(
+    /// [`Codec::decompress`] into `out`, which must hold exactly the
+    /// stream's element count: any other length is the backend's
+    /// `InvalidDims` error before a value is written. Returns the dims. A
+    /// chunked container decodes each chunk straight into its slice of
+    /// `out`.
+    fn decompress_into(
         &self,
         stream: &[u8],
+        out: &mut [f32],
         threads: usize,
-    ) -> Result<(Vec<f64>, Vec<usize>), CodecError>;
+    ) -> Result<Vec<usize>, CodecError>;
 }
 
 #[cfg(test)]

@@ -194,15 +194,6 @@ impl CodecRegistry {
         codec.decompress(stream, threads)
     }
 
-    /// Decompress a stream into `f64` after sniffing its container.
-    pub fn decompress_auto_f64(
-        &self,
-        stream: &[u8],
-        threads: usize,
-    ) -> Result<(Vec<f64>, Vec<usize>), CodecError> {
-        let (codec, _) = self.by_magic(stream)?;
-        codec.decompress_f64(stream, threads)
-    }
 }
 
 /// Render the registry's containers as a Markdown table (the README's
@@ -326,22 +317,15 @@ mod tests {
         ) -> Result<crate::Encoded, CodecError> {
             unimplemented!()
         }
-        fn compress_f64(
-            &self,
-            _: &[f64],
-            _: &[usize],
-            _: BoundSpec,
-        ) -> Result<crate::Encoded, CodecError> {
-            unimplemented!()
-        }
         fn decompress(&self, _: &[u8], _: usize) -> Result<(Vec<f32>, Vec<usize>), CodecError> {
             unimplemented!()
         }
-        fn decompress_f64(
+        fn decompress_into(
             &self,
             _: &[u8],
+            _: &mut [f32],
             _: usize,
-        ) -> Result<(Vec<f64>, Vec<usize>), CodecError> {
+        ) -> Result<Vec<usize>, CodecError> {
             unimplemented!()
         }
     }
@@ -374,22 +358,15 @@ mod tests {
         ) -> Result<crate::Encoded, CodecError> {
             unimplemented!()
         }
-        fn compress_f64(
-            &self,
-            _: &[f64],
-            _: &[usize],
-            _: BoundSpec,
-        ) -> Result<crate::Encoded, CodecError> {
-            unimplemented!()
-        }
         fn decompress(&self, _: &[u8], _: usize) -> Result<(Vec<f32>, Vec<usize>), CodecError> {
             unimplemented!()
         }
-        fn decompress_f64(
+        fn decompress_into(
             &self,
             _: &[u8],
+            _: &mut [f32],
             _: usize,
-        ) -> Result<(Vec<f64>, Vec<usize>), CodecError> {
+        ) -> Result<Vec<usize>, CodecError> {
             unimplemented!()
         }
     }

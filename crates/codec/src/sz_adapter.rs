@@ -10,8 +10,9 @@ use lcpio_sz::{CompressionStats, SzScratch};
 /// quantization, Huffman coding, LZSS lossless stage.
 ///
 /// Owns a scratch pool so chunked compression *and* decompression reuse
-/// worker buffers across calls instead of reallocating per field (or per
-/// restart chunk).
+/// worker buffers across calls instead of reallocating per field. A
+/// serial `SZL1` stream, which is what a restart frame or a serve request
+/// holds, decodes with fresh buffers (see its `decompress`).
 pub struct SzCodec {
     pool_f32: ScratchPool<SzScratch<f32>>,
 }
@@ -47,11 +48,12 @@ impl<T: sz::Element> Backend<T> for SzCodec {
         Ok(encoded(sz::compress_typed_with(sub, dims, cfg, scratch)?))
     }
 
-    fn decompress(
+    fn decompress_into(
         chunk: &[u8],
+        out: &mut [T],
         scratch: &mut SzScratch<T>,
-    ) -> Result<(Vec<T>, Vec<usize>), CodecError> {
-        Ok(sz::decompress_typed_with(chunk, scratch)?)
+    ) -> Result<Vec<usize>, CodecError> {
+        Ok(sz::decompress_into(chunk, out, scratch)?)
     }
 }
 
@@ -105,19 +107,14 @@ impl SzCodec {
         }
     }
 
-    /// Any SZ container, legacy or `LCW1`-wrapped, as either element type.
-    fn decode<T: sz::Element>(
+    /// Decode legacy `SZLP` bytes as `T` through the chunked parser
+    /// directly: no registry lookup and no sniffing among this codec's
+    /// containers, so anything that is not `SZLP` is a typed error.
+    pub fn decompress_chunked<T: sz::Element + Default>(
         stream: &[u8],
         threads: usize,
-        pool: &ScratchPool<SzScratch<T>>,
     ) -> Result<(Vec<T>, Vec<usize>), CodecError> {
-        match wire::open(stream)? {
-            Opened::Chunked(container) => chunked::decode::<T, Self>(&container, threads, pool),
-            Opened::Legacy(s) if s.starts_with(&sz::pwrel::PWREL_MAGIC) => {
-                Ok(sz::decompress_pointwise_rel(&s)?)
-            }
-            Opened::Legacy(s) => Ok(sz::decompress_typed(&s)?),
-        }
+        chunked::decode::<T, Self>(&chunked::parse(stream)?, threads, &ScratchPool::new())
     }
 
     /// [`Codec::compress_chunked`] for an `f64` field.
@@ -129,16 +126,6 @@ impl SzCodec {
         threads: usize,
     ) -> Result<Encoded, CodecError> {
         Self::chunked(data, dims, bound, threads, &ScratchPool::new())
-    }
-
-    /// Decode legacy `SZLP` bytes as `T` through the chunked parser
-    /// directly: no registry lookup and no sniffing among this codec's
-    /// containers, so anything that is not `SZLP` is a typed error.
-    pub fn decompress_chunked<T: sz::Element>(
-        stream: &[u8],
-        threads: usize,
-    ) -> Result<(Vec<T>, Vec<usize>), CodecError> {
-        chunked::decode::<T, Self>(&chunked::parse(stream)?, threads, &ScratchPool::new())
     }
 }
 
@@ -236,31 +223,55 @@ impl Codec for SzCodec {
         self.compress_chunked(data, dims, bound, 1)
     }
 
-    fn compress_f64(
-        &self,
-        data: &[f64],
-        dims: &[usize],
-        bound: BoundSpec,
-    ) -> Result<Encoded, CodecError> {
-        Self::serial(data, dims, bound)
-    }
-
+    /// Only an `SZLP` container's chunks draw scratch from the pool the
+    /// encode side parks into. Every serial `SZL1` stream, which is each
+    /// `stream_*` chunk and each serve request, builds a fresh
+    /// [`SzScratch`] (here and in [`Codec::decompress_into`]). Decoding
+    /// 16 Ki and 24 Ki elements of a CESM chunk takes a median 3–5 %
+    /// longer that way than with warm scratch (341–364 against 330–351
+    /// µs, 504–514 against 479–496 µs, two runs of 400 alternating
+    /// repetitions on a 2-vCPU Xeon host, allocator pinned as the repo
+    /// benchmark pins it). A pooled prototype lifted `stream_restart`
+    /// from 142 to 151 MB/s (5 of 6 pairs) but raised `serve_mixed`'s
+    /// `peak_heap_mb` from 6.6 to 7.6 MB through the scratch it retained,
+    /// so pooling waits until allocations are pinned per call.
     fn decompress(
         &self,
         stream: &[u8],
         threads: usize,
     ) -> Result<(Vec<f32>, Vec<usize>), CodecError> {
-        // Decode workers draw scratch from the same pool the encode side
-        // parks into — the restart pipeline's per-chunk decodes stop
-        // allocating once the pool is warm.
-        Self::decode(stream, threads, &self.pool_f32)
+        match wire::open(stream)? {
+            Opened::Chunked(container) => {
+                chunked::decode::<f32, Self>(&container, threads, &self.pool_f32)
+            }
+            Opened::Legacy(s) if s.starts_with(&sz::pwrel::PWREL_MAGIC) => {
+                Ok(sz::decompress_pointwise_rel(&s)?)
+            }
+            Opened::Legacy(s) => Ok(sz::decompress_typed(&s)?),
+        }
     }
 
-    fn decompress_f64(
+    fn decompress_into(
         &self,
         stream: &[u8],
+        out: &mut [f32],
         threads: usize,
-    ) -> Result<(Vec<f64>, Vec<usize>), CodecError> {
-        Self::decode(stream, threads, &ScratchPool::new())
+    ) -> Result<Vec<usize>, CodecError> {
+        match wire::open(stream)? {
+            Opened::Chunked(container) => {
+                chunked::decode_into::<f32, Self>(&container, out, threads, &self.pool_f32)?;
+                Ok(container.dims().to_vec())
+            }
+            // The log-domain values pass through an `f64` array either way.
+            Opened::Legacy(s) if s.starts_with(&sz::pwrel::PWREL_MAGIC) => {
+                let (values, dims) = sz::decompress_pointwise_rel(&s)?;
+                if values.len() != out.len() {
+                    return Err(CodecError::Sz(sz::SzError::InvalidDims));
+                }
+                out.copy_from_slice(&values);
+                Ok(dims)
+            }
+            Opened::Legacy(s) => Ok(sz::decompress_into(&s, out, &mut SzScratch::new())?),
+        }
     }
 }

@@ -48,8 +48,12 @@ impl<T: zfp::ZfpElement> Backend<T> for ZfpCodec {
         Ok(encoded(zfp::compress_typed(sub, dims, mode)?))
     }
 
-    fn decompress(chunk: &[u8], _scratch: &mut ()) -> Result<(Vec<T>, Vec<usize>), CodecError> {
-        Ok(zfp::decompress_typed(chunk)?)
+    fn decompress_into(
+        chunk: &[u8],
+        out: &mut [T],
+        _scratch: &mut (),
+    ) -> Result<Vec<usize>, CodecError> {
+        Ok(zfp::decompress_into(chunk, out)?)
     }
 }
 
@@ -67,23 +71,10 @@ impl ZfpCodec {
         }
     }
 
-    /// Any ZFP container, legacy or `LCW1`-wrapped, as either element type.
-    fn decode<T: zfp::ZfpElement>(
-        stream: &[u8],
-        threads: usize,
-    ) -> Result<(Vec<T>, Vec<usize>), CodecError> {
-        match wire::open(stream)? {
-            Opened::Chunked(container) => {
-                chunked::decode::<T, Self>(&container, threads, &ScratchPool::new())
-            }
-            Opened::Legacy(s) => Ok(zfp::decompress_typed(&s)?),
-        }
-    }
-
     /// Decode legacy `ZFLP` bytes as `T` through the chunked parser
     /// directly: no registry lookup and no sniffing among this codec's
     /// containers, so anything that is not `ZFLP` is a typed error.
-    pub fn decompress_chunked<T: zfp::ZfpElement>(
+    pub fn decompress_chunked<T: zfp::ZfpElement + Default>(
         stream: &[u8],
         threads: usize,
     ) -> Result<(Vec<T>, Vec<usize>), CodecError> {
@@ -145,28 +136,31 @@ impl Codec for ZfpCodec {
     // framing depends on the worker count, so the thread-neutral stream
     // to characterize is the serial one.
 
-    fn compress_f64(
-        &self,
-        data: &[f64],
-        dims: &[usize],
-        bound: BoundSpec,
-    ) -> Result<Encoded, CodecError> {
-        Ok(encoded(zfp::compress_f64(data, dims, &Self::mode(bound)?)?))
-    }
-
     fn decompress(
         &self,
         stream: &[u8],
         threads: usize,
     ) -> Result<(Vec<f32>, Vec<usize>), CodecError> {
-        Self::decode(stream, threads)
+        match wire::open(stream)? {
+            Opened::Chunked(container) => {
+                chunked::decode::<f32, Self>(&container, threads, &ScratchPool::new())
+            }
+            Opened::Legacy(s) => Ok(zfp::decompress(&s)?),
+        }
     }
 
-    fn decompress_f64(
+    fn decompress_into(
         &self,
         stream: &[u8],
+        out: &mut [f32],
         threads: usize,
-    ) -> Result<(Vec<f64>, Vec<usize>), CodecError> {
-        Self::decode(stream, threads)
+    ) -> Result<Vec<usize>, CodecError> {
+        match wire::open(stream)? {
+            Opened::Chunked(container) => {
+                chunked::decode_into::<f32, Self>(&container, out, threads, &ScratchPool::new())?;
+                Ok(container.dims().to_vec())
+            }
+            Opened::Legacy(s) => Ok(zfp::decompress_into(&s, out)?),
+        }
     }
 }

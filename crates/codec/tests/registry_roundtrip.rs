@@ -1,7 +1,7 @@
 //! Registry round-trip matrix: every container magic × {single, chunked}
 //! decode paths × f32, plus a proptest that magic sniffing never panics.
 
-use lcpio_codec::{registry, BoundSpec, CodecError};
+use lcpio_codec::{registry, BoundSpec, CodecError, SzCodec};
 use proptest::prelude::*;
 
 fn smooth_3d(nz: usize, ny: usize, nx: usize) -> Vec<f32> {
@@ -112,15 +112,28 @@ fn roundtrip_matrix_covers_every_magic() {
 }
 
 #[test]
-fn f64_streams_roundtrip_through_registry() {
+fn f64_streams_roundtrip_through_the_backend_crates() {
+    // `f64` stays off the `dyn` surface: the backend crates and the
+    // adapters' generic chunked decode carry it, serial and chunked.
     let data: Vec<f64> = (0..4096).map(|i| (i as f64 * 0.001).sin() * 1e5).collect();
-    for name in ["sz", "zfp"] {
-        let codec = registry().by_name(name).expect("registered");
-        let out = codec.compress_f64(&data, &[16, 256], BoundSpec::Absolute(1e-6)).expect(name);
-        let (rec, dims) = registry().decompress_auto_f64(&out.bytes, 2).expect("decode");
-        assert_eq!(dims, vec![16, 256]);
+    let (dims, eb) = ([16usize, 256], 1e-6);
+    let sz_cfg = lcpio_sz::SzConfig::new(lcpio_sz::ErrorBound::Absolute(eb));
+    let zfp_mode = lcpio_zfp::ZfpMode::FixedAccuracy(eb);
+    let sz_serial = lcpio_sz::compress_f64(&data, &dims, &sz_cfg).expect("sz").bytes;
+    let zfp_serial = lcpio_zfp::compress_f64(&data, &dims, &zfp_mode).expect("zfp").bytes;
+    let sz_chunked = SzCodec::new()
+        .compress_chunked_f64(&data, &dims, BoundSpec::Absolute(eb), 2)
+        .expect("sz chunked")
+        .bytes;
+    let decoded = [
+        ("sz", lcpio_sz::decompress_f64(&sz_serial).expect("sz decode")),
+        ("zfp", lcpio_zfp::decompress_f64(&zfp_serial).expect("zfp decode")),
+        ("sz chunked", SzCodec::decompress_chunked::<f64>(&sz_chunked, 2).expect("decode")),
+    ];
+    for (name, (rec, got)) in decoded {
+        assert_eq!(got, dims, "{name}");
         for (a, b) in data.iter().zip(&rec) {
-            assert!((a - b).abs() <= 1e-6 * 1.0001 + 1e-12, "{name}: {a} vs {b}");
+            assert!((a - b).abs() <= eb * 1.0001 + 1e-12, "{name}: {a} vs {b}");
         }
     }
 }
@@ -147,7 +160,9 @@ proptest! {
         let _ = registry().by_magic(&bytes);
         let _ = registry().describe(&bytes);
         prop_assert!(registry().decompress_auto(&bytes, 1).is_err());
-        prop_assert!(registry().decompress_auto_f64(&bytes, 1).is_err());
+        if let Ok((codec, _)) = registry().by_magic(&bytes) {
+            prop_assert!(codec.decompress_into(&bytes, &mut [0.0; 4], 1).is_err());
+        }
     }
 
     /// Prefixes that *do* carry a registered magic still decode-fail

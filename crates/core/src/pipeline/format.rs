@@ -16,6 +16,9 @@
 use super::restart::ChunkSource;
 use crate::error::{CoreError, PipelineError};
 use lcpio_codec::policy::CodecId;
+use lcpio_codec::CodecError;
+use lcpio_sz::SzError;
+use lcpio_zfp::ZfpError;
 use lcpio_wire::envelope::{parse_header_partial, Envelope};
 use lcpio_wire::stream::StreamDecoder;
 use lcpio_wire::varint::{self, Partial};
@@ -116,8 +119,35 @@ pub(super) fn raw_payload(chunk: &[f32]) -> Vec<u8> {
 struct Geometry {
     elements: u64,
     chunk_elements: u64,
+    /// Frames the geometry calls for: one per `chunk_elements` run of the
+    /// element count, the last possibly shorter. Frame `seq` holds the
+    /// elements `seq · chunk_elements ..`, no more and no fewer.
+    frames: u64,
     /// `CODEC_TAGS` of a mixed-codec wire stream.
     codec_tags: Option<Vec<u8>>,
+}
+
+impl Geometry {
+    /// Read the 16 `PARAMS` bytes (the legacy header's two `u64`s):
+    /// element count, then chunk size, which only an empty stream may
+    /// leave zero.
+    fn new(p: &[u8], codec_tags: Option<Vec<u8>>) -> Result<Self, CoreError> {
+        let elements = u64::from_le_bytes(p[..8].try_into().expect("8 bytes"));
+        let chunk_elements = u64::from_le_bytes(p[8..16].try_into().expect("8 bytes"));
+        if chunk_elements == 0 && elements > 0 {
+            return Err(err(0, "zero chunk size"));
+        }
+        let frames = elements.div_ceil(chunk_elements.max(1));
+        Ok(Geometry { elements, chunk_elements, frames, codec_tags })
+    }
+
+    /// A stream carries exactly the frames its geometry calls for.
+    fn check_frames(&self, frames: u64) -> Result<(), CoreError> {
+        if frames != self.frames {
+            return Err(err(0, "frame count does not match the header's geometry"));
+        }
+        Ok(())
+    }
 }
 
 /// Parse the legacy 20-byte header at the front of `head`.
@@ -125,11 +155,7 @@ fn parse_legacy_header(head: &[u8]) -> Result<Geometry, CoreError> {
     if head.len() < LEGACY_HEADER_LEN || head[..4] != STREAM_MAGIC {
         return Err(err(0, "not an LCS1 stream"));
     }
-    Ok(Geometry {
-        elements: u64::from_le_bytes(head[4..12].try_into().expect("8 bytes")),
-        chunk_elements: u64::from_le_bytes(head[12..20].try_into().expect("8 bytes")),
-        codec_tags: None,
-    })
+    Geometry::new(&head[4..LEGACY_HEADER_LEN], None)
 }
 
 /// Parse a legacy `[kind][u32 len]` frame header into `(kind, len)`.
@@ -144,13 +170,10 @@ fn wire_geometry(env: &Envelope<'_>) -> Result<Geometry, CoreError> {
         return Err(err(0, "wire envelope does not carry an LCS1 stream"));
     }
     let params = env.params().ok_or_else(|| err(0, "wire LCS1 header missing params"))?;
-    let p: [u8; 16] =
-        params.try_into().map_err(|_| err(0, "wire LCS1 params must be 16 bytes"))?;
-    Ok(Geometry {
-        elements: u64::from_le_bytes(p[..8].try_into().expect("8 bytes")),
-        chunk_elements: u64::from_le_bytes(p[8..].try_into().expect("8 bytes")),
-        codec_tags: env.codec_tags().map_err(wire_err)?.map(<[u8]>::to_vec),
-    })
+    if params.len() != 16 {
+        return Err(err(0, "wire LCS1 params must be 16 bytes"));
+    }
+    Geometry::new(params, env.codec_tags().map_err(wire_err)?.map(<[u8]>::to_vec))
 }
 
 /// The one frame-kind check.
@@ -217,21 +240,41 @@ fn guard_elements(elements: u64, payload_bytes: u64) -> Result<usize, CoreError>
         .map_err(|_| err(0, "element count exceeds stream capacity"))
 }
 
-/// Decode one frame payload into its elements. Shared by
+/// Decode one frame payload into `out`, its range of the restored field.
+/// A frame whose element count is not its range's length is refused
+/// before a value is written. Shared by
 /// [`decode_stream`](super::decode_stream) and the restart pipelines so
 /// every path applies identical rules.
-pub(super) fn decode_frame(kind: u8, payload: &[u8], seq: usize) -> Result<Vec<f32>, CoreError> {
+pub(super) fn decode_frame(
+    kind: u8,
+    payload: &[u8],
+    seq: usize,
+    out: &mut [f32],
+) -> Result<(), CoreError> {
     check_kind(seq, kind)?;
+    let range_mismatch = || err(seq, "frame element count does not match its range");
     if kind == FRAME_COMPRESSED {
-        return match lcpio_codec::registry().decompress_auto(payload, 1) {
-            Ok((vals, _dims)) => Ok(vals),
+        let decoded = lcpio_codec::registry()
+            .by_magic(payload)
+            .and_then(|(codec, _)| codec.decompress_into(payload, out, 1));
+        return match decoded {
+            Ok(_dims) => Ok(()),
+            Err(CodecError::Sz(SzError::InvalidDims) | CodecError::Zfp(ZfpError::InvalidDims)) => {
+                Err(range_mismatch())
+            }
             Err(e) => Err(err(seq, format!("chunk decode failed: {e}"))),
         };
     }
     if !payload.len().is_multiple_of(4) {
         return Err(err(seq, "raw frame length not a multiple of 4"));
     }
-    Ok(payload.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect())
+    if payload.len() / 4 != out.len() {
+        return Err(range_mismatch());
+    }
+    for (v, c) in out.iter_mut().zip(payload.chunks_exact(4)) {
+        *v = f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+    }
+    Ok(())
 }
 
 /// True if `bytes` are a streaming pipeline container in either its
@@ -303,6 +346,14 @@ impl StreamLayout {
     }
 }
 
+/// `field` (the restored array) cut into runs of `chunk_elements`, the
+/// last possibly shorter: frame `seq`'s range is the `seq`-th, and a
+/// checked stream has one frame per run. An empty field has no runs, so
+/// the zero chunk size an empty stream may carry cuts nothing.
+pub(super) fn ranges(field: &mut [f32], chunk_elements: usize) -> std::slice::ChunksMut<'_, f32> {
+    field.chunks_mut(chunk_elements.max(1))
+}
+
 /// Positioned read of `len` bytes at `off`, as a typed scan error.
 fn read_vec(
     source: &dyn ChunkSource,
@@ -323,6 +374,8 @@ fn read_vec(
 /// the *actual* stream size, so a forged header can never trigger a huge
 /// pre-allocation: frame lengths must fit inside the stream, and the
 /// promised element count is capped at `MAX_EXPANSION`× the payload bytes.
+/// The frame count must be the one the header's geometry calls for, so
+/// the frames cut the restored field into exactly their ranges.
 pub fn scan_stream(source: &dyn ChunkSource) -> Result<StreamLayout, CoreError> {
     let total = source.len();
     let head = read_vec(source, 0, total.min(LEGACY_HEADER_LEN as u64) as usize, "header")?;
@@ -346,6 +399,7 @@ pub fn scan_stream(source: &dyn ChunkSource) -> Result<StreamLayout, CoreError> 
         frames.push(FrameEntry { kind, off, len });
         off += len as u64;
     }
+    geometry.check_frames(frames.len() as u64)?;
     Ok(StreamLayout {
         elements,
         chunk_elements: geometry.chunk_elements as usize,
@@ -381,6 +435,7 @@ fn scan_wire_stream(source: &dyn ChunkSource) -> Result<StreamLayout, CoreError>
         }
     };
     let elements = guard_elements(geometry.elements, total - frames_at)?;
+    geometry.check_frames(frame_count as u64)?;
 
     let mut frames = Vec::with_capacity(frame_count.min(1 << 16));
     let mut off = frames_at;
@@ -459,15 +514,17 @@ impl PushFramer {
             let frames = dec.feed(chunk).map_err(wire_err)?;
             if self.geometry.is_none() {
                 if let Some(h) = dec.header() {
-                    self.geometry = Some(wire_geometry(&h.envelope())?);
+                    let env = h.envelope();
+                    let geometry = wire_geometry(&env)?;
+                    geometry.check_frames(env.frame_count as u64)?;
+                    self.geometry = Some(geometry);
                 }
             }
-            let tags = self.geometry.as_ref().and_then(|g| g.codec_tags.as_deref());
             let mut out = Vec::with_capacity(frames.len());
             for f in frames {
-                let kind = check_wire_frame(self.next_frame, &f.payload, tags)?;
-                self.next_frame += 1;
-                out.push((kind, f.payload, 1));
+                let seq = self.count_frame()?;
+                let tags = self.geometry.as_ref().and_then(|g| g.codec_tags.as_deref());
+                out.push((check_wire_frame(seq, &f.payload, tags)?, f.payload, 1));
             }
             return Ok(out);
         }
@@ -496,30 +553,47 @@ impl PushFramer {
         while let Some(fh) = self.buf.get(cursor..cursor + LEGACY_FRAME_HEADER_LEN) {
             let (kind, len) = parse_legacy_frame_header(fh)?;
             let start = cursor + LEGACY_FRAME_HEADER_LEN;
-            let Some(payload) = self.buf.get(start..start + len) else {
+            if self.buf.len() < start + len {
                 break; // partial frame: wait for more bytes
-            };
-            out.push((kind, payload.to_vec(), 0));
+            }
+            self.count_frame()?;
+            out.push((kind, self.buf[start..start + len].to_vec(), 0));
             cursor = start + len;
         }
         self.buf.drain(..cursor);
         Ok(out)
     }
 
-    /// Declare end-of-input; errors if a header or frame is incomplete.
-    pub(super) fn finish(&self) -> Result<(), CoreError> {
-        match &self.framing {
-            Framing::Sniff => Err(err(0, "truncated stream")),
-            Framing::Wire(dec) => dec.finish().map_err(wire_err),
-            Framing::Legacy if self.geometry.is_none() => Err(err(0, "truncated LCS1 header")),
-            Framing::Legacy if !self.buf.is_empty() => Err(err(0, "truncated frame")),
-            Framing::Legacy => Ok(()),
+    /// Number the next frame, refusing one past the geometry's count.
+    fn count_frame(&mut self) -> Result<usize, CoreError> {
+        let seq = self.next_frame;
+        if self.geometry.as_ref().is_none_or(|g| seq as u64 >= g.frames) {
+            return Err(err(seq, "frame count does not match the header's geometry"));
         }
+        self.next_frame += 1;
+        Ok(seq)
     }
 
-    /// Element count promised by the header, once it has arrived.
-    pub(super) fn elements(&self) -> Option<u64> {
-        self.geometry.as_ref().map(|g| g.elements)
+    /// Declare end-of-input; errors if a header or frame is incomplete, or
+    /// if fewer frames arrived than the header's geometry calls for.
+    pub(super) fn finish(&self) -> Result<(), CoreError> {
+        match &self.framing {
+            Framing::Sniff => return Err(err(0, "truncated stream")),
+            Framing::Wire(dec) => dec.finish().map_err(wire_err)?,
+            Framing::Legacy if self.geometry.is_none() => {
+                return Err(err(0, "truncated LCS1 header"));
+            }
+            Framing::Legacy if !self.buf.is_empty() => return Err(err(0, "truncated frame")),
+            Framing::Legacy => {}
+        }
+        let geometry = self.geometry.as_ref().ok_or_else(|| err(0, "truncated stream"))?;
+        geometry.check_frames(self.next_frame as u64)
+    }
+
+    /// Element count and chunk size promised by the header, once it has
+    /// arrived.
+    pub(super) fn geometry(&self) -> Option<(u64, u64)> {
+        self.geometry.as_ref().map(|g| (g.elements, g.chunk_elements))
     }
 
     /// High-water mark of bytes buffered awaiting a frame boundary.

@@ -29,8 +29,9 @@
 //!   depth / writer count.
 //! * `restart` — [`run_restart`] (positioned reads off a [`ChunkSource`])
 //!   and [`run_restart_streamed`] (a forward-only reader) produce frames,
-//!   workers decode them through the registry, the commit reassembles the
-//!   output in order — element-identical to the serial
+//!   workers decode each through the registry straight into its range of
+//!   the one restored field, and the commit carries only errors and
+//!   tallies — element-identical to the serial
 //!   [`run_restart_sequential`] and [`decode_stream`] at every queue depth
 //!   and worker count.
 //! * `model` — the one pricing point of the two-phase job:

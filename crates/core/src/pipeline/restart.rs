@@ -5,12 +5,18 @@
 //! are callers of the one stage driver — they differ only in where frames
 //! come from — and both restore exactly what the serial references
 //! [`run_restart_sequential`] and [`decode_stream`] restore.
+//!
+//! Every path allocates the restored field once, `elements` long, and
+//! decodes frame `seq` straight into its range, the `seq`-th run of
+//! `chunk_elements` values: nothing is decoded into a buffer of its own
+//! and copied, and the ordered commit carries only errors and tallies.
 
-use super::format::{decode_frame, scan_stream, FrameEntry, PushFramer, FRAME_RAW};
+use super::format::{decode_frame, ranges, scan_stream, FrameEntry, PushFramer, FRAME_RAW};
 use super::stage::{retry, run_stage, Source};
 use super::FailurePlan;
 use crate::error::{CoreError, PipelineError};
 use std::io;
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Random-access byte source the restart pipeline reads frames from.
@@ -197,23 +203,13 @@ impl RestartOutcome {
         if self.bytes_in == 0 { 0.0 } else { self.bytes_out as f64 / self.bytes_in as f64 }
     }
 
-    /// Check the restored values against the header's promise and fill in
-    /// the totals that follow from them.
-    fn close(mut self, vals: &[f32], expected: u64, t0: Instant) -> Result<Self, CoreError> {
-        check_count(vals, expected)?;
-        self.elements = vals.len();
-        self.bytes_out = vals.len() as u64 * 4;
+    /// Fill in the totals that follow from the restored element count.
+    fn close(mut self, elements: usize, t0: Instant) -> Self {
+        self.elements = elements;
+        self.bytes_out = elements as u64 * 4;
         self.wall_s = t0.elapsed().as_secs_f64();
-        Ok(self)
+        self
     }
-}
-
-/// The restored values must be exactly as many as the header promised.
-fn check_count(vals: &[f32], expected: u64) -> Result<(), CoreError> {
-    if vals.len() as u64 != expected {
-        return Err(CoreError::Pipeline(PipelineError::new(0, 0, "element count mismatch")));
-    }
-    Ok(())
 }
 
 /// Decode an `LCS1` stream back into the flat element array.
@@ -223,13 +219,13 @@ fn check_count(vals: &[f32], expected: u64) -> Result<(), CoreError> {
 /// match element-for-element.
 pub fn decode_stream(stream: &[u8]) -> Result<Vec<f32>, CoreError> {
     let layout = scan_stream(&SliceSource::new(stream))?;
-    let mut out = Vec::with_capacity(layout.elements);
-    for (seq, f) in layout.frames.iter().enumerate() {
+    let mut vals = vec![0.0; layout.elements];
+    let frames = layout.frames.iter().enumerate();
+    for ((seq, f), out) in frames.zip(ranges(&mut vals, layout.chunk_elements)) {
         let payload = &stream[f.off as usize..f.off as usize + f.len];
-        out.extend_from_slice(&decode_frame(f.kind, payload, seq)?);
+        decode_frame(f.kind, payload, seq, out)?;
     }
-    check_count(&out, layout.elements as u64)?;
-    Ok(out)
+    Ok(vals)
 }
 
 /// Read one frame's payload with bounded retry/backoff, booking the time,
@@ -268,8 +264,9 @@ fn decode_chunk(
     seq: usize,
     kind: u8,
     payload: &[u8],
+    out: &mut [f32],
     tally: &mut RestartOutcome,
-) -> Result<Vec<f32>, CoreError> {
+) -> Result<(), CoreError> {
     let t0 = Instant::now();
     let plan = &cfg.failure_plan.decode_failures;
     // Only the injected deaths are retried: the attempt itself is a no-op
@@ -282,16 +279,16 @@ fn decode_chunk(
             lcpio_trace::counter_add("restart.decode_retries", deaths);
         }
         tally.decode_retries += deaths;
-        decode_frame(kind, payload, seq)
+        decode_frame(kind, payload, seq, out)
     });
     tally.decode_busy_s += t0.elapsed().as_secs_f64();
     result
 }
 
-/// Run the *sequential* restart reference: read a frame, decode it,
-/// append, repeat. Same frame rules as [`run_restart`], no overlap — the
-/// baseline the overlapped path must match element-for-element and beat
-/// on wall time.
+/// Run the *sequential* restart reference: read a frame, decode it into
+/// its range, repeat. Same frame rules as [`run_restart`], no overlap —
+/// the baseline the overlapped path must match element-for-element and
+/// beat on wall time.
 pub fn run_restart_sequential(
     source: &dyn ChunkSource,
     cfg: &RestartConfig,
@@ -302,37 +299,38 @@ pub fn run_restart_sequential(
     let layout = scan_stream(source)?;
     let mut out =
         RestartOutcome { chunks: layout.chunks(), bytes_in: source.len(), ..Default::default() };
-    let mut vals = Vec::with_capacity(layout.elements);
-    for (seq, entry) in layout.frames.iter().enumerate() {
+    let mut vals = vec![0.0; layout.elements];
+    let frames = layout.frames.iter().enumerate();
+    for ((seq, entry), range) in frames.zip(ranges(&mut vals, layout.chunk_elements)) {
         let payload = read_frame(cfg, source, seq, *entry, &mut out)?;
-        vals.extend_from_slice(&decode_chunk(cfg, seq, entry.kind, &payload, &mut out)?);
+        decode_chunk(cfg, seq, entry.kind, &payload, range, &mut out)?;
     }
-    let out = out.close(&vals, layout.elements as u64, t0)?;
+    let out = out.close(vals.len(), t0);
     Ok((vals, out))
 }
 
-/// Decode frames from `source` on `workers` threads and reassemble them
-/// in order: the part both overlapped restart paths share. Returns the
-/// restored values and the folded per-thread tallies.
+/// One frame on its way to a decode worker: its kind, the bytes that carry
+/// it (the payload is `bytes[start..]`) and its range of the restored
+/// field.
+type Frame<'f> = (u8, Vec<u8>, usize, &'f mut [f32]);
+
+/// Decode frames from `source` on `workers` threads, each into its own
+/// range: the part both overlapped restart paths share. Returns the
+/// folded per-thread tallies.
 fn decode_overlapped(
     cfg: &RestartConfig,
-    reserve: usize,
     workers: usize,
-    source: Source<'_, (u8, Vec<u8>, usize), RestartOutcome>,
-) -> Result<(Vec<f32>, RestartOutcome), CoreError> {
-    let mut vals = Vec::with_capacity(reserve);
+    source: Source<'_, Frame<'_>, RestartOutcome>,
+) -> Result<RestartOutcome, CoreError> {
     let tallies = run_stage(
         cfg.queue_depth,
         source,
         workers,
         "restart.decode.worker",
-        |seq, (kind, bytes, start): (u8, Vec<u8>, usize), tally| {
-            decode_chunk(cfg, seq, kind, &bytes[start..], tally)
+        |seq, (kind, bytes, start, range): Frame<'_>, tally| {
+            decode_chunk(cfg, seq, kind, &bytes[start..], range, tally)
         },
-        |_, chunk: Vec<f32>| {
-            vals.extend_from_slice(&chunk);
-            Ok(())
-        },
+        |_, ()| Ok(()),
     )?;
     let mut out = RestartOutcome::default();
     for t in &tallies {
@@ -342,15 +340,16 @@ fn decode_overlapped(
         out.read_busy_s += t.read_busy_s;
         out.decode_busy_s += t.decode_busy_s;
     }
-    Ok((vals, out))
+    Ok(out)
 }
 
 /// Run the overlapped restart pipeline.
 ///
 /// Reader workers draw frame indices from a shared cursor, issue
 /// positioned reads, and push payloads into the bounded prefetch window;
-/// decode workers drain it strictly in order and reassemble chunks
-/// through the ordered commit. The output is element-identical to
+/// decode workers drain it strictly in order, each frame into its range
+/// of the field, which the scan's frame table sizes before the first
+/// read. The output is element-identical to
 /// [`run_restart_sequential`] (and to serial [`decode_stream`]) at every
 /// queue depth, reader count, and worker count — overlap changes wall
 /// time, never values.
@@ -367,21 +366,27 @@ pub fn run_restart(
     let t0 = Instant::now();
     let layout = scan_stream(source)?;
     lcpio_trace::counter_add("restart.chunks", layout.chunks() as u64);
+    let mut vals = vec![0.0; layout.elements];
+    let ranges: Vec<Mutex<Option<&mut [f32]>>> =
+        ranges(&mut vals, layout.chunk_elements).map(|r| Mutex::new(Some(r))).collect();
     let readers = Source::Shared {
         threads: cfg.readers.min(layout.chunks().max(1)),
         span: "restart.read.worker",
         produce: &|seq, tally| match layout.frames.get(seq) {
             Some(entry) => {
-                read_frame(cfg, source, seq, *entry, tally).map(|p| Some((entry.kind, p, 0)))
+                let bytes = read_frame(cfg, source, seq, *entry, tally)?;
+                let range = ranges[seq].lock().expect("range lock").take();
+                let range = range.expect("each frame is produced once");
+                Ok(Some((entry.kind, bytes, 0, range)))
             }
             None => Ok(None),
         },
     };
     let workers = crate::par::effective_threads(cfg.workers).min(layout.chunks().max(1));
-    let (vals, mut out) = decode_overlapped(cfg, layout.elements, workers, readers)?;
+    let mut out = decode_overlapped(cfg, workers, readers)?;
     out.chunks = layout.chunks();
     out.bytes_in = source.len();
-    let out = out.close(&vals, layout.elements as u64, t0)?;
+    let out = out.close(vals.len(), t0);
     Ok((vals, out))
 }
 
@@ -418,6 +423,11 @@ pub fn run_restart_streamed(
     let mut pending = std::collections::VecDeque::new();
     let mut bytes_in = 0u64;
     let mut chunks = 0usize;
+    let mut vals = Vec::new();
+    // The field waits for the header; the framer then holds the frames to
+    // the header's geometry, so there is a range for every frame it gives.
+    let mut unsized_field = Some(&mut vals);
+    let mut field = ranges(&mut [], 1);
     // The feeder runs on the calling thread: read forward until the framer
     // has completed at least one frame, hand frames out one per call (the
     // stage's backpressure caps how far arrival runs ahead of decode), and
@@ -426,7 +436,8 @@ pub fn run_restart_streamed(
         if let Some((kind, bytes, start)) = pending.pop_front() {
             tally.raw_frames += usize::from(kind == FRAME_RAW);
             chunks = seq + 1;
-            return Ok(Some((kind, bytes, start)));
+            let range = field.next().expect("the framer admits a frame per range");
+            return Ok(Some((kind, bytes, start, range)));
         }
         let tr = Instant::now();
         let n = match reader.read(&mut rbuf) {
@@ -443,14 +454,36 @@ pub fn run_restart_streamed(
         }
         bytes_in += n as u64;
         pending.extend(framer.feed(&rbuf[..n])?);
+        if let Some((elements, chunk_elements)) = framer.geometry() {
+            if let Some(vals) = unsized_field.take() {
+                *vals = alloc_field(elements)?;
+                field = ranges(vals, chunk_elements as usize);
+            }
+        }
     };
     let workers = crate::par::effective_threads(cfg.workers);
-    let (vals, mut out) = decode_overlapped(cfg, 0, workers, Source::Caller(&mut feed))?;
+    let mut out = decode_overlapped(cfg, workers, Source::Caller(&mut feed))?;
     out.chunks = chunks;
     out.bytes_in = bytes_in;
     out.peak_buffered_bytes = framer.peak_buffered();
-    let out = out.close(&vals, framer.elements().unwrap_or(0), t0)?;
+    let out = out.close(vals.len(), t0);
     Ok((vals, out))
+}
+
+/// The streamed field, `elements` zeros. Its header is not yet backed by
+/// any payload bytes, so the claim is first reserved fallibly: one the
+/// allocator cannot meet is a typed error rather than an abort. The zeroed
+/// array itself comes from the allocator's zeroed path, whose fresh pages
+/// (every large field's) the OS maps only as frames write them, so a
+/// forged claim the stream never fills never becomes resident.
+fn alloc_field(elements: u64) -> Result<Vec<f32>, CoreError> {
+    let n = usize::try_from(elements).unwrap_or(usize::MAX);
+    // The probe is freed at the end of the condition, before the field is
+    // made: the two never hold memory at once.
+    if Vec::<f32>::new().try_reserve_exact(n).is_err() {
+        return Err(CoreError::Pipeline(PipelineError::new(0, 0, "element count exceeds memory")));
+    }
+    Ok(vec![0.0; n])
 }
 
 #[cfg(test)]

@@ -8,9 +8,12 @@
 //!   typed [`CoreError::Pipeline`] — never a panic, never a silent
 //!   partial result;
 //! * forged headers cannot drive a huge pre-allocation;
+//! * frames are held to the header's geometry: as many as it calls for,
+//!   each exactly its range of the field;
 //! * every queue depth × reader × worker combination restores the same
 //!   bytes.
 
+use lcpio_codec::BoundSpec;
 use lcpio_core::error::CoreError;
 use lcpio_core::pipeline::{
     decode_stream, run_restart, run_restart_sequential, run_restart_streamed, run_sequential,
@@ -283,4 +286,106 @@ fn read_failure_with_backoff_still_succeeds() {
     let (vals, out) = run_restart(&source, &c).expect("retries with backoff succeed");
     assert_eq!(out.read_retries, 2);
     assert_eq!(vals, reference);
+}
+
+/// An `LCS1` stream of `frames` under a header of `elements` in chunks of
+/// `chunk_elements`, each frame `(kind, payload)`: the legacy layout, or
+/// its `LCW1` form.
+fn stream_of(elements: u64, chunk_elements: u64, frames: &[(u8, Vec<u8>)], wire: bool) -> Vec<u8> {
+    let mut params = elements.to_le_bytes().to_vec();
+    params.extend_from_slice(&chunk_elements.to_le_bytes());
+    if wire {
+        let framed: Vec<Vec<u8>> =
+            frames.iter().map(|(kind, p)| [&[*kind][..], p].concat()).collect();
+        let framed: Vec<&[u8]> = framed.iter().map(Vec::as_slice).collect();
+        return lcpio_wire::EnvelopeBuilder::new(STREAM_MAGIC).params(&params).build(&framed);
+    }
+    let mut out = [&STREAM_MAGIC[..], &params].concat();
+    for (kind, payload) in frames {
+        out.push(*kind);
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(payload);
+    }
+    out
+}
+
+/// Frames of `n` elements each, raw or SZ-compressed.
+fn frames_of(counts: &[usize], compressed: bool) -> Vec<(u8, Vec<u8>)> {
+    let data = field(counts.iter().sum());
+    let mut at = 0;
+    let mut frames = Vec::new();
+    for &n in counts {
+        let chunk = &data[at..at + n];
+        at += n;
+        frames.push(if compressed {
+            let codec = lcpio_codec::registry().by_name("sz").expect("sz");
+            let enc = codec.compress(chunk, &[n], BoundSpec::Absolute(1e-3)).expect("compress");
+            (0, enc.bytes)
+        } else {
+            (1, chunk.iter().flat_map(|v| v.to_le_bytes()).collect())
+        });
+    }
+    frames
+}
+
+/// Every decoder's verdict on `stream`: serial decode, positioned restart
+/// (one worker, so the first bad frame is the one reported) and streamed
+/// restart.
+fn every_decoder(stream: &[u8]) -> [Result<Vec<f32>, CoreError>; 3] {
+    let c = RestartConfig { workers: 1, ..cfg() };
+    [
+        decode_stream(stream),
+        run_restart(&SliceSource::new(stream), &c).map(|r| r.0),
+        run_restart_streamed(&mut &stream[..], &c).map(|r| r.0),
+    ]
+}
+
+#[test]
+fn frames_off_their_ranges_fail_with_typed_error_naming_the_frame() {
+    // The header's total (3000) and frame count (3 chunks of 1000) hold;
+    // every frame is off its range, the first one short.
+    for compressed in [false, true] {
+        for wire in [false, true] {
+            let frames = frames_of(&[999, 1001, 1000], compressed);
+            let stream = stream_of(3000, 1000, &frames, wire);
+            for result in every_decoder(&stream) {
+                let p = expect_pipeline_err(result);
+                let label = format!("compressed={compressed} wire={wire}: {p}");
+                assert_eq!(p.chunk, 0, "{label}");
+                assert!(p.message.contains("does not match its range"), "{label}");
+            }
+            // The same frames in their right sizes decode on every path.
+            let honest = stream_of(3000, 1000, &frames_of(&[1000; 3], compressed), wire);
+            for result in every_decoder(&honest) {
+                assert_eq!(result.expect("honest stream").len(), 3000);
+            }
+        }
+    }
+}
+
+#[test]
+fn frame_count_must_be_the_one_the_geometry_calls_for() {
+    let cases = [
+        (3000, 0, vec![1000, 1000, 1000], "zero chunk size"),
+        (3000, 1000, vec![1000, 2000], "frame count does not match"),
+        (3000, 1000, vec![1000, 1000, 1000, 0], "frame count does not match"),
+        (3000, 2000, vec![1000, 1000, 1000], "frame count does not match"),
+    ];
+    for (elements, chunk, counts, msg) in cases {
+        for wire in [false, true] {
+            let stream = stream_of(elements, chunk, &frames_of(&counts, false), wire);
+            for result in every_decoder(&stream) {
+                let p = expect_pipeline_err(result);
+                assert!(p.message.contains(msg), "{counts:?} chunk {chunk} wire={wire}: {p}");
+            }
+        }
+    }
+    // A chunk size past the element count is one frame, whatever the range
+    // arithmetic would make of it.
+    for wire in [false, true] {
+        let one = stream_of(3000, u64::MAX, &frames_of(&[3000], false), wire);
+        for result in every_decoder(&one) {
+            assert_eq!(result.expect("one frame").len(), 3000, "wire={wire}");
+        }
+    }
 }

@@ -14,8 +14,11 @@
 //!    one-shot parse: both must accept or both must reject, and on accept
 //!    the frames must agree byte-for-byte.
 //! 3. **Registry auto-decompress** — the product decode path
-//!    ([`lcpio_codec::CodecRegistry::decompress_auto`]) plus the streaming
-//!    container decoder.
+//!    ([`lcpio_codec::CodecRegistry::decompress_auto`]), and whatever it
+//!    accepts decoded again into a caller's buffer
+//!    ([`lcpio_codec::Codec::decompress_into`]), which must restore the
+//!    same bits; the `f64` decodes of the backend crates and the chunked
+//!    containers; and the streaming container decoder.
 //! 4. **Codec-tag field** — the per-frame codec-tag TLV of mixed-codec
 //!    streaming containers: the accessor must answer or error (never
 //!    panic), and a tag list carrying an unknown codec id must never
@@ -32,9 +35,10 @@
 //!    magic the registry resolves, plus `LCS1`, `LCRQ` and `LCRS`,
 //!    followed by a random tail (0–256 bytes, or a plausible type/rank
 //!    prefix with huge little-endian dims and counts), thrown at registry
-//!    auto-decompress, the streaming-container decoders (one-shot and
-//!    push-framed, which must agree when both accept) and the serve frame
-//!    codec. Mutating valid streams keeps most header fields sane; this is
+//!    auto-decompress, the three streaming-container decoders (one-shot,
+//!    positioned restart and push-framed restart, which must agree on
+//!    accept or reject, and on every bit when they accept) and the serve
+//!    frame codec. Mutating valid streams keeps most header fields sane; this is
 //!    the input class that reaches a decoder's size arithmetic with every
 //!    field forged at once.
 //!
@@ -59,10 +63,10 @@
 //! smoke test fails) on the first input that panics a target or breaks the
 //! differential contract.
 
-use lcpio_codec::{registry, BoundSpec};
+use lcpio_codec::{registry, BoundSpec, SzCodec, ZfpCodec};
 use lcpio_core::pipeline::{
-    decode_stream, run_restart_streamed, run_sequential, PipelineConfig, RestartConfig, VecSink,
-    STREAM_MAGIC,
+    decode_stream, run_restart, run_restart_streamed, run_sequential, PipelineConfig,
+    RestartConfig, SliceSource, VecSink, STREAM_MAGIC,
 };
 use lcpio_core::PolicyKind;
 use lcpio_wire::{Envelope, EnvelopeBuilder, StreamDecoder};
@@ -147,11 +151,28 @@ pub fn seed_corpus() -> Vec<Vec<u8>> {
     forged.extend_from_slice(&u64::MAX.to_le_bytes());
     forged.extend_from_slice(&512u64.to_le_bytes());
     corpus.push(forged);
+    corpus.extend([false, true].map(misaligned_frames));
     let mut huge_section = b"SZL1\x00".to_vec();
     huge_section.extend_from_slice(&(1u32 << 20).to_le_bytes());
     huge_section.extend_from_slice(&(1u64 << 40).to_le_bytes());
     corpus.push(huge_section);
     corpus
+}
+
+/// A streaming container whose raw frames hold 999, 1001 and 1000
+/// elements under a header of 3000 elements in chunks of 1000: the right
+/// total and frame count, every frame off its range. Legacy `LCS1`
+/// layout, or its `LCW1` form.
+pub fn misaligned_frames(wire: bool) -> Vec<u8> {
+    let params = [3000u64, 1000].map(u64::to_le_bytes).concat();
+    let raw = |n: u32| (0..n).flat_map(|i| (i as f32).to_le_bytes()).collect::<Vec<u8>>();
+    let frames = [999, 1001, 1000].map(|n| [vec![1u8], raw(n)].concat());
+    if wire {
+        let frames = frames.each_ref().map(Vec::as_slice);
+        return EnvelopeBuilder::new(STREAM_MAGIC).params(&params).build(&frames);
+    }
+    let framed = frames.iter().map(|f| [&f[..1], &(f.len() as u32 - 1).to_le_bytes(), &f[1..]].concat());
+    [STREAM_MAGIC.to_vec(), params].into_iter().chain(framed).collect::<Vec<_>>().concat()
 }
 
 /// One serial `SZL1` stream per combination of its two flag bits, each
@@ -457,12 +478,32 @@ pub fn target_stream_decode(bytes: &[u8], rng: &mut Rng) {
     }
 }
 
-/// Target 3: the product decode surface — registry auto-decompress (f32
-/// and f64) and the streaming-container decoder.
+/// Target 3: the product decode surface — registry auto-decompress, the
+/// same stream into a caller's buffer, the `f64` decodes and the
+/// streaming-container decoder.
 pub fn target_registry_auto(bytes: &[u8]) {
-    let _ = registry().decompress_auto(bytes, 1);
-    let _ = registry().decompress_auto_f64(bytes, 1);
+    let auto = registry().decompress_auto(bytes, 1);
+    if let (Ok((values, dims)), Ok((codec, _))) = (&auto, registry().by_magic(bytes)) {
+        let mut into = vec![f32::NAN; values.len()];
+        assert_eq!(codec.decompress_into(bytes, &mut into, 1).as_ref(), Ok(dims), "into refused");
+        assert_eq!(bits(values), bits(&into), "decompress_into restored other bits");
+    }
+    decode_f64(bytes);
     let _ = decode_stream(bytes);
+}
+
+/// The `f64` decodes: the backend crates' serial streams and the adapters'
+/// chunked containers.
+fn decode_f64(bytes: &[u8]) {
+    let _ = lcpio_sz::decompress_f64(bytes);
+    let _ = lcpio_sz::decompress_pointwise_rel::<f64>(bytes);
+    let _ = lcpio_zfp::decompress_f64(bytes);
+    let _ = SzCodec::decompress_chunked::<f64>(bytes, 1);
+    let _ = ZfpCodec::decompress_chunked::<f64>(bytes, 1);
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|x| x.to_bits()).collect()
 }
 
 /// Target 4: the codec-tag field. The accessor must answer or return a
@@ -513,19 +554,29 @@ pub fn noise_after_magic(magics: &[[u8; 4]], rng: &mut Rng) -> Vec<u8> {
 
 /// Target 6: noise after a magic, into every decoder that sniffs one.
 /// Each must answer or return a typed error without panicking or sizing
-/// an allocation from a forged field; the two streaming-container decoders
-/// must restore the same values whenever both accept.
+/// an allocation from a forged field; the three streaming-container
+/// decoders must agree on accept or reject, and on every bit when they
+/// accept.
 pub fn target_noise_after_magic(bytes: &[u8]) {
     let _ = registry().decompress_auto(bytes, 1);
-    let _ = registry().decompress_auto_f64(bytes, 1);
+    decode_f64(bytes);
     target_serve_protocol(bytes);
+    target_stream_decoders(bytes);
+}
+
+/// The three streaming-container decoders on one input: serial
+/// [`decode_stream`], [`run_restart`] over a [`SliceSource`] and
+/// [`run_restart_streamed`]. They accept the same streams and restore the
+/// same bits.
+pub fn target_stream_decoders(bytes: &[u8]) {
     let cfg = RestartConfig { workers: 1, retry_backoff_ms: 0, ..RestartConfig::default() };
-    let mut reader: &[u8] = bytes;
-    if let (Ok(one_shot), Ok((streamed, _))) =
-        (decode_stream(bytes), run_restart_streamed(&mut reader, &cfg))
-    {
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&one_shot), bits(&streamed), "one-shot and streamed decode disagree");
+    let one_shot = decode_stream(bytes).map(|v| bits(&v));
+    let positioned = run_restart(&SliceSource::new(bytes), &cfg).map(|(v, _)| bits(&v));
+    let streamed = run_restart_streamed(&mut &bytes[..], &cfg).map(|(v, _)| bits(&v));
+    let verdicts = [one_shot.is_ok(), positioned.is_ok(), streamed.is_ok()];
+    assert!(verdicts == [true; 3] || verdicts == [false; 3], "decoders disagree: {verdicts:?}");
+    if let (Ok(a), Ok(b), Ok(c)) = (one_shot, positioned, streamed) {
+        assert!(a == b && b == c, "the stream decoders restored different bits");
     }
 }
 
@@ -870,6 +921,16 @@ mod tests {
         s.extend_from_slice(&[0u8; 22]);
         target_noise_after_magic(&s);
         assert!(registry().decompress_auto(&s, 1).is_err());
+    }
+
+    #[test]
+    fn misaligned_frames_are_refused_by_every_stream_decoder() {
+        for wire in [false, true] {
+            let stream = misaligned_frames(wire);
+            assert!(seed_corpus().contains(&stream), "wire={wire}: not seeded");
+            assert!(decode_stream(&stream).is_err(), "wire={wire}");
+            target_stream_decoders(&stream);
+        }
     }
 
     /// Small-budget smoke pass — the per-PR gate.

@@ -16,7 +16,8 @@
 //!
 //! This crate is the single-stream codec. The multi-threaded chunked
 //! container (`SZLP`) lives in `lcpio-codec`, which codes block-aligned
-//! sub-arrays through [`compress_typed_with`] / [`decompress_typed_with`].
+//! sub-arrays through [`compress_typed_with`] / [`decompress_into`], each
+//! chunk decoded straight into its slice of the field.
 //!
 //! ```
 //! use lcpio_sz::{compress, decompress, ErrorBound, SzConfig};
@@ -60,7 +61,8 @@ pub use element::Element;
 pub use lcpio_trace as trace;
 pub use pipeline::{
     compress, compress_f64, compress_typed, compress_typed_with, decompress, decompress_f64,
-    decompress_typed, decompress_typed_with, stream_type_tag, table_range, SzScratch,
+    decompress_into, decompress_typed, decompress_typed_with, stream_type_tag, table_range,
+    SzScratch,
 };
 pub use pwrel::{compress_pointwise_rel, decompress_pointwise_rel};
 pub use quantizer::Quantizer;

@@ -12,7 +12,7 @@
 //! 4. **Lossless** — the envelope, and an LZSS pass over the whole payload
 //!    kept only where it makes the stream smaller.
 //!
-//! [`compress_typed_with`] walks them forward and [`decompress_typed_with`]
+//! [`compress_typed_with`] walks them forward and [`decompress_into`]
 //! in reverse, crossing each stage boundary once per call. Predictions are
 //! computed from reconstructed values only, so the decompressor stays in
 //! lock-step with the compressor and every value obeys the absolute error
@@ -116,7 +116,7 @@ fn resolve_eb<T: Element>(data: &[T], eb: ErrorBound) -> Result<f64, SzError> {
 /// exactly what the chunked parallel path does. Workers hold one scratch
 /// each and pass it to [`compress_typed_with`]; buffers grow to the
 /// high-water mark and stay. The decode side shares the same scratch via
-/// [`decompress_typed_with`] (symbol array, reconstruction array, row
+/// [`decompress_into`] (symbol array, reconstruction array, row
 /// partials), so the chunked restart path stops allocating per chunk too.
 #[derive(Debug)]
 pub struct SzScratch<T> {
@@ -749,7 +749,7 @@ impl PredictQuantize {
             _ => return Err(SzError::Corrupt("unknown predictor")),
         };
         let (order, eb, radius, n) = (r.u8()?, r.f64()?, r.u32()?, r.u64()? as usize);
-        let g = geometry(&dims, n)?;
+        let g = geometry(&dims, n).map_err(|_| SzError::Corrupt("bad dims"))?;
         if eb <= 0.0 || !eb.is_finite() || radius == 0 || radius > Quantizer::MAX_RADIUS {
             return Err(SzError::Corrupt("bad quantizer params"));
         }
@@ -757,14 +757,14 @@ impl PredictQuantize {
     }
 
     /// Decode: this stage's sections, which end the payload, then the
-    /// values of the entropy stage's `s.symbols`, one loop per predictor
-    /// ([`Reconstruct`]).
+    /// values of the entropy stage's `s.symbols` into `out` (`self.n`
+    /// long), one loop per predictor ([`Reconstruct`]).
     ///
     /// Decode budget: the output and the reconstruction array, `T::BYTES +
     /// 8` bytes an element, with the element count checked by the entropy
     /// stage at 8 a byte of symbol section (`c` = 128 per byte); `k` is
     /// nothing beyond them (the row partials are one row).
-    fn decode<T: Element>(&self, r: &mut Reader, s: &mut SzScratch<T>) -> Result<Vec<T>, SzError> {
+    fn decode<T: Element>(&self, r: &mut Reader, s: &mut SzScratch<T>, out: &mut [T]) -> Result<(), SzError> {
         let lit_bytes = r.section()?;
         let (block_flags, coeff_bytes) = if self.block_mode { (r.section()?, r.section()?) } else { (&[][..], &[][..]) };
         if lit_bytes.len() % T::BYTES != 0 || coeff_bytes.len() % 16 != 0 {
@@ -780,17 +780,15 @@ impl PredictQuantize {
         // left there need not be cleared.
         recon.resize(self.n, 0.0);
         rowp.resize(if self.block_mode { self.g.nx.min(BLOCK_SIDE) } else { self.g.nx }, 0.0);
-        let mut out = vec![T::from_f64(0.0); self.n];
         let literals = lit_bytes.chunks_exact(T::BYTES);
-        let mut rc = Reconstruct { q: self.q, g: self.g, literals, recon, out: &mut out };
+        let mut rc = Reconstruct { q: self.q, g: self.g, literals, recon, out };
         if self.block_mode {
-            rc.blocks(symbols, block_flags, coeff_bytes, rowp)?;
+            rc.blocks(symbols, block_flags, coeff_bytes, rowp)
         } else if self.g.rank == 1 && self.order == 2 {
-            rc.order2(symbols)?;
+            rc.order2(symbols)
         } else {
-            rc.classic(symbols, rowp)?;
+            rc.classic(symbols, rowp)
         }
-        Ok(out)
     }
 }
 
@@ -1023,9 +1021,14 @@ pub fn stream_type_tag(stream: &[u8]) -> Result<u8, SzError> {
 /// and for one whose payload is under an LZSS layer (its table is then no
 /// stretch of the stream's bytes).
 pub fn table_range(stream: &[u8]) -> Option<Range<usize>> {
-    match decompress_walk::<f32>(stream, &mut SzScratch::new()) {
-        Err(SzError::TypeMismatch) => decompress_walk::<f64>(stream, &mut SzScratch::new()).ok()?.2,
-        walk => walk.ok()?.2,
+    fn walk<T: Element>(stream: &[u8]) -> Result<Option<Range<usize>>, SzError> {
+        let mut values = Vec::new();
+        let (_, table) = decompress_walk(stream, &mut SzScratch::<T>::new(), |n| Ok(zeroed(&mut values, n)))?;
+        Ok(table)
+    }
+    match walk::<f32>(stream) {
+        Err(SzError::TypeMismatch) => walk::<f64>(stream).ok()?,
+        table => table.ok()?,
     }
 }
 
@@ -1037,38 +1040,64 @@ pub fn decompress_typed<T: Element>(stream: &[u8]) -> Result<(Vec<T>, Vec<usize>
     decompress_typed_with(stream, &mut SzScratch::new())
 }
 
-/// [`decompress_typed`] with caller-provided scratch buffers. Repeated
-/// calls reuse the scratch's allocations (symbol array, reconstruction
-/// array, row partials); the output is identical to a fresh-scratch call.
-///
-/// The stages in reverse: the whole symbol stream is entropy-decoded into
-/// the scratch ([`HuffmanDecoder::decode_into`]), then one loop per
-/// predictor turns symbols into values, each written to the
-/// reconstruction array the Lorenzo stencil reads (`f64`) and, narrowed,
-/// to the output.
+/// [`decompress_into`] into a new array sized by the stream. An `LZSS`
+/// body hides the element count until it is undone, so the array is made
+/// inside the one walk, once the entropy stage has checked the count.
 pub fn decompress_typed_with<T: Element>(
     stream: &[u8],
     s: &mut SzScratch<T>,
 ) -> Result<(Vec<T>, Vec<usize>), SzError> {
     let _span = lcpio_trace::span("sz.decompress");
-    decompress_walk(stream, s).map(|(values, dims, _)| (values, dims))
+    let mut values = Vec::new();
+    let (dims, _) = decompress_walk(stream, s, |n| Ok(zeroed(&mut values, n)))?;
+    Ok((values, dims))
+}
+
+/// Decompress `stream` into `out`, which must hold exactly the stream's
+/// element count: any other length is [`SzError::InvalidDims`] before a
+/// value is written. Returns the dimensions recorded in the header.
+/// Repeated calls reuse the scratch's allocations (symbol array,
+/// reconstruction array, row partials); the values are identical to a
+/// fresh-scratch call.
+///
+/// The stages in reverse: the whole symbol stream is entropy-decoded into
+/// the scratch ([`HuffmanDecoder::decode_into`]), then one loop per
+/// predictor turns symbols into values, each written to the
+/// reconstruction array the Lorenzo stencil reads (`f64`) and, narrowed,
+/// to `out`.
+pub fn decompress_into<T: Element>(
+    stream: &[u8],
+    out: &mut [T],
+    s: &mut SzScratch<T>,
+) -> Result<Vec<usize>, SzError> {
+    let _span = lcpio_trace::span("sz.decompress");
+    let len = out.len();
+    let (dims, _) = decompress_walk(stream, s, |n| if n == len { Ok(out) } else { Err(SzError::InvalidDims) })?;
+    Ok(dims)
+}
+
+/// `values` as `n` zeros, handed out as the walk's output.
+fn zeroed<T: Element>(values: &mut Vec<T>, n: usize) -> &mut [T] {
+    *values = vec![T::from_f64(0.0); n];
+    values
 }
 
 /// The stage walk in reverse: lossless, predict-quantize's head, entropy
-/// (the table stage inside it), predict-quantize. Also gives where the
-/// table lies in `stream` when the payload is stored raw.
-#[allow(clippy::type_complexity)]
-fn decompress_walk<T: Element>(
+/// (the table stage inside it), predict-quantize into the slice `out`
+/// gives for the element count. Also gives where the table lies in
+/// `stream` when the payload is stored raw.
+fn decompress_walk<'o, T: Element>(
     stream: &[u8],
     s: &mut SzScratch<T>,
-) -> Result<(Vec<T>, Vec<usize>, Option<Range<usize>>), SzError> {
+    out: impl FnOnce(usize) -> Result<&'o mut [T], SzError>,
+) -> Result<(Vec<usize>, Option<Range<usize>>), SzError> {
     let (flags, payload) = lossless_decode(stream)?;
     let mut r = Reader::new(&payload);
     let (pq, dims) = PredictQuantize::decode_head::<T>(&mut r)?;
     let table = entropy_decode(&mut r, flags, &pq.q, pq.n, &mut s.symbols)?;
-    let values = pq.decode(&mut r, s)?;
+    pq.decode(&mut r, s, out(pq.n)?)?;
     let raw = matches!(payload, Cow::Borrowed(_));
-    Ok((values, dims, raw.then(|| ENVELOPE_LEN + table.start..ENVELOPE_LEN + table.end)))
+    Ok((dims, raw.then(|| ENVELOPE_LEN + table.start..ENVELOPE_LEN + table.end)))
 }
 
 /// Longest run of elements the reconstruct loops prepare at once (see
@@ -1297,7 +1326,7 @@ impl<T: Element> Reconstruct<'_, T> {
     /// arrays, unrolled and free of bounds checks.
     ///
     /// Out of line on purpose: inlined into [`Reconstruct::blocks`] and on
-    /// into `decompress_typed_with`, its row loop shares registers with
+    /// into `decompress_into`, its row loop shares registers with
     /// everything there and spills (the reconstruct stage then takes half
     /// as long again).
     #[inline(never)]
@@ -1634,7 +1663,8 @@ mod tests {
                     let mut r = Reader::new(&bytes);
                     let (back, back_dims) = PredictQuantize::decode_head::<f32>(&mut r).unwrap();
                     assert_eq!((&back_dims, back.block_mode, back.n), (&dims, pq.block_mode, pq.n));
-                    let values = back.decode(&mut r, &mut s).unwrap();
+                    let mut values = vec![f32::NAN; back.n];
+                    back.decode(&mut r, &mut s, &mut values).unwrap();
                     assert_eq!(le_bits(&values), le_bits(&want), "{dims:?} {mode:?} fast={fast}");
                 }
             }
@@ -2695,6 +2725,34 @@ mod tests {
                     assert_eq!(a.to_bits(), b.to_bits(), "dims {dims:?} mode {mode:?}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn decompress_into_writes_every_value_and_checks_the_length() {
+        // Both payload forms: raw (count in the head) and under LZSS (count
+        // known once the body is undone), f32 and f64.
+        let flat = vec![1.0f32; 4096];
+        let mixed = mixed_field(&[16, 16, 16], 0x51ed);
+        for (data, lzss) in [(flat, true), (mixed, false)] {
+            let out = compress_typed(&data, &[16, 16, 16], &SzConfig::new(ErrorBound::Absolute(1e-3))).unwrap();
+            assert_eq!(out.bytes[4] & FLAG_LOSSLESS != 0, lzss);
+            let (want, _) = decompress_typed::<f32>(&out.bytes).unwrap();
+            let mut into = vec![f32::NAN; data.len()];
+            assert_eq!(decompress_into(&out.bytes, &mut into, &mut SzScratch::new()), Ok(vec![16, 16, 16]));
+            assert_eq!(le_bits(&into), le_bits(&want), "lzss={lzss}");
+            for len in [0, data.len() - 1, data.len() + 1] {
+                let mut other = vec![7.0f32; len];
+                let got = decompress_into(&out.bytes, &mut other, &mut SzScratch::new());
+                assert_eq!(got, Err(SzError::InvalidDims), "lzss={lzss} len={len}");
+                assert!(other.iter().all(|&v| v == 7.0), "lzss={lzss}: written before the check");
+            }
+            let wide: Vec<f64> = data.iter().map(|&v| v as f64).collect();
+            let out = compress_typed(&wide, &[4096], &SzConfig::new(ErrorBound::Absolute(1e-6))).unwrap();
+            let (want, _) = decompress_typed::<f64>(&out.bytes).unwrap();
+            let mut into = vec![f64::NAN; 4096];
+            decompress_into(&out.bytes, &mut into, &mut SzScratch::new()).unwrap();
+            assert_eq!(le_bits(&into), le_bits(&want), "f64 lzss={lzss}");
         }
     }
 }

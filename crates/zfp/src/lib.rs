@@ -20,7 +20,8 @@
 //! This crate is the single-stream codec. The multi-threaded chunked
 //! container (`ZFLP`, the reference codec's OpenMP mode) lives in
 //! `lcpio-codec`, which codes block-aligned sub-arrays through
-//! [`compress_typed`] / [`decompress_typed`].
+//! [`compress_typed`] / [`decompress_into`], each chunk decoded straight
+//! into its slice of the field.
 //!
 //! Non-finite values are not supported by the ZFP transform; they are
 //! flushed to zero on compression (the reference codec's behaviour is
@@ -53,8 +54,8 @@ pub mod transform;
 
 pub use element::ZfpElement;
 pub use pipeline::{
-    compress, compress_f64, compress_typed, decompress, decompress_f64, decompress_typed,
-    stream_type_tag, MAGIC,
+    compress, compress_f64, compress_typed, decompress, decompress_f64, decompress_into,
+    decompress_typed, stream_type_tag, MAGIC,
 };
 
 use serde::{Deserialize, Serialize};

@@ -264,7 +264,7 @@ pub fn stream_type_tag(stream: &[u8]) -> Result<u8, ZfpError> {
 }
 
 /// Decode every block of a field of `4^d = N`-element blocks into `out`
-/// with `decode` (the block decoder for `N`).
+/// with `decode` (the block decoder for `N`), writing each element once.
 fn decode_field<T: ZfpElement, const N: usize>(
     r: &mut ReadStream<'_>,
     g: &Geom,
@@ -284,8 +284,9 @@ fn decode_field<T: ZfpElement, const N: usize>(
             let mut fblock = [T::from_f64(0.0); N];
             fixedpoint::inverse(&ints, emax, &mut fblock);
             block::scatter(&fblock, g, at, out);
+        } else {
+            block::scatter(&[T::from_f64(0.0); N], g, at, out);
         }
-        // A zero block leaves the zeros `out` was made of.
         if let Some(bits) = coding.rate_bits {
             r.seek(block_start + bits);
         }
@@ -296,6 +297,28 @@ fn decode_field<T: ZfpElement, const N: usize>(
 /// [`ZfpError::TypeMismatch`] when the stream holds a different element
 /// type.
 pub fn decompress_typed<T: ZfpElement>(stream: &[u8]) -> Result<(Vec<T>, Vec<usize>), ZfpError> {
+    let mut values = Vec::new();
+    let dims = decompress_walk(stream, |n| {
+        values = vec![T::from_f64(0.0); n];
+        Ok(&mut values)
+    })?;
+    Ok((values, dims))
+}
+
+/// Decompress `stream` into `out`, which must hold exactly the stream's
+/// element count: any other length is [`ZfpError::InvalidDims`] before a
+/// value is written. Returns the dimensions recorded in the header.
+pub fn decompress_into<T: ZfpElement>(stream: &[u8], out: &mut [T]) -> Result<Vec<usize>, ZfpError> {
+    let len = out.len();
+    decompress_walk(stream, |n| if n == len { Ok(out) } else { Err(ZfpError::InvalidDims) })
+}
+
+/// Parse and check the header, then decode the field into the slice `out`
+/// gives for its element count ([`decode_field`]).
+fn decompress_walk<'o, T: ZfpElement>(
+    stream: &[u8],
+    out: impl FnOnce(usize) -> Result<&'o mut [T], ZfpError>,
+) -> Result<Vec<usize>, ZfpError> {
     let _span = lcpio_trace::span("zfp.decompress");
     let mut pos = 0usize;
     let take = |pos: &mut usize, n: usize| -> Result<&[u8], ZfpError> {
@@ -338,14 +361,14 @@ pub fn decompress_typed<T: ZfpElement>(stream: &[u8]) -> Result<(Vec<T>, Vec<usi
         return Err(ZfpError::Corrupt("block count exceeds payload"));
     }
     let coding = BlockCoding::new::<T>(&mode, g.d);
-    let mut out: Vec<T> = vec![T::from_f64(0.0); g.len()];
+    let out = out(g.len())?;
     let mut r = ReadStream::new(payload);
     match g.d {
-        1 => decode_field(&mut r, &g, &coding, &mut out, coder::decode_rank1),
-        2 => decode_field(&mut r, &g, &coding, &mut out, coder::decode_block::<16>),
-        _ => decode_field(&mut r, &g, &coding, &mut out, coder::decode_block::<64>),
+        1 => decode_field(&mut r, &g, &coding, out, coder::decode_rank1),
+        2 => decode_field(&mut r, &g, &coding, out, coder::decode_block::<16>),
+        _ => decode_field(&mut r, &g, &coding, out, coder::decode_block::<64>),
     }
-    Ok((out, dims))
+    Ok(dims)
 }
 
 /// Decompress an `f32` stream.
@@ -742,6 +765,30 @@ mod tests {
                     ZfpError::Corrupt("unexpected end of stream"),
                     "payload_len {forged:#x}, {len} bytes"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn decompress_into_writes_every_value_and_checks_the_length() {
+        // Zero blocks (the first half) are written as zeros too: the
+        // caller's buffer starts as NaN, not as the zeros a fresh array is.
+        for dims in [vec![4096usize], vec![64, 64], vec![16, 16, 16]] {
+            let n = 4096;
+            let data: Vec<f32> =
+                (0..n).map(|i| if i < n / 2 { 0.0 } else { (i as f32 * 0.02).sin() }).collect();
+            for mode in [ZfpMode::FixedAccuracy(1e-3), ZfpMode::FixedRate(8.0)] {
+                let bytes = compress(&data, &dims, &mode).expect("compress").bytes;
+                let (want, _) = decompress(&bytes).expect("decompress");
+                let mut into = vec![f32::NAN; n];
+                assert_eq!(decompress_into(&bytes, &mut into), Ok(dims.clone()));
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&into), bits(&want), "{dims:?} {mode:?}");
+                for len in [0, n - 1, n + 1] {
+                    let mut other = vec![7.0f32; len];
+                    assert_eq!(decompress_into(&bytes, &mut other), Err(ZfpError::InvalidDims));
+                    assert!(other.iter().all(|&v| v == 7.0), "{dims:?}: written before the check");
+                }
             }
         }
     }

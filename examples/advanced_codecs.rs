@@ -1,11 +1,13 @@
-//! The codec extensions in one tour, all through the registry: f64 fields,
-//! pointwise-relative bounds, and multi-threaded chunked ZFP.
+//! The codec extensions in one tour: f64 fields (through the SZ adapter's
+//! chunked container, since the registry's `dyn` surface is `f32`), then
+//! through the registry pointwise-relative bounds and multi-threaded
+//! chunked ZFP.
 //!
 //! ```text
 //! cargo run --release --example advanced_codecs
 //! ```
 
-use lcpio::codec::{registry, BoundSpec};
+use lcpio::codec::{registry, BoundSpec, SzCodec};
 use lcpio::datagen::nyx;
 use std::time::Instant;
 
@@ -17,10 +19,10 @@ fn main() {
     let fine: Vec<f64> = (0..65536)
         .map(|i| 1.0 + i as f64 * 1e-10 + (i as f64 * 0.001).sin() * 1e-6)
         .collect();
-    let out = sz
-        .compress_f64(&fine, &[65536], BoundSpec::Absolute(1e-9))
+    let out = SzCodec::new()
+        .compress_chunked_f64(&fine, &[65536], BoundSpec::Absolute(1e-9), 1)
         .expect("compress");
-    let (rec, _) = registry().decompress_auto_f64(&out.bytes, 1).expect("decompress");
+    let (rec, _) = SzCodec::decompress_chunked::<f64>(&out.bytes, 1).expect("decompress");
     let max_err = fine.iter().zip(&rec).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
     println!(
         "SZ f64:  eb 1e-9 on double-precision data  ratio {:>6.2}x  max err {max_err:.2e}",

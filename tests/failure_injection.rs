@@ -319,9 +319,13 @@ proptest! {
         bytes in proptest::collection::vec(any::<u8>(), 0..2048)
     ) {
         // The product decode surface: arbitrary bytes either decode or
-        // return a structured error, for f32 and f64 alike.
+        // return a structured error, for f32 through the registry and f64
+        // through the backend crates' and the chunked containers' decodes.
         let _ = registry().decompress_auto(&bytes, 1);
-        let _ = registry().decompress_auto_f64(&bytes, 1);
+        let _ = sz::decompress_f64(&bytes);
+        let _ = zfp::decompress_f64(&bytes);
+        let _ = SzCodec::decompress_chunked::<f64>(&bytes, 1);
+        let _ = ZfpCodec::decompress_chunked::<f64>(&bytes, 1);
     }
 
     #[test]
