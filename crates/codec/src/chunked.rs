@@ -243,8 +243,9 @@ fn run_workers<S: Default + Send, R: Send>(
         .collect()
 }
 
-/// Resolve a worker-count request (0 ⇒ all available cores).
-fn effective_threads(threads: usize) -> usize {
+/// Resolve a worker-count request (0 ⇒ all available cores): the one
+/// rule every worker pool in the workspace sizes itself by.
+pub fn effective_threads(threads: usize) -> usize {
     if threads == 0 {
         std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4)
     } else {

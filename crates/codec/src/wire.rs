@@ -25,7 +25,7 @@
 use crate::chunked::{self, Chunked};
 use crate::{CodecError, ContainerInfo};
 use lcpio_wire::envelope::{Envelope, EnvelopeBuilder};
-use lcpio_wire::{tag, varint, WireError};
+use lcpio_wire::{tag, WireError};
 use std::borrow::Cow;
 
 /// Registry entry for the wire envelope itself.
@@ -131,7 +131,8 @@ fn open_envelope(stream: &[u8]) -> Result<Opened<'_>, CodecError> {
         }
         b"SZLP" | b"ZFLP" => {
             let dims = env.dims()?.ok_or(WireError::MissingField { tag: tag::DIMS })?;
-            let table = chunk_table(&env)?;
+            let table =
+                env.chunk_table()?.ok_or(WireError::MissingField { tag: tag::CHUNK_TABLE })?;
             Ok(Opened::Chunked(Chunked::new(
                 env.container,
                 element_type()?,
@@ -158,25 +159,6 @@ fn open_envelope(stream: &[u8]) -> Result<Opened<'_>, CodecError> {
         }
         other => Err(CodecError::UnknownMagic(*other)),
     }
-}
-
-/// The `CHUNK_TABLE` TLV as the ranges it holds, however many: whether
-/// that is one per frame is the chunked validator's question, so a forged
-/// count fails there exactly as it does in the legacy form. Each pair is
-/// at least two bytes of the field, which bounds the table by its input.
-fn chunk_table(env: &Envelope<'_>) -> Result<Vec<(usize, usize)>, WireError> {
-    let field =
-        env.field(tag::CHUNK_TABLE).ok_or(WireError::MissingField { tag: tag::CHUNK_TABLE })?;
-    let narrow =
-        |v: u64| usize::try_from(v).map_err(|_| WireError::Overflow { what: "chunk range" });
-    let mut pos = 0usize;
-    let mut table = Vec::new();
-    while pos < field.len() {
-        let start = varint::read(field, &mut pos)?;
-        let end = varint::read(field, &mut pos)?;
-        table.push((narrow(start)?, narrow(end)?));
-    }
-    Ok(table)
 }
 
 /// Rebuild the exact legacy container bytes from an LCW1 envelope.

@@ -7,17 +7,9 @@
 //! extracted once; `run_compression_sweep` and `run_transit_sweep` both
 //! use it instead of growing their own inline pools.
 
+use lcpio_codec::chunked::effective_threads;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Resolve a thread-count request: 0 means "all available cores".
-pub fn effective_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4)
-    } else {
-        threads
-    }
-}
 
 /// Apply `f` to every item on up to `threads` scoped workers (0 ⇒ all
 /// cores), returning results in item order. Panics in `f` propagate when

@@ -8,20 +8,21 @@
 //! each envelope frame is the kind byte followed by the payload.
 //!
 //! Everything here is written once and used by every path: header and
-//! frame encoding for the writers, the positioned scan ([`scan_stream`])
-//! for random-access restart and serial decode, and the push framer for
-//! forward-only restart. The parsers below the scan and the framer are
-//! shared, so both accept and reject the same streams.
+//! frame encoding for the writers, and one frame walk ([`FrameWalk`]) for
+//! every reader. The walk reads through a [`Cursor`]: positioned reads for
+//! the scan ([`scan_stream`]) behind random-access restart and serial
+//! decode, a forward-only reader for streamed restart. Both read the same
+//! bytes with the same checks, so they accept and reject the same streams.
 
-use super::restart::ChunkSource;
+use super::restart::{ChunkSource, STREAM_READ_BYTES};
 use crate::error::{CoreError, PipelineError};
 use lcpio_codec::policy::CodecId;
 use lcpio_codec::CodecError;
 use lcpio_sz::SzError;
 use lcpio_zfp::ZfpError;
 use lcpio_wire::envelope::{parse_header_partial, Envelope};
-use lcpio_wire::stream::StreamDecoder;
 use lcpio_wire::varint::{self, Partial};
+use std::io;
 
 /// Magic prefix of the streaming container.
 pub const STREAM_MAGIC: [u8; 4] = *b"LCS1";
@@ -112,69 +113,8 @@ pub(super) fn raw_payload(chunk: &[f32]) -> Vec<u8> {
 }
 
 // ---------------------------------------------------------------------------
-// Shared parsers
+// Frame checks and decode
 // ---------------------------------------------------------------------------
-
-/// What a stream header promises, in either layout.
-struct Geometry {
-    elements: u64,
-    chunk_elements: u64,
-    /// Frames the geometry calls for: one per `chunk_elements` run of the
-    /// element count, the last possibly shorter. Frame `seq` holds the
-    /// elements `seq · chunk_elements ..`, no more and no fewer.
-    frames: u64,
-    /// `CODEC_TAGS` of a mixed-codec wire stream.
-    codec_tags: Option<Vec<u8>>,
-}
-
-impl Geometry {
-    /// Read the 16 `PARAMS` bytes (the legacy header's two `u64`s):
-    /// element count, then chunk size, which only an empty stream may
-    /// leave zero.
-    fn new(p: &[u8], codec_tags: Option<Vec<u8>>) -> Result<Self, CoreError> {
-        let elements = u64::from_le_bytes(p[..8].try_into().expect("8 bytes"));
-        let chunk_elements = u64::from_le_bytes(p[8..16].try_into().expect("8 bytes"));
-        if chunk_elements == 0 && elements > 0 {
-            return Err(err(0, "zero chunk size"));
-        }
-        let frames = elements.div_ceil(chunk_elements.max(1));
-        Ok(Geometry { elements, chunk_elements, frames, codec_tags })
-    }
-
-    /// A stream carries exactly the frames its geometry calls for.
-    fn check_frames(&self, frames: u64) -> Result<(), CoreError> {
-        if frames != self.frames {
-            return Err(err(0, "frame count does not match the header's geometry"));
-        }
-        Ok(())
-    }
-}
-
-/// Parse the legacy 20-byte header at the front of `head`.
-fn parse_legacy_header(head: &[u8]) -> Result<Geometry, CoreError> {
-    if head.len() < LEGACY_HEADER_LEN || head[..4] != STREAM_MAGIC {
-        return Err(err(0, "not an LCS1 stream"));
-    }
-    Geometry::new(&head[4..LEGACY_HEADER_LEN], None)
-}
-
-/// Parse a legacy `[kind][u32 len]` frame header into `(kind, len)`.
-fn parse_legacy_frame_header(fh: &[u8]) -> Result<(u8, usize), CoreError> {
-    check_kind(0, fh[0])?;
-    Ok((fh[0], u32::from_le_bytes(fh[1..5].try_into().expect("4 bytes")) as usize))
-}
-
-/// Extract the stream geometry and codec tags from a wire header.
-fn wire_geometry(env: &Envelope<'_>) -> Result<Geometry, CoreError> {
-    if env.container != STREAM_MAGIC {
-        return Err(err(0, "wire envelope does not carry an LCS1 stream"));
-    }
-    let params = env.params().ok_or_else(|| err(0, "wire LCS1 header missing params"))?;
-    if params.len() != 16 {
-        return Err(err(0, "wire LCS1 params must be 16 bytes"));
-    }
-    Geometry::new(params, env.codec_tags().map_err(wire_err)?.map(<[u8]>::to_vec))
-}
 
 /// The one frame-kind check.
 fn check_kind(seq: usize, kind: u8) -> Result<(), CoreError> {
@@ -182,20 +122,6 @@ fn check_kind(seq: usize, kind: u8) -> Result<(), CoreError> {
         return Err(err(seq, "unknown frame tag"));
     }
     Ok(())
-}
-
-/// Validate the front of wire frame `seq` — its kind byte and, when the
-/// header carried codec tags, the payload magic behind it — and return
-/// the kind. `head` is the frame's first (up to five) bytes.
-fn check_wire_frame(seq: usize, head: &[u8], tags: Option<&[u8]>) -> Result<u8, CoreError> {
-    let Some((&kind, rest)) = head.split_first() else {
-        return Err(err(0, "empty wire frame (missing kind byte)"));
-    };
-    check_kind(0, kind)?;
-    if let Some(&tag) = tags.and_then(|t| t.get(seq)) {
-        check_codec_tag(seq, tag, kind, &rest[..rest.len().min(4)])?;
-    }
-    Ok(kind)
 }
 
 /// Cross-check one frame against its header codec tag.
@@ -225,19 +151,6 @@ fn check_codec_tag(seq: usize, tag_byte: u8, kind: u8, magic: &[u8]) -> Result<(
         Ok((codec, _)) if codec.name() == tagged.name() => Ok(()),
         _ => Err(err(seq, "codec tag mismatch: frame payload carries a different codec")),
     }
-}
-
-/// The one decoded-size gate ([`lcpio_wire::MAX_EXPANSION`] elements per
-/// stored byte): no supported frame expands further. SZ refuses past 8
-/// elements per byte of its payload *after* LZSS has been undone, and LZSS
-/// stores at most 83 payload bytes per byte; ZFP stops at 512 and raw
-/// frames are 4 bytes per element. A header promising more than the bytes
-/// behind it could hold is forged — rejected before the count sizes any
-/// allocation.
-fn guard_elements(elements: u64, payload_bytes: u64) -> Result<usize, CoreError> {
-    let bytes = usize::try_from(payload_bytes).unwrap_or(usize::MAX);
-    lcpio_wire::guard_element_count(elements, bytes)
-        .map_err(|_| err(0, "element count exceeds stream capacity"))
 }
 
 /// Decode one frame payload into `out`, its range of the restored field.
@@ -354,21 +267,10 @@ pub(super) fn ranges(field: &mut [f32], chunk_elements: usize) -> std::slice::Ch
     field.chunks_mut(chunk_elements.max(1))
 }
 
-/// Positioned read of `len` bytes at `off`, as a typed scan error.
-fn read_vec(
-    source: &dyn ChunkSource,
-    off: u64,
-    len: usize,
-    what: &str,
-) -> Result<Vec<u8>, CoreError> {
-    let mut buf = vec![0u8; len];
-    source.read_at(off, &mut buf).map_err(|e| err(0, format!("{what} read failed: {e}")))?;
-    Ok(buf)
-}
-
 /// Scan a streaming container's header and frame table — either the
 /// legacy `LCS1` layout or its `LCW1` wire form (auto-detected from the
-/// magic).
+/// magic) — by walking its frames off positioned reads. Only the header
+/// and the few bytes in front of each payload are read.
 ///
 /// Every length that later drives an allocation is validated here against
 /// the *actual* stream size, so a forged header can never trigger a huge
@@ -377,230 +279,316 @@ fn read_vec(
 /// The frame count must be the one the header's geometry calls for, so
 /// the frames cut the restored field into exactly their ranges.
 pub fn scan_stream(source: &dyn ChunkSource) -> Result<StreamLayout, CoreError> {
-    let total = source.len();
-    let head = read_vec(source, 0, total.min(LEGACY_HEADER_LEN as u64) as usize, "header")?;
-    if head.starts_with(&lcpio_wire::MAGIC) {
-        return scan_wire_stream(source);
+    let mut walk = FrameWalk::open(Positioned { source, off: 0, head: Vec::new() })?;
+    let mut frames = Vec::with_capacity(walk.geometry.frames.min(1 << 16) as usize);
+    while let Some((kind, (off, len))) = walk.next_frame()? {
+        frames.push(FrameEntry { kind, off, len });
     }
-    let geometry = parse_legacy_header(&head)?;
-    let mut off = LEGACY_HEADER_LEN as u64;
-    let elements = guard_elements(geometry.elements, total - off)?;
-    let mut frames = Vec::new();
-    while off < total {
-        if off + LEGACY_FRAME_HEADER_LEN as u64 > total {
+    let Geometry { elements, chunk_elements, codec_tags, .. } = walk.geometry;
+    Ok(StreamLayout {
+        // The capacity guard `open` applies proved the count fits a usize.
+        elements: elements as usize,
+        chunk_elements: chunk_elements as usize,
+        frames,
+        codec_tags,
+    })
+}
+
+// ---------------------------------------------------------------------------
+// The frame walk
+// ---------------------------------------------------------------------------
+
+/// What a stream header promises, in either layout.
+pub(super) struct Geometry {
+    pub(super) elements: u64,
+    pub(super) chunk_elements: u64,
+    /// Frames the geometry calls for: one per `chunk_elements` run of the
+    /// element count, the last possibly shorter. Frame `seq` holds the
+    /// elements `seq · chunk_elements ..`, no more and no fewer.
+    pub(super) frames: u64,
+    /// `CODEC_TAGS` of a mixed-codec wire stream.
+    codec_tags: Option<Vec<u8>>,
+}
+
+impl Geometry {
+    /// Read the 16 `PARAMS` bytes (the legacy header's two `u64`s):
+    /// element count, then chunk size, which only an empty stream may
+    /// leave zero.
+    fn new(p: &[u8], codec_tags: Option<Vec<u8>>) -> Result<Self, CoreError> {
+        let elements = u64::from_le_bytes(p[..8].try_into().expect("8 bytes"));
+        let chunk_elements = u64::from_le_bytes(p[8..16].try_into().expect("8 bytes"));
+        if chunk_elements == 0 && elements > 0 {
+            return Err(err(0, "zero chunk size"));
+        }
+        let frames = elements.div_ceil(chunk_elements.max(1));
+        Ok(Geometry { elements, chunk_elements, frames, codec_tags })
+    }
+}
+
+/// Where the frame walk reads its bytes: positioned reads off a
+/// [`ChunkSource`] ([`Positioned`]) or a forward-only reader
+/// ([`Forward`]). The walk never knows which, so both accept and reject
+/// the same streams with the same errors.
+pub(super) trait Cursor {
+    /// What a frame's payload comes back as.
+    type Payload;
+    /// Up to `n` bytes at the cursor, fewer only where the stream ends.
+    /// The cursor does not move.
+    fn peek(&mut self, n: usize) -> Result<&[u8], CoreError>;
+    /// Move past `n` bytes the last `peek` returned.
+    fn advance(&mut self, n: usize);
+    /// Bytes behind the cursor, when the stream's length is known.
+    fn remaining(&self) -> Option<u64> {
+        None
+    }
+    /// Take the next `len` bytes as a payload; a stream that ends first is
+    /// truncated.
+    fn payload(&mut self, len: usize) -> Result<Self::Payload, CoreError>;
+}
+
+/// Positioned reads off a [`ChunkSource`]: a payload is skipped, and comes
+/// back as its `(offset, len)`.
+struct Positioned<'s> {
+    source: &'s dyn ChunkSource,
+    off: u64,
+    /// The bytes the last `peek` read.
+    head: Vec<u8>,
+}
+
+impl Cursor for Positioned<'_> {
+    type Payload = (u64, usize);
+
+    fn peek(&mut self, n: usize) -> Result<&[u8], CoreError> {
+        self.head.resize((self.source.len() - self.off).min(n as u64) as usize, 0);
+        self.source.read_at(self.off, &mut self.head).map_err(read_err)?;
+        Ok(&self.head)
+    }
+
+    fn advance(&mut self, n: usize) {
+        self.off += n as u64;
+    }
+
+    fn remaining(&self) -> Option<u64> {
+        Some(self.source.len() - self.off)
+    }
+
+    fn payload(&mut self, len: usize) -> Result<(u64, usize), CoreError> {
+        if len as u64 > self.source.len() - self.off {
+            return Err(err(0, "truncated frame payload"));
+        }
+        self.advance(len);
+        Ok((self.off - len as u64, len))
+    }
+}
+
+/// A forward-only reader behind a read-ahead buffer of one
+/// [`STREAM_READ_BYTES`] fill, which widens only to hold a wire header
+/// (see [`wire_header`]). A payload is copied out of it into a buffer of
+/// its own, grown only as its bytes arrive, so a forged length sizes
+/// nothing the stream does not back.
+pub(super) struct Forward<'r> {
+    reader: &'r mut dyn io::Read,
+    buf: Vec<u8>,
+    /// The unread bytes are `buf[at..end]`.
+    at: usize,
+    end: usize,
+    /// Bytes read off `reader` so far.
+    pub(super) bytes_in: u64,
+    /// High-water mark of the bytes held that no decode worker has yet:
+    /// the read-ahead plus the payload being read.
+    pub(super) peak: usize,
+}
+
+impl<'r> Forward<'r> {
+    pub(super) fn new(reader: &'r mut dyn io::Read) -> Self {
+        Forward { reader, buf: Vec::new(), at: 0, end: 0, bytes_in: 0, peak: 0 }
+    }
+}
+
+impl Cursor for Forward<'_> {
+    type Payload = Vec<u8>;
+
+    fn peek(&mut self, n: usize) -> Result<&[u8], CoreError> {
+        if self.end - self.at < n {
+            self.buf.copy_within(self.at..self.end, 0);
+            (self.at, self.end) = (0, self.end - self.at);
+            self.buf.resize(self.buf.len().max(n).max(STREAM_READ_BYTES), 0);
+            while self.end < n {
+                let got = loop {
+                    match self.reader.read(&mut self.buf[self.end..]) {
+                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                        got => break got.map_err(read_err)?,
+                    }
+                };
+                if got == 0 {
+                    break;
+                }
+                self.end += got;
+                self.bytes_in += got as u64;
+            }
+            self.peak = self.peak.max(self.end);
+        }
+        Ok(&self.buf[self.at..self.end.min(self.at + n)])
+    }
+
+    fn advance(&mut self, n: usize) {
+        self.at += n;
+    }
+
+    fn payload(&mut self, len: usize) -> Result<Vec<u8>, CoreError> {
+        let mut payload = Vec::with_capacity(len.min(STREAM_READ_BYTES));
+        while payload.len() < len {
+            let got = self.peek((len - payload.len()).min(STREAM_READ_BYTES))?;
+            if got.is_empty() {
+                return Err(err(0, "truncated frame payload"));
+            }
+            let n = got.len();
+            // Double as the bytes arrive, never past `len`.
+            payload.reserve_exact(payload.len().max(n).min(len - payload.len()));
+            payload.extend_from_slice(got);
+            self.advance(n);
+        }
+        self.peak = self.peak.max(self.end - self.at + payload.len());
+        Ok(payload)
+    }
+}
+
+fn read_err(e: io::Error) -> CoreError {
+    err(0, format!("stream read failed: {e}"))
+}
+
+/// The one walk over an `LCS1` stream's frames, in either layout, through
+/// either [`Cursor`]: it sniffs `LCW1` from the first four bytes and reads
+/// the header into its [`Geometry`], then yields each frame's kind and
+/// payload in turn, and last checks that the stream ends where the
+/// geometry says.
+pub(super) struct FrameWalk<C> {
+    pub(super) cursor: C,
+    pub(super) geometry: Geometry,
+    /// `LCW1` layout, else legacy.
+    wire: bool,
+    /// Frames yielded so far.
+    next: u64,
+}
+
+impl<C: Cursor> FrameWalk<C> {
+    /// Read the stream header. Where the cursor knows the stream's length,
+    /// the promised element count must pass the capacity guard; a wire
+    /// header's frame count must be the one its geometry calls for.
+    pub(super) fn open(mut cursor: C) -> Result<Self, CoreError> {
+        let head = cursor.peek(LEGACY_HEADER_LEN)?;
+        let wire = head.starts_with(&lcpio_wire::MAGIC);
+        let (geometry, frame_count) = if wire {
+            wire_header(&mut cursor)?
+        } else if head.len() == LEGACY_HEADER_LEN && head.starts_with(&STREAM_MAGIC) {
+            let geometry = Geometry::new(&head[4..], None)?;
+            cursor.advance(LEGACY_HEADER_LEN);
+            // The legacy layout carries no frame count of its own.
+            let frames = geometry.frames;
+            (geometry, frames)
+        } else {
+            return Err(err(0, "not an LCS1 stream"));
+        };
+        // The one decoded-size gate ([`lcpio_wire::MAX_EXPANSION`] elements
+        // per stored byte): no supported frame expands further. SZ refuses
+        // past 8 elements per byte of its payload *after* LZSS has been
+        // undone, and LZSS stores at most 83 payload bytes per byte; ZFP
+        // stops at 512 and raw frames are 4 bytes per element. A header
+        // promising more than the bytes behind it could hold is forged —
+        // rejected before the count sizes any allocation.
+        if let Some(rest) = cursor.remaining() {
+            let rest = usize::try_from(rest).unwrap_or(usize::MAX);
+            lcpio_wire::guard_element_count(geometry.elements, rest)
+                .map_err(|_| err(0, "element count exceeds stream capacity"))?;
+        }
+        if frame_count != geometry.frames {
+            return Err(err(0, "frame count does not match the header's geometry"));
+        }
+        Ok(FrameWalk { cursor, geometry, wire, next: 0 })
+    }
+
+    /// The next frame's kind and payload, or `None` once every frame the
+    /// geometry calls for has come and the stream ended with the last.
+    pub(super) fn next_frame(&mut self) -> Result<Option<(u8, C::Payload)>, CoreError> {
+        if self.next == self.geometry.frames {
+            if self.cursor.peek(1)?.is_empty() {
+                return Ok(None);
+            }
+            let msg = "frame count does not match the header's geometry (trailing bytes)";
+            return Err(err(0, msg));
+        }
+        let (kind, len) = if self.wire { self.wire_frame()? } else { self.legacy_frame()? };
+        let payload = self.cursor.payload(len)?;
+        self.next += 1;
+        Ok(Some((kind, payload)))
+    }
+
+    /// A legacy `[kind][u32 len]` frame header: the kind and payload length.
+    fn legacy_frame(&mut self) -> Result<(u8, usize), CoreError> {
+        let fh = self.cursor.peek(LEGACY_FRAME_HEADER_LEN)?;
+        if fh.is_empty() {
+            // The stream ran out of frames before the geometry did.
+            return Err(err(0, "frame count does not match the header's geometry"));
+        }
+        if fh.len() < LEGACY_FRAME_HEADER_LEN {
             return Err(err(0, "truncated frame header"));
         }
-        let fh = read_vec(source, off, LEGACY_FRAME_HEADER_LEN, "frame header")?;
-        let (kind, len) = parse_legacy_frame_header(&fh)?;
-        off += LEGACY_FRAME_HEADER_LEN as u64;
-        if len as u64 > total - off {
+        let kind = fh[0];
+        check_kind(0, kind)?;
+        let len = u32::from_le_bytes(fh[1..5].try_into().expect("4 bytes")) as usize;
+        self.cursor.advance(LEGACY_FRAME_HEADER_LEN);
+        Ok((kind, len))
+    }
+
+    /// An `LCW1` frame's length, the kind byte in front of its payload and,
+    /// when the header carries codec tags, the payload magic behind that:
+    /// the kind and payload length.
+    fn wire_frame(&mut self) -> Result<(u8, usize), CoreError> {
+        let fh = self.cursor.peek(varint::MAX_LEN + 5)?;
+        let Partial::Ready(len, used) = varint::read_frame_len(fh).map_err(wire_err)? else {
+            return Err(err(0, "truncated frame header"));
+        };
+        let head = &fh[used..fh.len().min(used + len.min(5))];
+        if head.len() < len.min(5) {
             return Err(err(0, "truncated frame payload"));
         }
-        frames.push(FrameEntry { kind, off, len });
-        off += len as u64;
+        let Some((&kind, magic)) = head.split_first() else {
+            return Err(err(0, "empty wire frame (missing kind byte)"));
+        };
+        check_kind(0, kind)?;
+        let seq = self.next as usize;
+        if let Some(&tag) = self.geometry.codec_tags.as_ref().and_then(|t| t.get(seq)) {
+            check_codec_tag(seq, tag, kind, magic)?;
+        }
+        self.cursor.advance(used + 1);
+        Ok((kind, len - 1))
     }
-    geometry.check_frames(frames.len() as u64)?;
-    Ok(StreamLayout {
-        elements,
-        chunk_elements: geometry.chunk_elements as usize,
-        frames,
-        codec_tags: None,
-    })
 }
 
-/// Scan the `LCW1` wire form of the streaming container into the same
-/// [`StreamLayout`] the legacy scan produces, so every decode path (serial
-/// decode, sequential restart, overlapped restart) handles both forms
-/// identically.
-///
-/// The scan reads only the envelope header plus ~15 bytes per frame
-/// boundary — payloads stay untouched — and applies the same validation as
-/// the legacy path: frame extents proven in-bounds with checked
-/// arithmetic, nothing trailing the final frame, and the promised element
-/// count capped at `MAX_EXPANSION`× the payload bytes.
-fn scan_wire_stream(source: &dyn ChunkSource) -> Result<StreamLayout, CoreError> {
-    let total = source.len();
-    // Incrementally widen the header window until the envelope parses; it
-    // is bounded by the wire crate's 1 MiB TLV-block ceiling.
-    let cap = total.min(lcpio_wire::MAX_HEADER_LEN as u64 + 64) as usize;
-    let mut want = cap.min(256);
-    let (geometry, frame_count, frames_at) = loop {
-        let buf = read_vec(source, 0, want, "header")?;
-        match parse_header_partial(&buf).map_err(wire_err)? {
-            Partial::Ready(env, used) => break (wire_geometry(&env)?, env.frame_count, used as u64),
-            Partial::NeedMore if want >= cap => {
+/// Read an `LCW1` header at the cursor: the geometry its `PARAMS` field
+/// carries and its frame count. The window doubles until the envelope
+/// parses; the wire crate refuses a TLV block past
+/// [`lcpio_wire::MAX_HEADER_LEN`], so it stops short of twice that.
+fn wire_header(cursor: &mut impl Cursor) -> Result<(Geometry, u64), CoreError> {
+    let mut want = 256;
+    loop {
+        let buf = cursor.peek(want)?;
+        match parse_header_partial(buf).map_err(wire_err)? {
+            Partial::Ready(env, used) => {
+                if env.container != STREAM_MAGIC {
+                    return Err(err(0, "wire envelope does not carry an LCS1 stream"));
+                }
+                let params = env.params().filter(|p| p.len() == 16);
+                let params = params.ok_or_else(|| err(0, "wire LCS1 params must be 16 bytes"))?;
+                let tags = env.codec_tags().map_err(wire_err)?.map(<[u8]>::to_vec);
+                let header = (Geometry::new(params, tags)?, env.frame_count as u64);
+                cursor.advance(used);
+                return Ok(header);
+            }
+            Partial::NeedMore if buf.len() < want => {
                 return Err(err(0, "truncated wire envelope header"));
             }
-            Partial::NeedMore => want = (want * 2).min(cap),
-        }
-    };
-    let elements = guard_elements(geometry.elements, total - frames_at)?;
-    geometry.check_frames(frame_count as u64)?;
-
-    let mut frames = Vec::with_capacity(frame_count.min(1 << 16));
-    let mut off = frames_at;
-    for seq in 0..frame_count {
-        // One read covers the length varint, the kind byte and the
-        // payload magic the codec-tag check looks at.
-        let avail = (total - off).min(varint::MAX_LEN as u64 + 5) as usize;
-        let fh = read_vec(source, off, avail, "frame header")?;
-        let (len, used) = match varint::read_partial(&fh).map_err(wire_err)? {
-            Partial::Ready(len, used) => (len, used),
-            Partial::NeedMore => return Err(err(0, "truncated frame header")),
-        };
-        let payload_at = off + used as u64;
-        if len > total - payload_at {
-            return Err(err(0, "truncated frame payload"));
-        }
-        let head = &fh[used..fh.len().min(used + (len as usize).min(5))];
-        let kind = check_wire_frame(seq, head, geometry.codec_tags.as_deref())?;
-        frames.push(FrameEntry { kind, off: payload_at + 1, len: (len - 1) as usize });
-        off = payload_at + len;
-    }
-    if off != total {
-        return Err(err(0, "trailing bytes after final wire frame"));
-    }
-    Ok(StreamLayout {
-        elements,
-        chunk_elements: geometry.chunk_elements as usize,
-        frames,
-        codec_tags: geometry.codec_tags,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Push framer (forward-only input)
-// ---------------------------------------------------------------------------
-
-enum Framing {
-    /// Fewer than four bytes seen: the layout is not known yet.
-    Sniff,
-    Wire(StreamDecoder),
-    Legacy,
-}
-
-/// Format-sniffing incremental frame splitter for sources that only
-/// support forward reads: buffers the first four bytes, then routes
-/// everything through the wire crate's [`StreamDecoder`] (`LCW1`) or
-/// splits the legacy layout itself, with the same parsers the positioned
-/// scan uses.
-pub(super) struct PushFramer {
-    framing: Framing,
-    /// Sniffed prefix, then (legacy) bytes awaiting a frame boundary.
-    buf: Vec<u8>,
-    peak: usize,
-    geometry: Option<Geometry>,
-    /// Frames handed out so far — indexes into the codec tags.
-    next_frame: usize,
-}
-
-impl PushFramer {
-    pub(super) fn new() -> Self {
-        PushFramer {
-            framing: Framing::Sniff,
-            buf: Vec::new(),
-            peak: 0,
-            geometry: None,
-            next_frame: 0,
-        }
-    }
-
-    /// Push bytes in; get back every frame they completed as `(kind,
-    /// bytes, start)`, its payload being `bytes[start..]` (an `LCW1` frame
-    /// keeps its codec-id byte in front, so no payload byte is moved).
-    /// Errors are terminal.
-    pub(super) fn feed(&mut self, chunk: &[u8]) -> Result<Vec<(u8, Vec<u8>, usize)>, CoreError> {
-        if let Framing::Wire(dec) = &mut self.framing {
-            let frames = dec.feed(chunk).map_err(wire_err)?;
-            if self.geometry.is_none() {
-                if let Some(h) = dec.header() {
-                    let env = h.envelope();
-                    let geometry = wire_geometry(&env)?;
-                    geometry.check_frames(env.frame_count as u64)?;
-                    self.geometry = Some(geometry);
-                }
-            }
-            let mut out = Vec::with_capacity(frames.len());
-            for f in frames {
-                let seq = self.count_frame()?;
-                let tags = self.geometry.as_ref().and_then(|g| g.codec_tags.as_deref());
-                out.push((check_wire_frame(seq, &f.payload, tags)?, f.payload, 1));
-            }
-            return Ok(out);
-        }
-        self.buf.extend_from_slice(chunk);
-        self.peak = self.peak.max(self.buf.len());
-        if matches!(self.framing, Framing::Sniff) {
-            if self.buf.len() < 4 {
-                return Ok(Vec::new());
-            }
-            if self.buf.starts_with(&lcpio_wire::MAGIC) {
-                self.framing = Framing::Wire(StreamDecoder::new());
-                let sniffed = std::mem::take(&mut self.buf);
-                return self.feed(&sniffed);
-            }
-            self.framing = Framing::Legacy;
-        }
-        let mut cursor = 0usize;
-        if self.geometry.is_none() {
-            if self.buf.len() < LEGACY_HEADER_LEN {
-                return Ok(Vec::new());
-            }
-            self.geometry = Some(parse_legacy_header(&self.buf)?);
-            cursor = LEGACY_HEADER_LEN;
-        }
-        let mut out = Vec::new();
-        while let Some(fh) = self.buf.get(cursor..cursor + LEGACY_FRAME_HEADER_LEN) {
-            let (kind, len) = parse_legacy_frame_header(fh)?;
-            let start = cursor + LEGACY_FRAME_HEADER_LEN;
-            if self.buf.len() < start + len {
-                break; // partial frame: wait for more bytes
-            }
-            self.count_frame()?;
-            out.push((kind, self.buf[start..start + len].to_vec(), 0));
-            cursor = start + len;
-        }
-        self.buf.drain(..cursor);
-        Ok(out)
-    }
-
-    /// Number the next frame, refusing one past the geometry's count.
-    fn count_frame(&mut self) -> Result<usize, CoreError> {
-        let seq = self.next_frame;
-        if self.geometry.as_ref().is_none_or(|g| seq as u64 >= g.frames) {
-            return Err(err(seq, "frame count does not match the header's geometry"));
-        }
-        self.next_frame += 1;
-        Ok(seq)
-    }
-
-    /// Declare end-of-input; errors if a header or frame is incomplete, or
-    /// if fewer frames arrived than the header's geometry calls for.
-    pub(super) fn finish(&self) -> Result<(), CoreError> {
-        match &self.framing {
-            Framing::Sniff => return Err(err(0, "truncated stream")),
-            Framing::Wire(dec) => dec.finish().map_err(wire_err)?,
-            Framing::Legacy if self.geometry.is_none() => {
-                return Err(err(0, "truncated LCS1 header"));
-            }
-            Framing::Legacy if !self.buf.is_empty() => return Err(err(0, "truncated frame")),
-            Framing::Legacy => {}
-        }
-        let geometry = self.geometry.as_ref().ok_or_else(|| err(0, "truncated stream"))?;
-        geometry.check_frames(self.next_frame as u64)
-    }
-
-    /// Element count and chunk size promised by the header, once it has
-    /// arrived.
-    pub(super) fn geometry(&self) -> Option<(u64, u64)> {
-        self.geometry.as_ref().map(|g| (g.elements, g.chunk_elements))
-    }
-
-    /// High-water mark of bytes buffered awaiting a frame boundary.
-    pub(super) fn peak_buffered(&self) -> usize {
-        match &self.framing {
-            Framing::Wire(dec) => dec.peak_buffered(),
-            _ => self.peak,
+            Partial::NeedMore => want *= 2,
         }
     }
 }

@@ -14,7 +14,8 @@
 //!
 //! * `format` — the self-describing `LCS1` container, in its legacy
 //!   layout and as an `LCW1` wire envelope: header and frame encoding, the
-//!   positioned scan ([`scan_stream`]), the push framer, every check a
+//!   one frame walk (over positioned reads for [`scan_stream`], over a
+//!   forward-only reader for [`run_restart_streamed`]), every check a
 //!   header or frame must pass, and the one-line [`describe`] that
 //!   `lcpio-cli info` and `serve`'s `INFO` print. Nothing else knows the
 //!   byte layout.

@@ -11,10 +11,11 @@
 //! `chunk_elements` values: nothing is decoded into a buffer of its own
 //! and copied, and the ordered commit carries only errors and tallies.
 
-use super::format::{decode_frame, ranges, scan_stream, FrameEntry, PushFramer, FRAME_RAW};
+use super::format::{decode_frame, ranges, scan_stream, Forward, FrameEntry, FrameWalk, FRAME_RAW};
 use super::stage::{retry, run_stage, Source};
 use super::FailurePlan;
 use crate::error::{CoreError, PipelineError};
+use lcpio_codec::chunked::effective_threads;
 use std::io;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -309,10 +310,9 @@ pub fn run_restart_sequential(
     Ok((vals, out))
 }
 
-/// One frame on its way to a decode worker: its kind, the bytes that carry
-/// it (the payload is `bytes[start..]`) and its range of the restored
-/// field.
-type Frame<'f> = (u8, Vec<u8>, usize, &'f mut [f32]);
+/// One frame on its way to a decode worker: its kind, its payload and its
+/// range of the restored field.
+type Frame<'f> = (u8, Vec<u8>, &'f mut [f32]);
 
 /// Decode frames from `source` on `workers` threads, each into its own
 /// range: the part both overlapped restart paths share. Returns the
@@ -327,8 +327,8 @@ fn decode_overlapped(
         source,
         workers,
         "restart.decode.worker",
-        |seq, (kind, bytes, start, range): Frame<'_>, tally| {
-            decode_chunk(cfg, seq, kind, &bytes[start..], range, tally)
+        |seq, (kind, payload, range): Frame<'_>, tally| {
+            decode_chunk(cfg, seq, kind, &payload, range, tally)
         },
         |_, ()| Ok(()),
     )?;
@@ -377,12 +377,12 @@ pub fn run_restart(
                 let bytes = read_frame(cfg, source, seq, *entry, tally)?;
                 let range = ranges[seq].lock().expect("range lock").take();
                 let range = range.expect("each frame is produced once");
-                Ok(Some((entry.kind, bytes, 0, range)))
+                Ok(Some((entry.kind, bytes, range)))
             }
             None => Ok(None),
         },
     };
-    let workers = crate::par::effective_threads(cfg.workers).min(layout.chunks().max(1));
+    let workers = effective_threads(cfg.workers).min(layout.chunks().max(1));
     let mut out = decode_overlapped(cfg, workers, readers)?;
     out.chunks = layout.chunks();
     out.bytes_in = source.len();
@@ -390,23 +390,26 @@ pub fn run_restart(
     Ok((vals, out))
 }
 
-/// Bytes per `read` call in [`run_restart_streamed`]. Small enough that
-/// the framer's buffering bound (one frame + one read) stays tight, large
+/// Bytes per read-ahead fill in [`run_restart_streamed`]. Small enough
+/// that the buffering bound (one frame + one fill) stays tight, large
 /// enough to amortize syscalls.
 pub(super) const STREAM_READ_BYTES: usize = 1 << 16;
 
 /// Run the restart pipeline over a *forward-only* byte stream — a pipe, a
-/// socket, a sequential file read — with incremental push decoding.
+/// socket, a sequential file read.
 ///
 /// Unlike [`run_restart`], which needs a random-access [`ChunkSource`] and
-/// an up-front frame-table scan, this path parses frames as bytes arrive
-/// (sniffing `LCW1` wire envelopes vs legacy `LCS1` from the first four
-/// bytes) and hands each completed frame to the decode-worker pool
-/// immediately — decode of chunk *k* overlaps arrival of chunk *k+1*, and
-/// peak buffering is bounded by one frame plus the bounded queue
+/// an up-front frame-table scan, this path walks the frames as bytes
+/// arrive, with the same frame walk and checks as the scan (sniffing
+/// `LCW1` wire envelopes vs legacy `LCS1` from the first four bytes), and
+/// hands each frame to the decode-worker pool as soon as it is read —
+/// decode of chunk *k* overlaps arrival of chunk *k+1*, and peak buffering
+/// is bounded by one frame plus one read-ahead fill
 /// ([`RestartOutcome::peak_buffered_bytes`]) rather than the container
-/// size. Output is element-identical to [`run_restart_sequential`] on the
-/// same container.
+/// size. The field is allocated once, as soon as the header is read.
+/// Output is element-identical to [`run_restart_sequential`] on the same
+/// container, and a stream the scan refuses is refused with the scan's
+/// error.
 ///
 /// The failure plan's `read_failures` are not honoured here (a
 /// forward-only stream cannot replay a positioned read); `decode_failures`
@@ -418,54 +421,38 @@ pub fn run_restart_streamed(
     cfg.validate()?;
     let _span = lcpio_trace::span("restart.streamed");
     let t0 = Instant::now();
-    let mut framer = PushFramer::new();
-    let mut rbuf = vec![0u8; STREAM_READ_BYTES];
-    let mut pending = std::collections::VecDeque::new();
-    let mut bytes_in = 0u64;
-    let mut chunks = 0usize;
-    let mut vals = Vec::new();
-    // The field waits for the header; the framer then holds the frames to
-    // the header's geometry, so there is a range for every frame it gives.
-    let mut unsized_field = Some(&mut vals);
-    let mut field = ranges(&mut [], 1);
-    // The feeder runs on the calling thread: read forward until the framer
-    // has completed at least one frame, hand frames out one per call (the
-    // stage's backpressure caps how far arrival runs ahead of decode), and
-    // end the stream at a clean EOF.
-    let mut feed = |seq: usize, tally: &mut RestartOutcome| loop {
-        if let Some((kind, bytes, start)) = pending.pop_front() {
-            tally.raw_frames += usize::from(kind == FRAME_RAW);
-            chunks = seq + 1;
-            let range = field.next().expect("the framer admits a frame per range");
-            return Ok(Some((kind, bytes, start, range)));
-        }
+    let mut walk = FrameWalk::open(Forward::new(reader))?;
+    let mut vals = alloc_field(walk.geometry.elements)?;
+    // The walk holds the frames to the header's geometry, so there is a
+    // range for every frame it yields.
+    let mut field = ranges(&mut vals, walk.geometry.chunk_elements as usize);
+    let mut walk_failed = false;
+    // The feeder runs on the calling thread and reads one frame per call;
+    // the stage's backpressure caps how far arrival runs ahead of decode.
+    let mut feed = |_seq: usize, tally: &mut RestartOutcome| {
         let tr = Instant::now();
-        let n = match reader.read(&mut rbuf) {
-            Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => {
-                let msg = format!("stream read failed: {e}");
-                return Err(CoreError::Pipeline(PipelineError::new(seq, 1, msg)));
-            }
-        };
+        let frame = walk.next_frame();
         tally.read_busy_s += tr.elapsed().as_secs_f64();
-        if n == 0 {
-            return framer.finish().map(|()| None);
-        }
-        bytes_in += n as u64;
-        pending.extend(framer.feed(&rbuf[..n])?);
-        if let Some((elements, chunk_elements)) = framer.geometry() {
-            if let Some(vals) = unsized_field.take() {
-                *vals = alloc_field(elements)?;
-                field = ranges(vals, chunk_elements as usize);
-            }
-        }
+        walk_failed = frame.is_err();
+        let Some((kind, payload)) = frame? else { return Ok(None) };
+        tally.raw_frames += usize::from(kind == FRAME_RAW);
+        let range = field.next().expect("the walk yields a frame per range");
+        Ok(Some((kind, payload, range)))
     };
-    let workers = crate::par::effective_threads(cfg.workers);
-    let mut out = decode_overlapped(cfg, workers, Source::Caller(&mut feed))?;
-    out.chunks = chunks;
-    out.bytes_in = bytes_in;
-    out.peak_buffered_bytes = framer.peak_buffered();
+    let workers = effective_threads(cfg.workers);
+    let mut out = match decode_overlapped(cfg, workers, Source::Caller(&mut feed)) {
+        // A worker stopped the walk early. The scan would have refused a
+        // malformed stream before any decode, so walk on to the end: the
+        // walk's error, if there is one, is the one to report.
+        Err(e) if !walk_failed => {
+            while walk.next_frame()?.is_some() {}
+            return Err(e);
+        }
+        out => out?,
+    };
+    out.chunks = walk.geometry.frames as usize;
+    out.bytes_in = walk.cursor.bytes_in;
+    out.peak_buffered_bytes = walk.cursor.peak;
     let out = out.close(vals.len(), t0);
     Ok((vals, out))
 }
@@ -618,6 +605,58 @@ mod tests {
                         out.peak_buffered_bytes
                     );
                 }
+            }
+        }
+    }
+
+    /// Hands out 1, 7 and 65 539 bytes per call in turn, and is
+    /// interrupted once.
+    struct ShortReads<'a> {
+        bytes: &'a [u8],
+        calls: usize,
+        interrupted: bool,
+    }
+
+    impl io::Read for ShortReads<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.calls == 1 && !self.interrupted {
+                self.interrupted = true;
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let n = [1, 7, 65_539][self.calls % 3].min(buf.len()).min(self.bytes.len());
+            self.calls += 1;
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn streamed_restart_survives_short_and_interrupted_reads() {
+        // A legacy stream whose raw fallback frame (160 000 bytes) is longer
+        // than a read-ahead fill, a wire stream and a mixed-codec stream.
+        let mut legacy = cfg();
+        legacy.chunk_elements = 40_000;
+        legacy.failure_plan.compress_failures =
+            (0..legacy.max_compress_attempts).map(|a| (1usize, a)).collect();
+        let mut sink = VecSink::default();
+        run_sequential(&field(100_000), &legacy, &mut sink).expect("sequential");
+        for stream in [sink.bytes, wire_stream_of(&field(10_500)), mixed_stream(4096, 6).1] {
+            let reference = decode_stream(&stream).expect("decode");
+            let max_frame = scan_stream(&SliceSource::new(&stream)).expect("scan").max_frame_len();
+            for workers in [1, 3] {
+                let c = RestartConfig { queue_depth: 2, workers, ..restart_cfg() };
+                let mut rd = ShortReads { bytes: &stream, calls: 0, interrupted: false };
+                let (vals, out) = run_restart_streamed(&mut rd, &c).expect("streamed");
+                assert!(rd.interrupted);
+                assert_eq!(bits(&vals), bits(&reference), "workers {workers}");
+                assert_eq!(out.bytes_in, stream.len() as u64);
+                assert!(
+                    out.peak_buffered_bytes
+                        <= max_frame + STREAM_READ_BYTES + lcpio_wire::MAX_HEADER_LEN,
+                    "peak {} vs frame {max_frame}",
+                    out.peak_buffered_bytes
+                );
             }
         }
     }

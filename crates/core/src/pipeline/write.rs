@@ -12,6 +12,7 @@ use crate::error::{CoreError, PipelineError};
 use crate::policy::{build_policy, codec_id_of, PolicyKind};
 use crate::records::Compressor;
 use crate::workmap::CostModel;
+use lcpio_codec::chunked::effective_threads;
 use lcpio_codec::policy::{ChunkPlan, CodecId};
 use lcpio_codec::{BoundSpec, CodecStats};
 use lcpio_powersim::{Chip, Machine};
@@ -47,8 +48,8 @@ pub struct PipelineConfig {
     /// Emit the stream as an `LCW1` wire envelope (container id `LCS1`,
     /// one frame per chunk with the kind byte leading the payload) instead
     /// of the legacy `LCS1` container. Both forms carry identical chunk
-    /// payloads and decode identically; the wire form additionally
-    /// supports incremental push decoding
+    /// payloads and decode identically, positioned
+    /// ([`run_restart`](super::run_restart)) or forward-only
     /// ([`run_restart_streamed`](super::run_restart_streamed)).
     pub wire_format: bool,
     /// Per-chunk planning policy. [`PolicyKind::Fixed`] reproduces the
@@ -418,7 +419,7 @@ pub fn run_streaming(
     let Opened { ranges, plans, mut out } = open_stream(data, cfg, sink)?;
     lcpio_trace::counter_add("pipeline.chunks", ranges.len() as u64);
     let compressors = Source::Shared {
-        threads: crate::par::effective_threads(cfg.compress_threads).min(ranges.len().max(1)),
+        threads: effective_threads(cfg.compress_threads).min(ranges.len().max(1)),
         span: "pipeline.compress.worker",
         produce: &|seq, tally: &mut StreamOutcome| {
             let Some(r) = ranges.get(seq) else { return Ok(None) };

@@ -17,8 +17,10 @@ use lcpio_codec::BoundSpec;
 use lcpio_core::error::CoreError;
 use lcpio_core::pipeline::{
     decode_stream, run_restart, run_restart_sequential, run_restart_streamed, run_sequential,
-    run_streaming, PipelineConfig, RestartConfig, SliceSource, VecSink, STREAM_MAGIC,
+    run_streaming, scan_stream, ChunkSource, PipelineConfig, RestartConfig, SliceSource, VecSink,
+    STREAM_MAGIC,
 };
+use std::io;
 
 fn field(n: usize) -> Vec<f32> {
     (0..n).map(|i| (i as f32 * 0.011).sin() * 30.0 + (i as f32 * 0.0017).cos() * 3.0).collect()
@@ -387,5 +389,48 @@ fn frame_count_must_be_the_one_the_geometry_calls_for() {
         for result in every_decoder(&one) {
             assert_eq!(result.expect("one frame").len(), 3000, "wire={wire}");
         }
+    }
+}
+
+/// A source `len` bytes long holding `prefix` and zeros behind it, so a
+/// container past 4 GiB costs nothing to serve.
+struct Sparse {
+    prefix: Vec<u8>,
+    len: u64,
+}
+
+impl ChunkSource for Sparse {
+    fn len(&self) -> u64 {
+        self.len
+    }
+
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+        if offset + buf.len() as u64 > self.len {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
+        for (at, b) in (offset..).zip(buf.iter_mut()) {
+            *b = usize::try_from(at).ok().and_then(|at| self.prefix.get(at)).copied().unwrap_or(0);
+        }
+        Ok(())
+    }
+}
+
+#[test]
+fn a_wire_frame_past_the_frame_length_limit_is_refused_on_every_path() {
+    // One frame of u32::MAX + 2 bytes (kind byte included) under a header of
+    // one element in one chunk, and exactly that many bytes behind it: in
+    // bounds, so only the frame-length limit refuses it.
+    let params = [1u64, 1].map(u64::to_le_bytes).concat();
+    let mut prefix = lcpio_wire::EnvelopeBuilder::new(STREAM_MAGIC).params(&params).header_bytes(1);
+    let frame_len = u32::MAX as u64 + 2;
+    lcpio_wire::varint::write_u64(&mut prefix, frame_len);
+    let source = Sparse { len: prefix.len() as u64 + frame_len, prefix };
+    let streamed = expect_pipeline_err(run_restart_streamed(&mut &source.prefix[..], &cfg()));
+    assert!(streamed.message.contains("frame length exceeds hard limit"), "{streamed}");
+    // The scan first: were it to accept the frame, restart would read it.
+    let scanned = expect_pipeline_err(scan_stream(&source));
+    let restarted = expect_pipeline_err(run_restart(&source, &cfg()));
+    for p in [scanned, restarted] {
+        assert_eq!((p.chunk, &p.message), (streamed.chunk, &streamed.message));
     }
 }

@@ -36,8 +36,9 @@
 //!    followed by a random tail (0–256 bytes, or a plausible type/rank
 //!    prefix with huge little-endian dims and counts), thrown at registry
 //!    auto-decompress, the three streaming-container decoders (one-shot,
-//!    positioned restart and push-framed restart, which must agree on
-//!    accept or reject, and on every bit when they accept) and the serve
+//!    positioned restart and forward-read restart fed 1–97 bytes a read,
+//!    which must agree on accept or reject, and on every bit when they
+//!    accept) and the serve
 //!    frame codec. Mutating valid streams keeps most header fields sane; this is
 //!    the input class that reaches a decoder's size arithmetic with every
 //!    field forged at once.
@@ -564,15 +565,36 @@ pub fn target_noise_after_magic(bytes: &[u8]) {
     target_stream_decoders(bytes);
 }
 
+/// A reader handing out `bytes` in pieces of 1–97 bytes, as `rng` draws
+/// them.
+struct ShortReads<'a> {
+    bytes: &'a [u8],
+    rng: Rng,
+}
+
+impl std::io::Read for ShortReads<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = (1 + self.rng.below(97)).min(buf.len()).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
 /// The three streaming-container decoders on one input: serial
 /// [`decode_stream`], [`run_restart`] over a [`SliceSource`] and
-/// [`run_restart_streamed`]. They accept the same streams and restore the
-/// same bits.
+/// [`run_restart_streamed`] reading it in randomly sized pieces (drawn
+/// from an FNV-1a hash of the input, so an input replays alone). They
+/// accept the same streams and restore the same bits.
 pub fn target_stream_decoders(bytes: &[u8]) {
     let cfg = RestartConfig { workers: 1, retry_backoff_ms: 0, ..RestartConfig::default() };
     let one_shot = decode_stream(bytes).map(|v| bits(&v));
     let positioned = run_restart(&SliceSource::new(bytes), &cfg).map(|(v, _)| bits(&v));
-    let streamed = run_restart_streamed(&mut &bytes[..], &cfg).map(|(v, _)| bits(&v));
+    let seed = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    let mut reader = ShortReads { bytes, rng: Rng::new(seed) };
+    let streamed = run_restart_streamed(&mut reader, &cfg).map(|(v, _)| bits(&v));
     let verdicts = [one_shot.is_ok(), positioned.is_ok(), streamed.is_ok()];
     assert!(verdicts == [true; 3] || verdicts == [false; 3], "decoders disagree: {verdicts:?}");
     if let (Ok(a), Ok(b), Ok(c)) = (one_shot, positioned, streamed) {

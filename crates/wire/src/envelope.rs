@@ -3,8 +3,7 @@
 use crate::tlv::{self, push_tlv, TlvError};
 use crate::varint::{self, Partial};
 use crate::{
-    tag, WireError, MAGIC, MAX_FRAMES, MAX_FRAME_LEN, MAX_HEADER_LEN, MAX_RANK, VERSION_MAJOR,
-    VERSION_MINOR,
+    tag, WireError, MAGIC, MAX_FRAMES, MAX_HEADER_LEN, MAX_RANK, VERSION_MAJOR, VERSION_MINOR,
 };
 
 /// One TLV field as it appeared on the wire, including unknown tags.
@@ -182,12 +181,14 @@ impl<'a> Envelope<'a> {
         let mut entries = Vec::with_capacity(self.frame_count.min(1 << 16));
         let mut payload_bytes = 0usize;
         for _ in 0..self.frame_count {
-            let len = varint::read(bytes, &mut pos)
-                .map_err(|_| WireError::Truncated { section: "frame length" })?;
-            if len > MAX_FRAME_LEN {
-                return Err(WireError::LimitExceeded { what: "frame length" });
-            }
-            let len = len as usize;
+            let len = match varint::read_frame_len(&bytes[pos..]) {
+                Ok(Partial::Ready(len, used)) => {
+                    pos += used;
+                    len
+                }
+                Err(e @ WireError::LimitExceeded { .. }) => return Err(e),
+                _ => return Err(WireError::Truncated { section: "frame length" }),
+            };
             let end = pos.checked_add(len).ok_or(WireError::Overflow { what: "frame extent" })?;
             if end > bytes.len() {
                 return Err(WireError::Truncated { section: "frame payload" });
@@ -243,21 +244,21 @@ impl<'a> Envelope<'a> {
         Ok(Some(dims))
     }
 
-    /// Per-frame chunk table, if present: exactly `frame_count` pairs of
-    /// varints `(start, end)`.
+    /// Per-frame chunk table, if present: the `(start, end)` varint pairs
+    /// it holds, however many. Whether that is one per frame is the
+    /// chunked validator's question, so a forged count fails there exactly
+    /// as it does in the legacy form. Each pair is at least two bytes of
+    /// the field, which bounds the table by its input.
     pub fn chunk_table(&self) -> Result<Option<Vec<(usize, usize)>>, WireError> {
         let Some(v) = self.field(tag::CHUNK_TABLE) else { return Ok(None) };
+        let narrow =
+            |x: u64| usize::try_from(x).map_err(|_| WireError::Overflow { what: "chunk range" });
         let mut pos = 0usize;
-        let mut table = Vec::with_capacity(self.frame_count);
-        for _ in 0..self.frame_count {
-            let a = varint::read(v, &mut pos)?;
-            let b = varint::read(v, &mut pos)?;
-            let a = usize::try_from(a).map_err(|_| WireError::Overflow { what: "chunk range" })?;
-            let b = usize::try_from(b).map_err(|_| WireError::Overflow { what: "chunk range" })?;
-            table.push((a, b));
-        }
-        if pos != v.len() {
-            return Err(WireError::Malformed { what: "chunk table field" });
+        let mut table = Vec::new();
+        while pos < v.len() {
+            let start = varint::read(v, &mut pos)?;
+            let end = varint::read(v, &mut pos)?;
+            table.push((narrow(start)?, narrow(end)?));
         }
         Ok(Some(table))
     }

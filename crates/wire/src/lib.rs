@@ -26,9 +26,11 @@
 //! walks the frames once with checked arithmetic (never trusting a
 //! length it has not compared against the bytes actually present), and
 //! [`guard_element_count`] is the single decoded-size gate shared by all
-//! container ports. The push-based [`stream::StreamDecoder`] accepts
-//! arbitrary byte slices and yields each frame as soon as it completes,
-//! buffering at most one partial frame.
+//! container ports. [`varint::read_frame_len`] is the one reader of a
+//! frame length and the one place [`MAX_FRAME_LEN`] is applied. The
+//! push-based [`stream::StreamDecoder`] accepts arbitrary byte slices and
+//! yields each frame as soon as it completes, buffering at most one
+//! partial frame.
 //!
 //! This crate is dependency-free and does no I/O; the container-specific
 //! wrap/unwrap bridges live in `lcpio-codec` (SZ/ZFP containers) and

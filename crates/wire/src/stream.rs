@@ -10,7 +10,7 @@
 
 use crate::envelope::{parse_header_partial, Envelope};
 use crate::varint::{self, Partial};
-use crate::{WireError, MAX_FRAME_LEN};
+use crate::WireError;
 
 /// One completed frame, in wire order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,12 +125,8 @@ impl StreamDecoder {
                 },
                 State::Frames => {
                     let rest = &self.buf[cursor..];
-                    match varint::read_partial(rest)? {
+                    match varint::read_frame_len(rest)? {
                         Partial::Ready(len, used) => {
-                            if len > MAX_FRAME_LEN {
-                                return Err(WireError::LimitExceeded { what: "frame length" });
-                            }
-                            let len = len as usize;
                             let total = used
                                 .checked_add(len)
                                 .ok_or(WireError::Overflow { what: "frame extent" })?;

@@ -4,7 +4,7 @@
 //! every value has exactly one wire representation — a byte-for-byte
 //! round-trip guarantee the compat shim relies on.
 
-use crate::WireError;
+use crate::{WireError, MAX_FRAME_LEN};
 
 /// Maximum encoded length of a `u64` (10 × 7 bits ≥ 64 bits).
 pub const MAX_LEN: usize = 10;
@@ -55,6 +55,21 @@ pub fn read_partial(buf: &[u8]) -> Result<Partial<u64>, WireError> {
         shift += 7;
     }
     Ok(Partial::NeedMore)
+}
+
+/// Read the frame-length varint at the front of `buf` and apply
+/// [`MAX_FRAME_LEN`]: the one place a frame length is read and limited,
+/// for whole envelopes, the push decoder and the `LCS1` frame walk alike.
+/// `NeedMore` means `buf` ends inside the varint.
+pub fn read_frame_len(buf: &[u8]) -> Result<Partial<usize>, WireError> {
+    match read_partial(buf)? {
+        Partial::Ready(len, used) => usize::try_from(len)
+            .ok()
+            .filter(|_| len <= MAX_FRAME_LEN)
+            .map(|len| Partial::Ready(len, used))
+            .ok_or(WireError::LimitExceeded { what: "frame length" }),
+        Partial::NeedMore => Ok(Partial::NeedMore),
+    }
 }
 
 /// Read a varint at `buf[*pos..]`, advancing `pos`. A buffer that ends
@@ -133,6 +148,20 @@ mod tests {
         assert_eq!(
             read_partial(&[0x80, 0x00]).unwrap_err(),
             WireError::Malformed { what: "non-canonical varint" }
+        );
+    }
+
+    #[test]
+    fn frame_length_limit_is_inclusive() {
+        let mut buf = Vec::new();
+        write_u64(&mut buf, MAX_FRAME_LEN);
+        assert_eq!(read_frame_len(&buf).unwrap(), Partial::Ready(MAX_FRAME_LEN as usize, 5));
+        assert_eq!(read_frame_len(&buf[..4]).unwrap(), Partial::NeedMore);
+        buf.clear();
+        write_u64(&mut buf, MAX_FRAME_LEN + 1);
+        assert_eq!(
+            read_frame_len(&buf).unwrap_err(),
+            WireError::LimitExceeded { what: "frame length" }
         );
     }
 
