@@ -244,7 +244,10 @@ fn run_workers<S: Default + Send, R: Send>(
 }
 
 /// Resolve a worker-count request (0 ⇒ all available cores): the one
-/// rule every worker pool in the workspace sizes itself by.
+/// rule every worker pool in the workspace sizes itself by, except
+/// `lcpio-datagen`'s field synthesis, which cannot import it (`lcpio-sz`
+/// and `lcpio-zfp` depend on datagen, and this crate on `lcpio-sz`) and
+/// asks `available_parallelism` itself, taking 1 core where this takes 4.
 pub fn effective_threads(threads: usize) -> usize {
     if threads == 0 {
         std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4)

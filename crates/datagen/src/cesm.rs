@@ -9,7 +9,7 @@
 //! toward the surface (weather lives in the troposphere).
 
 use crate::field::{Dims, Field};
-use crate::spectral::{SpectralField, SpectralParams};
+use crate::spectral::{fill_planes, workers, SpectralField, SpectralParams};
 
 /// Full-size extent from Table I.
 pub const FULL_DIMS: (usize, usize, usize) = (26, 1800, 3600);
@@ -19,39 +19,47 @@ pub const FULL_DIMS: (usize, usize, usize) = (26, 1800, 3600);
 /// `scale` divides the horizontal extents (levels stay at 26, the vertical
 /// structure is physical, not resolution); `seed` fixes the realization.
 pub fn generate_scaled(scale: usize, seed: u64) -> Field {
-    let (nlev, full_ny, full_nx) = FULL_DIMS;
-    let ny = (full_ny / scale).max(16);
-    let nx = (full_nx / scale).max(16);
+    let (nlev, ny, nx) = scaled_dims(scale);
     generate(nlev, ny, nx, seed)
+}
+
+/// `(levels, ny, nx)` at `scale`; 0 is taken as 1, the full size.
+fn scaled_dims(scale: usize) -> (usize, usize, usize) {
+    let (nlev, full_ny, full_nx) = FULL_DIMS;
+    (nlev, (full_ny / scale.max(1)).max(16), (full_nx / scale.max(1)).max(16))
 }
 
 /// Generate a CESM-ATM-like field with explicit dimensions.
 pub fn generate(nlev: usize, ny: usize, nx: usize, seed: u64) -> Field {
+    generate_on([nlev, ny, nx], seed, workers())
+}
+
+/// `generate` on `threads` workers, each filling a slab of levels.
+fn generate_on([nlev, ny, nx]: [usize; 3], seed: u64, threads: usize) -> Field {
     // Cap the spectral content at the sample's resolution (≥8 cells per
     // cycle) so scaled-down fields keep the smoothness — and therefore the
     // compressibility — of the full-resolution product.
     let k_max = 24.0f64.min(ny.min(nx) as f64 / 8.0).max(2.0);
     let params = SpectralParams { modes: 96, beta: 3.0, k_max, mean: 0.0, sigma: 1.0 };
     let synth = SpectralField::new(params, seed);
-    let mut data = Vec::with_capacity(nlev * ny * nx);
-    for lev in 0..nlev {
+    let data = fill_planes(nlev, ny * nx, threads, |lev, plane| {
         // Temperature-like vertical profile: ~288 K at the surface dropping
         // ~6.5 K per model level towards the top of the stack.
         let frac = lev as f64 / nlev.max(1) as f64;
         let base = 288.0 - 70.0 * (1.0 - frac);
         // Perturbations strengthen toward the surface (high `lev` index).
         let amp = 2.0 + 8.0 * frac;
-        for j in 0..ny {
+        for (j, row) in plane.chunks_mut(nx).enumerate() {
             let lat = j as f64 / ny as f64; // 0 = south pole, 1 = north pole
             // Meridional gradient: warm equator, cold poles.
             let merid = 30.0 * (std::f64::consts::PI * lat).sin();
-            for i in 0..nx {
+            for (i, out) in row.iter_mut().enumerate() {
                 let x = i as f64 / nx as f64;
                 let p = synth.eval(x, lat, frac) as f64;
-                data.push((base + merid + amp * p) as f32);
+                *out = (base + merid + amp * p) as f32;
             }
         }
-    }
+    });
     Field::new("cesm_temperature", data, Dims::d3(nlev, ny, nx))
 }
 
@@ -99,6 +107,37 @@ mod tests {
         let pole = (row_mean(0) + row_mean(63)) / 2.0;
         let eq = row_mean(32);
         assert!(eq > pole + 10.0, "eq={eq} pole={pole}");
+    }
+
+    #[test]
+    fn scale_zero_is_full_size() {
+        assert_eq!(scaled_dims(0), FULL_DIMS);
+        assert_eq!(scaled_dims(1), FULL_DIMS);
+    }
+
+    #[test]
+    fn slabs_match_serial_eval_at_forced_thread_counts() {
+        use crate::spectral::tests::{assert_bits_eq, serial, SHAPES, THREADS};
+        let seed = 7;
+        for dims @ [nlev, ny, nx] in SHAPES {
+            let k_max = 24.0f64.min(ny.min(nx) as f64 / 8.0).max(2.0);
+            let params = SpectralParams { modes: 96, beta: 3.0, k_max, mean: 0.0, sigma: 1.0 };
+            let synth = SpectralField::new(params, seed);
+            let want = serial(dims, |lev, j, i| {
+                let frac = lev as f64 / nlev as f64;
+                let base = 288.0 - 70.0 * (1.0 - frac);
+                let amp = 2.0 + 8.0 * frac;
+                let lat = j as f64 / ny as f64;
+                let merid = 30.0 * (std::f64::consts::PI * lat).sin();
+                let p = synth.eval(i as f64 / nx as f64, lat, frac) as f64;
+                (base + merid + amp * p) as f32
+            });
+            for threads in THREADS {
+                let got = generate_on(dims, seed, threads);
+                assert_eq!(got.dims().extents(), &dims);
+                assert_bits_eq(&got.data, &want, &format!("{dims:?} on {threads}"));
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! on data never seen during regression.
 
 use crate::field::{Dims, Field};
-use crate::spectral::{SpectralField, SpectralParams};
+use crate::spectral::{fill_planes, workers, SpectralField, SpectralParams};
 
 /// Full-size extent (levels × y × x) from §VI-A.
 pub const FULL_DIMS: (usize, usize, usize) = (100, 500, 500);
@@ -57,30 +57,39 @@ impl IsabelField {
 
 /// Generate one ISABEL-like field with horizontal extents divided by `scale`.
 pub fn generate_scaled(scale: usize, seed: u64, which: IsabelField) -> Field {
+    let (nz, ny, nx) = scaled_dims(scale);
+    generate(nz, ny, nx, seed, which)
+}
+
+/// `(nz, ny, nx)` at `scale`; 0 is taken as 1, the full size.
+fn scaled_dims(scale: usize) -> (usize, usize, usize) {
     let (nz, full_ny, full_nx) = FULL_DIMS;
-    let ny = (full_ny / scale).max(16);
-    let nx = (full_nx / scale).max(16);
+    let scale = scale.max(1);
     // Keep the vertical extent modest when heavily scaled: levels are
     // cheap but 100 of them dominates runtime at small scales.
     let nz = if scale > 4 { (nz / (scale / 4).max(1)).max(8) } else { nz };
-    generate(nz, ny, nx, seed, which)
+    (nz, (full_ny / scale).max(16), (full_nx / scale).max(16))
 }
 
 /// Generate one ISABEL-like field with explicit dimensions.
 pub fn generate(nz: usize, ny: usize, nx: usize, seed: u64, which: IsabelField) -> Field {
+    generate_on([nz, ny, nx], seed, which, workers())
+}
+
+/// `generate` on `threads` workers, each filling a slab of levels.
+fn generate_on([nz, ny, nx]: [usize; 3], seed: u64, which: IsabelField, threads: usize) -> Field {
     let k_max = 24.0f64.min(ny.min(nx) as f64 / 8.0).max(2.0);
     let turb = SpectralField::new(
         SpectralParams { modes: 96, beta: 5.0 / 3.0, k_max, mean: 0.0, sigma: 1.0 },
         seed ^ (which as u64).wrapping_mul(0x9e3779b97f4a7c15),
     );
-    let mut data = Vec::with_capacity(nz * ny * nx);
     // Eye of the storm sits slightly off-center.
     let (cx, cy) = (0.55, 0.45);
-    for k in 0..nz {
+    let data = fill_planes(nz, ny * nx, threads, |k, plane| {
         let zfrac = k as f64 / nz.max(1) as f64;
-        for j in 0..ny {
+        for (j, row) in plane.chunks_mut(nx).enumerate() {
             let y = j as f64 / ny as f64;
-            for i in 0..nx {
+            for (i, out) in row.iter_mut().enumerate() {
                 let x = i as f64 / nx as f64;
                 let dx = x - cx;
                 let dy = y - cy;
@@ -105,10 +114,10 @@ pub fn generate(nz: usize, ny: usize, nx: usize, seed: u64, which: IsabelField) 
                         (band * (1.0 + t).max(0.0) * 0.01).max(0.0)
                     }
                 };
-                data.push(v as f32);
+                *out = v as f32;
             }
         }
-    }
+    });
     Field::new(which.name(), data, Dims::d3(nz, ny, nx))
 }
 
@@ -188,6 +197,52 @@ mod tests {
         let u = generate(2, 24, 24, 5, IsabelField::U);
         let v = generate(2, 24, 24, 5, IsabelField::V);
         assert_ne!(u.data, v.data);
+    }
+
+    #[test]
+    fn scale_zero_is_full_size() {
+        assert_eq!(super::scaled_dims(0), FULL_DIMS);
+        assert_eq!(super::scaled_dims(1), FULL_DIMS);
+    }
+
+    #[test]
+    fn slabs_match_serial_eval_at_forced_thread_counts() {
+        use crate::spectral::tests::{assert_bits_eq, serial, SHAPES, THREADS};
+        let seed = 5;
+        for which in IsabelField::ALL {
+            for dims @ [nz, ny, nx] in SHAPES {
+                let k_max = 24.0f64.min(ny.min(nx) as f64 / 8.0).max(2.0);
+                let turb = SpectralField::new(
+                    SpectralParams { modes: 96, beta: 5.0 / 3.0, k_max, mean: 0.0, sigma: 1.0 },
+                    seed ^ (which as u64).wrapping_mul(0x9e3779b97f4a7c15),
+                );
+                let want = serial(dims, |k, j, i| {
+                    let zfrac = k as f64 / nz as f64;
+                    let (y, x) = (j as f64 / ny as f64, i as f64 / nx as f64);
+                    let (dx, dy) = (x - 0.55, y - 0.45);
+                    let r = (dx * dx + dy * dy).sqrt();
+                    let t = turb.eval(x, y, zfrac) as f64;
+                    let v = match which {
+                        IsabelField::P => pressure(r, zfrac, t),
+                        IsabelField::Tc => temperature(r, zfrac, t),
+                        IsabelField::U => wind(dx, dy, r, zfrac).0 + 4.0 * t,
+                        IsabelField::V => wind(dx, dy, r, zfrac).1 + 4.0 * t,
+                        IsabelField::W => 0.5 * t * (1.0 - zfrac),
+                        IsabelField::Precip => {
+                            let band = (-((r - 0.08) / 0.05).powi(2)).exp();
+                            (band * (1.0 + t).max(0.0) * 0.01).max(0.0)
+                        }
+                    };
+                    v as f32
+                });
+                for threads in THREADS {
+                    let got = generate_on(dims, seed, which, threads);
+                    assert_eq!(got.dims().extents(), &dims);
+                    let what = format!("{} {dims:?} on {threads}", which.name());
+                    assert_bits_eq(&got.data, &want, &what);
+                }
+            }
+        }
     }
 
     #[test]

@@ -102,20 +102,55 @@ impl SpectralField {
         v as f32
     }
 
-    /// Fill a row-major 3-D array (z slowest).
+    /// Fill a row-major 3-D array (z slowest), one slab of planes per core.
     pub fn sample_3d(&self, nz: usize, ny: usize, nx: usize) -> Vec<f32> {
-        let mut out = Vec::with_capacity(nz * ny * nx);
-        for k in 0..nz {
+        self.sample_map([nz, ny, nx], workers(), |v| v)
+    }
+
+    /// `sample_3d` on `threads` workers, with `map` applied to each value.
+    pub(crate) fn sample_map<M>(&self, dims: [usize; 3], threads: usize, map: M) -> Vec<f32>
+    where
+        M: Fn(f32) -> f32 + Sync,
+    {
+        let [nz, ny, nx] = dims;
+        fill_planes(nz, ny * nx, threads, |k, plane| {
             let z = k as f64 / nz as f64;
-            for j in 0..ny {
+            for (j, row) in plane.chunks_mut(nx).enumerate() {
                 let y = j as f64 / ny as f64;
-                for i in 0..nx {
-                    out.push(self.eval(i as f64 / nx as f64, y, z));
+                for (i, out) in row.iter_mut().enumerate() {
+                    *out = map(self.eval(i as f64 / nx as f64, y, z));
                 }
             }
-        }
-        out
+        })
     }
+}
+
+/// Every core the OS grants, or 1 if it cannot say: the worker count of
+/// field synthesis.
+pub(crate) fn workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Allocate an `nz × plane` field once and fill it on up to `threads`
+/// scoped workers (never more than `nz`), each owning one contiguous slab
+/// of whole planes; `fill(k, p)` writes plane `k` into `p`. Every value is
+/// a pure function of its coordinates and of state drawn before the
+/// split, so no bit depends on the worker count.
+pub(crate) fn fill_planes<F>(nz: usize, plane: usize, threads: usize, fill: F) -> Vec<f32>
+where
+    F: Fn(usize, &mut [f32]) + Sync,
+{
+    let mut field = vec![0.0f32; nz * plane];
+    let per = nz.div_ceil(threads.clamp(1, nz.max(1)));
+    let fill = &fill;
+    std::thread::scope(|s| {
+        for (slab, planes) in field.chunks_mut((per * plane).max(1)).enumerate() {
+            s.spawn(move || {
+                planes.chunks_mut(plane).enumerate().for_each(|(k, p)| fill(slab * per + k, p))
+            });
+        }
+    });
+    field
 }
 
 /// Decorrelates spectral-synthesis seeds from caller-provided seeds so a
@@ -123,8 +158,55 @@ impl SpectralField {
 const SEED_MIX: u64 = 0x9e37_79b9_7f4a_7c15;
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Worker counts the bit-identity tests force: serial, two, a prime
+    /// that splits no test shape evenly, and more workers than planes.
+    pub(crate) const THREADS: [usize; 5] = [1, 2, 3, 5, 64];
+
+    /// `[nz, ny, nx]`: one plane, fewer planes than workers, a prime plane
+    /// count, and planes of several rows.
+    pub(crate) const SHAPES: [[usize; 3]; 4] = [[1, 1, 4096], [2, 5, 7], [7, 3, 5], [13, 16, 16]];
+
+    /// The serial reference: `value(k, j, i)` at every index, z slowest.
+    pub(crate) fn serial(dims: [usize; 3], value: impl Fn(usize, usize, usize) -> f32) -> Vec<f32> {
+        let [nz, ny, nx] = dims;
+        let mut out = Vec::with_capacity(nz * ny * nx);
+        for k in 0..nz {
+            for j in 0..ny {
+                for i in 0..nx {
+                    out.push(value(k, j, i));
+                }
+            }
+        }
+        out
+    }
+
+    /// Equal in every bit, element by element.
+    pub(crate) fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (n, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {n} is {g}, want {w}");
+        }
+    }
+
+    #[test]
+    fn fill_planes_writes_each_plane_once_with_its_index() {
+        for threads in THREADS {
+            for [nz, ny, nx] in SHAPES {
+                let plane = ny * nx;
+                let field = fill_planes(nz, plane, threads, |k, p| {
+                    assert_eq!(p.len(), plane);
+                    p.iter_mut().for_each(|v| *v += k as f32 + 1.0);
+                });
+                let want = serial([nz, ny, nx], |k, _, _| k as f32 + 1.0);
+                assert_bits_eq(&field, &want, &format!("{nz}x{ny}x{nx} on {threads}"));
+            }
+            assert!(fill_planes(0, 6, threads, |_, _| unreachable!()).is_empty());
+            assert!(fill_planes(6, 0, threads, |_, _| unreachable!()).is_empty());
+        }
+    }
 
     fn var(xs: &[f32]) -> f64 {
         let m = xs.iter().map(|&v| v as f64).sum::<f64>() / xs.len() as f64;
