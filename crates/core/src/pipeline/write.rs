@@ -9,13 +9,13 @@ use super::format::{frame_bytes, header_bytes, raw_payload, FRAME_COMPRESSED, FR
 use super::stage::{retry, run_stage, Source};
 use super::FailurePlan;
 use crate::error::{CoreError, PipelineError};
-use crate::policy::{build_policy, codec_id_of, PolicyKind};
+use crate::policy::{build_policy, PolicyKind};
 use crate::records::Compressor;
 use crate::workmap::CostModel;
 use lcpio_codec::chunked::effective_threads;
 use lcpio_codec::policy::{ChunkPlan, CodecId};
 use lcpio_codec::{BoundSpec, CodecStats};
-use lcpio_powersim::{Chip, Machine};
+use lcpio_powersim::Chip;
 use std::io;
 use std::io::Write as _;
 use std::ops::Range;
@@ -207,8 +207,8 @@ pub struct StreamOutcome {
     /// Wall-clock seconds spent inside sink writes (busy time).
     pub write_busy_s: f64,
     /// Wall-clock seconds spent computing per-chunk plans before the
-    /// stream was opened (0 for the fixed policy, which needs no
-    /// sampling).
+    /// stream was opened (near 0 for the fixed policy, which samples
+    /// nothing).
     pub plan_s: f64,
     /// Chunks emitted per codec, indexed by wire codec id
     /// ([`CodecId::Raw`], [`CodecId::Sz`], [`CodecId::Zfp`]). Raw counts
@@ -252,18 +252,8 @@ fn chunk_ranges(len: usize, chunk_elements: usize) -> Vec<Range<usize>> {
 ///
 /// Plans are a pure function of `(chunk bytes, seq)` — never of thread
 /// interleaving — so the sequential and streaming paths produce identical
-/// plans, and with them identical streams, at every worker count. The
-/// fixed policy short-circuits without sampling: every chunk keeps the
-/// configured compressor/bound at the chip's nominal frequency.
+/// plans, and with them identical streams, at every worker count.
 fn plan_chunks(cfg: &PipelineConfig, data: &[f32], ranges: &[Range<usize>]) -> Vec<ChunkPlan> {
-    if cfg.policy == PolicyKind::Fixed {
-        let plan = ChunkPlan {
-            codec: codec_id_of(cfg.compressor),
-            bound: cfg.bound,
-            f_ghz: Machine::for_chip(cfg.chip).cpu.f_max_ghz,
-        };
-        return vec![plan; ranges.len()];
-    }
     let policy =
         build_policy(cfg.policy, cfg.compressor, cfg.bound, cfg.chip, CostModel::default());
     ranges.iter().enumerate().map(|(seq, r)| policy.plan(&data[r.clone()], seq)).collect()

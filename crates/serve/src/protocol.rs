@@ -381,34 +381,6 @@ fn bound_from_bytes(raw: &[u8]) -> Result<BoundSpec, ProtoError> {
     }
 }
 
-fn dims_to_bytes(dims: &[usize]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(1 + dims.len() * 2);
-    varint::write_u64(&mut out, dims.len() as u64);
-    for &d in dims {
-        varint::write_u64(&mut out, d as u64);
-    }
-    out
-}
-
-fn dims_from_bytes(raw: &[u8]) -> Result<Vec<usize>, ProtoError> {
-    let mut pos = 0usize;
-    let rank = read_varint(raw, &mut pos, "dims rank")?;
-    if rank as usize > MAX_RANK {
-        return Err(ProtoError::LimitExceeded { what: "dims rank" });
-    }
-    let mut dims = Vec::with_capacity(rank as usize);
-    for _ in 0..rank {
-        let d = read_varint(raw, &mut pos, "dims extent")?;
-        dims.push(
-            usize::try_from(d).map_err(|_| ProtoError::LimitExceeded { what: "dims extent" })?,
-        );
-    }
-    if pos != raw.len() {
-        return Err(ProtoError::Malformed { what: "trailing bytes in DIMS field" });
-    }
-    Ok(dims)
-}
-
 /// Read a varint out of `buf` at `pos`, mapping wire errors onto protocol
 /// errors with a section label.
 fn read_varint(buf: &[u8], pos: &mut usize, section: &'static str) -> Result<u64, ProtoError> {
@@ -419,6 +391,7 @@ fn varint_error(e: lcpio_wire::WireError, section: &'static str) -> ProtoError {
     match e {
         lcpio_wire::WireError::Truncated { .. } => ProtoError::Truncated { section },
         lcpio_wire::WireError::Overflow { .. } => ProtoError::Malformed { what: "varint overflow" },
+        lcpio_wire::WireError::LimitExceeded { what } => ProtoError::LimitExceeded { what },
         _ => ProtoError::Malformed { what: "varint" },
     }
 }
@@ -533,7 +506,7 @@ impl Request {
             push_tlv(&mut header, reqtag::BOUND, &bound_to_bytes(bound));
         }
         if !self.dims.is_empty() {
-            push_tlv(&mut header, reqtag::DIMS, &dims_to_bytes(&self.dims));
+            push_tlv(&mut header, reqtag::DIMS, &varint::encode_dims(&self.dims));
         }
         if let Some(policy) = self.policy {
             push_tlv(&mut header, reqtag::POLICY, &[policy_to_u8(policy)]);
@@ -569,10 +542,7 @@ impl Request {
                 policy_from_u8(v).ok_or(ProtoError::BadRequest { what: "unknown policy id" })?,
             ),
         };
-        let dims = match fields.get(reqtag::DIMS) {
-            Some(raw) => dims_from_bytes(raw)?,
-            None => Vec::new(),
-        };
+        let dims = fields.dims(reqtag::DIMS)?;
         if op == Op::Compress && dims.is_empty() {
             return Err(ProtoError::MissingField { tag: reqtag::DIMS });
         }
@@ -657,7 +627,7 @@ impl Response {
             push_tlv(&mut header, resptag::MESSAGE, self.message.as_bytes());
         }
         if !self.dims.is_empty() {
-            push_tlv(&mut header, resptag::DIMS, &dims_to_bytes(&self.dims));
+            push_tlv(&mut header, resptag::DIMS, &varint::encode_dims(&self.dims));
         }
         if let Some(codec) = self.codec {
             push_tlv(&mut header, resptag::CODEC, &[codec.as_u8()]);
@@ -680,10 +650,7 @@ impl Response {
                 .map_err(|_| ProtoError::Malformed { what: "MESSAGE is not UTF-8" })?,
             None => String::new(),
         };
-        let dims = match fields.get(resptag::DIMS) {
-            Some(raw) => dims_from_bytes(raw)?,
-            None => Vec::new(),
-        };
+        let dims = fields.dims(resptag::DIMS)?;
         let codec = match fields.one_byte(resptag::CODEC)? {
             None => None,
             Some(v) => Some(
@@ -726,6 +693,13 @@ impl<'a> Fields<'a> {
             Some([b]) => Ok(Some(*b)),
             Some(_) => Err(ProtoError::Malformed { what: "one-byte field length" }),
         }
+    }
+
+    /// A `DIMS` field's extents; empty when the field is absent.
+    fn dims(&self, tag: u8) -> Result<Vec<usize>, ProtoError> {
+        self.get(tag).map_or(Ok(Vec::new()), |raw| {
+            varint::decode_dims(raw).map_err(|e| varint_error(e, "DIMS field"))
+        })
     }
 
     fn varint(&self, tag: u8) -> Result<Option<u64>, ProtoError> {
@@ -925,6 +899,29 @@ mod tests {
                 ProtoError::LimitExceeded { what: "dims product" }
             );
         }
+    }
+
+    #[test]
+    fn forged_dims_fields_keep_their_statuses() {
+        // Rank past the ceiling is LIMIT; a cut extent or a byte after the
+        // last one is MALFORMED.
+        let frame = |dims: &[u8]| {
+            let mut header = Vec::new();
+            push_tlv(&mut header, reqtag::OP, &[op::COMPRESS]);
+            push_tlv(&mut header, reqtag::DIMS, dims);
+            encode_frame(REQUEST_MAGIC, &header, &[0u8; 4])
+        };
+        let mut deep = vec![MAX_RANK as u8 + 1];
+        deep.resize(MAX_RANK + 2, 1);
+        for (dims, want) in [
+            (deep, status::LIMIT),
+            (vec![2, 1], status::MALFORMED),
+            (vec![1, 1, 0], status::MALFORMED),
+        ] {
+            let err = Request::decode(&frame(&dims)).expect_err("forged DIMS must not decode");
+            assert_eq!(err.status(), want, "{dims:?}: {err}");
+        }
+        assert_eq!(Request::decode(&frame(&[1, 1])).expect("one element").0.dims, vec![1]);
     }
 
     #[test]

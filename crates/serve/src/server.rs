@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! connection reader ── frame_len/decode ──► admission ──► shard queue ──► worker
-//!        │                    │ (typed error)     │ (BUSY)        (codec + scratch)
+//!        │                    │ (typed error)     │ (BUSY)       (registry codec)
 //!        └────────────────────┴──────────────────┴──────────────────────┴──► commit
 //!                                          (seq-ordered; the finishing thread writes)
 //! ```
@@ -22,11 +22,12 @@
 //! deadline, so a client that stops reading costs at most one
 //! `read_timeout` per connection and then loses the connection.
 //!
-//! Each shard owns its own [`SzCodec`]/[`ZfpCodec`] instance, so SZ
-//! scratch buffers (the adapter's pool) are reused across requests without
-//! cross-shard lock contention. Admission control is a bounded
-//! `VecDeque` per shard: when every shard is at `queue_depth`, the
-//! request is answered [`crate::protocol::status::BUSY`] immediately instead of queueing
+//! A worker runs each op through the call that already does the job:
+//! compress through [`plan_and_compress`], decompress through the registry
+//! codec the container's magic names (or `decode_stream` for a pipeline
+//! stream). Admission control is a bounded `VecDeque` per shard: when
+//! every shard is at `queue_depth`, the request is answered
+//! [`crate::protocol::status::BUSY`] immediately instead of queueing
 //! without bound — the same backpressure stance as the bounded channels
 //! in the write/restart pipelines.
 
@@ -40,8 +41,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use lcpio_codec::policy::{ChunkPlan, CodecId};
-use lcpio_codec::{registry, BoundSpec, Codec, CodecStats, SzCodec, ZfpCodec};
+use lcpio_codec::policy::CodecId;
+use lcpio_codec::{registry, BoundSpec, CodecStats};
 use lcpio_core::pipeline::{is_stream_container, TwoPhaseWork};
 use lcpio_core::policy::{build_policy, compressor_of};
 use lcpio_core::records::Compressor;
@@ -51,8 +52,8 @@ use lcpio_trace as trace;
 
 use crate::protocol::{self, Op, Request, Response};
 
-/// How often blocked loops (accept, idle reads, worker waits) wake up to
-/// check the shutdown flag.
+/// How often blocked loops (accept, idle reads) wake up to check the
+/// shutdown flag.
 const TICK: Duration = Duration::from_millis(25);
 
 /// Worker-side service-time shaping, the serve-side analogue of the
@@ -72,8 +73,7 @@ pub struct FaultPlan {
 /// flags.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Worker shards (each: one thread + one bounded queue + its own
-    /// codec scratch).
+    /// Worker shards (each: one thread + one bounded queue).
     pub workers: usize,
     /// Bounded queue capacity per shard; a request finding every shard
     /// full is answered [`protocol::status::BUSY`].
@@ -364,6 +364,9 @@ impl Shared {
     fn initiate_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         for shard in &self.shards {
+            // Under the queue lock, so a worker between its drain check and
+            // its wait cannot miss the wake-up.
+            let _queue = shard.queue.lock();
             shard.cond.notify_all();
         }
     }
@@ -376,12 +379,10 @@ impl Shared {
     /// response when draining or when every queue is full.
     fn submit(&self, job: Job) -> Result<(), Response> {
         let id = job.request.id;
+        let shutting_down =
+            || Response::of_status(id, protocol::status::SHUTTING_DOWN, "server is draining");
         if self.draining() {
-            return Err(Response::of_status(
-                id,
-                protocol::status::SHUTTING_DOWN,
-                "server is draining",
-            ));
+            return Err(shutting_down());
         }
         let start = self.next_shard.fetch_add(1, Ordering::Relaxed) as usize;
         let mut best: Option<(usize, usize)> = None;
@@ -396,6 +397,11 @@ impl Shared {
             // The queue may have filled since it was measured.
             let shard = &self.shards[idx];
             let mut q = shard.queue.lock().expect("shard queue lock");
+            // A worker exits under this lock once its queue is empty and
+            // the drain has begun, so a job pushed past this check is run.
+            if self.draining() {
+                return Err(shutting_down());
+            }
             if q.len() < self.cfg.queue_depth {
                 q.push_back(job);
                 drop(q);
@@ -469,7 +475,7 @@ impl Server {
         let worker_threads = (0..workers)
             .map(|idx| {
                 let shared = Arc::clone(&shared);
-                thread::spawn(move || worker_loop(&shared, idx))
+                thread::spawn(move || worker_loop(&shared, &shared.shards[idx]))
             })
             .collect();
 
@@ -702,32 +708,27 @@ fn send_reject(shared: &Shared, replies: &Replies, seq: u64, id: u64, status: u8
     replies.deliver(shared, seq, Response::of_status(id, status, message));
 }
 
-/// One shard's worker: owns the codec instances (and therefore the SZ
-/// scratch pool) for every request the shard executes.
-fn worker_loop(shared: &Arc<Shared>, shard_idx: usize) {
-    let sz = SzCodec::new();
-    let zfp = ZfpCodec::new();
-    let shard = &shared.shards[shard_idx];
+/// One shard's worker: runs its queue's jobs until the queue is empty and
+/// the drain has begun.
+fn worker_loop(shared: &Shared, shard: &Shard) {
     loop {
         let job = {
             let mut q = shard.queue.lock().expect("shard queue lock");
             loop {
                 if let Some(job) = q.pop_front() {
-                    break Some(job);
+                    break job;
                 }
                 if shared.draining() {
-                    break None;
+                    return;
                 }
-                let (guard, _) = shard.cond.wait_timeout(q, TICK).expect("shard queue lock");
-                q = guard;
+                q = shard.cond.wait(q).expect("shard queue lock");
             }
         };
-        let Some(job) = job else { return };
         if shared.cfg.fault.worker_delay_ms > 0 {
             thread::sleep(Duration::from_millis(shared.cfg.fault.worker_delay_ms));
         }
         let t0 = Instant::now();
-        let mut resp = execute(&shared.cfg, &sz, &zfp, &job.request);
+        let mut resp = execute(&shared.cfg, &job.request);
         resp.latency_us = t0.elapsed().as_micros() as u64;
         let c = &shared.counters;
         if resp.is_ok() {
@@ -748,36 +749,18 @@ fn worker_loop(shared: &Arc<Shared>, shard_idx: usize) {
     }
 }
 
-/// Resolve the effective plan for a compress request: the requested (or
-/// default) codec/bound/policy run through the policy layer, treating the
-/// whole request as one chunk. A policy that picks the pipeline's `Raw`
-/// fallback is mapped back to the requested codec — the service always
-/// returns a self-describing registry container.
-fn resolve_plan(
-    cfg: &ServeConfig,
-    data: &[f32],
-    codec: CodecId,
-    bound: BoundSpec,
-    policy: PolicyKind,
-) -> ChunkPlan {
-    let compressor = compressor_of(codec).unwrap_or(Compressor::Sz);
-    let plan = build_policy(policy, compressor, bound, cfg.chip, CostModel::default())
-        .plan(data, 0);
-    if compressor_of(plan.codec).is_none() {
-        ChunkPlan { codec, ..plan }
-    } else {
-        plan
-    }
-}
-
-/// Compress `data` exactly as the service would: policy-planned, then the
-/// serial codec path (the same call the one-shot CLI `compress` makes, so
-/// fixed-policy output is byte-identical to `lcpio-cli compress`).
-/// Returns the container bytes, the codec actually used, the planned
-/// frequency, and the codec stats.
+/// Compress `data` exactly as the service does: the requested codec,
+/// bound and policy run through the policy layer, treating the whole
+/// request as one chunk, then the serial codec path (the same call the
+/// one-shot CLI `compress` makes, so fixed-policy output is byte-identical
+/// to `lcpio-cli compress`). A policy that picks the pipeline's `Raw`
+/// fallback is mapped back to the requested codec: the service always
+/// returns a self-describing registry container. Returns the container
+/// bytes, the codec actually used, the planned frequency, and the codec
+/// stats.
 ///
 /// Public because it is the *reference implementation* the integration
-/// tests compare socket traffic against.
+/// tests compare socket traffic against; the worker runs this same call.
 pub fn plan_and_compress(
     cfg: &ServeConfig,
     data: &[f32],
@@ -786,16 +769,19 @@ pub fn plan_and_compress(
     bound: BoundSpec,
     policy: PolicyKind,
 ) -> Result<(Vec<u8>, CodecId, f64, CodecStats), lcpio_codec::CodecError> {
-    let plan = resolve_plan(cfg, data, codec, bound, policy);
-    let backend = registry().by_name(plan.codec.name()).expect("planned codec is registered");
+    let compressor = compressor_of(codec).unwrap_or(Compressor::Sz);
+    let plan = build_policy(policy, compressor, bound, cfg.chip, CostModel::default())
+        .plan(data, 0);
+    let planned = if compressor_of(plan.codec).is_some() { plan.codec } else { codec };
+    let backend = registry().by_name(planned.name()).expect("planned codec is registered");
     let encoded = backend.compress(data, dims, plan.bound)?;
-    Ok((encoded.bytes, plan.codec, plan.f_ghz, encoded.stats))
+    Ok((encoded.bytes, planned, plan.f_ghz, encoded.stats))
 }
 
-fn execute(cfg: &ServeConfig, sz: &SzCodec, zfp: &ZfpCodec, req: &Request) -> Response {
+fn execute(cfg: &ServeConfig, req: &Request) -> Response {
     match req.op {
-        Op::Compress => execute_compress(cfg, sz, zfp, req),
-        Op::Decompress => execute_decompress(cfg, sz, zfp, req),
+        Op::Compress => execute_compress(cfg, req),
+        Op::Decompress => execute_decompress(cfg, req),
         Op::Info => execute_info(req),
         // Control ops are answered inline by the reader; answering here
         // too keeps `execute` total.
@@ -803,14 +789,7 @@ fn execute(cfg: &ServeConfig, sz: &SzCodec, zfp: &ZfpCodec, req: &Request) -> Re
     }
 }
 
-fn shard_backend<'a>(sz: &'a SzCodec, zfp: &'a ZfpCodec, codec: CodecId) -> &'a dyn Codec {
-    match codec {
-        CodecId::Zfp => zfp,
-        _ => sz,
-    }
-}
-
-fn execute_compress(cfg: &ServeConfig, sz: &SzCodec, zfp: &ZfpCodec, req: &Request) -> Response {
+fn execute_compress(cfg: &ServeConfig, req: &Request) -> Response {
     let _span = trace::span("serve.compress");
     let data = match req.elements() {
         Ok(d) => d,
@@ -822,25 +801,24 @@ fn execute_compress(cfg: &ServeConfig, sz: &SzCodec, zfp: &ZfpCodec, req: &Reque
     let codec = req.codec.unwrap_or(cfg.default_codec);
     let bound = req.bound.unwrap_or(cfg.default_bound);
     let policy = req.policy.unwrap_or(cfg.default_policy);
-    let plan = resolve_plan(cfg, &data, codec, bound, policy);
-    let encoded = match shard_backend(sz, zfp, plan.codec).compress(&data, &req.dims, plan.bound) {
-        Ok(e) => e,
-        Err(e) => return Response::of_status(req.id, protocol::status::CODEC, e.to_string()),
-    };
-    let energy_uj = modeled_energy_uj(cfg, plan.codec, plan.f_ghz, &encoded.stats, false);
+    let (bytes, codec, f_ghz, stats) =
+        match plan_and_compress(cfg, &data, &req.dims, codec, bound, policy) {
+            Ok(done) => done,
+            Err(e) => return Response::of_status(req.id, protocol::status::CODEC, e.to_string()),
+        };
     Response {
         id: req.id,
         status: protocol::status::OK,
         latency_us: 0,
-        energy_uj,
+        energy_uj: modeled_energy_uj(cfg, codec, f_ghz, &stats, false),
         message: String::new(),
         dims: Vec::new(),
-        codec: Some(plan.codec),
-        payload: encoded.bytes,
+        codec: Some(codec),
+        payload: bytes,
     }
 }
 
-fn execute_decompress(cfg: &ServeConfig, sz: &SzCodec, zfp: &ZfpCodec, req: &Request) -> Response {
+fn execute_decompress(cfg: &ServeConfig, req: &Request) -> Response {
     let _span = trace::span("serve.decompress");
     let bytes = &req.payload;
     if is_stream_container(bytes) {
@@ -852,13 +830,12 @@ fn execute_decompress(cfg: &ServeConfig, sz: &SzCodec, zfp: &ZfpCodec, req: &Req
             Err(e) => Response::of_status(req.id, protocol::status::CODEC, e.to_string()),
         };
     }
-    let (registered, _) = match registry().by_magic(bytes) {
+    let (codec, _) = match registry().by_magic(bytes) {
         Ok(hit) => hit,
         Err(e) => return Response::of_status(req.id, protocol::status::CODEC, e.to_string()),
     };
-    let codec_id =
-        if registered.name() == "zfp" { CodecId::Zfp } else { CodecId::Sz };
-    match shard_backend(sz, zfp, codec_id).decompress(bytes, 1) {
+    let codec_id = if codec.name() == CodecId::Zfp.name() { CodecId::Zfp } else { CodecId::Sz };
+    match codec.decompress(bytes, 1) {
         Ok((data, dims)) => {
             // Decompression work is modeled from what is observable here:
             // the element count and the container size (no per-stream

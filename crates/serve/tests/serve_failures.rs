@@ -6,11 +6,13 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use lcpio_serve::protocol::{self, status, Op, Request, Response};
 use lcpio_serve::{
-    drive, Client, CompressOptions, Endpoint, FaultPlan, ServeConfig, Server, WorkloadConfig,
+    drive, Client, CompressOptions, Endpoint, FaultPlan, ServeConfig, Server, StatsSnapshot,
+    WorkloadConfig,
 };
 
 fn tcp_server(cfg: ServeConfig) -> (Server, String) {
@@ -277,6 +279,114 @@ fn drain_completes_in_flight_work_and_rejects_new_requests() {
 
     let stats = server.wait();
     assert_eq!(stats.compress, 1, "exactly the pre-drain compress ran");
+}
+
+/// Every response frame on `stream` until the server closes it.
+fn read_until_close(stream: &mut TcpStream) -> Vec<Response> {
+    let mut buf = Vec::new();
+    let mut out = Vec::new();
+    let mut chunk = [0u8; 64 * 1024];
+    loop {
+        if let Ok(Some(len)) = protocol::frame_len(&buf) {
+            if buf.len() >= len {
+                let frame: Vec<u8> = buf.drain(..len).collect();
+                out.push(Response::decode(&frame).expect("response decode").0);
+                continue;
+            }
+        }
+        match stream.read(&mut chunk) {
+            Ok(0) | Err(_) => return out,
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+        }
+    }
+}
+
+/// One drain race: `conns` connections each pipeline `per_conn` compress
+/// requests in one write while one more connection sends `SHUTDOWN`,
+/// `lead` after they start. Returns each connection's responses and the
+/// final counters.
+fn drain_race_round(
+    conns: usize,
+    per_conn: u64,
+    lead: Duration,
+) -> (Vec<Vec<Response>>, StatsSnapshot) {
+    let cfg = ServeConfig { workers: 2, queue_depth: 64, ..ServeConfig::default() };
+    let (server, addr) = tcp_server(cfg);
+    let streams: Vec<TcpStream> = (0..conns).map(|_| raw_conn(&addr)).collect();
+    let mut stopper = raw_conn(&addr);
+    // A connection still in the listen backlog when the drain begins is
+    // never accepted, so every one is accepted first.
+    let t0 = Instant::now();
+    while server.stats().connections < conns as u64 + 1 {
+        assert!(t0.elapsed() < Duration::from_secs(10), "connections never accepted");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let data = sample_field(64);
+    let batch: Vec<u8> =
+        (1..=per_conn).flat_map(|id| sz_request(id, &data, &[64]).encode()).collect();
+    let start = Arc::new(Barrier::new(conns + 1));
+    let clients: Vec<_> = streams
+        .into_iter()
+        .map(|mut s| {
+            let (batch, start) = (batch.clone(), Arc::clone(&start));
+            std::thread::spawn(move || {
+                start.wait();
+                s.write_all(&batch).expect("write batch");
+                read_until_close(&mut s)
+            })
+        })
+        .collect();
+    start.wait();
+    let t0 = Instant::now();
+    while t0.elapsed() < lead {
+        std::hint::spin_loop();
+    }
+    stopper.write_all(&Request::control(1, Op::Shutdown).encode()).expect("write shutdown");
+    let stats = server.wait();
+    let responses = clients.into_iter().map(|c| c.join().expect("client thread")).collect();
+    (responses, stats)
+}
+
+#[test]
+fn a_request_admitted_as_the_drain_starts_is_answered() {
+    // `submit` checks the drain flag, picks a shard, then pushes under the
+    // shard's lock, the lock under which an idle worker decides to exit. A
+    // SHUTDOWN landing between the check and the push used to leave the job
+    // queued behind an exited worker: never run, never answered, and every
+    // later response on its connection held behind it. The window is short,
+    // so rounds with the SHUTDOWN at staggered leads, each under a watchdog.
+    const CONNS: usize = 4;
+    const PER_CONN: u64 = 8;
+    for round in 0..24u64 {
+        let (done, finished) = std::sync::mpsc::channel();
+        let lead = Duration::from_micros(round * 20);
+        let runner = std::thread::spawn(move || {
+            let _ = done.send(drain_race_round(CONNS, PER_CONN, lead));
+        });
+        let (responses, stats) = finished
+            .recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("round {round}: the drain or a client hung"));
+        runner.join().expect("round thread");
+        let mut ok = 0u64;
+        let mut answered = 0u64;
+        for resps in &responses {
+            // In request order, each id once. A batch the reader had not
+            // read when the drain began is answered by the close alone.
+            let ids: Vec<u64> = resps.iter().map(|r| r.id).collect();
+            assert_eq!(ids, (1..=ids.len() as u64).collect::<Vec<_>>(), "round {round}");
+            for r in resps {
+                assert!(
+                    r.status == status::OK || r.status == status::SHUTTING_DOWN,
+                    "round {round}: {r:?}"
+                );
+                ok += u64::from(r.status == status::OK);
+            }
+            answered += resps.len() as u64;
+        }
+        // Every request the server decoded, the SHUTDOWN aside, was answered.
+        assert_eq!(answered + 1, stats.requests, "round {round}: a request went unanswered");
+        assert_eq!(stats.compress, ok, "round {round}");
+    }
 }
 
 #[test]

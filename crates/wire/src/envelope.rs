@@ -2,9 +2,7 @@
 
 use crate::tlv::{self, push_tlv, TlvError};
 use crate::varint::{self, Partial};
-use crate::{
-    tag, WireError, MAGIC, MAX_FRAMES, MAX_HEADER_LEN, MAX_RANK, VERSION_MAJOR, VERSION_MINOR,
-};
+use crate::{tag, WireError, MAGIC, MAX_FRAMES, MAX_HEADER_LEN, VERSION_MAJOR, VERSION_MINOR};
 
 /// One TLV field as it appeared on the wire, including unknown tags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,26 +215,16 @@ impl<'a> Envelope<'a> {
         }
     }
 
-    /// Array dims, if the field is present: varint rank then one varint
-    /// per extent, rank ≤ [`MAX_RANK`], extents nonzero, product checked.
+    /// Array dims, if the field is present: [`varint::decode_dims`], then
+    /// rank ≥ 1, extents nonzero, product checked.
     pub fn dims(&self) -> Result<Option<Vec<usize>>, WireError> {
         let Some(v) = self.field(tag::DIMS) else { return Ok(None) };
-        let mut pos = 0usize;
-        let rank = varint::read(v, &mut pos)?;
-        if rank == 0 || rank > MAX_RANK as u64 {
+        let dims = varint::decode_dims(v)?;
+        if dims.is_empty() {
             return Err(WireError::LimitExceeded { what: "dims rank" });
         }
-        let mut dims = Vec::with_capacity(rank as usize);
-        for _ in 0..rank {
-            let d = varint::read(v, &mut pos)?;
-            let d = usize::try_from(d).map_err(|_| WireError::Overflow { what: "dim extent" })?;
-            if d == 0 {
-                return Err(WireError::Malformed { what: "zero dim extent" });
-            }
-            dims.push(d);
-        }
-        if pos != v.len() {
-            return Err(WireError::Malformed { what: "dims field" });
+        if dims.contains(&0) {
+            return Err(WireError::Malformed { what: "zero dim extent" });
         }
         dims.iter()
             .try_fold(1usize, |acc, &d| acc.checked_mul(d))
@@ -324,12 +312,7 @@ impl EnvelopeBuilder {
 
     /// Append the dims field.
     pub fn dims(self, dims: &[usize]) -> Self {
-        let mut v = Vec::new();
-        varint::write_u64(&mut v, dims.len() as u64);
-        for &d in dims {
-            varint::write_u64(&mut v, d as u64);
-        }
-        self.raw_field(tag::DIMS, v)
+        self.raw_field(tag::DIMS, varint::encode_dims(dims))
     }
 
     /// Append the chunk table field.

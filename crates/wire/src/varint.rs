@@ -4,7 +4,7 @@
 //! every value has exactly one wire representation — a byte-for-byte
 //! round-trip guarantee the compat shim relies on.
 
-use crate::{WireError, MAX_FRAME_LEN};
+use crate::{WireError, MAX_FRAME_LEN, MAX_RANK};
 
 /// Maximum encoded length of a `u64` (10 × 7 bits ≥ 64 bits).
 pub const MAX_LEN: usize = 10;
@@ -84,6 +84,38 @@ pub fn read(buf: &[u8], pos: &mut usize) -> Result<u64, WireError> {
         }
         Partial::NeedMore => Err(WireError::Truncated { section: "varint" }),
     }
+}
+
+/// Encode a dims value: varint rank, then one varint per extent. The
+/// LCW1 envelope's DIMS field and the serve protocol's `DIMS` TLV are this
+/// value.
+pub fn encode_dims(dims: &[usize]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(1 + dims.len() * 2);
+    write_u64(&mut out, dims.len() as u64);
+    for &d in dims {
+        write_u64(&mut out, d as u64);
+    }
+    out
+}
+
+/// Decode a whole value written by [`encode_dims`]: rank at most
+/// [`MAX_RANK`], every extent a `usize`, no byte after the last extent.
+/// Whether rank 0 or a zero extent is legal is the caller's rule.
+pub fn decode_dims(raw: &[u8]) -> Result<Vec<usize>, WireError> {
+    let mut pos = 0usize;
+    let rank = read(raw, &mut pos)?;
+    if rank > MAX_RANK as u64 {
+        return Err(WireError::LimitExceeded { what: "dims rank" });
+    }
+    let mut dims = Vec::with_capacity(rank as usize);
+    for _ in 0..rank {
+        let d = read(raw, &mut pos)?;
+        dims.push(usize::try_from(d).map_err(|_| WireError::Overflow { what: "dim extent" })?);
+    }
+    if pos != raw.len() {
+        return Err(WireError::Malformed { what: "dims field" });
+    }
+    Ok(dims)
 }
 
 #[cfg(test)]

@@ -1,7 +1,6 @@
 //! What a trace-on build records for a compress call: stage spans by the
 //! batch, not by the block, and the counters the block loop feeds. One
 //! test function, so nothing else in this process touches the registry.
-#![cfg(feature = "trace")]
 
 use lcpio_zfp::{compress, ZfpMode};
 
@@ -25,6 +24,9 @@ fn field(n: usize, seed: u64) -> Vec<f32> {
 
 #[test]
 fn spans_are_per_batch_and_counters_are_unchanged() {
+    if !lcpio_trace::collecting() {
+        return;
+    }
     // (dims, mode, zero blocks, coded bit planes): the last two as the
     // per-block loop this one replaced counted them. The 3-D tolerance
     // rounds the blocks of smaller exponent to zero and leaves the rest

@@ -240,7 +240,7 @@ pub enum Command {
         socket: Option<PathBuf>,
         /// TCP `host:port` address (exactly one of `socket`/`tcp`).
         tcp: Option<String>,
-        /// Worker shards (each with its own codec scratch and queue).
+        /// Worker shards (each one thread and one bounded queue).
         workers: usize,
         /// Bounded queue depth per shard (full ⇒ typed `BUSY`).
         queue_depth: usize,

@@ -189,3 +189,69 @@ fn info_op_and_cli_info_print_the_same_line_for_every_container_form() {
     assert_eq!(stats.errors, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn decompress_op_and_cli_decompress_restore_the_same_field_for_every_container_form() {
+    use lcpio::codec::registry;
+    use lcpio::core::pipeline::{run_sequential, PipelineConfig, VecSink};
+
+    let dir = scratch_dir("decompress");
+    let server = Server::bind(&Endpoint::Unix(dir.join("serve.sock")), ServeConfig::default())
+        .expect("bind unix");
+    let mut client = Client::connect(server.endpoint()).expect("connect");
+
+    let data: Vec<f32> = (0..8192).map(|i| 1.5 + (i as f32 * 0.01).sin()).collect();
+    let dims = [64, 128];
+    let codec = |name: &str| registry().by_name(name).expect("registered");
+    let abs = BoundSpec::Absolute(1e-3);
+    let encode = |name: &str, bound| codec(name).compress(&data, &dims, bound).expect("encode");
+    let chunked = |name: &str| codec(name).compress_chunked(&data, &dims, abs, 2).expect("chunked");
+    let stream = |wire_format| {
+        let cfg = PipelineConfig { chunk_elements: 2048, wire_format, ..PipelineConfig::default() };
+        let mut sink = VecSink::default();
+        run_sequential(&data, &cfg, &mut sink).expect("pipeline");
+        sink.bytes
+    };
+    let bare: [(&str, &[u8; 4], Vec<u8>); 5] = [
+        ("szl1", b"SZL1", encode("sz", abs).bytes),
+        ("zfl1", b"ZFL1", encode("zfp", abs).bytes),
+        ("szlp", b"SZLP", chunked("sz").bytes),
+        ("zflp", b"ZFLP", chunked("zfp").bytes),
+        ("szpr", b"SZPR", encode("sz", BoundSpec::PointwiseRelative(1e-3)).bytes),
+    ];
+    // (name, magic, bytes, priced): codec containers are energy-priced,
+    // pipeline streams are not.
+    let mut containers: Vec<(String, &[u8; 4], Vec<u8>, bool)> = Vec::new();
+    for (name, magic, bytes) in bare {
+        let wrapped = lcpio::codec::wire::wrap(&bytes).expect("wrap");
+        containers.push((name.to_string(), magic, bytes, true));
+        containers.push((format!("{name}-wire"), b"LCW1", wrapped, true));
+    }
+    containers.push(("lcs1".to_string(), b"LCS1", stream(false), false));
+    containers.push(("lcs1-wire".to_string(), b"LCW1", stream(true), false));
+
+    for (name, magic, bytes, priced) in &containers {
+        assert_eq!(&bytes[..4], &magic[..], "{name}: container form under test");
+        let input = dir.join(name);
+        let output = dir.join(format!("{name}.lcpf"));
+        std::fs::write(&input, bytes).expect("write container");
+        let mut transcript = Vec::new();
+        cli::run(cli::Command::Decompress { input, output: output.clone() }, &mut transcript)
+            .expect("cli decompress");
+        let (cli_data, cli_dims) = cli::read_field(&output).expect("read CLI output");
+
+        let resp = client.decompress(bytes).expect("decompress over socket");
+        assert!(resp.is_ok(), "{name}: {}", resp.message);
+        assert_eq!(resp.dims, cli_dims, "{name}: dims differ from `lcpio-cli decompress`");
+        let restored = resp.elements().expect("elements");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&restored), bits(&cli_data), "{name}: bits differ from the CLI's");
+        assert_eq!(resp.energy_uj > 0, *priced, "{name}: energy_uj {}", resp.energy_uj);
+    }
+
+    server.shutdown();
+    let stats = server.wait();
+    assert_eq!(stats.decompress, containers.len() as u64);
+    assert_eq!(stats.errors, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
