@@ -10,6 +10,7 @@
 //! differences between bounds.
 
 use crate::records::{CompressionRecord, TransitRecord};
+use lcpio_powersim::perf::mean_sd_ci95;
 use lcpio_powersim::Chip;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -71,44 +72,75 @@ fn freq_key(f: f64) -> i64 {
     (f * 1000.0).round() as i64
 }
 
-fn mean_ci(values: &[f64]) -> (f64, f64) {
-    let n = values.len() as f64;
-    let mean = values.iter().sum::<f64>() / n;
-    if values.len() < 2 {
-        return (mean, 0.0);
-    }
-    let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n - 1.0);
-    (mean, 1.96 * var.sqrt() / n.sqrt())
+/// A sweep record's scaling group and clock — the one definition of "the
+/// same measurement at another frequency" that Figures 1–4 and Tables IV/V
+/// share.
+pub(crate) trait ScalingGroup {
+    /// Key of the record's group.
+    fn group(&self) -> u64;
+    /// Core clock (GHz).
+    fn f_ghz(&self) -> f64;
 }
 
-/// Generic scaled-curve builder: `group(record)` identifies the scaling
-/// group, `series(record)` the output curve, `value(record)` the quantity.
-fn build_curves<R>(
+/// A compression group is one (chip, compressor, dataset, error bound).
+impl ScalingGroup for CompressionRecord {
+    fn group(&self) -> u64 {
+        ((self.chip as u64) << 60)
+            ^ ((self.compressor as u64) << 56)
+            ^ ((self.dataset as u64) << 50)
+            ^ self.error_bound.to_bits()
+    }
+    fn f_ghz(&self) -> f64 {
+        self.f_ghz
+    }
+}
+
+/// A transit group is one (chip, payload size).
+impl ScalingGroup for TransitRecord {
+    fn group(&self) -> u64 {
+        ((self.chip as u64) << 60) ^ self.bytes.to_bits()
+    }
+    fn f_ghz(&self) -> f64 {
+        self.f_ghz
+    }
+}
+
+/// Each record's `value` divided by its group's value at the group's
+/// highest clock, in record order; `None` where that base is not positive.
+pub(crate) fn scaled_at_fmax<R: ScalingGroup>(
     recs: &[R],
-    group: impl Fn(&R) -> u64,
-    series: impl Fn(&R) -> (String, Chip),
-    f_of: impl Fn(&R) -> f64,
     value: impl Fn(&R) -> f64,
-) -> Vec<CurveSeries> {
-    // Scaling baseline: the group's value at its maximum frequency.
-    let mut group_fmax: HashMap<u64, (f64, f64)> = HashMap::new(); // (fmax, value)
+) -> Vec<Option<f64>> {
+    let mut base: HashMap<u64, (f64, f64)> = HashMap::new(); // (f_max, value there)
     for r in recs {
-        let g = group(r);
-        let f = f_of(r);
-        let e = group_fmax.entry(g).or_insert((f64::NEG_INFINITY, 1.0));
-        if f > e.0 {
-            *e = (f, value(r));
+        let e = base.entry(r.group()).or_insert((f64::NEG_INFINITY, 1.0));
+        if r.f_ghz() > e.0 {
+            *e = (r.f_ghz(), value(r));
         }
     }
+    recs.iter()
+        .map(|r| {
+            let b = base[&r.group()].1;
+            (b > 0.0).then(|| value(r) / b)
+        })
+        .collect()
+}
+
+/// Generic scaled-curve builder: `series(record)` identifies the output
+/// curve, `value(record)` the quantity.
+fn build_curves<R: ScalingGroup>(
+    recs: &[R],
+    series: impl Fn(&R) -> (String, Chip),
+    value: impl Fn(&R) -> f64,
+) -> Vec<CurveSeries> {
     // Accumulate scaled values per (series, frequency).
     let mut acc: HashMap<(String, i64), Vec<f64>> = HashMap::new();
     let mut chips: HashMap<String, Chip> = HashMap::new();
-    for r in recs {
+    for (r, scaled) in recs.iter().zip(scaled_at_fmax(recs, value)) {
         let (label, chip) = series(r);
         chips.insert(label.clone(), chip);
-        let base = group_fmax[&group(r)].1;
-        if base > 0.0 {
-            acc.entry((label, freq_key(f_of(r)))).or_default().push(value(r) / base);
+        if let Some(y) = scaled {
+            acc.entry((label, freq_key(r.f_ghz()))).or_default().push(y);
         }
     }
     // Assemble ordered series.
@@ -119,7 +151,7 @@ fn build_curves<R>(
                 .iter()
                 .filter(|((l, _), _)| *l == label)
                 .map(|((_, fk), vals)| {
-                    let (mean, ci95) = mean_ci(vals);
+                    let (mean, _, ci95) = mean_sd_ci95(vals);
                     CurvePoint { f_ghz: *fk as f64 / 1000.0, mean, ci95 }
                 })
                 .collect();
@@ -133,20 +165,11 @@ fn build_curves<R>(
     out
 }
 
-fn comp_group_key(r: &CompressionRecord) -> u64 {
-    let chip = r.chip as u64;
-    let comp = r.compressor as u64;
-    let ds = r.dataset as u64;
-    (chip << 60) ^ (comp << 56) ^ (ds << 50) ^ r.error_bound.to_bits()
-}
-
 /// Figure 1: compression scaled power, one curve per (chip, compressor).
 pub fn compression_power_curves(recs: &[CompressionRecord]) -> Vec<CurveSeries> {
     build_curves(
         recs,
-        comp_group_key,
         |r| (format!("{}-{}", r.chip.name(), r.compressor.name()), r.chip),
-        |r| r.f_ghz,
         |r| r.power_w,
     )
 }
@@ -155,38 +178,20 @@ pub fn compression_power_curves(recs: &[CompressionRecord]) -> Vec<CurveSeries> 
 pub fn compression_runtime_curves(recs: &[CompressionRecord]) -> Vec<CurveSeries> {
     build_curves(
         recs,
-        comp_group_key,
         |r| (format!("{}-{}", r.chip.name(), r.compressor.name()), r.chip),
-        |r| r.f_ghz,
         |r| r.runtime_s,
     )
-}
-
-fn transit_group_key(r: &TransitRecord) -> u64 {
-    ((r.chip as u64) << 60) ^ r.bytes.to_bits()
 }
 
 /// Figure 3: transit scaled power, one curve per chip (sizes are group
 /// members — the paper found no size dependence after scaling).
 pub fn transit_power_curves(recs: &[TransitRecord]) -> Vec<CurveSeries> {
-    build_curves(
-        recs,
-        transit_group_key,
-        |r| (r.chip.name().to_string(), r.chip),
-        |r| r.f_ghz,
-        |r| r.power_w,
-    )
+    build_curves(recs, |r| (r.chip.name().to_string(), r.chip), |r| r.power_w)
 }
 
 /// Figure 4: transit scaled runtime.
 pub fn transit_runtime_curves(recs: &[TransitRecord]) -> Vec<CurveSeries> {
-    build_curves(
-        recs,
-        transit_group_key,
-        |r| (r.chip.name().to_string(), r.chip),
-        |r| r.f_ghz,
-        |r| r.runtime_s,
-    )
+    build_curves(recs, |r| (r.chip.name().to_string(), r.chip), |r| r.runtime_s)
 }
 
 #[cfg(test)]

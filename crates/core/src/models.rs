@@ -6,11 +6,11 @@
 //! the scaled idle floor). The GF columns (SSE, RMSE, R²) come from
 //! [`lcpio_fit`].
 
+use crate::characteristics::{scaled_at_fmax, ScalingGroup};
 use crate::records::{CompressionRecord, TransitRecord};
 use crate::slicing::{CompressionSlice, TransitSlice};
 use lcpio_fit::powerlaw::{fit_power_law, PowerLawFit};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// One row of Table IV or V.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -21,72 +21,38 @@ pub struct ModelRow {
     pub fit: PowerLawFit,
 }
 
-/// Scaled (f, power) observations for a compression slice.
-fn scaled_points(
-    recs: &[CompressionRecord],
-    slice: CompressionSlice,
-) -> (Vec<f64>, Vec<f64>) {
-    // Normalize per group using the group's f_max record.
-    let mut fmax: HashMap<u64, (f64, f64)> = HashMap::new();
-    let key = |r: &CompressionRecord| -> u64 {
-        ((r.chip as u64) << 60)
-            ^ ((r.compressor as u64) << 56)
-            ^ ((r.dataset as u64) << 50)
-            ^ r.error_bound.to_bits()
-    };
-    for r in recs {
-        let e = fmax.entry(key(r)).or_insert((f64::NEG_INFINITY, 1.0));
-        if r.f_ghz > e.0 {
-            *e = (r.f_ghz, r.power_w);
-        }
-    }
-    let mut xs = Vec::new();
-    let mut ys = Vec::new();
-    for r in recs {
-        if slice.contains(r) {
-            xs.push(r.f_ghz);
-            ys.push(r.power_w / fmax[&key(r)].1);
-        }
-    }
-    (xs, ys)
+/// Fit Eqn 2 to the scaled power of the records `keep` selects.
+fn fit_slice<R: ScalingGroup>(
+    name: &str,
+    recs: &[R],
+    scaled: &[Option<f64>],
+    keep: impl Fn(&R) -> bool,
+) -> ModelRow {
+    let (xs, ys): (Vec<f64>, Vec<f64>) = recs
+        .iter()
+        .zip(scaled)
+        .filter(|(r, _)| keep(r))
+        .filter_map(|(r, y)| y.map(|y| (r.f_ghz(), y)))
+        .unzip();
+    let fit = fit_power_law(&xs, &ys).expect("sweep slices are well-formed");
+    ModelRow { name: name.to_string(), fit }
 }
 
 /// Build Table IV: compression power models for all five slices.
 pub fn compression_model_table(recs: &[CompressionRecord]) -> Vec<ModelRow> {
+    let scaled = scaled_at_fmax(recs, |r| r.power_w);
     CompressionSlice::ALL
         .iter()
-        .map(|&slice| {
-            let (xs, ys) = scaled_points(recs, slice);
-            let fit = fit_power_law(&xs, &ys).expect("sweep slices are well-formed");
-            ModelRow { name: slice.name().to_string(), fit }
-        })
+        .map(|&slice| fit_slice(slice.name(), recs, &scaled, |r| slice.contains(r)))
         .collect()
 }
 
 /// Build Table V: transit power models for all three slices.
 pub fn transit_model_table(recs: &[TransitRecord]) -> Vec<ModelRow> {
-    let mut fmax: HashMap<u64, (f64, f64)> = HashMap::new();
-    let key = |r: &TransitRecord| ((r.chip as u64) << 60) ^ r.bytes.to_bits();
-    for r in recs {
-        let e = fmax.entry(key(r)).or_insert((f64::NEG_INFINITY, 1.0));
-        if r.f_ghz > e.0 {
-            *e = (r.f_ghz, r.power_w);
-        }
-    }
+    let scaled = scaled_at_fmax(recs, |r| r.power_w);
     TransitSlice::ALL
         .iter()
-        .map(|&slice| {
-            let mut xs = Vec::new();
-            let mut ys = Vec::new();
-            for r in recs {
-                if slice.contains(r) {
-                    xs.push(r.f_ghz);
-                    ys.push(r.power_w / fmax[&key(r)].1);
-                }
-            }
-            let fit = fit_power_law(&xs, &ys).expect("sweep slices are well-formed");
-            ModelRow { name: slice.name().to_string(), fit }
-        })
+        .map(|&slice| fit_slice(slice.name(), recs, &scaled, |r| slice.contains(r)))
         .collect()
 }
 

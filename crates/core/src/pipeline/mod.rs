@@ -76,7 +76,8 @@ pub use write::{
     run_sequential, run_streaming, ChunkSink, FileSink, PipelineConfig, StreamOutcome, VecSink,
 };
 
-/// Which chunk/attempt pairs fail, for fault-injection tests.
+/// Which chunks (and, for retried steps, which attempts) fail, for
+/// fault-injection tests.
 ///
 /// The plan is *deterministic* — a function of `(chunk, attempt)` only —
 /// so the sequential and streaming paths degrade identically and stay
@@ -85,9 +86,9 @@ pub use write::{
 pub struct FailurePlan {
     /// `(chunk, attempt)` pairs (0-based) at which the sink write fails.
     pub write_failures: Vec<(usize, u32)>,
-    /// `(chunk, attempt)` pairs at which chunk compression "fails",
-    /// exercising the raw-frame fallback path.
-    pub compress_failures: Vec<(usize, u32)>,
+    /// Chunks (0-based) whose compression "fails", exercising the
+    /// raw-frame fallback path.
+    pub compress_failures: Vec<usize>,
     /// `(chunk, attempt)` pairs at which a restart frame read fails.
     pub read_failures: Vec<(usize, u32)>,
     /// `(chunk, attempt)` pairs at which a restart decode worker "dies"

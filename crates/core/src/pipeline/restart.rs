@@ -516,8 +516,7 @@ mod tests {
     fn restart_decodes_raw_fallback_frames_exactly() {
         let data = field(5_000);
         let mut c = cfg();
-        c.failure_plan.compress_failures =
-            (0..c.max_compress_attempts).map(|a| (2usize, a)).collect();
+        c.failure_plan.compress_failures = vec![2];
         let mut sink = VecSink::default();
         run_sequential(&data, &c, &mut sink).expect("sequential");
         let source = SliceSource::new(&sink.bytes);
@@ -637,8 +636,7 @@ mod tests {
         // than a read-ahead fill, a wire stream and a mixed-codec stream.
         let mut legacy = cfg();
         legacy.chunk_elements = 40_000;
-        legacy.failure_plan.compress_failures =
-            (0..legacy.max_compress_attempts).map(|a| (1usize, a)).collect();
+        legacy.failure_plan.compress_failures = vec![1];
         let mut sink = VecSink::default();
         run_sequential(&field(100_000), &legacy, &mut sink).expect("sequential");
         for stream in [sink.bytes, wire_stream_of(&field(10_500)), mixed_stream(4096, 6).1] {

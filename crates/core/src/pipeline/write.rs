@@ -43,8 +43,6 @@ pub struct PipelineConfig {
     /// Backoff between write retries, in milliseconds, scaled linearly by
     /// the attempt number (tests use 0).
     pub retry_backoff_ms: u64,
-    /// Compression attempts per chunk before falling back to a raw frame.
-    pub max_compress_attempts: u32,
     /// Emit the stream as an `LCW1` wire envelope (container id `LCS1`,
     /// one frame per chunk with the kind byte leading the payload) instead
     /// of the legacy `LCS1` container. Both forms carry identical chunk
@@ -75,7 +73,6 @@ impl Default for PipelineConfig {
             compress_threads: 0,
             max_write_attempts: 3,
             retry_backoff_ms: 1,
-            max_compress_attempts: 2,
             wire_format: false,
             policy: PolicyKind::Fixed,
             chip: Chip::Broadwell,
@@ -92,7 +89,6 @@ impl PipelineConfig {
             (self.queue_depth, "queue_depth must be at least 1"),
             (self.writers, "writers must be at least 1"),
             (self.max_write_attempts as usize, "max_write_attempts must be at least 1"),
-            (self.max_compress_attempts as usize, "max_compress_attempts must be at least 1"),
         ])
     }
 }
@@ -315,27 +311,25 @@ struct Frame {
     compress_s: f64,
 }
 
-/// Compress one chunk into its frame under the chunk's plan, honouring
-/// the failure plan and the raw fallback. Deterministic: identical for
+/// Compress one chunk into its frame under the chunk's plan, falling back
+/// to a raw frame on a codec error or an injected failure. Deterministic: identical for
 /// sequential and streaming.
 fn compress_frame(cfg: &PipelineConfig, seq: usize, chunk: &[f32], plan: &ChunkPlan) -> Frame {
     let t0 = Instant::now();
     // A plan for `CodecId::Raw` resolves to no registry codec and drops
-    // straight into the raw-frame path below.
-    let encoded = lcpio_codec::registry().by_name(plan.codec.name()).and_then(|codec| {
-        let injected = &cfg.failure_plan.compress_failures;
-        retry("compress", seq, cfg.max_compress_attempts, 0, injected, || {
-            codec.compress(chunk, &[chunk.len()], plan.bound)
-        })
-        .ok()
-    });
+    // straight into the raw-frame path below. The codec is a pure
+    // function of its inputs, so a failed call is not retried.
+    let encoded = lcpio_codec::registry()
+        .by_name(plan.codec.name())
+        .filter(|_| !cfg.failure_plan.compress_failures.contains(&seq))
+        .and_then(|codec| codec.compress(chunk, &[chunk.len()], plan.bound).ok());
     let (bytes, stats, codec) = match encoded {
-        Some((e, _)) => {
+        Some(e) => {
             (frame_bytes(cfg.wire_format, FRAME_COMPRESSED, &e.bytes), Some(e.stats), plan.codec)
         }
-        // Graceful degradation: repeated codec failure must not sink the
-        // dump — store the chunk uncompressed (bound trivially respected:
-        // the data is exact).
+        // Graceful degradation: a codec failure must not sink the dump —
+        // store the chunk uncompressed (bound trivially respected: the
+        // data is exact).
         None => (frame_bytes(cfg.wire_format, FRAME_RAW, &raw_payload(chunk)), None, CodecId::Raw),
     };
     Frame { bytes, stats, codec, compress_s: t0.elapsed().as_secs_f64() }
@@ -495,7 +489,6 @@ mod tests {
             PipelineConfig { writers: 0, ..cfg() },
             PipelineConfig { chunk_elements: 0, ..cfg() },
             PipelineConfig { max_write_attempts: 0, ..cfg() },
-            PipelineConfig { max_compress_attempts: 0, ..cfg() },
         ] {
             let mut sink = VecSink::default();
             assert!(matches!(
@@ -518,9 +511,8 @@ mod tests {
     fn injected_codec_failure_falls_back_to_raw() {
         let data = field(5_000);
         let mut c = cfg();
-        // Chunk 2 fails compression on every attempt → raw frame.
-        c.failure_plan.compress_failures =
-            (0..c.max_compress_attempts).map(|a| (2usize, a)).collect();
+        // Chunk 2 fails compression → raw frame.
+        c.failure_plan.compress_failures = vec![2];
         let mut seq = VecSink::default();
         let mut par = VecSink::default();
         let a = run_sequential(&data, &c, &mut seq).expect("sequential");

@@ -39,9 +39,8 @@ use lcpio_datagen::Dataset;
 use lcpio_powersim::{Chip, Machine};
 use serde::{Deserialize, Serialize};
 
-/// Which chunk policy a pipeline run uses. The CLI's `--policy` flag and
-/// the `LCPIO_POLICY` environment variable (used by the CI policy legs)
-/// both parse into this.
+/// Which chunk policy a pipeline run uses. The CLI's `--policy` flag
+/// parses into this; without the flag a run uses `Fixed`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PolicyKind {
     /// Legacy behaviour: one codec, one bound, every chunk (default).
@@ -55,7 +54,7 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
-    /// Parse a CLI/env spelling (`fixed|heuristic|adaptive`).
+    /// Parse a CLI spelling (`fixed|heuristic|adaptive`).
     pub fn parse(s: &str) -> Option<PolicyKind> {
         match s.to_ascii_lowercase().as_str() {
             "fixed" => Some(PolicyKind::Fixed),
@@ -73,17 +72,6 @@ impl PolicyKind {
             PolicyKind::Adaptive => "adaptive",
         }
     }
-
-    /// Policy selected by the `LCPIO_POLICY` environment variable, or
-    /// `Fixed` when unset/unparseable. The CI pipeline/restart legs use
-    /// this to re-run the whole suite under `adaptive` without forking
-    /// the test code.
-    pub fn from_env() -> PolicyKind {
-        std::env::var("LCPIO_POLICY")
-            .ok()
-            .and_then(|v| PolicyKind::parse(&v))
-            .unwrap_or(PolicyKind::Fixed)
-    }
 }
 
 impl std::fmt::Display for PolicyKind {
@@ -92,15 +80,14 @@ impl std::fmt::Display for PolicyKind {
     }
 }
 
-/// Default throughput budget: an arm is feasible if its (compress +
-/// write) runtime stays within this multiple of the same arm's runtime
-/// at f_max. The energy knee sits well inside 2× on all three chips
-/// (asserted by `energy_optimum_is_feasible_at_default_slack`), so the
-/// default budget never forces the controller off the energy optimum;
-/// tighter budgets trade energy for speed explicitly.
+/// Throughput budget: an arm is feasible if its (compress + write)
+/// runtime stays within this multiple of the same arm's runtime at f_max.
+/// The energy knee sits well inside 2× on all three chips (asserted by
+/// `energy_optimum_is_feasible_at_default_slack`), so the budget never
+/// forces the controller off the energy optimum.
 pub const DEFAULT_SLACK: f64 = 2.0;
 
-/// Default sample window for adaptive arm costing. Smaller than the
+/// Sample window per codec per chunk (elements) for adaptive arm costing. Smaller than the
 /// heuristic's window: two codecs sample every chunk, and the plan
 /// overhead budget is <2% of compress time.
 pub const DEFAULT_SAMPLE_WINDOW: usize = 1024;
@@ -124,10 +111,6 @@ pub struct ParetoAdaptive {
     machine: Machine,
     cost_model: CostModel,
     bound: BoundSpec,
-    /// Throughput budget multiplier (see [`DEFAULT_SLACK`]).
-    pub slack: f64,
-    /// Sample window per codec per chunk (elements).
-    pub sample_window: usize,
 }
 
 impl ParetoAdaptive {
@@ -137,8 +120,6 @@ impl ParetoAdaptive {
             machine: Machine::for_chip(chip),
             cost_model,
             bound,
-            slack: DEFAULT_SLACK,
-            sample_window: DEFAULT_SAMPLE_WINDOW,
         }
     }
 
@@ -148,7 +129,7 @@ impl ParetoAdaptive {
     /// bound).
     fn arm_points(&self, codec: CodecId, chunk: &[f32]) -> Option<(Vec<FrequencyPoint>, f64)> {
         let compressor = compressor_of(codec)?;
-        let stats = sample_stats(codec.name(), chunk, self.bound, self.sample_window)?;
+        let stats = sample_stats(codec.name(), chunk, self.bound, DEFAULT_SAMPLE_WINDOW)?;
         if stats.elements == 0 {
             return None;
         }
@@ -175,7 +156,7 @@ impl ParetoAdaptive {
             // The ladder ascends, so the last point is the f_max arm the
             // throughput budget is anchored to.
             let t_fmax = points.last()?.runtime_s;
-            let budget = self.slack * t_fmax;
+            let budget = DEFAULT_SLACK * t_fmax;
             let feasible: Vec<FrequencyPoint> =
                 points.into_iter().filter(|p| p.runtime_s <= budget).collect();
             let Some(&opt) = energy_optimal(&feasible) else { continue };

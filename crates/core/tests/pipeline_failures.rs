@@ -9,10 +9,13 @@
 //! * degraded schedules — queue depth 1, writers slower than the
 //!   compressors, more writers than chunks — never change the bytes.
 
+use lcpio_codec::BoundSpec;
 use lcpio_core::error::CoreError;
 use lcpio_core::pipeline::{
-    decode_stream, run_sequential, run_streaming, ChunkSink, FileSink, PipelineConfig, VecSink,
+    decode_stream, run_restart, run_restart_sequential, run_restart_streamed, run_sequential,
+    run_streaming, ChunkSink, FileSink, PipelineConfig, RestartConfig, SliceSource, VecSink,
 };
+use lcpio_core::Compressor;
 use std::io;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -153,13 +156,11 @@ fn more_writers_than_chunks_is_byte_identical_to_sequential() {
 }
 
 #[test]
-fn repeated_codec_failure_degrades_to_raw_frames_and_decodes() {
+fn codec_failure_degrades_to_raw_frames_and_decodes() {
     let data = field(8_000);
     let mut c = cfg();
-    // Chunks 1 and 3 fail compression on every attempt → raw fallback.
-    c.failure_plan.compress_failures = (0..c.max_compress_attempts)
-        .flat_map(|a| [(1usize, a), (3usize, a)])
-        .collect();
+    // Chunks 1 and 3 fail compression → raw fallback.
+    c.failure_plan.compress_failures = vec![1, 3];
     let reference = clean_stream(&data, &c);
     let mut sink = VecSink::default();
     let out = run_streaming(&data, &c, &mut sink).expect("streaming with fallback");
@@ -170,6 +171,37 @@ fn repeated_codec_failure_degrades_to_raw_frames_and_decodes() {
     assert_eq!(back.len(), data.len());
     assert_eq!(&back[1500..3000], &data[1500..3000], "raw chunk 1 is exact");
     assert_eq!(&back[4500..6000], &data[4500..6000], "raw chunk 3 is exact");
+}
+
+#[test]
+fn real_codec_error_falls_back_to_raw_frames_without_injection() {
+    // ZFP has no value-range-relative mode, so every chunk's compress call
+    // fails for real and every frame is stored raw.
+    let data = field(8_000);
+    for wire_format in [false, true] {
+        let c = PipelineConfig {
+            compressor: Compressor::Zfp,
+            bound: BoundSpec::ValueRangeRelative(1e-3),
+            wire_format,
+            ..cfg()
+        };
+        let mut sink = VecSink::default();
+        let out = run_streaming(&data, &c, &mut sink).expect("streaming with fallback");
+        assert_eq!(out.raw_fallbacks, out.chunks);
+        assert_eq!(out.codec_chunks, [out.chunks, 0, 0], "every frame is raw");
+        assert_eq!(sink.bytes, clean_stream(&data, &c), "fallback must be deterministic");
+        let bytes = &sink.bytes;
+        let rc = RestartConfig { workers: 2, retry_backoff_ms: 0, ..RestartConfig::default() };
+        let decoded = [
+            decode_stream(bytes).expect("decode"),
+            run_restart(&SliceSource::new(bytes), &rc).expect("restart").0,
+            run_restart_sequential(&SliceSource::new(bytes), &rc).expect("sequential restart").0,
+            run_restart_streamed(&mut &bytes[..], &rc).expect("streamed restart").0,
+        ];
+        for back in decoded {
+            assert!(back.iter().map(|v| v.to_bits()).eq(data.iter().map(|v| v.to_bits())));
+        }
+    }
 }
 
 #[test]

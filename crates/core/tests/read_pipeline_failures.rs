@@ -265,8 +265,7 @@ fn restart_over_degraded_container_counts_raw_frames_and_round_trips() {
     let data = field(12_000);
     let mut wc =
         PipelineConfig { chunk_elements: 1500, retry_backoff_ms: 0, ..Default::default() };
-    wc.failure_plan.compress_failures =
-        (0..wc.max_compress_attempts).flat_map(|a| [(1usize, a), (6usize, a)]).collect();
+    wc.failure_plan.compress_failures = vec![1, 6];
     let mut sink = VecSink::default();
     run_sequential(&data, &wc, &mut sink).expect("degraded write");
     let source = SliceSource::new(&sink.bytes);

@@ -34,14 +34,12 @@
 
 pub mod cpu;
 pub mod energy;
-pub mod multicore;
 pub mod nfs;
 pub mod perf;
 pub mod workload;
 
 pub use cpu::{Chip, CpuSpec, FrequencyLadder, VfCurve};
 pub use energy::{simulate, Machine, Measurement};
-pub use multicore::NodeSpec;
 pub use nfs::NfsSpec;
 pub use perf::{Perf, PerfStat, DEFAULT_NOISE_SIGMA};
 pub use workload::WorkProfile;

@@ -95,24 +95,31 @@ impl Perf {
             runtimes.push(m.runtime_s);
             powers.push(m.avg_power_w);
         }
-        let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
-        let p_mean = mean(&powers);
-        let var = if powers.len() > 1 {
-            powers.iter().map(|p| (p - p_mean).powi(2)).sum::<f64>() / (powers.len() - 1) as f64
-        } else {
-            0.0
-        };
-        let sd = var.sqrt();
+        let (power_w, power_sd_w, power_ci95_w) = mean_sd_ci95(&powers);
         PerfStat {
             f_ghz,
             reps,
-            energy_j: mean(&energies),
-            runtime_s: mean(&runtimes),
-            power_w: p_mean,
-            power_sd_w: sd,
-            power_ci95_w: 1.96 * sd / (reps as f64).sqrt(),
+            energy_j: mean_sd_ci95(&energies).0,
+            runtime_s: mean_sd_ci95(&runtimes).0,
+            power_w,
+            power_sd_w,
+            power_ci95_w,
         }
     }
+}
+
+/// Mean, sample standard deviation (n − 1) and 95% confidence half-width
+/// `1.96·sd/√n` of `values`; the spread terms are 0 for a single value.
+pub fn mean_sd_ci95(values: &[f64]) -> (f64, f64, f64) {
+    let n = values.len() as f64;
+    let mean = values.iter().sum::<f64>() / n;
+    let var = if values.len() > 1 {
+        values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n - 1.0)
+    } else {
+        0.0
+    };
+    let sd = var.sqrt();
+    (mean, sd, 1.96 * sd / n.sqrt())
 }
 
 #[cfg(test)]

@@ -40,8 +40,7 @@
 //! codec-tag field), `restart` re-prices the modelled read-back energy
 //! under it, `sweep` highlights its records from the policy axis, and
 //! `serve` uses it as the default for requests that carry no `POLICY`
-//! field. When the flag is absent the kind comes from `LCPIO_POLICY`
-//! (default `fixed`).
+//! field. When the flag is absent the kind is `fixed`.
 //!
 //! `serve` runs the `lcpio-serve` daemon (protocol spec: `PROTOCOL.md`).
 //! Without `--drive` it serves until a client sends a `SHUTDOWN` request;
@@ -336,12 +335,10 @@ impl Flags {
     }
 }
 
-/// Parse `--policy`; absent means "whatever `LCPIO_POLICY` says" (which
-/// itself defaults to fixed), so CI legs can retarget whole suites
-/// without touching every invocation.
+/// Parse `--policy`; absent means `fixed`.
 fn parse_policy(m: &mut Flags) -> Result<PolicyKind, CliError> {
     match m.take("policy") {
-        None => Ok(PolicyKind::from_env()),
+        None => Ok(PolicyKind::Fixed),
         Some(s) => PolicyKind::parse(&s).ok_or_else(|| {
             CliError::Usage(format!("unknown policy `{s}`; expected fixed|heuristic|adaptive"))
         }),
@@ -1592,7 +1589,7 @@ mod tests {
                 readers: 1,
                 workers: 0,
                 streamed: false,
-                policy: PolicyKind::from_env(),
+                policy: PolicyKind::Fixed,
                 input: PathBuf::from("a"),
                 output: PathBuf::from("b"),
             }
@@ -1778,9 +1775,9 @@ mod tests {
             parse(&argv("experiment --scale 64 --policy adaptive -o s.json")).expect("parse"),
             parse(&argv("sweep --scale 64 --policy adaptive -o s.json")).expect("parse"),
         );
-        // Absent flag defers to the environment (LCPIO_POLICY).
+        // Absent flag means fixed.
         match parse(&argv("pipeline --codec sz -i a -o b")).expect("parse") {
-            Command::Pipeline { policy, .. } => assert_eq!(policy, PolicyKind::from_env()),
+            Command::Pipeline { policy, .. } => assert_eq!(policy, PolicyKind::Fixed),
             other => panic!("wrong command {other:?}"),
         }
         // Garbage is a usage error.

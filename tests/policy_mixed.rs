@@ -2,11 +2,7 @@
 //! API: round-trip properties of the per-chunk policy layer (thread-count
 //! invariance, restart-path agreement) and failure injection against its
 //! codec-tag field (truncation at every offset, forged and unknown tags).
-//!
-//! The policy set under test always includes the heuristic and adaptive
-//! planners plus whatever `LCPIO_POLICY` selects, so the CI leg that
-//! exports `LCPIO_POLICY=adaptive` re-runs the whole suite under the
-//! environment-selected policy too.
+//! Every property runs under all three policies.
 
 use lcpio::core::pipeline::{
     decode_stream, run_restart, run_restart_streamed, run_sequential, run_streaming,
@@ -28,15 +24,8 @@ fn mixed_workload(chunk: usize, chunks: usize) -> Vec<f32> {
         .collect()
 }
 
-/// Heuristic + adaptive, plus the environment-selected policy (fixed by
-/// default, adaptive under the dedicated CI leg).
-fn policies() -> Vec<PolicyKind> {
-    let mut v = vec![PolicyKind::Heuristic, PolicyKind::Adaptive];
-    let env = PolicyKind::from_env();
-    if !v.contains(&env) {
-        v.push(env);
-    }
-    v
+fn policies() -> [PolicyKind; 3] {
+    [PolicyKind::Fixed, PolicyKind::Heuristic, PolicyKind::Adaptive]
 }
 
 fn config(policy: PolicyKind, wire: bool) -> PipelineConfig {
