@@ -312,8 +312,8 @@ struct Frame {
 }
 
 /// Compress one chunk into its frame under the chunk's plan, falling back
-/// to a raw frame on a codec error or an injected failure. Deterministic: identical for
-/// sequential and streaming.
+/// to a raw frame on a codec error or an injected failure. Deterministic:
+/// identical for sequential and streaming.
 fn compress_frame(cfg: &PipelineConfig, seq: usize, chunk: &[f32], plan: &ChunkPlan) -> Frame {
     let t0 = Instant::now();
     // A plan for `CodecId::Raw` resolves to no registry codec and drops
