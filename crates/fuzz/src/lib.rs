@@ -53,7 +53,9 @@
 //!
 //! The `SZL1` stream has two independent flag bits (LZSS body, packed
 //! Huffman table), and which of them the encoder sets depends on the field:
-//! [`szl1_flag_corpus`] seeds one stream per combination. A seed whose
+//! [`szl1_flag_corpus`] seeds one stream per combination. Those are all
+//! lattice streams (predictor bytes 2 and 3); [`LEGACY_SZL1_SEED`] is one
+//! of the predictor older streams carry, so mutations reach its decoder. A seed whose
 //! packed table lies open in the body (no LZSS layer over it) gets half of
 //! its mutations aimed inside the table's fields, where blind byte edits
 //! over a whole stream rarely land. A seed whose payload lies open gets a
@@ -137,8 +139,10 @@ pub fn seed_corpus() -> Vec<Vec<u8>> {
         run_sequential(&data, &cfg, &mut sink).expect("pipeline");
         corpus.push(sink.bytes);
     }
-    // One `SZL1` stream per flag combination.
+    // One `SZL1` stream per flag combination, and one of the legacy
+    // predictor.
     corpus.extend(szl1_flag_corpus().into_iter().map(|(_, stream)| stream));
+    corpus.push(LEGACY_SZL1_SEED.to_vec());
     // Mixed-codec containers and their codec-tag forgeries.
     corpus.extend(mixed_tag_corpus());
     // Serve-protocol request and response frames.
@@ -212,6 +216,44 @@ pub fn szl1_flag_corpus() -> Vec<(u8, Vec<u8>)> {
         })
         .collect()
 }
+
+/// An `SZL1` stream of the predictor over reconstructed values (predictor
+/// byte 1, block-adaptive), which the encoder no longer writes and the
+/// decoder still reads: without it every seed is a lattice stream and no
+/// mutation reaches that decoder. 12 × 16 values at 1e-2, radius 64,
+/// lossless stage off: three regression and three Lorenzo blocks, 41
+/// literals (a NaN, a 3e30 and the residuals past the radius). Written by
+/// the legacy writer (`lcpio-sz`'s test-only `pipeline::legacy`).
+pub const LEGACY_SZL1_SEED: [u8; 447] = [
+    0x53, 0x5a, 0x4c, 0x31, 0x00, 0xb2, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x0c,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+    0x02, 0x7b, 0x14, 0xae, 0x47, 0xe1, 0x7a, 0x84, 0x3f, 0x40, 0x00, 0x00, 0x00, 0xc0, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x50, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x07,
+    0x07, 0x07, 0x00, 0x07, 0x07, 0x00, 0x00, 0x07, 0x07, 0x00, 0x00, 0x00, 0x04, 0x01, 0x04, 0x06,
+    0x06, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x07, 0x00, 0x07, 0x00, 0x07, 0xa1, 0x01, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x35, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x7f, 0xfd, 0xf7,
+    0xe7, 0x3c, 0xe6, 0xb1, 0xc6, 0xe3, 0x5c, 0xe6, 0xb1, 0xc6, 0xe3, 0x50, 0x33, 0xd7, 0x9e, 0xdd,
+    0x7a, 0x37, 0x34, 0x65, 0x0d, 0xa1, 0x8d, 0xc0, 0x1d, 0x7b, 0xf8, 0xf7, 0x8d, 0x6e, 0x00, 0xd6,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0x00, 0x00,
+    0x00, 0x00, 0xa4, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x3e, 0x00, 0x00,
+    0xc0, 0x7f, 0x5e, 0x02, 0x07, 0x3f, 0x8e, 0x51, 0x53, 0x3f, 0x2a, 0xcf, 0x13, 0x3f, 0x66, 0x66,
+    0x66, 0x3f, 0x33, 0x33, 0x93, 0x3f, 0x33, 0x33, 0xb3, 0x3f, 0x33, 0x33, 0xd3, 0x3f, 0x33, 0x33,
+    0xf3, 0x3f, 0x9a, 0x99, 0x09, 0x40, 0xcd, 0xcc, 0x4c, 0x3f, 0x66, 0x66, 0x86, 0x3f, 0x66, 0x66,
+    0xa6, 0x3f, 0x66, 0x66, 0xc6, 0x3f, 0x66, 0x66, 0xe6, 0x3f, 0x33, 0x33, 0x03, 0x40, 0x33, 0x33,
+    0x33, 0x3f, 0x33, 0x33, 0x73, 0x3f, 0x9a, 0x99, 0x99, 0x3f, 0x9a, 0x99, 0xb9, 0x3f, 0x9a, 0x99,
+    0xd9, 0x3f, 0x9a, 0x99, 0xf9, 0x3f, 0x17, 0x76, 0x17, 0x72, 0x99, 0x99, 0x59, 0x3f, 0xcc, 0xcc,
+    0x8c, 0x3f, 0xcc, 0xcc, 0xac, 0x3f, 0xcc, 0xcc, 0xcc, 0x3f, 0xcc, 0xcc, 0xec, 0x3f, 0x00, 0x00,
+    0x00, 0x3f, 0x00, 0x00, 0x40, 0x3f, 0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0xa0, 0x3f, 0x00, 0x00,
+    0xc0, 0x3f, 0x00, 0x00, 0xe0, 0x3f, 0xcc, 0xcc, 0xcc, 0x3e, 0x66, 0x66, 0x26, 0x3f, 0x66, 0x66,
+    0x66, 0x3f, 0x33, 0x33, 0x93, 0x3f, 0x33, 0x33, 0xb3, 0x3f, 0x33, 0x33, 0xd3, 0x3f, 0x01, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x1c, 0x30, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x9a,
+    0x99, 0x19, 0xbf, 0x00, 0x00, 0x80, 0x3e, 0xcd, 0xcc, 0xcc, 0xbd, 0x00, 0x00, 0x00, 0x00, 0x18,
+    0xb7, 0x36, 0x70, 0x54, 0xcc, 0x66, 0xef, 0x76, 0xa3, 0x38, 0x6e, 0x00, 0x00, 0x00, 0x00, 0x9a,
+    0x99, 0x19, 0x40, 0x00, 0x00, 0x80, 0x3e, 0xcd, 0xcc, 0xcc, 0xbd, 0x00, 0x00, 0x00, 0x00
+];
 
 /// Where the Huffman table's fields sit in an `SZL1` stream whose packed
 /// table is not under an LZSS layer: the symbol count, the packed section's
@@ -822,6 +864,17 @@ mod tests {
             refused += registry().decompress_auto(&mutated, 1).is_err() as usize;
         }
         assert!(refused > 1000, "only {refused} of 2000 aimed mutations were refused");
+    }
+
+    #[test]
+    fn the_legacy_predictor_seed_decodes() {
+        let seed = &LEGACY_SZL1_SEED[..];
+        let predictor_at = lcpio_sz::header::ENVELOPE_LEN + 1 + 1 + 2 * 8;
+        assert_eq!((seed[4], seed[predictor_at]), (0, 1), "a raw block-adaptive legacy stream");
+        let (values, dims) = registry().decompress_auto(seed, 1).expect("the seed decodes");
+        assert_eq!((values.len(), dims), (192, vec![12, 16]));
+        assert!(values[40].is_nan() && values[150] == 3.0e30);
+        assert_eq!(payload_header_span(seed), Some(lcpio_sz::header::ENVELOPE_LEN..57));
     }
 
     #[test]

@@ -1,19 +1,23 @@
-//! The switch between the encoder's reference and fast arithmetic.
+//! The switch between the legacy writer's reference and fast arithmetic.
 //!
-//! The predict/quantize loops and the Huffman emitter exist twice: the
-//! reference forms ([`Quantizer::try_encode`], per-symbol
-//! [`HuffmanEncoder::encode`]) and the fast forms
-//! ([`Quantizer::try_encode_fast`], [`HuffmanEncoder::encode_slice`]).
-//! Both are plain Rust and property-tested bit-identical, so the fast
-//! forms run by default on every host. The reference forms stay as what
-//! tests compare against, and as the only correct choice for a quantizer
-//! whose geometry the fast rounding cannot prove exact
+//! The default writer, the lattice predictor, has one arithmetic: its
+//! residuals are an exact integer stencil. The predictor over
+//! reconstructed values that older streams carry is written only by the
+//! crate's test-only legacy writer, whose predict/quantize loops and
+//! Huffman emitter exist twice: the reference forms
+//! ([`Quantizer::try_encode`], per-symbol [`HuffmanEncoder::encode`]) and
+//! the fast forms ([`Quantizer::try_encode_fast`],
+//! [`HuffmanEncoder::encode_slice`]), property-tested bit-identical. The
+//! fast forms are its default; the reference forms stay as what tests
+//! compare against, and as the only correct choice for a quantizer whose
+//! geometry the fast rounding cannot prove exact
 //! ([`Quantizer::fast_exact`]). Decoding has no switch.
 //!
 //! [`force_scalar`] selects the reference forms for the whole process; it
-//! is for tests and benchmarks that compare the two. The module keeps its
-//! name, and [`simd_available`] its place in it, because the repo
-//! benchmark imports `lcpio_sz::kernels`.
+//! reaches only that legacy writer, and the default writer's bytes do not
+//! depend on it. The module keeps its name, and [`force_scalar`] and
+//! [`simd_available`] their places in it, because the repo benchmark
+//! imports `lcpio_sz::kernels`.
 //!
 //! [`Quantizer::try_encode`]: crate::Quantizer::try_encode
 //! [`Quantizer::try_encode_fast`]: crate::Quantizer::try_encode_fast

@@ -2,10 +2,11 @@
 //! (mirroring SZ 1.4/2.x), each one encode/decode pair that alone writes,
 //! reads and validates its own bytes (`header` names each field's stage):
 //!
-//! 1. **Predict-quantize** — Lorenzo stencil over reconstructed values, or
-//!    the per-block adaptive choice between Lorenzo and hyperplane
-//!    regression; residuals land in uniform bins of width `2·eb`, and
-//!    out-of-range values escape to IEEE literals.
+//! 1. **Predict-quantize** — every value snapped to the lattice of spacing
+//!    `2·eb`, then the residuals of the lattice indices under the Lorenzo
+//!    stencil, or the per-block adaptive choice between Lorenzo and
+//!    hyperplane regression; values the lattice cannot hold within the
+//!    bound, and residuals past the radius, escape to IEEE literals.
 //! 2. **Entropy** — canonical Huffman coding of the bin indices.
 //! 3. **Table** — the code lengths dense, or packed into run tokens where
 //!    the lossless back end is on and that is smaller (`table`).
@@ -14,20 +15,23 @@
 //!
 //! [`compress_typed_with`] walks them forward and [`decompress_into`]
 //! in reverse, crossing each stage boundary once per call. Predictions are
-//! computed from reconstructed values only, so the decompressor stays in
-//! lock-step with the compressor and every value obeys the absolute error
-//! bound.
+//! computed from lattice indices only, which the decompressor rebuilds
+//! exactly, so it stays in lock-step with the compressor and every value
+//! obeys the absolute error bound.
 //!
 //! Both `f32` and `f64` fields are supported through [`Element`]; the
 //! element type is recorded in the stream header and checked on decode.
 //!
-//! The hot loops are written row-at-a-time: the six Lorenzo stencil terms
-//! that do not depend on the current row are accumulated into a scratch
-//! row by [`lorenzo_3d_row_partial`] (elementwise, autovectorizable), and
-//! only the single left-neighbour add stays in the serial scan. Repeated
-//! compressions (the chunked parallel path) can reuse one [`SzScratch`]
-//! per worker via [`compress_typed_with`] so quantize/encode stop
-//! allocating per call.
+//! The lattice loops work on spans of a row: the encoder's residuals are
+//! an integer stencil with no chain from one element to the next, and the
+//! decoder's inverse is a prefix sum along the row. Streams of the
+//! predictor over reconstructed values, which every stream used before the
+//! lattice, decode through their own loops, which accumulate the six
+//! Lorenzo stencil terms that do not depend on the current row into a
+//! scratch row by [`lorenzo_3d_row_partial`] and keep only the left
+//! neighbour's add in the serial scan. Repeated compressions (the chunked
+//! parallel path) can reuse one [`SzScratch`] per worker via
+//! [`compress_typed_with`] so quantize/encode stop allocating per call.
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -36,7 +40,6 @@ use crate::bitio::{BitReader, BitWriter};
 use crate::element::Element;
 use crate::header::{Reader, Writer, ENVELOPE_LEN, FLAG_LOSSLESS, FLAG_PACKED_TABLE, MAGIC};
 use crate::huffman::{CodeTable, HuffmanDecoder, HuffmanEncoder};
-use crate::kernels;
 use crate::lossless;
 use crate::predictor::lorenzo_3d_row_partial;
 use crate::quantizer::Quantizer;
@@ -111,35 +114,37 @@ fn resolve_eb<T: Element>(data: &[T], eb: ErrorBound) -> Result<f64, SzError> {
 /// Reusable buffers for repeated compressions and decompressions.
 ///
 /// One compression call touches half a dozen working arrays (symbols,
-/// reconstructed values, histograms, bit sinks, …); allocating them per
-/// call is pure overhead when many small arrays are compressed in a row —
-/// exactly what the chunked parallel path does. Workers hold one scratch
-/// each and pass it to [`compress_typed_with`]; buffers grow to the
-/// high-water mark and stay. The decode side shares the same scratch via
-/// [`decompress_into`] (symbol array, reconstruction array, row
-/// partials), so the chunked restart path stops allocating per chunk too.
+/// lattice indices, histograms, bit sinks, …); allocating them per call is
+/// pure overhead when many small arrays are compressed in a row — exactly
+/// what the chunked parallel path does. Workers hold one scratch each and
+/// pass it to [`compress_typed_with`]; buffers grow to the high-water mark
+/// and stay. The decode side shares the same scratch via
+/// [`decompress_into`] (symbol array, lattice indices or, for an older
+/// stream, the reconstruction array), so the chunked restart path stops
+/// allocating per chunk too.
 #[derive(Debug)]
 pub struct SzScratch<T> {
     /// The symbols predict-quantize hands the entropy stage (decode: the
     /// other way).
     symbols: Vec<u32>,
-    // Predict-quantize: its sections' contents and bytes, the
-    // reconstruction (`f64`, what predictions read), and the working
-    // arrays of the block predictor.
+    // Predict-quantize: its sections' contents and bytes, the lattice
+    // indices (what predictions read), and the working arrays of the
+    // block predictor.
     literals: Vec<T>,
     lit_bytes: Vec<u8>,
     block_bits: BitWriter,
     coeffs: Vec<f32>,
-    recon: Vec<f64>,
-    rowp: Vec<f64>,
+    lattice: Vec<i64>,
     /// The values of one partial block.
     vals: Vec<f64>,
     select: SelectScratch,
-    /// Predictor and fit of every block of the block row being coded.
+    /// Predictor and fit of every block of the block row being coded, or of
+    /// the plane of blocks being decoded.
     choices: Vec<(bool, BlockCoeffs)>,
-    /// Per [`WAVEFRONT`] element, its offset from the block's first in the
-    /// geometry of the call and its row-major position in the block.
-    wave: Vec<(usize, usize)>,
+    // The decoder of the predictor older streams carry: the reconstruction
+    // (`f64`, what its predictions read) and one row of partials.
+    recon: Vec<f64>,
+    rowp: Vec<f64>,
     // Entropy: the encoder's tables and the coded bits.
     huff: HuffmanEncoder,
     sym_bits: BitWriter,
@@ -154,12 +159,12 @@ impl<T> SzScratch<T> {
             lit_bytes: Vec::new(),
             block_bits: BitWriter::new(),
             coeffs: Vec::new(),
-            recon: Vec::new(),
-            rowp: Vec::new(),
+            lattice: Vec::new(),
             vals: Vec::new(),
             select: SelectScratch::default(),
             choices: Vec::new(),
-            wave: Vec::new(),
+            recon: Vec::new(),
+            rowp: Vec::new(),
             huff: HuffmanEncoder::default(),
             sym_bits: BitWriter::new(),
         }
@@ -169,95 +174,6 @@ impl<T> SzScratch<T> {
 impl<T> Default for SzScratch<T> {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Quantize one element, verifying that the error bound still holds after
-/// the decompressor's final narrowing cast (large-magnitude values can
-/// lose more than the slack to f32 rounding). Returns the symbol and the
-/// reconstructed value; symbol 0 with the original value is the escape to
-/// a literal.
-///
-/// `FAST` selects the quantizer's branch-free rounding path. Bit-identical
-/// output (`Quantizer::try_encode_fast` is proven and property-tested equal
-/// to `try_encode` whenever `fast_exact()` holds); [`compress_typed_with`]
-/// selects it when `kernels::fast_enabled() && q.fast_exact()`.
-#[inline]
-fn quantize_one<T: Element, const FAST: bool>(q: &Quantizer, pred: f64, orig: T) -> (u32, f64) {
-    let orig = orig.to_f64();
-    let hit = if FAST { q.try_encode_fast(pred, orig) } else { q.try_encode(pred, orig) };
-    match hit {
-        Some((c, rec)) if (T::from_f64(rec).to_f64() - orig).abs() <= q.error_bound() => (c, rec),
-        _ => (0, orig),
-    }
-}
-
-/// [`quantize_one`], appending the symbol (and the literal of an escape)
-/// to the output arrays; returns the reconstructed value.
-#[inline]
-fn encode_one<T: Element, const FAST: bool>(
-    q: &Quantizer,
-    pred: f64,
-    orig: T,
-    symbols: &mut Vec<u32>,
-    literals: &mut Vec<T>,
-) -> f64 {
-    let (sym, rec) = quantize_one::<T, FAST>(q, pred, orig);
-    symbols.push(sym);
-    if sym == 0 {
-        literals.push(orig);
-    }
-    rec
-}
-
-/// Classic (whole-array Lorenzo) encode. Fills `s.symbols` / `s.literals`
-/// / `s.recon`.
-fn encode_classic<T: Element, const FAST: bool>(
-    data: &[T],
-    g: Geom,
-    order: u8,
-    q: &Quantizer,
-    s: &mut SzScratch<T>,
-) {
-    let n = data.len();
-    s.recon.clear();
-    s.recon.resize(n, 0.0);
-    if g.rank == 1 && order == 2 {
-        // First two elements peeled so the steady-state loop carries the
-        // two previous reconstructions in locals instead of re-deriving
-        // the predictor branch (and bounds checks) per element.
-        let mut prev = 0.0f64;
-        let mut prev2 = 0.0f64;
-        for (i, &v) in data.iter().enumerate().take(2) {
-            let pred = if i == 0 { 0.0 } else { prev };
-            let rec = encode_one::<T, FAST>(q, pred, v, &mut s.symbols, &mut s.literals);
-            s.recon[i] = rec;
-            prev2 = prev;
-            prev = rec;
-        }
-        for (i, &v) in data.iter().enumerate().skip(2) {
-            let pred = 2.0 * prev - prev2;
-            let rec = encode_one::<T, FAST>(q, pred, v, &mut s.symbols, &mut s.literals);
-            s.recon[i] = rec;
-            prev2 = prev;
-            prev = rec;
-        }
-        return;
-    }
-    s.rowp.clear();
-    s.rowp.resize(g.nx, 0.0);
-    let mut idx = 0usize;
-    for k in 0..g.nz {
-        for j in 0..g.ny {
-            lorenzo_3d_row_partial(&s.recon, g.ny, g.nx, k, j, 0, g.nx, &mut s.rowp);
-            for i in 0..g.nx {
-                let left = if i > 0 { s.recon[idx - 1] } else { 0.0 };
-                let pred = s.rowp[i] + left;
-                s.recon[idx] =
-                    encode_one::<T, FAST>(q, pred, data[idx], &mut s.symbols, &mut s.literals);
-                idx += 1;
-            }
-        }
     }
 }
 
@@ -297,143 +213,13 @@ fn lorenzo_probe_error<T: Element>(data: &[T], g: Geom, r: BlockRange) -> f64 {
 /// Elements of a full block.
 const BLOCK_LEN: usize = BLOCK_SIDE * BLOCK_SIDE * BLOCK_SIDE;
 
-/// The block-local `[k, j, i]` of a full block's elements, by anti-diagonal
-/// plane (`i + j + k` ascending).
-const fn wavefront_order() -> [[u8; 3]; BLOCK_LEN] {
-    let mut order = [[0u8; 3]; BLOCK_LEN];
-    let mut n = 0;
-    let mut t = 0;
-    while t <= 3 * (BLOCK_SIDE - 1) {
-        let mut k = 0;
-        while k < BLOCK_SIDE {
-            let mut j = 0;
-            while j < BLOCK_SIDE {
-                if t >= k + j && t - k - j < BLOCK_SIDE {
-                    order[n] = [k as u8, j as u8, (t - k - j) as u8];
-                    n += 1;
-                }
-                j += 1;
-            }
-            k += 1;
-        }
-        t += 1;
-    }
-    order
-}
-
-static WAVEFRONT: [[u8; 3]; BLOCK_LEN] = wavefront_order();
-
-/// One block of [`encode_blocks`]: the half-open index ranges it covers.
+/// One block of the block-adaptive predictor: the half-open index ranges
+/// it covers.
 #[derive(Debug, Clone, Copy)]
 struct BlockRange {
     k: (usize, usize),
     j: (usize, usize),
     i: (usize, usize),
-}
-
-/// Quantize a regression block. Its predictions come from the coefficients
-/// alone, never from `recon`, so the elements are independent of each
-/// other and the loop runs without a carried dependence.
-fn encode_regression_block<T: Element, const FAST: bool>(
-    data: &[T],
-    g: Geom,
-    r: BlockRange,
-    coeffs: &BlockCoeffs,
-    q: &Quantizer,
-    s: &mut SzScratch<T>,
-) {
-    for k in r.k.0..r.k.1 {
-        for j in r.j.0..r.j.1 {
-            let row = coeffs.row(j - r.j.0, k - r.k.0);
-            let at = (k * g.ny + j) * g.nx;
-            for i in r.i.0..r.i.1 {
-                s.recon[at + i] = encode_one::<T, FAST>(
-                    q,
-                    row.at(i - r.i.0),
-                    data[at + i],
-                    &mut s.symbols,
-                    &mut s.literals,
-                );
-            }
-        }
-    }
-}
-
-/// Quantize a Lorenzo block row by row: the elementwise part of the
-/// stencil per row, then the serial left-neighbour scan.
-fn encode_lorenzo_block_rows<T: Element, const FAST: bool>(
-    data: &[T],
-    g: Geom,
-    r: BlockRange,
-    q: &Quantizer,
-    s: &mut SzScratch<T>,
-) {
-    for k in r.k.0..r.k.1 {
-        for j in r.j.0..r.j.1 {
-            lorenzo_3d_row_partial(&s.recon, g.ny, g.nx, k, j, r.i.0, r.i.1, &mut s.rowp);
-            for i in r.i.0..r.i.1 {
-                let idx = (k * g.ny + j) * g.nx + i;
-                let left = if i > 0 { s.recon[idx - 1] } else { 0.0 };
-                s.recon[idx] = encode_one::<T, FAST>(
-                    q,
-                    s.rowp[i - r.i.0] + left,
-                    data[idx],
-                    &mut s.symbols,
-                    &mut s.literals,
-                );
-            }
-        }
-    }
-}
-
-/// [`encode_lorenzo_block_rows`] for a full block that has a row above and
-/// a column to its left, visiting the elements in [`WAVEFRONT`] order.
-///
-/// Every element comes after the seven stencil neighbours it is predicted
-/// from, so each prediction — computed with the operations of
-/// [`lorenzo_3d_row_partial`] plus the left neighbour, in their order — and
-/// with it every symbol, literal and reconstructed value is the one the
-/// row-by-row order gives. What changes is that consecutive elements no
-/// longer depend on each other (they lie on one anti-diagonal plane), so
-/// the quantizer's add–divide–round–multiply chain, which the row order
-/// runs strictly one element after the other, overlaps across elements.
-/// Symbols and literals are put back into row-major order at the end.
-fn encode_lorenzo_block_wavefront<T: Element, const FAST: bool>(
-    data: &[T],
-    g: Geom,
-    r: BlockRange,
-    q: &Quantizer,
-    s: &mut SzScratch<T>,
-) {
-    let (k0, j0, i0) = (r.k.0, r.j.0, r.i.0);
-    debug_assert!(j0 > 0 && i0 > 0);
-    let SzScratch { recon, wave, symbols: all_symbols, literals, .. } = s;
-    let plane = g.ny * g.nx;
-    let first = (k0 * g.ny + j0) * g.nx + i0;
-    let mut symbols = [0u32; BLOCK_LEN];
-    for &(offset, at) in wave.iter() {
-        let idx = first + offset;
-        let u = idx - g.nx; // same plane, row above
-        let partial = if idx >= plane {
-            let p = idx - plane; // plane below, same row
-            let d = p - g.nx; // plane below, row above
-            (recon[u] + recon[p] - recon[d]) - (recon[u - 1] + recon[p - 1] - recon[d - 1])
-        } else {
-            recon[u] - recon[u - 1]
-        };
-        let (sym, rec) = quantize_one::<T, FAST>(q, partial + recon[idx - 1], data[idx]);
-        recon[idx] = rec;
-        symbols[at] = sym;
-    }
-    all_symbols.extend_from_slice(&symbols);
-    if symbols.contains(&0) {
-        for (row, row_symbols) in symbols.chunks_exact(BLOCK_SIDE).enumerate() {
-            let at = first + (row / BLOCK_SIDE * g.ny + row % BLOCK_SIDE) * g.nx;
-            for (v, _) in data[at..].iter().zip(row_symbols).filter(|(_, &sym)| sym == 0) {
-                literals.push(*v);
-            }
-        }
-    }
 }
 
 /// Blocks [`select_block_row`] decides side by side: one value of each in
@@ -558,41 +344,154 @@ fn select_block_row<T: Element>(
     }
 }
 
-/// Block-adaptive encode (per-block Lorenzo vs hyperplane regression).
-/// Fills the scratch; returns `(regression_blocks, lorenzo_blocks)`.
-fn encode_blocks<T: Element, const FAST: bool>(
+// ---- The lattice ----
+//
+// Every value is snapped to the lattice of spacing `2·eb` before anything
+// is predicted (`Quantizer::snap`: `k = round(x / 2eb)`, the value written
+// back `k·2eb`). Predictions are made from the neighbours' lattice indices,
+// which the encoder has for every element before it codes the first, so a
+// residual is an exact integer stencil with no chain from one element to
+// the next, and the decoder's inverse is a prefix sum along each row.
+// Symbols are row-major over the whole array in both predictor modes.
+
+/// Columns the lattice loops take at once: a row is coded and decoded in
+/// spans of this many, so no working array grows with a row (a rank-1
+/// array is one row). A whole number of blocks, so none straddles two.
+const SPAN: usize = 42 * BLOCK_SIDE;
+
+/// Zeros, standing in for a row off the array.
+static ZEROS: [i64; SPAN] = [0; SPAN];
+
+/// The rows the Lorenzo stencil reads for columns `x0..x0 + n` of lattice
+/// row `row`, all of them earlier rows of `k`: the row above, the row in
+/// the plane behind, and the row above that one, or [`ZEROS`] for a row
+/// off the array. The prediction is `c[x − 1] + t[x] − t[x − 1]`, with
+/// `c` the row's own indices and `t` = above + behind − behind-above.
+fn behind(k: &[i64], g: Geom, row: usize, x0: usize, n: usize) -> [&[i64]; 3] {
+    let at = |r: usize| &k[r * g.nx + x0..][..n];
+    let (above, back) = (!row.is_multiple_of(g.ny), row >= g.ny);
+    [
+        if above { at(row - 1) } else { &ZEROS[..n] },
+        if back { at(row - g.ny) } else { &ZEROS[..n] },
+        if above && back { at(row - g.ny - 1) } else { &ZEROS[..n] },
+    ]
+}
+
+/// The symbol of residual `r`: `r + radius` where the element is kept (see
+/// [`encode_span`]) and `|r| < radius`, the escape 0 otherwise.
+#[inline]
+fn code(r: i64, keep: u32, radius: u32) -> u32 {
+    let t = r.wrapping_add(radius as i64 - 1) as u64;
+    // `&`, not `&&`: a branch here keeps the loops from vectorising.
+    if (keep != 0) & (t < (2 * radius - 1) as u64) {
+        t as u32 + 1
+    } else {
+        0
+    }
+}
+
+/// A span's `c − t` (see [`behind`]) and keep flags: the encoder's working
+/// rows.
+type SpanWork = ([i64; SPAN], [u32; SPAN]);
+
+/// Span `x0..` (at most [`SPAN`] long) of row `row`, coded: every value
+/// snapped into `s.lattice`, kept where the value its index gives, narrowed
+/// to `T`, is within the bound of the original (an original that is not
+/// finite, out of reach or missed by the narrowing escapes), and its
+/// residual, the index less its prediction, coded into `s.symbols`. The
+/// prediction is Lorenzo's, or on a rank-1 array of order 2 `2·k[x − 1] −
+/// k[x − 2]` (0 for the first element, the first's index for the second),
+/// or, where `regression` (the predictors of the row's block row) holds a
+/// regression block, its hyperplane's value snapped to the lattice. Reads
+/// the lattice of earlier rows and columns only.
+#[allow(clippy::too_many_arguments)]
+fn encode_span<T: Element>(
     data: &[T],
     g: Geom,
+    order2: bool,
     q: &Quantizer,
+    (row, x0): (usize, usize),
+    regression: &[(bool, BlockCoeffs)],
+    (w, keep): &mut SpanWork,
     s: &mut SzScratch<T>,
-) -> (u64, u64) {
-    let n = data.len();
-    s.recon.clear();
-    s.recon.resize(n, 0.0);
-    s.rowp.clear();
-    s.rowp.resize(g.nx.min(BLOCK_SIDE), 0.0);
-    let mut regression_blocks = 0u64;
-    let mut lorenzo_blocks = 0u64;
+) {
+    let (b, at, eb, radius) = (BLOCK_SIDE, row * g.nx + x0, q.error_bound(), q.radius());
+    let n = SPAN.min(g.nx - x0);
+    let (w, keep, data) = (&mut w[..n], &mut keep[..n], &data[at..at + n]);
+    let (earlier, here) = s.lattice.split_at_mut(row * g.nx);
+    let [u, p, d] = behind(earlier, g, row, x0, n);
+    let ks = &mut here[x0..x0 + n];
+    for i in 0..n {
+        let x = data[i].to_f64();
+        let (k, value) = q.snap(x);
+        ks[i] = k;
+        keep[i] = ((T::from_f64(value).to_f64() - x).abs() <= eb) as u32;
+        w[i] = k.wrapping_sub(u[i]).wrapping_sub(p[i]).wrapping_add(d[i]);
+    }
+    let syms = &mut s.symbols[at..at + n];
+    let c = &here[..x0 + n];
+    if order2 {
+        for x in x0..(x0 + n).min(2) {
+            syms[x - x0] = code(if x == 0 { c[0] } else { c[1] - c[0] }, keep[x - x0], radius);
+        }
+        let from = x0.max(2);
+        if from < x0 + n {
+            let (c2, c1, c0) = (&c[from..], &c[from - 1..x0 + n - 1], &c[from - 2..x0 + n - 2]);
+            let coded = syms[from - x0..].iter_mut().zip(&keep[from - x0..]);
+            for ((((sym, &keep), &k), &k1), &k2) in coded.zip(c2).zip(c1).zip(c0) {
+                *sym = code(k - 2 * k1 + k2, keep, radius);
+            }
+        }
+        return;
+    }
+    // `c − t` of the column left of the span; 0 left of the row.
+    let left = match x0 {
+        0 => 0,
+        _ => {
+            let [u, p, d] = behind(earlier, g, row, x0 - 1, 1);
+            c[x0 - 1] - u[0] - p[0] + d[0]
+        }
+    };
+    syms[0] = code(w[0] - left, keep[0], radius);
+    for (((sym, &keep), &here), &left) in syms[1..].iter_mut().zip(&keep[1..]).zip(&w[1..]).zip(&w[..n - 1]) {
+        *sym = code(here - left, keep, radius);
+    }
+    for bi in x0 / b..(x0 + n).div_ceil(b) {
+        let Some(&(true, coeffs)) = regression.get(bi) else { continue };
+        let plane = coeffs.row(row % g.ny % b, row / g.ny % b);
+        for x in bi * b..(bi * b + b).min(g.nx) {
+            syms[x - x0] = code(c[x] - q.snap(plane.at(x - bi * b)).0, keep[x - x0], radius);
+        }
+    }
+}
+
+/// Whole-array Lorenzo on the lattice, row by row.
+fn encode_lattice_rows<T: Element>(data: &[T], g: Geom, order2: bool, q: &Quantizer, s: &mut SzScratch<T>) {
+    let mut work = ([0; SPAN], [0; SPAN]);
+    for span in (0..g.nz * g.ny).flat_map(|row| (0..g.nx).step_by(SPAN).map(move |x0| (row, x0))) {
+        encode_span(data, g, order2, q, span, &[], &mut work, s);
+    }
+}
+
+/// Block-adaptive encode on the lattice. Each block row's predictors are
+/// chosen as before (`select_block_row`, `select_block`); a Lorenzo block's
+/// residuals are the stencil's, across block borders, and a regression
+/// block's are each index less its hyperplane's value snapped to the
+/// lattice. The rows of a block row come after every row they read. Pushes
+/// the block flags and coefficients in block order and returns
+/// `(regression_blocks, lorenzo_blocks)`.
+fn encode_lattice_blocks<T: Element>(data: &[T], g: Geom, q: &Quantizer, s: &mut SzScratch<T>) -> (u64, u64) {
     let b = BLOCK_SIDE;
-    s.wave.clear();
-    s.wave.extend(WAVEFRONT.iter().map(|&[k, j, i]| {
-        let (k, j, i) = (k as usize, j as usize, i as usize);
-        ((k * g.ny + j) * g.nx + i, (k * b + j) * b + i)
-    }));
+    let blocks = |e: usize| e.div_ceil(b);
+    let (mut regression_blocks, mut lorenzo_blocks) = (0u64, 0u64);
+    let mut work = ([0; SPAN], [0; SPAN]);
     // One lap of each per block row; the registry is touched once a call.
     let mut select_laps = lcpio_trace::Stopwatch::new();
     let mut quantize_laps = lcpio_trace::Stopwatch::new();
-
-    let blocks = |e: usize| e.div_ceil(b);
     for bk in 0..blocks(g.nz) {
         for bj in 0..blocks(g.ny) {
             let (k0, j0) = (bk * b, bj * b);
             let (k1, j1) = ((k0 + b).min(g.nz), (j0 + b).min(g.ny));
-            let range = |bi: usize| BlockRange {
-                k: (k0, k1),
-                j: (j0, j1),
-                i: (bi * b, (bi * b + b).min(g.nx)),
-            };
             select_laps.lap(|| {
                 s.choices.clear();
                 // A row's full blocks together, if it is full in k and j.
@@ -601,28 +500,27 @@ fn encode_blocks<T: Element, const FAST: bool>(
                     select_block_row(data, g, (k0, j0), batched, &mut s.select, &mut s.choices);
                 }
                 for bi in batched..blocks(g.nx) {
-                    s.choices.push(select_block(data, g, range(bi), &mut s.vals));
+                    let r = BlockRange { k: (k0, k1), j: (j0, j1), i: (bi * b, (bi * b + b).min(g.nx)) };
+                    s.choices.push(select_block(data, g, r, &mut s.vals));
                 }
             });
             quantize_laps.lap(|| {
-                for bi in 0..blocks(g.nx) {
-                    let (use_reg, coeffs) = s.choices[bi];
-                    let r = range(bi);
+                for &(use_reg, coeffs) in &s.choices {
                     s.block_bits.push_bit(use_reg);
                     if use_reg {
                         regression_blocks += 1;
                         s.coeffs.extend_from_slice(&coeffs.c);
-                        encode_regression_block::<T, FAST>(data, g, r, &coeffs, q, s);
                     } else {
                         lorenzo_blocks += 1;
-                        let full = (k1 - k0, j1 - j0, r.i.1 - r.i.0) == (b, b, b);
-                        if full && j0 > 0 && r.i.0 > 0 {
-                            encode_lorenzo_block_wavefront::<T, FAST>(data, g, r, q, s);
-                        } else {
-                            encode_lorenzo_block_rows::<T, FAST>(data, g, r, q, s);
-                        }
                     }
                 }
+                let choices = std::mem::take(&mut s.choices);
+                for row in (k0..k1).flat_map(|k| (j0..j1).map(move |j| k * g.ny + j)) {
+                    for x0 in (0..g.nx).step_by(SPAN) {
+                        encode_span(data, g, false, q, (row, x0), &choices, &mut work, s);
+                    }
+                }
+                s.choices = choices;
             });
         }
     }
@@ -643,13 +541,19 @@ fn encode_blocks<T: Element, const FAST: bool>(
 /// classic (whole-array Lorenzo) or the block-adaptive predictor.
 ///
 /// Its bytes open and close the payload. In front of the entropy stage's:
-/// the element type tag, the rank and dims, the predictor byte (0 classic,
-/// 1 block-adaptive), the Lorenzo order, the error bound, the radius and
-/// the element count. Behind them, ending the payload: the literal
-/// section, and in block mode the block-flag and coefficient sections.
+/// the element type tag, the rank and dims, the predictor byte, the Lorenzo
+/// order, the error bound, the radius and the element count. Behind them,
+/// ending the payload: the literal section, and in block mode the
+/// block-flag and coefficient sections.
+///
+/// The predictor byte is `block_mode | lattice << 1`. This encoder writes
+/// 2 (classic) and 3 (block-adaptive), the lattice predictor; 0 and 1 are
+/// the predictor over reconstructed values that streams were written with
+/// before, which the decoder still reads.
 struct PredictQuantize {
     g: Geom,
     block_mode: bool,
+    lattice: bool,
     order: u8,
     q: Quantizer,
     /// Element count.
@@ -667,21 +571,31 @@ impl PredictQuantize {
         let g = geometry(dims, data.len())?;
         let q = Quantizer::new(resolve_eb(data, cfg.error_bound)?, cfg.radius.clamp(1, Quantizer::MAX_RADIUS));
         let block_mode = matches!(cfg.mode, PredictorMode::BlockAdaptive) && g.rank >= 2;
-        Ok(PredictQuantize { g, block_mode, order: cfg.lorenzo_order, q, n: data.len() })
+        Ok(PredictQuantize { g, block_mode, lattice: true, order: cfg.lorenzo_order, q, n: data.len() })
     }
 
-    /// Encode: the head into `p`, then `data` quantized into the scratch
-    /// under the `FAST` arithmetic (see `kernels`): the symbols the entropy
-    /// stage codes, and the literals, block flags and coefficients
-    /// [`PredictQuantize::encode_sections`] writes. Escapes and blocks are
-    /// counted into `stats`.
+    /// The head, into `p`.
+    fn encode_head<T: Element>(&self, dims: &[usize], p: &mut Writer) {
+        p.u8(T::TYPE_TAG);
+        p.u8(dims.len() as u8);
+        dims.iter().for_each(|&d| p.u64(d as u64));
+        p.u8(self.block_mode as u8 | (self.lattice as u8) << 1);
+        p.u8(self.order);
+        p.f64(self.q.error_bound());
+        p.u32(self.q.radius());
+        p.u64(self.n as u64);
+    }
+
+    /// Encode: the head into `p`, then `data` quantized into the scratch on
+    /// the lattice: the symbols the entropy stage codes, and the literals,
+    /// block flags and coefficients [`PredictQuantize::encode_sections`]
+    /// writes. Escapes and blocks are counted into `stats`.
     ///
-    /// Out of line on purpose: inlined into the walk, the rank-1 loop
-    /// shares its registers with everything there and carries the two
-    /// previous reconstructions through the stack, which made a CESM
-    /// request 7 % slower.
+    /// Out of line on purpose: inlined into the walk, its loops share their
+    /// registers with everything there (the predictor this one replaced
+    /// made a CESM request 7 % slower that way).
     #[inline(never)]
-    fn encode<T: Element, const FAST: bool>(
+    fn encode<T: Element>(
         &self,
         data: &[T],
         dims: &[usize],
@@ -689,25 +603,26 @@ impl PredictQuantize {
         stats: &mut CompressionStats,
         s: &mut SzScratch<T>,
     ) {
-        p.u8(T::TYPE_TAG);
-        p.u8(dims.len() as u8);
-        dims.iter().for_each(|&d| p.u64(d as u64));
-        p.u8(self.block_mode as u8);
-        p.u8(self.order);
-        p.f64(self.q.error_bound());
-        p.u32(self.q.radius());
-        p.u64(self.n as u64);
-
-        s.symbols.clear();
-        s.symbols.reserve(self.n);
+        self.encode_head::<T>(dims, p);
         s.literals.clear();
         s.block_bits.clear();
         s.coeffs.clear();
         let _span = lcpio_trace::span("sz.predict_quantize");
+        // Every index and symbol is written before it is read: what an
+        // earlier call left need not be cleared.
+        s.lattice.resize(self.n, 0);
+        s.symbols.resize(self.n, 0);
         if self.block_mode {
-            (stats.regression_blocks, stats.lorenzo_blocks) = encode_blocks::<T, FAST>(data, self.g, &self.q, s);
+            (stats.regression_blocks, stats.lorenzo_blocks) = encode_lattice_blocks(data, self.g, &self.q, s);
         } else {
-            encode_classic::<T, FAST>(data, self.g, self.order, &self.q, s);
+            encode_lattice_rows(data, self.g, self.g.rank == 1 && self.order == 2, &self.q, s);
+        }
+        // The literals in element order, found 64 symbols at a time.
+        for (syms, values) in s.symbols.chunks(64).zip(data.chunks(64)) {
+            if syms.iter().fold(false, |any, &sym| any | (sym == 0)) {
+                let escaped = values.iter().zip(syms).filter(|(_, &sym)| sym == 0);
+                s.literals.extend(escaped.map(|(&v, _)| v));
+            }
         }
         stats.unpredictable = s.literals.len() as u64;
         stats.predictable = self.n as u64 - stats.unpredictable;
@@ -743,27 +658,31 @@ impl PredictQuantize {
             return Err(SzError::Corrupt("bad rank"));
         }
         let dims = (0..rank).map(|_| Ok(r.u64()? as usize)).collect::<Result<Vec<_>, SzError>>()?;
-        let block_mode = match r.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(SzError::Corrupt("unknown predictor")),
-        };
+        let predictor = r.u8()?;
+        if predictor > 3 {
+            return Err(SzError::Corrupt("unknown predictor"));
+        }
+        let (block_mode, lattice) = (predictor & 1 != 0, predictor & 2 != 0);
         let (order, eb, radius, n) = (r.u8()?, r.f64()?, r.u32()?, r.u64()? as usize);
         let g = geometry(&dims, n).map_err(|_| SzError::Corrupt("bad dims"))?;
         if eb <= 0.0 || !eb.is_finite() || radius == 0 || radius > Quantizer::MAX_RADIUS {
             return Err(SzError::Corrupt("bad quantizer params"));
         }
-        Ok((PredictQuantize { g, block_mode, order, q: Quantizer::new(eb, radius), n }, dims))
+        Ok((PredictQuantize { g, block_mode, lattice, order, q: Quantizer::new(eb, radius), n }, dims))
     }
 
     /// Decode: this stage's sections, which end the payload, then the
     /// values of the entropy stage's `s.symbols` into `out` (`self.n`
-    /// long), one loop per predictor ([`Reconstruct`]).
+    /// long), one loop per predictor ([`Lattice`], and [`Reconstruct`] for
+    /// the predictor bytes older streams carry).
     ///
-    /// Decode budget: the output and the reconstruction array, `T::BYTES +
-    /// 8` bytes an element, with the element count checked by the entropy
-    /// stage at 8 a byte of symbol section (`c` = 128 per byte); `k` is
-    /// nothing beyond them (the row partials are one row).
+    /// Decode budget: the output and one 8-byte array an element, the
+    /// lattice indices (rank-1 order 2 needs none) or, for an older
+    /// stream, the reconstruction, with the element count checked by the
+    /// entropy stage at 8 a byte of symbol section (`c` = 128 per byte).
+    /// `k` is nothing beyond them: the lattice loops work on spans of
+    /// [`SPAN`] on the stack, the block predictors of one plane of blocks
+    /// take 20 bytes a block, and the legacy row partials are one row.
     fn decode<T: Element>(&self, r: &mut Reader, s: &mut SzScratch<T>, out: &mut [T]) -> Result<(), SzError> {
         let lit_bytes = r.section()?;
         let (block_flags, coeff_bytes) = if self.block_mode { (r.section()?, r.section()?) } else { (&[][..], &[][..]) };
@@ -773,6 +692,30 @@ impl PredictQuantize {
         if r.remaining() != 0 {
             return Err(SzError::Corrupt("trailing bytes after sections"));
         }
+        let literals = lit_bytes.chunks_exact(T::BYTES);
+        if self.lattice {
+            let SzScratch { symbols, lattice, choices, .. } = s;
+            // Every index is written before the stencil reads it (earlier
+            // rows only), so what an earlier call left need not be cleared.
+            let order2 = self.g.rank == 1 && self.order == 2;
+            lattice.resize(if order2 { 0 } else { self.n }, 0);
+            let mut lt = Lattice {
+                q: self.q,
+                g: self.g,
+                literals,
+                k: lattice,
+                out,
+                work: [[0; SPAN]; 3],
+                lits: [T::from_f64(0.0); SPAN],
+            };
+            return if self.block_mode {
+                lt.blocks(symbols, block_flags, coeff_bytes, choices)
+            } else if order2 {
+                lt.order2(symbols)
+            } else {
+                (0..self.g.nz * self.g.ny).try_for_each(|row| lt.row(row, &symbols[row * self.g.nx..][..self.g.nx], &[]))
+            };
+        }
         let SzScratch { symbols, recon, rowp, .. } = s;
         // Every slot of `recon` is written before the stencil reads it (a
         // prediction only looks at rows above, planes behind and the column
@@ -780,7 +723,6 @@ impl PredictQuantize {
         // left there need not be cleared.
         recon.resize(self.n, 0.0);
         rowp.resize(if self.block_mode { self.g.nx.min(BLOCK_SIDE) } else { self.g.nx }, 0.0);
-        let literals = lit_bytes.chunks_exact(T::BYTES);
         let mut rc = Reconstruct { q: self.q, g: self.g, literals, recon, out };
         if self.block_mode {
             rc.blocks(symbols, block_flags, coeff_bytes, rowp)
@@ -945,10 +887,6 @@ pub fn compress_typed<T: Element>(
 /// [`compress_typed`] with caller-provided scratch buffers. Repeated calls
 /// reuse the scratch's allocations; the output stream is identical to a
 /// fresh-scratch call.
-///
-/// The arithmetic is chosen here, once per call: the fast forms when
-/// `kernels::fast_enabled()` and the quantizer's geometry lets them match
-/// the reference (both write the same bytes, see `kernels`).
 pub fn compress_typed_with<T: Element>(
     data: &[T],
     dims: &[usize],
@@ -956,29 +894,25 @@ pub fn compress_typed_with<T: Element>(
     s: &mut SzScratch<T>,
 ) -> Result<Compressed, SzError> {
     let pq = PredictQuantize::new(data, dims, cfg)?;
-    if kernels::fast_enabled() && pq.q.fast_exact() {
-        compress_walk::<T, true>(&pq, data, dims, cfg.lossless, s)
-    } else {
-        compress_walk::<T, false>(&pq, data, dims, cfg.lossless, s)
-    }
+    let mut p = Writer::new();
+    let mut stats = CompressionStats::default();
+    pq.encode(data, dims, &mut p, &mut stats, s);
+    code_walk::<T, true>(&pq, p, stats, cfg.lossless, s)
 }
 
-/// The stage walk, forward: predict-quantize, entropy (the table stage
-/// inside it), predict-quantize's sections, lossless.
-fn compress_walk<T: Element, const FAST: bool>(
+/// The stage walk forward behind predict-quantize, whose head is in `p`
+/// and whose symbols and sections are in the scratch: entropy (the table
+/// stage inside it, the emitter's batched form under `FAST`),
+/// predict-quantize's sections, lossless.
+fn code_walk<T: Element, const FAST: bool>(
     pq: &PredictQuantize,
-    data: &[T],
-    dims: &[usize],
+    mut p: Writer,
+    mut stats: CompressionStats,
     lossless: bool,
     s: &mut SzScratch<T>,
 ) -> Result<Compressed, SzError> {
-    let mut stats = CompressionStats {
-        elements: pq.n as u64,
-        input_bytes: (pq.n * T::BYTES) as u64,
-        ..CompressionStats::default()
-    };
-    let mut p = Writer::new();
-    pq.encode::<T, FAST>(data, dims, &mut p, &mut stats, s);
+    stats.elements = pq.n as u64;
+    stats.input_bytes = (pq.n * T::BYTES) as u64;
     let table_flag = entropy_encode::<T, FAST>(pq.q.alphabet_size(), lossless, &mut p, &mut stats, s)?;
     pq.encode_sections(&mut p, s);
     let bytes = lossless_encode(p.into_bytes(), table_flag, lossless);
@@ -1372,6 +1306,210 @@ impl<T: Element> Reconstruct<'_, T> {
     }
 }
 
+/// What the lattice decode loops work on: the literal section they pull
+/// escaped values from in row-major order, the lattice indices (what
+/// predictions are made from) and the output (each index's value `k·2eb`
+/// narrowed to `T`, or an escape's literal).
+///
+/// Every index is its prediction plus its residual, in wrapping `i64`
+/// arithmetic: a stream the encoder wrote never wraps (its indices stay
+/// within `2^51`), and a forged one gives garbage, not a panic. An escape's
+/// index is its literal's (`Quantizer::snap`), as the encoder took it.
+struct Lattice<'a, T> {
+    q: Quantizer,
+    g: Geom,
+    literals: std::slice::ChunksExact<'a, u8>,
+    k: &'a mut [i64],
+    out: &'a mut [T],
+    /// A span's addends to the prefix sum, its `t` (see [`behind`]) and its
+    /// carry masks.
+    work: [[i64; SPAN]; 3],
+    /// A span's literals, each at its escape's place.
+    lits: [T; SPAN],
+}
+
+impl<T: Element> Lattice<'_, T> {
+    /// Rank-1 order-2 prediction, `2·k[x − 1] − k[x − 2]`, the two previous
+    /// indices carried in locals. The first element's prediction is 0, and
+    /// with both locals set to its index the second's is that index.
+    fn order2(&mut self, symbols: &[u32]) -> Result<(), SzError> {
+        let Lattice { q, literals, out, work: [add, ks, _], lits, .. } = self;
+        let (mut prev, mut prev2) = (0i64, 0i64);
+        for (span, syms) in symbols.chunks(SPAN).enumerate() {
+            let n = syms.len();
+            let (add, ks, lits) = (&mut add[..n], &mut ks[..n], &mut lits[..n]);
+            let (escape, stray) = residuals(syms, q.radius(), add);
+            if stray {
+                return Err(SzError::Corrupt("symbol out of range"));
+            }
+            let start = (span == 0) as usize;
+            if escape {
+                escapes(q, literals, syms, add, lits)?;
+            }
+            if span == 0 {
+                (ks[0], prev, prev2) = (add[0], add[0], add[0]);
+            }
+            if escape {
+                for ((k, &sym), &a) in ks[start..].iter_mut().zip(&syms[start..]).zip(&add[start..]) {
+                    let pred = prev.wrapping_mul(2).wrapping_sub(prev2);
+                    *k = std::hint::select_unpredictable(sym == 0, a, pred.wrapping_add(a));
+                    (prev2, prev) = (prev, *k);
+                }
+            } else {
+                // Two running sums, each one add deep: the step
+                // `prev − prev2` plus the residual, and the index plus
+                // the step.
+                let mut step = prev.wrapping_sub(prev2);
+                for (k, &a) in ks[start..].iter_mut().zip(&add[start..]) {
+                    step = step.wrapping_add(a);
+                    *k = prev.wrapping_add(step);
+                    (prev2, prev) = (prev, *k);
+                }
+            }
+            emit(q, &mut out[span * SPAN..][..n], ks, syms, lits);
+        }
+        Ok(())
+    }
+
+    /// Lattice row `row`, whose symbols are `symbols`: Lorenzo's prediction
+    /// plus the residual, or, where `blocks` (the predictors of the row's
+    /// blocks, none outside block mode) holds a regression block, its
+    /// hyperplane's value snapped to the lattice plus the residual. Lorenzo
+    /// makes index `c[x] = w[x] + t[x]` (see [`behind`]) with `w` the prefix
+    /// sum of the residuals along the row, so span by span: `t` and the
+    /// residuals elementwise, then the sum, which restarts at an escape and
+    /// at every element of a regression block (`w[x] = c[x] − t[x]` there).
+    fn row(&mut self, row: usize, symbols: &[u32], blocks: &[(bool, BlockCoeffs)]) -> Result<(), SzError> {
+        let (g, b) = (self.g, BLOCK_SIDE);
+        let Lattice { q, literals, k, out, work: [add, behind_sum, carry], lits, .. } = self;
+        let radius = q.radius();
+        let (earlier, here) = k.split_at_mut(row * g.nx);
+        let mut w = 0i64;
+        for x0 in (0..g.nx).step_by(SPAN) {
+            let n = SPAN.min(g.nx - x0);
+            let (syms, add, t, carry) = (&symbols[x0..x0 + n], &mut add[..n], &mut behind_sum[..n], &mut carry[..n]);
+            let [u, p, d] = behind(earlier, g, row, x0, n);
+            for i in 0..n {
+                t[i] = u[i].wrapping_add(p[i]).wrapping_sub(d[i]);
+            }
+            let (escape, stray) = residuals(syms, radius, add);
+            if stray {
+                return Err(SzError::Corrupt("symbol out of range"));
+            }
+            let span_blocks = blocks.get(x0 / b..(x0 + n).div_ceil(b)).unwrap_or(&[]);
+            let (ks, out) = (&mut here[x0..x0 + n], &mut out[row * g.nx + x0..][..n]);
+            if !escape && span_blocks.iter().all(|&(reg, _)| !reg) {
+                for i in 0..n {
+                    w = w.wrapping_add(add[i]);
+                    ks[i] = w.wrapping_add(t[i]);
+                    out[i] = T::from_f64(q.lattice_value(ks[i]));
+                }
+                continue;
+            }
+            carry.fill(-1);
+            for (at, &(reg, coeffs)) in (x0 / b..).zip(span_blocks) {
+                if reg {
+                    let plane = coeffs.row(row % g.ny % b, row / g.ny % b);
+                    for i in at * b - x0..(at * b + b - x0).min(n) {
+                        let index = q.snap(plane.at(i + x0 - at * b)).0.wrapping_add(add[i]);
+                        (add[i], carry[i]) = (index.wrapping_sub(t[i]), 0);
+                    }
+                }
+            }
+            let lits = &mut lits[..n];
+            if escape {
+                escapes(q, literals, syms, add, lits)?;
+                for ((a, c), (&sym, &t)) in add.iter_mut().zip(carry.iter_mut()).zip(syms.iter().zip(&*t)) {
+                    if sym == 0 {
+                        (*a, *c) = (a.wrapping_sub(t), 0);
+                    }
+                }
+            }
+            for i in 0..n {
+                w = (w & carry[i]).wrapping_add(add[i]);
+                ks[i] = w.wrapping_add(t[i]);
+            }
+            emit(q, out, ks, syms, lits);
+        }
+        Ok(())
+    }
+
+    /// Block-adaptive streams: the rows in order, each with the predictors
+    /// of its block row. Those are read one plane of blocks at a time into
+    /// `choices`, in the order the flag and coefficient sections hold them.
+    fn blocks(
+        &mut self,
+        symbols: &[u32],
+        block_flags: &[u8],
+        coeff_bytes: &[u8],
+        choices: &mut Vec<(bool, BlockCoeffs)>,
+    ) -> Result<(), SzError> {
+        let (g, b) = (self.g, BLOCK_SIDE);
+        let (nbj, nbi) = (g.ny.div_ceil(b), g.nx.div_ceil(b));
+        let mut flags = BitReader::new(block_flags);
+        let mut coeffs = coeff_bytes.chunks_exact(16);
+        for z in 0..g.nz {
+            if z % b == 0 {
+                choices.clear();
+                for _ in 0..nbj * nbi {
+                    let reg = flags.read_bit().map_err(|_| SzError::Corrupt("block flags"))?;
+                    let c = if reg { coeffs.next().ok_or(SzError::Corrupt("coeff underrun"))? } else { &[0; 16] };
+                    let c = [0, 4, 8, 12].map(|o| f32::from_le_bytes([c[o], c[o + 1], c[o + 2], c[o + 3]]));
+                    choices.push((reg, BlockCoeffs { c }));
+                }
+            }
+            for y in 0..g.ny {
+                let row = z * g.ny + y;
+                self.row(row, &symbols[row * g.nx..][..g.nx], &choices[y / b * nbi..][..nbi])?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Per symbol of a span, its residual into `add`. Returns whether the
+/// span holds an escape (symbol 0) and whether it holds a symbol the
+/// quantizer has no bin for.
+fn residuals(symbols: &[u32], radius: u32, add: &mut [i64]) -> (bool, bool) {
+    let (mut escape, mut stray) = (false, false);
+    for (a, &sym) in add.iter_mut().zip(symbols) {
+        escape |= sym == 0;
+        stray |= sym > 2 * radius;
+        *a = sym as i64 - radius as i64;
+    }
+    (escape, stray)
+}
+
+/// Per escape (symbol 0) of a span, the next of `literals` into `lits` and
+/// its lattice index into `add`, at the escape's place. The indices are
+/// worked out for the whole span in one elementwise pass (a `lits` slot
+/// that holds no literal holds some other value, and is not used).
+fn escapes<T: Element>(
+    q: &Quantizer,
+    literals: &mut std::slice::ChunksExact<'_, u8>,
+    symbols: &[u32],
+    add: &mut [i64],
+    lits: &mut [T],
+) -> Result<(), SzError> {
+    for (lit, _) in lits.iter_mut().zip(symbols).filter(|(_, &sym)| sym == 0) {
+        *lit = T::read_le(literals.next().ok_or(SzError::Corrupt("literal underrun"))?);
+    }
+    for ((a, &lit), &sym) in add.iter_mut().zip(&*lits).zip(symbols) {
+        let index = q.snap(lit.to_f64()).0;
+        *a = if sym == 0 { index } else { *a };
+    }
+    Ok(())
+}
+
+/// The values of a span into `out`: each lattice index of `ks` times
+/// `2·eb`, narrowed, or where `symbols` holds an escape its literal of
+/// `lits`.
+fn emit<T: Element>(q: &Quantizer, out: &mut [T], ks: &[i64], symbols: &[u32], lits: &[T]) {
+    for (((o, &k), &sym), &literal) in out.iter_mut().zip(ks).zip(symbols).zip(lits) {
+        *o = std::hint::select_unpredictable(sym == 0, literal, T::from_f64(q.lattice_value(k)));
+    }
+}
+
 /// Decompress an `f32` stream.
 pub fn decompress(stream: &[u8]) -> Result<(Vec<f32>, Vec<usize>), SzError> {
     decompress_typed(stream)
@@ -1380,6 +1518,382 @@ pub fn decompress(stream: &[u8]) -> Result<(Vec<f32>, Vec<usize>), SzError> {
 /// Decompress an `f64` stream.
 pub fn decompress_f64(stream: &[u8]) -> Result<(Vec<f64>, Vec<usize>), SzError> {
     decompress_typed(stream)
+}
+
+/// The writer of predictor bytes 0 and 1, which every stream had before the
+/// lattice predictor: Lorenzo over *reconstructed* values, each element's
+/// prediction waiting on its neighbours' reconstructions, in the
+/// reference and the fast arithmetic (`kernels::force_scalar` chooses, as
+/// it chose for the default writer then). Kept where tests reach it, as
+/// what the decoder of those bytes is pinned and checked against.
+#[cfg(test)]
+mod legacy {
+    use super::*;
+    use crate::kernels;
+
+    /// Quantize one element, verifying that the error bound still holds after
+    /// the decompressor's final narrowing cast (large-magnitude values can
+    /// lose more than the slack to f32 rounding). Returns the symbol and the
+    /// reconstructed value; symbol 0 with the original value is the escape to
+    /// a literal.
+    ///
+    /// `FAST` selects the quantizer's branch-free rounding path. Bit-identical
+    /// output (`Quantizer::try_encode_fast` is proven and property-tested equal
+    /// to `try_encode` whenever `fast_exact()` holds); [`compress_with`]
+    /// selects it when `kernels::fast_enabled() && q.fast_exact()`.
+    #[inline]
+    fn quantize_one<T: Element, const FAST: bool>(q: &Quantizer, pred: f64, orig: T) -> (u32, f64) {
+        let orig = orig.to_f64();
+        let hit = if FAST { q.try_encode_fast(pred, orig) } else { q.try_encode(pred, orig) };
+        match hit {
+            Some((c, rec)) if (T::from_f64(rec).to_f64() - orig).abs() <= q.error_bound() => (c, rec),
+            _ => (0, orig),
+        }
+    }
+
+    /// [`quantize_one`], appending the symbol (and the literal of an escape)
+    /// to the output arrays; returns the reconstructed value.
+    #[inline]
+    pub(super) fn encode_one<T: Element, const FAST: bool>(
+        q: &Quantizer,
+        pred: f64,
+        orig: T,
+        symbols: &mut Vec<u32>,
+        literals: &mut Vec<T>,
+    ) -> f64 {
+        let (sym, rec) = quantize_one::<T, FAST>(q, pred, orig);
+        symbols.push(sym);
+        if sym == 0 {
+            literals.push(orig);
+        }
+        rec
+    }
+
+    /// Classic (whole-array Lorenzo) encode. Fills `s.symbols` / `s.literals`
+    /// / `s.recon`.
+    fn encode_classic<T: Element, const FAST: bool>(
+        data: &[T],
+        g: Geom,
+        order: u8,
+        q: &Quantizer,
+        s: &mut SzScratch<T>,
+    ) {
+        let n = data.len();
+        s.recon.clear();
+        s.recon.resize(n, 0.0);
+        if g.rank == 1 && order == 2 {
+            // First two elements peeled so the steady-state loop carries the
+            // two previous reconstructions in locals instead of re-deriving
+            // the predictor branch (and bounds checks) per element.
+            let mut prev = 0.0f64;
+            let mut prev2 = 0.0f64;
+            for (i, &v) in data.iter().enumerate().take(2) {
+                let pred = if i == 0 { 0.0 } else { prev };
+                let rec = encode_one::<T, FAST>(q, pred, v, &mut s.symbols, &mut s.literals);
+                s.recon[i] = rec;
+                prev2 = prev;
+                prev = rec;
+            }
+            for (i, &v) in data.iter().enumerate().skip(2) {
+                let pred = 2.0 * prev - prev2;
+                let rec = encode_one::<T, FAST>(q, pred, v, &mut s.symbols, &mut s.literals);
+                s.recon[i] = rec;
+                prev2 = prev;
+                prev = rec;
+            }
+            return;
+        }
+        s.rowp.clear();
+        s.rowp.resize(g.nx, 0.0);
+        let mut idx = 0usize;
+        for k in 0..g.nz {
+            for j in 0..g.ny {
+                lorenzo_3d_row_partial(&s.recon, g.ny, g.nx, k, j, 0, g.nx, &mut s.rowp);
+                for i in 0..g.nx {
+                    let left = if i > 0 { s.recon[idx - 1] } else { 0.0 };
+                    let pred = s.rowp[i] + left;
+                    s.recon[idx] =
+                        encode_one::<T, FAST>(q, pred, data[idx], &mut s.symbols, &mut s.literals);
+                    idx += 1;
+                }
+            }
+        }
+    }
+
+    /// The block-local `[k, j, i]` of a full block's elements, by anti-diagonal
+    /// plane (`i + j + k` ascending).
+    const fn wavefront_order() -> [[u8; 3]; BLOCK_LEN] {
+        let mut order = [[0u8; 3]; BLOCK_LEN];
+        let mut n = 0;
+        let mut t = 0;
+        while t <= 3 * (BLOCK_SIDE - 1) {
+            let mut k = 0;
+            while k < BLOCK_SIDE {
+                let mut j = 0;
+                while j < BLOCK_SIDE {
+                    if t >= k + j && t - k - j < BLOCK_SIDE {
+                        order[n] = [k as u8, j as u8, (t - k - j) as u8];
+                        n += 1;
+                    }
+                    j += 1;
+                }
+                k += 1;
+            }
+            t += 1;
+        }
+        order
+    }
+
+    pub(super) static WAVEFRONT: [[u8; 3]; BLOCK_LEN] = wavefront_order();
+
+    /// Quantize a regression block. Its predictions come from the coefficients
+    /// alone, never from `recon`, so the elements are independent of each
+    /// other and the loop runs without a carried dependence.
+    fn encode_regression_block<T: Element, const FAST: bool>(
+        data: &[T],
+        g: Geom,
+        r: BlockRange,
+        coeffs: &BlockCoeffs,
+        q: &Quantizer,
+        s: &mut SzScratch<T>,
+    ) {
+        for k in r.k.0..r.k.1 {
+            for j in r.j.0..r.j.1 {
+                let row = coeffs.row(j - r.j.0, k - r.k.0);
+                let at = (k * g.ny + j) * g.nx;
+                for i in r.i.0..r.i.1 {
+                    s.recon[at + i] = encode_one::<T, FAST>(
+                        q,
+                        row.at(i - r.i.0),
+                        data[at + i],
+                        &mut s.symbols,
+                        &mut s.literals,
+                    );
+                }
+            }
+        }
+    }
+
+    /// Quantize a Lorenzo block row by row: the elementwise part of the
+    /// stencil per row, then the serial left-neighbour scan.
+    fn encode_lorenzo_block_rows<T: Element, const FAST: bool>(
+        data: &[T],
+        g: Geom,
+        r: BlockRange,
+        q: &Quantizer,
+        s: &mut SzScratch<T>,
+    ) {
+        for k in r.k.0..r.k.1 {
+            for j in r.j.0..r.j.1 {
+                lorenzo_3d_row_partial(&s.recon, g.ny, g.nx, k, j, r.i.0, r.i.1, &mut s.rowp);
+                for i in r.i.0..r.i.1 {
+                    let idx = (k * g.ny + j) * g.nx + i;
+                    let left = if i > 0 { s.recon[idx - 1] } else { 0.0 };
+                    s.recon[idx] = encode_one::<T, FAST>(
+                        q,
+                        s.rowp[i - r.i.0] + left,
+                        data[idx],
+                        &mut s.symbols,
+                        &mut s.literals,
+                    );
+                }
+            }
+        }
+    }
+
+    /// [`encode_lorenzo_block_rows`] for a full block that has a row above and
+    /// a column to its left, visiting the elements in [`WAVEFRONT`] order.
+    ///
+    /// Every element comes after the seven stencil neighbours it is predicted
+    /// from, so each prediction — computed with the operations of
+    /// [`lorenzo_3d_row_partial`] plus the left neighbour, in their order — and
+    /// with it every symbol, literal and reconstructed value is the one the
+    /// row-by-row order gives. What changes is that consecutive elements no
+    /// longer depend on each other (they lie on one anti-diagonal plane), so
+    /// the quantizer's add–divide–round–multiply chain, which the row order
+    /// runs strictly one element after the other, overlaps across elements.
+    /// Symbols and literals are put back into row-major order at the end.
+    fn encode_lorenzo_block_wavefront<T: Element, const FAST: bool>(
+        data: &[T],
+        g: Geom,
+        r: BlockRange,
+        q: &Quantizer,
+        wave: &[(usize, usize)],
+        s: &mut SzScratch<T>,
+    ) {
+        let (k0, j0, i0) = (r.k.0, r.j.0, r.i.0);
+        debug_assert!(j0 > 0 && i0 > 0);
+        let SzScratch { recon, symbols: all_symbols, literals, .. } = s;
+        let plane = g.ny * g.nx;
+        let first = (k0 * g.ny + j0) * g.nx + i0;
+        let mut symbols = [0u32; BLOCK_LEN];
+        for &(offset, at) in wave.iter() {
+            let idx = first + offset;
+            let u = idx - g.nx; // same plane, row above
+            let partial = if idx >= plane {
+                let p = idx - plane; // plane below, same row
+                let d = p - g.nx; // plane below, row above
+                (recon[u] + recon[p] - recon[d]) - (recon[u - 1] + recon[p - 1] - recon[d - 1])
+            } else {
+                recon[u] - recon[u - 1]
+            };
+            let (sym, rec) = quantize_one::<T, FAST>(q, partial + recon[idx - 1], data[idx]);
+            recon[idx] = rec;
+            symbols[at] = sym;
+        }
+        all_symbols.extend_from_slice(&symbols);
+        if symbols.contains(&0) {
+            for (row, row_symbols) in symbols.chunks_exact(BLOCK_SIDE).enumerate() {
+                let at = first + (row / BLOCK_SIDE * g.ny + row % BLOCK_SIDE) * g.nx;
+                for (v, _) in data[at..].iter().zip(row_symbols).filter(|(_, &sym)| sym == 0) {
+                    literals.push(*v);
+                }
+            }
+        }
+    }
+
+    /// Block-adaptive encode (per-block Lorenzo vs hyperplane regression).
+    /// Fills the scratch; returns `(regression_blocks, lorenzo_blocks)`.
+    pub(super) fn encode_blocks<T: Element, const FAST: bool>(
+        data: &[T],
+        g: Geom,
+        q: &Quantizer,
+        s: &mut SzScratch<T>,
+    ) -> (u64, u64) {
+        let n = data.len();
+        s.recon.clear();
+        s.recon.resize(n, 0.0);
+        s.rowp.clear();
+        s.rowp.resize(g.nx.min(BLOCK_SIDE), 0.0);
+        let mut regression_blocks = 0u64;
+        let mut lorenzo_blocks = 0u64;
+        let b = BLOCK_SIDE;
+        let wave: Vec<(usize, usize)> = WAVEFRONT
+            .iter()
+            .map(|&[k, j, i]| {
+                let (k, j, i) = (k as usize, j as usize, i as usize);
+                ((k * g.ny + j) * g.nx + i, (k * b + j) * b + i)
+            })
+            .collect();
+        // One lap of each per block row; the registry is touched once a call.
+        let mut select_laps = lcpio_trace::Stopwatch::new();
+        let mut quantize_laps = lcpio_trace::Stopwatch::new();
+
+        let blocks = |e: usize| e.div_ceil(b);
+        for bk in 0..blocks(g.nz) {
+            for bj in 0..blocks(g.ny) {
+                let (k0, j0) = (bk * b, bj * b);
+                let (k1, j1) = ((k0 + b).min(g.nz), (j0 + b).min(g.ny));
+                let range = |bi: usize| BlockRange {
+                    k: (k0, k1),
+                    j: (j0, j1),
+                    i: (bi * b, (bi * b + b).min(g.nx)),
+                };
+                select_laps.lap(|| {
+                    s.choices.clear();
+                    // A row's full blocks together, if it is full in k and j.
+                    let batched = if (k1 - k0, j1 - j0) == (b, b) { g.nx / b } else { 0 };
+                    if batched > 0 {
+                        select_block_row(data, g, (k0, j0), batched, &mut s.select, &mut s.choices);
+                    }
+                    for bi in batched..blocks(g.nx) {
+                        s.choices.push(select_block(data, g, range(bi), &mut s.vals));
+                    }
+                });
+                quantize_laps.lap(|| {
+                    for bi in 0..blocks(g.nx) {
+                        let (use_reg, coeffs) = s.choices[bi];
+                        let r = range(bi);
+                        s.block_bits.push_bit(use_reg);
+                        if use_reg {
+                            regression_blocks += 1;
+                            s.coeffs.extend_from_slice(&coeffs.c);
+                            encode_regression_block::<T, FAST>(data, g, r, &coeffs, q, s);
+                        } else {
+                            lorenzo_blocks += 1;
+                            let full = (k1 - k0, j1 - j0, r.i.1 - r.i.0) == (b, b, b);
+                            if full && j0 > 0 && r.i.0 > 0 {
+                                encode_lorenzo_block_wavefront::<T, FAST>(data, g, r, q, &wave, s);
+                            } else {
+                                encode_lorenzo_block_rows::<T, FAST>(data, g, r, q, s);
+                            }
+                        }
+                    }
+                });
+            }
+        }
+        select_laps.commit("sz.select");
+        quantize_laps.commit("sz.quantize");
+        (regression_blocks, lorenzo_blocks)
+    }
+
+    /// Predict-quantize as it was: the head (predictor byte 0 or 1), then
+    /// `data` quantized into the scratch under the `FAST` arithmetic, the
+    /// reconstruction left in `s.recon`.
+    pub(super) fn encode<T: Element, const FAST: bool>(
+        pq: &PredictQuantize,
+        data: &[T],
+        dims: &[usize],
+        p: &mut Writer,
+        stats: &mut CompressionStats,
+        s: &mut SzScratch<T>,
+    ) {
+        assert!(!pq.lattice, "the legacy writer writes predictor bytes 0 and 1");
+        pq.encode_head::<T>(dims, p);
+        s.symbols.clear();
+        s.symbols.reserve(pq.n);
+        s.literals.clear();
+        s.block_bits.clear();
+        s.coeffs.clear();
+        if pq.block_mode {
+            (stats.regression_blocks, stats.lorenzo_blocks) = encode_blocks::<T, FAST>(data, pq.g, &pq.q, s);
+        } else {
+            encode_classic::<T, FAST>(data, pq.g, pq.order, &pq.q, s);
+        }
+        stats.unpredictable = s.literals.len() as u64;
+        stats.predictable = pq.n as u64 - stats.unpredictable;
+    }
+
+    /// The predict-quantize stage `cfg` asks for, on the legacy predictor.
+    pub(super) fn stage<T: Element>(data: &[T], dims: &[usize], cfg: &SzConfig) -> PredictQuantize {
+        PredictQuantize { lattice: false, ..PredictQuantize::new(data, dims, cfg).unwrap() }
+    }
+
+    /// The whole walk on the legacy predictor under the `FAST` arithmetic.
+    pub(super) fn walk<T: Element, const FAST: bool>(
+        pq: &PredictQuantize,
+        data: &[T],
+        dims: &[usize],
+        lossless: bool,
+        s: &mut SzScratch<T>,
+    ) -> Result<Compressed, SzError> {
+        let (mut p, mut stats) = (Writer::new(), CompressionStats::default());
+        encode::<T, FAST>(pq, data, dims, &mut p, &mut stats, s);
+        code_walk::<T, FAST>(pq, p, stats, lossless, s)
+    }
+
+    /// What `compress_typed_with` wrote before the lattice predictor: the
+    /// arithmetic chosen once per call, the fast forms when
+    /// `kernels::fast_enabled()` and the quantizer's geometry lets them
+    /// match the reference.
+    pub(super) fn compress_with<T: Element>(
+        data: &[T],
+        dims: &[usize],
+        cfg: &SzConfig,
+        s: &mut SzScratch<T>,
+    ) -> Result<Compressed, SzError> {
+        let pq = stage(data, dims, cfg);
+        if kernels::fast_enabled() && pq.q.fast_exact() {
+            walk::<T, true>(&pq, data, dims, cfg.lossless, s)
+        } else {
+            walk::<T, false>(&pq, data, dims, cfg.lossless, s)
+        }
+    }
+
+    /// [`compress_with`] into a fresh scratch.
+    pub(super) fn compress<T: Element>(data: &[T], dims: &[usize], cfg: &SzConfig) -> Result<Compressed, SzError> {
+        compress_with(data, dims, cfg, &mut SzScratch::new())
+    }
 }
 
 #[cfg(test)]
@@ -1400,11 +1914,11 @@ mod tests {
         stream[4]
     }
 
-    /// The legacy writer: the stream the encoder wrote for a lossless-on
-    /// configuration before the table could be packed and before the
-    /// matcher strode, rebuilt from `raw`, the stream of the same input
-    /// with the lossless back end off (the dense payload, which has not
-    /// changed). The reference matcher without the stride rule over the
+    /// The stream the legacy writer made for a lossless-on configuration
+    /// before the table could be packed and before the matcher strode,
+    /// rebuilt from `raw`, its stream of the same input with the lossless
+    /// back end off (the dense payload, which that revision did not
+    /// change). The reference matcher without the stride rule over the
     /// whole payload, kept when it is smaller.
     fn legacy_form(raw: &[u8]) -> Vec<u8> {
         assert_eq!(flags_of(raw), 0, "a lossless-off stream sets no flag");
@@ -1417,9 +1931,10 @@ mod tests {
         }
     }
 
-    /// What `cfg` wrote for `data` before this format revision.
+    /// What `cfg` wrote for `data` before the packed table: the legacy
+    /// predictor in its first lossless form.
     fn legacy_stream<T: Element>(data: &[T], dims: &[usize], cfg: &SzConfig) -> Vec<u8> {
-        let raw = compress_typed(data, dims, &cfg.with_lossless(false)).unwrap().bytes;
+        let raw = legacy::compress(data, dims, &cfg.with_lossless(false)).unwrap().bytes;
         if cfg.lossless {
             legacy_form(&raw)
         } else {
@@ -1435,53 +1950,70 @@ mod tests {
         bytes
     }
 
-    /// The legacy stream of `data` hashes to `pin`, decodes through the
-    /// production decoder, and restores the values of today's stream bit
-    /// for bit; today's stream is no larger. Returns today's flags byte.
+    /// The legacy encoder's own reconstruction of `data`, narrowed: what
+    /// the decoder must restore from any of its streams.
+    fn legacy_values<T: Element>(data: &[T], dims: &[usize], cfg: &SzConfig) -> Vec<u8> {
+        let (pq, mut s) = (legacy::stage(data, dims, cfg), SzScratch::new());
+        legacy::encode::<T, true>(&pq, data, dims, &mut Writer::new(), &mut CompressionStats::default(), &mut s);
+        le_bits(&s.recon.iter().map(|&v| T::from_f64(v)).collect::<Vec<T>>())
+    }
+
+    /// The legacy predictor's streams of `data` as two revisions of the
+    /// lossless back end wrote them hash to `pins`: before the packed table
+    /// ([`legacy_stream`]) and after it (the legacy writer as it stands,
+    /// the default writer until the lattice predictor). Both decode
+    /// through the production decoder to the legacy encoder's own
+    /// reconstruction, bit for bit, and the later is no larger. Returns the
+    /// later's flags byte.
     fn assert_legacy_pin<T: Element>(
         data: &[T],
         dims: &[usize],
         cfg: &SzConfig,
-        pin: (usize, u64),
+        pins: [(usize, u64); 2],
         what: &str,
     ) -> u8 {
-        let legacy = legacy_stream(data, dims, cfg);
-        assert_eq!((legacy.len(), fnv64(&legacy)), pin, "{what}: the legacy writer drifted");
-        let new = compress_typed(data, dims, cfg).unwrap().bytes;
-        let (old_values, old_dims) = decompress_typed::<T>(&legacy).expect("legacy stream decodes");
-        let (new_values, new_dims) = decompress_typed::<T>(&new).expect("new stream decodes");
-        assert_eq!(old_dims, new_dims, "{what}");
-        assert_eq!(le_bits(&old_values), le_bits(&new_values), "{what}: values differ");
-        assert!(new.len() <= legacy.len(), "{what}: {} grew to {}", legacy.len(), new.len());
-        if !cfg.lossless {
-            assert_eq!(new, legacy, "{what}: a lossless-off stream changed");
+        let older = legacy_stream(data, dims, cfg);
+        let newer = legacy::compress(data, dims, cfg).unwrap().bytes;
+        assert_eq!((older.len(), fnv64(&older)), pins[0], "{what}: the first legacy form drifted");
+        assert_eq!((newer.len(), fnv64(&newer)), pins[1], "{what}: the legacy writer drifted");
+        let want = legacy_values(data, dims, cfg);
+        for stream in [&older, &newer] {
+            let (values, got_dims) = decompress_typed::<T>(stream).expect("a legacy stream decodes");
+            assert_eq!(got_dims, dims, "{what}");
+            assert!(le_bits(&values) == want, "{what}: a legacy stream restores other values");
         }
-        flags_of(&new)
+        assert!(newer.len() <= older.len(), "{what}: {} grew to {}", older.len(), newer.len());
+        if !cfg.lossless {
+            assert_eq!(newer, older, "{what}: a lossless-off stream changed");
+        }
+        flags_of(&newer)
     }
 
     #[test]
     fn legacy_streams_keep_their_hashes_and_restore_the_same_values() {
         // `crates/sz/tests/format_regression.rs` as it stood before the
-        // packed table: same cases, same fields, the hashes it pinned then.
-        const F32_LEGACY: [(usize, u64); 8] = [
-            (1474, 0x0b0309fc53ac5be1),
-            (1409, 0x9fdaeecd243a8a0f),
-            (5903, 0x1bdaa0997fef96ce),
-            (26857, 0xb11a0ea539ab285a),
-            (19961, 0x601ec97a8dcf50c8),
-            (74689, 0x2aed0cf73c1b7ce8),
-            (1636, 0x91c2223b11df54df),
-            (1235, 0x87bf1391edd3488b),
+        // packed table (first of each pair) and before the lattice
+        // predictor (second): same cases, same fields, the hashes it
+        // pinned then.
+        const F32_LEGACY: [[(usize, u64); 2]; 8] = [
+            [(1474, 0x0b0309fc53ac5be1), (789, 0x4e8e5cbc22166838)],
+            [(1409, 0x9fdaeecd243a8a0f), (741, 0x389226a28b858bd1)],
+            [(5903, 0x1bdaa0997fef96ce), (4137, 0xce907ab4a8b849a4)],
+            [(26857, 0xb11a0ea539ab285a), (24490, 0x021d63697a585990)],
+            [(19961, 0x601ec97a8dcf50c8), (15712, 0x0d312a8b612a7877)],
+            [(74689, 0x2aed0cf73c1b7ce8), (74689, 0x2aed0cf73c1b7ce8)],
+            [(1636, 0x91c2223b11df54df), (1636, 0x91c2223b11df54df)],
+            [(1235, 0x87bf1391edd3488b), (1179, 0x112dad862f4e0473)],
         ];
-        const F64_LEGACY: [(usize, u64); 8] = [
-            (1525, 0x1261634bde1d8502),
-            (1419, 0x1ebb3a8c14a9b405),
-            (6214, 0x71ecd856dbaf7552),
-            (32902, 0x9a0f08e18388e23d),
-            (21561, 0xb997cc275be17f2d),
-            (100907, 0xa194a25cfbfcaee6),
-            (2333, 0xe427dc5c54964d7d),
-            (1260, 0xbd29894dd90bbddb),
+        const F64_LEGACY: [[(usize, u64); 2]; 8] = [
+            [(1525, 0x1261634bde1d8502), (874, 0xbbea17c1e5221ce0)],
+            [(1419, 0x1ebb3a8c14a9b405), (785, 0x6b5c3c5383055f15)],
+            [(6214, 0x71ecd856dbaf7552), (4699, 0xc43d5a5fa25f43aa)],
+            [(32902, 0x9a0f08e18388e23d), (32318, 0x9a6890c3647641b6)],
+            [(21561, 0xb997cc275be17f2d), (19254, 0xd9f04bbb7cd3fcc4)],
+            [(100907, 0xa194a25cfbfcaee6), (100907, 0xa194a25cfbfcaee6)],
+            [(2333, 0xe427dc5c54964d7d), (2333, 0xe427dc5c54964d7d)],
+            [(1260, 0xbd29894dd90bbddb), (1194, 0x8c00def8fddfdeb3)],
         ];
         for (i, (dims, cfg)) in pinned_cases().iter().enumerate() {
             let what = format!("f32 case {i} ({dims:?})");
@@ -1489,39 +2021,136 @@ mod tests {
             let what = format!("f64 case {i} ({dims:?})");
             assert_legacy_pin(&pinned_field_f64(i, dims), dims, cfg, F64_LEGACY[i], &what);
         }
-        // The large default-path field of `tests/format_regression.rs`.
+        // The large default-path field, which the packed table left alone.
         let dims = [64usize, 48, 96];
         let data = field_f32(dims.iter().product(), 0xf00d);
         let cfg = SzConfig::new(ErrorBound::Absolute(1e-3));
-        assert_legacy_pin(&data, &dims, &cfg, (1239326, 0xa14fe20444c14883), "large 3-D");
+        assert_legacy_pin(&data, &dims, &cfg, [(1239326, 0xa14fe20444c14883); 2], "large 3-D");
 
-        // `SZPR`: the wrapper around a legacy inner stream.
+        // `SZPR`: the wrapper around a legacy inner stream, whose input is
+        // the logs `compress_pointwise_rel` takes (zeros as -1100).
         let data: Vec<f32> = field_f32(900, 0xfeed)
             .into_iter()
             .map(|v| if v == 0.0 { 0.0 } else { v * v + 0.5 })
             .collect();
+        let logs: Vec<f64> = data.iter().map(|&v| if v == 0.0 { -1100.0 } else { (v.abs() as f64).log2() }).collect();
         let cfg = SzConfig::new(ErrorBound::Absolute(1.0));
-        let raw = compress_pointwise_rel(&data, &[30, 30], 1e-3, &cfg.with_lossless(false)).unwrap();
+        let inner_cfg = SzConfig::new(ErrorBound::Absolute((1.0f64 + 1e-3).log2()));
+        let raw = compress_pointwise_rel(&data, &[30, 30], 1e-3, &cfg).unwrap();
         let parts = parse_pointwise_rel(&raw.bytes).unwrap();
-        let legacy = build_pointwise_rel(&PwrelParts { inner: &legacy_form(parts.inner), ..parts });
-        assert_eq!((legacy.len(), fnv64(&legacy)), (4719, 0x130883166a901ebc), "legacy SZPR");
-        let new = compress_pointwise_rel(&data, &[30, 30], 1e-3, &cfg).unwrap().bytes;
-        let (old_values, _) = decompress_pointwise_rel::<f32>(&legacy).unwrap();
-        let (new_values, _) = decompress_pointwise_rel::<f32>(&new).unwrap();
-        assert_eq!(le_bits(&old_values), le_bits(&new_values));
-        assert!(new.len() < legacy.len());
+        let dense = legacy::compress(&logs, &[30, 30], &inner_cfg.with_lossless(false)).unwrap().bytes;
+        let newer = legacy::compress(&logs, &[30, 30], &inner_cfg).unwrap().bytes;
+        for (inner, pin) in [(legacy_form(&dense), (4719, 0x130883166a901ebc)), (newer, (3408, 0xbe4664c258077cd7))] {
+            let legacy = build_pointwise_rel(&PwrelParts { inner: &inner, ..parts });
+            assert_eq!((legacy.len(), fnv64(&legacy)), pin, "legacy SZPR");
+            let (values, _) = decompress_pointwise_rel::<f32>(&legacy).unwrap();
+            for (a, b) in data.iter().zip(&values) {
+                assert!((a - b).abs() <= 1e-3 * a.abs(), "{a} vs {b}");
+            }
+        }
+    }
+
+    /// The legacy writer's streams of `chunks` (each a field, its dims) as
+    /// one byte string, and the values they decode to as another.
+    fn legacy_chunks<T: Element>(chunks: &[(Vec<T>, Vec<usize>)], cfg: &SzConfig) -> (Vec<u8>, Vec<u8>) {
+        let (mut streams, mut values) = (Vec::new(), Vec::new());
+        for (data, dims) in chunks {
+            let stream = legacy::compress(data, dims, cfg).unwrap().bytes;
+            values.extend(le_bits(&decompress_typed::<T>(&stream).unwrap().0));
+            streams.extend(stream);
+        }
+        (streams, values)
+    }
+
+    /// `data` shaped `[planes, rest…]` cut into chunks at the plane ranges
+    /// `cuts`, as the chunked container cuts it.
+    fn cut<T: Element>(data: &[T], dims: &[usize], cuts: &[(usize, usize)]) -> Vec<(Vec<T>, Vec<usize>)> {
+        let plane: usize = dims[1..].iter().product();
+        let shape = |p0: usize, p1: usize| [&[p1 - p0][..], &dims[1..]].concat();
+        cuts.iter().map(|&(p0, p1)| (data[p0 * plane..p1 * plane].to_vec(), shape(p0, p1))).collect()
+    }
+
+    #[test]
+    fn legacy_chunks_of_the_pinned_containers_decode_to_their_old_values() {
+        // The chunks the pinned `SZLP` containers held when the legacy
+        // writer was the default: the four chunks of 12 planes of the root
+        // `tests/format_regression.rs` NYX cube at each paper bound, and
+        // the chunks of `lcpio-codec`'s `format_regression.rs` fields (the
+        // containers were these bytes plus 106 and 130 bytes of framing).
+        // Per set: the total length and the hashes of the streams and of
+        // the values the decoder restored from them then.
+        let nyx = (0..4).map(nyx_chunk).map(|(data, dims)| (data, dims.to_vec())).collect::<Vec<_>>();
+        for (eb, pin) in [
+            (1e-1, (72303, 0x3dd7a7a87fb09578, 0x89be6943f659c6d2)),
+            (1e-2, (119651, 0x605a9835f996f945, 0x1e5493660604e630)),
+            (1e-3, (172561, 0xc45af57aa574431d, 0x008cb4e5f7fd201f)),
+            (1e-4, (240471, 0xcb4b7f5bd3cb9560, 0xd7a80bff45cc8ba7)),
+        ] {
+            let (streams, values) = legacy_chunks(&nyx, &SzConfig::new(ErrorBound::Absolute(eb)));
+            assert_eq!((streams.len(), fnv64(&streams), fnv64(&values)), pin, "NYX at {eb:e}");
+        }
+        let dims = [32usize, 9, 7];
+        let chunks = cut(&field_f32(dims.iter().product(), 0xc0ffee), &dims, &[(0, 12), (12, 24), (24, 32)]);
+        let (streams, values) = legacy_chunks(&chunks, &SzConfig::new(ErrorBound::Absolute(1e-3)));
+        assert_eq!((streams.len(), fnv64(&streams), fnv64(&values)), (8971, 0x2c790c88286baadc, 0x16d5e84582aa9fde));
+        let dims = [40usize, 8, 6];
+        let wide: Vec<f64> = field_f32(dims.iter().product(), 0xabcdef).into_iter().map(f64::from).collect();
+        let chunks = cut(&wide, &dims, &[(0, 12), (12, 24), (24, 36), (36, 40)]);
+        let (streams, values) = legacy_chunks(&chunks, &SzConfig::new(ErrorBound::Absolute(1e-4)));
+        assert_eq!((streams.len(), fnv64(&streams), fnv64(&values)), (12169, 0x8b71e1b24f9a85db, 0xbec8e16ebaca0ed3));
     }
 
     #[test]
     fn a_stream_that_gains_from_neither_part_is_the_legacy_stream() {
         // A table too short to pack and a payload with no 32-miss streak:
-        // byte for byte what was written before.
+        // the legacy writer's stream is, byte for byte, what it wrote
+        // before either part.
         let flat = vec![1.0f32; 24 * 24 * 24];
         let dims = [24usize, 24, 24];
         let cfg = SzConfig::new(ErrorBound::Absolute(1e-3));
-        let new = compress_typed(&flat, &dims, &cfg).unwrap().bytes;
-        assert_eq!(flags_of(&new), FLAG_LOSSLESS);
-        assert_eq!(new, legacy_stream(&flat, &dims, &cfg));
+        let newer = legacy::compress(&flat, &dims, &cfg).unwrap().bytes;
+        assert_eq!(flags_of(&newer), FLAG_LOSSLESS);
+        assert_eq!(newer, legacy_stream(&flat, &dims, &cfg));
+    }
+
+    #[test]
+    fn legacy_writer_arithmetics_emit_identical_streams() {
+        // The legacy writer's reference and fast arithmetic: equal bytes and
+        // equal work profile on every pinned case, on larger 3-D fields (many
+        // full rows, row tails and partial blocks in every mode) and on the
+        // large default-path field.
+        fn both<T: Element>(data: &[T], dims: &[usize], cfg: &SzConfig, what: &str) {
+            let pq = legacy::stage(data, dims, cfg);
+            assert!(pq.q.fast_exact(), "{what}");
+            let fast = legacy::walk::<T, true>(&pq, data, dims, cfg.lossless, &mut SzScratch::new()).unwrap();
+            let reference = legacy::walk::<T, false>(&pq, data, dims, cfg.lossless, &mut SzScratch::new()).unwrap();
+            assert_eq!(fast.bytes, reference.bytes, "{what}: streams differ");
+            assert_eq!(fast.stats, reference.stats, "{what}: stats differ");
+        }
+        for (i, (dims, cfg)) in pinned_cases().iter().enumerate() {
+            both(&pinned_field_f32(i, dims), dims, cfg, &format!("f32 case {i}"));
+            both(&pinned_field_f64(i, dims), dims, cfg, &format!("f64 case {i}"));
+        }
+        let dims = [6usize, 37, 129];
+        for mode in [PredictorMode::Lorenzo, PredictorMode::BlockAdaptive] {
+            for lossless in [false, true] {
+                let data = field_f32(dims.iter().product(), 0xabcd ^ lossless as u64);
+                let cfg = SzConfig::new(ErrorBound::Absolute(1e-3)).with_mode(mode).with_lossless(lossless);
+                both(&data, &dims, &cfg, &format!("large 3-D {mode:?} lossless={lossless}"));
+            }
+        }
+        let dims = [64usize, 48, 96];
+        let data = field_f32(dims.iter().product(), 0xf00d);
+        both(&data, &dims, &SzConfig::new(ErrorBound::Absolute(1e-3)), "large default-path 3-D");
+        // And `kernels::force_scalar` selects the reference for the legacy
+        // writer, and nothing for the default writer.
+        let cfg = SzConfig::new(ErrorBound::Absolute(1e-3));
+        let (legacy_fast, lattice_fast) = (legacy::compress(&data, &dims, &cfg).unwrap(), compress_typed(&data, &dims, &cfg).unwrap());
+        crate::kernels::force_scalar(true);
+        let (legacy_scalar, lattice_scalar) = (legacy::compress(&data, &dims, &cfg).unwrap(), compress_typed(&data, &dims, &cfg).unwrap());
+        crate::kernels::reset_force_scalar();
+        assert_eq!((legacy_fast.bytes, legacy_fast.stats), (legacy_scalar.bytes, legacy_scalar.stats));
+        assert_eq!((lattice_fast.bytes, lattice_fast.stats), (lattice_scalar.bytes, lattice_scalar.stats));
     }
 
     /// One chunk (12 planes) of the NYX cube the default-path pins use.
@@ -1541,7 +2170,7 @@ mod tests {
     ) -> (PredictQuantize, SzScratch<T>, CodeTable) {
         let pq = PredictQuantize::new(data, dims, cfg).unwrap();
         let mut s = SzScratch::new();
-        pq.encode::<T, true>(data, dims, &mut Writer::new(), &mut CompressionStats::default(), &mut s);
+        pq.encode(data, dims, &mut Writer::new(), &mut CompressionStats::default(), &mut s);
         let code = huffman_code::<T, true>(pq.q.alphabet_size(), &mut s).unwrap();
         (pq, s, code)
     }
@@ -1595,18 +2224,21 @@ mod tests {
                 assert_eq!(stream_type_tag(&bad).unwrap_err(), SzError::Corrupt("unknown flags"));
             }
         }
-        // So is a predictor byte other than 0 and 1, in either mode: it is
-        // never read as classic Lorenzo. Behind the envelope, the type tag
-        // and two dims.
+        // So is a predictor byte past 3, in either mode and from either
+        // writer: it is never read as one the decoder knows. Behind the
+        // envelope, the type tag and two dims.
         const PREDICTOR_AT: usize = ENVELOPE_LEN + 1 + 1 + 2 * 8;
         for (mode, byte) in [(PredictorMode::Lorenzo, 0), (PredictorMode::BlockAdaptive, 1)] {
             let cfg = SzConfig::new(ErrorBound::Absolute(1e-3)).with_mode(mode).with_lossless(false);
-            let good = compress(&data, &[16, 32], &cfg).unwrap().bytes;
-            assert_eq!((flags_of(&good), good[PREDICTOR_AT]), (0, byte));
-            for forged in 2..=u8::MAX {
-                let mut bad = good.clone();
-                bad[PREDICTOR_AT] = forged;
-                assert_eq!(decompress(&bad).unwrap_err(), SzError::Corrupt("unknown predictor"));
+            let lattice = compress(&data, &[16, 32], &cfg).unwrap().bytes;
+            let old = legacy::compress(&data, &[16, 32], &cfg).unwrap().bytes;
+            for (good, byte) in [(lattice, byte | 2), (old, byte)] {
+                assert_eq!((flags_of(&good), good[PREDICTOR_AT]), (0, byte));
+                for forged in 4..=u8::MAX {
+                    let mut bad = good.clone();
+                    bad[PREDICTOR_AT] = forged;
+                    assert_eq!(decompress(&bad).unwrap_err(), SzError::Corrupt("unknown predictor"));
+                }
             }
         }
     }
@@ -1641,35 +2273,92 @@ mod tests {
     #[test]
     fn predict_quantize_stage_round_trips() {
         // The head and the sections there and back, and the encoder's own
-        // symbols reconstructed: the values it reconstructed, narrowed, to
-        // the bit. Both modes and arithmetics, escapes included.
+        // symbols decoded: on the lattice, each kept element's index times
+        // `2·eb`, narrowed, and each escape's literal; on the legacy
+        // predictor, the values it reconstructed, narrowed, in both
+        // arithmetics. Both modes, escapes included, to the bit.
         let mut escapes = 0;
         for (dims, eb) in [(vec![13usize, 20, 19], 1e-3), (vec![40, 50], 1e-1), (vec![1000], 1e-5)] {
             let data = mixed_field(&dims, 0x9e37_79b9);
             for mode in [PredictorMode::BlockAdaptive, PredictorMode::Lorenzo] {
-                let pq = PredictQuantize::new(&data, &dims, &SzConfig::new(ErrorBound::Absolute(eb)).with_mode(mode))
-                    .unwrap();
-                for fast in [true, false] {
+                let cfg = SzConfig::new(ErrorBound::Absolute(eb)).with_mode(mode);
+                for writer in ["lattice", "legacy fast", "legacy reference"] {
                     let (mut p, mut s, mut stats) = (Writer::new(), SzScratch::new(), CompressionStats::default());
-                    if fast {
-                        pq.encode::<f32, true>(&data, &dims, &mut p, &mut stats, &mut s);
-                    } else {
-                        pq.encode::<f32, false>(&data, &dims, &mut p, &mut stats, &mut s);
-                    }
+                    let pq = if writer == "lattice" { PredictQuantize::new(&data, &dims, &cfg).unwrap() } else { legacy::stage(&data, &dims, &cfg) };
+                    let want: Vec<f32> = match writer {
+                        "lattice" => {
+                            pq.encode(&data, &dims, &mut p, &mut stats, &mut s);
+                            let kept = s.lattice.iter().zip(&s.symbols).zip(&data);
+                            kept.map(|((&k, &sym), &v)| if sym == 0 { v } else { pq.q.lattice_value(k) as f32 }).collect()
+                        }
+                        "legacy fast" => {
+                            legacy::encode::<f32, true>(&pq, &data, &dims, &mut p, &mut stats, &mut s);
+                            s.recon.iter().map(|&v| v as f32).collect()
+                        }
+                        _ => {
+                            legacy::encode::<f32, false>(&pq, &data, &dims, &mut p, &mut stats, &mut s);
+                            s.recon.iter().map(|&v| v as f32).collect()
+                        }
+                    };
                     pq.encode_sections(&mut p, &mut s);
                     escapes += stats.unpredictable;
-                    let want: Vec<f32> = s.recon.iter().map(|&v| v as f32).collect();
                     let bytes = p.into_bytes();
                     let mut r = Reader::new(&bytes);
                     let (back, back_dims) = PredictQuantize::decode_head::<f32>(&mut r).unwrap();
-                    assert_eq!((&back_dims, back.block_mode, back.n), (&dims, pq.block_mode, pq.n));
+                    assert_eq!(
+                        (&back_dims, back.block_mode, back.lattice, back.n),
+                        (&dims, pq.block_mode, pq.lattice, pq.n)
+                    );
                     let mut values = vec![f32::NAN; back.n];
                     back.decode(&mut r, &mut s, &mut values).unwrap();
-                    assert_eq!(le_bits(&values), le_bits(&want), "{dims:?} {mode:?} fast={fast}");
+                    assert_eq!(le_bits(&values), le_bits(&want), "{dims:?} {mode:?} {writer}");
                 }
             }
         }
         assert!(escapes > 0);
+    }
+
+    #[test]
+    fn lattice_escapes_round_trip() {
+        // Every way out of the lattice: NaN, ±∞, values beyond 2^51·2eb,
+        // and the NYX cube at 1e-4, where `f32` narrowing misses the bound
+        // in over a thousand blocks. Finite values within the bound, escaped
+        // values bit for bit, NaN and ±∞ as themselves.
+        let eb = 1e-3;
+        let reach = 2f64.powi(51) * 2.0 * eb;
+        let smooth = |i: usize| (i as f32 * 0.013).sin() * 40.0;
+        let salted = |special: &dyn Fn(usize) -> f32| -> Vec<f32> {
+            (0..12 * 20 * 30).map(|i| if i % 7 == 3 { special(i) } else { smooth(i) }).collect()
+        };
+        let nyx = lcpio_datagen::nyx::velocity_x(96, 11).data;
+        let cases: [(&str, Vec<f32>, Vec<usize>, f64); 4] = [
+            ("NaN", salted(&|_| f32::NAN), vec![12, 20, 30], eb),
+            ("infinities", salted(&|i| if i % 2 == 0 { f32::INFINITY } else { f32::NEG_INFINITY }), vec![12, 20, 30], eb),
+            ("beyond reach", salted(&|i| (reach * (1.0 + i as f64 * 1e-3)) as f32 * if i % 2 == 0 { 1.0 } else { -1.0 }), vec![12, 20, 30], eb),
+            ("NYX 96^3", nyx, vec![96, 96, 96], 1e-4),
+        ];
+        for (what, data, dims, eb) in cases {
+            for mode in [PredictorMode::BlockAdaptive, PredictorMode::Lorenzo] {
+                let cfg = SzConfig::new(ErrorBound::Absolute(eb)).with_mode(mode);
+                let pq = PredictQuantize::new(&data, &dims, &cfg).unwrap();
+                let mut s = SzScratch::new();
+                pq.encode(&data, &dims, &mut Writer::new(), &mut CompressionStats::default(), &mut s);
+                let escaped: Vec<bool> = s.symbols.iter().map(|&sym| sym == 0).collect();
+                let (values, _) = decompress(&compress(&data, &dims, &cfg).unwrap().bytes).unwrap();
+                let mut escapes = 0;
+                for (i, ((&x, &y), &escape)) in data.iter().zip(&values).zip(&escaped).enumerate() {
+                    if escape || !x.is_finite() {
+                        assert!(escape, "{what} {mode:?}: element {i} ({x}) is not escaped");
+                        assert_eq!(x.to_bits(), y.to_bits(), "{what} {mode:?}: element {i}");
+                        escapes += 1;
+                    } else {
+                        assert!((x as f64 - y as f64).abs() <= eb, "{what} {mode:?}: element {i}: {x} -> {y}");
+                    }
+                }
+                assert!(escapes >= data.len() / 7 || what == "NYX 96^3", "{what}: {escapes} escapes");
+                assert!(escapes > 1000, "{what} {mode:?}: {escapes} escapes");
+            }
+        }
     }
 
     #[test]
@@ -1833,7 +2522,7 @@ mod tests {
                                     let left = if i > 0 { s.recon[idx - 1] } else { 0.0 };
                                     s.rowp[i - i0] + left
                                 };
-                                s.recon[idx] = encode_one::<T, FAST>(
+                                s.recon[idx] = legacy::encode_one::<T, FAST>(
                                     q,
                                     pred,
                                     data[idx],
@@ -1854,12 +2543,13 @@ mod tests {
     /// reads, the rest of the layout read here, then one symbol at a time
     /// through the reference Huffman walk, the predictor chosen and the
     /// escape and range tests made per element, rows in storage order, the
-    /// output narrowed in a second pass.
+    /// output narrowed in a second pass. Streams of the lattice predictor
+    /// take the same walk with their own per-element prediction.
     fn decompress_reference<T: Element>(stream: &[u8]) -> Result<(Vec<T>, Vec<usize>), SzError> {
         const CORRUPT: SzError = SzError::Corrupt("reference");
         let (flags, payload) = lossless_decode(stream)?;
         let mut r = Reader::new(&payload);
-        let (PredictQuantize { g, block_mode, order, q, n }, dims) = PredictQuantize::decode_head::<T>(&mut r)?;
+        let (PredictQuantize { g, block_mode, lattice, order, q, n }, dims) = PredictQuantize::decode_head::<T>(&mut r)?;
         let (first_symbol, count) = (r.u32()? as usize, r.u32()? as usize);
         if first_symbol.checked_add(count).is_none_or(|end| end > q.alphabet_size()) {
             return Err(CORRUPT);
@@ -1883,6 +2573,68 @@ mod tests {
 
         let mut sym_reader = BitReader::new(sym_bytes);
         let mut lit_iter = literals.iter();
+        if lattice {
+            // One element at a time in storage order, every block's flag
+            // and coefficients read up front, the prediction spelled out.
+            let b = BLOCK_SIDE;
+            let (nbj, nbi) = (g.ny.div_ceil(b), g.nx.div_ceil(b));
+            let mut planes = Vec::new();
+            if block_mode {
+                let mut flag_reader = BitReader::new(block_bit_bytes);
+                let mut coeffs = coeff_vals.chunks_exact(4);
+                for _ in 0..g.nz.div_ceil(b) * nbj * nbi {
+                    let use_reg = flag_reader.read_bit().map_err(|_| SzError::Corrupt("block flags"))?;
+                    planes.push(if use_reg {
+                        let c = coeffs.next().ok_or(SzError::Corrupt("coeff underrun"))?;
+                        Some(BlockCoeffs { c: c.try_into().unwrap() })
+                    } else {
+                        None
+                    });
+                }
+            }
+            let mut ks = vec![0i64; n];
+            let mut values = Vec::with_capacity(n);
+            let radius = q.radius() as i64;
+            for idx in 0..n {
+                let (i, j, k) = (idx % g.nx, idx / g.nx % g.ny, idx / (g.nx * g.ny));
+                let sym = dec.decode(&mut sym_reader).map_err(|_| SzError::Corrupt("symbol stream"))?;
+                if sym as i64 > 2 * radius {
+                    return Err(SzError::Corrupt("symbol out of range"));
+                }
+                let at = |dk: usize, dj: usize, di: usize| {
+                    if k < dk || j < dj || i < di {
+                        0
+                    } else {
+                        ks[((k - dk) * g.ny + j - dj) * g.nx + i - di]
+                    }
+                };
+                let (index, value) = if sym == 0 {
+                    let literal = lit_iter.next().ok_or(SzError::Corrupt("literal underrun"))?;
+                    (q.snap(literal.to_f64()).0, *literal)
+                } else {
+                    let block = planes.get(((k / b) * nbj + j / b) * nbi + i / b).copied().flatten();
+                    let predicted = if let Some(c) = block {
+                        q.snap(c.predict(i % b, j % b, k % b)).0
+                    } else if g.rank == 1 && order == 2 {
+                        match idx {
+                            0 => 0,
+                            1 => ks[0],
+                            _ => ks[idx - 1].wrapping_mul(2).wrapping_sub(ks[idx - 2]),
+                        }
+                    } else {
+                        let sum = [at(0, 0, 1), at(0, 1, 0), at(1, 0, 0), at(1, 1, 1)];
+                        let less = [at(0, 1, 1), at(1, 0, 1), at(1, 1, 0)];
+                        let sum = sum.iter().fold(0i64, |acc, &v| acc.wrapping_add(v));
+                        less.iter().fold(sum, |acc, &v| acc.wrapping_sub(v))
+                    };
+                    let index = predicted.wrapping_add(sym as i64 - radius);
+                    (index, T::from_f64(q.lattice_value(index)))
+                };
+                ks[idx] = index;
+                values.push(value);
+            }
+            return Ok((values, dims));
+        }
         let mut recon = vec![0.0f64; n];
         let mut rowp = vec![0.0f64; if block_mode { g.nx.min(BLOCK_SIDE) } else { g.nx }];
         let mut next_value = |pred: f64, recon_slot: &mut f64| -> Result<(), SzError> {
@@ -2066,10 +2818,12 @@ mod tests {
                 for radius in [Quantizer::DEFAULT_RADIUS, 4] {
                     let cfg =
                         SzConfig::new(ErrorBound::Absolute(eb)).with_mode(mode).with_radius(radius);
-                    let out = compress_typed(&data, &dims, &cfg).unwrap();
-                    assert_decode_matches_reference::<f32>(&out.bytes, &mut stale32, true);
-                    let out = compress_typed(&data64, &dims, &cfg).unwrap();
-                    assert_decode_matches_reference::<f64>(&out.bytes, &mut stale64, true);
+                    for stream in [compress_typed(&data, &dims, &cfg), legacy::compress(&data, &dims, &cfg)] {
+                        assert_decode_matches_reference::<f32>(&stream.unwrap().bytes, &mut stale32, true);
+                    }
+                    for stream in [compress_typed(&data64, &dims, &cfg), legacy::compress(&data64, &dims, &cfg)] {
+                        assert_decode_matches_reference::<f64>(&stream.unwrap().bytes, &mut stale64, true);
+                    }
                 }
             }
         }
@@ -2093,6 +2847,7 @@ mod tests {
             lossless in any::<bool>(),
             escape_heavy in any::<bool>(),
             flips in proptest::collection::vec((any::<u32>(), 0u8..8), 0..3),
+            old_writer in any::<bool>(),
         ) {
             let dims = shape(rank, n0, n1, n2);
             let data = salted_field(dims.iter().product(), seed, density, &specials);
@@ -2105,8 +2860,11 @@ mod tests {
                 .with_radius(if escape_heavy { 4 } else { Quantizer::DEFAULT_RADIUS });
             cfg.lorenzo_order = order;
             let (mut stale32, mut stale64) = (stale_scratch::<f32>(), stale_scratch::<f64>());
-            let mut out32 = compress_typed(&data, &dims, &cfg).unwrap().bytes;
-            let mut out64 = compress_typed(&data64, &dims, &cfg).unwrap().bytes;
+            let (mut out32, mut out64) = if old_writer {
+                (legacy::compress(&data, &dims, &cfg).unwrap().bytes, legacy::compress(&data64, &dims, &cfg).unwrap().bytes)
+            } else {
+                (compress_typed(&data, &dims, &cfg).unwrap().bytes, compress_typed(&data64, &dims, &cfg).unwrap().bytes)
+            };
             assert_decode_matches_reference::<f32>(&out32, &mut stale32, true);
             assert_decode_matches_reference::<f64>(&out64, &mut stale64, true);
             // The same streams with a few bits flipped: whatever the
@@ -2135,7 +2893,7 @@ mod tests {
     fn assert_blocks_match_reference(data: &[f32], dims: &[usize], eb: f64) -> (Vec<f32>, (u64, u64)) {
         fn run<T: Element, const FAST: bool>(data: &[T], g: Geom, q: &Quantizer) -> (Vec<f32>, (u64, u64)) {
             let (mut new, mut old) = (SzScratch::<T>::new(), SzScratch::<T>::new());
-            let counts = encode_blocks::<T, FAST>(data, g, q, &mut new);
+            let counts = legacy::encode_blocks::<T, FAST>(data, g, q, &mut new);
             assert_eq!(counts, encode_blocks_reference::<T, FAST>(data, g, q, &mut old));
             assert_eq!(new.symbols, old.symbols);
             assert_eq!(le_bits(&new.literals), le_bits(&old.literals));
@@ -2190,7 +2948,7 @@ mod tests {
     fn wavefront_order_puts_every_stencil_neighbour_first() {
         let mut seen = [false; BLOCK_LEN];
         let at = |k: u8, j: u8, i: u8| (k as usize * BLOCK_SIDE + j as usize) * BLOCK_SIDE + i as usize;
-        for &[k, j, i] in &WAVEFRONT {
+        for &[k, j, i] in &legacy::WAVEFRONT {
             for (dk, dj, di) in
                 [(0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)]
             {
@@ -2396,11 +3154,23 @@ mod tests {
     ) -> CompressionStats {
         let pq = PredictQuantize::new(data, dims, cfg).unwrap();
         let alphabet = pq.q.alphabet_size();
-        let want = compress_walk::<T, true>(&pq, data, dims, cfg.lossless, &mut SzScratch::new()).unwrap();
+        // The whole walk with the emitter in either arithmetic.
+        fn walk<T: Element, const FAST: bool>(
+            pq: &PredictQuantize,
+            data: &[T],
+            dims: &[usize],
+            lossless: bool,
+            s: &mut SzScratch<T>,
+        ) -> Compressed {
+            let (mut p, mut stats) = (Writer::new(), CompressionStats::default());
+            pq.encode(data, dims, &mut p, &mut stats, s);
+            code_walk::<T, FAST>(pq, p, stats, lossless, s).unwrap()
+        }
+        let want = walk::<T, true>(&pq, data, dims, cfg.lossless, &mut SzScratch::new());
         let bits = |s: &mut SzScratch<T>| (s.sym_bits.bit_len(), s.sym_bits.finish().to_vec());
         let mut stale = stale_encode_scratch::<T>();
         for scratch in [&mut SzScratch::new(), &mut stale] {
-            pq.encode::<T, true>(data, dims, &mut Writer::new(), &mut CompressionStats::default(), scratch);
+            pq.encode(data, dims, &mut Writer::new(), &mut CompressionStats::default(), scratch);
             scratch.sym_bits.clear();
             let reference = (entropy_code_reference(alphabet, scratch).unwrap(), bits(scratch));
             let fast = (huffman_code::<T, true>(alphabet, scratch).unwrap(), bits(scratch));
@@ -2408,8 +3178,8 @@ mod tests {
             let slow = (huffman_code::<T, false>(alphabet, scratch).unwrap(), bits(scratch));
             assert!(slow == reference, "{dims:?} {cfg:?}, reference arithmetic");
             for got in [
-                compress_walk::<T, false>(&pq, data, dims, cfg.lossless, scratch).unwrap(),
-                compress_walk::<T, true>(&pq, data, dims, cfg.lossless, scratch).unwrap(),
+                walk::<T, false>(&pq, data, dims, cfg.lossless, scratch),
+                walk::<T, true>(&pq, data, dims, cfg.lossless, scratch),
             ] {
                 assert_eq!(got.bytes, want.bytes, "{dims:?} {cfg:?}");
                 assert_eq!(got.stats, want.stats, "{dims:?} {cfg:?}");
@@ -2493,7 +3263,7 @@ mod tests {
     fn scratch_bytes<T>(s: &SzScratch<T>) -> usize {
         s.symbols.capacity() * 4
             + s.literals.capacity() * std::mem::size_of::<T>()
-            + (s.recon.capacity() + s.rowp.capacity() + s.vals.capacity() + 2 * s.wave.capacity()) * 8
+            + (s.lattice.capacity() + s.recon.capacity() + s.rowp.capacity() + s.vals.capacity()) * 8
             + (s.select.planes.capacity() + s.select.terms.capacity()) * 8
             + (s.select.vals.capacity() + s.select.probe.capacity()) * 8 * LANES
             + s.choices.capacity() * std::mem::size_of::<(bool, BlockCoeffs)>()

@@ -1,22 +1,18 @@
-//! Stream-format regression: SZ compressed bytes are pinned against hashes
-//! captured from the original element-at-a-time codec. The fast quantizer
-//! arithmetic and the batched Huffman emitter are pure optimizations — any
+//! Stream-format regression: SZ compressed bytes are pinned by hash. Any
 //! change to the emitted bytes is a format break and must fail here.
 //!
-//! The lossless-on cases were re-pinned once, when the lossless back end
-//! began to pack the Huffman table (`FLAG_PACKED_TABLE`) and its matcher
-//! to stride through unmatchable bytes; the lossless-off cases, the 4-D
-//! case (a table too short to pack) and the all-escape 3-D field did not
-//! move. The values pinned before live on in
+//! The pins were re-pinned twice. Once when the lossless back end began to
+//! pack the Huffman table (`FLAG_PACKED_TABLE`) and its matcher to stride
+//! through unmatchable bytes, and once when the default writer moved to the
+//! lattice predictor (predictor bytes 2 and 3). The values pinned before
+//! live on in
 //! `pipeline::tests::legacy_streams_keep_their_hashes_and_restore_the_same_values`,
-//! which rebuilds the old streams and decodes them with today's decoder.
-//!
-//! The same cases are then re-compressed with the reference arithmetic
-//! (`kernels::force_scalar(true)`) and with the fast arithmetic, proving
-//! that both emit identical streams and report identical
-//! `CompressionStats` (the work profile the power model prices). The
-//! switch is process-global, so exactly one `#[test]` in this binary flips
-//! it, case after case.
+//! which rebuilds the old streams with the test-only legacy writer and
+//! decodes them with today's decoder. That writer's reference-versus-fast
+//! arithmetic check is there too
+//! (`pipeline::tests::legacy_writer_arithmetics_emit_identical_streams`):
+//! the lattice writer has one arithmetic, so the larger fields below are
+//! bound checks on it.
 //!
 //! The chunked `SZLP` container is written by `lcpio-codec`; its pinned
 //! hashes live in that crate's `tests/format_regression.rs` (and, for the
@@ -25,32 +21,31 @@
 mod generators;
 
 use generators::{field_f32, fnv64, pinned_cases as cases, pinned_field_f32, pinned_field_f64};
-use lcpio_sz::kernels;
 use lcpio_sz::{
     compress_pointwise_rel, compress_typed, decompress_typed, Compressed, ErrorBound,
     PredictorMode, SzConfig,
 };
 
 const F32_EXPECT: [(usize, u64); 8] = [
-    (789, 0x4e8e5cbc22166838),
-    (741, 0x389226a28b858bd1),
-    (4137, 0xce907ab4a8b849a4),
-    (24490, 0x021d63697a585990),
-    (15712, 0x0d312a8b612a7877),
-    (74689, 0x2aed0cf73c1b7ce8),
-    (1636, 0x91c2223b11df54df),
-    (1179, 0x112dad862f4e0473),
+    (789, 0x83a49e2e171308d4),
+    (742, 0x357f92ec3737feba),
+    (4129, 0x10cacb02831fdfd6),
+    (24493, 0x61138b7ffe594658),
+    (15706, 0xc913e78c8fa12c26),
+    (74690, 0xdb96bc11cdc03723),
+    (1636, 0x977591c532a5eba9),
+    (1291, 0xfc0bc032cdcd3bf6),
 ];
 
 const F64_EXPECT: [(usize, u64); 8] = [
-    (874, 0xbbea17c1e5221ce0),
-    (785, 0x6b5c3c5383055f15),
-    (4699, 0xc43d5a5fa25f43aa),
-    (32318, 0x9a6890c3647641b6),
-    (19254, 0xd9f04bbb7cd3fcc4),
-    (100907, 0xa194a25cfbfcaee6),
-    (2333, 0xe427dc5c54964d7d),
-    (1194, 0x8c00def8fddfdeb3),
+    (874, 0x3cfd1cb61c45b34c),
+    (788, 0x08f7cc4dcdd034a9),
+    (4715, 0x4f8ac1ecdac96bfa),
+    (32736, 0x04b8bb27f8db8426),
+    (19235, 0x1f7ea96847d3fc6d),
+    (100906, 0xa69b41925e8cc642),
+    (2334, 0x3554f5b1e92b503b),
+    (1305, 0x73b41fd63d89a9eb),
 ];
 
 fn serial_streams_f32() -> Vec<Compressed> {
@@ -75,8 +70,6 @@ fn serial_streams_f64() -> Vec<Compressed> {
 
 #[test]
 fn serial_streams_match_pinned_hashes() {
-    // Pinned hashes were captured from the reference arithmetic (the
-    // original code); the default, fast arithmetic must reproduce them.
     for (i, Compressed { bytes: stream, .. }) in serial_streams_f32().iter().enumerate() {
         let (dims, _) = &cases()[i];
         assert_eq!(
@@ -101,40 +94,20 @@ fn serial_streams_match_pinned_hashes() {
     }
 }
 
-/// `data` compressed with the reference arithmetic and with the fast one:
-/// equal bytes and equal work profile; returns the fast side.
-fn assert_switch_invariant(data: &[f32], dims: &[usize], cfg: &SzConfig, what: &str) -> Compressed {
-    kernels::force_scalar(true);
-    let scalar = compress_typed(data, dims, cfg).unwrap();
-    kernels::force_scalar(false);
-    let fast = compress_typed(data, dims, cfg).unwrap();
-    kernels::reset_force_scalar();
-    assert_eq!(scalar.bytes, fast.bytes, "{what}: scalar vs fast streams differ");
-    assert_eq!(scalar.stats, fast.stats, "{what}: scalar vs fast stats differ");
-    let (rec, got_dims) = decompress_typed::<f32>(&fast.bytes).expect("decompress");
-    assert_eq!(got_dims, dims);
-    assert_eq!(rec.len(), data.len());
-    fast
+/// `data` compressed and decoded: the shape back and every finite value
+/// within `eb`. Returns the stream.
+fn assert_round_trip(data: &[f32], dims: &[usize], cfg: &SzConfig, eb: f64, what: &str) -> Compressed {
+    let out = compress_typed(data, dims, cfg).unwrap();
+    let (rec, got_dims) = decompress_typed::<f32>(&out.bytes).expect("decompress");
+    assert_eq!(got_dims, dims, "{what}");
+    for (i, (&a, &b)) in data.iter().zip(&rec).enumerate() {
+        assert!((a as f64 - b as f64).abs() <= eb, "{what}: element {i}: {a} -> {b}");
+    }
+    out
 }
 
 #[test]
-fn scalar_and_fast_paths_emit_identical_streams() {
-    // Process-global switch: flip it around whole passes, restore at end.
-    kernels::force_scalar(true);
-    let scalar32 = serial_streams_f32();
-    let scalar64 = serial_streams_f64();
-    kernels::force_scalar(false);
-    let fast32 = serial_streams_f32();
-    let fast64 = serial_streams_f64();
-    kernels::reset_force_scalar();
-    for (i, (a, b)) in scalar32.iter().zip(&fast32).enumerate() {
-        assert_eq!(a.bytes, b.bytes, "f32 case {i}: scalar vs fast streams differ");
-        assert_eq!(a.stats, b.stats, "f32 case {i}: scalar vs fast stats differ");
-    }
-    for (i, (a, b)) in scalar64.iter().zip(&fast64).enumerate() {
-        assert_eq!(a.bytes, b.bytes, "f64 case {i}: scalar vs fast streams differ");
-        assert_eq!(a.stats, b.stats, "f64 case {i}: scalar vs fast stats differ");
-    }
+fn large_fields_round_trip_within_the_bound() {
     // Larger 3-D fields: many full rows, row tails and partial blocks in
     // every mode.
     for mode in [PredictorMode::Lorenzo, PredictorMode::BlockAdaptive] {
@@ -145,20 +118,19 @@ fn scalar_and_fast_paths_emit_identical_streams() {
             let cfg = SzConfig::new(ErrorBound::Absolute(1e-3))
                 .with_mode(mode)
                 .with_lossless(lossless);
-            let what = format!("large 3-D {mode:?} lossless={lossless}");
-            assert_switch_invariant(&data, &dims, &cfg, &what);
+            assert_round_trip(&data, &dims, &cfg, 1e-3, &format!("large 3-D {mode:?} lossless={lossless}"));
         }
     }
-    // The large default-path field (block-adaptive, lossless on), on both
-    // sides of the switch and pinned; its legacy form is pinned in
+    // The large default-path field (block-adaptive, lossless on), pinned;
+    // its legacy form is pinned in
     // `pipeline::tests::legacy_streams_keep_their_hashes_and_restore_the_same_values`.
     let dims = vec![64usize, 48, 96];
     let data = field_f32(dims.iter().product(), 0xf00d);
     let cfg = SzConfig::new(ErrorBound::Absolute(1e-3));
-    let fast = assert_switch_invariant(&data, &dims, &cfg, "large default-path 3-D").bytes;
+    let out = assert_round_trip(&data, &dims, &cfg, 1e-3, "large default-path 3-D").bytes;
     assert_eq!(
-        (fast.len(), fnv64(&fast)),
-        (1239326, 0xa14fe20444c14883),
+        (out.len(), fnv64(&out)),
+        (1239326, 0x6923dbb5a705dd09),
         "large default-path stream changed format"
     );
 }
@@ -178,7 +150,7 @@ fn pointwise_rel_matches_pinned_hash() {
     .expect("compress");
     assert_eq!(
         (out.bytes.len(), fnv64(&out.bytes)),
-        (3408, 0xbe4664c258077cd7),
+        (3411, 0x900327bc36c56d59),
         "SZPR pointwise-relative stream changed format"
     );
 }

@@ -1,11 +1,13 @@
-//! Property test: the encoder's fast arithmetic and its reference
-//! arithmetic are indistinguishable from the outside. For every generated
-//! field — smooth data salted with NaNs, infinities, subnormals, signed
-//! zeros, and bound-busting outliers — both sides of
-//! `kernels::force_scalar` must emit byte-identical streams and report
-//! identical `CompressionStats` (the work profile the power model prices),
-//! and the decompressed values must honour the error bound (exactly
-//! preserving non-finite values via the literal escape path).
+//! Property test: the default writer honours the error bound on every
+//! generated field — smooth data salted with NaNs, infinities, subnormals,
+//! signed zeros, and bound-busting outliers — exactly preserving non-finite
+//! values via the literal escape path, and `kernels::force_scalar` does not
+//! reach it: both sides of the switch emit byte-identical streams and
+//! report identical `CompressionStats` (the work profile the power model
+//! prices). The switch selects the arithmetic of the legacy writer only,
+//! whose two arithmetics are compared in the crate's own unit tests
+//! (`pipeline::tests::legacy_writer_arithmetics_emit_identical_streams`),
+//! where that writer is in reach.
 //!
 //! The switch is process-global, so every test in this binary serializes
 //! on one mutex before flipping it.

@@ -311,6 +311,125 @@ fn sz_chunked_forged_chunk_count_rejected_without_allocating() {
     assert!(registry().decompress_auto(&s, 1).is_err());
 }
 
+/// A block-adaptive lattice stream whose payload is raw, with literals and
+/// regression blocks, and where its last three sections start: the
+/// literals, the block flags and the coefficients.
+fn lattice_stream_sections() -> (Vec<u8>, [usize; 3]) {
+    let (nz, ny, nx) = (12usize, 18, 24);
+    let mut x = 0x2545_f491u32;
+    let data: Vec<f32> = (0..nz * ny * nx)
+        .map(|idx| {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            let (i, j, k) = (idx % nx, idx / nx % ny, idx / (nx * ny));
+            let noise = (x >> 8) as f32 / (1 << 24) as f32 - 0.5;
+            match (i / 6 + j / 6 + k / 6) % 3 {
+                0 => 3.0 * i as f32 - 2.0 * j as f32 + 0.5 * k as f32 + 0.02 * noise,
+                _ if idx % 97 == 5 => f32::NAN,
+                _ => (i as f32 * 0.11).sin() * (j as f32 * 0.07).cos() + k as f32 * 0.013,
+            }
+        })
+        .collect();
+    let sz = registry().by_name("sz").expect("registered");
+    let stream = sz.compress(&data, &[nz, ny, nx], BoundSpec::Absolute(1e-3)).expect("compress").bytes;
+    // The payload is raw (the field is too noisy for the LZSS pass). Behind
+    // the table: the coded-bit count, then the symbol section, then
+    // the three sections, each a u64 length and its bytes.
+    let len_at = |at: usize| u64::from_le_bytes(stream[at..at + 8].try_into().unwrap()) as usize;
+    let symbols = sz::table_range(&stream).expect("a raw stream").end + 8;
+    let literals = symbols + 8 + len_at(symbols);
+    let flags = literals + 8 + len_at(literals);
+    let coeffs = flags + 8 + len_at(flags);
+    assert_eq!(coeffs + 8 + len_at(coeffs), stream.len());
+    assert!(len_at(literals) > 0 && len_at(coeffs) > 0, "literals and regression blocks");
+    (stream, [literals, flags, coeffs])
+}
+
+/// `stream` with the section at `at` cut short by `cut` bytes, its length
+/// and the envelope's body length made to agree.
+fn cut_section(stream: &[u8], at: usize, cut: usize) -> Vec<u8> {
+    let len = u64::from_le_bytes(stream[at..at + 8].try_into().unwrap()) as usize;
+    let mut out = stream[..at].to_vec();
+    out.extend_from_slice(&((len - cut) as u64).to_le_bytes());
+    out.extend_from_slice(&stream[at + 8..at + 8 + len - cut]);
+    out.extend_from_slice(&stream[at + 8 + len..]);
+    let body = (out.len() - 13) as u64;
+    out[5..13].copy_from_slice(&body.to_le_bytes());
+    out
+}
+
+#[test]
+fn lattice_stream_with_a_short_section_is_a_typed_error() {
+    let (stream, sections) = lattice_stream_sections();
+    assert_eq!(stream[13 + 1 + 1 + 3 * 8], 3, "the block-adaptive lattice predictor");
+    assert!(sz::decompress(&stream).is_ok());
+    // One literal, one byte of block flags, one block's coefficients short.
+    let [literals, flags, coeffs] = sections;
+    for (at, cut, error) in
+        [(literals, 4, "literal underrun"), (flags, 1, "block flags"), (coeffs, 16, "coeff underrun")]
+    {
+        assert_eq!(sz::decompress(&cut_section(&stream, at, cut)), Err(sz::SzError::Corrupt(error)));
+    }
+    // And every other cut of each: an error of its type, never a panic.
+    for at in sections {
+        let len = u64::from_le_bytes(stream[at..at + 8].try_into().unwrap()) as usize;
+        for cut in 1..=len {
+            assert!(matches!(sz::decompress(&cut_section(&stream, at, cut)), Err(sz::SzError::Corrupt(_))));
+        }
+    }
+}
+
+#[test]
+fn every_predictor_byte_on_a_lattice_stream_decodes_or_is_a_typed_error() {
+    // 0 and 1 send the lattice stream's symbols to the decoder of the
+    // predictor older streams carry, 2 to the classic lattice loop; past 3
+    // nothing knows the byte.
+    let (stream, _) = lattice_stream_sections();
+    let at = 13 + 1 + 1 + 3 * 8;
+    for byte in 0..=u8::MAX {
+        let mut forged = stream.clone();
+        forged[at] = byte;
+        let decoded = sz::decompress(&forged);
+        if byte > 3 {
+            assert_eq!(decoded.unwrap_err(), sz::SzError::Corrupt("unknown predictor"));
+        }
+    }
+}
+
+#[test]
+fn a_lattice_index_past_i64_max_is_no_panic() {
+    // Rank 1 at order 2 (the default): two NaNs, then noise. The encoder
+    // codes the NaNs as escapes of lattice index 0; the literal section,
+    // which ends the raw payload, holds the two NaNs. Forged to -4e12 and
+    // 4e12 at eb 1e-3, the literals put the first two indices at -2e15 and
+    // 2e15, and from there each index extrapolates the two before it plus
+    // its residual (a few thousand at most): past i64::MAX by element
+    // 2 400 of 8 192. Past `2^51`, where no encoder goes, the values are
+    // garbage; wrapping arithmetic makes them garbage in the debug build
+    // too, and not a panic.
+    let mut x = 0x9e37_79b9u32;
+    let mut data: Vec<f32> = (0..8192)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            (x >> 8) as f32 / (1 << 24) as f32 - 0.5
+        })
+        .collect();
+    data[..2].fill(f32::NAN);
+    let sz = registry().by_name("sz").expect("registered");
+    let mut stream = sz.compress(&data, &[8192], BoundSpec::Absolute(1e-3)).expect("compress").bytes;
+    assert!(sz::table_range(&stream).is_some(), "the payload is raw");
+    let n = stream.len();
+    assert_eq!(stream[n - 16..n - 8], 8u64.to_le_bytes(), "two literals end the stream");
+    stream[n - 8..n - 4].copy_from_slice(&(-4.0e12f32).to_le_bytes());
+    stream[n - 4..].copy_from_slice(&4.0e12f32.to_le_bytes());
+    let (values, _) = sz::decompress(&stream).expect("the forged stream decodes");
+    assert_eq!(values.len(), 8192);
+    assert_eq!((values[0], values[1]), (-4.0e12, 4.0e12), "the forged literals");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 

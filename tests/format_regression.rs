@@ -2,9 +2,10 @@
 //! takes, end to end. It lives here rather than beside the other pinned
 //! container hashes (`crates/codec/tests/format_regression.rs`) because it
 //! needs `lcpio-datagen`'s NYX field, and `lcpio-codec` may not grow a
-//! dependency edge for a test. Each container is written twice, with the
-//! encoder's fast arithmetic on one thread and with its reference
-//! arithmetic (`kernels::force_scalar`) on two: equal bytes, equal stats.
+//! dependency edge for a test. Each container is written twice, on one
+//! thread and, with `kernels::force_scalar` set, on two: equal bytes, equal
+//! stats (the switch selects the arithmetic of the test-only legacy writer
+//! and must not reach the default one).
 
 use lcpio::codec::{registry, BoundSpec, SzCodec};
 use lcpio::sz::kernels;
@@ -25,15 +26,19 @@ fn default_path_containers_match_pinned_hashes_at_the_paper_bounds() {
     // tried and dropped) at the four paper bounds; four chunks of 12
     // planes give full interior blocks, first-plane blocks and edge
     // blocks, and per-chunk tables from a few dozen to thousands of
-    // symbols. Re-pinned once, when the per-chunk tables went from dense
+    // symbols. Re-pinned twice: when the per-chunk tables went from dense
     // bytes under LZSS to the packed form (78 476 / 137 843 / 200 823 /
-    // 291 966 bytes before; the values restored are the same, see the
-    // legacy-writer test in `lcpio-sz`).
+    // 291 966 bytes before; the values restored are the same), and when
+    // the default writer took up the lattice predictor (72 433 / 119 781 /
+    // 172 691 / 240 601 bytes before). The chunks of those last containers
+    // are pinned, with the values the decoder restores from them, in
+    // `lcpio-sz`'s
+    // `pipeline::tests::legacy_chunks_of_the_pinned_containers_decode_to_their_old_values`.
     const EXPECT: [(f64, usize, u64); 4] = [
-        (1e-1, 72433, 0x089ecdefd1e85bda),
-        (1e-2, 119781, 0x67428c8d635b95d0),
-        (1e-3, 172691, 0xa29de853f3038dfe),
-        (1e-4, 240601, 0x6bf9798198b84c8b),
+        (1e-1, 72434, 0x93c1b1983b37169e),
+        (1e-2, 119763, 0x2397193556e4f920),
+        (1e-3, 172780, 0x982cc3f909268ec1),
+        (1e-4, 240645, 0xa14a83fd654b349f),
     ];
     let sz = registry().by_name("sz").expect("sz is registered");
     let field = lcpio::datagen::nyx::velocity_x(48, 11);
