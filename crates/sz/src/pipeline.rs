@@ -367,6 +367,7 @@ static ZEROS: [i64; SPAN] = [0; SPAN];
 /// the plane behind, and the row above that one, or [`ZEROS`] for a row
 /// off the array. The prediction is `c[x − 1] + t[x] − t[x − 1]`, with
 /// `c` the row's own indices and `t` = above + behind − behind-above.
+#[inline]
 fn behind(k: &[i64], g: Geom, row: usize, x0: usize, n: usize) -> [&[i64]; 3] {
     let at = |r: usize| &k[r * g.nx + x0..][..n];
     let (above, back) = (!row.is_multiple_of(g.ny), row >= g.ny);
@@ -515,9 +516,11 @@ fn encode_lattice_blocks<T: Element>(data: &[T], g: Geom, q: &Quantizer, s: &mut
                     }
                 }
                 let choices = std::mem::take(&mut s.choices);
+                // A block row of Lorenzo blocks alone has no hyperplanes to look up.
+                let regression = if choices.iter().any(|&(reg, _)| reg) { &choices[..] } else { &[] };
                 for row in (k0..k1).flat_map(|k| (j0..j1).map(move |j| k * g.ny + j)) {
                     for x0 in (0..g.nx).step_by(SPAN) {
-                        encode_span(data, g, false, q, (row, x0), &choices, &mut work, s);
+                        encode_span(data, g, false, q, (row, x0), regression, &mut work, s);
                     }
                 }
                 s.choices = choices;
