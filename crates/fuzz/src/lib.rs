@@ -54,7 +54,7 @@
 //! The `SZL1` stream has two independent flag bits (LZSS body, packed
 //! Huffman table), and which of them the encoder sets depends on the field:
 //! [`szl1_flag_corpus`] seeds one stream per combination. Those are all
-//! lattice streams (predictor bytes 2 and 3); [`LEGACY_SZL1_SEED`] is one
+//! lattice streams (predictor bytes 2 and 3); `LEGACY_SZL1_SEED` is one
 //! of the predictor older streams carry, so mutations reach its decoder. A seed whose
 //! packed table lies open in the body (no LZSS layer over it) gets half of
 //! its mutations aimed inside the table's fields, where blind byte edits
@@ -224,7 +224,7 @@ pub fn szl1_flag_corpus() -> Vec<(u8, Vec<u8>)> {
 /// lossless stage off: three regression and three Lorenzo blocks, 41
 /// literals (a NaN, a 3e30 and the residuals past the radius). Written by
 /// the legacy writer (`lcpio-sz`'s test-only `pipeline::legacy`).
-pub const LEGACY_SZL1_SEED: [u8; 447] = [
+const LEGACY_SZL1_SEED: [u8; 447] = [
     0x53, 0x5a, 0x4c, 0x31, 0x00, 0xb2, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x0c,
     0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
     0x02, 0x7b, 0x14, 0xae, 0x47, 0xe1, 0x7a, 0x84, 0x3f, 0x40, 0x00, 0x00, 0x00, 0xc0, 0x00, 0x00,
