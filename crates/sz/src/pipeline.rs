@@ -3,9 +3,9 @@
 //! reads and validates its own bytes (`header` names each field's stage):
 //!
 //! 1. **Predict-quantize** — every value snapped to the lattice of spacing
-//!    `2·eb`, then the residuals of the lattice indices under the Lorenzo
-//!    stencil, or the per-block adaptive choice between Lorenzo and
-//!    hyperplane regression; values the lattice cannot hold within the
+//!    `2·eb·(1 − 2^-12)`, then the residuals of the lattice indices under
+//!    the Lorenzo stencil, or the per-block adaptive choice between Lorenzo
+//!    and hyperplane regression; values the lattice cannot hold within the
 //!    bound, and residuals past the radius, escape to IEEE literals.
 //! 2. **Entropy** — canonical Huffman coding of the bin indices.
 //! 3. **Table** — the code lengths dense, or packed into run tokens where
@@ -350,9 +350,9 @@ fn select_block_row<T: Element>(
 
 // ---- The lattice ----
 //
-// Every value is snapped to the lattice of spacing `2·eb` before anything
-// is predicted (`Quantizer::snap`: `k = round(x / 2eb)`, the value written
-// back `k·2eb`). Predictions are made from the neighbours' lattice indices,
+// Every value is snapped to the lattice of spacing `step = 2·eb·(1 −
+// 2^-12)` before anything is predicted (`Quantizer::snap`: `k = round(x /
+// step)`, the value written back `k·step`). Predictions are made from the neighbours' lattice indices,
 // which the encoder has for every element before it codes the first, so a
 // residual is an exact integer stencil with no chain from one element to
 // the next, and the decoder's inverse is a prefix sum along each row.
@@ -1315,7 +1315,7 @@ impl<T: Element> Reconstruct<'_, T> {
 
 /// What the lattice decode loops work on: the literal section they pull
 /// escaped values from in row-major order, the lattice indices (what
-/// predictions are made from) and the output (each index's value `k·2eb`
+/// predictions are made from) and the output (each index's value `k·step`
 /// narrowed to `T`, or an escape's literal).
 ///
 /// Every index is its prediction plus its residual, in wrapping `i64`
@@ -1508,8 +1508,8 @@ fn escapes<T: Element>(
     Ok(())
 }
 
-/// The values of a span into `out`: each lattice index of `ks` times
-/// `2·eb`, narrowed, or where `symbols` holds an escape its literal of
+/// The values of a span into `out`: each lattice index of `ks` times the
+/// lattice step, narrowed, or where `symbols` holds an escape its literal of
 /// `lits`.
 fn emit<T: Element>(q: &Quantizer, out: &mut [T], ks: &[i64], symbols: &[u32], lits: &[T]) {
     for (((o, &k), &sym), &literal) in out.iter_mut().zip(ks).zip(symbols).zip(lits) {
@@ -2280,8 +2280,8 @@ mod tests {
     #[test]
     fn predict_quantize_stage_round_trips() {
         // The head and the sections there and back, and the encoder's own
-        // symbols decoded: on the lattice, each kept element's index times
-        // `2·eb`, narrowed, and each escape's literal; on the legacy
+        // symbols decoded: on the lattice, each kept element's lattice
+        // value, narrowed, and each escape's literal; on the legacy
         // predictor, the values it reconstructed, narrowed, in both
         // arithmetics. Both modes, escapes included, to the bit.
         let mut escapes = 0;
@@ -3254,8 +3254,9 @@ mod tests {
             // Both ends of the alphabet and nothing between: the zero bin,
             // the last bin, the first, and the escape of a residual two
             // bins too far.
-            let reach = 2e-3 * (radius as f64 - 1.0);
-            let ends = [0.0f64, reach, reach, 0.0, reach + 4e-3];
+            let q = Quantizer::new(1e-3, radius);
+            let reach = q.lattice_value(radius as i64 - 1);
+            let ends = [0.0f64, reach, reach, 0.0, q.lattice_value(radius as i64 + 1)];
             let mut cfg = cfg;
             cfg.lorenzo_order = 1;
             let stats = assert_matches_dense_entropy_stage(&ends, &[ends.len()], &cfg);

@@ -19,8 +19,10 @@ pub struct Quantizer {
     twoeb: f64,
     /// Cached `radius − 0.5`: the escape threshold in residual space.
     radm: f64,
-    /// Cached `1 / (2·eb)`: what the lattice predictor scales values by.
-    inv_twoeb: f64,
+    /// The lattice predictor's spacing, `2·eb·`[`LATTICE_SHRINK`].
+    step: f64,
+    /// Cached `1 / step`: what the lattice predictor scales values by.
+    inv_step: f64,
 }
 
 /// `1.5·2^52`: adding it to `|x| < 2^51` rounds `x` to the nearest integer
@@ -30,6 +32,15 @@ const MAGIC: f64 = 6_755_399_441_055_744.0;
 
 /// `2^51`: the reach of [`MAGIC`], and of the lattice indices a stream holds.
 const LATTICE_REACH: f64 = 2_251_799_813_685_248.0;
+
+/// `1 − 2^-12`: the lattice is a hair finer than the bins of `2·eb`. A value
+/// is then within `eb·(1 − 2^-12)` of its lattice point, which leaves
+/// `eb·2^-12` for narrowing that point to `f32`: half an ulp of any value
+/// below `2^12·eb`, so there no element escapes by the narrowing. An `f32`
+/// on a bin midpoint of the `2·eb` grid (data stored on a decimal grid of
+/// step `eb`) misses both neighbours on that grid by a few ulps; here it has
+/// a lattice point within the bound.
+const LATTICE_SHRINK: f64 = 1.0 - 1.0 / 4096.0;
 
 /// Outcome of quantizing one residual.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,8 +69,8 @@ impl Quantizer {
     pub fn new(eb: f64, radius: u32) -> Self {
         assert!(eb > 0.0 && eb.is_finite(), "error bound must be positive");
         assert!((1..=Self::MAX_RADIUS).contains(&radius));
-        let twoeb = 2.0 * eb;
-        Quantizer { eb, radius, twoeb, radm: radius as f64 - 0.5, inv_twoeb: 1.0 / twoeb }
+        let (twoeb, step) = (2.0 * eb, 2.0 * eb * LATTICE_SHRINK);
+        Quantizer { eb, radius, twoeb, radm: radius as f64 - 0.5, step, inv_step: 1.0 / step }
     }
 
     /// The configured absolute error bound.
@@ -180,28 +191,29 @@ impl Quantizer {
         q as f64 * 2.0 * self.eb
     }
 
-    /// The lattice point of `x`: `k`, the integer nearest `x·(1/2eb)` (ties
-    /// to even, through [`MAGIC`]), and `k·2eb`, the value a decoder writes
-    /// for it. `(0, NaN)` where `x·(1/2eb)` is not finite or not below
-    /// `2^51`, so that no value out of reach passes an error check.
+    /// The lattice point of `x`: `k`, the integer nearest `x·(1/step)` (ties
+    /// to even, through [`MAGIC`]; `step` is `2·eb·`[`LATTICE_SHRINK`]), and
+    /// `k·step`, the value a decoder writes for it. `(0, NaN)` where
+    /// `x·(1/step)` is not finite or not below `2^51`, so that no value out
+    /// of reach passes an error check.
     /// Branch-free, so a loop over values vectorises.
     #[inline]
     pub(crate) fn snap(&self, x: f64) -> (i64, f64) {
-        let y = x * self.inv_twoeb;
+        let y = x * self.inv_step;
         let ym = y + MAGIC;
         let k = (ym.to_bits() as i64).wrapping_sub(MAGIC.to_bits() as i64);
         let inside = y.abs() < LATTICE_REACH;
-        (if inside { k } else { 0 }, if inside { (ym - MAGIC) * self.twoeb } else { f64::NAN })
+        (if inside { k } else { 0 }, if inside { (ym - MAGIC) * self.step } else { f64::NAN })
     }
 
-    /// `k·2eb`: the value of lattice point `k`, equal to what
+    /// `k·step`: the value of lattice point `k`, equal to what
     /// [`Quantizer::snap`] gives for every `|k| ≤ 2^51` (all an encoder
     /// writes). `k` goes to `f64` by the inverse of the [`MAGIC`] trick,
     /// which vectorises where `k as f64` does not; past `2^51`, which only
     /// a forged stream reaches, the value is garbage and not a panic.
     #[inline]
     pub(crate) fn lattice_value(&self, k: i64) -> f64 {
-        (f64::from_bits((k as u64).wrapping_add(MAGIC.to_bits())) - MAGIC) * self.twoeb
+        (f64::from_bits((k as u64).wrapping_add(MAGIC.to_bits())) - MAGIC) * self.step
     }
 
     /// Reconstruct a value from its prediction and symbol.
