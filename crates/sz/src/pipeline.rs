@@ -3,7 +3,7 @@
 //! reads and validates its own bytes (`header` names each field's stage):
 //!
 //! 1. **Predict-quantize** — every value snapped to the lattice of spacing
-//!    `2·eb·(1 − 2^-12)`, then the residuals of the lattice indices under
+//!    `2·eb·(1 − 2^-10)`, then the residuals of the lattice indices under
 //!    the Lorenzo stencil, or the per-block adaptive choice between Lorenzo
 //!    and hyperplane regression; values the lattice cannot hold within the
 //!    bound, and residuals past the radius, escape to IEEE literals.
@@ -351,7 +351,7 @@ fn select_block_row<T: Element>(
 // ---- The lattice ----
 //
 // Every value is snapped to the lattice of spacing `step = 2·eb·(1 −
-// 2^-12)` before anything is predicted (`Quantizer::snap`: `k = round(x /
+// 2^-10)` before anything is predicted (`Quantizer::snap`: `k = round(x /
 // step)`, the value written back `k·step`). Predictions are made from the neighbours' lattice indices,
 // which the encoder has for every element before it codes the first, so a
 // residual is an exact integer stencil with no chain from one element to

@@ -33,14 +33,14 @@ const MAGIC: f64 = 6_755_399_441_055_744.0;
 /// `2^51`: the reach of [`MAGIC`], and of the lattice indices a stream holds.
 const LATTICE_REACH: f64 = 2_251_799_813_685_248.0;
 
-/// `1 − 2^-12`: the lattice is a hair finer than the bins of `2·eb`. A value
-/// is then within `eb·(1 − 2^-12)` of its lattice point, which leaves
-/// `eb·2^-12` for narrowing that point to `f32`: half an ulp of any value
-/// below `2^12·eb`, so there no element escapes by the narrowing. An `f32`
+/// `1 − 2^-10`: the lattice is a hair finer than the bins of `2·eb`. A value
+/// is then within `eb·(1 − 2^-10)` of its lattice point, which leaves
+/// `eb·2^-10` for narrowing that point to `f32`: half an ulp of any value
+/// below `2^14·eb`, so there no element escapes by the narrowing. An `f32`
 /// on a bin midpoint of the `2·eb` grid (data stored on a decimal grid of
 /// step `eb`) misses both neighbours on that grid by a few ulps; here it has
 /// a lattice point within the bound.
-const LATTICE_SHRINK: f64 = 1.0 - 1.0 / 4096.0;
+const LATTICE_SHRINK: f64 = 1.0 - 1.0 / 1024.0;
 
 /// Outcome of quantizing one residual.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
