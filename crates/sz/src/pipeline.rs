@@ -352,10 +352,11 @@ fn select_block_row<T: Element>(
 //
 // Every value is snapped to the lattice of spacing `step = 2·eb·(1 −
 // 2^-10)` before anything is predicted (`Quantizer::snap`: `k = round(x /
-// step)`, the value written back `k·step`). Predictions are made from the neighbours' lattice indices,
-// which the encoder has for every element before it codes the first, so a
-// residual is an exact integer stencil with no chain from one element to
-// the next, and the decoder's inverse is a prefix sum along each row.
+// step)`, the value written back `k·step`). Predictions are made from the
+// neighbours' lattice indices, which the encoder has for every element
+// before it codes the first, so a residual is an exact integer stencil with
+// no chain from one element to the next, and the decoder's inverse is a
+// prefix sum along each row.
 // Symbols are row-major over the whole array in both predictor modes.
 
 /// Columns the lattice loops take at once: a row is coded and decoded in
