@@ -80,7 +80,8 @@ impl BitWriter {
     /// would write, without a branch on their number: each round stores
     /// the whole accumulator at the write position and moves the position
     /// on by the whole bytes it holds, which leaves under 8 bits pending
-    /// and room for 56. Two codes that fit that go in as one.
+    /// and room for 56. Four codes that fit that go in as one, else two,
+    /// else one at a time.
     pub(crate) fn push_codes(&mut self, codes: &[(u32, u8)]) {
         let mut pos = self.buf.len();
         // 4 bytes a code at most, the pending word, and the last word stored.
@@ -97,18 +98,33 @@ impl BitWriter {
         };
         // The whole bytes pending on entry go out first.
         put(0, 0);
-        let mut pairs = codes.chunks_exact(2);
-        for pair in &mut pairs {
-            let ((c0, l0), (c1, l1)) = (pair[0], pair[1]);
-            if l0 + l1 <= 56 {
-                put((c0 as u64) << l1 | c1 as u64, (l0 + l1) as u32);
-            } else {
-                put(c0 as u64, l0 as u32);
-                put(c1 as u64, l1 as u32);
+        // A group's codes as one, and its length.
+        let join = |group: &[(u32, u8)]| {
+            group.iter().fold((0u64, 0u32), |(bits, n), &(code, len)| (bits << len | code as u64, n + len as u32))
+        };
+        let mut quads = codes.chunks_exact(4);
+        for quad in &mut quads {
+            let (bits, len) = join(quad);
+            if len <= 56 {
+                put(bits, len);
+                continue;
+            }
+            for pair in quad.chunks_exact(2) {
+                let (bits, len) = join(pair);
+                if len <= 56 {
+                    put(bits, len);
+                } else {
+                    pair.iter().for_each(|&(code, len)| put(code as u64, len as u32));
+                }
             }
         }
-        if let [(code, len)] = *pairs.remainder() {
-            put(code as u64, len as u32);
+        for pair in quads.remainder().chunks(2) {
+            let (bits, len) = join(pair);
+            if len <= 56 {
+                put(bits, len);
+            } else {
+                pair.iter().for_each(|&(code, len)| put(code as u64, len as u32));
+            }
         }
         self.buf.truncate(pos);
         (self.acc, self.nbits) = (acc, nbits as u8);
@@ -344,9 +360,9 @@ mod tests {
 
     #[test]
     fn push_codes_writes_what_push_bits_writes() {
-        // Lengths 1 to 32 in every mix (pairs that fit one store and pairs
-        // that do not), slices of even and odd length, onto writers that
-        // hold anything from no pending bits to 63.
+        // Lengths 1 to 32 in every mix (groups of four or two that fit one
+        // store and groups that do not), slices of every length modulo 4,
+        // onto writers that hold anything from no pending bits to 63.
         let mut x = 0x9e37_79b9u32;
         let mut next = || {
             x ^= x << 13;

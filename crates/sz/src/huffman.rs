@@ -54,6 +54,51 @@ impl From<BitStreamExhausted> for HuffmanError {
 /// [`HuffmanError::CodeTooLong`] when the tree is deeper than
 /// [`MAX_CODE_LEN`] (clamping a depth would break the Kraft equality and
 /// write a table the decoder rejects).
+pub fn code_lengths(freqs: &[u64]) -> Result<Vec<u8>, HuffmanError> {
+    let mut lens = Vec::new();
+    lengths_into(freqs, &mut lens, &mut Vec::new())?;
+    Ok(lens)
+}
+
+/// Assign canonical codes (MSB-first) from code lengths.
+///
+/// Symbols are ordered by (length, index); the returned vector holds
+/// `(code, len)` per symbol (len 0 ⇒ absent). The lengths must come from
+/// [`code_lengths`]: a length above [`MAX_CODE_LEN`] panics.
+pub fn canonical_codes(lens: &[u8]) -> Vec<(u32, u8)> {
+    let mut codes = Vec::new();
+    assign_codes(lens, (0..lens.len() as u32).filter(|&i| lens[i as usize] > 0), &mut codes);
+    codes
+}
+
+/// [`canonical_codes`] into `codes`, given `coded`, the indices of the
+/// lengths that are not 0 in ascending order: only they are visited.
+///
+/// The codes of one length are consecutive and start where the shorter
+/// ones end, so the per-length counts give each length its first code and
+/// one pass in index order gives each symbol the next of its length.
+fn assign_codes(lens: &[u8], coded: impl Iterator<Item = u32> + Clone, codes: &mut Vec<(u32, u8)>) {
+    let mut count = [0u64; MAX_CODE_LEN as usize + 1];
+    for i in coded.clone() {
+        count[lens[i as usize] as usize] += 1;
+    }
+    // One bit wider than a code: past the last code of a complete 32-bit
+    // table the counter reaches 2^32.
+    let mut next = [0u64; MAX_CODE_LEN as usize + 1];
+    for l in 2..=MAX_CODE_LEN as usize {
+        next[l] = (next[l - 1] + count[l - 1]) << 1;
+    }
+    codes.clear();
+    codes.resize(lens.len(), (0, 0));
+    for i in coded {
+        let l = lens[i as usize];
+        codes[i as usize] = (next[l as usize] as u32, l);
+        next[l as usize] += 1;
+    }
+}
+
+/// [`code_lengths`] into `lens`, and into `present` the indices of the
+/// entries that have a count, ascending: the symbols that get a code.
 ///
 /// The tree is the one a min-heap over `(weight, node id)` builds, with
 /// leaf ids below internal ids and internal ids in creation order, so the
@@ -65,19 +110,30 @@ impl From<BitStreamExhausted> for HuffmanError {
 /// much as every earlier one (both of its children are no lighter than
 /// the children of the node before it), which keeps the second queue
 /// sorted by `(weight, id)` too, and on equal weights the leaf goes first
-/// (its id is smaller).
-pub fn code_lengths(freqs: &[u64]) -> Result<Vec<u8>, HuffmanError> {
-    let present: Vec<(u64, usize)> =
-        freqs.iter().enumerate().filter(|&(_, &f)| f > 0).map(|(i, &f)| (f, i)).collect();
-    let m = present.len();
-    if m == 0 {
-        return Err(HuffmanError::EmptyAlphabet);
+/// (its id is smaller). Every working array is sized by the entries that
+/// have a count, not by `freqs`, and indexed by `u32`.
+fn lengths_into(freqs: &[u64], lens: &mut Vec<u8>, present: &mut Vec<u32>) -> Result<(), HuffmanError> {
+    assert!(u32::try_from(freqs.len()).is_ok(), "symbol indices fit a u32");
+    // The entries with a count, without a branch on each: every index is
+    // written, and the cursor moves past the ones that count.
+    present.clear();
+    present.resize(freqs.len() + 1, 0);
+    let mut m = 0;
+    for (i, &f) in freqs.iter().enumerate() {
+        present[m] = i as u32;
+        m += (f != 0) as usize;
     }
-    let mut lens = vec![0u8; freqs.len()];
-    if m == 1 {
-        // Degenerate alphabet: give the single symbol a 1-bit code.
-        lens[present[0].1] = 1;
-        return Ok(lens);
+    present.truncate(m);
+    lens.clear();
+    lens.resize(freqs.len(), 0);
+    match *present.as_slice() {
+        [] => return Err(HuffmanError::EmptyAlphabet),
+        [only] => {
+            // Degenerate alphabet: give the single symbol a 1-bit code.
+            lens[only as usize] = 1;
+            return Ok(());
+        }
+        _ => {}
     }
     // Leaves in `(freq, index)` order. `present` is in index order, so a
     // stable counting sort on the frequency orders the rare symbols —
@@ -86,31 +142,31 @@ pub fn code_lengths(freqs: &[u64]) -> Result<Vec<u8>, HuffmanError> {
     const RARE: usize = 256;
     let bucket = |f: u64| f.min(RARE as u64) as usize;
     let mut start = [0usize; RARE + 2];
-    for &(f, _) in &present {
-        start[bucket(f) + 1] += 1;
+    for &i in present.iter() {
+        start[bucket(freqs[i as usize]) + 1] += 1;
     }
     for b in 1..RARE + 2 {
         start[b] += start[b - 1];
     }
     let frequent = start[RARE];
-    let mut leaves = vec![(0u64, 0usize); m];
-    for &leaf in &present {
-        let slot = &mut start[bucket(leaf.0)];
-        leaves[*slot] = leaf;
+    let mut leaves = vec![(0u64, 0u32); m];
+    for &i in present.iter() {
+        let f = freqs[i as usize];
+        let slot = &mut start[bucket(f)];
+        leaves[*slot] = (f, i);
         *slot += 1;
     }
-    drop(present);
     leaves[frequent..].sort_unstable();
     // Nodes 0..m are the sorted leaves, m..2m-1 the internal nodes in
     // creation order; the last one is the root.
-    let mut parent = vec![0usize; 2 * m - 1];
+    let mut parent = vec![0u32; 2 * m - 1];
     let mut weights: Vec<u64> = Vec::with_capacity(m - 1);
     let (mut next_leaf, mut next_internal) = (0usize, 0usize);
-    for id in m..2 * m - 1 {
+    for id in m as u32..2 * m as u32 - 1 {
         let mut sum = 0u64;
         for _ in 0..2 {
-            let leaf_first = next_leaf < m
-                && weights.get(next_internal).is_none_or(|&w| leaves[next_leaf].0 <= w);
+            let leaf_first =
+                next_leaf < m && weights.get(next_internal).is_none_or(|&w| leaves[next_leaf].0 <= w);
             let node = if leaf_first {
                 sum += leaves[next_leaf].0;
                 next_leaf += 1;
@@ -129,45 +185,15 @@ pub fn code_lengths(freqs: &[u64]) -> Result<Vec<u8>, HuffmanError> {
     let root = 2 * m - 2;
     parent[root] = 0;
     for node in (0..root).rev() {
-        parent[node] = parent[parent[node]] + 1;
+        parent[node] = parent[parent[node] as usize] + 1;
     }
     for (&(_, sym), &depth) in leaves.iter().zip(&parent) {
-        if depth > MAX_CODE_LEN as usize {
+        if depth > MAX_CODE_LEN as u32 {
             return Err(HuffmanError::CodeTooLong);
         }
-        lens[sym] = depth as u8;
+        lens[sym as usize] = depth as u8;
     }
-    Ok(lens)
-}
-
-/// Assign canonical codes (MSB-first) from code lengths.
-///
-/// Symbols are ordered by (length, index); the returned vector holds
-/// `(code, len)` per symbol (len 0 ⇒ absent). The lengths must come from
-/// [`code_lengths`]: a length above [`MAX_CODE_LEN`] panics.
-///
-/// The codes of one length are consecutive and start where the shorter
-/// ones end, so the per-length counts give each length its first code and
-/// one pass in index order gives each symbol the next of its length.
-pub fn canonical_codes(lens: &[u8]) -> Vec<(u32, u8)> {
-    let mut count = [0u64; MAX_CODE_LEN as usize + 1];
-    for &l in lens.iter().filter(|&&l| l > 0) {
-        count[l as usize] += 1;
-    }
-    // One bit wider than a code: past the last code of a complete 32-bit
-    // table the counter reaches 2^32.
-    let mut next = [0u64; MAX_CODE_LEN as usize + 1];
-    for l in 1..=MAX_CODE_LEN as usize {
-        next[l] = (next[l - 1] + count[l - 1]) << 1;
-    }
-    let mut code_of = |l: u8| match l {
-        0 => (0, 0),
-        _ => {
-            next[l as usize] += 1;
-            ((next[l as usize] - 1) as u32, l)
-        }
-    };
-    lens.iter().map(|&l| code_of(l)).collect()
+    Ok(())
 }
 
 /// Symbols per granule: the unit in which the encoder skips the parts of
@@ -237,12 +263,14 @@ impl HuffmanEncoder {
     /// Build for `symbols`, all of them below `alphabet`, from their own
     /// histogram: the encoder [`HuffmanEncoder::from_freqs`] gives for it.
     pub(crate) fn rebuild(&mut self, alphabet: usize, symbols: &[u32]) -> Result<(), HuffmanError> {
+        let span = lcpio_trace::span("sz.huffman.count");
         self.lay_out(alphabet, |slot| {
             for &sym in symbols {
                 slot[sym as usize / GRANULE] = 0;
             }
         });
         self.count(symbols, u32::MAX as usize);
+        drop(span);
         self.assign()
     }
 
@@ -305,8 +333,10 @@ impl HuffmanEncoder {
     /// Lengths and codes from `freqs`.
     fn assign(&mut self) -> Result<(), HuffmanError> {
         let _span = lcpio_trace::span("sz.huffman.build");
-        self.lens = code_lengths(&self.freqs)?;
-        self.codes = canonical_codes(&self.lens);
+        // The symbols with a code go into the stripes' buffer, idle once
+        // the histogram is merged and four times the size they need.
+        lengths_into(&self.freqs, &mut self.lens, &mut self.stripes)?;
+        assign_codes(&self.lens, self.stripes.iter().copied(), &mut self.codes);
         Ok(())
     }
 

@@ -27,6 +27,15 @@
 //! rule is part of what `compress` writes, not of the format: any token
 //! sequence decodes, and the test reference spells the same rule out.
 //!
+//! **Sized before it is written.** A parse (`parse`) records only the
+//! back-references it finds; every byte none of them covers is a literal,
+//! so the parse alone says how long the stream is (9 bits a literal, 25 a
+//! match, the 4-byte length in front). The pipeline keeps the LZSS form
+//! only when it is strictly shorter than the payload, which on a noisy
+//! field it never is, so it writes the stream (`Parse::emit`) only then;
+//! [`compress`] is the same parse, always emitted. There is one matcher and
+//! one emitter either way.
+//!
 //! Token format (bit stream, MSB-first):
 //! * `0` + 8 bits   — literal byte
 //! * `1` + 16 bits offset + 8 bits length − [MIN_MATCH] — back-reference
@@ -193,19 +202,66 @@ fn push_literals(w: &mut BitWriter, bytes: &[u8]) {
     }
 }
 
-/// Compress `data`; output starts with the original length (u32 LE).
+/// One back-reference of a parse: the position it starts at and its
+/// 24-bit field (offset − 1, then length − [`MIN_MATCH`]).
+#[derive(Debug, Clone, Copy)]
+struct Match {
+    at: u32,
+    field: u32,
+}
+
+impl Match {
+    fn len(self) -> usize {
+        (self.field & 0xff) as usize + MIN_MATCH
+    }
+}
+
+/// What the matcher makes of one input: its back-references in order.
+/// Every byte no match covers is a literal, so they alone say the token
+/// sequence, and with it how long the stream is before a bit of it is
+/// written.
+#[derive(Debug)]
+pub(crate) struct Parse<'a> {
+    data: &'a [u8],
+    matches: Vec<Match>,
+}
+
+impl Parse<'_> {
+    /// Bytes of the stream [`Parse::emit`] writes: the length header and
+    /// the tokens, the last byte zero-padded.
+    pub(crate) fn stream_len(&self) -> usize {
+        let matched: usize = self.matches.iter().map(|m| m.len()).sum();
+        let bits = (self.data.len() - matched) as u64 * LITERAL_BITS as u64
+            + self.matches.len() as u64 * MATCH_BITS as u64;
+        4 + bits.div_ceil(8) as usize
+    }
+
+    /// The stream: the original length (u32 LE), then the tokens.
+    pub(crate) fn emit(&self) -> Vec<u8> {
+        let mut w = BitWriter::with_capacity(self.stream_len());
+        // MSB-first, so the byte-swapped length lands little-endian.
+        w.push_bits((self.data.len() as u32).swap_bytes() as u64, 32);
+        let mut i = 0usize;
+        for &m in &self.matches {
+            push_literals(&mut w, &self.data[i..m.at as usize]);
+            w.push_bits((1 << 24) | m.field as u64, MATCH_BITS as u8);
+            i = m.at as usize + m.len();
+        }
+        push_literals(&mut w, &self.data[i..]);
+        w.into_bytes()
+    }
+}
+
+/// Find the back-references [`compress`] codes `data` with.
 ///
 /// # Panics
 ///
-/// When `data` is longer than [`accepts`] allows (4 GiB − 1): its length
-/// would not fit the header. Callers store such a payload raw.
-pub fn compress(data: &[u8]) -> Vec<u8> {
+/// When `data` is longer than [`accepts`] allows.
+pub(crate) fn parse(data: &[u8]) -> Parse<'_> {
     let n = data.len();
     assert!(accepts(n), "LZSS input of {n} bytes exceeds the u32 length header");
-    // Room for the worst case (every byte a 9-bit literal): one allocation.
-    let mut w = BitWriter::with_capacity(4 + n + n / 8 + 16);
-    // MSB-first, so the byte-swapped length lands little-endian.
-    w.push_bits((n as u32).swap_bytes() as u64, 32);
+    // Room for a match every MAX_MATCH bytes, what a flat input takes.
+    let mut matches = Vec::with_capacity(n / MAX_MATCH + 1);
     // Positions a 4-byte word starts at; the last three bytes can only be
     // literals and are never inserted.
     let positions = n.saturating_sub(MIN_MATCH - 1);
@@ -220,13 +276,11 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
         t.insert(i, h);
         if len == 0 {
             misses += 1;
-            let next = (i + 1 + misses / MISS_STRIDE).min(n);
-            push_literals(&mut w, &data[i..next]);
-            i = next;
+            i += 1 + misses / MISS_STRIDE;
             continue;
         }
         misses = 0;
-        w.push_bits((1 << 24) | ((off - 1) as u64) << 8 | (len - MIN_MATCH) as u64, 25);
+        matches.push(Match { at: i as u32, field: ((off - 1) << 8 | (len - MIN_MATCH)) as u32 });
         // Insert the skipped positions so later matches can find them.
         let end = i + len;
         for p in i + 1..end.min(positions) {
@@ -234,8 +288,17 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
         }
         i = end;
     }
-    push_literals(&mut w, &data[i..]);
-    w.into_bytes()
+    Parse { data, matches }
+}
+
+/// Compress `data`; output starts with the original length (u32 LE).
+///
+/// # Panics
+///
+/// When `data` is longer than [`accepts`] allows (4 GiB − 1): its length
+/// would not fit the header. Callers store such a payload raw.
+pub fn compress(data: &[u8]) -> Vec<u8> {
+    parse(data).emit()
 }
 
 /// Decompress a stream produced by [`compress`].

@@ -826,23 +826,26 @@ fn entropy_decode(
 
 /// The lossless stage: the envelope (magic, flags byte, body length) and,
 /// under `FLAG_LOSSLESS`, the payload's LZSS form as the body, kept only
-/// when it is smaller. A payload LZSS cannot take (4 GiB or more: its
-/// header and positions are u32) is stored raw, like one it fails to
-/// shrink. `flags` holds the inner stages' bits.
+/// when it is smaller. The parse says how long that form is, so it is
+/// written only when it is kept. A payload LZSS cannot take (4 GiB or
+/// more: its header and positions are u32) is stored raw, like one it
+/// fails to shrink. `flags` holds the inner stages' bits.
 fn lossless_encode(mut body: Vec<u8>, mut flags: u8, on: bool) -> Vec<u8> {
     if on && lossless::accepts(body.len()) {
         let _span = lcpio_trace::span("sz.lossless");
-        let z = lossless::compress(&body);
-        let kept = z.len() < body.len();
+        let parse = lossless::parse(&body);
+        let stream_len = parse.stream_len();
+        let kept = stream_len < body.len();
         if lcpio_trace::collecting() {
             lcpio_trace::counter_add("sz.lossless.bytes_in", body.len() as u64);
-            lcpio_trace::counter_add("sz.lossless.bytes_out", z.len() as u64);
+            lcpio_trace::counter_add("sz.lossless.bytes_out", stream_len as u64);
             lcpio_trace::counter_add("sz.lossless.kept", kept as u64);
             lcpio_trace::counter_add("sz.lossless.dropped", !kept as u64);
         }
         if kept {
+            let _span = lcpio_trace::span("sz.lossless.emit");
             flags |= FLAG_LOSSLESS;
-            body = z;
+            body = parse.emit();
         }
     }
     let mut out = Writer::new();
@@ -2409,6 +2412,109 @@ mod tests {
             let (back_flags, back) = lossless_decode(&stream).unwrap();
             assert_eq!((back_flags, &back[..]), (flags, &payload[..]));
             assert_eq!(matches!(back, Cow::Borrowed(_)), !lzss);
+        }
+    }
+
+    /// `n` bytes of xorshift noise.
+    fn noise_bytes(seed: u64, n: usize) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect()
+    }
+
+    /// The lossless stage on `payload` against the reference matcher: the
+    /// parse sizes the LZSS form to the byte, the form is kept exactly when
+    /// it is strictly shorter, and what is kept is the reference's bytes.
+    /// Returns whether it was kept.
+    fn assert_lzss_pass_matches_reference(payload: &[u8]) -> bool {
+        let reference = lossless::compress_reference(payload, true);
+        assert_eq!(lossless::parse(payload).stream_len(), reference.len(), "the parse sizes the stream");
+        assert_eq!(lossless::compress(payload), reference);
+        let kept = reference.len() < payload.len();
+        let mut want = Writer::new();
+        want.bytes(&MAGIC);
+        want.u8(if kept { FLAG_LOSSLESS } else { 0 });
+        want.section(if kept { &reference } else { payload });
+        assert_eq!(lossless_encode(payload.to_vec(), 0, true), want.into_bytes());
+        kept
+    }
+
+    #[test]
+    fn lzss_pass_decides_and_writes_what_the_reference_does() {
+        // The payload the lossless stage is given: the table packed.
+        let payload = |data: &[f32], dims: &[usize], eb| {
+            let stream = compress_typed(data, dims, &SzConfig::new(ErrorBound::Absolute(eb))).unwrap().bytes;
+            lossless_decode(&stream).unwrap().1.into_owned()
+        };
+        // The NYX chunks' payloads at every bound: parsed, and dropped.
+        let mut dropped = 0;
+        for chunk in 0..2 {
+            let (data, dims) = nyx_chunk(chunk);
+            for eb in [1e-1, 1e-2, 1e-3, 1e-4] {
+                dropped += !assert_lzss_pass_matches_reference(&payload(&data, &dims, eb)) as usize;
+            }
+        }
+        assert_eq!(dropped, 8);
+        // A flat cube and a ramp along x code to runs: kept.
+        let dims = [12usize, 48, 48];
+        let n: usize = dims.iter().product();
+        let ramp: Vec<f32> = (0..n).map(|i| (i % 48) as f32 * 0.001).collect();
+        for (name, field) in [("flat", vec![1.0f32; n]), ("ramp", ramp)] {
+            assert!(assert_lzss_pass_matches_reference(&payload(&field, &dims, 1e-3)), "{name}");
+        }
+        // Noise: dropped.
+        assert!(!assert_lzss_pass_matches_reference(&noise_bytes(0x5eed, 100_000)));
+    }
+
+    #[test]
+    fn lzss_form_as_long_as_the_payload_is_not_kept() {
+        // Noise, then zeros: each zero takes the LZSS form's excess over
+        // the payload down by about a byte, so some count of them leaves
+        // the two exactly as long. Only a strictly shorter form is kept.
+        let noise = noise_bytes(0xfeed, 2000);
+        let at_limit = (0..1000)
+            .map(|zeros| [noise.clone(), vec![0; zeros]].concat())
+            .find(|payload| lossless::parse(payload).stream_len() == payload.len())
+            .expect("a payload whose LZSS form is as long as it");
+        assert_eq!(lossless::compress_reference(&at_limit, true).len(), at_limit.len());
+        assert!(!assert_lzss_pass_matches_reference(&at_limit));
+        assert_eq!(flags_of(&lossless_encode(at_limit, 0, true)), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn prop_lzss_pass_on_planted_repeats_matches_reference(
+            seed in any::<u64>(),
+            // Misses before each copy of the record: around a multiple of
+            // 32, where the matcher's stride steps up.
+            streak in 1usize..6,
+            jitter in 0usize..7,
+            record in 4usize..300,
+            // The second copy's distance from the first: a short gap, or
+            // within 8 bytes of the 64 KiB window on either side.
+            far in any::<bool>(),
+            edge in 0usize..17,
+        ) {
+            let lead = 32 * streak + jitter - 3;
+            let gap = if far { lossless::WINDOW + edge - 8 - record } else { lead };
+            let rec = noise_bytes(seed ^ 0xabc, record);
+            let data = [
+                noise_bytes(seed, lead),
+                rec.clone(),
+                noise_bytes(seed ^ 1, gap),
+                rec,
+                noise_bytes(seed ^ 2, lead),
+            ]
+            .concat();
+            assert_lzss_pass_matches_reference(&data);
         }
     }
 

@@ -21,6 +21,11 @@
 //! pad the last byte. How many lengths there are is not in the section:
 //! the stream header's `count` says so.
 //!
+//! The tokenizer finds each run with an eight-byte compare and counts the
+//! tokens as it makes them; the writer puts each token out with its extra
+//! field as one code (two where together they pass 32 bits), a batch of
+//! them to a `BitWriter::push_codes`.
+//!
 //! This is the table stage of the payload: [`encode`] chooses the form and
 //! writes it, [`decode`] reads it back under the envelope's
 //! `FLAG_PACKED_TABLE`.
@@ -73,7 +78,9 @@ const ZEROS: u8 = REPEAT + 1;
 /// Per run token from [`REPEAT`] on: the shortest run it stands for and
 /// the width of the field behind it, which holds the run's excess over
 /// that.
-const RUNS: [(usize, u8); 4] = [(3, 2), (3, 3), (11, 7), (139, 16)];
+const RUNS: [(usize, u8); 4] = [(MIN_RUN, 2), (MIN_RUN, 3), (11, 7), (139, 16)];
+/// The shortest run a run token stands for, repeats and zeros alike.
+const MIN_RUN: usize = 3;
 const TOKENS: usize = REPEAT as usize + RUNS.len();
 /// Width of a token's code length in the section's header.
 const TOKEN_LEN_BITS: u8 = 6;
@@ -89,55 +96,96 @@ fn longest(token: u8) -> usize {
     least + (1 << width) - 1
 }
 
-/// `lens` as tokens, each with the value of its extra field.
-fn tokenize(lens: &[u8]) -> Vec<(u8, u16)> {
-    let mut tokens = Vec::with_capacity(lens.len() / 2);
-    let mut rest = lens;
-    while let Some(&l) = rest.first() {
-        let run = rest.iter().take_while(|&&x| x == l).count();
-        // A run of zeros goes out as zero-run tokens, a run of any other
-        // length as that length once and then repeats of it, each time the
-        // widest token that fits. What is left, too short for a run token,
-        // goes round again as single lengths.
-        let run_tokens = if l == 0 { ZEROS..TOKENS as u8 } else { REPEAT..ZEROS };
+/// Length of the run of `lens[0]` that `lens` starts with. Compares eight
+/// bytes at a time.
+#[inline]
+fn run_len(lens: &[u8]) -> usize {
+    let fill = u64::from_ne_bytes([lens[0]; 8]);
+    let mut run = 1;
+    while let Some(word) = lens.get(run..run + 8) {
+        let diff = u64::from_le_bytes(word.try_into().expect("8 bytes")) ^ fill;
+        if diff != 0 {
+            return run + (diff.trailing_zeros() / 8) as usize;
+        }
+        run += 8;
+    }
+    run + lens[run..].iter().take_while(|&&l| l == lens[0]).count()
+}
+
+/// `lens` as tokens, each with the value of its extra field, into
+/// `tokens`, and each token's count into `freqs`.
+///
+/// A run of zeros three or more long goes out as zero-run tokens, any
+/// other run as its length once and then repeats of it, each time the
+/// widest token that fits. What is left of a run, too short for a run
+/// token, goes out as single lengths.
+fn tokenize(lens: &[u8], tokens: &mut Vec<(u8, u16)>, freqs: &mut [u64; TOKENS]) {
+    let mut at = 0;
+    while at < lens.len() {
+        let l = lens[at];
+        let run = run_len(&lens[at..]);
+        at += run;
         let mut left = run;
-        if l != 0 || run < run_of(ZEROS).0 {
+        if l != 0 || run < MIN_RUN {
             tokens.push((l, 0));
+            freqs[l as usize] += 1;
             left -= 1;
         }
-        while left >= run_of(run_tokens.start).0 {
-            let token = run_tokens.clone().rev().find(|&t| left >= run_of(t).0).expect("one fits");
+        while left >= MIN_RUN {
+            let token = match l {
+                0 if left >= run_of(ZEROS + 2).0 => ZEROS + 2,
+                0 if left >= run_of(ZEROS + 1).0 => ZEROS + 1,
+                0 => ZEROS,
+                _ => REPEAT,
+            };
             let take = left.min(longest(token));
             tokens.push((token, (take - run_of(token).0) as u16));
+            freqs[token as usize] += 1;
             left -= take;
         }
-        rest = &rest[run - left..];
+        for _ in 0..left {
+            tokens.push((l, 0));
+        }
+        freqs[l as usize] += left as u64;
     }
-    tokens
 }
 
 /// The packed section for `lens` (each at most [`MAX_CODE_LEN`]), or `None`
 /// for an empty table, which has no packed form.
 fn pack(lens: &[u8]) -> Option<Vec<u8>> {
-    write_tokens(&tokenize(lens))
+    let mut tokens = Vec::with_capacity(lens.len() / 2);
+    let mut freqs = [0u64; TOKENS];
+    tokenize(lens, &mut tokens, &mut freqs);
+    write_tokens(&tokens, &freqs)
 }
 
-/// The section that says `tokens`, under the Huffman code their counts give.
-fn write_tokens(tokens: &[(u8, u16)]) -> Option<Vec<u8>> {
-    let mut freqs = [0u64; TOKENS];
-    for &(token, _) in tokens {
-        freqs[token as usize] += 1;
-    }
-    let codes = canonical_codes(&code_lengths(&freqs).ok()?);
+/// The section that says `tokens`, whose counts are `freqs`, under the
+/// Huffman code those counts give. Each token goes out with its extra
+/// field as one code where the two fit 32 bits, as two where they do not
+/// (a code over 16 bits before a 16-bit field), a batch of them to a
+/// `push_codes`.
+fn write_tokens(tokens: &[(u8, u16)], freqs: &[u64; TOKENS]) -> Option<Vec<u8>> {
+    let codes = canonical_codes(&code_lengths(freqs).ok()?);
     let mut w = BitWriter::with_capacity(TOKENS + tokens.len());
     for &(_, len) in &codes {
         w.push_bits(len as u64, TOKEN_LEN_BITS);
     }
-    for &(token, extra) in tokens {
-        // A code of at most 32 bits and a field of at most 16: one push.
-        let (code, len) = codes[token as usize];
-        let width = run_of(token).1;
-        w.push_bits((code as u64) << width | extra as u64, len + width);
+    let mut batch = [(0u32, 0u8); 512];
+    for part in tokens.chunks(batch.len() / 2) {
+        let mut k = 0;
+        for &(token, extra) in part {
+            let (code, len) = codes[token as usize];
+            let width = run_of(token).1;
+            if len + width <= 32 {
+                batch[k] = (code << width | extra as u32, len + width);
+                k += 1;
+            } else {
+                batch[k] = (code, len);
+                batch[k + 1] = (extra as u32, width);
+                k += 2;
+            }
+        }
+        w.push_codes(&batch[..k]);
     }
     Some(w.into_bytes())
 }
@@ -195,6 +243,35 @@ fn unpack(section: &[u8], count: usize) -> Result<Vec<u8>, SzError> {
     Ok(lens)
 }
 
+/// The tokenizer [`tokenize`] replaced, kept as its executable
+/// specification: a scan per run and a search per run token.
+#[cfg(test)]
+fn tokenize_reference(lens: &[u8]) -> Vec<(u8, u16)> {
+    let mut tokens = Vec::with_capacity(lens.len() / 2);
+    let mut rest = lens;
+    while let Some(&l) = rest.first() {
+        let run = rest.iter().take_while(|&&x| x == l).count();
+        // A run of zeros goes out as zero-run tokens, a run of any other
+        // length as that length once and then repeats of it, each time the
+        // widest token that fits. What is left, too short for a run token,
+        // goes round again as single lengths.
+        let run_tokens = if l == 0 { ZEROS..TOKENS as u8 } else { REPEAT..ZEROS };
+        let mut left = run;
+        if l != 0 || run < run_of(ZEROS).0 {
+            tokens.push((l, 0));
+            left -= 1;
+        }
+        while left >= run_of(run_tokens.start).0 {
+            let token = run_tokens.clone().rev().find(|&t| left >= run_of(t).0).expect("one fits");
+            let take = left.min(longest(token));
+            tokens.push((token, (take - run_of(token).0) as u16));
+            left -= take;
+        }
+        rest = &rest[run - left..];
+    }
+    tokens
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,11 +297,46 @@ mod tests {
         w.into_bytes()
     }
 
+    /// Run lengths around every token's limits.
+    const EDGES: [usize; 17] = [1, 2, 3, 4, 6, 7, 8, 9, 10, 11, 12, 138, 139, 140, 65_674, 65_675, 65_677];
+
+    /// The section [`write_tokens`] must write for `tokens`: counted, coded
+    /// and pushed one token at a time.
+    fn write_reference(tokens: &[(u8, u16)]) -> Option<Vec<u8>> {
+        let mut freqs = [0u64; TOKENS];
+        for &(token, _) in tokens {
+            freqs[token as usize] += 1;
+        }
+        let codes = canonical_codes(&code_lengths(&freqs).ok()?);
+        let mut w = BitWriter::new();
+        for &(_, len) in &codes {
+            w.push_bits(len as u64, TOKEN_LEN_BITS);
+        }
+        for &(token, extra) in tokens {
+            let (code, len) = codes[token as usize];
+            let width = run_of(token).1;
+            w.push_bits((code as u64) << width | extra as u64, len + width);
+        }
+        Some(w.into_bytes())
+    }
+
+    /// The section [`pack`] must write.
+    fn pack_reference(lens: &[u8]) -> Option<Vec<u8>> {
+        write_reference(&tokenize_reference(lens))
+    }
+
+    fn assert_matches_reference(lens: &[u8]) {
+        let mut tokens = Vec::new();
+        tokenize(lens, &mut tokens, &mut [0; TOKENS]);
+        assert_eq!(tokens, tokenize_reference(lens), "tokens of {} lengths", lens.len());
+        assert_eq!(pack(lens), pack_reference(lens), "section of {} lengths", lens.len());
+    }
+
     #[test]
     fn run_boundaries_round_trip() {
         // Every run length around a token's limits, for zeros and for a
         // repeated length, alone and between other entries.
-        let edges = [1usize, 2, 3, 4, 6, 7, 8, 9, 10, 11, 12, 138, 139, 140, 65_674, 65_675, 65_677];
+        let edges = EDGES;
         for &run in &edges {
             for value in [0u8, 9] {
                 for (head, tail) in [(0usize, 0usize), (1, 0), (0, 1), (2, 2)] {
@@ -236,6 +348,27 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn token_codes_too_long_to_share_a_push_with_their_field() {
+        // Fibonacci counts over 22 tokens: the rarest get codes of 21
+        // bits, and the widest run token's 16-bit field no longer fits
+        // beside its code in 32 bits.
+        let mut tokens = Vec::new();
+        let (mut a, mut b) = (1usize, 1usize);
+        for token in (0..20u8).chain([ZEROS + 1, ZEROS + 2]).rev() {
+            let extra = if token > REPEAT { 0xbeef >> (16 - run_of(token).1) } else { 0 };
+            tokens.extend(std::iter::repeat_n((token, extra), a));
+            (a, b) = (b, a + b);
+        }
+        let mut freqs = [0u64; TOKENS];
+        for &(token, _) in &tokens {
+            freqs[token as usize] += 1;
+        }
+        let lens = code_lengths(&freqs).unwrap();
+        assert!(lens[ZEROS as usize + 2] + 16 > 32, "{lens:?}");
+        assert_eq!(write_tokens(&tokens, &freqs), write_reference(&tokens));
     }
 
     #[test]
@@ -321,6 +454,23 @@ mod tests {
             }
             let section = pack(&lens).expect("non-empty table");
             prop_assert_eq!(unpack(&section, lens.len()).unwrap(), lens);
+        }
+
+        #[test]
+        fn prop_tokens_and_sections_match_reference(
+            // Runs at every token edge, of zeros, of one length and of the
+            // longest codes, next to each other and to short runs, and
+            // token codes long enough to split from their extra field.
+            runs in proptest::collection::vec(
+                (prop_oneof![Just(0u8), Just(9u8), Just(32u8), 0u8..33], 0..EDGES.len(), 0usize..3),
+                1..12,
+            ),
+        ) {
+            let mut lens = Vec::new();
+            for &(value, edge, jitter) in &runs {
+                lens.extend(std::iter::repeat_n(value, EDGES[edge] + jitter));
+            }
+            assert_matches_reference(&lens);
         }
 
         #[test]

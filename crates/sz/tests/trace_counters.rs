@@ -1,8 +1,10 @@
 //! What a trace-on build records about the lossless back end: how large
 //! the Huffman table was and is, what the LZSS pass was given and made of
-//! it, whether its output was kept, and how large a compact alphabet the
-//! entropy stage built its tables over; and how predict-quantize splits
-//! into choosing each block's predictor and quantizing. One test function,
+//! it, whether its output was kept (and so written), and how large a
+//! compact alphabet the entropy stage built its tables over; how the
+//! entropy stage splits into histogram, build, emit and table pack; and
+//! how predict-quantize splits into choosing each block's predictor and
+//! quantizing. One test function,
 //! so nothing else in this process touches the registry.
 
 use lcpio_sz::trace;
@@ -46,6 +48,15 @@ fn lossless_back_end_counters_tell_kept_from_dropped() {
     assert_eq!((whole.count, select.count, quantize.count), (1, 16, 16));
     assert!(select.total_ns > 0 && quantize.total_ns > 0);
     assert!(select.total_ns + quantize.total_ns <= whole.total_ns, "both lie inside sz.predict_quantize");
+    // The entropy stage's parts, one span each, one after the other inside
+    // sz.huffman: histogram, code build, emit, table pack. The LZSS pass
+    // is parsed and, dropped, never written.
+    let parts = ["sz.huffman.count", "sz.huffman.build", "sz.huffman.emit", "sz.table.pack"].map(span);
+    assert!(parts.iter().all(|part| part.count == 1));
+    let inside: u64 = parts.iter().map(|part| part.total_ns).sum();
+    assert!(inside <= huffman.total_ns, "the parts lie inside sz.huffman");
+    assert_eq!(span("sz.lossless").count, 1);
+    assert!(report.span("sz.lossless.emit").is_none(), "a dropped LZSS pass is not written");
 
     // A constant chunk: a table too short to pack, an LZSS pass that is kept.
     trace::reset();
@@ -55,6 +66,10 @@ fn lossless_back_end_counters_tell_kept_from_dropped() {
     assert_eq!((counter("sz.lossless.kept"), counter("sz.lossless.dropped")), (1, 0));
     assert_eq!(counter("sz.table.dense_bytes"), counter("sz.table.packed_bytes"));
     assert_eq!(counter("sz.lossless.bytes_out") + 13, out.bytes.len() as u64);
+    let span = |name: &str| report.span(name).unwrap_or_else(|| panic!("no {name} span"));
+    let (lossless, emit) = (span("sz.lossless"), span("sz.lossless.emit"));
+    assert_eq!((lossless.count, emit.count), (1, 1));
+    assert!(emit.total_ns <= lossless.total_ns, "sz.lossless.emit lies inside sz.lossless");
 
     // Whole-array Lorenzo (rank 1) chooses nothing.
     trace::reset();
