@@ -5,31 +5,44 @@
 //! path" mirrors this):
 //!
 //! ```text
-//! connection reader ── frame_len/decode ──► admission ──► shard queue ──► worker
-//!        │                    │ (typed error)     │ (BUSY)       (registry codec)
-//!        └────────────────────┴──────────────────┴──────────────────────┴──► commit
+//! connection reader ── frame_len/decode ──► admission ──► shard queue ──► worker ─┐
+//!        │                    │ (typed error)     │ (BUSY)   │ (idle shard, nothing │
+//!        │                    │                   │          │  more buffered)      │
+//!        │                    │                   │          └──► the reader runs it┤
+//!        └────────────────────┴───────────────────┴─────────────────────────────────┴─► commit
 //!                                          (seq-ordered; the finishing thread writes)
 //! ```
 //!
 //! Each connection gets one reader thread. The reader assigns every frame
-//! a connection-local sequence number and hands compress/decompress/info
-//! work to a worker shard; ping/shutdown and all rejections are answered
-//! inline. Every response goes through the connection's in-order commit:
-//! whichever thread delivers the response that is due (the worker for
-//! shard work, the reader for the rest) writes it to the socket, then
-//! every held response behind it, so responses line up with requests even
-//! when shards finish out of order. A response write has the read side's
-//! deadline, so a client that stops reading costs at most one
-//! `read_timeout` per connection and then loses the connection.
+//! a connection-local sequence number and admits compress/decompress/info
+//! work onto a shard; ping/shutdown and all rejections are answered
+//! inline. A shard runs at most one job at a time. When the shard
+//! admission picks has nothing running and nothing queued, and no further
+//! byte of the connection is buffered (the closed-loop case: one request,
+//! then a wait for its answer), the reader runs the job itself instead of
+//! handing it to the shard's worker and waiting on it; otherwise the job
+//! queues for the worker. Every response goes through the connection's
+//! in-order commit: whichever thread delivers the response that is due
+//! (the one that ran the job, or the reader for the rest) writes it to
+//! the socket, then every held response behind it, so responses line up
+//! with requests even when shards finish out of order. A response write
+//! has the read side's deadline, so a client that stops reading costs at
+//! most one `read_timeout` per connection and then loses the connection.
 //!
-//! A worker runs each op through the call that already does the job:
+//! A job runs each op through the call that already does the job:
 //! compress through [`plan_and_compress`], decompress through the registry
 //! codec the container's magic names (or `decode_stream` for a pipeline
 //! stream). Admission control is a bounded `VecDeque` per shard: when
 //! every shard is at `queue_depth`, the request is answered
 //! [`crate::protocol::status::BUSY`] immediately instead of queueing
 //! without bound — the same backpressure stance as the bounded channels
-//! in the write/restart pipelines.
+//! in the write/restart pipelines. Pipelined frames reach the shards'
+//! queues (only the last one buffered may run on the reader), so a
+//! pipelining connection still spreads over the shards and can still be
+//! answered `BUSY`.
+//!
+//! The accept loop blocks in `accept`; the drain wakes it with a
+//! connection of the server's own, which it drops uncounted.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -37,6 +50,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -52,19 +66,19 @@ use lcpio_trace as trace;
 
 use crate::protocol::{self, Op, Request, Response};
 
-/// How often blocked loops (accept, idle reads) wake up to check the
-/// shutdown flag.
+/// How often idle reads wake up to check the shutdown flag.
 const TICK: Duration = Duration::from_millis(25);
 
-/// Worker-side service-time shaping, the serve-side analogue of the
-/// pipeline's `FailurePlan`. All-zero by default. The failure suite uses
-/// it to make queue-full and drain states deterministically reachable,
-/// and to model an I/O-bound request regime (each request holding its
-/// worker for the NFS-write phase of a checkpoint) where shard
-/// concurrency — not per-core compute — sets throughput.
+/// Service-time shaping, the serve-side analogue of the pipeline's
+/// `FailurePlan`. All-zero by default. The failure suite uses it to make
+/// queue-full, hand-off and drain states deterministically reachable, and
+/// to model an I/O-bound request regime (each request holding its shard
+/// for the NFS-write phase of a checkpoint) where shard concurrency — not
+/// per-core compute — sets throughput.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Hold the worker this long before executing each
+    /// Hold the thread that runs the job (the shard's worker, or the
+    /// reader that admitted it) this long before executing each
     /// compress/decompress/info request.
     pub worker_delay_ms: u64,
 }
@@ -73,7 +87,9 @@ pub struct FaultPlan {
 /// flags.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Worker shards (each: one thread + one bounded queue).
+    /// Worker shards (each: one worker thread, one bounded queue, and at
+    /// most one running job, on the worker or on the reader that
+    /// admitted it).
     pub workers: usize,
     /// Bounded queue capacity per shard; a request finding every shard
     /// full is answered [`protocol::status::BUSY`].
@@ -202,13 +218,6 @@ enum Listener {
 }
 
 impl Listener {
-    fn set_nonblocking(&self) -> io::Result<()> {
-        match self {
-            Listener::Unix(l) => l.set_nonblocking(true),
-            Listener::Tcp(l) => l.set_nonblocking(true),
-        }
-    }
-
     fn accept(&self) -> io::Result<Conn> {
         Ok(match self {
             Listener::Unix(l) => Conn::Unix(l.accept()?.0),
@@ -296,15 +305,26 @@ fn write_within(conn: &mut Conn, mut bytes: &[u8], limit: Duration) -> io::Resul
     Ok(())
 }
 
-/// A worker shard: bounded queue + wakeup for one worker thread.
+/// A worker shard: its lane and the wakeup for its worker thread.
+#[derive(Default)]
 struct Shard {
-    queue: Mutex<VecDeque<Job>>,
+    lane: Mutex<Lane>,
     cond: Condvar,
 }
 
+/// A shard's state under its lock.
+#[derive(Default)]
+struct Lane {
+    /// The bounded admission queue.
+    jobs: VecDeque<Job>,
+    /// A job of this shard is executing, on its worker or on the reader
+    /// that admitted it.
+    running: bool,
+}
+
 impl Shard {
-    fn new() -> Shard {
-        Shard { queue: Mutex::new(VecDeque::new()), cond: Condvar::new() }
+    fn lock(&self) -> std::sync::MutexGuard<'_, Lane> {
+        self.lane.lock().expect("shard lock")
     }
 }
 
@@ -313,6 +333,7 @@ impl Shard {
 struct Counters {
     connections: AtomicU64,
     requests: AtomicU64,
+    inline: AtomicU64,
     compress: AtomicU64,
     decompress: AtomicU64,
     info: AtomicU64,
@@ -332,6 +353,9 @@ pub struct StatsSnapshot {
     pub connections: u64,
     /// Frames decoded into requests (including rejected ones).
     pub requests: u64,
+    /// Compress/decompress/info jobs run by the reader that admitted
+    /// them rather than by a shard's worker.
+    pub inline: u64,
     /// Compress requests executed.
     pub compress: u64,
     /// Decompress requests executed.
@@ -354,6 +378,9 @@ pub struct StatsSnapshot {
 
 struct Shared {
     cfg: ServeConfig,
+    /// The resolved endpoint, which the drain connects to to wake the
+    /// accept loop.
+    endpoint: Endpoint,
     shards: Vec<Shard>,
     next_shard: AtomicU64,
     shutdown: AtomicBool,
@@ -362,22 +389,41 @@ struct Shared {
 
 impl Shared {
     fn initiate_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        // Once only: a later call (the drop after `wait`) must not connect
+        // to an endpoint that another server may have bound since.
+        if self.shutdown.swap(true, Ordering::SeqCst) {
+            return;
+        }
         for shard in &self.shards {
-            // Under the queue lock, so a worker between its drain check and
+            // Under the shard lock, so a worker between its drain check and
             // its wait cannot miss the wake-up.
-            let _queue = shard.queue.lock();
+            let _lane = shard.lock();
             shard.cond.notify_all();
         }
+        self.wake_listener();
+    }
+
+    /// Wake the accept loop, blocked in `accept`, with a connection of
+    /// our own; it sees the drain and drops the connection uncounted. A
+    /// connect that fails is repeated by [`Server::wait`].
+    fn wake_listener(&self) {
+        let _ = match &self.endpoint {
+            Endpoint::Unix(path) => UnixStream::connect(path).map(drop),
+            Endpoint::Tcp(addr) => TcpStream::connect(addr.as_str()).map(drop),
+        };
     }
 
     fn draining(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Admit a job onto the least-loaded shard, or reject it with a typed
-    /// response when draining or when every queue is full.
-    fn submit(&self, job: Job) -> Result<(), Response> {
+    /// Admit a job onto the least-loaded shard (a running job counts as
+    /// load), or reject it with a typed response when draining or when
+    /// every queue is full. When `may_run_here` and the chosen shard has
+    /// nothing running or queued, the job does not queue: the calling
+    /// reader runs it on the shard's behalf, then hands the shard back,
+    /// waking the worker if jobs queued on it meanwhile.
+    fn submit(&self, job: Job, may_run_here: bool) -> Result<(), Response> {
         let id = job.request.id;
         let shutting_down =
             || Response::of_status(id, protocol::status::SHUTTING_DOWN, "server is draining");
@@ -388,23 +434,36 @@ impl Shared {
         let mut best: Option<(usize, usize)> = None;
         for i in 0..self.shards.len() {
             let idx = (start + i) % self.shards.len();
-            let len = self.shards[idx].queue.lock().expect("shard queue lock").len();
-            if len < self.cfg.queue_depth && best.map(|(_, l)| len < l).unwrap_or(true) {
-                best = Some((idx, len));
+            let lane = self.shards[idx].lock();
+            let load = lane.jobs.len() + usize::from(lane.running);
+            if lane.jobs.len() < self.cfg.queue_depth && best.is_none_or(|(_, l)| load < l) {
+                best = Some((idx, load));
             }
         }
         if let Some((idx, _)) = best {
-            // The queue may have filled since it was measured.
+            // The shard may have filled since it was measured.
             let shard = &self.shards[idx];
-            let mut q = shard.queue.lock().expect("shard queue lock");
+            let mut lane = shard.lock();
             // A worker exits under this lock once its queue is empty and
-            // the drain has begun, so a job pushed past this check is run.
+            // the drain has begun, so a job admitted past this check is run.
             if self.draining() {
                 return Err(shutting_down());
             }
-            if q.len() < self.cfg.queue_depth {
-                q.push_back(job);
-                drop(q);
+            if may_run_here && !lane.running && lane.jobs.is_empty() {
+                lane.running = true;
+                drop(lane);
+                self.counters.inline.fetch_add(1, Ordering::Relaxed);
+                run_job(self, job);
+                let mut lane = shard.lock();
+                lane.running = false;
+                if !lane.jobs.is_empty() {
+                    shard.cond.notify_one();
+                }
+                return Ok(());
+            }
+            if lane.jobs.len() < self.cfg.queue_depth {
+                lane.jobs.push_back(job);
+                drop(lane);
                 shard.cond.notify_one();
                 return Ok(());
             }
@@ -428,7 +487,9 @@ pub struct Server {
     shared: Arc<Shared>,
     endpoint: Endpoint,
     unix_path: Option<PathBuf>,
-    listener_thread: Option<JoinHandle<()>>,
+    /// Where the accept loop hands over the connection readers it started
+    /// once it has stopped and closed the listening socket.
+    readers: Option<Receiver<Vec<JoinHandle<()>>>>,
     worker_threads: Vec<JoinHandle<()>>,
 }
 
@@ -462,11 +523,10 @@ impl Server {
                 (Listener::Tcp(l), Endpoint::Tcp(actual), None)
             }
         };
-        listener.set_nonblocking()?;
-
         let shared = Arc::new(Shared {
             cfg,
-            shards: (0..workers).map(|_| Shard::new()).collect(),
+            endpoint: resolved.clone(),
+            shards: (0..workers).map(|_| Shard::default()).collect(),
             next_shard: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             counters: Counters::default(),
@@ -480,13 +540,16 @@ impl Server {
             .collect();
 
         let listener_shared = Arc::clone(&shared);
-        let listener_thread = thread::spawn(move || accept_loop(&listener_shared, listener));
+        let (hand_over, readers) = mpsc::channel();
+        thread::spawn(move || {
+            let _ = hand_over.send(accept_loop(&listener_shared, listener));
+        });
 
         Ok(Server {
             shared,
             endpoint: resolved,
             unix_path,
-            listener_thread: Some(listener_thread),
+            readers: Some(readers),
             worker_threads,
         })
     }
@@ -509,6 +572,7 @@ impl Server {
         StatsSnapshot {
             connections: c.connections.load(Ordering::Relaxed),
             requests: c.requests.load(Ordering::Relaxed),
+            inline: c.inline.load(Ordering::Relaxed),
             compress: c.compress.load(Ordering::Relaxed),
             decompress: c.decompress.load(Ordering::Relaxed),
             info: c.info.load(Ordering::Relaxed),
@@ -523,15 +587,28 @@ impl Server {
 
     /// Block until the server has fully drained (shutdown initiated by
     /// [`Server::shutdown`] or a client `SHUTDOWN`
-    /// request; listener stopped; every queued request answered; all
-    /// threads joined), then remove the Unix socket file. Returns the
-    /// final counters.
+    /// request; listening socket closed; every admitted request answered;
+    /// worker and connection threads joined), then remove the Unix socket
+    /// file. Returns the final counters.
     pub fn wait(mut self) -> StatsSnapshot {
-        if let Some(t) = self.listener_thread.take() {
-            let _ = t.join();
-        }
+        // A worker returns once the drain has begun and its queue is empty.
         for t in self.worker_threads.drain(..) {
             let _ = t.join();
+        }
+        if let Some(readers) = self.readers.take() {
+            // The listener stops on the first connection it accepts after
+            // the drain began, the drain's own wake-up connect. Should that
+            // connect have failed (no descriptor free, a full backlog), it
+            // is repeated each tick until one gets through.
+            let conns = loop {
+                match readers.recv_timeout(TICK) {
+                    Err(RecvTimeoutError::Timeout) => self.shared.wake_listener(),
+                    handed_over => break handed_over.unwrap_or_default(),
+                }
+            };
+            for conn in conns {
+                let _ = conn.join();
+            }
         }
         if let Some(path) = self.unix_path.take() {
             let _ = std::fs::remove_file(path);
@@ -551,24 +628,23 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(shared: &Arc<Shared>, listener: Listener) {
+/// Accept connections until the drain, close the listening socket, and
+/// return the readers still running, for [`Server::wait`] to join.
+fn accept_loop(shared: &Arc<Shared>, listener: Listener) -> Vec<JoinHandle<()>> {
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.draining() {
-        match listener.accept() {
-            Ok(conn) => {
-                shared.counters.connections.fetch_add(1, Ordering::Relaxed);
-                trace::counter_add("serve.connections", 1);
-                let shared = Arc::clone(shared);
-                conns.push(thread::spawn(move || handle_conn(&shared, conn)));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(TICK),
-            Err(_) => break,
+    // A connection accepted once the drain has begun (the drain's wake-up
+    // connect, or a client that raced it) is dropped uncounted.
+    while let Ok(conn) = listener.accept() {
+        if shared.draining() {
+            break;
         }
+        shared.counters.connections.fetch_add(1, Ordering::Relaxed);
+        trace::counter_add("serve.connections", 1);
+        let shared = Arc::clone(shared);
+        conns.push(thread::spawn(move || handle_conn(&shared, conn)));
         conns.retain(|h| !h.is_finished());
     }
-    for h in conns {
-        let _ = h.join();
-    }
+    conns
 }
 
 /// Per-connection reader: frame assembly, protocol-level rejection,
@@ -647,7 +723,7 @@ fn handle_conn(shared: &Arc<Shared>, mut conn: Conn) {
                                 .fetch_add(req.payload.len() as u64, Ordering::Relaxed);
                             trace::counter_add("serve.bytes_in", req.payload.len() as u64);
                             let ok = Response::of_status(req.id, protocol::status::OK, "");
-                            let inline = match req.op {
+                            let answer = match req.op {
                                 Op::Ping => {
                                     shared.counters.ping.fetch_add(1, Ordering::Relaxed);
                                     Some(ok)
@@ -658,10 +734,13 @@ fn handle_conn(shared: &Arc<Shared>, mut conn: Conn) {
                                 }
                                 _ => {
                                     let reply = Arc::clone(&replies);
-                                    shared.submit(Job { seq, request: req, reply }).err()
+                                    // Run here only if nothing more of this
+                                    // connection waits to be read.
+                                    let job = Job { seq, request: req, reply };
+                                    shared.submit(job, buf.is_empty()).err()
                                 }
                             };
-                            if let Some(resp) = inline {
+                            if let Some(resp) = answer {
                                 replies.deliver(shared, seq, resp);
                             }
                             seq += 1;
@@ -708,45 +787,54 @@ fn send_reject(shared: &Shared, replies: &Replies, seq: u64, id: u64, status: u8
     replies.deliver(shared, seq, Response::of_status(id, status, message));
 }
 
-/// One shard's worker: runs its queue's jobs until the queue is empty and
-/// the drain has begun.
+/// One shard's worker: runs its queue's jobs, each once nothing else runs
+/// on the shard, until the queue is empty and the drain has begun.
 fn worker_loop(shared: &Shared, shard: &Shard) {
+    let mut lane = shard.lock();
     loop {
-        let job = {
-            let mut q = shard.queue.lock().expect("shard queue lock");
-            loop {
-                if let Some(job) = q.pop_front() {
-                    break job;
-                }
-                if shared.draining() {
-                    return;
-                }
-                q = shard.cond.wait(q).expect("shard queue lock");
+        if !lane.running {
+            if let Some(job) = lane.jobs.pop_front() {
+                lane.running = true;
+                drop(lane);
+                run_job(shared, job);
+                lane = shard.lock();
+                lane.running = false;
+                continue;
             }
-        };
-        if shared.cfg.fault.worker_delay_ms > 0 {
-            thread::sleep(Duration::from_millis(shared.cfg.fault.worker_delay_ms));
         }
-        let t0 = Instant::now();
-        let mut resp = execute(&shared.cfg, &job.request);
-        resp.latency_us = t0.elapsed().as_micros() as u64;
-        let c = &shared.counters;
-        if resp.is_ok() {
-            match job.request.op {
-                Op::Compress => c.compress.fetch_add(1, Ordering::Relaxed),
-                Op::Decompress => c.decompress.fetch_add(1, Ordering::Relaxed),
-                _ => c.info.fetch_add(1, Ordering::Relaxed),
-            };
-            c.energy_uj.fetch_add(resp.energy_uj, Ordering::Relaxed);
-            trace::counter_add("serve.energy_uj", resp.energy_uj);
-        } else {
-            c.errors.fetch_add(1, Ordering::Relaxed);
-            trace::counter_add("serve.errors", 1);
+        if shared.draining() && lane.jobs.is_empty() {
+            return;
         }
-        // The peer may already be gone (disconnect mid-request): the work
-        // still completes, and the failed write drops the response.
-        job.reply.deliver(shared, job.seq, resp);
+        lane = shard.cond.wait(lane).expect("shard lock");
     }
+}
+
+/// Run one admitted job on the calling thread, its shard's worker or the
+/// reader that admitted it: the fault delay, the op, the counters, and the
+/// commit of its response.
+fn run_job(shared: &Shared, job: Job) {
+    if shared.cfg.fault.worker_delay_ms > 0 {
+        thread::sleep(Duration::from_millis(shared.cfg.fault.worker_delay_ms));
+    }
+    let t0 = Instant::now();
+    let mut resp = execute(&shared.cfg, &job.request);
+    resp.latency_us = t0.elapsed().as_micros() as u64;
+    let c = &shared.counters;
+    if resp.is_ok() {
+        match job.request.op {
+            Op::Compress => c.compress.fetch_add(1, Ordering::Relaxed),
+            Op::Decompress => c.decompress.fetch_add(1, Ordering::Relaxed),
+            _ => c.info.fetch_add(1, Ordering::Relaxed),
+        };
+        c.energy_uj.fetch_add(resp.energy_uj, Ordering::Relaxed);
+        trace::counter_add("serve.energy_uj", resp.energy_uj);
+    } else {
+        c.errors.fetch_add(1, Ordering::Relaxed);
+        trace::counter_add("serve.errors", 1);
+    }
+    // The peer may already be gone (disconnect mid-request): the work
+    // still completes, and the failed write drops the response.
+    job.reply.deliver(shared, job.seq, resp);
 }
 
 /// Compress `data` exactly as the service does: the requested codec,

@@ -229,6 +229,63 @@ fn queue_full_is_a_typed_busy_error() {
     server.shutdown();
     let stats = server.wait();
     assert_eq!(stats.busy_rejected as usize, busy);
+    // Frames read together queue for the worker: none ran on the reader.
+    assert_eq!(stats.inline, 0);
+}
+
+#[test]
+fn a_request_queued_behind_a_reader_run_job_is_handed_to_the_worker() {
+    // Connection A's lone request finds the only shard idle and runs on
+    // A's reader. Connection B's request, sent while it runs, finds the
+    // shard busy and queues. The reader must hand the shard back when it
+    // is done and wake the worker, or B waits for ever.
+    let delay = Duration::from_millis(100);
+    let cfg = ServeConfig {
+        workers: 1,
+        fault: FaultPlan { worker_delay_ms: delay.as_millis() as u64 },
+        ..ServeConfig::default()
+    };
+    let (server, addr) = tcp_server(cfg);
+    let (mut a, mut b) = (raw_conn(&addr), raw_conn(&addr));
+    for s in [&a, &b] {
+        s.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    }
+    let data = sample_field(256);
+    let t0 = Instant::now();
+    a.write_all(&sz_request(1, &data, &[256]).encode()).expect("write A");
+    while server.stats().inline == 0 {
+        assert!(t0.elapsed() < Duration::from_secs(10), "A's request never ran on its reader");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    b.write_all(&sz_request(2, &data, &[256]).encode()).expect("write B");
+    let ra = &read_responses(&mut a, 1)[0];
+    let rb = &read_responses(&mut b, 1)[0];
+    let b_done = t0.elapsed();
+    assert_eq!((ra.id, ra.status), (1, status::OK), "{}", ra.message);
+    assert_eq!((rb.id, rb.status), (2, status::OK), "{}", rb.message);
+    // B's delay starts only once A's run has ended: the two never overlap.
+    assert!(b_done >= 2 * delay, "B answered {b_done:?} after A was sent");
+    server.shutdown();
+    let stats = server.wait();
+    assert_eq!((stats.inline, stats.compress), (1, 2));
+}
+
+#[test]
+fn a_server_dropped_without_wait_frees_its_unix_path() {
+    let dir = std::env::temp_dir().join(format!("lcpio-serve-drop-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("dir");
+    let endpoint = Endpoint::Unix(dir.join("serve.sock"));
+    let server = Server::bind(&endpoint, ServeConfig::default()).expect("bind");
+    drop(server);
+    assert!(!dir.join("serve.sock").exists(), "the socket file outlived its server");
+    let server = Server::bind(&endpoint, ServeConfig::default()).expect("bind the path again");
+    let mut client = Client::connect(server.endpoint()).expect("connect");
+    assert!(client.ping().expect("ping"));
+    server.shutdown();
+    let stats = server.wait();
+    // The drain's wake-up connection is not a connection served.
+    assert_eq!(stats.connections, 1);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

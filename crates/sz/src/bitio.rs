@@ -14,7 +14,11 @@
 /// Append-only bit sink backed by a `Vec<u8>`.
 #[derive(Debug, Default, Clone)]
 pub struct BitWriter {
+    /// The written bytes, `buf[..end]`. The rest is room that `push_codes`
+    /// stores whole words into: `buf` keeps its longest length across
+    /// `clear`, so a reused writer grows without zero-filling it again.
     buf: Vec<u8>,
+    end: usize,
     /// Pending bits not yet flushed to `buf`, left-aligned (the next bit to
     /// emit is the MSB of `acc`); the unused low `64 - nbits` bits are
     /// always zero. `nbits < 64` between calls: the accumulator spills to
@@ -32,7 +36,24 @@ impl BitWriter {
 
     /// New writer with reserved capacity in bytes.
     pub fn with_capacity(bytes: usize) -> Self {
-        BitWriter { buf: Vec::with_capacity(bytes), acc: 0, nbits: 0 }
+        BitWriter { buf: Vec::with_capacity(bytes), end: 0, acc: 0, nbits: 0 }
+    }
+
+    /// New writer whose output starts with the bytes of `head`, with room
+    /// reserved for `bytes` more.
+    pub(crate) fn after(head: &[u8], bytes: usize) -> Self {
+        let mut buf = Vec::with_capacity(head.len() + bytes);
+        buf.extend_from_slice(head);
+        BitWriter { end: buf.len(), buf, acc: 0, nbits: 0 }
+    }
+
+    /// Append the whole word `acc` at the written end, over the room past
+    /// it.
+    #[inline]
+    fn spill(&mut self, acc: u64) {
+        self.buf.truncate(self.end);
+        self.buf.extend_from_slice(&acc.to_be_bytes());
+        self.end += 8;
     }
 
     /// Append a single bit.
@@ -57,7 +78,7 @@ impl BitWriter {
             self.acc |= masked << (64 - total);
             self.nbits = total as u8;
             if total == 64 {
-                self.buf.extend_from_slice(&self.acc.to_be_bytes());
+                self.spill(self.acc);
                 self.acc = 0;
                 self.nbits = 0;
             }
@@ -68,7 +89,7 @@ impl BitWriter {
             // are in 1..=63 because 0 < space < n ≤ 64.
             let space = 64 - self.nbits as u32;
             self.acc |= masked >> (n as u32 - space);
-            self.buf.extend_from_slice(&self.acc.to_be_bytes());
+            self.spill(self.acc);
             let rem = n as u32 - space;
             self.acc = (masked & ((1u64 << rem) - 1)) << (64 - rem);
             self.nbits = rem as u8;
@@ -83,9 +104,13 @@ impl BitWriter {
     /// and room for 56. Four codes that fit that go in as one, else two,
     /// else one at a time.
     pub(crate) fn push_codes(&mut self, codes: &[(u32, u8)]) {
-        let mut pos = self.buf.len();
-        // 4 bytes a code at most, the pending word, and the last word stored.
-        self.buf.resize(pos + 4 * codes.len() + 16, 0);
+        let mut pos = self.end;
+        // 4 bytes a code at most, the pending word, and the last word
+        // stored. Room a longer write made before is reused as it is.
+        let room = pos + 4 * codes.len() + 16;
+        if self.buf.len() < room {
+            self.buf.resize(room, 0);
+        }
         let (mut acc, mut nbits) = (self.acc, self.nbits as u32);
         let mut put = |code: u64, len: u32| {
             debug_assert!(len <= 56 && code >> len == 0);
@@ -126,18 +151,18 @@ impl BitWriter {
                 pair.iter().for_each(|&(code, len)| put(code as u64, len as u32));
             }
         }
-        self.buf.truncate(pos);
+        self.end = pos;
         (self.acc, self.nbits) = (acc, nbits as u8);
     }
 
     /// Number of bits written so far.
     pub fn bit_len(&self) -> usize {
-        self.buf.len() * 8 + self.nbits as usize
+        self.end * 8 + self.nbits as usize
     }
 
     /// Discard all written bits but keep the allocation (scratch reuse).
     pub fn clear(&mut self) {
-        self.buf.clear();
+        self.end = 0;
         self.acc = 0;
         self.nbits = 0;
     }
@@ -149,16 +174,19 @@ impl BitWriter {
             // The accumulator is left-aligned with zeroed low bits, so its
             // leading big-endian bytes are the stream, padding included.
             let nbytes = (self.nbits as usize).div_ceil(8);
+            self.buf.truncate(self.end);
             self.buf.extend_from_slice(&self.acc.to_be_bytes()[..nbytes]);
+            self.end += nbytes;
             self.acc = 0;
             self.nbits = 0;
         }
-        &self.buf
+        &self.buf[..self.end]
     }
 
     /// Finish and return the byte buffer (final byte zero-padded).
     pub fn into_bytes(mut self) -> Vec<u8> {
         self.finish();
+        self.buf.truncate(self.end);
         self.buf
     }
 }

@@ -79,6 +79,12 @@ impl Writer {
         Self::default()
     }
 
+    /// A payload writer: `ENVELOPE_LEN` bytes held in front of what it
+    /// writes, for the lossless stage to fill with the envelope in place.
+    pub(crate) fn enveloped() -> Self {
+        Writer { buf: vec![0; ENVELOPE_LEN] }
+    }
+
     /// Consume into bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

@@ -236,9 +236,10 @@ impl Parse<'_> {
         4 + bits.div_ceil(8) as usize
     }
 
-    /// The stream: the original length (u32 LE), then the tokens.
-    pub(crate) fn emit(&self) -> Vec<u8> {
-        let mut w = BitWriter::with_capacity(self.stream_len());
+    /// The stream, after the bytes of `head`: the original length (u32
+    /// LE), then the tokens.
+    pub(crate) fn emit(&self, head: &[u8]) -> Vec<u8> {
+        let mut w = BitWriter::after(head, self.stream_len());
         // MSB-first, so the byte-swapped length lands little-endian.
         w.push_bits((self.data.len() as u32).swap_bytes() as u64, 32);
         let mut i = 0usize;
@@ -298,7 +299,7 @@ pub(crate) fn parse(data: &[u8]) -> Parse<'_> {
 /// When `data` is longer than [`accepts`] allows (4 GiB − 1): its length
 /// would not fit the header. Callers store such a payload raw.
 pub fn compress(data: &[u8]) -> Vec<u8> {
-    parse(data).emit()
+    parse(data).emit(&[])
 }
 
 /// Decompress a stream produced by [`compress`].

@@ -826,14 +826,18 @@ fn entropy_decode(
 
 /// The lossless stage: the envelope (magic, flags byte, body length) and,
 /// under `FLAG_LOSSLESS`, the payload's LZSS form as the body, kept only
-/// when it is smaller. The parse says how long that form is, so it is
-/// written only when it is kept. A payload LZSS cannot take (4 GiB or
-/// more: its header and positions are u32) is stored raw, like one it
-/// fails to shrink. `flags` holds the inner stages' bits.
-fn lossless_encode(mut body: Vec<u8>, mut flags: u8, on: bool) -> Vec<u8> {
+/// when it is smaller. `stream` is the payload behind `ENVELOPE_LEN`
+/// reserved bytes ([`Writer::enveloped`]): a payload stored raw stays where
+/// it is and the envelope is filled in front of it. The parse says how
+/// long the LZSS form is, so it is written, behind its envelope, only when
+/// it is kept. A payload LZSS cannot take (4 GiB or more: its header and
+/// positions are u32) is stored raw, like one it fails to shrink. `flags`
+/// holds the inner stages' bits.
+fn lossless_encode(mut stream: Vec<u8>, mut flags: u8, on: bool) -> Vec<u8> {
+    let body = &stream[ENVELOPE_LEN..];
     if on && lossless::accepts(body.len()) {
         let _span = lcpio_trace::span("sz.lossless");
-        let parse = lossless::parse(&body);
+        let parse = lossless::parse(body);
         let stream_len = parse.stream_len();
         let kept = stream_len < body.len();
         if lcpio_trace::collecting() {
@@ -845,14 +849,24 @@ fn lossless_encode(mut body: Vec<u8>, mut flags: u8, on: bool) -> Vec<u8> {
         if kept {
             let _span = lcpio_trace::span("sz.lossless.emit");
             flags |= FLAG_LOSSLESS;
-            body = parse.emit();
+            return parse.emit(&envelope(flags, stream_len));
         }
     }
-    let mut out = Writer::new();
-    out.bytes(&MAGIC);
-    out.u8(flags);
-    out.section(&body);
-    out.into_bytes()
+    let body_len = stream.len() - ENVELOPE_LEN;
+    stream[..ENVELOPE_LEN].copy_from_slice(&envelope(flags, body_len));
+    // The writer grew by doubling, and callers hold streams (a chunked
+    // container every chunk's): give the slack back, in place.
+    stream.shrink_to_fit();
+    stream
+}
+
+/// The envelope in front of a body of `body_len` bytes.
+fn envelope(flags: u8, body_len: usize) -> [u8; ENVELOPE_LEN] {
+    let mut head = [0; ENVELOPE_LEN];
+    head[..4].copy_from_slice(&MAGIC);
+    head[4] = flags;
+    head[5..].copy_from_slice(&(body_len as u64).to_le_bytes());
+    head
 }
 
 /// The lossless stage's decode: the flags byte and the payload (the body,
@@ -905,7 +919,7 @@ pub fn compress_typed_with<T: Element>(
     s: &mut SzScratch<T>,
 ) -> Result<Compressed, SzError> {
     let pq = PredictQuantize::new(data, dims, cfg)?;
-    let mut p = Writer::new();
+    let mut p = Writer::enveloped();
     let mut stats = CompressionStats::default();
     pq.encode(data, dims, &mut p, &mut stats, s);
     code_walk::<T, true>(&pq, p, stats, cfg.lossless, s)
@@ -1878,7 +1892,7 @@ mod legacy {
         lossless: bool,
         s: &mut SzScratch<T>,
     ) -> Result<Compressed, SzError> {
-        let (mut p, mut stats) = (Writer::new(), CompressionStats::default());
+        let (mut p, mut stats) = (Writer::enveloped(), CompressionStats::default());
         encode::<T, FAST>(pq, data, dims, &mut p, &mut stats, s);
         code_walk::<T, FAST>(pq, p, stats, lossless, s)
     }
@@ -2406,13 +2420,19 @@ mod tests {
             })
             .collect();
         for (payload, on, lzss) in [(&runs, true, true), (&noise, true, false), (&runs, false, false)] {
-            let stream = lossless_encode(payload.clone(), FLAG_PACKED_TABLE, on);
+            let stream = encode_payload(payload, FLAG_PACKED_TABLE, on);
             let flags = FLAG_PACKED_TABLE | if lzss { FLAG_LOSSLESS } else { 0 };
             assert_eq!(flags_of(&stream), flags);
             let (back_flags, back) = lossless_decode(&stream).unwrap();
             assert_eq!((back_flags, &back[..]), (flags, &payload[..]));
             assert_eq!(matches!(back, Cow::Borrowed(_)), !lzss);
         }
+    }
+
+    /// The lossless stage on `payload`, given as the walk gives it: behind
+    /// the envelope's reserved bytes.
+    fn encode_payload(payload: &[u8], flags: u8, on: bool) -> Vec<u8> {
+        lossless_encode([&[0; ENVELOPE_LEN][..], payload].concat(), flags, on)
     }
 
     /// `n` bytes of xorshift noise.
@@ -2441,7 +2461,7 @@ mod tests {
         want.bytes(&MAGIC);
         want.u8(if kept { FLAG_LOSSLESS } else { 0 });
         want.section(if kept { &reference } else { payload });
-        assert_eq!(lossless_encode(payload.to_vec(), 0, true), want.into_bytes());
+        assert_eq!(encode_payload(payload, 0, true), want.into_bytes());
         kept
     }
 
@@ -2484,7 +2504,7 @@ mod tests {
             .expect("a payload whose LZSS form is as long as it");
         assert_eq!(lossless::compress_reference(&at_limit, true).len(), at_limit.len());
         assert!(!assert_lzss_pass_matches_reference(&at_limit));
-        assert_eq!(flags_of(&lossless_encode(at_limit, 0, true)), 0);
+        assert_eq!(flags_of(&encode_payload(&at_limit, 0, true)), 0);
     }
 
     proptest! {

@@ -82,8 +82,8 @@ fn warm_scratch_calls_allocate_a_pinned_number_of_times() {
     let nyx = lcpio_datagen::nyx::velocity_x(48, 11);
     let chunk = &nyx.data[..n];
     // (compress, decompress) per case.
-    assert_eq!(counts(chunk, &dims, 1e-1), (29, 14), "NYX chunk at 1e-1");
-    assert_eq!(counts(chunk, &dims, 1e-4), (28, 22), "NYX chunk at 1e-4");
+    assert_eq!(counts(chunk, &dims, 1e-1), (27, 14), "NYX chunk at 1e-1");
+    assert_eq!(counts(chunk, &dims, 1e-4), (26, 22), "NYX chunk at 1e-4");
     // Constant: the LZSS pass is kept, and decoding expands it.
-    assert_eq!(counts(&vec![1.0f32; n], &dims, 1e-3), (24, 4), "constant chunk");
+    assert_eq!(counts(&vec![1.0f32; n], &dims, 1e-3), (20, 4), "constant chunk");
 }

@@ -239,7 +239,8 @@ pub enum Command {
         socket: Option<PathBuf>,
         /// TCP `host:port` address (exactly one of `socket`/`tcp`).
         tcp: Option<String>,
-        /// Worker shards (each one thread and one bounded queue).
+        /// Worker shards (each one thread, one bounded queue and at most
+        /// one running job).
         workers: usize,
         /// Bounded queue depth per shard (full ⇒ typed `BUSY`).
         queue_depth: usize,
