@@ -248,7 +248,6 @@ fn read_frame(
             let mut buf = vec![0u8; entry.len];
             source.read_at(entry.off, &mut buf).map(|()| buf)
         })?;
-    lcpio_trace::counter_add("restart.read_retries", retries);
     tally.read_busy_s += t0.elapsed().as_secs_f64();
     tally.read_retries += retries;
     tally.raw_frames += usize::from(entry.kind == FRAME_RAW);
@@ -276,9 +275,6 @@ fn decode_chunk(
         Ok::<(), std::convert::Infallible>(())
     });
     let result = survived.and_then(|((), deaths)| {
-        if deaths > 0 {
-            lcpio_trace::counter_add("restart.decode_retries", deaths);
-        }
         tally.decode_retries += deaths;
         decode_frame(kind, payload, seq, out)
     });
@@ -365,7 +361,6 @@ pub fn run_restart(
     let _span = lcpio_trace::span("restart.streaming");
     let t0 = Instant::now();
     let layout = scan_stream(source)?;
-    lcpio_trace::counter_add("restart.chunks", layout.chunks() as u64);
     let mut vals = vec![0.0; layout.elements];
     let ranges: Vec<Mutex<Option<&mut [f32]>>> =
         ranges(&mut vals, layout.chunk_elements).map(|r| Mutex::new(Some(r))).collect();

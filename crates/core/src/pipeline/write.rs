@@ -191,7 +191,8 @@ pub struct StreamOutcome {
     pub bytes_in: u64,
     /// Container bytes written (header + all frames).
     pub bytes_out: u64,
-    /// Chunks that fell back to raw frames after codec failure.
+    /// Chunks stored as raw frames, planned raw or after a codec failure:
+    /// the same count as `codec_chunks[Raw]`.
     pub raw_fallbacks: usize,
     /// Total write retries that eventually succeeded.
     pub write_retries: u64,
@@ -351,7 +352,6 @@ fn write_frame(
         retry("write", seq, cfg.max_write_attempts, cfg.retry_backoff_ms, injected, || {
             sink.write_chunk(seq, bytes)
         })?;
-    lcpio_trace::counter_add("pipeline.write_retries", retries);
     out.write_retries += retries;
     out.write_busy_s += t0.elapsed().as_secs_f64();
     out.bytes_out += bytes.len() as u64;
@@ -401,7 +401,6 @@ pub fn run_streaming(
     let _span = lcpio_trace::span("pipeline.streaming");
     let t0 = Instant::now();
     let Opened { ranges, plans, mut out } = open_stream(data, cfg, sink)?;
-    lcpio_trace::counter_add("pipeline.chunks", ranges.len() as u64);
     let compressors = Source::Shared {
         threads: effective_threads(cfg.compress_threads).min(ranges.len().max(1)),
         span: "pipeline.compress.worker",
@@ -409,9 +408,6 @@ pub fn run_streaming(
             let Some(r) = ranges.get(seq) else { return Ok(None) };
             let frame = compress_frame(cfg, seq, &data[r.clone()], &plans[seq]);
             tally.book_frame(&frame);
-            if frame.codec == CodecId::Raw {
-                lcpio_trace::counter_add("pipeline.raw_fallbacks", 1);
-            }
             Ok(Some(frame.bytes))
         },
     };

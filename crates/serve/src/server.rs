@@ -269,7 +269,6 @@ impl Replies {
         while let Some(resp) = commit.held.remove(&commit.next) {
             commit.next += 1;
             shared.counters.bytes_out.fetch_add(resp.payload.len() as u64, Ordering::Relaxed);
-            trace::counter_add("serve.bytes_out", resp.payload.len() as u64);
             if write_within(&mut commit.conn, &resp.encode(), shared.cfg.read_timeout).is_err() {
                 // The peer went away or stopped reading. The shutdown also
                 // ends the reader's loop.
@@ -328,7 +327,8 @@ impl Shard {
     }
 }
 
-/// Monotonic service counters, shared across threads.
+/// Monotonic service counters, shared across threads: the only record of
+/// each count, read through [`Server::stats`].
 #[derive(Default)]
 struct Counters {
     connections: AtomicU64,
@@ -343,6 +343,7 @@ struct Counters {
     bytes_in: AtomicU64,
     bytes_out: AtomicU64,
     energy_uj: AtomicU64,
+    slow_loris_drops: AtomicU64,
 }
 
 /// A copy of the server's counters at one instant, from
@@ -374,6 +375,31 @@ pub struct StatsSnapshot {
     pub bytes_out: u64,
     /// Total modeled energy across requests, microjoules.
     pub energy_uj: u64,
+    /// Connections dropped because a partial frame stalled past
+    /// `read_timeout` (the slow-loris guard).
+    pub slow_loris_drops: u64,
+}
+
+impl StatsSnapshot {
+    /// Every count, each named `serve.<field>`: the names `--metrics`
+    /// reports them under.
+    pub fn counts(&self) -> [(&'static str, u64); 13] {
+        [
+            ("serve.connections", self.connections),
+            ("serve.requests", self.requests),
+            ("serve.inline", self.inline),
+            ("serve.compress", self.compress),
+            ("serve.decompress", self.decompress),
+            ("serve.info", self.info),
+            ("serve.ping", self.ping),
+            ("serve.busy_rejected", self.busy_rejected),
+            ("serve.errors", self.errors),
+            ("serve.bytes_in", self.bytes_in),
+            ("serve.bytes_out", self.bytes_out),
+            ("serve.energy_uj", self.energy_uj),
+            ("serve.slow_loris_drops", self.slow_loris_drops),
+        ]
+    }
 }
 
 struct Shared {
@@ -425,8 +451,10 @@ impl Shared {
     /// waking the worker if jobs queued on it meanwhile.
     fn submit(&self, job: Job, may_run_here: bool) -> Result<(), Response> {
         let id = job.request.id;
-        let shutting_down =
-            || Response::of_status(id, protocol::status::SHUTTING_DOWN, "server is draining");
+        let shutting_down = || {
+            self.counters.errors.fetch_add(1, Ordering::Relaxed);
+            Response::of_status(id, protocol::status::SHUTTING_DOWN, "server is draining")
+        };
         if self.draining() {
             return Err(shutting_down());
         }
@@ -469,7 +497,6 @@ impl Shared {
             }
         }
         self.counters.busy_rejected.fetch_add(1, Ordering::Relaxed);
-        trace::counter_add("serve.busy", 1);
         Err(Response::of_status(
             id,
             protocol::status::BUSY,
@@ -582,6 +609,7 @@ impl Server {
             bytes_in: c.bytes_in.load(Ordering::Relaxed),
             bytes_out: c.bytes_out.load(Ordering::Relaxed),
             energy_uj: c.energy_uj.load(Ordering::Relaxed),
+            slow_loris_drops: c.slow_loris_drops.load(Ordering::Relaxed),
         }
     }
 
@@ -639,7 +667,6 @@ fn accept_loop(shared: &Arc<Shared>, listener: Listener) -> Vec<JoinHandle<()>> 
             break;
         }
         shared.counters.connections.fetch_add(1, Ordering::Relaxed);
-        trace::counter_add("serve.connections", 1);
         let shared = Arc::clone(shared);
         conns.push(thread::spawn(move || handle_conn(&shared, conn)));
         conns.retain(|h| !h.is_finished());
@@ -695,7 +722,6 @@ fn handle_conn(shared: &Arc<Shared>, mut conn: Conn) {
                     buf.drain(..n);
                     frame_started = if buf.is_empty() { None } else { Some(Instant::now()) };
                     shared.counters.requests.fetch_add(1, Ordering::Relaxed);
-                    trace::counter_add("serve.requests", 1);
                     match decoded {
                         Err(e) => {
                             // The boundary was sound, so the connection
@@ -721,7 +747,6 @@ fn handle_conn(shared: &Arc<Shared>, mut conn: Conn) {
                                 .counters
                                 .bytes_in
                                 .fetch_add(req.payload.len() as u64, Ordering::Relaxed);
-                            trace::counter_add("serve.bytes_in", req.payload.len() as u64);
                             let ok = Response::of_status(req.id, protocol::status::OK, "");
                             let answer = match req.op {
                                 Op::Ping => {
@@ -771,7 +796,7 @@ fn handle_conn(shared: &Arc<Shared>, mut conn: Conn) {
                         // Slow loris: a partial frame stalled past the
                         // read timeout. No response is owed on a frame
                         // that never finished; drop the connection.
-                        trace::counter_add("serve.slow_loris_drops", 1);
+                        shared.counters.slow_loris_drops.fetch_add(1, Ordering::Relaxed);
                         break;
                     }
                 }
@@ -783,7 +808,6 @@ fn handle_conn(shared: &Arc<Shared>, mut conn: Conn) {
 
 fn send_reject(shared: &Shared, replies: &Replies, seq: u64, id: u64, status: u8, message: &str) {
     shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-    trace::counter_add("serve.errors", 1);
     replies.deliver(shared, seq, Response::of_status(id, status, message));
 }
 
@@ -827,10 +851,8 @@ fn run_job(shared: &Shared, job: Job) {
             _ => c.info.fetch_add(1, Ordering::Relaxed),
         };
         c.energy_uj.fetch_add(resp.energy_uj, Ordering::Relaxed);
-        trace::counter_add("serve.energy_uj", resp.energy_uj);
     } else {
         c.errors.fetch_add(1, Ordering::Relaxed);
-        trace::counter_add("serve.errors", 1);
     }
     // The peer may already be gone (disconnect mid-request): the work
     // still completes, and the failed write drops the response.

@@ -60,9 +60,11 @@
 //! Every subcommand additionally accepts `--metrics out.json` (anywhere
 //! on the line): after the command finishes, the spans and counters
 //! collected by `lcpio-trace` during the run are written to the given
-//! path as JSON, together with the command name and wall time. With the
-//! `trace` feature disabled the file is still written but the report is
-//! empty.
+//! path as JSON, together with the command name and wall time. The
+//! counts `pipeline`, `restart` and `serve` keep themselves (their
+//! outcome's, or the server's stats) join the report's counters. With
+//! the `trace` feature disabled the file is still written and holds
+//! only those counts.
 
 use lcpio_core::characteristics::{
     compression_power_curves, compression_runtime_curves, transit_power_curves,
@@ -592,7 +594,8 @@ fn command_name(cmd: &Command) -> &'static str {
 }
 
 /// Execute an invocation: run the command, then — when `--metrics` was
-/// given — write the trace report collected during the run as JSON.
+/// given — write the trace report collected during the run, with the
+/// command's own counts merged into its counters, as JSON.
 ///
 /// The report is written even when the command itself fails (the spans
 /// and counters up to the failure are often exactly what's needed to
@@ -604,7 +607,9 @@ pub fn run_invocation(inv: Invocation, out: &mut dyn Write) -> Result<(), CliErr
     let start = std::time::Instant::now();
     let result = run(inv.command, out);
     if let Some(path) = &inv.metrics {
-        let report = lcpio_trace::snapshot();
+        let mut report = lcpio_trace::snapshot();
+        let counts = result.as_deref().unwrap_or_default();
+        report.counters.extend(counts.iter().map(|&(name, n)| (name.to_string(), n)));
         let json = format!(
             "{{\n\"command\": \"{}\",\n\"wall_s\": {:.6},\n\"trace_enabled\": {},\n\"report\": {}\n}}\n",
             name,
@@ -617,11 +622,14 @@ pub fn run_invocation(inv: Invocation, out: &mut dyn Write) -> Result<(), CliErr
         write_result?;
         return Ok(());
     }
-    result
+    result.map(drop)
 }
 
-/// Execute a command, writing human-readable output to `out`.
-pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
+/// Execute a command, writing human-readable output to `out`. Returns the
+/// counts the command keeps itself, for `--metrics`: the outcome's for
+/// `pipeline` and `restart`, the server's for `serve`, none otherwise.
+pub fn run(cmd: Command, out: &mut dyn Write) -> Result<Vec<(&'static str, u64)>, CliError> {
+    let mut counts = Vec::new();
     match cmd {
         Command::Gen { dataset, scale, seed, output } => {
             let field = dataset.generate(scale, seed);
@@ -824,6 +832,11 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
                 outcome.raw_fallbacks,
                 outcome.wall_s
             )?;
+            counts = vec![
+                ("pipeline.chunks", outcome.chunks as u64),
+                ("pipeline.write_retries", outcome.write_retries),
+                ("pipeline.raw_fallbacks", outcome.raw_fallbacks as u64),
+            ];
             if policy != PolicyKind::Fixed {
                 let [raw, sz, zfp] = outcome.codec_chunks;
                 writeln!(
@@ -868,6 +881,11 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
                 outcome.decode_retries,
                 outcome.wall_s
             )?;
+            counts = vec![
+                ("restart.chunks", outcome.chunks as u64),
+                ("restart.read_retries", outcome.read_retries),
+                ("restart.decode_retries", outcome.decode_retries),
+            ];
             if streamed {
                 writeln!(
                     out,
@@ -956,7 +974,6 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
                 let report = lcpio_serve::drive(server.endpoint(), &wl)
                     .map_err(|e| CliError::Codec(e.to_string()))?;
                 server.shutdown();
-                let stats = server.wait();
                 writeln!(
                     out,
                     "drove {} requests ({} ok, {} busy, {} errors) in {:.3} s: \
@@ -970,35 +987,16 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
                     report.p50_us,
                     report.p99_us
                 )?;
-                writeln!(
-                    out,
-                    "served {} compress, {} decompress, {} info; \
-                     {} payload bytes in, {} out, {:.6} J modeled",
-                    stats.compress,
-                    stats.decompress,
-                    stats.info,
-                    stats.bytes_in,
-                    stats.bytes_out,
-                    stats.energy_uj as f64 / 1e6
-                )?;
-            } else {
-                let stats = server.wait();
-                writeln!(
-                    out,
-                    "drained after {} request(s): {} compress, {} decompress, {} info, \
-                     {} ping; {} busy, {} errors",
-                    stats.requests,
-                    stats.compress,
-                    stats.decompress,
-                    stats.info,
-                    stats.ping,
-                    stats.busy_rejected,
-                    stats.errors
-                )?;
             }
+            counts = server.wait().counts().to_vec();
+            let line: Vec<String> = counts
+                .iter()
+                .map(|(name, n)| format!("{} {n}", name.trim_start_matches("serve.")))
+                .collect();
+            writeln!(out, "drained: {}", line.join(", "))?;
         }
     }
-    Ok(())
+    Ok(counts)
 }
 
 /// Run the streaming pipeline into a [`lcpio_core::pipeline::FileSink`],
@@ -1222,6 +1220,10 @@ mod tests {
         assert!(transcript.contains("req/s"), "{transcript}");
         assert!(transcript.contains("p99"), "{transcript}");
         assert!(transcript.contains("10 requests (10 ok, 0 busy, 0 errors)"), "{transcript}");
+        // One counts line, named as `--metrics` names them.
+        assert_eq!(transcript.matches("drained: ").count(), 1, "{transcript}");
+        assert!(transcript.contains(", requests 10, "), "{transcript}");
+        assert!(transcript.contains(", busy_rejected 0, errors 0, "), "{transcript}");
     }
 
     #[test]
@@ -1621,6 +1623,8 @@ mod tests {
         let stream = tmp("restart.lcs");
         let seq_back = tmp("restart-seq.lcpf");
         let pipe_back = tmp("restart-pipe.lcpf");
+        let pipe_metrics = tmp("restart-pipeline-metrics.json");
+        let restart_metrics = tmp("restart-metrics.json");
         let mut out = Vec::new();
         run(
             parse(&argv(&format!(
@@ -1631,11 +1635,12 @@ mod tests {
             &mut out,
         )
         .expect("gen");
-        run(
-            parse(&argv(&format!(
-                "pipeline --codec sz --eb 1e-2 --chunk-elems 2048 -i {} -o {}",
+        run_invocation(
+            parse_invocation(&argv(&format!(
+                "pipeline --codec sz --eb 1e-2 --chunk-elems 512 -i {} -o {} --metrics {}",
                 field.display(),
-                stream.display()
+                stream.display(),
+                pipe_metrics.display()
             )))
             .expect("parse"),
             &mut out,
@@ -1651,16 +1656,24 @@ mod tests {
             &mut out,
         )
         .expect("decompress");
-        run(
-            parse(&argv(&format!(
-                "restart --queue-depth 2 --workers 2 -i {} -o {}",
+        run_invocation(
+            parse_invocation(&argv(&format!(
+                "restart --queue-depth 2 --workers 2 -i {} -o {} --metrics {}",
                 stream.display(),
-                pipe_back.display()
+                pipe_back.display(),
+                restart_metrics.display()
             )))
             .expect("parse"),
             &mut out,
         )
         .expect("restart");
+        // The outcomes' counts reach `--metrics` with tracing on or off.
+        let pipe_json = std::fs::read_to_string(&pipe_metrics).expect("pipeline metrics");
+        assert!(pipe_json.contains("\"pipeline.chunks\": 5"), "{pipe_json}");
+        assert!(pipe_json.contains("\"pipeline.write_retries\": 0"), "{pipe_json}");
+        let restart_json = std::fs::read_to_string(&restart_metrics).expect("restart metrics");
+        assert!(restart_json.contains("\"restart.chunks\": 5"), "{restart_json}");
+        assert!(restart_json.contains("\"restart.read_retries\": 0"), "{restart_json}");
         // The overlapped restart reconstructs bit-identically to the
         // sequential decode of the same stream.
         let (seq, _) = read_field(&seq_back).expect("read");
