@@ -47,6 +47,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::unix::fs::FileTypeExt;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -522,7 +523,8 @@ pub struct Server {
 
 impl Server {
     /// Bind the service to `endpoint` and start its listener and worker
-    /// threads. A stale Unix socket file at the path is removed first;
+    /// threads. A stale Unix socket at the path is removed first; any other
+    /// file there fails the bind with `AlreadyExists` and is left as it is;
     /// `Tcp("127.0.0.1:0")` binds an ephemeral port, observable via
     /// [`Server::endpoint`].
     pub fn bind(endpoint: &Endpoint, cfg: ServeConfig) -> io::Result<Server> {
@@ -535,7 +537,13 @@ impl Server {
         };
         let (listener, resolved, unix_path) = match endpoint {
             Endpoint::Unix(path) => {
-                if path.exists() {
+                // A socket an earlier server left is replaced; any other
+                // file at the path is not the service's to delete.
+                if let Ok(meta) = std::fs::symlink_metadata(path) {
+                    if !meta.file_type().is_socket() {
+                        let what = format!("{} exists and is not a socket", path.display());
+                        return Err(io::Error::new(io::ErrorKind::AlreadyExists, what));
+                    }
                     std::fs::remove_file(path)?;
                 }
                 (

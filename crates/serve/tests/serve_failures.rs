@@ -289,6 +289,30 @@ fn a_server_dropped_without_wait_frees_its_unix_path() {
 }
 
 #[test]
+fn bind_replaces_a_stale_socket_and_leaves_any_other_file_alone() {
+    let dir = std::env::temp_dir().join(format!("lcpio-serve-bind-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("dir");
+    // A regular file at the path: the bind fails and the file keeps its bytes.
+    let file = dir.join("results.json");
+    std::fs::write(&file, b"{\"kept\": true}").expect("write");
+    let err = Server::bind(&Endpoint::Unix(file.clone()), ServeConfig::default())
+        .err()
+        .expect("bind over a file");
+    assert_eq!(err.kind(), std::io::ErrorKind::AlreadyExists);
+    assert_eq!(std::fs::read(&file).expect("read"), b"{\"kept\": true}");
+    // A socket whose listener is gone: the bind replaces it.
+    let sock = dir.join("stale.sock");
+    drop(std::os::unix::net::UnixListener::bind(&sock).expect("stale listener"));
+    assert!(sock.exists(), "a dropped listener leaves its socket file");
+    let server =
+        Server::bind(&Endpoint::Unix(sock), ServeConfig::default()).expect("bind over a stale socket");
+    assert!(Client::connect(server.endpoint()).expect("connect").ping().expect("ping"));
+    server.shutdown();
+    server.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn drain_completes_in_flight_work_and_rejects_new_requests() {
     let cfg = ServeConfig {
         workers: 1,

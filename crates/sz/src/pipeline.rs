@@ -748,7 +748,7 @@ impl PredictQuantize {
 /// one with a code), their code lengths in the table stage's form, the
 /// number of coded bits and the symbol section. Returns the table stage's
 /// flag bit; the code's size goes into `stats`.
-fn entropy_encode<T, const FAST: bool>(
+fn entropy_encode<T>(
     alphabet: usize,
     lossless: bool,
     p: &mut Writer,
@@ -756,7 +756,7 @@ fn entropy_encode<T, const FAST: bool>(
     s: &mut SzScratch<T>,
 ) -> Result<u8, SzError> {
     let _span = lcpio_trace::span("sz.huffman");
-    let (first, lens, present) = huffman_code::<T, FAST>(alphabet, s)?;
+    let (first, lens, present) = huffman_code(alphabet, s)?;
     stats.huffman_table_entries = present as u64;
     stats.huffman_bits = s.sym_bits.bit_len() as u64;
     p.u32(first as u32);
@@ -768,19 +768,13 @@ fn entropy_encode<T, const FAST: bool>(
 }
 
 /// The entropy stage's code: histogram, Huffman table and codes over
-/// `s.symbols` (all below `alphabet`), and their bits into `s.sym_bits`,
-/// through the batched emitter under `FAST` and a symbol at a time
-/// otherwise.
-fn huffman_code<T, const FAST: bool>(alphabet: usize, s: &mut SzScratch<T>) -> Result<CodeTable, SzError> {
+/// `s.symbols` (all below `alphabet`), and their bits into `s.sym_bits`
+/// through the batched emitter.
+fn huffman_code<T>(alphabet: usize, s: &mut SzScratch<T>) -> Result<CodeTable, SzError> {
     s.huff.rebuild(alphabet, &s.symbols).map_err(|_| SzError::Internal("huffman build"))?;
     let _span = lcpio_trace::span("sz.huffman.emit");
     s.sym_bits.clear();
-    if FAST {
-        s.huff.encode_slice(&s.symbols, &mut s.sym_bits)
-    } else {
-        s.symbols.iter().try_for_each(|&sym| s.huff.encode(sym, &mut s.sym_bits))
-    }
-    .map_err(|_| SzError::Internal("huffman encode"))?;
+    s.huff.encode_slice(&s.symbols, &mut s.sym_bits).map_err(|_| SzError::Internal("huffman encode"))?;
     // The lossless stage comes later and holds the call's peak.
     Ok(s.huff.finish())
 }
@@ -922,14 +916,13 @@ pub fn compress_typed_with<T: Element>(
     let mut p = Writer::enveloped();
     let mut stats = CompressionStats::default();
     pq.encode(data, dims, &mut p, &mut stats, s);
-    code_walk::<T, true>(&pq, p, stats, cfg.lossless, s)
+    code_walk(&pq, p, stats, cfg.lossless, s)
 }
 
 /// The stage walk forward behind predict-quantize, whose head is in `p`
 /// and whose symbols and sections are in the scratch: entropy (the table
-/// stage inside it, the emitter's batched form under `FAST`),
-/// predict-quantize's sections, lossless.
-fn code_walk<T: Element, const FAST: bool>(
+/// stage inside it), predict-quantize's sections, lossless.
+fn code_walk<T: Element>(
     pq: &PredictQuantize,
     mut p: Writer,
     mut stats: CompressionStats,
@@ -938,7 +931,7 @@ fn code_walk<T: Element, const FAST: bool>(
 ) -> Result<Compressed, SzError> {
     stats.elements = pq.n as u64;
     stats.input_bytes = (pq.n * T::BYTES) as u64;
-    let table_flag = entropy_encode::<T, FAST>(pq.q.alphabet_size(), lossless, &mut p, &mut stats, s)?;
+    let table_flag = entropy_encode(pq.q.alphabet_size(), lossless, &mut p, &mut stats, s)?;
     pq.encode_sections(&mut p, s);
     let bytes = lossless_encode(p.into_bytes(), table_flag, lossless);
     stats.output_bytes = bytes.len() as u64;
@@ -1547,134 +1540,63 @@ pub fn decompress_f64(stream: &[u8]) -> Result<(Vec<f64>, Vec<usize>), SzError> 
 
 /// The writer of predictor bytes 0 and 1, which every stream had before the
 /// lattice predictor: Lorenzo over *reconstructed* values, each element's
-/// prediction waiting on its neighbours' reconstructions, in the
-/// reference and the fast arithmetic (`kernels::force_scalar` chooses, as
-/// it chose for the default writer then). Kept where tests reach it, as
-/// what the decoder of those bytes is pinned and checked against.
+/// prediction waiting on its neighbours' reconstructions, quantized by
+/// [`Quantizer::try_encode`]. Kept where tests reach it, as what the
+/// decoder of those bytes is pinned and checked against.
 #[cfg(test)]
 mod legacy {
     use super::*;
-    use crate::kernels;
 
-    /// Quantize one element, verifying that the error bound still holds after
-    /// the decompressor's final narrowing cast (large-magnitude values can
-    /// lose more than the slack to f32 rounding). Returns the symbol and the
-    /// reconstructed value; symbol 0 with the original value is the escape to
-    /// a literal.
-    ///
-    /// `FAST` selects the quantizer's branch-free rounding path. Bit-identical
-    /// output (`Quantizer::try_encode_fast` is proven and property-tested equal
-    /// to `try_encode` whenever `fast_exact()` holds); [`compress_with`]
-    /// selects it when `kernels::fast_enabled() && q.fast_exact()`.
-    #[inline]
-    fn quantize_one<T: Element, const FAST: bool>(q: &Quantizer, pred: f64, orig: T) -> (u32, f64) {
-        let orig = orig.to_f64();
-        let hit = if FAST { q.try_encode_fast(pred, orig) } else { q.try_encode(pred, orig) };
-        match hit {
-            Some((c, rec)) if (T::from_f64(rec).to_f64() - orig).abs() <= q.error_bound() => (c, rec),
-            _ => (0, orig),
-        }
-    }
-
-    /// [`quantize_one`], appending the symbol (and the literal of an escape)
-    /// to the output arrays; returns the reconstructed value.
-    #[inline]
-    pub(super) fn encode_one<T: Element, const FAST: bool>(
+    /// Quantize one element, verifying that the error bound still holds
+    /// after the decompressor's final narrowing cast (large-magnitude values
+    /// can lose more than the slack to f32 rounding), and append its symbol
+    /// (and the literal of an escape, symbol 0) to the output arrays.
+    /// Returns the reconstructed value, the original one for an escape.
+    pub(super) fn encode_one<T: Element>(
         q: &Quantizer,
         pred: f64,
         orig: T,
         symbols: &mut Vec<u32>,
         literals: &mut Vec<T>,
     ) -> f64 {
-        let (sym, rec) = quantize_one::<T, FAST>(q, pred, orig);
-        symbols.push(sym);
-        if sym == 0 {
-            literals.push(orig);
+        let v = orig.to_f64();
+        match q.try_encode(pred, v) {
+            Some((sym, rec)) if (T::from_f64(rec).to_f64() - v).abs() <= q.error_bound() => {
+                symbols.push(sym);
+                rec
+            }
+            _ => {
+                symbols.push(0);
+                literals.push(orig);
+                v
+            }
         }
-        rec
     }
 
     /// Classic (whole-array Lorenzo) encode. Fills `s.symbols` / `s.literals`
     /// / `s.recon`.
-    fn encode_classic<T: Element, const FAST: bool>(
-        data: &[T],
-        g: Geom,
-        order: u8,
-        q: &Quantizer,
-        s: &mut SzScratch<T>,
-    ) {
-        let n = data.len();
+    fn encode_classic<T: Element>(data: &[T], g: Geom, order: u8, q: &Quantizer, s: &mut SzScratch<T>) {
         s.recon.clear();
-        s.recon.resize(n, 0.0);
+        s.recon.resize(data.len(), 0.0);
         if g.rank == 1 && order == 2 {
-            // First two elements peeled so the steady-state loop carries the
-            // two previous reconstructions in locals instead of re-deriving
-            // the predictor branch (and bounds checks) per element.
-            let mut prev = 0.0f64;
-            let mut prev2 = 0.0f64;
-            for (i, &v) in data.iter().enumerate().take(2) {
-                let pred = if i == 0 { 0.0 } else { prev };
-                let rec = encode_one::<T, FAST>(q, pred, v, &mut s.symbols, &mut s.literals);
-                s.recon[i] = rec;
-                prev2 = prev;
-                prev = rec;
-            }
-            for (i, &v) in data.iter().enumerate().skip(2) {
-                let pred = 2.0 * prev - prev2;
-                let rec = encode_one::<T, FAST>(q, pred, v, &mut s.symbols, &mut s.literals);
-                s.recon[i] = rec;
-                prev2 = prev;
-                prev = rec;
+            for (i, &v) in data.iter().enumerate() {
+                let pred = match i {
+                    0 => 0.0,
+                    1 => s.recon[0],
+                    _ => 2.0 * s.recon[i - 1] - s.recon[i - 2],
+                };
+                s.recon[i] = encode_one(q, pred, v, &mut s.symbols, &mut s.literals);
             }
             return;
         }
         s.rowp.clear();
         s.rowp.resize(g.nx, 0.0);
-        let mut idx = 0usize;
-        for k in 0..g.nz {
-            for j in 0..g.ny {
-                lorenzo_3d_row_partial(&s.recon, g.ny, g.nx, k, j, 0, g.nx, &mut s.rowp);
-                for i in 0..g.nx {
-                    let left = if i > 0 { s.recon[idx - 1] } else { 0.0 };
-                    let pred = s.rowp[i] + left;
-                    s.recon[idx] =
-                        encode_one::<T, FAST>(q, pred, data[idx], &mut s.symbols, &mut s.literals);
-                    idx += 1;
-                }
-            }
-        }
+        let all = BlockRange { k: (0, g.nz), j: (0, g.ny), i: (0, g.nx) };
+        encode_lorenzo_block_rows(data, g, all, q, s);
     }
 
-    /// The block-local `[k, j, i]` of a full block's elements, by anti-diagonal
-    /// plane (`i + j + k` ascending).
-    const fn wavefront_order() -> [[u8; 3]; BLOCK_LEN] {
-        let mut order = [[0u8; 3]; BLOCK_LEN];
-        let mut n = 0;
-        let mut t = 0;
-        while t <= 3 * (BLOCK_SIDE - 1) {
-            let mut k = 0;
-            while k < BLOCK_SIDE {
-                let mut j = 0;
-                while j < BLOCK_SIDE {
-                    if t >= k + j && t - k - j < BLOCK_SIDE {
-                        order[n] = [k as u8, j as u8, (t - k - j) as u8];
-                        n += 1;
-                    }
-                    j += 1;
-                }
-                k += 1;
-            }
-            t += 1;
-        }
-        order
-    }
-
-    pub(super) static WAVEFRONT: [[u8; 3]; BLOCK_LEN] = wavefront_order();
-
-    /// Quantize a regression block. Its predictions come from the coefficients
-    /// alone, never from `recon`, so the elements are independent of each
-    /// other and the loop runs without a carried dependence.
-    fn encode_regression_block<T: Element, const FAST: bool>(
+    /// Quantize a regression block: each prediction from the coefficients.
+    fn encode_regression_block<T: Element>(
         data: &[T],
         g: Geom,
         r: BlockRange,
@@ -1687,21 +1609,16 @@ mod legacy {
                 let row = coeffs.row(j - r.j.0, k - r.k.0);
                 let at = (k * g.ny + j) * g.nx;
                 for i in r.i.0..r.i.1 {
-                    s.recon[at + i] = encode_one::<T, FAST>(
-                        q,
-                        row.at(i - r.i.0),
-                        data[at + i],
-                        &mut s.symbols,
-                        &mut s.literals,
-                    );
+                    let pred = row.at(i - r.i.0);
+                    s.recon[at + i] = encode_one(q, pred, data[at + i], &mut s.symbols, &mut s.literals);
                 }
             }
         }
     }
 
-    /// Quantize a Lorenzo block row by row: the elementwise part of the
-    /// stencil per row, then the serial left-neighbour scan.
-    fn encode_lorenzo_block_rows<T: Element, const FAST: bool>(
+    /// Quantize the range `r` by Lorenzo row by row: the elementwise part
+    /// of the stencil per row, then the serial left-neighbour scan.
+    fn encode_lorenzo_block_rows<T: Element>(
         data: &[T],
         g: Geom,
         r: BlockRange,
@@ -1714,64 +1631,8 @@ mod legacy {
                 for i in r.i.0..r.i.1 {
                     let idx = (k * g.ny + j) * g.nx + i;
                     let left = if i > 0 { s.recon[idx - 1] } else { 0.0 };
-                    s.recon[idx] = encode_one::<T, FAST>(
-                        q,
-                        s.rowp[i - r.i.0] + left,
-                        data[idx],
-                        &mut s.symbols,
-                        &mut s.literals,
-                    );
-                }
-            }
-        }
-    }
-
-    /// [`encode_lorenzo_block_rows`] for a full block that has a row above and
-    /// a column to its left, visiting the elements in [`WAVEFRONT`] order.
-    ///
-    /// Every element comes after the seven stencil neighbours it is predicted
-    /// from, so each prediction — computed with the operations of
-    /// [`lorenzo_3d_row_partial`] plus the left neighbour, in their order — and
-    /// with it every symbol, literal and reconstructed value is the one the
-    /// row-by-row order gives. What changes is that consecutive elements no
-    /// longer depend on each other (they lie on one anti-diagonal plane), so
-    /// the quantizer's add–divide–round–multiply chain, which the row order
-    /// runs strictly one element after the other, overlaps across elements.
-    /// Symbols and literals are put back into row-major order at the end.
-    fn encode_lorenzo_block_wavefront<T: Element, const FAST: bool>(
-        data: &[T],
-        g: Geom,
-        r: BlockRange,
-        q: &Quantizer,
-        wave: &[(usize, usize)],
-        s: &mut SzScratch<T>,
-    ) {
-        let (k0, j0, i0) = (r.k.0, r.j.0, r.i.0);
-        debug_assert!(j0 > 0 && i0 > 0);
-        let SzScratch { recon, symbols: all_symbols, literals, .. } = s;
-        let plane = g.ny * g.nx;
-        let first = (k0 * g.ny + j0) * g.nx + i0;
-        let mut symbols = [0u32; BLOCK_LEN];
-        for &(offset, at) in wave.iter() {
-            let idx = first + offset;
-            let u = idx - g.nx; // same plane, row above
-            let partial = if idx >= plane {
-                let p = idx - plane; // plane below, same row
-                let d = p - g.nx; // plane below, row above
-                (recon[u] + recon[p] - recon[d]) - (recon[u - 1] + recon[p - 1] - recon[d - 1])
-            } else {
-                recon[u] - recon[u - 1]
-            };
-            let (sym, rec) = quantize_one::<T, FAST>(q, partial + recon[idx - 1], data[idx]);
-            recon[idx] = rec;
-            symbols[at] = sym;
-        }
-        all_symbols.extend_from_slice(&symbols);
-        if symbols.contains(&0) {
-            for (row, row_symbols) in symbols.chunks_exact(BLOCK_SIDE).enumerate() {
-                let at = first + (row / BLOCK_SIDE * g.ny + row % BLOCK_SIDE) * g.nx;
-                for (v, _) in data[at..].iter().zip(row_symbols).filter(|(_, &sym)| sym == 0) {
-                    literals.push(*v);
+                    let pred = s.rowp[i - r.i.0] + left;
+                    s.recon[idx] = encode_one(q, pred, data[idx], &mut s.symbols, &mut s.literals);
                 }
             }
         }
@@ -1779,83 +1640,49 @@ mod legacy {
 
     /// Block-adaptive encode (per-block Lorenzo vs hyperplane regression).
     /// Fills the scratch; returns `(regression_blocks, lorenzo_blocks)`.
-    pub(super) fn encode_blocks<T: Element, const FAST: bool>(
-        data: &[T],
-        g: Geom,
-        q: &Quantizer,
-        s: &mut SzScratch<T>,
-    ) -> (u64, u64) {
-        let n = data.len();
+    pub(super) fn encode_blocks<T: Element>(data: &[T], g: Geom, q: &Quantizer, s: &mut SzScratch<T>) -> (u64, u64) {
         s.recon.clear();
-        s.recon.resize(n, 0.0);
+        s.recon.resize(data.len(), 0.0);
         s.rowp.clear();
         s.rowp.resize(g.nx.min(BLOCK_SIDE), 0.0);
-        let mut regression_blocks = 0u64;
-        let mut lorenzo_blocks = 0u64;
+        let (mut regression_blocks, mut lorenzo_blocks) = (0u64, 0u64);
         let b = BLOCK_SIDE;
-        let wave: Vec<(usize, usize)> = WAVEFRONT
-            .iter()
-            .map(|&[k, j, i]| {
-                let (k, j, i) = (k as usize, j as usize, i as usize);
-                ((k * g.ny + j) * g.nx + i, (k * b + j) * b + i)
-            })
-            .collect();
-        // One lap of each per block row; the registry is touched once a call.
-        let mut select_laps = lcpio_trace::Stopwatch::new();
-        let mut quantize_laps = lcpio_trace::Stopwatch::new();
-
         let blocks = |e: usize| e.div_ceil(b);
         for bk in 0..blocks(g.nz) {
             for bj in 0..blocks(g.ny) {
                 let (k0, j0) = (bk * b, bj * b);
                 let (k1, j1) = ((k0 + b).min(g.nz), (j0 + b).min(g.ny));
-                let range = |bi: usize| BlockRange {
-                    k: (k0, k1),
-                    j: (j0, j1),
-                    i: (bi * b, (bi * b + b).min(g.nx)),
-                };
-                select_laps.lap(|| {
-                    s.choices.clear();
-                    // A row's full blocks together, if it is full in k and j.
-                    let batched = if (k1 - k0, j1 - j0) == (b, b) { g.nx / b } else { 0 };
-                    if batched > 0 {
-                        select_block_row(data, g, (k0, j0), batched, &mut s.select, &mut s.choices);
+                let range = |bi: usize| BlockRange { k: (k0, k1), j: (j0, j1), i: (bi * b, (bi * b + b).min(g.nx)) };
+                s.choices.clear();
+                // A row's full blocks together, if it is full in k and j.
+                let batched = if (k1 - k0, j1 - j0) == (b, b) { g.nx / b } else { 0 };
+                if batched > 0 {
+                    select_block_row(data, g, (k0, j0), batched, &mut s.select, &mut s.choices);
+                }
+                for bi in batched..blocks(g.nx) {
+                    s.choices.push(select_block(data, g, range(bi), &mut s.vals));
+                }
+                for bi in 0..blocks(g.nx) {
+                    let (use_reg, coeffs) = s.choices[bi];
+                    s.block_bits.push_bit(use_reg);
+                    if use_reg {
+                        regression_blocks += 1;
+                        s.coeffs.extend_from_slice(&coeffs.c);
+                        encode_regression_block(data, g, range(bi), &coeffs, q, s);
+                    } else {
+                        lorenzo_blocks += 1;
+                        encode_lorenzo_block_rows(data, g, range(bi), q, s);
                     }
-                    for bi in batched..blocks(g.nx) {
-                        s.choices.push(select_block(data, g, range(bi), &mut s.vals));
-                    }
-                });
-                quantize_laps.lap(|| {
-                    for bi in 0..blocks(g.nx) {
-                        let (use_reg, coeffs) = s.choices[bi];
-                        let r = range(bi);
-                        s.block_bits.push_bit(use_reg);
-                        if use_reg {
-                            regression_blocks += 1;
-                            s.coeffs.extend_from_slice(&coeffs.c);
-                            encode_regression_block::<T, FAST>(data, g, r, &coeffs, q, s);
-                        } else {
-                            lorenzo_blocks += 1;
-                            let full = (k1 - k0, j1 - j0, r.i.1 - r.i.0) == (b, b, b);
-                            if full && j0 > 0 && r.i.0 > 0 {
-                                encode_lorenzo_block_wavefront::<T, FAST>(data, g, r, q, &wave, s);
-                            } else {
-                                encode_lorenzo_block_rows::<T, FAST>(data, g, r, q, s);
-                            }
-                        }
-                    }
-                });
+                }
             }
         }
-        select_laps.commit("sz.select");
-        quantize_laps.commit("sz.quantize");
         (regression_blocks, lorenzo_blocks)
     }
 
     /// Predict-quantize as it was: the head (predictor byte 0 or 1), then
-    /// `data` quantized into the scratch under the `FAST` arithmetic, the
-    /// reconstruction left in `s.recon`.
-    pub(super) fn encode<T: Element, const FAST: bool>(
+    /// `data` quantized into the scratch, the reconstruction left in
+    /// `s.recon`.
+    pub(super) fn encode<T: Element>(
         pq: &PredictQuantize,
         data: &[T],
         dims: &[usize],
@@ -1871,9 +1698,9 @@ mod legacy {
         s.block_bits.clear();
         s.coeffs.clear();
         if pq.block_mode {
-            (stats.regression_blocks, stats.lorenzo_blocks) = encode_blocks::<T, FAST>(data, pq.g, &pq.q, s);
+            (stats.regression_blocks, stats.lorenzo_blocks) = encode_blocks(data, pq.g, &pq.q, s);
         } else {
-            encode_classic::<T, FAST>(data, pq.g, pq.order, &pq.q, s);
+            encode_classic(data, pq.g, pq.order, &pq.q, s);
         }
         stats.unpredictable = s.literals.len() as u64;
         stats.predictable = pq.n as u64 - stats.unpredictable;
@@ -1884,40 +1711,12 @@ mod legacy {
         PredictQuantize { lattice: false, ..PredictQuantize::new(data, dims, cfg).unwrap() }
     }
 
-    /// The whole walk on the legacy predictor under the `FAST` arithmetic.
-    pub(super) fn walk<T: Element, const FAST: bool>(
-        pq: &PredictQuantize,
-        data: &[T],
-        dims: &[usize],
-        lossless: bool,
-        s: &mut SzScratch<T>,
-    ) -> Result<Compressed, SzError> {
-        let (mut p, mut stats) = (Writer::enveloped(), CompressionStats::default());
-        encode::<T, FAST>(pq, data, dims, &mut p, &mut stats, s);
-        code_walk::<T, FAST>(pq, p, stats, lossless, s)
-    }
-
-    /// What `compress_typed_with` wrote before the lattice predictor: the
-    /// arithmetic chosen once per call, the fast forms when
-    /// `kernels::fast_enabled()` and the quantizer's geometry lets them
-    /// match the reference.
-    pub(super) fn compress_with<T: Element>(
-        data: &[T],
-        dims: &[usize],
-        cfg: &SzConfig,
-        s: &mut SzScratch<T>,
-    ) -> Result<Compressed, SzError> {
-        let pq = stage(data, dims, cfg);
-        if kernels::fast_enabled() && pq.q.fast_exact() {
-            walk::<T, true>(&pq, data, dims, cfg.lossless, s)
-        } else {
-            walk::<T, false>(&pq, data, dims, cfg.lossless, s)
-        }
-    }
-
-    /// [`compress_with`] into a fresh scratch.
+    /// What `compress_typed` wrote before the lattice predictor.
     pub(super) fn compress<T: Element>(data: &[T], dims: &[usize], cfg: &SzConfig) -> Result<Compressed, SzError> {
-        compress_with(data, dims, cfg, &mut SzScratch::new())
+        let (pq, mut s) = (stage(data, dims, cfg), SzScratch::new());
+        let (mut p, mut stats) = (Writer::enveloped(), CompressionStats::default());
+        encode(&pq, data, dims, &mut p, &mut stats, &mut s);
+        code_walk(&pq, p, stats, cfg.lossless, &mut s)
     }
 }
 
@@ -1979,7 +1778,7 @@ mod tests {
     /// the decoder must restore from any of its streams.
     fn legacy_values<T: Element>(data: &[T], dims: &[usize], cfg: &SzConfig) -> Vec<u8> {
         let (pq, mut s) = (legacy::stage(data, dims, cfg), SzScratch::new());
-        legacy::encode::<T, true>(&pq, data, dims, &mut Writer::new(), &mut CompressionStats::default(), &mut s);
+        legacy::encode(&pq, data, dims, &mut Writer::new(), &mut CompressionStats::default(), &mut s);
         le_bits(&s.recon.iter().map(|&v| T::from_f64(v)).collect::<Vec<T>>())
     }
 
@@ -2138,46 +1937,6 @@ mod tests {
         assert_eq!(newer, legacy_stream(&flat, &dims, &cfg));
     }
 
-    #[test]
-    fn legacy_writer_arithmetics_emit_identical_streams() {
-        // The legacy writer's reference and fast arithmetic: equal bytes and
-        // equal work profile on every pinned case, on larger 3-D fields (many
-        // full rows, row tails and partial blocks in every mode) and on the
-        // large default-path field.
-        fn both<T: Element>(data: &[T], dims: &[usize], cfg: &SzConfig, what: &str) {
-            let pq = legacy::stage(data, dims, cfg);
-            assert!(pq.q.fast_exact(), "{what}");
-            let fast = legacy::walk::<T, true>(&pq, data, dims, cfg.lossless, &mut SzScratch::new()).unwrap();
-            let reference = legacy::walk::<T, false>(&pq, data, dims, cfg.lossless, &mut SzScratch::new()).unwrap();
-            assert_eq!(fast.bytes, reference.bytes, "{what}: streams differ");
-            assert_eq!(fast.stats, reference.stats, "{what}: stats differ");
-        }
-        for (i, (dims, cfg)) in pinned_cases().iter().enumerate() {
-            both(&pinned_field_f32(i, dims), dims, cfg, &format!("f32 case {i}"));
-            both(&pinned_field_f64(i, dims), dims, cfg, &format!("f64 case {i}"));
-        }
-        let dims = [6usize, 37, 129];
-        for mode in [PredictorMode::Lorenzo, PredictorMode::BlockAdaptive] {
-            for lossless in [false, true] {
-                let data = field_f32(dims.iter().product(), 0xabcd ^ lossless as u64);
-                let cfg = SzConfig::new(ErrorBound::Absolute(1e-3)).with_mode(mode).with_lossless(lossless);
-                both(&data, &dims, &cfg, &format!("large 3-D {mode:?} lossless={lossless}"));
-            }
-        }
-        let dims = [64usize, 48, 96];
-        let data = field_f32(dims.iter().product(), 0xf00d);
-        both(&data, &dims, &SzConfig::new(ErrorBound::Absolute(1e-3)), "large default-path 3-D");
-        // And `kernels::force_scalar` selects the reference for the legacy
-        // writer, and nothing for the default writer.
-        let cfg = SzConfig::new(ErrorBound::Absolute(1e-3));
-        let (legacy_fast, lattice_fast) = (legacy::compress(&data, &dims, &cfg).unwrap(), compress_typed(&data, &dims, &cfg).unwrap());
-        crate::kernels::force_scalar(true);
-        let (legacy_scalar, lattice_scalar) = (legacy::compress(&data, &dims, &cfg).unwrap(), compress_typed(&data, &dims, &cfg).unwrap());
-        crate::kernels::reset_force_scalar();
-        assert_eq!((legacy_fast.bytes, legacy_fast.stats), (legacy_scalar.bytes, legacy_scalar.stats));
-        assert_eq!((lattice_fast.bytes, lattice_fast.stats), (lattice_scalar.bytes, lattice_scalar.stats));
-    }
-
     /// One chunk (12 planes) of the NYX cube the default-path pins use.
     fn nyx_chunk(chunk: usize) -> (Vec<f32>, [usize; 3]) {
         let field = lcpio_datagen::nyx::velocity_x(48, 11);
@@ -2185,9 +1944,8 @@ mod tests {
         (field.data[chunk * 12 * plane..(chunk + 1) * 12 * plane].to_vec(), [12, 48, 48])
     }
 
-    /// Stages 1 and 2 of the encoder on `data`, into a fresh scratch, under
-    /// the fast arithmetic: the predict-quantize stage, the scratch, and
-    /// the entropy stage's code.
+    /// Stages 1 and 2 of the encoder on `data`, into a fresh scratch: the
+    /// predict-quantize stage, the scratch, and the entropy stage's code.
     fn quantize_and_code<T: Element>(
         data: &[T],
         dims: &[usize],
@@ -2196,7 +1954,7 @@ mod tests {
         let pq = PredictQuantize::new(data, dims, cfg).unwrap();
         let mut s = SzScratch::new();
         pq.encode(data, dims, &mut Writer::new(), &mut CompressionStats::default(), &mut s);
-        let code = huffman_code::<T, true>(pq.q.alphabet_size(), &mut s).unwrap();
+        let code = huffman_code(pq.q.alphabet_size(), &mut s).unwrap();
         (pq, s, code)
     }
 
@@ -2300,14 +2058,14 @@ mod tests {
         // The head and the sections there and back, and the encoder's own
         // symbols decoded: on the lattice, each kept element's lattice
         // value, narrowed, and each escape's literal; on the legacy
-        // predictor, the values it reconstructed, narrowed, in both
-        // arithmetics. Both modes, escapes included, to the bit.
+        // predictor, the values it reconstructed, narrowed. Both modes,
+        // escapes included, to the bit.
         let mut escapes = 0;
         for (dims, eb) in [(vec![13usize, 20, 19], 1e-3), (vec![40, 50], 1e-1), (vec![1000], 1e-5)] {
             let data = mixed_field(&dims, 0x9e37_79b9);
             for mode in [PredictorMode::BlockAdaptive, PredictorMode::Lorenzo] {
                 let cfg = SzConfig::new(ErrorBound::Absolute(eb)).with_mode(mode);
-                for writer in ["lattice", "legacy fast", "legacy reference"] {
+                for writer in ["lattice", "legacy"] {
                     let (mut p, mut s, mut stats) = (Writer::new(), SzScratch::new(), CompressionStats::default());
                     let pq = if writer == "lattice" { PredictQuantize::new(&data, &dims, &cfg).unwrap() } else { legacy::stage(&data, &dims, &cfg) };
                     let want: Vec<f32> = match writer {
@@ -2316,12 +2074,8 @@ mod tests {
                             let kept = s.lattice.iter().zip(&s.symbols).zip(&data);
                             kept.map(|((&k, &sym), &v)| if sym == 0 { v } else { pq.q.lattice_value(k) as f32 }).collect()
                         }
-                        "legacy fast" => {
-                            legacy::encode::<f32, true>(&pq, &data, &dims, &mut p, &mut stats, &mut s);
-                            s.recon.iter().map(|&v| v as f32).collect()
-                        }
                         _ => {
-                            legacy::encode::<f32, false>(&pq, &data, &dims, &mut p, &mut stats, &mut s);
+                            legacy::encode(&pq, &data, &dims, &mut p, &mut stats, &mut s);
                             s.recon.iter().map(|&v| v as f32).collect()
                         }
                     };
@@ -2395,7 +2149,7 @@ mod tests {
             let cfg = SzConfig::new(ErrorBound::Absolute(1e-3)).with_lossless(lossless);
             let (pq, mut s, _) = quantize_and_code(&data, &dims, &cfg);
             let (mut p, mut stats) = (Writer::new(), CompressionStats::default());
-            let flag = entropy_encode::<f32, true>(pq.q.alphabet_size(), lossless, &mut p, &mut stats, &mut s).unwrap();
+            let flag = entropy_encode(pq.q.alphabet_size(), lossless, &mut p, &mut stats, &mut s).unwrap();
             assert_eq!(flag, if lossless { FLAG_PACKED_TABLE } else { 0 });
             let bytes = p.into_bytes();
             let (mut r, mut symbols) = (Reader::new(&bytes), Vec::new());
@@ -2592,7 +2346,7 @@ mod tests {
     /// specification: one loop nest for both predictors, every block row
     /// by row in storage order, the regression error summed to the end and
     /// the hyperplane spelled out per element.
-    fn encode_blocks_reference<T: Element, const FAST: bool>(
+    fn encode_blocks_reference<T: Element>(
         data: &[T],
         g: Geom,
         q: &Quantizer,
@@ -2656,7 +2410,7 @@ mod tests {
                                     let left = if i > 0 { s.recon[idx - 1] } else { 0.0 };
                                     s.rowp[i - i0] + left
                                 };
-                                s.recon[idx] = legacy::encode_one::<T, FAST>(
+                                s.recon[idx] = legacy::encode_one(
                                     q,
                                     pred,
                                     data[idx],
@@ -3021,14 +2775,14 @@ mod tests {
     }
 
     /// Everything `encode_blocks` leaves in the scratch must be what the
-    /// reference leaves there, to the bit, under both quantizer paths, for
-    /// `data` and for its [`full_mantissas`] as `f64`. Returns the
+    /// reference leaves there, to the bit, for `data` and for its
+    /// [`full_mantissas`] as `f64`. Returns the
     /// coefficients and `(regression_blocks, lorenzo_blocks)` of `data`.
     fn assert_blocks_match_reference(data: &[f32], dims: &[usize], eb: f64) -> (Vec<f32>, (u64, u64)) {
-        fn run<T: Element, const FAST: bool>(data: &[T], g: Geom, q: &Quantizer) -> (Vec<f32>, (u64, u64)) {
+        fn run<T: Element>(data: &[T], g: Geom, q: &Quantizer) -> (Vec<f32>, (u64, u64)) {
             let (mut new, mut old) = (SzScratch::<T>::new(), SzScratch::<T>::new());
-            let counts = legacy::encode_blocks::<T, FAST>(data, g, q, &mut new);
-            assert_eq!(counts, encode_blocks_reference::<T, FAST>(data, g, q, &mut old));
+            let counts = legacy::encode_blocks(data, g, q, &mut new);
+            assert_eq!(counts, encode_blocks_reference(data, g, q, &mut old));
             assert_eq!(new.symbols, old.symbols);
             assert_eq!(le_bits(&new.literals), le_bits(&old.literals));
             assert_eq!(le_bits(&new.coeffs), le_bits(&old.coeffs));
@@ -3038,12 +2792,8 @@ mod tests {
         }
         let g = geometry(dims, data.len()).unwrap();
         let q = Quantizer::new(eb, Quantizer::DEFAULT_RADIUS);
-        assert!(q.fast_exact());
-        let data64 = full_mantissas(data);
-        run::<f64, true>(&data64, g, &q);
-        run::<f64, false>(&data64, g, &q);
-        run::<f32, true>(data, g, &q);
-        run::<f32, false>(data, g, &q)
+        run(&full_mantissas(data), g, &q);
+        run(data, g, &q)
     }
 
     /// A field with smooth stretches (Lorenzo blocks, many of them full and
@@ -3079,26 +2829,8 @@ mod tests {
     }
 
     #[test]
-    fn wavefront_order_puts_every_stencil_neighbour_first() {
-        let mut seen = [false; BLOCK_LEN];
-        let at = |k: u8, j: u8, i: u8| (k as usize * BLOCK_SIDE + j as usize) * BLOCK_SIDE + i as usize;
-        for &[k, j, i] in &legacy::WAVEFRONT {
-            for (dk, dj, di) in
-                [(0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)]
-            {
-                if k >= dk && j >= dj && i >= di {
-                    assert!(seen[at(k - dk, j - dj, i - di)], "({k},{j},{i}) before its neighbour");
-                }
-            }
-            assert!(!seen[at(k, j, i)], "({k},{j},{i}) visited twice");
-            seen[at(k, j, i)] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
     fn block_encoder_matches_reference_on_mixed_fields() {
-        // Full interior blocks (wavefront order), first-plane blocks, edge
+        // Full interior blocks, first-plane blocks, edge
         // blocks of every partial extent, 2-D and fused 4-D geometry.
         for (dims, eb) in [
             (vec![13usize, 20, 19], 1e-3),
@@ -3277,10 +3009,10 @@ mod tests {
     }
 
     /// The dense reference swapped in at the entropy stage: on the symbols
-    /// predict-quantize made, the stage's coder under either arithmetic
-    /// gives the reference's table and bits, from a fresh and from a stale
-    /// scratch. And the whole walk writes the same bytes and statistics
-    /// under both arithmetics from either scratch. Returns the statistics.
+    /// predict-quantize made, the stage's coder gives the reference's table
+    /// and bits, from a fresh and from a stale scratch. And the whole walk
+    /// writes the same bytes and statistics from either scratch. Returns the
+    /// statistics.
     fn assert_matches_dense_entropy_stage<T: Element>(
         data: &[T],
         dims: &[usize],
@@ -3288,36 +3020,18 @@ mod tests {
     ) -> CompressionStats {
         let pq = PredictQuantize::new(data, dims, cfg).unwrap();
         let alphabet = pq.q.alphabet_size();
-        // The whole walk with the emitter in either arithmetic.
-        fn walk<T: Element, const FAST: bool>(
-            pq: &PredictQuantize,
-            data: &[T],
-            dims: &[usize],
-            lossless: bool,
-            s: &mut SzScratch<T>,
-        ) -> Compressed {
-            let (mut p, mut stats) = (Writer::new(), CompressionStats::default());
-            pq.encode(data, dims, &mut p, &mut stats, s);
-            code_walk::<T, FAST>(pq, p, stats, lossless, s).unwrap()
-        }
-        let want = walk::<T, true>(&pq, data, dims, cfg.lossless, &mut SzScratch::new());
+        let want = compress_typed(data, dims, cfg).unwrap();
         let bits = |s: &mut SzScratch<T>| (s.sym_bits.bit_len(), s.sym_bits.finish().to_vec());
         let mut stale = stale_encode_scratch::<T>();
         for scratch in [&mut SzScratch::new(), &mut stale] {
             pq.encode(data, dims, &mut Writer::new(), &mut CompressionStats::default(), scratch);
             scratch.sym_bits.clear();
             let reference = (entropy_code_reference(alphabet, scratch).unwrap(), bits(scratch));
-            let fast = (huffman_code::<T, true>(alphabet, scratch).unwrap(), bits(scratch));
-            assert!(fast == reference, "{dims:?} {cfg:?}, fast arithmetic");
-            let slow = (huffman_code::<T, false>(alphabet, scratch).unwrap(), bits(scratch));
-            assert!(slow == reference, "{dims:?} {cfg:?}, reference arithmetic");
-            for got in [
-                walk::<T, false>(&pq, data, dims, cfg.lossless, scratch),
-                walk::<T, true>(&pq, data, dims, cfg.lossless, scratch),
-            ] {
-                assert_eq!(got.bytes, want.bytes, "{dims:?} {cfg:?}");
-                assert_eq!(got.stats, want.stats, "{dims:?} {cfg:?}");
-            }
+            let got = (huffman_code(alphabet, scratch).unwrap(), bits(scratch));
+            assert!(got == reference, "{dims:?} {cfg:?}");
+            let got = compress_typed_with(data, dims, cfg, scratch).unwrap();
+            assert_eq!(got.bytes, want.bytes, "{dims:?} {cfg:?}");
+            assert_eq!(got.stats, want.stats, "{dims:?} {cfg:?}");
         }
         want.stats
     }

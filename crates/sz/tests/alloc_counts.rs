@@ -1,7 +1,9 @@
 //! Heap allocations per call as pins. A warm-scratch compression and
 //! decompression allocate a fixed number of times for a given input, so a
 //! stray copy or an extra working buffer shows here as a changed count,
-//! where a timing would hide it in noise.
+//! where a timing would hide it in noise. So does a fresh-scratch
+//! compression, the path of every call that brings no scratch; there the
+//! calls of 8 KiB or more are pinned too, the buffers that set its peak.
 //!
 //! The counting allocator counts the calls of the thread that makes them
 //! (the harness's other threads allocate too), and every case runs once
@@ -14,33 +16,40 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use lcpio_sz::{compress_typed_with, decompress_into, ErrorBound, SzConfig, SzScratch};
+use lcpio_sz::{compress_typed, compress_typed_with, decompress_into, ErrorBound, SzConfig, SzScratch};
 
 struct Counting;
 
 thread_local! {
     static CALLS: Cell<u64> = const { Cell::new(0) };
+    /// Of those, the calls asking for [`LARGE`] bytes or more.
+    static LARGE_CALLS: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count() {
+const LARGE: usize = 8 << 10;
+
+fn count(size: usize) {
     CALLS.with(|c| c.set(c.get() + 1));
+    if size >= LARGE {
+        LARGE_CALLS.with(|c| c.set(c.get() + 1));
+    }
 }
 
 // SAFETY: every call is forwarded unchanged to the system allocator; the
-// count is a const-initialized thread-local `Cell`, which allocates nothing.
+// counts are const-initialized thread-local `Cell`s, which allocate nothing.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -53,11 +62,12 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 /// Allocation calls (`alloc`, `alloc_zeroed` and `realloc`) `f` makes on
-/// this thread.
-fn calls_of<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = CALLS.with(Cell::get);
+/// this thread, and of those the calls for [`LARGE`] bytes or more (a
+/// `realloc` counts by its new size).
+fn calls_of<R>(f: impl FnOnce() -> R) -> ((u64, u64), R) {
+    let before = (CALLS.with(Cell::get), LARGE_CALLS.with(Cell::get));
     let r = f();
-    (CALLS.with(Cell::get) - before, r)
+    ((CALLS.with(Cell::get) - before.0, LARGE_CALLS.with(Cell::get) - before.1), r)
 }
 
 /// Allocation calls of one warm-scratch compression of `data` and one
@@ -69,9 +79,9 @@ fn counts(data: &[f32], dims: &[usize], eb: f64) -> (u64, u64) {
     let mut out = vec![0f32; data.len()];
     let warm = compress_typed_with(data, dims, &cfg, &mut enc).expect("compress");
     decompress_into(&warm.bytes, &mut out, &mut dec).expect("decompress");
-    let (compress, stream) = calls_of(|| compress_typed_with(data, dims, &cfg, &mut enc).expect("compress"));
+    let ((compress, _), stream) = calls_of(|| compress_typed_with(data, dims, &cfg, &mut enc).expect("compress"));
     assert_eq!(stream.bytes, warm.bytes, "a warm scratch writes the same stream");
-    let (decompress, _) = calls_of(|| decompress_into(&stream.bytes, &mut out, &mut dec).expect("decompress"));
+    let ((decompress, _), _) = calls_of(|| decompress_into(&stream.bytes, &mut out, &mut dec).expect("decompress"));
     (compress, decompress)
 }
 
@@ -86,4 +96,19 @@ fn warm_scratch_calls_allocate_a_pinned_number_of_times() {
     assert_eq!(counts(chunk, &dims, 1e-4), (26, 22), "NYX chunk at 1e-4");
     // Constant: the LZSS pass is kept, and decoding expands it.
     assert_eq!(counts(&vec![1.0f32; n], &dims, 1e-3), (20, 4), "constant chunk");
+}
+
+#[test]
+fn a_fresh_scratch_request_allocates_a_pinned_number_of_times() {
+    // A serve request and a stream chunk: rank-1, 16 384 elements of a
+    // CESM field (6 656 values, repeated, as the stream workloads build
+    // their chunks), through `compress_typed` and so a fresh scratch.
+    let cesm = lcpio_datagen::Dataset::CesmAtm.generate(65536, 11).data;
+    let chunk: Vec<f32> = (0..16_384).map(|i| cesm[i % cesm.len()]).collect();
+    let cfg = SzConfig::new(ErrorBound::Absolute(1e-3));
+    let first = compress_typed(&chunk, &[chunk.len()], &cfg).expect("compress");
+    let (calls, out) = calls_of(|| compress_typed(&chunk, &[chunk.len()], &cfg).expect("compress"));
+    assert_eq!(out.bytes, first.bytes);
+    // (all calls, calls of 8 KiB or more).
+    assert_eq!(calls, (53, 20), "CESM request, fresh scratch");
 }

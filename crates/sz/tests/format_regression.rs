@@ -8,11 +8,8 @@
 //! live on in
 //! `pipeline::tests::legacy_streams_keep_their_hashes_and_restore_the_same_values`,
 //! which rebuilds the old streams with the test-only legacy writer and
-//! decodes them with today's decoder. That writer's reference-versus-fast
-//! arithmetic check is there too
-//! (`pipeline::tests::legacy_writer_arithmetics_emit_identical_streams`):
-//! the lattice writer has one arithmetic, so the larger fields below are
-//! bound checks on it.
+//! decodes them with today's decoder. Each writer has one arithmetic, so
+//! the larger fields below are bound checks on the lattice writer.
 //!
 //! The chunked `SZLP` container is written by `lcpio-codec`; its pinned
 //! hashes live in that crate's `tests/format_regression.rs` (and, for the

@@ -1,5 +1,5 @@
-//! Field generators shared by the crate's equivalence and format tests
-//! (this file is a module of `simd_scalar_equivalence.rs` and
+//! Field generators shared by the crate's bound and format tests
+//! (this file is a module of `adversarial_bounds.rs` and
 //! `format_regression.rs` and, through `#[path]`, of the library's own unit
 //! tests, where `lcpio_sz` names the crate itself): values from the classes
 //! that historically break hand-optimized float arithmetic, salted into a

@@ -2,13 +2,9 @@
 //! takes, end to end. It lives here rather than beside the other pinned
 //! container hashes (`crates/codec/tests/format_regression.rs`) because it
 //! needs `lcpio-datagen`'s NYX field, and `lcpio-codec` may not grow a
-//! dependency edge for a test. Each container is written twice, on one
-//! thread and, with `kernels::force_scalar` set, on two: equal bytes, equal
-//! stats (the switch selects the arithmetic of the test-only legacy writer
-//! and must not reach the default one).
+//! dependency edge for a test.
 
 use lcpio::codec::{registry, BoundSpec, SzCodec};
-use lcpio::sz::kernels;
 
 fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
@@ -51,11 +47,6 @@ fn default_path_containers_match_pinned_hashes_at_the_paper_bounds() {
             (len, hash),
             "default-path container at eb {eb:e} changed format"
         );
-        kernels::force_scalar(true);
-        let scalar = sz.compress_chunked(&field.data, &dims, bound, 2).expect("compress");
-        kernels::reset_force_scalar();
-        assert_eq!(auto.bytes, scalar.bytes, "eb {eb:e}: forced-scalar container differs");
-        assert_eq!(auto.stats, scalar.stats, "eb {eb:e}: forced-scalar stats differ");
         let (rec, _) = SzCodec::decompress_chunked::<f32>(&auto.bytes, 1).expect("decompress");
         for (a, b) in field.data.iter().zip(&rec) {
             assert!((a - b).abs() as f64 <= eb, "eb {eb:e}: {a} vs {b}");
