@@ -6,7 +6,7 @@ use crate::{BoundSpec, Codec, CodecError, CodecStats, ContainerInfo, Encoded};
 use lcpio_sz as sz;
 use lcpio_sz::{CompressionStats, SzScratch};
 
-/// The SZ backend: Lorenzo/regression prediction, error-bounded
+/// The SZ backend: Lorenzo prediction on the lattice, error-bounded
 /// quantization, Huffman coding, LZSS lossless stage.
 ///
 /// Owns a scratch pool so chunked compression *and* decompression reuse

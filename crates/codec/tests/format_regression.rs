@@ -2,12 +2,16 @@
 //! bytes are pinned against hashes captured when each backend crate still
 //! wrote its own container. One module writing both is a refactor — any
 //! change to the emitted bytes is a format break and must fail here. The
-//! `SZLP` pins moved once since, with the SZ streams inside the chunks,
+//! `SZLP` pins moved twice since, with the SZ streams inside the chunks:
 //! when the default writer took up the lattice predictor (the containers
 //! were 9 077 bytes `0xae190346e354477d` and 12 299 bytes
-//! `0x64e13fb6f13cfd0b` before; their chunks as the legacy writer coded
-//! them, and the values those decode to, are pinned in `lcpio-sz`'s
-//! `pipeline::tests::legacy_chunks_of_the_pinned_containers_decode_to_their_old_values`).
+//! `0x64e13fb6f13cfd0b` before), and when it dropped block selection and
+//! wrote predictor byte 2 at every rank (9 077 bytes `0xcd4d0c656bd51e24`
+//! and 12 317 bytes `0xb66df1df75052286` before). Their chunks as the
+//! test-only writers of those predictors code them, and the values those
+//! decode to, are pinned in `lcpio-sz`'s
+//! `pipeline::tests::legacy_chunks_of_the_pinned_containers_decode_to_their_old_values`
+//! and `pipeline::tests::lattice_block_chunks_of_the_pinned_containers_decode_to_their_old_values`.
 //!
 //! The serial streams inside the chunks are pinned next to the codecs
 //! (`crates/sz/tests/format_regression.rs`, `crates/zfp/tests/…`), and the
@@ -67,7 +71,7 @@ fn chunked_containers_match_pinned_hashes_across_threads() {
     let out = sz.compress_chunked(&data, &[32, 9, 7], bound, 2).expect("compress");
     assert_eq!(
         (out.bytes.len(), fnv64(&out.bytes)),
-        (9077, 0xcd4d0c656bd51e24),
+        (6186, 0x5cde1d8bd02c2594),
         "chunked SZLP f32 container changed format"
     );
     // Chunk boundaries are shape-only: any thread count must emit the
@@ -84,7 +88,7 @@ fn chunked_containers_match_pinned_hashes_across_threads() {
         .expect("compress");
     assert_eq!(
         (out64.bytes.len(), fnv64(&out64.bytes)),
-        (12317, 0xb66df1df75052286),
+        (10858, 0xbd2c6ffe0476c40a),
         "chunked SZLP f64 container changed format"
     );
 }
@@ -94,12 +98,13 @@ fn flat_fields_keep_what_the_lzss_pass_is_for() {
     // The LZSS pass loses on anything with noise in it (9 bits per
     // unmatched byte) and is dropped there; what it is kept for is a field
     // that codes to runs: Huffman alone cannot go below a bit per element
-    // (32:1 on `f32`), the matcher takes a constant 64³ cube to 1 093
-    // bytes and a ramp along x to 1 558. The stride that lets the matcher
+    // (32:1 on `f32`), the matcher takes a constant 64³ cube to 1 083
+    // bytes and a ramp along x to 1 024. The stride that lets the matcher
     // race through unmatchable bytes must not cost these a byte.
     //
     // Under the predictor over reconstructed values these were 1 087 and
-    // 1 552 bytes. The ramp's odd steps sit on the midpoints of bins of
+    // 1 552 bytes, and under the lattice's block selection 1 093 and 1 558.
+    // The ramp's odd steps sit on the midpoints of bins of
     // `2·eb`; on a lattice of exactly that spacing, 9 of every 64 would
     // miss both neighbours by a few ulps once narrowed to `f32` and escape
     // to literals (4 590 bytes). The lattice's spacing is a hair finer so
@@ -110,7 +115,7 @@ fn flat_fields_keep_what_the_lzss_pass_is_for() {
     let constant = vec![1.0f32; n];
     let ramp: Vec<f32> = (0..n).map(|i| (i % 64) as f32 * 0.001).collect();
     for (name, field, bytes, floor) in
-        [("constant", &constant, 1093, 900.0), ("ramp", &ramp, 1558, 650.0)]
+        [("constant", &constant, 1083, 900.0), ("ramp", &ramp, 1024, 650.0)]
     {
         let out = sz.compress_chunked(field, &dims, BoundSpec::Absolute(1e-3), 2).expect("compress");
         assert_eq!(out.bytes.len(), bytes, "{name} field");

@@ -54,8 +54,10 @@
 //! The `SZL1` stream has two independent flag bits (LZSS body, packed
 //! Huffman table), and which of them the encoder sets depends on the field:
 //! [`szl1_flag_corpus`] seeds one stream per combination. Those are all
-//! lattice streams (predictor bytes 2 and 3); `LEGACY_SZL1_SEED` is one
-//! of the predictor older streams carry, so mutations reach its decoder. A seed whose
+//! lattice streams of predictor byte 2, the one the encoder writes;
+//! `LATTICE_BLOCK_SZL1_SEED` (byte 3) and `LEGACY_SZL1_SEED` (byte 1) are
+//! block-adaptive streams older versions wrote, so mutations reach the
+//! decoder of each. A seed whose
 //! packed table lies open in the body (no LZSS layer over it) gets half of
 //! its mutations aimed inside the table's fields, where blind byte edits
 //! over a whole stream rarely land. A seed whose payload lies open gets a
@@ -139,9 +141,10 @@ pub fn seed_corpus() -> Vec<Vec<u8>> {
         run_sequential(&data, &cfg, &mut sink).expect("pipeline");
         corpus.push(sink.bytes);
     }
-    // One `SZL1` stream per flag combination, and one of the legacy
-    // predictor.
+    // One `SZL1` stream per flag combination, and one of each older
+    // block-adaptive predictor.
     corpus.extend(szl1_flag_corpus().into_iter().map(|(_, stream)| stream));
+    corpus.push(LATTICE_BLOCK_SZL1_SEED.to_vec());
     corpus.push(LEGACY_SZL1_SEED.to_vec());
     // Mixed-codec containers and their codec-tag forgeries.
     corpus.extend(mixed_tag_corpus());
@@ -253,6 +256,43 @@ const LEGACY_SZL1_SEED: [u8; 447] = [
     0x99, 0x19, 0xbf, 0x00, 0x00, 0x80, 0x3e, 0xcd, 0xcc, 0xcc, 0xbd, 0x00, 0x00, 0x00, 0x00, 0x18,
     0xb7, 0x36, 0x70, 0x54, 0xcc, 0x66, 0xef, 0x76, 0xa3, 0x38, 0x6e, 0x00, 0x00, 0x00, 0x00, 0x9a,
     0x99, 0x19, 0x40, 0x00, 0x00, 0x80, 0x3e, 0xcd, 0xcc, 0xcc, 0xbd, 0x00, 0x00, 0x00, 0x00
+];
+
+/// An `SZL1` stream of the block-adaptive predictor on the lattice
+/// (predictor byte 3), which the encoder no longer writes and the decoder
+/// still reads: 12 × 16 values at 1e-2, radius 64, lossless stage off,
+/// three regression and three Lorenzo blocks, 11 literals (a NaN at 40, a
+/// 3e30 at 150 and residuals past the radius). Written by `lcpio-sz`'s
+/// test-only byte-3 writer (`pipeline::lattice_blocks`), which pins it.
+const LATTICE_BLOCK_SZL1_SEED: [u8; 433] = [
+    0x53, 0x5a, 0x4c, 0x31, 0x00, 0xa4, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x0c,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03,
+    0x02, 0x7b, 0x14, 0xae, 0x47, 0xe1, 0x7a, 0x84, 0x3f, 0x40, 0x00, 0x00, 0x00, 0xc0, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x79, 0x00, 0x00, 0x00, 0x04, 0x00, 0x08,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x00, 0x08, 0x00, 0x00, 0x00, 0x07, 0x07, 0x08, 0x00, 0x08,
+    0x00, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x00, 0x08, 0x00, 0x08, 0x00,
+    0x00, 0x00, 0x08, 0x07, 0x07, 0x06, 0x06, 0x06, 0x05, 0x04, 0x04, 0x04, 0x04, 0x04, 0x03, 0x04,
+    0x04, 0x04, 0x07, 0x06, 0x07, 0x07, 0x06, 0x07, 0x07, 0x07, 0x08, 0x00, 0x00, 0x00, 0x08, 0x00,
+    0x00, 0x08, 0x00, 0x07, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00,
+    0x07, 0x00, 0x00, 0x07, 0x00, 0x07, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0xaa, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x76, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xa7, 0x6c, 0x2a, 0xbc, 0xb3, 0x7a, 0x7a, 0xfb, 0x7c, 0xdb,
+    0x7f, 0x1e, 0x74, 0xa6, 0x28, 0xff, 0xc4, 0x44, 0x38, 0x66, 0x5a, 0x65, 0x49, 0xc3, 0x66, 0xa2,
+    0x6a, 0x90, 0xa8, 0x61, 0x02, 0x9d, 0x69, 0xd7, 0x3f, 0xba, 0xe9, 0xd6, 0xd7, 0xaa, 0x50, 0x39,
+    0x5c, 0xb7, 0x6d, 0xd9, 0x50, 0x97, 0xe9, 0x95, 0x0b, 0x12, 0x99, 0x6f, 0xdd, 0x96, 0x21, 0x2f,
+    0xfc, 0x60, 0xcf, 0x8c, 0xfd, 0xdc, 0x36, 0xff, 0x70, 0x07, 0x76, 0x80, 0xaa, 0x19, 0x33, 0x7d,
+    0x4f, 0x0e, 0x9d, 0xc2, 0xdf, 0xa0, 0x41, 0xca, 0x27, 0x9f, 0xc5, 0x72, 0xf0, 0x50, 0x76, 0xba,
+    0x21, 0x5c, 0xd4, 0xbd, 0xf5, 0x75, 0x22, 0x76, 0xb6, 0x11, 0x08, 0xb1, 0x45, 0x9f, 0x1e, 0xc4,
+    0x41, 0x95, 0x2c, 0x93, 0x30, 0xe5, 0x9f, 0x1e, 0xc4, 0x4c, 0xee, 0x00, 0x2c, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc0, 0x7f, 0xf9, 0xa2, 0xb3, 0x3f, 0x17, 0x76, 0x17, 0x72,
+    0x00, 0x28, 0xaf, 0x3f, 0xbc, 0x3d, 0xdc, 0x3f, 0x26, 0x30, 0xab, 0xbf, 0x75, 0xcd, 0xbf, 0x3f,
+    0x16, 0x2c, 0xf1, 0x3f, 0xeb, 0xc0, 0xaa, 0xbf, 0xd5, 0x50, 0xbf, 0x3f, 0x61, 0x8f, 0xf0, 0x3f,
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x98, 0x30, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0xdd, 0x11, 0x91, 0x3b, 0xbd, 0x95, 0x00, 0x3f, 0x1e, 0x6e, 0x9a, 0xbe, 0x00, 0x00, 0x00,
+    0x00, 0x96, 0x8e, 0xe8, 0xbf, 0xcf, 0x1d, 0x00, 0x3f, 0x6d, 0x72, 0x94, 0xbe, 0x00, 0x00, 0x00,
+    0x00, 0x18, 0xb7, 0x36, 0x70, 0x54, 0xcc, 0x66, 0xef, 0x76, 0xa3, 0x38, 0x6e, 0x00, 0x00, 0x00,
+    0x00
 ];
 
 /// Where the Huffman table's fields sit in an `SZL1` stream whose packed
@@ -871,6 +911,17 @@ mod tests {
         let seed = &LEGACY_SZL1_SEED[..];
         let predictor_at = lcpio_sz::header::ENVELOPE_LEN + 1 + 1 + 2 * 8;
         assert_eq!((seed[4], seed[predictor_at]), (0, 1), "a raw block-adaptive legacy stream");
+        let (values, dims) = registry().decompress_auto(seed, 1).expect("the seed decodes");
+        assert_eq!((values.len(), dims), (192, vec![12, 16]));
+        assert!(values[40].is_nan() && values[150] == 3.0e30);
+        assert_eq!(payload_header_span(seed), Some(lcpio_sz::header::ENVELOPE_LEN..57));
+    }
+
+    #[test]
+    fn the_block_lattice_seed_decodes() {
+        let seed = &LATTICE_BLOCK_SZL1_SEED[..];
+        let predictor_at = lcpio_sz::header::ENVELOPE_LEN + 1 + 1 + 2 * 8;
+        assert_eq!((seed[4], seed[predictor_at]), (0, 3), "a raw block-adaptive lattice stream");
         let (values, dims) = registry().decompress_auto(seed, 1).expect("the seed decodes");
         assert_eq!((values.len(), dims), (192, vec![12, 16]));
         assert!(values[40].is_nan() && values[150] == 3.0e30);

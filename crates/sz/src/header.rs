@@ -25,8 +25,9 @@
 //! ```text
 //! u8     element type tag (0 = f32, 1 = f64)                 predict-quantize
 //! u8     rank, then one u64 per dimension                    predict-quantize
-//! u8     predictor: 0 = classic Lorenzo, 1 = block-adaptive  predict-quantize
-//!        (any other value is refused)
+//! u8     predictor: bit 0 block-adaptive, bit 1 lattice; the predict-quantize
+//!        writer writes 2 (Lorenzo on the lattice), 0, 1 and 3
+//!        are older streams' (any other value is refused)
 //! u8     Lorenzo order for rank-1 data                       predict-quantize
 //! f64    absolute error bound                                predict-quantize
 //! u32    quantizer radius                                    predict-quantize

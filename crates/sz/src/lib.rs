@@ -4,9 +4,11 @@
 //!
 //! A from-scratch Rust implementation of the SZ lossy-compression pipeline
 //! for scientific floating-point data (Di & Cappello et al.): value
-//! prediction (Lorenzo stencils and SZ2-style per-block hyperplane
-//! regression), error-bounded linear quantization, canonical Huffman coding
-//! of the quantization bins, and an LZSS lossless backend.
+//! prediction (the Lorenzo stencil on a lattice of spacing `2·eb`),
+//! error-bounded linear quantization, canonical Huffman coding of the
+//! quantization bins, and an LZSS lossless backend. Streams of SZ2-style
+//! per-block hyperplane regression, which earlier versions wrote, still
+//! decode.
 //!
 //! The headline guarantee is the **absolute error bound**: for every
 //! element, `|decompressed − original| ≤ eb`. Value-range-relative bounds
@@ -79,14 +81,14 @@ pub enum ErrorBound {
     ValueRangeRelative(f64),
 }
 
-/// Predictor selection strategy.
+/// Predictor selection, which selects nothing: every stream is written
+/// with the Lorenzo stencil on the lattice. Kept, with
+/// [`SzConfig::with_mode`], only because the repository benchmark's layer
+/// probes name it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PredictorMode {
     /// Global Lorenzo stencil (SZ 1.4 style).
     Lorenzo,
-    /// Per-block adaptive choice between Lorenzo and hyperplane regression
-    /// (SZ 2.x style). Falls back to Lorenzo for 1-D data.
-    BlockAdaptive,
 }
 
 /// Compressor configuration.
@@ -94,8 +96,6 @@ pub enum PredictorMode {
 pub struct SzConfig {
     /// Error-bound mode and magnitude.
     pub error_bound: ErrorBound,
-    /// Predictor strategy (default: block-adaptive).
-    pub mode: PredictorMode,
     /// Lorenzo order for 1-D data (1 or 2; default 2).
     pub lorenzo_order: u8,
     /// Quantizer bin radius (default [`Quantizer::DEFAULT_RADIUS`]).
@@ -112,16 +112,15 @@ impl SzConfig {
     pub fn new(error_bound: ErrorBound) -> Self {
         SzConfig {
             error_bound,
-            mode: PredictorMode::BlockAdaptive,
             lorenzo_order: 2,
             radius: Quantizer::DEFAULT_RADIUS,
             lossless: true,
         }
     }
 
-    /// Builder-style predictor mode override.
-    pub fn with_mode(mut self, mode: PredictorMode) -> Self {
-        self.mode = mode;
+    /// The configuration unchanged: there is one predictor (see
+    /// [`PredictorMode`]).
+    pub fn with_mode(self, _mode: PredictorMode) -> Self {
         self
     }
 
@@ -225,7 +224,7 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_3d_both_modes() {
+    fn roundtrip_3d_tilted_planes() {
         let (nz, ny, nx) = (12, 13, 14);
         let data: Vec<f32> = (0..nz * ny * nx)
             .map(|idx| {
@@ -235,12 +234,10 @@ mod tests {
                 (k as f32) * 0.3 + (j as f32) * 0.2 - (i as f32) * 0.1
             })
             .collect();
-        for mode in [PredictorMode::Lorenzo, PredictorMode::BlockAdaptive] {
-            let cfg = SzConfig::new(ErrorBound::Absolute(1e-3)).with_mode(mode);
-            let out = compress(&data, &[nz, ny, nx], &cfg).unwrap();
-            let (rec, _) = decompress(&out.bytes).unwrap();
-            check_bound(&data, &rec, 1e-3);
-        }
+        let cfg = SzConfig::new(ErrorBound::Absolute(1e-3));
+        let out = compress(&data, &[nz, ny, nx], &cfg).unwrap();
+        let (rec, _) = decompress(&out.bytes).unwrap();
+        check_bound(&data, &rec, 1e-3);
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //!
 //! 1. **Predict-quantize** — every value snapped to the lattice of spacing
 //!    `2·eb·(1 − 2^-10)`, then the residuals of the lattice indices under
-//!    the Lorenzo stencil, or the per-block adaptive choice between Lorenzo
-//!    and hyperplane regression; values the lattice cannot hold within the
-//!    bound, and residuals past the radius, escape to IEEE literals.
+//!    the Lorenzo stencil (of order 2 on a rank-1 array); values the
+//!    lattice cannot hold within the bound, and residuals past the radius,
+//!    escape to IEEE literals. Streams of the per-block choice between
+//!    Lorenzo and hyperplane regression, which earlier versions wrote,
+//!    still decode.
 //! 2. **Entropy** — canonical Huffman coding of the bin indices.
 //! 3. **Table** — the code lengths dense, or packed into run tokens where
 //!    the lossless back end is on and that is smaller (`table`).
@@ -43,12 +45,10 @@ use crate::huffman::{CodeTable, HuffmanDecoder, HuffmanEncoder};
 use crate::lossless;
 use crate::predictor::lorenzo_3d_row_partial;
 use crate::quantizer::Quantizer;
-use crate::regression::{
-    abs_error_below_lanes, block_abs_error_below, fit_block, BlockCoeffs, BlockFitter, BLOCK_SIDE,
-};
+use crate::regression::{BlockCoeffs, BLOCK_SIDE};
 use crate::stats::CompressionStats;
 use crate::table;
-use crate::{Compressed, ErrorBound, PredictorMode, SzConfig, SzError};
+use crate::{Compressed, ErrorBound, SzConfig, SzError};
 
 /// Geometry after fusing 4-D inputs down to 3-D (SZ treats the slowest two
 /// dimensions of a 4-D array as one).
@@ -127,19 +127,13 @@ pub struct SzScratch<T> {
     /// The symbols predict-quantize hands the entropy stage (decode: the
     /// other way).
     symbols: Vec<u32>,
-    // Predict-quantize: its sections' contents and bytes, the lattice
-    // indices (what predictions read), and the working arrays of the
-    // block predictor.
+    // Predict-quantize: the literal section's contents and bytes, and the
+    // lattice indices (what predictions read).
     literals: Vec<T>,
     lit_bytes: Vec<u8>,
-    block_bits: BitWriter,
-    coeffs: Vec<f32>,
     lattice: Vec<i64>,
-    /// The values of one partial block.
-    vals: Vec<f64>,
-    select: SelectScratch,
-    /// Predictor and fit of every block of the block row being coded, or of
-    /// the plane of blocks being decoded.
+    /// Predictor and fit of every block of the plane of blocks being
+    /// decoded (block-adaptive streams).
     choices: Vec<(bool, BlockCoeffs)>,
     // The decoder of the predictor older streams carry: the reconstruction
     // (`f64`, what its predictions read) and one row of partials.
@@ -157,11 +151,7 @@ impl<T> SzScratch<T> {
             symbols: Vec::new(),
             literals: Vec::new(),
             lit_bytes: Vec::new(),
-            block_bits: BitWriter::new(),
-            coeffs: Vec::new(),
             lattice: Vec::new(),
-            vals: Vec::new(),
-            select: SelectScratch::default(),
             choices: Vec::new(),
             recon: Vec::new(),
             rowp: Vec::new(),
@@ -177,39 +167,6 @@ impl<T> Default for SzScratch<T> {
     }
 }
 
-/// Mean |orig − Lorenzo(orig)| over a block, using *original* neighbours.
-/// Only a mode-selection heuristic: correctness never depends on it.
-fn lorenzo_probe_error<T: Element>(data: &[T], g: Geom, r: BlockRange) -> f64 {
-    let at = |k: isize, j: isize, i: isize| -> f64 {
-        if k < 0 || j < 0 || i < 0 {
-            0.0
-        } else {
-            data[(k as usize * g.ny + j as usize) * g.nx + i as usize].to_f64()
-        }
-    };
-    let mut err = 0.0;
-    let mut cnt = 0usize;
-    for k in r.k.0..r.k.1 {
-        for j in r.j.0..r.j.1 {
-            for i in r.i.0..r.i.1 {
-                let (ki, ji, ii) = (k as isize, j as isize, i as isize);
-                let pred = at(ki, ji, ii - 1) + at(ki, ji - 1, ii) + at(ki - 1, ji, ii)
-                    - at(ki, ji - 1, ii - 1)
-                    - at(ki - 1, ji, ii - 1)
-                    - at(ki - 1, ji - 1, ii)
-                    + at(ki - 1, ji - 1, ii - 1);
-                err += (data[(k * g.ny + j) * g.nx + i].to_f64() - pred).abs();
-                cnt += 1;
-            }
-        }
-    }
-    if cnt == 0 {
-        0.0
-    } else {
-        err / cnt as f64
-    }
-}
-
 /// Elements of a full block.
 const BLOCK_LEN: usize = BLOCK_SIDE * BLOCK_SIDE * BLOCK_SIDE;
 
@@ -222,132 +179,6 @@ struct BlockRange {
     i: (usize, usize),
 }
 
-/// Blocks [`select_block_row`] decides side by side: one value of each in
-/// a [`Lanes`], so what is a serial sum for one block is `LANES` independent
-/// ones that fit a vector or two.
-const LANES: usize = 4;
-type Lanes = [f64; LANES];
-
-/// Working arrays of [`select_block_row`].
-#[derive(Debug, Default)]
-struct SelectScratch {
-    /// Two planes of `BLOCK_SIDE + 1` rows as `f64`: the row above the
-    /// block row, then its own, each behind a zero column.
-    planes: Vec<f64>,
-    /// The Lorenzo-probe terms of one row.
-    terms: Vec<f64>,
-    /// The blocks' values, `[group of LANES blocks][element][lane]`.
-    vals: Vec<Lanes>,
-    /// Per group, each block's sum of probe terms.
-    probe: Vec<Lanes>,
-}
-
-/// Predictor and fit of one block on its own, the way partial blocks are
-/// decided: regression where its mean absolute error is below that of
-/// Lorenzo on *original* neighbours. Only a heuristic: correctness never
-/// depends on it.
-fn select_block<T: Element>(
-    data: &[T],
-    g: Geom,
-    r: BlockRange,
-    vals: &mut Vec<f64>,
-) -> (bool, BlockCoeffs) {
-    let (nk, nj, ni) = (r.k.1 - r.k.0, r.j.1 - r.j.0, r.i.1 - r.i.0);
-    vals.clear();
-    for k in r.k.0..r.k.1 {
-        for j in r.j.0..r.j.1 {
-            let row = (k * g.ny + j) * g.nx;
-            vals.extend(data[row + r.i.0..row + r.i.1].iter().map(|v| v.to_f64()));
-        }
-    }
-    let coeffs = fit_block(vals, nk, nj, ni);
-    let lor_err = lorenzo_probe_error(data, g, r);
-    (block_abs_error_below(vals, nk, nj, ni, &coeffs, lor_err), coeffs)
-}
-
-/// [`select_block`] for the first `nb` blocks, all full, of the block row
-/// at planes `k0..`, rows `j0..`; appends their choices.
-///
-/// Every data row is converted to `f64` once, the block values are laid
-/// out `[element][block]` and every sum of the decision (the probe's, the
-/// mean, the three projections, the regression error) runs over the
-/// elements in `select_block`'s order with the blocks of a group side by
-/// side. Each block's sums see the same terms in the same order, so the
-/// choices are `select_block`'s; what changes is that four serial
-/// 216-term chains per block become loops with no carried dependence.
-///
-/// Out of line on purpose: inlined into the encoder's one call site, its
-/// loops run ≈ 6 % slower.
-#[inline(never)]
-fn select_block_row<T: Element>(
-    data: &[T],
-    g: Geom,
-    (k0, j0): (usize, usize),
-    nb: usize,
-    sel: &mut SelectScratch,
-    choices: &mut Vec<(bool, BlockCoeffs)>,
-) {
-    const B: usize = BLOCK_SIDE;
-    let groups = nb.div_ceil(LANES);
-    let cols = nb * B;
-    // The lanes past the last block read zeros and are dropped at the end.
-    let stride = 1 + groups * LANES * B;
-    let SelectScratch { planes, terms, vals, probe } = sel;
-    planes.clear();
-    planes.resize(2 * (B + 1) * stride, 0.0);
-    terms.resize(stride - 1, 0.0);
-    vals.resize(groups * BLOCK_LEN, [0.0; LANES]);
-    probe.clear();
-    probe.resize(groups, [0.0; LANES]);
-    let (mut behind, mut plane) = planes.split_at_mut((B + 1) * stride);
-    // Rows `j0 − 1 .. j0 + B` of plane `k`; a row off the array stays zero.
-    let load = |into: &mut [f64], k: usize| {
-        for (r, row) in into.chunks_exact_mut(stride).enumerate() {
-            let Some(j) = (j0 + r).checked_sub(1) else { continue };
-            let at = (k * g.ny + j) * g.nx;
-            for (d, v) in row[1..].iter_mut().zip(&data[at..at + cols]) {
-                *d = v.to_f64();
-            }
-        }
-    };
-    if k0 > 0 {
-        load(behind, k0 - 1);
-    }
-    for k in 0..B {
-        load(plane, k0 + k);
-        for j in 0..B {
-            let (c, u) = (&plane[(j + 1) * stride..][..stride], &plane[j * stride..][..stride]);
-            let (p, d) = (&behind[(j + 1) * stride..][..stride], &behind[j * stride..][..stride]);
-            // `lorenzo_probe_error`'s terms, operation for operation.
-            for (x, t) in terms.iter_mut().enumerate() {
-                let pred = c[x] + u[x + 1] + p[x + 1] - u[x] - p[x] - d[x + 1] + d[x];
-                *t = (c[x + 1] - pred).abs();
-            }
-            let e0 = (k * B + j) * B;
-            for (group, sums) in probe.iter_mut().enumerate() {
-                let at = group * LANES * B;
-                for i in 0..B {
-                    let v = &mut vals[group * BLOCK_LEN + e0 + i];
-                    for l in 0..LANES {
-                        v[l] = c[1 + at + l * B + i];
-                        sums[l] += terms[at + l * B + i];
-                    }
-                }
-            }
-        }
-        std::mem::swap(&mut behind, &mut plane);
-    }
-    let fitter = BlockFitter::new(B, B, B);
-    for (group, sums) in probe.iter().enumerate() {
-        let vals = &vals[group * BLOCK_LEN..(group + 1) * BLOCK_LEN];
-        let coeffs = fitter.fit_lanes(vals);
-        let lor_err = sums.map(|sum| sum / BLOCK_LEN as f64);
-        let use_reg = abs_error_below_lanes(vals, B, B, &coeffs, &lor_err);
-        let live = LANES.min(nb - group * LANES);
-        choices.extend(use_reg.into_iter().zip(coeffs).take(live));
-    }
-}
-
 // ---- The lattice ----
 //
 // Every value is snapped to the lattice of spacing `step = 2·eb·(1 −
@@ -357,7 +188,8 @@ fn select_block_row<T: Element>(
 // before it codes the first, so a residual is an exact integer stencil with
 // no chain from one element to the next, and the decoder's inverse is a
 // prefix sum along each row.
-// Symbols are row-major over the whole array in both predictor modes.
+// Symbols are row-major over the whole array, in block-adaptive streams
+// too.
 
 /// Columns the lattice loops take at once: a row is coded and decoded in
 /// spans of this many, so no working array grows with a row (a rank-1
@@ -406,22 +238,18 @@ type SpanWork = ([i64; SPAN], [u32; SPAN]);
 /// finite, out of reach or missed by the narrowing escapes), and its
 /// residual, the index less its prediction, coded into `s.symbols`. The
 /// prediction is Lorenzo's, or on a rank-1 array of order 2 `2·k[x − 1] −
-/// k[x − 2]` (0 for the first element, the first's index for the second),
-/// or, where `regression` (the predictors of the row's block row) holds a
-/// regression block, its hyperplane's value snapped to the lattice. Reads
-/// the lattice of earlier rows and columns only.
-#[allow(clippy::too_many_arguments)]
+/// k[x − 2]` (0 for the first element, the first's index for the second).
+/// Reads the lattice of earlier rows and columns only.
 fn encode_span<T: Element>(
     data: &[T],
     g: Geom,
     order2: bool,
     q: &Quantizer,
     (row, x0): (usize, usize),
-    regression: &[(bool, BlockCoeffs)],
     (w, keep): &mut SpanWork,
     s: &mut SzScratch<T>,
 ) {
-    let (b, at, eb, radius) = (BLOCK_SIDE, row * g.nx + x0, q.error_bound(), q.radius());
+    let (at, eb, radius) = (row * g.nx + x0, q.error_bound(), q.radius());
     let n = SPAN.min(g.nx - x0);
     let (w, keep, data) = (&mut w[..n], &mut keep[..n], &data[at..at + n]);
     let (earlier, here) = s.lattice.split_at_mut(row * g.nx);
@@ -462,79 +290,14 @@ fn encode_span<T: Element>(
     for (((sym, &keep), &here), &left) in syms[1..].iter_mut().zip(&keep[1..]).zip(&w[1..]).zip(&w[..n - 1]) {
         *sym = code(here - left, keep, radius);
     }
-    for bi in x0 / b..(x0 + n).div_ceil(b) {
-        let Some(&(true, coeffs)) = regression.get(bi) else { continue };
-        let plane = coeffs.row(row % g.ny % b, row / g.ny % b);
-        for x in bi * b..(bi * b + b).min(g.nx) {
-            syms[x - x0] = code(c[x] - q.snap(plane.at(x - bi * b)).0, keep[x - x0], radius);
-        }
-    }
 }
 
 /// Whole-array Lorenzo on the lattice, row by row.
 fn encode_lattice_rows<T: Element>(data: &[T], g: Geom, order2: bool, q: &Quantizer, s: &mut SzScratch<T>) {
     let mut work = ([0; SPAN], [0; SPAN]);
     for span in (0..g.nz * g.ny).flat_map(|row| (0..g.nx).step_by(SPAN).map(move |x0| (row, x0))) {
-        encode_span(data, g, order2, q, span, &[], &mut work, s);
+        encode_span(data, g, order2, q, span, &mut work, s);
     }
-}
-
-/// Block-adaptive encode on the lattice. Each block row's predictors are
-/// chosen as before (`select_block_row`, `select_block`); a Lorenzo block's
-/// residuals are the stencil's, across block borders, and a regression
-/// block's are each index less its hyperplane's value snapped to the
-/// lattice. The rows of a block row come after every row they read. Pushes
-/// the block flags and coefficients in block order and returns
-/// `(regression_blocks, lorenzo_blocks)`.
-fn encode_lattice_blocks<T: Element>(data: &[T], g: Geom, q: &Quantizer, s: &mut SzScratch<T>) -> (u64, u64) {
-    let b = BLOCK_SIDE;
-    let blocks = |e: usize| e.div_ceil(b);
-    let (mut regression_blocks, mut lorenzo_blocks) = (0u64, 0u64);
-    let mut work = ([0; SPAN], [0; SPAN]);
-    // One lap of each per block row; the registry is touched once a call.
-    let mut select_laps = lcpio_trace::Stopwatch::new();
-    let mut quantize_laps = lcpio_trace::Stopwatch::new();
-    for bk in 0..blocks(g.nz) {
-        for bj in 0..blocks(g.ny) {
-            let (k0, j0) = (bk * b, bj * b);
-            let (k1, j1) = ((k0 + b).min(g.nz), (j0 + b).min(g.ny));
-            select_laps.lap(|| {
-                s.choices.clear();
-                // A row's full blocks together, if it is full in k and j.
-                let batched = if (k1 - k0, j1 - j0) == (b, b) { g.nx / b } else { 0 };
-                if batched > 0 {
-                    select_block_row(data, g, (k0, j0), batched, &mut s.select, &mut s.choices);
-                }
-                for bi in batched..blocks(g.nx) {
-                    let r = BlockRange { k: (k0, k1), j: (j0, j1), i: (bi * b, (bi * b + b).min(g.nx)) };
-                    s.choices.push(select_block(data, g, r, &mut s.vals));
-                }
-            });
-            quantize_laps.lap(|| {
-                for &(use_reg, coeffs) in &s.choices {
-                    s.block_bits.push_bit(use_reg);
-                    if use_reg {
-                        regression_blocks += 1;
-                        s.coeffs.extend_from_slice(&coeffs.c);
-                    } else {
-                        lorenzo_blocks += 1;
-                    }
-                }
-                let choices = std::mem::take(&mut s.choices);
-                // A block row of Lorenzo blocks alone has no hyperplanes to look up.
-                let regression = if choices.iter().any(|&(reg, _)| reg) { &choices[..] } else { &[] };
-                for row in (k0..k1).flat_map(|k| (j0..j1).map(move |j| k * g.ny + j)) {
-                    for x0 in (0..g.nx).step_by(SPAN) {
-                        encode_span(data, g, false, q, (row, x0), regression, &mut work, s);
-                    }
-                }
-                s.choices = choices;
-            });
-        }
-    }
-    select_laps.commit("sz.select");
-    quantize_laps.commit("sz.quantize");
-    (regression_blocks, lorenzo_blocks)
 }
 
 // ---- The stages ----
@@ -545,8 +308,8 @@ fn encode_lattice_blocks<T: Element>(data: &[T], g: Geom, q: &Quantizer, s: &mut
 // code lengths, then predict-quantize's sections; the lossless stage wraps
 // the whole payload.
 
-/// The predict-quantize stage: values to quantization symbols, under the
-/// classic (whole-array Lorenzo) or the block-adaptive predictor.
+/// The predict-quantize stage: values to quantization symbols under the
+/// classic (whole-array Lorenzo) predictor on the lattice, and back.
 ///
 /// Its bytes open and close the payload. In front of the entropy stage's:
 /// the element type tag, the rank and dims, the predictor byte, the Lorenzo
@@ -555,9 +318,10 @@ fn encode_lattice_blocks<T: Element>(data: &[T], g: Geom, q: &Quantizer, s: &mut
 /// block-flag and coefficient sections.
 ///
 /// The predictor byte is `block_mode | lattice << 1`. This encoder writes
-/// 2 (classic) and 3 (block-adaptive), the lattice predictor; 0 and 1 are
-/// the predictor over reconstructed values that streams were written with
-/// before, which the decoder still reads.
+/// 2, whole-array Lorenzo on the lattice. The decoder also reads what
+/// earlier versions wrote: 3, the per-block choice between Lorenzo and
+/// hyperplane regression on the lattice, and 0 and 1, the two predictors
+/// over reconstructed values.
 struct PredictQuantize {
     g: Geom,
     block_mode: bool,
@@ -578,8 +342,7 @@ impl PredictQuantize {
     fn new<T: Element>(data: &[T], dims: &[usize], cfg: &SzConfig) -> Result<Self, SzError> {
         let g = geometry(dims, data.len())?;
         let q = Quantizer::new(resolve_eb(data, cfg.error_bound)?, cfg.radius.clamp(1, Quantizer::MAX_RADIUS));
-        let block_mode = matches!(cfg.mode, PredictorMode::BlockAdaptive) && g.rank >= 2;
-        Ok(PredictQuantize { g, block_mode, lattice: true, order: cfg.lorenzo_order, q, n: data.len() })
+        Ok(PredictQuantize { g, block_mode: false, lattice: true, order: cfg.lorenzo_order, q, n: data.len() })
     }
 
     /// The head, into `p`.
@@ -595,9 +358,9 @@ impl PredictQuantize {
     }
 
     /// Encode: the head into `p`, then `data` quantized into the scratch on
-    /// the lattice: the symbols the entropy stage codes, and the literals,
-    /// block flags and coefficients [`PredictQuantize::encode_sections`]
-    /// writes. Escapes and blocks are counted into `stats`.
+    /// the lattice: the symbols the entropy stage codes, and the literals
+    /// [`PredictQuantize::encode_sections`] writes. Escapes are counted
+    /// into `stats`.
     ///
     /// Out of line on purpose: inlined into the walk, its loops share their
     /// registers with everything there (the predictor this one replaced
@@ -612,43 +375,22 @@ impl PredictQuantize {
         s: &mut SzScratch<T>,
     ) {
         self.encode_head::<T>(dims, p);
-        s.literals.clear();
-        s.block_bits.clear();
-        s.coeffs.clear();
         let _span = lcpio_trace::span("sz.predict_quantize");
         // Every index and symbol is written before it is read: what an
         // earlier call left need not be cleared.
         s.lattice.resize(self.n, 0);
         s.symbols.resize(self.n, 0);
-        if self.block_mode {
-            (stats.regression_blocks, stats.lorenzo_blocks) = encode_lattice_blocks(data, self.g, &self.q, s);
-        } else {
-            encode_lattice_rows(data, self.g, self.g.rank == 1 && self.order == 2, &self.q, s);
-        }
-        // The literals in element order, found 64 symbols at a time.
-        for (syms, values) in s.symbols.chunks(64).zip(data.chunks(64)) {
-            if syms.iter().fold(false, |any, &sym| any | (sym == 0)) {
-                let escaped = values.iter().zip(syms).filter(|(_, &sym)| sym == 0);
-                s.literals.extend(escaped.map(|(&v, _)| v));
-            }
-        }
-        stats.unpredictable = s.literals.len() as u64;
-        stats.predictable = self.n as u64 - stats.unpredictable;
+        encode_lattice_rows(data, self.g, self.g.rank == 1 && self.order == 2, &self.q, s);
+        gather_literals(data, stats, s);
     }
 
-    /// The sections behind the entropy stage's bytes: the literals
-    /// (little-endian), then in block mode one bit per block (1 =
-    /// regression) and four `f32` per regression block.
+    /// The section behind the entropy stage's bytes: the literals,
+    /// little-endian.
     fn encode_sections<T: Element>(&self, p: &mut Writer, s: &mut SzScratch<T>) {
         s.lit_bytes.clear();
         s.lit_bytes.reserve(s.literals.len() * T::BYTES);
         s.literals.iter().for_each(|&v| v.write_le(&mut s.lit_bytes));
         p.section(&s.lit_bytes);
-        if self.block_mode {
-            p.section(s.block_bits.finish());
-            p.u64(4 * s.coeffs.len() as u64);
-            s.coeffs.iter().for_each(|&c| p.f32(c));
-        }
     }
 
     /// Decode the head of a payload of `T` values: the stage and the dims.
@@ -682,7 +424,9 @@ impl PredictQuantize {
     /// Decode: this stage's sections, which end the payload, then the
     /// values of the entropy stage's `s.symbols` into `out` (`self.n`
     /// long), one loop per predictor ([`Lattice`], and [`Reconstruct`] for
-    /// the predictor bytes older streams carry).
+    /// the predictor bytes older streams carry). A literal, a block-flag
+    /// byte or a coefficient the walk does not read is an error, as a byte
+    /// after the last section is.
     ///
     /// Decode budget: the output and one 8-byte array an element, the
     /// lattice indices (rank-1 order 2 needs none) or, for an older
@@ -716,13 +460,14 @@ impl PredictQuantize {
                 work: [[0; SPAN]; 3],
                 lits: [T::from_f64(0.0); SPAN],
             };
-            return if self.block_mode {
-                lt.blocks(symbols, block_flags, coeff_bytes, choices)
+            if self.block_mode {
+                lt.blocks(symbols, block_flags, coeff_bytes, choices)?;
             } else if order2 {
-                lt.order2(symbols)
+                lt.order2(symbols)?;
             } else {
-                (0..self.g.nz * self.g.ny).try_for_each(|row| lt.row(row, &symbols[row * self.g.nx..][..self.g.nx], &[]))
-            };
+                (0..self.g.nz * self.g.ny).try_for_each(|row| lt.row(row, &symbols[row * self.g.nx..][..self.g.nx], &[]))?;
+            }
+            return all_read(lt.literals.len(), "literals left over");
         }
         let SzScratch { symbols, recon, rowp, .. } = s;
         // Every slot of `recon` is written before the stencil reads it (a
@@ -733,13 +478,44 @@ impl PredictQuantize {
         rowp.resize(if self.block_mode { self.g.nx.min(BLOCK_SIDE) } else { self.g.nx }, 0.0);
         let mut rc = Reconstruct { q: self.q, g: self.g, literals, recon, out };
         if self.block_mode {
-            rc.blocks(symbols, block_flags, coeff_bytes, rowp)
+            rc.blocks(symbols, block_flags, coeff_bytes, rowp)?;
         } else if self.g.rank == 1 && self.order == 2 {
-            rc.order2(symbols)
+            rc.order2(symbols)?;
         } else {
-            rc.classic(symbols, rowp)
+            rc.classic(symbols, rowp)?;
+        }
+        all_read(rc.literals.len(), "literals left over")
+    }
+}
+
+/// The literals of the symbols in `s`, in element order, found 64 symbols
+/// at a time; escapes and kept elements counted into `stats`.
+fn gather_literals<T: Element>(data: &[T], stats: &mut CompressionStats, s: &mut SzScratch<T>) {
+    s.literals.clear();
+    for (syms, values) in s.symbols.chunks(64).zip(data.chunks(64)) {
+        if syms.iter().fold(false, |any, &sym| any | (sym == 0)) {
+            let escaped = values.iter().zip(syms).filter(|(_, &sym)| sym == 0);
+            s.literals.extend(escaped.map(|(&v, _)| v));
         }
     }
+    stats.unpredictable = s.literals.len() as u64;
+    stats.predictable = data.len() as u64 - stats.unpredictable;
+}
+
+/// `Ok` where a decode walk left `left` = 0 items of a section unread,
+/// the error `what` otherwise.
+fn all_read(left: usize, what: &'static str) -> Result<(), SzError> {
+    match left {
+        0 => Ok(()),
+        _ => Err(SzError::Corrupt(what)),
+    }
+}
+
+/// `Ok` where a block-adaptive walk has read every flag byte and every
+/// coefficient: the flag section ends with the last block's byte.
+fn blocks_read(flags: &BitReader, coeffs: &std::slice::ChunksExact<'_, u8>) -> Result<(), SzError> {
+    all_read(flags.remaining_bits() / 8, "block flags past the last block")?;
+    all_read(coeffs.len(), "coefficients past the last regression block")
 }
 
 /// The entropy stage: a canonical Huffman code over the symbols the call
@@ -941,8 +717,6 @@ fn code_walk<T: Element>(
         lcpio_trace::counter_add("sz.bytes_out", stats.output_bytes);
         lcpio_trace::counter_add("sz.predictable", stats.predictable);
         lcpio_trace::counter_add("sz.literal_escapes", stats.unpredictable);
-        lcpio_trace::counter_add("sz.regression_blocks", stats.regression_blocks);
-        lcpio_trace::counter_add("sz.lorenzo_blocks", stats.lorenzo_blocks);
         lcpio_trace::counter_add("sz.huffman.table_entries", stats.huffman_table_entries);
         lcpio_trace::counter_add("sz.huffman.slots", s.huff.slots() as u64);
         lcpio_trace::counter_add("sz.huffman.bits", stats.huffman_bits);
@@ -1218,7 +992,7 @@ impl<T: Element> Reconstruct<'_, T> {
                 }
             }
         }
-        Ok(())
+        blocks_read(&flags, &coeffs)
     }
 
     /// A regression block: predictions come from the coefficients alone,
@@ -1481,7 +1255,7 @@ impl<T: Element> Lattice<'_, T> {
                 self.row(row, &symbols[row * g.nx..][..g.nx], &choices[y / b * nbi..][..nbi])?;
             }
         }
-        Ok(())
+        blocks_read(&flags, &coeffs)
     }
 }
 
@@ -1541,11 +1315,233 @@ pub fn decompress_f64(stream: &[u8]) -> Result<(Vec<f64>, Vec<usize>), SzError> 
 /// The writer of predictor bytes 0 and 1, which every stream had before the
 /// lattice predictor: Lorenzo over *reconstructed* values, each element's
 /// prediction waiting on its neighbours' reconstructions, quantized by
-/// [`Quantizer::try_encode`]. Kept where tests reach it, as what the
-/// decoder of those bytes is pinned and checked against.
+/// [`Quantizer::try_encode`], and in block mode the per-block choice
+/// between that and a hyperplane fitted to the block. Kept where tests
+/// reach it, as what the decoder of those bytes is pinned and checked
+/// against; its block selection also decides the blocks of the byte-3
+/// writer ([`lattice_blocks`]).
 #[cfg(test)]
 mod legacy {
     use super::*;
+    use crate::regression::{abs_error_below_lanes, block_abs_error_below, fit_block, BlockFitter};
+
+    /// Mean |orig − Lorenzo(orig)| over a block, using *original* neighbours.
+    /// Only a mode-selection heuristic: correctness never depends on it.
+    pub(super) fn lorenzo_probe_error<T: Element>(data: &[T], g: Geom, r: BlockRange) -> f64 {
+        let at = |k: isize, j: isize, i: isize| -> f64 {
+            if k < 0 || j < 0 || i < 0 {
+                0.0
+            } else {
+                data[(k as usize * g.ny + j as usize) * g.nx + i as usize].to_f64()
+            }
+        };
+        let mut err = 0.0;
+        let mut cnt = 0usize;
+        for k in r.k.0..r.k.1 {
+            for j in r.j.0..r.j.1 {
+                for i in r.i.0..r.i.1 {
+                    let (ki, ji, ii) = (k as isize, j as isize, i as isize);
+                    let pred = at(ki, ji, ii - 1) + at(ki, ji - 1, ii) + at(ki - 1, ji, ii)
+                        - at(ki, ji - 1, ii - 1)
+                        - at(ki - 1, ji, ii - 1)
+                        - at(ki - 1, ji - 1, ii)
+                        + at(ki - 1, ji - 1, ii - 1);
+                    err += (data[(k * g.ny + j) * g.nx + i].to_f64() - pred).abs();
+                    cnt += 1;
+                }
+            }
+        }
+        if cnt == 0 {
+            0.0
+        } else {
+            err / cnt as f64
+        }
+    }
+
+    /// Blocks [`select_block_row`] decides side by side: one value of each in
+    /// a [`Lanes`], so what is a serial sum for one block is `LANES` independent
+    /// ones that fit a vector or two.
+    pub(super) const LANES: usize = 4;
+    type Lanes = [f64; LANES];
+
+    /// Working arrays of [`select_block_row`].
+    #[derive(Debug, Default)]
+    pub(super) struct SelectScratch {
+        /// Two planes of `BLOCK_SIDE + 1` rows as `f64`: the row above the
+        /// block row, then its own, each behind a zero column.
+        planes: Vec<f64>,
+        /// The Lorenzo-probe terms of one row.
+        terms: Vec<f64>,
+        /// The blocks' values, `[group of LANES blocks][element][lane]`.
+        vals: Vec<Lanes>,
+        /// Per group, each block's sum of probe terms.
+        pub(super) probe: Vec<Lanes>,
+    }
+
+    /// Predictor and fit of one block on its own, the way partial blocks are
+    /// decided: regression where its mean absolute error is below that of
+    /// Lorenzo on *original* neighbours. Only a heuristic: correctness never
+    /// depends on it.
+    pub(super) fn select_block<T: Element>(
+        data: &[T],
+        g: Geom,
+        r: BlockRange,
+        vals: &mut Vec<f64>,
+    ) -> (bool, BlockCoeffs) {
+        let (nk, nj, ni) = (r.k.1 - r.k.0, r.j.1 - r.j.0, r.i.1 - r.i.0);
+        vals.clear();
+        for k in r.k.0..r.k.1 {
+            for j in r.j.0..r.j.1 {
+                let row = (k * g.ny + j) * g.nx;
+                vals.extend(data[row + r.i.0..row + r.i.1].iter().map(|v| v.to_f64()));
+            }
+        }
+        let coeffs = fit_block(vals, nk, nj, ni);
+        let lor_err = lorenzo_probe_error(data, g, r);
+        (block_abs_error_below(vals, nk, nj, ni, &coeffs, lor_err), coeffs)
+    }
+
+    /// [`select_block`] for the first `nb` blocks, all full, of the block row
+    /// at planes `k0..`, rows `j0..`; appends their choices.
+    ///
+    /// Every data row is converted to `f64` once, the block values are laid
+    /// out `[element][block]` and every sum of the decision (the probe's, the
+    /// mean, the three projections, the regression error) runs over the
+    /// elements in `select_block`'s order with the blocks of a group side by
+    /// side. Each block's sums see the same terms in the same order, so the
+    /// choices are `select_block`'s; what changes is that four serial
+    /// 216-term chains per block become loops with no carried dependence.
+    ///
+    /// Out of line on purpose: inlined into the encoder's one call site, its
+    /// loops run ≈ 6 % slower.
+    #[inline(never)]
+    pub(super) fn select_block_row<T: Element>(
+        data: &[T],
+        g: Geom,
+        (k0, j0): (usize, usize),
+        nb: usize,
+        sel: &mut SelectScratch,
+        choices: &mut Vec<(bool, BlockCoeffs)>,
+    ) {
+        const B: usize = BLOCK_SIDE;
+        let groups = nb.div_ceil(LANES);
+        let cols = nb * B;
+        // The lanes past the last block read zeros and are dropped at the end.
+        let stride = 1 + groups * LANES * B;
+        let SelectScratch { planes, terms, vals, probe } = sel;
+        planes.clear();
+        planes.resize(2 * (B + 1) * stride, 0.0);
+        terms.resize(stride - 1, 0.0);
+        vals.resize(groups * BLOCK_LEN, [0.0; LANES]);
+        probe.clear();
+        probe.resize(groups, [0.0; LANES]);
+        let (mut behind, mut plane) = planes.split_at_mut((B + 1) * stride);
+        // Rows `j0 − 1 .. j0 + B` of plane `k`; a row off the array stays zero.
+        let load = |into: &mut [f64], k: usize| {
+            for (r, row) in into.chunks_exact_mut(stride).enumerate() {
+                let Some(j) = (j0 + r).checked_sub(1) else { continue };
+                let at = (k * g.ny + j) * g.nx;
+                for (d, v) in row[1..].iter_mut().zip(&data[at..at + cols]) {
+                    *d = v.to_f64();
+                }
+            }
+        };
+        if k0 > 0 {
+            load(behind, k0 - 1);
+        }
+        for k in 0..B {
+            load(plane, k0 + k);
+            for j in 0..B {
+                let (c, u) = (&plane[(j + 1) * stride..][..stride], &plane[j * stride..][..stride]);
+                let (p, d) = (&behind[(j + 1) * stride..][..stride], &behind[j * stride..][..stride]);
+                // `lorenzo_probe_error`'s terms, operation for operation.
+                for (x, t) in terms.iter_mut().enumerate() {
+                    let pred = c[x] + u[x + 1] + p[x + 1] - u[x] - p[x] - d[x + 1] + d[x];
+                    *t = (c[x + 1] - pred).abs();
+                }
+                let e0 = (k * B + j) * B;
+                for (group, sums) in probe.iter_mut().enumerate() {
+                    let at = group * LANES * B;
+                    for i in 0..B {
+                        let v = &mut vals[group * BLOCK_LEN + e0 + i];
+                        for l in 0..LANES {
+                            v[l] = c[1 + at + l * B + i];
+                            sums[l] += terms[at + l * B + i];
+                        }
+                    }
+                }
+            }
+            std::mem::swap(&mut behind, &mut plane);
+        }
+        let fitter = BlockFitter::new(B, B, B);
+        for (group, sums) in probe.iter().enumerate() {
+            let vals = &vals[group * BLOCK_LEN..(group + 1) * BLOCK_LEN];
+            let coeffs = fitter.fit_lanes(vals);
+            let lor_err = sums.map(|sum| sum / BLOCK_LEN as f64);
+            let use_reg = abs_error_below_lanes(vals, B, B, &coeffs, &lor_err);
+            let live = LANES.min(nb - group * LANES);
+            choices.extend(use_reg.into_iter().zip(coeffs).take(live));
+        }
+    }
+
+    /// The block-flag and coefficient sections of a block-mode stream, and
+    /// the working arrays of the selection that decides them.
+    #[derive(Debug, Default)]
+    pub(super) struct Blocks {
+        /// One bit per block, 1 = regression.
+        pub(super) bits: BitWriter,
+        /// Four per regression block.
+        pub(super) coeffs: Vec<f32>,
+        select: SelectScratch,
+        /// The values of one partial block.
+        vals: Vec<f64>,
+    }
+
+    impl Blocks {
+        /// The predictor and fit of every block of block row `(bk, bj)`
+        /// into `choices`, each block's flag and coefficients pushed onto
+        /// the sections.
+        pub(super) fn choose<T: Element>(
+            &mut self,
+            data: &[T],
+            g: Geom,
+            (bk, bj): (usize, usize),
+            choices: &mut Vec<(bool, BlockCoeffs)>,
+        ) {
+            let b = BLOCK_SIDE;
+            let (k0, j0) = (bk * b, bj * b);
+            let (k1, j1) = ((k0 + b).min(g.nz), (j0 + b).min(g.ny));
+            choices.clear();
+            // A row's full blocks together, if it is full in k and j.
+            let batched = if (k1 - k0, j1 - j0) == (b, b) { g.nx / b } else { 0 };
+            if batched > 0 {
+                select_block_row(data, g, (k0, j0), batched, &mut self.select, choices);
+            }
+            for bi in batched..g.nx.div_ceil(b) {
+                let r = BlockRange { k: (k0, k1), j: (j0, j1), i: (bi * b, (bi * b + b).min(g.nx)) };
+                choices.push(select_block(data, g, r, &mut self.vals));
+            }
+            for &(use_reg, coeffs) in choices.iter() {
+                self.bits.push_bit(use_reg);
+                if use_reg {
+                    self.coeffs.extend_from_slice(&coeffs.c);
+                }
+            }
+        }
+
+        /// The sections, behind the literal section in `p`.
+        pub(super) fn write(&mut self, p: &mut Writer) {
+            p.section(self.bits.finish());
+            p.u64(4 * self.coeffs.len() as u64);
+            self.coeffs.iter().for_each(|&c| p.f32(c));
+        }
+
+        /// `(regression blocks, Lorenzo blocks)` chosen so far.
+        pub(super) fn counts(&self) -> (u64, u64) {
+            let regression = self.coeffs.len() as u64 / 4;
+            (regression, self.bits.bit_len() as u64 - regression)
+        }
+    }
 
     /// Quantize one element, verifying that the error bound still holds
     /// after the decompressor's final narrowing cast (large-magnitude values
@@ -1639,49 +1635,41 @@ mod legacy {
     }
 
     /// Block-adaptive encode (per-block Lorenzo vs hyperplane regression).
-    /// Fills the scratch; returns `(regression_blocks, lorenzo_blocks)`.
-    pub(super) fn encode_blocks<T: Element>(data: &[T], g: Geom, q: &Quantizer, s: &mut SzScratch<T>) -> (u64, u64) {
+    /// Fills the scratch, and `blocks` with the blocks' sections.
+    pub(super) fn encode_blocks<T: Element>(
+        data: &[T],
+        g: Geom,
+        q: &Quantizer,
+        s: &mut SzScratch<T>,
+        blocks: &mut Blocks,
+    ) {
         s.recon.clear();
         s.recon.resize(data.len(), 0.0);
         s.rowp.clear();
         s.rowp.resize(g.nx.min(BLOCK_SIDE), 0.0);
-        let (mut regression_blocks, mut lorenzo_blocks) = (0u64, 0u64);
         let b = BLOCK_SIDE;
-        let blocks = |e: usize| e.div_ceil(b);
-        for bk in 0..blocks(g.nz) {
-            for bj in 0..blocks(g.ny) {
+        for bk in 0..g.nz.div_ceil(b) {
+            for bj in 0..g.ny.div_ceil(b) {
                 let (k0, j0) = (bk * b, bj * b);
                 let (k1, j1) = ((k0 + b).min(g.nz), (j0 + b).min(g.ny));
-                let range = |bi: usize| BlockRange { k: (k0, k1), j: (j0, j1), i: (bi * b, (bi * b + b).min(g.nx)) };
-                s.choices.clear();
-                // A row's full blocks together, if it is full in k and j.
-                let batched = if (k1 - k0, j1 - j0) == (b, b) { g.nx / b } else { 0 };
-                if batched > 0 {
-                    select_block_row(data, g, (k0, j0), batched, &mut s.select, &mut s.choices);
-                }
-                for bi in batched..blocks(g.nx) {
-                    s.choices.push(select_block(data, g, range(bi), &mut s.vals));
-                }
-                for bi in 0..blocks(g.nx) {
-                    let (use_reg, coeffs) = s.choices[bi];
-                    s.block_bits.push_bit(use_reg);
+                let mut choices = std::mem::take(&mut s.choices);
+                blocks.choose(data, g, (bk, bj), &mut choices);
+                for (bi, &(use_reg, coeffs)) in choices.iter().enumerate() {
+                    let range = BlockRange { k: (k0, k1), j: (j0, j1), i: (bi * b, (bi * b + b).min(g.nx)) };
                     if use_reg {
-                        regression_blocks += 1;
-                        s.coeffs.extend_from_slice(&coeffs.c);
-                        encode_regression_block(data, g, range(bi), &coeffs, q, s);
+                        encode_regression_block(data, g, range, &coeffs, q, s);
                     } else {
-                        lorenzo_blocks += 1;
-                        encode_lorenzo_block_rows(data, g, range(bi), q, s);
+                        encode_lorenzo_block_rows(data, g, range, q, s);
                     }
                 }
+                s.choices = choices;
             }
         }
-        (regression_blocks, lorenzo_blocks)
     }
 
     /// Predict-quantize as it was: the head (predictor byte 0 or 1), then
     /// `data` quantized into the scratch, the reconstruction left in
-    /// `s.recon`.
+    /// `s.recon`. Returns the block sections (empty outside block mode).
     pub(super) fn encode<T: Element>(
         pq: &PredictQuantize,
         data: &[T],
@@ -1689,39 +1677,148 @@ mod legacy {
         p: &mut Writer,
         stats: &mut CompressionStats,
         s: &mut SzScratch<T>,
-    ) {
+    ) -> Blocks {
         assert!(!pq.lattice, "the legacy writer writes predictor bytes 0 and 1");
         pq.encode_head::<T>(dims, p);
         s.symbols.clear();
         s.symbols.reserve(pq.n);
         s.literals.clear();
-        s.block_bits.clear();
-        s.coeffs.clear();
+        let mut blocks = Blocks::default();
         if pq.block_mode {
-            (stats.regression_blocks, stats.lorenzo_blocks) = encode_blocks(data, pq.g, &pq.q, s);
+            encode_blocks(data, pq.g, &pq.q, s, &mut blocks);
         } else {
             encode_classic(data, pq.g, pq.order, &pq.q, s);
         }
         stats.unpredictable = s.literals.len() as u64;
         stats.predictable = pq.n as u64 - stats.unpredictable;
+        blocks
     }
 
-    /// The predict-quantize stage `cfg` asks for, on the legacy predictor.
+    /// The predict-quantize stage `cfg` asks for, on the legacy predictor,
+    /// block by block where `block` and the array has two dimensions or
+    /// more.
+    pub(super) fn stage<T: Element>(data: &[T], dims: &[usize], cfg: &SzConfig, block: bool) -> PredictQuantize {
+        let pq = PredictQuantize::new(data, dims, cfg).unwrap();
+        PredictQuantize { lattice: false, block_mode: block && pq.g.rank >= 2, ..pq }
+    }
+
+    /// [`code_walk`] for a writer of block-mode streams: the block
+    /// sections, where `pq` is in block mode, behind the literals.
+    pub(super) fn walk<T: Element>(
+        pq: &PredictQuantize,
+        mut p: Writer,
+        mut stats: CompressionStats,
+        lossless: bool,
+        s: &mut SzScratch<T>,
+        blocks: &mut Blocks,
+    ) -> Result<Compressed, SzError> {
+        let table_flag = entropy_encode(pq.q.alphabet_size(), lossless, &mut p, &mut stats, s)?;
+        pq.encode_sections(&mut p, s);
+        if pq.block_mode {
+            blocks.write(&mut p);
+        }
+        let bytes = lossless_encode(p.into_bytes(), table_flag, lossless);
+        stats.elements = pq.n as u64;
+        stats.input_bytes = (pq.n * T::BYTES) as u64;
+        stats.output_bytes = bytes.len() as u64;
+        Ok(Compressed { bytes, stats })
+    }
+
+    /// What `compress_typed` wrote before the lattice predictor: in block
+    /// mode where `block`, as the default configuration did.
+    pub(super) fn compress<T: Element>(
+        data: &[T],
+        dims: &[usize],
+        cfg: &SzConfig,
+        block: bool,
+    ) -> Result<Compressed, SzError> {
+        let (pq, mut s) = (stage(data, dims, cfg, block), SzScratch::new());
+        let (mut p, mut stats) = (Writer::enveloped(), CompressionStats::default());
+        let mut blocks = encode(&pq, data, dims, &mut p, &mut stats, &mut s);
+        walk(&pq, p, stats, cfg.lossless, &mut s, &mut blocks)
+    }
+}
+
+/// The writer of predictor byte 3, what the default configuration wrote on
+/// arrays of two dimensions or more between the lattice predictor and the
+/// one-predictor writer: the legacy writer's block selection, on the
+/// lattice. Its symbols are the default writer's Lorenzo residuals, but in
+/// a block the selection sends to regression each index less the
+/// hyperplane's value snapped to the lattice. Kept where tests reach it,
+/// as what the decoder of byte 3 is pinned and checked against.
+#[cfg(test)]
+mod lattice_blocks {
+    use super::legacy::Blocks;
+    use super::*;
+
+    /// The stage `cfg` asks for, block by block where the array has two
+    /// dimensions or more (byte 3; byte 2 on a rank-1 array).
     pub(super) fn stage<T: Element>(data: &[T], dims: &[usize], cfg: &SzConfig) -> PredictQuantize {
-        PredictQuantize { lattice: false, ..PredictQuantize::new(data, dims, cfg).unwrap() }
+        let pq = PredictQuantize::new(data, dims, cfg).unwrap();
+        PredictQuantize { block_mode: pq.g.rank >= 2, ..pq }
     }
 
-    /// What `compress_typed` wrote before the lattice predictor.
+    /// Predict-quantize on the lattice, block by block: the head and the
+    /// scratch as [`PredictQuantize::encode`] leaves them, with the
+    /// symbols of the regression blocks and the literals recoded. Returns
+    /// the block sections.
+    pub(super) fn encode<T: Element>(
+        pq: &PredictQuantize,
+        data: &[T],
+        dims: &[usize],
+        p: &mut Writer,
+        stats: &mut CompressionStats,
+        s: &mut SzScratch<T>,
+    ) -> Blocks {
+        assert!(pq.lattice);
+        pq.encode(data, dims, p, stats, s);
+        let mut blocks = Blocks::default();
+        if !pq.block_mode {
+            return blocks;
+        }
+        let (g, q, b) = (pq.g, &pq.q, BLOCK_SIDE);
+        let mut choices = std::mem::take(&mut s.choices);
+        for bk in 0..g.nz.div_ceil(b) {
+            for bj in 0..g.ny.div_ceil(b) {
+                blocks.choose(data, g, (bk, bj), &mut choices);
+                for (bi, &(use_reg, coeffs)) in choices.iter().enumerate() {
+                    if !use_reg {
+                        continue;
+                    }
+                    let (k0, j0, i0) = (bk * b, bj * b, bi * b);
+                    for k in k0..(k0 + b).min(g.nz) {
+                        for j in j0..(j0 + b).min(g.ny) {
+                            let plane = coeffs.row(j - j0, k - k0);
+                            for i in i0..(i0 + b).min(g.nx) {
+                                let at = (k * g.ny + j) * g.nx + i;
+                                let x = data[at].to_f64();
+                                let keep = (T::from_f64(q.snap(x).1).to_f64() - x).abs() <= q.error_bound();
+                                let residual = s.lattice[at] - q.snap(plane.at(i - i0)).0;
+                                s.symbols[at] = code(residual, keep as u32, q.radius());
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        s.choices = choices;
+        gather_literals(data, stats, s);
+        blocks
+    }
+
+    /// What `compress_typed` wrote with the default configuration before
+    /// the one-predictor writer.
     pub(super) fn compress<T: Element>(data: &[T], dims: &[usize], cfg: &SzConfig) -> Result<Compressed, SzError> {
         let (pq, mut s) = (stage(data, dims, cfg), SzScratch::new());
         let (mut p, mut stats) = (Writer::enveloped(), CompressionStats::default());
-        encode(&pq, data, dims, &mut p, &mut stats, &mut s);
-        code_walk(&pq, p, stats, cfg.lossless, &mut s)
+        let mut blocks = encode(&pq, data, dims, &mut p, &mut stats, &mut s);
+        legacy::walk(&pq, p, stats, cfg.lossless, &mut s, &mut blocks)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::legacy::{lorenzo_probe_error, select_block, select_block_row, Blocks, SelectScratch, LANES};
     use super::*;
     use crate::generators::{
         field_f32, fnv64, pinned_cases, pinned_field_f32, pinned_field_f64, salted_field, special32,
@@ -1756,9 +1853,9 @@ mod tests {
     }
 
     /// What `cfg` wrote for `data` before the packed table: the legacy
-    /// predictor in its first lossless form.
-    fn legacy_stream<T: Element>(data: &[T], dims: &[usize], cfg: &SzConfig) -> Vec<u8> {
-        let raw = legacy::compress(data, dims, &cfg.with_lossless(false)).unwrap().bytes;
+    /// predictor in its first lossless form, block by block where `block`.
+    fn legacy_stream<T: Element>(data: &[T], dims: &[usize], cfg: &SzConfig, block: bool) -> Vec<u8> {
+        let raw = legacy::compress(data, dims, &cfg.with_lossless(false), block).unwrap().bytes;
         if cfg.lossless {
             legacy_form(&raw)
         } else {
@@ -1776,8 +1873,8 @@ mod tests {
 
     /// The legacy encoder's own reconstruction of `data`, narrowed: what
     /// the decoder must restore from any of its streams.
-    fn legacy_values<T: Element>(data: &[T], dims: &[usize], cfg: &SzConfig) -> Vec<u8> {
-        let (pq, mut s) = (legacy::stage(data, dims, cfg), SzScratch::new());
+    fn legacy_values<T: Element>(data: &[T], dims: &[usize], cfg: &SzConfig, block: bool) -> Vec<u8> {
+        let (pq, mut s) = (legacy::stage(data, dims, cfg, block), SzScratch::new());
         legacy::encode(&pq, data, dims, &mut Writer::new(), &mut CompressionStats::default(), &mut s);
         le_bits(&s.recon.iter().map(|&v| T::from_f64(v)).collect::<Vec<T>>())
     }
@@ -1791,16 +1888,15 @@ mod tests {
     /// later's flags byte.
     fn assert_legacy_pin<T: Element>(
         data: &[T],
-        dims: &[usize],
-        cfg: &SzConfig,
+        (dims, cfg, block): (&[usize], &SzConfig, bool),
         pins: [(usize, u64); 2],
         what: &str,
     ) -> u8 {
-        let older = legacy_stream(data, dims, cfg);
-        let newer = legacy::compress(data, dims, cfg).unwrap().bytes;
+        let older = legacy_stream(data, dims, cfg, block);
+        let newer = legacy::compress(data, dims, cfg, block).unwrap().bytes;
         assert_eq!((older.len(), fnv64(&older)), pins[0], "{what}: the first legacy form drifted");
         assert_eq!((newer.len(), fnv64(&newer)), pins[1], "{what}: the legacy writer drifted");
-        let want = legacy_values(data, dims, cfg);
+        let want = legacy_values(data, dims, cfg, block);
         for stream in [&older, &newer] {
             let (values, got_dims) = decompress_typed::<T>(stream).expect("a legacy stream decodes");
             assert_eq!(got_dims, dims, "{what}");
@@ -1839,17 +1935,17 @@ mod tests {
             [(2333, 0xe427dc5c54964d7d), (2333, 0xe427dc5c54964d7d)],
             [(1260, 0xbd29894dd90bbddb), (1194, 0x8c00def8fddfdeb3)],
         ];
-        for (i, (dims, cfg)) in pinned_cases().iter().enumerate() {
+        for (i, (dims, cfg, block)) in pinned_cases().iter().enumerate() {
             let what = format!("f32 case {i} ({dims:?})");
-            assert_legacy_pin(&pinned_field_f32(i, dims), dims, cfg, F32_LEGACY[i], &what);
+            assert_legacy_pin(&pinned_field_f32(i, dims), (dims, cfg, *block), F32_LEGACY[i], &what);
             let what = format!("f64 case {i} ({dims:?})");
-            assert_legacy_pin(&pinned_field_f64(i, dims), dims, cfg, F64_LEGACY[i], &what);
+            assert_legacy_pin(&pinned_field_f64(i, dims), (dims, cfg, *block), F64_LEGACY[i], &what);
         }
         // The large default-path field, which the packed table left alone.
         let dims = [64usize, 48, 96];
         let data = field_f32(dims.iter().product(), 0xf00d);
         let cfg = SzConfig::new(ErrorBound::Absolute(1e-3));
-        assert_legacy_pin(&data, &dims, &cfg, [(1239326, 0xa14fe20444c14883); 2], "large 3-D");
+        assert_legacy_pin(&data, (&dims, &cfg, true), [(1239326, 0xa14fe20444c14883); 2], "large 3-D");
 
         // `SZPR`: the wrapper around a legacy inner stream, whose input is
         // the logs `compress_pointwise_rel` takes (zeros as -1100).
@@ -1862,8 +1958,8 @@ mod tests {
         let inner_cfg = SzConfig::new(ErrorBound::Absolute((1.0f64 + 1e-3).log2()));
         let raw = compress_pointwise_rel(&data, &[30, 30], 1e-3, &cfg).unwrap();
         let parts = parse_pointwise_rel(&raw.bytes).unwrap();
-        let dense = legacy::compress(&logs, &[30, 30], &inner_cfg.with_lossless(false)).unwrap().bytes;
-        let newer = legacy::compress(&logs, &[30, 30], &inner_cfg).unwrap().bytes;
+        let dense = legacy::compress(&logs, &[30, 30], &inner_cfg.with_lossless(false), true).unwrap().bytes;
+        let newer = legacy::compress(&logs, &[30, 30], &inner_cfg, true).unwrap().bytes;
         for (inner, pin) in [(legacy_form(&dense), (4719, 0x130883166a901ebc)), (newer, (3408, 0xbe4664c258077cd7))] {
             let legacy = build_pointwise_rel(&PwrelParts { inner: &inner, ..parts });
             assert_eq!((legacy.len(), fnv64(&legacy)), pin, "legacy SZPR");
@@ -1874,12 +1970,15 @@ mod tests {
         }
     }
 
-    /// The legacy writer's streams of `chunks` (each a field, its dims) as
+    /// The streams `write` makes of `chunks` (each a field, its dims) as
     /// one byte string, and the values they decode to as another.
-    fn legacy_chunks<T: Element>(chunks: &[(Vec<T>, Vec<usize>)], cfg: &SzConfig) -> (Vec<u8>, Vec<u8>) {
+    fn chunk_streams<T: Element>(
+        chunks: &[(Vec<T>, Vec<usize>)],
+        write: impl Fn(&[T], &[usize]) -> Result<Compressed, SzError>,
+    ) -> (Vec<u8>, Vec<u8>) {
         let (mut streams, mut values) = (Vec::new(), Vec::new());
         for (data, dims) in chunks {
-            let stream = legacy::compress(data, dims, cfg).unwrap().bytes;
+            let stream = write(data, dims).unwrap().bytes;
             values.extend(le_bits(&decompress_typed::<T>(&stream).unwrap().0));
             streams.extend(stream);
         }
@@ -1910,18 +2009,154 @@ mod tests {
             (1e-3, (172561, 0xc45af57aa574431d, 0x008cb4e5f7fd201f)),
             (1e-4, (240471, 0xcb4b7f5bd3cb9560, 0xd7a80bff45cc8ba7)),
         ] {
-            let (streams, values) = legacy_chunks(&nyx, &SzConfig::new(ErrorBound::Absolute(eb)));
+            let cfg = SzConfig::new(ErrorBound::Absolute(eb));
+            let (streams, values) = chunk_streams(&nyx, |data, dims| legacy::compress(data, dims, &cfg, true));
             assert_eq!((streams.len(), fnv64(&streams), fnv64(&values)), pin, "NYX at {eb:e}");
         }
-        let dims = [32usize, 9, 7];
-        let chunks = cut(&field_f32(dims.iter().product(), 0xc0ffee), &dims, &[(0, 12), (12, 24), (24, 32)]);
-        let (streams, values) = legacy_chunks(&chunks, &SzConfig::new(ErrorBound::Absolute(1e-3)));
+        let cfg = SzConfig::new(ErrorBound::Absolute(1e-3));
+        let (streams, values) = chunk_streams(&codec_chunks_f32(), |data, dims| legacy::compress(data, dims, &cfg, true));
         assert_eq!((streams.len(), fnv64(&streams), fnv64(&values)), (8971, 0x2c790c88286baadc, 0x16d5e84582aa9fde));
+        let cfg = SzConfig::new(ErrorBound::Absolute(1e-4));
+        let (streams, values) = chunk_streams(&codec_chunks_f64(), |data, dims| legacy::compress(data, dims, &cfg, true));
+        assert_eq!((streams.len(), fnv64(&streams), fnv64(&values)), (12169, 0x8b71e1b24f9a85db, 0xbec8e16ebaca0ed3));
+    }
+
+    /// A stream's length and hash, and the hash of the values it decodes to.
+    type StreamPin = (usize, u64, u64);
+
+    /// The streams of the byte-3 writer, and the values they decode to, as
+    /// `lcpio-sz`'s `format_regression.rs` (for the streams) and the
+    /// decoder (for the values) pinned them when it was the default
+    /// writer's form of an array of two dimensions or more: each pinned
+    /// case the default configuration coded block by block, as `f32` and as
+    /// `f64`; the values are also the writer's own.
+    fn assert_lattice_block_pin<T: Element>(data: &[T], dims: &[usize], cfg: &SzConfig, pin: StreamPin, what: &str) {
+        let stream = lattice_blocks::compress(data, dims, cfg).unwrap().bytes;
+        let (values, got_dims) = decompress_typed::<T>(&stream).expect("a byte-3 stream decodes");
+        assert_eq!(got_dims, dims, "{what}");
+        assert_eq!((stream.len(), fnv64(&stream), fnv64(&le_bits(&values))), pin, "{what}: the byte-3 writer drifted");
+        let mut s = SzScratch::new();
+        let (_, want) = predict_quantize("lattice blocks", data, dims, cfg, (&mut Writer::new(), &mut CompressionStats::default(), &mut s));
+        assert!(le_bits(&values) == le_bits(&want), "{what}: a byte-3 stream restores other values");
+        let payload = lossless_decode(&stream).unwrap().1;
+        assert_eq!(payload[2 + 8 * dims.len()], 3, "{what}: predictor byte");
+    }
+
+    #[test]
+    fn lattice_block_streams_keep_their_hashes_and_restore_the_same_values() {
+        // `crates/sz/tests/format_regression.rs` before the one-predictor
+        // writer: (length, stream hash, hash of the values decoded), f32
+        // then f64, for the cases the default configuration coded block by
+        // block (the others it wrote as it does now).
+        const BLOCK_CASES: [(usize, StreamPin, StreamPin); 4] = [
+            (3, (24492, 0xaae10dc4f883d172, 0xea32690de4771ffe), (32739, 0xe0f7a3bd68315a4d, 0x4006b767e0f2450a)),
+            (5, (74707, 0x61f7697593dfd0ad, 0xc1e97e48bdcbee81), (100927, 0xa328104877f21095, 0x120116849b8bbfeb)),
+            (6, (1636, 0x977591c532a5eba9, 0xd9881c981ff00f73), (2334, 0x3554f5b1e92b503b, 0xe4ea22c9516edc9d)),
+            (7, (1286, 0xc3168fce6611c795, 0x9928a1ffcca137c4), (1302, 0xc37e1132c10a56a1, 0x0bd3bc8ea2baf48c)),
+        ];
+        let cases = pinned_cases();
+        assert_eq!(BLOCK_CASES.map(|(i, ..)| i).to_vec(), (0..8).filter(|&i| cases[i].2 && cases[i].0.len() >= 2).collect::<Vec<_>>());
+        for (i, pin32, pin64) in BLOCK_CASES {
+            let (dims, cfg, _) = &cases[i];
+            assert_lattice_block_pin(&pinned_field_f32(i, dims), dims, cfg, pin32, &format!("f32 case {i}"));
+            assert_lattice_block_pin(&pinned_field_f64(i, dims), dims, cfg, pin64, &format!("f64 case {i}"));
+        }
+        // The large default-path field.
+        let dims = [64usize, 48, 96];
+        let data = field_f32(dims.iter().product(), 0xf00d);
+        let cfg = SzConfig::new(ErrorBound::Absolute(1e-3));
+        assert_lattice_block_pin(&data, &dims, &cfg, (1239326, 0x6923dbb5a705dd09, 0xe318527ffa3a0ae0), "large 3-D");
+        // `SZPR` around a byte-3 inner stream of the logs.
+        let data: Vec<f32> = field_f32(900, 0xfeed)
+            .into_iter()
+            .map(|v| if v == 0.0 { 0.0 } else { v * v + 0.5 })
+            .collect();
+        let logs: Vec<f64> = data.iter().map(|&v| if v == 0.0 { -1100.0 } else { (v.abs() as f64).log2() }).collect();
+        let raw = compress_pointwise_rel(&data, &[30, 30], 1e-3, &SzConfig::new(ErrorBound::Absolute(1.0))).unwrap();
+        let parts = parse_pointwise_rel(&raw.bytes).unwrap();
+        let inner_cfg = SzConfig::new(ErrorBound::Absolute((1.0f64 + 1e-3).log2()));
+        let inner = lattice_blocks::compress(&logs, &[30, 30], &inner_cfg).unwrap().bytes;
+        let wrapped = build_pointwise_rel(&PwrelParts { inner: &inner, ..parts });
+        assert_eq!((wrapped.len(), fnv64(&wrapped)), (3410, 0xf44ae3c42d899b22), "byte-3 SZPR");
+        let (values, _) = decompress_pointwise_rel::<f32>(&wrapped).unwrap();
+        for (a, b) in data.iter().zip(&values) {
+            assert!((a - b).abs() <= 1e-3 * a.abs(), "{a} vs {b}");
+        }
+    }
+
+    /// The field of `lcpio-fuzz`'s byte-3 seed: 12 × 16 values, a tilted
+    /// noisy plane in the left column of blocks and a smooth wave in the
+    /// rest, a NaN at 40 and 3e30 at 150.
+    fn fuzz_seed_field() -> Vec<f32> {
+        let mut x = 0x2545_f491u32;
+        (0..12 * 16)
+            .map(|idx| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                let (j, i) = ((idx / 16) as f32, (idx % 16) as f32);
+                match idx {
+                    40 => f32::NAN,
+                    150 => 3.0e30,
+                    _ if idx % 16 < 6 => 0.5 * i - 0.3 * j + 0.2 * ((x >> 8) as f32 / (1 << 24) as f32 - 0.5),
+                    _ => (i * 0.4).sin() * (j * 0.3).cos() * 2.0,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_byte_3_fuzz_seed_is_the_writers_stream() {
+        // `lcpio-fuzz`'s `LATTICE_BLOCK_SZL1_SEED`, raw: three regression
+        // and three Lorenzo blocks, and literals (the NaN, the 3e30 and
+        // residuals past the radius of 64).
+        let data = fuzz_seed_field();
+        let cfg = SzConfig::new(ErrorBound::Absolute(1e-2)).with_radius(64).with_lossless(false);
+        let (mut p, mut s, mut stats) = (Writer::new(), SzScratch::new(), CompressionStats::default());
+        let (_, blocks) = encode_with("lattice blocks", &data, &[12, 16], &cfg, (&mut p, &mut stats, &mut s));
+        assert_eq!((blocks.counts(), s.literals.len()), ((3, 3), 11));
+        let stream = lattice_blocks::compress(&data, &[12, 16], &cfg).unwrap().bytes;
+        assert_eq!((stream.len(), fnv64(&stream)), (433, 0x78823402166fe99a));
+        assert_eq!((flags_of(&stream), stream[ENVELOPE_LEN + 2 + 2 * 8]), (0, 3));
+    }
+
+    #[test]
+    fn lattice_block_chunks_of_the_pinned_containers_decode_to_their_old_values() {
+        // The chunks the pinned `SZLP` containers held when the byte-3
+        // writer was the default (the NYX cube of the root
+        // `tests/format_regression.rs` at each paper bound, and
+        // `lcpio-codec`'s two fields), with the hash of the values the
+        // decoder restored from them then.
+        let nyx = (0..4).map(nyx_chunk).map(|(data, dims)| (data, dims.to_vec())).collect::<Vec<_>>();
+        for (eb, pin) in [
+            (1e-1, (72318, 0x2cd12445efa9cf13, 0xecfe42af350b1335)),
+            (1e-2, (119516, 0x9ce10d99b47a0ccb, 0x1fdaa07ff1b2e069)),
+            (1e-3, (172309, 0x8b35687e1dede84e, 0x295054f715be46a3)),
+            (1e-4, (240394, 0xaca4905d0f3de258, 0x84172ac49192615c)),
+        ] {
+            let cfg = SzConfig::new(ErrorBound::Absolute(eb));
+            let (streams, values) = chunk_streams(&nyx, |data, dims| lattice_blocks::compress(data, dims, &cfg));
+            assert_eq!((streams.len(), fnv64(&streams), fnv64(&values)), pin, "NYX at {eb:e}");
+        }
+        let cfg = SzConfig::new(ErrorBound::Absolute(1e-3));
+        let (streams, values) = chunk_streams(&codec_chunks_f32(), |data, dims| lattice_blocks::compress(data, dims, &cfg));
+        assert_eq!((streams.len(), fnv64(&streams), fnv64(&values)), (8971, 0xbb92c2afa5b29c15, 0xd52224d62814a495));
+        let cfg = SzConfig::new(ErrorBound::Absolute(1e-4));
+        let (streams, values) = chunk_streams(&codec_chunks_f64(), |data, dims| lattice_blocks::compress(data, dims, &cfg));
+        assert_eq!((streams.len(), fnv64(&streams), fnv64(&values)), (12187, 0x287923e380dc3bd8, 0xa8068daca7d13643));
+    }
+
+    /// The chunks of `lcpio-codec`'s pinned `SZLP` fields: `f32` at 1e-3 …
+    fn codec_chunks_f32() -> Vec<(Vec<f32>, Vec<usize>)> {
+        let dims = [32usize, 9, 7];
+        cut(&field_f32(dims.iter().product(), 0xc0ffee), &dims, &[(0, 12), (12, 24), (24, 32)])
+    }
+
+    /// … and `f64` at 1e-4.
+    fn codec_chunks_f64() -> Vec<(Vec<f64>, Vec<usize>)> {
         let dims = [40usize, 8, 6];
         let wide: Vec<f64> = field_f32(dims.iter().product(), 0xabcdef).into_iter().map(f64::from).collect();
-        let chunks = cut(&wide, &dims, &[(0, 12), (12, 24), (24, 36), (36, 40)]);
-        let (streams, values) = legacy_chunks(&chunks, &SzConfig::new(ErrorBound::Absolute(1e-4)));
-        assert_eq!((streams.len(), fnv64(&streams), fnv64(&values)), (12169, 0x8b71e1b24f9a85db, 0xbec8e16ebaca0ed3));
+        cut(&wide, &dims, &[(0, 12), (12, 24), (24, 36), (36, 40)])
     }
 
     #[test]
@@ -1932,9 +2167,9 @@ mod tests {
         let flat = vec![1.0f32; 24 * 24 * 24];
         let dims = [24usize, 24, 24];
         let cfg = SzConfig::new(ErrorBound::Absolute(1e-3));
-        let newer = legacy::compress(&flat, &dims, &cfg).unwrap().bytes;
+        let newer = legacy::compress(&flat, &dims, &cfg, true).unwrap().bytes;
         assert_eq!(flags_of(&newer), FLAG_LOSSLESS);
-        assert_eq!(newer, legacy_stream(&flat, &dims, &cfg));
+        assert_eq!(newer, legacy_stream(&flat, &dims, &cfg, true));
     }
 
     /// One chunk (12 planes) of the NYX cube the default-path pins use.
@@ -2011,10 +2246,11 @@ mod tests {
         // writer: it is never read as one the decoder knows. Behind the
         // envelope, the type tag and two dims.
         const PREDICTOR_AT: usize = ENVELOPE_LEN + 1 + 1 + 2 * 8;
-        for (mode, byte) in [(PredictorMode::Lorenzo, 0), (PredictorMode::BlockAdaptive, 1)] {
-            let cfg = SzConfig::new(ErrorBound::Absolute(1e-3)).with_mode(mode).with_lossless(false);
-            let lattice = compress(&data, &[16, 32], &cfg).unwrap().bytes;
-            let old = legacy::compress(&data, &[16, 32], &cfg).unwrap().bytes;
+        let cfg = SzConfig::new(ErrorBound::Absolute(1e-3)).with_lossless(false);
+        for (block, byte) in [(false, 0), (true, 1)] {
+            let lattice = if block { lattice_blocks::compress(&data, &[16, 32], &cfg) } else { compress(&data, &[16, 32], &cfg) };
+            let lattice = lattice.unwrap().bytes;
+            let old = legacy::compress(&data, &[16, 32], &cfg, block).unwrap().bytes;
             for (good, byte) in [(lattice, byte | 2), (old, byte)] {
                 assert_eq!((flags_of(&good), good[PREDICTOR_AT]), (0, byte));
                 for forged in 4..=u8::MAX {
@@ -2053,48 +2289,174 @@ mod tests {
         }
     }
 
+    /// The test-only writers beside the default one: `(name, predictor
+    /// byte on a 2-D or larger array)`.
+    const WRITERS: [(&str, u8); 4] = [("lattice", 2), ("lattice blocks", 3), ("legacy", 0), ("legacy blocks", 1)];
+
+    /// The stream `writer` (one of [`WRITERS`]) makes of `data`.
+    fn write_with<T: Element>(writer: &str, data: &[T], dims: &[usize], cfg: &SzConfig) -> Result<Compressed, SzError> {
+        match writer {
+            "lattice" => compress_typed(data, dims, cfg),
+            "lattice blocks" => lattice_blocks::compress(data, dims, cfg),
+            legacy => legacy::compress(data, dims, cfg, legacy == "legacy blocks"),
+        }
+    }
+
+    /// Predict-quantize of `writer` (one of [`WRITERS`]) on `data`: the
+    /// stage, with its head in `p` and the symbols and literals in `s`, and
+    /// its block sections.
+    fn encode_with<T: Element>(
+        writer: &str,
+        data: &[T],
+        dims: &[usize],
+        cfg: &SzConfig,
+        (p, stats, s): (&mut Writer, &mut CompressionStats, &mut SzScratch<T>),
+    ) -> (PredictQuantize, Blocks) {
+        match writer {
+            "lattice" => {
+                let pq = PredictQuantize::new(data, dims, cfg).unwrap();
+                pq.encode(data, dims, p, stats, s);
+                (pq, Blocks::default())
+            }
+            "lattice blocks" => {
+                let pq = lattice_blocks::stage(data, dims, cfg);
+                let blocks = lattice_blocks::encode(&pq, data, dims, p, stats, s);
+                (pq, blocks)
+            }
+            legacy => {
+                let pq = legacy::stage(data, dims, cfg, legacy == "legacy blocks");
+                let blocks = legacy::encode(&pq, data, dims, p, stats, s);
+                (pq, blocks)
+            }
+        }
+    }
+
+    /// [`encode_with`] with the stage's sections behind the symbols in `p`,
+    /// and the values its symbols decode to: on the lattice, each kept
+    /// element's lattice value, narrowed, and each escape's literal; on the
+    /// legacy predictor, the values it reconstructed, narrowed.
+    fn predict_quantize<T: Element>(
+        writer: &str,
+        data: &[T],
+        dims: &[usize],
+        cfg: &SzConfig,
+        (p, stats, s): (&mut Writer, &mut CompressionStats, &mut SzScratch<T>),
+    ) -> (PredictQuantize, Vec<T>) {
+        let (pq, mut blocks) = encode_with(writer, data, dims, cfg, (p, stats, s));
+        let want = if pq.lattice {
+            let kept = s.lattice.iter().zip(&s.symbols).zip(data);
+            kept.map(|((&k, &sym), &v)| if sym == 0 { v } else { T::from_f64(pq.q.lattice_value(k)) }).collect()
+        } else {
+            s.recon.iter().map(|&v| T::from_f64(v)).collect()
+        };
+        pq.encode_sections(p, s);
+        if pq.block_mode {
+            blocks.write(p);
+        }
+        (pq, want)
+    }
+
     #[test]
     fn predict_quantize_stage_round_trips() {
         // The head and the sections there and back, and the encoder's own
-        // symbols decoded: on the lattice, each kept element's lattice
-        // value, narrowed, and each escape's literal; on the legacy
-        // predictor, the values it reconstructed, narrowed. Both modes,
-        // escapes included, to the bit.
+        // symbols decoded. Every writer, escapes included, to the bit.
         let mut escapes = 0;
         for (dims, eb) in [(vec![13usize, 20, 19], 1e-3), (vec![40, 50], 1e-1), (vec![1000], 1e-5)] {
             let data = mixed_field(&dims, 0x9e37_79b9);
-            for mode in [PredictorMode::BlockAdaptive, PredictorMode::Lorenzo] {
-                let cfg = SzConfig::new(ErrorBound::Absolute(eb)).with_mode(mode);
-                for writer in ["lattice", "legacy"] {
-                    let (mut p, mut s, mut stats) = (Writer::new(), SzScratch::new(), CompressionStats::default());
-                    let pq = if writer == "lattice" { PredictQuantize::new(&data, &dims, &cfg).unwrap() } else { legacy::stage(&data, &dims, &cfg) };
-                    let want: Vec<f32> = match writer {
-                        "lattice" => {
-                            pq.encode(&data, &dims, &mut p, &mut stats, &mut s);
-                            let kept = s.lattice.iter().zip(&s.symbols).zip(&data);
-                            kept.map(|((&k, &sym), &v)| if sym == 0 { v } else { pq.q.lattice_value(k) as f32 }).collect()
-                        }
-                        _ => {
-                            legacy::encode(&pq, &data, &dims, &mut p, &mut stats, &mut s);
-                            s.recon.iter().map(|&v| v as f32).collect()
-                        }
-                    };
-                    pq.encode_sections(&mut p, &mut s);
-                    escapes += stats.unpredictable;
-                    let bytes = p.into_bytes();
-                    let mut r = Reader::new(&bytes);
-                    let (back, back_dims) = PredictQuantize::decode_head::<f32>(&mut r).unwrap();
-                    assert_eq!(
-                        (&back_dims, back.block_mode, back.lattice, back.n),
-                        (&dims, pq.block_mode, pq.lattice, pq.n)
-                    );
-                    let mut values = vec![f32::NAN; back.n];
-                    back.decode(&mut r, &mut s, &mut values).unwrap();
-                    assert_eq!(le_bits(&values), le_bits(&want), "{dims:?} {mode:?} {writer}");
-                }
+            let cfg = SzConfig::new(ErrorBound::Absolute(eb));
+            for (writer, _) in WRITERS {
+                let (mut p, mut s, mut stats) = (Writer::new(), SzScratch::new(), CompressionStats::default());
+                let (pq, want) = predict_quantize(writer, &data, &dims, &cfg, (&mut p, &mut stats, &mut s));
+                escapes += stats.unpredictable;
+                let bytes = p.into_bytes();
+                let mut r = Reader::new(&bytes);
+                let (back, back_dims) = PredictQuantize::decode_head::<f32>(&mut r).unwrap();
+                assert_eq!(
+                    (&back_dims, back.block_mode, back.lattice, back.n),
+                    (&dims, pq.block_mode, pq.lattice, pq.n)
+                );
+                let mut values = vec![f32::NAN; back.n];
+                back.decode(&mut r, &mut s, &mut values).unwrap();
+                assert_eq!(le_bits(&values), le_bits(&want), "{dims:?} {writer}");
             }
         }
         assert!(escapes > 0);
+    }
+
+    /// `data` through `writer`'s predict-quantize (one of [`WRITERS`]) with
+    /// `forge` applied to its scratch and block sections before the stage
+    /// walk goes on, as a raw stream.
+    fn forged_stream(
+        writer: &str,
+        data: &[f32],
+        dims: &[usize],
+        forge: impl Fn(&mut SzScratch<f32>, &mut Blocks),
+    ) -> Vec<u8> {
+        let cfg = SzConfig::new(ErrorBound::Absolute(1e-3)).with_lossless(false);
+        let (mut p, mut s, mut stats) = (Writer::enveloped(), SzScratch::new(), CompressionStats::default());
+        let (pq, mut blocks) = encode_with(writer, data, dims, &cfg, (&mut p, &mut stats, &mut s));
+        forge(&mut s, &mut blocks);
+        legacy::walk(&pq, p, stats, false, &mut s, &mut blocks).unwrap().bytes
+    }
+
+    /// A field of 24³ with escapes and, for the block writers, regression
+    /// and Lorenzo blocks.
+    fn forged_field() -> (Vec<f32>, [usize; 3]) {
+        let dims = [24usize, 24, 24];
+        (mixed_field(&dims, 0x51ed), dims)
+    }
+
+    #[test]
+    fn a_literal_the_decoder_does_not_read_is_rejected() {
+        // One literal more than the symbols have escapes: every writer on
+        // the 24³ field, and the two unblocked ones on a rank-1 ramp.
+        let (data, dims) = forged_field();
+        let ramp: Vec<f32> = (0..512).map(|i| (i as f32 * 0.02).sin()).collect();
+        let cases = WRITERS.map(|(writer, _)| (writer, &data[..], &dims[..]));
+        for (writer, data, dims) in cases.into_iter().chain([("lattice", &ramp[..], &[512][..]), ("legacy", &ramp, &[512])]) {
+            let good = forged_stream(writer, data, dims, |_, _| {});
+            let forged = forged_stream(writer, data, dims, |s, _| s.literals.push(1.5));
+            assert!(decompress(&good).is_ok(), "{writer} {dims:?}");
+            assert_eq!(decompress(&forged).unwrap_err(), SzError::Corrupt("literals left over"), "{writer} {dims:?}");
+        }
+    }
+
+    #[test]
+    fn a_coefficient_past_the_last_regression_block_is_rejected() {
+        // Four `f32` (16 bytes) more than the regression flags ask for.
+        let (data, dims) = forged_field();
+        for writer in ["lattice blocks", "legacy blocks"] {
+            let good = forged_stream(writer, &data, &dims, |_, _| {});
+            let forged = forged_stream(writer, &data, &dims, |_, blocks| {
+                assert!(blocks.counts().0 > 0 && blocks.counts().1 > 0, "regression and Lorenzo blocks");
+                blocks.coeffs.extend([1.0, 0.5, 0.25, 0.125]);
+            });
+            assert!(decompress(&good).is_ok(), "{writer}");
+            assert_eq!(
+                decompress(&forged).unwrap_err(),
+                SzError::Corrupt("coefficients past the last regression block"),
+                "{writer}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_block_flag_byte_past_the_last_block_is_rejected() {
+        // A byte of Lorenzo flags (zeros) behind the last block's byte.
+        let (data, dims) = forged_field();
+        for writer in ["lattice blocks", "legacy blocks"] {
+            let good = forged_stream(writer, &data, &dims, |_, _| {});
+            let forged = forged_stream(writer, &data, &dims, |_, blocks| {
+                blocks.bits.finish();
+                (0..8).for_each(|_| blocks.bits.push_bit(false));
+            });
+            assert!(decompress(&good).is_ok(), "{writer}");
+            assert_eq!(
+                decompress(&forged).unwrap_err(),
+                SzError::Corrupt("block flags past the last block"),
+                "{writer}"
+            );
+        }
     }
 
     #[test]
@@ -2117,25 +2479,24 @@ mod tests {
             ("NYX 96^3", nyx, vec![96, 96, 96], 1e-4),
         ];
         for (what, data, dims, eb) in cases {
-            for mode in [PredictorMode::BlockAdaptive, PredictorMode::Lorenzo] {
-                let cfg = SzConfig::new(ErrorBound::Absolute(eb)).with_mode(mode);
-                let pq = PredictQuantize::new(&data, &dims, &cfg).unwrap();
+            let cfg = SzConfig::new(ErrorBound::Absolute(eb));
+            for (writer, _) in &WRITERS[..2] {
                 let mut s = SzScratch::new();
-                pq.encode(&data, &dims, &mut Writer::new(), &mut CompressionStats::default(), &mut s);
+                predict_quantize(writer, &data, &dims, &cfg, (&mut Writer::new(), &mut CompressionStats::default(), &mut s));
                 let escaped: Vec<bool> = s.symbols.iter().map(|&sym| sym == 0).collect();
-                let (values, _) = decompress(&compress(&data, &dims, &cfg).unwrap().bytes).unwrap();
+                let (values, _) = decompress(&write_with(writer, &data, &dims, &cfg).unwrap().bytes).unwrap();
                 let mut escapes = 0;
                 for (i, ((&x, &y), &escape)) in data.iter().zip(&values).zip(&escaped).enumerate() {
                     if escape || !x.is_finite() {
-                        assert!(escape, "{what} {mode:?}: element {i} ({x}) is not escaped");
-                        assert_eq!(x.to_bits(), y.to_bits(), "{what} {mode:?}: element {i}");
+                        assert!(escape, "{what} {writer}: element {i} ({x}) is not escaped");
+                        assert_eq!(x.to_bits(), y.to_bits(), "{what} {writer}: element {i}");
                         escapes += 1;
                     } else {
-                        assert!((x as f64 - y as f64).abs() <= eb, "{what} {mode:?}: element {i}: {x} -> {y}");
+                        assert!((x as f64 - y as f64).abs() <= eb, "{what} {writer}: element {i}: {x} -> {y}");
                     }
                 }
                 assert!(escapes >= data.len() / 7 || what == "NYX 96^3", "{what}: {escapes} escapes");
-                assert!(escapes > 1000, "{what} {mode:?}: {escapes} escapes");
+                assert!(escapes > 1000, "{what} {writer}: {escapes} escapes");
             }
         }
     }
@@ -2351,12 +2712,13 @@ mod tests {
         g: Geom,
         q: &Quantizer,
         s: &mut SzScratch<T>,
-    ) -> (u64, u64) {
+        sections: &mut Blocks,
+    ) {
         s.recon.clear();
         s.recon.resize(data.len(), 0.0);
         s.rowp.clear();
         s.rowp.resize(g.nx.min(BLOCK_SIDE), 0.0);
-        let (mut regression_blocks, mut lorenzo_blocks) = (0u64, 0u64);
+        let mut vals = Vec::new();
         let b = BLOCK_SIDE;
         let blocks = |e: usize| e.div_ceil(b);
         for bk in 0..blocks(g.nz) {
@@ -2366,14 +2728,14 @@ mod tests {
                     let (k1, j1, i1) =
                         ((k0 + b).min(g.nz), (j0 + b).min(g.ny), (i0 + b).min(g.nx));
                     let (nk, nj, ni) = (k1 - k0, j1 - j0, i1 - i0);
-                    s.vals.clear();
+                    vals.clear();
                     for k in k0..k1 {
                         for j in j0..j1 {
                             let row = (k * g.ny + j) * g.nx;
-                            s.vals.extend(data[row + i0..row + i1].iter().map(|v| v.to_f64()));
+                            vals.extend(data[row + i0..row + i1].iter().map(|v| v.to_f64()));
                         }
                     }
-                    let coeffs = fit_block_reference(&s.vals, nk, nj, ni);
+                    let coeffs = fit_block_reference(&vals, nk, nj, ni);
                     let predict = |i: usize, j: usize, k: usize| {
                         coeffs.c[0] as f64
                             + coeffs.c[1] as f64 * i as f64
@@ -2381,19 +2743,16 @@ mod tests {
                             + coeffs.c[3] as f64 * k as f64
                     };
                     let mut reg_err = 0.0;
-                    for (n, v) in s.vals.iter().enumerate() {
+                    for (n, v) in vals.iter().enumerate() {
                         reg_err += (v - predict(n % ni, n / ni % nj, n / (ni * nj))).abs();
                     }
-                    reg_err /= s.vals.len() as f64;
+                    reg_err /= vals.len() as f64;
                     let range = BlockRange { k: (k0, k1), j: (j0, j1), i: (i0, i1) };
                     let lor_err = lorenzo_probe_error(data, g, range);
                     let use_reg = reg_err < lor_err;
-                    s.block_bits.push_bit(use_reg);
+                    sections.bits.push_bit(use_reg);
                     if use_reg {
-                        regression_blocks += 1;
-                        s.coeffs.extend_from_slice(&coeffs.c);
-                    } else {
-                        lorenzo_blocks += 1;
+                        sections.coeffs.extend_from_slice(&coeffs.c);
                     }
                     for k in k0..k1 {
                         for j in j0..j1 {
@@ -2423,7 +2782,6 @@ mod tests {
                 }
             }
         }
-        (regression_blocks, lorenzo_blocks)
     }
 
     /// The decode loop `decompress_typed_with` replaced, kept as its
@@ -2432,7 +2790,8 @@ mod tests {
     /// through the reference Huffman walk, the predictor chosen and the
     /// escape and range tests made per element, rows in storage order, the
     /// output narrowed in a second pass. Streams of the lattice predictor
-    /// take the same walk with their own per-element prediction.
+    /// take the same walk with their own per-element prediction. A literal,
+    /// a flag byte or a coefficient left unread is an error.
     fn decompress_reference<T: Element>(stream: &[u8]) -> Result<(Vec<T>, Vec<usize>), SzError> {
         const CORRUPT: SzError = SzError::Corrupt("reference");
         let (flags, payload) = lossless_decode(stream)?;
@@ -2468,9 +2827,10 @@ mod tests {
             let (nbj, nbi) = (g.ny.div_ceil(b), g.nx.div_ceil(b));
             let mut planes = Vec::new();
             if block_mode {
+                let blocks = g.nz.div_ceil(b) * nbj * nbi;
                 let mut flag_reader = BitReader::new(block_bit_bytes);
                 let mut coeffs = coeff_vals.chunks_exact(4);
-                for _ in 0..g.nz.div_ceil(b) * nbj * nbi {
+                for _ in 0..blocks {
                     let use_reg = flag_reader.read_bit().map_err(|_| SzError::Corrupt("block flags"))?;
                     planes.push(if use_reg {
                         let c = coeffs.next().ok_or(SzError::Corrupt("coeff underrun"))?;
@@ -2478,6 +2838,9 @@ mod tests {
                     } else {
                         None
                     });
+                }
+                if block_bit_bytes.len() > blocks.div_ceil(8) || coeffs.next().is_some() {
+                    return Err(CORRUPT);
                 }
             }
             let mut ks = vec![0i64; n];
@@ -2521,7 +2884,7 @@ mod tests {
                 ks[idx] = index;
                 values.push(value);
             }
-            return Ok((values, dims));
+            return if lit_iter.next().is_some() { Err(CORRUPT) } else { Ok((values, dims)) };
         }
         let mut recon = vec![0.0f64; n];
         let mut rowp = vec![0.0f64; if block_mode { g.nx.min(BLOCK_SIDE) } else { g.nx }];
@@ -2542,6 +2905,9 @@ mod tests {
         if block_mode {
             let b = BLOCK_SIDE;
             let blocks = |e: usize| e.div_ceil(b);
+            if block_bit_bytes.len() > (blocks(g.nz) * blocks(g.ny) * blocks(g.nx)).div_ceil(8) {
+                return Err(CORRUPT);
+            }
             let mut flag_reader = BitReader::new(block_bit_bytes);
             let mut coeff_idx = 0usize;
             for bk in 0..blocks(g.nz) {
@@ -2589,6 +2955,9 @@ mod tests {
                     }
                 }
             }
+            if coeff_idx < coeff_vals.len() {
+                return Err(CORRUPT);
+            }
         } else if g.rank == 1 && order == 2 {
             let mut prev = 0.0f64;
             let mut prev2 = 0.0f64;
@@ -2614,6 +2983,9 @@ mod tests {
                     }
                 }
             }
+        }
+        if lit_iter.next().is_some() {
+            return Err(CORRUPT);
         }
         Ok((recon.iter().map(|&v| T::from_f64(v)).collect(), dims))
     }
@@ -2702,16 +3074,13 @@ mod tests {
         ] {
             let data = mixed_field(&dims, 0x9e37_79b9);
             let data64: Vec<f64> = data.iter().map(|&v| v as f64).collect();
-            for mode in [PredictorMode::BlockAdaptive, PredictorMode::Lorenzo] {
+            for (writer, _) in WRITERS {
                 for radius in [Quantizer::DEFAULT_RADIUS, 4] {
-                    let cfg =
-                        SzConfig::new(ErrorBound::Absolute(eb)).with_mode(mode).with_radius(radius);
-                    for stream in [compress_typed(&data, &dims, &cfg), legacy::compress(&data, &dims, &cfg)] {
-                        assert_decode_matches_reference::<f32>(&stream.unwrap().bytes, &mut stale32, true);
-                    }
-                    for stream in [compress_typed(&data64, &dims, &cfg), legacy::compress(&data64, &dims, &cfg)] {
-                        assert_decode_matches_reference::<f64>(&stream.unwrap().bytes, &mut stale64, true);
-                    }
+                    let cfg = SzConfig::new(ErrorBound::Absolute(eb)).with_radius(radius);
+                    let stream = write_with(writer, &data, &dims, &cfg).unwrap().bytes;
+                    assert_decode_matches_reference::<f32>(&stream, &mut stale32, true);
+                    let stream = write_with(writer, &data64, &dims, &cfg).unwrap().bytes;
+                    assert_decode_matches_reference::<f64>(&stream, &mut stale64, true);
                 }
             }
         }
@@ -2730,29 +3099,24 @@ mod tests {
             density in 0u32..101,
             specials in proptest::collection::vec(special32(), 48..49),
             eb in prop_oneof![3 => Just(1e-3f64), 1 => Just(1e-1f64), 1 => Just(1e-6f64)],
-            lorenzo in any::<bool>(),
             order in 1u8..3,
             lossless in any::<bool>(),
             escape_heavy in any::<bool>(),
             flips in proptest::collection::vec((any::<u32>(), 0u8..8), 0..3),
-            old_writer in any::<bool>(),
+            writer in 0usize..4,
         ) {
             let dims = shape(rank, n0, n1, n2);
             let data = salted_field(dims.iter().product(), seed, density, &specials);
             let data64: Vec<f64> = data.iter().map(|&v| v as f64).collect();
-            let mode = if lorenzo { PredictorMode::Lorenzo } else { PredictorMode::BlockAdaptive };
             let mut cfg = SzConfig::new(ErrorBound::Absolute(eb))
-                .with_mode(mode)
                 .with_lossless(lossless)
                 // Four bins a side: most residuals escape to literals.
                 .with_radius(if escape_heavy { 4 } else { Quantizer::DEFAULT_RADIUS });
             cfg.lorenzo_order = order;
             let (mut stale32, mut stale64) = (stale_scratch::<f32>(), stale_scratch::<f64>());
-            let (mut out32, mut out64) = if old_writer {
-                (legacy::compress(&data, &dims, &cfg).unwrap().bytes, legacy::compress(&data64, &dims, &cfg).unwrap().bytes)
-            } else {
-                (compress_typed(&data, &dims, &cfg).unwrap().bytes, compress_typed(&data64, &dims, &cfg).unwrap().bytes)
-            };
+            let (writer, _) = WRITERS[writer];
+            let mut out32 = write_with(writer, &data, &dims, &cfg).unwrap().bytes;
+            let mut out64 = write_with(writer, &data64, &dims, &cfg).unwrap().bytes;
             assert_decode_matches_reference::<f32>(&out32, &mut stale32, true);
             assert_decode_matches_reference::<f64>(&out64, &mut stale64, true);
             // The same streams with a few bits flipped: whatever the
@@ -2774,21 +3138,24 @@ mod tests {
         (0..).zip(data).map(|(n, &v)| v as f64 + (n as f64).sin() * 1e-3).collect()
     }
 
-    /// Everything `encode_blocks` leaves in the scratch must be what the
-    /// reference leaves there, to the bit, for `data` and for its
-    /// [`full_mantissas`] as `f64`. Returns the
+    /// Everything `encode_blocks` leaves in the scratch and the block
+    /// sections must be what the reference leaves there, to the bit, for
+    /// `data` and for its [`full_mantissas`] as `f64`. Returns the
     /// coefficients and `(regression_blocks, lorenzo_blocks)` of `data`.
     fn assert_blocks_match_reference(data: &[f32], dims: &[usize], eb: f64) -> (Vec<f32>, (u64, u64)) {
         fn run<T: Element>(data: &[T], g: Geom, q: &Quantizer) -> (Vec<f32>, (u64, u64)) {
             let (mut new, mut old) = (SzScratch::<T>::new(), SzScratch::<T>::new());
-            let counts = legacy::encode_blocks(data, g, q, &mut new);
-            assert_eq!(counts, encode_blocks_reference(data, g, q, &mut old));
+            let (mut blocks, mut want) = (Blocks::default(), Blocks::default());
+            legacy::encode_blocks(data, g, q, &mut new, &mut blocks);
+            encode_blocks_reference(data, g, q, &mut old, &mut want);
+            assert_eq!(blocks.counts(), want.counts());
             assert_eq!(new.symbols, old.symbols);
             assert_eq!(le_bits(&new.literals), le_bits(&old.literals));
-            assert_eq!(le_bits(&new.coeffs), le_bits(&old.coeffs));
-            assert_eq!(new.block_bits.finish(), old.block_bits.finish());
+            assert_eq!(le_bits(&blocks.coeffs), le_bits(&want.coeffs));
+            assert_eq!(blocks.bits.finish(), want.bits.finish());
             assert_eq!(le_bits(&new.recon), le_bits(&old.recon));
-            (new.coeffs, counts)
+            let counts = blocks.counts();
+            (blocks.coeffs, counts)
         }
         let g = geometry(dims, data.len()).unwrap();
         let q = Quantizer::new(eb, Quantizer::DEFAULT_RADIUS);
@@ -3057,16 +3424,11 @@ mod tests {
         ] {
             let data = mixed_field(&dims, 0x9e37_79b9);
             let data64: Vec<f64> = data.iter().map(|&v| v as f64).collect();
-            for mode in [PredictorMode::BlockAdaptive, PredictorMode::Lorenzo] {
-                for radius in [1, 64, Quantizer::DEFAULT_RADIUS, Quantizer::MAX_RADIUS] {
-                    for lossless in [true, false] {
-                        let cfg = SzConfig::new(ErrorBound::Absolute(eb))
-                            .with_mode(mode)
-                            .with_radius(radius)
-                            .with_lossless(lossless);
-                        assert_matches_dense_entropy_stage(&data, &dims, &cfg);
-                        assert_matches_dense_entropy_stage(&data64, &dims, &cfg);
-                    }
+            for radius in [1, 64, Quantizer::DEFAULT_RADIUS, Quantizer::MAX_RADIUS] {
+                for lossless in [true, false] {
+                    let cfg = SzConfig::new(ErrorBound::Absolute(eb)).with_radius(radius).with_lossless(lossless);
+                    assert_matches_dense_entropy_stage(&data, &dims, &cfg);
+                    assert_matches_dense_entropy_stage(&data64, &dims, &cfg);
                 }
             }
         }
@@ -3087,7 +3449,7 @@ mod tests {
         // A constant field: one escape, then the zero bin alone.
         let flat = vec![1.0e9f64; 300];
         for radius in [1, 64, Quantizer::DEFAULT_RADIUS, Quantizer::MAX_RADIUS] {
-            let cfg = default.with_radius(radius).with_mode(PredictorMode::Lorenzo);
+            let cfg = default.with_radius(radius);
             let stats = assert_matches_dense_entropy_stage(&nans, &[300], &cfg);
             assert_eq!((stats.huffman_table_entries, stats.huffman_bits), (1, 300));
             let stats = assert_matches_dense_entropy_stage(&flat, &[15, 20], &cfg);
@@ -3112,14 +3474,10 @@ mod tests {
     fn scratch_bytes<T>(s: &SzScratch<T>) -> usize {
         s.symbols.capacity() * 4
             + s.literals.capacity() * std::mem::size_of::<T>()
-            + (s.lattice.capacity() + s.recon.capacity() + s.rowp.capacity() + s.vals.capacity()) * 8
-            + (s.select.planes.capacity() + s.select.terms.capacity()) * 8
-            + (s.select.vals.capacity() + s.select.probe.capacity()) * 8 * LANES
+            + (s.lattice.capacity() + s.recon.capacity() + s.rowp.capacity()) * 8
             + s.choices.capacity() * std::mem::size_of::<(bool, BlockCoeffs)>()
             + s.huff.capacity_bytes()
             + s.sym_bits.capacity()
-            + s.block_bits.capacity()
-            + s.coeffs.capacity() * 4
             + s.lit_bytes.capacity()
     }
 
@@ -3218,7 +3576,7 @@ mod tests {
             })
             .collect();
         let eb = 1e-3;
-        let out = compress_f64(&data, &[ny, nx], &SzConfig::new(ErrorBound::Absolute(eb)))
+        let out = lattice_blocks::compress(&data, &[ny, nx], &SzConfig::new(ErrorBound::Absolute(eb)))
             .expect("compress");
         let (rec, _) = decompress_f64(&out.bytes).expect("decompress");
         for (a, b) in data.iter().zip(&rec) {
@@ -3307,16 +3665,14 @@ mod tests {
             (vec![7, 8, 9], (0..7 * 8 * 9).map(|i| i as f32 * 0.5).collect()),
         ];
         for (dims, data) in &fields {
-            for mode in [PredictorMode::Lorenzo, PredictorMode::BlockAdaptive] {
-                let cfg = SzConfig::new(ErrorBound::Absolute(1e-3)).with_mode(mode);
-                let fresh = compress_typed(data, dims, &cfg).unwrap();
-                let reused = compress_typed_with(data, dims, &cfg, &mut scratch).unwrap();
-                assert_eq!(fresh.bytes, reused.bytes, "dims {dims:?} mode {mode:?}");
-                let (rec, d) = decompress(&fresh.bytes).unwrap();
-                assert_eq!(&d, dims);
-                for (a, b) in data.iter().zip(&rec) {
-                    assert!((a - b).abs() <= 1e-3 + 1e-6);
-                }
+            let cfg = SzConfig::new(ErrorBound::Absolute(1e-3));
+            let fresh = compress_typed(data, dims, &cfg).unwrap();
+            let reused = compress_typed_with(data, dims, &cfg, &mut scratch).unwrap();
+            assert_eq!(fresh.bytes, reused.bytes, "dims {dims:?}");
+            let (rec, d) = decompress(&fresh.bytes).unwrap();
+            assert_eq!(&d, dims);
+            for (a, b) in data.iter().zip(&rec) {
+                assert!((a - b).abs() <= 1e-3 + 1e-6);
             }
         }
     }
@@ -3334,14 +3690,14 @@ mod tests {
             (vec![23, 17], (0..23 * 17).map(|i| (i as f32 * 0.1).cos() * 5.0).collect()),
         ];
         for (dims, data) in &fields {
-            for mode in [PredictorMode::Lorenzo, PredictorMode::BlockAdaptive] {
-                let cfg = SzConfig::new(ErrorBound::Absolute(1e-3)).with_mode(mode);
-                let out = compress_typed(data, dims, &cfg).unwrap();
+            for (writer, _) in WRITERS {
+                let cfg = SzConfig::new(ErrorBound::Absolute(1e-3));
+                let out = write_with(writer, data, dims, &cfg).unwrap();
                 let (fresh, d1) = decompress(&out.bytes).unwrap();
                 let (reused, d2) = decompress_typed_with::<f32>(&out.bytes, &mut scratch).unwrap();
                 assert_eq!(d1, d2);
                 for (a, b) in fresh.iter().zip(&reused) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "dims {dims:?} mode {mode:?}");
+                    assert_eq!(a.to_bits(), b.to_bits(), "dims {dims:?} {writer}");
                 }
             }
         }

@@ -1,8 +1,13 @@
-//! SZ2-style per-block linear-regression predictor.
+//! SZ2-style per-block linear-regression predictor, as block-adaptive
+//! streams (predictor bytes 1 and 3) carry it.
 //!
 //! For smooth-but-tilted regions the Lorenzo stencil wastes precision; SZ2
 //! instead fits a hyperplane `v ≈ b0 + b1·i + b2·j + b3·k` to each small
-//! block and predicts from the (stored) coefficients. Because the block
+//! block and predicts from the (stored) coefficients. On the lattice, where
+//! the Lorenzo stencil reads exact indices, the fit won no block of the
+//! fields this repository generates, so the writer no longer fits; the
+//! decoder evaluates the stored hyperplanes ([`BlockCoeffs`]), and the fit
+//! is kept for the test-only writers of those streams. Because the block
 //! coordinates form a regular grid, the least-squares problem is separable:
 //! after centering, each slope is an independent 1-D projection, so the fit
 //! is O(block size) with no matrix solve.
@@ -10,7 +15,8 @@
 //! Coefficients are serialized as `f32`, making compressor and decompressor
 //! predictions bit-identical.
 
-/// Side length of regression blocks (SZ2 uses 6 for 3-D data).
+/// Side length of regression blocks (SZ2 uses 6 for 3-D data); the chunked
+/// container also cuts its chunks along it.
 pub const BLOCK_SIDE: usize = 6;
 
 /// A fitted hyperplane for one block: `v(i,j,k) = c0 + c1·i + c2·j + c3·k`
@@ -59,8 +65,9 @@ impl RowPredictor {
 /// The part of a fit that depends only on the block's extent (centroids
 /// and the Σ(x−x̄)² denominators), so a caller fitting many blocks of one
 /// extent works it out once.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy)]
-pub struct BlockFitter {
+pub(crate) struct BlockFitter {
     extent: (usize, usize, usize),
     /// Centroid along i, j, k.
     centroid: [f64; 3],
@@ -68,9 +75,10 @@ pub struct BlockFitter {
     denom: [f64; 3],
 }
 
+#[cfg(test)]
 impl BlockFitter {
     /// Fitter for blocks of extent (nk, nj, ni).
-    pub fn new(nk: usize, nj: usize, ni: usize) -> Self {
+    pub(crate) fn new(nk: usize, nj: usize, ni: usize) -> Self {
         let centroid = |e: usize| (e as f64 - 1.0) / 2.0;
         let sq = |e: usize| -> f64 {
             (0..e).map(|x| (x as f64 - centroid(e)).powi(2)).sum::<f64>()
@@ -91,7 +99,7 @@ impl BlockFitter {
     ///
     /// Degenerate extents (length-1 axes) produce zero slopes along those
     /// axes.
-    pub fn fit(&self, vals: &[f64]) -> BlockCoeffs {
+    pub(crate) fn fit(&self, vals: &[f64]) -> BlockCoeffs {
         if vals.is_empty() {
             return BlockCoeffs { c: [0.0; 4] };
         }
@@ -105,7 +113,7 @@ impl BlockFitter {
     /// starting where [`Iterator::sum`] starts), so a block's fit does not
     /// depend on what it is fitted beside; the loops over lanes carry no
     /// dependence, where one block's sums are serial chains.
-    pub fn fit_lanes<const N: usize>(&self, vals: &[[f64; N]]) -> [BlockCoeffs; N] {
+    pub(crate) fn fit_lanes<const N: usize>(&self, vals: &[[f64; N]]) -> [BlockCoeffs; N] {
         let (nk, nj, ni) = self.extent;
         debug_assert_eq!(vals.len(), nk * nj * ni);
         let mut mean = [std::iter::empty::<f64>().sum::<f64>(); N];
@@ -144,13 +152,15 @@ impl BlockFitter {
 
 /// Fit a hyperplane to one block of extent (nk, nj, ni); see
 /// [`BlockFitter::fit`].
-pub fn fit_block(vals: &[f64], nk: usize, nj: usize, ni: usize) -> BlockCoeffs {
+#[cfg(test)]
+pub(crate) fn fit_block(vals: &[f64], nk: usize, nj: usize, ni: usize) -> BlockCoeffs {
     BlockFitter::new(nk, nj, ni).fit(vals)
 }
 
 /// Whether the mean absolute prediction error of `coeffs` over a block is
 /// below `limit`.
-pub fn block_abs_error_below(
+#[cfg(test)]
+pub(crate) fn block_abs_error_below(
     vals: &[f64],
     nk: usize,
     nj: usize,
@@ -173,7 +183,8 @@ pub fn block_abs_error_below(
 /// come out below its limit any more: the terms are non-negative, so a
 /// running sum (and its quotient by the block size) only grows, and a
 /// block that was past its limit rows ago still is.
-pub fn abs_error_below_lanes<const N: usize>(
+#[cfg(test)]
+pub(crate) fn abs_error_below_lanes<const N: usize>(
     vals: &[[f64; N]],
     nj: usize,
     ni: usize,

@@ -20,10 +20,6 @@ pub struct CompressionStats {
     pub predictable: u64,
     /// Elements stored as IEEE literals.
     pub unpredictable: u64,
-    /// Blocks that chose the regression predictor (block mode only).
-    pub regression_blocks: u64,
-    /// Blocks that chose the Lorenzo predictor (block mode only).
-    pub lorenzo_blocks: u64,
     /// Distinct symbols in the Huffman table.
     pub huffman_table_entries: u64,
     /// Bits emitted by the Huffman coder.

@@ -6,7 +6,7 @@
 mod generators;
 
 use generators::{salted_field, special32};
-use lcpio_sz::{compress_typed, decompress_typed, Element, ErrorBound, PredictorMode, SzConfig};
+use lcpio_sz::{compress_typed, decompress_typed, Element, ErrorBound, SzConfig};
 use proptest::prelude::*;
 
 /// Compress `data`, decode the stream, and check every value: a NaN comes
@@ -42,7 +42,6 @@ proptest! {
         density in 0u32..101,
         specials in proptest::collection::vec(special32(), 48..49),
         eb in prop_oneof![3 => Just(1e-3f64), 1 => Just(1e-1f64), 1 => Just(1e-6f64)],
-        lorenzo in any::<bool>(),
         lossless in any::<bool>(),
     ) {
         let dims: Vec<usize> = match rank {
@@ -52,8 +51,7 @@ proptest! {
         };
         let n: usize = dims.iter().product();
         let data = salted_field(n, seed, density, &specials);
-        let mode = if lorenzo { PredictorMode::Lorenzo } else { PredictorMode::BlockAdaptive };
-        let cfg = SzConfig::new(ErrorBound::Absolute(eb)).with_mode(mode).with_lossless(lossless);
+        let cfg = SzConfig::new(ErrorBound::Absolute(eb)).with_lossless(lossless);
         check_bound(&data, &dims, &cfg, eb)?;
         let data64: Vec<f64> = data.iter().map(|&v| v as f64).collect();
         check_bound(&data64, &dims, &cfg, eb)?;
@@ -61,8 +59,7 @@ proptest! {
 }
 
 /// Degenerate whole-field cases the random sampler is unlikely to hit:
-/// every element non-finite or every element an escaping outlier, in
-/// both predictor modes.
+/// every element non-finite or every element an escaping outlier.
 #[test]
 fn uniform_special_fields_roundtrip() {
     let dims = [2usize, 18, 40];
@@ -79,11 +76,9 @@ fn uniform_special_fields_roundtrip() {
         ("all-outlier", &all_outlier),
         ("all-subnormal", &all_subnormal),
     ] {
-        for mode in [PredictorMode::Lorenzo, PredictorMode::BlockAdaptive] {
-            let cfg = SzConfig::new(ErrorBound::Absolute(eb)).with_mode(mode);
-            if let Err(e) = check_bound(data, &dims, &cfg, eb) {
-                panic!("{name} {mode:?}: {e:?}");
-            }
+        let cfg = SzConfig::new(ErrorBound::Absolute(eb));
+        if let Err(e) = check_bound(data, &dims, &cfg, eb) {
+            panic!("{name}: {e:?}");
         }
     }
 }

@@ -7,7 +7,7 @@
 //! pinned by hash.
 #![allow(dead_code)] // no includer uses all of it
 
-use lcpio_sz::{ErrorBound, PredictorMode, SzConfig};
+use lcpio_sz::{ErrorBound, SzConfig};
 use proptest::prelude::*;
 
 /// One value drawn from the classes that historically break
@@ -81,19 +81,22 @@ pub fn field_f64(n: usize, seed: u64) -> Vec<f64> {
     field_f32(n, seed).into_iter().map(|v| v as f64).collect()
 }
 
-/// The pinned shape/config combinations: 1-D both orders, 2-D, 3-D in both
-/// predictor modes, lossless off, 4-D, and a value-range-relative bound.
-pub fn pinned_cases() -> Vec<(Vec<usize>, SzConfig)> {
+/// The pinned shape/config combinations: 1-D both orders, 2-D, 3-D, lossless
+/// off, 4-D, and a value-range-relative bound. The third field says whether
+/// the case was coded block by block when the configuration chose the
+/// predictor (the block-adaptive default, against whole-array Lorenzo),
+/// which the test-only writers of those streams still do.
+pub fn pinned_cases() -> Vec<(Vec<usize>, SzConfig, bool)> {
     let abs = ErrorBound::Absolute(1e-3);
     vec![
-        (vec![257], SzConfig::new(abs)),
-        (vec![256], SzConfig { lorenzo_order: 1, ..SzConfig::new(abs) }),
-        (vec![33, 47], SzConfig::new(abs).with_mode(PredictorMode::Lorenzo)),
-        (vec![17, 18, 19], SzConfig::new(abs)),
-        (vec![17, 18, 19], SzConfig::new(abs).with_mode(PredictorMode::Lorenzo)),
-        (vec![17, 18, 19], SzConfig::new(abs).with_lossless(false)),
-        (vec![3, 4, 5, 6], SzConfig::new(abs)),
-        (vec![40, 40], SzConfig::new(ErrorBound::ValueRangeRelative(1e-3))),
+        (vec![257], SzConfig::new(abs), true),
+        (vec![256], SzConfig { lorenzo_order: 1, ..SzConfig::new(abs) }, true),
+        (vec![33, 47], SzConfig::new(abs), false),
+        (vec![17, 18, 19], SzConfig::new(abs), true),
+        (vec![17, 18, 19], SzConfig::new(abs), false),
+        (vec![17, 18, 19], SzConfig::new(abs).with_lossless(false), true),
+        (vec![3, 4, 5, 6], SzConfig::new(abs), true),
+        (vec![40, 40], SzConfig::new(ErrorBound::ValueRangeRelative(1e-3)), true),
     ]
 }
 

@@ -3,9 +3,9 @@
 //! it, whether its output was kept (and so written), and how large a
 //! compact alphabet the entropy stage built its tables over; how the
 //! entropy stage splits into histogram, build, emit and table pack; and
-//! how predict-quantize splits into choosing each block's predictor and
-//! quantizing. One test function,
-//! so nothing else in this process touches the registry.
+//! that predict-quantize is one span with nothing inside it, at every
+//! rank. One test function, so nothing else in this process touches the
+//! registry.
 
 use lcpio_sz::trace;
 use lcpio_sz::{compress_typed, ErrorBound, SzConfig};
@@ -41,13 +41,17 @@ fn lossless_back_end_counters_tell_kept_from_dropped() {
     let pack = report.span("sz.table.pack").expect("sz.table.pack span");
     assert_eq!((huffman.count, pack.count), (1, 1));
     assert!(pack.total_ns <= huffman.total_ns, "sz.table.pack lies inside sz.huffman");
-    // Predict-quantize is block selection plus quantization, one lap of
-    // each per row of blocks (2 × 8 of them here) inside the one span.
+    // Predict-quantize is one span with no child span: every span the
+    // call recorded is predict-quantize's, or the entropy or lossless
+    // stage's.
     let span = |name: &str| report.span(name).unwrap_or_else(|| panic!("no {name} span"));
-    let (whole, select, quantize) = (span("sz.predict_quantize"), span("sz.select"), span("sz.quantize"));
-    assert_eq!((whole.count, select.count, quantize.count), (1, 16, 16));
-    assert!(select.total_ns > 0 && quantize.total_ns > 0);
-    assert!(select.total_ns + quantize.total_ns <= whole.total_ns, "both lie inside sz.predict_quantize");
+    assert_eq!(span("sz.predict_quantize").count, 1);
+    let others = report.spans.keys().filter(|name| {
+        !["sz.predict_quantize", "sz.huffman", "sz.table.pack", "sz.lossless"]
+            .iter()
+            .any(|stage| name == stage || name.starts_with(&format!("{stage}.")))
+    });
+    assert_eq!(others.collect::<Vec<_>>(), Vec::<&String>::new(), "spans outside the four stages");
     // The entropy stage's parts, one span each, one after the other inside
     // sz.huffman: histogram, code build, emit, table pack. The LZSS pass
     // is parsed and, dropped, never written.
@@ -58,25 +62,28 @@ fn lossless_back_end_counters_tell_kept_from_dropped() {
     assert_eq!(span("sz.lossless").count, 1);
     assert!(report.span("sz.lossless.emit").is_none(), "a dropped LZSS pass is not written");
 
-    // A constant chunk: a table too short to pack, an LZSS pass that is kept.
+    // A constant chunk: two codes, the zero residual and the first
+    // element's, which is its whole lattice index (500 bins from zero), so
+    // the table spans 501 symbols and packs to a few runs; an LZSS pass
+    // that is kept.
     trace::reset();
     let out = compress_typed(&vec![1.0f32; n], &dims, &cfg).expect("compress");
     let report = trace::snapshot();
     let counter = |name: &str| report.counter(name).unwrap_or_else(|| panic!("no {name} counter"));
     assert_eq!((counter("sz.lossless.kept"), counter("sz.lossless.dropped")), (1, 0));
-    assert_eq!(counter("sz.table.dense_bytes"), counter("sz.table.packed_bytes"));
+    assert_eq!((counter("sz.table.dense_bytes"), counter("sz.table.packed_bytes")), (501, 39));
     assert_eq!(counter("sz.lossless.bytes_out") + 13, out.bytes.len() as u64);
     let span = |name: &str| report.span(name).unwrap_or_else(|| panic!("no {name} span"));
     let (lossless, emit) = (span("sz.lossless"), span("sz.lossless.emit"));
     assert_eq!((lossless.count, emit.count), (1, 1));
     assert!(emit.total_ns <= lossless.total_ns, "sz.lossless.emit lies inside sz.lossless");
 
-    // Whole-array Lorenzo (rank 1) chooses nothing.
+    // Rank 1 takes the same one span.
     trace::reset();
     compress_typed(&nyx.data[..n], &[n], &cfg).expect("compress");
     let report = trace::snapshot();
-    assert!(report.span("sz.predict_quantize").is_some());
-    assert!(report.span("sz.select").is_none() && report.span("sz.quantize").is_none());
+    assert_eq!(report.span("sz.predict_quantize").map(|s| s.count), Some(1));
+    assert!(!report.spans.keys().any(|name| name.starts_with("sz.predict_quantize.")));
 
     // With the back end off, neither part runs.
     trace::reset();

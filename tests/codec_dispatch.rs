@@ -12,12 +12,11 @@ use std::path::{Path, PathBuf};
 const ALLOWED_DIRS: &[&str] = &["crates/sz", "crates/zfp", "crates/codec", "crates/shims"];
 
 /// Files exempt from the rule, each for a documented reason:
-/// - `ablation_sz_predictor.rs` / `ablation_zfp_modes.rs`: ablations that
-///   deliberately drive backend-internal knobs the trait does not expose.
+/// - `ablation_zfp_modes.rs`: an ablation that deliberately drives
+///   backend-internal knobs the trait does not expose.
 /// - this file, which spells the forbidden patterns out in `concat!` pieces
 ///   but is excluded by name for robustness.
 const EXEMPT_FILES: &[&str] = &[
-    "ablation_sz_predictor.rs",
     "ablation_zfp_modes.rs",
     "codec_dispatch.rs",
 ];

@@ -311,9 +311,19 @@ fn sz_chunked_forged_chunk_count_rejected_without_allocating() {
     assert!(registry().decompress_auto(&s, 1).is_err());
 }
 
-/// A block-adaptive lattice stream whose payload is raw, with literals and
-/// regression blocks, and where its last three sections start: the
-/// literals, the block flags and the coefficients.
+/// A block-adaptive lattice stream (predictor byte 3) whose payload is raw,
+/// with literals and regression blocks, and where its last three sections
+/// start: the literals, the block flags and the coefficients.
+///
+/// The encoder writes byte 2 (whole-array Lorenzo) only; byte 3 is the
+/// layout older versions wrote on arrays of two dimensions or more, whose
+/// writer is test-only in `lcpio-sz`. So the stream is built here from the
+/// registry's byte-2 stream of the field: its predictor byte set to 3, and
+/// behind its literal section a flag per 6³ block (the blocks of the tilted
+/// plane flagged regression) and each of those blocks' plane as its
+/// coefficients. Those blocks decode to other values than the field's
+/// (their residuals are Lorenzo's); the tests that use it are about the
+/// sections, not the values.
 fn lattice_stream_sections() -> (Vec<u8>, [usize; 3]) {
     let (nz, ny, nx) = (12usize, 18, 24);
     let mut x = 0x2545_f491u32;
@@ -332,7 +342,23 @@ fn lattice_stream_sections() -> (Vec<u8>, [usize; 3]) {
         })
         .collect();
     let sz = registry().by_name("sz").expect("registered");
-    let stream = sz.compress(&data, &[nz, ny, nx], BoundSpec::Absolute(1e-3)).expect("compress").bytes;
+    let mut stream = sz.compress(&data, &[nz, ny, nx], BoundSpec::Absolute(1e-3)).expect("compress").bytes;
+    let predictor_at = 13 + 1 + 1 + 3 * 8;
+    assert_eq!((stream[4] & sz::header::FLAG_LOSSLESS, stream[predictor_at]), (0, 2), "a raw byte-2 stream");
+    stream[predictor_at] = 3;
+    let (mut flags, mut coeffs) = (vec![0u8; (nz / 6 * ny / 6 * nx / 6).div_ceil(8)], Vec::new());
+    let blocks = (0..nz / 6).flat_map(|bk| (0..ny / 6).flat_map(move |bj| (0..nx / 6).map(move |bi| (bk, bj, bi))));
+    for (n, (bk, bj, bi)) in blocks.enumerate().filter(|(_, (bk, bj, bi))| (bi + bj + bk) % 3 == 0) {
+        flags[n / 8] |= 0x80 >> (n % 8);
+        let intercept = 3.0 * (6 * bi) as f32 - 2.0 * (6 * bj) as f32 + 0.5 * (6 * bk) as f32;
+        coeffs.extend([intercept, 3.0, -2.0, 0.5].iter().flat_map(|c| c.to_le_bytes()));
+    }
+    for section in [flags, coeffs] {
+        stream.extend_from_slice(&(section.len() as u64).to_le_bytes());
+        stream.extend_from_slice(&section);
+    }
+    let body = (stream.len() - 13) as u64;
+    stream[5..13].copy_from_slice(&body.to_le_bytes());
     // The payload is raw (the field is too noisy for the LZSS pass). Behind
     // the table: the coded-bit count, then the symbol section, then
     // the three sections, each a u64 length and its bytes.

@@ -18,23 +18,26 @@ fn fnv64(bytes: &[u8]) -> u64 {
 #[test]
 fn default_path_containers_match_pinned_hashes_at_the_paper_bounds() {
     // An NYX-like velocity cube through the chunked container in the
-    // default mode (block-adaptive predictor, Huffman, packed table, LZSS
+    // default mode (Lorenzo on the lattice, Huffman, packed table, LZSS
     // tried and dropped) at the four paper bounds; four chunks of 12
-    // planes give full interior blocks, first-plane blocks and edge
-    // blocks, and per-chunk tables from a few dozen to thousands of
-    // symbols. Re-pinned twice: when the per-chunk tables went from dense
-    // bytes under LZSS to the packed form (78 476 / 137 843 / 200 823 /
-    // 291 966 bytes before; the values restored are the same), and when
-    // the default writer took up the lattice predictor (72 433 / 119 781 /
-    // 172 691 / 240 601 bytes before). The chunks of those last containers
-    // are pinned, with the values the decoder restores from them, in
-    // `lcpio-sz`'s
-    // `pipeline::tests::legacy_chunks_of_the_pinned_containers_decode_to_their_old_values`.
+    // planes, cut along the 6-wide blocks older streams were coded in, and
+    // per-chunk tables from a few dozen to thousands of symbols. Re-pinned
+    // three times: when the per-chunk tables went from dense bytes under
+    // LZSS to the packed form (78 476 / 137 843 / 200 823 / 291 966 bytes
+    // before; the values restored are the same), when the default writer
+    // took up the lattice predictor (72 433 / 119 781 / 172 691 / 240 601
+    // bytes before), and when it dropped block selection (72 448 / 119 646
+    // / 172 439 / 240 524 bytes before: each chunk loses its block-flag and
+    // coefficient sections, 32 bytes, and nothing else). The chunks of the
+    // two earlier forms are pinned, with the values the decoder restores
+    // from them, in `lcpio-sz`'s
+    // `pipeline::tests::legacy_chunks_of_the_pinned_containers_decode_to_their_old_values`
+    // and `pipeline::tests::lattice_block_chunks_of_the_pinned_containers_decode_to_their_old_values`.
     const EXPECT: [(f64, usize, u64); 4] = [
-        (1e-1, 72448, 0xe688db6047ade1ed),
-        (1e-2, 119646, 0x58f07cc0a775532c),
-        (1e-3, 172439, 0x089fd7dc2682c71a),
-        (1e-4, 240524, 0x16dfa306c99165c1),
+        (1e-1, 72320, 0xb94e7f0c9d31f68c),
+        (1e-2, 119518, 0xa9abc5f5d49dce18),
+        (1e-3, 172311, 0x6f254088cea2a042),
+        (1e-4, 240396, 0xc0adeb302b78711d),
     ];
     let sz = registry().by_name("sz").expect("sz is registered");
     let field = lcpio::datagen::nyx::velocity_x(48, 11);
