@@ -12,7 +12,8 @@ use serde::{Deserialize, Serialize};
 pub struct CompressionStats {
     /// Number of input elements.
     pub elements: u64,
-    /// Input size in bytes (`elements * 4`).
+    /// Input size in bytes (`elements` times the element width: 4 per
+    /// `f32`, 8 per `f64`).
     pub input_bytes: u64,
     /// Final compressed size in bytes (after lossless stage, with header).
     pub output_bytes: u64,

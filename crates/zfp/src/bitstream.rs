@@ -88,16 +88,23 @@ impl WriteStream {
     /// Finish, returning the underlying bytes (`ceil(bit_len / 8)` of them,
     /// unwritten trailing bits zero).
     pub fn into_bytes(self) -> Vec<u8> {
-        let n_bytes = self.bit_len().div_ceil(8);
-        let mut out = Vec::with_capacity(self.words.len() * 8 + 8);
+        let mut out = Vec::new();
+        self.append_to(&mut out);
+        out
+    }
+
+    /// Finish into the end of `out`: the bytes [`into_bytes`](Self::into_bytes)
+    /// returns, with no buffer of their own.
+    pub fn append_to(self, out: &mut Vec<u8>) {
+        let end = out.len() + self.bit_len().div_ceil(8);
+        out.reserve((self.words.len() + (self.bits > 0) as usize) * 8);
         for w in &self.words {
             out.extend_from_slice(&w.to_le_bytes());
         }
         if self.bits > 0 {
             out.extend_from_slice(&self.acc.to_le_bytes());
         }
-        out.truncate(n_bytes);
-        out
+        out.truncate(end);
     }
 }
 

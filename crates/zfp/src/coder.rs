@@ -17,10 +17,13 @@
 //! words. A rank-1 block (4 coefficients) has [`encode_rank1`] /
 //! [`decode_rank1`], which need no planes: they hold the coefficients
 //! bit-reversed and move a run of planes with one gather or scatter per
-//! coefficient. In both, only a plane in which a coefficient turns
-//! significant takes the group-test loop; the runs of planes between those
-//! (and the all-verbatim tail after the last) move as many planes to a
-//! stream word as fit one.
+//! coefficient. In both, the runs of planes between those in which a
+//! coefficient turns significant (and the all-verbatim tail after the
+//! last) move as many planes to a stream word as fit one. A plane that
+//! moves the frontier takes the group-test loop in the 16- and
+//! 64-coefficient kernels; the rank-1 kernels look its group-test bits up
+//! in a table by frontier and window, and leave the loop to a plane that
+//! a fixed-rate budget cuts.
 
 use crate::bitstream::{mask, ReadStream, WriteStream, WINDOW_BITS};
 use crate::block::{as_block, as_block_mut};
@@ -258,6 +261,79 @@ const RUN_BITS: usize = 56;
 const GROUP_LANES: [u64; 5] =
     [u64::MAX, 0x5555_5555_5555_5555, 0x9249_2492_4924_9249, 0x1111_1111_1111_1111, 0];
 
+/// What [`decode_plane`]`::<4>` reads after the `n` verbatim bits of a plane
+/// from the 8 stream bits `window`, the budget no limit: the newly
+/// significant coefficients' bits (bits `0..4`), the bits consumed (bits
+/// `4..7`, at most 7) and the new frontier (bits `7..10`).
+const fn decode_record(mut n: usize, window: usize) -> u16 {
+    let (mut x, mut at) = (0, 0);
+    while n < 4 {
+        let group = (window >> at) & 1;
+        at += 1;
+        if group == 0 {
+            break;
+        }
+        // The unary position, up to `3 − n` zeros with no stop bit after.
+        let mut skipped = 0;
+        while skipped < 3 - n && (window >> (at + skipped)) & 1 == 0 {
+            skipped += 1;
+        }
+        at += if skipped < 3 - n { skipped + 1 } else { skipped };
+        n += skipped;
+        x |= 1 << n;
+        n += 1;
+    }
+    (x | at << 4 | n << 7) as u16
+}
+
+/// What [`encode_plane`]`::<4>` writes after the `n` verbatim bits of a
+/// plane whose coefficients from the frontier on are `y`, the budget no
+/// limit: the group-test bits (bits `0..7`), their count (bits `7..10`)
+/// and the new frontier (bits `10..13`).
+const fn encode_record(mut n: usize, mut y: usize) -> u16 {
+    let (mut pattern, mut len) = (0, 0);
+    while n < 4 {
+        if y == 0 {
+            len += 1;
+            break;
+        }
+        let z = y.trailing_zeros() as usize;
+        let stop = n + z < 3;
+        pattern |= (1 | (stop as usize) << (1 + z)) << len;
+        len += 1 + z + stop as usize;
+        y >>= z + 1;
+        n += z + 1;
+    }
+    (pattern | len << 7 | n << 10) as u16
+}
+
+/// [`decode_record`] for every frontier `n < 4` and window.
+const DECODE_RECORDS: [[u16; 256]; 4] = {
+    let mut t = [[0; 256]; 4];
+    let mut i = 0;
+    while i < 4 * 256 {
+        t[i / 256][i % 256] = decode_record(i / 256, i % 256);
+        i += 1;
+    }
+    t
+};
+
+/// [`encode_record`] for every frontier `n < 4` and `y < 16`.
+const ENCODE_RECORDS: [[u16; 16]; 4] = {
+    let mut t = [[0; 16]; 4];
+    let mut i = 0;
+    while i < 4 * 16 {
+        t[i / 16][i % 16] = encode_record(i / 16, i % 16);
+        i += 1;
+    }
+    t
+};
+
+/// Bits of the group-test window a record is looked up by (7 at most are
+/// used): a plane at frontier `n` takes its record when the budget covers
+/// `n + RECORD_BITS`, and within that it never runs out.
+const RECORD_BITS: usize = 8;
+
 /// `x / per` for a plane width `per` in `1..=4` and `x ≤ 64`, as
 /// `(x · ⌈2¹⁶/per⌉) >> 16`, which is exact there.
 #[inline(always)]
@@ -275,6 +351,17 @@ fn gather2(x: u64) -> u64 {
     x = (x | (x >> 4)) & 0x00ff_00ff_00ff_00ff;
     x = (x | (x >> 8)) & 0x0000_ffff_0000_ffff;
     (x | (x >> 16)) & 0xffff_ffff
+}
+
+/// Bits `0, 3, 6, …, 60` of `x`, packed.
+#[inline(always)]
+fn gather3(x: u64) -> u64 {
+    let mut x = x & 0x1249_2492_4924_9249;
+    x = (x | (x >> 2)) & 0x10c3_0c30_c30c_30c3;
+    x = (x | (x >> 4)) & 0x100f_00f0_0f00_f00f;
+    x = (x | (x >> 8)) & 0x001f_0000_ff00_00ff;
+    x = (x | (x >> 16)) & 0x001f_0000_0000_ffff;
+    (x | (x >> 32)) & 0x1f_ffff
 }
 
 /// Bits `0, 4, 8, …` of `x`, packed.
@@ -298,6 +385,17 @@ fn scatter2(x: u64) -> u64 {
     (x | (x << 1)) & 0x5555_5555_5555_5555
 }
 
+/// Inverse of [`gather3`]: the low 21 bits of `x` to bits `0, 3, 6, …`.
+#[inline(always)]
+fn scatter3(x: u64) -> u64 {
+    let mut x = x & 0x1f_ffff;
+    x = (x | (x << 32)) & 0x001f_0000_0000_ffff;
+    x = (x | (x << 16)) & 0x001f_0000_ff00_00ff;
+    x = (x | (x << 8)) & 0x100f_00f0_0f00_f00f;
+    x = (x | (x << 4)) & 0x10c3_0c30_c30c_30c3;
+    (x | (x << 2)) & 0x1249_2492_4924_9249
+}
+
 /// Inverse of [`gather4`]: the low 16 bits of `x` to bits `0, 4, 8, …`.
 #[inline(always)]
 fn scatter4(x: u64) -> u64 {
@@ -317,11 +415,13 @@ fn scatter4(x: u64) -> u64 {
 /// the planes from the current one down sit in coding order from bit 0.
 /// One `trailing_zeros` over the coefficients at and past the frontier
 /// gives the run, as many planes as fit 56 bits and the budget; one
-/// scatter per coefficient lays its bits at stride `per` (2 at `n = 1`, 4
-/// at `n ≥ 3`, where coefficient 3's lane is the 0 group bits of `n = 3`;
-/// a loop over the planes at `n = 2`) and one `write_bits` sends the run.
-/// The plane that moves the frontier, or that the budget cuts, goes
-/// through the group-test loop of [`encode_block`].
+/// scatter per coefficient lays its bits at stride `per` (2, 3 or 4; at
+/// `n = 3` coefficient 3's lane is the 0 group bits) and one `write_bits`
+/// sends the run. The plane that ends the run moves the frontier: its
+/// verbatim bits and its group-test bits, looked up by `(n, plane >> n)`,
+/// join the same `write_bits`. Only a plane that the budget cuts takes the
+/// group-test loop of [`encode_block`]. Once `n = 4` and the budget covers
+/// every plane left, those go out 16 to a word.
 pub fn encode_rank1(
     data: &[u64; 4],
     intprec: u32,
@@ -338,31 +438,47 @@ pub fn encode_rank1(
     let mut n = 0usize;
     let mut k = intprec;
     while budget > 0 && k > kmin {
-        let per = n + (n < 4) as usize;
-        let fit = div_per(budget.min(RUN_BITS), per).min((k - kmin) as usize);
+        let left = (k - kmin) as usize;
         // Planes `k − 1, k − 2, …` at bits `0, 1, …`.
         let at = 64 - k;
+        let c = rev.map(|c| c >> at);
+        if n == 4 && budget >= 4 * left {
+            for planes in (0..left).step_by(16) {
+                let word = (0..4).fold(0, |word, i| word | scatter4(c[i] >> planes) << i);
+                w.write_bits(word, 4 * (left - planes).min(16));
+            }
+            break;
+        }
+        let per = n + (n < 4) as usize;
+        let fit = div_per(budget.min(RUN_BITS), per).min(left);
         let run = ((past[n] >> at).trailing_zeros() as usize).min(fit);
-        if run > 0 {
-            let c = rev.map(|c| c >> at);
-            let word = match n {
-                0 => 0,
-                1 => scatter2(c[0]),
-                2 => (0..run).fold(0, |word, j| {
-                    word | ((c[0] >> j) & 1) << (3 * j) | ((c[1] >> j) & 1) << (3 * j + 1)
-                }),
-                _ => {
-                    scatter4(c[0]) | scatter4(c[1]) << 1 | scatter4(c[2]) << 2 | scatter4(c[3]) << 3
-                }
-            };
-            w.write_bits(word, run * per);
-            budget -= run * per;
-            k -= run as u32;
+        let mut used = run * per;
+        let mut word = match n {
+            0 => 0,
+            1 => scatter2(c[0]),
+            2 => scatter3(c[0]) | scatter3(c[1]) << 1,
+            _ => (0..4).fold(0, |word, i| word | scatter4(c[i]) << i),
+        } & mask(used as u32);
+        // The plane after the run. When the run ends short of `fit`, it
+        // moves the frontier, and its record joins the run's word if the
+        // budget covers it. The word always holds it: such a run spans at
+        // most `56 − per` bits, and `56 − per + n + RECORD_BITS` is 63.
+        let x = (0..4).fold(0, |x, i| x | ((c[i] >> run) & 1) << i);
+        if run < fit && budget - used >= n + RECORD_BITS {
+            let record = ENCODE_RECORDS[n][(x >> n) as usize];
+            word |= (x & mask(n as u32) | ((record & 0x7f) as u64) << n) << used;
+            used += n + (record >> 7 & 7) as usize;
+            n = (record >> 10) as usize;
+            k -= 1;
+        } else if used == 0 {
+            // A plane the budget cuts.
+            k -= 1;
+            encode_plane::<4>(x, &mut n, &mut budget, w);
             continue;
         }
-        k -= 1;
-        let x = data.iter().enumerate().fold(0, |x, (i, &c)| x | ((c >> k) & 1) << i);
-        encode_plane::<4>(x, &mut n, &mut budget, w);
+        w.write_bits(word, used);
+        budget -= used;
+        k -= run as u32;
     }
     w.bit_len() - start
 }
@@ -370,8 +486,11 @@ pub fn encode_rank1(
 /// Decode a rank-1 block written by [`encode_rank1`] into `data`
 /// (overwritten), the mirror of it: one `peek_bits` covers a run, one
 /// `trailing_zeros` over its group-bit lanes finds the plane that moves the
-/// frontier, and one gather per coefficient takes its verbatim bits. The
-/// coefficients build up bit-reversed and are reversed once at the end.
+/// frontier, one gather per coefficient takes the run's verbatim bits, and
+/// one lookup by `(n, the 8 bits after the plane's verbatim bits)` in the
+/// same look decodes the plane that moves the frontier. The all-verbatim
+/// tail goes 14 planes to a read. The coefficients build up bit-reversed
+/// and are reversed once at the end.
 pub fn decode_rank1(
     data: &mut [u64; 4],
     intprec: u32,
@@ -384,25 +503,33 @@ pub fn decode_rank1(
     let mut n = 0usize;
     let mut k = intprec;
     while budget > 0 && k > kmin {
+        let left = (k - kmin) as usize;
+        // Plane `k − 1` goes to bit `64 − k`.
+        let at = 64 - k;
+        if n == 4 && budget >= 4 * left {
+            for planes in (0..left).step_by(14) {
+                let bits = r.read_bits(4 * (left - planes).min(14));
+                for (i, c) in rev.iter_mut().enumerate() {
+                    *c |= gather4(bits >> i) << (at as usize + planes);
+                }
+            }
+            break;
+        }
         let per = n + (n < 4) as usize;
-        let fit = div_per(budget.min(RUN_BITS), per).min((k - kmin) as usize);
+        let fit = div_per(budget.min(RUN_BITS), per).min(left);
         let bits = r.peek_bits(RUN_BITS);
         // A set group bit ends the run.
         let groups = (bits >> n) & GROUP_LANES[n];
         let run = div_per(groups.trailing_zeros() as usize, per).min(fit);
+        let mut used = run * per;
         if run > 0 {
-            let used = run * per;
             let bits = bits & mask(used as u32);
-            // Plane `k − 1` goes to bit `64 − k`.
-            let at = 64 - k;
             match n {
                 0 => {}
                 1 => rev[0] |= gather2(bits) << at,
                 2 => {
-                    for j in 0..run {
-                        rev[0] |= ((bits >> (3 * j)) & 1) << (at as usize + j);
-                        rev[1] |= ((bits >> (3 * j + 1)) & 1) << (at as usize + j);
-                    }
+                    rev[0] |= gather3(bits) << at;
+                    rev[1] |= gather3(bits >> 1) << at;
                 }
                 _ => {
                     for (i, c) in rev.iter_mut().enumerate() {
@@ -410,13 +537,31 @@ pub fn decode_rank1(
                     }
                 }
             }
+            k -= run as u32;
+        }
+        // The plane that ends the run moves the frontier: one lookup when
+        // the budget covers its record and the look holds it.
+        let x = if run < fit
+            && budget - used >= n + RECORD_BITS
+            && used + n + RECORD_BITS <= RUN_BITS
+        {
+            let field = bits >> used;
+            let record = DECODE_RECORDS[n][(field >> n & mask(RECORD_BITS as u32)) as usize];
+            used += n + (record >> 4 & 7) as usize;
+            let x = field & mask(n as u32) | (record & 0xf) as u64;
+            n = (record >> 7) as usize;
+            x
+        } else if used > 0 {
             r.advance(used);
             budget -= used;
-            k -= run as u32;
             continue;
-        }
+        } else {
+            // A plane the budget cuts.
+            decode_plane::<4>(&mut n, &mut budget, r)
+        };
+        r.advance(used);
+        budget -= used;
         k -= 1;
-        let x = decode_plane::<4>(&mut n, &mut budget, r);
         for (i, c) in rev.iter_mut().enumerate() {
             *c |= ((x >> i) & 1) << (63 - k);
         }
@@ -677,12 +822,19 @@ mod tests {
     /// sides, coefficients equal; then the same from the stream truncated
     /// at every byte (`truncate`) — reads past the end yield zeros on
     /// every path of both coders.
+    ///
+    /// A rank-1 block also takes every budget up to 16, which crosses the
+    /// one-lookup plane's guard (`n + 8` bits), and those around `4 · (k −
+    /// kmin)`, which cross the all-verbatim tail's once the frontier is
+    /// full after the first planes.
     fn check_against_reference<const N: usize>(intprec: u32, truncate: impl Fn(u32) -> bool) {
         let budgets =
             [0, 1, N - 1, N, 5 * N + 3, 55, 56, 57, 63, 64, 65, usize::MAX / 2, usize::MAX];
         for kind in 0..4 {
             for kmin in 0..=intprec {
-                for budget in budgets {
+                let tail = 4 * (intprec - kmin) as usize;
+                let rank1 = (0..=16).chain(tail.saturating_sub(16)..=tail + 1);
+                for budget in budgets.into_iter().chain(rank1.filter(|_| N == 4)) {
                     let what = format!("N {N} kind {kind} kmin {kmin} budget {budget}");
                     let data = blocks::<N>(kind, intprec, 0x5eed ^ kmin as u64);
                     let mut new = WriteStream::new();
@@ -714,7 +866,9 @@ mod tests {
                             reference::decode_ints_into(&mut want, intprec, kmin, budget, &mut ro);
                             assert_eq!(got, want, "{what} cut {cut}");
                             assert_eq!(rn.bit_pos(), ro.bit_pos(), "{what} cut {cut}");
-                            if cut == bytes.len() && budget >= N * 64 {
+                            // Twice the verbatim bits cover the group tests too
+                            // (at most 64 + 3 · N bits a block).
+                            if cut == bytes.len() && budget >= 2 * N * 64 {
                                 let keep = u64::MAX.checked_shl(kmin).unwrap_or(0);
                                 assert_eq!(got, b.map(|v| v & keep), "{what}");
                             }
@@ -725,11 +879,88 @@ mod tests {
         }
     }
 
+    /// Every decode record is what the group-test loop reads from its
+    /// window after `n` verbatim bits, with no budget limit.
+    #[test]
+    fn decode_records_match_group_test_loop() {
+        for (n, records) in DECODE_RECORDS.iter().enumerate() {
+            for (window, &record) in (0..256u64).zip(records) {
+                let verbatim = (window * 7 + 3) & mask(n as u32);
+                let mut w = WriteStream::new();
+                w.write_bits(verbatim | window << n, n + RECORD_BITS);
+                let bytes = w.into_bytes();
+                let mut r = ReadStream::new(&bytes);
+                let (mut frontier, mut budget) = (n, usize::MAX);
+                let x = decode_plane::<4>(&mut frontier, &mut budget, &mut r);
+                let what = format!("n {n} window {window:#010b}");
+                assert_eq!(x, verbatim | (record & 0xf) as u64, "{what}");
+                assert_eq!(r.bit_pos(), n + (record >> 4 & 7) as usize, "{what}");
+                assert_eq!(frontier, (record >> 7) as usize, "{what}");
+                assert!(r.bit_pos() < n + RECORD_BITS, "{what}");
+            }
+        }
+    }
+
+    /// Every encode record a plane can reach is the group-test loop's bits
+    /// after the plane's `n` verbatim bits, with no budget limit.
+    #[test]
+    fn encode_records_match_group_test_loop() {
+        for n in 0..4 {
+            for x in 0..16u64 {
+                let mut w = WriteStream::new();
+                let (mut frontier, mut budget) = (n, usize::MAX);
+                encode_plane::<4>(x, &mut frontier, &mut budget, &mut w);
+                let bits = w.bit_len();
+                let word = ReadStream::new(&w.into_bytes()).read_bits(bits);
+                let record = ENCODE_RECORDS[n][(x >> n) as usize];
+                let what = format!("n {n} plane {x:#06b}");
+                assert_eq!(bits, n + (record >> 7 & 7) as usize, "{what}");
+                assert_eq!(word, x & mask(n as u32) | ((record & 0x7f) as u64) << n, "{what}");
+                assert_eq!(frontier, (record >> 10) as usize, "{what}");
+                assert!(bits < n + RECORD_BITS, "{what}");
+            }
+        }
+    }
+
     #[test]
     fn rank1_coder_matches_reference() {
         check_against_reference::<4>(35, |_| true);
         check_against_reference::<4>(57, |_| true);
         check_against_reference::<4>(64, |_| true);
+    }
+
+    /// Rank-1 blocks whose coefficients turn significant `gap` planes
+    /// apart: runs of every length at `n = 1, 2, 3`, among them runs whose
+    /// frontier plane's record straddles the end of the decoder's 56-bit
+    /// look, each against the reference coder at three budgets.
+    #[test]
+    fn rank1_staggered_runs_match_reference() {
+        let mut s = 0x57a6_6e2du64;
+        for gap in 0..=32u32 {
+            let block: [u64; 4] =
+                std::array::from_fn(|i| match 63u32.checked_sub(i as u32 * gap) {
+                    Some(top) => 1u64 << top | xorshift(&mut s) & mask(top),
+                    None => 0,
+                });
+            for budget in [100, 200, usize::MAX] {
+                let what = format!("gap {gap} budget {budget}");
+                let (mut new, mut old) = (WriteStream::new(), WriteStream::new());
+                encode_rank1(&block, 64, 0, budget, &mut new);
+                reference::encode_ints(&block, 64, 0, budget, &mut old);
+                let bytes = new.into_bytes();
+                assert_eq!(bytes, old.into_bytes(), "{what}");
+                let mut got = [0u64; 4];
+                let mut r = ReadStream::new(&bytes);
+                decode_rank1(&mut got, 64, 0, budget, &mut r);
+                let mut want = [0u64; 4];
+                let mut ro = ReadStream::new(&bytes);
+                reference::decode_ints_into(&mut want, 64, 0, budget, &mut ro);
+                assert_eq!((got, r.bit_pos()), (want, ro.bit_pos()), "{what}");
+                if budget == usize::MAX {
+                    assert_eq!(got, block, "{what}");
+                }
+            }
+        }
     }
 
     #[test]

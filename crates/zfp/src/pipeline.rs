@@ -203,11 +203,10 @@ pub fn compress_typed<T: ZfpElement>(
     };
 
     let bitstream_span = lcpio_trace::span("zfp.bitstream");
-    let payload = w.into_bytes();
-    let bitstream_bits = payload.len() * 8;
+    let payload_len = w.bit_len().div_ceil(8);
 
-    // ---- envelope ----
-    let mut out = Vec::with_capacity(payload.len() + 64);
+    // ---- envelope, then the payload straight after it ----
+    let mut out = Vec::with_capacity(payload_len + 64);
     out.extend_from_slice(&MAGIC);
     out.push(T::TYPE_TAG);
     out.push(dims.len() as u8);
@@ -217,8 +216,8 @@ pub fn compress_typed<T: ZfpElement>(
     let (tag, param) = mode.encode();
     out.push(tag);
     out.extend_from_slice(&param.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(&(payload_len as u64).to_le_bytes());
+    w.append_to(&mut out);
     drop(bitstream_span);
 
     let stats = ZfpStats {
@@ -227,7 +226,7 @@ pub fn compress_typed<T: ZfpElement>(
         output_bytes: out.len() as u64,
         blocks: g.num_blocks() as u64,
         zero_blocks,
-        payload_bits: bitstream_bits as u64,
+        payload_bits: payload_len as u64 * 8,
     };
     if lcpio_trace::collecting() {
         lcpio_trace::counter_add("zfp.elements", stats.elements);

@@ -98,3 +98,67 @@ fn f64_streams_match_pinned_hashes() {
         assert_eq!(rec.len(), n);
     }
 }
+
+/// The rank-1 coder's budget paths beside the `[257]` fixed-accuracy case
+/// above: fixed precision, fixed rates whose payload budgets (3 and 61
+/// bits a block for `f32`, 0 and 58 for `f64`) fall under and over the
+/// longest one-lookup plane record, and one HACC × 1000 chunk of the
+/// mixed stream workload (chunk 1 of `interleaved_cesm_hacc(24576, 32,
+/// 11)`) at the accuracy the adaptive planner codes it with. Fields use
+/// the seeds that follow the five cases above.
+fn rank1_cases() -> Vec<(Vec<f32>, ZfpMode)> {
+    let hacc = lcpio_datagen::Dataset::Hacc.generate(98_304, 11 ^ 0xAAC).data;
+    let chunk: Vec<f32> = (0..24_576).map(|i| hacc[i % hacc.len()] * 1000.0).collect();
+    vec![
+        (field_f32(257, 0x5eed + 5), ZfpMode::FixedPrecision(16)),
+        (field_f32(257, 0x5eed + 6), ZfpMode::FixedRate(3.0)),
+        (field_f32(257, 0x5eed + 7), ZfpMode::FixedRate(17.5)),
+        (chunk, ZfpMode::FixedAccuracy(1e-3)),
+    ]
+}
+
+/// `(stream bytes, stream hash, hash of the decoded values' bits)` of each
+/// rank-1 case, as `f32` and as `f64`.
+fn rank1_pins(wide: bool) -> Vec<(usize, u64, u64)> {
+    rank1_cases()
+        .into_iter()
+        .map(|(data, mode)| {
+            let dims = [data.len()];
+            let (bytes, decoded) = if wide {
+                let data: Vec<f64> = data.iter().map(|&v| v as f64).collect();
+                let bytes = compress_f64(&data, &dims, &mode).expect("compress").bytes;
+                let (rec, got) = decompress_f64(&bytes).expect("decompress");
+                assert_eq!(got, dims);
+                (bytes, rec.iter().flat_map(|v| v.to_bits().to_le_bytes()).collect::<Vec<u8>>())
+            } else {
+                let bytes = compress_typed(&data, &dims, &mode).expect("compress").bytes;
+                let (rec, got) = decompress(&bytes).expect("decompress");
+                assert_eq!(got, dims);
+                (bytes, rec.iter().flat_map(|v| v.to_bits().to_le_bytes()).collect())
+            };
+            (bytes.len(), fnv64(&bytes), fnv64(&decoded))
+        })
+        .collect()
+}
+
+#[test]
+fn f32_rank1_streams_and_values_match_pinned_hashes() {
+    let expect: [(usize, u64, u64); 4] = [
+        (516, 0x8db9f99c984ae10b, 0x53cddbbcc3444cc5),
+        (129, 0xc2a381e5d5e814d3, 0x1d2483ad5f2163f5),
+        (600, 0xe0c3a6625c4a74c4, 0xe9854b37e70a87e3),
+        (93709, 0xdae4f8dc803e8e35, 0xce2d558e930371c9),
+    ];
+    assert_eq!(rank1_pins(false), expect, "a rank-1 f32 stream or its decoded values changed");
+}
+
+#[test]
+fn f64_rank1_streams_and_values_match_pinned_hashes() {
+    let expect: [(usize, u64, u64); 4] = [
+        (541, 0xa529819e7bd6dd0d, 0x7232d9b5c6a6661a),
+        (137, 0x4d289ad656b6d161, 0x76caa9c238fbb305),
+        (600, 0x363f92df50b610f3, 0x9d382f103a519989),
+        (100693, 0x085839176166d67f, 0x99130f14edf8c879),
+    ];
+    assert_eq!(rank1_pins(true), expect, "a rank-1 f64 stream or its decoded values changed");
+}
