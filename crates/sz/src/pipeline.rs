@@ -1821,7 +1821,7 @@ mod tests {
     use super::legacy::{lorenzo_probe_error, select_block, select_block_row, Blocks, SelectScratch, LANES};
     use super::*;
     use crate::generators::{
-        field_f32, fnv64, pinned_cases, pinned_field_f32, pinned_field_f64, salted_field, special32,
+        field_f32, field_f64, fnv64, pinned_cases, pinned_field_f32, pinned_field_f64, salted_field, special32,
     };
     use crate::huffman::{canonical_codes, code_lengths, ReferenceDecoder};
     use crate::pwrel::{
@@ -1935,11 +1935,14 @@ mod tests {
             [(2333, 0xe427dc5c54964d7d), (2333, 0xe427dc5c54964d7d)],
             [(1260, 0xbd29894dd90bbddb), (1194, 0x8c00def8fddfdeb3)],
         ];
+        // The fields as they were drawn then: case `i` from `base + i`,
+        // case 4 too (`generators::pinned_seed` has moved it since).
         for (i, (dims, cfg, block)) in pinned_cases().iter().enumerate() {
+            let n = dims.iter().product();
             let what = format!("f32 case {i} ({dims:?})");
-            assert_legacy_pin(&pinned_field_f32(i, dims), (dims, cfg, *block), F32_LEGACY[i], &what);
+            assert_legacy_pin(&field_f32(n, 0x5eed + i as u64), (dims, cfg, *block), F32_LEGACY[i], &what);
             let what = format!("f64 case {i} ({dims:?})");
-            assert_legacy_pin(&pinned_field_f64(i, dims), (dims, cfg, *block), F64_LEGACY[i], &what);
+            assert_legacy_pin(&field_f64(n, 0xd0d0 + i as u64), (dims, cfg, *block), F64_LEGACY[i], &what);
         }
         // The large default-path field, which the packed table left alone.
         let dims = [64usize, 48, 96];

@@ -30,7 +30,7 @@ pub fn special32() -> impl Strategy<Value = f32> {
 /// `n` values of a smooth base signal, `density` percent of them replaced
 /// by one of `specials`.
 pub fn salted_field(n: usize, seed: u64, density: u32, specials: &[f32]) -> Vec<f32> {
-    let mut s = seed | 1;
+    let mut s = effective_seed(seed);
     (0..n)
         .map(|i| {
             s ^= s << 13;
@@ -56,10 +56,16 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// The xorshift64 state a generator starts from for `seed`: odd, so never
+/// the all-zero state, and the same for `2k` and `2k + 1`.
+pub fn effective_seed(seed: u64) -> u64 {
+    seed | 1
+}
+
 /// Deterministic, platform-independent test field: xorshift64 samples with
 /// exact zeros and occasional large outliers (so escape literals appear).
 pub fn field_f32(n: usize, seed: u64) -> Vec<f32> {
-    let mut s = seed | 1;
+    let mut s = effective_seed(seed);
     (0..n)
         .map(|i| {
             s ^= s << 13;
@@ -100,13 +106,21 @@ pub fn pinned_cases() -> Vec<(Vec<usize>, SzConfig, bool)> {
     ]
 }
 
-/// Pinned case `i` as an `f32` field (`seed = 0x5eed`) or, widened, as an
-/// `f64` one (`seed = 0xd0d0`): the data the pinned hashes were made from.
+/// The seed pinned case `i` draws its field from, counted from `base`:
+/// `base + i`, except case 4's. [`field_f32`] ORs a seed with 1, so `base +
+/// 4` drew case 3's field at `0x5eed` and case 5's at `0xd0d0`, both of the
+/// same shape: case 4 pinned nothing of its own.
+pub fn pinned_seed(base: u64, i: usize) -> u64 {
+    base + i as u64 + if i == 4 { 0x100 } else { 0 }
+}
+
+/// Pinned case `i` as an `f32` field (from `0x5eed`) or, widened, as an
+/// `f64` one (from `0xd0d0`): the data the pinned hashes were made from.
 pub fn pinned_field_f32(i: usize, dims: &[usize]) -> Vec<f32> {
-    field_f32(dims.iter().product(), 0x5eed + i as u64)
+    field_f32(dims.iter().product(), pinned_seed(0x5eed, i))
 }
 
 /// See [`pinned_field_f32`].
 pub fn pinned_field_f64(i: usize, dims: &[usize]) -> Vec<f64> {
-    field_f64(dims.iter().product(), 0xd0d0 + i as u64)
+    field_f64(dims.iter().product(), pinned_seed(0xd0d0, i))
 }
