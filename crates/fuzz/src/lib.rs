@@ -51,9 +51,10 @@
 //!    kept here. A table is accepted by all or none, and then the symbols
 //!    are equal or every decoder refuses.
 //!
-//! The `SZL1` stream has two independent flag bits (LZSS body, packed
-//! Huffman table), and which of them the encoder sets depends on the field:
-//! [`szl1_flag_corpus`] seeds one stream per combination. Those are all
+//! The `SZL1` stream has three independent flag bits (LZSS body, packed
+//! Huffman table, class form of the code), and which of them the encoder
+//! sets depends on the field: [`szl1_flag_corpus`] seeds one stream per
+//! combination of the first two and one in the class form. Those are all
 //! lattice streams of predictor byte 2, the one the encoder writes;
 //! `LATTICE_BLOCK_SZL1_SEED` (byte 3) and `LEGACY_SZL1_SEED` (byte 1) are
 //! block-adaptive streams older versions wrote, so mutations reach the
@@ -183,9 +184,10 @@ pub fn misaligned_frames(wire: bool) -> Vec<u8> {
     [STREAM_MAGIC.to_vec(), params].into_iter().chain(framed).collect::<Vec<_>>().concat()
 }
 
-/// One serial `SZL1` stream per combination of its two flag bits, each
-/// with the flags byte the field is chosen to produce (asserted, so an
-/// encoder change cannot silently drop a combination from the corpus):
+/// One serial `SZL1` stream per combination of its first two flag bits, and
+/// one in the class form, each with the flags byte the field is chosen to
+/// produce (asserted, so an encoder change cannot silently drop a
+/// combination from the corpus):
 ///
 /// * `2`: a noisy field. The table spans hundreds of bins and is packed;
 ///   LZSS loses to its literal tax and is dropped.
@@ -196,6 +198,10 @@ pub fn misaligned_frames(wire: bool) -> Vec<u8> {
 /// * `0`: every value escapes (jumps far beyond the quantizer's range): a
 ///   one-entry dense table in front of raw literals LZSS cannot shrink.
 ///   The form the backend also writes with its lossless stage off.
+/// * `6`: noise of ±20 on a wave, so residuals spread over the whole
+///   alphabet: the exact table packs past 4 KiB, and the class form
+///   (`FLAG_CLASS_CODES`, class codes with raw bits behind them, a packed
+///   table of their lengths) is smaller.
 pub fn szl1_flag_corpus() -> Vec<(u8, Vec<u8>)> {
     let n = 8192usize;
     let mut rng = Rng::new(0x5a11);
@@ -207,8 +213,9 @@ pub fn szl1_flag_corpus() -> Vec<(u8, Vec<u8>)> {
     let mostly_flat: Vec<f32> =
         (0..n).map(|i| if i < n - n / 8 { 2.5 } else { 2.5 + noise(0.5) }).collect();
     let escapes: Vec<f32> = (0..n).map(|_| noise(1e30)).collect();
+    let wide: Vec<f32> = (0..n).map(|i| (i as f32 * 0.01).sin() * 40.0 + noise(20.0)).collect();
     let sz = registry().by_name("sz").expect("registered codec");
-    [(2u8, noisy), (1, constant), (3, mostly_flat), (0, escapes)]
+    [(2u8, noisy), (1, constant), (3, mostly_flat), (0, escapes), (6, wide)]
         .into_iter()
         .map(|(flags, field)| {
             let stream =
@@ -300,7 +307,8 @@ const LATTICE_BLOCK_SZL1_SEED: [u8; 433] = [
 /// length and the section itself, as the sz crate's own header parse finds
 /// them. `None` for any other input.
 pub fn packed_table_span(stream: &[u8]) -> Option<std::ops::Range<usize>> {
-    let packed = stream.get(4) == Some(&lcpio_sz::header::FLAG_PACKED_TABLE);
+    use lcpio_sz::header::{FLAG_LOSSLESS, FLAG_PACKED_TABLE};
+    let packed = stream.get(4).is_some_and(|&flags| flags & (FLAG_LOSSLESS | FLAG_PACKED_TABLE) == FLAG_PACKED_TABLE);
     lcpio_sz::table_range(stream).filter(|_| packed)
 }
 
@@ -875,35 +883,38 @@ mod tests {
     fn szl1_seeds_cover_every_flag_combination() {
         let seeds = szl1_flag_corpus();
         let flags: Vec<u8> = seeds.iter().map(|(f, _)| *f).collect();
-        assert_eq!(flags, [2, 1, 3, 0]);
+        assert_eq!(flags, [2, 1, 3, 0, 6]);
         for (flags, stream) in &seeds {
             let (values, dims) = registry().decompress_auto(stream, 1).expect("seed decodes");
             assert_eq!((values.len(), dims), (8192, vec![8192]), "flags {flags}");
-            // Only the open packed table can be aimed at, and the header
+            // Only an open packed table can be aimed at, and the header
             // of an open payload: type tag to table, 36 bytes at rank 1.
-            assert_eq!(packed_table_span(stream).is_some(), *flags == 2, "flags {flags}");
+            assert_eq!(packed_table_span(stream).is_some(), flags & 3 == 2, "flags {flags}");
             let header = (flags & 1 == 0).then_some(lcpio_sz::header::ENVELOPE_LEN..49);
             assert_eq!(payload_header_span(stream), header, "flags {flags}");
         }
         // The span is the count, the section length and the section: a
         // mutation confined to it leaves every byte outside alone, and the
         // span's own first field is the table's symbol count.
-        let stream = &seeds[0].1;
-        let span = packed_table_span(stream).expect("open packed table");
-        let len = u64::from_le_bytes(stream[span.start + 4..span.start + 12].try_into().unwrap());
-        assert_eq!(span.len() as u64, 4 + 8 + len);
-        assert!(len > 40 && span.len() < stream.len() / 4, "span {span:?} of {}", stream.len());
-        let mut rng = Rng::new(3);
-        let mut refused = 0;
-        for _ in 0..2000 {
-            let mutated = mutate_within(stream, span.clone(), &mut rng);
-            assert_eq!(mutated[..span.start], stream[..span.start]);
-            let tail = stream.len() - span.end;
-            assert_eq!(mutated[mutated.len() - tail..], stream[span.end..]);
-            target_registry_auto(&mutated);
-            refused += registry().decompress_auto(&mutated, 1).is_err() as usize;
+        // The class form's table too: its section packs the lengths of a
+        // hundred-odd classes, a few dozen bytes.
+        for stream in [&seeds[0].1, &seeds[4].1] {
+            let span = packed_table_span(stream).expect("open packed table");
+            let len = u64::from_le_bytes(stream[span.start + 4..span.start + 12].try_into().unwrap());
+            assert_eq!(span.len() as u64, 4 + 8 + len);
+            assert!(len > 40 && span.len() < stream.len() / 4, "span {span:?} of {}", stream.len());
+            let mut rng = Rng::new(3);
+            let mut refused = 0;
+            for _ in 0..2000 {
+                let mutated = mutate_within(stream, span.clone(), &mut rng);
+                assert_eq!(mutated[..span.start], stream[..span.start]);
+                let tail = stream.len() - span.end;
+                assert_eq!(mutated[mutated.len() - tail..], stream[span.end..]);
+                target_registry_auto(&mutated);
+                refused += registry().decompress_auto(&mutated, 1).is_err() as usize;
+            }
+            assert!(refused > 1000, "only {refused} of 2000 aimed mutations were refused");
         }
-        assert!(refused > 1000, "only {refused} of 2000 aimed mutations were refused");
     }
 
     #[test]

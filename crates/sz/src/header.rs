@@ -12,13 +12,16 @@
 //! u8     flags   bit 0 FLAG_LOSSLESS: the body is the payload,      lossless
 //!                      LZSS-compressed
 //!                bit 1 FLAG_PACKED_TABLE: the table is packed       table
-//!                bits 2-7: zero (a decoder refuses a stream that sets one)
+//!                bit 2 FLAG_CLASS_CODES: the code is over classes   entropy
+//!                      of residuals, raw bits behind each
+//!                bits 3-7: zero (a decoder refuses a stream that sets one)
 //! u64    body length                                                lossless
 //! ...    body: the payload, or its LZSS form; nothing after it      lossless
 //! ```
 //!
-//! The two flags are independent: bit 0 says how the body turns into the
-//! payload, bit 1 how one section inside the payload is written. The
+//! The flags are independent: bit 0 says how the body turns into the
+//! payload, bits 1 and 2 how the entropy stage's table and symbols inside
+//! it are written (the writer sets bit 2 on a packed table only). The
 //! payload, its stages nested (predict-quantize around entropy around the
 //! table):
 //!
@@ -32,7 +35,8 @@
 //! f64    absolute error bound                                predict-quantize
 //! u32    quantizer radius                                    predict-quantize
 //! u64    element count                                       predict-quantize
-//! u32    first symbol with a code                            entropy
+//! u32    first symbol (class, under FLAG_CLASS_CODES) with   entropy
+//!        a code
 //! u32    count: symbols from there to the last one with a    entropy
 //!        code
 //! ...    the code lengths of those `count` symbols (0 = no   table
@@ -41,8 +45,9 @@
 //!                every stream written before the flag existed), or
 //!        packed: u64 section length, then run tokens under a Huffman code
 //!                of their own (`crate::table` has the layout)
-//! u64    Huffman-coded bits                                  entropy
-//! u64 +  section: the Huffman-coded symbols                  entropy
+//! u64    Huffman-coded bits (raw bits included)              entropy
+//! u64 +  section: the Huffman-coded symbols, or each class   entropy
+//!        code followed by its raw bits
 //! u64 +  section: literals (escaped values, little-endian)   predict-quantize
 //! u64 +  section: one bit per block, 1 = regression          predict-quantize
 //!        (block mode only)
@@ -50,9 +55,11 @@
 //!        (block mode only; the payload ends here)
 //! ```
 //!
-//! The writer packs the table only when that makes it smaller and keeps
-//! the LZSS form only when that makes the body smaller, so a stream that
-//! gains from neither is written with flags 0.
+//! The writer packs the table only when that makes it smaller, writes the
+//! class form only when its table and bits are smaller than the exact
+//! form's packed table of 4 KiB or more and its bits, and keeps the LZSS
+//! form only when that makes the body smaller, so a stream that gains
+//! from none is written with flags 0.
 
 use crate::SzError;
 
@@ -65,6 +72,10 @@ pub const FLAG_LOSSLESS: u8 = 1;
 /// Flag bit: the payload's code-length table is packed (run tokens under a
 /// Huffman code) instead of one byte per symbol.
 pub const FLAG_PACKED_TABLE: u8 = 2;
+
+/// Flag bit: the entropy stage codes classes of residuals with raw bits
+/// behind them (the class form) instead of a code per symbol.
+pub const FLAG_CLASS_CODES: u8 = 4;
 /// Bytes in front of a stream's body: magic, flags byte, body length.
 pub const ENVELOPE_LEN: usize = 4 + 1 + 8;
 

@@ -5,6 +5,8 @@
 //! the code *lengths* are serialized (as a compact table), and both encoder
 //! and decoder derive identical codebooks from them.
 
+use std::ops::Range;
+
 use crate::bitio::{BitReader, BitStreamExhausted, BitWriter};
 
 /// Maximum code length we allow; 32 keeps codes in a u32. A histogram
@@ -210,6 +212,17 @@ fn slot_of(slots: &[u32], sym: u32) -> Option<usize> {
     Some(*slots.get(sym as usize / GRANULE)? as usize | (sym as usize % GRANULE))
 }
 
+/// Per granule in use (`slots` maps granules to their first slot) that
+/// holds symbols of `range`: the first of those symbols and the slots they
+/// take.
+fn runs(slots: &[u32], range: Range<usize>) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+    (range.start / GRANULE..range.end.div_ceil(GRANULE)).filter_map(move |g| {
+        let at = *slots.get(g).filter(|&&at| at != VACANT)? as usize;
+        let (lo, hi) = (range.start.max(g * GRANULE), range.end.min(g * GRANULE + GRANULE));
+        Some((lo, at + lo - g * GRANULE..at + hi - g * GRANULE))
+    })
+}
+
 /// The table a stream stores: the first symbol that has a code, the code
 /// lengths from it to the last that has one, and how many do.
 pub(crate) type CodeTable = (usize, Vec<u8>, usize);
@@ -244,20 +257,25 @@ impl HuffmanEncoder {
     /// Build from symbol frequencies.
     pub fn from_freqs(freqs: &[u64]) -> Result<Self, HuffmanError> {
         let mut enc = HuffmanEncoder::default();
-        enc.lay_out(freqs.len(), |slot| {
+        enc.rebuild_from(freqs)?;
+        Ok(enc)
+    }
+
+    /// Rebuild from symbol frequencies, in the buffers of the last build.
+    pub(crate) fn rebuild_from(&mut self, freqs: &[u64]) -> Result<(), HuffmanError> {
+        self.lay_out(freqs.len(), |slot| {
             for (slot, granule) in slot.iter_mut().zip(freqs.chunks(GRANULE)) {
                 if granule.iter().fold(0, |any, &f| any | f) != 0 {
                     *slot = 0;
                 }
             }
         });
-        for (counts, &granule) in enc.freqs.chunks_mut(GRANULE).zip(&enc.occupied) {
+        for (counts, &granule) in self.freqs.chunks_mut(GRANULE).zip(&self.occupied) {
             for (count, &f) in counts.iter_mut().zip(&freqs[granule as usize * GRANULE..]) {
                 *count = f;
             }
         }
-        enc.assign()?;
-        Ok(enc)
+        self.assign()
     }
 
     /// Build for `symbols`, all of them below `alphabet`, from their own
@@ -345,12 +363,33 @@ impl HuffmanEncoder {
         self.freqs.len()
     }
 
-    /// [`HuffmanEncoder::table`], giving up the lengths and the codes: nine
-    /// bytes a slot that need not sit under what the caller does next.
-    pub(crate) fn finish(&mut self) -> CodeTable {
-        let table = self.table();
+    /// How many of the symbols counted lie in `range` (within the
+    /// alphabet).
+    pub(crate) fn count_in(&self, range: Range<usize>) -> u64 {
+        runs(&self.slot, range).map(|(_, slots)| self.freqs[slots].iter().sum::<u64>()).sum()
+    }
+
+    /// The bits the symbols counted take under the code built for them.
+    pub(crate) fn coded_bits(&self) -> u64 {
+        self.freqs.iter().zip(&self.lens).map(|(&f, &len)| f * len as u64).sum()
+    }
+
+    /// Give the symbols of `range` (within the alphabet) consecutive codes
+    /// of length `len`, the first `code` and each next one `step` more,
+    /// which the emitters then write in their place.
+    pub(crate) fn recode(&mut self, range: Range<usize>, (code, len): (u32, u8), step: u32) {
+        for (first, slots) in runs(&self.slot, range.clone()) {
+            let code = code.wrapping_add(step.wrapping_mul((first - range.start) as u32));
+            for (i, slot) in self.codes[slots].iter_mut().enumerate() {
+                *slot = (code.wrapping_add(step.wrapping_mul(i as u32)), len);
+            }
+        }
+    }
+
+    /// Give up the lengths and the codes: nine bytes a slot that need not
+    /// sit under what the caller does next.
+    pub(crate) fn release(&mut self) {
         (self.lens, self.codes) = (Vec::new(), Vec::new());
-        table
     }
 
     /// The table of this encoder's codes.
@@ -382,7 +421,7 @@ impl HuffmanEncoder {
 
     /// The code of `sym`.
     #[inline(always)]
-    fn code(&self, sym: u32) -> Result<(u32, u8), HuffmanError> {
+    pub(crate) fn code(&self, sym: u32) -> Result<(u32, u8), HuffmanError> {
         match slot_of(&self.slot, sym).and_then(|slot| self.codes.get(slot)) {
             Some(&(code, len)) if len > 0 => Ok((code, len)),
             _ => Err(HuffmanError::UnknownSymbol(sym)),
@@ -692,19 +731,36 @@ impl HuffmanDecoder {
         entry
     }
 
+    /// Per index of the primary table: the symbol whose code the index
+    /// bits start with and that code's length, or `None` where the codes
+    /// there are longer than the table reaches (or no code starts so).
+    pub(crate) fn primary(&self) -> impl Iterator<Item = Option<(u32, u32)>> + '_ {
+        self.table[..1 << LUT_BITS].iter().map(|&entry| (entry & LINK == 0).then(|| self.first_symbol(entry)))
+    }
+
+    /// The symbol whose code the left-aligned `window` starts with, and
+    /// that code's length; `None` where no code does. The window must hold
+    /// [`MAX_CODE_LEN`] bits of the stream.
+    #[inline]
+    pub(crate) fn lookup(&self, window: u64) -> Option<(u32, u32)> {
+        let entry = self.table[(window >> (64 - LUT_BITS as u32)) as usize];
+        let (sym, len) = self.first_symbol(self.follow(entry, window, LUT_BITS as u32));
+        (len > 0).then_some((sym, len))
+    }
+
     /// Decode one symbol.
     #[inline]
     pub fn decode(&self, r: &mut BitReader<'_>) -> Result<u32, HuffmanError> {
         let (window, avail) = r.window(MAX_CODE_LEN as u32);
-        let entry = self.table[(window >> (64 - LUT_BITS as u32)) as usize];
-        let (sym, len) = self.first_symbol(self.follow(entry, window, LUT_BITS as u32));
         // The window is zero-padded past the end of the stream: a code
         // that needs padding bits to match did not match.
-        if len == 0 || len > avail {
-            return Err(HuffmanError::Corrupt);
+        match self.lookup(window) {
+            Some((sym, len)) if len <= avail => {
+                r.advance(len as u8);
+                Ok(sym)
+            }
+            _ => Err(HuffmanError::Corrupt),
         }
-        r.advance(len as u8);
-        Ok(sym)
     }
 
     /// Decode `n` symbols from the start of `bytes` into `out` (resized to

@@ -36,6 +36,7 @@
 //! ```
 
 pub mod bitio;
+mod classes;
 pub mod element;
 // The shared test generators name this crate the way an integration test
 // does.

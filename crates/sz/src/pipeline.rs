@@ -39,15 +39,16 @@ use std::borrow::Cow;
 use std::ops::Range;
 
 use crate::bitio::{BitReader, BitWriter};
+use crate::classes::{self, class_count, ClassDecoder};
 use crate::element::Element;
-use crate::header::{Reader, Writer, ENVELOPE_LEN, FLAG_LOSSLESS, FLAG_PACKED_TABLE, MAGIC};
-use crate::huffman::{CodeTable, HuffmanDecoder, HuffmanEncoder};
+use crate::header::{Reader, Writer, ENVELOPE_LEN, FLAG_CLASS_CODES, FLAG_LOSSLESS, FLAG_PACKED_TABLE, MAGIC};
+use crate::huffman::{HuffmanDecoder, HuffmanEncoder};
 use crate::lossless;
 use crate::predictor::lorenzo_3d_row_partial;
 use crate::quantizer::Quantizer;
 use crate::regression::{BlockCoeffs, BLOCK_SIDE};
 use crate::stats::CompressionStats;
-use crate::table;
+use crate::table::{self, Table};
 use crate::{Compressed, ErrorBound, SzConfig, SzError};
 
 /// Geometry after fusing 4-D inputs down to 3-D (SZ treats the slowest two
@@ -139,8 +140,9 @@ pub struct SzScratch<T> {
     // (`f64`, what its predictions read) and one row of partials.
     recon: Vec<f64>,
     rowp: Vec<f64>,
-    // Entropy: the encoder's tables and the coded bits.
+    // Entropy: the encoder's tables, the class form's, and the coded bits.
     huff: HuffmanEncoder,
+    classes: HuffmanEncoder,
     sym_bits: BitWriter,
 }
 
@@ -156,6 +158,7 @@ impl<T> SzScratch<T> {
             recon: Vec::new(),
             rowp: Vec::new(),
             huff: HuffmanEncoder::default(),
+            classes: HuffmanEncoder::default(),
             sym_bits: BitWriter::new(),
         }
     }
@@ -518,55 +521,80 @@ fn blocks_read(flags: &BitReader, coeffs: &std::slice::ChunksExact<'_, u8>) -> R
     all_read(coeffs.len(), "coefficients past the last regression block")
 }
 
+/// A table stored in this many bytes or more prices the class form too
+/// (DESIGN §12.1): below it the class form could save at most a small
+/// table, and it codes more bits, which the cost model prices as work.
+const CLASS_GATE: usize = 4 << 10;
+
 /// The entropy stage: a canonical Huffman code over the symbols the call
-/// used. Its bytes sit between predict-quantize's head and sections: the
-/// first symbol with a code, `count` (the symbols from there to the last
-/// one with a code), their code lengths in the table stage's form, the
-/// number of coded bits and the symbol section. Returns the table stage's
-/// flag bit; the code's size goes into `stats`.
+/// used (the exact form), or over their classes with raw bits behind
+/// (the class form, [`classes`]) where the exact table is packed into
+/// `gate` bytes or more and the class form's table and bits are smaller;
+/// a tie keeps the exact form. Its bytes sit between predict-quantize's
+/// head and sections: the first symbol (or class) with a code, `count`
+/// (from there to the last one with a code), their code lengths in the
+/// table stage's form, the number of coded bits and the symbol section.
+/// Returns the flag bits of the form and of the table stage; the code's
+/// size goes into `stats`.
 fn entropy_encode<T>(
-    alphabet: usize,
+    radius: u32,
+    gate: usize,
     lossless: bool,
     p: &mut Writer,
     stats: &mut CompressionStats,
     s: &mut SzScratch<T>,
 ) -> Result<u8, SzError> {
     let _span = lcpio_trace::span("sz.huffman");
-    let (first, lens, present) = huffman_code(alphabet, s)?;
+    s.huff.rebuild(2 * radius as usize + 1, &s.symbols).map_err(|_| SzError::Internal("huffman build"))?;
+    let (mut first, lens, mut present) = s.huff.table();
+    let (mut table, mut form) = (Table::new(lens, lossless), 0);
+    if table.is_packed() && table.stored_len() >= gate {
+        if let Some(bits) = classes::price(&s.huff, radius, &mut s.classes) {
+            let (class_first, class_lens, class_present) = s.classes.table();
+            let class_table = Table::new(class_lens, lossless);
+            let stored = |table: &Table, bits: u64| table.stored_len() as u64 + bits.div_ceil(8);
+            if stored(&class_table, bits) < stored(&table, s.huff.coded_bits()) {
+                classes::recode(&mut s.huff, radius, &s.classes);
+                (first, present, table, form) = (class_first, class_present, class_table, FLAG_CLASS_CODES);
+            }
+        }
+    }
+    huffman_emit(s)?;
     stats.huffman_table_entries = present as u64;
     stats.huffman_bits = s.sym_bits.bit_len() as u64;
     p.u32(first as u32);
-    p.u32(lens.len() as u32);
-    let table_flag = table::encode(&lens, lossless, p);
+    p.u32(table.count() as u32);
+    let table_flag = table.write(p);
     p.u64(stats.huffman_bits);
     p.section(s.sym_bits.finish());
-    Ok(table_flag)
+    Ok(form | table_flag)
 }
 
-/// The entropy stage's code: histogram, Huffman table and codes over
-/// `s.symbols` (all below `alphabet`), and their bits into `s.sym_bits`
-/// through the batched emitter.
-fn huffman_code<T>(alphabet: usize, s: &mut SzScratch<T>) -> Result<CodeTable, SzError> {
-    s.huff.rebuild(alphabet, &s.symbols).map_err(|_| SzError::Internal("huffman build"))?;
+/// The entropy stage's emit: `s.symbols` under the encoder's codes into
+/// `s.sym_bits`, through the batched emitter.
+fn huffman_emit<T>(s: &mut SzScratch<T>) -> Result<(), SzError> {
     let _span = lcpio_trace::span("sz.huffman.emit");
     s.sym_bits.clear();
     s.huff.encode_slice(&s.symbols, &mut s.sym_bits).map_err(|_| SzError::Internal("huffman encode"))?;
     // The lossless stage comes later and holds the call's peak.
-    Ok(s.huff.finish())
+    s.huff.release();
+    Ok(())
 }
 
 /// The entropy stage's decode: `n` symbols into `symbols`. The symbol
-/// range is checked against `q`'s alphabet before a byte of the table is
-/// read or unpacked: the decoder can then only ever give one of the
-/// quantizer's symbols, and a packed table only ever expand to the
-/// alphabet's size. Returns where the table (`count`, then the lengths in
-/// their form) lies in the payload.
+/// range is checked against `q`'s alphabet (under `FLAG_CLASS_CODES`, its
+/// classes) before a byte of the table is read or unpacked: the decoder
+/// can then only ever give one of the quantizer's symbols or classes, and
+/// a packed table only ever expand to the alphabet's size. Returns where
+/// the table (`count`, then the lengths in their form) lies in the
+/// payload.
 ///
 /// Decode budget: the symbols, four bytes an element, with every element
 /// at least a bit of the symbol section (checked before decoding: `c` = 32
 /// per byte); the decoder's tables, sized by the codes the table gives
-/// (a small factor times at most `count`, plus under 0.2 MiB); and the
-/// table stage's `k`.
+/// (a small factor times at most `count`, plus under 0.2 MiB), or the
+/// class decoder's ([`ClassDecoder::decode_into`]); and the table stage's
+/// `k`.
 fn entropy_decode(
     r: &mut Reader,
     flags: u8,
@@ -574,23 +602,35 @@ fn entropy_decode(
     n: usize,
     symbols: &mut Vec<u32>,
 ) -> Result<Range<usize>, SzError> {
+    let class_form = flags & FLAG_CLASS_CODES != 0;
     let first = r.u32()? as usize;
     let table_from = r.pos();
     let count = r.u32()? as usize;
-    if first.checked_add(count).is_none_or(|end| end > q.alphabet_size()) {
+    let alphabet = if class_form { class_count(q.radius()) } else { q.alphabet_size() };
+    if first.checked_add(count).is_none_or(|end| end > alphabet) {
         return Err(SzError::Corrupt("symbol range out of alphabet"));
     }
+    let span = lcpio_trace::span("sz.table.unpack");
     let lens = table::decode(r, flags, count)?;
+    drop(span);
     let table_at = table_from..r.pos();
     let _bit_count = r.u64()?;
     let sym_bytes = r.section()?;
     if n > sym_bytes.len().saturating_mul(8) {
         return Err(SzError::Corrupt("element count exceeds symbol stream"));
     }
-    HuffmanDecoder::from_occupied(&lens, first)
-        .map_err(|_| SzError::Corrupt("huffman table"))?
-        .decode_into(sym_bytes, n, symbols)
-        .map_err(|_| SzError::Corrupt("symbol stream"))?;
+    let span = lcpio_trace::span("sz.huffman.decoder");
+    if class_form {
+        let decoder = ClassDecoder::new(&lens, first, q.radius())?;
+        drop(span);
+        let _span = lcpio_trace::span("sz.huffman.decode");
+        decoder.decode_into(sym_bytes, n, symbols)?;
+    } else {
+        let decoder = HuffmanDecoder::from_occupied(&lens, first).map_err(|_| SzError::Corrupt("huffman table"))?;
+        drop(span);
+        let _span = lcpio_trace::span("sz.huffman.decode");
+        decoder.decode_into(sym_bytes, n, symbols).map_err(|_| SzError::Corrupt("symbol stream"))?;
+    }
     Ok(table_at)
 }
 
@@ -652,7 +692,7 @@ fn lossless_decode(stream: &[u8]) -> Result<(u8, Cow<'_, [u8]>), SzError> {
         return Err(SzError::Corrupt("bad magic"));
     }
     let flags = env.u8()?;
-    if flags & !(FLAG_LOSSLESS | FLAG_PACKED_TABLE) != 0 {
+    if flags & !(FLAG_LOSSLESS | FLAG_PACKED_TABLE | FLAG_CLASS_CODES) != 0 {
         return Err(SzError::Corrupt("unknown flags"));
     }
     let body = env.section()?;
@@ -692,24 +732,25 @@ pub fn compress_typed_with<T: Element>(
     let mut p = Writer::enveloped();
     let mut stats = CompressionStats::default();
     pq.encode(data, dims, &mut p, &mut stats, s);
-    code_walk(&pq, p, stats, cfg.lossless, s)
+    code_walk(&pq, p, stats, (cfg.lossless, CLASS_GATE), s)
 }
 
 /// The stage walk forward behind predict-quantize, whose head is in `p`
 /// and whose symbols and sections are in the scratch: entropy (the table
-/// stage inside it), predict-quantize's sections, lossless.
+/// stage inside it, the class form priced from a table of `gate` bytes),
+/// predict-quantize's sections, lossless.
 fn code_walk<T: Element>(
     pq: &PredictQuantize,
     mut p: Writer,
     mut stats: CompressionStats,
-    lossless: bool,
+    (lossless, gate): (bool, usize),
     s: &mut SzScratch<T>,
 ) -> Result<Compressed, SzError> {
     stats.elements = pq.n as u64;
     stats.input_bytes = (pq.n * T::BYTES) as u64;
-    let table_flag = entropy_encode(pq.q.alphabet_size(), lossless, &mut p, &mut stats, s)?;
+    let flags = entropy_encode(pq.q.radius(), gate, lossless, &mut p, &mut stats, s)?;
     pq.encode_sections(&mut p, s);
-    let bytes = lossless_encode(p.into_bytes(), table_flag, lossless);
+    let bytes = lossless_encode(p.into_bytes(), flags, lossless);
     stats.output_bytes = bytes.len() as u64;
     if lcpio_trace::collecting() {
         lcpio_trace::counter_add("sz.elements", stats.elements);
@@ -821,6 +862,7 @@ fn decompress_walk<'o, T: Element>(
     let mut r = Reader::new(&payload);
     let (pq, dims) = PredictQuantize::decode_head::<T>(&mut r)?;
     let table = entropy_decode(&mut r, flags, &pq.q, pq.n, &mut s.symbols)?;
+    let _span = lcpio_trace::span("sz.reconstruct");
     pq.decode(&mut r, s, out(pq.n)?)?;
     let raw = matches!(payload, Cow::Borrowed(_));
     Ok((dims, raw.then(|| ENVELOPE_LEN + table.start..ENVELOPE_LEN + table.end)))
@@ -1712,7 +1754,7 @@ mod legacy {
         s: &mut SzScratch<T>,
         blocks: &mut Blocks,
     ) -> Result<Compressed, SzError> {
-        let table_flag = entropy_encode(pq.q.alphabet_size(), lossless, &mut p, &mut stats, s)?;
+        let table_flag = entropy_encode(pq.q.radius(), usize::MAX, lossless, &mut p, &mut stats, s)?;
         pq.encode_sections(&mut p, s);
         if pq.block_mode {
             blocks.write(&mut p);
@@ -1823,7 +1865,7 @@ mod tests {
     use crate::generators::{
         field_f32, field_f64, fnv64, pinned_cases, pinned_field_f32, pinned_field_f64, salted_field, special32,
     };
-    use crate::huffman::{canonical_codes, code_lengths, ReferenceDecoder};
+    use crate::huffman::{canonical_codes, code_lengths, CodeTable, ReferenceDecoder};
     use crate::pwrel::{
         build_pointwise_rel, compress_pointwise_rel, decompress_pointwise_rel, parse_pointwise_rel,
         PwrelParts,
@@ -2149,6 +2191,195 @@ mod tests {
         assert_eq!((streams.len(), fnv64(&streams), fnv64(&values)), (12187, 0x287923e380dc3bd8, 0xa8068daca7d13643));
     }
 
+    /// The writer before the class form: the exact form whatever the size
+    /// of its table, as every stream pinned before `FLAG_CLASS_CODES` was
+    /// written.
+    fn exact_only<T: Element>(data: &[T], dims: &[usize], cfg: &SzConfig) -> Result<Compressed, SzError> {
+        let pq = PredictQuantize::new(data, dims, cfg)?;
+        let (mut p, mut stats, mut s) = (Writer::enveloped(), CompressionStats::default(), SzScratch::new());
+        pq.encode(data, dims, &mut p, &mut stats, &mut s);
+        code_walk(&pq, p, stats, (cfg.lossless, usize::MAX), &mut s)
+    }
+
+    #[test]
+    fn exact_streams_keep_their_hashes_and_restore_the_same_values() {
+        // What was pinned before the class form, as (length, stream hash,
+        // hash of the values decoded): `crates/sz/tests/format_regression.rs`'s
+        // large default-path field, and the chunks of the root
+        // `tests/format_regression.rs` NYX containers at each paper bound
+        // (the containers were these bytes plus 130 bytes of framing). The
+        // writer's streams of the same chunks restore the same values, and
+        // are no longer.
+        let dims = [64usize, 48, 96];
+        let data = field_f32(dims.iter().product(), 0xf00d);
+        let cfg = SzConfig::new(ErrorBound::Absolute(1e-3));
+        let (exact, values) = chunk_streams(&[(data, dims.to_vec())], |data, dims| exact_only(data, dims, &cfg));
+        assert_eq!((exact.len(), fnv64(&exact), fnv64(&values)), (697402, 0xe26b61b87e1953ba, 0xa4dc88cc6ca2ec2a));
+        let nyx = (0..4).map(nyx_chunk).map(|(data, dims)| (data, dims.to_vec())).collect::<Vec<_>>();
+        for (eb, pin) in [
+            (1e-1, (72190, 0x90a05e8a4abe51e3, 0xecfe42af350b1335)),
+            (1e-2, (119388, 0x33a7d5cbe1635f41, 0x1fdaa07ff1b2e069)),
+            (1e-3, (172181, 0xf63a443619a1ce16, 0x295054f715be46a3)),
+            (1e-4, (240266, 0x1eaad600d382ac14, 0x84172ac49192615c)),
+        ] {
+            let cfg = SzConfig::new(ErrorBound::Absolute(eb));
+            let (streams, values) = chunk_streams(&nyx, |data, dims| exact_only(data, dims, &cfg));
+            assert_eq!((streams.len(), fnv64(&streams), fnv64(&values)), pin, "NYX at {eb:e}");
+            let (today, today_values) = chunk_streams(&nyx, |data, dims| compress_typed(data, dims, &cfg));
+            assert!(today_values == values && today.len() <= streams.len(), "NYX at {eb:e}");
+        }
+    }
+
+    /// `data` written by the writer and by [`exact_only`]: both restore the
+    /// same values, and the writer's stream is no longer. Returns whether
+    /// the writer chose the class form.
+    fn assert_never_larger<T: Element>(data: &[T], dims: &[usize], cfg: &SzConfig) -> bool {
+        let (exact, today) = (exact_only(data, dims, cfg).unwrap().bytes, compress_typed(data, dims, cfg).unwrap().bytes);
+        let values = |stream: &[u8]| le_bits(&decompress_typed::<T>(stream).unwrap().0);
+        assert!(today.len() <= exact.len(), "{dims:?} {cfg:?}: {} > {}", today.len(), exact.len());
+        assert!(values(&today) == values(&exact), "{dims:?} {cfg:?}");
+        flags_of(&today) & FLAG_CLASS_CODES != 0
+    }
+
+    #[test]
+    fn the_class_form_is_never_larger_on_the_pinned_corpora() {
+        let mut class_form = 0;
+        for (i, (dims, cfg, _)) in pinned_cases().iter().enumerate() {
+            class_form += assert_never_larger(&pinned_field_f32(i, dims), dims, cfg) as usize;
+            class_form += assert_never_larger(&pinned_field_f64(i, dims), dims, cfg) as usize;
+        }
+        let dims = [64usize, 48, 96];
+        let cfg = SzConfig::new(ErrorBound::Absolute(1e-3));
+        class_form += assert_never_larger(&field_f32(dims.iter().product(), 0xf00d), &dims, &cfg) as usize;
+        for eb in [1e-1, 1e-2, 1e-3, 1e-4] {
+            let cfg = SzConfig::new(ErrorBound::Absolute(eb));
+            for (data, dims) in (0..4).map(nyx_chunk) {
+                class_form += assert_never_larger(&data, &dims, &cfg) as usize;
+            }
+        }
+        for (data, dims) in codec_chunks_f32() {
+            class_form += assert_never_larger(&data, &dims, &SzConfig::new(ErrorBound::Absolute(1e-3))) as usize;
+        }
+        for (data, dims) in codec_chunks_f64() {
+            class_form += assert_never_larger(&data, &dims, &SzConfig::new(ErrorBound::Absolute(1e-4))) as usize;
+        }
+        // The large field and the four NYX chunks at 1e-4.
+        assert_eq!(class_form, 5);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The fields of `adversarial_bounds.rs`: smooth data salted with
+        /// the special values, here at every bound of its draw and at 1e-5,
+        /// where the residuals spread over the alphabet.
+        #[test]
+        fn prop_the_class_form_is_never_larger_on_adversarial_fields(
+            nz in 1usize..4,
+            ny in 1usize..40,
+            nx in 1usize..80,
+            rank in 1usize..4,
+            seed in any::<u64>(),
+            density in 0u32..101,
+            specials in proptest::collection::vec(special32(), 48..49),
+            eb in prop_oneof![2 => Just(1e-3f64), 1 => Just(1e-1f64), 1 => Just(1e-5f64), 1 => Just(1e-6f64)],
+            lossless in any::<bool>(),
+        ) {
+            let dims: Vec<usize> = match rank {
+                1 => vec![nz * ny * nx],
+                2 => vec![nz * ny, nx],
+                _ => vec![nz, ny, nx],
+            };
+            let data = salted_field(dims.iter().product(), seed, density, &specials);
+            let cfg = SzConfig::new(ErrorBound::Absolute(eb)).with_lossless(lossless);
+            assert_never_larger(&data, &dims, &cfg);
+            let data64: Vec<f64> = data.iter().map(|&v| v as f64).collect();
+            assert_never_larger(&data64, &dims, &cfg);
+        }
+    }
+
+    /// The entropy stage's bytes in the class form, its lengths dense: each
+    /// `(class, raw, k)` of `codes` as the class's code under a Huffman code
+    /// over `classes` classes, then `k` raw bits.
+    fn class_stage(codes: &[(u32, u64, u8)], classes: usize) -> Vec<u8> {
+        let mut freqs = vec![0u64; classes];
+        codes.iter().for_each(|&(c, ..)| freqs[c as usize] += 1);
+        let enc = HuffmanEncoder::from_freqs(&freqs).unwrap();
+        let mut bits = BitWriter::new();
+        for &(c, raw, k) in codes {
+            enc.encode(c, &mut bits).unwrap();
+            bits.push_bits(raw, k);
+        }
+        let (first, lens, _) = enc.table();
+        let mut p = Writer::new();
+        p.u32(first as u32);
+        p.u32(lens.len() as u32);
+        p.bytes(&lens);
+        p.u64(bits.bit_len() as u64);
+        p.section(bits.finish());
+        p.into_bytes()
+    }
+
+    /// [`entropy_decode`] of `stage` in the class form at `radius`: `n`
+    /// symbols.
+    fn decode_class_stage(stage: &[u8], radius: u32, n: usize) -> Result<Vec<u32>, SzError> {
+        let mut symbols = Vec::new();
+        entropy_decode(&mut Reader::new(stage), FLAG_CLASS_CODES, &Quantizer::new(1.0, radius), n, &mut symbols)?;
+        Ok(symbols)
+    }
+
+    #[test]
+    fn class_streams_that_break_the_form_are_corrupt() {
+        // 40 symbols, so the bulk loop reads the first ones and the
+        // per-symbol tail the last: residuals 0 and 1 (classes 32, 33),
+        // 32 + 5 (class 64, 3 raw bits) and 4096 + 1000 (class 120, 10).
+        let r = Quantizer::DEFAULT_RADIUS;
+        let pattern = [(32, 0, 0), (33, 0, 0), (64, 5, 3), (120, 1000, 10)];
+        let good: Vec<_> = (0..40).map(|i| pattern[i % 4]).collect();
+        let symbols = decode_class_stage(&class_stage(&good, 144), r, 40).unwrap();
+        assert_eq!(symbols[36..], [r, r + 1, r + 37, r + 5096]);
+        // A class past the radius's 144, refused before the table is read.
+        let past = [&good[..], &[(150, 0, 0)]].concat();
+        assert_eq!(decode_class_stage(&class_stage(&past, 151), r, 41), Err(SzError::Corrupt("symbol range out of alphabet")));
+        // Raw bits that run past the section: class 120 with none behind.
+        let cut = [&good[..], &[(120, 0, 0)]].concat();
+        assert_eq!(decode_class_stage(&class_stage(&cut, 144), r, 41), Err(SzError::Corrupt("raw bits past the section")));
+        // And codes: more symbols than the section and its zero padding
+        // hold.
+        assert_eq!(decode_class_stage(&class_stage(&good, 144), r, 48), Err(SzError::Corrupt("class code stream")));
+        // A magnitude at or past the radius, in the bulk loop and in the
+        // tail, on either side: at radius 36, class 64 stands for 32..=39
+        // and class 68 for -32..=-39, so raw 3 is in reach and raw 4 is
+        // not (its negative would read as the escape); class 65 (40..=47)
+        // is never in reach.
+        let past = SzError::Corrupt("class magnitude at or past the radius");
+        for at in [0, 38] {
+            for (class, raw, ok) in [(64, 3, Some(36 + 35)), (68, 3, Some(1)), (64, 4, None), (68, 4, None), (65, 0, None)] {
+                let mut codes = vec![(32, 0, 0); 40];
+                codes[at] = (class, raw, 3);
+                let got = decode_class_stage(&class_stage(&codes, 72), 36, 40);
+                assert_eq!(got.map(|symbols| symbols[at]), ok.ok_or(past), "class {class} raw {raw} at {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_class_flag_on_a_table_that_does_not_parse_is_corrupt() {
+        let (data, dims) = nyx_chunk(1);
+        let classes = compress_typed(&data, &dims, &SzConfig::new(ErrorBound::Absolute(1e-4))).unwrap().bytes;
+        let exact = compress_typed(&data, &dims, &SzConfig::new(ErrorBound::Absolute(1e-3))).unwrap().bytes;
+        assert_eq!((flags_of(&classes), flags_of(&exact)), (FLAG_CLASS_CODES | FLAG_PACKED_TABLE, FLAG_PACKED_TABLE));
+        // The class table's packed section zeroed: no token has a code.
+        let table = table_range(&classes).expect("no LZSS layer");
+        let mut forged = classes.clone();
+        forged[table.start + 12..table.end].fill(0);
+        assert_eq!(decompress_typed::<f32>(&forged).unwrap_err(), SzError::Corrupt("packed table token code"));
+        // The flag on an exact table: thousands of symbols, no 144 classes.
+        let mut forged = exact.clone();
+        forged[4] |= FLAG_CLASS_CODES;
+        assert_eq!(decompress_typed::<f32>(&forged).unwrap_err(), SzError::Corrupt("symbol range out of alphabet"));
+    }
+
     /// The chunks of `lcpio-codec`'s pinned `SZLP` fields: `f32` at 1e-3 …
     fn codec_chunks_f32() -> Vec<(Vec<f32>, Vec<usize>)> {
         let dims = [32usize, 9, 7];
@@ -2182,6 +2413,16 @@ mod tests {
         (field.data[chunk * 12 * plane..(chunk + 1) * 12 * plane].to_vec(), [12, 48, 48])
     }
 
+    /// The exact form's code of `s.symbols` (all below `alphabet`):
+    /// histogram, Huffman table, and the bits into `s.sym_bits` through the
+    /// entropy stage's emitter.
+    fn huffman_code<T>(alphabet: usize, s: &mut SzScratch<T>) -> Result<CodeTable, SzError> {
+        s.huff.rebuild(alphabet, &s.symbols).map_err(|_| SzError::Internal("huffman build"))?;
+        let table = s.huff.table();
+        huffman_emit(s)?;
+        Ok(table)
+    }
+
     /// Stages 1 and 2 of the encoder on `data`, into a fresh scratch: the
     /// predict-quantize stage, the scratch, and the entropy stage's code.
     fn quantize_and_code<T: Element>(
@@ -2207,7 +2448,7 @@ mod tests {
                 // the bytes, the same lengths.
                 for lossless in [false, true] {
                     let mut p = Writer::new();
-                    let flag = table::encode(&dense, lossless, &mut p);
+                    let flag = Table::new(dense.clone(), lossless).write(&mut p);
                     let bytes = p.into_bytes();
                     let mut r = Reader::new(&bytes);
                     assert_eq!(table::decode(&mut r, flag, dense.len()).unwrap(), &dense[..]);
@@ -2223,7 +2464,7 @@ mod tests {
                 // values out.
                 let raw = compress_typed(&data, &dims, &cfg.with_lossless(false)).unwrap().bytes;
                 let new = compress_typed(&data, &dims, &cfg).unwrap().bytes;
-                assert_eq!(flags_of(&new), FLAG_PACKED_TABLE, "chunk {chunk} eb {eb:e}");
+                assert_eq!(flags_of(&new) & !FLAG_CLASS_CODES, FLAG_PACKED_TABLE, "chunk {chunk} eb {eb:e}");
                 let (old_values, _) = decompress_typed::<f32>(&raw).unwrap();
                 let (new_values, _) = decompress_typed::<f32>(&new).unwrap();
                 assert_eq!(le_bits(&old_values), le_bits(&new_values));
@@ -2238,7 +2479,7 @@ mod tests {
             let cfg = SzConfig::new(ErrorBound::Absolute(1e-3)).with_lossless(lossless);
             let good = compress(&data, &[512], &cfg).unwrap().bytes;
             assert!(decompress(&good).is_ok());
-            for bit in 2..8 {
+            for bit in 3..8 {
                 let mut bad = good.clone();
                 bad[4] |= 1 << bit;
                 assert_eq!(decompress(&bad).unwrap_err(), SzError::Corrupt("unknown flags"));
@@ -2513,7 +2754,7 @@ mod tests {
             let cfg = SzConfig::new(ErrorBound::Absolute(1e-3)).with_lossless(lossless);
             let (pq, mut s, _) = quantize_and_code(&data, &dims, &cfg);
             let (mut p, mut stats) = (Writer::new(), CompressionStats::default());
-            let flag = entropy_encode(pq.q.alphabet_size(), lossless, &mut p, &mut stats, &mut s).unwrap();
+            let flag = entropy_encode(pq.q.radius(), CLASS_GATE, lossless, &mut p, &mut stats, &mut s).unwrap();
             assert_eq!(flag, if lossless { FLAG_PACKED_TABLE } else { 0 });
             let bytes = p.into_bytes();
             let (mut r, mut symbols) = (Reader::new(&bytes), Vec::new());
@@ -3373,8 +3614,11 @@ mod tests {
             .collect();
         let cfg = SzConfig::new(ErrorBound::Absolute(1e-2)).with_radius(1 << 17);
         let mut scratch = SzScratch::new();
-        let out = compress_typed_with(&data, &[5000], &cfg, &mut scratch).unwrap();
+        let out = compress_typed_with(&data, &[5000], &cfg.with_lossless(false), &mut scratch).unwrap();
         assert!(out.stats.huffman_table_entries > 1000 && out.stats.unpredictable > 0, "{:?}", out.stats);
+        // And the class form's encoder, from the same symbols packed.
+        let out = compress_typed_with(&data, &[5000], &cfg, &mut scratch).unwrap();
+        assert_eq!(flags_of(&out.bytes) & FLAG_CLASS_CODES, FLAG_CLASS_CODES);
         scratch
     }
 

@@ -26,7 +26,7 @@
 //! field as one code (two where together they pass 32 bits), a batch of
 //! them to a `BitWriter::push_codes`.
 //!
-//! This is the table stage of the payload: [`encode`] chooses the form and
+//! This is the table stage of the payload: [`Table`] chooses the form and
 //! writes it, [`decode`] reads it back under the envelope's
 //! `FLAG_PACKED_TABLE`.
 
@@ -37,28 +37,53 @@ use crate::header::{Reader, Writer, FLAG_PACKED_TABLE};
 use crate::huffman::{canonical_codes, code_lengths, HuffmanDecoder, MAX_CODE_LEN};
 use crate::SzError;
 
-/// The table stage: `lens` into `p` packed when the lossless back end is
-/// on and the section with its length prefix is smaller (the rule its
-/// LZSS pass follows too), dense, a byte each, otherwise. Quantization
-/// codes cluster around the zero bin, so at loose bounds the range is a
-/// few entries and stays dense. Returns the stage's flag bit.
-pub(crate) fn encode(lens: &[u8], lossless: bool, p: &mut Writer) -> u8 {
-    let packed = if lossless {
-        let _span = lcpio_trace::span("sz.table.pack");
-        pack(lens).filter(|section| 8 + section.len() < lens.len())
-    } else {
-        None
-    };
-    if lcpio_trace::collecting() {
-        lcpio_trace::counter_add("sz.table.dense_bytes", lens.len() as u64);
-        let stored = packed.as_ref().map_or(lens.len(), |section| 8 + section.len());
-        lcpio_trace::counter_add("sz.table.packed_bytes", stored as u64);
+/// The table stage's form of a table of code lengths: packed when the
+/// lossless back end is on and the section with its length prefix is
+/// smaller (the rule its LZSS pass follows too), dense, a byte each,
+/// otherwise. Quantization codes cluster around the zero bin, so at loose
+/// bounds the range is a few entries and stays dense.
+pub(crate) struct Table {
+    lens: Vec<u8>,
+    packed: Option<Vec<u8>>,
+}
+
+impl Table {
+    /// `lens` in the form the rule chooses.
+    pub(crate) fn new(lens: Vec<u8>, lossless: bool) -> Self {
+        let packed = lossless.then(|| {
+            let _span = lcpio_trace::span("sz.table.pack");
+            pack(&lens).filter(|section| 8 + section.len() < lens.len())
+        });
+        Table { packed: packed.flatten(), lens }
     }
-    match &packed {
-        Some(section) => p.section(section),
-        None => p.bytes(lens),
+
+    /// The code lengths the table holds.
+    pub(crate) fn count(&self) -> usize {
+        self.lens.len()
     }
-    packed.map_or(0, |_| FLAG_PACKED_TABLE)
+
+    /// Whether the table is packed.
+    pub(crate) fn is_packed(&self) -> bool {
+        self.packed.is_some()
+    }
+
+    /// Bytes the table takes in the payload.
+    pub(crate) fn stored_len(&self) -> usize {
+        self.packed.as_ref().map_or(self.lens.len(), |section| 8 + section.len())
+    }
+
+    /// The table stage: the table into `p`. Returns the stage's flag bit.
+    pub(crate) fn write(&self, p: &mut Writer) -> u8 {
+        if lcpio_trace::collecting() {
+            lcpio_trace::counter_add("sz.table.dense_bytes", self.lens.len() as u64);
+            lcpio_trace::counter_add("sz.table.packed_bytes", self.stored_len() as u64);
+        }
+        match &self.packed {
+            Some(section) => p.section(section),
+            None => p.bytes(&self.lens),
+        }
+        self.packed.as_ref().map_or(0, |_| FLAG_PACKED_TABLE)
+    }
 }
 
 /// The table stage's decode: the `count` code lengths, from a packed

@@ -93,7 +93,11 @@ fn warm_scratch_calls_allocate_a_pinned_number_of_times() {
     let chunk = &nyx.data[..n];
     // (compress, decompress) per case.
     assert_eq!(counts(chunk, &dims, 1e-1), (27, 14), "NYX chunk at 1e-1");
-    assert_eq!(counts(chunk, &dims, 1e-4), (26, 22), "NYX chunk at 1e-4");
+    // At 1e-4 the exact table packs past 4 KiB, so the class form is
+    // priced (its table built and packed: 13 calls more) and written; its
+    // decoder builds from 144 class lengths instead of unpacking and
+    // linking a table of thousands (7 calls fewer).
+    assert_eq!(counts(chunk, &dims, 1e-4), (39, 15), "NYX chunk at 1e-4");
     // Constant: the LZSS pass is kept, and decoding expands it. The first
     // residual is the value's whole lattice index, so the code table spans
     // hundreds of symbols.
@@ -122,7 +126,8 @@ fn a_fresh_scratch_dump_chunk_allocates_a_pinned_number_of_times() {
     let dims = [12usize, 96, 96];
     let nyx = lcpio_datagen::nyx::velocity_x(96, 11);
     let chunk = &nyx.data[..dims.iter().product()];
-    for (eb, pin) in [(1e-1, (43, 12)), (1e-4, (63, 31))] {
+    // At 1e-4 the class form is priced and written (see the warm case).
+    for (eb, pin) in [(1e-1, (43, 12)), (1e-4, (84, 29))] {
         let cfg = SzConfig::new(ErrorBound::Absolute(eb));
         let first = compress_typed(chunk, &dims, &cfg).expect("compress");
         let (calls, out) = calls_of(|| compress_typed(chunk, &dims, &cfg).expect("compress"));

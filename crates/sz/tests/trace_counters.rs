@@ -2,13 +2,15 @@
 //! the Huffman table was and is, what the LZSS pass was given and made of
 //! it, whether its output was kept (and so written), and how large a
 //! compact alphabet the entropy stage built its tables over; how the
-//! entropy stage splits into histogram, build, emit and table pack; and
-//! that predict-quantize is one span with nothing inside it, at every
-//! rank. One test function, so nothing else in this process touches the
-//! registry.
+//! entropy stage splits into histogram, build, emit and table pack; that
+//! predict-quantize is one span with nothing inside it, at every rank; and
+//! how the decode walk splits into table unpack, decoder build, symbol
+//! decode and reconstruction. One test function, so nothing else in this
+//! process touches the registry.
 
+use lcpio_sz::header::FLAG_CLASS_CODES;
 use lcpio_sz::trace;
-use lcpio_sz::{compress_typed, ErrorBound, SzConfig};
+use lcpio_sz::{compress_typed, decompress_into, ErrorBound, SzConfig, SzScratch};
 
 #[test]
 fn lossless_back_end_counters_tell_kept_from_dropped() {
@@ -92,4 +94,35 @@ fn lossless_back_end_counters_tell_kept_from_dropped() {
     assert_eq!(report.counter("sz.lossless.kept"), None);
     assert!(report.span("sz.table.pack").is_none() && report.span("sz.lossless").is_none());
     assert_eq!(report.counter("sz.table.dense_bytes"), report.counter("sz.table.packed_bytes"));
+
+    // The four chunks of the cube, as `lcpio-codec`'s `SZLP` container
+    // holds them, at 1e-3 (the exact form) and 1e-4 (the class form: its
+    // code built and its table packed beside the exact ones).
+    for (eb, form) in [(1e-3, 0), (1e-4, FLAG_CLASS_CODES)] {
+        let cfg = SzConfig::new(ErrorBound::Absolute(eb));
+        trace::reset();
+        let chunks: Vec<Vec<u8>> =
+            nyx.data.chunks(n).map(|chunk| compress_typed(chunk, &dims, &cfg).expect("compress").bytes).collect();
+        let report = trace::snapshot();
+        assert!(chunks.iter().all(|stream| stream[4] & FLAG_CLASS_CODES == form), "eb {eb:e}");
+        let priced = 1 + (form != 0) as u64;
+        for name in ["sz.huffman.build", "sz.table.pack"] {
+            assert_eq!(report.span(name).map(|s| s.count), Some(4 * priced), "{name} at {eb:e}");
+        }
+        // Decoded as the container's restart decodes them: one scratch,
+        // each chunk into its slice of the field. Each stage of the walk is
+        // one span a chunk, inside `sz.decompress`.
+        let (mut field, mut scratch) = (vec![0f32; nyx.data.len()], SzScratch::new());
+        trace::reset();
+        for (stream, out) in chunks.iter().zip(field.chunks_mut(n)) {
+            decompress_into(stream, out, &mut scratch).expect("decompress");
+        }
+        let report = trace::snapshot();
+        let span = |name: &str| report.span(name).unwrap_or_else(|| panic!("no {name} span at {eb:e}"));
+        let parts = ["sz.table.unpack", "sz.huffman.decoder", "sz.huffman.decode", "sz.reconstruct"].map(span);
+        assert!(parts.iter().all(|part| part.count == 4), "eb {eb:e}");
+        let inside: u64 = parts.iter().map(|part| part.total_ns).sum();
+        assert!(inside <= span("sz.decompress").total_ns, "the parts lie inside sz.decompress");
+        assert_eq!(report.spans.len(), 5, "{:?}", report.spans.keys());
+    }
 }
