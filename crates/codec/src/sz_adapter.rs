@@ -233,8 +233,12 @@ impl Codec for SzCodec {
     /// repetitions on a 2-vCPU Xeon host, allocator pinned as the repo
     /// benchmark pins it). A pooled prototype lifted `stream_restart`
     /// from 142 to 151 MB/s (5 of 6 pairs) but raised `serve_mixed`'s
-    /// `peak_heap_mb` from 6.6 to 7.6 MB through the scratch it retained,
-    /// so pooling waits until allocations are pinned per call.
+    /// `peak_heap_mb` from 6.6 to 7.6 MB through the scratch it retained.
+    /// Allocation calls per call are pinned since (`lcpio-sz`'s
+    /// `alloc_counts.rs`), so what pooling serial streams still waits on is
+    /// a bound on the scratch a pool retains, and a pin per serve request
+    /// and per restart chunk (ROADMAP item 2): the pool does not carry a
+    /// serve request's compress buffers between requests either.
     fn decompress(
         &self,
         stream: &[u8],
