@@ -266,20 +266,25 @@ mod tests {
 
     #[test]
     fn a_class_code_too_long_for_its_raw_bits_is_not_priced() {
-        // One symbol of class 64 and Fibonacci counts 1, 2, 3, 5, … over 31
-        // more classes: class 64 is among the two rarest, with a code of 31
-        // bits, and with its 3 raw bits behind it passes the 32 an emitted
-        // code holds.
+        // One symbol of class 64 and Fibonacci counts 1, 2, 3, 5, … over
+        // `more` classes: class 64 is among the two rarest, with a code of
+        // `more` bits, and its 3 raw bits behind it. 32 bits fit the code
+        // an emitter writes (and come back); 33 and 34 do not.
         let radius = Quantizer::DEFAULT_RADIUS;
-        let (mut syms, mut counts) = (vec![radius + 32], (1, 2));
-        for (_, run) in runs(radius).skip(1).take(31) {
-            syms.extend(std::iter::repeat_n(run.start as u32, counts.0));
-            counts = (counts.1, counts.0 + counts.1);
+        for (more, priced) in [(31, false), (30, false), (29, true)] {
+            let (mut syms, mut counts) = (vec![radius + 32], (1, 2));
+            for (_, run) in runs(radius).skip(1).take(more) {
+                syms.extend(std::iter::repeat_n(run.start as u32, counts.0));
+                counts = (counts.1, counts.0 + counts.1);
+            }
+            let mut exact = HuffmanEncoder::default();
+            exact.rebuild(2 * radius as usize + 1, &syms).unwrap();
+            let mut classes = HuffmanEncoder::default();
+            assert_eq!(price(&exact, radius, &mut classes).is_some(), priced, "{more} classes");
+            assert_eq!(classes.code(64).map(|(_, len)| len), Ok(more as u8), "{more} classes");
+            if priced {
+                assert_round_trip(radius, &syms);
+            }
         }
-        let mut exact = HuffmanEncoder::default();
-        exact.rebuild(2 * radius as usize + 1, &syms).unwrap();
-        let mut classes = HuffmanEncoder::default();
-        assert_eq!(price(&exact, radius, &mut classes), None);
-        assert_eq!(classes.code(64).map(|(_, len)| len), Ok(31));
     }
 }

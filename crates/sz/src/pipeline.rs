@@ -2351,13 +2351,14 @@ mod tests {
         // tail, on either side: at radius 36, class 64 stands for 32..=39
         // and class 68 for -32..=-39, so raw 3 is in reach and raw 4 is
         // not (its negative would read as the escape); class 65 (40..=47)
-        // is never in reach.
+        // is never in reach. 400 one-bit codes, so symbol 0 is read by the
+        // bulk loop and symbol 398 by the tail.
         let past = SzError::Corrupt("class magnitude at or past the radius");
-        for at in [0, 38] {
+        for at in [0, 398] {
             for (class, raw, ok) in [(64, 3, Some(36 + 35)), (68, 3, Some(1)), (64, 4, None), (68, 4, None), (65, 0, None)] {
-                let mut codes = vec![(32, 0, 0); 40];
+                let mut codes = vec![(32, 0, 0); 400];
                 codes[at] = (class, raw, 3);
-                let got = decode_class_stage(&class_stage(&codes, 72), 36, 40);
+                let got = decode_class_stage(&class_stage(&codes, 72), 36, 400);
                 assert_eq!(got.map(|symbols| symbols[at]), ok.ok_or(past), "class {class} raw {raw} at {at}");
             }
         }
